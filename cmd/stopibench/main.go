@@ -1,16 +1,16 @@
 // Command stopibench regenerates the paper's evaluation: every table and
-// figure of §2 and §6, measured against this repository's substrates.
+// figure of §2 and §6, measured against this repository's substrates. It
+// answers "what does the paper's figure look like here" and "does the fleet
+// hold its SLO"; "did it get slower" belongs to `go run ./benchmark`.
 //
 //	stopibench                        # run everything at full settings
 //	stopibench -quick                 # fast smoke pass
 //	stopibench -fig 2c                # one experiment (2a 2b 2c 5 7 10 11 12 13 14 15 strawmen codesize)
 //	stopibench -repeats 10            # paper-grade repetition
 //	stopibench -backend bytecode      # force an execution engine for the figures
-//	stopibench -interp-bench F.json   # capture the interpreter perf baseline (both engines)
-//	stopibench -interp-check F.json   # re-measure and fail on >25% regression
-//	stopibench -supervisor            # multi-tenant throughput target (1k guests, 4 workers)
 //	stopibench -supervisor -arrival-rate 500 -duration 30s
-//	                                  # sustained open-loop load harness (windowed P99)
+//	                                  # sustained open-loop load harness (windowed P99);
+//	                                  # without -arrival-rate it runs at the harness's default rate
 //	stopibench -supervisor -arrival-rate 500 -duration 30s -supervisor-bench BENCH_supervisor.json
 //	                                  # ...and append the run to the committed trajectory
 //	stopibench -supervisor-check BENCH_supervisor.json -arrival-rate 150 -duration 10s
@@ -38,21 +38,18 @@ import (
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "experiment to run (see Order in internal/bench)")
-		quick       = flag.Bool("quick", false, "small workloads, single repetition")
-		repeats     = flag.Int("repeats", 0, "timed runs per data point (default 5, paper uses 10)")
-		backend     = flag.String("backend", "", "execution engine for the figures: tree or bytecode (default: $STOPIFY_BACKEND, else tree)")
-		interpBench = flag.String("interp-bench", "", "write ns/op and allocs/op for the interpreter-bound figure benchmarks, under both engines, to this JSON file and exit")
-		interpCheck = flag.String("interp-check", "", "re-measure the interpreter benchmarks and fail if any is >25% slower than this snapshot")
+		fig     = flag.String("fig", "all", "experiment to run (see Order in internal/bench)")
+		quick   = flag.Bool("quick", false, "small workloads, single repetition")
+		repeats = flag.Int("repeats", 0, "timed runs per data point (default 5, paper uses 10)")
+		backend = flag.String("backend", "", "execution engine for the figures: tree or bytecode (default: $STOPIFY_BACKEND, else tree)")
 
-		supFlag    = flag.Bool("supervisor", false, "run the multi-tenant supervisor target and exit (closed-loop batch; -arrival-rate switches to the sustained open-loop harness)")
-		supGuests  = flag.Int("supervisor-guests", 1000, "guest count for the closed-loop -supervisor target")
+		supFlag    = flag.Bool("supervisor", false, "run the sustained open-loop supervisor load harness and exit")
 		supWorkers = flag.Int("supervisor-workers", 4, "worker pool size for -supervisor")
 		supQuantum = flag.Uint64("supervisor-quantum", 2000, "scheduling quantum in statements for -supervisor")
 		supBench   = flag.String("supervisor-bench", "", "append the -supervisor result to this JSON trajectory file (BENCH_supervisor.json)")
 		supCheck   = flag.String("supervisor-check", "", "run the sustained-load harness and fail if P99 sched latency or error rate regresses past threshold vs the latest load entry in this trajectory file")
 
-		arrivalRate = flag.Float64("arrival-rate", 0, "open-loop arrival rate in guests/sec for -supervisor / -supervisor-check (0 keeps -supervisor closed-loop)")
+		arrivalRate = flag.Float64("arrival-rate", 0, "open-loop arrival rate in guests/sec for -supervisor / -supervisor-check (0 = the harness default)")
 		duration    = flag.Duration("duration", 10*time.Second, "generation period for the open-loop harness")
 		fixedArr    = flag.Bool("fixed-arrivals", false, "fixed-interval arrivals instead of Poisson")
 		maxResident = flag.Int("supervisor-max-resident", 0, "MaxResident for the load harness (0 = workers*8, forcing park/restore on the hot path; negative = unbounded)")
@@ -120,27 +117,10 @@ func main() {
 				loadCfg.TraceOut = filepath.Join(os.TempDir(), "stopibench-supervisor-check.trace.json")
 			}
 			err = checkSupervisorLoad(*supCheck, loadCfg)
-		case *arrivalRate > 0:
-			err = runSupervisorLoad(loadCfg, *supBench)
 		default:
-			err = runSupervisorBench(*supGuests, *supWorkers, *supQuantum, *supBench)
+			err = runSupervisorLoad(loadCfg, *supBench)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stopibench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *interpBench != "" {
-		if err := captureInterpBench(*interpBench); err != nil {
-			fmt.Fprintln(os.Stderr, "stopibench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *interpCheck != "" {
-		if err := checkInterpBench(*interpCheck); err != nil {
 			fmt.Fprintln(os.Stderr, "stopibench:", err)
 			os.Exit(1)
 		}
@@ -172,30 +152,24 @@ func main() {
 }
 
 // supervisorTrajectory is the schema of BENCH_supervisor.json: an appendable
-// series of dated supervisor measurements, the serving-scenario counterpart
-// of BENCH_interp.json. Each entry records its own config (inside the result
-// blocks), so the file can mix closed-loop throughput snapshots and
-// sustained-load runs across machines and PRs without losing comparability —
-// the check gates only against entries of its own kind.
+// series of dated sustained-load runs. Each entry records its own config
+// (inside the result block), so the file can mix runs across machines and
+// PRs without losing comparability.
 type supervisorTrajectory struct {
 	Entries []supervisorTrajEntry `json:"entries"`
 }
 
-// supervisorTrajEntry is one measurement: exactly one of Load / Throughput
-// is set, per Kind.
+// supervisorTrajEntry is one measurement.
 type supervisorTrajEntry struct {
-	CapturedAt string                  `json:"captured_at"`
-	GoVersion  string                  `json:"go_version"`
-	Engine     string                  `json:"engine"`
-	Kind       string                  `json:"kind"` // "load" | "throughput"
-	Load       *supervisor.LoadResult  `json:"load,omitempty"`
-	Throughput *supervisor.BenchResult `json:"throughput,omitempty"`
+	CapturedAt string                 `json:"captured_at"`
+	GoVersion  string                 `json:"go_version"`
+	Engine     string                 `json:"engine"`
+	Kind       string                 `json:"kind"` // "load"
+	Load       *supervisor.LoadResult `json:"load,omitempty"`
 }
 
 // readTrajectory loads a trajectory file. A missing file is an empty
-// trajectory (capture bootstraps it); the pre-trajectory single-snapshot
-// format ({"config":..., "result":...}) is converted to one throughput
-// entry so old baselines keep working.
+// trajectory (capture bootstraps it).
 func readTrajectory(path string) (*supervisorTrajectory, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -205,27 +179,10 @@ func readTrajectory(path string) (*supervisorTrajectory, error) {
 		return nil, err
 	}
 	var traj supervisorTrajectory
-	if err := json.Unmarshal(data, &traj); err == nil && traj.Entries != nil {
-		return &traj, nil
+	if err := json.Unmarshal(data, &traj); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	var legacy struct {
-		CapturedAt string `json:"captured_at"`
-		GoVersion  string `json:"go_version"`
-		Config     struct {
-			Engine string `json:"engine"`
-		} `json:"config"`
-		Result *supervisor.BenchResult `json:"result"`
-	}
-	if err := json.Unmarshal(data, &legacy); err != nil || legacy.Result == nil {
-		return nil, fmt.Errorf("parsing %s: not a trajectory or legacy snapshot", path)
-	}
-	return &supervisorTrajectory{Entries: []supervisorTrajEntry{{
-		CapturedAt: legacy.CapturedAt,
-		GoVersion:  legacy.GoVersion,
-		Engine:     legacy.Config.Engine,
-		Kind:       "throughput",
-		Throughput: legacy.Result,
-	}}}, nil
+	return &traj, nil
 }
 
 // appendTrajectory adds one entry to the trajectory at path, creating the
@@ -244,31 +201,6 @@ func appendTrajectory(path string, e supervisorTrajEntry) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runSupervisorBench executes the closed-loop throughput target: M guests
-// (with a 1% hostile infinite-loop injection and an interactive lane share)
-// through an N-worker pool, printing guests/sec and the P50/P99 scheduling
-// latency, and optionally appending the run to the trajectory.
-func runSupervisorBench(guests, workers int, quantum uint64, benchPath string) error {
-	cfg := supervisor.BenchConfig{
-		Guests:           guests,
-		Workers:          workers,
-		QuantumSteps:     quantum,
-		HostileEvery:     100,
-		InteractiveEvery: 4,
-		Backend:          os.Getenv("STOPIFY_BACKEND"),
-	}
-	fmt.Printf("execution engine: %s\n", activeBackend())
-	res, err := supervisor.RunBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	if benchPath == "" {
-		return nil
-	}
-	return appendTrajectory(benchPath, supervisorTrajEntry{Kind: "throughput", Throughput: res})
 }
 
 // runSupervisorLoad executes the sustained open-loop harness and optionally
@@ -382,169 +314,4 @@ func activeBackend() string {
 		return b
 	}
 	return core.BackendTree
-}
-
-// interpBenchResult is one row of the interpreter perf baseline. Tree-
-// walker rows keep the bare figure name ("Fig10Languages"); bytecode rows
-// are suffixed ("Fig10Languages@bytecode") so older snapshots without them
-// are skipped, not failed.
-type interpBenchResult struct {
-	Name        string `json:"name"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-}
-
-// interpBenchFile is the schema of BENCH_interp.json: a dated snapshot of
-// the interpreter-bound figure benchmarks, so the substrate's perf
-// trajectory is tracked PR over PR.
-type interpBenchFile struct {
-	CapturedAt string              `json:"captured_at"`
-	GoVersion  string              `json:"go_version"`
-	Config     string              `json:"config"`
-	Benchmarks []interpBenchResult `json:"benchmarks"`
-}
-
-// interpBenchReps is how many times each (figure, engine) cell runs; the
-// minimum is recorded. Minimum-of-N with the engines interleaved is the
-// noise discipline for shared single-core runners: time-varying host load
-// inflates individual runs but affects both engines' minima equally.
-const interpBenchReps = 8
-
-// measureInterpBench times the interpreter-bound figure benchmarks at
-// quick settings under both execution engines, interleaved, reporting the
-// per-cell minimum.
-func measureInterpBench() ([]interpBenchResult, error) {
-	cfg := bench.QuickConfig()
-	figures := []struct {
-		name string
-		fn   func(bench.Config) (string, error)
-	}{
-		{"Fig10Languages", func(c bench.Config) (string, error) {
-			s, _, err := bench.Fig10Languages(c)
-			return s, err
-		}},
-		{"Fig13OctaneKraken", bench.Fig13OctaneKraken},
-	}
-	backends := []string{core.BackendTree, core.BackendBytecode}
-	prev, hadPrev := os.LookupEnv("STOPIFY_BACKEND")
-	defer func() {
-		if hadPrev {
-			os.Setenv("STOPIFY_BACKEND", prev)
-		} else {
-			os.Unsetenv("STOPIFY_BACKEND")
-		}
-	}()
-	var out []interpBenchResult
-	for _, f := range figures {
-		type cell struct {
-			ns     int64
-			allocs int64
-			bytes  int64
-		}
-		mins := map[string]cell{}
-		for rep := 0; rep < interpBenchReps; rep++ {
-			for _, be := range backends {
-				os.Setenv("STOPIFY_BACKEND", be)
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				m0, a0 := ms.Mallocs, ms.TotalAlloc
-				start := time.Now()
-				if _, err := f.fn(cfg); err != nil {
-					return nil, fmt.Errorf("%s (%s): %w", f.name, be, err)
-				}
-				ns := time.Since(start).Nanoseconds()
-				runtime.ReadMemStats(&ms)
-				cur, ok := mins[be]
-				if !ok || ns < cur.ns {
-					mins[be] = cell{
-						ns:     ns,
-						allocs: int64(ms.Mallocs - m0),
-						bytes:  int64(ms.TotalAlloc - a0),
-					}
-				}
-			}
-		}
-		for _, be := range backends {
-			name := f.name
-			if be != core.BackendTree {
-				name += "@" + be
-			}
-			m := mins[be]
-			out = append(out, interpBenchResult{
-				Name: name, NsPerOp: m.ns, AllocsPerOp: m.allocs, BytesPerOp: m.bytes,
-			})
-			fmt.Printf("%-30s %12d ns/op %10d allocs/op %12d B/op\n",
-				name, m.ns, m.allocs, m.bytes)
-		}
-	}
-	return out, nil
-}
-
-// captureInterpBench measures and writes the baseline snapshot as JSON.
-func captureInterpBench(path string) error {
-	results, err := measureInterpBench()
-	if err != nil {
-		return err
-	}
-	out := interpBenchFile{
-		CapturedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		Config:     "quick min-of-" + fmt.Sprint(interpBenchReps),
-		Benchmarks: results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// interpCheckTolerance is how much slower (ns/op) a benchmark may measure
-// than the committed snapshot before the check fails. 25% absorbs the
-// run-to-run noise of shared CI machines while still catching real
-// interpreter regressions, which historically land at 2x, not 1.1x.
-const interpCheckTolerance = 1.25
-
-// checkInterpBench re-measures the interpreter benchmarks and compares
-// against the snapshot at path, failing on a >25% ns/op regression.
-func checkInterpBench(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base interpBenchFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	baseline := make(map[string]interpBenchResult, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseline[b.Name] = b
-	}
-	results, err := measureInterpBench()
-	if err != nil {
-		return err
-	}
-	var failures []string
-	for _, r := range results {
-		b, ok := baseline[r.Name]
-		if !ok {
-			fmt.Printf("%-30s not in snapshot; skipping\n", r.Name)
-			continue
-		}
-		ratio := float64(r.NsPerOp) / float64(b.NsPerOp)
-		fmt.Printf("%-30s %12d ns/op vs snapshot %12d (%.2fx)\n",
-			r.Name, r.NsPerOp, b.NsPerOp, ratio)
-		if ratio > interpCheckTolerance {
-			failures = append(failures,
-				fmt.Sprintf("%s regressed %.0f%% (%d → %d ns/op)",
-					r.Name, (ratio-1)*100, b.NsPerOp, r.NsPerOp))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("interpreter perf regression beyond %.0f%%:\n  %s",
-			(interpCheckTolerance-1)*100, strings.Join(failures, "\n  "))
-	}
-	fmt.Println("interp-check: within tolerance")
-	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventloop"
-	"repro/internal/interp"
 	"repro/internal/langs"
 )
 
@@ -92,9 +91,6 @@ func profileOne(src, backend string, every uint64) (map[string]uint64, error) {
 // suite under both engines, each benchmark reported as a top-N self/cumulative
 // table over sampled statements.
 func runProfileMode(every uint64, topN int) error {
-	if !interp.ProfilerEnabled() {
-		return fmt.Errorf("this binary was built with the stopify_noprof tag; rebuild without it to profile")
-	}
 	if every == 0 {
 		every = defaultProfileEvery
 	}

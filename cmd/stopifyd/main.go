@@ -38,6 +38,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -80,6 +81,12 @@ func main() {
 		log.Fatalf("stopifyd: unknown -log-format %q (want text or json)", *logFormat)
 	}
 
+	defaults := supervisor.Policy{
+		WallDeadline:   *deadline,
+		MaxTotalSteps:  *maxSteps,
+		MaxOutputBytes: *maxOutput,
+		MemBudgetBytes: *memBudget,
+	}
 	sup := supervisor.New(supervisor.Options{
 		Workers:       *workers,
 		MaxPending:    *maxPending,
@@ -89,20 +96,11 @@ func main() {
 		ParkDir:       *parkDir,
 		ProfileEvery:  *profEvery,
 		TraceCapacity: *traceCap,
-		DefaultPolicy: supervisor.Policy{
-			WallDeadline:   *deadline,
-			MaxTotalSteps:  *maxSteps,
-			MaxOutputBytes: *maxOutput,
-			MemBudgetBytes: *memBudget,
-		},
+		DefaultPolicy: defaults,
 	})
 
-	srv := &server{sup: sup, retain: *retain, doneAt: map[uint64]time.Time{}, defaults: supervisor.Policy{
-		WallDeadline:   *deadline,
-		MaxTotalSteps:  *maxSteps,
-		MaxOutputBytes: *maxOutput,
-		MemBudgetBytes: *memBudget,
-	}, profileEvery: *profEvery, logJSON: *logFormat == "json"}
+	srv := &server{sup: sup, retain: *retain, doneAt: map[uint64]time.Time{}, defaults: defaults,
+		profileEvery: *profEvery, logJSON: *logFormat == "json"}
 	srv.bootNonce = bootNonce()
 	go srv.janitor()
 
@@ -120,22 +118,7 @@ func main() {
 		}()
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/run", srv.handleRun)
-	mux.HandleFunc("/status", srv.handleStatus)
-	mux.HandleFunc("/output", srv.handleOutput)
-	mux.HandleFunc("/cancel", srv.handleCancel)
-	mux.HandleFunc("/pause", srv.handlePause)
-	mux.HandleFunc("/resume", srv.handleResume)
-	mux.HandleFunc("/snapshot", srv.handleSnapshot)
-	mux.HandleFunc("/restore", srv.handleRestore)
-	mux.HandleFunc("/metrics", srv.handleMetrics)
-	mux.HandleFunc("/trace", srv.handleTrace)
-	mux.HandleFunc("/profile", srv.handleProfile)
-	mux.HandleFunc("/healthz", srv.handleHealthz)
-	mux.HandleFunc("/readyz", srv.handleReadyz)
-
-	hs := &http.Server{Addr: *addr, Handler: srv.withLog(srv.withRecover(mux))}
+	hs := srv.httpServer(*addr)
 
 	// Graceful shutdown: SIGTERM (what an orchestrator sends) or Ctrl-C
 	// flips the daemon into draining mode — admission refuses with
@@ -165,6 +148,45 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+}
+
+// Bounds on what one client can cost the daemon before a guest exists.
+const (
+	// readHeaderTimeout drops a connection that opens a request and never
+	// finishes its headers.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout reclaims keep-alive connections nobody is using.
+	idleTimeout = 2 * time.Minute
+	// maxBodyBytes caps a /run or /restore body: far above any program or
+	// base64 snapshot the tests and harnesses post, far below what would let
+	// one request exhaust the host.
+	maxBodyBytes = 16 << 20
+)
+
+// httpServer assembles the daemon's routes behind the logging and panic
+// barriers. There is deliberately no WriteTimeout: it would sever
+// /output?follow=1 streams, whose lifetime is the guest's.
+func (s *server) httpServer(addr string) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/run", s.handleRun)
+	mux.HandleFunc("/status", s.handleStatus)
+	mux.HandleFunc("/output", s.handleOutput)
+	mux.HandleFunc("/cancel", s.control(func(g *supervisor.Guest) { g.Kill(nil) }, "kill requested"))
+	mux.HandleFunc("/pause", s.control((*supervisor.Guest).Pause, "pause requested"))
+	mux.HandleFunc("/resume", s.control((*supervisor.Guest).Resume, "resumed"))
+	mux.HandleFunc("/snapshot", s.handleSnapshot)
+	mux.HandleFunc("/restore", s.handleRestore)
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/trace", s.handleTrace)
+	mux.HandleFunc("/profile", s.handleProfile)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/readyz", s.handleReadyz)
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.withLog(s.withRecover(mux)),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 type server struct {
@@ -241,19 +263,44 @@ func (s *server) janitor() {
 	}
 }
 
+// policyOverrides is how a /run or /restore body narrows the daemon's
+// default policy; a zero field keeps the default.
+type policyOverrides struct {
+	// Lane: "batch" (default) or "interactive".
+	Lane           string  `json:"lane,omitempty"`
+	DeadlineMs     float64 `json:"deadline_ms,omitempty"`
+	MaxSteps       uint64  `json:"max_steps,omitempty"`
+	MaxOutputBytes int     `json:"max_output_bytes,omitempty"`
+	MemBudgetBytes uint64  `json:"mem_budget_bytes,omitempty"`
+}
+
+func (o policyOverrides) apply(pol supervisor.Policy) (supervisor.Policy, error) {
+	switch o.Lane {
+	case "", "batch":
+	case "interactive":
+		pol.Lane = supervisor.LaneInteractive
+	default:
+		return pol, fmt.Errorf("unknown lane %q", o.Lane)
+	}
+	if o.DeadlineMs > 0 {
+		pol.WallDeadline = time.Duration(o.DeadlineMs * float64(time.Millisecond))
+	}
+	if o.MaxSteps > 0 {
+		pol.MaxTotalSteps = o.MaxSteps
+	}
+	if o.MaxOutputBytes > 0 {
+		pol.MaxOutputBytes = o.MaxOutputBytes
+	}
+	if o.MemBudgetBytes > 0 {
+		pol.MemBudgetBytes = o.MemBudgetBytes
+	}
+	return pol, nil
+}
+
 // runRequest is POST /run's body.
 type runRequest struct {
 	Source string `json:"source"`
-	// Lane: "batch" (default) or "interactive".
-	Lane string `json:"lane,omitempty"`
-	// DeadlineMs overrides the daemon's default wall deadline (0 keeps it).
-	DeadlineMs float64 `json:"deadline_ms,omitempty"`
-	// MaxSteps overrides the default statement budget (0 keeps it).
-	MaxSteps uint64 `json:"max_steps,omitempty"`
-	// MaxOutputBytes overrides the default output cap (0 keeps it).
-	MaxOutputBytes int `json:"max_output_bytes,omitempty"`
-	// MemBudgetBytes overrides the default allocation budget (0 keeps it).
-	MemBudgetBytes uint64 `json:"mem_budget_bytes,omitempty"`
+	policyOverrides
 }
 
 // statusResponse is GET /status's body: the guest Info plus its output and
@@ -264,62 +311,67 @@ type statusResponse struct {
 	Finished bool   `json:"finished"`
 }
 
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
+// admission is the front half of /run and /restore: POST only, refused
+// while draining, body size-capped and decoded into req together with the
+// policy it asks for. ok is false when the response has been written.
+func (s *server) admission(w http.ResponseWriter, r *http.Request, req interface{}, o *policyOverrides) (pol supervisor.Policy, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return pol, false
 	}
 	if s.draining.Load() {
 		// Draining: this node is going away; tell the client when another
 		// attempt (against a healthy node) makes sense.
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+		return pol, false
 	}
-	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), code)
+		return pol, false
 	}
-	pol := s.defaults
-	switch req.Lane {
-	case "", "batch":
-	case "interactive":
-		pol.Lane = supervisor.LaneInteractive
-	default:
-		http.Error(w, "unknown lane "+strconv.Quote(req.Lane), http.StatusBadRequest)
-		return
+	pol, err := o.apply(s.defaults)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return pol, false
 	}
-	if req.DeadlineMs > 0 {
-		pol.WallDeadline = time.Duration(req.DeadlineMs * float64(time.Millisecond))
-	}
-	if req.MaxSteps > 0 {
-		pol.MaxTotalSteps = req.MaxSteps
-	}
-	if req.MaxOutputBytes > 0 {
-		pol.MaxOutputBytes = req.MaxOutputBytes
-	}
-	if req.MemBudgetBytes > 0 {
-		pol.MemBudgetBytes = req.MemBudgetBytes
-	}
-	g, err := s.sup.Submit(supervisor.SubmitOptions{Source: req.Source, Policy: &pol})
+	return pol, true
+}
+
+// admitted is the back half: it maps the supervisor's admission verdict to
+// a status code and, on success, registers the run for eviction and replies
+// with its id. what names the stage a 422 blames ("compile", "restore").
+func (s *server) admitted(w http.ResponseWriter, g *supervisor.Guest, err error, what string) {
 	switch {
 	case err == supervisor.ErrQueueFull:
 		w.Header().Set("Retry-After", "1") // backpressure: transient, retry
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
 	case err == supervisor.ErrClosed:
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
 	case err != nil:
-		http.Error(w, "compile: "+err.Error(), http.StatusUnprocessableEntity)
+		http.Error(w, what+": "+err.Error(), http.StatusUnprocessableEntity)
+	default:
+		s.mu.Lock()
+		s.ids = append(s.ids, g.ID)
+		s.mu.Unlock()
+		writeJSON(w, map[string]uint64{"id": g.ID})
+	}
+}
+
+func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
+	var req runRequest
+	pol, ok := s.admission(w, r, &req, &req.policyOverrides)
+	if !ok {
 		return
 	}
-	s.mu.Lock()
-	s.ids = append(s.ids, g.ID)
-	s.mu.Unlock()
-	writeJSON(w, map[string]uint64{"id": g.ID})
+	g, err := s.sup.Submit(supervisor.SubmitOptions{Source: req.Source, Policy: &pol})
+	s.admitted(w, g, err, "compile")
 }
 
 // guest resolves ?id=, writing the HTTP error itself when absent.
@@ -415,43 +467,20 @@ func (s *server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+// control builds the handler of a POST-only verb on one run.
+func (s *server) control(verb func(*supervisor.Guest), msg string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		g := s.guest(w, r)
+		if g == nil {
+			return
+		}
+		verb(g)
+		writeJSON(w, map[string]string{"status": msg})
 	}
-	g := s.guest(w, r)
-	if g == nil {
-		return
-	}
-	g.Kill(nil)
-	writeJSON(w, map[string]string{"status": "kill requested"})
-}
-
-func (s *server) handlePause(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	g := s.guest(w, r)
-	if g == nil {
-		return
-	}
-	g.Pause()
-	writeJSON(w, map[string]string{"status": "pause requested"})
-}
-
-func (s *server) handleResume(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	g := s.guest(w, r)
-	if g == nil {
-		return
-	}
-	g.Resume()
-	writeJSON(w, map[string]string{"status": "resumed"})
 }
 
 // snapshotResponse is POST /snapshot's body: the serialized continuation,
@@ -507,17 +536,12 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// restoreRequest is POST /restore's body. Policy fields mirror runRequest;
-// zero values keep the daemon defaults. Step and memory accounting inside
+// restoreRequest is POST /restore's body. Step and memory accounting inside
 // the blob is cumulative, so the budgets bound the guest's whole life — what
 // it spent on the originating daemon counts here too.
 type restoreRequest struct {
-	Snapshot       string  `json:"snapshot"` // base64 blob from /snapshot
-	Lane           string  `json:"lane,omitempty"`
-	DeadlineMs     float64 `json:"deadline_ms,omitempty"`
-	MaxSteps       uint64  `json:"max_steps,omitempty"`
-	MaxOutputBytes int     `json:"max_output_bytes,omitempty"`
-	MemBudgetBytes uint64  `json:"mem_budget_bytes,omitempty"`
+	Snapshot string `json:"snapshot"` // base64 blob from /snapshot
+	policyOverrides
 }
 
 // handleRestore admits a snapshot blob — typically produced by /snapshot on
@@ -525,18 +549,9 @@ type restoreRequest struct {
 // fails here, not on a worker later); the realm itself is rebuilt lazily on
 // the run's first scheduling turn.
 func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
 	var req restoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	pol, ok := s.admission(w, r, &req, &req.policyOverrides)
+	if !ok {
 		return
 	}
 	blob, err := base64.StdEncoding.DecodeString(req.Snapshot)
@@ -544,45 +559,8 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad snapshot encoding: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	pol := s.defaults
-	switch req.Lane {
-	case "", "batch":
-	case "interactive":
-		pol.Lane = supervisor.LaneInteractive
-	default:
-		http.Error(w, "unknown lane "+strconv.Quote(req.Lane), http.StatusBadRequest)
-		return
-	}
-	if req.DeadlineMs > 0 {
-		pol.WallDeadline = time.Duration(req.DeadlineMs * float64(time.Millisecond))
-	}
-	if req.MaxSteps > 0 {
-		pol.MaxTotalSteps = req.MaxSteps
-	}
-	if req.MaxOutputBytes > 0 {
-		pol.MaxOutputBytes = req.MaxOutputBytes
-	}
-	if req.MemBudgetBytes > 0 {
-		pol.MemBudgetBytes = req.MemBudgetBytes
-	}
 	g, err := s.sup.Restore(blob, &pol)
-	switch {
-	case err == supervisor.ErrQueueFull:
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case err == supervisor.ErrClosed:
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(w, "restore: "+err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	s.mu.Lock()
-	s.ids = append(s.ids, g.ID)
-	s.mu.Unlock()
-	writeJSON(w, map[string]uint64{"id": g.ID})
+	s.admitted(w, g, err, "restore")
 }
 
 // handleMetrics serves fleet aggregates. The JSON shape is the default and

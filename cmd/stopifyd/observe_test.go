@@ -11,13 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/interp"
 	"repro/internal/supervisor"
 )
 
 // newObserveServer assembles the daemon in-process (no binary, no port
-// hunting): a real supervisor behind the same mux and middleware main()
-// builds, with the process log captured into logBuf.
+// hunting): a real supervisor behind the daemon's own http.Server — routes,
+// barriers and timeouts exactly as main() serves them — with the process log
+// captured into logBuf.
 func newObserveServer(t *testing.T, backend string, profileEvery uint64, logJSON bool, logBuf *bytes.Buffer) *httptest.Server {
 	t.Helper()
 	sup := supervisor.New(supervisor.Options{
@@ -37,13 +37,9 @@ func newObserveServer(t *testing.T, backend string, profileEvery uint64, logJSON
 		logJSON:      logJSON,
 		bootNonce:    "cafe0000",
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/run", srv.handleRun)
-	mux.HandleFunc("/status", srv.handleStatus)
-	mux.HandleFunc("/metrics", srv.handleMetrics)
-	mux.HandleFunc("/trace", srv.handleTrace)
-	mux.HandleFunc("/profile", srv.handleProfile)
-	ts := httptest.NewServer(srv.withLog(srv.withRecover(mux)))
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv.httpServer("")
+	ts.Start()
 	t.Cleanup(ts.Close)
 
 	log.SetOutput(logBuf)
@@ -109,14 +105,12 @@ func TestObservabilityEndpoints(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("/profile: HTTP %d", code)
 			}
-			if interp.ProfilerEnabled() {
-				if !strings.Contains(prof, "crunch") || !strings.Contains(prof, "driver") {
-					t.Errorf("profile does not name the guest's functions:\n%s", prof)
-				}
-				for _, line := range strings.Split(strings.TrimSpace(prof), "\n") {
-					if !strings.HasPrefix(line, "guest"+itoa(id)+";") {
-						t.Fatalf("profile line %q lacks the tenant prefix", line)
-					}
+			if !strings.Contains(prof, "crunch") || !strings.Contains(prof, "driver") {
+				t.Errorf("profile does not name the guest's functions:\n%s", prof)
+			}
+			for _, line := range strings.Split(strings.TrimSpace(prof), "\n") {
+				if !strings.HasPrefix(line, "guest"+itoa(id)+";") {
+					t.Fatalf("profile line %q lacks the tenant prefix", line)
 				}
 			}
 

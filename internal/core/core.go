@@ -70,13 +70,6 @@ type Opts struct {
 	// PerStatementGuards selects the paper's literal per-statement `if
 	// (normal)` wrapping instead of grouped guards (ablation knob).
 	PerStatementGuards bool
-	// LegacyPrelude compiles the wire-v1 prelude text instead of the
-	// current one. Restore sets it automatically for version-1 snapshot
-	// blobs, and re-parks carry it forward in their headers: a blob's
-	// saved continuations index prelude functions by code-table position,
-	// so the restoring realm must compile the exact prelude source the
-	// parking realm did. Fresh runs leave it off.
-	LegacyPrelude bool
 }
 
 // Defaults returns the configuration used when callers leave Opts zeroed:
@@ -335,8 +328,7 @@ type RunConfig struct {
 	// ProfileEvery arms the guest-level sampling profiler: every that many
 	// statements the interpreter samples the JS call stack and attributes
 	// the interval to it (folded-stack accumulation; see
-	// interp.StartProfile). 0 leaves profiling off; builds tagged
-	// stopify_noprof compile the seam out and ignore this.
+	// interp.StartProfile). 0 leaves profiling off.
 	ProfileEvery uint64
 }
 
@@ -568,8 +560,7 @@ func (a *AsyncRun) MemUsed() uint64 { return a.In.MemUsed() }
 func (a *AsyncRun) SetMemBudget(n uint64) { a.In.SetMemBudget(n) }
 
 // StartProfile arms the guest-level sampling profiler with the given
-// statement period; 0 disarms (owner-goroutine only). No-op when the
-// stopify_noprof build tag compiled the seam out.
+// statement period; 0 disarms (owner-goroutine only).
 func (a *AsyncRun) StartProfile(every uint64) { a.In.StartProfile(every) }
 
 // TakeProfileFolded drains the profiler's folded-stack samples accumulated

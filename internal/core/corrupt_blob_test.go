@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -110,5 +111,31 @@ func TestRestoreCorruptBlobSplicedOverflow(t *testing.T) {
 			m = append(m, blob[min(i, len(blob)):]...)
 			tryRestore(t, m)
 		}
+	}
+}
+
+// TestRestoreRefusesCyclicScopeChain: an environment's parent is a table
+// ref (0 = the global scope), so one flipped byte can point a scope chain
+// back into itself. Such a blob decodes into a guest whose first variable
+// lookup through the loop never returns — no statement completes, so no
+// step budget fires — and must be refused at decode time instead.
+func TestRestoreRefusesCyclicScopeChain(t *testing.T) {
+	blob := corruptBlob(t)
+	refused := 0
+	for i, b := range blob {
+		if b != 0 {
+			continue
+		}
+		m := append([]byte{}, blob...)
+		for ref := byte(1); ref <= 4; ref++ {
+			m[i] = ref
+			_, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}}, m)
+			if err != nil && strings.Contains(err.Error(), "cyclic") {
+				refused++
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no mutant forged a cyclic scope chain; the corpus no longer reaches the check")
 	}
 }

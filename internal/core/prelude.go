@@ -11,11 +11,7 @@ import "strings"
 func preludeSource(opts Opts) string {
 	var b strings.Builder
 	if opts.Ctor == "direct" {
-		if opts.LegacyPrelude {
-			b.WriteString(preludeConstructV1)
-		} else {
-			b.WriteString(preludeConstruct)
-		}
+		b.WriteString(preludeConstruct)
 	}
 	if opts.Implicits != "none" {
 		b.WriteString(preludeToPrim)
@@ -46,24 +42,6 @@ function $construct(f, args) {
     f = t;
     t = $boundFn(f);
   }
-  var o = Object.create(f.prototype);
-  var r = f.apply(o, args);
-  if (r !== null && (typeof r === "object" || typeof r === "function")) {
-    return r;
-  }
-  return o;
-}
-`
-
-// preludeConstructV1 is the wire-v1 prelude's $construct, kept verbatim for
-// realms restoring version-1 snapshot blobs: the old code table indexed
-// this exact source, and a v1 blob cannot hold a bound function anyway
-// (they pinned the guest before wire v2), so the missing unwrap loop is
-// unreachable from restored state. A guest that creates bound functions
-// *after* a v1 restore keeps the old (pre-fix) `new boundFn` behavior
-// until it finishes or re-parks and migrates.
-const preludeConstructV1 = `
-function $construct(f, args) {
   var o = Object.create(f.prototype);
   var r = f.apply(o, args);
   if (r !== null && (typeof r === "object" || typeof r === "function")) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/eventloop"
-	"repro/internal/interp"
 )
 
 // profileSrc keeps most statements inside two named functions so the
@@ -48,9 +47,6 @@ func profileRun(t *testing.T, backend string) map[string]uint64 {
 // engines the folded stacks must name the user's own JS functions, and the
 // hot function must carry the bulk of the attributed statements.
 func TestProfileNamesGuestFunctions(t *testing.T) {
-	if !interp.ProfilerEnabled() {
-		t.Skip("profiler compiled out (stopify_noprof)")
-	}
 	for _, backend := range []string{BackendTree, BackendBytecode} {
 		t.Run(backend, func(t *testing.T) {
 			folded := profileRun(t, backend)

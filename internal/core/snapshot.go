@@ -19,10 +19,17 @@ import (
 // identical realm) and to AsyncRun's lifecycle.
 
 // snapshotHeader is the host metadata embedded in every blob: what Restore
-// needs before it can build a realm to decode into.
+// needs before it can build a realm to decode into. LegacyPrelude is a
+// retired option that earlier builds wrote into every header: false for
+// ordinary guests, true for one compiled against the wire-v1 prelude, whose
+// continuations would mis-index the code table of the one prelude this build
+// compiles. Snapshot never sets it; Restore refuses it when true.
 type snapshotHeader struct {
 	Source string `json:"source"`
-	Opts   Opts   `json:"opts"`
+	Opts   struct {
+		Opts
+		LegacyPrelude bool `json:",omitempty"`
+	} `json:"opts"`
 }
 
 // Snapshot serializes the run. The run must be quiescent — paused at a
@@ -52,7 +59,9 @@ func (a *AsyncRun) Snapshot() ([]byte, error) {
 		}
 		outBytes = sink.Bytes()
 	}
-	hdr, err := json.Marshal(snapshotHeader{Source: a.compiled.SourceText, Opts: a.compiled.Opts})
+	var h snapshotHeader
+	h.Source, h.Opts.Opts = a.compiled.SourceText, a.compiled.Opts
+	hdr, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("stopify: encoding snapshot header: %w", err)
 	}
@@ -113,12 +122,10 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 	if err := json.Unmarshal(meta.HostMeta, &hdr); err != nil {
 		return nil, fmt.Errorf("stopify: snapshot header: %w", err)
 	}
-	if meta.Version == 1 {
-		// A v1 blob's continuations index the old prelude's code table; the
-		// flag rides in Opts so re-parks of this guest stay restorable.
-		hdr.Opts.LegacyPrelude = true
+	if hdr.Opts.LegacyPrelude {
+		return nil, fmt.Errorf("stopify: snapshot header sets LegacyPrelude: the guest was compiled against the wire-v1 prelude, which this build no longer carries")
 	}
-	c, err := Compile(hdr.Source, hdr.Opts)
+	c, err := Compile(hdr.Source, hdr.Opts.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("stopify: recompiling snapshot source: %w", err)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"os"
@@ -537,66 +538,129 @@ func TestSnapshotPins(t *testing.T) {
 	}
 }
 
-// TestSnapshotWireV1Golden decodes a blob captured from the pre-v2 binary
-// (testdata/v1_parked.blob: closures plus two pending timers, parked
-// mid-loop at quantum 5000, seed 1, virtual clock). Wire v1 has no
-// bound/date node kinds, no timer-handle counter, and re-links host refs
-// against a smaller host graph; the legacy registry view must reproduce
-// that realm's ordinals exactly so guests parked before the upgrade still
-// restore. Re-parking the restored guest then writes wire v2 — the upgrade
-// path for long-parked fleets.
-func TestSnapshotWireV1Golden(t *testing.T) {
-	blob, err := os.ReadFile("testdata/v1_parked.blob")
+// goldenParkedSrc is the program inside testdata/v2_parked.blob. The blob is
+// runToPark(goldenParkedSrc, tree engine, quantum 5000).Snapshot() as built
+// at commit 2494c7b, the last build with Opts.LegacyPrelude, so its header
+// carries "LegacyPrelude":false like every blob of that era: parked
+// mid-loop holding what wire v2 made data — a bound constructor, a bound
+// timer callback with a forwarded extra arg, a cancelled timer handle, a Date
+// — beside closures and pending timers. testdata/v2_parked.golden is the
+// output of the same program run without parking.
+const goldenParkedSrc = `
+var log = ["start"];
+function mk(n) { return function () { log.push("tick" + n); }; }
+function Point(x, y) { this.x = x; this.y = y; }
+var P7 = Point.bind(null, 7);
+var born = new Date(86400000);
+function say(tag, extra) { log.push(tag + extra); }
+var dead = setTimeout(say, 10, "never", 0);
+clearTimeout(dead);
+setTimeout(mk(1), 20);
+setTimeout(say.bind(null, "bound"), 30, "!");
+setTimeout(function () {
+  var p = new P7(9);
+  log.push("p" + p.x + p.y, born.getTime() === 86400000 ? "date-ok" : "date-drift");
+  console.log(log.join(","));
+}, 40);
+var n = 0;
+for (var i = 0; i < 80000; i++) { n = (n + i) % 9973; }
+log.push("main" + n);
+`
+
+// TestSnapshotWireGolden is the format-drift tripwire: a checked-in blob
+// written by an earlier build of this wire version must keep restoring, on
+// both engines, to the output it was captured with. If this fails after a
+// deliberate format, prelude, or host-graph change, bump snapshot.Version
+// and re-capture the blob as goldenParkedSrc's comment describes.
+func TestSnapshotWireGolden(t *testing.T) {
+	blob, err := os.ReadFile("testdata/v2_parked.blob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/v1_parked.golden")
+	want, err := os.ReadFile("testdata/v2_parked.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := blob[4]; got != 1 {
-		t.Fatalf("golden blob version byte = %d, want 1 (re-capture it from a pre-v2 binary)", got)
+	if got := blob[4]; got != snapshot.Version {
+		t.Fatalf("golden blob version byte = %d, want %d", got, snapshot.Version)
+	}
+	if !bytes.Contains(blob, []byte(`"LegacyPrelude":false`)) {
+		t.Fatal("golden blob header lacks \"LegacyPrelude\":false; it must be one an earlier build wrote")
 	}
 	info, err := core.SnapshotMeta(blob)
 	if err != nil {
-		t.Fatalf("SnapshotMeta on v1 blob: %v", err)
+		t.Fatalf("SnapshotMeta on the golden blob: %v", err)
 	}
-	if info.Steps == 0 || info.MemUsed == 0 {
-		t.Fatalf("golden blob carries no accounting: %+v", info)
+	if info.Steps == 0 || info.MemUsed == 0 || !info.Paused {
+		t.Fatalf("golden blob is not a paused guest with accounting: %+v", info)
+	}
+	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
+		t.Run(backend, func(t *testing.T) {
+			buf := &bytes.Buffer{}
+			run, err := core.Restore(core.RunConfig{
+				Backend: backend, Clock: eventloop.NewVirtualClock(), Out: buf, MaxSteps: diffBudget,
+			}, blob)
+			if err != nil {
+				t.Fatalf("decoding the golden blob: %v", err)
+			}
+			if run.Steps() != info.Steps || run.MemUsed() != info.MemUsed {
+				t.Fatalf("restored accounting (%d, %d) != blob header (%d, %d)",
+					run.Steps(), run.MemUsed(), info.Steps, info.MemUsed)
+			}
+			if o := finish(run, buf); o.err != "" || o.out != string(want) {
+				t.Fatalf("golden run diverged:\n  got:  %v\n  want: out=%q", o, want)
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesOtherVersions: a wire-v1 blob (the pre-v2 fixture, kept
+// only to be refused) fails with both version numbers in the error, and a
+// current-version blob whose header sets the retired LegacyPrelude option —
+// what a v1 guest re-parked by an older build looks like — is refused by
+// name instead of being recompiled against the wrong prelude. The same header
+// with the option false is the golden blob, which TestSnapshotWireGolden
+// restores.
+func TestRestoreRefusesOtherVersions(t *testing.T) {
+	cfg := core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}}
+
+	v1, err := os.ReadFile("testdata/v1_parked.blob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, try := range map[string]func() error{
+		"Restore":      func() error { _, err := core.Restore(cfg, v1); return err },
+		"SnapshotMeta": func() error { _, err := core.SnapshotMeta(v1); return err },
+	} {
+		err := try()
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("%s on a v1 blob = %v, want an error naming versions 1 and 2", what, err)
+		}
 	}
 
-	buf := &bytes.Buffer{}
-	run, err := core.Restore(core.RunConfig{
-		Clock: eventloop.NewVirtualClock(), Out: buf, MaxSteps: diffBudget,
-	}, blob)
+	blob, err := os.ReadFile("testdata/v2_parked.blob")
 	if err != nil {
-		t.Fatalf("decoding the v1 golden blob: %v", err)
+		t.Fatal(err)
 	}
-	if run.Steps() != info.Steps || run.MemUsed() != info.MemUsed {
-		t.Fatalf("restored accounting (%d, %d) != blob header (%d, %d)",
-			run.Steps(), run.MemUsed(), info.Steps, info.MemUsed)
-	}
-
-	// Re-park immediately: the restored guest lives in a v2 realm, so its
-	// next snapshot is wire v2. Finish that twin instead of the original to
-	// cover the whole v1 → restore → v2 → restore chain.
-	blob2, err := run.Snapshot()
+	meta, err := snapshot.ReadMeta(blob)
 	if err != nil {
-		t.Fatalf("re-parking restored v1 guest: %v", err)
+		t.Fatal(err)
 	}
-	if got := blob2[4]; got != snapshot.Version {
-		t.Fatalf("re-park wrote version %d, want %d", got, snapshot.Version)
+	hdr := bytes.Replace(meta.HostMeta, []byte(`"LegacyPrelude":false`), []byte(`"LegacyPrelude":true`), 1)
+	if bytes.Equal(hdr, meta.HostMeta) {
+		t.Fatal("golden header has no LegacyPrelude key to flip")
 	}
-	buf2 := &bytes.Buffer{}
-	run2, err := core.Restore(core.RunConfig{
-		Clock: eventloop.NewVirtualClock(), Out: buf2, MaxSteps: diffBudget,
-	}, blob2)
-	if err != nil {
-		t.Fatalf("restoring the re-parked blob: %v", err)
+	const prefix = 5 // magic + version byte
+	oldLen := len(binary.AppendUvarint(nil, uint64(len(meta.HostMeta)))) + len(meta.HostMeta)
+	forged := append([]byte{}, blob[:prefix]...)
+	forged = binary.AppendUvarint(forged, uint64(len(hdr)))
+	forged = append(forged, hdr...)
+	forged = append(forged, blob[prefix+oldLen:]...)
+	if _, err := core.SnapshotMeta(forged); err != nil {
+		t.Fatalf("forged blob is not otherwise well-formed: %v", err)
 	}
-	o := finish(run2, buf2)
-	if o.err != "" || o.out != string(want) {
-		t.Fatalf("v1 golden run diverged:\n  got:  %v\n  want: out=%q", o, want)
+	if _, err := core.Restore(cfg, forged); err == nil || !strings.Contains(err.Error(), "LegacyPrelude") {
+		t.Errorf("Restore with LegacyPrelude in the header = %v, want a refusal naming the key", err)
 	}
 }
 

@@ -681,7 +681,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	}
 	// Shadow stack for the sampling profiler: both engines funnel every JS
 	// call through here, so this one push/pop pair is the whole seam.
-	if profSeam && in.prof != nil {
+	if in.prof != nil {
 		in.profPush(c.Decl.Name)
 		defer in.profPop()
 	}

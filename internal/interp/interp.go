@@ -54,7 +54,7 @@ type Options struct {
 	// ProfileEvery arms the guest-level sampling profiler (profile.go):
 	// every that many statements the JS call stack is sampled and the
 	// interval's statement count attributed to it. 0 leaves the profiler
-	// off; the stopify_noprof build tag compiles the seam out entirely.
+	// off.
 	ProfileEvery uint64
 }
 
@@ -171,7 +171,7 @@ func New(opts Options) *Interp {
 	if opts.QuantumSteps > 0 {
 		in.quantumEnd = opts.QuantumSteps
 	}
-	if profSeam && opts.ProfileEvery > 0 {
+	if opts.ProfileEvery > 0 {
 		in.StartProfile(opts.ProfileEvery)
 	}
 	in.recomputeStepLimit()
@@ -201,7 +201,7 @@ func (in *Interp) recomputeStepLimit() {
 	if in.quantumEnd != 0 && in.quantumEnd-1 < lim {
 		lim = in.quantumEnd - 1
 	}
-	if profSeam && in.prof != nil && in.prof.next != 0 && in.prof.next-1 < lim {
+	if in.prof != nil && in.prof.next != 0 && in.prof.next-1 < lim {
 		lim = in.prof.next - 1
 	}
 	in.stepLimit = lim
@@ -218,7 +218,7 @@ func (in *Interp) stepBoundary() error {
 	if in.maxSteps != 0 && in.Steps > in.maxSteps {
 		return ErrStepBudget
 	}
-	if profSeam && in.prof != nil && in.prof.next != 0 && in.Steps >= in.prof.next {
+	if in.prof != nil && in.prof.next != 0 && in.Steps >= in.prof.next {
 		in.profSample() // every exit path below recomputes stepLimit
 	}
 	if in.quantumEnd != 0 && in.Steps >= in.quantumEnd {

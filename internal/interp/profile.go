@@ -7,15 +7,9 @@ package interp
 // stack. The trigger is folded into the same stepLimit threshold as
 // MaxSteps, the scheduling quantum, and the memory meter, so an armed
 // profiler adds zero compares to the statement-boundary fast path; a
-// disarmed one (prof == nil, or the stopify_noprof build tag) leaves the
-// interpreter untouched. Samples accumulate as folded stacks —
-// "outer;inner" → statement count — the flamegraph collapsed format.
-
-// ProfilerEnabled reports whether the sampling profiler was compiled into
-// this binary (false under the stopify_noprof build tag). Callers that
-// require samples — tests, the -profile benchmark mode — use this to skip
-// rather than misread an empty profile as "nothing ran".
-func ProfilerEnabled() bool { return profSeam }
+// disarmed one (prof == nil) costs one nil check per Call. Samples
+// accumulate as folded stacks — "outer;inner" → statement count — the
+// flamegraph collapsed format.
 
 // profState is the per-realm sampling profiler. All fields are owned by the
 // executing goroutine; harvesting (TakeProfileFolded) follows the same
@@ -30,10 +24,9 @@ type profState struct {
 }
 
 // StartProfile arms statement-boundary stack sampling with period every; 0
-// disarms (like StopProfile). Executing goroutine only. A no-op under the
-// stopify_noprof build tag.
+// disarms (like StopProfile). Executing goroutine only.
 func (in *Interp) StartProfile(every uint64) {
-	if !profSeam || every == 0 {
+	if every == 0 {
 		in.StopProfile()
 		return
 	}
@@ -89,8 +82,8 @@ func (in *Interp) profResetBaseline() {
 }
 
 // profPush/profPop maintain the shadow stack at the Call boundary. Both are
-// behind the profSeam const plus a nil check at the call site, so the
-// disabled cost is one predictable branch per JS call, zero per statement.
+// behind a nil check at the call site, so the disabled cost is one
+// predictable branch per JS call, zero per statement.
 func (in *Interp) profPush(name string) {
 	if name == "" {
 		name = "(anonymous)"

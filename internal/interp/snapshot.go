@@ -124,8 +124,6 @@ func (in *Interp) SetAccounting(steps, memUsed uint64) {
 	// The jump in Steps covers statements run in the parked realm's past
 	// life; re-anchor the profiler so they are not attributed to the first
 	// stack sampled here.
-	if profSeam {
-		in.profResetBaseline()
-	}
+	in.profResetBaseline()
 	in.recomputeStepLimit()
 }

@@ -10,8 +10,6 @@ import (
 // source and options), plus the accounting and control flags the embedding
 // layer applies after decoding.
 type Meta struct {
-	// Version is the blob's wire version (in [VersionMin, Version]).
-	Version    byte
 	HostMeta   []byte
 	Steps      uint64
 	MemUsed    uint64
@@ -21,8 +19,7 @@ type Meta struct {
 	Done       bool
 	SavedAux   bool
 	WallUnixMs float64
-	// TimerSeq is the source runtime's last-issued setTimeout handle
-	// (wire v2; 0 in v1 blobs, which predate real timer IDs).
+	// TimerSeq is the source runtime's last-issued setTimeout handle.
 	TimerSeq uint64
 }
 
@@ -51,11 +48,9 @@ func readMeta(r *reader) (Meta, error) {
 		return m, corruptf("bad magic")
 	}
 	r.off = len(magic)
-	v := r.u8()
-	if v < VersionMin || v > Version {
-		return m, corruptf("wire version %d, want %d..%d", v, VersionMin, Version)
+	if v := r.u8(); v != Version {
+		return m, corruptf("wire version %d, this build reads only version %d", v, Version)
 	}
-	m.Version = v
 	m.HostMeta = r.bytes()
 	m.Steps = r.uvarint()
 	m.MemUsed = r.uvarint()
@@ -66,9 +61,7 @@ func readMeta(r *reader) (Meta, error) {
 	m.Done = flags&flagDone != 0
 	m.SavedAux = flags&flagSavedAux != 0
 	m.WallUnixMs = r.f64()
-	if v >= 2 {
-		m.TimerSeq = r.uvarint()
-	}
+	m.TimerSeq = r.uvarint()
 	return m, r.err
 }
 
@@ -121,7 +114,6 @@ type dec struct {
 	rt   *rt.R
 	code *CodeTable
 	reg  *Registry
-	ver  byte
 
 	envs  []*interp.Env
 	objs  []*interp.Object
@@ -140,14 +132,6 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 	if err != nil {
 		return nil, err
 	}
-	if meta.Version == 1 {
-		// A v1 blob was written against a realm whose host graph predates
-		// the clearTimeout global and the shared Date.prototype; re-link
-		// its host ordinals through the filtered legacy view so
-		// fingerprints and ordinals line up (registry.go).
-		reg = reg.legacyV1()
-	}
-
 	regCount := r.uvarint()
 	regSum := r.u64()
 	if r.err == nil && (int(regCount) != reg.Len() || regSum != reg.Sum()) {
@@ -160,7 +144,7 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 		return nil, corruptf("compiled program mismatch (blob %d funcs/%d scopes, realm %d/%d) — recompilation diverged", funcCount, scopeCount, len(code.funcs), len(code.scopes))
 	}
 
-	d := &dec{in: in, rt: runtime, code: code, reg: reg, ver: meta.Version}
+	d := &dec{in: in, rt: runtime, code: code, reg: reg}
 
 	// Parse the env and object tables fully before allocating anything:
 	// references point in both directions.
@@ -241,13 +225,11 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 		switch rt.TaskKind(le.kind) {
 		case rt.TaskTimer:
 			le.fn = d.rval(r)
-			if meta.Version >= 2 {
-				le.timerID = r.uvarint()
-				le.cancelled = r.bool()
-				le.args = make([]wval, r.count())
-				for j := range le.args {
-					le.args[j] = d.rval(r)
-				}
+			le.timerID = r.uvarint()
+			le.cancelled = r.bool()
+			le.args = make([]wval, r.count())
+			for j := range le.args {
+				le.args[j] = d.rval(r)
 			}
 		case rt.TaskResume:
 			le.aux = r.bool()
@@ -296,6 +278,22 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 			return nil, err
 		}
 		d.envs[i].SetRestoredParent(p)
+	}
+	// Every chain must end at the global scope: one that loops back on
+	// itself would hang the first variable lookup that walks it, below any
+	// step budget. rooted marks environments already known to reach it, so
+	// the whole check is linear.
+	rooted := make([]bool, len(rawEnvs))
+	for i := range rawEnvs {
+		hops := 0
+		for ref := i + 1; ref != 0 && !rooted[ref-1]; ref = rawEnvs[ref-1].parentRef {
+			if hops++; hops > len(rawEnvs) {
+				return nil, corruptf("env %d: parent chain is cyclic", i)
+			}
+		}
+		for ref := i + 1; ref != 0 && !rooted[ref-1]; ref = rawEnvs[ref-1].parentRef {
+			rooted[ref-1] = true
+		}
 	}
 
 	// Allocate objects. Closures pair a code-table function with a decoded
@@ -567,10 +565,6 @@ func (d *dec) parseObj(r *reader, ro *rawObj) {
 			ro.frames[i] = d.rval(r)
 		}
 	case nodeBound:
-		if d.ver < 2 {
-			r.err = corruptf("bound-function node in a v%d blob", d.ver)
-			return
-		}
 		ro.btarget = d.rval(r)
 		ro.bthis = d.rval(r)
 		ro.bargs = make([]wval, r.count())
@@ -578,10 +572,6 @@ func (d *dec) parseObj(r *reader, ro *rawObj) {
 			ro.bargs[i] = d.rval(r)
 		}
 	case nodeDate:
-		if d.ver < 2 {
-			r.err = corruptf("date node in a v%d blob", d.ver)
-			return
-		}
 		ro.dateMS = r.f64()
 	default:
 		if r.err == nil {

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"hash/fnv"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/eventloop"
@@ -28,11 +27,10 @@ import (
 // before the prelude executes), so ordinals agree; a fingerprint in the
 // blob turns any drift into a loud decode error.
 type Registry struct {
-	paths  []string
-	objs   []*interp.Object
-	byObj  map[*interp.Object]int
-	byPath map[string]int
-	sum    uint64
+	paths []string
+	objs  []*interp.Object
+	byObj map[*interp.Object]int
+	sum   uint64
 }
 
 // NewRegistry enumerates the realm's pre-prelude host graph. Call it right
@@ -40,8 +38,7 @@ type Registry struct {
 // snapshots), before the prelude runs.
 func NewRegistry(in *interp.Interp) *Registry {
 	r := &Registry{
-		byObj:  make(map[*interp.Object]int),
-		byPath: make(map[string]int),
+		byObj: make(map[*interp.Object]int),
 	}
 	root := in.Global
 	for _, name := range root.GlobalNames() {
@@ -67,7 +64,6 @@ func (r *Registry) visit(path string, v interp.Value) {
 	}
 	idx := len(r.objs)
 	r.byObj[o] = idx
-	r.byPath[path] = idx
 	r.objs = append(r.objs, o)
 	r.paths = append(r.paths, path)
 	for _, p := range o.OwnProps() {
@@ -106,43 +102,6 @@ func (r *Registry) Len() int { return len(r.objs) }
 
 // Sum is the path-list fingerprint embedded in blobs.
 func (r *Registry) Sum() uint64 { return r.sum }
-
-// Path names an ordinal (diagnostics).
-func (r *Registry) Path(i int) string { return r.paths[i] }
-
-// legacyV1 returns the registry as a wire-v1 decoder must see it. Wire v2's
-// realm grew host-graph additions a v1 realm never had: the clearTimeout
-// global, the shared Date.prototype subtree, and the $boundFn/$boundArgs
-// construct-support natives. All are *first* reachable under exactly those
-// paths (every other object on those subtrees — Object.prototype, the Date
-// constructor — was already visited earlier in the DFS), so filtering the
-// paths out and recomputing the fingerprint reproduces the v1 traversal's
-// ordinal assignment exactly. A dropped ordinal cannot appear in a v1 blob:
-// the object did not exist in the realm that wrote it.
-func (r *Registry) legacyV1() *Registry {
-	lr := &Registry{
-		byObj:  make(map[*interp.Object]int),
-		byPath: make(map[string]int),
-	}
-	for i, p := range r.paths {
-		if p == "clearTimeout" || p == "$boundFn" || p == "$boundArgs" ||
-			p == "Date.prototype" || strings.HasPrefix(p, "Date.prototype.") {
-			continue
-		}
-		idx := len(lr.objs)
-		lr.byObj[r.objs[i]] = idx
-		lr.byPath[p] = idx
-		lr.objs = append(lr.objs, r.objs[i])
-		lr.paths = append(lr.paths, p)
-	}
-	h := fnv.New64a()
-	for _, p := range lr.paths {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	lr.sum = h.Sum64()
-	return lr
-}
 
 // The pristine twin: one throwaway realm per process, built with default
 // options and never executed, whose registry supplies the *initial* state

@@ -31,19 +31,10 @@ package snapshot
 
 import "fmt"
 
-// Version is the wire-format version byte the encoder writes. The decoder
-// accepts every version in [VersionMin, Version]: the format carries raw
-// graph structure, so guessing across unknown versions corrupts realms, but
-// older versions are an explicit subset — v2 added bound-function and
-// date-slot node kinds, a timer-handle counter in the header, and
-// cancellation/extra-arg fields on timer ledger records, all of which a v1
-// blob simply lacks. V1 blobs additionally re-link host references through
-// a filtered legacy registry view (registry.go) because the v2 realm's
-// host graph gained objects a v1 realm never had.
-const (
-	Version    = 2
-	VersionMin = 1
-)
+// Version is the wire-format version byte the encoder writes, and the only
+// one the decoder accepts: the format carries raw graph structure, so
+// guessing across versions corrupts realms.
+const Version = 2
 
 // magic prefixes every blob.
 var magic = [4]byte{'S', 'N', 'A', 'P'}

@@ -11,7 +11,7 @@ import (
 )
 
 // Lane selects a guest's scheduling class. Interactive guests are favored
-// by the weighted round-robin pick (Options.InteractiveWeight) so short,
+// by the weighted round-robin pick (interactiveWeight) so short,
 // latency-sensitive tenants are not stuck behind batch work — but batch
 // guests still get a guaranteed share, so neither lane can starve the
 // other.

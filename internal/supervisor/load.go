@@ -22,11 +22,18 @@ import (
 // every pause and every sleeping tenant routes through the snapshot
 // park/restore machinery on the hot path. The result is windowed: P50/P90/
 // P99 scheduling latency per time bucket over the run, because a closed-loop
-// batch number (RunBench) cannot see a latency cliff that builds up under
-// steady-state queueing, and a whole-run percentile averages the cliff away.
+// batch number cannot see a latency cliff that builds up under steady-state
+// queueing, and a whole-run percentile averages the cliff away.
 
-// Hostile guests in the load mix get this long to live.
-const hostileDeadline = 200 * time.Millisecond
+const (
+	// Hostile guests in the load mix get this long to live.
+	hostileDeadline = 200 * time.Millisecond
+	// churnTick paces the churn driver.
+	churnTick = 10 * time.Millisecond
+	// drainBudget bounds the post-generation drain; guests still unfinished
+	// after it count as errors.
+	drainBudget = 60 * time.Second
+)
 
 // minWindowTurns is how many scheduling turns a window needs before its P99
 // counts toward WorstWindowP99 — the startup and drain-tail buckets with a
@@ -47,30 +54,18 @@ type LoadConfig struct {
 	QuantumSteps  uint64 `json:"quantum_steps"` // default 2000
 	// MaxResident bounds live realms; 0 picks Workers*8 (small on purpose —
 	// the harness wants park/restore on the hot path), negative disables.
-	MaxResident int `json:"max_resident"`
-	// MaxPending is the admission bound; arrivals beyond it are rejected
-	// and count toward the error rate (shed load is an SLO violation in an
-	// open-loop world). Default 4096.
-	MaxPending int    `json:"max_pending"`
-	ParkDir    string `json:"park_dir,omitempty"`
-	Backend    string `json:"backend,omitempty"`
+	MaxResident int    `json:"max_resident"`
+	Backend     string `json:"backend,omitempty"`
 	// HostileEvery makes every k-th arrival an infinite loop with a 200 ms
 	// deadline. Default 100; negative disables.
 	HostileEvery int `json:"hostile_every"`
-	// ChurnTick paces the churn driver: each tick it pauses one random live
+	// ChurnKillEvery: each churnTick the churn driver pauses one random live
 	// guest (resumed 100–300 ms later), and every ChurnKillEvery-th tick it
-	// kills one instead. Defaults 10 ms and 8; negative ChurnKillEvery
-	// disables kills.
-	ChurnTick      time.Duration `json:"churn_tick_ns"`
-	ChurnKillEvery int           `json:"churn_kill_every"`
+	// kills one instead. Default 8; negative disables kills.
+	ChurnKillEvery int `json:"churn_kill_every"`
 	// Seed drives arrival spacing, profile jitter, and churn targeting.
 	// Default 1.
 	Seed int64 `json:"seed"`
-	// MetricsWindow is the windowed-percentile bucket width. Default 1s.
-	MetricsWindow time.Duration `json:"metrics_window_ns"`
-	// DrainBudget bounds the post-generation drain; guests still unfinished
-	// after it count as errors. Default 60s.
-	DrainBudget time.Duration `json:"drain_budget_ns"`
 	// ProfileEvery arms the guest-level sampling profiler in every guest
 	// (statement period); 0 leaves it off. The per-tenant folded stacks go
 	// to ProfileOut.
@@ -104,26 +99,14 @@ func (c *LoadConfig) normalize() {
 	if c.MaxResident < 0 {
 		c.MaxResident = 0 // unbounded
 	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 4096
-	}
 	if c.HostileEvery == 0 {
 		c.HostileEvery = 100
-	}
-	if c.ChurnTick <= 0 {
-		c.ChurnTick = 10 * time.Millisecond
 	}
 	if c.ChurnKillEvery == 0 {
 		c.ChurnKillEvery = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MetricsWindow <= 0 {
-		c.MetricsWindow = time.Second
-	}
-	if c.DrainBudget <= 0 {
-		c.DrainBudget = 60 * time.Second
 	}
 }
 
@@ -149,7 +132,7 @@ type LoadResult struct {
 	// wrong output, an error nobody asked for, a hostile that outlived its
 	// deadline. Zero is the only acceptable value on a healthy build.
 	Unexpected int `json:"unexpected"`
-	// Stragglers are guests still unfinished when DrainBudget expired.
+	// Stragglers are guests still unfinished when drainBudget expired.
 	Stragglers      int    `json:"stragglers"`
 	FirstUnexpected string `json:"first_unexpected,omitempty"`
 	// ErrorRate is (Unexpected + Stragglers + Rejected) / Arrivals — the
@@ -186,9 +169,66 @@ type loadRec struct {
 	churnKilled bool
 }
 
-// Tenant profiles. Batch guests reuse the throughput mix (benchWorkloads);
-// the two profiles below add what an open-loop serving fleet actually has:
-// sessions that go idle mid-flight and become park candidates.
+// Tenant profiles. Batch guests are benchWorkloads; the two profiles after
+// it add what an open-loop serving fleet actually has: sessions that go idle
+// mid-flight and become park candidates.
+
+// benchWorkloads is the guest mix: loop-heavy, call-heavy, string/property
+// heavy, and a timer user — small programs, many tenants, like the
+// embedded-script serving scenario. Each returns output depending on its
+// seed so the harness can verify isolation cheaply.
+var benchWorkloads = []func(seed int) (src, want string){
+	func(seed int) (string, string) {
+		n := 0
+		for i := 0; i < 2500; i++ {
+			n = (n + i*3 + seed) % 99991
+		}
+		return fmt.Sprintf(`
+var n = 0;
+for (var i = 0; i < 2500; i++) { n = (n + i * 3 + %d) %% 99991; }
+console.log("sum", n);
+`, seed), fmt.Sprintf("sum %d\n", n)
+	},
+	func(seed int) (string, string) {
+		var fib func(int) int
+		fib = func(n int) int {
+			if n < 2 {
+				return n
+			}
+			return fib(n-1) + fib(n-2)
+		}
+		k := 12 + seed%3
+		return fmt.Sprintf(`
+function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+console.log("fib", fib(%d));
+`, k), fmt.Sprintf("fib %d\n", fib(k))
+	},
+	func(seed int) (string, string) {
+		var b strings.Builder
+		for i := 0; i < 40; i++ {
+			fmt.Fprintf(&b, "%d", (seed+i)%10)
+		}
+		return fmt.Sprintf(`
+var s = "";
+for (var i = 0; i < 40; i++) { s += (%d + i) %% 10; }
+var o = {};
+for (var j = 0; j < 60; j++) { o["k" + (j %% 8)] = j; }
+var c = 0;
+for (var k in o) { c++; }
+console.log(s, c);
+`, seed), b.String() + " 8\n"
+	},
+	func(seed int) (string, string) {
+		return fmt.Sprintf(`
+var acc = %d;
+setTimeout(function () {
+  for (var i = 0; i < 500; i++) { acc += i; }
+  console.log("timer", acc);
+}, 1);
+for (var j = 0; j < 800; j++) { acc += 0; }
+`, seed), fmt.Sprintf("timer %d\n", seed+124750)
+	},
+}
 
 // loadInteractiveProgram is a multi-turn REPL session: bursts of work
 // separated by think-time sleeps, on the interactive lane. While it sleeps
@@ -277,14 +317,11 @@ func worstWindowP99(windows []WindowSummary, fallback float64) float64 {
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	cfg.normalize()
 	s := New(Options{
-		Workers:       cfg.Workers,
-		MaxPending:    cfg.MaxPending,
-		QuantumSteps:  cfg.QuantumSteps,
-		Backend:       cfg.Backend,
-		MaxResident:   cfg.MaxResident,
-		ParkDir:       cfg.ParkDir,
-		MetricsWindow: cfg.MetricsWindow,
-		ProfileEvery:  cfg.ProfileEvery,
+		Workers:      cfg.Workers,
+		QuantumSteps: cfg.QuantumSteps,
+		Backend:      cfg.Backend,
+		MaxResident:  cfg.MaxResident,
+		ProfileEvery: cfg.ProfileEvery,
 	})
 	defer s.Close()
 
@@ -322,7 +359,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	go func() {
 		defer churnWG.Done()
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
-		tick := time.NewTicker(cfg.ChurnTick)
+		tick := time.NewTicker(churnTick)
 		defer tick.Stop()
 		for n := 1; ; n++ {
 			select {
@@ -414,7 +451,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 
 	close(stopChurn)
 	churnWG.Wait()
-	drained := s.DrainTimeout(cfg.DrainBudget)
+	drained := s.DrainTimeout(drainBudget)
 	wall := time.Since(start)
 
 	// Verify every finished guest against its profile. The churn driver has
@@ -435,7 +472,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		select {
 		case <-r.g.Done():
 		default:
-			stragglers++ // DrainBudget expired on this guest
+			stragglers++ // drainBudget expired on this guest
 			continue
 		}
 		res := r.g.Result()
@@ -460,7 +497,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		}
 	}
 	if !drained && firstBad == "" {
-		firstBad = fmt.Sprintf("%d guests unfinished after %v drain budget", stragglers, cfg.DrainBudget)
+		firstBad = fmt.Sprintf("%d guests unfinished after %v drain budget", stragglers, drainBudget)
 	}
 
 	// Snapshot instrumentation before the deferred Close pollutes the kill

@@ -1,9 +1,64 @@
 package supervisor
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
+
+// A closed-loop burst of the batch mix: 1,000 guests admitted back-to-back —
+// every 100th hostile, every 4th on the interactive lane — each output
+// verified. RunLoad paces its arrivals, so this is the only place the
+// benchWorkloads programs meet a full admission queue.
+func TestBurstBatchMixVerified(t *testing.T) {
+	n := 1000
+	if testing.Short() {
+		n = 100
+	}
+	s := New(Options{Workers: 4, MaxPending: n + 8})
+	defer s.Close()
+
+	type expect struct {
+		g    *Guest
+		want string // "" marks a hostile
+	}
+	guests := make([]expect, 0, n)
+	for i := 0; i < n; i++ {
+		opt := SubmitOptions{}
+		var want string
+		switch {
+		case i%100 == 99:
+			opt.Source = `while (true) { var x = 1; }`
+			opt.Policy = &Policy{WallDeadline: hostileDeadline}
+		case i%4 == 0:
+			opt.Source, want = benchWorkloads[i%len(benchWorkloads)](i)
+			opt.Policy = &Policy{Lane: LaneInteractive}
+		default:
+			opt.Source, want = benchWorkloads[i%len(benchWorkloads)](i)
+		}
+		g, err := s.Submit(opt)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		guests = append(guests, expect{g, want})
+	}
+	for i, e := range guests {
+		res := e.g.Wait()
+		switch {
+		case e.want == "":
+			if !errors.Is(res.Err, ErrDeadline) {
+				t.Errorf("hostile guest %d: err=%v, want deadline kill", i, res.Err)
+			}
+		case res.Err != nil:
+			t.Errorf("guest %d failed: %v", i, res.Err)
+		case res.Output != e.want:
+			t.Errorf("guest %d output %q, want %q — isolation broken", i, res.Output, e.want)
+		}
+	}
+	if m := s.Metrics(); m.Completed+m.Killed != uint64(n) || m.Preemptions == 0 {
+		t.Errorf("completed %d + killed %d of %d guests, %d preemptions", m.Completed, m.Killed, n, m.Preemptions)
+	}
+}
 
 // A short sustained-load run is the integration test for the whole serving
 // stack at once: open-loop arrivals, lane scheduling with work-stealing,

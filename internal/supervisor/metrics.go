@@ -3,13 +3,12 @@ package supervisor
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/bits"
 	"sync"
 	"time"
 
 	"repro/internal/interp"
 	"repro/internal/rt"
-	"repro/internal/stats"
 )
 
 // metrics is the supervisor's aggregate instrumentation: admission and
@@ -56,47 +55,24 @@ type metrics struct {
 	snapshotBytes uint64
 	restoreAdmits uint64
 
-	sched      reservoir
-	turns      reservoir
-	restoreLat reservoir
+	sched      latencyHist
+	turns      latencyHist
+	restoreLat latencyHist
 
 	// Windowed scheduling latency: a ring of fixed-width time buckets over
 	// the supervisor's lifetime, so a sustained-load run sees P99 *over
 	// time* — a latency cliff in minute 25 of a 30-minute run is invisible
-	// in the whole-run reservoir above but unmissable in its window.
+	// in the whole-run digest above but unmissable in its window. A window
+	// is allocated by its first sample; one nothing was scheduled in stays
+	// nil.
 	winStart time.Time
 	winLen   time.Duration
 	winBase  int // absolute index of windows[0] (ring has dropped winBase older buckets)
-	windows  []windowBucket
+	windows  []*latencyHist
 }
 
-// windowBucket accumulates one time slice's scheduling-latency samples.
-type windowBucket struct {
-	samples []float64 // ms; capped at windowSampleCap via reservoir downsampling
-	seen    int
-	rng     *rand.Rand
-}
-
-const (
-	// windowSampleCap bounds one bucket's exact sample set.
-	windowSampleCap = 8192
-	// windowRingCap bounds how many buckets are retained (oldest dropped).
-	windowRingCap = 4096
-)
-
-func (b *windowBucket) add(x float64) {
-	b.seen++
-	if len(b.samples) < windowSampleCap {
-		b.samples = append(b.samples, x)
-		return
-	}
-	if b.rng == nil {
-		b.rng = rand.New(rand.NewSource(int64(b.seen)))
-	}
-	if i := b.rng.Intn(b.seen); i < windowSampleCap {
-		b.samples[i] = x
-	}
-}
+// windowRingCap bounds how many windows are retained (oldest dropped).
+const windowRingCap = 4096
 
 func (m *metrics) initWindows(start time.Time, width time.Duration) {
 	m.mu.Lock()
@@ -107,7 +83,7 @@ func (m *metrics) initWindows(start time.Time, width time.Duration) {
 
 // windowAdd files one scheduling-latency sample into its time bucket.
 // Caller holds m.mu.
-func (m *metrics) windowAdd(now time.Time, ms float64) {
+func (m *metrics) windowAdd(now time.Time, d time.Duration) {
 	if m.winLen <= 0 {
 		return
 	}
@@ -116,14 +92,18 @@ func (m *metrics) windowAdd(now time.Time, ms float64) {
 		idx = m.winBase // clock skew: file into the oldest retained bucket
 	}
 	for m.winBase+len(m.windows) <= idx {
-		m.windows = append(m.windows, windowBucket{})
+		m.windows = append(m.windows, nil)
 		if len(m.windows) > windowRingCap {
 			drop := len(m.windows) - windowRingCap
 			m.windows = m.windows[drop:]
 			m.winBase += drop
 		}
 	}
-	m.windows[idx-m.winBase].add(ms)
+	i := idx - m.winBase
+	if m.windows[i] == nil {
+		m.windows[i] = new(latencyHist)
+	}
+	m.windows[i].add(d)
 }
 
 // WindowSummary is one time slice of the windowed scheduling-latency
@@ -147,27 +127,21 @@ func (s *Supervisor) Windows() []WindowSummary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]WindowSummary, len(m.windows))
-	width := float64(m.winLen) / float64(time.Millisecond)
-	for i := range m.windows {
-		b := &m.windows[i]
-		w := WindowSummary{
+	width := durMs(m.winLen)
+	for i, h := range m.windows {
+		var l LatencySummary
+		if h != nil {
+			l = h.summary()
+		}
+		out[i] = WindowSummary{
 			StartMs: float64(m.winBase+i) * width,
 			WidthMs: width,
-			Turns:   b.seen,
+			Turns:   l.Count,
+			P50:     l.P50,
+			P90:     l.P90,
+			P99:     l.P99,
+			Max:     l.Max,
 		}
-		if len(b.samples) > 0 {
-			max := b.samples[0]
-			for _, x := range b.samples {
-				if x > max {
-					max = x
-				}
-			}
-			w.P50 = stats.Quantile(b.samples, 0.50)
-			w.P90 = stats.Quantile(b.samples, 0.90)
-			w.P99 = stats.Quantile(b.samples, 0.99)
-			w.Max = max
-		}
-		out[i] = w
 	}
 	return out
 }
@@ -197,7 +171,7 @@ func (m *metrics) parkPinned(kind string) {
 func (m *metrics) restoreDone(d time.Duration) {
 	m.mu.Lock()
 	m.restores++
-	m.restoreLat.add(float64(d) / float64(time.Millisecond))
+	m.restoreLat.add(d)
 	m.mu.Unlock()
 }
 
@@ -235,10 +209,9 @@ func (m *metrics) preempt() {
 }
 
 func (m *metrics) schedLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
 	m.mu.Lock()
-	m.sched.add(ms)
-	m.windowAdd(time.Now(), ms)
+	m.sched.add(d)
+	m.windowAdd(time.Now(), d)
 	m.mu.Unlock()
 }
 
@@ -250,7 +223,7 @@ func (m *metrics) steal() {
 
 func (m *metrics) turn(d time.Duration) {
 	m.mu.Lock()
-	m.turns.add(float64(d) / float64(time.Millisecond))
+	m.turns.add(d)
 	m.mu.Unlock()
 }
 
@@ -418,49 +391,91 @@ func copyCounts(src map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// reservoir keeps an exact sample set up to its capacity and degrades to
-// uniform reservoir sampling beyond it, so percentile digests stay O(cap)
-// no matter how long the supervisor serves. Callers hold metrics.mu.
-type reservoir struct {
-	samples []float64
-	seen    int
-	sum     float64 // exact running sum over all seen samples (Prometheus _sum)
-	rng     *rand.Rand
+// latencyHist is the supervisor's one latency digest: a fixed-size
+// log-bucket histogram of durations. Each octave of nanoseconds from
+// 2^histMinExp (≈0.5 µs) up to 2^histMaxExp (≈137 s) is cut into histSub
+// equal buckets, so a quantile — read back as its bucket's midpoint — is
+// within 1/(2·histSub) ≈ 3.1 % of the sample at that rank; one bucket below
+// the range and one above it catch the rest (the one above reads back as max).
+// count, sum and max are exact, and adding a sample allocates nothing. The
+// whole-run digests, every window of the ring, and both metric expositions
+// read the same type through the same summary(). Callers hold metrics.mu.
+type latencyHist struct {
+	counts [histBuckets]uint64
+	count  uint64
+	sum    time.Duration
+	max    time.Duration
 }
 
-const reservoirCap = 1 << 16
+const (
+	histSubBits = 4
+	histSub     = 1 << histSubBits
+	histMinExp  = 9
+	histMaxExp  = 37
+	histBuckets = (histMaxExp-histMinExp)*histSub + 2
+)
 
-func (r *reservoir) add(x float64) {
-	r.seen++
-	r.sum += x
-	if len(r.samples) < reservoirCap {
-		r.samples = append(r.samples, x)
-		return
+// histBucket maps a duration to its bucket: 0 below the range,
+// histBuckets-1 above it, else octave·histSub + the histSubBits bits that
+// follow the leading one.
+func histBucket(d time.Duration) int {
+	if d < 1<<histMinExp {
+		return 0
 	}
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(1))
+	exp := bits.Len64(uint64(d)) - 1
+	if exp >= histMaxExp {
+		return histBuckets - 1
 	}
-	if i := r.rng.Intn(r.seen); i < reservoirCap {
-		r.samples[i] = x
+	sub := int(d>>(exp-histSubBits)) & (histSub - 1)
+	return (exp-histMinExp)*histSub + sub + 1
+}
+
+// histMid is the midpoint of bucket i (of the underflow bucket's [0,
+// 2^histMinExp) for i == 0); the overflow bucket has none.
+func histMid(i int) time.Duration {
+	if i == 0 {
+		return 1 << (histMinExp - 1)
+	}
+	exp := (i-1)/histSub + histMinExp
+	width := time.Duration(1) << (exp - histSubBits)
+	return 1<<exp + time.Duration((i-1)%histSub)*width + width/2
+}
+
+func (h *latencyHist) add(d time.Duration) {
+	h.counts[histBucket(d)]++
+	h.count++
+	h.sum += d
+	if d > h.max {
+		h.max = d
 	}
 }
 
-func (r *reservoir) summary() LatencySummary {
-	if len(r.samples) == 0 {
-		return LatencySummary{}
+func durMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// quantile returns the q-quantile in milliseconds: the midpoint of the
+// bucket holding the sample of rank ⌊q·(count-1)⌋, never above max.
+func (h *latencyHist) quantile(q float64) float64 {
+	if h.count == 0 {
+		return 0
 	}
-	max := r.samples[0]
-	for _, x := range r.samples {
-		if x > max {
-			max = x
+	rank := uint64(q * float64(h.count-1))
+	var seen uint64
+	for i, c := range h.counts[:histBuckets-1] {
+		seen += c
+		if seen > rank {
+			return durMs(min(histMid(i), h.max))
 		}
 	}
+	return durMs(h.max)
+}
+
+func (h *latencyHist) summary() LatencySummary {
 	return LatencySummary{
-		Count: r.seen,
-		SumMs: r.sum,
-		P50:   stats.Quantile(r.samples, 0.50),
-		P90:   stats.Quantile(r.samples, 0.90),
-		P99:   stats.Quantile(r.samples, 0.99),
-		Max:   max,
+		Count: int(h.count),
+		SumMs: durMs(h.sum),
+		P50:   h.quantile(0.50),
+		P90:   h.quantile(0.90),
+		P99:   h.quantile(0.99),
+		Max:   durMs(h.max),
 	}
 }

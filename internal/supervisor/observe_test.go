@@ -8,17 +8,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/interp"
 )
 
 // TestGuestProfileHarvest: with Options.ProfileEvery set, a guest's folded
 // profile accumulates across turns, names the guest's own JS functions, and
 // stays readable after the guest finishes.
 func TestGuestProfileHarvest(t *testing.T) {
-	if !interp.ProfilerEnabled() {
-		t.Skip("profiler compiled out (stopify_noprof)")
-	}
 	s := New(Options{Workers: 1, QuantumSteps: 300, ProfileEvery: 97})
 	defer s.Close()
 	g, err := s.Submit(SubmitOptions{Source: guestSrc(1)})
@@ -106,9 +101,6 @@ func TestRunLoadArtifacts(t *testing.T) {
 		t.Fatal("trace artifact has no events")
 	}
 
-	if !interp.ProfilerEnabled() {
-		return // under stopify_noprof the trace half above is the whole check
-	}
 	prof, err := os.ReadFile(cfg.ProfileOut)
 	if err != nil {
 		t.Fatal(err)

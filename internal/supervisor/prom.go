@@ -11,7 +11,7 @@ import (
 // Every counter and gauge in Metrics appears under a stable, documented
 // name (the table lives in DESIGN_supervisor.md "Observability"); the
 // latency digests render as summaries with quantile labels plus the exact
-// running _sum/_count the reservoirs carry. The JSON shape stays the
+// running _sum/_count the histograms carry. The JSON shape stays the
 // default on /metrics — this is the ?format=prom rendering.
 
 // promQuantiles are the summary quantiles exposed for each latency digest.
@@ -91,10 +91,10 @@ func WriteProm(w io.Writer, m Metrics, windows []WindowSummary) {
 		fmt.Fprintf(w, "stopify_park_pins_total{reason=%q} %d\n", k, m.ParkPinsByReason[k])
 	}
 
-	promSummary(w, "stopify_sched_latency_ms", "How long runnable guests waited for a worker, in milliseconds (whole-run reservoir).", m.SchedLatency)
+	promSummary(w, "stopify_sched_latency_ms", "How long runnable guests waited for a worker, in milliseconds (whole run).", m.SchedLatency)
 	promSummary(w, "stopify_turn_duration_ms", "How long guests held a worker per scheduling turn, in milliseconds.", m.TurnDuration)
 	promSummary(w, "stopify_restore_latency_ms", "Restore-on-touch realm rebuild latency, in milliseconds.", m.RestoreLatency)
-	promGauge(w, "stopify_sched_latency_max_ms", "Worst scheduling latency retained by the whole-run reservoir.", m.SchedLatency.Max)
+	promGauge(w, "stopify_sched_latency_max_ms", "Worst scheduling latency of the whole run.", m.SchedLatency.Max)
 
 	// The newest *complete* window of the over-time digest: the last bucket
 	// is still filling, so expose the one before it (matching how the load

@@ -68,12 +68,6 @@ type Options struct {
 	// QuantumSteps is the statement budget of one scheduling turn.
 	// Default 2000.
 	QuantumSteps uint64
-	// InteractiveWeight is how many interactive guests run per batch
-	// guest when both lanes are waiting. Default 4.
-	InteractiveWeight int
-	// SleepSlackMs: a guest whose next timer is further out than this is
-	// parked on a host timer instead of busy-waiting a worker. Default 1.
-	SleepSlackMs float64
 	// Backend forces an execution engine for guests ("tree"/"bytecode");
 	// empty uses the process default (STOPIFY_BACKEND).
 	Backend string
@@ -85,10 +79,6 @@ type Options struct {
 	// ParkDir, when set, spills parked snapshots to disk instead of
 	// holding the blobs in memory.
 	ParkDir string
-	// MetricsWindow is the bucket width of the windowed scheduling-latency
-	// digest (Supervisor.Windows) — the over-time view the sustained-load
-	// harness gates on, as opposed to the whole-run reservoir. Default 1s.
-	MetricsWindow time.Duration
 	// TraceCapacity bounds the flight recorder's total retained events
 	// (trace.go); oldest are overwritten. 0 means the default (16384);
 	// negative disables tracing entirely.
@@ -112,16 +102,20 @@ func (o *Options) normalize() {
 	if o.QuantumSteps == 0 {
 		o.QuantumSteps = 2000
 	}
-	if o.InteractiveWeight <= 0 {
-		o.InteractiveWeight = 4
-	}
-	if o.SleepSlackMs <= 0 {
-		o.SleepSlackMs = 1
-	}
-	if o.MetricsWindow <= 0 {
-		o.MetricsWindow = time.Second
-	}
 }
+
+const (
+	// interactiveWeight is how many interactive guests run per batch guest
+	// when both lanes are waiting.
+	interactiveWeight = 4
+	// sleepSlackMs: a guest whose next timer is further out than this is
+	// parked on a host timer instead of busy-waiting a worker.
+	sleepSlackMs = 1.0
+	// metricsWindow is the bucket width of the windowed scheduling-latency
+	// digest (Supervisor.Windows) — the over-time view the sustained-load
+	// harness gates on, as opposed to the whole-run digest.
+	metricsWindow = time.Second
+)
 
 // SubmitOptions describes one guest program.
 type SubmitOptions struct {
@@ -179,9 +173,9 @@ func New(opts Options) *Supervisor {
 	}
 	s.queues = make([]laneQueue, opts.Workers)
 	for i := range s.queues {
-		s.queues[i].rrCredit = opts.InteractiveWeight
+		s.queues[i].rrCredit = interactiveWeight
 	}
-	s.metrics.initWindows(time.Now(), opts.MetricsWindow)
+	s.metrics.initWindows(time.Now(), metricsWindow)
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go s.worker(i)
@@ -372,9 +366,10 @@ type laneQueue struct {
 func (q *laneQueue) depth() int { return len(q.interactive) + len(q.batch) }
 
 // pop implements the weighted round-robin pick between the queue's lanes:
-// when both have waiting guests, weight interactive turns run per batch
-// turn; a lone non-empty lane always runs. Returns nil when both are empty.
-func (q *laneQueue) pop(weight int) *Guest {
+// when both have waiting guests, interactiveWeight interactive turns run per
+// batch turn; a lone non-empty lane always runs. Returns nil when both are
+// empty.
+func (q *laneQueue) pop() *Guest {
 	var g *Guest
 	switch {
 	case len(q.interactive) > 0 && len(q.batch) > 0:
@@ -382,7 +377,7 @@ func (q *laneQueue) pop(weight int) *Guest {
 			q.rrCredit--
 			g, q.interactive = q.interactive[0], q.interactive[1:]
 		} else {
-			q.rrCredit = weight
+			q.rrCredit = interactiveWeight
 			g, q.batch = q.batch[0], q.batch[1:]
 		}
 	case len(q.interactive) > 0:
@@ -420,7 +415,7 @@ func (s *Supervisor) pushLocked(g *Guest) {
 // otherwise) before running what it popped; killed and paused guests are
 // weeded out there.
 func (s *Supervisor) popLocked(w int) (g *Guest, stolen bool) {
-	if g := s.queues[w].pop(s.opts.InteractiveWeight); g != nil {
+	if g := s.queues[w].pop(); g != nil {
 		return g, false
 	}
 	victim, depth := -1, 0
@@ -435,7 +430,7 @@ func (s *Supervisor) popLocked(w int) (g *Guest, stolen bool) {
 	if victim < 0 {
 		return nil, false
 	}
-	g = s.queues[victim].pop(s.opts.InteractiveWeight)
+	g = s.queues[victim].pop()
 	if g != nil {
 		// The thief becomes the new home: a guest that keeps getting stolen
 		// is a guest whose home worker is overloaded, so migrate it.
@@ -721,7 +716,7 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 			completed, stalled = fin, !fin
 			break
 		}
-		if gap := due - clock.Now(); gap > s.opts.SleepSlackMs {
+		if gap := due - clock.Now(); gap > sleepSlackMs {
 			sleeping = true
 			sleepFor = time.Duration(gap * float64(time.Millisecond))
 			break

@@ -268,7 +268,7 @@ func TestBackpressure(t *testing.T) {
 // an interactive guest submitted after all of them still finishes ahead of
 // most, because the weighted round-robin favors its lane.
 func TestInteractiveLanePriority(t *testing.T) {
-	s := New(Options{Workers: 1, QuantumSteps: 300, InteractiveWeight: 4})
+	s := New(Options{Workers: 1, QuantumSteps: 300})
 	defer s.Close()
 
 	var finished atomic.Int64

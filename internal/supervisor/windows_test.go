@@ -18,7 +18,7 @@ func TestWindowsEmpty(t *testing.T) {
 	}
 	// winLen unset: samples are dropped, not filed into a phantom bucket.
 	s.metrics.mu.Lock()
-	s.metrics.windowAdd(time.Now(), 1.0)
+	s.metrics.windowAdd(time.Now(), time.Millisecond)
 	s.metrics.mu.Unlock()
 	if got := s.Windows(); len(got) != 0 {
 		t.Fatalf("windowAdd with no window width produced %d windows, want 0", len(got))
@@ -32,9 +32,9 @@ func TestWindowsContiguousAndMonotonic(t *testing.T) {
 	m.initWindows(t0, 100*time.Millisecond)
 
 	m.mu.Lock()
-	m.windowAdd(t0.Add(10*time.Millisecond), 1.0)  // bucket 0
-	m.windowAdd(t0.Add(320*time.Millisecond), 2.0) // bucket 3 (1, 2 stay empty)
-	m.windowAdd(t0.Add(350*time.Millisecond), 4.0) // bucket 3 again
+	m.windowAdd(t0.Add(10*time.Millisecond), 1*time.Millisecond)  // bucket 0
+	m.windowAdd(t0.Add(320*time.Millisecond), 2*time.Millisecond) // bucket 3 (1, 2 stay empty)
+	m.windowAdd(t0.Add(350*time.Millisecond), 4*time.Millisecond) // bucket 3 again
 	m.mu.Unlock()
 
 	wins := s.Windows()
@@ -55,6 +55,9 @@ func TestWindowsContiguousAndMonotonic(t *testing.T) {
 	if wins[1].Turns != 0 || wins[2].Turns != 0 {
 		t.Errorf("empty buckets carry turns: %+v", wins[1:3])
 	}
+	if m.windows[1] != nil || m.windows[2] != nil {
+		t.Error("windows nothing was scheduled in were allocated")
+	}
 	if wins[3].Turns != 2 || wins[3].Max != 4.0 {
 		t.Errorf("bucket 3 = %+v, want 2 turns max 4.0", wins[3])
 	}
@@ -67,10 +70,10 @@ func TestWindowsRingWrapAndClockSkew(t *testing.T) {
 	m.initWindows(t0, time.Millisecond)
 
 	m.mu.Lock()
-	m.windowAdd(t0, 1.0)
+	m.windowAdd(t0, time.Millisecond)
 	// Land a sample far enough out that the ring must drop old buckets.
 	over := 10
-	m.windowAdd(t0.Add(time.Duration(windowRingCap+over-1)*time.Millisecond), 2.0)
+	m.windowAdd(t0.Add(time.Duration(windowRingCap+over-1)*time.Millisecond), 2*time.Millisecond)
 	m.mu.Unlock()
 
 	wins := s.Windows()
@@ -90,7 +93,7 @@ func TestWindowsRingWrapAndClockSkew(t *testing.T) {
 	// Clock skew: a sample timestamped before the retained range must land in
 	// the oldest retained bucket, not panic or resurrect a dropped one.
 	m.mu.Lock()
-	m.windowAdd(t0, 9.0) // bucket index 0 < winBase
+	m.windowAdd(t0, 9*time.Millisecond) // bucket index 0 < winBase
 	m.mu.Unlock()
 	wins = s.Windows()
 	if len(wins) != windowRingCap {
