@@ -19,9 +19,18 @@ import (
 
 // Normalize rewrites prog into A-normal form in place and returns it.
 func Normalize(prog *ast.Program) *ast.Program {
-	n := &norm{}
-	prog.Body = n.body(prog.Body)
+	NormalizeFrom(prog, 0)
 	return prog
+}
+
+// NormalizeFrom is Normalize with the `$t` temporaries numbered after the
+// first tmps of them, and returns the count afterwards: a program
+// normalized in parts, each part starting where the last one stopped, names
+// its temporaries exactly as one pass over the whole would.
+func NormalizeFrom(prog *ast.Program, tmps int) int {
+	n := &norm{tmp: tmps}
+	prog.Body = n.body(prog.Body)
+	return n.tmp
 }
 
 type norm struct{ tmp int }

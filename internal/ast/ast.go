@@ -40,6 +40,22 @@ type Stmt interface {
 type Program struct {
 	Pos  Pos
 	Body []Stmt
+
+	// Sites is the site allocator's state once internal/resolve has
+	// numbered this tree: no site ID in Body exceeds it, so a realm whose
+	// inline-cache tables reach this far can run the tree.
+	Sites Sites
+}
+
+// Sites allocates inline-cache site IDs: each field is the last ID handed
+// out of its kind, so the zero value starts a fresh numbering at 1 (ID 0
+// means "no cache"). IDs are dense within one allocator and mean nothing
+// across allocators: every tree a realm runs must be numbered from one
+// sequence — the compiled program's, which eval and REPL fragments then
+// continue.
+type Sites struct {
+	Member uint32 // non-computed ast.Member accesses
+	Global uint32 // proved-global ast.Ident references
 }
 
 func (p *Program) Position() Pos { return p.Pos }

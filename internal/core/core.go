@@ -203,7 +203,11 @@ func (c *Compiled) codeTable() *snapshot.CodeTable {
 	return c.code
 }
 
-// Compile runs source through the full Stopify pipeline.
+// Compile runs source through the full Stopify pipeline. It is the cold
+// primitive: every call parses and instruments source afresh (only the
+// prelude is shared, see preludeFor). Callers that see the same text again
+// and again — a supervisor admitting requests, a restore recompiling the
+// source in a blob — go through CompileCached.
 func Compile(source string, opts Opts) (*Compiled, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -212,63 +216,70 @@ func Compile(source string, opts Opts) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	nm := &desugar.Namer{}
-	merged, err := compileProgram(userProg, opts, nm, "$main", true)
+	pre, err := preludeFor(opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{
-		Prog:        merged,
-		Opts:        opts,
-		SourceText:  source,
-		SourceBytes: len(source),
-	}
-	c.CompiledBytes = len(printer.Print(merged))
-	return c, nil
+	user := compileProgram(userProg, opts, &desugar.Namer{}, "$main", pre.tmps, pre.sites)
+	body := make([]ast.Stmt, 0, len(pre.body)+len(user.Body))
+	body = append(append(body, pre.body...), user.Body...)
+	return &Compiled{
+		Prog:          &ast.Program{Body: body, Sites: user.Sites},
+		Opts:          opts,
+		SourceText:    source,
+		SourceBytes:   len(source),
+		CompiledBytes: pre.printed + len(printer.Print(user)),
+	}, nil
 }
 
-// compileProgram wraps user statements into a function named mainName,
-// desugars, merges the prelude (when requested), normalizes, boxes, and
-// instruments.
-func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainName string, withPrelude bool) (*ast.Program, error) {
+func (o Opts) desugarOptions() desugar.Options {
+	return desugar.Options{
+		Implicits:   o.implicitsMode(),
+		Getters:     o.Getters,
+		CtorDesugar: o.Ctor == "direct",
+		ArgsFull:    o.Args == "full",
+		Suspend:     o.Suspend,
+		Breakpoints: o.Debug,
+	}
+}
+
+func (o Opts) instrumentOptions() instrument.Options {
+	return instrument.Options{
+		Strategy:           o.strategy(),
+		WrappedCtors:       o.Ctor == "wrapped",
+		Args:               o.argsMode(),
+		PerStatementGuards: o.PerStatementGuards,
+	}
+}
+
+// compileProgram wraps user statements into a function named mainName and
+// desugars, normalizes, boxes, instruments and resolves it. tmps and sites
+// are where the ANF temporaries and the inline-cache site IDs continue
+// from: the prelude's counts for $main, so that the spliced program reads
+// and numbers exactly as one pass over prelude + $main would; zero
+// temporaries and the realm's own site count (interp.Sites) for an eval or
+// REPL fragment, which joins a realm already running other trees.
+func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainName string, tmps int, sites ast.Sites) *ast.Program {
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: mainName, Body: userProg.Body}},
 	}}
+	desugar.Apply(wrapped, opts.desugarOptions(), nm)
+	lower(wrapped, opts, tmps, sites)
+	return wrapped
+}
 
-	desugar.Apply(wrapped, desugar.Options{
-		Implicits:   opts.implicitsMode(),
-		Getters:     opts.Getters,
-		CtorDesugar: opts.Ctor == "direct",
-		ArgsFull:    opts.Args == "full",
-		Suspend:     opts.Suspend,
-		Breakpoints: opts.Debug,
-	}, nm)
-
-	var body []ast.Stmt
-	if withPrelude {
-		preludeProg, err := parser.Parse(preludeSource(opts))
-		if err != nil {
-			return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
-		}
-		desugar.Apply(preludeProg, desugar.Options{}, nm)
-		body = append(body, preludeProg.Body...)
-	}
-	body = append(body, wrapped.Body...)
-	merged := &ast.Program{Body: body}
-
-	anf.Normalize(merged)
-	boxes.Box(merged)
-	instrument.Apply(merged, instrument.Options{
-		Strategy:           opts.strategy(),
-		WrappedCtors:       opts.Ctor == "wrapped",
-		Args:               opts.argsMode(),
-		PerStatementGuards: opts.PerStatementGuards,
-	})
+// lower runs the passes that follow desugaring — the same ones, in the same
+// order, for $main, for fragments and for the prelude — and returns the ANF
+// temporary count afterwards (prog.Sites holds the site count).
+func lower(prog *ast.Program, opts Opts, tmps int, sites ast.Sites) int {
+	tmps = anf.NormalizeFrom(prog, tmps)
+	boxes.Box(prog)
+	instrument.Apply(prog, opts.instrumentOptions())
 	// Static scope resolution runs last, on the final tree the interpreter
 	// will execute: every pass above is free to synthesize bindings, and the
 	// annotations must describe exactly what runs.
-	resolve.Program(merged)
-	return merged, nil
+	resolve.ProgramFrom(prog, sites)
+	return tmps
 }
 
 // Source prints the compiled JavaScript.
@@ -438,28 +449,26 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 	// install their globals, before any guest code runs — so encoding and
 	// decoding realms index the same host graph.
 	a.reg = snapshot.NewRegistry(in)
+	// Restore never runs the program (its bindings come from the blob), so
+	// the inline-cache tables are sized here, for both paths.
+	in.ReserveSites(c.Prog.Sites)
 
 	if c.Opts.Eval {
 		opts := c.Opts
-		in.EvalHook = func(src string) ([]ast.Stmt, error) {
+		in.EvalHook = func(src string) (*ast.Program, error) {
 			evalProg, err := parser.Parse(src)
 			if err != nil {
 				return nil, err
 			}
 			nm := &desugar.Namer{}
-			evalMerged, err := compileProgram(evalProg, opts, nm, nm.Fresh("$eval"), false)
-			if err != nil {
-				return nil, err
-			}
-			// The compiled program is a single function declaration; define
+			frag := compileProgram(evalProg, opts, nm, nm.Fresh("$eval"), 0, in.Sites())
+			// The compiled fragment is a single function declaration; define
 			// it and invoke it immediately. Strict eval semantics: the code
 			// sees only the global scope, and the immediate invocation must
 			// terminate without capturing (the "T" sub-language of §4.3).
-			fd := evalMerged.Body[0].(*ast.FuncDecl)
-			return []ast.Stmt{
-				fd,
-				ast.ExprOf(ast.CallId(fd.Fn.Name)),
-			}, nil
+			fd := frag.Body[0].(*ast.FuncDecl)
+			frag.Body = append(frag.Body, ast.ExprOf(ast.CallId(fd.Fn.Name)))
+			return frag, nil
 		}
 	}
 
@@ -632,13 +641,13 @@ func RunRaw(source string, cfg RunConfig) (string, error) {
 	// Raw execution has the browser's native eval: parse, resolve, and run
 	// directly. The fragment's own statements execute in the dynamic global
 	// frame; only functions within get slot frames.
-	in.EvalHook = func(src string) ([]ast.Stmt, error) {
+	in.EvalHook = func(src string) (*ast.Program, error) {
 		p, err := parser.Parse(src)
 		if err != nil {
 			return nil, err
 		}
-		resolve.Program(p)
-		return p.Body, nil
+		resolve.ProgramFrom(p, in.Sites())
+		return p, nil
 	}
 	if err := in.RunProgram(prog); err != nil {
 		return buf.String(), err

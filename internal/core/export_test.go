@@ -1,0 +1,43 @@
+package core
+
+import (
+	"repro/internal/anf"
+	"repro/internal/ast"
+	"repro/internal/boxes"
+	"repro/internal/desugar"
+	"repro/internal/instrument"
+	"repro/internal/parser"
+	"repro/internal/printer"
+	"repro/internal/resolve"
+)
+
+// CompileWholeTree is the reference the spliced Compile is held to: the
+// compiler as it was before the prelude was cached — $main desugared, the
+// prelude parsed and desugared behind it with the same Namer, and the five
+// remaining passes run once over prelude + $main merged. It returns the
+// printed program.
+func CompileWholeTree(source string, opts Opts) (string, error) {
+	if err := opts.normalize(); err != nil {
+		return "", err
+	}
+	userProg, err := parser.Parse(source)
+	if err != nil {
+		return "", err
+	}
+	nm := &desugar.Namer{}
+	wrapped := &ast.Program{Body: []ast.Stmt{
+		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
+	}}
+	desugar.Apply(wrapped, opts.desugarOptions(), nm)
+	preludeProg, err := parser.Parse(preludeSource(opts))
+	if err != nil {
+		return "", err
+	}
+	desugar.Apply(preludeProg, desugar.Options{}, nm)
+	merged := &ast.Program{Body: append(preludeProg.Body, wrapped.Body...)}
+	anf.Normalize(merged)
+	boxes.Box(merged)
+	instrument.Apply(merged, opts.instrumentOptions())
+	resolve.Program(merged)
+	return printer.Print(merged), nil
+}

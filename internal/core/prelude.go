@@ -1,6 +1,89 @@
 package core
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/ast"
+	"repro/internal/desugar"
+	"repro/internal/parser"
+	"repro/internal/printer"
+)
+
+// prelude is the runtime prelude compiled through the whole pipeline, ready
+// to be spliced in front of a program's $main. It is a pure function of the
+// options in preludeKey, so one compilation serves every program compiled
+// under them; the statements are shared and never written after resolve.
+type prelude struct {
+	body    []ast.Stmt
+	tmps    int       // ANF temporaries the prelude used; $main continues from here
+	sites   ast.Sites // inline-cache sites the prelude used; likewise
+	printed int       // len(printer.Print) of body, the prelude's share of CompiledBytes
+}
+
+// preludeKey is every option the prelude's text or its instrumentation
+// depends on. Each field has a handful of legal values, so the cache below
+// is bounded by their product and needs no eviction.
+type preludeKey struct {
+	Ctor, Implicits, Cont, Args string
+	Getters, PerStatementGuards bool
+}
+
+var (
+	preludeMu       sync.Mutex
+	preludes        = map[preludeKey]*prelude{}
+	preludeCompiles atomic.Uint64
+)
+
+// preludeFor returns the compiled prelude for opts (already normalized),
+// compiling it on first use.
+func preludeFor(opts Opts) (*prelude, error) {
+	key := preludeKey{
+		Ctor: opts.Ctor, Implicits: opts.Implicits, Cont: opts.Cont, Args: opts.Args,
+		Getters: opts.Getters, PerStatementGuards: opts.PerStatementGuards,
+	}
+	preludeMu.Lock()
+	defer preludeMu.Unlock()
+	if p, ok := preludes[key]; ok {
+		return p, nil
+	}
+	p, err := compilePrelude(opts)
+	if err != nil {
+		return nil, err
+	}
+	preludes[key] = p
+	preludeCompiles.Add(1)
+	return p, nil
+}
+
+// compilePrelude runs the prelude source through the pipeline on its own.
+// The result equals what the passes produce for the prelude when run over
+// prelude + $main together, because nothing flows from $main back into it:
+// the prelude's statements come first (so its temporaries and sites are
+// numbered first), boxing and instrumentation work one function at a time,
+// and prelude desugaring — every user-level option off — draws no fresh
+// names, which is checked here since a name drawn would depend on how many
+// $main had drawn before.
+func compilePrelude(opts Opts) (*prelude, error) {
+	prog, err := parser.Parse(preludeSource(opts))
+	if err != nil {
+		return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
+	}
+	nm := &desugar.Namer{}
+	desugar.Apply(prog, desugar.Options{}, nm)
+	if nm.Fresh("") != "1" {
+		return nil, fmt.Errorf("stopify: internal prelude error: desugaring drew fresh names")
+	}
+	tmps := lower(prog, opts, 0, ast.Sites{})
+	return &prelude{
+		body:    prog.Body,
+		tmps:    tmps,
+		sites:   prog.Sites,
+		printed: len(printer.Print(prog)),
+	}, nil
+}
 
 // preludeSource assembles the JavaScript runtime prelude for the selected
 // sub-language. Prelude functions are compiled through the same pipeline as

@@ -32,11 +32,7 @@ func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
 	}
 	a.evalTurns++
 	name := fmt.Sprintf("$repl%d", a.evalTurns)
-	nm := &desugar.Namer{}
-	merged, err := compileProgram(evalProg, a.compiled.Opts, nm, name, false)
-	if err != nil {
-		return err
-	}
+	merged := compileProgram(evalProg, a.compiled.Opts, &desugar.Namer{}, name, 0, a.In.Sites())
 	// Define the compiled turn's function in the shared realm...
 	if err := a.In.RunProgram(merged); err != nil {
 		return err

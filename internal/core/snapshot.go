@@ -99,10 +99,12 @@ func Restore(cfg RunConfig, blob []byte) (*AsyncRun, error) {
 	return RestoreWith(cfg, blob, RestoreOptions{ReplayOutput: true})
 }
 
-// RestoreWith recompiles the blob's embedded source under its embedded
-// options, builds a fresh realm under cfg's host knobs (engine profile,
-// clock, output, backend, budgets), and decodes the blob into it. The
-// compiled program is never executed — every JS-level binding, prelude
+// RestoreWith compiles the blob's embedded source under its embedded
+// options — through CompileCached, so a process restoring a program it has
+// compiled before (its own parked guest, a migrating guest's next hop)
+// reuses that compilation — builds a fresh realm under cfg's host knobs
+// (engine profile, clock, output, backend, budgets), and decodes the blob
+// into it. The compiled program is never executed — every JS-level binding, prelude
 // included, comes from the blob — so the restored realm's state is the
 // source realm's, not a fresh program's.
 //
@@ -125,7 +127,7 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 	if hdr.Opts.LegacyPrelude {
 		return nil, fmt.Errorf("stopify: snapshot header sets LegacyPrelude: the guest was compiled against the wire-v1 prelude, which this build no longer carries")
 	}
-	c, err := Compile(hdr.Source, hdr.Opts.Opts)
+	c, err := CompileCached(hdr.Source, hdr.Opts.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("stopify: recompiling snapshot source: %w", err)
 	}

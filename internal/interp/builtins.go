@@ -669,11 +669,11 @@ func (in *Interp) setupTopFunctions() {
 		if in.EvalHook == nil {
 			return Undefined, in.Throw("Error", "eval is not enabled in this configuration")
 		}
-		body, err := in.EvalHook(src)
+		prog, err := in.EvalHook(src)
 		if err != nil {
 			return Undefined, in.Throw("SyntaxError", "eval: %v", err)
 		}
-		if rerr := in.RunStmts(body); rerr != nil {
+		if rerr := in.RunProgram(prog); rerr != nil {
 			return Undefined, rerr
 		}
 		return Undefined, nil

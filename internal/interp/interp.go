@@ -81,8 +81,9 @@ type Interp struct {
 
 	// EvalHook compiles source for the eval() builtin. The Stopify core
 	// installs a hook that runs the string through the full pipeline (§4.3);
-	// without a hook, eval throws.
-	EvalHook func(src string) ([]ast.Stmt, error)
+	// without a hook, eval throws. The returned program runs in this realm,
+	// so a hook that resolves it numbers its sites from Sites.
+	EvalHook func(src string) (*ast.Program, error)
 
 	// Uncaught receives exceptions that escape event-loop tasks. When nil,
 	// such an exception panics — the moral equivalent of a crashed page.
@@ -107,12 +108,14 @@ type Interp struct {
 	envFree16  []*envBuf16
 	envFreeBig [len(bigBucketCaps)][]*Env
 
-	// Inline caches, indexed by the site IDs internal/resolve assigns
-	// (shape.go). Owned per realm so two interpreters executing the same
-	// resolved tree never observe each other's cache state.
-	icGet    icArray[getIC]
-	icSet    icArray[setIC]
-	icGlobal icArray[*cell]
+	// Inline caches, indexed by the site IDs internal/resolve assigns and
+	// sized by ReserveSites to the count in sites (shape.go). Owned per
+	// realm so two interpreters executing the same resolved tree never
+	// observe each other's cache state.
+	icGet    []getIC
+	icSet    []setIC
+	icGlobal []*cell
+	sites    ast.Sites
 
 	// Bytecode engine state (dispatch.go): the per-realm chunk cache
 	// (nil entry = compiler rejected the function), the operand-stack
@@ -304,17 +307,14 @@ func (in *Interp) NewError(name, message string) *Object {
 	return e
 }
 
-// RunProgram hoists and executes a program in the global environment.
+// RunProgram hoists and executes a program in the global environment. A
+// resolved program must continue this realm's site numbering (see
+// ReserveSites): the first from a fresh allocator, any later one — an eval
+// fragment, a REPL turn — from Sites.
 func (in *Interp) RunProgram(prog *ast.Program) error {
+	in.ReserveSites(prog.Sites)
 	in.hoistInto(prog.Body, in.Global)
 	return in.execStmts(prog.Body, in.Global)
-}
-
-// RunString parses nothing — callers parse; this executes pre-parsed
-// statements in the global environment (used by eval and the REPL).
-func (in *Interp) RunStmts(body []ast.Stmt) error {
-	in.hoistInto(body, in.Global)
-	return in.execStmts(body, in.Global)
 }
 
 // DefineGlobal installs a global binding (used by the Stopify runtime to

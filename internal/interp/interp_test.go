@@ -587,12 +587,8 @@ func TestEvalWithHook(t *testing.T) {
 	prog, _ := parser.Parse(`eval("globalFromEval = 7;"); console.log(globalFromEval);`)
 	var buf bytes.Buffer
 	in := New(Options{Out: &buf})
-	in.EvalHook = func(src string) ([]ast.Stmt, error) {
-		p, err := parser.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		return p.Body, nil
+	in.EvalHook = func(src string) (*ast.Program, error) {
+		return parser.Parse(src)
 	}
 	if err := in.RunProgram(prog); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package interp
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/ast"
+)
 
 // Hidden classes ("shapes"). Every *Object with own properties points at a
 // Shape that describes its property layout: Shape.keys lists the own keys in
@@ -152,7 +156,7 @@ func (s *Shape) slotOf(key string) int {
 	return -1
 }
 
-// Inline-cache entries. The interpreter owns one array per access kind,
+// Inline-cache entries. The interpreter owns one table per access kind,
 // indexed by the site IDs internal/resolve assigns to ast.Member and
 // global ast.Ident nodes; site 0 is reserved for "no cache".
 
@@ -180,57 +184,40 @@ type setIC struct {
 	epoch uint32
 }
 
-// icArray is a site-indexed cache store. Site IDs are process-unique and
-// monotonically increasing (internal/resolve), so a realm created late in
-// a long process sees only a narrow, high-valued band of IDs — the ones in
-// the programs it actually runs. Indexing relative to the first site the
-// realm touches keeps the array proportional to that band instead of to
-// the process-lifetime maximum.
-type icArray[T any] struct {
-	base    uint32
-	entries []T
+// ReserveSites sizes the inline-cache tables for a tree whose site numbering
+// ended at s. Site IDs are dense per realm (internal/resolve numbers the
+// compiled program from 1 and every later fragment from Sites), so the
+// tables hold exactly one entry per site in the code this realm runs, plus
+// the unused entry 0. Growth for a late fragment goes through append, so a
+// guest that evals in a loop does not copy its tables once per call.
+func (in *Interp) ReserveSites(s ast.Sites) {
+	if s.Member > in.sites.Member {
+		n := int(s.Member) + 1 - len(in.icGet)
+		in.icGet = append(in.icGet, make([]getIC, n)...)
+		in.icSet = append(in.icSet, make([]setIC, n)...)
+		in.sites.Member = s.Member
+	}
+	if s.Global > in.sites.Global {
+		in.icGlobal = append(in.icGlobal, make([]*cell, int(s.Global)+1-len(in.icGlobal))...)
+		in.sites.Global = s.Global
+	}
 }
 
-// at returns the entry for site, growing (and, rarely, re-basing) the
-// store as needed.
-func (a *icArray[T]) at(site uint32) *T {
-	if a.entries == nil {
-		a.base = site
-		a.entries = make([]T, 64)
-		return &a.entries[0]
-	}
-	if site < a.base {
-		// A site below the current base: shift existing entries up. Rare —
-		// execution order roughly follows assignment order.
-		shift := a.base - site
-		grown := make([]T, shift+uint32(len(a.entries)))
-		copy(grown[shift:], a.entries)
-		a.base, a.entries = site, grown
-	}
-	idx := site - a.base
-	if int(idx) >= len(a.entries) {
-		n := len(a.entries) * 2
-		if n <= int(idx) {
-			n = int(idx) + 1
-		}
-		grown := make([]T, n)
-		copy(grown, a.entries)
-		a.entries = grown
-	}
-	return &a.entries[idx]
-}
+// Sites reports how far this realm's site numbering has got: the allocator
+// state a fragment compiled for this realm must continue from.
+func (in *Interp) Sites() ast.Sites { return in.sites }
 
 // icGetAt returns the cache entry for a read site.
-func (in *Interp) icGetAt(site uint32) *getIC { return in.icGet.at(site) }
+func (in *Interp) icGetAt(site uint32) *getIC { return &in.icGet[site] }
 
 // icSetAt returns the cache entry for a write site.
-func (in *Interp) icSetAt(site uint32) *setIC { return in.icSet.at(site) }
+func (in *Interp) icSetAt(site uint32) *setIC { return &in.icSet[site] }
 
 // icCellAt returns the global-binding cell cached for an identifier site.
-func (in *Interp) icCellAt(site uint32) *cell { return *in.icGlobal.at(site) }
+func (in *Interp) icCellAt(site uint32) *cell { return in.icGlobal[site] }
 
 // icCacheCell records the binding cell for an identifier site.
-func (in *Interp) icCacheCell(site uint32, c *cell) { *in.icGlobal.at(site) = c }
+func (in *Interp) icCacheCell(site uint32, c *cell) { in.icGlobal[site] = c }
 
 // lookupPath resolves key starting at o, returning the holding object and
 // slot index, or (nil, -1) when the property exists nowhere on the chain.

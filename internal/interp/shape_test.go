@@ -11,8 +11,12 @@ import (
 // mutation. These poke the unexported machinery directly; end-to-end
 // property semantics are covered in internal/core.
 
+// newTestInterp reserves cache entries for the hand-picked site IDs the
+// tests below pass to the *Site accessors.
 func newTestInterp() *Interp {
-	return New(Options{})
+	in := New(Options{})
+	in.ReserveSites(ast.Sites{Member: 31, Global: 3})
+	return in
 }
 
 // num / str build tagged test values tersely.

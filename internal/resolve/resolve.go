@@ -26,45 +26,47 @@
 // runtime — so references that reach the top are left unresolved.
 package resolve
 
-import (
-	"sync/atomic"
-
-	"repro/internal/ast"
-)
+import "repro/internal/ast"
 
 // Inline-cache site IDs. Every non-computed member access and every
-// proved-global identifier reference gets a process-unique positive ID; the
-// interpreter owns one cache entry per ID (per realm), so two realms
-// executing the same tree never share cache state, while re-executing a
-// site in one realm always lands on the same entry. IDs are process-unique
-// rather than per-program because one realm runs many resolved trees (the
-// prelude, the main program, every eval'd fragment) and their sites must
-// not collide. 0 is reserved for "no cache" — the zero value of
-// unresolved/hand-built nodes.
-var (
-	memberSites atomic.Uint32
-	globalSites atomic.Uint32
-)
+// proved-global identifier reference gets a positive ID from the ast.Sites
+// allocator its caller owns; the interpreter keeps one cache entry per ID
+// per realm, so two realms executing the same tree never share cache
+// state, while re-executing a site in one realm always lands on the same
+// entry. One realm runs many resolved trees (the prelude, the main program,
+// every eval'd fragment) and their sites must not collide, so all of them
+// are numbered from one sequence: the compiler numbers the prelude and the
+// program, and a fragment compiled later continues from the realm's own
+// count. Numbering is dense, which is what lets the interpreter size its
+// cache tables to exactly the code it runs however long the process has
+// been compiling other programs. 0 is reserved for "no cache" — the zero
+// value of unresolved/hand-built nodes.
 
-// Program resolves every function in prog in place.
+// Program resolves every function in p in place, numbering its sites from 1.
 func Program(p *ast.Program) {
-	Stmts(p.Body)
+	ProgramFrom(p, ast.Sites{})
 }
 
-// Stmts resolves top-level statements: the statements themselves run in the
-// dynamic global frame, and every function literal within gets a slot
-// layout. It is what eval hooks call on freshly compiled fragments.
-func Stmts(body []ast.Stmt) {
+// ProgramFrom is Program continuing the numbering after sites, for a tree
+// that joins others in one realm. The allocator's final state is recorded
+// in p.Sites. The top-level statements themselves run in the dynamic global
+// frame; every function literal within gets a slot layout.
+func ProgramFrom(p *ast.Program, sites ast.Sites) {
+	r := resolver{sites: sites}
 	// Top-level function declarations are hoisted into the global frame
 	// before execution, so their closures are created with the global
 	// environment — resolve them against it, not against whatever catch
 	// scope their statement happens to sit in.
-	_, fns := ast.HoistedDecls(body)
+	_, fns := ast.HoistedDecls(p.Body)
 	for _, fn := range fns {
-		resolveFunc(fn, nil)
+		r.resolveFunc(fn, nil)
 	}
-	resolveStmts(body, nil)
+	r.resolveStmts(p.Body, nil)
+	p.Sites = r.sites
 }
+
+// resolver carries the site allocator through one pass.
+type resolver struct{ sites ast.Sites }
 
 // scope is one frame in the static chain. A nil *scope is the dynamic
 // global frame: lookups that reach it resolve to nothing.
@@ -124,7 +126,7 @@ func lookup(sc *scope, name string) ast.Ref {
 }
 
 // resolveFunc lays out fn's frame and resolves its body.
-func resolveFunc(fn *ast.Func, enclosing *scope) {
+func (r *resolver) resolveFunc(fn *ast.Func, enclosing *scope) {
 	sc := &scope{parent: enclosing, index: make(map[string]int)}
 	layout := &ast.ScopeInfo{
 		SelfSlot:      -1,
@@ -164,70 +166,70 @@ func resolveFunc(fn *ast.Func, enclosing *scope) {
 	// catch scope on the way down. resolveStmt leaves FuncDecls alone for
 	// the same reason.
 	for _, fd := range fns {
-		resolveFunc(fd, sc)
+		r.resolveFunc(fd, sc)
 	}
-	resolveStmts(fn.Body, sc)
+	r.resolveStmts(fn.Body, sc)
 	layout.Names = sc.names
 	layout.Index = sc.index
 	fn.Scope = layout
 }
 
-func resolveStmts(body []ast.Stmt, sc *scope) {
+func (r *resolver) resolveStmts(body []ast.Stmt, sc *scope) {
 	for _, s := range body {
-		resolveStmt(s, sc)
+		r.resolveStmt(s, sc)
 	}
 }
 
-func resolveStmt(s ast.Stmt, sc *scope) {
+func (r *resolver) resolveStmt(s ast.Stmt, sc *scope) {
 	switch n := s.(type) {
 	case nil:
 	case *ast.VarDecl:
 		for i := range n.Decls {
 			d := &n.Decls[i]
-			resolveExpr(d.Init, sc)
+			r.resolveExpr(d.Init, sc)
 			d.Ref = lookup(sc, d.Name)
 		}
 	case *ast.ExprStmt:
-		resolveExpr(n.X, sc)
+		r.resolveExpr(n.X, sc)
 	case *ast.Block:
-		resolveStmts(n.Body, sc)
+		r.resolveStmts(n.Body, sc)
 	case *ast.If:
-		resolveExpr(n.Test, sc)
-		resolveStmt(n.Cons, sc)
+		r.resolveExpr(n.Test, sc)
+		r.resolveStmt(n.Cons, sc)
 		if n.Alt != nil {
-			resolveStmt(n.Alt, sc)
+			r.resolveStmt(n.Alt, sc)
 		}
 	case *ast.While:
-		resolveExpr(n.Test, sc)
-		resolveStmt(n.Body, sc)
+		r.resolveExpr(n.Test, sc)
+		r.resolveStmt(n.Body, sc)
 	case *ast.DoWhile:
-		resolveStmt(n.Body, sc)
-		resolveExpr(n.Test, sc)
+		r.resolveStmt(n.Body, sc)
+		r.resolveExpr(n.Test, sc)
 	case *ast.For:
 		if n.Init != nil {
-			resolveStmt(n.Init, sc)
+			r.resolveStmt(n.Init, sc)
 		}
-		resolveExpr(n.Test, sc)
-		resolveExpr(n.Update, sc)
-		resolveStmt(n.Body, sc)
+		r.resolveExpr(n.Test, sc)
+		r.resolveExpr(n.Update, sc)
+		r.resolveStmt(n.Body, sc)
 	case *ast.ForIn:
-		resolveExpr(n.Obj, sc)
+		r.resolveExpr(n.Obj, sc)
 		n.Ref = lookup(sc, n.Name)
-		resolveStmt(n.Body, sc)
+		r.resolveStmt(n.Body, sc)
 	case *ast.Return:
-		resolveExpr(n.Arg, sc)
+		r.resolveExpr(n.Arg, sc)
 	case *ast.Labeled:
-		resolveStmt(n.Body, sc)
+		r.resolveStmt(n.Body, sc)
 	case *ast.Switch:
-		resolveExpr(n.Disc, sc)
+		r.resolveExpr(n.Disc, sc)
 		for _, c := range n.Cases {
-			resolveExpr(c.Test, sc)
-			resolveStmts(c.Body, sc)
+			r.resolveExpr(c.Test, sc)
+			r.resolveStmts(c.Body, sc)
 		}
 	case *ast.Throw:
-		resolveExpr(n.Arg, sc)
+		r.resolveExpr(n.Arg, sc)
 	case *ast.Try:
-		resolveStmts(n.Block.Body, sc)
+		r.resolveStmts(n.Block.Body, sc)
 		if n.Catch != nil {
 			csc := &scope{parent: sc, index: make(map[string]int)}
 			csc.define(n.CatchParam)
@@ -239,24 +241,25 @@ func resolveStmt(s ast.Stmt, sc *scope) {
 				NewTargetSlot: -1,
 				ArgumentsSlot: -1,
 			}
-			resolveStmts(n.Catch.Body, csc)
+			r.resolveStmts(n.Catch.Body, csc)
 		}
 		if n.Finally != nil {
-			resolveStmts(n.Finally.Body, sc)
+			r.resolveStmts(n.Finally.Body, sc)
 		}
 	case *ast.FuncDecl:
-		// Already resolved at its hoist site (resolveFunc or Stmts), against
+		// Already resolved at its hoist site (resolveFunc or ProgramFrom), against
 		// the frame its closure is actually created in.
 	}
 }
 
-func resolveExpr(e ast.Expr, sc *scope) {
+func (r *resolver) resolveExpr(e ast.Expr, sc *scope) {
 	switch n := e.(type) {
 	case nil:
 	case *ast.Ident:
 		n.Ref = lookup(sc, n.Name)
-		if n.Ref.Global() && n.Site == 0 {
-			n.Site = globalSites.Add(1)
+		if n.Ref.Global() {
+			r.sites.Global++
+			n.Site = r.sites.Global
 		}
 	case *ast.Number, *ast.Str:
 		// Literals carry no resolution state: the interpreter's tagged
@@ -268,51 +271,52 @@ func resolveExpr(e ast.Expr, sc *scope) {
 		n.Ref = lookup(sc, "new.target")
 	case *ast.Array:
 		for _, el := range n.Elems {
-			resolveExpr(el, sc)
+			r.resolveExpr(el, sc)
 		}
 	case *ast.Object:
 		for _, p := range n.Props {
-			resolveExpr(p.Value, sc)
+			r.resolveExpr(p.Value, sc)
 		}
 	case *ast.Func:
-		resolveFunc(n, sc)
+		r.resolveFunc(n, sc)
 	case *ast.Unary:
-		resolveExpr(n.X, sc)
+		r.resolveExpr(n.X, sc)
 	case *ast.Update:
-		resolveExpr(n.X, sc)
+		r.resolveExpr(n.X, sc)
 	case *ast.Binary:
-		resolveExpr(n.L, sc)
-		resolveExpr(n.R, sc)
+		r.resolveExpr(n.L, sc)
+		r.resolveExpr(n.R, sc)
 	case *ast.Logical:
-		resolveExpr(n.L, sc)
-		resolveExpr(n.R, sc)
+		r.resolveExpr(n.L, sc)
+		r.resolveExpr(n.R, sc)
 	case *ast.Assign:
-		resolveExpr(n.Target, sc)
-		resolveExpr(n.Value, sc)
+		r.resolveExpr(n.Target, sc)
+		r.resolveExpr(n.Value, sc)
 	case *ast.Cond:
-		resolveExpr(n.Test, sc)
-		resolveExpr(n.Cons, sc)
-		resolveExpr(n.Alt, sc)
+		r.resolveExpr(n.Test, sc)
+		r.resolveExpr(n.Cons, sc)
+		r.resolveExpr(n.Alt, sc)
 	case *ast.Call:
-		resolveExpr(n.Callee, sc)
+		r.resolveExpr(n.Callee, sc)
 		for _, a := range n.Args {
-			resolveExpr(a, sc)
+			r.resolveExpr(a, sc)
 		}
 	case *ast.New:
-		resolveExpr(n.Callee, sc)
+		r.resolveExpr(n.Callee, sc)
 		for _, a := range n.Args {
-			resolveExpr(a, sc)
+			r.resolveExpr(a, sc)
 		}
 	case *ast.Member:
-		resolveExpr(n.X, sc)
+		r.resolveExpr(n.X, sc)
 		if n.Computed {
-			resolveExpr(n.Index, sc)
-		} else if n.Site == 0 {
-			n.Site = memberSites.Add(1)
+			r.resolveExpr(n.Index, sc)
+		} else {
+			r.sites.Member++
+			n.Site = r.sites.Member
 		}
 	case *ast.Seq:
 		for _, x := range n.Exprs {
-			resolveExpr(x, sc)
+			r.resolveExpr(x, sc)
 		}
 	}
 }

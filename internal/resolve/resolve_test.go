@@ -390,6 +390,68 @@ func TestCatchScopeLayout(t *testing.T) {
 	}
 }
 
+// siteIDs collects the inline-cache site IDs of a tree in walk order.
+func siteIDs(p *ast.Program) (member, global []uint32) {
+	ast.Walk(p, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Member:
+			if x.Site != 0 {
+				member = append(member, x.Site)
+			}
+		case *ast.Ident:
+			if x.Site != 0 {
+				global = append(global, x.Site)
+			}
+		}
+		return true
+	})
+	return member, global
+}
+
+// TestSitesAreDensePerProgram pins the numbering contract the interpreter's
+// exact-size cache tables rest on: a program's sites are 1..n whatever was
+// resolved before it in the process, ProgramFrom continues a numbering
+// without gaps or overlap, and Program.Sites records where it ended.
+func TestSitesAreDensePerProgram(t *testing.T) {
+	const src = `var o = {a: 1}; function f(p) { return p.a + o.a + Math.abs(p.b); } f(o); o.c = f;`
+	dense := func(ids []uint32, from, to uint32) bool {
+		seen := map[uint32]bool{}
+		for _, id := range ids {
+			if id <= from || id > to || seen[id] {
+				return false
+			}
+			seen[id] = true
+		}
+		return uint32(len(ids)) == to-from
+	}
+	var first ast.Sites
+	for i := 0; i < 3; i++ { // earlier programs leave no trace in later ones
+		p := mustParse(t, src)
+		m, g := siteIDs(p)
+		if p.Sites.Member == 0 || p.Sites.Global == 0 {
+			t.Fatalf("program has no sites: %+v", p.Sites)
+		}
+		if !dense(m, 0, p.Sites.Member) || !dense(g, 0, p.Sites.Global) {
+			t.Fatalf("sites not dense from 1: member %v global %v, recorded %+v", m, g, p.Sites)
+		}
+		if i == 0 {
+			first = p.Sites
+		} else if p.Sites != first {
+			t.Fatalf("program %d numbered to %+v, the first to %+v", i, p.Sites, first)
+		}
+	}
+
+	frag, err := parser.Parse(`o.d = Math.max(o.a, 2);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.ProgramFrom(frag, first)
+	m, g := siteIDs(frag)
+	if !dense(m, first.Member, frag.Sites.Member) || !dense(g, first.Global, frag.Sites.Global) {
+		t.Fatalf("fragment sites %v %v do not continue %+v up to %+v", m, g, first, frag.Sites)
+	}
+}
+
 func BenchmarkResolvedCalls(b *testing.B) { benchCalls(b, true) }
 func BenchmarkDynamicCalls(b *testing.B)  { benchCalls(b, false) }
 

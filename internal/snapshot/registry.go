@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"hash"
 	"hash/fnv"
 	"strconv"
 	"sync"
@@ -27,7 +28,6 @@ import (
 // before the prelude executes), so ordinals agree; a fingerprint in the
 // blob turns any drift into a loud decode error.
 type Registry struct {
-	paths []string
 	objs  []*interp.Object
 	byObj map[*interp.Object]int
 	sum   uint64
@@ -37,50 +37,73 @@ type Registry struct {
 // after rt.New (and any host-native installation that must survive
 // snapshots), before the prelude runs.
 func NewRegistry(in *interp.Interp) *Registry {
-	r := &Registry{
-		byObj: make(map[*interp.Object]int),
+	w := registryWalk{
+		r: &Registry{byObj: make(map[*interp.Object]int)},
+		h: fnv.New64a(),
 	}
 	root := in.Global
 	for _, name := range root.GlobalNames() {
 		v, _ := root.Lookup(name)
-		r.visit(name, v)
+		w.path = append(w.path[:0], name...)
+		w.visit(v)
 	}
-	h := fnv.New64a()
-	for _, p := range r.paths {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	r.sum = h.Sum64()
-	return r
+	w.r.sum = w.h.Sum64()
+	return w.r
 }
 
-func (r *Registry) visit(path string, v interp.Value) {
+// registryWalk is one traversal's state. Every realm build walks the whole
+// host graph, so the path of the object being visited lives in one buffer
+// that grows and shrinks with the descent, and the fingerprint — FNV-64a
+// over each registered object's path and a NUL, in registration order — is
+// fed as objects are registered instead of from a kept list of paths.
+type registryWalk struct {
+	r    *Registry
+	path []byte
+	h    hash.Hash64
+}
+
+var pathEnd = []byte{0}
+
+// visit registers the object v holds, if it is one not yet seen, under the
+// path in w.path, then descends. It returns with w.path as it found it.
+func (w *registryWalk) visit(v interp.Value) {
 	o := v.Obj()
 	if o == nil {
 		return
 	}
+	r := w.r
 	if _, ok := r.byObj[o]; ok {
 		return
 	}
-	idx := len(r.objs)
-	r.byObj[o] = idx
+	r.byObj[o] = len(r.objs)
 	r.objs = append(r.objs, o)
-	r.paths = append(r.paths, path)
+	w.h.Write(w.path)
+	w.h.Write(pathEnd)
+
+	n := len(w.path)
 	for _, p := range o.OwnProps() {
+		w.path = append(append(w.path[:n], '.'), p.Key...)
+		k := len(w.path)
 		if p.Prop.Getter != nil {
-			r.visit(path+"."+p.Key+":get", interp.ObjectValue(p.Prop.Getter))
+			w.path = append(w.path, ":get"...)
+			w.visit(interp.ObjectValue(p.Prop.Getter))
 		}
 		if p.Prop.Setter != nil {
-			r.visit(path+"."+p.Key+":set", interp.ObjectValue(p.Prop.Setter))
+			w.path = append(w.path[:k], ":set"...)
+			w.visit(interp.ObjectValue(p.Prop.Setter))
 		}
-		r.visit(path+"."+p.Key, p.Prop.Value)
+		w.path = w.path[:k]
+		w.visit(p.Prop.Value)
 	}
 	for i, e := range o.Elems {
-		r.visit(path+"["+strconv.Itoa(i)+"]", e)
+		w.path = append(strconv.AppendInt(append(w.path[:n], '['), int64(i), 10), ']')
+		w.visit(e)
 	}
 	if o.Proto != nil {
-		r.visit(path+".__proto__", interp.ObjectValue(o.Proto))
+		w.path = append(w.path[:n], ".__proto__"...)
+		w.visit(interp.ObjectValue(o.Proto))
 	}
+	w.path = w.path[:n]
 }
 
 // Ordinal resolves a host object to its registry ordinal.

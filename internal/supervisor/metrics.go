@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/rt"
 )
@@ -323,6 +324,11 @@ type Metrics struct {
 
 	SchedLatency LatencySummary `json:"sched_latency"`
 	TurnDuration LatencySummary `json:"turn_duration"`
+
+	// Compile is process-wide, shared by every supervisor in the process:
+	// what Submit and restore found in the compile memo, and how many
+	// distinct preludes were ever compiled.
+	Compile core.CompileStats `json:"compile"`
 }
 
 // Metrics snapshots the aggregate counters and latency digests. The whole
@@ -332,6 +338,7 @@ type Metrics struct {
 // and bumps the park counter under the same s.mu hold, and a scrape can
 // never observe one without the other.
 func (s *Supervisor) Metrics() Metrics {
+	cs := core.ReadCompileStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	active := s.pending
@@ -375,6 +382,7 @@ func (s *Supervisor) Metrics() Metrics {
 		RestoreLatency:     m.restoreLat.summary(),
 		SchedLatency:       m.sched.summary(),
 		TurnDuration:       m.turns.summary(),
+		Compile:            cs,
 	}
 }
 

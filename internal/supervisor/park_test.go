@@ -182,6 +182,52 @@ console.log("b", s);
 	}
 }
 
+// TestParkedGuestOutlivesItsMemoEntry parks a guest, pushes its compiled
+// program out of the process-wide compile memo, and resumes it: the restore
+// misses, compiles the blob's source again, and the guest finishes with the
+// output it would have had. The memo is a cache of the recompile a blob
+// always permits, never the only copy of anything.
+func TestParkedGuestOutlivesItsMemoEntry(t *testing.T) {
+	s := New(Options{Workers: 1, QuantumSteps: 2000})
+	defer s.Close()
+	g := pausedGuest(t, s, longLoopSrc)
+	parkNow(t, s, g)
+
+	before := s.Metrics()
+	opts := core.Defaults()
+	opts.YieldIntervalMs = 0 // what Submit compiles under
+	for i := 0; before.Compile.MemoEvictions+300 > s.Metrics().Compile.MemoEvictions; i++ {
+		if i > 1000 {
+			t.Fatal("a thousand fresh sources evicted fewer than 300 entries")
+		}
+		if _, err := core.CompileCached(fmt.Sprintf(`console.log("filler", %d);`, i), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flooded := s.Metrics()
+
+	g.Resume()
+	res := g.Wait()
+	if res.Err != nil {
+		t.Fatalf("restored guest failed: %v", res.Err)
+	}
+	sum := 0
+	for i := 0; i < 2000000; i++ {
+		sum = (sum + i) % 1048573
+	}
+	if want := fmt.Sprintf("phase1\nphase2 %d\n", sum); res.Output != want {
+		t.Fatalf("output %q, want %q", res.Output, want)
+	}
+	after := s.Metrics()
+	if after.Restores != before.Restores+1 {
+		t.Fatalf("restores %d→%d, want one", before.Restores, after.Restores)
+	}
+	if after.Compile.MemoMisses != flooded.Compile.MemoMisses+1 || after.Compile.MemoHits != flooded.Compile.MemoHits {
+		t.Errorf("the restore's compile: misses %d→%d, hits %d→%d; want one miss (its entry was evicted) and no hit",
+			flooded.Compile.MemoMisses, after.Compile.MemoMisses, flooded.Compile.MemoHits, after.Compile.MemoHits)
+	}
+}
+
 // TestParkedGuestKilledCleansUp kills a parked guest and expects the spill
 // file gone and the gauges balanced.
 func TestParkedGuestKilledCleansUp(t *testing.T) {

@@ -81,6 +81,11 @@ func WriteProm(w io.Writer, m Metrics, windows []WindowSummary) {
 	promCounter(w, "stopify_restore_admits_total", "Guests admitted from external snapshot blobs (Supervisor.Restore).", m.RestoreAdmits)
 	promCounter(w, "stopify_snapshot_bytes_total", "Cumulative bytes of park snapshots produced.", m.SnapshotBytesTotal)
 
+	promCounter(w, "stopify_compile_memo_hits_total", "Submissions and restores that found their program in the process-wide compile memo.", m.Compile.MemoHits)
+	promCounter(w, "stopify_compile_memo_misses_total", "Submissions and restores that had to compile (including sources that then failed to).", m.Compile.MemoMisses)
+	promCounter(w, "stopify_compile_memo_evictions_total", "Compiled programs dropped from the memo by its entry or source-byte bound.", m.Compile.MemoEvictions)
+	promCounter(w, "stopify_prelude_compiles_total", "Distinct runtime preludes compiled (one per prelude-affecting option set, ever).", m.Compile.PreludeCompiles)
+
 	fmt.Fprintf(w, "# HELP stopify_park_pins_total Park attempts refused by the snapshot codec, by pin kind.\n# TYPE stopify_park_pins_total counter\n")
 	reasons := make([]string, 0, len(m.ParkPinsByReason))
 	for k := range m.ParkPinsByReason {

@@ -98,8 +98,9 @@ func promValidate(t *testing.T, scrape []byte) {
 func TestWritePromValidScrape(t *testing.T) {
 	s := New(Options{Workers: 2, QuantumSteps: 300})
 	defer s.Close()
+	before := s.Metrics()
 	for i := 0; i < 3; i++ {
-		g, err := s.Submit(SubmitOptions{Source: guestSrc(i)})
+		g, err := s.Submit(SubmitOptions{Source: guestSrc(i % 2)}) // the third repeats the first
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +132,25 @@ func TestWritePromValidScrape(t *testing.T) {
 	}
 	if m.Completed != 3 {
 		t.Errorf("workload completed %d guests, want 3", m.Completed)
+	}
+	// The compile counters are process-wide, so only their movement is
+	// this test's: the repeated source hit, and the scrape says so.
+	if m.Compile.MemoHits <= before.Compile.MemoHits || m.Compile.MemoMisses <= before.Compile.MemoMisses {
+		t.Errorf("compile memo hits %d→%d, misses %d→%d: a repeated and a new source moved neither",
+			before.Compile.MemoHits, m.Compile.MemoHits, before.Compile.MemoMisses, m.Compile.MemoMisses)
+	}
+	if m.Compile.PreludeCompiles == 0 {
+		t.Error("prelude_compiles is zero after guests compiled")
+	}
+	for _, line := range []string{
+		fmt.Sprintf("stopify_compile_memo_hits_total %d", m.Compile.MemoHits),
+		fmt.Sprintf("stopify_compile_memo_misses_total %d", m.Compile.MemoMisses),
+		fmt.Sprintf("stopify_compile_memo_evictions_total %d", m.Compile.MemoEvictions),
+		fmt.Sprintf("stopify_prelude_compiles_total %d", m.Compile.PreludeCompiles),
+	} {
+		if !strings.Contains(scrape, line) {
+			t.Errorf("scrape missing %q", line)
+		}
 	}
 }
 

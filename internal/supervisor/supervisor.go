@@ -213,7 +213,7 @@ func (s *Supervisor) Submit(opt SubmitOptions) (*Guest, error) {
 	// A guest without suspend points could never be preempted, paused, or
 	// killed — unacceptable for multi-tenancy, so the knob is not honored.
 	copts.Suspend = true
-	compiled, err := core.Compile(opt.Source, copts)
+	compiled, err := core.CompileCached(opt.Source, copts)
 	if err != nil {
 		return nil, err
 	}
