@@ -456,14 +456,12 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 	if c.Opts.Eval {
 		opts := c.Opts
 		in.EvalHook = func(src string) (*ast.Program, error) {
-			evalProg, err := parser.Parse(src)
+			frag, err := compileFragment(src, opts, "$eval", false, in.Sites())
 			if err != nil {
 				return nil, err
 			}
-			nm := &desugar.Namer{}
-			frag := compileProgram(evalProg, opts, nm, nm.Fresh("$eval"), 0, in.Sites())
 			// The compiled fragment is a single function declaration; define
-			// it and invoke it immediately. Strict eval semantics: the code
+			// it and invoke it immediately. Global eval semantics: the code
 			// sees only the global scope, and the immediate invocation must
 			// terminate without capturing (the "T" sub-language of §4.3).
 			fd := frag.Body[0].(*ast.FuncDecl)

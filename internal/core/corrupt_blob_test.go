@@ -36,7 +36,7 @@ print("done " + shared.n);
 const corruptBudget = 100_000
 
 // corruptBlob parks corruptSrc mid-run and returns its snapshot.
-func corruptBlob(t *testing.T) []byte {
+func corruptBlob(t testing.TB) []byte {
 	t.Helper()
 	opts := core.Defaults()
 	opts.Getters = true
@@ -57,7 +57,7 @@ func corruptBlob(t *testing.T) []byte {
 
 // tryRestore feeds a (possibly corrupt) blob through both untrusted entry
 // points. A panic fails the test via the harness; errors are expected.
-func tryRestore(t *testing.T, blob []byte) {
+func tryRestore(t testing.TB, blob []byte) {
 	t.Helper()
 	core.SnapshotMeta(blob)
 	run, err := core.Restore(core.RunConfig{
@@ -138,4 +138,26 @@ func TestRestoreRefusesCyclicScopeChain(t *testing.T) {
 	if refused == 0 {
 		t.Fatal("no mutant forged a cyclic scope chain; the corpus no longer reaches the check")
 	}
+}
+
+// FuzzRestoreBlob is the decoder's fuzz target: whatever bytes reach the two
+// untrusted entry points (SnapshotMeta, Restore) must come back as an error
+// or as a guest that still terminates inside its step budget — never a
+// panic, never a spin. Seeded with a real snapshot, truncations of it, and
+// the uvarint overflow splices the tests above stride through it.
+func FuzzRestoreBlob(f *testing.F) {
+	blob := corruptBlob(f)
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(blob[:16])
+	huge := binary.AppendUvarint(nil, math.MaxUint64)
+	for _, at := range []int{8, len(blob) / 3, len(blob) - 8} {
+		f.Add(append(append(append([]byte{}, blob[:at]...), huge...), blob[at:]...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 1<<16 {
+			t.Skip("oversized input")
+		}
+		tryRestore(t, b)
+	})
 }

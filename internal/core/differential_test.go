@@ -618,3 +618,47 @@ func TestDifferentialStopified(t *testing.T) {
 		t.Fatal("bytecode engine never executed a chunk across the whole corpus")
 	}
 }
+
+// evalDeclPrograms pin what an eval fragment's top-level declarations do:
+// they land in the global scope, functions hoisted, exactly as raw eval —
+// which runs the fragment in the global frame — leaves them. The
+// expectations are absolute: before the REPL and eval paths shared
+// compileFragment, raw printed these lines and stopified printed
+// "undefined undefined", so a raw-vs-stopified comparison alone would pass
+// again if both sides broke the same way.
+var evalDeclPrograms = []struct{ name, src, want string }{
+	{"var-and-function",
+		`eval("var x = 1; function f(){}"); console.log(typeof x, typeof f)`,
+		"number function\n"},
+	{"inside-a-function",
+		`function g(){ eval("var y = 2"); return typeof y } console.log(g(), typeof y)`,
+		"number number\n"},
+	{"function-hoisted-within-fragment",
+		`eval("console.log(h()); function h(){ return 'hoisted' }"); console.log(typeof h)`,
+		"hoisted\nfunction\n"},
+	{"caller-local-untouched",
+		`function k(){ var z = 1; eval("var z = 5"); return z } console.log(k(), z)`,
+		"1 5\n"},
+}
+
+// TestEvalDeclarations runs evalDeclPrograms raw and stopified on both
+// engines against their expected output.
+func TestEvalDeclarations(t *testing.T) {
+	opts := core.Defaults()
+	opts.Eval = true
+	for _, p := range evalDeclPrograms {
+		c, err := core.Compile(p.src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
+			want := outcome{out: p.want}
+			if raw := runRawOutcome(p.src, backend); raw != want {
+				t.Errorf("%s/%s raw: %v, want %v", p.name, backend, raw, want)
+			}
+			if st, _ := runStopifiedOutcome(t, c, backend); st != want {
+				t.Errorf("%s/%s stopified: %v, want %v", p.name, backend, st, want)
+			}
+		}
+	}
+}

@@ -18,50 +18,69 @@ import (
 // onDone receives the completion value or error. The caller pumps the event
 // loop (Wait, or its own loop) exactly as for Run.
 func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
-	evalProg, err := parser.Parse(src)
+	a.evalTurns++
+	name := fmt.Sprintf("$repl%d", a.evalTurns)
+	// A trailing expression statement becomes the turn's value, so a REPL
+	// can echo it.
+	turn, err := compileFragment(src, a.compiled.Opts, name, true, a.In.Sites())
 	if err != nil {
 		return err
 	}
-	promoteDeclsToGlobals(evalProg)
-	// A trailing expression statement becomes the turn's value, so a REPL
-	// can echo it.
-	if n := len(evalProg.Body); n > 0 {
-		if es, ok := evalProg.Body[n-1].(*ast.ExprStmt); ok {
-			evalProg.Body[n-1] = &ast.Return{Arg: es.X}
-		}
-	}
-	a.evalTurns++
-	name := fmt.Sprintf("$repl%d", a.evalTurns)
-	merged := compileProgram(evalProg, a.compiled.Opts, &desugar.Namer{}, name, 0, a.In.Sites())
 	// Define the compiled turn's function in the shared realm...
-	if err := a.In.RunProgram(merged); err != nil {
+	if err := a.In.RunProgram(turn); err != nil {
 		return err
 	}
 	fn, ok := a.In.Global.Lookup(name)
 	if !ok {
 		return fmt.Errorf("stopify: repl turn %s not defined", name)
 	}
-	// ...and run it through the driver, like $main.
+	// ...and run it through the driver, like $main. The turn is in flight
+	// from here until the callback records how it ended.
+	a.mu.Lock()
+	a.finished = false
+	a.mu.Unlock()
 	a.RT.Run(fn, func(v interp.Value, err error) {
-		a.finished = true
+		a.mu.Lock()
+		a.result, a.err, a.finished = v, err, true
+		a.mu.Unlock()
 		if onDone != nil {
 			onDone(v, err)
 		}
 	})
-	a.finished = false
 	return nil
 }
 
-// promoteDeclsToGlobals converts the snippet's top-level declarations into
-// assignments so they land in the shared global scope — REPL semantics
-// rather than strict-eval semantics. (The turn body becomes a function, so
-// a plain declaration would otherwise be turn-local.)
+// compileFragment compiles a snippet that joins a realm already running —
+// an eval string or a REPL turn — into a program defining one function,
+// name, whose body is the snippet; the caller runs the program and then
+// calls the function. With echo, a trailing expression statement becomes
+// the function's return value. Site IDs continue from sites, the realm's
+// own count.
+func compileFragment(src string, opts Opts, name string, echo bool, sites ast.Sites) (*ast.Program, error) {
+	frag, err := parser.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	promoteDeclsToGlobals(frag)
+	if n := len(frag.Body); echo && n > 0 {
+		if es, ok := frag.Body[n-1].(*ast.ExprStmt); ok {
+			frag.Body[n-1] = &ast.Return{Arg: es.X}
+		}
+	}
+	return compileProgram(frag, opts, &desugar.Namer{}, name, 0, sites), nil
+}
+
+// promoteDeclsToGlobals converts the fragment's top-level declarations into
+// assignments so they land in the shared global scope, as they do when raw
+// eval runs the fragment in the global frame. (The fragment's body becomes a
+// function, so a plain declaration would otherwise be local to it.)
+// Function declarations move to the front: they are hoisted.
 func promoteDeclsToGlobals(prog *ast.Program) {
-	var out []ast.Stmt
+	var funcs, out []ast.Stmt
 	for _, s := range prog.Body {
 		switch n := s.(type) {
 		case *ast.FuncDecl:
-			out = append(out, ast.ExprOf(ast.SetId(n.Fn.Name, n.Fn)))
+			funcs = append(funcs, ast.ExprOf(ast.SetId(n.Fn.Name, n.Fn)))
 		case *ast.VarDecl:
 			for _, d := range n.Decls {
 				init := d.Init
@@ -74,7 +93,7 @@ func promoteDeclsToGlobals(prog *ast.Program) {
 			out = append(out, s)
 		}
 	}
-	prog.Body = out
+	prog.Body = append(funcs, out...)
 }
 
 // EvalAndWait is Eval plus pumping the loop to completion; it returns the

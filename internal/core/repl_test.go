@@ -71,3 +71,78 @@ func TestREPLSyntaxError(t *testing.T) {
 		t.Fatal("syntax error should be reported")
 	}
 }
+
+// TestREPLFinishedDuringTurn polls Finished from a second goroutine while a
+// REPL turn starts and completes — Finished is documented safe from any
+// goroutine, so under -race this fails if a turn's completion is written
+// without the lock.
+func TestREPLFinishedDuringTurn(t *testing.T) {
+	c, err := Compile("", Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.NewRun(RunConfig{Clock: eventloop.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				run.Finished()
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		v, err := run.EvalAndWait(`var s = 0; for (var i = 0; i < 200; i++) { s += i; } s`)
+		if err != nil || v.Num() != 19900 {
+			t.Fatalf("turn %d: value %v, err %v", i, v, err)
+		}
+		if !run.Finished() {
+			t.Fatalf("turn %d: not finished after EvalAndWait", i)
+		}
+	}
+	close(stop)
+	<-polled
+}
+
+// TestREPLTurnAfterMainThrew: a turn's outcome replaces $main's. Wait used
+// to keep returning the error $main finished with, whatever later turns did.
+func TestREPLTurnAfterMainThrew(t *testing.T) {
+	c, err := Compile(`throw new Error("main failed");`, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.NewRun(RunConfig{Clock: eventloop.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.RunToCompletion(); err == nil {
+		t.Fatal("$main should have thrown")
+	}
+	if err := run.Eval(`6 * 7`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if run.Finished() {
+		t.Fatal("Finished() true while the turn is still queued")
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatalf("Wait after a successful turn returned %v", err)
+	}
+	if v, err := run.Result(); err != nil || v.Num() != 42 {
+		t.Fatalf("Result() = %v, %v; want 42, nil", v, err)
+	}
+	if _, err := run.EvalAndWait(`throw new Error("turn failed");`); err == nil {
+		t.Fatal("a throwing turn should fail Wait")
+	}
+	if v, err := run.EvalAndWait(`"recovered"`); err != nil || v.Str() != "recovered" {
+		t.Fatalf("turn after a failed turn: %v, %v", v, err)
+	}
+}

@@ -33,7 +33,7 @@ func parkQuantum(name string) uint64 {
 
 // runToPark starts the program and pumps until it parks at the injected
 // quantum pause or finishes. It returns the run and its output sink.
-func runToPark(t *testing.T, c *core.Compiled, backend string, quantum uint64) (*core.AsyncRun, *bytes.Buffer) {
+func runToPark(t testing.TB, c *core.Compiled, backend string, quantum uint64) (*core.AsyncRun, *bytes.Buffer) {
 	t.Helper()
 	var run *core.AsyncRun
 	buf := &bytes.Buffer{}

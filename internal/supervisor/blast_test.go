@@ -1,6 +1,4 @@
-//go:build chaos
-
-package chaos_test
+package supervisor
 
 import (
 	"errors"
@@ -8,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/supervisor"
-	"repro/internal/supervisor/chaos"
 )
 
 // chaosGuestSrc builds a deterministic guest whose output depends on its
@@ -37,12 +33,12 @@ type fleetResult struct {
 // of them. Guest IDs are 1..n in submission order (single submitting
 // goroutine on a fresh supervisor), which is what lets the caller arm an
 // injector before any guest exists.
-func runFleet(t *testing.T, n int, sup *supervisor.Supervisor) map[int]fleetResult {
+func runFleet(t *testing.T, n int, sup *Supervisor) map[int]fleetResult {
 	t.Helper()
-	pol := supervisor.Policy{MemBudgetBytes: 8 << 20}
-	guests := make([]*supervisor.Guest, 0, n)
+	pol := Policy{MemBudgetBytes: 8 << 20}
+	guests := make([]*Guest, 0, n)
 	for i := 0; i < n; i++ {
-		g, err := sup.Submit(supervisor.SubmitOptions{
+		g, err := sup.Submit(SubmitOptions{
 			Source: chaosGuestSrc(i),
 			Policy: &pol,
 		})
@@ -76,16 +72,16 @@ func TestChaosBlastRadius(t *testing.T) {
 
 	// The deterministic fault plan: one fault every 20 guests, cycling
 	// through the four kinds. 24 faults in the full fleet, 6 of each.
-	plan := make(map[uint64]chaos.Fault)
+	plan := make(map[uint64]Fault)
 	for k := 0; uint64(k*20+10) <= uint64(n); k++ {
-		plan[uint64(k*20+10)] = chaos.Fault(k % 4)
+		plan[uint64(k*20+10)] = Fault(k % 4)
 	}
 	if len(plan) < 20 && !testing.Short() {
 		t.Fatalf("fault plan has %d faults, want >= 20", len(plan))
 	}
 
 	// Calm run: the fault-free ground truth.
-	calmSup := supervisor.New(supervisor.Options{Workers: 8, MaxPending: n + 10, QuantumSteps: 1000})
+	calmSup := New(Options{Workers: 8, MaxPending: n + 10, QuantumSteps: 1000})
 	calm := runFleet(t, n, calmSup)
 	calmSup.Close()
 	for i, r := range calm {
@@ -95,15 +91,13 @@ func TestChaosBlastRadius(t *testing.T) {
 	}
 
 	// Storm run: same fleet, injector armed before any guest is admitted.
-	inj := chaos.NewInjector()
+	inj := NewInjector()
 	for id, f := range plan {
 		inj.Arm(id, f)
 	}
-	inj.Install()
-	defer inj.Uninstall()
-
-	stormSup := supervisor.New(supervisor.Options{Workers: 8, MaxPending: n + 10, QuantumSteps: 1000})
+	stormSup := New(Options{Workers: 8, MaxPending: n + 10, QuantumSteps: 1000})
 	defer stormSup.Close()
+	inj.Install(stormSup)
 	storm := runFleet(t, n, stormSup)
 
 	if fired := inj.Fired(); len(fired) != len(plan) {
@@ -115,12 +109,12 @@ func TestChaosBlastRadius(t *testing.T) {
 		r := storm[i]
 		f, faulted := plan[uint64(i+1)]
 		switch {
-		case faulted && f == chaos.FaultPanic:
+		case faulted && f == FaultPanic:
 			wantPanics++
-			if !errors.Is(r.err, supervisor.ErrInternalFault) {
+			if !errors.Is(r.err, ErrInternalFault) {
 				t.Errorf("guest %d (panic fault): err=%v, want ErrInternalFault", i, r.err)
 			}
-		case faulted && f == chaos.FaultAllocStorm:
+		case faulted && f == FaultAllocStorm:
 			wantStorms++
 			if !errors.Is(r.err, interp.ErrMemLimit) {
 				t.Errorf("guest %d (alloc storm): err=%v, want ErrMemLimit", i, r.err)
@@ -153,7 +147,7 @@ func TestChaosBlastRadius(t *testing.T) {
 	}
 
 	// The fleet took 24 faults; the supervisor must still serve new work.
-	g, err := stormSup.Submit(supervisor.SubmitOptions{Source: chaosGuestSrc(9999)})
+	g, err := stormSup.Submit(SubmitOptions{Source: chaosGuestSrc(9999)})
 	if err != nil {
 		t.Fatalf("post-storm submit: %v", err)
 	}

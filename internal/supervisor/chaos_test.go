@@ -1,13 +1,17 @@
-//go:build chaos
-
-package chaos
+package supervisor
 
 import (
 	"sync"
 	"time"
 
-	"repro/internal/supervisor"
+	"repro/internal/core"
 )
+
+// The fault-injection harness: it drives the supervisor's beforeTurn seam to
+// inject engine panics, allocation storms, and timer stalls into a live
+// fleet, so the resilience claims — blast radius of exactly one tenant,
+// workers that survive engine bugs, drains that converge under fire — are
+// tested rather than asserted.
 
 // Fault is one kind of injected failure. Each simulates, at the turn
 // boundary, a class of incident the fleet must contain to a single tenant.
@@ -87,21 +91,17 @@ func (inj *Injector) Fired() map[uint64]Fault {
 	return out
 }
 
-// Install registers the injector as the process-wide chaos hook. Call
-// Uninstall (or supervisor.SetChaosHook(nil)) when the storm is over.
-func (inj *Injector) Install() { supervisor.SetChaosHook(inj.hook) }
-
-// Uninstall removes the hook.
-func (inj *Injector) Uninstall() { supervisor.SetChaosHook(nil) }
+// Install makes the injector s's fault hook (before the first Submit).
+func (inj *Injector) Install(s *Supervisor) { s.SetBeforeTurn(inj.hook) }
 
 // hook runs at the top of every scheduling turn, on the worker goroutine
 // that owns the guest for the turn.
-func (inj *Injector) hook(t supervisor.ChaosTurn) {
+func (inj *Injector) hook(guestID uint64, run *core.AsyncRun) {
 	inj.mu.Lock()
-	f, ok := inj.plan[t.GuestID]
+	f, ok := inj.plan[guestID]
 	if ok {
-		delete(inj.plan, t.GuestID)
-		inj.fired[t.GuestID] = f
+		delete(inj.plan, guestID)
+		inj.fired[guestID] = f
 	}
 	inj.mu.Unlock()
 	if !ok {
@@ -113,7 +113,7 @@ func (inj *Injector) hook(t supervisor.ChaosTurn) {
 	case FaultAllocStorm:
 		// The hook is the turn's owner, so the realm's meter is ours to
 		// poison; the guest dies at its next statement boundary.
-		t.Run.In.ChargeMem(1 << 40)
+		run.In.ChargeMem(1 << 40)
 	case FaultStall:
 		time.Sleep(inj.StallFor)
 	case FaultSlowTurn:

@@ -156,11 +156,6 @@ type Guest struct {
 	killReq  error // external termination request, consumed by the scheduler
 	pauseReq bool  // external pause request, consumed at the next park
 
-	// home is the index of the guest's run queue (work-stealing migrates
-	// it). Guarded by sup.mu, not g.mu — it is queue topology, not guest
-	// state.
-	home int
-
 	// Park state (the MaxResident residency limiter, park.go). A parked
 	// guest has no realm: run is nil and the serialized snapshot lives in
 	// parkBlob (or on disk at parkPath when ParkDir is set). replayOut marks
@@ -455,9 +450,15 @@ func (w *cappedWriter) changed() <-chan struct{} {
 	return w.notify
 }
 
-// setOverflow installs the overflow callback (before the guest first runs).
+// setOverflow installs the overflow callback (before the guest's realm first
+// runs). Output replayed from a snapshot may have hit the cap already, before
+// there was a realm to kill: the callback then fires here.
 func (w *cappedWriter) setOverflow(fn func()) {
 	w.mu.Lock()
 	w.onOverflow = fn
+	overflowed := w.truncated
 	w.mu.Unlock()
+	if overflowed {
+		fn()
+	}
 }

@@ -140,7 +140,6 @@ type LoadResult struct {
 	ErrorRate float64 `json:"error_rate"`
 
 	Preemptions uint64 `json:"preemptions"`
-	Steals      uint64 `json:"steals"`
 	Parks       uint64 `json:"parks"`
 	Restores    uint64 `json:"restores"`
 	ParkPins    uint64 `json:"park_pins"`
@@ -551,7 +550,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		Stragglers:       stragglers,
 		FirstUnexpected:  firstBad,
 		Preemptions:      m.Preemptions,
-		Steals:           m.Steals,
 		Parks:            m.Parks,
 		Restores:         m.Restores,
 		ParkPins:         m.ParkPins,
@@ -580,8 +578,8 @@ func (r *LoadResult) Format() string {
 		r.Config.ArrivalRate, process, r.Config.Duration, r.Config.Workers, r.Config.QuantumSteps, r.Config.MaxResident)
 	fmt.Fprintf(&b, "  arrivals %d (admitted %d, rejected %d) — completed %d, killed %d, failed %d, unexpected %d, stragglers %d\n",
 		r.Arrivals, r.Admitted, r.Rejected, r.Completed, r.Killed, r.Failed, r.Unexpected, r.Stragglers)
-	fmt.Fprintf(&b, "  churn: %d pauses, %d resumes, %d kills — parks %d, restores %d, pins %d, steals %d, preemptions %d\n",
-		r.ChurnPauses, r.ChurnResumes, r.ChurnKills, r.Parks, r.Restores, r.ParkPins, r.Steals, r.Preemptions)
+	fmt.Fprintf(&b, "  churn: %d pauses, %d resumes, %d kills — parks %d, restores %d, pins %d, preemptions %d\n",
+		r.ChurnPauses, r.ChurnResumes, r.ChurnKills, r.Parks, r.Restores, r.ParkPins, r.Preemptions)
 	fmt.Fprintf(&b, "  error rate %.4f\n", r.ErrorRate)
 	if r.FirstUnexpected != "" {
 		fmt.Fprintf(&b, "  first unexpected: %s\n", r.FirstUnexpected)

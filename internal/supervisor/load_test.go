@@ -61,7 +61,7 @@ func TestBurstBatchMixVerified(t *testing.T) {
 }
 
 // A short sustained-load run is the integration test for the whole serving
-// stack at once: open-loop arrivals, lane scheduling with work-stealing,
+// stack at once: open-loop arrivals, lane scheduling,
 // churn-driven pause/resume/kill, and park/restore through MaxResident on
 // the hot path — with every finished guest's output verified.
 func TestRunLoadShortSustained(t *testing.T) {

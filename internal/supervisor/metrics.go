@@ -12,49 +12,18 @@ import (
 	"repro/internal/rt"
 )
 
-// metrics is the supervisor's aggregate instrumentation: admission and
-// completion counters plus two latency distributions — scheduling latency
-// (how long a runnable guest waited for a worker; the fleet-level
-// responsiveness number, bounded P99 = no starvation) and turn duration
-// (how long a guest held a worker between yields, the multi-tenant analogue
-// of the paper's Figure 2c time-between-yields).
+// metrics is the supervisor's aggregate instrumentation: the public Metrics
+// value itself, whose counters are mutated in place under mu, plus the
+// latency histograms its digests are read from — scheduling latency (how
+// long a runnable guest waited for a worker; the fleet-level responsiveness
+// number, bounded P99 = no starvation), turn duration (how long a guest held
+// a worker between yields, the multi-tenant analogue of the paper's Figure
+// 2c time-between-yields) and restore-on-touch latency. The gauges and
+// digest fields of the held value stay zero; Supervisor.Metrics fills them
+// in its copy.
 type metrics struct {
-	mu          sync.Mutex
-	submitted   uint64
-	rejected    uint64
-	completed   uint64 // finished without error
-	failed      uint64 // guest error (uncaught throw, step budget, stall)
-	killed      uint64 // supervisor termination (kill, deadline, output cap, mem, shutdown)
-	preemptions uint64
-	steals      uint64 // guests run by a worker other than their home queue's
-	stepsTotal  uint64
-
-	// Per-cause kill counters (each also counted in killed), so an operator
-	// can tell a fleet dying of deadlines from one dying of memory budgets.
-	killDeadline uint64
-	killOutput   uint64
-	killMem      uint64
-	killShutdown uint64
-	killExplicit uint64 // external Guest.Kill (rt.ErrKilled or custom reason)
-
-	// Engine faults: guests terminated by the worker's recover barrier
-	// (ErrInternalFault). Neither completed, failed, nor killed — an engine
-	// bug is nobody's policy. The most recent panic value and stack are
-	// kept for diagnosis.
-	internalFaults uint64
-	lastFault      string
-	lastFaultStack string
-
-	// Residency limiter traffic: parks (guests serialized out of memory),
-	// restores (realms rebuilt on touch), pins (park attempts refused by
-	// the codec), total snapshot bytes produced, and admissions via
-	// Supervisor.Restore from external blobs.
-	parks         uint64
-	restores      uint64
-	parkPins      uint64
-	parkPinKinds  map[string]uint64
-	snapshotBytes uint64
-	restoreAdmits uint64
+	mu sync.Mutex
+	Metrics
 
 	sched      latencyHist
 	turns      latencyHist
@@ -147,10 +116,10 @@ func (s *Supervisor) Windows() []WindowSummary {
 	return out
 }
 
-func (m *metrics) park(blobLen int) {
+// inc bumps one counter of the held Metrics value.
+func (m *metrics) inc(counter *uint64) {
 	m.mu.Lock()
-	m.parks++
-	m.snapshotBytes += uint64(blobLen)
+	*counter++
 	m.mu.Unlock()
 }
 
@@ -161,70 +130,50 @@ func (m *metrics) park(blobLen int) {
 // empty the kinds it removed while leaving eval/task/host pins visible.
 func (m *metrics) parkPinned(kind string) {
 	m.mu.Lock()
-	m.parkPins++
-	if m.parkPinKinds == nil {
-		m.parkPinKinds = make(map[string]uint64)
+	m.ParkPins++
+	if m.ParkPinsByReason == nil {
+		m.ParkPinsByReason = make(map[string]uint64)
 	}
-	m.parkPinKinds[kind]++
+	m.ParkPinsByReason[kind]++
+	m.mu.Unlock()
+}
+
+func (m *metrics) park(blobLen int) {
+	m.mu.Lock()
+	m.Parks++
+	m.SnapshotBytesTotal += uint64(blobLen)
 	m.mu.Unlock()
 }
 
 func (m *metrics) restoreDone(d time.Duration) {
 	m.mu.Lock()
-	m.restores++
+	m.Restores++
 	m.restoreLat.add(d)
-	m.mu.Unlock()
-}
-
-func (m *metrics) restoreAdmit() {
-	m.mu.Lock()
-	m.restoreAdmits++
 	m.mu.Unlock()
 }
 
 // internalFault records one recovered engine panic.
 func (m *metrics) internalFault(r interface{}, stack []byte) {
 	m.mu.Lock()
-	m.internalFaults++
-	m.lastFault = fmt.Sprint(r)
-	m.lastFaultStack = string(stack)
+	m.InternalFaults++
+	m.LastFault = fmt.Sprint(r)
+	m.LastFaultStack = string(stack)
 	m.mu.Unlock()
 }
 
-func (m *metrics) submit() {
+// turnDone is a scheduling turn's one metrics update: the wait that preceded
+// it, filed in the window of its claim time, and — unless no turn ran — how
+// long it held the worker and whether it ended in a preemption.
+func (m *metrics) turnDone(claimed time.Time, wait, dur time.Duration, end turnEnd) {
 	m.mu.Lock()
-	m.submitted++
-	m.mu.Unlock()
-}
-
-func (m *metrics) reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *metrics) preempt() {
-	m.mu.Lock()
-	m.preemptions++
-	m.mu.Unlock()
-}
-
-func (m *metrics) schedLatency(d time.Duration) {
-	m.mu.Lock()
-	m.sched.add(d)
-	m.windowAdd(time.Now(), d)
-	m.mu.Unlock()
-}
-
-func (m *metrics) steal() {
-	m.mu.Lock()
-	m.steals++
-	m.mu.Unlock()
-}
-
-func (m *metrics) turn(d time.Duration) {
-	m.mu.Lock()
-	m.turns.add(d)
+	m.sched.add(wait)
+	m.windowAdd(claimed, wait)
+	if end != endNone {
+		m.turns.add(dur)
+	}
+	if end == endPreempt {
+		m.Preemptions++
+	}
 	m.mu.Unlock()
 }
 
@@ -232,28 +181,28 @@ func (m *metrics) finish(err error, steps uint64) {
 	m.mu.Lock()
 	switch {
 	case err == nil:
-		m.completed++
+		m.Completed++
 	case errors.Is(err, ErrInternalFault):
 		// Counted by internalFault (which captured the stack); finish only
 		// accounts the steps.
 	case isSupervisorKill(err):
-		m.killed++
+		m.Killed++
 		switch {
 		case errors.Is(err, ErrDeadline):
-			m.killDeadline++
+			m.KilledDeadline++
 		case errors.Is(err, ErrOutputLimit):
-			m.killOutput++
+			m.KilledOutput++
 		case errors.Is(err, interp.ErrMemLimit):
-			m.killMem++
+			m.KilledMem++
 		case errors.Is(err, ErrShutdown):
-			m.killShutdown++
+			m.KilledShutdown++
 		default:
-			m.killExplicit++
+			m.KilledExplicit++
 		}
 	default:
-		m.failed++
+		m.Failed++
 	}
-	m.stepsTotal += steps
+	m.StepsTotal += steps
 	m.mu.Unlock()
 }
 
@@ -288,7 +237,6 @@ type Metrics struct {
 	Failed      uint64 `json:"failed"`
 	Killed      uint64 `json:"killed"`
 	Preemptions uint64 `json:"preemptions"`
-	Steals      uint64 `json:"steals"`
 	StepsTotal  uint64 `json:"steps_total"`
 	Active      int    `json:"active"`
 	Queued      int    `json:"queued"`
@@ -341,49 +289,20 @@ func (s *Supervisor) Metrics() Metrics {
 	cs := core.ReadCompileStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	active := s.pending
-	queued := 0
-	for i := range s.queues {
-		queued += s.queues[i].depth()
-	}
-	resident := s.resident
-	parked := s.parkedN
-
 	m := &s.metrics
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Metrics{
-		Submitted:          m.submitted,
-		Rejected:           m.rejected,
-		Completed:          m.completed,
-		Failed:             m.failed,
-		Killed:             m.killed,
-		Preemptions:        m.preemptions,
-		Steals:             m.steals,
-		StepsTotal:         m.stepsTotal,
-		Active:             active,
-		Queued:             queued,
-		KilledDeadline:     m.killDeadline,
-		KilledOutput:       m.killOutput,
-		KilledMem:          m.killMem,
-		KilledShutdown:     m.killShutdown,
-		KilledExplicit:     m.killExplicit,
-		InternalFaults:     m.internalFaults,
-		LastFault:          m.lastFault,
-		LastFaultStack:     m.lastFaultStack,
-		ResidentGuests:     resident,
-		ParkedGuests:       parked,
-		Parks:              m.parks,
-		Restores:           m.restores,
-		ParkPins:           m.parkPins,
-		ParkPinsByReason:   copyCounts(m.parkPinKinds),
-		SnapshotBytesTotal: m.snapshotBytes,
-		RestoreAdmits:      m.restoreAdmits,
-		RestoreLatency:     m.restoreLat.summary(),
-		SchedLatency:       m.sched.summary(),
-		TurnDuration:       m.turns.summary(),
-		Compile:            cs,
-	}
+	out := m.Metrics
+	out.Active = s.pending
+	out.Queued = s.queue.depth()
+	out.ResidentGuests = s.resident
+	out.ParkedGuests = s.parkedN
+	out.ParkPinsByReason = copyCounts(m.ParkPinsByReason)
+	out.RestoreLatency = m.restoreLat.summary()
+	out.SchedLatency = m.sched.summary()
+	out.TurnDuration = m.turns.summary()
+	out.Compile = cs
+	return out
 }
 
 // copyCounts snapshots a counter map (nil in, nil out) so Metrics values

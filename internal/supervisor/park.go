@@ -140,61 +140,33 @@ func (s *Supervisor) tryPark(g *Guest) bool {
 
 // restoreGuest rebuilds a parked guest's realm before a turn (restore on
 // touch). Worker goroutine, no locks held.
-func (s *Supervisor) restoreGuest(g *Guest) error {
+func (s *Supervisor) restoreGuest(g *Guest, cfg core.RunConfig) (*core.AsyncRun, error) {
 	g.mu.Lock()
 	blob, path, parkedAt, replay := g.parkBlob, g.parkPath, g.parkedAt, g.replayOut
 	g.mu.Unlock()
 	if blob == nil && path != "" {
 		b, err := os.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("supervisor: reading parked snapshot: %w", err)
+			return nil, fmt.Errorf("supervisor: reading parked snapshot: %w", err)
 		}
 		blob = b
 	}
 	if blob == nil {
-		return errors.New("supervisor: parked guest has no snapshot")
-	}
-	var elapsed float64
-	if !parkedAt.IsZero() {
-		elapsed = float64(time.Since(parkedAt)) / float64(time.Millisecond)
+		return nil, errors.New("supervisor: parked guest has no snapshot")
 	}
 	start := time.Now()
-	run, err := core.RestoreWith(core.RunConfig{
-		Out:            g.out,
-		Backend:        s.opts.Backend,
-		MaxSteps:       g.pol.MaxTotalSteps,
-		MemBudgetBytes: g.pol.MemBudgetBytes,
-		ProfileEvery:   s.opts.ProfileEvery,
-	}, blob, core.RestoreOptions{ReplayOutput: replay, ElapsedMs: elapsed})
-	if err != nil {
-		return err
-	}
-	// Re-wire the scheduling hooks exactly as startGuest does.
-	run.SetOnQuantum(func() { run.Pause(nil) })
-	g.out.setOverflow(func() { run.Kill(ErrOutputLimit) })
-
-	g.mu.Lock()
-	g.run = run
-	g.parked = false
-	g.parkBlob = nil
-	g.parkPath = ""
-	g.replayOut = false
-	g.mu.Unlock()
-	if path != "" {
-		os.Remove(path)
-	}
-	restoreDur := time.Since(start)
-	s.mu.Lock()
-	s.resident++
-	s.residents[g.ID] = g
-	s.parkedN--
-	s.metrics.restoreDone(restoreDur)
-	s.mu.Unlock()
-	s.trace(-1, TraceEvent{
-		Type: TraceRestore, Guest: g.ID, Bytes: len(blob),
-		DurUs: restoreDur.Microseconds(),
+	run, err := core.RestoreWith(cfg, blob, core.RestoreOptions{
+		ReplayOutput: replay,
+		ElapsedMs:    durMs(start.Sub(parkedAt)),
 	})
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	dur := s.attach(g, run, start)
+	s.trace(-1, TraceEvent{
+		Type: TraceRestore, Guest: g.ID, Bytes: len(blob), DurUs: dur.Microseconds(),
+	})
+	return run, nil
 }
 
 // SnapshotGuest serializes a quiescent guest — paused, asleep on a timer,
@@ -233,68 +205,19 @@ func (s *Supervisor) SnapshotGuest(id uint64) ([]byte, error) {
 // span the guest's whole life across processes. The guest is queued; a
 // worker rebuilds its realm on first touch.
 func (s *Supervisor) Restore(blob []byte, pol *Policy) (*Guest, error) {
-	// Validate the header before admission so a corrupt blob fails the
-	// caller synchronously, not the worker later.
+	return s.admit(pol, snapshotBlob(blob).prepare)
+}
+
+type snapshotBlob []byte
+
+// prepare is Restore's expensive stage: it validates the blob's header, so
+// a corrupt blob fails the caller synchronously rather than the worker
+// later, and parks a private copy on g.
+func (blob snapshotBlob) prepare(g *Guest) error {
 	if _, err := core.SnapshotMeta(blob); err != nil {
-		return nil, err
+		return err
 	}
-
-	s.mu.Lock()
-	closed, pending := s.closed, s.pending
-	s.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if pending >= s.opts.MaxPending {
-		s.metrics.reject()
-		s.trace(-1, TraceEvent{Type: TraceReject})
-		return nil, ErrQueueFull
-	}
-
-	p := s.opts.DefaultPolicy
-	if pol != nil {
-		p = *pol
-	}
-	now := time.Now()
-	g := &Guest{
-		sup:        s,
-		pol:        p,
-		lane:       p.Lane,
-		out:        newCappedWriter(p.MaxOutputBytes),
-		home:       -1, // assigned round-robin on first push
-		parked:     true,
-		parkBlob:   append([]byte(nil), blob...),
-		parkedAt:   now,
-		replayOut:  true,
-		submitted:  now,
-		readySince: now,
-		doneCh:     make(chan struct{}),
-	}
-	if p.WallDeadline > 0 {
-		g.deadline = now.Add(p.WallDeadline)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if s.pending >= s.opts.MaxPending {
-		s.mu.Unlock()
-		s.metrics.reject()
-		s.trace(-1, TraceEvent{Type: TraceReject})
-		return nil, ErrQueueFull
-	}
-	s.nextID++
-	g.ID = s.nextID
-	s.pending++
-	s.parkedN++
-	s.guests[g.ID] = g
-	s.pushLocked(g)
-	s.metrics.restoreAdmit()
-	s.mu.Unlock()
-	s.trace(-1, TraceEvent{
-		Type: TraceSubmit, Guest: g.ID, Lane: laneName(g.lane), Bytes: len(blob),
-	})
-	return g, nil
+	g.parked, g.replayOut = true, true
+	g.parkBlob = append([]byte(nil), blob...)
+	return nil
 }

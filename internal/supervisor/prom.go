@@ -67,7 +67,6 @@ func WriteProm(w io.Writer, m Metrics, windows []WindowSummary) {
 	}
 
 	promCounter(w, "stopify_preemptions_total", "Quantum-expiry preemptions (guest parked by the scheduler and requeued).", m.Preemptions)
-	promCounter(w, "stopify_steals_total", "Guests run by a worker other than their home queue's (work stealing).", m.Steals)
 	promCounter(w, "stopify_steps_total", "Guest statements executed across all finished guests.", m.StepsTotal)
 	promCounter(w, "stopify_internal_faults_total", "Engine panics recovered by the worker barrier (one quarantined guest each).", m.InternalFaults)
 

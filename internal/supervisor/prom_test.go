@@ -3,7 +3,9 @@ package supervisor
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -180,4 +182,98 @@ func TestWritePromWindowGauges(t *testing.T) {
 		t.Error("window gauges rendered with no complete window available")
 	}
 	promValidate(t, buf.Bytes())
+}
+
+// TestMetricsTableMatchesExposition is the golden for the observable
+// surface: the metrics table in DESIGN_supervisor.md ("Prometheus
+// exposition") names every Prometheus family and every /metrics JSON key,
+// and this test holds the table and the two encoders to each other — a name
+// in the table that is not emitted fails, and so does an emitted name the
+// table does not list. Retired names are pinned absent.
+func TestMetricsTableMatchesExposition(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN_supervisor.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "### Prometheus exposition")
+	if !ok {
+		t.Fatal("DESIGN_supervisor.md has no Prometheus exposition section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	var (
+		tick    = regexp.MustCompile("`([^`]+)`")
+		promDoc = map[string]bool{}
+		jsonDoc = map[string]bool{} // "key" or "key.subkey"
+	)
+	for _, row := range strings.Split(table, "\n") {
+		cols := strings.Split(row, "|")
+		if len(cols) < 5 || !strings.Contains(cols[1], "`stopify_") {
+			continue
+		}
+		for _, m := range tick.FindAllStringSubmatch(cols[1], -1) {
+			name, _, _ := strings.Cut(m[1], "{")
+			promDoc[name] = true
+		}
+		for _, m := range tick.FindAllStringSubmatch(cols[2], -1) {
+			jsonDoc[m[1]] = true
+		}
+	}
+	if len(promDoc) < 25 {
+		t.Fatalf("parsed only %d Prometheus names from the table: %v", len(promDoc), promDoc)
+	}
+
+	// A populated Metrics value, so omitempty keys and labelled series show.
+	m := Metrics{LastFault: "x", LastFaultStack: "y", ParkPinsByReason: map[string]uint64{"eval": 1}}
+	wins := []WindowSummary{{Turns: 1}, {Turns: 1}}
+	var buf bytes.Buffer
+	WriteProm(&buf, m, wins)
+	promValidate(t, buf.Bytes())
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			emitted[f[2]] = true
+		}
+	}
+	for name := range promDoc {
+		if !emitted[name] {
+			t.Errorf("table lists %s; WriteProm does not emit it", name)
+		}
+	}
+	for name := range emitted {
+		if !promDoc[name] {
+			t.Errorf("WriteProm emits %s; the table does not list it", name)
+		}
+	}
+
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for path := range jsonDoc {
+		top, sub, nested := strings.Cut(path, ".")
+		listed[top] = true
+		v, ok := keys[top]
+		if obj, _ := v.(map[string]any); ok && nested {
+			_, ok = obj[sub]
+		}
+		if !ok {
+			t.Errorf("table lists JSON key %s; Metrics does not marshal it", path)
+		}
+	}
+	for key := range keys {
+		if !listed[key] {
+			t.Errorf("Metrics marshals %q; the table does not list it", key)
+		}
+	}
+
+	for _, gone := range []string{"stopify_steals_total", `"steals"`} {
+		if strings.Contains(buf.String(), gone) || strings.Contains(string(raw), gone) {
+			t.Errorf("%s is still exposed; the run queue has nothing to steal from", gone)
+		}
+	}
 }

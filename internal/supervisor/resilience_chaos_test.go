@@ -1,5 +1,3 @@
-//go:build chaos
-
 package supervisor
 
 import (
@@ -11,11 +9,10 @@ import (
 	"repro/internal/core"
 )
 
-// Chaos-tagged resilience tests: these drive the SetChaosHook seam
-// directly (it only exists under -tags=chaos) to aim panics at specific
-// guests and then assert the failure domain held — the worker survives,
-// exactly one tenant dies, and shutdown paths converge while faults are
-// in flight. The CI chaos leg runs them under -race.
+// Fault-injection resilience tests: these set the beforeTurn seam directly
+// to aim panics at specific guests and then assert the failure domain held
+// — the worker survives, exactly one tenant dies, and shutdown paths
+// converge while faults are in flight. CI runs them under -race.
 
 // TestWorkerSurvivesInjectedPanic pins the recover barrier on a
 // one-worker pool: if the panic killed the worker goroutine, the second
@@ -25,12 +22,11 @@ func TestWorkerSurvivesInjectedPanic(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			s := New(Options{Workers: 1, QuantumSteps: 300, Backend: backend})
 			defer s.Close()
-			SetChaosHook(func(ct ChaosTurn) {
-				if ct.GuestID == 1 {
+			s.SetBeforeTurn(func(id uint64, _ *core.AsyncRun) {
+				if id == 1 {
 					panic("chaos: injected engine fault")
 				}
 			})
-			defer SetChaosHook(nil)
 
 			victim, err := s.Submit(SubmitOptions{Source: guestSrc(1)})
 			if err != nil {
@@ -74,12 +70,11 @@ func TestDrainRacesInternalFaults(t *testing.T) {
 			n := 60
 			s := New(Options{Workers: 4, MaxPending: n, QuantumSteps: 200, Backend: backend})
 			defer s.Close()
-			SetChaosHook(func(ct ChaosTurn) {
-				if ct.GuestID%5 == 0 {
+			s.SetBeforeTurn(func(id uint64, _ *core.AsyncRun) {
+				if id%5 == 0 {
 					panic("chaos: injected engine fault")
 				}
 			})
-			defer SetChaosHook(nil)
 
 			guests := make([]*Guest, 0, n)
 			for i := 0; i < n; i++ {
@@ -137,12 +132,11 @@ func TestCloseRacesInternalFaults(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			n := 60
 			s := New(Options{Workers: 4, MaxPending: n, QuantumSteps: 200, Backend: backend})
-			SetChaosHook(func(ct ChaosTurn) {
-				if ct.GuestID%5 == 0 {
+			s.SetBeforeTurn(func(id uint64, _ *core.AsyncRun) {
+				if id%5 == 0 {
 					panic("chaos: injected engine fault")
 				}
 			})
-			defer SetChaosHook(nil)
 
 			guests := make([]*Guest, 0, n)
 			for i := 0; i < n; i++ {

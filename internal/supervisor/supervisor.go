@@ -21,7 +21,6 @@ package supervisor
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"runtime/debug"
 	"sync"
@@ -136,13 +135,12 @@ type Supervisor struct {
 	opts Options
 
 	mu       sync.Mutex
-	cond     *sync.Cond  // runnable work or shutdown
-	idle     *sync.Cond  // pending == 0 (Drain)
-	queues   []laneQueue // one two-lane run queue per worker (work-stealing)
-	nextHome int         // round-robin home-queue assignment for new guests
-	pending  int         // admitted, not yet done
-	resident int         // unfinished guests holding a live realm (run != nil)
-	parkedN  int         // unfinished guests whose realm is a parked snapshot
+	cond     *sync.Cond // runnable work or shutdown
+	idle     *sync.Cond // pending == 0 (Drain)
+	queue    laneQueue  // the run queue: every worker pops from it
+	pending  int        // admitted, not yet done
+	resident int        // unfinished guests holding a live realm (run != nil)
+	parkedN  int        // unfinished guests whose realm is a parked snapshot
 	nextID   uint64
 	guests   map[uint64]*Guest
 	// residents mirrors the subset of guests with run != nil so the
@@ -155,6 +153,11 @@ type Supervisor struct {
 	wg      sync.WaitGroup
 	metrics metrics
 	tracer  *traceRecorder // nil when Options.TraceCapacity < 0
+
+	// beforeTurn, when set, runs at the top of every turn on the worker that
+	// owns the guest, with no locks held. It is the fault-injection seam:
+	// only tests set it, before the first Submit.
+	beforeTurn func(guestID uint64, run *core.AsyncRun)
 }
 
 // New starts a supervisor and its worker pool.
@@ -171,10 +174,7 @@ func New(opts Options) *Supervisor {
 		// One shard per worker plus one for control-plane goroutines.
 		s.tracer = newTraceRecorder(opts.Workers+1, opts.TraceCapacity)
 	}
-	s.queues = make([]laneQueue, opts.Workers)
-	for i := range s.queues {
-		s.queues[i].rrCredit = interactiveWeight
-	}
+	s.queue.rrCredit = interactiveWeight
 	s.metrics.initWindows(time.Now(), metricsWindow)
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -187,22 +187,11 @@ func New(opts Options) *Supervisor {
 // returned synchronously; ErrQueueFull signals backpressure. The guest
 // starts executing when a worker first picks it up.
 func (s *Supervisor) Submit(opt SubmitOptions) (*Guest, error) {
-	// Shed load before the expensive stage: a flooded host must not burn
-	// CPU compiling sources it is about to reject. This pre-check is
-	// racy by design; the post-compile check under the lock is the
-	// authoritative one.
-	s.mu.Lock()
-	closed, pending := s.closed, s.pending
-	s.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if pending >= s.opts.MaxPending {
-		s.metrics.reject()
-		s.trace(-1, TraceEvent{Type: TraceReject})
-		return nil, ErrQueueFull
-	}
+	return s.admit(opt.Policy, opt.prepare)
+}
 
+// prepare is Submit's expensive stage: it compiles the source into g.
+func (opt SubmitOptions) prepare(g *Guest) (err error) {
 	copts := opt.Compile
 	if copts == (core.Opts{}) {
 		copts = core.Defaults()
@@ -213,52 +202,78 @@ func (s *Supervisor) Submit(opt SubmitOptions) (*Guest, error) {
 	// A guest without suspend points could never be preempted, paused, or
 	// killed — unacceptable for multi-tenancy, so the knob is not honored.
 	copts.Suspend = true
-	compiled, err := core.CompileCached(opt.Source, copts)
+	g.compiled, err = core.CompileCached(opt.Source, copts)
+	return err
+}
+
+// admit is the one admission path, behind Submit and Restore. It refuses
+// early when the supervisor is closed or full, runs prepare — the caller's
+// expensive stage, which gives the new guest its program or its parked
+// snapshot and may fail — and then admits under the lock, where the same
+// refusal check is the authoritative one. The early check is racy by
+// design: a flooded host must not burn CPU compiling sources it is about
+// to reject.
+func (s *Supervisor) admit(pol *Policy, prepare func(*Guest) error) (*Guest, error) {
+	s.mu.Lock()
+	err := s.refusalLocked()
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 
-	pol := s.opts.DefaultPolicy
-	if opt.Policy != nil {
-		pol = *opt.Policy
+	g := &Guest{sup: s, pol: s.opts.DefaultPolicy, doneCh: make(chan struct{})}
+	if pol != nil {
+		g.pol = *pol
 	}
-
+	if err := prepare(g); err != nil {
+		return nil, err
+	}
 	now := time.Now()
-	g := &Guest{
-		sup:        s,
-		pol:        pol,
-		lane:       pol.Lane,
-		compiled:   compiled,
-		out:        newCappedWriter(pol.MaxOutputBytes),
-		home:       -1, // assigned round-robin on first push
-		submitted:  now,
-		readySince: now,
-		doneCh:     make(chan struct{}),
+	g.lane = g.pol.Lane
+	g.out = newCappedWriter(g.pol.MaxOutputBytes)
+	g.submitted, g.readySince = now, now
+	if g.pol.WallDeadline > 0 {
+		g.deadline = now.Add(g.pol.WallDeadline)
 	}
-	if pol.WallDeadline > 0 {
-		g.deadline = now.Add(pol.WallDeadline)
+	if g.parked {
+		g.parkedAt = now
 	}
+	blobLen := len(g.parkBlob) // read now: once pushed, g's park state is the workers'
 
 	s.mu.Lock()
-	if s.closed {
+	if err := s.refusalLocked(); err != nil {
 		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if s.pending >= s.opts.MaxPending {
-		s.mu.Unlock()
-		s.metrics.reject()
-		s.trace(-1, TraceEvent{Type: TraceReject})
-		return nil, ErrQueueFull
+		return nil, err
 	}
 	s.nextID++
 	g.ID = s.nextID
 	s.pending++
+	if g.parked {
+		s.parkedN++
+		s.metrics.inc(&s.metrics.RestoreAdmits)
+	} else {
+		s.metrics.inc(&s.metrics.Submitted)
+	}
 	s.guests[g.ID] = g
 	s.pushLocked(g)
-	s.metrics.submit()
 	s.mu.Unlock()
-	s.trace(-1, TraceEvent{Type: TraceSubmit, Guest: g.ID, Lane: laneName(g.lane)})
+	s.trace(-1, TraceEvent{Type: TraceSubmit, Guest: g.ID, Lane: g.lane.String(), Bytes: blobLen})
 	return g, nil
+}
+
+// refusalLocked reports why a new guest cannot be admitted right now (nil
+// when it can), counting and tracing a backpressure rejection. Caller holds
+// s.mu.
+func (s *Supervisor) refusalLocked() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.pending >= s.opts.MaxPending:
+		s.metrics.inc(&s.metrics.Rejected)
+		s.trace(-1, TraceEvent{Type: TraceReject})
+		return ErrQueueFull
+	}
+	return nil
 }
 
 // Guest returns a guest by ID (nil if unknown or removed).
@@ -346,17 +361,15 @@ func (s *Supervisor) Close() {
 }
 
 // ---------------------------------------------------------------------------
-// Run queues (per-worker, with work-stealing)
+// The run queue
 // ---------------------------------------------------------------------------
 
-// laneQueue is one worker's two-lane run queue. Each admitted guest gets a
-// home queue (round-robin across workers); its owner pops with the weighted
-// interactive/batch pick, and a worker whose own queue is empty steals from
-// the deepest sibling backlog instead of sleeping — the fix for the turn
-// imbalance the sustained-load harness exposes when one worker's tenants
-// happen to be the long-turn ones. All queues live under s.mu; "stealing"
-// here is about queue topology (affinity plus rebalancing), not lock-free
-// deques.
+// laneQueue is the supervisor's run queue: two FIFO lanes under s.mu, popped
+// by every worker. One queue is all the topology the scheduler needs — the
+// lock it lives under is global either way, so per-worker queues would add
+// an imbalance to repair without removing any contention — and it makes the
+// order exact: a lane is first-come first-served across the whole fleet,
+// and the interactive:batch pick ratio holds fleet-wide.
 type laneQueue struct {
 	interactive []*Guest
 	batch       []*Guest
@@ -365,10 +378,12 @@ type laneQueue struct {
 
 func (q *laneQueue) depth() int { return len(q.interactive) + len(q.batch) }
 
-// pop implements the weighted round-robin pick between the queue's lanes:
-// when both have waiting guests, interactiveWeight interactive turns run per
-// batch turn; a lone non-empty lane always runs. Returns nil when both are
-// empty.
+// pop implements the weighted round-robin pick between the lanes: when both
+// have waiting guests, interactiveWeight interactive turns run per batch
+// turn; a lone non-empty lane always runs. Returns nil when both are empty.
+// It cannot inspect guest state — the lock order is strictly g.mu → s.mu —
+// so the worker's claim step (runTurn) discards guests that were paused or
+// killed while they waited.
 func (q *laneQueue) pop() *Guest {
 	var g *Guest
 	switch {
@@ -388,70 +403,23 @@ func (q *laneQueue) pop() *Guest {
 	return g
 }
 
-// pushLocked appends g to its home queue's lane and wakes a worker. Caller
-// holds s.mu; g must already be StateQueued (or about to be treated as
-// such). A first-time guest (home < 0) is assigned its home round-robin.
-// Any worker the Signal wakes can run the guest — if its own queue is
-// empty it steals — so one cond covers all queues.
+// pushLocked appends g to its lane and wakes a worker. Caller holds s.mu; g
+// must already be StateQueued.
 func (s *Supervisor) pushLocked(g *Guest) {
-	if g.home < 0 {
-		g.home = s.nextHome
-		s.nextHome = (s.nextHome + 1) % len(s.queues)
-	}
-	q := &s.queues[g.home]
 	if g.lane == LaneInteractive {
-		q.interactive = append(q.interactive, g)
+		s.queue.interactive = append(s.queue.interactive, g)
 	} else {
-		q.batch = append(q.batch, g)
+		s.queue.batch = append(s.queue.batch, g)
 	}
 	s.cond.Signal()
 }
 
-// popLocked picks the next guest for worker w: its own queue first, then a
-// steal from the sibling with the deepest backlog. Returns nil when every
-// queue is empty. It pops unconditionally — it cannot inspect guest state,
-// because the lock order is strictly g.mu → s.mu — so every caller must
-// perform the worker's claim step (take g.mu, verify StateQueued, discard
-// otherwise) before running what it popped; killed and paused guests are
-// weeded out there.
-func (s *Supervisor) popLocked(w int) (g *Guest, stolen bool) {
-	if g := s.queues[w].pop(); g != nil {
-		return g, false
-	}
-	victim, depth := -1, 0
-	for i := range s.queues {
-		if i == w {
-			continue
-		}
-		if d := s.queues[i].depth(); d > depth {
-			victim, depth = i, d
-		}
-	}
-	if victim < 0 {
-		return nil, false
-	}
-	g = s.queues[victim].pop()
-	if g != nil {
-		// The thief becomes the new home: a guest that keeps getting stolen
-		// is a guest whose home worker is overloaded, so migrate it.
-		g.home = w
-		s.metrics.steal()
-	}
-	return g, g != nil
-}
-
-// requeue puts a parked guest back on its lane. From is the state the
-// transition is valid from (a stale timer or resume must not re-admit a
-// guest that moved on).
-func (s *Supervisor) requeue(g *Guest, from State) {
-	g.mu.Lock()
-	if g.state != from {
-		g.mu.Unlock()
-		return
-	}
+// makeRunnableLocked queues g for its next turn. Caller holds g.mu and has
+// checked that g is in the state the transition is valid from (a stale timer
+// or resume must not re-admit a guest that moved on).
+func (s *Supervisor) makeRunnableLocked(g *Guest) {
 	g.state = StateQueued
 	g.readySince = time.Now()
-	g.mu.Unlock()
 	s.mu.Lock()
 	closed := s.closed
 	if !closed {
@@ -463,9 +431,7 @@ func (s *Supervisor) requeue(g *Guest, from State) {
 		// Close's kill sweep may already have run while it was mid-
 		// transition — dropping it silently would hang Wait/Drain, so
 		// finalize it here.
-		g.mu.Lock()
 		s.finalizeLocked(g, ErrShutdown)
-		g.mu.Unlock()
 	}
 }
 
@@ -547,12 +513,10 @@ func (s *Supervisor) resumeGuest(g *Guest) {
 	s.trace(-1, TraceEvent{Type: TraceResume, Guest: g.ID})
 	g.mu.Lock()
 	g.pauseReq = false
-	if g.state != StatePaused {
-		g.mu.Unlock()
-		return
+	if g.state == StatePaused {
+		s.makeRunnableLocked(g)
 	}
 	g.mu.Unlock()
-	s.requeue(g, StatePaused)
 }
 
 // ---------------------------------------------------------------------------
@@ -563,50 +527,28 @@ func (s *Supervisor) worker(w int) {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		var g *Guest
-		var stolen bool
-		for {
-			g, stolen = s.popLocked(w)
-			if g != nil || s.closed {
-				break
-			}
+		g := s.queue.pop()
+		for g == nil && !s.closed {
 			s.cond.Wait()
+			g = s.queue.pop()
 		}
 		s.mu.Unlock()
 		if g == nil {
 			return // closed and drained
 		}
-		// Claim: the pop handed us the only queue reference, but control
-		// calls may have moved the guest off Queued (pause, kill) while it
-		// waited — skip those.
-		g.mu.Lock()
-		if g.state != StateQueued {
-			g.mu.Unlock()
-			continue
-		}
-		g.state = StateRunning
-		wait := time.Since(g.readySince)
-		g.queueWait += wait
-		g.quanta++
-		lane := g.lane
-		g.mu.Unlock()
-		s.metrics.schedLatency(wait)
-		s.trace(w, TraceEvent{
-			Type: TraceSchedule, Guest: g.ID, Lane: laneName(lane),
-			Steal: stolen, WaitUs: wait.Microseconds(),
-		})
 		s.safeTurn(g, w)
 	}
 }
 
 // safeTurn is the worker's recover barrier: a panic anywhere in the guest's
-// turn — the dispatch loop, a builtin, the runtime, an injected chaos fault
-// — finalizes that one guest with ErrInternalFault and lets the worker
-// live. The barrier is sound because every panic source inside runTurn
-// (NewRun, RunOne, Kill, the chaos hook) executes with no supervisor locks
+// turn — the dispatch loop, a builtin, the runtime, an injected fault —
+// finalizes that one guest with ErrInternalFault and lets the worker live.
+// The barrier is sound because every panic source inside runTurn (NewRun,
+// RunOne, Kill, the beforeTurn hook) executes with no supervisor locks
 // held: the recovery path can safely take g.mu to finalize. The guest's
 // realm is quarantined — its AsyncRun is never resumed or pumped again —
-// since a panic mid-dispatch leaves engine invariants unknown.
+// since a panic mid-dispatch leaves engine invariants unknown. A turn cut
+// short this way leaves no latency sample, only the fault.
 func (s *Supervisor) safeTurn(g *Guest, w int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -626,58 +568,79 @@ func (s *Supervisor) safeTurn(g *Guest, w int) {
 	s.maybeParkSome()
 }
 
-// runTurn gives g one scheduling quantum on the calling worker, then
-// classifies how the quantum ended: finished, preempted (requeue), asleep
-// on a timer, externally paused, or dead by policy.
+// turnEnd is how a scheduling turn ended. It is derived once per turn and
+// drives all three consequences: the guest's state change, the Cause of the
+// turn's trace event, and the turn's one metrics update.
+type turnEnd int
+
+const (
+	endNone     turnEnd = iota // no turn ran: condemned at the gate, or no realm could be built
+	endComplete                // the guest finished, with its own result or error
+	endKill                    // a kill request arrived during the turn
+	endPause                   // an external pause was acknowledged at the park
+	endPreempt                 // the quantum expired: requeue
+	endSleep                   // next timer is far off: park on a host timer
+	endStall                   // unfinished with no pending work
+)
+
+// turnCauses are the Cause strings of the turn trace event, by turnEnd.
+var turnCauses = [...]string{"", "complete", "kill", "pause", "preempt", "sleep", "stall"}
+
+// runTurn claims g, gives it one scheduling quantum on the calling worker,
+// then classifies how the quantum ended: finished, preempted (requeue),
+// asleep on a timer, externally paused, or dead by policy.
 func (s *Supervisor) runTurn(g *Guest, w int) {
-	turnStart := time.Now()
+	start := time.Now()
 
+	// Claim: the pop handed us the only queue reference, but control calls
+	// may have moved the guest off Queued (pause, kill) while it waited —
+	// skip those.
 	g.mu.Lock()
-	killReq := g.killReq
-	deadline := g.deadline
+	if g.state != StateQueued {
+		g.mu.Unlock()
+		return
+	}
+	g.state = StateRunning
+	wait := start.Sub(g.readySince)
+	g.queueWait += wait
+	g.quanta++
+	run, parked, killReq, deadline := g.run, g.parked, g.killReq, g.deadline
 	g.mu.Unlock()
+	s.trace(w, TraceEvent{
+		Type: TraceSchedule, Guest: g.ID, Lane: g.lane.String(), WaitUs: wait.Microseconds(),
+	})
 
-	// Policy gate before burning any cycles on a condemned guest.
-	if killReq == nil && !deadline.IsZero() && time.Now().After(deadline) {
+	// Policy gate before burning any cycles on a condemned guest; then, with
+	// no realm, either the first turn (instantiate and start $main — NewRun
+	// executes the prelude, so it happens here on a worker, not at Submit)
+	// or a parked guest being touched (rebuild the realm from its snapshot).
+	var err error
+	if killReq == nil && !deadline.IsZero() && start.After(deadline) {
 		killReq = ErrDeadline
 	}
-	if killReq != nil {
-		if g.run != nil {
-			g.run.Kill(killReq) // a parked run finishes synchronously
+	switch {
+	case killReq != nil:
+		if run != nil {
+			run.Kill(killReq) // a parked run finishes synchronously
 		}
+		err = killReq
+	case run == nil:
+		run, err = s.buildRealm(g, parked)
+	}
+	if err != nil {
+		s.metrics.turnDone(start, wait, 0, endNone)
 		g.mu.Lock()
-		s.finalizeLocked(g, killReq)
+		s.finalizeLocked(g, err)
 		g.mu.Unlock()
 		return
 	}
 
-	// No realm: either the first turn (instantiate and start $main — NewRun
-	// executes the prelude, so it happens here on a worker, not at Submit)
-	// or a parked guest being touched (rebuild the realm from its snapshot).
-	if g.run == nil {
-		g.mu.Lock()
-		parked := g.parked
-		g.mu.Unlock()
-		var err error
-		if parked {
-			err = s.restoreGuest(g)
-		} else {
-			err = s.startGuest(g)
-		}
-		if err != nil {
-			g.mu.Lock()
-			s.finalizeLocked(g, err)
-			g.mu.Unlock()
-			return
-		}
-	}
-	run := g.run
-
-	// Fault-injection seam: a no-op unless built with -tags=chaos AND a
-	// hook is installed. Runs on the worker that owns the guest this turn,
-	// with no locks held, so an injected panic exercises exactly the
+	// Fault-injection seam. Runs on the worker that owns the guest this
+	// turn, with no locks held, so an injected panic exercises exactly the
 	// recover barrier a real engine bug would.
-	chaosBeforeTurn(g, run)
+	if s.beforeTurn != nil {
+		s.beforeTurn(g.ID, run)
+	}
 
 	run.ArmQuantum(s.opts.QuantumSteps)
 	if run.Paused() {
@@ -692,44 +655,41 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 	// completion, browser-style) — unless it finished with an error,
 	// which is terminal immediately.
 	var (
-		completed bool
-		sleeping  bool
-		sleepFor  time.Duration
-		stalled   bool
-		preempted bool
+		end      turnEnd
+		sleepFor time.Duration
 	)
 	clock := run.Loop.Clock
-	for {
+	for end == endNone {
 		if run.Paused() {
-			preempted = true
+			end = endPreempt
 			break
 		}
 		fin := run.Finished()
 		if fin {
 			if _, err := run.Result(); err != nil {
-				completed = true
+				end = endComplete
 				break
 			}
 		}
 		due, ok := run.Loop.NextDue()
-		if !ok {
-			completed, stalled = fin, !fin
-			break
-		}
-		if gap := due - clock.Now(); gap > sleepSlackMs {
-			sleeping = true
+		switch gap := due - clock.Now(); {
+		case !ok && fin:
+			end = endComplete
+		case !ok:
+			end = endStall
+		case gap > sleepSlackMs:
+			end = endSleep
 			sleepFor = time.Duration(gap * float64(time.Millisecond))
-			break
+		default:
+			// Mid-turn policy check: a deadline that expires while the guest
+			// runs converts the next yield into a kill.
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				run.Kill(ErrDeadline)
+			}
+			run.Loop.RunOne()
 		}
-		// Mid-turn policy check: a deadline that expires while the guest
-		// runs converts the next yield into a kill.
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			run.Kill(ErrDeadline)
-		}
-		run.Loop.RunOne()
 	}
-	turnDur := time.Since(turnStart)
-	s.metrics.turn(turnDur)
+	dur := time.Since(start)
 
 	// Harvest the sampling profiler while this worker still owns the realm:
 	// the folded stacks accumulate on the Guest, so the profile survives
@@ -738,103 +698,75 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 		g.addProfile(prof)
 	}
 
-	// Classify.
+	// Classify: what the pump saw, overridden by what controllers asked for
+	// while it ran. A kill that raced normal completion loses — the guest's
+	// own result stands — and an acknowledged Pause wins over both a requeue
+	// and a timer park: the guest must not wake and run code later despite
+	// the confirmed pause (its due timer simply waits until Resume).
 	g.mu.Lock()
-	g.steps = run.Steps()
-	g.lastTurn = time.Now()
-	if preempted && !g.pauseReq {
-		g.preempts++
-	}
-	killReq = g.killReq
-	turnCause := "error"
-	switch {
-	case completed:
-		turnCause = "complete"
+	steps := run.Steps()
+	g.steps, g.lastTurn = steps, time.Now()
+	switch killReq = g.killReq; {
+	case end == endComplete:
 	case killReq != nil:
-		turnCause = "kill"
-	case (preempted || sleeping) && g.pauseReq:
-		turnCause = "pause"
-	case preempted:
-		turnCause = "preempt"
-	case sleeping:
-		turnCause = "sleep"
-	case stalled:
-		turnCause = "stall"
+		end = endKill
+	case g.pauseReq && end != endStall:
+		end = endPause
 	}
-	turnSteps := g.steps
-	switch {
-	case completed:
-		// A kill that raced normal completion loses: the guest's own
-		// result stands.
+	s.metrics.turnDone(start, wait, dur, end)
+
+	switch end {
+	case endComplete:
 		_, err := run.Result()
 		s.finalizeLocked(g, err)
-		g.mu.Unlock()
-	case killReq != nil:
-		// Kill arrived during the turn but the guest parked before the
-		// runtime delivered it; finish it here.
+	case endKill:
+		// The guest parked before the runtime delivered the kill; finish it
+		// here — without g.mu, like every call that could panic.
 		g.mu.Unlock()
 		run.Kill(killReq)
 		g.mu.Lock()
 		s.finalizeLocked(g, killReq)
-		g.mu.Unlock()
-	case preempted && g.pauseReq:
+	case endPause:
 		g.pauseReq = false
 		g.state = StatePaused
-		g.mu.Unlock()
-	case preempted:
-		g.mu.Unlock()
-		s.metrics.preempt()
-		s.requeue(g, StateRunning)
-	case sleeping:
-		// An external Pause acknowledged during this turn wins over the
-		// timer park: the guest must not wake and run code later despite
-		// the confirmed pause. (Its due timer simply waits until Resume.)
-		if g.pauseReq {
-			g.pauseReq = false
-			g.state = StatePaused
-			g.mu.Unlock()
-			break
-		}
+	case endPreempt:
+		g.preempts++
+		s.makeRunnableLocked(g)
+	case endSleep:
 		// A timer-parked guest must not outlive its wall deadline: clamp
 		// the wake-up so the turn-start policy gate kills it on schedule
 		// instead of letting a long setTimeout hold a pending slot for
 		// hours past its deadline.
 		if !deadline.IsZero() {
-			if remain := time.Until(deadline); remain < sleepFor {
-				if remain < 0 {
-					remain = 0
-				}
-				sleepFor = remain
-			}
+			sleepFor = max(0, min(sleepFor, time.Until(deadline)))
 		}
 		g.state = StateSleeping
 		g.sleepTimer = time.AfterFunc(sleepFor, func() {
 			g.mu.Lock()
 			g.sleepTimer = nil
+			if g.state == StateSleeping {
+				s.makeRunnableLocked(g)
+			}
 			g.mu.Unlock()
-			s.requeue(g, StateSleeping)
 		})
-		g.mu.Unlock()
-	case stalled:
+	case endStall:
 		s.finalizeLocked(g, ErrStalled)
-		g.mu.Unlock()
-	default:
-		// Unreachable: the pump loop only exits through the cases above.
-		s.finalizeLocked(g, fmt.Errorf("supervisor: internal scheduling error"))
-		g.mu.Unlock()
 	}
+	g.mu.Unlock()
+
 	s.trace(w, TraceEvent{
-		Type: TraceTurn, Guest: g.ID, DurUs: turnDur.Microseconds(),
-		Cause: turnCause, Steps: turnSteps,
+		Type: TraceTurn, Guest: g.ID, DurUs: dur.Microseconds(),
+		Cause: turnCauses[end], Steps: steps,
 	})
-	if turnCause == "preempt" {
+	if end == endPreempt {
 		s.trace(w, TraceEvent{Type: TracePreempt, Guest: g.ID})
 	}
 }
 
-// startGuest builds g's realm (AsyncRun), wires the preemption hook and
-// output policing, and starts $main. Worker goroutine only.
-func (s *Supervisor) startGuest(g *Guest) error {
+// buildRealm gives g a live realm: built from its compiled program and
+// started on the first turn, rebuilt from its snapshot when g is parked
+// (restore on touch). Worker goroutine only, no locks held.
+func (s *Supervisor) buildRealm(g *Guest, parked bool) (*core.AsyncRun, error) {
 	cfg := core.RunConfig{
 		Out:            g.out,
 		Backend:        s.opts.Backend,
@@ -842,23 +774,50 @@ func (s *Supervisor) startGuest(g *Guest) error {
 		MemBudgetBytes: g.pol.MemBudgetBytes,
 		ProfileEvery:   s.opts.ProfileEvery,
 	}
+	if parked {
+		return s.restoreGuest(g, cfg)
+	}
 	run, err := g.compiled.NewRun(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	s.attach(g, run, time.Time{})
+	run.Run(nil)
+	return run, nil
+}
+
+// attach makes run the live realm of g: it wires the preemption hook and
+// output policing, publishes g.run, and moves the residency gauges. A
+// non-zero restoreStart says run was rebuilt from g's parked snapshot
+// beginning then; the park is released and the restore counted (its
+// duration is returned) in the same critical section as the gauges, so a
+// Metrics scrape never sees the guest both parked and resident.
+func (s *Supervisor) attach(g *Guest, run *core.AsyncRun, restoreStart time.Time) (restoreDur time.Duration) {
 	// The hook runs on the worker mid-execution: parking is just the
 	// paper's pause button pressed by the scheduler instead of a human.
 	run.SetOnQuantum(func() { run.Pause(nil) })
 	g.out.setOverflow(func() { run.Kill(ErrOutputLimit) })
+	restored := !restoreStart.IsZero()
 	g.mu.Lock()
 	g.run = run
+	path := g.parkPath
+	if restored {
+		g.parked, g.parkBlob, g.parkPath, g.replayOut = false, nil, "", false
+	}
 	g.mu.Unlock()
+	if path != "" {
+		os.Remove(path)
+	}
 	s.mu.Lock()
 	s.resident++
 	s.residents[g.ID] = g
+	if restored {
+		s.parkedN--
+		restoreDur = time.Since(restoreStart)
+		s.metrics.restoreDone(restoreDur)
+	}
 	s.mu.Unlock()
-	run.Run(nil)
-	return nil
+	return restoreDur
 }
 
 // finalizeLocked completes g (idempotent). Caller holds g.mu.

@@ -42,7 +42,6 @@ type TraceEvent struct {
 	Guest  uint64 `json:"guest,omitempty"`
 	Worker int    `json:"worker"`
 	Lane   string `json:"lane,omitempty"`
-	Steal  bool   `json:"steal,omitempty"`
 	Cause  string `json:"cause,omitempty"`
 	Bytes  int    `json:"bytes,omitempty"`
 	Steps  uint64 `json:"steps,omitempty"`
@@ -57,11 +56,11 @@ const (
 	// TraceReject: admission refused — queue full.
 	TraceReject = "reject"
 	// TraceSchedule: a worker claimed a queued guest. WaitUs is the queue
-	// wait; Steal marks a cross-queue steal; Lane is the guest's lane.
+	// wait; Lane is the guest's lane.
 	TraceSchedule = "schedule"
 	// TraceTurn: one scheduling quantum ended. DurUs spans the turn, Cause
-	// says how it ended (preempt, pause, sleep, complete, kill, stall,
-	// error), Steps is the guest's cumulative statement count after it.
+	// says how it ended (turnEnd: preempt, pause, sleep, complete, kill,
+	// stall), Steps is the guest's cumulative statement count after it.
 	TraceTurn = "turn"
 	// TracePreempt: the quantum hook preempted the guest (also the Cause of
 	// the enclosing turn; the instant makes preemption rates visible on the
@@ -240,9 +239,6 @@ func ChromeTrace(evs []TraceEvent) []byte {
 		if ev.Lane != "" {
 			args["lane"] = ev.Lane
 		}
-		if ev.Steal {
-			args["steal"] = true
-		}
 		if ev.Cause != "" {
 			args["cause"] = ev.Cause
 		}
@@ -273,14 +269,6 @@ func ChromeTrace(evs []TraceEvent) []byte {
 	}
 	b, _ := json.Marshal(map[string]interface{}{"traceEvents": out})
 	return b
-}
-
-// laneName renders a lane for trace events.
-func laneName(l Lane) string {
-	if l == LaneInteractive {
-		return "interactive"
-	}
-	return "batch"
 }
 
 // outcomeCause classifies a finish error for trace events — the same
