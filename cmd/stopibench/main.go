@@ -41,7 +41,7 @@ func main() {
 		fig     = flag.String("fig", "all", "experiment to run (see Order in internal/bench)")
 		quick   = flag.Bool("quick", false, "small workloads, single repetition")
 		repeats = flag.Int("repeats", 0, "timed runs per data point (default 5, paper uses 10)")
-		backend = flag.String("backend", "", "execution engine for the figures: tree or bytecode (default: $STOPIFY_BACKEND, else tree)")
+		backend = flag.String("backend", "", "execution engine for the figures: bytecode or tree (default: $STOPIFY_BACKEND, else bytecode)")
 
 		supFlag    = flag.Bool("supervisor", false, "run the sustained open-loop supervisor load harness and exit")
 		supWorkers = flag.Int("supervisor-workers", 4, "worker pool size for -supervisor")
@@ -313,5 +313,5 @@ func activeBackend() string {
 	if b := os.Getenv("STOPIFY_BACKEND"); b != "" {
 		return b
 	}
-	return core.BackendTree
+	return core.BackendBytecode
 }

@@ -9,6 +9,8 @@
 // source maps described in §5.2 of the paper.
 package ast
 
+import "sync/atomic"
+
 // Pos is a source position. Line and Col are 1-based; the zero Pos means
 // "no position" (synthesized code).
 type Pos struct {
@@ -163,6 +165,12 @@ type Func struct {
 	// Scope is the frame layout computed by internal/resolve. Nil means the
 	// function was never resolved and runs on dynamic map frames.
 	Scope *ScopeInfo
+
+	// Code is the engine's compiled form of the function (opaque: ast cannot
+	// import the engine), set once, by the first realm to call it. On the
+	// node, realms sharing a tree share it and it dies with the tree; Clone
+	// does not carry it.
+	Code atomic.Value
 }
 
 // Unary is a prefix unary operator: ! - + ~ typeof void delete.

@@ -147,3 +147,13 @@ func TestBuilders(t *testing.T) {
 		t.Error("ArrowFn")
 	}
 }
+
+// TestCloneDropsCode: a function's compiled form describes that node's
+// resolved annotations, so a clone — unresolved — starts without one.
+func TestCloneDropsCode(t *testing.T) {
+	fn := Fn(nil, Ret(Int(1)))
+	fn.Code.Store("compiled")
+	if c := CloneExpr(fn).(*Func); c.Code.Load() != nil {
+		t.Error("Clone carried the code slot")
+	}
+}

@@ -396,7 +396,6 @@ type JumpFix struct {
 // the environment exactly as before and then either walks the tree or runs
 // the chunk.
 type Chunk struct {
-	Fn   *ast.Func
 	Code []Instr
 
 	Consts    []Const          // typed literal constants

@@ -6,38 +6,6 @@ import (
 	"repro/internal/ast"
 )
 
-// The compiled-chunk cache. Chunks are pure functions of the resolved tree
-// (site IDs and Refs are annotations on the nodes themselves), so one
-// compilation serves every realm — benchmark harnesses create thousands of
-// short-lived realms over the same program, and per-realm recompilation
-// was a measurable share of their runtime. A nil entry records a rejected
-// function. The cache is bounded: once it exceeds cacheLimit entries the
-// whole map is dropped (an epoch flush), so fuzzers feeding endless fresh
-// programs cannot pin every AST they ever produced.
-var (
-	cacheMu    sync.RWMutex
-	cache      = make(map[*ast.Func]*Chunk)
-	cacheLimit = 8192
-)
-
-// CompileCached is Compile behind the process-wide cache.
-func CompileCached(fn *ast.Func) *Chunk {
-	cacheMu.RLock()
-	ch, ok := cache[fn]
-	cacheMu.RUnlock()
-	if ok {
-		return ch
-	}
-	ch = Compile(fn)
-	cacheMu.Lock()
-	if len(cache) >= cacheLimit {
-		cache = make(map[*ast.Func]*Chunk)
-	}
-	cache[fn] = ch
-	cacheMu.Unlock()
-	return ch
-}
-
 // Compile lowers a resolved function body to a chunk. It returns nil when
 // the function cannot be lowered — no frame layout (the resolver never saw
 // it), or a node kind the compiler does not know — in which case the caller
@@ -53,21 +21,36 @@ func Compile(fn *ast.Func) *Chunk {
 	if fn.Scope == nil {
 		return nil
 	}
-	c := &compiler{
-		ch:       &Chunk{Fn: fn},
-		nameIdx:  make(map[string]int32),
-		constIdx: make(map[Const]int32),
-	}
+	c := compilers.Get().(*compiler)
+	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names}
+	c.ch = ch
 	for _, s := range fn.Body {
 		c.stmt(s)
 	}
 	c.emit(OpReturnUndef, 0, 0)
+	ch.MaxStack = c.maxSP
+
+	// The chunk keeps exact-size copies; the grown buffers and the emptied
+	// indexes go back for the next function, holding nothing of this one.
+	code, consts, names := ch.Code, ch.Consts, ch.Names
+	ch.Code = append([]Instr(nil), code...)
+	ch.Consts = append([]Const(nil), consts...)
+	ch.Names = append([]string(nil), names...)
 	if c.failed {
-		return nil
+		ch = nil
 	}
-	c.ch.MaxStack = c.maxSP
-	return c.ch
+	clear(consts)
+	clear(names)
+	clear(c.nameIdx)
+	clear(c.constIdx)
+	*c = compiler{code: code[:0], consts: consts[:0], names: names[:0], nameIdx: c.nameIdx, constIdx: c.constIdx}
+	compilers.Put(c)
+	return ch
 }
+
+var compilers = sync.Pool{New: func() any {
+	return &compiler{nameIdx: make(map[string]int32), constIdx: make(map[Const]int32)}
+}}
 
 // ctx is one enclosing breakable construct during compilation.
 type ctx struct {
@@ -102,6 +85,12 @@ type compiler struct {
 	nameIdx  map[string]int32
 	constIdx map[Const]int32
 	failed   bool
+
+	// Pooled with the emptied indexes above: the grown buffers ch's Code,
+	// Consts and Names start from. Growing them was most of a compile's cost.
+	code   []Instr
+	consts []Const
+	names  []string
 
 	// fuseBarrier is the lowest pc into which no instruction may be
 	// merged: any pc that was captured as a jump target (loop heads,

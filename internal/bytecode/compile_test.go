@@ -41,20 +41,6 @@ func TestCompileRejectsUnresolved(t *testing.T) {
 	}
 }
 
-func TestCompileCachedSharesChunks(t *testing.T) {
-	prog, err := parser.Parse(`function f() { return 1; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resolve.Program(prog)
-	_, fns := ast.HoistedDecls(prog.Body)
-	a := CompileCached(fns[0])
-	b := CompileCached(fns[0])
-	if a == nil || a != b {
-		t.Fatalf("cache did not return the same chunk: %p vs %p", a, b)
-	}
-}
-
 func TestTryFinallyBecomesEscapeHatch(t *testing.T) {
 	ch := compileFirstFunc(t, `
 function f() {

@@ -288,12 +288,12 @@ func (c *Compiled) Source() string { return printer.Print(c.Prog) }
 // Execution engine ("backend") names accepted by RunConfig.Backend and the
 // STOPIFY_BACKEND environment variable.
 const (
-	// BackendTree is the tree-walking interpreter — the default.
+	// BackendTree is the tree-walking interpreter, the differential reference.
 	BackendTree = "tree"
-	// BackendBytecode lowers resolved function bodies to flat bytecode
-	// (internal/bytecode) and dispatches them through internal/interp's
-	// fetch–execute loop; dynamic code (the global frame, direct eval
-	// fragments, unresolved trees) stays on the tree-walker.
+	// BackendBytecode, the default, lowers resolved function bodies to flat
+	// bytecode (internal/bytecode) and dispatches them through
+	// internal/interp's fetch–execute loop; dynamic code (the global frame,
+	// direct eval fragments, unresolved trees) stays on the tree-walker.
 	BackendBytecode = "bytecode"
 )
 
@@ -304,10 +304,10 @@ type RunConfig struct {
 	Out    io.Writer       // nil: discard console output
 	Seed   uint64          // Math.random seed
 
-	// Backend selects the execution engine: BackendTree or
-	// BackendBytecode. Empty consults the STOPIFY_BACKEND environment
-	// variable and defaults to the tree-walker — which is how CI forces
-	// its bytecode matrix leg without touching every call site.
+	// Backend selects the execution engine: BackendBytecode or
+	// BackendTree. Empty consults the STOPIFY_BACKEND environment
+	// variable and defaults to bytecode — which is how CI forces its
+	// tree matrix leg without touching every call site.
 	Backend string
 
 	// MaxSteps aborts execution once the interpreter's statement counter
@@ -352,10 +352,10 @@ func (cfg *RunConfig) useBytecode() (bool, error) {
 		b = os.Getenv("STOPIFY_BACKEND")
 	}
 	switch b {
-	case "", BackendTree:
-		return false, nil
-	case BackendBytecode:
+	case "", BackendBytecode:
 		return true, nil
+	case BackendTree:
+		return false, nil
 	}
 	return false, fmt.Errorf("stopify: unknown backend %q (want %q or %q)", b, BackendTree, BackendBytecode)
 }

@@ -90,8 +90,7 @@ func runStopifiedOutcome(t *testing.T, c *core.Compiled, backend string) (o outc
 	}
 	run.Loop.Run() // drain remaining timers, as a page would
 	o.out = buf.String()
-	_, _, runs := run.In.BytecodeStats()
-	return o, runs
+	return o, run.In.ChunkRuns()
 }
 
 type nullableBuf struct{ b []byte }

@@ -20,8 +20,8 @@ const (
 // least recently used entries evicted first. Keys compare by full equality,
 // never by hash alone, so a collision cannot hand one tenant another's
 // program. A *Compiled is immutable once built (its code table is guarded
-// by a Once, and realms keep their inline caches and bytecode chunks to
-// themselves), so any number of runs share one.
+// by a Once, a function's chunk is published on it atomically, and realms
+// keep their inline caches to themselves), so any number of runs share one.
 type compileMemo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*list.Element // of *Compiled

@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/interp"
+	"repro/internal/parser"
+	"repro/internal/resolve"
 )
 
 // sharedProgram touches what a shared *Compiled shares: prelude functions
@@ -35,32 +41,59 @@ eval("var late = {y: 2}; lateY = late.y;");
 console.log("total", total + lateY, "" + box);
 `
 
+// unpublished counts the functions of prog no realm has yet called on the
+// bytecode engine.
+func unpublished(prog *ast.Program) (n int) {
+	ast.Walk(prog, func(node ast.Node) bool {
+		if fn, ok := node.(*ast.Func); ok && fn.Code.Load() == nil {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+var sharedTakes atomic.Int64
+
 // TestSharedCompiledConcurrentRuns runs one *Compiled from eight goroutines
 // at once on each engine. The memo hands the same program to every caller,
 // so its tree must be read-only at run time and each realm's caches its
-// own; the race detector checks the first, equal outputs the second.
+// own; the race detector checks the first, equal outputs the second. The
+// one thing a run does write to the tree is a function's chunk, on the
+// first call any realm makes: the tree-walker leg goes first and leaves
+// $main's functions uncompiled, so the bytecode leg's eight goroutines,
+// released together, race to publish them.
 func TestSharedCompiledConcurrentRuns(t *testing.T) {
 	opts := core.Defaults()
 	opts.Implicits, opts.Getters, opts.Eval = "full", true, true
 	opts.Timer, opts.CountdownN = "countdown", 100 // capture and reinstate often
-	c, err := core.CompileCached(sharedProgram, opts)
+	// A text the memo has not seen, also under -count: its functions must
+	// be uncompiled when the bytecode leg starts.
+	src := fmt.Sprintf("%s// take %d\n", sharedProgram, sharedTakes.Add(1))
+	c, err := core.CompileCached(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := core.CompileCached(sharedProgram, opts); again != c {
+	if again, _ := core.CompileCached(src, opts); again != c {
 		t.Fatal("CompileCached compiled the same text twice")
 	}
-	want, err := core.RunRaw(sharedProgram, core.RunConfig{})
+	want, err := core.RunRaw(src, core.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
+		cold := unpublished(c.Prog)
+		if cold < 5 {
+			t.Fatalf("%s: only %d functions are still uncompiled; the first-call race needs $main's", backend, cold)
+		}
+		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-start
 				for rep := 0; rep < 3; rep++ {
 					var out bytes.Buffer
 					run, err := c.NewRun(core.RunConfig{Out: &out, Backend: backend})
@@ -79,7 +112,69 @@ func TestSharedCompiledConcurrentRuns(t *testing.T) {
 				}
 			}()
 		}
+		close(start)
 		wg.Wait()
+		if left := unpublished(c.Prog); backend == core.BackendTree && left != cold {
+			t.Errorf("the tree-walker published %d chunks", cold-left)
+		} else if backend == core.BackendBytecode && left == cold {
+			t.Error("24 bytecode runs published no chunk")
+		}
+	}
+}
+
+// watchCollected sets a finalizer on fn and returns the channel it closes.
+func watchCollected(fn *ast.Func) <-chan struct{} {
+	gone := make(chan struct{})
+	runtime.SetFinalizer(fn, func(*ast.Func) { close(gone) })
+	return gone
+}
+
+// TestChunksDieWithTheirTree checks that running a program on the bytecode
+// engine leaves nothing behind that keeps its tree alive: a chunk hangs off
+// its function and no process-wide table holds either, so a *Compiled the
+// memo has dropped, and a RunRaw program once it returns, are collectable.
+func TestChunksDieWithTheirTree(t *testing.T) {
+	const src = `function f(n) { return n < 2 ? n : f(n - 1) + f(n - 2); } console.log(f(10));`
+	programs := map[string]func() <-chan struct{}{
+		"compiled": func() <-chan struct{} {
+			c, err := core.Compile(src, core.Defaults()) // cold: the memo never sees it
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := c.NewRun(core.RunConfig{Backend: core.BackendBytecode})
+			if err == nil {
+				err = run.RunToCompletion()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return watchCollected(c.Prog.Body[len(c.Prog.Body)-1].(*ast.FuncDecl).Fn)
+		},
+		"raw": func() <-chan struct{} {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolve.Program(prog)
+			if err := interp.New(interp.Options{Bytecode: true}).RunProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			return watchCollected(prog.Body[0].(*ast.FuncDecl).Fn)
+		},
+	}
+	for name, runAndDrop := range programs {
+		t.Run(name, func(t *testing.T) {
+			gone := runAndDrop()
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-gone:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the program's tree was still reachable after its run was dropped")
+		})
 	}
 }
 

@@ -3,8 +3,10 @@ package interp
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/resolve"
 )
@@ -241,5 +243,65 @@ function elems(n) {
 			in, fn := allocInterp(t, src, "elems", eng.bytecode, args)
 			gate(t, in, fn, args, 8, "array element loop ("+eng.name+")")
 		})
+	}
+}
+
+// realmBytes builds a realm on the given engine, runs next() in it, and
+// reports the bytes the heap handed out: the least of sixteen tries, so a
+// sync.Pool that comes up empty — after a collection, or under the race
+// detector, which drops a quarter of all Puts — is not counted.
+func realmBytes(t *testing.T, next func() *ast.Program, bytecode bool) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 16; try++ {
+		prog := next()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		in := New(Options{Bytecode: bytecode})
+		err := in.RunProgram(prog)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs := in.ChunkRuns(); (runs != 0) != bytecode {
+			t.Fatalf("bytecode=%v realm ran %d chunks: the gate is measuring the wrong engine", bytecode, runs)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestAllocGateRealm is the tripwire for what the bytecode engine may cost
+// a realm beyond the tree-walker. The chunk, its constant pool and the
+// operand stack belong to no realm — the first two live on the shared tree,
+// the third is borrowed — so a realm over a tree some realm has already run
+// pays for none of them, and a realm over a never-seen one-function program
+// pays for one small chunk. A fixed per-realm arena, a per-realm chunk
+// table or a compiler that keeps its scratch fails here, not in the
+// benchmark.
+func TestAllocGateRealm(t *testing.T) {
+	// A pooled arena sits in the slot of the P that returned it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fresh := func() *ast.Program {
+		prog, err := parser.Parse(`function f(a, b) { var s = a + b; return s * 2; } f(1, 2);`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve.Program(prog)
+		return prog
+	}
+	prog := fresh()
+	same := func() *ast.Program { return prog }
+
+	tree := realmBytes(t, same, false)
+	first := realmBytes(t, fresh, true)
+	later := realmBytes(t, same, true)
+	t.Logf("tree-walker realm %d bytes; bytecode realm over a never-seen tree +%d, over a tree already run %+d",
+		tree, first-tree, int64(later)-int64(tree))
+	if first > tree+1024 {
+		t.Errorf("bytecode realm over a never-seen tree: %d bytes, tree-walker realm %d: more than 1 KB apart", first, tree)
+	}
+	if later > tree+64 {
+		t.Errorf("bytecode realm over a tree already run: %d bytes, tree-walker realm %d: it paid for a chunk, a constant pool or an arena", later, tree)
 	}
 }

@@ -37,7 +37,7 @@ func runBoth(t *testing.T, src string) string {
 	if tree != bc {
 		t.Fatalf("engine divergence:\n  tree:     %q\n  bytecode: %q", tree, bc)
 	}
-	if _, _, runs := in.BytecodeStats(); runs == 0 {
+	if in.ChunkRuns() == 0 {
 		t.Fatal("bytecode engine compiled nothing; test is vacuous")
 	}
 	return bc
@@ -194,22 +194,33 @@ function f(n) { return f(n + 1); }
 try { f(0); } catch (e) { console.log(e.name); }`)
 }
 
-// TestBytecodeChunkStats sanity-checks the engine-evidence counters.
+// TestBytecodeChunkStats checks the engine-evidence counter, on the realm
+// that compiles the chunks and on a second realm that finds them already
+// published: both must be able to prove which engine ran.
 func TestBytecodeChunkStats(t *testing.T) {
-	_, in := runEngine(t, `
+	prog, err := parser.Parse(`
 function a() { return 1; }
 function b() { return a() + a(); }
-console.log(b());`, true)
-	compiled, rejected, runs := in.BytecodeStats()
-	if compiled < 2 || runs < 3 {
-		t.Fatalf("expected ≥2 compiled functions and ≥3 runs, got %d/%d", compiled, runs)
+console.log(b());`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rejected != 0 {
-		t.Fatalf("unexpected rejected functions: %d", rejected)
+	resolve.Program(prog)
+	runs := func(bytecode bool) uint64 {
+		t.Helper()
+		var buf bytes.Buffer
+		in := New(Options{Out: &buf, Seed: 1, Bytecode: bytecode})
+		if err := in.RunProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		return in.ChunkRuns()
 	}
-	// The tree realm must report nothing.
-	_, in = runEngine(t, `function a() { return 1; } console.log(a());`, false)
-	if _, _, runs := in.BytecodeStats(); runs != 0 {
-		t.Fatal("tree realm reported bytecode runs")
+	for _, realm := range []string{"first", "second"} {
+		if n := runs(true); n != 3 {
+			t.Fatalf("%s realm: %d chunk runs, want 3", realm, n)
+		}
+	}
+	if n := runs(false); n != 0 {
+		t.Fatalf("tree realm reported %d chunk runs", n)
 	}
 }

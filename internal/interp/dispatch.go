@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"sync"
 	"unsafe"
 
 	"repro/internal/ast"
@@ -47,13 +48,11 @@ type tryFrame struct {
 	envDepth int
 }
 
-// vmStackCap is the capacity of the per-realm operand-stack arena. Frames
-// beyond it (very deep recursion) fall back to private allocations.
-const vmStackCap = 8192
-
-// chunk is a compiled function body plus its realm-side constant pool: the
+// chunk is a compiled function body plus its constant pool: the
 // bytecode.Chunk's typed constants converted to tagged Values exactly once,
-// so OpConst is a single indexed copy with no representation check.
+// so OpConst is a single indexed copy with no representation check. Constant
+// Values hold no realm state and the dispatch loop only reads a chunk, so
+// one chunk serves every realm that runs the function.
 type chunk struct {
 	*bytecode.Chunk
 	consts []Value
@@ -74,49 +73,41 @@ func constValue(c bytecode.Const) Value {
 	return Undefined
 }
 
-// chunkFor returns the realm's compiled chunk for fn, compiling on first
-// call. A nil entry records a function the compiler rejected, so the
-// tree-walker handles it without re-attempting compilation. The cache is
-// per-realm (like the inline caches), which keeps compilation free of
-// cross-realm synchronization.
-func (in *Interp) chunkFor(fn *ast.Func) *chunk {
-	if ch, ok := in.chunks[fn]; ok {
-		return ch
+// chunkFor returns fn's chunk, compiling it on the first call any realm
+// makes and publishing it on the node: realms sharing a resolved tree share
+// its chunks, and a chunk is collected with its tree. A rejected function
+// publishes a nil *chunk, so the tree-walker runs it without another attempt.
+func chunkFor(fn *ast.Func) *chunk {
+	if code := fn.Code.Load(); code != nil {
+		return code.(*chunk)
 	}
-	bc := bytecode.CompileCached(fn)
 	var ch *chunk
-	if bc != nil {
-		ch = &chunk{Chunk: bc}
-		if n := len(bc.Consts); n > 0 {
-			ch.consts = make([]Value, n)
-			for i, c := range bc.Consts {
-				ch.consts[i] = constValue(c)
-			}
+	if bc := bytecode.Compile(fn); bc != nil {
+		ch = &chunk{Chunk: bc, consts: make([]Value, len(bc.Consts))}
+		for i, c := range bc.Consts {
+			ch.consts[i] = constValue(c)
 		}
 	}
-	if in.chunks == nil {
-		in.chunks = make(map[*ast.Func]*chunk)
-	}
-	in.chunks[fn] = ch
-	if ch == nil {
-		in.chunkFails++
-	} else {
-		in.chunkFuncs++
-	}
-	return ch
+	fn.Code.CompareAndSwap(nil, ch) // racing first calls may each compile; one result wins
+	return fn.Code.Load().(*chunk)
 }
 
-// BytecodeEnabled reports whether this realm dispatches resolved functions
-// through the bytecode engine.
-func (in *Interp) BytecodeEnabled() bool { return in.bytecode }
+// ChunkRuns counts this realm's chunk invocations, the evidence of which
+// engine ran it; compilations are no realm's figure now that chunks are shared.
+func (in *Interp) ChunkRuns() uint64 { return in.chunkRuns }
 
-// BytecodeStats reports how many functions this realm compiled to bytecode,
-// how many the compiler rejected, and how many chunk invocations ran — the
-// "which engine actually executed" evidence used by tests and the bench
-// harness.
-func (in *Interp) BytecodeStats() (compiled, rejected int, runs uint64) {
-	return in.chunkFuncs, in.chunkFails, in.chunkRuns
+// opStack is an operand-stack arena. Continuations are heap frames, so
+// between turns nothing of a guest is on the Go stack and no operand window
+// is live: a realm borrows an arena from opStacks only for as long as its
+// outermost chunk call is running.
+type opStack struct {
+	buf  []Value
+	top  int // next free slot of buf
+	high int // highest top since buf was last all-zero
 }
+
+// Arenas start small: most programs peak under 500 slots.
+var opStacks = sync.Pool{New: func() any { return &opStack{buf: make([]Value, 64)} }}
 
 // runChunk executes a compiled function body in env (already laid out by
 // Call: parameters, this, new.target, arguments, hoisted declarations).
@@ -125,28 +116,39 @@ func (in *Interp) BytecodeStats() (compiled, rejected int, runs uint64) {
 func (in *Interp) runChunk(ch *chunk, env *Env) (Value, error) {
 	in.chunkRuns++
 
-	// Operand stack: a window of the realm arena, or a private slice when
-	// the arena is full. The arena's capacity is fixed, so the backing
-	// array never moves and nested invocations cannot invalidate this
-	// frame's window.
-	if cap(in.vmStack) == 0 {
-		in.vmStack = make([]Value, 0, vmStackCap)
+	// Operand stack: a window of the borrowed arena, as a slice of its own.
+	st := in.ops
+	outermost := st == nil
+	if outermost {
+		st = opStacks.Get().(*opStack)
+		in.ops = st
 	}
-	mark := len(in.vmStack)
-	var stack []Value
-	arena := mark+ch.MaxStack <= cap(in.vmStack)
-	if arena {
-		in.vmStack = in.vmStack[:mark+ch.MaxStack]
-		stack = in.vmStack[mark : mark+ch.MaxStack : mark+ch.MaxStack]
-		// The window is released un-zeroed: unlike the argument arena,
-		// whose windows outlive arbitrary callee work, stack windows are
-		// overwritten by the very next call at this depth, so stale
-		// values pin at most one arena's worth of dead objects — a
-		// bounded cost that buys back a per-call memclr.
-		defer func() { in.vmStack = in.vmStack[:mark] }()
-	} else {
-		stack = make([]Value, ch.MaxStack)
+	if st.top+ch.MaxStack > len(st.buf) {
+		// Grow, at least doubling. Running frames keep their windows of the
+		// old buffer: nothing is copied, and it dies with the last of them.
+		st.buf, st.top, st.high = make([]Value, 2*len(st.buf)+ch.MaxStack), 0, 0
 	}
+	buf, mark := st.buf, st.top
+	st.top += ch.MaxStack
+	st.high = max(st.high, st.top)
+	stack := buf[mark:st.top:st.top]
+	defer func() {
+		// Every later frame has returned: the arena is back to where this
+		// frame found it, or, if it grew meanwhile, to an empty new buffer.
+		if len(st.buf) != len(buf) {
+			mark = 0
+		}
+		st.top = mark
+		if outermost {
+			// Zeroed, so that a pooled arena pins none of this realm's objects.
+			in.ops = nil
+			clear(st.buf[:st.high])
+			st.top, st.high = 0, 0
+			if len(st.buf) <= 1<<16 { // past 1.5 MB, a deep recursion's: dropped
+				opStacks.Put(st)
+			}
+		}
+	}()
 
 	var tries []tryFrame
 	if ch.MaxTries > 0 {

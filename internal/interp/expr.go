@@ -763,7 +763,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	// the compiler rejects — walks the tree exactly as before. Both
 	// engines receive the identical frame built above.
 	if in.bytecode && c.Decl.Scope != nil {
-		if ch := in.chunkFor(c.Decl); ch != nil {
+		if ch := chunkFor(c.Decl); ch != nil {
 			return in.runChunk(ch, env)
 		}
 	}

@@ -117,9 +117,8 @@ type Interp struct {
 	icGlobal []*cell
 	sites    ast.Sites
 
-	// Bytecode engine state (dispatch.go): the per-realm chunk cache
-	// (nil entry = compiler rejected the function), the operand-stack
-	// arena, and counters reporting what actually ran.
+	// Bytecode engine state (dispatch.go): ops is the operand-stack arena
+	// on loan while a chunk call is on the Go stack. Chunks live on the tree.
 	bytecode   bool
 	maxSteps   uint64
 	quantumEnd uint64 // Steps value at which onQuantum fires; 0 = disarmed
@@ -128,10 +127,7 @@ type Interp struct {
 	memBudget  uint64 // allocation budget; 0 = unmetered
 	onQuantum  func()
 	prof       *profState // sampling profiler; nil = disarmed (profile.go)
-	chunks     map[*ast.Func]*chunk
-	vmStack    []Value
-	chunkFuncs int
-	chunkFails int
+	ops        *opStack
 	chunkRuns  uint64
 
 	objectProto   *Object

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/eventloop"
 	"repro/internal/interp"
@@ -37,8 +38,9 @@ type Registry struct {
 // after rt.New (and any host-native installation that must survive
 // snapshots), before the prelude runs.
 func NewRegistry(in *interp.Interp) *Registry {
+	n := int(registrySize.Load())
 	w := registryWalk{
-		r: &Registry{byObj: make(map[*interp.Object]int)},
+		r: &Registry{objs: make([]*interp.Object, 0, n), byObj: make(map[*interp.Object]int, n)},
 		h: fnv.New64a(),
 	}
 	root := in.Global
@@ -48,8 +50,12 @@ func NewRegistry(in *interp.Interp) *Registry {
 		w.visit(v)
 	}
 	w.r.sum = w.h.Sum64()
+	registrySize.Store(int64(len(w.r.objs)))
 	return w.r
 }
+
+// registrySize is the last walk's object count, the next one's capacity hint.
+var registrySize atomic.Int64
 
 // registryWalk is one traversal's state. Every realm build walks the whole
 // host graph, so the path of the object being visited lives in one buffer

@@ -67,8 +67,8 @@ type Options struct {
 	// QuantumSteps is the statement budget of one scheduling turn.
 	// Default 2000.
 	QuantumSteps uint64
-	// Backend forces an execution engine for guests ("tree"/"bytecode");
-	// empty uses the process default (STOPIFY_BACKEND).
+	// Backend forces an execution engine for guests ("bytecode"/"tree");
+	// empty uses the process default (STOPIFY_BACKEND, else bytecode).
 	Backend string
 	// MaxResident bounds live guest realms in memory. Beyond it, idle
 	// guests (paused or asleep) are parked — serialized through the
