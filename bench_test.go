@@ -3,8 +3,7 @@ package stopify
 // One benchmark per table and figure of the paper's evaluation. Each bench
 // drives the same experiment code as cmd/stopibench at quick settings, so
 // `go test -bench=.` regenerates (a fast rendition of) every result;
-// `go run ./cmd/stopibench` produces the full-size versions recorded in
-// EXPERIMENTS.md.
+// `go run ./cmd/stopibench` produces the full-size versions.
 
 import (
 	"testing"

@@ -7,7 +7,6 @@
 //	stopibench -quick                 # fast smoke pass
 //	stopibench -fig 2c                # one experiment (2a 2b 2c 5 7 10 11 12 13 14 15 strawmen codesize)
 //	stopibench -repeats 10            # paper-grade repetition
-//	stopibench -backend bytecode      # force an execution engine for the figures
 //	stopibench -supervisor -arrival-rate 500 -duration 30s
 //	                                  # sustained open-loop load harness (windowed P99);
 //	                                  # without -arrival-rate it runs at the harness's default rate
@@ -17,7 +16,7 @@
 //	                                  # re-run and fail on SLO regression vs the trajectory
 //	                                  # (leaves a Chrome trace post-mortem under $TMPDIR; -trace-out overrides)
 //	stopibench -profile               # where do the figure benchmarks' statements go?
-//	                                  # guest-level sampling profile, both engines, top-N tables
+//	                                  # guest-level sampling profile, top-N tables
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/supervisor"
 )
 
@@ -41,7 +39,6 @@ func main() {
 		fig     = flag.String("fig", "all", "experiment to run (see Order in internal/bench)")
 		quick   = flag.Bool("quick", false, "small workloads, single repetition")
 		repeats = flag.Int("repeats", 0, "timed runs per data point (default 5, paper uses 10)")
-		backend = flag.String("backend", "", "execution engine for the figures: bytecode or tree (default: $STOPIFY_BACKEND, else bytecode)")
 
 		supFlag    = flag.Bool("supervisor", false, "run the sustained open-loop supervisor load harness and exit")
 		supWorkers = flag.Int("supervisor-workers", 4, "worker pool size for -supervisor")
@@ -55,20 +52,13 @@ func main() {
 		maxResident = flag.Int("supervisor-max-resident", 0, "MaxResident for the load harness (0 = workers*8, forcing park/restore on the hot path; negative = unbounded)")
 		supSeed     = flag.Int64("supervisor-seed", 1, "seed for arrival spacing and churn targeting")
 
-		profFlag   = flag.Bool("profile", false, "profile the Octane/Kraken-like figure suites under both engines with the guest-level sampling profiler and exit")
+		profFlag   = flag.Bool("profile", false, "profile the Octane/Kraken-like figure suites with the guest-level sampling profiler and exit")
 		profTop    = flag.Int("profile-top", 10, "rows per benchmark in the -profile table")
 		profEvery  = flag.Uint64("profile-every", 0, "sampling period in statements for -profile and the load harness (0 = 1000 for -profile, off for the harness)")
 		traceOut   = flag.String("trace-out", "", "write the load harness's flight-recorder trace (Chrome trace-event JSON) here; -supervisor-check defaults one under $TMPDIR")
 		profileOut = flag.String("profile-out", "", "write the load harness's per-tenant folded-stack profile here (needs -profile-every)")
 	)
 	flag.Parse()
-
-	if *backend != "" {
-		// The figure experiments select their engine through RunConfig's
-		// environment default, so one setenv switches every run the
-		// harness makes.
-		os.Setenv("STOPIFY_BACKEND", *backend)
-	}
 
 	cfg := bench.DefaultConfig()
 	if *quick {
@@ -95,7 +85,6 @@ func main() {
 			QuantumSteps:  *supQuantum,
 			MaxResident:   *maxResident,
 			Seed:          *supSeed,
-			Backend:       os.Getenv("STOPIFY_BACKEND"),
 			ProfileEvery:  *profEvery,
 			TraceOut:      *traceOut,
 			ProfileOut:    *profileOut,
@@ -127,8 +116,6 @@ func main() {
 		return
 	}
 
-	fmt.Printf("execution engine: %s\n", activeBackend())
-
 	if *fig == "all" {
 		out, err := bench.RunAll(cfg)
 		fmt.Print(out)
@@ -154,16 +141,17 @@ func main() {
 // supervisorTrajectory is the schema of BENCH_supervisor.json: an appendable
 // series of dated sustained-load runs. Each entry records its own config
 // (inside the result block), so the file can mix runs across machines and
-// PRs without losing comparability.
+// PRs without losing comparability. Entries stay raw until read: appending
+// rewrites the file, and earlier entries are history, kept as captured even
+// where they carry fields this version no longer knows.
 type supervisorTrajectory struct {
-	Entries []supervisorTrajEntry `json:"entries"`
+	Entries []json.RawMessage `json:"entries"`
 }
 
 // supervisorTrajEntry is one measurement.
 type supervisorTrajEntry struct {
 	CapturedAt string                 `json:"captured_at"`
 	GoVersion  string                 `json:"go_version"`
-	Engine     string                 `json:"engine"`
 	Kind       string                 `json:"kind"` // "load"
 	Load       *supervisor.LoadResult `json:"load,omitempty"`
 }
@@ -194,8 +182,11 @@ func appendTrajectory(path string, e supervisorTrajEntry) error {
 	}
 	e.CapturedAt = time.Now().UTC().Format(time.RFC3339)
 	e.GoVersion = runtime.Version()
-	e.Engine = activeBackend()
-	traj.Entries = append(traj.Entries, e)
+	raw, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	traj.Entries = append(traj.Entries, raw)
 	data, err := json.MarshalIndent(traj, "", "  ")
 	if err != nil {
 		return err
@@ -212,7 +203,6 @@ func appendTrajectory(path string, e supervisorTrajEntry) error {
 // belongs to -supervisor-check, which gates the same figures against the
 // committed baseline.
 func runSupervisorLoad(cfg supervisor.LoadConfig, benchPath string) error {
-	fmt.Printf("execution engine: %s\n", activeBackend())
 	res, err := supervisor.RunLoad(cfg)
 	if err != nil {
 		return err
@@ -253,21 +243,19 @@ func checkSupervisorLoad(path string, cfg supervisor.LoadConfig) error {
 		return err
 	}
 	var base *supervisorTrajEntry
-	for i := range traj.Entries {
-		e := &traj.Entries[i]
-		if e.Kind != "load" || e.Load == nil {
-			continue
+	for _, raw := range traj.Entries {
+		var e supervisorTrajEntry
+		if err := json.Unmarshal(raw, &e); err != nil {
+			return fmt.Errorf("parsing %s: %w", path, err)
 		}
-		// Latest wins; an engine-matched entry beats an older mismatch.
-		if base == nil || base.Engine != activeBackend() || e.Engine == activeBackend() {
-			base = e
+		if e.Kind == "load" && e.Load != nil {
+			base = &e // latest wins
 		}
 	}
 	if base == nil {
 		return fmt.Errorf("%s has no sustained-load entry; capture one with -supervisor -arrival-rate=... -supervisor-bench=%s", path, path)
 	}
 
-	fmt.Printf("execution engine: %s\n", activeBackend())
 	res, err := supervisor.RunLoad(cfg)
 	if err != nil {
 		return err
@@ -279,7 +267,7 @@ func checkSupervisorLoad(path string, cfg supervisor.LoadConfig) error {
 
 	p99Gate := math.Max(sloP99Mult*base.Load.WorstWindowP99, sloP99FloorMs)
 	errGate := math.Max(sloErrMult*base.Load.ErrorRate, sloErrFloor)
-	fmt.Printf("supervisor-check vs %s (captured %s, engine %s):\n", path, base.CapturedAt, base.Engine)
+	fmt.Printf("supervisor-check vs %s (captured %s):\n", path, base.CapturedAt)
 	fmt.Printf("  worst-window P99 %8.2f ms  baseline %8.2f ms  gate %8.2f ms\n",
 		res.WorstWindowP99, base.Load.WorstWindowP99, p99Gate)
 	fmt.Printf("  error rate       %8.4f     baseline %8.4f     gate %8.4f\n",
@@ -305,13 +293,4 @@ func checkSupervisorLoad(path string, cfg supervisor.LoadConfig) error {
 	}
 	fmt.Println("supervisor-check: within SLO")
 	return nil
-}
-
-// activeBackend names the engine the next run would use — the "which
-// engine ran" note in every stopibench output.
-func activeBackend() string {
-	if b := os.Getenv("STOPIFY_BACKEND"); b != "" {
-		return b
-	}
-	return core.BackendBytecode
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // -profile mode: run the Octane-like and Kraken-like figure suites under the
-// guest-level sampling profiler, on both execution engines, and print a
-// top-N table of where each benchmark's statements go, attributed to the
-// guest's own JavaScript function names. This is the figure-benchmark
-// counterpart of stopifyd's GET /profile — the question it answers is "which
-// guest function is hot", not "which Go function is hot" (that is -pprof-addr
-// on the daemon, or go test -cpuprofile here).
+// guest-level sampling profiler and print a top-N table of where each
+// benchmark's statements go, attributed to the guest's own JavaScript
+// function names. This is the figure-benchmark counterpart of stopifyd's GET
+// /profile — the question it answers is "which guest function is hot", not
+// "which Go function is hot" (that is -pprof-addr on the daemon, or go test
+// -cpuprofile here).
 
 // defaultProfileEvery is the sampling period when -profile-every is not set:
 // fine enough that the shortest Kraken-like kernel still collects hundreds of
@@ -67,7 +67,7 @@ func foldProfile(folded map[string]uint64) ([]profileRow, uint64) {
 
 // profileOne compiles and runs one benchmark source with the sampler armed
 // and returns its folded profile.
-func profileOne(src, backend string, every uint64) (map[string]uint64, error) {
+func profileOne(src string, every uint64) (map[string]uint64, error) {
 	js := langs.JavaScript()
 	c, err := core.Compile(src, js.Opts(core.Defaults()))
 	if err != nil {
@@ -75,7 +75,6 @@ func profileOne(src, backend string, every uint64) (map[string]uint64, error) {
 	}
 	run, err := c.NewRun(core.RunConfig{
 		Clock:        eventloop.NewVirtualClock(),
-		Backend:      backend,
 		ProfileEvery: every,
 	})
 	if err != nil {
@@ -88,8 +87,8 @@ func profileOne(src, backend string, every uint64) (map[string]uint64, error) {
 }
 
 // runProfileMode is stopibench -profile: the full Octane-like + Kraken-like
-// suite under both engines, each benchmark reported as a top-N self/cumulative
-// table over sampled statements.
+// suite, each benchmark reported as a top-N self/cumulative table over
+// sampled statements.
 func runProfileMode(every uint64, topN int) error {
 	if every == 0 {
 		every = defaultProfileEvery
@@ -98,26 +97,24 @@ func runProfileMode(every uint64, topN int) error {
 		topN = 10
 	}
 	suite := append(langs.OctaneLike(), langs.KrakenLike()...)
-	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
-		fmt.Printf("== engine %s — sampling every %d statements ==\n", backend, every)
-		for _, b := range suite {
-			folded, err := profileOne(b.Source, backend, every)
-			if err != nil {
-				return fmt.Errorf("%s (%s): %w", b.Name, backend, err)
-			}
-			rows, total := foldProfile(folded)
-			fmt.Printf("\n%s (%d sampled statements, %d functions):\n", b.Name, total, len(rows))
-			fmt.Printf("  %-28s %12s %6s %12s %6s\n", "function", "self", "self%", "cum", "cum%")
-			for i, r := range rows {
-				if i >= topN {
-					break
-				}
-				fmt.Printf("  %-28s %12d %5.1f%% %12d %5.1f%%\n",
-					r.name, r.self, pct(r.self, total), r.cum, pct(r.cum, total))
-			}
+	fmt.Printf("== sampling every %d statements ==\n", every)
+	for _, b := range suite {
+		folded, err := profileOne(b.Source, every)
+		if err != nil {
+			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		fmt.Println()
+		rows, total := foldProfile(folded)
+		fmt.Printf("\n%s (%d sampled statements, %d functions):\n", b.Name, total, len(rows))
+		fmt.Printf("  %-28s %12s %6s %12s %6s\n", "function", "self", "self%", "cum", "cum%")
+		for i, r := range rows {
+			if i >= topN {
+				break
+			}
+			fmt.Printf("  %-28s %12d %5.1f%% %12d %5.1f%%\n",
+				r.name, r.self, pct(r.self, total), r.cum, pct(r.cum, total))
+		}
 	}
+	fmt.Println()
 	return nil
 }
 

@@ -19,7 +19,7 @@ import (
 // live stream. Each may cost itself a connection and nobody else anything.
 
 func newHostileServer(t *testing.T) *httptest.Server {
-	return newObserveServer(t, "", 0, false, &bytes.Buffer{})
+	return newObserveServer(t, 0, false, &bytes.Buffer{})
 }
 
 func TestOversizedBodyRefused(t *testing.T) {

@@ -65,7 +65,6 @@ func main() {
 		deadline   = flag.Duration("deadline", 30*time.Second, "default per-run wall deadline (0 = none)")
 		maxSteps   = flag.Uint64("max-steps", 50_000_000, "default per-run statement budget (0 = none)")
 		maxOutput  = flag.Int("max-output", 1<<20, "default per-run output cap in bytes")
-		backend    = flag.String("backend", "", "execution engine: bytecode or tree (default $STOPIFY_BACKEND, else bytecode)")
 		retain     = flag.Duration("retain", 10*time.Minute, "how long finished runs stay pollable before eviction")
 		memBudget  = flag.Uint64("mem-budget", 256<<20, "default per-run allocation budget in bytes (0 = unmetered)")
 		drainFor   = flag.Duration("drain", 15*time.Second, "how long SIGTERM waits for in-flight runs before killing them")
@@ -91,7 +90,6 @@ func main() {
 		Workers:       *workers,
 		MaxPending:    *maxPending,
 		QuantumSteps:  *quantum,
-		Backend:       *backend,
 		MaxResident:   *maxRes,
 		ParkDir:       *parkDir,
 		ProfileEvery:  *profEvery,

@@ -11,11 +11,10 @@ import (
 	"repro/internal/stats"
 )
 
-// AblationGuards measures the statement-grouping optimization DESIGN.md §4
-// calls out: the paper's K⟦·⟧ wraps every statement in its own `if
-// (normal)` (Figure 4a); this implementation groups maximal label-free runs
-// under one guard. Both are semantically identical; the ablation quantifies
-// the saving.
+// AblationGuards measures the statement-grouping optimization: the paper's
+// K⟦·⟧ wraps every statement in its own `if (normal)` (Figure 4a); this
+// implementation groups maximal label-free runs under one guard. Both are
+// semantically identical; the ablation quantifies the saving.
 func AblationGuards(cfg Config) (string, error) {
 	eng := engine.Chrome()
 	py := langs.Python()
@@ -84,7 +83,7 @@ func AblationSampleMs(cfg Config) (string, error) {
 }
 
 // AblationRestoreSegment varies the segmented-restore chunk size for
-// deep-stack workloads (DESIGN.md §4.4): segments near the deep limit cause
+// deep-stack workloads (§5.2): segments near the deep limit cause
 // immediate re-capture after restore; tiny segments pay excessive restore
 // round-trips.
 func AblationRestoreSegment(cfg Config) (string, error) {
@@ -118,6 +117,6 @@ console.log(sum(%d));`, depth)
 		}
 		t.row("%-12d %8.0fms %10d", seg, float64(time.Since(start))/1e6, run.RT.Restores)
 	}
-	t.row("too-large segments leave no headroom below the deep limit and thrash (DESIGN.md §4.4)")
+	t.row("too-large segments leave no headroom below the deep limit and thrash")
 	return t.String(), nil
 }

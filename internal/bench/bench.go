@@ -1,8 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§2 and §6) against this repository's
 // substrates. Each experiment returns structured results plus a rendered
-// text table whose rows mirror what the paper reports; EXPERIMENTS.md
-// records paper-versus-measured for each.
+// text table whose rows mirror what the paper reports.
 package bench
 
 import (

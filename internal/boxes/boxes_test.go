@@ -115,8 +115,8 @@ console.log(f(5));`
 
 func TestBoxAllocationIsAtFunctionEntry(t *testing.T) {
 	// The box for a variable declared late in the body must be allocated in
-	// the prologue (DESIGN.md §4: capture before the declaration would
-	// otherwise split the closures from the restored code).
+	// the prologue (a capture before the declaration would otherwise split
+	// the closures from the restored code).
 	src := `
 function f() {
   function g() { return late; }

@@ -10,13 +10,12 @@
 //
 // The compiler is strictly an acceleration layer, never a semantic one: it
 // consumes the exact tree the tree-walker would execute — after
-// internal/resolve has annotated it — and every construct it cannot lower
-// (currently try/finally and the rare unresolved declaration) is embedded
-// as an escape-hatch instruction that hands the original AST statement back
-// to the tree-walker, running in the same environment frame. A function the
-// compiler cannot handle at all simply yields no chunk and stays on the
-// tree-walker. Program semantics are identical either way; the differential
-// harness in internal/core enforces exactly that.
+// internal/resolve has annotated it — and lowers a function whole or not at
+// all. A function holding something it cannot place (a declaration or catch
+// clause the resolver gave no slot, an unknown node) yields no chunk and
+// stays on the tree-walker, so the two engines meet only at a call. Program
+// semantics are identical either way; the differential harness in
+// internal/core enforces exactly that.
 //
 // The package knows nothing about the interpreter's runtime types: operand
 // meanings are documented here, but execution — including the shared
@@ -216,12 +215,25 @@ const (
 	OpChargeBranch
 	// OpThrow pops a value and raises it as an exception.
 	OpThrow
-	// OpTry enters a try/catch region: a handler at pc A guards until the
-	// matching OpPopTry. The thrown value is pushed before entering the
-	// handler.
+	// OpTry enters a try statement, pushing one handler: a throw lands at
+	// the catch body, pc A, with the thrown value pushed (A < 0: no catch),
+	// and a throw the catch body does not take or itself raises lands at the
+	// finally block, pc B, with the throw pending (B < 0: no finally).
+	// Charges TryCost.
 	OpTry
-	// OpPopTry leaves a try/catch region normally.
+	// OpPopTry leaves a try statement that has no finally block.
 	OpPopTry
+	// OpEnterFinally leaves a try statement's guarded region for its
+	// finally block at pc A: it pops the statement's handler, resets the
+	// operand stack and environment to the handler's record, and pushes the
+	// pending completion in two slots — the return value in flight (the top
+	// of stack when C != 0, else undefined), then the pc B to resume at.
+	OpEnterFinally
+	// OpEndFinally pops the pending completion's second slot and takes the
+	// completion up: a pc resumes there, and the code at that pc disposes of
+	// the first slot; the unwinder's mark for a pending throw raises the
+	// first slot again (no second ThrowCost).
+	OpEndFinally
 	// OpEnterCatch pops the thrown value into slot 0 of a fresh catch
 	// frame laid out by Scopes[A]; the frame becomes current.
 	OpEnterCatch
@@ -233,11 +245,6 @@ const (
 	// OpForInNext pushes the iterator's next key, or jumps to A when
 	// exhausted (the iterator stays on the stack; the code at A pops it).
 	OpForInNext
-	// OpExecStmt executes Stmts[A] with the tree-walker in the current
-	// environment — the escape hatch for constructs the compiler does not
-	// lower (try/finally, unresolved declarations). Abrupt completions are
-	// translated back into bytecode control flow through JumpTabs[B].
-	OpExecStmt
 
 	// --- fused instructions ---
 	//
@@ -368,28 +375,6 @@ type Accessor struct {
 	Setter bool
 }
 
-// JumpTarget is one enclosing breakable construct visible at an escape-
-// hatch instruction, with everything the dispatch loop needs to translate a
-// break/continue completion into the jump the compiler would have emitted:
-// target pcs plus the iterator pops, catch-scope pops, and handler pops the
-// jump must perform first.
-type JumpTarget struct {
-	Labels     []string // labels naming this construct ("" never appears)
-	Loop       bool     // accepts continue (labeled or not)
-	BreakPlain bool     // accepts unlabeled break (loops and switches)
-	BreakPC    int32
-	ContPC     int32 // -1 for non-loop targets
-	BreakFix   JumpFix
-	ContFix    JumpFix
-}
-
-// JumpFix is the unwinding a translated jump performs before continuing.
-type JumpFix struct {
-	PopIters    int // for-in iterators to pop off the value stack
-	LeaveScopes int // catch frames to leave
-	PopTries    int // try handlers to pop
-}
-
 // Chunk is the compiled form of one function body. The caller-side frame
 // protocol (parameter slots, this/new.target/arguments, hoisted function
 // declarations) is unchanged from the tree-walker: internal/interp sets up
@@ -403,13 +388,12 @@ type Chunk struct {
 	Funcs     []*ast.Func      // nested function literals, OpClosure operands
 	Scopes    []*ast.ScopeInfo // catch-clause frame layouts
 	Accessors []Accessor       // object-literal accessor properties
-	Stmts     []ast.Stmt       // escape-hatch statements (OpExecStmt)
-	JumpTabs  [][]JumpTarget   // per escape-hatch site, innermost first
 
 	// MaxStack is the exact operand-stack high-water mark; the dispatch
 	// loop carves a window of this size from its stack arena.
 	MaxStack int
-	// MaxTries is the try-handler high-water mark.
+	// MaxTries is the handler high-water mark: try statements nested
+	// around one point.
 	MaxTries int
 
 	// GuardNames maps the pc of an OpJumpGlobalNeConst to the Names index
@@ -449,7 +433,8 @@ var opNames = [...]string{
 	OpChargeBranch: "chargebranch", OpThrow: "throw", OpTry: "try",
 	OpPopTry: "poptry", OpEnterCatch: "entercatch",
 	OpLeaveScope: "leavescope", OpForInInit: "forininit",
-	OpForInNext: "forinnext", OpExecStmt: "execstmt",
+	OpForInNext: "forinnext", OpEnterFinally: "enterfinally",
+	OpEndFinally:    "endfinally",
 	OpStrictEqConst: "stricteqconst", OpGlobalEqConst: "globaleqconst",
 	OpGetLocalMember: "getlocalmember", OpGetLocalMethod: "getlocalmethod",
 	OpCalleeGlobal: "calleeglobal", OpCalleeLocal: "calleelocal",
@@ -491,9 +476,10 @@ func (c *Chunk) Disassemble() string {
 			b = append(b, fmt.Sprintf(" %d %q", ins.A, c.Names[ins.B])...)
 		case OpGetLocal, OpSetLocal, OpCall, OpNew, OpArray, OpClosure,
 			OpJump, OpJumpIfFalse, OpJumpIfTrue, OpJumpIfFalsyKeep,
-			OpJumpIfTruthyKeep, OpTry, OpForInNext, OpExecStmt,
-			OpEnterCatch, OpSetAccessor:
+			OpJumpIfTruthyKeep, OpForInNext, OpEnterCatch, OpSetAccessor:
 			b = append(b, fmt.Sprintf(" %d", ins.A)...)
+		case OpTry, OpEnterFinally:
+			b = append(b, fmt.Sprintf(" %d %d", ins.A, ins.B)...)
 		case OpGetRef, OpSetRef:
 			r := ast.Ref(uint32(ins.A))
 			b = append(b, fmt.Sprintf(" (%d,%d)", r.Hops(), r.Slot())...)

@@ -6,12 +6,12 @@ import (
 	"repro/internal/ast"
 )
 
-// Compile lowers a resolved function body to a chunk. It returns nil when
-// the function cannot be lowered — no frame layout (the resolver never saw
-// it), or a node kind the compiler does not know — in which case the caller
-// keeps tree-walking it. Individual statements the compiler chooses not to
-// lower (try/finally, unresolved declarations) do not fail the function;
-// they become OpExecStmt escape hatches.
+// Compile lowers a resolved function body to a chunk: every statement of it,
+// or none. It returns nil when the function cannot be lowered — no frame
+// layout (the resolver never saw it), a node kind the compiler does not know,
+// a declaration or catch clause the resolver could not give a slot, a break
+// or continue with no enclosing target — in which case the caller keeps
+// tree-walking the whole function. A chunk never re-enters the tree-walker.
 //
 // The compiler mirrors the tree-walker statement by statement: evaluation
 // order, engine cost charges, and step counting are reproduced exactly, so
@@ -68,8 +68,13 @@ type ctx struct {
 	contPC     int // continue target pc; -1 while unknown
 	breakJumps []int
 	contJumps  []int
-	breakRefs  []*JumpTarget // escape-hatch entries awaiting the break pc
-	contRefs   []*JumpTarget
+
+	// finally marks the guarded region of a try statement that has a
+	// finally block (its try block and catch body): not a jump target, but
+	// every jump and return that leaves it runs the block first. finJumps
+	// are the OpEnterFinally instructions awaiting the block's pc.
+	finally  bool
+	finJumps []int
 }
 
 type compiler struct {
@@ -276,51 +281,11 @@ func (c *compiler) fn(f *ast.Func) int32 {
 }
 
 // ---------------------------------------------------------------------------
-// Lowerability
-// ---------------------------------------------------------------------------
-
-// lowerable reports whether stmt itself (not its nested statements, which
-// are checked individually) has a bytecode lowering. Statements that fail
-// become escape hatches.
-func (c *compiler) lowerable(s ast.Stmt) bool {
-	switch n := s.(type) {
-	case *ast.ExprStmt, *ast.If, *ast.Return, *ast.Block, *ast.While,
-		*ast.DoWhile, *ast.For, *ast.ForIn, *ast.Labeled, *ast.Switch,
-		*ast.Throw, *ast.FuncDecl, *ast.Empty:
-		return true
-	case *ast.VarDecl:
-		for i := range n.Decls {
-			d := &n.Decls[i]
-			if d.Init != nil && !d.Ref.Valid() {
-				// Unresolved initialized declaration: the dynamic define
-				// semantics (set-else-define-here) have no opcode.
-				return false
-			}
-		}
-		return true
-	case *ast.Break:
-		return c.findBreak(n.Label) != nil
-	case *ast.Continue:
-		return c.findContinue(n.Label) != nil
-	case *ast.Try:
-		// finally needs completion-threading the tree-walker already has;
-		// a catch clause without a resolved one-slot layout cannot build
-		// its frame.
-		return n.Finally == nil && (n.Catch == nil || n.CatchScope != nil)
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
 // Statements
 // ---------------------------------------------------------------------------
 
 func (c *compiler) stmt(s ast.Stmt) {
 	if c.failed {
-		return
-	}
-	if !c.lowerable(s) {
-		c.escape(s)
 		return
 	}
 	// Statement boundary: the tree-walker counts a step and charges one
@@ -345,20 +310,27 @@ func (c *compiler) stmt(s ast.Stmt) {
 			c.patch(jf)
 		}
 	case *ast.Return:
-		if n.Arg != nil {
-			c.expr(n.Arg)
-			c.emit(OpReturn, 0, 0)
-			c.pop(1)
-		} else {
+		if n.Arg == nil {
+			c.emitUnwind(nil, false)
 			c.emit(OpReturnUndef, 0, 0)
+			break
 		}
+		c.expr(n.Arg)
+		c.emitUnwind(nil, true)
+		c.emit(OpReturn, 0, 0)
+		c.pop(1)
 	case *ast.VarDecl:
 		for i := range n.Decls {
 			d := &n.Decls[i]
-			if d.Init == nil || !d.Ref.Valid() {
+			if d.Init == nil {
 				// Hoisting already created the slot; re-executing `var x`
 				// must not reset it.
 				continue
+			}
+			if !d.Ref.Valid() {
+				// The dynamic define (set-else-define-here) has no opcode.
+				c.failed = true
+				return
 			}
 			c.expr(d.Init)
 			c.storeRef(d.Ref)
@@ -397,39 +369,6 @@ func (c *compiler) stmt(s ast.Stmt) {
 	}
 }
 
-// escape embeds s as a tree-walker escape hatch with a jump table built
-// from the enclosing construct stack.
-func (c *compiler) escape(s ast.Stmt) {
-	c.ch.Stmts = append(c.ch.Stmts, s)
-	stmtIdx := int32(len(c.ch.Stmts) - 1)
-
-	tab := make([]JumpTarget, len(c.ctxs))
-	for i := range c.ctxs {
-		cx := c.ctxs[len(c.ctxs)-1-i] // innermost first
-		t := &tab[i]
-		t.Labels = cx.labels
-		t.Loop = cx.loop
-		t.BreakPlain = cx.breakPlain
-		t.BreakPC, t.ContPC = -1, -1
-		fix := JumpFix{
-			PopIters:    c.iterDepth - cx.iterDepth,
-			LeaveScopes: c.scopeDepth - cx.scopeDepth,
-			PopTries:    c.tryDepth - cx.tryDepth,
-		}
-		t.BreakFix, t.ContFix = fix, fix
-		cx.breakRefs = append(cx.breakRefs, t)
-		if cx.loop {
-			if cx.contPC >= 0 {
-				t.ContPC = int32(cx.contPC)
-			} else {
-				cx.contRefs = append(cx.contRefs, t)
-			}
-		}
-	}
-	c.ch.JumpTabs = append(c.ch.JumpTabs, tab)
-	c.emit(OpExecStmt, stmtIdx, int32(len(c.ch.JumpTabs)-1))
-}
-
 // pushCtx enters a breakable construct.
 func (c *compiler) pushCtx(labels []string, loop, breakPlain bool, contPC int) *ctx {
 	cx := &ctx{
@@ -441,17 +380,9 @@ func (c *compiler) pushCtx(labels []string, loop, breakPlain bool, contPC int) *
 	return cx
 }
 
-// popCtx leaves the construct, patching break jumps (and escape-hatch
-// break references) to the current pc.
+// popCtx leaves the construct, patching break jumps to the current pc.
 func (c *compiler) popCtx(cx *ctx) {
-	c.fuseBarrier = c.pc()
-	c.ctxs = c.ctxs[:len(c.ctxs)-1]
-	for _, at := range cx.breakJumps {
-		c.patch(at)
-	}
-	for _, t := range cx.breakRefs {
-		t.BreakPC = int32(c.pc())
-	}
+	c.popCtxAt(cx, c.pc())
 }
 
 // setCont fixes the construct's continue target at the current pc, patching
@@ -460,9 +391,6 @@ func (c *compiler) setCont(cx *ctx) {
 	cx.contPC = c.target()
 	for _, at := range cx.contJumps {
 		c.patch(at)
-	}
-	for _, t := range cx.contRefs {
-		t.ContPC = int32(cx.contPC)
 	}
 }
 
@@ -504,30 +432,66 @@ func hasLabel(labels []string, l string) bool {
 	return false
 }
 
-// emitUnwind emits the iterator pops, catch-frame pops, and handler pops a
-// jump out to cx must perform, preserving the static stack depth for the
-// fall-through path.
-func (c *compiler) emitUnwind(cx *ctx) {
-	for i := 0; i < c.iterDepth-cx.iterDepth; i++ {
+// emitUnwind emits what control leaving for cx must do on the way — cx nil
+// is leaving the function, with the return value on top of the stack when
+// keepTop: enter every finally block between here and there, innermost
+// first, then pop the iterators, catch frames and handlers still standing.
+// The static stack depth is left as it was, for the fall-through path.
+func (c *compiler) emitUnwind(cx *ctx, keepTop bool) {
+	iters, scopes, tries := c.iterDepth, c.scopeDepth, c.tryDepth
+	for i := len(c.ctxs) - 1; i >= 0 && c.ctxs[i] != cx; i-- {
+		f := c.ctxs[i]
+		if !f.finally {
+			continue
+		}
+		// Catch-only handlers above f's own are popped here; OpEnterFinally
+		// pops f's, and resets operand stack and environment to its record.
+		for ; tries > f.tryDepth+1; tries-- {
+			c.emit(OpPopTry, 0, 0)
+		}
+		var keep int32
+		if keepTop {
+			keep = 1
+		}
+		resume := int32(c.pc() + 1)
+		f.finJumps = append(f.finJumps, c.emit3(OpEnterFinally, -1, resume, keep))
+		c.target()
+		if !keepTop {
+			c.emit(OpPop, 0, 0) // the slot a return value would have held
+		}
+		iters, scopes, tries = f.iterDepth, f.scopeDepth, f.tryDepth
+	}
+	if cx == nil {
+		return
+	}
+	for ; iters > cx.iterDepth; iters-- {
 		c.emit(OpPop, 0, 0)
 	}
-	for i := 0; i < c.scopeDepth-cx.scopeDepth; i++ {
+	for ; scopes > cx.scopeDepth; scopes-- {
 		c.emit(OpLeaveScope, 0, 0)
 	}
-	for i := 0; i < c.tryDepth-cx.tryDepth; i++ {
+	for ; tries > cx.tryDepth; tries-- {
 		c.emit(OpPopTry, 0, 0)
 	}
 }
 
 func (c *compiler) breakTo(label string) {
 	cx := c.findBreak(label)
-	c.emitUnwind(cx)
+	if cx == nil {
+		c.failed = true
+		return
+	}
+	c.emitUnwind(cx, false)
 	cx.breakJumps = append(cx.breakJumps, c.emit(OpJump, -1, 0))
 }
 
 func (c *compiler) continueTo(label string) {
 	cx := c.findContinue(label)
-	c.emitUnwind(cx)
+	if cx == nil {
+		c.failed = true
+		return
+	}
+	c.emitUnwind(cx, false)
 	if cx.contPC >= 0 {
 		c.emit(OpJump, int32(cx.contPC), 0)
 	} else {
@@ -617,9 +581,6 @@ func (c *compiler) popCtxAt(cx *ctx, breakPC int) {
 	for _, at := range cx.breakJumps {
 		c.ch.Code[at].A = int32(breakPC)
 	}
-	for _, t := range cx.breakRefs {
-		t.BreakPC = int32(breakPC)
-	}
 }
 
 func (c *compiler) labeled(n *ast.Labeled) {
@@ -703,10 +664,26 @@ func (c *compiler) compileSwitch(n *ast.Switch) {
 	c.popCtx(cx)
 }
 
+// compileTry lowers a try statement onto one handler frame. A throw in the
+// try block lands in the catch body; a throw the catch did not take or itself
+// raised lands in the finally block with the throw pending, as do the jumps
+// and returns emitUnwind routes through it. The block ends by taking up
+// whatever was pending, unless it completed abruptly itself, which wins.
 func (c *compiler) compileTry(n *ast.Try) {
-	// The engine charges handler entry; exceptional-strategy instrumented
-	// code pays this on every application.
-	handler := c.emit(OpTry, -1, 0)
+	if n.Catch != nil && n.CatchScope == nil {
+		// A catch clause without a resolved one-slot layout cannot build
+		// its frame.
+		c.failed = true
+		return
+	}
+	var fin *ctx
+	if n.Finally != nil {
+		fin = c.pushCtx(nil, false, false, -1)
+		fin.finally = true
+	}
+	// The engine charges handler entry once per try statement;
+	// exceptional-strategy instrumented code pays this on every application.
+	try := c.emit(OpTry, -1, -1)
 	c.tryDepth++
 	if c.tryDepth > c.ch.MaxTries {
 		c.ch.MaxTries = c.tryDepth
@@ -714,14 +691,16 @@ func (c *compiler) compileTry(n *ast.Try) {
 	for _, inner := range n.Block.Body {
 		c.stmt(inner)
 	}
-	c.emit(OpPopTry, 0, 0)
-	c.tryDepth--
-	end := c.emit(OpJump, -1, 0)
+	if fin == nil {
+		c.emit(OpPopTry, 0, 0)
+		c.tryDepth--
+	}
 	if n.Catch != nil {
-		// The unwinder pops the handler, restores the stack, pushes the
-		// thrown value, and lands here.
-		c.patch(handler)
-		c.push(1) // the unwinder pushes the thrown value
+		end := c.emit(OpJump, -1, 0)
+		// The unwinder restores the stack, pushes the thrown value, and
+		// lands here; the handler stays only if it has a finally to guard.
+		c.patch(try)
+		c.push(1)
 		c.ch.Scopes = append(c.ch.Scopes, n.CatchScope)
 		c.emit(OpEnterCatch, int32(len(c.ch.Scopes)-1), 0)
 		c.pop(1)
@@ -731,8 +710,31 @@ func (c *compiler) compileTry(n *ast.Try) {
 		}
 		c.emit(OpLeaveScope, 0, 0)
 		c.scopeDepth--
+		c.patch(end)
 	}
-	c.patch(end)
+	if fin == nil {
+		return
+	}
+	c.ctxs = c.ctxs[:len(c.ctxs)-1]
+	c.tryDepth--
+	normal := c.emit3(OpEnterFinally, -1, -1, 0)
+	block := int32(c.target())
+	c.ch.Code[try].B = block
+	for _, at := range append(fin.finJumps, normal) {
+		c.ch.Code[at].A = block
+	}
+	// The pending completion rides the operand stack under the block's own
+	// temporaries, where a jump out of the block pops it like an iterator.
+	c.push(2)
+	c.iterDepth += 2
+	for _, inner := range n.Finally.Body {
+		c.stmt(inner)
+	}
+	c.emit(OpEndFinally, 0, 0)
+	c.ch.Code[normal].B = int32(c.target())
+	c.emit(OpPop, 0, 0)
+	c.iterDepth -= 2
+	c.pop(2)
 }
 
 // ---------------------------------------------------------------------------

@@ -41,43 +41,83 @@ func TestCompileRejectsUnresolved(t *testing.T) {
 	}
 }
 
-func TestTryFinallyBecomesEscapeHatch(t *testing.T) {
+func TestTryFinallyLowersToOneHandler(t *testing.T) {
 	ch := compileFirstFunc(t, `
 function f() {
   for (var i = 0; i < 3; i++) {
-    try { if (i) { break; } } finally { i++; }
+    try { if (i) { break; } } catch (e) { return e; } finally { i++; }
   }
   try { return 1; } catch (e) { return 2; }
 }`)
 	dis := ch.Disassemble()
-	if !strings.Contains(dis, "execstmt") {
-		t.Fatalf("try/finally should lower to an escape hatch:\n%s", dis)
+	// One handler frame per try statement, however many clauses it has.
+	if n := countOp(ch, OpTry); n != 2 || ch.MaxTries != 1 {
+		t.Fatalf("want 2 try instructions nesting 1 deep, got %d nesting %d:\n%s", n, ch.MaxTries, dis)
 	}
-	// The plain try/catch lowers natively.
-	if !strings.Contains(dis, "try") || !strings.Contains(dis, "entercatch") {
-		t.Fatalf("try/catch should lower natively:\n%s", dis)
+	// The break, the catch body's return and normal completion each enter
+	// the one copy of the finally block; the plain try/catch enters none.
+	if n := countOp(ch, OpEnterFinally); n != 3 {
+		t.Fatalf("want 3 enterfinally (break, return, normal), got %d:\n%s", n, dis)
 	}
-	if len(ch.Stmts) != 1 {
-		t.Fatalf("expected exactly one escape-hatch statement, got %d", len(ch.Stmts))
+	if n := countOp(ch, OpEndFinally); n != 1 {
+		t.Fatalf("the finally block should be emitted once, got %d:\n%s", n, dis)
 	}
-	// The escape hatch sits inside the for loop: its jump table must
-	// expose the loop as a break/continue target.
-	if len(ch.JumpTabs) != 1 {
-		t.Fatalf("expected one jump table, got %d", len(ch.JumpTabs))
-	}
-	tab := ch.JumpTabs[0]
-	foundLoop := false
-	for _, tg := range tab {
-		if tg.Loop && tg.BreakPlain {
-			foundLoop = true
-			if tg.BreakPC < 0 || tg.ContPC < 0 {
-				t.Fatalf("loop target not patched: %+v", tg)
-			}
+	var block int32 = -1
+	for _, ins := range ch.Code {
+		if ins.Op == OpTry && ins.B >= 0 {
+			block = ins.B
 		}
 	}
-	if !foundLoop {
-		t.Fatalf("escape hatch jump table misses the enclosing loop: %+v", tab)
+	for pc, ins := range ch.Code {
+		if ins.Op != OpEnterFinally {
+			continue
+		}
+		if ins.A != block || ins.B <= int32(pc) || int(ins.B) >= len(ch.Code) {
+			t.Fatalf("enterfinally at %d not patched (block %d): %+v\n%s", pc, block, ins, dis)
+		}
 	}
+}
+
+// TestCompileRejectsWholeFunction pins the fallback's one granularity: what
+// the compiler cannot place fails the function, never a statement of it.
+func TestCompileRejectsWholeFunction(t *testing.T) {
+	resolved := func(src string) *ast.Func {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve.Program(prog)
+		_, fns := ast.HoistedDecls(prog.Body)
+		return fns[0]
+	}
+
+	fn := resolved(`function f() { var x = 1; return x; }`)
+	fn.Body[0].(*ast.VarDecl).Decls[0].Ref = 0
+	if Compile(fn) != nil {
+		t.Error("compiled an initialized declaration with no slot")
+	}
+
+	fn = resolved(`function f() { try { g(); } catch (e) { return e; } }`)
+	fn.Body[0].(*ast.Try).CatchScope = nil
+	if Compile(fn) != nil {
+		t.Error("compiled a catch clause with no frame layout")
+	}
+
+	fn = resolved(`function f() { while (true) { break; } }`)
+	fn.Body = append(fn.Body, &ast.Break{}, &ast.Continue{Label: "nowhere"})
+	if Compile(fn) != nil {
+		t.Error("compiled a break with no enclosing target")
+	}
+}
+
+func countOp(ch *Chunk, op Op) int {
+	n := 0
+	for _, ins := range ch.Code {
+		if ins.Op == op {
+			n++
+		}
+	}
+	return n
 }
 
 func TestArrayHolesCompileToUndef(t *testing.T) {
@@ -124,10 +164,10 @@ function f() {
   return i;
 }`)
 	dis := ch.Disassemble()
-	// Both labeled jumps compile to plain jumps — no escape hatch, no
+	// Both labeled jumps compile to plain jumps: nothing to unwind, no
 	// dynamic completion objects.
-	if strings.Contains(dis, "execstmt") {
-		t.Fatalf("labeled break/continue should compile to jumps:\n%s", dis)
+	if n := countOp(ch, OpJump); n < 3 || countOp(ch, OpPop) != 0 {
+		t.Fatalf("labeled break/continue should compile to bare jumps:\n%s", dis)
 	}
 }
 

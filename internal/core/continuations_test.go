@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
+
+	"repro/internal/ast"
 )
 
 // contOpts builds a continuation-only configuration (no timer yields), so
@@ -123,7 +127,9 @@ console.log(run());`
 }
 
 // TestContinuationThroughFinally suspends inside a finalizer reached via
-// return (§3.1.1's second case).
+// return (§3.1.1's second case) — with f, the function holding the finally,
+// compiled: the capture leaves its chunk through the finally block and the
+// reinstate comes back into it.
 func TestContinuationThroughFinally(t *testing.T) {
 	src := `
 function audit(x) { return x; }
@@ -142,12 +148,33 @@ console.log(f());`
 	o.YieldIntervalMs = 1
 	for _, cont := range []string{"checked", "exceptional", "eager"} {
 		o.Cont = cont
-		got, err := RunSource(src, o, cfgVirtual())
+		c, err := Compile(src, o)
 		if err != nil {
 			t.Fatalf("%s: %v", cont, err)
 		}
-		if got != "value\n" {
-			t.Errorf("%s: got %q", cont, got)
+		var out bytes.Buffer
+		cfg := cfgVirtual()
+		cfg.Out = &out
+		run, err := c.NewRun(cfg)
+		if err == nil {
+			err = run.RunToCompletion()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", cont, err)
+		}
+		if out.String() != "value\n" {
+			t.Errorf("%s: got %q", cont, out.String())
+		}
+		var f *ast.Func
+		ast.Walk(c.Prog, func(n ast.Node) bool {
+			if fn, ok := n.(*ast.Func); ok && fn.Name == "f" {
+				f = fn
+			}
+			return true
+		})
+		code := f.Code.Load()
+		if code == nil || reflect.ValueOf(code).IsNil() || run.In.ChunkRuns() == 0 {
+			t.Errorf("%s: f did not run as a chunk (published %v, %d chunk runs)", cont, code, run.In.ChunkRuns())
 		}
 	}
 }

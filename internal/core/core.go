@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"repro/internal/anf"
@@ -285,15 +284,17 @@ func lower(prog *ast.Program, opts Opts, tmps int, sites ast.Sites) int {
 // Source prints the compiled JavaScript.
 func (c *Compiled) Source() string { return printer.Print(c.Prog) }
 
-// Execution engine ("backend") names accepted by RunConfig.Backend and the
-// STOPIFY_BACKEND environment variable.
+// Execution engine ("backend") names accepted by RunConfig.Backend.
 const (
-	// BackendTree is the tree-walking interpreter, the differential reference.
+	// BackendTree is the tree-walking interpreter: the reference the
+	// differential suites, the fuzzer and the benchmark's golden check
+	// compare the serving engine against. Nothing serves on it.
 	BackendTree = "tree"
 	// BackendBytecode, the default, lowers resolved function bodies to flat
 	// bytecode (internal/bytecode) and dispatches them through
 	// internal/interp's fetch–execute loop; dynamic code (the global frame,
-	// direct eval fragments, unresolved trees) stays on the tree-walker.
+	// direct eval fragments, unresolved trees) and any function the
+	// compiler refuses stay on the tree-walker.
 	BackendBytecode = "bytecode"
 )
 
@@ -304,10 +305,10 @@ type RunConfig struct {
 	Out    io.Writer       // nil: discard console output
 	Seed   uint64          // Math.random seed
 
-	// Backend selects the execution engine: BackendBytecode or
-	// BackendTree. Empty consults the STOPIFY_BACKEND environment
-	// variable and defaults to bytecode — which is how CI forces its
-	// tree matrix leg without touching every call site.
+	// Backend selects the execution engine: BackendBytecode, which empty
+	// means, or BackendTree. It is the one engine selector there is — no
+	// flag, option or environment variable reaches it — and only code that
+	// names the reference on purpose sets it.
 	Backend string
 
 	// MaxSteps aborts execution once the interpreter's statement counter
@@ -344,20 +345,15 @@ type RunConfig struct {
 }
 
 // useBytecode resolves the configured backend. Unknown names are an error:
-// a typo in a CI matrix or benchmark flag should fail loudly, not silently
-// measure the wrong engine.
+// a typo should fail loudly, not silently measure the wrong engine.
 func (cfg *RunConfig) useBytecode() (bool, error) {
-	b := cfg.Backend
-	if b == "" {
-		b = os.Getenv("STOPIFY_BACKEND")
-	}
-	switch b {
+	switch cfg.Backend {
 	case "", BackendBytecode:
 		return true, nil
 	case BackendTree:
 		return false, nil
 	}
-	return false, fmt.Errorf("stopify: unknown backend %q (want %q or %q)", b, BackendTree, BackendBytecode)
+	return false, fmt.Errorf("stopify: unknown backend %q (want %q or %q)", cfg.Backend, BackendTree, BackendBytecode)
 }
 
 // AsyncRun is the run/pause/resume handle of Figure 1.
@@ -634,7 +630,7 @@ func RunRaw(source string, cfg RunConfig) (string, error) {
 	loop := eventloop.New(clock)
 	in := interp.New(interp.Options{
 		Engine: cfg.Engine, Clock: clock, Loop: loop, Out: out,
-		Seed: cfg.Seed, Bytecode: bc, MaxSteps: cfg.MaxSteps,
+		Seed: cfg.Seed, Bytecode: bc, MaxSteps: cfg.MaxSteps, MemBudget: cfg.MemBudgetBytes,
 	})
 	// Raw execution has the browser's native eval: parse, resolve, and run
 	// directly. The fragment's own statements execute in the dynamic global

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,8 +11,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventloop"
+	"repro/internal/interp"
 	"repro/internal/langs"
 	"repro/internal/parser"
+	"repro/internal/rt"
 )
 
 // The differential harness: every program of the repository's corpora runs
@@ -238,7 +242,7 @@ var edgeCasePrograms = []string{
 	`function f(a, b) { arguments[0] = 9; arguments[5] = "x";
 	 return a + "," + arguments.length + "," + arguments[5] + "," + arguments[1]; }
 	 console.log(f(1, 2, 3));`,
-	// try/finally (escape hatch) interacting with return and loops.
+	// try/finally interacting with return and loops.
 	`function f() {
 	   var s = "";
 	   for (var i = 0; i < 3; i++) {
@@ -365,6 +369,118 @@ var edgeCasePrograms = []string{
 	 var DD = D.bind(null);
 	 var d = new DD();
 	 console.log(d instanceof DD, d instanceof D, d instanceof Dog, d instanceof Animal, typeof DD);`,
+
+	// finally, lowered: every way control can leave a try statement routes
+	// through its finally block, and the block's own abrupt completion wins.
+	// return through one finally and through two nested ones.
+	`function one(x) { var s = ""; try { return s + "r" + x; } finally { s += "never"; log.push("f1"); } }
+	 function two(x) {
+	   try { try { return "r" + x; } finally { log.push("inner"); } log.push("skipped"); }
+	   finally { log.push("outer"); }
+	 }
+	 function bare() { try { return; } finally { log.push("bare"); } }
+	 var log = [];
+	 console.log(one(1), two(2), bare(), log.join(","));`,
+	// Unlabeled break and continue through one finally and through two.
+	`function f() {
+	   var s = "";
+	   for (var i = 0; i < 4; i++) {
+	     try { if (i === 1) { continue; } if (i === 3) { break; } s += "t" + i; }
+	     finally { s += "f" + i; }
+	     s += ";";
+	   }
+	   var j = 0;
+	   while (j < 4) {
+	     j++;
+	     try { try { if (j === 2) { continue; } if (j === 4) { break; } s += "T" + j; }
+	           finally { s += "i" + j; } s += "m"; }
+	     finally { s += "o" + j; }
+	   }
+	   return s;
+	 }
+	 console.log(f());`,
+	// Labeled break and continue crossing finally blocks at two loop levels,
+	// and a labeled block left from inside a try.
+	`function f() {
+	   var s = "";
+	   outer: for (var i = 0; i < 3; i++) {
+	     try {
+	       for (var j = 0; j < 3; j++) {
+	         try { if (j === 1 && i === 0) { continue outer; } if (i === 2) { break outer; } s += i + "" + j; }
+	         finally { s += "a"; }
+	       }
+	     } finally { s += "b|"; }
+	   }
+	   blk: { try { s += "in"; break blk; } finally { s += "F"; } s += "unreached"; }
+	   return s;
+	 }
+	 console.log(f());`,
+	// throw leaving through one and two finally blocks, the error's identity
+	// kept; a catch beside the finally sees it first.
+	`function f() {
+	   var s = "", err = new Error("boom");
+	   try { try { throw err; } finally { s += "1"; } } catch (e) { s += (e === err) + ";"; }
+	   try {
+	     try { try { throw err; } finally { s += "2"; } s += "no"; } finally { s += "3"; }
+	   } catch (e) { s += (e === err) + ";"; }
+	   try { throw err; } catch (e) { s += "c"; } finally { s += "4"; }
+	   try { try { throw err; } catch (e) { s += "c"; throw e; } finally { s += "5"; } } catch (e) { s += (e === err); }
+	   return s;
+	 }
+	 console.log(f());`,
+	// finally inside a for-in (the iterator is unwound by break, continue
+	// and return alike) and inside a catch (the catch frame likewise).
+	`function f(o, stop) {
+	   var s = "";
+	   for (var k in o) {
+	     for (var k2 in o) {
+	       try { if (k2 === "b") { continue; } if (k === stop) { return s + "!" + k; } if (k2 === "c") { break; } s += k + k2; }
+	       finally { s += "."; }
+	     }
+	   }
+	   return s;
+	 }
+	 function g() {
+	   var s = "";
+	   for (var i = 0; i < 3; i++) {
+	     try { throw i; } catch (e) {
+	       var seen = function () { return e; };
+	       try { if (e === 1) { continue; } if (e === 2) { break; } s += "c" + e; } finally { s += "f" + seen(); }
+	     }
+	   }
+	   try { throw "x"; } catch (e) { try { return s + e; } finally { s += "lost"; } }
+	 }
+	 console.log(f({a: 1, b: 2, c: 3, d: 4}, "none"), f({a: 1, b: 2, c: 3}, "c"), g());`,
+	// An abrupt finally wins: over a pending return, over a pending throw
+	// (by return, by break, by continue, by another throw), and a finally
+	// inside a finally.
+	`function overRet() { try { return "a"; } finally { throw new Error("fin"); } }
+	 function overThrow() { try { throw new Error("lost"); } finally { return "kept"; } }
+	 function loops() {
+	   var s = "";
+	   for (var i = 0; i < 3; i++) { try { throw new Error("l" + i); } finally { s += i; if (i < 2) { continue; } break; } }
+	   for (;;) { try { return "not this"; } finally { break; } }
+	   try { try { throw new Error("one"); } finally { throw new Error("two"); } } catch (e) { s += e.message; }
+	   try { s += "a"; } finally { try { s += "b"; } finally { s += "c"; } s += "d"; }
+	   return s;
+	 }
+	 var r; try { r = overRet(); } catch (e) { r = e.message; }
+	 console.log(r, overThrow(), loops());`,
+	// A throw from three frames down passes a finally in every frame, and
+	// one from 150 frames down 150 of them.
+	`var trail = [];
+	 function c3(x) { try { if (x) { throw new Error("deep" + x); } return "fine"; } finally { trail.push("c3"); } }
+	 function c2(x) { try { return c3(x) + "2"; } finally { trail.push("c2"); } }
+	 function c1(x) { try { return c2(x) + "1"; } finally { trail.push("c1"); } }
+	 function rec(n) { try { if (n === 0) { throw new RangeError("bottom"); } return rec(n - 1); } finally { depth++; } }
+	 var depth = 0, got;
+	 try { got = c1(0) + "," + c1(7); } catch (e) { got = e.message; }
+	 try { rec(150); } catch (e) { got += "," + e.name + "," + depth; }
+	 console.log(got, trail.join(""));`,
+	// A step-budget abort inside a try is no completion: no finally block
+	// runs on its way out.
+	`function f() { try { while (true) { f.n = (f.n | 0) + 1; } } finally { console.log("finally ran"); } }
+	 try { f(); } finally { console.log("outer finally ran"); }`,
 }
 
 // valueReprEdgePrograms pin the numeric/string boundary behavior of the
@@ -615,6 +731,57 @@ func TestDifferentialStopified(t *testing.T) {
 	}
 	if !sawBytecode {
 		t.Fatal("bytecode engine never executed a chunk across the whole corpus")
+	}
+}
+
+// TestAbortRunsNoFinally is interp's test of the same name one level up, on
+// instrumented code: a guest ended from outside — by its step budget, by its
+// memory budget, by a kill — runs none of the finally blocks it was inside,
+// on either engine. Before the rule, a killed guest and one whose budget had
+// refused an allocation ran them all, and the block that then looped forever
+// had swallowed the abort by its first capture — a capture is a return, and
+// an abrupt finally wins. (The step budgets here bound that failure.)
+func TestAbortRunsNoFinally(t *testing.T) {
+	guest := func(body string) string {
+		return `var n = 0, keep = [];
+function f() {
+  try { try { ` + body + ` } finally { console.log("inner finally ran"); } }
+  catch (e) { console.log("caught", e); }
+  finally { console.log("outer finally ran"); for (;;) {} }
+}
+f();
+console.log("guest went on");`
+	}
+	for _, tc := range []struct {
+		name, body string
+		cfg        core.RunConfig
+		kill       bool
+		want       error
+	}{
+		{name: "step-budget", body: `for (;;) { n++; }`, cfg: core.RunConfig{MaxSteps: 20_000}, want: interp.ErrStepBudget},
+		{name: "mem-limit", body: `for (;;) { keep.push(new Array(1000)); }`, cfg: core.RunConfig{MemBudgetBytes: 1 << 20, MaxSteps: 300_000}, want: interp.ErrMemLimit},
+		{name: "kill", body: `for (;;) { n++; }`, cfg: core.RunConfig{QuantumSteps: 5_000, MaxSteps: 1_000_000}, kill: true, want: rt.ErrKilled},
+	} {
+		c, err := core.Compile(guest(tc.body), core.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
+			var out bytes.Buffer
+			var run *core.AsyncRun
+			cfg := tc.cfg
+			cfg.Backend, cfg.Out, cfg.Clock = backend, &out, eventloop.NewVirtualClock()
+			if tc.kill {
+				cfg.OnQuantum = func() { run.Kill(nil) }
+			}
+			run, err = c.NewRun(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run.RunToCompletion(); !errors.Is(err, tc.want) || out.String() != "" {
+				t.Errorf("%s/%s: err %v, printed %q; want %v and nothing", tc.name, backend, err, out.String(), tc.want)
+			}
+		}
 	}
 }
 

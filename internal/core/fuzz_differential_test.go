@@ -45,10 +45,12 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 }
 
 // fuzzOutcome is runRawOutcome with a tighter budget — fuzz inputs loop
-// forever routinely, and both engines abort at the same boundary — and a
+// forever routinely, and both engines abort at the same boundary — a
 // shallow engine stack, so generated runaway recursion throws RangeError
 // long before the native stack (inflated by fuzz instrumentation) is at
-// risk.
+// risk, and a memory budget: a string doubled in a loop reaches the engine's
+// 1 GiB limit within the step budget, which takes one input past the
+// fuzzer's ten-second hang detector and the worker past any sane footprint.
 func fuzzOutcome(src, backend string) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -58,11 +60,12 @@ func fuzzOutcome(src, backend string) (o outcome) {
 	eng := engine.Uniform()
 	eng.MaxStack = 2000
 	out, err := core.RunRaw(src, core.RunConfig{
-		Backend:  backend,
-		Engine:   eng,
-		Clock:    eventloop.NewVirtualClock(),
-		Seed:     1,
-		MaxSteps: 50_000,
+		Backend:        backend,
+		Engine:         eng,
+		Clock:          eventloop.NewVirtualClock(),
+		Seed:           1,
+		MaxSteps:       50_000,
+		MemBudgetBytes: 64 << 20,
 	})
 	o.out = out
 	if err != nil {
@@ -73,7 +76,7 @@ func fuzzOutcome(src, backend string) (o outcome) {
 
 // randomProgram generates a deterministic pseudo-random program from
 // statement and expression templates covering the constructs the bytecode
-// compiler lowers (and the ones it escape-hatches).
+// compiler lowers.
 func randomProgram(rnd *rand.Rand) string {
 	var b strings.Builder
 	b.WriteString("function main() {\n var s = \"\"; var n = 0; var o = {a:1,b:2}; var arr = [1,2,3];\n")

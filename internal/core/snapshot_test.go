@@ -78,11 +78,18 @@ func finish(run *core.AsyncRun, buf *bytes.Buffer) outcome {
 
 func roundTripProgram(t *testing.T, p diffProgram, backend string) {
 	t.Helper()
+	roundTripAt(t, p, backend, backend, parkQuantum(p.name))
+}
+
+// roundTripAt parks p after quantum statements on one engine and restores
+// the blob on another (or the same), returning what the parked guest had
+// printed by then — which is how a caller knows where the park landed.
+func roundTripAt(t *testing.T, p diffProgram, backend, restoreBackend string, quantum uint64) (printedAtPark string) {
+	t.Helper()
 	c, err := core.Compile(p.src, p.opts)
 	if err != nil {
 		t.Skipf("does not compile under these options: %v", err)
 	}
-	quantum := parkQuantum(p.name)
 
 	// Leg A: pause at the quantum, resume in place.
 	runA, bufA := runToPark(t, c, backend, quantum)
@@ -99,6 +106,7 @@ func roundTripProgram(t *testing.T, p diffProgram, backend string) {
 	if !runB.Paused() {
 		t.Fatalf("leg B did not park where leg A did")
 	}
+	printedAtPark = bufB.String()
 	blob, err := runB.Snapshot()
 	if perr := (*snapshot.PinError)(nil); errors.As(err, &perr) {
 		// Pinned guests (live bound functions, Date instances, eval
@@ -116,7 +124,7 @@ func roundTripProgram(t *testing.T, p diffProgram, backend string) {
 
 	bufR := &bytes.Buffer{}
 	restored, err := core.RestoreWith(core.RunConfig{
-		Backend:  backend,
+		Backend:  restoreBackend,
 		Clock:    eventloop.NewVirtualClock(),
 		Out:      bufR,
 		MaxSteps: diffBudget,
@@ -138,11 +146,12 @@ func roundTripProgram(t *testing.T, p diffProgram, backend string) {
 		// program exhausts at a slightly different output point than the
 		// never-paused run (equally for in-place resume and restore, as the
 		// A/B comparison above proves).
-		calm, _ := runStopifiedOutcome(t, c, backend)
+		calm, _ := runStopifiedOutcome(t, c, restoreBackend)
 		if calm != b {
 			t.Fatalf("restored run diverged from calm run:\n  calm:     %v\n  restored: %v", calm, b)
 		}
 	}
+	return printedAtPark
 }
 
 // TestSnapshotRoundTripDifferential round-trips the whole corpus through the
@@ -288,6 +297,45 @@ func adversarialPrograms() []diffProgram {
 			}
 			console.log(caught, sum);
 		`),
+		// Wherever the park lands it is in or about to leave a try
+		// statement with a finally: by return, throw, break and continue,
+		// through a catch that handles or rethrows, through a finally that
+		// overrides, two statements deep. The finally blocks call nothing,
+		// so the park is never inside one: there the instrumentation keeps a
+		// pending return and no other completion (§3.1.1), which
+		// TestSnapshotParkedInsideFinally covers.
+		mk("finally-park", `
+			function step(i) { return (i * 7 + 3) % 11; }
+			function guarded(i) {
+				var acc = 0;
+				for (var k = 0; k < 3; k++) {
+					try {
+						try {
+							acc += step(i + k);
+							if (i % 7 === 0) { throw {at: i}; }
+							if (i % 5 === 0) { return acc; }
+							if (i % 3 === 0) { continue; }
+							if (i % 11 === 0) { break; }
+							acc += 1;
+						} catch (e) {
+							acc = -e.at;
+							if (i % 14 === 0) { throw e; }
+						} finally {
+							cleanups = (cleanups + (k * 7 + 3) % 11) % 9973;
+						}
+					} finally {
+						if (i % 33 === 0) { return "override"; }
+					}
+				}
+				return acc + 1000;
+			}
+			var cleanups = 0, log = [];
+			for (var i = 0; i < 1500; i++) {
+				try { log.push(guarded(i)); } catch (e) { log.push("E" + e.at); }
+				if (log.length > 40) { log = [log.join("").length]; }
+			}
+			console.log(cleanups, log.join(","));
+		`),
 	}
 }
 
@@ -299,6 +347,64 @@ func TestSnapshotAdversarial(t *testing.T) {
 			t.Run(backend+"/"+p.name, func(t *testing.T) {
 				roundTripProgram(t, p, backend)
 			})
+		}
+	}
+}
+
+// TestSnapshotParkedInsideFinally parks a guest inside a try block whose
+// return is yet to leave through the finally, and again inside the finally
+// block with that return pending, and restores each blob on the engine that
+// parked it and on the other one: a continuation is heap frames of
+// instrumented JavaScript, nothing of either engine's, so the blob must not
+// care. The program says where it is, which is how the test knows where the
+// park landed.
+func TestSnapshotParkedInsideFinally(t *testing.T) {
+	p := diffProgram{name: "parked-inside-finally", opts: core.Defaults(), src: `
+		function step(i) { return (i * 7 + 3) % 11; }
+		function work(n) {
+			var s = 0;
+			try {
+				console.log("in try");
+				for (var i = 0; i < n; i++) { s = (s + step(i)) % 1000003; }
+				return s;
+			} finally {
+				console.log("in finally");
+				for (var j = 0; j < n; j++) { done = (done + step(j)) % 1000003; }
+				console.log("leaving finally");
+			}
+		}
+		var done = 0;
+		console.log(work(2000), done);
+	`}
+	c, err := core.Compile(p.src, p.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.NewRun(core.RunConfig{Clock: eventloop.NewVirtualClock()})
+	if err == nil {
+		err = run.RunToCompletion()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := run.In.Steps // the two loops are twins: a quarter and three quarters of the way
+	engines := []string{core.BackendTree, core.BackendBytecode}
+	for _, at := range []struct {
+		name    string
+		quantum uint64
+		printed string
+	}{
+		{"try", total / 4, "in try\n"},
+		{"finally", total * 3 / 4, "in try\nin finally\n"},
+	} {
+		for _, from := range engines {
+			for _, to := range engines {
+				t.Run(at.name+"/"+from+"-to-"+to, func(t *testing.T) {
+					if got := roundTripAt(t, p, from, to, at.quantum); got != at.printed {
+						t.Fatalf("parked having printed %q, want %q", got, at.printed)
+					}
+				})
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@
 // The absolute numbers are synthetic; what matters (and what Figure 2b and
 // Figure 11 test) is the asymmetry: Edge-like engines make try/catch and
 // Object.create expensive relative to plain checks and `new`, while
-// Chrome-like engines make them cheap. See DESIGN.md §1.
+// Chrome-like engines make them cheap.
 package engine
 
 // Profile describes one browser-like engine.

@@ -10,7 +10,7 @@ import (
 // JavaScript through a native frame; programs compiled with Stopify must not
 // capture continuations inside such callbacks (compiler-generated code in
 // practice defines its own higher-order helpers in JS, which is what the
-// benchmark programs do — see DESIGN.md §4.1).
+// benchmark programs do).
 func (in *Interp) setupArray() {
 	arrayCtor := in.native("Array", func(in *Interp, this Value, args []Value) (Value, error) {
 		in.charge(in.Engine.ObjectCreateCost)

@@ -124,15 +124,12 @@ function f(o) { for (k in o) {} return typeof k; }
 console.log(f({a: 1}));`)
 }
 
-// TestReturnFreelistThroughEscapeHatch is the regression test for the
-// completion-record freelist audit: a return completion that escapes a
-// tree-walked statement (try/finally, the escape hatch) into the dispatch
-// loop is consumed there — exactly once — and recycled. Interleaved calls
-// through both consumption points (runChunk's escape-hatch path and Call's
-// tree epilogue) must never observe each other's completion values, which
-// is what would happen if a completion were recycled while still in
-// flight or recycled twice.
-func TestReturnFreelistThroughEscapeHatch(t *testing.T) {
+// TestReturnThroughFinally is the regression test for the completion-record
+// freelist audit, and for the compiled counterpart that has no completion
+// records: a return that leaves through a finally block arrives exactly once
+// with its own value, however the two kinds of call interleave and whether
+// the finally lets it pass or overrides it.
+func TestReturnThroughFinally(t *testing.T) {
 	out := runBoth(t, `
 function viaFinally(n) {
   try { return "f" + n; } finally { var sink = n; }
@@ -142,8 +139,8 @@ function viaFinallyOverride() {
 }
 function plain(n) { return "p" + n; }
 function nest(n) {
-  // A tree-consumed return (plain) evaluated while an escape-hatch
-  // return (viaFinally) is being constructed, and vice versa.
+  // A plain return evaluated while a return through a finally is being
+  // constructed, and vice versa.
   try { return viaFinally(plain(n)) + "|" + plain(viaFinally(n)); } finally {}
 }
 var r = [];
@@ -154,7 +151,7 @@ for (var i = 0; i < 50; i++) {
 console.log(r[0], r[1], r[98], r[99], r.length);`)
 	want := "fp0|pf0 override fp49|pf49 override 100\n"
 	if out != want {
-		t.Fatalf("freelist corruption: got %q want %q", out, want)
+		t.Fatalf("returns crossed: got %q want %q", out, want)
 	}
 }
 
@@ -183,6 +180,56 @@ func TestBytecodeStepBudgetParity(t *testing.T) {
 	diff := int64(treeSteps) - int64(bcSteps)
 	if diff < -8 || diff > 8 {
 		t.Fatalf("step counters diverged: tree=%d bytecode=%d", treeSteps, bcSteps)
+	}
+}
+
+// TestAbortRunsNoFinally pins the one rule for what is not a completion — a
+// budget abort here; a kill or a host error alike: it ends the guest from
+// outside, and no guest code runs on its way out, neither a catch body nor a
+// finally block. Same output (none), same error, on both engines; the
+// compiled function's finally blocks and the global frame's tree-walked one
+// alike. (A memory abort raised by a refused allocation is not even standing
+// afterwards — the bytes were never charged — so a finally block entered
+// would simply run.)
+func TestAbortRunsNoFinally(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body string
+		opts Options
+		want error
+	}{
+		{"step-budget", `while (true) { n++; }`, Options{MaxSteps: 10_000}, ErrStepBudget},
+		{"mem-limit", `while (true) { keep.push(new Array(1000)); }`, Options{MemBudget: 256 << 10}, ErrMemLimit},
+	} {
+		src := `var n = 0, keep = [];
+function f() {
+  try { try { ` + tc.body + ` } finally { console.log("inner finally ran"); } }
+  catch (e) { console.log("caught", e); }
+  finally { console.log("outer finally ran"); }
+}
+try { f(); } finally { console.log("global finally ran"); }`
+		var steps [2]uint64
+		for i, bc := range []bool{false, true} {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolve.Program(prog)
+			var out bytes.Buffer
+			opts := tc.opts
+			opts.Out, opts.Bytecode = &out, bc
+			in := New(opts)
+			if err := in.RunProgram(prog); err != tc.want || out.String() != "" {
+				t.Errorf("%s (bytecode=%v): err %v, printed %q; want %v and nothing", tc.name, bc, err, out.String(), tc.want)
+			}
+			if bc && in.ChunkRuns() == 0 {
+				t.Errorf("%s: f was not compiled", tc.name)
+			}
+			steps[i] = in.Steps
+		}
+		if diff := int64(steps[0]) - int64(steps[1]); diff < -8 || diff > 8 {
+			t.Errorf("%s: step counters diverged: tree=%d bytecode=%d", tc.name, steps[0], steps[1])
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // representation, Env frames, shapes, the per-site inline caches, the
 // engine cost model — so the two engines differ only in dispatch. The
 // tree-walker remains the substrate for dynamic code (the global frame,
-// eval'd fragments, unresolved trees) and for the per-statement escape
-// hatches the compiler emits.
+// eval'd fragments, unresolved trees) and for the functions the compiler
+// refuses; a chunk, once entered, never calls it.
 
 // ErrStepBudget aborts execution when Options.MaxSteps is exhausted. Both
 // engines check the budget at the same statement boundaries, so a budgeted
@@ -41,12 +41,20 @@ func iterValue(it *forInIter) Value {
 
 func (v Value) iter() *forInIter { return (*forInIter)(v.ptr) }
 
-// tryFrame is one active try/catch region in a chunk invocation.
+// tryFrame is one active try statement in a chunk invocation: where a throw
+// lands — the catch body (catchPC, -1 for none or once that body is running)
+// or else the finally block (finPC, -1 for none) — and the operand-stack and
+// environment depths execution resumes at.
 type tryFrame struct {
-	catchPC  int32 // -1 for a catchless try (charge-only region)
+	catchPC  int32
+	finPC    int32
 	sp       int
 	envDepth int
 }
+
+// rethrow, where a finally block's pending completion holds the pc to resume
+// at, says the completion is the throw of the value in the slot beneath.
+const rethrow = -1
 
 // chunk is a compiled function body plus its constant pool: the
 // bytecode.Chunk's typed constants converted to tagged Values exactly once,
@@ -836,9 +844,34 @@ loop:
 			goto fail
 		case bytecode.OpTry:
 			in.charge(in.Engine.TryCost)
-			tries = append(tries, tryFrame{catchPC: ins.A, sp: sp, envDepth: envDepth})
+			tries = append(tries, tryFrame{catchPC: ins.A, finPC: ins.B, sp: sp, envDepth: envDepth})
 		case bytecode.OpPopTry:
 			tries = tries[:len(tries)-1]
+		case bytecode.OpEnterFinally:
+			f := tries[len(tries)-1]
+			tries = tries[:len(tries)-1]
+			for envDepth > f.envDepth {
+				env = env.parent
+				envDepth--
+			}
+			ret := Undefined
+			if ins.C != 0 {
+				ret = stack[sp-1]
+			}
+			stack[f.sp] = ret
+			stack[f.sp+1] = NumberValue(float64(ins.B))
+			sp = f.sp + 2
+			pc = int(ins.A)
+		case bytecode.OpEndFinally:
+			sp--
+			if resume := int(stack[sp].num); resume != rethrow {
+				pc = resume
+				break
+			}
+			// The throw the block interrupted goes on as it was: its value,
+			// no second ThrowCost.
+			err = &Thrown{Value: stack[sp-1]}
+			goto fail
 		case bytecode.OpEnterCatch:
 			sp--
 			env = NewSlotEnv(env, ch.Scopes[ins.A])
@@ -864,98 +897,45 @@ loop:
 				sp++
 			}
 
-		case bytecode.OpExecStmt:
-			e := in.execStmt(ch.Stmts[ins.A], env)
-			if e == nil {
-				break
-			}
-			switch t := e.(type) {
-			case *returnErr:
-				// The completion is consumed here and nothing else can
-				// hold it; recycle it exactly as Call's epilogue does —
-				// the single-consumer invariant the freelist depends on.
-				v := t.value
-				t.value = Value{}
-				in.retFree = append(in.retFree, t)
-				return v, nil
-			case *breakErr:
-				tab := ch.JumpTabs[ins.B]
-				matched := false
-				for i := range tab {
-					tg := &tab[i]
-					if t.label == "" {
-						if !tg.BreakPlain {
-							continue
-						}
-					} else if !hasLabel(tg.Labels, t.label) {
-						continue
-					}
-					sp -= tg.BreakFix.PopIters
-					for n := 0; n < tg.BreakFix.LeaveScopes; n++ {
-						env = env.parent
-						envDepth--
-					}
-					tries = tries[:len(tries)-tg.BreakFix.PopTries]
-					pc = int(tg.BreakPC)
-					matched = true
-					break
-				}
-				if !matched {
-					return Undefined, e
-				}
-			case *continueErr:
-				tab := ch.JumpTabs[ins.B]
-				matched := false
-				for i := range tab {
-					tg := &tab[i]
-					if !tg.Loop {
-						continue
-					}
-					if t.label != "" && !hasLabel(tg.Labels, t.label) {
-						continue
-					}
-					sp -= tg.ContFix.PopIters
-					for n := 0; n < tg.ContFix.LeaveScopes; n++ {
-						env = env.parent
-						envDepth--
-					}
-					tries = tries[:len(tries)-tg.ContFix.PopTries]
-					pc = int(tg.ContPC)
-					matched = true
-					break
-				}
-				if !matched {
-					return Undefined, e
-				}
-			default:
-				err = e
-				goto fail
-			}
-
 		default:
 			return Undefined, errors.New("interp: unknown opcode " + ins.Op.String())
 		}
 		continue
 
 	fail:
-		if t, ok := err.(*Thrown); ok {
-			for len(tries) > 0 {
-				f := tries[len(tries)-1]
-				tries = tries[:len(tries)-1]
-				if f.catchPC < 0 {
-					continue
+		// A throw unwinds to the innermost handler: its catch body, or its
+		// finally block with the throw pending. Nothing else is a completion
+		// — a budget abort, a kill, a host error — and no guest code, a
+		// finally block included, runs on its way out (execTry's rule too).
+		t, thrown := err.(*Thrown)
+		for n := len(tries); thrown && n > 0; n = len(tries) {
+			f := tries[n-1]
+			switch {
+			case f.catchPC >= 0:
+				if f.finPC >= 0 {
+					tries[n-1].catchPC = -1 // stays, to guard the catch body
+				} else {
+					tries = tries[:n-1]
 				}
-				for envDepth > f.envDepth {
-					env = env.parent
-					envDepth--
-				}
-				sp = f.sp
-				stack[sp] = t.Value
-				sp++
+				stack[f.sp] = t.Value
+				sp = f.sp + 1
 				pc = int(f.catchPC)
-				err = nil
-				continue loop
+			case f.finPC >= 0:
+				tries = tries[:n-1]
+				stack[f.sp] = t.Value
+				stack[f.sp+1] = NumberValue(rethrow)
+				sp = f.sp + 2
+				pc = int(f.finPC)
+			default:
+				tries = tries[:n-1]
+				continue
 			}
+			for envDepth > f.envDepth {
+				env = env.parent
+				envDepth--
+			}
+			err = nil
+			continue loop
 		}
 		return Undefined, err
 	}

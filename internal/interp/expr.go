@@ -772,11 +772,9 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	case nil:
 		return Undefined, nil
 	case *returnErr:
-		// The completion is consumed here and nothing else can hold it;
-		// recycle it (interp.go newReturn). runChunk's escape-hatch path
-		// is the only other consumer, with the same single-consume
-		// obligation — a returnErr must never be recycled twice or
-		// recycled while still propagating.
+		// The completion is consumed here, its only consumer, and nothing
+		// else can hold it; recycle it (interp.go newReturn). A returnErr
+		// must never be recycled twice or while still propagating.
 		v := e.value
 		e.value = Value{}
 		in.retFree = append(in.retFree, e)

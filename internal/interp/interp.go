@@ -27,8 +27,8 @@ type Options struct {
 	// Bytecode dispatches resolved function bodies through the flat
 	// bytecode engine (internal/bytecode + dispatch.go) instead of the
 	// tree-walker. Dynamic code — the global frame, eval'd fragments,
-	// unresolved trees, and per-statement escape hatches — always runs on
-	// the tree-walker; the two engines are observationally identical.
+	// unresolved trees — and any function the compiler refuses always run
+	// on the tree-walker; the two engines are observationally identical.
 	Bytecode bool
 	// MaxSteps aborts execution with ErrStepBudget once the statement
 	// counter exceeds it; 0 means unlimited. Both engines check at the
@@ -269,7 +269,7 @@ func (in *Interp) charge(units int) {
 }
 
 // Depth reports the current JavaScript call depth; the Stopify runtime's
-// deep-stack mode reads it (DESIGN.md §4.5).
+// deep-stack mode (§5.2) reads it.
 func (in *Interp) Depth() int { return in.depth }
 
 // EnterAtomic marks the start of a native section that calls back into
@@ -749,12 +749,24 @@ func (in *Interp) execTry(n *ast.Try, env *Env) error {
 		}
 		err = in.execStmts(n.Catch.Body, cenv)
 	}
-	if n.Finally != nil {
+	if n.Finally != nil && isCompletion(err) {
 		if ferr := in.execStmts(n.Finally.Body, env); ferr != nil {
 			return ferr // an abrupt finally completion wins
 		}
 	}
 	return err
+}
+
+// isCompletion reports whether err is a way JavaScript code completes: not
+// at all, or by throw, return, break or continue. Anything else ends the
+// guest from outside it — a budget abort, a kill, a host error — and no
+// guest code, a finally block included, runs on its way out.
+func isCompletion(err error) bool {
+	switch err.(type) {
+	case nil, *Thrown, *returnErr, *breakErr, *continueErr:
+		return true
+	}
+	return false
 }
 
 // WriteOut emits console output.

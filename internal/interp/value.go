@@ -9,7 +9,7 @@
 // the paper's evaluation. It charges work units through an engine.Profile so
 // that the browser-specific cost asymmetries (Figure 2b, Figure 11) are
 // reproducible, and it is deliberately not a JIT: the paper's results are
-// relative slowdowns, which survive a uniformly slower engine (DESIGN.md §1).
+// relative slowdowns, which survive a uniformly slower engine.
 package interp
 
 import (

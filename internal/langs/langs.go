@@ -4,8 +4,7 @@
 // of benchmark programs written in the style that compiler actually emits —
 // PyJS's dictionary-backed objects and optional arguments, ScalaJS's boxed
 // values and translated standard library, Emscripten's flat
-// typed-array-style code, and so on (see DESIGN.md §1 for the substitution
-// argument).
+// typed-array-style code, and so on.
 //
 // Every benchmark prints a deterministic checksum, so the harness can
 // verify that instrumented and raw runs agree before trusting a timing.

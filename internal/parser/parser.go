@@ -5,7 +5,7 @@
 // features Stopify relies on (arrow functions and new.target). let and const
 // are accepted and normalized to var declarations: the code this repository
 // compiles — compiler output and benchmark programs — does not depend on
-// temporal-dead-zone semantics (see DESIGN.md §4).
+// temporal-dead-zone semantics.
 package parser
 
 import (

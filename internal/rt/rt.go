@@ -2,7 +2,7 @@
 // the normal/capture/restore execution modes (§3.1), first-class
 // continuation values, the elapsed-time estimators of §5.1, pause/resume
 // and breakpoints (§5.2), simulated blocking calls, and segmented restore —
-// the mechanism behind deep stacks (§5.2 and DESIGN.md §4.4).
+// the mechanism behind deep stacks (§5.2).
 //
 // Instrumented programs talk to the runtime through the JS globals $mode,
 // $stack, $rstack and $shadow, and through the natives $C, $suspend, $bp,
@@ -371,7 +371,7 @@ const maxRestoreDepth = 32768
 
 // startRestore reinstates a continuation. Only the innermost RestoreSegment
 // frames are re-entered on the native stack; outer frames wait in
-// pendingOuter and are restored as inner segments return (DESIGN.md §4.4).
+// pendingOuter and are restored as inner segments return (§5.2).
 func (r *R) startRestore(frames Frames, v interp.Value, throwErr error) {
 	if len(frames) == 0 {
 		r.afterStep(v, throwErr)

@@ -54,8 +54,7 @@ type LoadConfig struct {
 	QuantumSteps  uint64 `json:"quantum_steps"` // default 2000
 	// MaxResident bounds live realms; 0 picks Workers*8 (small on purpose —
 	// the harness wants park/restore on the hot path), negative disables.
-	MaxResident int    `json:"max_resident"`
-	Backend     string `json:"backend,omitempty"`
+	MaxResident int `json:"max_resident"`
 	// HostileEvery makes every k-th arrival an infinite loop with a 200 ms
 	// deadline. Default 100; negative disables.
 	HostileEvery int `json:"hostile_every"`
@@ -318,7 +317,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	s := New(Options{
 		Workers:      cfg.Workers,
 		QuantumSteps: cfg.QuantumSteps,
-		Backend:      cfg.Backend,
 		MaxResident:  cfg.MaxResident,
 		ProfileEvery: cfg.ProfileEvery,
 	})

@@ -10,25 +10,35 @@ import (
 // Preemption parity (ISSUE 5): a program chopped into many tiny quanta —
 // preempted, requeued, and resumed over and over by the supervisor — must
 // produce byte-identical output and the identical error to one unbounded
-// run, on both execution engines. Preemption is supposed to be invisible
-// to the guest; any divergence means a continuation capture or a frame
-// restore corrupted program state.
+// run, whichever engine made that run. Preemption is supposed to be
+// invisible to the guest; any divergence means a continuation capture or a
+// frame restore corrupted program state.
+
+type parityProgram struct {
+	name    string
+	src     string
+	quantum uint64 // 0: the test's own, a few dozen statements
+}
+
+func (p parityProgram) quantumOr(def uint64) uint64 {
+	if p.quantum != 0 {
+		return p.quantum
+	}
+	return def
+}
 
 // parityPrograms covers the state a capture/restore cycle could corrupt:
 // loop counters, closure captures, deep recursion, try/finally unwinding,
 // uncaught errors, and cross-turn timer state.
-var parityPrograms = []struct {
-	name string
-	src  string
-}{
-	{"loops", `
+var parityPrograms = []parityProgram{
+	{name: "loops", src: `
 var s = 0;
 for (var i = 0; i < 3000; i++) { s = (s * 31 + i) % 1000003; }
 var t = 0, j = 0;
 while (j < 500) { t += j * j; j++; }
 console.log(s, t);
 `},
-	{"closures", `
+	{name: "closures", src: `
 var fns = [];
 function mk(i) { var n = i * 3; return function () { return n + i; }; }
 for (var i = 0; i < 200; i++) { fns.push(mk(i)); }
@@ -36,7 +46,7 @@ var total = 0;
 for (var k = 0; k < fns.length; k++) { total += fns[k](); }
 console.log(total);
 `},
-	{"recursion", `
+	{name: "recursion", src: `
 function ack(m, n) {
   if (m === 0) { return n + 1; }
   if (n === 0) { return ack(m - 1, 1); }
@@ -44,7 +54,7 @@ function ack(m, n) {
 }
 console.log(ack(2, 6), ack(1, 40));
 `},
-	{"tryfinally", `
+	{name: "tryfinally", src: `
 var log = [];
 function risky(i) {
   try {
@@ -60,14 +70,14 @@ for (var i = 0; i < 60; i++) {
 }
 console.log(out.join(","), log.length);
 `},
-	{"uncaught", `
+	{name: "uncaught", src: `
 var n = 0;
 for (var i = 0; i < 800; i++) { n += i; }
 console.log("before", n);
 undefinedFunction(n);
 console.log("after");
 `},
-	{"strings", `
+	{name: "strings", src: `
 var s = "";
 for (var i = 0; i < 120; i++) { s += (i % 10); }
 var o = {};
@@ -83,12 +93,48 @@ console.log(s.length, ks.join(" "));
 	// point of yielding), not state corruption, so it is out of parity
 	// scope. The timercb program instead preempts inside a callback and
 	// demands the callback's own state survive.
-	{"timercb", `
+	{name: "timercb", src: `
 setTimeout(function () {
   var s = 0;
   for (var i = 0; i < 2000; i++) { s += i * 2; }
   console.log("cb", s);
 }, 0);
+`},
+	// Quantum 1 pauses at every yield point there is, so captures land
+	// inside the try block and the catch body while a return, a throw, a
+	// break or a continue is about to leave through the finally, and inside
+	// the finally block itself. There the instrumentation re-raises a
+	// pending return on re-entry and nothing else (the paper's §3.1.1
+	// covers only that case), so the block calls out, and so can be
+	// captured, only when what is pending is a return or nothing.
+	{name: "finallycapture", quantum: 1, src: `
+function tick(x) { return x + 1; }
+function leave(how, i) {
+  var trail = "";
+  for (var k = 0; k < 2; k++) {
+    try {
+      trail += tick(k);
+      if (how === 0) { return trail + "r"; }
+      if (how === 1) { throw new Error("t" + i); }
+      if (how === 2) { break; }
+      if (how === 3) { continue; }
+      trail += "n";
+    } catch (e) {
+      trail += tick(k) + e.message;
+      if (i === 1) { throw e; }
+    } finally {
+      if (how === 0 || how >= 4) { trail += "f" + tick(tick(k)); } else { trail += "f"; }
+      if (how === 4) { return trail + "o"; }
+    }
+    trail += ";";
+  }
+  return trail;
+}
+var out = [];
+for (var i = 0; i < 12; i++) {
+  try { out.push(leave(i % 6, i)); } catch (e) { out.push("E" + e.message); }
+}
+console.log(out.join(" "));
 `},
 }
 
@@ -108,14 +154,16 @@ func errString(err error) string {
 
 // TestPreemptionParitySupervisor runs every program under brutally small
 // supervisor quanta (25 statements — hundreds of preemptions per program)
-// on a 2-worker pool and compares against the unbounded run.
+// on a 2-worker pool and compares against the unbounded run, made on the
+// reference engine and on the serving one.
 func TestPreemptionParitySupervisor(t *testing.T) {
-	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
-		s := New(Options{Workers: 2, QuantumSteps: 25, Backend: backend})
+	for _, reference := range []string{core.BackendTree, core.BackendBytecode} {
 		for _, p := range parityPrograms {
 			p := p
-			t.Run(backend+"/"+p.name, func(t *testing.T) {
-				wantOut, wantErr := unboundedRun(t, p.src, backend)
+			t.Run(reference+"/"+p.name, func(t *testing.T) {
+				wantOut, wantErr := unboundedRun(t, p.src, reference)
+				s := New(Options{Workers: 2, QuantumSteps: p.quantumOr(25)})
+				defer s.Close()
 				g, err := s.Submit(SubmitOptions{Source: p.src})
 				if err != nil {
 					t.Fatal(err)
@@ -133,7 +181,6 @@ func TestPreemptionParitySupervisor(t *testing.T) {
 				}
 			})
 		}
-		s.Close()
 	}
 }
 
@@ -160,7 +207,7 @@ func TestPreemptionParityCoreQuantum(t *testing.T) {
 				run, err = c.NewRun(core.RunConfig{
 					Out:          &buf,
 					Backend:      backend,
-					QuantumSteps: 20,
+					QuantumSteps: p.quantumOr(20),
 					OnQuantum: func() {
 						if run != nil {
 							run.Pause(nil)
@@ -172,13 +219,13 @@ func TestPreemptionParityCoreQuantum(t *testing.T) {
 				}
 				// The prelude may have consumed the initial quantum (the
 				// hook is one-shot); re-arm for $main.
-				run.ArmQuantum(20)
+				run.ArmQuantum(p.quantumOr(20))
 				run.Run(nil)
 				resumes := 0
 				for {
 					if run.Paused() {
 						resumes++
-						run.ArmQuantum(20)
+						run.ArmQuantum(p.quantumOr(20))
 						run.Resume()
 					}
 					if !run.Loop.RunOne() {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -182,6 +183,56 @@ func TestWritePromWindowGauges(t *testing.T) {
 		t.Error("window gauges rendered with no complete window available")
 	}
 	promValidate(t, buf.Bytes())
+}
+
+// TestPromCoversMetrics holds promFamilies to the Metrics struct: every
+// numeric field, at any depth, moves the scrape when it alone is set, so a
+// metric added to the struct (and so to the JSON) cannot be missing from
+// Prometheus. What is deliberately not a series of its own is named here.
+func TestPromCoversMetrics(t *testing.T) {
+	notExposed := map[string]string{
+		"ParkPins":           "the stopify_park_pins_total{reason} samples sum to it",
+		"TurnDuration.Max":   "summaries carry quantiles, sum and count; only the scheduling maximum has a gauge",
+		"RestoreLatency.Max": "likewise",
+	}
+	render := func(m Metrics) string {
+		var buf bytes.Buffer
+		WriteProm(&buf, m, nil)
+		return buf.String()
+	}
+	zero := render(Metrics{})
+	checked := 0
+	var walk func(path string, v reflect.Value, m *Metrics)
+	walk = func(path string, v reflect.Value, m *Metrics) {
+		for i := 0; i < v.NumField(); i++ {
+			name, f := path+v.Type().Field(i).Name, v.Field(i)
+			switch f.Kind() {
+			case reflect.Struct:
+				walk(name+".", f, m)
+				continue
+			case reflect.Uint64:
+				f.SetUint(7)
+			case reflect.Int:
+				f.SetInt(7)
+			case reflect.Float64:
+				f.SetFloat(7)
+			default:
+				continue // strings and the by-reason map: not numeric fields
+			}
+			checked++
+			if _, skip := notExposed[name]; !skip && render(*m) == zero {
+				t.Errorf("Metrics.%s does not reach the Prometheus scrape: add it to promFamilies", name)
+			} else if skip && render(*m) != zero {
+				t.Errorf("Metrics.%s is listed as not exposed, but moves the scrape", name)
+			}
+			f.SetZero()
+		}
+	}
+	var m Metrics
+	walk("", reflect.ValueOf(&m).Elem(), &m)
+	if checked < 40 {
+		t.Fatalf("walked only %d numeric fields of Metrics", checked)
+	}
 }
 
 // TestMetricsTableMatchesExposition is the golden for the observable

@@ -25,67 +25,65 @@ while (true) { keep.push(new Array(1000)); }
 // a quantum of exceeding its budget, while 100 well-behaved neighbors
 // sharing the workers complete with byte-exact output.
 func TestMemHostileAllocatorIsolated(t *testing.T) {
-	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
-		t.Run(backend, func(t *testing.T) {
-			n := 100
-			if testing.Short() {
-				n = 30
-			}
-			s := New(Options{Workers: 4, MaxPending: n + 10, QuantumSteps: 1000, Backend: backend})
-			defer s.Close()
+	t.Run(core.BackendBytecode, func(t *testing.T) {
+		n := 100
+		if testing.Short() {
+			n = 30
+		}
+		s := New(Options{Workers: 4, MaxPending: n + 10, QuantumSteps: 1000})
+		defer s.Close()
 
-			pol := Policy{MemBudgetBytes: 256 << 10}
-			neighbors := make([]*Guest, 0, n)
-			var hostile *Guest
-			for i := 0; i < n; i++ {
-				g, err := s.Submit(SubmitOptions{Source: guestSrc(i), Policy: &pol})
+		pol := Policy{MemBudgetBytes: 256 << 10}
+		neighbors := make([]*Guest, 0, n)
+		var hostile *Guest
+		for i := 0; i < n; i++ {
+			g, err := s.Submit(SubmitOptions{Source: guestSrc(i), Policy: &pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			neighbors = append(neighbors, g)
+			if i == n/2 {
+				// Admitted mid-fleet so its kill happens while
+				// neighbors are actively sharing the workers.
+				hostile, err = s.Submit(SubmitOptions{Source: hostileAllocSrc, Policy: &pol})
 				if err != nil {
 					t.Fatal(err)
 				}
-				neighbors = append(neighbors, g)
-				if i == n/2 {
-					// Admitted mid-fleet so its kill happens while
-					// neighbors are actively sharing the workers.
-					hostile, err = s.Submit(SubmitOptions{Source: hostileAllocSrc, Policy: &pol})
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
+		}
 
-			res := hostile.Wait()
-			if !errors.Is(res.Err, interp.ErrMemLimit) {
-				t.Fatalf("hostile allocator: err=%v, want ErrMemLimit", res.Err)
-			}
-			// ~24 KB of metered bytes per statement against a 256 KiB budget:
-			// the budget is gone a dozen statements in, and the shared
-			// boundary check must kill within that same quantum — not after
-			// the scheduler happens to look again.
-			if res.Quanta > 1 {
-				t.Errorf("hostile allocator survived %d quanta, want death within its first", res.Quanta)
-			}
+		res := hostile.Wait()
+		if !errors.Is(res.Err, interp.ErrMemLimit) {
+			t.Fatalf("hostile allocator: err=%v, want ErrMemLimit", res.Err)
+		}
+		// ~24 KB of metered bytes per statement against a 256 KiB budget:
+		// the budget is gone a dozen statements in, and the shared
+		// boundary check must kill within that same quantum — not after
+		// the scheduler happens to look again.
+		if res.Quanta > 1 {
+			t.Errorf("hostile allocator survived %d quanta, want death within its first", res.Quanta)
+		}
 
-			for i, g := range neighbors {
-				nres := g.Wait()
-				if nres.Err != nil {
-					t.Errorf("neighbor %d: %v", i, nres.Err)
-				} else if nres.Output != guestWant(i) {
-					t.Errorf("neighbor %d output %q, want %q", i, nres.Output, guestWant(i))
-				}
+		for i, g := range neighbors {
+			nres := g.Wait()
+			if nres.Err != nil {
+				t.Errorf("neighbor %d: %v", i, nres.Err)
+			} else if nres.Output != guestWant(i) {
+				t.Errorf("neighbor %d output %q, want %q", i, nres.Output, guestWant(i))
 			}
+		}
 
-			m := s.Metrics()
-			if m.KilledMem != 1 {
-				t.Errorf("KilledMem=%d, want 1", m.KilledMem)
-			}
-			if m.Killed != 1 {
-				t.Errorf("Killed=%d, want 1 (mem kills are supervisor kills)", m.Killed)
-			}
-			if m.Completed != uint64(n) {
-				t.Errorf("Completed=%d, want %d", m.Completed, n)
-			}
-		})
-	}
+		m := s.Metrics()
+		if m.KilledMem != 1 {
+			t.Errorf("KilledMem=%d, want 1", m.KilledMem)
+		}
+		if m.Killed != 1 {
+			t.Errorf("Killed=%d, want 1 (mem kills are supervisor kills)", m.Killed)
+		}
+		if m.Completed != uint64(n) {
+			t.Errorf("Completed=%d, want %d", m.Completed, n)
+		}
+	})
 }
 
 // TestMemBudgetUnmeteredNeighbors pins that the budget is per-tenant: an
@@ -122,62 +120,60 @@ console.log("big", keep.length);
 // completion: the drain must converge, every guest is finalized exactly
 // once, and the per-cause counter matches.
 func TestDrainRacesMemKills(t *testing.T) {
-	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
-		t.Run(backend, func(t *testing.T) {
-			n := 40
-			s := New(Options{Workers: 4, MaxPending: n, QuantumSteps: 200, Backend: backend})
-			defer s.Close()
+	t.Run(core.BackendBytecode, func(t *testing.T) {
+		n := 40
+		s := New(Options{Workers: 4, MaxPending: n, QuantumSteps: 200})
+		defer s.Close()
 
-			// The short quantum preempts each guest ~100 times, and every
-			// preemption's continuation capture is itself metered (~6-9 KB);
-			// the budget must cover that scheduler traffic with room to
-			// spare, while the hostile allocator (24 KB per statement) still
-			// blows through it inside one quantum.
-			pol := Policy{MemBudgetBytes: 4 << 20}
-			guests := make([]*Guest, 0, n)
-			hostiles := 0
-			for i := 0; i < n; i++ {
-				src := guestSrc(i)
-				if i%4 == 0 {
-					src = hostileAllocSrc
-					hostiles++
-				}
-				g, err := s.Submit(SubmitOptions{Source: src, Policy: &pol})
-				if err != nil {
-					t.Fatal(err)
-				}
-				guests = append(guests, g)
+		// The short quantum preempts each guest ~100 times, and every
+		// preemption's continuation capture is itself metered (~6-9 KB);
+		// the budget must cover that scheduler traffic with room to
+		// spare, while the hostile allocator (24 KB per statement) still
+		// blows through it inside one quantum.
+		pol := Policy{MemBudgetBytes: 4 << 20}
+		guests := make([]*Guest, 0, n)
+		hostiles := 0
+		for i := 0; i < n; i++ {
+			src := guestSrc(i)
+			if i%4 == 0 {
+				src = hostileAllocSrc
+				hostiles++
 			}
-			if !s.DrainTimeout(30 * time.Second) {
-				t.Fatal("drain did not converge with mem kills in flight")
+			g, err := s.Submit(SubmitOptions{Source: src, Policy: &pol})
+			if err != nil {
+				t.Fatal(err)
 			}
+			guests = append(guests, g)
+		}
+		if !s.DrainTimeout(30 * time.Second) {
+			t.Fatal("drain did not converge with mem kills in flight")
+		}
 
-			for i, g := range guests {
-				res := g.Wait()
-				if i%4 == 0 {
-					if !errors.Is(res.Err, interp.ErrMemLimit) {
-						t.Errorf("hostile %d: err=%v, want ErrMemLimit", i, res.Err)
-					}
-				} else if res.Err != nil {
-					t.Errorf("guest %d: %v", i, res.Err)
+		for i, g := range guests {
+			res := g.Wait()
+			if i%4 == 0 {
+				if !errors.Is(res.Err, interp.ErrMemLimit) {
+					t.Errorf("hostile %d: err=%v, want ErrMemLimit", i, res.Err)
 				}
-				if again := g.Wait(); again.Err != res.Err {
-					t.Errorf("guest %d: second Wait disagreed", i)
-				}
+			} else if res.Err != nil {
+				t.Errorf("guest %d: %v", i, res.Err)
 			}
+			if again := g.Wait(); again.Err != res.Err {
+				t.Errorf("guest %d: second Wait disagreed", i)
+			}
+		}
 
-			m := s.Metrics()
-			if m.Active != 0 {
-				t.Errorf("Active=%d after drain, want 0", m.Active)
-			}
-			if m.KilledMem != uint64(hostiles) {
-				t.Errorf("KilledMem=%d, want %d", m.KilledMem, hostiles)
-			}
-			if m.Completed != uint64(n-hostiles) {
-				t.Errorf("Completed=%d, want %d", m.Completed, n-hostiles)
-			}
-		})
-	}
+		m := s.Metrics()
+		if m.Active != 0 {
+			t.Errorf("Active=%d after drain, want 0", m.Active)
+		}
+		if m.KilledMem != uint64(hostiles) {
+			t.Errorf("KilledMem=%d, want %d", m.KilledMem, hostiles)
+		}
+		if m.Completed != uint64(n-hostiles) {
+			t.Errorf("Completed=%d, want %d", m.Completed, n-hostiles)
+		}
+	})
 }
 
 // TestDrainTimeoutExpires pins the timeout half of DrainTimeout: a guest

@@ -67,9 +67,6 @@ type Options struct {
 	// QuantumSteps is the statement budget of one scheduling turn.
 	// Default 2000.
 	QuantumSteps uint64
-	// Backend forces an execution engine for guests ("bytecode"/"tree");
-	// empty uses the process default (STOPIFY_BACKEND, else bytecode).
-	Backend string
 	// MaxResident bounds live guest realms in memory. Beyond it, idle
 	// guests (paused or asleep) are parked — serialized through the
 	// snapshot codec and their realms dropped — least-recently-run first,
@@ -769,7 +766,6 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 func (s *Supervisor) buildRealm(g *Guest, parked bool) (*core.AsyncRun, error) {
 	cfg := core.RunConfig{
 		Out:            g.out,
-		Backend:        s.opts.Backend,
 		MaxSteps:       g.pol.MaxTotalSteps,
 		MemBudgetBytes: g.pol.MemBudgetBytes,
 		ProfileEvery:   s.opts.ProfileEvery,

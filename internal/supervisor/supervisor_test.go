@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/rt"
 )
@@ -473,21 +472,5 @@ func TestInspectAndRemove(t *testing.T) {
 	}
 	if s.Guest(g.ID) != nil {
 		t.Fatal("guest still resolvable after Remove")
-	}
-}
-
-// TestGuestBackendSelection pins that the supervisor honors the engine
-// option — guests run on the bytecode engine when asked.
-func TestGuestBackendSelection(t *testing.T) {
-	for _, be := range []string{core.BackendTree, core.BackendBytecode} {
-		s := New(Options{Workers: 1, QuantumSteps: 300, Backend: be})
-		g, err := s.Submit(SubmitOptions{Source: guestSrc(13)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := g.Wait(); res.Err != nil || res.Output != guestWant(13) {
-			t.Fatalf("backend %s: %+v", be, res)
-		}
-		s.Close()
 	}
 }

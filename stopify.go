@@ -48,7 +48,7 @@
 // A-normalization, boxing, the three continuation-instrumentation
 // strategies of §3.2), the runtime (modes, estimators, segmented restore),
 // the ten language profiles of Figure 5, the supervisor, and the full
-// benchmark harness live under internal/; see DESIGN.md and
+// benchmark harness live under internal/; see DESIGN_interp.md and
 // DESIGN_supervisor.md for the map.
 package stopify
 
