@@ -142,10 +142,6 @@ func TestBuilders(t *testing.T) {
 	if len(BlockOf(&Empty{}, &Empty{}).Body) != 2 {
 		t.Error("BlockOf")
 	}
-	arrow := ArrowFn([]string{"x"}, Ret(Id("x")))
-	if !arrow.Arrow {
-		t.Error("ArrowFn")
-	}
 }
 
 // TestCloneDropsCode: a function's compiled form describes that node's

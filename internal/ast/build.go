@@ -74,8 +74,3 @@ func Ret(arg Expr) *Return { return &Return{Arg: arg} }
 
 // Fn builds an anonymous function expression.
 func Fn(params []string, body ...Stmt) *Func { return &Func{Params: params, Body: body} }
-
-// ArrowFn builds an arrow function (lexical this).
-func ArrowFn(params []string, body ...Stmt) *Func {
-	return &Func{Params: params, Body: body, Arrow: true}
-}

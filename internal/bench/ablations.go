@@ -85,7 +85,7 @@ func AblationSampleMs(cfg Config) (string, error) {
 // AblationRestoreSegment varies the segmented-restore chunk size for
 // deep-stack workloads (§5.2): segments near the deep limit cause
 // immediate re-capture after restore; tiny segments pay excessive restore
-// round-trips.
+// round-trips. Segment 0 is the runtime's default.
 func AblationRestoreSegment(cfg Config) (string, error) {
 	eng := &engine.Profile{Name: "shallow", Speed: 1, TryCost: 1, ThrowCost: 8,
 		CallCost: 2, NewCost: 30, ObjectCreateCost: 20, PropCost: 1, MaxStack: 500}
@@ -98,7 +98,7 @@ function sum(n) { if (n === 0) { return 0; } return n + sum(n - 1); }
 console.log(sum(%d));`, depth)
 	t := newTable(fmt.Sprintf("Ablation — restore segment size (deep recursion %d on a %d-frame engine)", depth, eng.MaxStack))
 	t.row("%-12s %10s %10s", "segment", "time", "restores")
-	for _, seg := range []int{eng.MaxStack / 32, eng.MaxStack / 8, eng.MaxStack / 5} {
+	for _, seg := range []int{4, 0, eng.MaxStack / 16, eng.MaxStack / 8, eng.MaxStack / 5} {
 		o := core.Defaults()
 		o.YieldIntervalMs = 0
 		o.DeepStacks = true
@@ -117,6 +117,6 @@ console.log(sum(%d));`, depth)
 		}
 		t.row("%-12d %8.0fms %10d", seg, float64(time.Since(start))/1e6, run.RT.Restores)
 	}
-	t.row("too-large segments leave no headroom below the deep limit and thrash")
+	t.row("0 is the default segment; too-large segments leave no headroom below the deep limit and thrash")
 	return t.String(), nil
 }

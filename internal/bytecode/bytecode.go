@@ -249,7 +249,7 @@ const (
 	// --- fused instructions ---
 	//
 	// Superinstructions for the sequences instrumented code executes on
-	// every mode-dispatch guard and continuation thunk; each replaces two
+	// every mode-dispatch guard and call site; each replaces two
 	// to three plain instructions with one dispatch. The compiler emits
 	// them from AST shape alone, so they change no semantics.
 
@@ -275,7 +275,7 @@ const (
 	// every `$suspend()` yield probe.
 	OpCall0Global
 	// OpCall0Local calls slot A with no arguments and undefined `this`,
-	// pushing the result — the shape of every continuation-thunk call.
+	// pushing the result.
 	OpCall0Local
 	// OpJumpGlobalNeConst jumps to A when <global, site B> !== Consts[C] —
 	// the complete `if ($mode === "...")` guard in one dispatch. The
@@ -284,8 +284,7 @@ const (
 	OpJumpGlobalNeConst
 	// OpConstSetLocal stores Consts[A] into slot B.
 	OpConstSetLocal
-	// OpClosureSetLocal stores a closure of Funcs[A] into slot B — the
-	// per-call `$locals`/`$reenter` thunk assignment.
+	// OpClosureSetLocal stores a closure of Funcs[A] into slot B.
 	OpClosureSetLocal
 	// OpSetLocalStmt stores into slot A, then marks B statement
 	// boundaries (C != 0 adds the BranchCost charge) — the ubiquitous

@@ -64,7 +64,7 @@ type Opts struct {
 	// zero picks the default.
 	SampleMs float64
 	// RestoreSegment caps frames re-entered per native stack excursion
-	// during restore; zero picks a limit from the engine's stack size.
+	// during restore; below 2 picks the runtime's default (16).
 	RestoreSegment int
 	// PerStatementGuards selects the paper's literal per-statement `if
 	// (normal)` wrapping instead of grouped guards (ablation knob).

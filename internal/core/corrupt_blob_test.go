@@ -140,6 +140,45 @@ func TestRestoreRefusesCyclicScopeChain(t *testing.T) {
 	}
 }
 
+// hostileSegmentBlob is blob with its header asking for one-frame restore
+// segments: the bottom frame alone, which re-enters no caller.
+func hostileSegmentBlob(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	const was, want = `"RestoreSegment":0`, `"RestoreSegment":1`
+	if bytes.Count(blob, []byte(was)) != 1 {
+		t.Fatalf("the blob header does not carry %s once", was)
+	}
+	return bytes.Replace(blob, []byte(was), []byte(want), 1)
+}
+
+// TestRestoreHostileSegmentHeader: the restore segment rides in the header
+// of a blob nobody vouches for. A value that would make a resume re-enter
+// nothing, forever, with no statement for a budget or a kill to land on, is
+// read as the default: the guest resumes and finishes as the pristine one does.
+func TestRestoreHostileSegmentHeader(t *testing.T) {
+	c, err := core.Compile(divrecSrc(60), core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, _ := runToPark(t, c, core.BackendBytecode, 3000)
+	pristine, err := parked.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]outcome
+	for i, blob := range [][]byte{pristine, hostileSegmentBlob(t, pristine)} {
+		buf := &bytes.Buffer{}
+		run, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: buf, MaxSteps: diffBudget}, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = finish(run, buf)
+	}
+	if outs[1] != outs[0] || outs[0].err != "" || !strings.Contains(outs[0].out, "divrec") {
+		t.Fatalf("hostile header: %+v, pristine %+v", outs[1], outs[0])
+	}
+}
+
 // FuzzRestoreBlob is the decoder's fuzz target: whatever bytes reach the two
 // untrusted entry points (SnapshotMeta, Restore) must come back as an error
 // or as a guest that still terminates inside its step budget — never a
@@ -150,6 +189,7 @@ func FuzzRestoreBlob(f *testing.F) {
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:16])
+	f.Add(hostileSegmentBlob(f, blob))
 	huge := binary.AppendUvarint(nil, math.MaxUint64)
 	for _, at := range []int{8, len(blob) / 3, len(blob) - 8} {
 		f.Add(append(append(append([]byte{}, blob[:at]...), huge...), blob[at:]...))

@@ -37,7 +37,10 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 	merged := &ast.Program{Body: append(preludeProg.Body, wrapped.Body...)}
 	anf.Normalize(merged)
 	boxes.Box(merged)
-	instrument.Apply(merged, opts.instrumentOptions())
+	// The prelude is instrumented under the options compilePrelude lowers it with.
+	n := len(preludeProg.Body)
+	instrument.Apply(&ast.Program{Body: merged.Body[:n]}, opts.forPrelude().instrumentOptions())
+	instrument.Apply(&ast.Program{Body: merged.Body[n:]}, opts.instrumentOptions())
 	resolve.Program(merged)
 	return printer.Print(merged), nil
 }

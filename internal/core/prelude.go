@@ -76,13 +76,23 @@ func compilePrelude(opts Opts) (*prelude, error) {
 	if nm.Fresh("") != "1" {
 		return nil, fmt.Errorf("stopify: internal prelude error: desugaring drew fresh names")
 	}
-	tmps := lower(prog, opts, 0, ast.Sites{})
+	tmps := lower(prog, opts.forPrelude(), 0, ast.Sites{})
 	return &prelude{
 		body:    prog.Body,
 		tmps:    tmps,
 		sites:   prog.Sites,
 		printed: len(printer.Print(prog)),
 	}, nil
+}
+
+// forPrelude is opts as the prelude is lowered under them: it names and
+// assigns its formals, which complete-arguments user code (arguments[i]) does
+// not, so there its frames are the mixed sub-language's, re-entered the same way.
+func (o Opts) forPrelude() Opts {
+	if o.Args == "full" {
+		o.Args = "mixed"
+	}
+	return o
 }
 
 // preludeSource assembles the JavaScript runtime prelude for the selected

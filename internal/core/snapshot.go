@@ -19,17 +19,10 @@ import (
 // identical realm) and to AsyncRun's lifecycle.
 
 // snapshotHeader is the host metadata embedded in every blob: what Restore
-// needs before it can build a realm to decode into. LegacyPrelude is a
-// retired option that earlier builds wrote into every header: false for
-// ordinary guests, true for one compiled against the wire-v1 prelude, whose
-// continuations would mis-index the code table of the one prelude this build
-// compiles. Snapshot never sets it; Restore refuses it when true.
+// needs before it can build a realm to decode into.
 type snapshotHeader struct {
 	Source string `json:"source"`
-	Opts   struct {
-		Opts
-		LegacyPrelude bool `json:",omitempty"`
-	} `json:"opts"`
+	Opts   Opts   `json:"opts"`
 }
 
 // Snapshot serializes the run. The run must be quiescent — paused at a
@@ -59,9 +52,7 @@ func (a *AsyncRun) Snapshot() ([]byte, error) {
 		}
 		outBytes = sink.Bytes()
 	}
-	var h snapshotHeader
-	h.Source, h.Opts.Opts = a.compiled.SourceText, a.compiled.Opts
-	hdr, err := json.Marshal(h)
+	hdr, err := json.Marshal(snapshotHeader{Source: a.compiled.SourceText, Opts: a.compiled.Opts})
 	if err != nil {
 		return nil, fmt.Errorf("stopify: encoding snapshot header: %w", err)
 	}
@@ -124,10 +115,7 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 	if err := json.Unmarshal(meta.HostMeta, &hdr); err != nil {
 		return nil, fmt.Errorf("stopify: snapshot header: %w", err)
 	}
-	if hdr.Opts.LegacyPrelude {
-		return nil, fmt.Errorf("stopify: snapshot header sets LegacyPrelude: the guest was compiled against the wire-v1 prelude, which this build no longer carries")
-	}
-	c, err := CompileCached(hdr.Source, hdr.Opts.Opts)
+	c, err := CompileCached(hdr.Source, hdr.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("stopify: recompiling snapshot source: %w", err)
 	}

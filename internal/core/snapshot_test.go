@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"os"
@@ -76,9 +75,22 @@ func finish(run *core.AsyncRun, buf *bytes.Buffer) outcome {
 	return o
 }
 
+// roundTripProgram round-trips p at its per-program park point. A quantum
+// is statements of the program's own progress, so a short program can finish
+// inside the one its name hashes to: that quantum is halved until the
+// program parks (or is too small to mean anything), and roundTripAt skips
+// what still finishes first.
 func roundTripProgram(t *testing.T, p diffProgram, backend string) {
 	t.Helper()
-	roundTripAt(t, p, backend, backend, parkQuantum(p.name))
+	quantum := parkQuantum(p.name)
+	if c, err := core.Compile(p.src, p.opts); err == nil {
+		for ; quantum > 400; quantum /= 2 {
+			if run, _ := runToPark(t, c, backend, quantum); run.Paused() {
+				break
+			}
+		}
+	}
+	roundTripAt(t, p, backend, backend, quantum)
 }
 
 // roundTripAt parks p after quantum statements on one engine and restores
@@ -644,14 +656,14 @@ func TestSnapshotPins(t *testing.T) {
 	}
 }
 
-// goldenParkedSrc is the program inside testdata/v2_parked.blob. The blob is
+// goldenParkedSrc is the program inside testdata/v3_parked.blob. The blob is
 // runToPark(goldenParkedSrc, tree engine, quantum 5000).Snapshot() as built
-// at commit 2494c7b, the last build with Opts.LegacyPrelude, so its header
-// carries "LegacyPrelude":false like every blob of that era: parked
-// mid-loop holding what wire v2 made data — a bound constructor, a bound
-// timer callback with a forwarded extra arg, a cancelled timer handle, a Date
-// — beside closures and pending timers. testdata/v2_parked.golden is the
-// output of the same program run without parking.
+// by the commit that made wire version 3: parked mid-loop holding what wire
+// v2 made data — a bound constructor, a bound timer callback with a
+// forwarded extra arg, a cancelled timer handle, a Date — beside closures
+// and pending timers, under a continuation whose frames are v3's
+// {label, locals, fn, self}. testdata/v3_parked.golden is the output of the
+// same program run without parking.
 const goldenParkedSrc = `
 var log = ["start"];
 function mk(n) { return function () { log.push("tick" + n); }; }
@@ -679,19 +691,16 @@ log.push("main" + n);
 // deliberate format, prelude, or host-graph change, bump snapshot.Version
 // and re-capture the blob as goldenParkedSrc's comment describes.
 func TestSnapshotWireGolden(t *testing.T) {
-	blob, err := os.ReadFile("testdata/v2_parked.blob")
+	blob, err := os.ReadFile("testdata/v3_parked.blob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/v2_parked.golden")
+	want, err := os.ReadFile("testdata/v3_parked.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := blob[4]; got != snapshot.Version {
 		t.Fatalf("golden blob version byte = %d, want %d", got, snapshot.Version)
-	}
-	if !bytes.Contains(blob, []byte(`"LegacyPrelude":false`)) {
-		t.Fatal("golden blob header lacks \"LegacyPrelude\":false; it must be one an earlier build wrote")
 	}
 	info, err := core.SnapshotMeta(blob)
 	if err != nil {
@@ -720,53 +729,24 @@ func TestSnapshotWireGolden(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesOtherVersions: a wire-v1 blob (the pre-v2 fixture, kept
-// only to be refused) fails with both version numbers in the error, and a
-// current-version blob whose header sets the retired LegacyPrelude option —
-// what a v1 guest re-parked by an older build looks like — is refused by
-// name instead of being recompiled against the wrong prelude. The same header
-// with the option false is the golden blob, which TestSnapshotWireGolden
-// restores.
+// TestRestoreRefusesOtherVersions: the wire-v2 golden blob — the same guest
+// parked by the last build whose frames carried reenter closures, kept only
+// to be refused — fails at the version byte with both version numbers in
+// the error, from the full decode and from the header-only read alike.
 func TestRestoreRefusesOtherVersions(t *testing.T) {
 	cfg := core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}}
-
-	v1, err := os.ReadFile("testdata/v1_parked.blob")
+	v2, err := os.ReadFile("testdata/v2_parked.blob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for what, try := range map[string]func() error{
-		"Restore":      func() error { _, err := core.Restore(cfg, v1); return err },
-		"SnapshotMeta": func() error { _, err := core.SnapshotMeta(v1); return err },
+		"Restore":      func() error { _, err := core.Restore(cfg, v2); return err },
+		"SnapshotMeta": func() error { _, err := core.SnapshotMeta(v2); return err },
 	} {
 		err := try()
-		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
-			t.Errorf("%s on a v1 blob = %v, want an error naming versions 1 and 2", what, err)
+		if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 3") {
+			t.Errorf("%s on a v2 blob = %v, want an error naming versions 2 and 3", what, err)
 		}
-	}
-
-	blob, err := os.ReadFile("testdata/v2_parked.blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := snapshot.ReadMeta(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := bytes.Replace(meta.HostMeta, []byte(`"LegacyPrelude":false`), []byte(`"LegacyPrelude":true`), 1)
-	if bytes.Equal(hdr, meta.HostMeta) {
-		t.Fatal("golden header has no LegacyPrelude key to flip")
-	}
-	const prefix = 5 // magic + version byte
-	oldLen := len(binary.AppendUvarint(nil, uint64(len(meta.HostMeta)))) + len(meta.HostMeta)
-	forged := append([]byte{}, blob[:prefix]...)
-	forged = binary.AppendUvarint(forged, uint64(len(hdr)))
-	forged = append(forged, hdr...)
-	forged = append(forged, blob[prefix+oldLen:]...)
-	if _, err := core.SnapshotMeta(forged); err != nil {
-		t.Fatalf("forged blob is not otherwise well-formed: %v", err)
-	}
-	if _, err := core.Restore(cfg, forged); err == nil || !strings.Contains(err.Error(), "LegacyPrelude") {
-		t.Errorf("Restore with LegacyPrelude in the header = %v, want a refusal naming the key", err)
 	}
 }
 

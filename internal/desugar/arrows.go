@@ -75,9 +75,9 @@ func rewriteArrowRefs(fn *ast.Func) (usedThis, usedArgs bool) {
 	return usedThis, usedArgs
 }
 
-// nameFunctions assigns fresh names to anonymous function expressions. The
-// instrumentation's reenter thunks re-apply the enclosing function by name
-// (Figure 3), so every function needs one.
+// nameFunctions assigns fresh names to anonymous function expressions. A
+// captured frame records its function by name (fn: F, where Figure 3's
+// reenter thunk calls F), so every function needs one.
 func nameFunctions(prog *ast.Program, nm *Namer) {
 	ast.Walk(prog, func(n ast.Node) bool {
 		if fn, ok := n.(*ast.Func); ok && fn.Name == "" {

@@ -6,7 +6,7 @@
 //     rewritten so instrumentation sees a single loop shape)
 //   - switch becomes a guarded if-chain inside a labeled block
 //   - arrow functions become named function expressions with $this/$args
-//   - every anonymous function gets a name (reenter thunks need one)
+//   - every anonymous function gets a name (captured frames refer to it)
 //   - update (++/--) and compound assignments become plain assignments
 //   - implicit valueOf/toString conversions become explicit prelude calls
 //     ($add, $lt, ...) per the Impl column of Figure 5

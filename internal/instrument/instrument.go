@@ -7,15 +7,16 @@
 //	restore: re-enter frames, jump to the saved label, and resume
 //
 // A reified frame carries the call-site label, a snapshot of the locals,
-// and a reenter thunk (Figure 3). Three interchangeable strategies decide
+// and — where Figure 3 has a reenter thunk — the function and receiver to
+// re-apply, as plain data. Three interchangeable strategies decide
 // how frames are captured (§3.2): checked-return (a conditional after every
 // call), exceptional (a handler around every call), and eager (a shadow
 // stack maintained during normal execution). Constructors are either
 // desugared away before this pass or handled dynamically with new.target
-// (§3.2 "Constructors"); the arity sub-languages of §4.2 choose how reenter
-// re-applies the function. §3.1.1's catch/finally re-entry is implemented
-// by re-throwing a saved exception and re-returning a saved completion
-// value.
+// (§3.2 "Constructors"); the arity sub-languages of §4.2 choose what a
+// re-application carries besides the locals. §3.1.1's catch/finally
+// re-entry is implemented by re-throwing a saved exception and re-returning
+// a saved completion value.
 //
 // Instrumented code communicates with the runtime (internal/rt) through JS
 // globals ($mode, $stack, $rstack, $shadow) and runtime natives ($C,
@@ -53,10 +54,10 @@ type ArgsMode int
 
 // Arity sub-languages.
 const (
-	ArgsNone    ArgsMode = iota // ✗ — reenter passes formals positionally
-	ArgsVarargs                 // V — reenter applies the arguments object
-	ArgsMixed                   // M — apply arguments and restore formals
-	ArgsFull                    // ✓ — formals already live in arguments[i]
+	ArgsNone    ArgsMode = iota // ✗ — formals travel in locals; nothing else is re-applied
+	ArgsVarargs                 // V — the frame carries arguments and re-entry applies it
+	ArgsMixed                   // M — arguments travels in locals beside the formals
+	ArgsFull                    // ✓ — formals already live in arguments[i], which travels in locals
 )
 
 // Options configures the instrumentation.
@@ -90,6 +91,14 @@ const (
 	ModeNormal  = "normal"
 	ModeCapture = "capture"
 	ModeRestore = "restore"
+
+	// Keys of a reified frame (pushFrame). internal/rt builds the bottom
+	// frame and re-enters the top one with the same layout.
+	FrameLabel  = "label"
+	FrameLocals = "locals"
+	FrameFn     = "fn"
+	FrameSelf   = "self"
+	FrameArgs   = "args" // ArgsVarargs only
 )
 
 // Apply instruments every function in prog in place. The program's top
@@ -139,7 +148,6 @@ func instrumentFunc(fn *ast.Func, opts Options) {
 	// declarations. pushFrame (inside kStmts) inlines this list at every
 	// capture site, so it rides on the context.
 	c.locals = c.localsList(fn, body)
-	c.params = fn.Params
 	body = c.declsToAssigns(body, true)
 	c.labelSites(body)
 
@@ -238,7 +246,6 @@ func hasNonTailSites(body []ast.Stmt) bool {
 type fctx struct {
 	opts        Options
 	fname       string
-	params      []string // formal parameters, for the reenter thunk
 	locals      []string // capture/restore locals list, for pushFrame
 	nextLabel   int      // next call-site label; labels start at 1
 	extra       []string
@@ -269,9 +276,9 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// localsList builds the ordered locals vector used by the locals() thunk
-// and the restore prologue. Order: formals, arguments (when the arity mode
-// reifies it), declared vars and function names, then generated locals.
+// localsList builds the ordered locals vector a frame snapshots and the
+// restore prologue reassigns. Order: formals, arguments (when the arity mode
+// carries it here), declared vars and function names, then generated locals.
 func (c *fctx) localsList(fn *ast.Func, body []ast.Stmt) []string {
 	var names []string
 	seen := map[string]bool{}
@@ -376,22 +383,16 @@ func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
 	if c.opts.WrappedCtors {
 		out = append(out, ast.Var("$nt", &ast.NewTarget{}))
 	}
-	// $reenter starts undefined and is materialized lazily at the first
-	// capture site a call reaches (pushFrame): calls that never suspend —
-	// the overwhelming majority — allocate no thunk closures at all. The
-	// historical prologue created $locals and $reenter arrows on every
-	// call, which was the dominant allocation of instrumented execution.
 	out = append(out, &ast.VarDecl{Decls: []ast.Declarator{
 		{Name: "$lbl", Init: ast.Int(-1)},
 		{Name: "$k"},
-		{Name: "$reenter"},
 	}})
 
 	// if ($mode === "restore") { restoreFrame }
 	restore := []ast.Stmt{
 		ast.ExprOf(ast.SetId("$k", ast.CallN(ast.Dot(ast.Id(RStackVar), "pop")))),
-		ast.ExprOf(ast.SetId("$lbl", ast.Dot(ast.Id("$k"), "label"))),
-		ast.Var("$l", ast.Dot(ast.Id("$k"), "locals")),
+		ast.ExprOf(ast.SetId("$lbl", ast.Dot(ast.Id("$k"), FrameLabel))),
+		ast.Var("$l", ast.Dot(ast.Id("$k"), FrameLocals)),
 	}
 	for i, name := range locals {
 		restore = append(restore, ast.ExprOf(ast.SetId(name, ast.Idx(ast.Id("$l"), ast.Int(i)))))
@@ -401,27 +402,6 @@ func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
 	out = append(out, ast.IfThen(isMode(ModeRestore), restore...))
 
 	return out
-}
-
-// reenterArrow builds the reenter thunk: an arrow (lexical this) that
-// re-invokes the function — F.call(this, p...) under ArgsNone, or
-// F.apply(this, arguments) when the arity sub-language reifies the
-// arguments object. Each pushFrame site materializes it lazily
-// (`$reenter || ($reenter = <arrow>)`), so it is only ever evaluated on
-// the first capture a call performs.
-func (c *fctx) reenterArrow() ast.Expr {
-	var reenterBody ast.Expr
-	switch c.opts.Args {
-	case ArgsNone:
-		args := []ast.Expr{&ast.This{}}
-		for _, p := range c.params {
-			args = append(args, ast.Id(p))
-		}
-		reenterBody = ast.CallN(ast.Dot(ast.Id(c.fname), "call"), args...)
-	default: // Varargs, Mixed, Full re-apply the arguments object
-		reenterBody = ast.CallN(ast.Dot(ast.Id(c.fname), "apply"), &ast.This{}, ast.Id("arguments"))
-	}
-	return ast.ArrowFn(nil, ast.Ret(reenterBody))
 }
 
 // ---------------------------------------------------------------------------

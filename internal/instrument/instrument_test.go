@@ -19,7 +19,9 @@ func compile(t *testing.T, src string, opts Options) (*ast.Program, string) {
 		t.Fatalf("parse: %v", err)
 	}
 	nm := &desugar.Namer{}
-	desugar.Apply(prog, desugar.Options{}, nm)
+	// As internal/core pairs them: the complete-arguments sub-language
+	// lowers user formals to arguments[i] before this pass sees them.
+	desugar.Apply(prog, desugar.Options{ArgsFull: opts.Args == ArgsFull}, nm)
 	anf.Normalize(prog)
 	boxes.Box(prog)
 	Apply(prog, opts)
@@ -40,21 +42,22 @@ function f(x) {
 		`$mode === "restore"`,
 		"$rstack.pop()",
 		"$k.label",
-		// Thunks are lazy (ISSUE 4): $reenter is declared uninitialized
-		// and materialized at the capture site; the locals snapshot is an
-		// inline array literal there. Normal-mode calls allocate neither.
-		"$reenter || ($reenter =",
-		"locals: [x, a, $t1]",
-		"$k.reenter()",
+		"var $lbl = -1, $k;",
+		// A frame is data: the function and its receiver stand where Figure
+		// 3 has a reenter thunk, built only at a capture site in capture
+		// mode. Normal-mode calls allocate nothing.
+		"$stack.push({ label: 1, locals: [x, a, $t1], fn: f, self: this });",
+		`a = $mode === "normal" ? g(x) : $k.fn.apply($k.self);`,
 		`$mode === "capture"`,
-		"$stack.push({ label: 1,",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("checked output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "$shadow.push") {
-		t.Error("checked strategy must not use the shadow stack")
+	for _, gone := range []string{"$shadow.push", "reenter", "=>"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("checked output must not contain %q:\n%s", gone, out)
+		}
 	}
 }
 
@@ -153,19 +156,41 @@ function F(x) {
 	}
 }
 
+// TestArgsModesReenter pins, for every strategy and arity sub-language, what
+// a frame stores and what a call site's restore arm re-applies: never a
+// closure, and an arguments object only where the sub-language reifies one —
+// inside locals (mixed, full) or, when locals has no place for it, as the
+// frame's fifth key (varargs).
 func TestArgsModesReenter(t *testing.T) {
 	src := `function f(a, b) { var x = g(a); return x + b; }`
-	_, plain := compile(t, src, Options{Strategy: Checked, Args: ArgsNone})
-	if !strings.Contains(plain, "f.call(this, a, b)") {
-		t.Errorf("args=none reenter should pass formals:\n%s", plain)
-	}
-	_, varargs := compile(t, src, Options{Strategy: Checked, Args: ArgsVarargs})
-	if !strings.Contains(varargs, "f.apply(this, arguments)") {
-		t.Errorf("args=varargs reenter should apply arguments:\n%s", varargs)
-	}
-	_, mixed := compile(t, src, Options{Strategy: Checked, Args: ArgsMixed})
-	if !strings.Contains(mixed, "arguments = $l[") {
-		t.Errorf("args=mixed must restore the arguments object:\n%s", mixed)
+	for _, strat := range []Strategy{Checked, Exceptional, Eager} {
+		stack := "$stack"
+		if strat == Eager {
+			stack = "$shadow"
+		}
+		for _, tc := range []struct {
+			mode    ArgsMode
+			frame   string
+			arm     string
+			restore string // a prologue assignment that must be present
+		}{
+			{ArgsNone, "locals: [a, b, x, $t1], fn: f, self: this }", "$k.fn.apply($k.self)", "b = $l[1];"},
+			{ArgsVarargs, "locals: [a, b, x, $t1], fn: f, self: this, args: arguments }", "$k.fn.apply($k.self, $k.args)", "b = $l[1];"},
+			{ArgsMixed, "locals: [a, b, arguments, x, $t1], fn: f, self: this }", "$k.fn.apply($k.self)", "arguments = $l[2];"},
+			{ArgsFull, "locals: [arguments, $t1, x, $t2, $t3], fn: f, self: this }", "$k.fn.apply($k.self)", "arguments = $l[0];"},
+		} {
+			_, out := compile(t, src, Options{Strategy: strat, Args: tc.mode})
+			for _, want := range []string{stack + ".push({ label: 1, " + tc.frame, ": " + tc.arm + ";", tc.restore} {
+				if !strings.Contains(out, want) {
+					t.Errorf("%v/args=%d: output missing %q:\n%s", strat, tc.mode, want, out)
+				}
+			}
+			for _, gone := range []string{"reenter", "=>", ".call("} {
+				if strings.Contains(out, gone) {
+					t.Errorf("%v/args=%d: output must not contain %q:\n%s", strat, tc.mode, gone, out)
+				}
+			}
+		}
 	}
 }
 

@@ -567,11 +567,17 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 
 	guard := ast.Log("||", isMode(ModeNormal), ast.Bin("===", ast.Id("$lbl"), ast.Int(label)))
 
-	// target = $mode === "normal" ? <app> : $k.reenter();
+	// target = $mode === "normal" ? <app> : $k.fn.apply($k.self); — the
+	// callee's prologue reassigns every local, formals included, from its
+	// saved frame $k, so only varargs' arguments object is left to pass.
+	reapply := []ast.Expr{ast.Dot(ast.Id("$k"), FrameSelf)}
+	if c.opts.Args == ArgsVarargs {
+		reapply = append(reapply, ast.Dot(ast.Id("$k"), FrameArgs))
+	}
 	apply := ast.ExprOf(ast.SetTo(a.Target, &ast.Cond{
 		Test: isMode(ModeNormal),
 		Cons: a.Value,
-		Alt:  ast.CallN(ast.Dot(ast.Id("$k"), "reenter")),
+		Alt:  ast.CallN(ast.Dot(ast.Dot(ast.Id("$k"), FrameFn), "apply"), reapply...),
 	}))
 	clearLbl := ast.ExprOf(ast.SetId("$lbl", ast.Int(-1)))
 
@@ -607,27 +613,29 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 	panic("instrument: unknown strategy")
 }
 
-// pushFrame emits the reified continuation frame of Figure 3 line 17:
+// pushFrame emits the reified continuation frame; where Figure 3 line 17
+// stores a reenter thunk, it stores what the thunk would close over:
 //
-//	<stack>.push({ label: j, locals: [l1, ...], reenter:
-//	               $reenter || ($reenter = () => F.call(this, p...)) })
+//	<stack>.push({ label: j, locals: [l1, ...], fn: F, self: this })
 //
-// The locals snapshot is an inline array literal and the reenter thunk is
-// created lazily at the site — calls that never reach a capture site in
-// capture mode (i.e. every normal-mode call) allocate neither, which is
-// what lets the engine's call path run thunk-allocation-free. The eager
-// strategy still pays the frame object and array on every call, which is
-// precisely its cost model.
+// Data creates no closure, so a captured activation's environment is not
+// marked escaped (interp.makeFunction) and returns to the frame pool when
+// the unwind leaves it. Four properties exactly fill an object's first slot
+// array; only varargs, whose arguments object is not in locals, adds a fifth.
+// The eager strategy pays the frame on every call: that is its cost model.
 func (c *fctx) pushFrame(stack string, label int) ast.Stmt {
 	elems := make([]ast.Expr, len(c.locals))
 	for i, name := range c.locals {
 		elems[i] = ast.Id(name)
 	}
-	frame := &ast.Object{Props: []ast.Property{
-		{Kind: ast.PropInit, Key: "label", Value: ast.Int(label)},
-		{Kind: ast.PropInit, Key: "locals", Value: &ast.Array{Elems: elems}},
-		{Kind: ast.PropInit, Key: "reenter",
-			Value: ast.Log("||", ast.Id("$reenter"), ast.SetId("$reenter", c.reenterArrow()))},
-	}}
-	return ast.ExprOf(ast.CallN(ast.Dot(ast.Id(stack), "push"), frame))
+	props := []ast.Property{
+		{Kind: ast.PropInit, Key: FrameLabel, Value: ast.Int(label)},
+		{Kind: ast.PropInit, Key: FrameLocals, Value: &ast.Array{Elems: elems}},
+		{Kind: ast.PropInit, Key: FrameFn, Value: ast.Id(c.fname)},
+		{Kind: ast.PropInit, Key: FrameSelf, Value: &ast.This{}},
+	}
+	if c.opts.Args == ArgsVarargs {
+		props = append(props, ast.Property{Kind: ast.PropInit, Key: FrameArgs, Value: ast.Id("arguments")})
+	}
+	return ast.ExprOf(ast.CallN(ast.Dot(ast.Id(stack), "push"), &ast.Object{Props: props}))
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/parser"
@@ -116,6 +117,51 @@ console.log(fib(15));
 	}
 	if out.String() != "610\n" {
 		t.Fatalf("recursive pooled calls computed %q, want 610", out.String())
+	}
+}
+
+// TestFramePoolCapturedFramesReturn: a capture site stores its activation
+// as data — {label, locals, fn, self} — and data pins nothing: the
+// activation's frame goes back to the pool when the unwind leaves it, so a
+// capture/re-entry cycle leaves the next calls nothing to allocate. The
+// same frame built around a reenter closure (Figure 3's shape) marks the
+// environment escaped and the pool never sees it again.
+func TestFramePoolCapturedFramesReturn(t *testing.T) {
+	const depth = 20
+	// down unwinds depth+1 activations, each leaving a frame behind;
+	// reenterAll applies every frame's fn to its self, as a restore does.
+	program := func(frame string) string {
+		return fmt.Sprintf(`
+var stack = [];
+function down(d) {
+  var x = d * 2;
+  if (d > 0) { down(d - 1); }
+  stack.push(%s);
+}
+function reenterAll() { for (var i = 0; i < stack.length; i++) { var k = stack[i]; k.fn.apply(k.self); } stack = []; }
+function calls(n) { var s = 0; for (var i = 0; i < n; i++) { s += leaf(i); } return s; }
+function leaf(i) { var y = i + 1; return y; }
+down(%d);
+`, frame, depth)
+	}
+	pooled := func(in *Interp) int { return len(in.envFree6) + len(in.envFree16) }
+	for _, bc := range []bool{false, true} {
+		in, fn := allocInterp(t, program(`{ label: 1, locals: [d, x], fn: leaf, self: this }`), "calls", bc, []Value{NumberValue(100)})
+		if got := pooled(in); got < depth+1 {
+			t.Errorf("bytecode=%v: %d frames pooled after capturing %d activations as data; want them all back", bc, got, depth+1)
+		}
+		reenter, _ := in.Global.Lookup("reenterAll")
+		if _, err := in.Call(reenter, Undefined, nil, Undefined); err != nil {
+			t.Fatal(err)
+		}
+		// An Env per call would be 100; 8 is the other gates' allowance for an
+		// operand stack the race detector's sync.Pool dropped.
+		gate(t, in, fn, []Value{NumberValue(100)}, 8, "100 calls after a capture/re-entry cycle (bytecode="+fmt.Sprint(bc)+")")
+
+		thunks, _ := allocInterp(t, program(`{ label: 1, locals: [d, x], reenter: function () { return down(d); } }`), "calls", bc, []Value{NumberValue(100)})
+		if got := pooled(thunks); got > 2 {
+			t.Errorf("bytecode=%v: %d frames pooled after capturing %d activations behind closures; the control is not measuring escape", bc, got, depth+1)
+		}
 	}
 }
 

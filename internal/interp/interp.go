@@ -130,6 +130,9 @@ type Interp struct {
 	ops        *opStack
 	chunkRuns  uint64
 
+	quantumHeld   bool   // HoldQuantum: the hook cannot fire
+	quantumHeldAt uint64 // Steps since which the hold has cost the quantum nothing
+
 	objectProto   *Object
 	functionProto *Object
 	arrayProto    *Object
@@ -197,7 +200,7 @@ func (in *Interp) recomputeStepLimit() {
 	if in.maxSteps != 0 {
 		lim = in.maxSteps
 	}
-	if in.quantumEnd != 0 && in.quantumEnd-1 < lim {
+	if in.quantumEnd != 0 && !in.quantumHeld && in.quantumEnd-1 < lim {
 		lim = in.quantumEnd - 1
 	}
 	if in.prof != nil && in.prof.next != 0 && in.prof.next-1 < lim {
@@ -220,7 +223,7 @@ func (in *Interp) stepBoundary() error {
 	if in.prof != nil && in.prof.next != 0 && in.Steps >= in.prof.next {
 		in.profSample() // every exit path below recomputes stepLimit
 	}
-	if in.quantumEnd != 0 && in.Steps >= in.quantumEnd {
+	if in.quantumEnd != 0 && !in.quantumHeld && in.Steps >= in.quantumEnd {
 		in.quantumEnd = 0
 		in.recomputeStepLimit()
 		if in.onQuantum != nil {
@@ -233,15 +236,33 @@ func (in *Interp) stepBoundary() error {
 }
 
 // ArmQuantum schedules the OnQuantum hook to fire at the statement boundary
-// where Steps first reaches its current value plus n; n == 0 disarms. Must
-// be called from the executing goroutine (between event-loop turns, or from
-// the hook itself) — the supervisor arms it at the top of every scheduling
-// turn it hands a guest.
+// n statements from now, not counting statements run under HoldQuantum;
+// n == 0 disarms. Must be called from the executing goroutine (between
+// event-loop turns, or from the hook itself) — the supervisor arms it at the
+// top of every scheduling turn it hands a guest.
 func (in *Interp) ArmQuantum(n uint64) {
 	if n == 0 {
 		in.quantumEnd = 0
 	} else {
 		in.quantumEnd = in.Steps + n
+	}
+	in.quantumHeldAt = in.Steps
+	in.recomputeStepLimit()
+}
+
+// HoldQuantum stops (true) or restarts (false) the quantum's clock. Held,
+// statements count toward Steps, MaxSteps, the memory meter and the profiler,
+// but the hook cannot fire, and the release moves its deadline out by as many
+// statements as the hold lasted (rt.setMode). Executing goroutine only.
+func (in *Interp) HoldQuantum(hold bool) {
+	if hold == in.quantumHeld {
+		return
+	}
+	in.quantumHeld = hold
+	if hold {
+		in.quantumHeldAt = in.Steps
+	} else if in.quantumEnd != 0 {
+		in.quantumEnd += in.Steps - in.quantumHeldAt
 	}
 	in.recomputeStepLimit()
 }
@@ -369,9 +390,7 @@ func (in *Interp) hoistInto(body []ast.Stmt, env *Env) {
 }
 
 // funcObject co-locates a function object with its closure so creating one
-// is a single allocation — instrumented code creates closures on every
-// call (frame thunks), making this the hottest allocation site after
-// environments.
+// is a single allocation.
 type funcObject struct {
 	obj Object
 	fn  Closure

@@ -118,3 +118,57 @@ func TestQuantumRearmSpacing(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantumHold: a held quantum is charged nothing — the hook fires once
+// the armed number of statements have run outside the hold, however many ran
+// inside it — and the hold stops nothing else: the hard budget still aborts
+// under it. A quantum armed during a hold starts counting at the release.
+func TestQuantumHold(t *testing.T) {
+	const src = `
+function spin(n) { var t = 0; for (var i = 0; i < n; i++) { t += i; } return t; }
+spin(20); hold(); spin(1000); rearm(); spin(1000); release(); spin(2000);
+`
+	for _, bc := range []bool{false, true} {
+		for _, rearm := range []uint64{0, 300} {
+			var held, released, fired uint64
+			in := newQuantumInterp(t, bc, Options{})
+			native := func(name string, fn func()) {
+				in.DefineGlobal(name, ObjectValue(in.NewNative(name, func(*Interp, Value, []Value) (Value, error) {
+					fn()
+					return Undefined, nil
+				})))
+			}
+			native("hold", func() { held = in.Steps; in.HoldQuantum(true) })
+			native("rearm", func() {
+				if rearm != 0 {
+					in.ArmQuantum(rearm)
+				}
+			})
+			native("release", func() { released = in.Steps; in.HoldQuantum(false) })
+			in.SetOnQuantum(func() { fired = in.Steps })
+			in.ArmQuantum(200)
+			if err := quantumRun(t, in, src); err != nil {
+				t.Fatalf("bytecode=%v: %v", bc, err)
+			}
+			if held == 0 || held > 150 || released-held < 2000 {
+				t.Fatalf("bytecode=%v: held at %d, released at %d: the hold did not span the loops", bc, held, released)
+			}
+			// Either what was left of the 200 at the stop, or the 300 armed
+			// during it, counted from the restart.
+			want := released + 200 - held
+			if rearm != 0 {
+				want = released + rearm
+			}
+			if fired < want || fired > want+20 {
+				t.Errorf("bytecode=%v rearm=%d: hook fired at step %d, want ~%d (held at %d, released at %d)",
+					bc, rearm, fired, want, held, released)
+			}
+		}
+
+		budgeted := newQuantumInterp(t, bc, Options{MaxSteps: 500, QuantumSteps: 100, OnQuantum: func() {}})
+		budgeted.HoldQuantum(true)
+		if err := quantumRun(t, budgeted, quantumLoop); err != ErrStepBudget {
+			t.Errorf("bytecode=%v: err=%v, want ErrStepBudget with the quantum held", bc, err)
+		}
+	}
+}

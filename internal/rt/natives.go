@@ -26,7 +26,7 @@ func (r *R) installNatives() {
 			return interp.Undefined, in.Throw("Error", "cannot capture a continuation inside a native callback")
 		}
 		f := args[0]
-		r.beginCapture(func(frames Frames) {
+		r.beginCapture(false, func(frames Frames) {
 			k := r.makeContinuation(frames)
 			r.runStep(func() (interp.Value, error) {
 				return in.Call(f, interp.Undefined, []interp.Value{interp.ObjectValue(k)}, interp.Undefined)
@@ -62,7 +62,7 @@ func (r *R) installNatives() {
 		}
 		r.Yields++
 		aux := r.curAux
-		r.beginCapture(func(frames Frames) {
+		r.beginCapture(true, func(frames Frames) {
 			// Ledgered (snapshot.go): a yield's queued resume is part of
 			// the program's serializable state, and the posted task parks
 			// instead of resuming when a pause request is armed.
@@ -88,7 +88,7 @@ func (r *R) installNatives() {
 			return interp.Undefined, nil
 		}
 		aux := r.curAux
-		r.beginCapture(func(frames Frames) {
+		r.beginCapture(true, func(frames Frames) {
 			r.Loop.Post(func() {
 				r.mu.Lock()
 				r.paused = true

@@ -46,9 +46,9 @@ type Options struct {
 	DeepStacks bool
 	DeepLimit  int
 
-	// RestoreSegment caps how many frames are re-entered per native stack
-	// excursion during restore; pending outer frames are restored lazily as
-	// inner segments return. Zero picks a limit from the engine stack.
+	// RestoreSegment caps how many frames, bottom included, one native stack
+	// excursion re-enters during restore; the callers beyond follow as inner
+	// segments return. Below 2 (no caller: no progress) picks the default.
 	RestoreSegment int
 
 	// Debug enables $bp: breakpoints and single-stepping.
@@ -66,14 +66,21 @@ type R struct {
 
 	opts Options
 	mode string
+	// hold: the capture or restore under way is the scheduler's ($suspend, $bp,
+	// the resume after one and its segments), so setMode keeps it off the
+	// quantum; what the guest starts ($C, a continuation, Blocking) it pays for.
+	hold bool
 
 	stackObj  *interp.Object // $stack: capture-order frames (checked/exceptional)
 	rstackObj *interp.Object // $rstack: frames being re-entered
 	shadowObj *interp.Object // $shadow: eager live stack
 
+	// bottom terminates a restored segment. Re-entering it reads restoreValue
+	// and restoreThrow, nothing of its own: one serves the runtime (bottomFrame).
+	bottom interp.Value
+
 	onCaptureAction func(Frames)
-	pendingFrames   Frames // eager capture's precomputed canonical frames
-	pendingOuter    Frames // outer segments awaiting lazy restore
+	pendingOuter    Frames // callers yet to re-enter: a view into the continuation being restored
 	restoreValue    interp.Value
 	restoreThrow    error
 	restoreDepth    int  // live startRestore nesting on the Go stack
@@ -96,16 +103,15 @@ type R struct {
 	savedAux  bool // under mu; the parked turn's aux tag
 	onPause   func()
 
-	// curAux tags the turn the driver is currently executing. The main
-	// chain — Run's initial task and every capture/restore descended from
-	// it — is aux=false; its completion finishes the program. Timer
-	// callbacks (the rt setTimeout) are aux=true turns: they share the
-	// whole capture/restore machinery, but completing one just ends that
-	// turn. The tag rides along through yields: a capture taken inside a
-	// callback restores as a callback. (A continuation captured on one
-	// chain and applied on the other keeps the applying turn's tag — an
-	// exotic case; first-class cross-turn control transfer has no single
-	// right answer here.) Only the pumping goroutine touches it.
+	// curAux tags the turn the driver is currently executing. The main chain —
+	// Run's initial task and every capture/restore descended from it — is
+	// aux=false; its completion finishes the program. Timer callbacks (the rt
+	// setTimeout) are aux=true turns: they share the whole capture/restore
+	// machinery, but completing one just ends that turn. The tag rides along
+	// through yields: a capture taken inside a callback restores as a callback.
+	// (A continuation captured on one chain and applied on the other keeps the
+	// applying turn's tag: first-class cross-turn control transfer has no
+	// single right answer.) Only the pumping goroutine touches it.
 	curAux bool
 
 	breakpoints map[int]bool
@@ -140,15 +146,8 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	if opts.DeepLimit <= 0 {
 		opts.DeepLimit = in.MaxDepth() / 2
 	}
-	if opts.RestoreSegment <= 0 {
-		// Each restored frame costs about two native frames (the reenter
-		// thunk plus the function itself), so a segment must leave the
-		// resumed program plenty of headroom below DeepLimit — otherwise a
-		// deep recursion would re-capture after every few calls.
-		opts.RestoreSegment = in.MaxDepth() / 8
-		if opts.RestoreSegment < 16 {
-			opts.RestoreSegment = 16
-		}
+	if opts.RestoreSegment < 2 {
+		opts.RestoreSegment = defaultRestoreSegment
 	}
 	if opts.SampleMs <= 0 {
 		opts.SampleMs = 25
@@ -180,22 +179,19 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	return r
 }
 
+// setMode switches the execution mode. Statements that unwind or rebuild a
+// stack are continuation machinery, not the guest's progress: the profiler
+// files them under a phase, and the quantum is held for those the scheduler
+// caused (r.hold), so a quantum of n is n normal-mode statements at any stack
+// depth. Both key on Go-side state: $mode is guest-writable.
 func (r *R) setMode(m string) {
 	r.mode = m
 	r.In.DefineGlobal(instrument.ModeVar, interp.StringValue(m))
-	// Tag profiler samples taken while the instrumentation unwinds or
-	// rebuilds stacks: those statements are continuation machinery, not the
-	// user frame that happens to be executing, and the profile should say so.
-	switch m {
-	case instrument.ModeNormal:
-		r.In.SetProfilePhase("")
-	default:
-		r.In.SetProfilePhase("(" + m + ")")
-	}
+	r.In.SetProfilePhase(modePhase[m])
+	r.In.HoldQuantum(r.hold && m != instrument.ModeNormal)
 }
 
-// Mode reports the current execution mode (for tests).
-func (r *R) Mode() string { return r.mode }
+var modePhase = map[string]string{instrument.ModeCapture: "(capture)", instrument.ModeRestore: "(restore)"}
 
 // Done reports whether the program has completed. Safe from any goroutine.
 func (r *R) Done() bool {
@@ -231,10 +227,6 @@ const (
 type restoreData struct {
 	frames Frames
 	value  interp.Value
-}
-
-func (r *R) captureSentinel() *interp.Object {
-	return &interp.Object{Class: classCapture}
 }
 
 func (r *R) restoreSentinel(frames Frames, v interp.Value) *interp.Object {
@@ -274,18 +266,21 @@ func ContinuationFrames(k *interp.Object) (Frames, bool) {
 	return f, ok
 }
 
-// bottomFrame builds the frame that terminates restoration: re-entering it
-// flips execution back to normal mode and produces the restore value (or
-// re-raises a pending exception when a segment is resumed in throw mode).
-func (r *R) bottomFrame() *interp.Object {
-	frame := r.In.NewPlainObject()
-	frame.SetOwn("label", interp.NumberValue(0))
-	frame.SetOwn("reenter", interp.ObjectValue(r.In.NewNative("$bottom", r.bottomReenter)))
-	return frame
+func (r *R) bottomFrame() interp.Value {
+	if !r.bottom.IsObject() {
+		frame := r.In.NewPlainObject()
+		frame.SetOwn(instrument.FrameLabel, interp.NumberValue(0))
+		frame.SetOwn(instrument.FrameFn, interp.ObjectValue(r.NewBottomNative()))
+		r.bottom = interp.ObjectValue(frame)
+	}
+	return r.bottom
 }
 
-// bottomReenter is the $bottom native's body, shared with the snapshot
-// decoder (NewBottomNative) so decoded bottom frames behave identically.
+// bottomReenter is the $bottom native's body — the fn of the frame that
+// terminates restoration: re-entering it flips execution back to normal mode
+// and produces the restore value (or re-raises a pending exception when a
+// segment is resumed in throw mode). The snapshot decoder builds decoded
+// bottom frames around the same body (NewBottomNative).
 func (r *R) bottomReenter(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 	if n := len(r.rstackObj.Elems); n > 0 {
 		r.rstackObj.Elems = r.rstackObj.Elems[:n-1]
@@ -304,27 +299,15 @@ func (r *R) bottomReenter(in *interp.Interp, this interp.Value, args []interp.Va
 // ---------------------------------------------------------------------------
 
 // beginCapture arms a capture: it records what to do with the continuation
-// once the stack has unwound, and prepares the strategy-specific state. The
-// caller (a native invoked from instrumented code) then returns normally
-// (checked) or returns the capture sentinel as a throw (exceptional/eager).
-func (r *R) beginCapture(onCapture func(Frames)) {
+// once the stack has unwound. The calling native then returns normally
+// (checked) or throws the capture sentinel (exceptional/eager). Unwinding code
+// pushes frames on $stack, innermost first after the bottom; eager's are on $shadow.
+func (r *R) beginCapture(hold bool, onCapture func(Frames)) {
 	r.Captures++
+	r.hold = hold
 	r.onCaptureAction = onCapture
-	switch r.opts.Strategy {
-	case instrument.Eager:
-		// The shadow stack is already materialized: canonicalize now.
-		frames := make(Frames, 0, len(r.shadowObj.Elems)+1)
-		frames = append(frames, interp.ObjectValue(r.bottomFrame()))
-		for i := len(r.shadowObj.Elems) - 1; i >= 0; i-- {
-			frames = append(frames, r.shadowObj.Elems[i])
-		}
-		r.pendingFrames = frames
-		r.setMode(instrument.ModeCapture)
-	default:
-		// Unwinding code pushes frames innermost-first after the bottom.
-		r.stackObj.Elems = append(r.stackObj.Elems[:0], interp.ObjectValue(r.bottomFrame()))
-		r.setMode(instrument.ModeCapture)
-	}
+	r.stackObj.Elems = append(r.stackObj.Elems[:0], r.bottomFrame())
+	r.setMode(instrument.ModeCapture)
 }
 
 // captureReturn produces the value/error a capturing native returns so the
@@ -333,23 +316,25 @@ func (r *R) captureReturn() (interp.Value, error) {
 	if r.opts.Strategy == instrument.Checked {
 		return interp.Undefined, nil
 	}
-	return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(r.captureSentinel())}
+	return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(&interp.Object{Class: classCapture})}
 }
 
 // finishCapture runs once the stack has fully unwound to the driver: it
-// assembles the canonical continuation (including any outer segments still
-// pending from a segmented restore) and hands it to the armed action.
+// assembles the canonical continuation — the frames that were live, then the
+// outer view still pending from a segmented restore, sharing its frames but
+// copying the references to them (16 B per frame of depth; ROADMAP item 2 (f))
+// — and hands it to the armed action.
 func (r *R) finishCapture() {
-	var frames Frames
-	if r.opts.Strategy == instrument.Eager {
-		frames = r.pendingFrames
-		r.pendingFrames = nil
-	} else {
-		frames = append(Frames{}, r.stackObj.Elems...)
+	live, shadow := r.stackObj.Elems, r.shadowObj.Elems
+	frames := make(Frames, 0, len(live)+len(shadow)+len(r.pendingOuter))
+	frames = append(frames, live...)
+	for i := len(shadow) - 1; i >= 0; i-- {
+		frames = append(frames, shadow[i])
 	}
 	frames = append(frames, r.pendingOuter...)
 	r.pendingOuter = nil
-	r.stackObj.Elems = nil
+	clear(r.stackObj.Elems)
+	r.stackObj.Elems = r.stackObj.Elems[:0]
 	r.shadowObj.Elems = r.shadowObj.Elems[:0]
 	r.setMode(instrument.ModeNormal)
 	act := r.onCaptureAction
@@ -362,20 +347,25 @@ func (r *R) finishCapture() {
 // ---------------------------------------------------------------------------
 
 // maxRestoreDepth bounds how deep startRestore may nest on the Go stack.
-// Restores recurse through afterStep (segmented restores and continuation
-// applications within one turn), and a cyclic continuation — constructible
-// only from a corrupt snapshot blob, since guests cannot forge Frames —
-// would otherwise recurse forever without consuming guest steps, overflowing
-// the engine stack before MaxSteps or the preemption watchdog can act.
+// Restores recurse through afterStep (continuation applications within one
+// turn), and a cyclic continuation — constructible only from a corrupt
+// snapshot blob, since guests cannot forge Frames — would otherwise recurse
+// forever without consuming guest steps, overflowing the engine stack before
+// MaxSteps or the preemption watchdog can act.
 const maxRestoreDepth = 32768
 
-// startRestore reinstates a continuation. Only the innermost RestoreSegment
-// frames are re-entered on the native stack; outer frames wait in
-// pendingOuter and are restored as inner segments return (§5.2).
-func (r *R) startRestore(frames Frames, v interp.Value, throwErr error) {
+// defaultRestoreSegment is how many frames, bottom included, one native
+// stack excursion re-enters. A resume re-executes one segment's prologues and
+// the next capture unwinds only the frames then live, so a preemption costs
+// O(segment) at any depth. DESIGN_interp.md "Frames" has the measurements
+// behind the value (AblationRestoreSegment, stopibench -fig ablation-segment).
+const defaultRestoreSegment = 16
+
+// startRestore reinstates a continuation: frames[0] is its bottom frame, the
+// rest its callers, innermost first. Its segments inherit hold (R.hold).
+func (r *R) startRestore(hold bool, frames Frames, v interp.Value) {
 	if len(frames) == 0 {
-		r.afterStep(v, throwErr)
-		return
+		frames = Frames{r.bottomFrame()}
 	}
 	if r.restoreDepth >= maxRestoreDepth {
 		r.finish(interp.Undefined, r.In.Throw("Error", "continuation restore depth exceeded (cyclic or corrupt continuation)"))
@@ -383,40 +373,44 @@ func (r *R) startRestore(frames Frames, v interp.Value, throwErr error) {
 	}
 	r.restoreDepth++
 	defer func() { r.restoreDepth-- }()
-	r.Restores++
-	r.stackObj.Elems = nil
-	r.shadowObj.Elems = r.shadowObj.Elems[:0]
-	seg := frames
-	if len(frames) > r.opts.RestoreSegment {
-		seg = frames[:r.opts.RestoreSegment]
-		r.pendingOuter = append(append(Frames{}, frames[r.opts.RestoreSegment:]...), r.pendingOuter...)
-	}
-	r.restoreValue = v
-	r.restoreThrow = throwErr
-	r.rstackObj.Elems = append(r.rstackObj.Elems[:0], seg...)
-	r.setMode(instrument.ModeRestore)
-
-	top := seg[len(seg)-1]
-	if !top.IsObject() {
-		r.finish(interp.Undefined, r.In.Throw("Error", "corrupt continuation frame"))
-		return
-	}
-	reenter, err := r.In.GetMember(top, "reenter")
-	if err != nil {
-		r.finish(interp.Undefined, err)
-		return
-	}
-	r.runStep(func() (interp.Value, error) {
-		return r.In.Call(reenter, interp.Undefined, nil, interp.Undefined)
-	})
+	r.hold = hold
+	r.runStep(r.enterSegment(frames[0], frames[1:], v, nil))
 }
 
-// continueSegments resumes the next pending outer segment with the inner
-// segment's completion (a value or an exception).
-func (r *R) continueSegments(v interp.Value, throwErr error) {
-	frames := append(Frames{interp.ObjectValue(r.bottomFrame())}, r.pendingOuter...)
-	r.pendingOuter = nil
-	r.startRestore(frames, v, throwErr)
+// enterSegment readies the innermost RestoreSegment frames of a continuation
+// — bottom, then callers from the inside out — and returns the step that
+// re-enters them. The callers beyond wait in pendingOuter for the segment to
+// complete (afterStep): no restore and no capture reads or writes them (§5.2).
+func (r *R) enterSegment(bottom interp.Value, callers Frames, v interp.Value, throwErr error) func() (interp.Value, error) {
+	r.Restores++
+	r.stackObj.Elems = r.stackObj.Elems[:0]
+	r.shadowObj.Elems = r.shadowObj.Elems[:0]
+	n := min(len(callers), r.opts.RestoreSegment-1)
+	r.pendingOuter = callers[n:]
+	r.restoreValue = v
+	r.restoreThrow = throwErr
+	r.rstackObj.Elems = append(append(r.rstackObj.Elems[:0], bottom), callers[:n]...)
+	r.setMode(instrument.ModeRestore)
+
+	// Re-enter the segment's outermost frame as a call site's restore arm
+	// does: apply its fn to its self, and to the args the varargs
+	// sub-language stores. A corrupt blob's frame fails as a guest TypeError.
+	top := r.rstackObj.Elems[n]
+	return func() (interp.Value, error) {
+		var part [3]interp.Value
+		for i, key := range [...]string{instrument.FrameFn, instrument.FrameSelf, instrument.FrameArgs} {
+			v, err := r.In.GetMember(top, key)
+			if err != nil {
+				return interp.Undefined, err
+			}
+			part[i] = v
+		}
+		var args []interp.Value
+		if part[2].IsObject() {
+			args = part[2].Obj().Elems
+		}
+		return r.In.Call(part[0], part[1], args, interp.Undefined)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -453,59 +447,66 @@ func (r *R) runStep(invoke func() (interp.Value, error)) {
 			}
 		}()
 	}
-	v, err := invoke()
-	r.afterStep(v, err)
+	// A segment that returns into pending outer frames continues here: the
+	// Go stack does not grow with the segments a deep recursion returns through.
+	for invoke != nil {
+		v, err := invoke()
+		invoke = r.afterStep(v, err)
+	}
 }
 
-func (r *R) afterStep(v interp.Value, err error) {
+// afterStep dispatches on how a slice ended. When the slice was a restored
+// segment with outer frames still pending, it returns the step that resumes
+// the next segment with this one's completion (a value or an exception).
+func (r *R) afterStep(v interp.Value, err error) (next func() (interp.Value, error)) {
 	if err != nil {
 		if t, ok := err.(*interp.Thrown); ok {
 			if sig, isSig := isSignal(t.Value); isSig {
 				switch sig.Class {
 				case classCapture:
 					r.finishCapture()
-					return
+					return nil
 				case classRestore:
 					data := sig.Extra.(*restoreData)
 					r.pendingOuter = nil // the applied continuation replaces it
-					r.startRestore(data.frames, data.value, nil)
-					return
+					r.startRestore(false, data.frames, data.value)
+					return nil
 				}
 			}
 			// An ordinary exception escaping this segment propagates into
 			// the pending outer frames, or terminates the program.
 			if len(r.pendingOuter) > 0 {
-				r.continueSegments(interp.Undefined, t)
-				return
+				return r.enterSegment(r.bottomFrame(), r.pendingOuter, interp.Undefined, t)
 			}
 		}
+		// A kill or an exhausted budget can land mid-restore: the outer
+		// frames die with this turn rather than wait for a later one.
+		r.pendingOuter = nil
 		r.finish(interp.Undefined, err)
-		return
+		return nil
 	}
 	if r.mode == instrument.ModeCapture {
 		// Checked-return unwinding completed.
 		r.finishCapture()
-		return
+		return nil
 	}
 	if len(r.pendingOuter) > 0 {
-		r.continueSegments(v, nil)
-		return
+		return r.enterSegment(r.bottomFrame(), r.pendingOuter, v, nil)
 	}
-	if r.curAux {
-		// An auxiliary turn (timer callback) completing just ends the
-		// turn; only the main chain's completion finishes the program.
-		return
+	// An auxiliary turn (timer callback) completing just ends the turn; only
+	// the main chain's completion finishes the program.
+	if !r.curAux {
+		r.finish(v, nil)
 	}
-	r.finish(v, nil)
+	return nil
 }
 
-// finish completes the program (idempotent). It deliberately touches no
-// execution-goroutine state: Kill may invoke it from a controller
-// goroutine while an auxiliary timer turn still executes guest code, so
-// anything outside mu (pendingOuter, mode, the interpreter) is off limits.
-// pendingOuter needs no clearing here — it never survives a task (segments
-// are consumed within afterStep, and a pause folds them into savedK), so
-// a later aux turn cannot observe stale outer frames.
+// finish completes the program (idempotent). It touches no execution-goroutine
+// state: Kill may invoke it from a controller goroutine while an auxiliary
+// timer turn still executes guest code, so anything outside mu (pendingOuter,
+// mode, the interpreter) is off limits. pendingOuter needs no clearing: it
+// never survives a task (runStep's loop consumes segments, a pause folds them
+// into savedK, afterStep drops them on a terminal error).
 func (r *R) finish(v interp.Value, err error) {
 	r.mu.Lock()
 	if r.done {
@@ -639,11 +640,11 @@ func (r *R) Blocking(name string, start func(args []interp.Value, resume func(in
 	r.In.DefineGlobal(name, interp.ObjectValue(r.In.NewNative(name, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		saved := append([]interp.Value(nil), args...)
 		aux := r.curAux
-		r.beginCapture(func(frames Frames) {
+		r.beginCapture(false, func(frames Frames) {
 			start(saved, func(result interp.Value) {
 				r.Loop.Post(func() {
 					r.curAux = aux
-					r.startRestore(frames, result, nil)
+					r.startRestore(false, frames, result)
 				}, 0)
 			})
 		})

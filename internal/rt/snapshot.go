@@ -98,7 +98,7 @@ func (r *R) postResume(frames Frames, aux bool, delay float64) {
 			return
 		}
 		r.curAux = aux
-		r.startRestore(frames, interp.Undefined, nil)
+		r.startRestore(true, frames, interp.Undefined)
 	})
 }
 
@@ -249,9 +249,9 @@ func (r *R) AdoptParked(st ParkState, onDone func(interp.Value, error)) {
 	r.mu.Unlock()
 }
 
-// NewBottomNative builds the native that terminates a restored stack —
-// behaviorally identical to the one bottomFrame installs, so a decoded
-// bottom frame re-enters exactly like the original.
+// NewBottomNative builds the native that terminates a restored stack: the fn
+// of this runtime's bottom frame, and of every bottom frame the snapshot
+// decoder rebuilds, so a decoded one re-enters exactly like the original.
 func (r *R) NewBottomNative() *interp.Object {
 	return r.In.NewNative("$bottom", r.bottomReenter)
 }

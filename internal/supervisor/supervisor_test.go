@@ -205,7 +205,7 @@ func TestPauseResume(t *testing.T) {
 	defer s.Close()
 	g, err := s.Submit(SubmitOptions{Source: `
 var n = 0;
-for (var i = 0; i < 20000; i++) { n += i; }
+for (var i = 0; i < 400000; i++) { n += i; }
 console.log("done", n);
 `})
 	if err != nil {
