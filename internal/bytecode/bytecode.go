@@ -90,6 +90,23 @@ const (
 	// OpTypeofDyn pushes typeof of the dynamic binding Names[B],
 	// "undefined" when unbound.
 	OpTypeofDyn
+	// OpGetArguments, OpGetArg and OpArgsLen are every read a function makes
+	// of its own `arguments` binding (packed Ref C: its frame's ArgumentsSlot,
+	// as many hops out as catch clauses enclose the read). On entry the slot
+	// holds the call's argument vector (interp.argsValue), not an object;
+	// these read it in place and build the object — storing it back, so
+	// identity holds — only when asked for it. Stores are plain stores.
+	// OpGetArguments pushes the object, built now if the slot is still the
+	// vector, or whatever the guest has since assigned.
+	OpGetArguments
+	// OpGetArg is arguments[idx], idx a literal or a variable: [idx] → [v].
+	// A number index inside the vector loads the element; anything else —
+	// past the end, where Object.prototype[i] shows, a non-number key, an
+	// object already built — builds it if need be and reads as OpGetIndex.
+	OpGetArg
+	// OpArgsLen is arguments.length (name A, site B): the vector's length,
+	// or OpGetMember on what the slot holds by now.
+	OpArgsLen
 	// OpThisDyn pushes the dynamic `this` binding (undefined when absent).
 	OpThisDyn
 	// OpNewTargetDyn pushes the dynamic `new.target` binding.
@@ -409,6 +426,7 @@ var opNames = [...]string{
 	OpGetRef: "getref", OpSetRef: "setref", OpGetGlobal: "getglobal",
 	OpSetGlobal: "setglobal", OpGetDyn: "getdyn", OpSetDyn: "setdyn",
 	OpTypeofGlobal: "typeofglobal", OpTypeofDyn: "typeofdyn",
+	OpGetArguments: "getarguments", OpGetArg: "getarg", OpArgsLen: "argslen",
 	OpThisDyn: "thisdyn", OpNewTargetDyn: "newtargetdyn",
 	OpClosure: "closure", OpArray: "array", OpNewObject: "newobject",
 	OpSetProp: "setprop", OpSetAccessor: "setaccessor",
@@ -481,6 +499,9 @@ func (c *Chunk) Disassemble() string {
 			b = append(b, fmt.Sprintf(" %d %d", ins.A, ins.B)...)
 		case OpGetRef, OpSetRef:
 			r := ast.Ref(uint32(ins.A))
+			b = append(b, fmt.Sprintf(" (%d,%d)", r.Hops(), r.Slot())...)
+		case OpGetArguments, OpGetArg, OpArgsLen:
+			r := ast.Ref(uint32(ins.C))
 			b = append(b, fmt.Sprintf(" (%d,%d)", r.Hops(), r.Slot())...)
 		}
 		b = append(b, '\n')

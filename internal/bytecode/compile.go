@@ -24,6 +24,7 @@ func Compile(fn *ast.Func) *Chunk {
 	c := compilers.Get().(*compiler)
 	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names}
 	c.ch = ch
+	c.argsSlot = fn.Scope.ArgumentsSlot
 	for _, s := range fn.Body {
 		c.stmt(s)
 	}
@@ -85,6 +86,8 @@ type compiler struct {
 	iterDepth  int
 	scopeDepth int
 	tryDepth   int
+
+	argsSlot int // the function's ArgumentsSlot, -1 for none (ownArguments)
 
 	ctxs     []*ctx
 	nameIdx  map[string]int32
@@ -247,6 +250,16 @@ func (c *compiler) name(s string) int32 {
 	c.ch.Names = append(c.ch.Names, s)
 	c.nameIdx[s] = i
 	return i
+}
+
+// dynName is name for a reference left to by-name lookup. One to `arguments`
+// (its coordinate too large to pack) could find the function's own slot still
+// holding the argument vector (OpGetArguments): the walker runs that function.
+func (c *compiler) dynName(s string) int32 {
+	if s == "arguments" {
+		c.failed = true
+	}
+	return c.name(s)
 }
 
 func (c *compiler) constant(v Const) int32 {
@@ -558,7 +571,7 @@ func (c *compiler) compileForIn(n *ast.ForIn, labels []string) {
 	if n.Ref.Valid() {
 		c.storeRef(n.Ref)
 	} else {
-		c.emit(OpSetDyn, 0, c.name(n.Name))
+		c.emit(OpSetDyn, 0, c.dynName(n.Name))
 		c.pop(1)
 	}
 	cx := c.pushCtx(labels, true, true, head)
@@ -896,10 +909,28 @@ func (c *compiler) expr(e ast.Expr) {
 		c.pop(len(n.Args) + 1)
 		c.push(1)
 	case *ast.Member:
+		if ref, ok := c.ownArguments(n.X); ok {
+			_, lit := literalConst(n.Index)
+			_, id := n.Index.(*ast.Ident)
+			switch {
+			case n.Computed && (lit || id):
+				// Neither can assign `arguments` on the way, so reading the
+				// slot after the index is reading it before.
+				c.expr(n.Index)
+				c.emit3(OpGetArg, 0, 0, ref)
+				c.push(1) // the fall-through to OpGetIndex spreads [base idx]
+				c.pop(1)
+				return
+			case !n.Computed && n.Name == "length":
+				c.emit3(OpArgsLen, c.name(n.Name), int32(n.Site), ref)
+				c.push(1)
+				return
+			}
+		}
 		if !n.Computed {
 			// Member reads off a local are the hottest property accesses
 			// in instrumented code (frame records, runtime state).
-			if slot, ok := localSlot(n.X); ok {
+			if slot, ok := c.localSlot(n.X); ok {
 				c.emit3(OpGetLocalMember, slot, c.name(n.Name), int32(n.Site))
 				c.push(1)
 				return
@@ -968,6 +999,11 @@ func (c *compiler) storeRef(r ast.Ref) {
 }
 
 func (c *compiler) loadIdent(n *ast.Ident) {
+	if ref, ok := c.ownArguments(n); ok {
+		c.emit3(OpGetArguments, 0, 0, ref)
+		c.push(1)
+		return
+	}
 	switch {
 	case n.Ref.Valid():
 		c.loadRef(n.Ref)
@@ -975,9 +1011,21 @@ func (c *compiler) loadIdent(n *ast.Ident) {
 		c.emit(OpGetGlobal, int32(n.Site), c.name(n.Name))
 		c.push(1)
 	default:
-		c.emit(OpGetDyn, 0, c.name(n.Name))
+		c.emit(OpGetDyn, 0, c.dynName(n.Name))
 		c.push(1)
 	}
+}
+
+// ownArguments reports whether e names the compiled function's own
+// `arguments` binding — its frame's ArgumentsSlot, as many hops out as catch
+// clauses enclose e — returning the packed coordinate. Only OpGetArguments,
+// OpGetArg and OpArgsLen read it.
+func (c *compiler) ownArguments(e ast.Expr) (int32, bool) {
+	id, ok := e.(*ast.Ident)
+	if !ok || !id.Ref.Valid() || id.Ref.Slot() != c.argsSlot || id.Ref.Hops() != c.scopeDepth {
+		return 0, false
+	}
+	return int32(uint32(id.Ref)), true
 }
 
 // storeIdent writes the top of stack into an identifier reference (popping
@@ -990,7 +1038,7 @@ func (c *compiler) storeIdent(n *ast.Ident) {
 		c.emit(OpSetGlobal, int32(n.Site), c.name(n.Name))
 		c.pop(1)
 	default:
-		c.emit(OpSetDyn, 0, c.name(n.Name))
+		c.emit(OpSetDyn, 0, c.dynName(n.Name))
 		c.pop(1)
 	}
 }
@@ -1003,7 +1051,7 @@ func (c *compiler) unary(n *ast.Unary) {
 			if id.Ref.Global() {
 				c.emit(OpTypeofGlobal, int32(id.Site), c.name(id.Name))
 			} else {
-				c.emit(OpTypeofDyn, 0, c.name(id.Name))
+				c.emit(OpTypeofDyn, 0, c.dynName(id.Name))
 			}
 			c.push(1)
 			return
@@ -1206,7 +1254,7 @@ func (c *compiler) call(n *ast.Call) {
 			c.emit(OpGetMethodIndex, 0, 0)
 			c.pop(2)
 			c.push(2)
-		} else if slot, ok := localSlot(m.X); ok {
+		} else if slot, ok := c.localSlot(m.X); ok {
 			c.emit3(OpGetLocalMethod, slot, c.name(m.Name), int32(m.Site))
 			c.push(2)
 		} else {
@@ -1219,6 +1267,7 @@ func (c *compiler) call(n *ast.Call) {
 		// Plain calls of globals (runtime primitives) and locals
 		// (continuation thunks) fuse the `this` push with the callee load;
 		// the ubiquitous zero-argument forms fuse the whole call.
+		slot, local := c.localSlot(callee)
 		switch {
 		case callee.Ref.Global():
 			if len(n.Args) == 0 {
@@ -1228,13 +1277,13 @@ func (c *compiler) call(n *ast.Call) {
 			}
 			c.emit(OpCalleeGlobal, int32(callee.Site), c.name(callee.Name))
 			c.push(2)
-		case callee.Ref.Valid() && callee.Ref.Hops() == 0:
+		case local:
 			if len(n.Args) == 0 {
-				c.emit(OpCall0Local, int32(callee.Ref.Slot()), 0)
+				c.emit(OpCall0Local, slot, 0)
 				c.push(1)
 				return
 			}
-			c.emit(OpCalleeLocal, int32(callee.Ref.Slot()), 0)
+			c.emit(OpCalleeLocal, slot, 0)
 			c.push(2)
 		default:
 			c.emit(OpUndef, 0, 0)
@@ -1255,10 +1304,12 @@ func (c *compiler) call(n *ast.Call) {
 }
 
 // localSlot reports whether e is a resolved reference into the current
-// frame (hops 0), returning its slot.
-func localSlot(e ast.Expr) (int32, bool) {
+// frame (hops 0) that the fused local opcodes may read, returning its slot:
+// any but the function's own `arguments`.
+func (c *compiler) localSlot(e ast.Expr) (int32, bool) {
 	id, ok := e.(*ast.Ident)
-	if !ok || !id.Ref.Valid() || id.Ref.Hops() != 0 {
+	_, own := c.ownArguments(e)
+	if !ok || own || !id.Ref.Valid() || id.Ref.Hops() != 0 {
 		return 0, false
 	}
 	return int32(id.Ref.Slot()), true

@@ -235,3 +235,54 @@ function f(a, b, c) { return f(a + 1, b * 2, c + a + b)[a][b](a, b, c); }`)
 		t.Fatalf("MaxStack suspiciously small: %d", ch.MaxStack)
 	}
 }
+
+// TestOwnArgumentsOpcodes: every read a function makes of its own
+// `arguments` binding is one of the three opcodes that may see the argument
+// vector, at the hops the enclosing catch clauses put it; no plain or fused
+// local load names the slot, stores are plain, and an arrow's reference to
+// the enclosing function's binding is an ordinary getref.
+func TestOwnArgumentsOpcodes(t *testing.T) {
+	ch := compileFirstFunc(t, `
+function f(a, i) {
+  var r = arguments[0] + arguments[i] + arguments.length;
+  r += arguments[i + 1] + arguments.callee + arguments.join();
+  arguments(1); arguments[0](); arguments[1] = 2; delete arguments[0]; typeof arguments;
+  try { throw a; } catch (e) { r += arguments[1] + arguments.length; }
+  arguments = [r];
+  var g = () => arguments[0];
+  return arguments;
+}`)
+	dis := ch.Disassemble()
+	slot := -1
+	for _, ins := range ch.Code {
+		if ins.Op == OpGetArguments {
+			slot = ast.Ref(uint32(ins.C)).Slot()
+		}
+	}
+	for op, want := range map[Op]int{OpGetArg: 3, OpArgsLen: 2, OpGetArguments: 9} {
+		if n := countOp(ch, op); n != want {
+			t.Errorf("%v: %d, want %d\n%s", op, n, want, dis)
+		}
+	}
+	hops := map[int]int{}
+	for _, ins := range ch.Code {
+		switch ins.Op {
+		case OpGetArg, OpArgsLen, OpGetArguments:
+			r := ast.Ref(uint32(ins.C))
+			if r.Slot() != slot {
+				t.Errorf("%v reads slot %d, not the arguments slot %d", ins.Op, r.Slot(), slot)
+			}
+			hops[r.Hops()]++
+		case OpGetLocal, OpStmtGetLocal, OpGetLocalMember, OpGetLocalMethod, OpCalleeLocal, OpCall0Local:
+			if int(ins.A) == slot {
+				t.Errorf("%v loads the arguments slot raw\n%s", ins.Op, dis)
+			}
+		}
+	}
+	if hops[0] != 12 || hops[1] != 2 {
+		t.Errorf("reads by hops %v, want 12 in the body and 2 inside the catch\n%s", hops, dis)
+	}
+	if arrow := Compile(ch.Funcs[0]); arrow == nil || countOp(arrow, OpGetRef) != 1 || countOp(arrow, OpGetArg)+countOp(arrow, OpGetArguments) != 0 {
+		t.Errorf("the arrow must read the enclosing binding with a plain getref")
+	}
+}

@@ -146,6 +146,28 @@ console.log(go(10), hits);`,
 				"none": "11:2 3\n", "varargs": "11:2 3\n", "mixed": "11:2 3\n", "full": "11:2 3\n",
 			},
 		},
+		{
+			// Multi-shot through a frame that looked at its arguments. Each
+			// application re-enters the same captured frame: varargs hands
+			// every pass a new object over the elements as captured, so the
+			// increment never accumulates; mixed and full carry the object
+			// itself in locals, a heap value like any other, and it does;
+			// none carries nothing.
+			name: "continuation-applied-twice-arguments",
+			src: `var saved = null, hits = 0;
+function go(a, b) {
+  var v = $C(function (k) { saved = k; return k(0); });
+  arguments[1] = arguments[1] + 1;
+  hits = hits + 1;
+  if (hits < 3) { saved(hits); }
+  return a + ":" + arguments[1] + ":" + arguments.length + ":" + v;
+}
+console.log(go(10, 20, 30), hits);`,
+			variants: everyArgs,
+			want: map[string]string{
+				"none": "10:NaN:0:2 3\n", "varargs": "10:21:3:2 3\n", "mixed": "10:23:3:2 3\n", "full": "10:23:3:2 3\n",
+			},
+		},
 	}
 	for _, tc := range cases {
 		raw, rawErr := core.RunRaw(ccRaw+tc.src, core.RunConfig{Clock: eventloop.NewVirtualClock()})

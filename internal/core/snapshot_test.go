@@ -267,6 +267,20 @@ func adversarialPrograms() []diffProgram {
 			for (var i = 0; i < 60000; i++) { n = (n + arr.second()) % 99991; }
 			console.log(({}).tagged, arr.second(), n);
 		`),
+		// The delta diff's two walks: Math keeps its key sequence and changes
+		// one value (compared in place, position by position); String.prototype
+		// loses a key and gets it back at the end, and Number gains one (diffed
+		// by key).
+		mk("host-deltas-in-place", `
+			Math.E = 3;
+			var at = String.prototype.charAt;
+			delete String.prototype.charAt;
+			String.prototype.charAt = function (i) { return "<" + at.call(this, i) + ">"; };
+			Number.added = "n";
+			var n = 0;
+			for (var i = 0; i < 60000; i++) { n = (n + Math.E * i) % 99991; }
+			console.log(Math.E, Math.PI > 3.14, "abc".charAt(1), Number.added, typeof Math.abs, n);
+		`),
 		mk("prototype-chains", `
 			function Base() { this.kind = "base"; }
 			Base.prototype.describe = function () { return "I am " + this.kind; };

@@ -368,6 +368,19 @@ loop:
 			}
 			obj.SetAccessor(key, getter, setter, true)
 
+		case bytecode.OpGetArguments:
+			stack[sp] = in.buildArguments(env.slotRef(ast.Ref(uint32(ins.C))))
+			sp++
+		case bytecode.OpArgsLen:
+			slot := env.slotRef(ast.Ref(uint32(ins.C)))
+			if slot.tag == tagArgs {
+				stack[sp] = NumberValue(float64(slot.slen))
+				sp++
+				continue
+			}
+			stack[sp] = *slot
+			sp++
+			fallthrough
 		case bytecode.OpGetMember:
 			v, e := in.getMemberSite(stack[sp-1], ch.Names[ins.A], uint32(ins.B))
 			if e != nil {
@@ -418,6 +431,17 @@ loop:
 				}
 			}
 			stack[sp-1] = v
+		case bytecode.OpGetArg:
+			slot := env.slotRef(ast.Ref(uint32(ins.C)))
+			idx := stack[sp-1]
+			if i := int(idx.num); slot.tag == tagArgs && idx.tag == TagNumber && uint(i) < uint(slot.slen) && float64(i) == idx.num {
+				stack[sp-1] = slot.argVector()[i]
+				continue
+			}
+			stack[sp-1] = in.buildArguments(slot)
+			stack[sp] = idx
+			sp++
+			fallthrough
 		case bytecode.OpGetIndex:
 			idx := stack[sp-1]
 			base := stack[sp-2]

@@ -230,21 +230,18 @@ func (in *Interp) releaseFrame(e *Env) {
 }
 
 // GetRef reads a resolved (hops, slot) coordinate.
-func (e *Env) GetRef(r ast.Ref) Value {
-	env := e
-	for n := r.Hops(); n > 0; n-- {
-		env = env.parent
-	}
-	return env.slots[r.Slot()]
-}
+func (e *Env) GetRef(r ast.Ref) Value { return *e.slotRef(r) }
 
 // SetRef writes through a resolved coordinate.
-func (e *Env) SetRef(r ast.Ref, v Value) {
+func (e *Env) SetRef(r ast.Ref, v Value) { *e.slotRef(r) = v }
+
+// slotRef is the slot a resolved coordinate names.
+func (e *Env) slotRef(r ast.Ref) *Value {
 	env := e
 	for n := r.Hops(); n > 0; n-- {
 		env = env.parent
 	}
-	env.slots[r.Slot()] = v
+	return &env.slots[r.Slot()]
 }
 
 // slotIndex finds name in this frame's static layout, or -1. It only runs

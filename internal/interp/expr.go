@@ -590,6 +590,7 @@ type argsObject struct {
 // newArguments builds the arguments object for a call (the elements are
 // copied — the caller's slice is arena-backed and dies with the call).
 func (in *Interp) newArguments(args []Value) *Object {
+	in.argsBuilt++
 	in.chargeMem(memObjectBytes + memValueBytes*len(args))
 	a := new(argsObject)
 	a.obj = Object{Class: "Arguments", Proto: in.objectProto}
@@ -601,6 +602,18 @@ func (in *Interp) newArguments(args []Value) *Object {
 	}
 	return &a.obj
 }
+
+// buildArguments replaces a still-lazy `arguments` slot (argsValue) with the
+// object, built and metered now, and returns what the slot holds by then.
+func (in *Interp) buildArguments(slot *Value) Value {
+	if slot.tag == tagArgs {
+		*slot = ObjectValue(in.newArguments(slot.argVector()))
+	}
+	return *slot
+}
+
+// ArgumentsBuilt counts the arguments objects this realm has built.
+func (in *Interp) ArgumentsBuilt() uint64 { return uint64(in.argsBuilt) }
 
 // Construct implements `new fn(args)`.
 func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
@@ -648,7 +661,9 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 	return ObjectValue(obj), nil
 }
 
-// Call applies fn to args with the given this and new.target.
+// Call applies fn to args with the given this and new.target. The callee may
+// read args until Call returns (argsValue) and keeps nothing of it after: the
+// caller owns the slice that long, or passes a copy of a guest-visible array.
 func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Value, error) {
 	f := fn.Obj()
 	if !f.IsCallable() {
@@ -721,9 +736,13 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 			slots[sc.NewTargetSlot] = newTarget
 		}
 		if sc.ArgumentsSlot >= 0 {
-			// Only materialized when the body actually references
-			// `arguments` — the resolver proved nothing else can see it.
-			slots[sc.ArgumentsSlot] = ObjectValue(in.newArguments(args))
+			// Only when the body names `arguments` (nothing else can see it):
+			// a chunk reads the actuals in place, the walker builds the object.
+			if in.bytecode && chunkFor(c.Decl) != nil {
+				slots[sc.ArgumentsSlot] = argsValue(args)
+			} else {
+				slots[sc.ArgumentsSlot] = ObjectValue(in.newArguments(args))
+			}
 		}
 		for _, fd := range sc.FnDecls {
 			slots[fd.Slot] = ObjectValue(in.makeFunction(fd.Fn, env))
@@ -761,7 +780,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	// Engine dispatch: resolved bodies run on the bytecode engine when the
 	// realm enables it (dispatch.go); everything else — and any function
 	// the compiler rejects — walks the tree exactly as before. Both
-	// engines receive the identical frame built above.
+	// engines receive the frame built above, identical but for `arguments`.
 	if in.bytecode && c.Decl.Scope != nil {
 		if ch := chunkFor(c.Decl); ch != nil {
 			return in.runChunk(ch, env)

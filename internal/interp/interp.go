@@ -131,6 +131,7 @@ type Interp struct {
 	chunkRuns  uint64
 
 	quantumHeld   bool   // HoldQuantum: the hook cannot fire
+	argsBuilt     uint32 // arguments objects built (ArgumentsBuilt); in the bool's padding: Interp sits at a size class's edge
 	quantumHeldAt uint64 // Steps since which the hold has cost the quantum nothing
 
 	objectProto   *Object
@@ -404,10 +405,15 @@ type funcObject struct {
 // The captured environment chain is marked escaped so the frame pool never
 // recycles a frame this closure can still see. Marking stops at the first
 // already-escaped frame: escape marking always walks the full chain, so an
-// escaped frame implies escaped ancestors.
+// escaped frame implies escaped ancestors. A still-lazy `arguments` on the way
+// is built now (the closure may read that slot, during the call or after it),
+// so no escaped frame ever holds an argsValue.
 func (in *Interp) makeFunction(fn *ast.Func, env *Env) *Object {
 	for e := env; e != nil && !e.escaped; e = e.parent {
 		e.escaped = true
+		if l := e.layout; l != nil && l.ArgumentsSlot >= 0 {
+			in.buildArguments(&e.slots[l.ArgumentsSlot])
+		}
 	}
 	in.charge(in.Engine.ObjectCreateCost)
 	in.chargeMem(memFuncBytes)

@@ -35,6 +35,24 @@ func (o *Object) OwnProps() []OwnProp {
 	return out
 }
 
+// OwnPropCount and OwnPropAt read the same sequence in place, for a walk
+// that keeps nothing (the codec's host-delta diff, every encode).
+func (o *Object) OwnPropCount() int {
+	if o.shape == nil {
+		return 0
+	}
+	return len(o.shape.keys)
+}
+
+// OwnPropAt returns own property i: its key, and its slot under Own's
+// validity rule; nil past OwnPropCount.
+func (o *Object) OwnPropAt(i int) (string, *Prop) {
+	if i >= o.OwnPropCount() {
+		return "", nil
+	}
+	return o.shape.keys[i], &o.slots[i]
+}
+
 // Parent returns the enclosing frame (nil for the global frame).
 func (e *Env) Parent() *Env { return e.parent }
 

@@ -36,12 +36,14 @@ const (
 	TagString
 	TagObject
 
-	// tagIter and tagCtor are engine-internal: a reified for-in iterator
-	// living on the bytecode operand stack, and the sentinel `this` that
-	// marks a native constructor call. Neither ever escapes to user code,
+	// tagIter, tagCtor and tagArgs are engine-internal: a reified for-in
+	// iterator living on the bytecode operand stack, the sentinel `this` that
+	// marks a native constructor call, and a call's argument vector in its
+	// callee's `arguments` slot (argsValue). None ever escapes to user code,
 	// so the public predicates and conversions treat them as undefined.
 	tagIter
 	tagCtor
+	tagArgs
 )
 
 // Value is a JavaScript value in a struct-tagged, unboxed representation.
@@ -190,6 +192,19 @@ func sameString(a, b Value) bool {
 var ctorSentinel = Value{tag: tagCtor}
 
 func isCtorSentinel(v Value) bool { return v.tag == tagCtor }
+
+// argsValue is the lazy `arguments` of a chunk-run call: (ptr, slen) over the
+// caller's argument slice as a string Value is (ptr, slen) over its bytes. It
+// lives only in the callee frame's ArgumentsSlot while that call is on the Go
+// stack: the opcodes that read the slot build the object when asked for more
+// than an element or the length, makeFunction when the frame escapes, and
+// releaseFrame clears what is left (DESIGN_interp.md, "arguments").
+func argsValue(args []Value) Value {
+	return Value{tag: tagArgs, ptr: unsafe.Pointer(unsafe.SliceData(args)), slen: int32(len(args))}
+}
+
+// argVector is the argument slice an argsValue stands for.
+func (v Value) argVector() []Value { return unsafe.Slice((*Value)(v.ptr), int(v.slen)) }
 
 // ---------------------------------------------------------------------------
 // Embedding-API conversion boundary

@@ -407,7 +407,8 @@ func (r *R) enterSegment(bottom interp.Value, callers Frames, v interp.Value, th
 		}
 		var args []interp.Value
 		if part[2].IsObject() {
-			args = part[2].Obj().Elems
+			// A copy: the callee reads args in place, and this object is the guest's.
+			args = append(args, part[2].Obj().Elems...)
 		}
 		return r.In.Call(part[0], part[1], args, interp.Undefined)
 	}

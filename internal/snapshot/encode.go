@@ -266,26 +266,7 @@ func Encode(input Input) ([]byte, error) {
 func (e *enc) collectDeltas(prist *Registry) {
 	for i := 0; i < e.reg.Len(); i++ {
 		live, twin := e.reg.Object(i), prist.Object(i)
-		var ops []deltaOp
-		liveProps := live.OwnProps()
-		twinProps := twin.OwnProps()
-		twinByKey := make(map[string]interp.Prop, len(twinProps))
-		for _, p := range twinProps {
-			twinByKey[p.Key] = p.Prop
-		}
-		liveKeys := make(map[string]bool, len(liveProps))
-		for _, p := range liveProps {
-			liveKeys[p.Key] = true
-			tp, ok := twinByKey[p.Key]
-			if !ok || !e.propEq(p.Prop, tp, prist) {
-				ops = append(ops, deltaOp{kind: opSetProp, key: p.Key, prop: p.Prop})
-			}
-		}
-		for _, p := range twinProps {
-			if !liveKeys[p.Key] {
-				ops = append(ops, deltaOp{kind: opDelProp, key: p.Key})
-			}
-		}
+		ops := e.propDeltas(live, twin, prist)
 		if !e.protoEq(live.Proto, twin.Proto, prist) {
 			ops = append(ops, deltaOp{kind: opSetProto, proto: interp.ObjectValue(live.Proto)})
 		}
@@ -296,6 +277,32 @@ func (e *enc) collectDeltas(prist *Registry) {
 			e.deltas = append(e.deltas, hostDelta{ordinal: i, ops: ops})
 		}
 	}
+}
+
+// propDeltas is the property part of one object's delta: what the live
+// object sets that its twin lacks or holds otherwise, in the live object's
+// order, then what it deleted. A guest rarely touches a host object's key
+// sequence, so the two are walked side by side, in place; a key out of
+// position is looked up through the other's shape.
+func (e *enc) propDeltas(live, twin *interp.Object, prist *Registry) (ops []deltaOp) {
+	n, m := live.OwnPropCount(), twin.OwnPropCount()
+	sameKeys := n == m
+	for j := 0; j < n; j++ {
+		key, lp := live.OwnPropAt(j)
+		tkey, tp := twin.OwnPropAt(j)
+		if tp == nil || tkey != key {
+			sameKeys, tp = false, twin.Own(key)
+		}
+		if tp == nil || !e.propEq(*lp, *tp, prist) {
+			ops = append(ops, deltaOp{kind: opSetProp, key: key, prop: *lp})
+		}
+	}
+	for j := 0; j < m && !sameKeys; j++ {
+		if key, _ := twin.OwnPropAt(j); live.Own(key) == nil {
+			ops = append(ops, deltaOp{kind: opDelProp, key: key})
+		}
+	}
+	return ops
 }
 
 func (e *enc) propEq(a, b interp.Prop, prist *Registry) bool {

@@ -18,6 +18,15 @@ type parityProgram struct {
 	name    string
 	src     string
 	quantum uint64 // 0: the test's own, a few dozen statements
+	args    string // arity sub-language; "": core.Defaults()'s, none
+}
+
+func (p parityProgram) opts() core.Opts {
+	opts := core.Defaults()
+	if p.args != "" {
+		opts.Args = p.args
+	}
+	return opts
 }
 
 func (p parityProgram) quantumOr(def uint64) uint64 {
@@ -138,10 +147,33 @@ console.log(out.join(" "));
 `},
 }
 
-// unboundedRun executes src without any quantum.
-func unboundedRun(t *testing.T, src, backend string) (string, string) {
+// argsedge: a capture at every yield point of functions that read, write,
+// keep and forward their arguments, under each arity sub-language that
+// carries arguments across a capture (internal/core's TestArgumentsMatrix is
+// the whole matrix; this is its quantum-1 column through the scheduler's own
+// re-arm cycle). Past a capture only what every such sub-language promises is
+// observed: contents and length, not identity (varargs re-enters with a new
+// object) and no property but the elements.
+func init() {
+	for _, mode := range []string{"varargs", "mixed", "full"} {
+		parityPrograms = append(parityPrograms, parityProgram{name: "argsedge-" + mode, quantum: 1, args: mode, src: `
+function id(v) { return v; }
+function sum() { var s = 0; for (var i = 0; i < arguments.length; i++) { s += id(arguments[i]); } return s; }
+function fwd(a, b) { arguments[1] = id(b) * 10; return sum.apply(null, arguments) + ":" + id(arguments.length) + ":" + arguments[5]; }
+function kept(a) { var mine = arguments; id(0); return function () { return mine[0] + mine.length; }; }
+function caught(a) { try { throw id(arguments[1]); } catch (e) { return e + id(arguments[0]) + arguments.length; } }
+var k = kept(7, 8);
+var out = [];
+for (var i = 0; i < 6; i++) { out.push(fwd(i, i + 1, 100), caught("x", "y")); }
+console.log(out.join(" "), k(), k() === k());
+`})
+	}
+}
+
+// unboundedRun executes p without any quantum.
+func unboundedRun(t *testing.T, p parityProgram, backend string) (string, string) {
 	t.Helper()
-	out, err := core.RunSource(src, core.Defaults(), core.RunConfig{Backend: backend})
+	out, err := core.RunSource(p.src, p.opts(), core.RunConfig{Backend: backend})
 	return out, errString(err)
 }
 
@@ -161,10 +193,15 @@ func TestPreemptionParitySupervisor(t *testing.T) {
 		for _, p := range parityPrograms {
 			p := p
 			t.Run(reference+"/"+p.name, func(t *testing.T) {
-				wantOut, wantErr := unboundedRun(t, p.src, reference)
+				wantOut, wantErr := unboundedRun(t, p, reference)
 				s := New(Options{Workers: 2, QuantumSteps: p.quantumOr(25)})
 				defer s.Close()
-				g, err := s.Submit(SubmitOptions{Source: p.src})
+				submit := SubmitOptions{Source: p.src}
+				if p.args != "" {
+					submit.Compile = p.opts()
+					submit.Compile.YieldIntervalMs = 0 // as Submit's own default has it
+				}
+				g, err := s.Submit(submit)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,9 +230,9 @@ func TestPreemptionParityCoreQuantum(t *testing.T) {
 		for _, p := range parityPrograms {
 			p := p
 			t.Run(backend+"/"+p.name, func(t *testing.T) {
-				wantOut, wantErr := unboundedRun(t, p.src, backend)
+				wantOut, wantErr := unboundedRun(t, p, backend)
 
-				c, err := core.Compile(p.src, core.Defaults())
+				c, err := core.Compile(p.src, p.opts())
 				if err != nil {
 					t.Fatal(err)
 				}
