@@ -161,6 +161,7 @@ type Func struct {
 	Params []string
 	Body   []Stmt
 	Arrow  bool
+	Helper Helper // marks a prelude helper (helper.go); in Arrow's padding
 
 	// Scope is the frame layout computed by internal/resolve. Nil means the
 	// function was never resolved and runs on dynamic map frames.

@@ -50,7 +50,7 @@ func CloneExpr(e Expr) Expr {
 		return &Object{P: n.P, Props: props}
 	case *Func:
 		params := append([]string(nil), n.Params...)
-		return &Func{P: n.P, Name: n.Name, Params: params, Body: cloneStmts(n.Body), Arrow: n.Arrow}
+		return &Func{P: n.P, Name: n.Name, Params: params, Body: cloneStmts(n.Body), Arrow: n.Arrow, Helper: n.Helper}
 	case *Unary:
 		return &Unary{P: n.P, Op: n.Op, X: CloneExpr(n.X)}
 	case *Update:

@@ -439,7 +439,10 @@ func TestKernelsBuildNoArguments(t *testing.T) {
 	if built > 64 {
 		t.Errorf("%d arguments objects built over %d chunk runs, gate 64: a call is building `arguments` nobody asked for", built, calls)
 	}
-	if calls < 200_000 {
+	// 234 902 until the engine answered implicit helpers itself (interp/
+	// helpers.go): five in six of those calls were $add, $toPrim, $get and
+	// their kin over primitives, which now run no chunk. 35 266 are left.
+	if calls < 30_000 {
 		t.Errorf("only %d chunk runs: the kernels did not run", calls)
 	}
 }

@@ -77,6 +77,11 @@ func compilePrelude(opts Opts) (*prelude, error) {
 		return nil, fmt.Errorf("stopify: internal prelude error: desugaring drew fresh names")
 	}
 	tmps := lower(prog, opts.forPrelude(), 0, ast.Sites{})
+	for _, s := range prog.Body { // the one place a function becomes a helper the engine answers for
+		if fd, ok := s.(*ast.FuncDecl); ok {
+			fd.Fn.Helper = ast.HelperNamed(fd.Fn.Name)
+		}
+	}
 	return &prelude{
 		body:    prog.Body,
 		tmps:    tmps,

@@ -689,6 +689,11 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		return v, err
 	}
 	c := f.Fn
+	if h := c.Decl.Helper; h != ast.NoHelper {
+		if v, err, ok := in.callHelper(h, &args); ok {
+			return v, err
+		}
+	}
 	in.depth++
 	if in.depth > in.maxDepth {
 		in.depth--

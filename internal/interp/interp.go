@@ -119,7 +119,6 @@ type Interp struct {
 
 	// Bytecode engine state (dispatch.go): ops is the operand-stack arena
 	// on loan while a chunk call is on the Go stack. Chunks live on the tree.
-	bytecode   bool
 	maxSteps   uint64
 	quantumEnd uint64 // Steps value at which onQuantum fires; 0 = disarmed
 	stepLimit  uint64 // min(maxSteps, quantumEnd-1); MaxUint64 = no check armed
@@ -130,9 +129,12 @@ type Interp struct {
 	ops        *opStack
 	chunkRuns  uint64
 
-	quantumHeld   bool   // HoldQuantum: the hook cannot fire
-	argsBuilt     uint32 // arguments objects built (ArgumentsBuilt); in the bool's padding: Interp sits at a size class's edge
-	quantumHeldAt uint64 // Steps since which the hold has cost the quantum nothing
+	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 568 B, one more is the 640 class
+	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
+	HelpersLive   bool                         // rt.setMode: a helper call is a call, not the re-entry of a captured frame (helpers.go)
+	argsBuilt     uint32                       // arguments objects built (ArgumentsBuilt)
+	quantumHeldAt uint64                       // Steps since which the hold has cost the quantum nothing
+	helperCells   *[ast.HelperRawSet + 1]*cell // helperIntact
 
 	objectProto   *Object
 	functionProto *Object

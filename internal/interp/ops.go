@@ -542,6 +542,12 @@ func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 	if o == nil {
 		return Undefined
 	}
+	if o.Class == "Array" || o.Class == "Arguments" {
+		// An element is found before any property; an index write asks no chain.
+		if i, isIdx := arrayIndex(key); isIdx && (setter || i < len(o.Elems)) {
+			return Undefined
+		}
+	}
 	holder, idx := in.lookupPath(o, key)
 	for holder != nil {
 		slot := &holder.slots[idx]

@@ -348,6 +348,7 @@ type Object struct {
 	// this object as part of a prototype chain; from then on, layout changes
 	// here bump protoEpoch to invalidate chain caches.
 	usedAsProto bool
+	helper      ast.Helper // on the natives of InstallAccessorNatives only
 
 	// Elems backs Array and Arguments objects.
 	Elems []Value

@@ -171,38 +171,8 @@ func (r *R) installNatives() {
 		return interp.BoolValue(o != nil && o.Class == classCapture), nil
 	})
 
-	// Getter-sub-language support (§4.3): raw, accessor-free property
-	// access plus accessor lookup, so the $get/$set prelude can invoke user
-	// getters as ordinary instrumented calls.
-	defineNative("$lookupGetter", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		return lookupAccessor(in, args, false)
-	})
-	defineNative("$lookupSetter", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		return lookupAccessor(in, args, true)
-	})
-	defineNative("$rawGet", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if len(args) < 2 {
-			return interp.Undefined, nil
-		}
-		key, err := in.ToStringValue(args[1])
-		if err != nil {
-			return interp.Undefined, err
-		}
-		return in.RawGet(args[0], key)
-	})
-	defineNative("$rawSet", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if len(args) < 3 {
-			return interp.Undefined, nil
-		}
-		key, err := in.ToStringValue(args[1])
-		if err != nil {
-			return interp.Undefined, err
-		}
-		if err := in.SetMember(args[0], key, args[2]); err != nil {
-			return interp.Undefined, err
-		}
-		return args[2], nil
-	})
+	// Getter sub-language (§4.3): what the $get/$set prelude looks accessors up with.
+	in.InstallAccessorNatives()
 
 	// Bound-function support for the $construct prelude (§3.2): `new` on a
 	// bound function must construct the ultimate target with the bound args
@@ -235,18 +205,4 @@ func (r *R) installNatives() {
 		all = append(all, rest.Elems...)
 		return interp.ObjectValue(in.NewArray(all)), nil
 	})
-}
-
-// lookupAccessor finds a getter or setter on the prototype chain without
-// invoking it. The walk itself lives in interp.LookupAccessor so it shares
-// the interpreter's shape-aware path cache — property layout is a private
-// concern of the interpreter now that objects are shape-and-slots backed.
-func lookupAccessor(in *interp.Interp, args []interp.Value, setter bool) (interp.Value, error) {
-	if len(args) < 2 {
-		return interp.Undefined, nil
-	}
-	if !args[1].IsString() {
-		return interp.Undefined, nil
-	}
-	return in.LookupAccessor(args[0], args[1].Str(), setter), nil
 }

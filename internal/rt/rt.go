@@ -189,6 +189,7 @@ func (r *R) setMode(m string) {
 	r.In.DefineGlobal(instrument.ModeVar, interp.StringValue(m))
 	r.In.SetProfilePhase(modePhase[m])
 	r.In.HoldQuantum(r.hold && m != instrument.ModeNormal)
+	r.In.HelpersLive = m == instrument.ModeNormal
 }
 
 var modePhase = map[string]string{instrument.ModeCapture: "(capture)", instrument.ModeRestore: "(restore)"}
