@@ -86,12 +86,6 @@ func BenchmarkCodeSize(b *testing.B) { runFigure(b, bench.CodeSize) }
 // against the paper's literal per-statement guards.
 func BenchmarkAblationGuards(b *testing.B) { runFigure(b, bench.AblationGuards) }
 
-// BenchmarkAblationSampleMs varies the approx estimator's sampling period.
-func BenchmarkAblationSampleMs(b *testing.B) { runFigure(b, bench.AblationSampleMs) }
-
-// BenchmarkAblationRestoreSegment varies the deep-stack restore chunk size.
-func BenchmarkAblationRestoreSegment(b *testing.B) { runFigure(b, bench.AblationRestoreSegment) }
-
 // BenchmarkCompile measures the compiler itself on a representative input.
 func BenchmarkCompile(b *testing.B) {
 	src := `

@@ -83,64 +83,52 @@ type FnSlot struct {
 	Slot int
 }
 
-// HoistedDecls collects the var names (including for-in declarations) and
-// function declarations of one function body, without descending into
-// nested functions — JavaScript's var/function hoisting rule. The resolver
-// and the interpreter's dynamic fallback share this scan so their scope
-// models cannot drift.
-func HoistedDecls(body []Stmt) (vars []string, fns []*Func) {
-	var walkStmt func(s Stmt)
-	walkStmt = func(s Stmt) {
-		switch n := s.(type) {
+// Hoisted calls fn for every var name (decl nil; for-in declarations
+// included) and every function declaration of one function body, in source
+// order and without descending into nested functions — JavaScript's
+// var/function hoisting rule. It is the one hoisting scan: the resolver, the
+// interpreter's dynamic fallback and every compile pass that asks what a
+// scope binds go through it, so their scope models cannot drift.
+func Hoisted(body []Stmt, fn func(name string, decl *Func)) {
+	visit := func(n Node) bool {
+		switch n := n.(type) {
+		case Expr:
+			return false // a function expression's declarations are its own
 		case *VarDecl:
-			for _, d := range n.Decls {
-				vars = append(vars, d.Name)
+			for i := range n.Decls {
+				fn(n.Decls[i].Name, nil)
 			}
 		case *FuncDecl:
-			fns = append(fns, n.Fn)
-		case *Block:
-			for _, st := range n.Body {
-				walkStmt(st)
-			}
-		case *If:
-			walkStmt(n.Cons)
-			if n.Alt != nil {
-				walkStmt(n.Alt)
-			}
-		case *While:
-			walkStmt(n.Body)
-		case *DoWhile:
-			walkStmt(n.Body)
-		case *For:
-			if n.Init != nil {
-				walkStmt(n.Init)
-			}
-			walkStmt(n.Body)
+			fn(n.Fn.Name, n.Fn)
 		case *ForIn:
 			if n.Decl {
-				vars = append(vars, n.Name)
-			}
-			walkStmt(n.Body)
-		case *Labeled:
-			walkStmt(n.Body)
-		case *Switch:
-			for _, c := range n.Cases {
-				for _, st := range c.Body {
-					walkStmt(st)
-				}
-			}
-		case *Try:
-			walkStmt(n.Block)
-			if n.Catch != nil {
-				walkStmt(n.Catch)
-			}
-			if n.Finally != nil {
-				walkStmt(n.Finally)
+				fn(n.Name, nil)
 			}
 		}
+		return true
 	}
 	for _, s := range body {
-		walkStmt(s)
+		Walk(s, visit)
 	}
+}
+
+// HoistedDecls is Hoisted as two lists, the shape a frame layout is built
+// from: var names, then function declarations, each in source order.
+func HoistedDecls(body []Stmt) (vars []string, fns []*Func) {
+	Hoisted(body, func(name string, decl *Func) {
+		if decl == nil {
+			vars = append(vars, name)
+		} else {
+			fns = append(fns, decl)
+		}
+	})
 	return vars, fns
+}
+
+// DeclaredNames is Hoisted as one list: vars and function names interleaved
+// as the source has them, which is the order instrumented code saves and
+// restores a frame's locals in.
+func DeclaredNames(body []Stmt) (names []string) {
+	Hoisted(body, func(name string, _ *Func) { names = append(names, name) })
+	return names
 }

@@ -1,13 +1,14 @@
 package ast
 
-// Walk calls fn for node and every descendant in depth-first pre-order. If
-// fn returns false for a node, its children are not visited. Walk tolerates
-// nil nodes so callers can pass optional fields directly.
+// Walk calls fn for node and every descendant in depth-first pre-order, in
+// source order. If fn returns false for a node, its children are not
+// visited. Walk tolerates nil so callers can pass optional fields directly: a
+// nil interface (an absent else, a bare return) or a nil *Block (an absent
+// catch or finally, the tree's only optional fields that are not interfaces).
+// It is the reader of the traversal kit; Rewriter (rewrite.go) is the writer
+// and enumerates the same children.
 func Walk(node Node, fn func(Node) bool) {
-	if node == nil || isNilNode(node) {
-		return
-	}
-	if !fn(node) {
+	if b, ok := node.(*Block); node == nil || ok && b == nil || !fn(node) {
 		return
 	}
 	switch n := node.(type) {
@@ -112,88 +113,4 @@ func Walk(node Node, fn func(Node) bool) {
 	case *FuncDecl:
 		Walk(n.Fn, fn)
 	}
-}
-
-// isNilNode reports whether a non-nil interface holds a nil pointer, which
-// happens when optional typed fields (e.g. a nil *Block) are passed as Node.
-func isNilNode(n Node) bool {
-	switch v := n.(type) {
-	case *Program:
-		return v == nil
-	case *Ident:
-		return v == nil
-	case *Number:
-		return v == nil
-	case *Str:
-		return v == nil
-	case *Bool:
-		return v == nil
-	case *Null:
-		return v == nil
-	case *This:
-		return v == nil
-	case *NewTarget:
-		return v == nil
-	case *Array:
-		return v == nil
-	case *Object:
-		return v == nil
-	case *Func:
-		return v == nil
-	case *Unary:
-		return v == nil
-	case *Update:
-		return v == nil
-	case *Binary:
-		return v == nil
-	case *Logical:
-		return v == nil
-	case *Assign:
-		return v == nil
-	case *Cond:
-		return v == nil
-	case *Call:
-		return v == nil
-	case *New:
-		return v == nil
-	case *Member:
-		return v == nil
-	case *Seq:
-		return v == nil
-	case *VarDecl:
-		return v == nil
-	case *ExprStmt:
-		return v == nil
-	case *Block:
-		return v == nil
-	case *If:
-		return v == nil
-	case *While:
-		return v == nil
-	case *DoWhile:
-		return v == nil
-	case *For:
-		return v == nil
-	case *ForIn:
-		return v == nil
-	case *Return:
-		return v == nil
-	case *Break:
-		return v == nil
-	case *Continue:
-		return v == nil
-	case *Labeled:
-		return v == nil
-	case *Switch:
-		return v == nil
-	case *Throw:
-		return v == nil
-	case *Try:
-		return v == nil
-	case *FuncDecl:
-		return v == nil
-	case *Empty:
-		return v == nil
-	}
-	return false
 }

@@ -55,124 +55,11 @@ var skulptOps = map[string]bool{
 // rewriteToDispatch replaces primitive operators with handler calls,
 // bottom-up across the whole program.
 func rewriteToDispatch(prog *ast.Program) {
-	var doExpr func(e ast.Expr) ast.Expr
-	var doStmt func(s ast.Stmt)
-	var doBody func(body []ast.Stmt)
-	doExpr = func(e ast.Expr) ast.Expr {
-		switch n := e.(type) {
-		case nil:
-			return nil
-		case *ast.Binary:
-			n.L = doExpr(n.L)
-			n.R = doExpr(n.R)
-			if skulptOps[n.Op] {
-				return ast.CallId("$sk_bin", ast.Strlit(n.Op), n.L, n.R)
-			}
-			return n
-		case *ast.Logical:
-			n.L = doExpr(n.L)
-			n.R = doExpr(n.R)
-			return n
-		case *ast.Unary:
-			n.X = doExpr(n.X)
-			return n
-		case *ast.Update:
-			n.X = doExpr(n.X)
-			return n
-		case *ast.Assign:
-			n.Target = doExpr(n.Target)
-			n.Value = doExpr(n.Value)
-			return n
-		case *ast.Cond:
-			n.Test = doExpr(n.Test)
-			n.Cons = doExpr(n.Cons)
-			n.Alt = doExpr(n.Alt)
-			return n
-		case *ast.Call:
-			n.Callee = doExpr(n.Callee)
-			for i := range n.Args {
-				n.Args[i] = doExpr(n.Args[i])
-			}
-			return n
-		case *ast.New:
-			n.Callee = doExpr(n.Callee)
-			for i := range n.Args {
-				n.Args[i] = doExpr(n.Args[i])
-			}
-			return n
-		case *ast.Member:
-			n.X = doExpr(n.X)
-			if n.Computed {
-				n.Index = doExpr(n.Index)
-			}
-			return n
-		case *ast.Seq:
-			for i := range n.Exprs {
-				n.Exprs[i] = doExpr(n.Exprs[i])
-			}
-			return n
-		case *ast.Array:
-			for i := range n.Elems {
-				n.Elems[i] = doExpr(n.Elems[i])
-			}
-			return n
-		case *ast.Object:
-			for i := range n.Props {
-				n.Props[i].Value = doExpr(n.Props[i].Value)
-			}
-			return n
-		case *ast.Func:
-			doBody(n.Body)
-			return n
-		default:
-			return e
+	r := ast.Rewriter{PostExpr: func(e ast.Expr) ast.Expr {
+		if n, ok := e.(*ast.Binary); ok && skulptOps[n.Op] {
+			return ast.CallId("$sk_bin", ast.Strlit(n.Op), n.L, n.R)
 		}
-	}
-	doStmt = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case *ast.VarDecl:
-			for i := range n.Decls {
-				if n.Decls[i].Init != nil {
-					n.Decls[i].Init = doExpr(n.Decls[i].Init)
-				}
-			}
-		case *ast.ExprStmt:
-			n.X = doExpr(n.X)
-		case *ast.Block:
-			doBody(n.Body)
-		case *ast.If:
-			n.Test = doExpr(n.Test)
-			doStmt(n.Cons)
-			if n.Alt != nil {
-				doStmt(n.Alt)
-			}
-		case *ast.While:
-			n.Test = doExpr(n.Test)
-			doStmt(n.Body)
-		case *ast.Return:
-			if n.Arg != nil {
-				n.Arg = doExpr(n.Arg)
-			}
-		case *ast.Labeled:
-			doStmt(n.Body)
-		case *ast.Throw:
-			n.Arg = doExpr(n.Arg)
-		case *ast.Try:
-			doBody(n.Block.Body)
-			if n.Catch != nil {
-				doBody(n.Catch.Body)
-			}
-			if n.Finally != nil {
-				doBody(n.Finally.Body)
-			}
-		case *ast.FuncDecl:
-			doBody(n.Fn.Body)
-		}
-	}
-	doBody = func(body []ast.Stmt) {
-		for _, s := range body {
-			doStmt(s)
-		}
-	}
-	doBody(prog.Body)
+		return e
+	}}
+	r.Stmts(prog.Body)
 }

@@ -570,22 +570,20 @@ func CodeSize(cfg Config) (string, error) {
 // Experiments maps figure identifiers to runners, for the CLI.
 func Experiments() map[string]func(Config) (string, error) {
 	return map[string]func(Config) (string, error){
-		"2a":               Fig2aImplicits,
-		"2b":               Fig2bConstructors,
-		"2c":               Fig2cYieldInterval,
-		"5":                func(Config) (string, error) { return Fig5Table(), nil },
-		"7":                Fig7Estimators,
-		"10":               func(cfg Config) (string, error) { s, _, err := Fig10Languages(cfg); return s, err },
-		"11":               func(cfg Config) (string, error) { s, _, err := Fig11Strategies(cfg); return s, err },
-		"12":               Fig12Skulpt,
-		"13":               Fig13OctaneKraken,
-		"14":               Fig14Pyret,
-		"15":               Fig15Native,
-		"strawmen":         Strawmen,
-		"codesize":         CodeSize,
-		"ablation-guards":  AblationGuards,
-		"ablation-sample":  AblationSampleMs,
-		"ablation-segment": AblationRestoreSegment,
+		"2a":              Fig2aImplicits,
+		"2b":              Fig2bConstructors,
+		"2c":              Fig2cYieldInterval,
+		"5":               func(Config) (string, error) { return Fig5Table(), nil },
+		"7":               Fig7Estimators,
+		"10":              func(cfg Config) (string, error) { s, _, err := Fig10Languages(cfg); return s, err },
+		"11":              func(cfg Config) (string, error) { s, _, err := Fig11Strategies(cfg); return s, err },
+		"12":              Fig12Skulpt,
+		"13":              Fig13OctaneKraken,
+		"14":              Fig14Pyret,
+		"15":              Fig15Native,
+		"strawmen":        Strawmen,
+		"codesize":        CodeSize,
+		"ablation-guards": AblationGuards,
 	}
 }
 
@@ -594,7 +592,7 @@ func Order() []string {
 	return []string{
 		"5", "2a", "2b", "2c", "7", "10", "11", "12", "13", "14", "15",
 		"strawmen", "codesize",
-		"ablation-guards", "ablation-sample", "ablation-segment",
+		"ablation-guards",
 	}
 }
 

@@ -11,6 +11,7 @@
 package boxes
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -18,499 +19,222 @@ import (
 
 // Box rewrites prog in place and returns it.
 func Box(prog *ast.Program) *ast.Program {
-	prog.Body = boxScope(nil, prog.Body)
+	b := &boxer{scopes: map[*ast.Func]*scope{}}
+	b.visit = b.analyze
+	b.rw = ast.Rewriter{SkipFuncs: true, PreStmt: b.try, PostStmt: b.decl, PostExpr: b.expr}
+	// The program is the outermost scope: a function with no name and no
+	// parameters.
+	top := &ast.Func{Body: prog.Body}
+	ast.Walk(top, b.visit)
+	b.expr(top)
+	prog.Body = top.Body
 	return prog
 }
 
-// boxScope processes one function scope: params and body. It returns the
-// rewritten body (with box allocations inserted). Nested functions are
-// processed recursively.
-func boxScope(params []string, body []ast.Stmt) []ast.Stmt {
-	locals := map[string]bool{}
-	funcNames := map[string]bool{}
-	for _, p := range params {
-		locals[p] = true
-	}
-	collectDecls(body, locals, funcNames)
+// flags is what the pass knows about one name in one scope.
+type flags uint8
 
-	assigned := map[string]bool{}
-	captured := map[string]bool{}
-	analyze(body, locals, assigned, captured)
+const (
+	declared flags = 1 << iota // a parameter, a var or a function declaration
+	param
+	fnDecl
+	assigned // written, here or in a nested function
+	captured // referenced from a nested function
+)
 
-	boxed := map[string]bool{}
-	for name := range locals {
-		// Function-declaration names are not boxed: rebinding a hoisted
-		// function is rare and the declaration form cannot initialize a box.
-		if assigned[name] && captured[name] && !funcNames[name] {
-			boxed[name] = true
+// boxed: an assignable local a nested function can see. Function-declaration
+// names are not boxed: rebinding a hoisted function is rare and the
+// declaration form cannot initialize a box.
+func (f flags) boxed() bool {
+	return f&(declared|fnDecl|assigned|captured) == declared|assigned|captured
+}
+
+// scope is one function's name set, computed once (ast.Hoisted) and shared
+// by the analysis and the rewrite. A function's own name is in it with no
+// flag: it shadows an outer binding without being a local that could be
+// boxed.
+type scope struct {
+	parent *scope
+	names  map[string]flags
+}
+
+type boxer struct {
+	scopes map[*ast.Func]*scope
+	cur    *scope // innermost scope of the node being visited
+	visit  func(ast.Node) bool
+	rw     ast.Rewriter
+}
+
+// lookup finds the scope that binds name as seen from b.cur.
+func (b *boxer) lookup(name string) (*scope, flags) {
+	for s := b.cur; s != nil; s = s.parent {
+		if f, ok := s.names[name]; ok {
+			return s, f
 		}
 	}
+	return nil, 0
+}
 
-	// Recurse into nested functions first (their own scopes), then rewrite
-	// this scope's boxed references.
-	rewriteNestedScopes(body)
-	if len(boxed) == 0 {
-		return body
+func (b *boxer) boxedRef(name string) bool {
+	_, f := b.lookup(name)
+	return f.boxed()
+}
+
+// analyze is the Walk callback of the first traversal: it builds every
+// function's scope and marks, on the scope that binds it, each name that is
+// written and each that is reached from a nested function. A catch parameter
+// is not modelled here — a reference to one counts against the local it
+// shadows, which at worst boxes a variable that did not need it.
+func (b *boxer) analyze(node ast.Node) bool {
+	switch n := node.(type) {
+	case *ast.Func:
+		sc := &scope{parent: b.cur, names: make(map[string]flags, len(n.Params)+1)}
+		for _, p := range n.Params {
+			sc.names[p] |= declared | param
+		}
+		ast.Hoisted(n.Body, func(name string, decl *ast.Func) {
+			if decl != nil {
+				sc.names[name] |= declared | fnDecl
+			} else {
+				sc.names[name] |= declared
+			}
+		})
+		if n.Name != "" {
+			sc.names[n.Name] |= 0 // bound here, with no flag of its own
+		}
+		b.scopes[n], b.cur = sc, sc
+		for _, s := range n.Body {
+			ast.Walk(s, b.visit)
+		}
+		b.cur = sc.parent
+		return false
+	case *ast.VarDecl:
+		for i := range n.Decls {
+			if n.Decls[i].Init != nil {
+				b.mark(n.Decls[i].Name, assigned)
+			}
+		}
+	case *ast.Assign:
+		if id, ok := n.Target.(*ast.Ident); ok {
+			b.mark(id.Name, assigned)
+		}
+	case *ast.Update:
+		if id, ok := n.X.(*ast.Ident); ok {
+			b.mark(id.Name, assigned)
+		}
+	case *ast.Ident:
+		b.mark(n.Name, 0)
 	}
-	out := rewriteBoxed(body, boxed)
+	return true
+}
 
-	// Allocate every box at function entry, before the first possible
-	// suspension point. If boxes were allocated at the original declaration
-	// sites, a continuation captured between closure hoisting and the
-	// declaration would restore into a fresh environment whose box the old
-	// closures never see; allocating up front puts the box reference into
-	// the very first reified frame, shared across every restore.
-	var prologue []ast.Stmt
-	for _, p := range params {
-		if boxed[p] {
-			prologue = append(prologue, ast.ExprOf(ast.SetId(p, boxLiteral(ast.Id(p)))))
+func (b *boxer) mark(name string, how flags) {
+	s, f := b.lookup(name)
+	if s == nil {
+		return
+	}
+	if s != b.cur {
+		how |= captured
+	}
+	if f|how != f {
+		s.names[name] = f | how
+	}
+}
+
+// expr is the rewrite's PostExpr: a reference to a boxed name goes through
+// the cell, and a nested function is rewritten as its own scope.
+func (b *boxer) expr(e ast.Expr) ast.Expr {
+	switch n := e.(type) {
+	case *ast.Ident:
+		if b.boxedRef(n.Name) {
+			return &ast.Member{P: n.P, X: n, Name: "v"}
+		}
+	case *ast.Func:
+		sc := b.scopes[n]
+		// Re-parented, not just entered: under a catch clause whose
+		// parameter shadows a boxed name (try, below) the chain runs
+		// through that clause.
+		sc.parent, b.cur = b.cur, sc
+		n.Body = b.rw.Stmts(n.Body)
+		b.cur = sc.parent
+		if pro := sc.prologue(n.Params); pro != nil {
+			n.Body = append(pro, n.Body...)
 		}
 	}
-	isParam := map[string]bool{}
+	return e
+}
+
+// prologue allocates every box at function entry, before the first possible
+// suspension point. If boxes were allocated at the original declaration
+// sites, a continuation captured between closure hoisting and the
+// declaration would restore into a fresh environment whose box the old
+// closures never see; allocating up front puts the box reference into the
+// very first reified frame, shared across every restore.
+func (sc *scope) prologue(params []string) []ast.Stmt {
+	var out []ast.Stmt
 	for _, p := range params {
-		isParam[p] = true
-	}
-	var boxedVars []string
-	for name := range boxed {
-		if !isParam[name] {
-			boxedVars = append(boxedVars, name)
+		if sc.names[p].boxed() {
+			out = append(out, ast.ExprOf(ast.SetId(p, boxLiteral(ast.Id(p)))))
 		}
 	}
-	sort.Strings(boxedVars)
-	for _, name := range boxedVars {
-		prologue = append(prologue, ast.Var(name, boxLiteral(ast.Undef())))
+	var vars []string
+	for name, f := range sc.names {
+		if f.boxed() && f&param == 0 {
+			vars = append(vars, name)
+		}
 	}
-	return append(prologue, out...)
+	sort.Strings(vars)
+	for _, name := range vars {
+		out = append(out, ast.Var(name, boxLiteral(ast.Undef())))
+	}
+	return out
 }
 
 func boxLiteral(init ast.Expr) ast.Expr {
 	return &ast.Object{Props: []ast.Property{{Kind: ast.PropInit, Key: "v", Value: init}}}
 }
 
-// collectDecls gathers var and function declarations without entering
-// nested functions.
-func collectDecls(body []ast.Stmt, locals, funcNames map[string]bool) {
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				locals[d.Name] = true
-			}
-		case *ast.FuncDecl:
-			locals[n.Fn.Name] = true
-			funcNames[n.Fn.Name] = true
-		case *ast.Block:
-			for _, st := range n.Body {
-				walk(st)
-			}
-		case *ast.If:
-			walk(n.Cons)
-			if n.Alt != nil {
-				walk(n.Alt)
-			}
-		case *ast.While:
-			walk(n.Body)
-		case *ast.Labeled:
-			walk(n.Body)
-		case *ast.Try:
-			for _, st := range n.Block.Body {
-				walk(st)
-			}
-			if n.Catch != nil {
-				for _, st := range n.Catch.Body {
-					walk(st)
-				}
-			}
-			if n.Finally != nil {
-				for _, st := range n.Finally.Body {
-					walk(st)
-				}
-			}
-		}
-	}
-	for _, s := range body {
-		walk(s)
-	}
-}
-
-// analyze records which scope locals are assigned (in this scope) and which
-// are assigned or referenced from inside nested functions (via
-// analyzeInner, which handles shadowing).
-func analyze(body []ast.Stmt, locals map[string]bool, assigned, captured map[string]bool) {
-	mark := func(name string, isWrite bool) {
-		if !locals[name] {
-			return
-		}
-		if isWrite {
-			assigned[name] = true
-		}
-	}
-	var walkExpr func(e ast.Expr)
-	var walkStmt func(s ast.Stmt)
-	enterFunc := func(fn *ast.Func) {
-		sub := make(map[string]bool, len(fn.Params))
-		for _, p := range fn.Params {
-			sub[p] = true
-		}
-		inner := map[string]bool{}
-		fnames := map[string]bool{}
-		collectDecls(fn.Body, inner, fnames)
-		for k := range inner {
-			sub[k] = true
-		}
-		if fn.Name != "" {
-			sub[fn.Name] = true // named function expressions bind their name
-		}
-		analyzeInner(fn.Body, locals, sub, assigned, captured)
-	}
-	walkExpr = func(e ast.Expr) {
-		switch n := e.(type) {
-		case nil:
-			return
-		case *ast.Ident:
-			mark(n.Name, false)
-		case *ast.Assign:
-			if id, ok := n.Target.(*ast.Ident); ok {
-				mark(id.Name, true)
-			} else {
-				walkExpr(n.Target)
-			}
-			walkExpr(n.Value)
-		case *ast.Update:
-			if id, ok := n.X.(*ast.Ident); ok {
-				mark(id.Name, true)
-			} else {
-				walkExpr(n.X)
-			}
-		case *ast.Func:
-			enterFunc(n)
-		default:
-			ast.Walk(e, func(node ast.Node) bool {
-				switch sub := node.(type) {
-				case *ast.Ident:
-					mark(sub.Name, false)
-					return false
-				case *ast.Assign:
-					walkExpr(sub)
-					return false
-				case *ast.Update:
-					walkExpr(sub)
-					return false
-				case *ast.Func:
-					enterFunc(sub)
-					return false
-				}
-				return true
-			})
-		}
-	}
-	walkStmt = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case nil:
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				if d.Init != nil {
-					mark(d.Name, true)
-					walkExpr(d.Init)
-				}
-			}
-		case *ast.ExprStmt:
-			walkExpr(n.X)
-		case *ast.Block:
-			for _, st := range n.Body {
-				walkStmt(st)
-			}
-		case *ast.If:
-			walkExpr(n.Test)
-			walkStmt(n.Cons)
-			if n.Alt != nil {
-				walkStmt(n.Alt)
-			}
-		case *ast.While:
-			walkExpr(n.Test)
-			walkStmt(n.Body)
-		case *ast.Return:
-			walkExpr(n.Arg)
-		case *ast.Labeled:
-			walkStmt(n.Body)
-		case *ast.Throw:
-			walkExpr(n.Arg)
-		case *ast.Try:
-			for _, st := range n.Block.Body {
-				walkStmt(st)
-			}
-			if n.Catch != nil {
-				for _, st := range n.Catch.Body {
-					walkStmt(st)
-				}
-			}
-			if n.Finally != nil {
-				for _, st := range n.Finally.Body {
-					walkStmt(st)
-				}
-			}
-		case *ast.FuncDecl:
-			enterFunc(n.Fn)
-		}
-	}
-	for _, s := range body {
-		walkStmt(s)
-	}
-
-}
-
-// analyzeInner walks a nested function body: every unshadowed reference to
-// an outer local is a capture, and writes also count as assignments.
-func analyzeInner(body []ast.Stmt, locals, shadow map[string]bool, assigned, captured map[string]bool) {
-	for _, s := range body {
-		ast.Walk(s, func(node ast.Node) bool {
-			switch n := node.(type) {
-			case *ast.Ident:
-				if locals[n.Name] && !shadow[n.Name] {
-					captured[n.Name] = true
-				}
-			case *ast.Assign:
-				if id, ok := n.Target.(*ast.Ident); ok && locals[id.Name] && !shadow[id.Name] {
-					assigned[id.Name] = true
-					captured[id.Name] = true
-				}
-			case *ast.Func:
-				sub := make(map[string]bool, len(shadow))
-				for k := range shadow {
-					sub[k] = true
-				}
-				for _, p := range n.Params {
-					sub[p] = true
-				}
-				inner := map[string]bool{}
-				fnames := map[string]bool{}
-				collectDecls(n.Body, inner, fnames)
-				for k := range inner {
-					sub[k] = true
-				}
-				if n.Name != "" {
-					sub[n.Name] = true
-				}
-				analyzeInner(n.Body, locals, sub, assigned, captured)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// rewriteNestedScopes recursively boxes nested functions.
-func rewriteNestedScopes(body []ast.Stmt) {
-	for _, s := range body {
-		ast.Walk(s, func(node ast.Node) bool {
-			if fn, ok := node.(*ast.Func); ok {
-				fn.Body = boxScope(fn.Params, fn.Body)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// rewriteBoxed rewrites reads and writes of boxed names to go through the
-// box cell, in this scope and (for unshadowed names) in nested functions.
-func rewriteBoxed(body []ast.Stmt, boxed map[string]bool) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(body))
-	for _, s := range body {
-		out = append(out, rewriteBoxedStmt(s, boxed))
-	}
-	return out
-}
-
-func rewriteBoxedStmt(s ast.Stmt, boxed map[string]bool) ast.Stmt {
-	switch n := s.(type) {
-	case nil:
-		return nil
-	case *ast.VarDecl:
-		// The box itself is allocated in the function prologue, so a boxed
-		// declaration becomes a write through the box: var x = e  =>  x.v = e.
-		var out []ast.Stmt
-		rewritten := false
-		for i := range n.Decls {
-			d := &n.Decls[i]
-			init := rewriteBoxedExpr(d.Init, boxed)
-			if boxed[d.Name] {
-				rewritten = true
-				if init != nil {
-					out = append(out, ast.ExprOf(ast.SetTo(
-						&ast.Member{X: ast.Id(d.Name), Name: "v"}, init)))
-				}
-				continue
-			}
-			d.Init = init
-			out = append(out, &ast.VarDecl{P: n.P, Decls: []ast.Declarator{*d}})
-		}
-		if !rewritten {
-			return n
-		}
-		if len(out) == 0 {
-			return &ast.Empty{P: n.P}
-		}
-		if len(out) == 1 {
-			return out[0]
-		}
-		return ast.BlockOf(out...)
-	case *ast.ExprStmt:
-		n.X = rewriteBoxedExpr(n.X, boxed)
-		return n
-	case *ast.Block:
-		n.Body = rewriteBoxed(n.Body, boxed)
-		return n
-	case *ast.If:
-		n.Test = rewriteBoxedExpr(n.Test, boxed)
-		n.Cons = rewriteBoxedStmt(n.Cons, boxed)
-		if n.Alt != nil {
-			n.Alt = rewriteBoxedStmt(n.Alt, boxed)
-		}
-		return n
-	case *ast.While:
-		n.Test = rewriteBoxedExpr(n.Test, boxed)
-		n.Body = rewriteBoxedStmt(n.Body, boxed)
-		return n
-	case *ast.Return:
-		n.Arg = rewriteBoxedExpr(n.Arg, boxed)
-		return n
-	case *ast.Labeled:
-		n.Body = rewriteBoxedStmt(n.Body, boxed)
-		return n
-	case *ast.Throw:
-		n.Arg = rewriteBoxedExpr(n.Arg, boxed)
-		return n
-	case *ast.Try:
-		n.Block.Body = rewriteBoxed(n.Block.Body, boxed)
-		if n.Catch != nil {
-			sub := boxed
-			if boxed[n.CatchParam] {
-				sub = cloneWithout(boxed, n.CatchParam)
-			}
-			n.Catch.Body = rewriteBoxed(n.Catch.Body, sub)
-		}
-		if n.Finally != nil {
-			n.Finally.Body = rewriteBoxed(n.Finally.Body, boxed)
-		}
-		return n
-	case *ast.FuncDecl:
-		n.Fn.Body = rewriteBoxedInNested(n.Fn, boxed)
-		return n
-	default:
+// decl is the rewrite's PostStmt. The box itself is allocated in the
+// function prologue, so a boxed declaration becomes a write through the box:
+// var x = e  =>  x.v = e.
+func (b *boxer) decl(s ast.Stmt) ast.Stmt {
+	n, ok := s.(*ast.VarDecl)
+	if !ok || !slices.ContainsFunc(n.Decls, func(d ast.Declarator) bool { return b.boxedRef(d.Name) }) {
 		return s
 	}
+	var out []ast.Stmt
+	for i := range n.Decls {
+		d := &n.Decls[i]
+		if !b.boxedRef(d.Name) {
+			out = append(out, &ast.VarDecl{P: n.P, Decls: []ast.Declarator{*d}})
+		} else if d.Init != nil {
+			out = append(out, ast.ExprOf(ast.SetTo(
+				&ast.Member{X: ast.Id(d.Name), Name: "v"}, d.Init)))
+		}
+	}
+	switch len(out) {
+	case 0:
+		return &ast.Empty{P: n.P}
+	case 1:
+		return out[0]
+	}
+	return ast.BlockOf(out...)
 }
 
-func cloneWithout(m map[string]bool, key string) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		if k != key {
-			out[k] = true
-		}
+// try is the rewrite's PreStmt: a catch parameter that shadows a boxed name
+// is a scope of its own for the catch body (closures inside it included), so
+// the rewriter takes the statement over and runs that block under it.
+func (b *boxer) try(s ast.Stmt) (ast.Stmt, bool) {
+	n, ok := s.(*ast.Try)
+	if !ok || n.Catch == nil || !b.boxedRef(n.CatchParam) {
+		return nil, false
 	}
-	return out
-}
-
-func rewriteBoxedExpr(e ast.Expr, boxed map[string]bool) ast.Expr {
-	switch n := e.(type) {
-	case nil:
-		return nil
-	case *ast.Ident:
-		if boxed[n.Name] {
-			return &ast.Member{P: n.P, X: n, Name: "v"}
-		}
-		return n
-	case *ast.Assign:
-		n.Value = rewriteBoxedExpr(n.Value, boxed)
-		if id, ok := n.Target.(*ast.Ident); ok && boxed[id.Name] {
-			n.Target = &ast.Member{P: id.P, X: id, Name: "v"}
-		} else {
-			n.Target = rewriteBoxedExpr(n.Target, boxed)
-		}
-		return n
-	case *ast.Func:
-		n.Body = rewriteBoxedInNested(n, boxed)
-		return n
-	case *ast.Member:
-		n.X = rewriteBoxedExpr(n.X, boxed)
-		if n.Computed {
-			n.Index = rewriteBoxedExpr(n.Index, boxed)
-		}
-		return n
-	case *ast.Call:
-		n.Callee = rewriteBoxedExpr(n.Callee, boxed)
-		for i := range n.Args {
-			n.Args[i] = rewriteBoxedExpr(n.Args[i], boxed)
-		}
-		return n
-	case *ast.New:
-		n.Callee = rewriteBoxedExpr(n.Callee, boxed)
-		for i := range n.Args {
-			n.Args[i] = rewriteBoxedExpr(n.Args[i], boxed)
-		}
-		return n
-	case *ast.Unary:
-		n.X = rewriteBoxedExpr(n.X, boxed)
-		return n
-	case *ast.Binary:
-		n.L = rewriteBoxedExpr(n.L, boxed)
-		n.R = rewriteBoxedExpr(n.R, boxed)
-		return n
-	case *ast.Logical:
-		n.L = rewriteBoxedExpr(n.L, boxed)
-		n.R = rewriteBoxedExpr(n.R, boxed)
-		return n
-	case *ast.Cond:
-		n.Test = rewriteBoxedExpr(n.Test, boxed)
-		n.Cons = rewriteBoxedExpr(n.Cons, boxed)
-		n.Alt = rewriteBoxedExpr(n.Alt, boxed)
-		return n
-	case *ast.Seq:
-		for i := range n.Exprs {
-			n.Exprs[i] = rewriteBoxedExpr(n.Exprs[i], boxed)
-		}
-		return n
-	case *ast.Array:
-		for i := range n.Elems {
-			n.Elems[i] = rewriteBoxedExpr(n.Elems[i], boxed)
-		}
-		return n
-	case *ast.Object:
-		for i := range n.Props {
-			n.Props[i].Value = rewriteBoxedExpr(n.Props[i].Value, boxed)
-		}
-		return n
-	case *ast.Update:
-		n.X = rewriteBoxedExpr(n.X, boxed)
-		return n
-	default:
-		return e
+	n.Block = b.rw.Stmt(n.Block).(*ast.Block)
+	b.cur = &scope{parent: b.cur, names: map[string]flags{n.CatchParam: 0}}
+	n.Catch = b.rw.Stmt(n.Catch).(*ast.Block)
+	b.cur = b.cur.parent
+	if n.Finally != nil {
+		n.Finally = b.rw.Stmt(n.Finally).(*ast.Block)
 	}
-}
-
-// rewriteBoxedInNested rewrites boxed outer references inside a nested
-// function, honoring shadowing.
-func rewriteBoxedInNested(fn *ast.Func, boxed map[string]bool) []ast.Stmt {
-	sub := make(map[string]bool, len(boxed))
-	for k := range boxed {
-		sub[k] = true
-	}
-	for _, p := range fn.Params {
-		delete(sub, p)
-	}
-	inner := map[string]bool{}
-	fnames := map[string]bool{}
-	collectDecls(fn.Body, inner, fnames)
-	for k := range inner {
-		delete(sub, k)
-	}
-	if fn.Name != "" {
-		delete(sub, fn.Name)
-	}
-	if len(sub) == 0 {
-		return fn.Body
-	}
-	return rewriteBoxed(fn.Body, sub)
+	return n, true
 }

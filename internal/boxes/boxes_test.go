@@ -164,6 +164,61 @@ console.log(outer());`
 	}
 }
 
+// TestShadowedNamesStayUnboxed covers the three places a boxed name can be
+// rebound below its scope: a catch parameter (with a closure inside the catch
+// body, which must see the parameter and not the box), a named function
+// expression's own name, and an intermediate function scope.
+func TestShadowedNamesStayUnboxed(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+		has, lacks      []string
+	}{
+		{"catch-param",
+			`var e = 1; function g() { e = e + 1; } g();
+			 var a, b;
+			 try { throw 5; } catch (e) { var h = function () { return e; }; a = e; b = h(); }
+			 console.log(a, b, e);`,
+			"5 5 2\n", []string{"e.v = e.v + 1", "a = e;", "return e;"}, nil},
+		{"named-function-expression",
+			`var f = 1; function bump() { f = f + 1; } bump();
+			 var g = function f(n) { if (n === 0) { return typeof f; } return f(n - 1); };
+			 console.log(g(2), f);`,
+			"function 2\n", []string{"f.v = f.v + 1", "typeof f;", "return f($t3);"}, nil},
+		{"middle-of-three",
+			`function outer(a) {
+			   function mid() {
+			     var m = 0;
+			     function inner() { var i = 5; i = i + 1; m = m + i + a; return m; }
+			     inner(); return inner();
+			   }
+			   return mid();
+			 }
+			 console.log(outer(1));`,
+			"14\n", []string{"var m = { v: undefined }", "m.v = "}, []string{"a.v", "i.v", "a = {"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := runSrc(t, c.src); got != c.want {
+				t.Fatalf("raw printed %q, want %q", got, c.want)
+			}
+			_, out := boxPipeline(t, c.src)
+			if got := runSrc(t, out); got != c.want {
+				t.Errorf("boxed printed %q, want %q\n%s", got, c.want, out)
+			}
+			for _, s := range c.has {
+				if !strings.Contains(out, s) {
+					t.Errorf("boxed output lacks %q:\n%s", s, out)
+				}
+			}
+			for _, s := range c.lacks {
+				if strings.Contains(out, s) {
+					t.Errorf("boxed output contains %q:\n%s", s, out)
+				}
+			}
+		})
+	}
+}
+
 func findFunc(prog *ast.Program, name string) *ast.Func {
 	var found *ast.Func
 	ast.Walk(prog, func(n ast.Node) bool {

@@ -76,6 +76,10 @@ func TestBugfixesUnderStopify(t *testing.T) {
 		{"negzero", `var o={}; o[-0]=7; console.log(String(-0), o[0]);`, "0 7\n"},
 		{"delete", `var a=[1,2,3]; a.foo=1; delete a[1]; console.log(a[1], a.foo);`, "undefined 1\n"},
 		{"elision", `var a=[,1,,3,,]; console.log(a.length, a.join("|"));`, "5 |1||3|\n"},
+		// A catch parameter shadows a boxed local, closure in the catch body
+		// included (internal/boxes' TestShadowedNamesStayUnboxed, end to end).
+		{"catch-shadows-box", `var e=1; function g(){e=e+1} g(); var a,b;
+			try{throw 5}catch(e){var h=function(){return e}; a=e; b=h()} console.log(a,b,e);`, "5 5 2\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

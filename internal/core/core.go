@@ -60,12 +60,6 @@ type Opts struct {
 	// Suspend inserts $suspend in every function and loop; disabling it
 	// yields a continuation-only build (library/testing use).
 	Suspend bool
-	// SampleMs is the approx estimator's clock-sampling period t (§5.1);
-	// zero picks the default.
-	SampleMs float64
-	// RestoreSegment caps frames re-entered per native stack excursion
-	// during restore; below 2 picks the runtime's default (16).
-	RestoreSegment int
 	// PerStatementGuards selects the paper's literal per-statement `if
 	// (normal)` wrapping instead of grouped guards (ablation knob).
 	PerStatementGuards bool
@@ -435,9 +429,7 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 		YieldIntervalMs: c.Opts.YieldIntervalMs,
 		Estimator:       c.Opts.estimator(),
 		CountdownN:      c.Opts.CountdownN,
-		SampleMs:        c.Opts.SampleMs,
 		DeepStacks:      c.Opts.DeepStacks,
-		RestoreSegment:  c.Opts.RestoreSegment,
 		Debug:           c.Opts.Debug,
 	})
 	a := &AsyncRun{In: in, Loop: loop, RT: runtime, compiled: c, out: cfg.Out}

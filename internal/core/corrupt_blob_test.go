@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventloop"
+	"repro/internal/snapshot"
 )
 
 // Corrupt-blob robustness: Restore and SnapshotMeta are documented as safe
@@ -140,21 +141,31 @@ func TestRestoreRefusesCyclicScopeChain(t *testing.T) {
 	}
 }
 
-// hostileSegmentBlob is blob with its header asking for one-frame restore
-// segments: the bottom frame alone, which re-enters no caller.
-func hostileSegmentBlob(t testing.TB, blob []byte) []byte {
+// unknownKeysBlob is blob with its header carrying option keys this build
+// does not know, as a blob written before PR 22 does: RestoreSegment and
+// SampleMs were compile options then, and a daemon of that build wrote both
+// into every header. The values are hostile on purpose — a one-frame segment
+// re-entered nothing, forever, when the header could still set it.
+func unknownKeysBlob(t testing.TB, blob []byte) []byte {
 	t.Helper()
-	const was, want = `"RestoreSegment":0`, `"RestoreSegment":1`
-	if bytes.Count(blob, []byte(was)) != 1 {
-		t.Fatalf("the blob header does not carry %s once", was)
+	meta, err := snapshot.ReadMeta(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return bytes.Replace(blob, []byte(was), []byte(want), 1)
+	const was, want = `"opts":{`, `"opts":{"RestoreSegment":1,"SampleMs":-1e308,"NoSuchOption":[{}],`
+	hdr := bytes.Replace(meta.HostMeta, []byte(was), []byte(want), 1)
+	at := bytes.Index(blob, meta.HostMeta) // the header is the blob's first section, behind its length
+	if at < 0 || len(hdr) == len(meta.HostMeta) {
+		t.Fatalf("the blob header does not carry %s", was)
+	}
+	out := append([]byte{}, blob[:at-len(binary.AppendUvarint(nil, uint64(len(meta.HostMeta))))]...)
+	out = append(binary.AppendUvarint(out, uint64(len(hdr))), hdr...)
+	return append(out, blob[at+len(meta.HostMeta):]...)
 }
 
-// TestRestoreHostileSegmentHeader: the restore segment rides in the header
-// of a blob nobody vouches for. A value that would make a resume re-enter
-// nothing, forever, with no statement for a budget or a kill to land on, is
-// read as the default: the guest resumes and finishes as the pristine one does.
+// TestRestoreHostileSegmentHeader: the options ride in the header of a blob
+// nobody vouches for. A header carrying keys this build does not know
+// restores as the pristine blob does: the guest resumes and finishes.
 func TestRestoreHostileSegmentHeader(t *testing.T) {
 	c, err := core.Compile(divrecSrc(60), core.Defaults())
 	if err != nil {
@@ -166,7 +177,7 @@ func TestRestoreHostileSegmentHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	var outs [2]outcome
-	for i, blob := range [][]byte{pristine, hostileSegmentBlob(t, pristine)} {
+	for i, blob := range [][]byte{pristine, unknownKeysBlob(t, pristine)} {
 		buf := &bytes.Buffer{}
 		run, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: buf, MaxSteps: diffBudget}, blob)
 		if err != nil {
@@ -175,7 +186,7 @@ func TestRestoreHostileSegmentHeader(t *testing.T) {
 		outs[i] = finish(run, buf)
 	}
 	if outs[1] != outs[0] || outs[0].err != "" || !strings.Contains(outs[0].out, "divrec") {
-		t.Fatalf("hostile header: %+v, pristine %+v", outs[1], outs[0])
+		t.Fatalf("unknown header keys: %+v, pristine %+v", outs[1], outs[0])
 	}
 }
 
@@ -189,7 +200,7 @@ func FuzzRestoreBlob(f *testing.F) {
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:16])
-	f.Add(hostileSegmentBlob(f, blob))
+	f.Add(unknownKeysBlob(f, blob))
 	huge := binary.AppendUvarint(nil, math.MaxUint64)
 	for _, at := range []int{8, len(blob) / 3, len(blob) - 8} {
 		f.Add(append(append(append([]byte{}, blob[:at]...), huge...), blob[at:]...))

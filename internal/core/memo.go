@@ -52,7 +52,7 @@ func (m *compileMemo) compile(source string, opts Opts) (*Compiled, error) {
 	}
 	// NaN differs from itself: such a key could be stored but never found
 	// again, nor deleted on eviction.
-	if math.IsNaN(opts.YieldIntervalMs) || math.IsNaN(opts.SampleMs) {
+	if math.IsNaN(opts.YieldIntervalMs) {
 		return Compile(source, opts)
 	}
 	key := memoKey{opts, source}

@@ -189,22 +189,6 @@ console.log(down(40));
 	}
 }
 
-// TestRestoreSegmentBelowTwo: a segment of one frame is the bottom frame
-// alone, which re-enters nothing; such a value (an option, or a snapshot
-// header's) means the default, and the resume makes progress.
-func TestRestoreSegmentBelowTwo(t *testing.T) {
-	src := divrecSrc(60)
-	want, _, _, _ := slicedWith(t, src, core.Defaults(), 0)
-	for _, seg := range []int{1, -3} {
-		opts := core.Defaults()
-		opts.RestoreSegment = seg
-		got, _, pauses, _ := slicedWith(t, src, opts, 500)
-		if got != want || pauses == 0 {
-			t.Errorf("RestoreSegment %d: output %q after %d pauses, want %q", seg, got, pauses, want)
-		}
-	}
-}
-
 // TestKillMidRestoreDropsOuterFrames: a guest killed while only the
 // innermost segment of its stack is back on the native stack dies with the
 // callers that were waiting to be re-entered. A timer callback completing

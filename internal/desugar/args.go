@@ -27,8 +27,8 @@ func rewriteParamsToArguments(fn *ast.Func) {
 		index[p] = i
 	}
 	nestedRewrites := false
-	r := &rewriter{skipFuncs: true}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{SkipFuncs: true}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
 		case *ast.Ident:
 			if i, ok := index[n.Name]; ok {
@@ -46,7 +46,7 @@ func rewriteParamsToArguments(fn *ast.Func) {
 		}
 		return e
 	}
-	fn.Body = r.stmts(fn.Body)
+	fn.Body = r.Stmts(fn.Body)
 	if nestedRewrites {
 		fn.Body = append([]ast.Stmt{ast.Var("$outerargs", ast.Id("arguments"))}, fn.Body...)
 	}
@@ -63,12 +63,10 @@ func rewriteFreeParams(fn *ast.Func, outer map[string]int) bool {
 	for _, p := range fn.Params {
 		shadowed[p] = true
 	}
-	for _, name := range declaredVars(fn.Body) {
-		shadowed[name] = true
-	}
+	ast.Hoisted(fn.Body, func(name string, _ *ast.Func) { shadowed[name] = true })
 	rewrote := false
-	r := &rewriter{skipFuncs: true}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{SkipFuncs: true}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
 		case *ast.Ident:
 			if shadowed[n.Name] {
@@ -93,66 +91,6 @@ func rewriteFreeParams(fn *ast.Func, outer map[string]int) bool {
 		}
 		return e
 	}
-	fn.Body = r.stmts(fn.Body)
+	fn.Body = r.Stmts(fn.Body)
 	return rewrote
-}
-
-// declaredVars lists var and function declarations in a body without
-// entering nested functions.
-func declaredVars(body []ast.Stmt) []string {
-	var names []string
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				names = append(names, d.Name)
-			}
-		case *ast.FuncDecl:
-			names = append(names, n.Fn.Name)
-		case *ast.Block:
-			for _, st := range n.Body {
-				walk(st)
-			}
-		case *ast.If:
-			walk(n.Cons)
-			if n.Alt != nil {
-				walk(n.Alt)
-			}
-		case *ast.While:
-			walk(n.Body)
-		case *ast.DoWhile:
-			walk(n.Body)
-		case *ast.For:
-			if n.Init != nil {
-				walk(n.Init)
-			}
-			walk(n.Body)
-		case *ast.ForIn:
-			if n.Decl {
-				names = append(names, n.Name)
-			}
-			walk(n.Body)
-		case *ast.Labeled:
-			walk(n.Body)
-		case *ast.Switch:
-			for _, c := range n.Cases {
-				for _, st := range c.Body {
-					walk(st)
-				}
-			}
-		case *ast.Try:
-			walk(n.Block)
-			if n.Catch != nil {
-				walk(n.Catch)
-			}
-			if n.Finally != nil {
-				walk(n.Finally)
-			}
-		}
-	}
-	for _, s := range body {
-		walk(s)
-	}
-	return names
 }

@@ -12,8 +12,8 @@ import "repro/internal/ast"
 // rewritten code is closed).
 func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	needThis, needArgs := false, false
-	r := &rewriter{skipFuncs: true}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{SkipFuncs: true}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		fn, ok := e.(*ast.Func)
 		if !ok {
 			return e
@@ -28,7 +28,7 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 		fn.Body = lowerArrows(fn.Body, nm, false)
 		return fn
 	}
-	out := r.stmts(body)
+	out := r.Stmts(body)
 	var prologue []ast.Stmt
 	if needThis {
 		prologue = append(prologue, ast.Var("$this", &ast.This{}))
@@ -46,8 +46,8 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 // arrow body, descending through nested arrows (same lexical this) but not
 // into nested ordinary functions. It reports whether each rewrite occurred.
 func rewriteArrowRefs(fn *ast.Func) (usedThis, usedArgs bool) {
-	r := &rewriter{skipFuncs: true}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{SkipFuncs: true}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
 		case *ast.This:
 			usedThis = true
@@ -71,7 +71,7 @@ func rewriteArrowRefs(fn *ast.Func) (usedThis, usedArgs bool) {
 		}
 		return e
 	}
-	fn.Body = r.stmts(fn.Body)
+	fn.Body = r.Stmts(fn.Body)
 	return usedThis, usedArgs
 }
 

@@ -14,8 +14,8 @@ func normalizeAssignments(body []ast.Stmt, nm *Namer) []ast.Stmt {
 
 func normalizeScope(body []ast.Stmt, nm *Namer) []ast.Stmt {
 	var temps []string
-	r := &rewriter{skipFuncs: true}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{SkipFuncs: true}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
 		case *ast.Func:
 			n.Body = normalizeScope(n.Body, nm)
@@ -30,15 +30,19 @@ func normalizeScope(body []ast.Stmt, nm *Namer) []ast.Stmt {
 		}
 		return e
 	}
-	out := r.stmts(body)
-	if len(temps) > 0 {
-		decl := &ast.VarDecl{}
-		for _, t := range temps {
-			decl.Decls = append(decl.Decls, ast.Declarator{Name: t})
-		}
-		out = append([]ast.Stmt{decl}, out...)
+	return declareTemps(temps, r.Stmts(body))
+}
+
+// declareTemps puts one `var` for a scope's fresh temporaries at its top.
+func declareTemps(temps []string, body []ast.Stmt) []ast.Stmt {
+	if len(temps) == 0 {
+		return body
 	}
-	return out
+	decl := &ast.VarDecl{}
+	for _, t := range temps {
+		decl.Decls = append(decl.Decls, ast.Declarator{Name: t})
+	}
+	return append([]ast.Stmt{decl}, body...)
 }
 
 func newTemp(nm *Namer, temps *[]string) string {

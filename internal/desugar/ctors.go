@@ -18,8 +18,8 @@ var builtinCtors = map[string]bool{
 // alternative ("wrapped") strategy keeps new-expressions and handles them
 // dynamically in the instrumentation.
 func lowerCtors(body []ast.Stmt, nm *Namer) []ast.Stmt {
-	r := &rewriter{}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		n, ok := e.(*ast.New)
 		if !ok {
 			return e
@@ -33,5 +33,5 @@ func lowerCtors(body []ast.Stmt, nm *Namer) []ast.Stmt {
 			Args:   []ast.Expr{n.Callee, &ast.Array{Elems: n.Args}},
 		}
 	}
-	return r.stmts(body)
+	return r.Stmts(body)
 }

@@ -82,18 +82,7 @@ func Apply(prog *ast.Program, opts Options, nm *Namer) *ast.Program {
 		lowerArgsFull(prog)
 	}
 	if opts.Suspend {
-		prog.Body = insertSuspend(prog.Body, true)
+		prog.Body = insertSuspend(prog.Body)
 	}
 	return prog
-}
-
-// mapFuncBodies applies fn to every function body found in the statement
-// list (including nested ones), bottom-up, and returns the rewritten list.
-// It is the shared chassis for scope-at-a-time passes.
-func mapStmts(body []ast.Stmt, fn func(ast.Stmt) ast.Stmt) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(body))
-	for _, s := range body {
-		out = append(out, fn(s))
-	}
-	return out
 }

@@ -93,6 +93,17 @@ func TestSwitchLowering(t *testing.T) {
 		`var log = ""; switch (2) { case 1: log += "1"; case 2: log += "2"; case 3: log += "3"; break; case 4: log += "4"; } console.log(log);`,
 		`var log = ""; switch (9) { case 1: log += "1"; break; default: log += "d"; case 2: log += "2"; } console.log(log);`,
 		`var side = ""; function t(v) { side += v; return v; } switch (2) { case t(1): case t(2): side += "hit"; } console.log(side);`,
+		// A break inside a nested loop, switch or function is not the outer
+		// switch's; one under if, try or a label is. A continue inside a
+		// switch inside a loop is the loop's, a nested loop's its own.
+		`var log = ""; switch (1) { case 1: for (var i = 0; i < 5; i++) { if (i === 2) break; } log += i;
+		   var j = 0; while (true) { j++; if (j > 2) break; } do { j++; if (j > 5) break; } while (true); for (var k in {a: 1, b: 2}) { log += k; break; }
+		   switch (j) { case 6: log += "in"; break; default: log += "no"; }
+		   var f = function () { for (;;) { break; } return "f"; }; log += f();
+		   L: { try { if (j === 6) break; } finally { log += "fin"; } log += "skipped"; }
+		   log += "not reached"; case 2: log += "fell"; } console.log(log);`,
+		`var log = ""; outer: for (var i = 0; i < 4; i++) { switch (i) { case 1: continue; case 2: for (var j = 0; j < 3; j++) { if (j === 1) continue; if (j === 2) continue outer; log += "j" + j; }
+		   log += "no"; default: log += i; } log += "|"; } console.log(log);`,
 	} {
 		checkSame(t, src)
 	}

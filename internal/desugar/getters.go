@@ -12,203 +12,78 @@ import "repro/internal/ast"
 //	o.f = v       =>  $set(o, "f", v)
 //	delete o.f    unchanged (no user code runs)
 func lowerGetters(body []ast.Stmt, nm *Namer) []ast.Stmt {
-	return lowerGettersScope(body, nm)
+	g := &getterLowerer{nm: nm}
+	g.r = ast.Rewriter{SkipFuncs: true, PreExpr: g.access, PostExpr: g.scope}
+	body = g.r.Stmts(body)
+	return declareTemps(g.temps, body)
 }
 
-func lowerGettersScope(body []ast.Stmt, nm *Namer) []ast.Stmt {
-	var temps []string
-	out := make([]ast.Stmt, len(body))
-	g := &getterLowerer{nm: nm, temps: &temps}
-	for i, s := range body {
-		out[i] = g.stmt(s)
-	}
-	if len(temps) > 0 {
-		decl := &ast.VarDecl{}
-		for _, t := range temps {
-			decl.Decls = append(decl.Decls, ast.Declarator{Name: t})
-		}
-		out = append([]ast.Stmt{decl}, out...)
-	}
-	return out
-}
-
+// getterLowerer lowers one function scope; temps are the receiver
+// temporaries it declares at the top of that scope.
 type getterLowerer struct {
 	nm    *Namer
-	temps *[]string
+	temps []string
+	r     ast.Rewriter
 }
 
-func (g *getterLowerer) temp() string {
-	t := g.nm.Fresh("$u")
-	*g.temps = append(*g.temps, t)
-	return t
-}
-
-func (g *getterLowerer) stmt(s ast.Stmt) ast.Stmt {
-	switch n := s.(type) {
-	case nil:
-		return nil
-	case *ast.VarDecl:
-		for i := range n.Decls {
-			if n.Decls[i].Init != nil {
-				n.Decls[i].Init = g.expr(n.Decls[i].Init)
-			}
-		}
-		return n
-	case *ast.ExprStmt:
-		n.X = g.expr(n.X)
-		return n
-	case *ast.Block:
-		for i := range n.Body {
-			n.Body[i] = g.stmt(n.Body[i])
-		}
-		return n
-	case *ast.If:
-		n.Test = g.expr(n.Test)
-		n.Cons = g.stmt(n.Cons)
-		if n.Alt != nil {
-			n.Alt = g.stmt(n.Alt)
-		}
-		return n
-	case *ast.While:
-		n.Test = g.expr(n.Test)
-		n.Body = g.stmt(n.Body)
-		return n
-	case *ast.Return:
-		if n.Arg != nil {
-			n.Arg = g.expr(n.Arg)
-		}
-		return n
-	case *ast.Labeled:
-		n.Body = g.stmt(n.Body)
-		return n
-	case *ast.Throw:
-		n.Arg = g.expr(n.Arg)
-		return n
-	case *ast.Try:
-		for i := range n.Block.Body {
-			n.Block.Body[i] = g.stmt(n.Block.Body[i])
-		}
-		if n.Catch != nil {
-			for i := range n.Catch.Body {
-				n.Catch.Body[i] = g.stmt(n.Catch.Body[i])
-			}
-		}
-		if n.Finally != nil {
-			for i := range n.Finally.Body {
-				n.Finally.Body[i] = g.stmt(n.Finally.Body[i])
-			}
-		}
-		return n
-	case *ast.FuncDecl:
-		n.Fn.Body = lowerGettersScope(n.Fn.Body, g.nm)
-		return n
-	default:
-		return s
-	}
-}
-
-func (g *getterLowerer) exprs(es []ast.Expr) []ast.Expr {
-	for i := range es {
-		es[i] = g.expr(es[i])
-	}
-	return es
-}
-
-func (g *getterLowerer) expr(e ast.Expr) ast.Expr {
-	switch n := e.(type) {
-	case nil:
-		return nil
-	case *ast.Member:
-		return g.read(n)
-	case *ast.Assign:
-		n.Value = g.expr(n.Value)
-		if m, ok := n.Target.(*ast.Member); ok {
-			base := g.expr(m.X)
-			key := g.keyExpr(m)
-			return &ast.Call{P: n.P, Callee: ast.Id("$set"), Args: []ast.Expr{base, key, n.Value}}
-		}
-		return n
-	case *ast.Call:
-		n.Args = g.exprs(n.Args)
-		if m, ok := n.Callee.(*ast.Member); ok {
-			// Preserve the receiver: ($u = o, $get($u, k).call($u, args...))
-			base := g.expr(m.X)
-			key := g.keyExpr(m)
-			u := g.temp()
-			getCall := ast.CallId("$get", ast.Id(u), key)
-			callArgs := append([]ast.Expr{ast.Id(u)}, n.Args...)
-			invoke := &ast.Call{P: n.P, Callee: &ast.Member{X: getCall, Name: "call"}, Args: callArgs}
-			return &ast.Seq{P: n.P, Exprs: []ast.Expr{ast.SetId(u, base), invoke}}
-		}
-		n.Callee = g.expr(n.Callee)
-		return n
-	case *ast.New:
-		n.Callee = g.expr(n.Callee)
-		n.Args = g.exprs(n.Args)
-		return n
-	case *ast.Unary:
-		if n.Op == "delete" || n.Op == "typeof" {
-			// delete must see the raw reference; typeof of a member read is
-			// safe to rewrite but cheaper left alone for identifiers.
-			if _, isMember := n.X.(*ast.Member); isMember && n.Op == "delete" {
-				m := n.X.(*ast.Member)
-				m.X = g.expr(m.X)
-				if m.Computed {
-					m.Index = g.expr(m.Index)
-				}
-				return n
-			}
-		}
-		n.X = g.expr(n.X)
-		return n
-	case *ast.Update:
-		// normalizeAssignments runs first, so updates are gone by now;
-		// tolerate stragglers by rewriting the operand only.
-		n.X = g.expr(n.X)
-		return n
-	case *ast.Binary:
-		n.L = g.expr(n.L)
-		n.R = g.expr(n.R)
-		return n
-	case *ast.Logical:
-		n.L = g.expr(n.L)
-		n.R = g.expr(n.R)
-		return n
-	case *ast.Cond:
-		n.Test = g.expr(n.Test)
-		n.Cons = g.expr(n.Cons)
-		n.Alt = g.expr(n.Alt)
-		return n
-	case *ast.Seq:
-		n.Exprs = g.exprs(n.Exprs)
-		return n
-	case *ast.Array:
-		n.Elems = g.exprs(n.Elems)
-		return n
-	case *ast.Object:
-		for i := range n.Props {
-			if n.Props[i].Kind == ast.PropInit {
-				n.Props[i].Value = g.expr(n.Props[i].Value)
-			} else if fn, ok := n.Props[i].Value.(*ast.Func); ok {
-				fn.Body = lowerGettersScope(fn.Body, g.nm)
-			}
-		}
-		return n
-	case *ast.Func:
-		n.Body = lowerGettersScope(n.Body, g.nm)
-		return n
+// scope gives every nested function — expression, declaration or accessor —
+// a lowerer, and so a temporaries declaration, of its own.
+func (g *getterLowerer) scope(e ast.Expr) ast.Expr {
+	if fn, ok := e.(*ast.Func); ok {
+		fn.Body = lowerGetters(fn.Body, g.nm)
 	}
 	return e
 }
 
-func (g *getterLowerer) read(m *ast.Member) ast.Expr {
-	base := g.expr(m.X)
-	return ast.CallId("$get", base, g.keyExpr(m))
+// access takes over the expressions whose member operand is a reference, not
+// a read — an assignment's target, a call's callee, delete's operand — and
+// turns every other member access into a $get. Operands are lowered in the
+// order the fresh temporaries have always been numbered in: an assignment's
+// value and a call's arguments before the base and key.
+func (g *getterLowerer) access(e ast.Expr) (ast.Expr, bool) {
+	switch n := e.(type) {
+	case *ast.Member:
+		return ast.CallId("$get", g.r.Expr(n.X), g.keyExpr(n)), true
+	case *ast.Assign:
+		m, ok := n.Target.(*ast.Member)
+		if !ok {
+			return nil, false
+		}
+		n.Value = g.r.Expr(n.Value)
+		return &ast.Call{P: n.P, Callee: ast.Id("$set"), Args: []ast.Expr{g.r.Expr(m.X), g.keyExpr(m), n.Value}}, true
+	case *ast.Call:
+		for i := range n.Args {
+			n.Args[i] = g.r.Expr(n.Args[i])
+		}
+		m, ok := n.Callee.(*ast.Member)
+		if !ok {
+			n.Callee = g.r.Expr(n.Callee)
+			return n, true
+		}
+		// Preserve the receiver: ($u = o, $get($u, k).call($u, args...))
+		base, key := g.r.Expr(m.X), g.keyExpr(m)
+		u := g.nm.Fresh("$u")
+		g.temps = append(g.temps, u)
+		getCall := ast.CallId("$get", ast.Id(u), key)
+		callArgs := append([]ast.Expr{ast.Id(u)}, n.Args...)
+		invoke := &ast.Call{P: n.P, Callee: &ast.Member{X: getCall, Name: "call"}, Args: callArgs}
+		return &ast.Seq{P: n.P, Exprs: []ast.Expr{ast.SetId(u, base), invoke}}, true
+	case *ast.Unary:
+		// delete must see the raw reference: no user code runs.
+		if m, ok := n.X.(*ast.Member); ok && n.Op == "delete" {
+			m.X = g.r.Expr(m.X)
+			if m.Computed {
+				m.Index = g.r.Expr(m.Index)
+			}
+			return n, true
+		}
+	}
+	return nil, false
 }
 
 func (g *getterLowerer) keyExpr(m *ast.Member) ast.Expr {
 	if m.Computed {
-		return g.expr(m.Index)
+		return g.r.Expr(m.Index)
 	}
 	return ast.Strlit(m.Name)
 }

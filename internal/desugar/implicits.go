@@ -27,8 +27,8 @@ var implicitBinFns = map[string]string{
 // toString — the JSweet/Java sub-language); in ImplicitsFull mode every
 // conversion site is exposed.
 func lowerImplicits(body []ast.Stmt, mode ImplicitsMode, nm *Namer) []ast.Stmt {
-	r := &rewriter{}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r := &ast.Rewriter{}
+	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
 		case *ast.Binary:
 			fn, ok := implicitBinFns[n.Op]
@@ -62,7 +62,7 @@ func lowerImplicits(body []ast.Stmt, mode ImplicitsMode, nm *Namer) []ast.Stmt {
 		}
 		return e
 	}
-	return r.stmts(body)
+	return r.Stmts(body)
 }
 
 // literalOperand reports expressions that can never be objects, where the

@@ -1,6 +1,10 @@
 package desugar
 
-import "repro/internal/ast"
+import (
+	"slices"
+
+	"repro/internal/ast"
+)
 
 // lowerLoopsStmts rewrites for / do-while / for-in into while loops and
 // switch into a guarded if-chain, recursively. After this pass the only
@@ -210,11 +214,11 @@ func lowerSwitch(n *ast.Switch, nm *Namer) ast.Stmt {
 	}
 
 	var guarded []ast.Stmt
+	breaks := switchBreaks(blockLabel)
 	for i, c := range n.Cases {
 		body := make([]ast.Stmt, len(c.Body))
 		for j, s := range c.Body {
-			s = rewriteSwitchBreaks(s, blockLabel)
-			body[j] = lowerLoopStmt(s, nil, nm)
+			body[j] = lowerLoopStmt(breaks.Stmt(s), nil, nm)
 		}
 		guarded = append(guarded, ast.IfThen(
 			ast.Bin("<=", ast.Id(m), ast.Int(i)),
@@ -237,129 +241,60 @@ func asBlock(s ast.Stmt) ast.Stmt {
 	return ast.BlockOf(s)
 }
 
+// stmtsOnly is the PreExpr of a pass over statements alone: it leaves every
+// expression, and so every function inside one, as it is.
+func stmtsOnly(e ast.Expr) (ast.Expr, bool) { return e, true }
+
+func isLoop(s ast.Stmt) bool {
+	switch s.(type) {
+	case *ast.While, *ast.DoWhile, *ast.For, *ast.ForIn:
+		return true
+	}
+	return false
+}
+
 // rewriteContinues replaces `continue` statements that target the loop being
 // desugared (unlabeled ones outside nested loops, and labeled ones naming
 // one of loopLabels at any depth) with `break target`.
 func rewriteContinues(s ast.Stmt, loopLabels []string, target string) ast.Stmt {
-	return rewriteCont(s, loopLabels, target, false)
-}
-
-func rewriteCont(s ast.Stmt, loopLabels []string, target string, shadowed bool) ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Continue:
-		if n.Label == "" {
-			if !shadowed {
-				return &ast.Break{P: n.P, Label: target}
+	nested := 0 // loops entered below s: an unlabeled continue there is theirs
+	r := ast.Rewriter{PreExpr: stmtsOnly}
+	r.PreStmt = func(s ast.Stmt) (ast.Stmt, bool) {
+		switch n := s.(type) {
+		case *ast.Continue:
+			if n.Label == "" && nested == 0 || slices.Contains(loopLabels, n.Label) {
+				return &ast.Break{P: n.P, Label: target}, true
 			}
-			return n
+		case *ast.FuncDecl:
+			return s, true
 		}
-		if hasString(loopLabels, n.Label) {
-			return &ast.Break{P: n.P, Label: target}
+		if isLoop(s) {
+			nested++
 		}
-		return n
-	case *ast.Block:
-		for i := range n.Body {
-			n.Body[i] = rewriteCont(n.Body[i], loopLabels, target, shadowed)
+		return nil, false
+	}
+	r.PostStmt = func(s ast.Stmt) ast.Stmt {
+		if isLoop(s) {
+			nested--
 		}
-		return n
-	case *ast.If:
-		n.Cons = rewriteCont(n.Cons, loopLabels, target, shadowed)
-		if n.Alt != nil {
-			n.Alt = rewriteCont(n.Alt, loopLabels, target, shadowed)
-		}
-		return n
-	case *ast.While:
-		n.Body = rewriteCont(n.Body, loopLabels, target, true)
-		return n
-	case *ast.DoWhile:
-		n.Body = rewriteCont(n.Body, loopLabels, target, true)
-		return n
-	case *ast.For:
-		n.Body = rewriteCont(n.Body, loopLabels, target, true)
-		return n
-	case *ast.ForIn:
-		n.Body = rewriteCont(n.Body, loopLabels, target, true)
-		return n
-	case *ast.Labeled:
-		n.Body = rewriteCont(n.Body, loopLabels, target, shadowed)
-		return n
-	case *ast.Switch:
-		for i := range n.Cases {
-			for j := range n.Cases[i].Body {
-				n.Cases[i].Body[j] = rewriteCont(n.Cases[i].Body[j], loopLabels, target, shadowed)
-			}
-		}
-		return n
-	case *ast.Try:
-		for i := range n.Block.Body {
-			n.Block.Body[i] = rewriteCont(n.Block.Body[i], loopLabels, target, shadowed)
-		}
-		if n.Catch != nil {
-			for i := range n.Catch.Body {
-				n.Catch.Body[i] = rewriteCont(n.Catch.Body[i], loopLabels, target, shadowed)
-			}
-		}
-		if n.Finally != nil {
-			for i := range n.Finally.Body {
-				n.Finally.Body[i] = rewriteCont(n.Finally.Body[i], loopLabels, target, shadowed)
-			}
-		}
-		return n
-	default:
 		return s
 	}
+	return r.Stmt(s)
 }
 
-// rewriteSwitchBreaks replaces unlabeled `break` statements that target the
-// switch being desugared (i.e. outside nested loops and switches) with
-// `break target`.
-func rewriteSwitchBreaks(s ast.Stmt, target string) ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Break:
-		if n.Label == "" {
-			return &ast.Break{P: n.P, Label: target}
-		}
-		return n
-	case *ast.Block:
-		for i := range n.Body {
-			n.Body[i] = rewriteSwitchBreaks(n.Body[i], target)
-		}
-		return n
-	case *ast.If:
-		n.Cons = rewriteSwitchBreaks(n.Cons, target)
-		if n.Alt != nil {
-			n.Alt = rewriteSwitchBreaks(n.Alt, target)
-		}
-		return n
-	case *ast.Labeled:
-		n.Body = rewriteSwitchBreaks(n.Body, target)
-		return n
-	case *ast.Try:
-		for i := range n.Block.Body {
-			n.Block.Body[i] = rewriteSwitchBreaks(n.Block.Body[i], target)
-		}
-		if n.Catch != nil {
-			for i := range n.Catch.Body {
-				n.Catch.Body[i] = rewriteSwitchBreaks(n.Catch.Body[i], target)
+// switchBreaks returns the rewriter that replaces the unlabeled `break`
+// statements targeting the switch being desugared with `break target`.
+// Nested loops and switches capture theirs, so it stays out of them.
+func switchBreaks(target string) *ast.Rewriter {
+	return &ast.Rewriter{PreExpr: stmtsOnly, PreStmt: func(s ast.Stmt) (ast.Stmt, bool) {
+		switch n := s.(type) {
+		case *ast.Break:
+			if n.Label == "" {
+				return &ast.Break{P: n.P, Label: target}, true
 			}
+		case *ast.Switch, *ast.FuncDecl, *ast.While, *ast.DoWhile, *ast.For, *ast.ForIn:
+			return s, true
 		}
-		if n.Finally != nil {
-			for i := range n.Finally.Body {
-				n.Finally.Body[i] = rewriteSwitchBreaks(n.Finally.Body[i], target)
-			}
-		}
-		return n
-	default:
-		// Nested loops and switches capture unlabeled breaks.
-		return s
-	}
-}
-
-func hasString(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
+		return nil, false
+	}}
 }

@@ -10,26 +10,22 @@ import "repro/internal/ast"
 // captures the continuation and schedules its resumption on the event loop.
 //
 // It runs after loop lowering, so While is the only loop form.
-func insertSuspend(body []ast.Stmt, topLevel bool) []ast.Stmt {
-	r := &rewriter{}
-	r.stmt = func(s ast.Stmt) ast.Stmt {
-		switch n := s.(type) {
-		case *ast.While:
+func insertSuspend(body []ast.Stmt) []ast.Stmt {
+	r := &ast.Rewriter{}
+	r.PostStmt = func(s ast.Stmt) ast.Stmt {
+		if n, ok := s.(*ast.While); ok {
 			n.Body = prependSuspend(n.Body)
-		case *ast.FuncDecl:
-			n.Fn.Body = append([]ast.Stmt{suspendCall()}, n.Fn.Body...)
 		}
 		return s
 	}
-	r.expr = func(e ast.Expr) ast.Expr {
+	r.PostExpr = func(e ast.Expr) ast.Expr {
+		// Declarations and expressions alike: the rewriter offers both here.
 		if fn, ok := e.(*ast.Func); ok {
 			fn.Body = append([]ast.Stmt{suspendCall()}, fn.Body...)
 		}
 		return e
 	}
-	out := r.stmts(body)
-	_ = topLevel
-	return out
+	return r.Stmts(body)
 }
 
 func suspendCall() ast.Stmt { return ast.ExprOf(ast.CallId("$suspend")) }

@@ -24,6 +24,8 @@
 package instrument
 
 import (
+	"slices"
+
 	"repro/internal/ast"
 )
 
@@ -158,86 +160,28 @@ func instrumentFunc(fn *ast.Func, opts Options) {
 // tail position (Call or New anywhere except directly under `return`).
 func hasNonTailSites(body []ast.Stmt) bool {
 	found := false
-	var walkStmt func(s ast.Stmt)
-	checkExpr := func(e ast.Expr) {
-		if e == nil || found {
-			return
-		}
-		ast.Walk(e, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.Call, *ast.New:
-				found = true
-				return false
-			case *ast.Func:
-				return false // nested functions are separate scopes
-			}
-			return !found
-		})
-	}
-	walkStmt = func(s ast.Stmt) {
-		if found {
-			return
-		}
-		switch n := s.(type) {
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				checkExpr(d.Init)
-			}
-		case *ast.ExprStmt:
-			checkExpr(n.X)
-		case *ast.Block:
-			for _, st := range n.Body {
-				walkStmt(st)
-			}
-		case *ast.If:
-			checkExpr(n.Test)
-			walkStmt(n.Cons)
-			if n.Alt != nil {
-				walkStmt(n.Alt)
-			}
-		case *ast.While:
-			checkExpr(n.Test)
-			walkStmt(n.Body)
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Call, *ast.New:
+			found = true
+		case *ast.Func:
+			return false // nested functions are separate scopes
 		case *ast.Return:
 			if call, ok := n.Arg.(*ast.Call); ok {
-				// Tail position: only the callee/args could contain nested
-				// applications, but post-ANF they are atoms.
+				// Tail position: the call is no site; only its callee and
+				// arguments could contain one (post-ANF they are atoms).
+				ast.Walk(call.Callee, visit)
 				for _, a := range call.Args {
-					checkExpr(a)
+					ast.Walk(a, visit)
 				}
-				if m, isMember := call.Callee.(*ast.Member); isMember {
-					checkExpr(m.X)
-					if m.Computed {
-						checkExpr(m.Index)
-					}
-				}
-				return
-			}
-			checkExpr(n.Arg)
-		case *ast.Labeled:
-			walkStmt(n.Body)
-		case *ast.Throw:
-			checkExpr(n.Arg)
-		case *ast.Try:
-			// A function with try/finally needs instrumentation for return
-			// bookkeeping only when it has sites; recurse normally.
-			for _, st := range n.Block.Body {
-				walkStmt(st)
-			}
-			if n.Catch != nil {
-				for _, st := range n.Catch.Body {
-					walkStmt(st)
-				}
-			}
-			if n.Finally != nil {
-				for _, st := range n.Finally.Body {
-					walkStmt(st)
-				}
+				return false
 			}
 		}
+		return !found
 	}
 	for _, s := range body {
-		walkStmt(s)
+		ast.Walk(s, visit)
 	}
 	return found
 }
@@ -296,59 +240,11 @@ func (c *fctx) localsList(fn *ast.Func, body []ast.Stmt) []string {
 	if c.opts.Args == ArgsMixed || c.opts.Args == ArgsFull {
 		add("arguments")
 	}
-	for _, v := range declaredNames(body) {
+	for _, v := range ast.DeclaredNames(body) {
 		add(v)
 	}
 	for _, v := range c.extra {
 		add(v)
-	}
-	return names
-}
-
-// declaredNames lists var and function declarations without entering
-// nested functions.
-func declaredNames(body []ast.Stmt) []string {
-	var names []string
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				names = append(names, d.Name)
-			}
-		case *ast.FuncDecl:
-			names = append(names, n.Fn.Name)
-		case *ast.Block:
-			for _, st := range n.Body {
-				walk(st)
-			}
-		case *ast.If:
-			walk(n.Cons)
-			if n.Alt != nil {
-				walk(n.Alt)
-			}
-		case *ast.While:
-			walk(n.Body)
-		case *ast.Labeled:
-			walk(n.Body)
-		case *ast.Try:
-			for _, st := range n.Block.Body {
-				walk(st)
-			}
-			if n.Catch != nil {
-				for _, st := range n.Catch.Body {
-					walk(st)
-				}
-			}
-			if n.Finally != nil {
-				for _, st := range n.Finally.Body {
-					walk(st)
-				}
-			}
-		}
-	}
-	for _, s := range body {
-		walk(s)
 	}
 	return names
 }
@@ -457,17 +353,7 @@ func renameIdent(body []ast.Stmt, old, new string) {
 					n.Name = new
 				}
 			case *ast.Func:
-				for _, p := range n.Params {
-					if p == old {
-						return false
-					}
-				}
-				for _, d := range declaredNames(n.Body) {
-					if d == old {
-						return false
-					}
-				}
-				if n.Name == old {
+				if n.Name == old || slices.Contains(n.Params, old) || slices.Contains(ast.DeclaredNames(n.Body), old) {
 					return false
 				}
 			}
@@ -497,20 +383,16 @@ func (c *fctx) ctorProtocol(body []ast.Stmt) []ast.Stmt {
 	return out
 }
 
+// rewriteNewTarget replaces new.target with $nt in one function's own code:
+// a nested function has a new.target of its own.
 func rewriteNewTarget(body []ast.Stmt) {
-	for _, s := range body {
-		rewriteNewTargetStmt(s)
-	}
-}
-
-func rewriteNewTargetStmt(s ast.Stmt) {
-	replace := func(e ast.Expr) ast.Expr {
+	r := ast.Rewriter{SkipFuncs: true, PostExpr: func(e ast.Expr) ast.Expr {
 		if _, ok := e.(*ast.NewTarget); ok {
 			return ast.Id("$nt")
 		}
 		return e
-	}
-	swapInStmt(s, replace)
+	}}
+	r.Stmts(body)
 }
 
 // ctorReturns rewrites `return e` into the explicit protocol:
@@ -591,116 +473,4 @@ func notObjectLike(x ast.Expr) ast.Expr {
 			ast.Bin("!==", &ast.Unary{Op: "typeof", X: x}, ast.Strlit("function")),
 		),
 	)
-}
-
-// swapInStmt applies an expression replacement function shallowly through a
-// statement tree without entering nested functions.
-func swapInStmt(s ast.Stmt, replace func(ast.Expr) ast.Expr) {
-	var doExpr func(e ast.Expr) ast.Expr
-	doExpr = func(e ast.Expr) ast.Expr {
-		if e == nil {
-			return nil
-		}
-		if r := replace(e); r != e {
-			return r
-		}
-		switch n := e.(type) {
-		case *ast.Array:
-			for i := range n.Elems {
-				n.Elems[i] = doExpr(n.Elems[i])
-			}
-		case *ast.Object:
-			for i := range n.Props {
-				if _, isFn := n.Props[i].Value.(*ast.Func); !isFn {
-					n.Props[i].Value = doExpr(n.Props[i].Value)
-				}
-			}
-		case *ast.Unary:
-			n.X = doExpr(n.X)
-		case *ast.Update:
-			n.X = doExpr(n.X)
-		case *ast.Binary:
-			n.L = doExpr(n.L)
-			n.R = doExpr(n.R)
-		case *ast.Logical:
-			n.L = doExpr(n.L)
-			n.R = doExpr(n.R)
-		case *ast.Assign:
-			n.Target = doExpr(n.Target)
-			n.Value = doExpr(n.Value)
-		case *ast.Cond:
-			n.Test = doExpr(n.Test)
-			n.Cons = doExpr(n.Cons)
-			n.Alt = doExpr(n.Alt)
-		case *ast.Call:
-			n.Callee = doExpr(n.Callee)
-			for i := range n.Args {
-				n.Args[i] = doExpr(n.Args[i])
-			}
-		case *ast.New:
-			n.Callee = doExpr(n.Callee)
-			for i := range n.Args {
-				n.Args[i] = doExpr(n.Args[i])
-			}
-		case *ast.Member:
-			n.X = doExpr(n.X)
-			if n.Computed {
-				n.Index = doExpr(n.Index)
-			}
-		case *ast.Seq:
-			for i := range n.Exprs {
-				n.Exprs[i] = doExpr(n.Exprs[i])
-			}
-		}
-		return e
-	}
-	var doStmt func(st ast.Stmt)
-	doStmt = func(st ast.Stmt) {
-		switch n := st.(type) {
-		case *ast.VarDecl:
-			for i := range n.Decls {
-				if n.Decls[i].Init != nil {
-					n.Decls[i].Init = doExpr(n.Decls[i].Init)
-				}
-			}
-		case *ast.ExprStmt:
-			n.X = doExpr(n.X)
-		case *ast.Block:
-			for _, sub := range n.Body {
-				doStmt(sub)
-			}
-		case *ast.If:
-			n.Test = doExpr(n.Test)
-			doStmt(n.Cons)
-			if n.Alt != nil {
-				doStmt(n.Alt)
-			}
-		case *ast.While:
-			n.Test = doExpr(n.Test)
-			doStmt(n.Body)
-		case *ast.Return:
-			if n.Arg != nil {
-				n.Arg = doExpr(n.Arg)
-			}
-		case *ast.Labeled:
-			doStmt(n.Body)
-		case *ast.Throw:
-			n.Arg = doExpr(n.Arg)
-		case *ast.Try:
-			for _, sub := range n.Block.Body {
-				doStmt(sub)
-			}
-			if n.Catch != nil {
-				for _, sub := range n.Catch.Body {
-					doStmt(sub)
-				}
-			}
-			if n.Finally != nil {
-				for _, sub := range n.Finally.Body {
-					doStmt(sub)
-				}
-			}
-		}
-	}
-	doStmt(s)
 }

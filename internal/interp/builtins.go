@@ -405,9 +405,9 @@ func (in *Interp) setupConsoleAndTimers() {
 	// method lives on the shared Date.prototype so instances hold no
 	// closures and the snapshot codec can carry them. Property insertion
 	// order below is load-bearing: the host registry fingerprints the
-	// pre-prelude DFS, and wire-v1 back-compat reconstructs the old
-	// traversal by filtering out the Date.prototype subtree — which only
-	// works if the surviving entries ("now" first) keep their old order.
+	// pre-prelude DFS, so reordering it (or anything else the traversal
+	// reaches) makes every blob written before the change refuse to restore
+	// — a snapshot.Version bump, not a tidy-up.
 	dp := NewObject(in.objectProto)
 	in.dateProto = dp
 	timeSlot := func(this Value) (float64, bool) {

@@ -79,6 +79,9 @@ type approxEst struct {
 	velocity    float64 // calls per ms
 }
 
+// sampleMs is the sampling period t every runtime uses.
+const sampleMs = 25
+
 func newApproxEst(clock eventloop.Clock, delta, t float64) *approxEst {
 	return &approxEst{clock: clock, delta: delta, t: t, lastTime: clock.Now()}
 }

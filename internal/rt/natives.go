@@ -46,7 +46,7 @@ func (r *R) installNatives() {
 			// kill is not deferred by atomic sections.
 			return interp.Undefined, r.killReason()
 		}
-		deepPressure := r.opts.DeepStacks && in.Depth() > r.opts.DeepLimit
+		deepPressure := r.opts.DeepStacks && in.Depth() > in.MaxDepth()/2
 		timeDue := r.est != nil && r.est.due()
 		if !deepPressure && !timeDue && !r.mustPause.Load() {
 			return interp.Undefined, nil

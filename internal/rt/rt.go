@@ -38,18 +38,10 @@ type Options struct {
 	Estimator       EstimatorKind
 	// CountdownN is the fixed call budget for the countdown estimator.
 	CountdownN int
-	// SampleMs is the approx estimator's clock-sampling period t.
-	SampleMs float64
 
 	// DeepStacks bounds native stack growth by capturing and resuming on an
-	// empty stack whenever the interpreter depth exceeds DeepLimit.
+	// empty stack whenever the interpreter is past half its depth limit.
 	DeepStacks bool
-	DeepLimit  int
-
-	// RestoreSegment caps how many frames, bottom included, one native stack
-	// excursion re-enters during restore; the callers beyond follow as inner
-	// segments return. Below 2 (no caller: no progress) picks the default.
-	RestoreSegment int
 
 	// Debug enables $bp: breakpoints and single-stepping.
 	Debug bool
@@ -143,15 +135,6 @@ type R struct {
 // New installs the runtime globals and natives into in and returns the
 // runtime.
 func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
-	if opts.DeepLimit <= 0 {
-		opts.DeepLimit = in.MaxDepth() / 2
-	}
-	if opts.RestoreSegment < 2 {
-		opts.RestoreSegment = defaultRestoreSegment
-	}
-	if opts.SampleMs <= 0 {
-		opts.SampleMs = 25
-	}
 	if opts.CountdownN <= 0 {
 		opts.CountdownN = 100000
 	}
@@ -171,7 +154,7 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 		case Countdown:
 			r.est = &countdownEst{n: opts.CountdownN, counter: opts.CountdownN}
 		default:
-			r.est = newApproxEst(in.Clock, opts.YieldIntervalMs, opts.SampleMs)
+			r.est = newApproxEst(in.Clock, opts.YieldIntervalMs, sampleMs)
 		}
 	}
 
@@ -355,12 +338,12 @@ func (r *R) finishCapture() {
 // MaxSteps or the preemption watchdog can act.
 const maxRestoreDepth = 32768
 
-// defaultRestoreSegment is how many frames, bottom included, one native
-// stack excursion re-enters. A resume re-executes one segment's prologues and
-// the next capture unwinds only the frames then live, so a preemption costs
-// O(segment) at any depth. DESIGN_interp.md "Frames" has the measurements
-// behind the value (AblationRestoreSegment, stopibench -fig ablation-segment).
-const defaultRestoreSegment = 16
+// restoreSegment is how many frames, bottom included, one native stack
+// excursion re-enters; the callers beyond follow as inner segments return. A
+// resume re-executes one segment's prologues and the next capture unwinds
+// only the frames then live, so a preemption costs O(segment) at any depth.
+// DESIGN_interp.md "Frames" keeps the measured curve behind the value.
+const restoreSegment = 16
 
 // startRestore reinstates a continuation: frames[0] is its bottom frame, the
 // rest its callers, innermost first. Its segments inherit hold (R.hold).
@@ -378,7 +361,7 @@ func (r *R) startRestore(hold bool, frames Frames, v interp.Value) {
 	r.runStep(r.enterSegment(frames[0], frames[1:], v, nil))
 }
 
-// enterSegment readies the innermost RestoreSegment frames of a continuation
+// enterSegment readies the innermost restoreSegment frames of a continuation
 // — bottom, then callers from the inside out — and returns the step that
 // re-enters them. The callers beyond wait in pendingOuter for the segment to
 // complete (afterStep): no restore and no capture reads or writes them (§5.2).
@@ -386,7 +369,7 @@ func (r *R) enterSegment(bottom interp.Value, callers Frames, v interp.Value, th
 	r.Restores++
 	r.stackObj.Elems = r.stackObj.Elems[:0]
 	r.shadowObj.Elems = r.shadowObj.Elems[:0]
-	n := min(len(callers), r.opts.RestoreSegment-1)
+	n := min(len(callers), restoreSegment-1)
 	r.pendingOuter = callers[n:]
 	r.restoreValue = v
 	r.restoreThrow = throwErr
