@@ -48,7 +48,6 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -97,7 +96,7 @@ func main() {
 		DefaultPolicy: defaults,
 	})
 
-	srv := &server{sup: sup, retain: *retain, doneAt: map[uint64]time.Time{}, defaults: defaults,
+	srv := &server{sup: sup, retain: *retain, defaults: defaults,
 		profileEvery: *profEvery, logJSON: *logFormat == "json"}
 	srv.bootNonce = bootNonce()
 	go srv.janitor()
@@ -196,68 +195,15 @@ type server struct {
 	bootNonce    string // random per-process prefix for request ids
 	reqSeq       atomic.Uint64
 	draining     atomic.Bool // SIGTERM received: refuse admission, fail /readyz
-
-	// The supervisor keeps guests addressable until Remove, so a serving
-	// daemon must evict or leak one Result (output buffer included) per
-	// finished run. ids is every admitted run; doneAt records when the
-	// janitor first saw each finish.
-	mu     sync.Mutex
-	ids    []uint64
-	doneAt map[uint64]time.Time
 }
 
 // janitor evicts finished runs once they have been pollable for the
-// retention window.
+// retention window, measured from their finish: the supervisor keeps guests
+// addressable until removed, so a serving daemon must evict or leak one
+// Result (output buffer included) per finished run.
 func (s *server) janitor() {
-	tick := s.retain / 10
-	if tick < time.Second {
-		tick = time.Second
-	}
-	for range time.Tick(tick) {
-		now := time.Now()
-		s.mu.Lock()
-		ids := append([]uint64(nil), s.ids...)
-		s.mu.Unlock()
-		// Decide evictions against the snapshot, then filter s.ids in
-		// place under the lock — handleRun may append new ids while the
-		// scan runs, and a stale-snapshot write-back would orphan them
-		// (leaking their Results forever, the very thing this janitor
-		// exists to prevent).
-		evict := make(map[uint64]bool)
-		for _, id := range ids {
-			g := s.sup.Guest(id)
-			if g == nil {
-				evict[id] = true // already removed
-				continue
-			}
-			if g.State() != supervisor.StateDone {
-				continue
-			}
-			s.mu.Lock()
-			first, seen := s.doneAt[id]
-			if !seen {
-				first = now
-				s.doneAt[id] = now
-			}
-			s.mu.Unlock()
-			if now.Sub(first) < s.retain {
-				continue
-			}
-			s.sup.Remove(id)
-			evict[id] = true
-		}
-		s.mu.Lock()
-		kept := s.ids[:0]
-		for _, id := range s.ids {
-			if !evict[id] {
-				kept = append(kept, id)
-			}
-		}
-		s.ids = kept
-		for id := range evict {
-			delete(s.doneAt, id)
-		}
-		s.mu.Unlock()
+	for range time.Tick(max(s.retain/10, time.Second)) {
+		s.sup.RemoveFinished(s.retain)
 	}
 }
 
@@ -342,8 +288,8 @@ func (s *server) admission(w http.ResponseWriter, r *http.Request, req interface
 }
 
 // admitted is the back half: it maps the supervisor's admission verdict to
-// a status code and, on success, registers the run for eviction and replies
-// with its id. what names the stage a 422 blames ("compile", "restore").
+// a status code and, on success, replies with its id. what names the stage
+// a 422 blames ("compile", "restore").
 func (s *server) admitted(w http.ResponseWriter, g *supervisor.Guest, err error, what string) {
 	switch {
 	case err == supervisor.ErrQueueFull:
@@ -355,9 +301,6 @@ func (s *server) admitted(w http.ResponseWriter, g *supervisor.Guest, err error,
 	case err != nil:
 		http.Error(w, what+": "+err.Error(), http.StatusUnprocessableEntity)
 	default:
-		s.mu.Lock()
-		s.ids = append(s.ids, g.ID)
-		s.mu.Unlock()
 		writeJSON(w, map[string]uint64{"id": g.ID})
 	}
 }

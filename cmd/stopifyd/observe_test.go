@@ -30,7 +30,6 @@ func newObserveServer(t *testing.T, profileEvery uint64, logJSON bool, logBuf *b
 	srv := &server{
 		sup:          sup,
 		retain:       time.Minute,
-		doneAt:       map[uint64]time.Time{},
 		defaults:     supervisor.Policy{MaxOutputBytes: 1 << 20},
 		profileEvery: profileEvery,
 		logJSON:      logJSON,

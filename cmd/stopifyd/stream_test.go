@@ -17,7 +17,7 @@ import (
 func TestOutputFollowAndReconnect(t *testing.T) {
 	sup := supervisor.New(supervisor.Options{Workers: 2})
 	defer sup.Close()
-	srv := &server{sup: sup, retain: time.Minute, doneAt: map[uint64]time.Time{}}
+	srv := &server{sup: sup, retain: time.Minute}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/output", srv.handleOutput)
 	ts := httptest.NewServer(srv.withRecover(mux))

@@ -112,6 +112,13 @@ func (n *norm) exprStmt(e ast.Expr, out *[]ast.Stmt) {
 		for _, sub := range x.Exprs {
 			n.exprStmt(sub, out)
 		}
+	case *ast.Ident:
+		// Not a pure atom to drop: the read throws a ReferenceError when
+		// nothing declares the name, so it is kept, named — unless the name
+		// is a pass's own temporary, as the one a desugared i++ ends in.
+		if x.Name[0] != '$' {
+			*out = append(*out, ast.Var(n.fresh(), x))
+		}
 	case *ast.Assign:
 		n.assign(x, out)
 	case *ast.Call:

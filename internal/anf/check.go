@@ -166,14 +166,15 @@ func checkNamed(e ast.Expr) error {
 }
 
 func checkCallParts(c *ast.Call) error {
-	switch callee := c.Callee.(type) {
-	case *ast.Ident:
-	case *ast.Member:
-		if err := checkAtomicMemberRef(callee); err != nil {
+	// A callee is a member of an atom or what normCall leaves of anything
+	// else: an atom — the function expression of an immediately-invoked one
+	// included.
+	if m, ok := c.Callee.(*ast.Member); ok {
+		if err := checkAtomicMemberRef(m); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("anf: callee is %T, want ident or member of atom", c.Callee)
+	} else if err := checkAtom(c.Callee); err != nil {
+		return fmt.Errorf("anf: callee: %w", err)
 	}
 	return checkAtoms(c.Args)
 }

@@ -1,6 +1,10 @@
-package core
+package core_test
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 // Regression tests for the numeric-coercion and array-semantics fixes that
 // rode along with the shape/inline-cache work, plus end-to-end property
@@ -8,51 +12,39 @@ import "testing"
 // (resolved trees with per-site ICs) and the full Stopify pipeline (whose
 // getter sub-language routes access through $rawGet).
 
-func runRawCase(t *testing.T, src string) string {
+// rawPrints holds src, raw on the serving engine, to want.
+func rawPrints(t *testing.T, src, want string) {
 	t.Helper()
-	out, err := RunRaw(src, RunConfig{})
-	if err != nil {
-		t.Fatalf("RunRaw error: %v\noutput: %s", err, out)
-	}
-	return out
+	inline(t.Name(), src, want, core.Defaults()).hold(t, cell{engine: core.BackendBytecode})
 }
 
 func TestToInt32Uint32LargeMagnitude(t *testing.T) {
 	// int64(math.Trunc(1e20)) is out of range; the spec's modulo-2^32
 	// reduction is not. 1e20|0 must be 1661992960, not 0.
-	out := runRawCase(t, `console.log(1e20|0, 1e20>>>0, -1e20|0, (-3.5)>>>0, ~1e20);`)
-	if want := "1661992960 1661992960 -1661992960 4294967293 -1661992961\n"; out != want {
-		t.Errorf("got %q want %q", out, want)
-	}
+	rawPrints(t, `console.log(1e20|0, 1e20>>>0, -1e20|0, (-3.5)>>>0, ~1e20);`, "1661992960 1661992960 -1661992960 4294967293 -1661992961\n")
 }
 
 func TestNegativeZeroStringification(t *testing.T) {
 	// String(-0) is "0" (ES5 §9.8.1); -0 itself keeps its sign for
 	// arithmetic (1/-0 === -Infinity); and o[-0] names the same property
 	// as o[0].
-	out := runRawCase(t, `console.log(String(-0), -0, 1/-0);
-var o = {}; o[-0] = 7; console.log(o[0], o["0"], o[-0]);`)
-	if want := "0 0 -Infinity\n7 7 7\n"; out != want {
-		t.Errorf("got %q want %q", out, want)
-	}
+	rawPrints(t, `console.log(String(-0), -0, 1/-0);
+var o = {}; o[-0] = 7; console.log(o[0], o["0"], o[-0]);`, "0 0 -Infinity\n7 7 7\n")
 }
 
 func TestDeleteArrayElementWithNamedProps(t *testing.T) {
 	// The old fast path required the array to have NO named properties, so
 	// a.foo=1 made delete a[1] silently keep the element.
-	out := runRawCase(t, `var a = [1, 2, 3];
+	rawPrints(t, `var a = [1, 2, 3];
 a.foo = 1;
 delete a[1];
 console.log(a[1], a.length, a.foo);
 delete a.foo;
-console.log(a.foo);`)
-	if want := "undefined 3 1\nundefined\n"; out != want {
-		t.Errorf("got %q want %q", out, want)
-	}
+console.log(a.foo);`, "undefined 3 1\nundefined\n")
 }
 
 func TestArrayLiteralElisions(t *testing.T) {
-	out := runRawCase(t, `var a = [,1];
+	rawPrints(t, `var a = [,1];
 console.log(a.length, a[0], a[1]);
 var b = [1,,3];
 console.log(b.length, b.join("-"));
@@ -61,10 +53,7 @@ console.log(c.length);
 var d = [,];
 console.log(d.length);
 var e = [1,];
-console.log(e.length);`)
-	if want := "2 undefined 1\n3 1--3\n2\n1\n1\n"; out != want {
-		t.Errorf("got %q want %q", out, want)
-	}
+console.log(e.length);`, "2 undefined 1\n3 1--3\n2\n1\n1\n")
 }
 
 // TestBugfixesUnderStopify re-runs the same semantics through the full
@@ -83,13 +72,7 @@ func TestBugfixesUnderStopify(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out, err := RunSource(c.src, Defaults(), RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out != c.want {
-				t.Errorf("got %q want %q", out, c.want)
-			}
+			inline(c.name, c.src, c.want, core.Defaults()).hold(t, calmCell)
 		})
 	}
 }
@@ -149,16 +132,11 @@ func TestPropertySemanticsThroughCaches(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := runRawCase(t, c.src); got != c.want {
-				t.Errorf("raw: got %q want %q", got, c.want)
-			}
-			got, err := RunSource(c.src, Defaults(), RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != c.want {
-				t.Errorf("stopified: got %q want %q", got, c.want)
-			}
+			inline(c.name, c.src, c.want, core.Defaults()).hold(t, cell{engine: core.BackendBytecode}, calmCell)
 		})
 	}
 }
+
+// calmCell is a program stopified under the profile it declares, run
+// unpreempted on the serving engine.
+var calmCell = cell{profile{"declared", core.Defaults()}, core.BackendBytecode, "checked", 0, "cold"}

@@ -10,92 +10,6 @@ import (
 	"repro/internal/interp"
 )
 
-// programs exercises the whole pipeline; each must print identically with
-// and without Stopify, under every continuation strategy, even when forced
-// to capture and restore continuations every few calls.
-var programs = []string{
-	`console.log(1 + 2 * 3);`,
-	`function f(a, b) { return a + b; } console.log(f(f(1, 2), f(3, 4)));`,
-	`function fib(n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); } console.log(fib(14));`,
-	`var s = 0; for (var i = 0; i < 200; i++) { s += i; } console.log(s);`,
-	`function g(x) { return x * 2; } var t = 0; for (var i = 0; i < 50; i++) { t += g(i); } console.log(t);`,
-	`var n = 0; while (n < 100) { n++; } console.log(n);`,
-	`function mk() { var c = 0; return function () { c = c + 1; return c; }; }
-	 var a = mk(), b = mk();
-	 a(); a(); b();
-	 console.log(a(), b());`,
-	`function outer() {
-	   var total = 0;
-	   function add(k) { total = total + k; return total; }
-	   for (var i = 1; i <= 10; i++) { add(i); }
-	   return total;
-	 }
-	 console.log(outer());`,
-	`function P(x, y) { this.x = x; this.y = y; }
-	 P.prototype.mag2 = function () { return this.x * this.x + this.y * this.y; };
-	 var p = new P(3, 4);
-	 console.log(p.mag2(), p instanceof P);`,
-	`function F() { this.a = 1; return { a: 2 }; } console.log(new F().a);`,
-	`function G() { this.a = 3; return 7; } console.log(new G().a);`,
-	`var o = { n: 5, bump: function (k) { this.n += k; return this.n; } };
-	 console.log(o.bump(1), o.bump(2), o.n);`,
-	`try { throw new Error("boom"); } catch (e) { console.log(e.message); } finally { console.log("fin"); }`,
-	`function thrower() { throw "deep"; }
-	 function mid() { thrower(); }
-	 try { mid(); } catch (e) { console.log("caught", e); }`,
-	`function f() { try { return compute(); } finally { console.log("cleanup"); } }
-	 function compute() { return 42; }
-	 console.log(f());`,
-	`function safeDiv(a, b) {
-	   try { if (b === 0) { throw new RangeError("div0"); } return a / b; }
-	   catch (e) { return -1; }
-	 }
-	 console.log(safeDiv(10, 2), safeDiv(1, 0));`,
-	`var r = [];
-	 outer: for (var i = 0; i < 4; i++) {
-	   for (var j = 0; j < 4; j++) {
-	     if (j > i) continue outer;
-	     if (i === 3) break outer;
-	     r.push(i * 10 + j);
-	   }
-	 }
-	 console.log(r.join(","));`,
-	`function cls(x) { switch (x % 3) { case 0: return "a"; case 1: return "b"; default: return "c"; } }
-	 var out = "";
-	 for (var i = 0; i < 9; i++) { out += cls(i); }
-	 console.log(out);`,
-	`var arr = [];
-	 for (var i = 9; i >= 0; i--) { arr.push(i); }
-	 arr.sort(function (a, b) { return a - b; });
-	 console.log(arr.join(""));`,
-	`function even(n) { return n === 0 ? true : odd(n - 1); }
-	 function odd(n) { return n === 0 ? false : even(n - 1); }
-	 console.log(even(50), odd(51));`,
-	`var acc = "";
-	 function emit(s) { acc += s; return acc.length; }
-	 emit("a"); emit("bc"); emit("d");
-	 console.log(acc, acc.length);`,
-	`var obj = {};
-	 for (var i = 0; i < 5; i++) { obj["k" + i] = i * i; }
-	 var sum = 0;
-	 for (var k in obj) { sum += obj[k]; }
-	 console.log(sum);`,
-	`function ack(m, n) {
-	   if (m === 0) return n + 1;
-	   if (n === 0) return ack(m - 1, 1);
-	   return ack(m - 1, ack(m, n - 1));
-	 }
-	 console.log(ack(2, 3));`,
-	`var memo = [0, 1];
-	 function fibm(n) { if (memo[n] !== undefined) return memo[n]; var v = fibm(n - 1) + fibm(n - 2); memo[n] = v; return v; }
-	 console.log(fibm(30));`,
-	`console.log([1, 2, 3].map(function (x) { return x + 1; }).join("-"));`,
-	`var x = 0;
-	 function setX(v) { x = v; return x; }
-	 var got = false && setX(1) || setX(2) && true;
-	 console.log(x, got);`,
-}
-
 // hammer configures Stopify to yield every few calls, maximizing
 // capture/restore churn so correctness bugs cannot hide.
 func hammer(cont string) Opts {
@@ -109,27 +23,6 @@ func hammer(cont string) Opts {
 
 func cfgVirtual() RunConfig {
 	return RunConfig{Clock: eventloop.NewVirtualClock(), Seed: 3}
-}
-
-func TestStrategiesPreserveSemantics(t *testing.T) {
-	for _, cont := range []string{"checked", "exceptional", "eager"} {
-		cont := cont
-		t.Run(cont, func(t *testing.T) {
-			for _, src := range programs {
-				want, err := RunRaw(src, cfgVirtual())
-				if err != nil {
-					t.Fatalf("raw run failed: %v\n%s", err, src)
-				}
-				got, err := RunSource(src, hammer(cont), cfgVirtual())
-				if err != nil {
-					t.Fatalf("stopified run failed (%s): %v\n%s", cont, err, src)
-				}
-				if got != want {
-					t.Errorf("strategy %s changed semantics:\n%s\nraw:      %q\nstopified: %q", cont, src, want, got)
-				}
-			}
-		})
-	}
 }
 
 func TestManyYieldsActuallyHappen(t *testing.T) {

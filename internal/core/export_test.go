@@ -44,3 +44,22 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 	resolve.Program(merged)
 	return printer.Print(merged), nil
 }
+
+// CheckANF runs source through the passes Compile runs ahead of the
+// instrumentation and holds what they leave to anf.Check, whose invariants
+// the instrumentation assumes.
+func CheckANF(source string, opts Opts) error {
+	if err := opts.normalize(); err != nil {
+		return err
+	}
+	userProg, err := parser.Parse(source)
+	if err != nil {
+		return err
+	}
+	wrapped := &ast.Program{Body: []ast.Stmt{
+		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
+	}}
+	desugar.Apply(wrapped, opts.desugarOptions(), &desugar.Namer{})
+	anf.Normalize(wrapped)
+	return anf.Check(wrapped)
+}

@@ -22,10 +22,10 @@ import (
 // environment escape.
 func TestFramesHoldNoClosure(t *testing.T) {
 	funcs := 0
-	for _, p := range corpusPrograms(t) {
-		c, err := core.Compile(p.src, p.opts)
+	for _, p := range corpus(t) {
+		c, err := core.Compile(p.src, p.needs)
 		if err != nil {
-			continue // what does not compile is the differential suite's to report
+			continue // what does not compile is the matrix's to report
 		}
 		ast.Walk(c.Prog, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -205,7 +205,7 @@ console.log(go(10, 20, 30), hits);`,
 // is {label, locals, fn, self}: fn a closure by code-table index, self the
 // receiver, nothing of either engine's.
 func TestSnapshotParkedInsideFrames(t *testing.T) {
-	p := diffProgram{name: "parked-inside-frames", opts: core.Defaults(), src: `
+	const src = `
 		function spin(n) { var s = 0; for (var i = 0; i < n; i++) { s = (s + i * 7) % 1000003; } return s; }
 		function down(d, n) { if (d === 0) { console.log("at the bottom"); return spin(n); } return 1 + down(d - 1, n); }
 		function Acc(n) { this.total = this.run(n); }
@@ -213,12 +213,11 @@ func TestSnapshotParkedInsideFrames(t *testing.T) {
 		Acc.prototype.bias = function () { return 1000; };
 		var a = new Acc(4000);
 		console.log(a.total, a instanceof Acc);
-	`}
-	engines := []string{core.BackendTree, core.BackendBytecode}
-	for _, from := range engines {
-		for _, to := range engines {
+	`
+	for _, from := range bothEngines {
+		for _, to := range bothEngines {
 			t.Run(from+"-to-"+to, func(t *testing.T) {
-				if got := roundTripAt(t, p, from, to, 6000); !strings.HasPrefix(got, "at the bottom\n") {
+				if got := parkedOnce(t, src, core.Defaults(), from, to, 6000); !strings.HasPrefix(got, "at the bottom\n") {
 					t.Fatalf("parked having printed %q: not inside the recursion", got)
 				}
 			})

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/eventloop"
 	"repro/internal/parser"
 )
 
@@ -16,62 +14,45 @@ import (
 // input runs raw under both execution engines with a step budget, and any
 // difference in output, error, or completion kind is a failure. The seed
 // corpus follows the printer fuzz tests' approach — deterministic
-// pseudo-random program generation — plus the hand-written edge cases the
-// differential harness uses.
+// pseudo-random program generation — plus the hand-written rows of the
+// conformance corpus.
 func FuzzBytecodeVsTreewalker(f *testing.F) {
-	for _, src := range edgeCasePrograms {
-		f.Add(src)
-	}
-	for _, src := range valueReprEdgePrograms {
-		f.Add(src)
-	}
+	seedFromCorpus(f, "edge/", "valedge/", "argsedge/", "implicit/")
 	for seed := int64(0); seed < 40; seed++ {
 		f.Add(randomProgram(rand.New(rand.NewSource(seed))))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 1<<14 {
-			t.Skip("oversized input")
-		}
-		if _, err := parser.Parse(src); err != nil {
-			t.Skip("does not parse")
-		}
-		tree := fuzzOutcome(src, core.BackendTree)
-		bc := fuzzOutcome(src, core.BackendBytecode)
+		p := fuzzInput(t, src)
+		tree := drive(p, cell{engine: core.BackendTree})
+		bc := drive(p, cell{engine: core.BackendBytecode})
 		if tree != bc {
-			t.Fatalf("engine divergence on:\n%s\n  tree:     %v\n  bytecode: %v",
-				src, tree, bc)
+			t.Fatalf("engine divergence on:\n%s\n  tree:     %q\n  bytecode: %q", src, tree.text, bc.text)
 		}
 	})
 }
 
-// fuzzOutcome is runRawOutcome with a tighter budget — fuzz inputs loop
-// forever routinely, and both engines abort at the same boundary — a
-// shallow engine stack, so generated runaway recursion throws RangeError
-// long before the native stack (inflated by fuzz instrumentation) is at
-// risk, and a memory budget: a string doubled in a loop reaches the engine's
-// 1 GiB limit within the step budget, which takes one input past the
-// fuzzer's ten-second hang detector and the worker past any sane footprint.
-func fuzzOutcome(src, backend string) (o outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			o.panic = fmt.Sprint(r)
+// seedFromCorpus adds the corpus programs of the named groups to f.
+func seedFromCorpus(f *testing.F, groups ...string) {
+	for _, p := range corpus(f) {
+		for _, g := range groups {
+			if strings.HasPrefix(p.name, g) {
+				f.Add(p.src)
+			}
 		}
-	}()
-	eng := engine.Uniform()
-	eng.MaxStack = 2000
-	out, err := core.RunRaw(src, core.RunConfig{
-		Backend:        backend,
-		Engine:         eng,
-		Clock:          eventloop.NewVirtualClock(),
-		Seed:           1,
-		MaxSteps:       50_000,
-		MemBudgetBytes: 64 << 20,
-	})
-	o.out = out
-	if err != nil {
-		o.err = err.Error()
 	}
-	return o
+}
+
+// fuzzInput wraps a fuzz input for drive, skipping what does not parse.
+func fuzzInput(t *testing.T, src string) *program {
+	if len(src) > 1<<14 {
+		t.Skip("oversized input")
+	}
+	if _, err := parser.Parse(src); err != nil {
+		t.Skip("does not parse")
+	}
+	p := inline("fuzz", src, "", core.Defaults())
+	p.fuzzed = true
+	return p
 }
 
 // randomProgram generates a deterministic pseudo-random program from

@@ -1,35 +1,23 @@
 package core_test
 
 import (
-	"bytes"
-	"errors"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eventloop"
-	"repro/internal/parser"
-	"repro/internal/snapshot"
 )
 
 // FuzzSnapshotRoundTrip is the codec's fuzz target: any parseable input is
-// driven to an arbitrary park point, serialized, restored into a fresh
-// realm, and resumed — and any difference from resuming the original run in
-// place is a failure. Pinned programs (live natives the codec refuses to
-// carry) are skipped, but only after proving the failed snapshot attempt
-// left the run unharmed. The seed corpus reuses the differential fuzz
-// generator plus the adversarial codec programs (cycles, accessors, escaped
-// closures, NaN/−0 keys).
+// paused every so many statements and, at every pause, serialized, restored
+// into a fresh realm and resumed there — and any difference from resuming
+// the original run in place is a failure. A pinned guest (live natives the
+// codec refuses to carry) carries on in place, so the comparison also proves
+// the failed snapshot attempt left the run unharmed. The seed corpus reuses
+// the differential fuzz generator plus the adversarial codec programs
+// (cycles, accessors, escaped closures, NaN/−0 keys).
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	for _, src := range edgeCasePrograms {
-		f.Add(src)
-	}
-	for _, p := range adversarialPrograms() {
-		f.Add(p.src)
-	}
-	for _, p := range pinShrinkPrograms() {
-		f.Add(p.src)
-	}
+	seedFromCorpus(f, "edge/", "argsedge/", "implicit/", "adversarial/", "pin/")
 	// Targeted seeds for the wire-v2 node kinds: bound chains over varied
 	// targets, Date arithmetic, and timer-handle churn.
 	f.Add(`function f(a,b,c){return a+b*c;} var g=f.bind({x:1},2); var h=g.bind(null,3);
@@ -47,90 +35,22 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	opts := core.Defaults()
 	opts.Getters = true
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 1<<14 {
-			t.Skip("oversized input")
-		}
-		if _, err := parser.Parse(src); err != nil {
-			t.Skip("does not parse")
-		}
-		c, err := core.Compile(src, opts)
-		if err != nil {
+		p := fuzzInput(t, src)
+		if _, err := core.Compile(src, opts); err != nil {
 			t.Skip("does not compile")
 		}
-		// Vary the park point with the input so the fuzzer explores many
+		// Vary the quantum with the input so the fuzzer explores many
 		// program positions, not one.
-		quantum := parkQuantum(src)%3000 + 50
-		for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
-			fuzzRoundTrip(t, c, backend, quantum)
+		h := fnv.New64a()
+		h.Write([]byte(src))
+		quantum := 50 + h.Sum64()%3000
+		under := profile{"fuzz", opts}
+		for _, engine := range bothEngines {
+			inPlace := drive(p, cell{under, engine, "checked", quantum, "resume"})
+			hopped := drive(p, cell{under, engine, "checked", quantum, "hop"})
+			if inPlace.text != hopped.text {
+				t.Fatalf("%s: snapshot round-trip diverged at quantum %d:\n  in-place: %q\n  restored: %q", engine, quantum, inPlace.text, hopped.text)
+			}
 		}
 	})
-}
-
-// fuzzRoundTrip is roundTripProgram with a fuzz-sized step budget: fuzz
-// inputs loop forever routinely, and both legs abort at the same boundary.
-func fuzzRoundTrip(t *testing.T, c *core.Compiled, backend string, quantum uint64) {
-	const budget = 50_000
-	park := func() (*core.AsyncRun, *bytes.Buffer) {
-		var run *core.AsyncRun
-		buf := &bytes.Buffer{}
-		run, err := c.NewRun(core.RunConfig{
-			Backend:      backend,
-			Clock:        eventloop.NewVirtualClock(),
-			Out:          buf,
-			Seed:         1,
-			MaxSteps:     budget,
-			QuantumSteps: quantum,
-			OnQuantum:    func() { run.Pause(nil) },
-		})
-		if err != nil {
-			t.Fatalf("NewRun: %v", err)
-		}
-		run.Run(nil)
-		for !run.Paused() && run.Loop.Len() > 0 {
-			if run.Finished() {
-				if _, err := run.Result(); err != nil {
-					break
-				}
-			}
-			run.Loop.RunOne()
-		}
-		return run, buf
-	}
-
-	runA, bufA := park()
-	if !runA.Paused() {
-		return // finished before the quantum; nothing to serialize
-	}
-	runB, bufB := park()
-	if !runB.Paused() {
-		t.Fatalf("%s: leg B did not park where leg A did", backend)
-	}
-	blob, err := runB.Snapshot()
-	if perr := (*snapshot.PinError)(nil); errors.As(err, &perr) {
-		inPlace := finish(runB, bufB)
-		if a := finish(runA, bufA); a != inPlace {
-			t.Fatalf("%s: pinned snapshot attempt perturbed the run:\n  A: %v\n  B: %v",
-				backend, a, inPlace)
-		}
-		return
-	}
-	if err != nil {
-		t.Fatalf("%s: Snapshot: %v", backend, err)
-	}
-	bufR := &bytes.Buffer{}
-	restored, err := core.RestoreWith(core.RunConfig{
-		Backend:  backend,
-		Clock:    eventloop.NewVirtualClock(),
-		Out:      bufR,
-		MaxSteps: budget,
-	}, blob, core.RestoreOptions{ReplayOutput: true})
-	if err != nil {
-		t.Fatalf("%s: Restore: %v", backend, err)
-	}
-	a := finish(runA, bufA)
-	b := finish(restored, bufR)
-	if a != b {
-		t.Fatalf("%s: snapshot round-trip diverged:\n  in-place: %v\n  restored: %v",
-			backend, a, b)
-	}
 }

@@ -1,8 +1,8 @@
 package core_test
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -21,74 +21,34 @@ func implicitOpts() core.Opts {
 	return opts
 }
 
-var bothEngines = []string{core.BackendTree, core.BackendBytecode}
-
-// implicitEdgePrograms carry JavaScript's answer. The first three reach an
-// accessor through a computed key that is not a string, which $lookupGetter
-// and $lookupSetter used to answer with undefined; the fourth has a key whose
-// conversion counts its calls; the last is the coercion ladder over
-// primitives, every site answered by the engine.
-var implicitEdgePrograms = []struct{ name, src, want string }{
-	{"number-key-getter", `var o = {};
-Object.defineProperty(o, "1", {get: function () { return 5; }});
-var i = 1;
-console.log(o[i]);`, "5\n"},
-	{"object-key-getter", `var p = {get x() { return 7; }};
-var k = {toString: function () { return "x"; }};
-console.log(p[k]);`, "7\n"},
-	{"number-key-setter", `var seen = "unset", o = {};
-Object.defineProperty(o, "2", {set: function (v) { seen = v; }});
-var i = 2;
-o[i] = 9;
-console.log(seen, o[i]);`, "9 undefined\n"},
-	{"object-key-converted-once", `var n = 0, o = {x: 1};
-var k = {toString: function () { n++; return "x"; }};
-var r = o[k];
-o[k] = 2;
-console.log(r, n, o.x);`, "1 2 2\n"},
-	{"primitive-ladder", `function f(one, two, s, u, n, t) {
-  var a = [one, two, 3];
-  console.log(one + s, s * "4", n + one, u + one, t + t, "a" < "b", two < "10", s < "10",
-    n == 0, n >= 0, s == two, u != u, NaN != NaN, -s, +t, s.length, "abc"[one], a.length, a[two], a[5]);
-  a[4] = one - two;
-  console.log(a.length, a[3], a[4], one / 0, 7 % two, "x" + n + u + t);
-}
-f(1, 2, "2", undefined, null, true);`,
-		"12 8 1 NaN 2 true true false false true true false true -2 1 1 b 3 3 undefined\n5 undefined -1 Infinity 1 xnullundefinedtrue\n"},
-}
-
-func init() {
-	for _, p := range implicitEdgePrograms {
-		edgeCasePrograms = append(edgeCasePrograms, p.src)
+// everywhere is p's declared profile on both engines, unpreempted and paused
+// after every statement.
+func everywhere(p *program) []cell {
+	declared := p.profiles()[0]
+	var cells []cell
+	for _, engine := range bothEngines {
+		cells = append(cells, cell{declared, engine, "checked", 0, "cold"}, cell{declared, engine, "checked", 1, "resume"})
 	}
+	return cells
 }
 
-// stopifiedEverywhere runs src under opts on both engines, unpreempted and
-// paused after every statement, and requires want each time.
-func stopifiedEverywhere(t *testing.T, name, src string, opts core.Opts, want string) {
-	t.Helper()
-	c, err := core.Compile(src, opts)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	for _, backend := range bothEngines {
-		if got, _ := runStopifiedOutcome(t, c, backend); got != (outcome{out: want}) {
-			t.Errorf("%s/%s: %v, want %q", name, backend, got, want)
-		}
-		if got, pauses := preempted(t, c, backend, 1); got != want || pauses == 0 {
-			t.Errorf("%s/%s quantum 1: printed %q over %d pauses, want %q", name, backend, got, pauses, want)
-		}
-	}
-}
-
+// TestImplicitHelperEdges: the rows of testdata/conformance/implicit carry
+// JavaScript's answer. Three reach an accessor through a computed key that is
+// not a string, which $lookupGetter and $lookupSetter used to answer with
+// undefined; one has a key whose conversion counts its calls; one is the
+// coercion ladder over primitives, every site answered by the engine; one
+// mixes both at a single site.
 func TestImplicitHelperEdges(t *testing.T) {
-	for _, p := range implicitEdgePrograms {
-		for _, backend := range bothEngines {
-			if got := runRawOutcome(p.src, backend); got != (outcome{out: p.want}) {
-				t.Errorf("%s/raw/%s: %v, want %q", p.name, backend, got, p.want)
-			}
+	rows := 0
+	for _, p := range corpus(t) {
+		if strings.HasPrefix(p.name, "implicit/") {
+			rows++
+			p.hold(t, cell{engine: core.BackendTree}, cell{engine: core.BackendBytecode})
+			p.hold(t, everywhere(p)...)
 		}
-		stopifiedEverywhere(t, p.name, p.src, implicitOpts(), p.want)
+	}
+	if rows < 6 {
+		t.Fatalf("%d rows under %s/implicit", rows, conformanceDir)
 	}
 }
 
@@ -128,7 +88,8 @@ console.log(add(1, 2), add.call(null, "a", 1), $add.apply(null, [3, ten]), $lt.a
 			"3 a1 13 true 5 6 -1,-2,-3 8\n"},
 	}
 	for _, g := range guests {
-		stopifiedEverywhere(t, g.name, g.src, implicitOpts(), g.want)
+		p := inline(g.name, g.src, g.want, implicitOpts())
+		p.hold(t, everywhere(p)...)
 	}
 }
 
@@ -212,79 +173,6 @@ for (var i = 0; i < 50; i++) { %s }`
 		base := stepsOf(t, fmt.Sprintf(loop, s.valueOf, ""), s.opts)
 		if got := stepsOf(t, fmt.Sprintf(loop, s.valueOf, s.site), s.opts) - base; got != s.want {
 			t.Errorf("%q: 50 executions cost %d statements, want %d (%d before the engine answered helpers)", s.site, got, s.want, s.was)
-		}
-	}
-}
-
-// hopped runs c pausing after every quantum statements and, at every pause,
-// snapshots the guest and carries on in a realm restored from the blob.
-func hopped(t *testing.T, c *core.Compiled, backend string, quantum uint64) (string, int) {
-	t.Helper()
-	run, buf := guardedRun(t, c, backend)
-	for hops := 0; ; hops++ {
-		run.ArmQuantum(quantum)
-		if hops == 0 {
-			run.Run(nil)
-		} else {
-			run.Resume()
-		}
-		for !run.Paused() && run.Loop.RunOne() {
-		}
-		if !run.Paused() {
-			if _, err := run.Result(); err != nil {
-				t.Fatalf("quantum %d after %d hops: %v", quantum, hops, err)
-			}
-			return buf.String(), hops
-		}
-		blob, err := run.Snapshot()
-		if err != nil {
-			t.Fatalf("Snapshot at hop %d: %v", hops, err)
-		}
-		buf = &bytes.Buffer{}
-		var next *core.AsyncRun
-		next, err = core.RestoreWith(core.RunConfig{
-			Backend: backend, Clock: eventloop.NewVirtualClock(), Out: buf, MaxSteps: diffBudget,
-			OnQuantum: func() { next.Pause(nil) },
-		}, blob, core.RestoreOptions{ReplayOutput: true})
-		if err != nil {
-			t.Fatalf("Restore at hop %d: %v", hops, err)
-		}
-		run = next
-	}
-}
-
-// TestImplicitMixedSite: one `+` whose left operand is a number on even turns
-// — the engine answers — and on odd turns an object whose valueOf loops 500
-// times, so that the helper's frame is on the stack of every capture taken
-// inside it. Preempted at four quanta, resumed in place or restored from a
-// snapshot at every pause, the guest prints what it prints raw.
-func TestImplicitMixedSite(t *testing.T) {
-	const src = `var slow = {valueOf: function () { var s = 0; for (var j = 0; j < 500; j++) { s = s + j % 7; } return s; }};
-var total = 0;
-for (var i = 0; i < 6; i++) {
-  var left = i % 2 === 0 ? i : slow;
-  total = total + (left + i);
-}
-console.log("mixed", total);`
-	want := runRawOutcome(src, core.BackendBytecode)
-	if want.err != "" || want.out != "mixed 4503\n" {
-		t.Fatalf("raw: %v", want)
-	}
-	c, err := core.Compile(src, implicitOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range bothEngines {
-		if got, _ := runStopifiedOutcome(t, c, backend); got != want {
-			t.Errorf("%s unpreempted: %v, want %v", backend, got, want)
-		}
-		for _, quantum := range []uint64{1, 25, 2000} {
-			if got, pauses := preempted(t, c, backend, quantum); got != want.out || pauses == 0 {
-				t.Errorf("%s quantum %d: printed %q over %d pauses, want %q", backend, quantum, got, pauses, want.out)
-			}
-			if got, hops := hopped(t, c, backend, quantum); got != want.out || hops == 0 {
-				t.Errorf("%s quantum %d, restored at every pause: printed %q over %d hops, want %q", backend, quantum, got, hops, want.out)
-			}
 		}
 	}
 }

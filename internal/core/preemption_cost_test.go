@@ -1,13 +1,11 @@
 package core_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eventloop"
 	"repro/internal/rt"
 )
 
@@ -18,52 +16,27 @@ import (
 // bounds: they fail when reinstating or unwinding a stack starts to depend
 // on how deep the stack is.
 
-// sliced runs src to completion, pausing at every expiry of quantum and
-// resuming in place (quantum 0: never preempted). It returns the output,
-// the statements executed and the number of pauses; between consecutive
-// pauses it checks forward progress — a turn that was granted quantum
-// normal-mode statements advances Steps by at least that many, or finishes.
-func sliced(t *testing.T, src string, quantum uint64) (out string, steps uint64, pauses int) {
+// turns runs src to completion, pausing at every expiry of quantum and
+// resuming in place (quantum 0: never preempted). It returns the output, the
+// statements executed, the number of pauses and the most statements, charged
+// or not, that one turn ran; between consecutive pauses it checks forward
+// progress — a turn that was granted quantum normal-mode statements advances
+// Steps by at least that many, or finishes.
+func turns(t *testing.T, src string, quantum uint64) (out string, steps uint64, pauses int, longest uint64) {
 	t.Helper()
-	out, steps, pauses, _ = slicedWith(t, src, core.Defaults(), quantum)
-	return out, steps, pauses
-}
-
-// slicedWith is sliced under opts; longest is the most statements, charged or
-// not, that one turn ran.
-func slicedWith(t *testing.T, src string, opts core.Opts, quantum uint64) (out string, steps uint64, pauses int, longest uint64) {
-	t.Helper()
-	c, err := core.Compile(src, opts)
+	c, err := core.Compile(src, core.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	var run *core.AsyncRun
-	run, err = c.NewRun(core.RunConfig{
-		Clock: eventloop.NewVirtualClock(), Out: &buf, MaxSteps: 50_000_000,
-		OnQuantum: func() { run.Pause(nil) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run.ArmQuantum(quantum)
-	run.Run(nil)
+	run, buf := mustStart(t, c, "")
 	last := run.Steps()
-	for {
-		if run.Paused() {
-			pauses++
-			adv := run.Steps() - last
-			if adv < quantum {
-				t.Fatalf("pause %d: Steps advanced %d in a turn granted %d", pauses, adv, quantum)
-			}
-			longest = max(longest, adv)
-			last = run.Steps()
-			run.ArmQuantum(quantum)
-			run.Resume()
+	for pump(run, quantum) {
+		pauses++
+		adv := run.Steps() - last
+		if adv < quantum {
+			t.Fatalf("pause %d: Steps advanced %d in a turn granted %d", pauses, adv, quantum)
 		}
-		if !run.Loop.RunOne() && !run.Paused() {
-			break
-		}
+		longest, last = max(longest, adv), run.Steps()
 	}
 	if _, err := run.Result(); err != nil {
 		t.Fatalf("quantum %d: %v", quantum, err)
@@ -94,8 +67,8 @@ func TestPreemptionCostDeepRecursion(t *testing.T) {
 		var ratios []float64
 		for _, depth := range []int{400, 1000} {
 			src := divrecSrc(depth)
-			want, base, _ := sliced(t, src, 0)
-			got, steps, pauses := sliced(t, src, tc.quantum)
+			want, base, _, _ := turns(t, src, 0)
+			got, steps, pauses, _ := turns(t, src, tc.quantum)
 			if got != want {
 				t.Fatalf("depth %d quantum %d: output %q, unpreempted %q", depth, tc.quantum, got, want)
 			}
@@ -126,8 +99,8 @@ function down(d) {
 }
 console.log(down(%d));
 `, depth)
-		want, base, _ := sliced(t, src, 0)
-		got, steps, pauses := sliced(t, src, 2000)
+		want, base, _, _ := turns(t, src, 0)
+		got, steps, pauses, _ := turns(t, src, 2000)
 		if got != want {
 			t.Fatalf("depth %d: output %q, unpreempted %q", depth, got, want)
 		}
@@ -148,12 +121,12 @@ console.log(down(%d));
 
 // TestPreemptionForwardProgress: at any quantum, however small against the
 // stack, every turn runs its quantum of the guest's own statements (checked
-// inside sliced) and the guest finishes with its unpreempted output.
+// inside turns) and the guest finishes with its unpreempted output.
 func TestPreemptionForwardProgress(t *testing.T) {
 	src := divrecSrc(120)
-	want, base, _ := sliced(t, src, 0)
+	want, base, _, _ := turns(t, src, 0)
 	for _, quantum := range []uint64{1, 25, 2000} {
-		got, steps, pauses := sliced(t, src, quantum)
+		got, steps, pauses, _ := turns(t, src, quantum)
 		if got != want {
 			t.Errorf("quantum %d: output %q, unpreempted %q", quantum, got, want)
 		}
@@ -175,8 +148,8 @@ function down(d) {
 console.log(down(40));
 `
 	const quantum = 2000
-	want, base, _, _ := slicedWith(t, src, core.Defaults(), 0)
-	got, steps, pauses, longest := slicedWith(t, src, core.Defaults(), quantum)
+	want, base, _, _ := turns(t, src, 0)
+	got, steps, pauses, longest := turns(t, src, quantum)
 	if got != want {
 		t.Fatalf("output %q, unpreempted %q", got, want)
 	}
@@ -204,29 +177,17 @@ console.log("the killed program went on");
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	var run *core.AsyncRun
-	run, err = c.NewRun(core.RunConfig{
-		Clock: eventloop.NewVirtualClock(), Out: &buf, MaxSteps: 1_000_000,
-		OnQuantum: func() { run.Pause(nil) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Two turns: the descent, then one resumed inside the loop — a segment
 	// on the stack, eighty-odd callers pending. The next pause request is
 	// answered with the kill instead.
-	run.ArmQuantum(5000)
-	run.Run(nil)
+	run, buf := mustStart(t, c, "")
 	for turn := 0; turn < 2; turn++ {
-		for !run.Paused() && run.Loop.RunOne() {
-		}
-		if !run.Paused() {
+		if !pump(run, 5000) {
 			t.Fatal("the guest did not park")
 		}
-		run.ArmQuantum(5000)
-		run.Resume()
 	}
+	run.ArmQuantum(5000)
+	run.Resume()
 	run.Kill(nil)
 	run.Loop.Run()
 	if _, err := run.Result(); !errors.Is(err, rt.ErrKilled) {

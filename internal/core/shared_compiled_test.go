@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -225,7 +226,7 @@ func TestCorpusFunctionsAllCompile(t *testing.T) {
 
 	knownRefusals := map[string]string{} // "program: function@line:col" → why
 	called := 0
-	check := func(leg string, p diffProgram, prog *ast.Program) {
+	check := func(leg string, p *program, prog *ast.Program) {
 		n, refused := chunkStates(prog)
 		called += n
 		for _, fn := range refused {
@@ -234,12 +235,14 @@ func TestCorpusFunctionsAllCompile(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range corpusPrograms(t) {
-		if c, err := core.Compile(p.src, p.opts); err == nil {
-			runStopifiedOutcome(t, c, "")
+	for _, p := range corpus(t) {
+		if c, err := core.Compile(p.src, p.needs); err == nil {
+			if run, err := start(c, p.config("", io.Discard)); err == nil {
+				pump(run, 0)
+			}
 			check("stopified", p, c.Prog)
 		}
-		for _, prog := range runRawTrees(t, p.src) {
+		for _, prog := range runRawTrees(t, p.src, p.config("", nil).MaxSteps) {
 			check("raw", p, prog)
 		}
 	}
@@ -250,8 +253,8 @@ func TestCorpusFunctionsAllCompile(t *testing.T) {
 
 // runRawTrees is core.RunRaw on the default engine, keeping the trees it
 // ran — the program's, then any eval fragment's — for their chunks to be
-// inspected. Outcomes are the differential suite's business, not this one's.
-func runRawTrees(t *testing.T, src string) []*ast.Program {
+// inspected. Outcomes are the matrix's business, not this one's.
+func runRawTrees(t *testing.T, src string, budget uint64) []*ast.Program {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -261,7 +264,7 @@ func runRawTrees(t *testing.T, src string) []*ast.Program {
 	trees := []*ast.Program{prog}
 	clock := eventloop.NewVirtualClock()
 	loop := eventloop.New(clock)
-	in := interp.New(interp.Options{Clock: clock, Loop: loop, Seed: 1, Bytecode: true, MaxSteps: diffBudget})
+	in := interp.New(interp.Options{Clock: clock, Loop: loop, Seed: 1, Bytecode: true, MaxSteps: budget})
 	in.EvalHook = func(src string) (*ast.Program, error) {
 		p, err := parser.Parse(src)
 		if err != nil {

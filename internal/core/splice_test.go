@@ -65,17 +65,21 @@ func firstDiff(got, want string) string {
 // compiled once prints exactly what running every pass over prelude + $main
 // together printed. Every corpus program is checked under its own options;
 // the 288-combination matrix is laid over the corpus on a stride, so each
-// program meets 18 combinations and each combination some ten programs,
-// and the empty program (the prelude alone) meets all of them.
+// program meets 18 combinations and each combination some fifteen programs,
+// and the empty program (the prelude alone) meets all of them. The programs
+// are checked side by side: the test is compiles and nothing else.
 func TestSplicedCompileMatchesWholeTree(t *testing.T) {
-	progs := corpusPrograms(t)
+	progs := corpus(t)
 	matrix := preludeOptsMatrix()
 	const stride = 16
 	for i, p := range progs {
-		checkSplice(t, p.name, p.src, p.opts)
-		for j := i % stride; j < len(matrix); j += stride {
-			checkSplice(t, p.name, p.src, matrix[j])
-		}
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			checkSplice(t, p.name, p.src, p.needs)
+			for j := i % stride; j < len(matrix); j += stride {
+				checkSplice(t, p.name, p.src, matrix[j])
+			}
+		})
 	}
 	for _, o := range matrix {
 		checkSplice(t, "(empty)", "", o)

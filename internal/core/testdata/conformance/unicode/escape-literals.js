@@ -1,0 +1,3 @@
+// known: prints "8 55348 true\n" — strings are UTF-8 bytes (WTF-8 for lone surrogates): length and indices count bytes, a read at a character's first byte decodes the whole character; unicode/length is the gap itself
+var s = "é€\ud834";
+console.log(s.length, s.charCodeAt(5), s === String.fromCharCode(0xE9, 0x20AC, 0xD834));

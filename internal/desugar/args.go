@@ -1,6 +1,10 @@
 package desugar
 
-import "repro/internal/ast"
+import (
+	"strconv"
+
+	"repro/internal/ast"
+)
 
 // lowerArgsFull implements the complete-arguments sub-language of §4.2:
 // every reference to a formal parameter is rewritten to an index into the
@@ -10,17 +14,40 @@ import "repro/internal/ast"
 // itself needs this (Figure 5).
 func lowerArgsFull(prog *ast.Program) {
 	// Top level has no parameters; process every function.
-	ast.Walk(prog, func(n ast.Node) bool {
-		if fn, ok := n.(*ast.Func); ok && !fn.Arrow {
-			rewriteParamsToArguments(fn)
+	lowerArgsIn(prog, map[string]bool{})
+}
+
+// lowerArgsIn lowers every function below n, outermost first. taken holds the
+// $outerargs aliases n and its ancestors declared: a descendant reads its
+// ancestors' formals through them, so its own alias may not shadow one.
+func lowerArgsIn(n ast.Node, taken map[string]bool) {
+	ast.Walk(n, func(c ast.Node) bool {
+		fn, ok := c.(*ast.Func)
+		if !ok || c == n {
+			return true
 		}
-		return true
+		alias := ""
+		if !fn.Arrow {
+			alias = rewriteParamsToArguments(fn, taken)
+		}
+		if alias != "" {
+			taken[alias] = true
+		}
+		lowerArgsIn(fn, taken)
+		delete(taken, alias)
+		return false
 	})
 }
 
-func rewriteParamsToArguments(fn *ast.Func) {
+// rewriteParamsToArguments returns the alias of fn's arguments object it
+// declared for fn's nested functions, "" when none of them names a formal.
+func rewriteParamsToArguments(fn *ast.Func, taken map[string]bool) string {
 	if len(fn.Params) == 0 {
-		return
+		return ""
+	}
+	alias := "$outerargs"
+	for i := 1; taken[alias]; i++ {
+		alias = "$outerargs" + strconv.Itoa(i)
 	}
 	index := make(map[string]int, len(fn.Params))
 	for i, p := range fn.Params {
@@ -39,7 +66,7 @@ func rewriteParamsToArguments(fn *ast.Func) {
 			// A nested function re-binds `arguments`, so references it makes
 			// to the outer formals go through a $outerargs alias introduced
 			// in this function's prologue.
-			if rewriteFreeParams(n, index) {
+			if rewriteFreeParams(n, index, alias) {
 				nestedRewrites = true
 			}
 			return n
@@ -47,18 +74,20 @@ func rewriteParamsToArguments(fn *ast.Func) {
 		return e
 	}
 	fn.Body = r.Stmts(fn.Body)
-	if nestedRewrites {
-		fn.Body = append([]ast.Stmt{ast.Var("$outerargs", ast.Id("arguments"))}, fn.Body...)
+	if !nestedRewrites {
+		return ""
 	}
+	fn.Body = append([]ast.Stmt{ast.Var(alias, ast.Id("arguments"))}, fn.Body...)
+	return alias
 }
 
 // rewriteFreeParams rewrites references to outer formals inside a nested
 // function, skipping names the nested function rebinds. `arguments` inside
 // the nested function refers to its own object, so outer-formal references
-// cannot be expressed through it; they are rewritten to $outerargs[i], a
-// binding introduced in the outer function prologue. It reports whether any
-// rewrite occurred.
-func rewriteFreeParams(fn *ast.Func, outer map[string]int) bool {
+// cannot be expressed through it; they are rewritten to alias[i], a binding
+// introduced in the outer function prologue. It reports whether any rewrite
+// occurred.
+func rewriteFreeParams(fn *ast.Func, outer map[string]int, alias string) bool {
 	shadowed := map[string]bool{"arguments": true}
 	for _, p := range fn.Params {
 		shadowed[p] = true
@@ -74,7 +103,7 @@ func rewriteFreeParams(fn *ast.Func, outer map[string]int) bool {
 			}
 			if i, ok := outer[n.Name]; ok {
 				rewrote = true
-				return ast.Idx(ast.Id("$outerargs"), ast.Int(i))
+				return ast.Idx(ast.Id(alias), ast.Int(i))
 			}
 			return n
 		case *ast.Func:
@@ -84,7 +113,7 @@ func rewriteFreeParams(fn *ast.Func, outer map[string]int) bool {
 					inner[k] = v
 				}
 			}
-			if rewriteFreeParams(n, inner) {
+			if rewriteFreeParams(n, inner, alias) {
 				rewrote = true
 			}
 			return n

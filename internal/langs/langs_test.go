@@ -32,35 +32,6 @@ func TestBenchmarksRunRaw(t *testing.T) {
 	}
 }
 
-// TestBenchmarksSurviveStopify runs every benchmark under its profile's
-// sub-language with aggressive yielding and requires identical output — the
-// self-validation the harness relies on before timing anything.
-func TestBenchmarksSurviveStopify(t *testing.T) {
-	for _, p := range All() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			opts := p.Opts(core.Defaults())
-			opts.Timer = "countdown"
-			opts.CountdownN = 40
-			opts.YieldIntervalMs = 1
-			for _, b := range p.Benchmarks {
-				want, err := core.RunRaw(b.Source, core.RunConfig{Clock: eventloop.NewVirtualClock(), Seed: 1})
-				if err != nil {
-					t.Fatalf("%s/%s raw: %v", p.Name, b.Name, err)
-				}
-				got, err := core.RunSource(b.Source, opts, core.RunConfig{Clock: eventloop.NewVirtualClock(), Seed: 1})
-				if err != nil {
-					t.Errorf("%s/%s stopified: %v", p.Name, b.Name, err)
-					continue
-				}
-				if got != want {
-					t.Errorf("%s/%s changed under stopify:\nraw: %q\ngot: %q", p.Name, b.Name, want, got)
-				}
-			}
-		})
-	}
-}
-
 func TestSuiteShape(t *testing.T) {
 	all := All()
 	if len(all) != 10 {

@@ -665,8 +665,14 @@ func FormatNumber(v float64) string {
 	case v == math.Trunc(v) && math.Abs(v) < 1e21:
 		return strconv.FormatFloat(v, 'f', -1, 64)
 	default:
-		s := strconv.FormatFloat(v, 'g', -1, 64)
-		return strings.Replace(s, "e+0", "e+", 1)
+		// Number::toString: decimal notation from 1e-6 up to 1e21, and
+		// d.ddde±x, the exponent unpadded, outside.
+		if a := math.Abs(v); a >= 1e-6 && a < 1e21 {
+			return strconv.FormatFloat(v, 'f', -1, 64)
+		}
+		mant, exp, _ := strings.Cut(strconv.FormatFloat(v, 'e', -1, 64), "e")
+		x, _ := strconv.Atoi(exp)
+		return mant + "e" + exp[:1] + strconv.Itoa(max(x, -x))
 	}
 }
 

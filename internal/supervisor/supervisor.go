@@ -304,6 +304,28 @@ func (s *Supervisor) Remove(id uint64) bool {
 	return true
 }
 
+// RemoveFinished forgets every guest that finished more than olderThan ago
+// and reports how many: what a serving host calls on a ticker so that it does
+// not keep one Result, output buffer included, per run it ever admitted.
+func (s *Supervisor) RemoveFinished(olderThan time.Duration) int {
+	s.mu.Lock()
+	all := make([]*Guest, 0, len(s.guests))
+	for _, g := range s.guests {
+		all = append(all, g)
+	}
+	s.mu.Unlock()
+	cutoff, removed := time.Now().Add(-olderThan), 0
+	for _, g := range all {
+		g.mu.Lock()
+		old := g.state == StateDone && g.submitted.Add(g.res.WallTime).Before(cutoff)
+		g.mu.Unlock()
+		if old && s.Remove(g.ID) {
+			removed++
+		}
+	}
+	return removed
+}
+
 // Drain blocks until every admitted guest has finished.
 func (s *Supervisor) Drain() {
 	s.mu.Lock()

@@ -474,3 +474,34 @@ func TestInspectAndRemove(t *testing.T) {
 		t.Fatal("guest still resolvable after Remove")
 	}
 }
+
+// TestRemoveFinished: retention is measured from a guest's finish. A guest
+// that finished longer ago than the window is forgotten, its Result still
+// valid for holders of the pointer; one that finished inside the window and
+// one still running stay addressable.
+func TestRemoveFinished(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	done, err := s.Submit(SubmitOptions{Source: `console.log("done");`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spinning, err := s.Submit(SubmitOptions{Source: `for (;;) {}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done.Wait()
+	if n := s.RemoveFinished(time.Hour); n != 0 || s.Guest(done.ID) == nil {
+		t.Fatalf("removed %d guests an hour early", n)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if n := s.RemoveFinished(time.Millisecond); n != 1 {
+		t.Fatalf("removed %d guests, want the finished one", n)
+	}
+	if s.Guest(done.ID) != nil || s.Guest(spinning.ID) == nil {
+		t.Fatal("the finished guest is still addressable, or the running one is not")
+	}
+	if out := done.Result().Output; out != "done\n" {
+		t.Fatalf("a removed guest's result reads %q", out)
+	}
+}
