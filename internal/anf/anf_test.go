@@ -8,6 +8,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/printer"
+	"repro/internal/resolve"
 )
 
 // corpus is shared by the shape tests and the semantics-preservation tests:
@@ -79,6 +80,7 @@ func runProg(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("reparse of normalized output failed: %v\n%s", err, src)
 	}
+	resolve.Program(prog)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 7})
 	if rerr := in.RunProgram(prog); rerr != nil {
@@ -93,6 +95,7 @@ func runRaw(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
+	resolve.Program(prog)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 7})
 	if rerr := in.RunProgram(prog); rerr != nil {

@@ -66,9 +66,9 @@ func (p *Program) Position() Pos { return p.Pos }
 // Expressions
 // ---------------------------------------------------------------------------
 
-// Ident is a variable reference. Ref, when valid, is the static (hops,
-// slot) coordinate assigned by internal/resolve; the zero Ref means the
-// reference is resolved dynamically by name.
+// Ident is a variable reference. Ref is what internal/resolve found: a
+// (hops, slot) coordinate, RefGlobal, or zero for a coordinate too large to
+// pack, which is looked up by name (scope.go).
 type Ident struct {
 	P    Pos
 	Name string
@@ -164,7 +164,7 @@ type Func struct {
 	Helper Helper // marks a prelude helper (helper.go); in Arrow's padding
 
 	// Scope is the frame layout computed by internal/resolve. Nil means the
-	// function was never resolved and runs on dynamic map frames.
+	// function was never resolved, and cannot be called.
 	Scope *ScopeInfo
 
 	// Code is the engine's compiled form of the function (opaque: ast cannot
@@ -429,7 +429,7 @@ type Try struct {
 	Finally    *Block
 
 	// CatchScope is the one-slot frame layout for the catch clause,
-	// computed by internal/resolve; nil means a dynamic catch frame.
+	// computed by internal/resolve.
 	CatchScope *ScopeInfo
 }
 

@@ -1,29 +1,26 @@
 package ast
 
 // This file holds the static-scope annotations written by internal/resolve
-// and consumed by the interpreter: packed (hops, slot) coordinates on
-// identifier references and per-function frame layouts. The zero value of
-// every annotation means "unresolved", so trees that never pass through the
-// resolver (hand-built tests, eval'd fragments under a raw host) keep their
-// dynamic name-lookup semantics.
+// and read by the engines: packed (hops, slot) coordinates on identifier
+// references and per-function frame layouts. Every tree an engine runs went
+// through the resolver — a function without a layout does not run — so a
+// frame is the global frame or a slot frame laid out here.
 
 // Ref is a resolved variable coordinate: the number of environment frames to
 // hop outward, and the slot index within the target frame. It is packed into
 // a uint32 — bits 16..31 hold hops, bits 0..15 hold slot+1 — so that the
-// zero Ref means "unresolved".
+// zero Ref means "no coordinate": the one MakeRef could not pack.
 type Ref uint32
 
 // RefGlobal marks a reference the resolver proved unbound in every
-// enclosing static scope. Only dynamically created bindings — the global
-// frame, or a runtime define into a frame's overflow map — can supply it,
-// so the interpreter's lookup may skip every static slot layout on the way
-// out.
+// enclosing static scope. Only the global frame, whose names are created at
+// run time, can supply it, so the interpreter goes straight there.
 const RefGlobal Ref = 1 << 31
 
 // MakeRef packs a coordinate. ok is false when hops or slot exceed the
 // packing range (hops is capped below bit 31 so no coordinate collides
-// with RefGlobal); callers leave such references unresolved, which is
-// always safe (the dynamic path finds the binding by name).
+// with RefGlobal); callers leave such a reference Ref zero, and the engines
+// find its slot by name through ScopeInfo.Index.
 func MakeRef(hops, slot int) (Ref, bool) {
 	if hops < 0 || hops > 0x7fff || slot < 0 || slot >= 0xffff {
 		return 0, false
@@ -52,9 +49,8 @@ func (r Ref) Slot() int { return int(r&0xffff) - 1 }
 type ScopeInfo struct {
 	Names []string
 
-	// Index maps each name in Names to its slot, for the interpreter's
-	// dynamic by-name fallback (unresolved references probing a slot
-	// frame). Nil only on layouts that predate resolution.
+	// Index maps each name in Names to its slot, for the references MakeRef
+	// could not pack, which the engines look up by name.
 	Index map[string]int
 
 	// ParamSlots maps parameter position to frame slot.
@@ -87,7 +83,7 @@ type FnSlot struct {
 // included) and every function declaration of one function body, in source
 // order and without descending into nested functions — JavaScript's
 // var/function hoisting rule. It is the one hoisting scan: the resolver, the
-// interpreter's dynamic fallback and every compile pass that asks what a
+// interpreter's global-frame hoisting and every compile pass that asks what a
 // scope binds go through it, so their scope models cannot drift.
 func Hoisted(body []Stmt, fn func(name string, decl *Func)) {
 	visit := func(n Node) bool {

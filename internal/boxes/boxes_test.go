@@ -11,6 +11,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/printer"
+	"repro/internal/resolve"
 )
 
 func boxPipeline(t *testing.T, src string) (*ast.Program, string) {
@@ -32,6 +33,7 @@ func runSrc(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
+	resolve.Program(prog)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 1})
 	if err := in.RunProgram(prog); err != nil {

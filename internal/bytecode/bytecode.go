@@ -78,8 +78,10 @@ const (
 	// OpSetGlobal pops into the proved-global binding Names[B] (site A),
 	// creating an implicit global when unbound.
 	OpSetGlobal
-	// OpGetDyn pushes the dynamically resolved binding Names[B];
-	// ReferenceError when unbound.
+	// OpGetDyn and OpSetDyn are a reference whose coordinate overflowed
+	// ast.Ref's packing (a function with more than 65 534 slots), found by
+	// name: through each enclosing frame's layout, then the global frame.
+	// OpGetDyn pushes the binding Names[B]; ReferenceError when unbound.
 	OpGetDyn
 	// OpSetDyn pops into the nearest binding of Names[B], creating an
 	// implicit global when unbound.
@@ -87,7 +89,7 @@ const (
 	// OpTypeofGlobal pushes typeof of the proved-global Names[B] (site A),
 	// "undefined" when unbound.
 	OpTypeofGlobal
-	// OpTypeofDyn pushes typeof of the dynamic binding Names[B],
+	// OpTypeofDyn pushes typeof of the binding Names[B] found by name,
 	// "undefined" when unbound.
 	OpTypeofDyn
 	// OpGetArguments, OpGetArg and OpArgsLen are every read a function makes
@@ -107,9 +109,10 @@ const (
 	// OpArgsLen is arguments.length (name A, site B): the vector's length,
 	// or OpGetMember on what the slot holds by now.
 	OpArgsLen
-	// OpThisDyn pushes the dynamic `this` binding (undefined when absent).
+	// OpThisDyn pushes the `this` binding found by name (undefined when
+	// absent: an arrow function made by top-level code).
 	OpThisDyn
-	// OpNewTargetDyn pushes the dynamic `new.target` binding.
+	// OpNewTargetDyn pushes the `new.target` binding found by name.
 	OpNewTargetDyn
 
 	// --- objects and properties ---

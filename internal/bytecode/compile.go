@@ -6,21 +6,21 @@ import (
 	"repro/internal/ast"
 )
 
-// Compile lowers a resolved function body to a chunk: every statement of it,
-// or none. It returns nil when the function cannot be lowered — no frame
-// layout (the resolver never saw it), a node kind the compiler does not know,
-// a declaration or catch clause the resolver could not give a slot, a break
-// or continue with no enclosing target — in which case the caller keeps
-// tree-walking the whole function. A chunk never re-enters the tree-walker.
+// Compile lowers a function body to a chunk: every statement of it, or none.
+// fn went through internal/resolve (interp.Call turns a function that did
+// not into a host error before asking for its chunk), so every reference has
+// a coordinate, is proved global, or overflowed ast.Ref's packing and is
+// emitted by name (getdyn/setdyn). Compile returns nil when the function
+// cannot be lowered — a node kind the compiler does not know, a by-name
+// reference to `arguments` (dynName), a break or continue with no enclosing
+// target — in which case the caller tree-walks the whole function. A chunk
+// never re-enters the tree-walker.
 //
 // The compiler mirrors the tree-walker statement by statement: evaluation
 // order, engine cost charges, and step counting are reproduced exactly, so
 // the two engines are observationally identical — the property the
 // differential harness in internal/core checks.
 func Compile(fn *ast.Func) *Chunk {
-	if fn.Scope == nil {
-		return nil
-	}
 	c := compilers.Get().(*compiler)
 	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names}
 	c.ch = ch
@@ -340,13 +340,13 @@ func (c *compiler) stmt(s ast.Stmt) {
 				// must not reset it.
 				continue
 			}
-			if !d.Ref.Valid() {
-				// The dynamic define (set-else-define-here) has no opcode.
-				c.failed = true
-				return
-			}
 			c.expr(d.Init)
-			c.storeRef(d.Ref)
+			if d.Ref.Valid() {
+				c.storeRef(d.Ref)
+			} else {
+				c.emit(OpSetDyn, 0, c.dynName(d.Name))
+				c.pop(1)
+			}
 		}
 	case *ast.Block:
 		for _, inner := range n.Body {
@@ -683,12 +683,6 @@ func (c *compiler) compileSwitch(n *ast.Switch) {
 // and returns emitUnwind routes through it. The block ends by taking up
 // whatever was pending, unless it completed abruptly itself, which wins.
 func (c *compiler) compileTry(n *ast.Try) {
-	if n.Catch != nil && n.CatchScope == nil {
-		// A catch clause without a resolved one-slot layout cannot build
-		// its frame.
-		c.failed = true
-		return
-	}
 	var fin *ctx
 	if n.Finally != nil {
 		fin = c.pushCtx(nil, false, false, -1)

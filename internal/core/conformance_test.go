@@ -44,8 +44,8 @@ import (
 // at least once) and no longer than the limit below; continuation
 // strategies other than checked, the reference engine under preemption and
 // the cross-engine restore apply up to quantum1Limit (program.cells has the
-// rest). Measured on this corpus: 251 programs, 12 352 cells, 36 s on two
-// cores (-short: 2 038 cells, 8 s).
+// rest). Measured on this corpus: 253 programs, 12 560 cells, 36 s on two
+// cores (-short: 2 052 cells, 8 s).
 const (
 	quantum1Limit    = 3_000
 	quantum25Limit   = 60_000

@@ -284,11 +284,11 @@ const (
 	// differential suites, the fuzzer and the benchmark's golden check
 	// compare the serving engine against. Nothing serves on it.
 	BackendTree = "tree"
-	// BackendBytecode, the default, lowers resolved function bodies to flat
-	// bytecode (internal/bytecode) and dispatches them through
-	// internal/interp's fetch–execute loop; dynamic code (the global frame,
-	// direct eval fragments, unresolved trees) and any function the
-	// compiler refuses stay on the tree-walker.
+	// BackendBytecode, the default, lowers function bodies to flat bytecode
+	// (internal/bytecode) and dispatches them through internal/interp's
+	// fetch–execute loop; global-frame code (a program's and an eval
+	// fragment's top-level statements) and any function the compiler
+	// refuses stay on the tree-walker.
 	BackendBytecode = "bytecode"
 )
 

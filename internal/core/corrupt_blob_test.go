@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventloop"
 	"repro/internal/snapshot"
+	"repro/internal/supervisor"
 )
 
 // Corrupt-blob robustness: Restore and SnapshotMeta are documented as safe
@@ -141,6 +142,96 @@ func TestRestoreRefusesCyclicScopeChain(t *testing.T) {
 	}
 }
 
+// firstFrame walks a version-3 blob (internal/snapshot, Encode) to its frame
+// table and returns the offsets of the first frame's two fixed bytes: its
+// kind, and the count of by-name bindings that follows its slots.
+func firstFrame(t testing.TB, blob []byte) (kind, bindings int) {
+	t.Helper()
+	off := 5 // magic, version
+	uv := func() int {
+		n, k := binary.Uvarint(blob[off:])
+		if k <= 0 {
+			t.Fatalf("no uvarint at offset %d", off)
+		}
+		off += k
+		return int(n)
+	}
+	off += uv() // header
+	uv()        // statements
+	uv()        // metered bytes
+	off += 8    // Math.random state
+	off += uv() // output
+	off += 1    // flags
+	off += 8    // wall clock
+	uv()        // timer sequence
+	uv()        // registry length
+	off += 8    // registry sum
+	uv()        // code table: functions
+	uv()        // code table: scopes
+	off += 8    // code table sum
+	if uv() == 0 {
+		t.Fatal("the blob has no frames")
+	}
+	kind = off
+	off++
+	uv() // parent
+	uv() // layout
+	for n := uv(); n > 0; n-- {
+		tag := blob[off]
+		off++
+		switch tag {
+		case 4: // number
+			off += 8
+		case 5: // string
+			off += uv()
+		case 6, 7: // object, host object
+			uv()
+		}
+	}
+	return kind, off
+}
+
+// TestRestoreRefusesDynamicFrames: a realm's frames are the global one and
+// slot frames, so the wire has one frame kind and no by-name bindings on it.
+// The format has a byte for each; a blob that sets either asks the decoder
+// for a frame no engine runs on, and is refused — directly, and by a
+// supervisor's worker, which is left with nothing resident.
+func TestRestoreRefusesDynamicFrames(t *testing.T) {
+	blob := corruptBlob(t)
+	for name, m := range dynamicFrameBlobs(t, blob) {
+		_, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}}, m)
+		if err == nil || !strings.Contains(err.Error(), "corrupt blob: "+name) {
+			t.Errorf("%s: Restore = %v, want a corrupt blob", name, err)
+		}
+		s := supervisor.New(supervisor.Options{Workers: 1, TraceCapacity: -1})
+		g, err := s.Restore(m, nil) // the header is sound: the worker meets the frame
+		if err != nil {
+			t.Fatalf("%s: admission: %v", name, err)
+		}
+		if res := g.Wait(); res.Err == nil || !strings.Contains(res.Err.Error(), "corrupt blob: "+name) {
+			t.Errorf("%s: the guest ended with %v, want a corrupt blob", name, res.Err)
+		}
+		if m := s.Metrics(); m.ResidentGuests != 0 {
+			t.Errorf("%s: %d guests resident after a refused restore", name, m.ResidentGuests)
+		}
+		s.Close()
+	}
+}
+
+// dynamicFrameBlobs is blob twice, by the decoder's complaint: with its first
+// frame re-tagged as the map frame kind 0 was, and with that frame claiming
+// one by-name binding.
+func dynamicFrameBlobs(t testing.TB, blob []byte) map[string][]byte {
+	t.Helper()
+	kind, bindings := firstFrame(t, blob)
+	if blob[kind] != 1 || blob[bindings] != 0 {
+		t.Fatalf("first frame: kind %d, %d by-name bindings; want 1 and 0", blob[kind], blob[bindings])
+	}
+	retagged, bound := append([]byte{}, blob...), append([]byte{}, blob...)
+	retagged[kind], bound[bindings] = 0, 1
+	return map[string][]byte{"unknown frame kind 0": retagged, "frame carries 1 by-name bindings": bound}
+}
+
 // unknownKeysBlob is blob with its header carrying option keys this build
 // does not know, as a blob written before PR 22 does: RestoreSegment and
 // SampleMs were compile options then, and a daemon of that build wrote both
@@ -203,6 +294,9 @@ func FuzzRestoreBlob(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:16])
 	f.Add(unknownKeysBlob(f, blob))
+	for _, m := range dynamicFrameBlobs(f, blob) {
+		f.Add(m)
+	}
 	huge := binary.AppendUvarint(nil, math.MaxUint64)
 	for _, at := range []int{8, len(blob) / 3, len(blob) - 8} {
 		f.Add(append(append(append([]byte{}, blob[:at]...), huge...), blob[at:]...))

@@ -208,14 +208,15 @@ func TestChunksDieWithTheirTree(t *testing.T) {
 // have published a chunk. An exception belongs in knownRefusals, by program
 // and function, with its reason.
 func TestCorpusFunctionsAllCompile(t *testing.T) {
-	// The check sees a refusal when there is one: a declaration whose slot
-	// the resolver could not pack fails its function, which still runs.
-	probe, err := parser.Parse(`function f() { var x = 41; return x + 1; } console.log(f());`)
+	// The check sees a refusal when there is one: a reference to `arguments`
+	// whose coordinate the resolver could not pack fails its function, which
+	// still runs.
+	probe, err := parser.Parse(`function f() { return arguments.length + 41; } console.log(f(0));`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resolve.Program(probe)
-	probe.Body[0].(*ast.FuncDecl).Fn.Body[0].(*ast.VarDecl).Decls[0].Ref = 0
+	probe.Body[0].(*ast.FuncDecl).Fn.Body[0].(*ast.Return).Arg.(*ast.Binary).L.(*ast.Member).X.(*ast.Ident).Ref = 0
 	var out bytes.Buffer
 	if err := interp.New(interp.Options{Out: &out, Bytecode: true}).RunProgram(probe); err != nil || out.String() != "42\n" {
 		t.Fatalf("refused probe printed %q, %v", out.String(), err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/printer"
+	"repro/internal/resolve"
 )
 
 // runDesugared applies the configured passes and executes the result.
@@ -25,6 +26,7 @@ func runDesugared(t *testing.T, src string, opts Options) string {
 	if err != nil {
 		t.Fatalf("desugared output does not reparse: %v\n%s", err, out)
 	}
+	resolve.Program(reparsed)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 1})
 	if err := in.RunProgram(reparsed); err != nil {
@@ -39,6 +41,7 @@ func runPlain(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
+	resolve.Program(prog)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 1})
 	if err := in.RunProgram(prog); err != nil {

@@ -342,8 +342,10 @@ func (c *fctx) renameCatchStmt(s ast.Stmt) ast.Stmt {
 	return s
 }
 
-// renameIdent renames free occurrences of old to new inside body,
-// respecting shadowing by nested functions.
+// renameIdent renames free occurrences of old, a catch parameter, to new
+// inside the clause's body, respecting shadowing by nested functions. A
+// `var old = x` there declares the function's old and initializes the
+// parameter: the bare declaration stays and the initializer moves to new.
 func renameIdent(body []ast.Stmt, old, new string) {
 	for _, s := range body {
 		ast.Walk(s, func(node ast.Node) bool {
@@ -351,6 +353,14 @@ func renameIdent(body []ast.Stmt, old, new string) {
 			case *ast.Ident:
 				if n.Name == old {
 					n.Name = new
+				}
+			case *ast.VarDecl:
+				for i := 0; i < len(n.Decls); i++ {
+					if d := n.Decls[i]; d.Name == old && d.Init != nil {
+						n.Decls[i].Init = nil
+						i++
+						n.Decls = slices.Insert(n.Decls, i, ast.Declarator{Name: new, Init: d.Init})
+					}
 				}
 			case *ast.Func:
 				if n.Name == old || slices.Contains(n.Params, old) || slices.Contains(ast.DeclaredNames(n.Body), old) {

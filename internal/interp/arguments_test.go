@@ -54,9 +54,6 @@ func holdsArgsTag(in *Interp) string {
 			for i, v := range e.slots[:cap(e.slots)] {
 				value(v, where+"#"+strconv.Itoa(i))
 			}
-			for k, v := range e.vars {
-				value(v, where+"."+k)
-			}
 			for k, c := range e.cells {
 				value(c.v, k)
 			}

@@ -10,13 +10,13 @@ import (
 )
 
 // This file is the bytecode execution engine: a flat fetch–execute loop
-// over the instruction stream internal/bytecode compiles from resolved
-// function bodies. It shares everything else with the tree-walker — Value
+// over the instruction stream internal/bytecode compiles from function
+// bodies. It shares everything else with the tree-walker — Value
 // representation, Env frames, shapes, the per-site inline caches, the
 // engine cost model — so the two engines differ only in dispatch. The
-// tree-walker remains the substrate for dynamic code (the global frame,
-// eval'd fragments, unresolved trees) and for the functions the compiler
-// refuses; a chunk, once entered, never calls it.
+// tree-walker remains the substrate for global-frame code (a program's and
+// an eval'd fragment's top-level statements) and for the functions the
+// compiler refuses; a chunk, once entered, never calls it.
 
 // ErrStepBudget aborts execution when Options.MaxSteps is exhausted. Both
 // engines check the budget at the same statement boundaries, so a budgeted
@@ -244,7 +244,7 @@ loop:
 					break
 				}
 			}
-			v, e := in.globalMiss(env, ch.Names[ins.B], uint32(ins.A))
+			v, e := in.globalMiss(ch.Names[ins.B], uint32(ins.A))
 			if e != nil {
 				err = e
 				goto fail
@@ -260,16 +260,7 @@ loop:
 					break
 				}
 			}
-			name := ch.Names[ins.B]
-			c, ok := env.setDynamicCell(name, v)
-			if !ok {
-				root := env.Root()
-				root.Define(name, v)
-				c = root.Cell(name)
-			}
-			if c != nil && ins.A != 0 {
-				in.icCacheCell(uint32(ins.A), c)
-			}
+			in.setGlobal(ch.Names[ins.B], uint32(ins.A), v)
 		case bytecode.OpGetDyn:
 			name := ch.Names[ins.B]
 			v, ok := env.Lookup(name)
@@ -281,28 +272,10 @@ loop:
 			sp++
 		case bytecode.OpSetDyn:
 			sp--
-			name := ch.Names[ins.B]
-			if !env.Set(name, stack[sp]) {
-				env.Root().Define(name, stack[sp])
-			}
+			in.setByName(env, ch.Names[ins.B], stack[sp])
 		case bytecode.OpTypeofGlobal:
-			var v Value
-			found := false
-			if site := uint32(ins.A); site != 0 {
-				if c := in.icCellAt(site); c != nil {
-					v, found = c.v, true
-				}
-			}
-			if !found {
-				name := ch.Names[ins.B]
-				var c *cell
-				v, found, c = env.lookupDynamicCell(name)
-				if found && c != nil && ins.A != 0 {
-					in.icCacheCell(uint32(ins.A), c)
-				}
-			}
-			if found {
-				stack[sp] = typeOfValue(v)
+			if c := in.globalCell(ch.Names[ins.B], uint32(ins.A)); c != nil {
+				stack[sp] = typeOfValue(c.v)
 			} else {
 				stack[sp] = typeofUndefined
 			}
@@ -703,7 +676,7 @@ loop:
 			}
 			if !found {
 				var e error
-				v, e = in.globalMiss(env, ch.Names[ins.B], uint32(ins.A))
+				v, e = in.globalMiss(ch.Names[ins.B], uint32(ins.A))
 				if e != nil {
 					err = e
 					goto fail
@@ -740,7 +713,7 @@ loop:
 					break
 				}
 			}
-			v, e := in.globalMiss(env, ch.Names[ins.B], uint32(ins.A))
+			v, e := in.globalMiss(ch.Names[ins.B], uint32(ins.A))
 			if e != nil {
 				err = e
 				goto fail
@@ -761,7 +734,7 @@ loop:
 			}
 			if !found {
 				var e error
-				fnv, e = in.globalMiss(env, ch.Names[ins.B], uint32(ins.A))
+				fnv, e = in.globalMiss(ch.Names[ins.B], uint32(ins.A))
 				if e != nil {
 					err = e
 					goto fail
@@ -784,7 +757,7 @@ loop:
 			}
 			if !found {
 				var e error
-				v, e = in.globalMiss(env, ch.Names[ch.GuardNames[int32(pc-1)]], uint32(ins.B))
+				v, e = in.globalMiss(ch.Names[ch.GuardNames[int32(pc-1)]], uint32(ins.B))
 				if e != nil {
 					err = e
 					goto fail
@@ -965,19 +938,14 @@ loop:
 	}
 }
 
-// globalMiss resolves a proved-global reference after an inline-cache
-// miss: the by-name dynamic lookup plus the cell-cache fill that
-// expr.go's lookupIdent performs. Every global-reading opcode funnels its
-// miss path through here so the two engines cannot drift.
-func (in *Interp) globalMiss(env *Env, name string, site uint32) (Value, error) {
-	v, ok, c := env.lookupDynamicCell(name)
-	if !ok {
+// globalMiss reads a proved-global reference after an inline-cache miss
+// (globalCell fills the cache), or throws the ReferenceError.
+func (in *Interp) globalMiss(name string, site uint32) (Value, error) {
+	c := in.globalCell(name, site)
+	if c == nil {
 		return Undefined, in.Throw("ReferenceError", "%s is not defined", name)
 	}
-	if c != nil && site != 0 {
-		in.icCacheCell(site, c)
-	}
-	return v, nil
+	return c.v, nil
 }
 
 // setIndexed writes base[idx] = v for a computed reference whose index was

@@ -11,23 +11,30 @@ import (
 // captured variables problematic for continuation restoration and why
 // Stopify boxes them (§3.2.1).
 //
-// A frame comes in two shapes. Code that went through internal/resolve runs
-// on slot frames: names is the static layout (slot i binds names[i]) and
-// slots holds the values, so resolved references are two pointer hops and
-// an array index. Everything else — the global frame, hand-built test
-// fragments, dynamically created bindings — lives in the vars map. A slot
-// frame can still grow a vars map when dynamic code defines a name the
-// resolver never saw (an undeclared for-in variable, for example), so the
-// by-name operations remain complete on every frame.
+// A frame has one of two shapes. The realm's root is the global frame: cells
+// binds each name to a heap cell, because builtins, the Stopify runtime, eval
+// and implicit globals all create names there at run time. Every other frame
+// — one per call, one per entered catch clause — is a slot frame: layout is
+// the static layout internal/resolve computed (slot i binds Names[i]) and
+// slots holds the values, so a resolved reference is a few pointer hops and
+// an array index. Every tree an engine runs went through the resolver, so
+// nothing defines a name on a slot frame at run time and there is no third
+// shape.
+//
+// The by-name operations (Lookup, Set) walk slot layouts and end at the
+// global cells. They exist for one kind of reference: one whose coordinate
+// overflowed ast.Ref's packing (a function with more than 65 534 slots). The
+// resolver leaves it Ref zero, the bytecode compiler emits getdyn/setdyn for
+// it, and it finds its slot through ScopeInfo.Index. (`this` and new.target
+// outside any function also come through Lookup, and find nothing.)
 //
 // The zero Value is undefined, so a freshly allocated slot frame is already
 // correctly var-hoisted: never-written slots read back as undefined with no
 // fill pass and no per-read nil translation.
 type Env struct {
 	parent *Env
-	layout *ast.ScopeInfo // static slot layout; nil for map frames
+	layout *ast.ScopeInfo // static slot layout; nil on the global frame
 	slots  []Value
-	vars   map[string]Value
 
 	// cells backs the global frame: each name binds a heap cell whose
 	// identity is stable for the life of the realm (redefinition writes
@@ -47,16 +54,6 @@ type Env struct {
 // cell is one global binding. Holding the value behind a pointer is what
 // lets reference sites cache the binding instead of the value.
 type cell struct{ v Value }
-
-// NewEnv returns an empty dynamic environment chained to parent. The root
-// frame (nil parent) is cell-backed — it is the realm's global frame —
-// while inner dynamic frames use a plain map.
-func NewEnv(parent *Env) *Env {
-	if parent == nil {
-		return &Env{cells: make(map[string]*cell)}
-	}
-	return &Env{parent: parent, vars: make(map[string]Value)}
-}
 
 // envBuf6/envBuf16 are Envs with inline slot storage, so frames cost one
 // allocation instead of two; two size classes keep small frames (plain
@@ -218,8 +215,7 @@ func (in *Interp) releaseFrame(e *Env) {
 		}
 		// Clear the whole bucket capacity — not just the layout's prefix —
 		// so a later acquire with a larger layout never sees stale values
-		// and the pool pins no dead object graphs. Resetting the Env also
-		// drops any dynamic vars map a stray eval/for-in grew on it.
+		// and the pool pins no dead object graphs.
 		buf := e.slots[:cap(e.slots)]
 		for i := range buf {
 			buf[i] = Value{}
@@ -244,57 +240,14 @@ func (e *Env) slotRef(r ast.Ref) *Value {
 	return &env.slots[r.Slot()]
 }
 
-// slotIndex finds name in this frame's static layout, or -1. It only runs
-// on the dynamic fallback path; resolved references never reach it.
-func (e *Env) slotIndex(name string) int {
-	if e.layout == nil {
-		return -1
-	}
-	if e.layout.Index != nil {
-		if i, ok := e.layout.Index[name]; ok {
-			return i
-		}
-		return -1
-	}
-	for i, n := range e.layout.Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Define creates or overwrites a binding in this frame.
+// Define creates or overwrites a binding of the global frame, the only frame
+// that gains names at run time.
 func (e *Env) Define(name string, v Value) {
-	if e.cells != nil {
-		if c, ok := e.cells[name]; ok {
-			c.v = v
-		} else {
-			e.cells[name] = &cell{v: v}
-		}
-		return
+	if c, ok := e.cells[name]; ok {
+		c.v = v
+	} else {
+		e.cells[name] = &cell{v: v}
 	}
-	if i := e.slotIndex(name); i >= 0 {
-		e.slots[i] = v
-		return
-	}
-	if e.vars == nil {
-		e.vars = make(map[string]Value)
-	}
-	e.vars[name] = v
-}
-
-// Has reports whether this frame (not the chain) binds name.
-func (e *Env) Has(name string) bool {
-	if e.cells != nil {
-		_, ok := e.cells[name]
-		return ok
-	}
-	if e.slotIndex(name) >= 0 {
-		return true
-	}
-	_, ok := e.vars[name]
-	return ok
 }
 
 // Cell returns the binding cell for name in this frame, or nil; only the
@@ -303,81 +256,19 @@ func (e *Env) Cell(name string) *cell {
 	return e.cells[name]
 }
 
-// Lookup resolves name through the chain.
+// Lookup resolves name through the chain: each slot frame's layout, then
+// the global cells.
 func (e *Env) Lookup(name string) (Value, bool) {
 	for env := e; env != nil; env = env.parent {
 		if env.cells != nil {
 			if c, ok := env.cells[name]; ok {
 				return c.v, true
 			}
-			continue
-		}
-		if i := env.slotIndex(name); i >= 0 {
+		} else if i, ok := env.layout.Index[name]; ok {
 			return env.slots[i], true
-		}
-		if v, ok := env.vars[name]; ok {
-			return v, true
 		}
 	}
 	return Undefined, false
-}
-
-// LookupDynamic resolves name through the chain probing only dynamically
-// created bindings (vars maps and the global cells), skipping every static
-// slot layout. It is only correct for references the resolver proved
-// unbound in all enclosing static scopes — the common shape of a global
-// reference from deep inside compiled code.
-func (e *Env) LookupDynamic(name string) (Value, bool) {
-	v, ok, _ := e.lookupDynamicCell(name)
-	return v, ok
-}
-
-// lookupDynamicCell is LookupDynamic, also returning the global binding
-// cell when — and only when — the binding found is the global one, so the
-// caller may cache it.
-func (e *Env) lookupDynamicCell(name string) (Value, bool, *cell) {
-	for env := e; env != nil; env = env.parent {
-		if env.cells != nil {
-			if c, ok := env.cells[name]; ok {
-				return c.v, true, c
-			}
-			continue
-		}
-		if env.vars != nil {
-			if v, ok := env.vars[name]; ok {
-				return v, true, nil
-			}
-		}
-	}
-	return Undefined, false, nil
-}
-
-// SetDynamic is Set restricted to dynamically created bindings, with the
-// same proof obligation as LookupDynamic.
-func (e *Env) SetDynamic(name string, v Value) bool {
-	_, ok := e.setDynamicCell(name, v)
-	return ok
-}
-
-// setDynamicCell is SetDynamic, also returning the global binding cell when
-// the binding written is the global one.
-func (e *Env) setDynamicCell(name string, v Value) (*cell, bool) {
-	for env := e; env != nil; env = env.parent {
-		if env.cells != nil {
-			if c, ok := env.cells[name]; ok {
-				c.v = v
-				return c, true
-			}
-			continue
-		}
-		if env.vars != nil {
-			if _, ok := env.vars[name]; ok {
-				env.vars[name] = v
-				return nil, true
-			}
-		}
-	}
-	return nil, false
 }
 
 // Set assigns to the nearest frame binding name, reporting whether one was
@@ -389,25 +280,10 @@ func (e *Env) Set(name string, v Value) bool {
 				c.v = v
 				return true
 			}
-			continue
-		}
-		if i := env.slotIndex(name); i >= 0 {
+		} else if i, ok := env.layout.Index[name]; ok {
 			env.slots[i] = v
-			return true
-		}
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
 			return true
 		}
 	}
 	return false
-}
-
-// Root returns the global frame at the end of the chain.
-func (e *Env) Root() *Env {
-	env := e
-	for env.parent != nil {
-		env = env.parent
-	}
-	return env
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ast"
@@ -142,10 +143,9 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 	return Undefined, fmt.Errorf("interp: unknown expression %T", e)
 }
 
-// loadIdent reads a variable reference with the strongest static
-// information available: resolved coordinates index a slot directly,
-// proved-global names skip every slot layout, and everything else walks
-// the chain by name.
+// loadIdent reads a variable reference: a resolved coordinate indexes a slot,
+// a proved-global name reads the global frame's cell, and a reference whose
+// coordinate overflowed ast.Ref (env.go) finds its slot by name.
 func (in *Interp) loadIdent(n *ast.Ident, env *Env) (Value, error) {
 	if n.Ref.Valid() {
 		return env.GetRef(n.Ref), nil
@@ -164,51 +164,58 @@ func (in *Interp) lookupIdent(n *ast.Ident, env *Env) (Value, bool) {
 		return env.GetRef(n.Ref), true
 	}
 	if n.Ref.Global() {
-		// Proved-global reference: after the first by-name hit on the
-		// global frame the site caches the binding cell, so repeat reads
-		// are a pointer load. Bindings found in an intermediate frame's
-		// overflow map (dynamically created shadows) are never cached.
-		if n.Site != 0 {
-			if c := in.icCellAt(n.Site); c != nil {
-				return c.v, true
-			}
+		if c := in.globalCell(n.Name, n.Site); c != nil {
+			return c.v, true
 		}
-		v, ok, c := env.lookupDynamicCell(n.Name)
-		if ok && c != nil && n.Site != 0 {
-			in.icCacheCell(n.Site, c)
-		}
-		return v, ok
+		return Undefined, false
 	}
 	return env.Lookup(n.Name)
 }
 
-// storeIdent writes a variable reference, creating an implicit global when
-// the name is bound nowhere (non-strict JS).
+// globalCell is the binding a proved-global reference names, or nil: no
+// static scope binds the name, so only the global frame can. After the first
+// by-name hit the site caches the cell, so repeat reads and writes are a
+// pointer load; cells are never removed, so a cached one stays the binding.
+// Both engines' global reads and writes come through here on a miss.
+func (in *Interp) globalCell(name string, site uint32) *cell {
+	if site == 0 {
+		return in.Global.cells[name]
+	}
+	c := in.icCellAt(site)
+	if c == nil {
+		c = in.Global.cells[name]
+		in.icGlobal[site] = c
+	}
+	return c
+}
+
+// setGlobal writes a proved-global reference, creating an implicit global
+// when the name is bound nowhere (non-strict JS).
+func (in *Interp) setGlobal(name string, site uint32, v Value) {
+	if c := in.globalCell(name, site); c != nil {
+		c.v = v
+		return
+	}
+	in.Global.Define(name, v)
+}
+
+// setByName writes a reference that has no coordinate: the nearest binding of
+// name, else an implicit global.
+func (in *Interp) setByName(env *Env, name string, v Value) {
+	if !env.Set(name, v) {
+		in.Global.Define(name, v)
+	}
+}
+
+// storeIdent writes a variable reference.
 func (in *Interp) storeIdent(n *ast.Ident, v Value, env *Env) {
-	if n.Ref.Valid() {
+	switch {
+	case n.Ref.Valid():
 		env.SetRef(n.Ref, v)
-		return
-	}
-	if n.Ref.Global() {
-		if n.Site != 0 {
-			if c := in.icCellAt(n.Site); c != nil {
-				c.v = v
-				return
-			}
-		}
-		c, ok := env.setDynamicCell(n.Name, v)
-		if !ok {
-			root := env.Root()
-			root.Define(n.Name, v)
-			c = root.Cell(n.Name)
-		}
-		if c != nil && n.Site != 0 {
-			in.icCacheCell(n.Site, c)
-		}
-		return
-	}
-	if !env.Set(n.Name, v) {
-		env.Root().Define(n.Name, v)
+	case n.Ref.Global():
+		in.setGlobal(n.Name, n.Site, v)
+	default:
+		in.setByName(env, n.Name, v)
 	}
 }
 
@@ -661,6 +668,10 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 	return ObjectValue(obj), nil
 }
 
+// errNotResolved ends a run whose tree skipped internal/resolve: a function
+// runs on the frame layout the resolver gave it, and there is no other way.
+var errNotResolved = errors.New("interp: function was not resolved")
+
 // Call applies fn to args with the given this and new.target. The callee may
 // read args until Call returns (argsValue) and keeps nothing of it after: the
 // caller owns the slice that long, or passes a copy of a guest-visible array.
@@ -689,6 +700,10 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		return v, err
 	}
 	c := f.Fn
+	sc := c.Decl.Scope
+	if sc == nil {
+		return Undefined, errNotResolved
+	}
 	if h := c.Decl.Helper; h != ast.NoHelper {
 		if v, err, ok := in.callHelper(h, &args); ok {
 			return v, err
@@ -707,89 +722,58 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	}
 	defer func() { in.depth-- }()
 
-	var env *Env
-	if sc := c.Decl.Scope; sc != nil {
-		// Resolved function: one slice-backed frame, laid out statically.
-		// The write order matches the dynamic path's define order so that
-		// rebound names (duplicate params, a param shadowing the function's
-		// own name) keep last-write-wins semantics. The frame comes from
-		// the per-realm pool and returns to it at exit unless a closure
-		// captured it during the call (makeFunction sets escaped).
-		env = in.acquireFrame(c.Env, sc)
-		defer func() {
-			if !env.escaped {
-				in.releaseFrame(env)
-			}
-		}()
-		slots := env.slots
-		if sc.SelfSlot >= 0 {
-			slots[sc.SelfSlot] = ObjectValue(c.Self)
+	// One slice-backed frame, laid out statically. The write order gives
+	// rebound names (duplicate params, a param shadowing the function's own
+	// name) last-write-wins semantics. The frame comes from the per-realm
+	// pool and returns to it at exit unless a closure captured it during the
+	// call (makeFunction sets escaped).
+	env := in.acquireFrame(c.Env, sc)
+	defer func() {
+		if !env.escaped {
+			in.releaseFrame(env)
 		}
-		for i, slot := range sc.ParamSlots {
-			if i < len(args) {
-				slots[slot] = args[i]
-			} else {
-				// The zero Value reads back as undefined; the explicit
-				// write keeps last-write-wins for duplicate parameter names.
-				slots[slot] = Undefined
-			}
-		}
-		if sc.ThisSlot >= 0 {
-			slots[sc.ThisSlot] = this
-		}
-		if sc.NewTargetSlot >= 0 {
-			slots[sc.NewTargetSlot] = newTarget
-		}
-		if sc.ArgumentsSlot >= 0 {
-			// Only when the body names `arguments` (nothing else can see it):
-			// a chunk reads the actuals in place, the walker builds the object.
-			if in.bytecode && chunkFor(c.Decl) != nil {
-				slots[sc.ArgumentsSlot] = argsValue(args)
-			} else {
-				slots[sc.ArgumentsSlot] = ObjectValue(in.newArguments(args))
-			}
-		}
-		for _, fd := range sc.FnDecls {
-			slots[fd.Slot] = ObjectValue(in.makeFunction(fd.Fn, env))
-		}
-	} else {
-		env = NewEnv(c.Env)
-		arrow := c.Decl.Arrow
-		if c.Decl.Name != "" && !arrow {
-			env.Define(c.Decl.Name, ObjectValue(c.Self))
-		}
-		for i, p := range c.Decl.Params {
-			if i < len(args) {
-				env.Define(p, args[i])
-			} else {
-				env.Define(p, Undefined)
-			}
-		}
-		if !arrow {
-			env.Define("this", this)
-			env.Define("new.target", newTarget)
-			env.Define("arguments", ObjectValue(in.newArguments(args)))
-		}
-		if c.hoisted == nil {
-			c.hoisted = hoistScan(c.Decl.Body)
-		}
-		for _, name := range c.hoisted.vars {
-			if !env.Has(name) {
-				env.Define(name, Undefined)
-			}
-		}
-		for _, fd := range c.hoisted.fns {
-			env.Define(fd.Name, ObjectValue(in.makeFunction(fd, env)))
+	}()
+	slots := env.slots
+	if sc.SelfSlot >= 0 {
+		slots[sc.SelfSlot] = ObjectValue(c.Self)
+	}
+	for i, slot := range sc.ParamSlots {
+		if i < len(args) {
+			slots[slot] = args[i]
+		} else {
+			// The zero Value reads back as undefined; the explicit
+			// write keeps last-write-wins for duplicate parameter names.
+			slots[slot] = Undefined
 		}
 	}
-	// Engine dispatch: resolved bodies run on the bytecode engine when the
-	// realm enables it (dispatch.go); everything else — and any function
-	// the compiler rejects — walks the tree exactly as before. Both
-	// engines receive the frame built above, identical but for `arguments`.
-	if in.bytecode && c.Decl.Scope != nil {
-		if ch := chunkFor(c.Decl); ch != nil {
-			return in.runChunk(ch, env)
+	if sc.ThisSlot >= 0 {
+		slots[sc.ThisSlot] = this
+	}
+	if sc.NewTargetSlot >= 0 {
+		slots[sc.NewTargetSlot] = newTarget
+	}
+	var ch *chunk
+	if in.bytecode {
+		ch = chunkFor(c.Decl)
+	}
+	if sc.ArgumentsSlot >= 0 {
+		// Only when the body names `arguments` (nothing else can see it):
+		// a chunk reads the actuals in place, the walker builds the object.
+		if ch != nil {
+			slots[sc.ArgumentsSlot] = argsValue(args)
+		} else {
+			slots[sc.ArgumentsSlot] = ObjectValue(in.newArguments(args))
 		}
+	}
+	for _, fd := range sc.FnDecls {
+		slots[fd.Slot] = ObjectValue(in.makeFunction(fd.Fn, env))
+	}
+	// Engine dispatch: the body runs as its chunk when the realm runs
+	// bytecode (dispatch.go) and the compiler did not refuse the function,
+	// and walks the tree otherwise. Both engines receive the frame built
+	// above, identical but for `arguments`.
+	if ch != nil {
+		return in.runChunk(ch, env)
 	}
 	err := in.execStmts(c.Decl.Body, env)
 	switch e := err.(type) {

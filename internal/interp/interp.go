@@ -24,11 +24,11 @@ type Options struct {
 	Out io.Writer
 	// Seed seeds Math.random for reproducible benchmarks.
 	Seed uint64
-	// Bytecode dispatches resolved function bodies through the flat
-	// bytecode engine (internal/bytecode + dispatch.go) instead of the
-	// tree-walker. Dynamic code — the global frame, eval'd fragments,
-	// unresolved trees — and any function the compiler refuses always run
-	// on the tree-walker; the two engines are observationally identical.
+	// Bytecode dispatches function bodies through the flat bytecode engine
+	// (internal/bytecode + dispatch.go) instead of the tree-walker.
+	// Global-frame code — a program's and an eval'd fragment's top-level
+	// statements — and any function the compiler refuses always run on the
+	// tree-walker; the two engines are observationally identical.
 	Bytecode bool
 	// MaxSteps aborts execution with ErrStepBudget once the statement
 	// counter exceeds it; 0 means unlimited. Both engines check at the
@@ -180,7 +180,7 @@ func New(opts Options) *Interp {
 		in.StartProfile(opts.ProfileEvery)
 	}
 	in.recomputeStepLimit()
-	in.Global = NewEnv(nil)
+	in.Global = &Env{cells: make(map[string]*cell)}
 	in.setupGlobals()
 	return in
 }
@@ -327,13 +327,14 @@ func (in *Interp) NewError(name, message string) *Object {
 	return e
 }
 
-// RunProgram hoists and executes a program in the global environment. A
-// resolved program must continue this realm's site numbering (see
-// ReserveSites): the first from a fresh allocator, any later one — an eval
-// fragment, a REPL turn — from Sites.
+// RunProgram hoists and executes a program in the global environment. The
+// program went through internal/resolve (a function that did not ends the
+// run with a host error when it is called), continuing this realm's site
+// numbering (see ReserveSites): the first from a fresh allocator, any later
+// one — an eval fragment, a REPL turn — from Sites.
 func (in *Interp) RunProgram(prog *ast.Program) error {
 	in.ReserveSites(prog.Sites)
-	in.hoistInto(prog.Body, in.Global)
+	in.hoistGlobals(prog.Body)
 	return in.execStmts(prog.Body, in.Global)
 }
 
@@ -366,29 +367,17 @@ func (in *Interp) NewPlainObject() *Object {
 // Hoisting
 // ---------------------------------------------------------------------------
 
-type hoistInfo struct {
-	vars []string
-	fns  []*ast.Func
-}
-
-// hoistScan collects var and function declarations without descending into
-// nested functions. The scan itself lives in the ast package so the static
-// resolver hoists by exactly the same rule.
-func hoistScan(body []ast.Stmt) *hoistInfo {
+// hoistGlobals predeclares a program's vars (undefined) and function
+// declarations in the global frame.
+func (in *Interp) hoistGlobals(body []ast.Stmt) {
 	vars, fns := ast.HoistedDecls(body)
-	return &hoistInfo{vars: vars, fns: fns}
-}
-
-// hoistInto predeclares vars (undefined) and function declarations in env.
-func (in *Interp) hoistInto(body []ast.Stmt, env *Env) {
-	h := hoistScan(body)
-	for _, name := range h.vars {
-		if !env.Has(name) {
-			env.Define(name, Undefined)
+	for _, name := range vars {
+		if in.Global.Cell(name) == nil {
+			in.Global.Define(name, Undefined)
 		}
 	}
-	for _, fn := range h.fns {
-		env.Define(fn.Name, ObjectValue(in.makeFunction(fn, env)))
+	for _, fn := range fns {
+		in.Global.Define(fn.Name, ObjectValue(in.makeFunction(fn, in.Global)))
 	}
 }
 
@@ -480,31 +469,19 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 	case *ast.VarDecl:
 		for i := range n.Decls {
 			d := &n.Decls[i]
-			if d.Ref.Valid() {
-				// The binding was hoisted into a slot frame; with no
-				// initializer there is nothing to do (the slot is already
-				// undefined, and re-executing `var x` must not reset it).
-				if d.Init != nil {
-					v, err := in.eval(d.Init, env)
-					if err != nil {
-						return err
-					}
-					env.SetRef(d.Ref, v)
-				}
-				continue
-			}
 			if d.Init == nil {
-				if !env.Has(d.Name) && !envChainHas(env, d.Name) {
-					env.Define(d.Name, Undefined)
-				}
+				// Hoisting made the binding — a slot of the frame, or a
+				// global cell — and re-executing `var x` must not reset it.
 				continue
 			}
 			v, err := in.eval(d.Init, env)
 			if err != nil {
 				return err
 			}
-			if !env.Set(d.Name, v) {
-				env.Define(d.Name, v)
+			if d.Ref.Valid() {
+				env.SetRef(d.Ref, v)
+			} else {
+				in.setByName(env, d.Name, v)
 			}
 		}
 		return nil
@@ -541,14 +518,8 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 		return &Thrown{Value: v}
 	case *ast.Try:
 		return in.execTry(n, env)
-	case *ast.FuncDecl:
-		// Handled by hoisting; re-executing is a no-op, but if hoisting was
-		// bypassed (eval'd fragments), define it now.
-		if !envChainHas(env, n.Fn.Name) {
-			env.Define(n.Fn.Name, ObjectValue(in.makeFunction(n.Fn, env)))
-		}
-		return nil
-	case *ast.Empty:
+	case *ast.FuncDecl, *ast.Empty:
+		// A declaration was bound on entry, by hoisting.
 		return nil
 	}
 	return fmt.Errorf("interp: unknown statement %T", s)
@@ -564,11 +535,6 @@ func (in *Interp) newReturn(v Value) *returnErr {
 		return re
 	}
 	return &returnErr{value: v}
-}
-
-func envChainHas(env *Env, name string) bool {
-	_, ok := env.Lookup(name)
-	return ok
 }
 
 func hasLabel(labels []string, l string) bool {
@@ -671,17 +637,14 @@ func (in *Interp) execForIn(n *ast.ForIn, env *Env, labels []string) error {
 	if o == nil {
 		return nil // primitives enumerate nothing we support
 	}
-	if !n.Ref.Valid() && n.Decl && !envChainHas(env, n.Name) {
-		env.Define(n.Name, Undefined)
-	}
 	for _, key := range o.OwnKeys() {
 		kv := StringValue(key)
 		if n.Ref.Valid() {
 			env.SetRef(n.Ref, kv)
-		} else if !env.Set(n.Name, kv) {
-			// Undeclared loop variable: implicit global, as in non-strict
-			// JS (and as storeIdent does for plain assignments).
-			env.Root().Define(n.Name, kv)
+		} else {
+			// A global — an undeclared loop variable makes an implicit
+			// one — or a slot past ast.Ref's range.
+			in.setByName(env, n.Name, kv)
 		}
 		stop, err := loopIterDone(in.execStmt(n.Body, env), labels)
 		if stop {
@@ -766,14 +729,8 @@ func (in *Interp) execTry(n *ast.Try, env *Env) error {
 	in.charge(in.Engine.TryCost)
 	err := in.execStmts(n.Block.Body, env)
 	if t, ok := err.(*Thrown); ok && n.Catch != nil {
-		var cenv *Env
-		if n.CatchScope != nil {
-			cenv = NewSlotEnv(env, n.CatchScope)
-			cenv.slots[0] = t.Value
-		} else {
-			cenv = NewEnv(env)
-			cenv.Define(n.CatchParam, t.Value)
-		}
+		cenv := NewSlotEnv(env, n.CatchScope)
+		cenv.slots[0] = t.Value
 		err = in.execStmts(n.Catch.Body, cenv)
 	}
 	if n.Finally != nil && isCompletion(err) {

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/parser"
-
 	"repro/internal/ast"
+	"repro/internal/parser"
+	"repro/internal/resolve"
 )
 
 // Additional semantic coverage: error paths, coercion corners, and builtin
@@ -198,7 +198,7 @@ func TestSeededRandomDiffersAcrossSeeds(t *testing.T) {
 
 func runWithSeed(t *testing.T, src string, seed uint64) string {
 	t.Helper()
-	prog, err := parserParse(src)
+	prog, err := parseResolved(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDisplayFormats(t *testing.T) {
 }
 
 func TestStepsAndDepthAccounting(t *testing.T) {
-	prog, err := parserParse(`
+	prog, err := parseResolved(`
 function r(n) { if (n === 0) { return 0; } return r(n - 1); }
 r(10);`)
 	if err != nil {
@@ -253,6 +253,14 @@ func TestAtomicSections(t *testing.T) {
 	}
 }
 
-func parserParse(src string) (*ast.Program, error) { return parser.Parse(src) }
+// parseResolved is the front end every engine run sits behind: parse, then
+// internal/resolve, without which no function can be called.
+func parseResolved(src string) (*ast.Program, error) {
+	prog, err := parser.Parse(src)
+	if err == nil {
+		resolve.Program(prog)
+	}
+	return prog, err
+}
 
 func writerOf(sb *strings.Builder) io.Writer { return sb }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eventloop"
 	"repro/internal/parser"
+	"repro/internal/resolve"
 )
 
 // run executes src and returns console output.
@@ -22,7 +23,7 @@ func run(t *testing.T, src string) string {
 }
 
 func tryRun(src string) (string, error) {
-	prog, err := parser.Parse(src)
+	prog, err := parseResolved(src)
 	if err != nil {
 		return "", err
 	}
@@ -460,7 +461,7 @@ console.log(f(1, 2, 3));`, "3")
 }
 
 func TestStackOverflow(t *testing.T) {
-	prog, err := parser.Parse("function f() { return f(); } f();")
+	prog, err := parseResolved("function f() { return f(); } f();")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +484,7 @@ func TestSetTimeoutOrdering(t *testing.T) {
 	loop := eventloop.New(clock)
 	var buf bytes.Buffer
 	in := New(Options{Out: &buf, Clock: clock, Loop: loop})
-	prog, err := parser.Parse(`
+	prog, err := parseResolved(`
 setTimeout(function () { console.log("b"); }, 10);
 setTimeout(function () { console.log("a"); }, 0);
 console.log("sync");`)
@@ -537,12 +538,13 @@ func TestDateNow(t *testing.T) {
 	clock := eventloop.NewVirtualClock()
 	var buf bytes.Buffer
 	in := New(Options{Out: &buf, Clock: clock})
-	prog, _ := parser.Parse("var t0 = Date.now(); console.log(t0);")
+	prog, _ := parseResolved("var t0 = Date.now(); console.log(t0);")
 	if err := in.RunProgram(prog); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(250)
 	prog2, _ := parser.Parse("console.log(Date.now());")
+	resolve.ProgramFrom(prog2, in.Sites())
 	if err := in.RunProgram(prog2); err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +568,7 @@ func TestVoidAndUnaryPlus(t *testing.T) {
 }
 
 func TestStepsCounter(t *testing.T) {
-	prog, _ := parser.Parse("var s = 0; for (var i = 0; i < 100; i++) { s += i; }")
+	prog, _ := parseResolved("var s = 0; for (var i = 0; i < 100; i++) { s += i; }")
 	in := New(Options{})
 	if err := in.RunProgram(prog); err != nil {
 		t.Fatal(err)
@@ -584,16 +586,42 @@ func TestEvalWithoutHookThrows(t *testing.T) {
 }
 
 func TestEvalWithHook(t *testing.T) {
-	prog, _ := parser.Parse(`eval("globalFromEval = 7;"); console.log(globalFromEval);`)
+	prog, _ := parseResolved(`eval("globalFromEval = 7;"); console.log(globalFromEval);`)
 	var buf bytes.Buffer
 	in := New(Options{Out: &buf})
 	in.EvalHook = func(src string) (*ast.Program, error) {
-		return parser.Parse(src)
+		frag, err := parser.Parse(src)
+		if err == nil {
+			resolve.ProgramFrom(frag, in.Sites())
+		}
+		return frag, err
 	}
 	if err := in.RunProgram(prog); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "7\n" {
 		t.Errorf("eval output: %q", buf.String())
+	}
+}
+
+// A tree that skipped internal/resolve has no frame layouts, and there is no
+// frame shape to run it on: the first call ends the run with a host error,
+// on either engine, and the guest's own handlers do not see it.
+func TestUnresolvedFunctionIsHostError(t *testing.T) {
+	for _, bc := range []bool{false, true} {
+		prog, err := parser.Parse(`
+function f() { return 1; }
+try { console.log(f()); } finally { console.log("finally"); }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		in := New(Options{Out: &buf, Bytecode: bc})
+		if err := in.RunProgram(prog); err != errNotResolved || buf.Len() != 0 {
+			t.Errorf("bytecode=%v: err %v, output %q; want %v and no output", bc, err, buf.String(), errNotResolved)
+		}
+		if in.Depth() != 0 {
+			t.Errorf("bytecode=%v: depth %d after the refused call", bc, in.Depth())
+		}
 	}
 }

@@ -216,9 +216,6 @@ func (in *Interp) icSetAt(site uint32) *setIC { return &in.icSet[site] }
 // icCellAt returns the global-binding cell cached for an identifier site.
 func (in *Interp) icCellAt(site uint32) *cell { return in.icGlobal[site] }
 
-// icCacheCell records the binding cell for an identifier site.
-func (in *Interp) icCacheCell(site uint32, c *cell) { in.icGlobal[site] = c }
-
 // lookupPath resolves key starting at o, returning the holding object and
 // slot index, or (nil, -1) when the property exists nowhere on the chain.
 // The walk marks every prototype it crosses (usedAsProto) so that inline-

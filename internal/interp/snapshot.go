@@ -56,16 +56,12 @@ func (o *Object) OwnPropAt(i int) (string, *Prop) {
 // Parent returns the enclosing frame (nil for the global frame).
 func (e *Env) Parent() *Env { return e.parent }
 
-// Layout returns the static slot layout (nil for dynamic map frames).
+// Layout returns the static slot layout (nil for the global frame).
 func (e *Env) Layout() *ast.ScopeInfo { return e.layout }
 
 // SlotValues returns the live slot prefix of a slot frame (aliased, not
 // copied; the snapshot walk only reads it).
 func (e *Env) SlotValues() []Value { return e.slots }
-
-// DynamicVars returns the dynamic bindings map (nil when none). Callers
-// that need determinism must sort the keys.
-func (e *Env) DynamicVars() map[string]Value { return e.vars }
 
 // IsGlobalFrame reports whether this is the realm's cell-backed root frame.
 func (e *Env) IsGlobalFrame() bool { return e.cells != nil }
@@ -91,23 +87,6 @@ func (in *Interp) RestoredSlotEnv(parent *Env, layout *ast.ScopeInfo, slots []Va
 	e := &Env{parent: parent, layout: layout, slots: slots, escaped: true}
 	in.chargeMem(frameMemCost(e))
 	return e
-}
-
-// RestoredDynamicEnv builds a dynamic map frame for a decoded snapshot,
-// escaped for the same reason as RestoredSlotEnv.
-func (in *Interp) RestoredDynamicEnv(parent *Env, vars map[string]Value) *Env {
-	if vars == nil {
-		vars = make(map[string]Value)
-	}
-	return &Env{parent: parent, vars: vars, escaped: true}
-}
-
-// AttachDynamicVars installs decoded dynamic bindings on a slot frame (a
-// frame that grew a vars map through eval/for-in in the source realm).
-func (e *Env) AttachDynamicVars(vars map[string]Value) {
-	if len(vars) > 0 {
-		e.vars = vars
-	}
 }
 
 // SetRestoredParent wires a decoded frame into its chain. Decoding

@@ -307,8 +307,6 @@ type Closure struct {
 	Decl *ast.Func
 	Env  *Env
 	Self *Object // the function object, for named-expression self-reference
-
-	hoisted *hoistInfo // lazily computed var/function hoisting data
 }
 
 // Name returns the function's declared name ("" for anonymous).
@@ -323,10 +321,6 @@ func (c *Closure) Body() []ast.Stmt { return c.Decl.Body }
 // Arrow reports whether this is an arrow function (lexical this, no
 // arguments object).
 func (c *Closure) Arrow() bool { return c.Decl.Arrow }
-
-// Scope returns the resolver's frame layout; nil means calls build dynamic
-// map frames.
-func (c *Closure) Scope() *ast.ScopeInfo { return c.Decl.Scope }
 
 // Object is everything with identity: plain objects, arrays, functions,
 // errors, and the arguments object.

@@ -1,18 +1,20 @@
 // Package resolve implements static scope resolution for the interpreter
 // substrate: a pass that runs after the Stopify pipeline (or after plain
 // parsing, for raw runs) and annotates every lexical reference with a
-// (hops, slot) coordinate, so the interpreter can replace map-based
-// environment chains with slice-backed frames — the same
+// (hops, slot) coordinate, so the interpreter runs on slice-backed frames
+// instead of chains of maps — the same
 // resolve-before-execute move real engines make in their bytecode
 // front-ends, and the same static-scope analysis Stopify itself relies on
 // when it boxes assignable captured variables (§3.2.1 of the paper).
 //
-// The pass is strictly an annotation: trees that skip it (hand-built
-// fragments, code eval'd under a raw host) still run on dynamic map frames,
-// and any single reference the resolver cannot place — a global, a name
-// bound only at runtime, a coordinate that overflows the packed Ref — is
-// simply left unresolved and falls back to by-name lookup. Program
-// semantics are identical either way.
+// The pass is a precondition of execution, not an optimisation an engine may
+// find missing: a frame is either the realm's global frame or a slot frame
+// laid out here, and interp.Call refuses a function that has no layout. Every
+// reference leaves with one of three answers — a (hops, slot) coordinate; a
+// proof that no static scope binds the name (ast.RefGlobal), so only the
+// global frame can; or, when the coordinate overflows the packed Ref (a
+// function with more than 65 534 slots), Ref zero, which the engines look up
+// by name over the same layouts (ScopeInfo.Index).
 //
 // Scope model. The interpreter creates exactly one environment frame per
 // function call and one per entered catch clause; blocks do not create
@@ -23,7 +25,7 @@
 // drift), and counts hops from the reference site to the defining scope.
 // Top-level code runs in the global frame, which is dynamic by design —
 // builtins, the Stopify runtime, and eval'd code all define names there at
-// runtime — so references that reach the top are left unresolved.
+// runtime — so references that reach the top are marked RefGlobal.
 package resolve
 
 import "repro/internal/ast"
@@ -39,8 +41,7 @@ import "repro/internal/ast"
 // program, and a fragment compiled later continues from the realm's own
 // count. Numbering is dense, which is what lets the interpreter size its
 // cache tables to exactly the code it runs however long the process has
-// been compiling other programs. 0 is reserved for "no cache" — the zero
-// value of unresolved/hand-built nodes.
+// been compiling other programs. 0 is reserved for "no cache".
 
 // Program resolves every function in p in place, numbering its sites from 1.
 func Program(p *ast.Program) {
@@ -49,8 +50,8 @@ func Program(p *ast.Program) {
 
 // ProgramFrom is Program continuing the numbering after sites, for a tree
 // that joins others in one realm. The allocator's final state is recorded
-// in p.Sites. The top-level statements themselves run in the dynamic global
-// frame; every function literal within gets a slot layout.
+// in p.Sites. The top-level statements themselves run in the global frame;
+// every function literal within gets a slot layout.
 func ProgramFrom(p *ast.Program, sites ast.Sites) {
 	r := resolver{sites: sites}
 	// Top-level function declarations are hoisted into the global frame
@@ -68,8 +69,8 @@ func ProgramFrom(p *ast.Program, sites ast.Sites) {
 // resolver carries the site allocator through one pass.
 type resolver struct{ sites ast.Sites }
 
-// scope is one frame in the static chain. A nil *scope is the dynamic
-// global frame: lookups that reach it resolve to nothing.
+// scope is one frame in the static chain. A nil *scope is the global frame:
+// a lookup that reaches it is RefGlobal.
 type scope struct {
 	parent *scope
 	names  []string
@@ -100,9 +101,9 @@ func (s *scope) define(name string) int {
 }
 
 // lookup finds name in the static chain and returns its packed coordinate.
-// A name bound by no enclosing scope resolves to RefGlobal — a proof the
-// interpreter may skip every slot layout — and a coordinate that overflows
-// the packing returns 0, plain dynamic lookup.
+// A name bound by no enclosing scope resolves to RefGlobal — the interpreter
+// goes straight to the global frame — and a coordinate that overflows the
+// packing returns 0, lookup by name.
 func lookup(sc *scope, name string) ast.Ref {
 	hops := 0
 	for s := sc; s != nil; s = s.parent {
@@ -110,8 +111,8 @@ func lookup(sc *scope, name string) ast.Ref {
 			if s.info != nil && slot == s.info.argumentsSlot {
 				// The arguments object is observed; the interpreter must
 				// materialize it on entry to this function — even when the
-				// coordinate below overflows and the reference itself stays
-				// dynamic, since the by-name fallback reads the same slot.
+				// coordinate below overflows and the reference goes by name,
+				// since that lookup reads the same slot.
 				s.info.layout.ArgumentsSlot = slot
 			}
 			r, ok := ast.MakeRef(hops, slot)
@@ -136,10 +137,10 @@ func (r *resolver) resolveFunc(fn *ast.Func, enclosing *scope) {
 	}
 	sc.info = &scopeExtra{layout: layout, argumentsSlot: -1}
 
-	// Slot assignment mirrors the interpreter's dynamic define order on
-	// call entry, so later writes to a reused name overwrite earlier ones
-	// exactly as repeated map defines did: self name, parameters, then the
-	// implicit bindings, then hoisted declarations.
+	// Slot assignment is in the order the interpreter writes a frame on
+	// call entry, so later writes to a reused name overwrite earlier ones:
+	// self name, parameters, then the implicit bindings, then hoisted
+	// declarations.
 	if fn.Name != "" && !fn.Arrow {
 		layout.SelfSlot = sc.define(fn.Name)
 	}

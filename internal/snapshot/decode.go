@@ -99,14 +99,9 @@ type rawObj struct {
 }
 
 type rawEnv struct {
-	slot      bool
 	parentRef int
 	scopeID   int
 	slots     []wval
-	vars      []struct {
-		key string
-		val wval
-	}
 }
 
 type dec struct {
@@ -252,15 +247,11 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 	// forward — discovery order walks child before parent).
 	d.envs = make([]*interp.Env, len(rawEnvs))
 	for i, re := range rawEnvs {
-		if re.slot {
-			layout := code.Scope(re.scopeID)
-			if layout == nil || len(layout.Names) != len(re.slots) {
-				return nil, corruptf("env %d: slot count %d does not match layout", i, len(re.slots))
-			}
-			d.envs[i] = in.RestoredSlotEnv(nil, layout, make([]interp.Value, len(re.slots)))
-		} else {
-			d.envs[i] = in.RestoredDynamicEnv(nil, nil)
+		layout := code.Scope(re.scopeID)
+		if layout == nil || len(layout.Names) != len(re.slots) {
+			return nil, corruptf("env %d: slot count %d does not match layout", i, len(re.slots))
 		}
+		d.envs[i] = in.RestoredSlotEnv(nil, layout, make([]interp.Value, len(re.slots)))
 	}
 	global := in.Global
 	envOf := func(ref int) (*interp.Env, error) {
@@ -343,17 +334,6 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 				return nil, err
 			}
 			env.SlotValues()[j] = v
-		}
-		if len(re.vars) > 0 {
-			vars := make(map[string]interp.Value, len(re.vars))
-			for _, kv := range re.vars {
-				v, err := d.resolve(kv.val)
-				if err != nil {
-					return nil, err
-				}
-				vars[kv.key] = v
-			}
-			env.AttachDynamicVars(vars)
 		}
 	}
 
@@ -527,26 +507,21 @@ func (d *dec) parseProp(r *reader, p *rawProp) {
 	p.val = d.rval(r)
 }
 
+// parseEnv reads one frame: a slot frame with no by-name bindings, the only
+// kind of frame a realm has besides its global one (emitEnvs). A blob that
+// says otherwise asks for a frame shape no engine can run on.
 func (d *dec) parseEnv(r *reader, re *rawEnv) {
-	re.slot = r.u8() == 1
-	re.parentRef = r.ref()
-	if re.slot {
-		re.scopeID = r.ref()
-		re.slots = make([]wval, r.count())
-		for i := range re.slots {
-			re.slots[i] = d.rval(r)
-		}
+	if kind := r.u8(); kind != envSlotFrame && r.err == nil {
+		r.err = corruptf("unknown frame kind %d", kind)
 	}
-	n := r.count()
-	if n > 0 {
-		re.vars = make([]struct {
-			key string
-			val wval
-		}, n)
-		for i := range re.vars {
-			re.vars[i].key = r.str()
-			re.vars[i].val = d.rval(r)
-		}
+	re.parentRef = r.ref()
+	re.scopeID = r.ref()
+	re.slots = make([]wval, r.count())
+	for i := range re.slots {
+		re.slots[i] = d.rval(r)
+	}
+	if n := r.uvarint(); n != 0 && r.err == nil {
+		r.err = corruptf("frame carries %d by-name bindings", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/interp"
 	"repro/internal/rt"
@@ -478,17 +477,12 @@ func (e *enc) scanObject(o *interp.Object) {
 }
 
 func (e *enc) scanEnv(env *interp.Env) {
-	if layout := env.Layout(); layout != nil {
-		if _, ok := e.code.ScopeID(layout); !ok {
-			e.err = pinf(PinEval, "environment frame with a layout outside the compiled program (eval)")
-			return
-		}
+	if _, ok := e.code.ScopeID(env.Layout()); !ok {
+		e.err = pinf(PinEval, "environment frame with a layout outside the compiled program (eval)")
+		return
 	}
 	e.discoverEnv(env.Parent())
 	for _, v := range env.SlotValues() {
-		e.discoverValue(v)
-	}
-	for _, v := range env.DynamicVars() {
 		e.discoverValue(v)
 	}
 }
@@ -572,38 +566,28 @@ func (e *enc) prop(w *writer, p interp.Prop) {
 	e.value(w, p.Value)
 }
 
+// emitEnvs writes the frames. Every frame but the global one is a slot
+// frame, so the kind byte is always envSlotFrame and the by-name binding count
+// that follows the slots always zero: version 3 gave both a byte, and
+// parseEnv refuses any other value of either.
 func (e *enc) emitEnvs(w *writer) {
 	w.uvarint(uint64(len(e.envs)))
 	for _, env := range e.envs {
-		layout := env.Layout()
-		if layout != nil {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		w.u8(envSlotFrame)
 		e.envRef(w, env.Parent())
-		if layout != nil {
-			id, _ := e.code.ScopeID(layout)
-			w.uvarint(uint64(id))
-			slots := env.SlotValues()
-			w.uvarint(uint64(len(slots)))
-			for _, v := range slots {
-				e.value(w, v)
-			}
+		id, _ := e.code.ScopeID(env.Layout())
+		w.uvarint(uint64(id))
+		slots := env.SlotValues()
+		w.uvarint(uint64(len(slots)))
+		for _, v := range slots {
+			e.value(w, v)
 		}
-		vars := env.DynamicVars()
-		keys := make([]string, 0, len(vars))
-		for k := range vars {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		w.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			w.str(k)
-			e.value(w, vars[k])
-		}
+		w.uvarint(0)
 	}
 }
+
+// envSlotFrame is the one frame kind on the wire.
+const envSlotFrame = 1
 
 // envRef: 0 is the global frame, i+1 is env node i.
 func (e *enc) envRef(w *writer, env *interp.Env) {
