@@ -5,18 +5,16 @@
 //
 //	stopibench                        # run everything at full settings
 //	stopibench -quick                 # fast smoke pass
-//	stopibench -fig 2c                # one experiment (2a 2b 2c 5 7 10 11 12 13 14 15 strawmen codesize)
+//	stopibench -fig 2c                # one experiment (5 2a 2b 2c 7 10 11 12 13 14 15 strawmen codesize ablation-guards)
 //	stopibench -repeats 10            # paper-grade repetition
-//	stopibench -supervisor -arrival-rate 500 -duration 30s
-//	                                  # sustained open-loop load harness (windowed P99);
-//	                                  # without -arrival-rate it runs at the harness's default rate
-//	stopibench -supervisor -arrival-rate 500 -duration 30s -supervisor-bench BENCH_supervisor.json
-//	                                  # ...and append the run to the committed trajectory
-//	stopibench -supervisor-check -arrival-rate 150 -duration 10s
-//	                                  # re-run and fail past the SLO's two bounds
-//	                                  # (leaves a Chrome trace post-mortem under $TMPDIR; -trace-out overrides)
+//	stopibench -supervisor -arrival-rate 150 -duration 10s
+//	                                  # sustained open-loop load (4 workers, windowed P99): prints the
+//	                                  # report, leaves a Chrome trace post-mortem under $TMPDIR
+//	                                  # (-trace-out overrides) and fails past the SLO's two bounds
+//	stopibench -supervisor -arrival-rate 150 -duration 10s -supervisor-bench BENCH_supervisor.json
+//	                                  # ...and appends the run to the committed trajectory
 //	stopibench -profile               # where do the figure benchmarks' statements go?
-//	                                  # guest-level sampling profile, top-N tables
+//	                                  # guest-level sampling profile, top-10 tables
 package main
 
 import (
@@ -35,26 +33,19 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "experiment to run (see Order in internal/bench)")
+		fig     = flag.String("fig", "all", "experiment to run (see Experiments in internal/bench)")
 		quick   = flag.Bool("quick", false, "small workloads, single repetition")
 		repeats = flag.Int("repeats", 0, "timed runs per data point (default 5, paper uses 10)")
 
-		supFlag    = flag.Bool("supervisor", false, "run the sustained open-loop supervisor load harness and exit")
-		supWorkers = flag.Int("supervisor-workers", 4, "worker pool size for -supervisor")
-		supQuantum = flag.Uint64("supervisor-quantum", 2000, "scheduling quantum in statements for -supervisor")
-		supBench   = flag.String("supervisor-bench", "", "append the -supervisor result to this JSON trajectory file (BENCH_supervisor.json)")
-		supCheck   = flag.Bool("supervisor-check", false, "run the sustained-load harness and fail if its worst-window P99 sched latency or its error rate is past the SLO's bound")
-
-		arrivalRate = flag.Float64("arrival-rate", 0, "open-loop arrival rate in guests/sec for -supervisor / -supervisor-check (0 = the harness default)")
+		supFlag     = flag.Bool("supervisor", false, "run the sustained open-loop supervisor load harness, fail past the SLO's bounds, and exit")
+		supBench    = flag.String("supervisor-bench", "", "append the -supervisor result to this JSON trajectory file (BENCH_supervisor.json)")
+		arrivalRate = flag.Float64("arrival-rate", 0, "open-loop arrival rate in guests/sec for -supervisor (0 = the harness default)")
 		duration    = flag.Duration("duration", 10*time.Second, "generation period for the open-loop harness")
-		fixedArr    = flag.Bool("fixed-arrivals", false, "fixed-interval arrivals instead of Poisson")
 		maxResident = flag.Int("supervisor-max-resident", 0, "MaxResident for the load harness (0 = workers*8, forcing park/restore on the hot path; negative = unbounded)")
-		supSeed     = flag.Int64("supervisor-seed", 1, "seed for arrival spacing and churn targeting")
 
 		profFlag   = flag.Bool("profile", false, "profile the Octane/Kraken-like figure suites with the guest-level sampling profiler and exit")
-		profTop    = flag.Int("profile-top", 10, "rows per benchmark in the -profile table")
 		profEvery  = flag.Uint64("profile-every", 0, "sampling period in statements for -profile and the load harness (0 = 1000 for -profile, off for the harness)")
-		traceOut   = flag.String("trace-out", "", "write the load harness's flight-recorder trace (Chrome trace-event JSON) here; -supervisor-check defaults one under $TMPDIR")
+		traceOut   = flag.String("trace-out", "", "write the load harness's flight-recorder trace (Chrome trace-event JSON) here instead of under $TMPDIR")
 		profileOut = flag.String("profile-out", "", "write the load harness's per-tenant folded-stack profile here (needs -profile-every)")
 	)
 	flag.Parse()
@@ -67,70 +58,49 @@ func main() {
 		cfg.Repeats = *repeats
 	}
 
-	if *profFlag {
-		if err := runProfileMode(*profEvery, *profTop); err != nil {
-			fmt.Fprintln(os.Stderr, "stopibench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *supFlag || *supCheck {
+	switch {
+	case *profFlag:
+		exitOn(runProfileMode(*profEvery))
+	case *supFlag:
 		loadCfg := supervisor.LoadConfig{
-			ArrivalRate:   *arrivalRate,
-			Duration:      *duration,
-			FixedArrivals: *fixedArr,
-			Workers:       *supWorkers,
-			QuantumSteps:  *supQuantum,
-			MaxResident:   *maxResident,
-			Seed:          *supSeed,
-			ProfileEvery:  *profEvery,
-			TraceOut:      *traceOut,
-			ProfileOut:    *profileOut,
+			ArrivalRate:  *arrivalRate,
+			Duration:     *duration,
+			MaxResident:  *maxResident,
+			ProfileEvery: *profEvery,
+			TraceOut:     *traceOut,
+			ProfileOut:   *profileOut,
 		}
 		if loadCfg.ProfileOut != "" && loadCfg.ProfileEvery == 0 {
-			fmt.Fprintln(os.Stderr, "stopibench: -profile-out needs -profile-every > 0 (nothing would be sampled)")
-			os.Exit(1)
+			exitOn(fmt.Errorf("-profile-out needs -profile-every > 0 (nothing would be sampled)"))
 		}
-		var err error
-		switch {
-		case *supCheck:
-			if loadCfg.ArrivalRate <= 0 {
-				loadCfg.ArrivalRate = 150 // smoke-scale default for the gate
-			}
-			if loadCfg.TraceOut == "" {
-				// Every SLO-gate run leaves a post-mortem: when the gate
-				// trips on a CI machine nobody can attach to, the flight
-				// recorder's last ring is the evidence.
-				loadCfg.TraceOut = filepath.Join(os.TempDir(), "stopibench-supervisor-check.trace.json")
-			}
-			err = checkSupervisorLoad(loadCfg)
-		default:
-			err = runSupervisorLoad(loadCfg, *supBench)
+		if loadCfg.TraceOut == "" {
+			// Every run leaves a post-mortem: when the gate trips on a CI
+			// machine nobody can attach to, the flight recorder's last ring
+			// is the evidence.
+			loadCfg.TraceOut = filepath.Join(os.TempDir(), "stopibench-load.trace.json")
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stopibench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fig == "all" {
+		exitOn(runSupervisorLoad(loadCfg, *supBench))
+	case *fig == "all":
 		out, err := bench.RunAll(cfg)
 		fmt.Print(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stopibench:", err)
-			os.Exit(1)
+		exitOn(err)
+	default:
+		var ids []string
+		for _, e := range bench.Experiments {
+			if e.ID == *fig {
+				out, err := e.Run(cfg)
+				fmt.Print(out)
+				exitOn(err)
+				return
+			}
+			ids = append(ids, e.ID)
 		}
-		return
+		exitOn(fmt.Errorf("unknown figure %q; choose from %v", *fig, ids))
 	}
-	runner, ok := bench.Experiments()[*fig]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "stopibench: unknown figure %q; choose from %v\n", *fig, bench.Order())
-		os.Exit(1)
-	}
-	out, err := runner(cfg)
-	fmt.Print(out)
+}
+
+// exitOn ends the command with status 1 when err is set.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stopibench:", err)
 		os.Exit(1)
@@ -193,35 +163,8 @@ func appendTrajectory(path string, e supervisorTrajEntry) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// runSupervisorLoad executes the sustained open-loop harness and optionally
-// appends the run to the trajectory. Unexpected guest outcomes (wrong
-// output, an unasked-for error) fail the command — a latency number over
-// corrupted tenants would be worthless. Overload symptoms do NOT: an
-// open-loop harness pushed past the machine's capacity reports rejects,
-// stragglers, and a blown-up windowed P99 honestly, and the SLO verdict
-// belongs to -supervisor-check, which gates the same figures.
-func runSupervisorLoad(cfg supervisor.LoadConfig, benchPath string) error {
-	res, err := supervisor.RunLoad(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	if res.Unexpected > 0 {
-		return fmt.Errorf("sustained load: %d unexpected outcomes — %s",
-			res.Unexpected, res.FirstUnexpected)
-	}
-	if res.Stragglers > 0 || res.Rejected > 0 {
-		fmt.Printf("overloaded: %d stragglers past the drain budget, %d rejected admissions — offered load exceeds this machine's capacity\n",
-			res.Stragglers, res.Rejected)
-	}
-	if benchPath == "" {
-		return nil
-	}
-	return appendTrajectory(benchPath, supervisorTrajEntry{Kind: "load", Load: res})
-}
-
-// The SLO -supervisor-check gates on. The gate is a smoke alarm for CI, not
-// a microbenchmark: the bounds absorb the spread between machines (the
+// The SLO -supervisor gates on. The gate is a smoke alarm for CI, not a
+// microbenchmark: the bounds absorb the spread between machines (the
 // committed trajectory's entries read 1.9 ms and 0 on the machine that
 // captured them) while still catching the regressions that matter — a
 // scheduling cliff lands at ten times the bound, not 1.1 times.
@@ -230,22 +173,34 @@ const (
 	sloErrRate = 0.01  // unexpected outcomes, stragglers and rejects over admissions
 )
 
-// checkSupervisorLoad runs the sustained-load harness and fails when its
+// runSupervisorLoad executes the sustained open-loop harness, appends the run
+// to the trajectory at benchPath when one is given, and fails when its
 // windowed P99 scheduling latency or its error rate is past the SLO.
-func checkSupervisorLoad(cfg supervisor.LoadConfig) error {
+// Unexpected guest outcomes (wrong output, an unasked-for error) fail it
+// before anything is recorded — a latency number over corrupted tenants would
+// be worthless. Overload symptoms are recorded: an open-loop harness pushed
+// past the machine's capacity reports rejects, stragglers and a blown-up
+// windowed P99 honestly, and then fails the gate.
+func runSupervisorLoad(cfg supervisor.LoadConfig, benchPath string) error {
 	res, err := supervisor.RunLoad(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Print(res.Format())
-	if cfg.TraceOut != "" {
-		fmt.Printf("flight-recorder trace: %s\n", cfg.TraceOut)
+	fmt.Printf("flight-recorder trace: %s\n", cfg.TraceOut)
+	if res.Unexpected > 0 {
+		return fmt.Errorf("sustained load: %d guests with unexpected outcomes: %s",
+			res.Unexpected, res.FirstUnexpected)
+	}
+	if benchPath != "" {
+		if err := appendTrajectory(benchPath, supervisorTrajEntry{Kind: "load", Load: res}); err != nil {
+			return err
+		}
 	}
 
-	fmt.Println("supervisor-check:")
+	fmt.Println("SLO:")
 	fmt.Printf("  worst-window P99 %8.2f ms  gate %8.2f ms\n", res.WorstWindowP99, sloP99Ms)
 	fmt.Printf("  error rate       %8.4f     gate %8.4f\n", res.ErrorRate, sloErrRate)
-
 	var failures []string
 	if res.WorstWindowP99 > sloP99Ms {
 		failures = append(failures, fmt.Sprintf(
@@ -253,16 +208,12 @@ func checkSupervisorLoad(cfg supervisor.LoadConfig) error {
 	}
 	if res.ErrorRate > sloErrRate {
 		failures = append(failures, fmt.Sprintf(
-			"error rate %.4f exceeds gate %.4f (%d unexpected, %d stragglers, %d rejected)",
-			res.ErrorRate, sloErrRate, res.Unexpected, res.Stragglers, res.Rejected))
-	}
-	if res.Unexpected > 0 {
-		failures = append(failures, fmt.Sprintf(
-			"%d guests with unexpected outcomes: %s", res.Unexpected, res.FirstUnexpected))
+			"error rate %.4f exceeds gate %.4f (%d stragglers, %d rejected)",
+			res.ErrorRate, sloErrRate, res.Stragglers, res.Rejected))
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("supervisor SLO regression:\n  %s", strings.Join(failures, "\n  "))
 	}
-	fmt.Println("supervisor-check: within SLO")
+	fmt.Println("within SLO")
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // -profile mode: run the Octane-like and Kraken-like figure suites under the
-// guest-level sampling profiler and print a top-N table of where each
+// guest-level sampling profiler and print a top-ten table of where each
 // benchmark's statements go, attributed to the guest's own JavaScript
 // function names. This is the figure-benchmark counterpart of stopifyd's GET
 // /profile — the question it answers is "which guest function is hot", not
@@ -86,15 +86,15 @@ func profileOne(src string, every uint64) (map[string]uint64, error) {
 	return run.TakeProfileFolded(), nil
 }
 
+// profileTop is how many functions each benchmark's table lists.
+const profileTop = 10
+
 // runProfileMode is stopibench -profile: the full Octane-like + Kraken-like
-// suite, each benchmark reported as a top-N self/cumulative table over
-// sampled statements.
-func runProfileMode(every uint64, topN int) error {
+// suite, each benchmark reported as a top-profileTop self/cumulative table
+// over sampled statements.
+func runProfileMode(every uint64) error {
 	if every == 0 {
 		every = defaultProfileEvery
-	}
-	if topN <= 0 {
-		topN = 10
 	}
 	suite := append(langs.OctaneLike(), langs.KrakenLike()...)
 	fmt.Printf("== sampling every %d statements ==\n", every)
@@ -107,7 +107,7 @@ func runProfileMode(every uint64, topN int) error {
 		fmt.Printf("\n%s (%d sampled statements, %d functions):\n", b.Name, total, len(rows))
 		fmt.Printf("  %-28s %12s %6s %12s %6s\n", "function", "self", "self%", "cum", "cum%")
 		for i, r := range rows {
-			if i >= topN {
+			if i >= profileTop {
 				break
 			}
 			fmt.Printf("  %-28s %12d %5.1f%% %12d %5.1f%%\n",

@@ -169,8 +169,7 @@ type Func struct {
 
 	// Code is the engine's compiled form of the function (opaque: ast cannot
 	// import the engine), set once, by the first realm to call it. On the
-	// node, realms sharing a tree share it and it dies with the tree; Clone
-	// does not carry it.
+	// node, realms sharing a tree share it and it dies with the tree.
 	Code atomic.Value
 }
 
@@ -248,8 +247,7 @@ type Member struct {
 
 	// Site is the inline-cache site ID assigned by internal/resolve to
 	// non-computed accesses, indexing the interpreter's property caches;
-	// 0 means no cache. Like Ref, Site is dropped by CloneExpr — cloning
-	// happens before resolution, which assigns fresh IDs to the clone.
+	// 0 means no cache.
 	Site uint32
 }
 

@@ -74,38 +74,6 @@ func TestWalkToleratesNilFields(t *testing.T) {
 	Walk(b, func(Node) bool { return true })
 }
 
-// TestCloneIsDeep verifies that mutating a clone does not affect the
-// original anywhere in the tree.
-func TestCloneIsDeep(t *testing.T) {
-	orig := sampleProgram()
-	clone := CloneProgram(orig)
-
-	// Rename every identifier in the clone.
-	Walk(clone, func(n Node) bool {
-		if id, ok := n.(*Ident); ok {
-			id.Name = "MUTATED"
-		}
-		return true
-	})
-	Walk(orig, func(n Node) bool {
-		if id, ok := n.(*Ident); ok && id.Name == "MUTATED" {
-			t.Fatal("clone shares identifier nodes with original")
-		}
-		return true
-	})
-}
-
-func TestCloneStructurallyIdentical(t *testing.T) {
-	orig := sampleProgram()
-	clone := CloneProgram(orig)
-	var origCount, cloneCount int
-	Walk(orig, func(Node) bool { origCount++; return true })
-	Walk(clone, func(Node) bool { cloneCount++; return true })
-	if origCount != cloneCount {
-		t.Errorf("clone has %d nodes, original %d", cloneCount, origCount)
-	}
-}
-
 func TestPositions(t *testing.T) {
 	p := Pos{Line: 3, Col: 7}
 	if !p.Known() {
@@ -141,15 +109,5 @@ func TestBuilders(t *testing.T) {
 	}
 	if len(BlockOf(&Empty{}, &Empty{}).Body) != 2 {
 		t.Error("BlockOf")
-	}
-}
-
-// TestCloneDropsCode: a function's compiled form describes that node's
-// resolved annotations, so a clone — unresolved — starts without one.
-func TestCloneDropsCode(t *testing.T) {
-	fn := Fn(nil, Ret(Int(1)))
-	fn.Code.Store("compiled")
-	if c := CloneExpr(fn).(*Func); c.Code.Load() != nil {
-		t.Error("Clone carried the code slot")
 	}
 }

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§2 and §6) against this repository's
-// substrates. Each experiment returns structured results plus a rendered
-// text table whose rows mirror what the paper reports.
+// substrates. Each experiment returns a rendered text table whose rows
+// mirror what the paper reports.
 package bench
 
 import (
@@ -33,7 +33,7 @@ type Config struct {
 	// Repeats is the number of timed runs per data point (the paper uses
 	// 10).
 	Repeats int
-	// Quick shrinks everything for smoke tests and testing.B integration.
+	// Quick shrinks everything for smoke tests.
 	Quick bool
 }
 
@@ -73,7 +73,8 @@ func timeStopified(src string, opts core.Opts, eng *engine.Profile, repeats int)
 	return stats.Median(samples), nil
 }
 
-// timeRaw times the uninstrumented program.
+// timeRaw times the uninstrumented program, or a baseline's already
+// transformed plain-JS output.
 func timeRaw(src string, eng *engine.Profile, repeats int) (float64, error) {
 	var samples []float64
 	for i := 0; i < repeats; i++ {
@@ -84,11 +85,6 @@ func timeRaw(src string, eng *engine.Profile, repeats int) (float64, error) {
 		samples = append(samples, float64(time.Since(start))/1e6)
 	}
 	return stats.Median(samples), nil
-}
-
-// timeSource times an already-transformed plain-JS program (the baselines).
-func timeSource(src string, eng *engine.Profile, repeats int) (float64, error) {
-	return timeRaw(src, eng, repeats)
 }
 
 // verifySame checks that the stopified program prints what the raw program

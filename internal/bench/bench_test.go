@@ -10,29 +10,33 @@ import (
 )
 
 // TestEveryExperimentRuns smoke-tests each figure at quick settings; the
-// full-size runs live in cmd/stopibench and the root bench_test.go.
+// full-size runs live in cmd/stopibench.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
 	cfg := QuickConfig()
-	for _, id := range Order() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			out, err := Experiments()[id](cfg)
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			out, err := e.Run(cfg)
 			if err != nil {
-				t.Fatalf("figure %s: %v", id, err)
+				t.Fatalf("figure %s: %v", e.ID, err)
 			}
 			if !strings.Contains(out, "==") {
-				t.Fatalf("figure %s produced no table:\n%s", id, out)
+				t.Fatalf("figure %s produced no table:\n%s", e.ID, out)
 			}
 		})
 	}
 }
 
 func TestSlowdownMeasurement(t *testing.T) {
+	// Each side is a median of five sub-millisecond runs: one run a side
+	// read below 1 whenever a collection or a busy neighbour landed on the
+	// raw one.
+	cfg := QuickConfig()
+	cfg.Repeats = 5
 	m, err := slowdown("fib", langs.Python().Benchmarks[3].Source,
-		langs.Python().Opts(baseOpts()), engine.Chrome(), QuickConfig())
+		langs.Python().Opts(baseOpts()), engine.Chrome(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func loopify(src string, reps int) string {
 }
 
 // Fig5Table prints the compiler/sub-language matrix.
-func Fig5Table() string {
+func Fig5Table(Config) (string, error) {
 	t := newTable("Figure 5 — compilers and their sub-languages")
 	t.row("%-12s %-14s %-6s %-8s %-8s %-6s %6s", "language", "compiler", "impl", "args", "getters", "eval", "benchs")
 	for _, p := range langs.All() {
@@ -214,21 +214,13 @@ func Fig5Table() string {
 			p.Name, p.Compiler, p.Impl, p.Args, p.Getters, p.Eval, len(p.Benchmarks))
 	}
 	t.row("total benchmarks: %d (paper: 147)", langs.TotalBenchmarks())
-	return t.String()
-}
-
-// LangResult is one language × engine cell of Figure 10.
-type LangResult struct {
-	Language string
-	Engine   string
-	Median   float64
-	CDF      []stats.CDFPoint
+	return t.String(), nil
 }
 
 // Fig10Languages reproduces Figure 10: slowdown distributions for the nine
 // §6.1 languages across the five platforms, using each language's
 // sub-language and each engine's best strategy (Figure 11).
-func Fig10Languages(cfg Config) (string, []LangResult, error) {
+func Fig10Languages(cfg Config) (string, error) {
 	engines := engine.Profiles()
 	names := []string{"chrome", "chromebook", "edge", "firefox", "safari"}
 	if cfg.Quick {
@@ -241,7 +233,6 @@ func Fig10Languages(cfg Config) (string, []LangResult, error) {
 	}
 	t.row("%s", header)
 
-	var results []LangResult
 	profiles := langs.All()[:9] // Pyret is §6.4
 	if cfg.Quick {
 		profiles = profiles[:3]
@@ -256,18 +247,16 @@ func Fig10Languages(cfg Config) (string, []LangResult, error) {
 			for _, b := range pick(cfg, p.Benchmarks, 2) {
 				m, err := slowdown(b.Name, b.Source, opts, eng, cfg)
 				if err != nil {
-					return "", nil, fmt.Errorf("%s on %s: %w", p.Name, en, err)
+					return "", fmt.Errorf("%s on %s: %w", p.Name, en, err)
 				}
 				slowdowns = append(slowdowns, m.Slowdown)
 			}
-			med := stats.Median(slowdowns)
-			results = append(results, LangResult{Language: p.Name, Engine: en, Median: med, CDF: stats.CDF(slowdowns)})
-			line += fmt.Sprintf(" %10.1fx", med)
+			line += fmt.Sprintf(" %10.1fx", stats.Median(slowdowns))
 		}
 		t.row("%s", line)
 	}
 	t.row("paper medians (chrome): C++ 11.6, Clojure 9.1, Dart 3.0, Java 8.1, JS 20.0, OCaml 5.4, Python 1.7, Scala 14.6, Scheme 8.8")
-	return t.String(), results, nil
+	return t.String(), nil
 }
 
 // BestStrategy returns the per-engine continuation and constructor choices
@@ -282,11 +271,10 @@ func BestStrategy(eng *engine.Profile) (cont, ctor string) {
 
 // Fig11Strategies measures every strategy pair per engine and reports the
 // winner, reproducing Figure 11's table.
-func Fig11Strategies(cfg Config) (string, map[string][2]string, error) {
+func Fig11Strategies(cfg Config) (string, error) {
 	t := newTable("Figure 11 — best implementation strategy per engine")
 	t.row("%-12s %-14s %-12s", "platform", "continuations", "constructors")
 	suite := pick(cfg, langs.Java().Benchmarks, 2)
-	winners := map[string][2]string{}
 	names := []string{"chrome", "edge", "firefox", "safari"}
 	if cfg.Quick {
 		names = []string{"chrome", "edge"}
@@ -303,7 +291,7 @@ func Fig11Strategies(cfg Config) (string, map[string][2]string, error) {
 					o.Ctor = ctor
 					m, err := slowdown(b.Name, b.Source, o, eng, cfg)
 					if err != nil {
-						return "", nil, err
+						return "", err
 					}
 					total += m.Slowdown
 				}
@@ -313,7 +301,6 @@ func Fig11Strategies(cfg Config) (string, map[string][2]string, error) {
 				}
 			}
 		}
-		winners[en] = [2]string{bestCont, bestCtor}
 		label := bestCtor
 		if label == "direct" {
 			label = "desugar"
@@ -323,7 +310,7 @@ func Fig11Strategies(cfg Config) (string, map[string][2]string, error) {
 		t.row("%-12s %-14s %-12s", en, bestCont, label)
 	}
 	t.row("paper: Edge checked+dynamic; Chrome/Firefox/Safari exceptional+desugar (Fig 11)")
-	return t.String(), winners, nil
+	return t.String(), nil
 }
 
 // Fig12Skulpt reproduces Figure 12: Stopify-compiled Python versus a
@@ -344,7 +331,7 @@ func Fig12Skulpt(cfg Config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		skMs, err := timeSource(skSrc, eng, cfg.Repeats)
+		skMs, err := timeRaw(skSrc, eng, cfg.Repeats)
 		if err != nil {
 			return "", err
 		}
@@ -497,7 +484,7 @@ func Strawmen(cfg Config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		cpsMs, err := timeSource(cpsSrc, eng, cfg.Repeats)
+		cpsMs, err := timeRaw(cpsSrc, eng, cfg.Repeats)
 		if err != nil {
 			return "", err
 		}
@@ -505,7 +492,7 @@ func Strawmen(cfg Config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		genMs, err := timeSource(genSrc, eng, cfg.Repeats)
+		genMs, err := timeRaw(genSrc, eng, cfg.Repeats)
 		if err != nil {
 			return "", err
 		}
@@ -567,42 +554,37 @@ func CodeSize(cfg Config) (string, error) {
 	return t.String(), nil
 }
 
-// Experiments maps figure identifiers to runners, for the CLI.
-func Experiments() map[string]func(Config) (string, error) {
-	return map[string]func(Config) (string, error){
-		"2a":              Fig2aImplicits,
-		"2b":              Fig2bConstructors,
-		"2c":              Fig2cYieldInterval,
-		"5":               func(Config) (string, error) { return Fig5Table(), nil },
-		"7":               Fig7Estimators,
-		"10":              func(cfg Config) (string, error) { s, _, err := Fig10Languages(cfg); return s, err },
-		"11":              func(cfg Config) (string, error) { s, _, err := Fig11Strategies(cfg); return s, err },
-		"12":              Fig12Skulpt,
-		"13":              Fig13OctaneKraken,
-		"14":              Fig14Pyret,
-		"15":              Fig15Native,
-		"strawmen":        Strawmen,
-		"codesize":        CodeSize,
-		"ablation-guards": AblationGuards,
-	}
+// Experiment is one table or figure the harness regenerates.
+type Experiment struct {
+	ID  string
+	Run func(Config) (string, error)
 }
 
-// Order lists experiments in presentation order.
-func Order() []string {
-	return []string{
-		"5", "2a", "2b", "2c", "7", "10", "11", "12", "13", "14", "15",
-		"strawmen", "codesize",
-		"ablation-guards",
-	}
+// Experiments lists every experiment, in presentation order.
+var Experiments = []Experiment{
+	{"5", Fig5Table},
+	{"2a", Fig2aImplicits},
+	{"2b", Fig2bConstructors},
+	{"2c", Fig2cYieldInterval},
+	{"7", Fig7Estimators},
+	{"10", Fig10Languages},
+	{"11", Fig11Strategies},
+	{"12", Fig12Skulpt},
+	{"13", Fig13OctaneKraken},
+	{"14", Fig14Pyret},
+	{"15", Fig15Native},
+	{"strawmen", Strawmen},
+	{"codesize", CodeSize},
+	{"ablation-guards", AblationGuards},
 }
 
 // RunAll executes every experiment and concatenates the tables.
 func RunAll(cfg Config) (string, error) {
 	var b strings.Builder
-	for _, id := range Order() {
-		out, err := Experiments()[id](cfg)
+	for _, e := range Experiments {
+		out, err := e.Run(cfg)
 		if err != nil {
-			return b.String(), fmt.Errorf("figure %s: %w", id, err)
+			return b.String(), fmt.Errorf("figure %s: %w", e.ID, err)
 		}
 		b.WriteString(out)
 		b.WriteString("\n")

@@ -334,7 +334,7 @@ type RunConfig struct {
 	// ProfileEvery arms the guest-level sampling profiler: every that many
 	// statements the interpreter samples the JS call stack and attributes
 	// the interval to it (folded-stack accumulation; see
-	// interp.StartProfile). 0 leaves profiling off.
+	// internal/interp/profile.go). 0 leaves profiling off.
 	ProfileEvery uint64
 }
 
@@ -537,10 +537,6 @@ func (a *AsyncRun) ArmQuantum(n uint64) { a.In.ArmQuantum(n) }
 // SetOnQuantum installs or replaces the quantum hook (owner-goroutine only).
 func (a *AsyncRun) SetOnQuantum(fn func()) { a.In.SetOnQuantum(fn) }
 
-// SetMaxSteps re-arms the hard step budget (owner-goroutine only); the
-// counter is cumulative, so raising it extends a budget across resumes.
-func (a *AsyncRun) SetMaxSteps(n uint64) { a.In.SetMaxSteps(n) }
-
 // Steps reports statements executed so far (owner-goroutine only; a
 // scheduler snapshots it between turns).
 func (a *AsyncRun) Steps() uint64 { return a.In.Steps }
@@ -548,15 +544,6 @@ func (a *AsyncRun) Steps() uint64 { return a.In.Steps }
 // MemUsed reports bytes the allocation meter has charged so far
 // (owner-goroutine only; a scheduler snapshots it between turns).
 func (a *AsyncRun) MemUsed() uint64 { return a.In.MemUsed() }
-
-// SetMemBudget re-arms (or, with 0, disarms) the allocation budget
-// (owner-goroutine only); the meter is cumulative, so raising it extends a
-// budget across resumes.
-func (a *AsyncRun) SetMemBudget(n uint64) { a.In.SetMemBudget(n) }
-
-// StartProfile arms the guest-level sampling profiler with the given
-// statement period; 0 disarms (owner-goroutine only).
-func (a *AsyncRun) StartProfile(every uint64) { a.In.StartProfile(every) }
 
 // TakeProfileFolded drains the profiler's folded-stack samples accumulated
 // since the last drain — ";"-joined JS call stacks, root first, mapped to

@@ -13,14 +13,14 @@ import (
 // pinnedOutputSum is the sha-256 of every compile pinnedCompiles enumerates.
 // A pass refactor must leave it alone; a change that means to alter generated
 // code (or the internal/langs corpus) recomputes it — the failure message
-// prints the new value — and says so. Last recomputed when desugar/args.go
-// stopped a function's $outerargs alias shadowing an ancestor's and
-// printer.FormatNumber took Number::toString's rule: eleven of the 816
-// compiles moved, the full-JavaScript ones of ocaml/curried, scheme/church
-// and scheme/ctak_style, whose three-deep captures read the wrong arguments
-// object before, and the eight of python/nbody, whose two literals below
-// 1e-4 now print as 0.0000436 where they printed as 4.36e-05.
-const pinnedOutputSum = "e0f8cb76329be2a9739963941c7a430b7fb7062acc4ad6cf0ed0353abfa44a18"
+// prints the new value — and says so. Last recomputed when desugar's for-in
+// lowering started enumerating Object.keys(Object(obj)), so that null,
+// undefined and primitives enumerate nothing instead of throwing: 88 of the
+// 816 compiles moved, all eight of each program with a for-in — clojure's
+// assoc_map, comp_chain, frequencies, lazy_seq, loop_recur, multi_arity,
+// reduce_vec and str_build, javascript/dynamic_props, pyret/string_explode
+// and python/anagram.
+const pinnedOutputSum = "50b1cfebab606e47c5f59d8fd13f9e3a0cd92a5a010ee146bf7e81accb5cc520"
 
 // pinnedCompiles feeds every (program, options) pair of the pin to visit:
 // each internal/langs program under its profile's sub-language, across the

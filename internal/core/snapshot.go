@@ -80,8 +80,6 @@ type RestoreOptions struct {
 	// due-offsets so a restored guest's timers fire on schedule instead of
 	// restarting their full delay.
 	ElapsedMs float64
-	// OnDone observes completion, like the callback passed to Run.
-	OnDone func()
 }
 
 // Restore rebuilds a runnable AsyncRun from a Snapshot blob with output
@@ -139,16 +137,12 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 			return nil, fmt.Errorf("stopify: replaying snapshot output: %w", err)
 		}
 	}
-	onDone := ro.OnDone
 	a.RT.AdoptParked(d.State, func(v interp.Value, err error) {
 		a.mu.Lock()
 		a.result = v
 		a.err = err
 		a.finished = true
 		a.mu.Unlock()
-		if onDone != nil {
-			onDone()
-		}
 	})
 	if d.State.Done {
 		// The main chain completed before the snapshot; the restored run is

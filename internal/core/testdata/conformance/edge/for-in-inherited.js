@@ -1,0 +1,13 @@
+// for-in over inherited enumerable keys and over a string's indices.
+// known: prints "a own, .\n" — for-in walks own keys only (OwnKeys on both engines, Object.keys in the lowering): inherited enumerable keys and a string's indices are skipped
+function C() { this.a = 1; }
+C.prototype.b = 2;
+var s = "";
+for (var k in new C()) { s += k; }
+var o = Object.create({ inh: 1 });
+o.own = 2;
+var t = "";
+for (var k2 in o) { t += k2 + ","; }
+var u = "";
+for (var i in "xy") { u += i; }
+console.log(s, t, u + ".");

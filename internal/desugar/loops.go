@@ -150,8 +150,9 @@ func lowerDoWhile(n *ast.DoWhile, labels []string, nm *Namer) ast.Stmt {
 }
 
 // lowerForIn rewrites `for (k in obj) body` into a while loop over
-// Object.keys(obj); own enumerable keys in insertion order, matching the
-// interpreter's for-in.
+// Object.keys(Object(obj)); own enumerable keys in insertion order, matching
+// the interpreter's for-in. Object(obj) is ToObject: null, undefined and
+// primitives have no own keys and enumerate nothing, as they do raw.
 func lowerForIn(n *ast.ForIn, labels []string, nm *Namer) ast.Stmt {
 	blockLabel := nm.Fresh("$L")
 	keys := nm.Fresh("$ks")
@@ -165,7 +166,7 @@ func lowerForIn(n *ast.ForIn, labels []string, nm *Namer) ast.Stmt {
 		out = append(out, ast.Var(n.Name, nil))
 	}
 	out = append(out,
-		ast.Var(keys, ast.CallN(ast.Dot(ast.Id("Object"), "keys"), n.Obj)),
+		ast.Var(keys, ast.CallN(ast.Dot(ast.Id("Object"), "keys"), ast.CallN(ast.Id("Object"), n.Obj))),
 		ast.Var(idx, ast.Int(0)),
 		&ast.While{
 			Test: ast.Bin("<", ast.Id(idx), ast.Dot(ast.Id(keys), "length")),

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -177,7 +176,7 @@ func New(opts Options) *Interp {
 		in.quantumEnd = opts.QuantumSteps
 	}
 	if opts.ProfileEvery > 0 {
-		in.StartProfile(opts.ProfileEvery)
+		in.prof = &profState{every: opts.ProfileEvery, next: opts.ProfileEvery, folded: make(map[string]uint64)}
 	}
 	in.recomputeStepLimit()
 	in.Global = &Env{cells: make(map[string]*cell)}
@@ -191,9 +190,8 @@ func New(opts Options) *Interp {
 // Disabled is MaxUint64, not 0: Steps can never exceed it, and 0 must remain
 // a *live* threshold — ArmQuantum(1) means "fire at the very next
 // statement", which is stepLimit 0 with the check `Steps > stepLimit`. An
-// over-budget meter pins the threshold at 0 so nothing (quantum re-arm
-// across a resume, SetMaxSteps) can slide the boundary check past a pending
-// ErrMemLimit.
+// over-budget meter pins the threshold at 0 so nothing (a quantum re-arm
+// across a resume) can slide the boundary check past a pending ErrMemLimit.
 func (in *Interp) recomputeStepLimit() {
 	if in.memBudget != 0 && in.memUsed > in.memBudget {
 		in.stepLimit = 0
@@ -272,14 +270,6 @@ func (in *Interp) HoldQuantum(hold bool) {
 
 // SetOnQuantum installs the quantum-expiry hook (executing goroutine only).
 func (in *Interp) SetOnQuantum(fn func()) { in.onQuantum = fn }
-
-// SetMaxSteps re-arms the hard step budget relative to zero — the counter is
-// cumulative, so extending a budget across resumes means raising the
-// absolute ceiling. 0 removes the limit. Executing goroutine only.
-func (in *Interp) SetMaxSteps(n uint64) {
-	in.maxSteps = n
-	in.recomputeStepLimit()
-}
 
 // charge consumes work units according to the engine profile. The loop body
 // is a data dependency on in.sink so the compiler cannot remove it.
@@ -769,11 +759,4 @@ func (in *Interp) Random() float64 {
 	x ^= x >> 27
 	in.rng = x
 	return float64(x*2685821657736338717>>11) / float64(uint64(1)<<53)
-}
-
-// FormatThrown renders a thrown error for host display.
-func FormatThrown(t *Thrown) string {
-	var b strings.Builder
-	b.WriteString(t.Error())
-	return b.String()
 }

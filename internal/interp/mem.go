@@ -90,14 +90,6 @@ func (in *Interp) checkMem(n int) error {
 	return nil
 }
 
-// SetMemBudget arms (or, with 0, disarms) the allocation budget in bytes.
-// Executing goroutine only, like SetMaxSteps; the counter is cumulative, so
-// raising the budget extends it across resumes.
-func (in *Interp) SetMemBudget(n uint64) {
-	in.memBudget = n
-	in.recomputeStepLimit()
-}
-
 // MemUsed reports bytes charged so far (owner-goroutine only; a scheduler
 // snapshots it between turns).
 func (in *Interp) MemUsed() uint64 { return in.memUsed }

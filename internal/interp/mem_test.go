@@ -155,25 +155,6 @@ func TestMemLimitSurvivesQuantumRearm(t *testing.T) {
 	}
 }
 
-func TestSetMemBudgetExtends(t *testing.T) {
-	// The meter is cumulative; raising the budget un-pins the boundary
-	// check (recomputeStepLimit) and lets the realm continue — the resume
-	// story a host extending a tenant's lease depends on.
-	in, err := memRun(t, false, 32<<10, allocLoop)
-	if !errors.Is(err, ErrMemLimit) {
-		t.Fatalf("setup: err=%v, want ErrMemLimit", err)
-	}
-	in.SetMemBudget(1 << 30)
-	prog, perr := parser.Parse(`var after = {x: 1};`)
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	resolve.Program(prog)
-	if err := in.RunProgram(prog); err != nil {
-		t.Fatalf("after raising the budget: %v", err)
-	}
-}
-
 func TestResetMemMeter(t *testing.T) {
 	in, err := memRun(t, false, 0, `var a = [1, 2, 3];`)
 	if err != nil {

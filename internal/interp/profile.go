@@ -23,28 +23,6 @@ type profState struct {
 	folded map[string]uint64
 }
 
-// StartProfile arms statement-boundary stack sampling with period every; 0
-// disarms (like StopProfile). Executing goroutine only.
-func (in *Interp) StartProfile(every uint64) {
-	if every == 0 {
-		in.StopProfile()
-		return
-	}
-	in.prof = &profState{
-		every:  every,
-		next:   in.Steps + every,
-		last:   in.Steps,
-		folded: make(map[string]uint64),
-	}
-	in.recomputeStepLimit()
-}
-
-// StopProfile disarms sampling and drops accumulated samples.
-func (in *Interp) StopProfile() {
-	in.prof = nil
-	in.recomputeStepLimit()
-}
-
 // TakeProfileFolded drains the accumulated folded-stack samples, leaving the
 // profiler armed with an empty accumulator. Keys are ";"-joined stacks,
 // root first; values are statement counts. Executing goroutine only (the

@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics the paper's evaluation
-// reports: means with 95% confidence intervals (Figure 2, 12, 15), medians
-// (Figure 10's legends), standard deviations (Figure 7), and empirical
-// CDFs (Figures 10 and 13).
+// reports: means (Figures 2, 12 and §3), medians (Figures 10, 13 and 14),
+// standard deviations (Figure 7), quantiles and geometric means.
 package stats
 
 import (
@@ -36,16 +35,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// (normal approximation, 1.96·σ/√n), matching the error bars in the
-// paper's figures.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Stddev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Median returns the middle value (average of the two middle values for
 // even-sized inputs); NaN for empty input.
 func Median(xs []float64) float64 {
@@ -73,24 +62,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // fraction of samples ≤ X
-}
-
-// CDF returns the empirical cumulative distribution of xs, one point per
-// sample — the curves of Figures 10 and 13.
-func CDF(xs []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
-	}
-	return out
 }
 
 // GeoMean returns the geometric mean; NaN when any value is non-positive.

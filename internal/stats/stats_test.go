@@ -26,14 +26,6 @@ func TestStddev(t *testing.T) {
 	}
 }
 
-func TestCI95(t *testing.T) {
-	xs := []float64{10, 12, 14, 16}
-	want := 1.96 * Stddev(xs) / 2
-	if !almost(CI95(xs), want) {
-		t.Errorf("ci95 = %v want %v", CI95(xs), want)
-	}
-}
-
 func TestMedianAndQuantile(t *testing.T) {
 	if !almost(Median([]float64{3, 1, 2}), 2) {
 		t.Error("odd median")
@@ -47,19 +39,6 @@ func TestMedianAndQuantile(t *testing.T) {
 	}
 	if !almost(Quantile(xs, 0.25), 2) {
 		t.Errorf("q25 = %v", Quantile(xs, 0.25))
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatal("cdf length")
-	}
-	if pts[0].X != 1 || !almost(pts[0].P, 1.0/3) {
-		t.Errorf("first point %+v", pts[0])
-	}
-	if pts[2].X != 3 || !almost(pts[2].P, 1) {
-		t.Errorf("last point %+v", pts[2])
 	}
 }
 
@@ -104,31 +83,6 @@ func TestMedianProperties(t *testing.T) {
 			rev[len(clean)-1-i] = x
 		}
 		return almost(Median(rev), m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CDF is monotone in both coordinates and ends at P=1.
-func TestCDFProperties(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		pts := CDF(clean)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X < pts[i-1].X || pts[i].P < pts[i-1].P {
-				return false
-			}
-		}
-		return almost(pts[len(pts)-1].P, 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -308,18 +308,6 @@ func (g *Guest) Inspect() Info {
 	return info
 }
 
-// Output returns the console output produced so far (safe while running —
-// the capped writer has its own lock).
-func (g *Guest) Output() string {
-	g.mu.Lock()
-	out := g.out
-	g.mu.Unlock()
-	if out == nil {
-		return ""
-	}
-	return out.String()
-}
-
 // OutputSince returns a copy of the console output from byte offset off
 // (clamped into the recorded range) plus the offset to resume from — the
 // incremental read a streaming endpoint serves. Offsets are stable: the

@@ -16,20 +16,30 @@ import (
 
 // The sustained-load target (stopibench -supervisor -arrival-rate=R
 // -duration=D): an open-loop generator pushes guests at the fleet at a rate
-// the fleet does not control — Poisson arrivals by default, a fixed
-// metronome on request — while a churn driver pauses, resumes, and kills
-// random live tenants the whole time. MaxResident is deliberately small, so
-// every pause and every sleeping tenant routes through the snapshot
-// park/restore machinery on the hot path. The result is windowed: P50/P90/
-// P99 scheduling latency per time bucket over the run, because a closed-loop
-// batch number cannot see a latency cliff that builds up under steady-state
-// queueing, and a whole-run percentile averages the cliff away.
+// the fleet does not control — Poisson arrivals — while a churn driver
+// pauses, resumes, and kills random live tenants the whole time. MaxResident
+// is deliberately small, so every pause and every sleeping tenant routes
+// through the snapshot park/restore machinery on the hot path. The result is
+// windowed: P50/P90/P99 scheduling latency per time bucket over the run,
+// because a closed-loop batch number cannot see a latency cliff that builds
+// up under steady-state queueing, and a whole-run percentile averages the
+// cliff away.
 
 const (
-	// Hostile guests in the load mix get this long to live.
+	// loadWorkers and loadQuantum size the fleet under load.
+	loadWorkers = 4
+	loadQuantum = 2000
+	// loadSeed drives arrival spacing and churn targeting.
+	loadSeed = 1
+	// Every hostileEvery-th arrival is an infinite loop that gets
+	// hostileDeadline to live.
+	hostileEvery    = 100
 	hostileDeadline = 200 * time.Millisecond
-	// churnTick paces the churn driver.
-	churnTick = 10 * time.Millisecond
+	// Each churnTick the churn driver pauses one random live guest (resumed
+	// 100–300 ms later), and every churnKillEvery-th tick it kills one
+	// instead.
+	churnTick      = 10 * time.Millisecond
+	churnKillEvery = 8
 	// drainBudget bounds the post-generation drain; guests still unfinished
 	// after it count as errors.
 	drainBudget = 60 * time.Second
@@ -47,24 +57,10 @@ type LoadConfig struct {
 	// Duration is the generation period; after it the generator stops and
 	// the run drains. Default 10s.
 	Duration time.Duration `json:"duration_ns"`
-	// FixedArrivals replaces the Poisson process with a fixed-interval
-	// metronome (deterministic spacing, same mean rate).
-	FixedArrivals bool   `json:"fixed_arrivals,omitempty"`
-	Workers       int    `json:"workers"`       // default 4
-	QuantumSteps  uint64 `json:"quantum_steps"` // default 2000
-	// MaxResident bounds live realms; 0 picks Workers*8 (small on purpose —
-	// the harness wants park/restore on the hot path), negative disables.
+	// MaxResident bounds live realms; 0 picks loadWorkers*8 (small on
+	// purpose — the harness wants park/restore on the hot path), negative
+	// disables.
 	MaxResident int `json:"max_resident"`
-	// HostileEvery makes every k-th arrival an infinite loop with a 200 ms
-	// deadline. Default 100; negative disables.
-	HostileEvery int `json:"hostile_every"`
-	// ChurnKillEvery: each churnTick the churn driver pauses one random live
-	// guest (resumed 100–300 ms later), and every ChurnKillEvery-th tick it
-	// kills one instead. Default 8; negative disables kills.
-	ChurnKillEvery int `json:"churn_kill_every"`
-	// Seed drives arrival spacing, profile jitter, and churn targeting.
-	// Default 1.
-	Seed int64 `json:"seed"`
 	// ProfileEvery arms the guest-level sampling profiler in every guest
 	// (statement period); 0 leaves it off. The per-tenant folded stacks go
 	// to ProfileOut.
@@ -86,26 +82,11 @@ func (c *LoadConfig) normalize() {
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Second
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.QuantumSteps == 0 {
-		c.QuantumSteps = 2000
-	}
 	if c.MaxResident == 0 {
-		c.MaxResident = c.Workers * 8
+		c.MaxResident = loadWorkers * 8
 	}
 	if c.MaxResident < 0 {
 		c.MaxResident = 0 // unbounded
-	}
-	if c.HostileEvery == 0 {
-		c.HostileEvery = 100
-	}
-	if c.ChurnKillEvery == 0 {
-		c.ChurnKillEvery = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -135,7 +116,7 @@ type LoadResult struct {
 	Stragglers      int    `json:"stragglers"`
 	FirstUnexpected string `json:"first_unexpected,omitempty"`
 	// ErrorRate is (Unexpected + Stragglers + Rejected) / Arrivals — the
-	// figure -supervisor-check gates on alongside P99.
+	// figure stopibench -supervisor gates on alongside P99.
 	ErrorRate float64 `json:"error_rate"`
 
 	Preemptions uint64 `json:"preemptions"`
@@ -315,8 +296,8 @@ func worstWindowP99(windows []WindowSummary, fallback float64) float64 {
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	cfg.normalize()
 	s := New(Options{
-		Workers:      cfg.Workers,
-		QuantumSteps: cfg.QuantumSteps,
+		Workers:      loadWorkers,
+		QuantumSteps: loadQuantum,
 		MaxResident:  cfg.MaxResident,
 		ProfileEvery: cfg.ProfileEvery,
 	})
@@ -355,7 +336,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
-		rng := rand.New(rand.NewSource(cfg.Seed + 1))
+		rng := rand.New(rand.NewSource(loadSeed + 1))
 		tick := time.NewTicker(churnTick)
 		defer tick.Stop()
 		for n := 1; ; n++ {
@@ -370,7 +351,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				// would turn the deadline assertion into a coin flip.
 				continue
 			}
-			if cfg.ChurnKillEvery > 0 && n%cfg.ChurnKillEvery == 0 {
+			if n%churnKillEvery == 0 {
 				// Flag before Kill: if the kill races normal completion
 				// and loses, verification accepts either outcome.
 				rec.churnKilled = true
@@ -393,7 +374,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	// — when submission falls behind schedule the loop catches up without
 	// sleeping, like real traffic that does not slow down because the
 	// server did.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(loadSeed))
 	interval := float64(time.Second) / cfg.ArrivalRate
 	start := time.Now()
 	end := start.Add(cfg.Duration)
@@ -411,7 +392,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			hostile   bool
 		)
 		switch {
-		case cfg.HostileEvery > 0 && i%cfg.HostileEvery == cfg.HostileEvery-1:
+		case i%hostileEvery == hostileEvery-1:
 			hostile = true
 			src = `while (true) { var x = 1; }`
 			pol = &Policy{WallDeadline: hostileDeadline}
@@ -438,11 +419,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			recMu.Unlock()
 			admitted++
 		}
-		if cfg.FixedArrivals {
-			next = next.Add(time.Duration(interval))
-		} else {
-			next = next.Add(time.Duration(rng.ExpFloat64() * interval))
-		}
+		next = next.Add(time.Duration(rng.ExpFloat64() * interval))
 	}
 	genWall := time.Since(start)
 
@@ -568,12 +545,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 // Format renders the result as the stopibench report block.
 func (r *LoadResult) Format() string {
 	var b strings.Builder
-	process := "poisson"
-	if r.Config.FixedArrivals {
-		process = "fixed"
-	}
-	fmt.Fprintf(&b, "supervisor sustained load: %.0f guests/sec (%s) for %v, %d workers, quantum %d, max-resident %d\n",
-		r.Config.ArrivalRate, process, r.Config.Duration, r.Config.Workers, r.Config.QuantumSteps, r.Config.MaxResident)
+	fmt.Fprintf(&b, "supervisor sustained load: %.0f guests/sec (poisson) for %v, %d workers, quantum %d, max-resident %d\n",
+		r.Config.ArrivalRate, r.Config.Duration, loadWorkers, loadQuantum, r.Config.MaxResident)
 	fmt.Fprintf(&b, "  arrivals %d (admitted %d, rejected %d) — completed %d, killed %d, failed %d, unexpected %d, stragglers %d\n",
 		r.Arrivals, r.Admitted, r.Rejected, r.Completed, r.Killed, r.Failed, r.Unexpected, r.Stragglers)
 	fmt.Fprintf(&b, "  churn: %d pauses, %d resumes, %d kills — parks %d, restores %d, pins %d, preemptions %d\n",

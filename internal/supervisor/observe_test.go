@@ -71,10 +71,7 @@ func TestRunLoadArtifacts(t *testing.T) {
 	cfg := LoadConfig{
 		ArrivalRate:  150,
 		Duration:     1500 * time.Millisecond,
-		Workers:      2,
-		QuantumSteps: 2000,
-		MaxResident:  -1,
-		Seed:         1,
+		MaxResident:  -1, // unbounded: the no-parking configuration
 		ProfileEvery: 500,
 		TraceOut:     filepath.Join(dir, "trace.json"),
 		ProfileOut:   filepath.Join(dir, "profile.folded"),
@@ -83,8 +80,8 @@ func TestRunLoadArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Unexpected > 0 {
-		t.Fatalf("%d unexpected outcomes: %s", res.Unexpected, res.FirstUnexpected)
+	if res.Unexpected != 0 || res.Stragglers != 0 {
+		t.Fatalf("unexpected=%d stragglers=%d (first: %s)", res.Unexpected, res.Stragglers, res.FirstUnexpected)
 	}
 
 	raw, err := os.ReadFile(cfg.TraceOut)

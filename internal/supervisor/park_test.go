@@ -119,6 +119,12 @@ func parkNow(t *testing.T, s *Supervisor, g *Guest) {
 	}
 }
 
+// outputOf returns what g has printed so far.
+func outputOf(g *Guest) string {
+	b, _ := g.OutputSince(0)
+	return string(b)
+}
+
 // pausedGuest submits src and pauses it mid-flight — after its first output
 // line, so the guest demonstrably started executing before the park.
 func pausedGuest(t *testing.T, s *Supervisor, src string) *Guest {
@@ -128,10 +134,10 @@ func pausedGuest(t *testing.T, s *Supervisor, src string) *Guest {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.Output() == "" && time.Now().Before(deadline) {
+	for outputOf(g) == "" && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if g.Output() == "" {
+	if outputOf(g) == "" {
 		t.Fatal("guest produced no output before the pause")
 	}
 	g.Pause()
@@ -260,7 +266,7 @@ func TestSnapshotHandoffAcrossSupervisors(t *testing.T) {
 	defer b.Close()
 
 	g := pausedGuest(t, a, longLoopSrc)
-	if got := g.Output(); got != "phase1\n" {
+	if got := outputOf(g); got != "phase1\n" {
 		t.Fatalf("pre-handoff output %q", got)
 	}
 	blob, err := a.SnapshotGuest(g.ID)
@@ -380,7 +386,7 @@ console.log("y", s);
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.Output() == "" && time.Now().Before(deadline) {
+	for outputOf(g) == "" && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	g.Pause()

@@ -3,6 +3,7 @@ package supervisor
 import (
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -93,7 +94,9 @@ func TestRunQueueIsFleetWide(t *testing.T) {
 		}
 		got = hold()
 	}
-	s.Drain()
+	if !s.DrainTimeout(30 * time.Second) {
+		t.Fatal("fleet did not drain")
+	}
 	if m := s.Metrics(); m.Completed != uint64(workers+batchN+batchN*interactiveWeight) || m.Queued != 0 {
 		t.Errorf("completed=%d queued=%d after the last round", m.Completed, m.Queued)
 	}

@@ -75,9 +75,9 @@ type Options struct {
 	// ParkDir, when set, spills parked snapshots to disk instead of
 	// holding the blobs in memory.
 	ParkDir string
-	// TraceCapacity bounds the flight recorder's total retained events
-	// (trace.go); oldest are overwritten. 0 means the default (16384);
-	// negative disables tracing entirely.
+	// TraceCapacity is how many events the flight recorder retains
+	// (trace.go): exactly the last TraceCapacity, oldest overwritten. 0
+	// means the default (16384); negative disables tracing entirely.
 	TraceCapacity int
 	// ProfileEvery arms the guest-level sampling profiler in every guest
 	// realm: each guest's JS call stack is sampled every that many
@@ -133,7 +133,7 @@ type Supervisor struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // runnable work or shutdown
-	idle     *sync.Cond // pending == 0 (Drain)
+	idle     *sync.Cond // pending == 0 (DrainTimeout)
 	queue    laneQueue  // the run queue: every worker pops from it
 	pending  int        // admitted, not yet done
 	resident int        // unfinished guests holding a live realm (run != nil)
@@ -168,8 +168,7 @@ func New(opts Options) *Supervisor {
 	s.cond = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
 	if opts.TraceCapacity >= 0 {
-		// One shard per worker plus one for control-plane goroutines.
-		s.tracer = newTraceRecorder(opts.Workers+1, opts.TraceCapacity)
+		s.tracer = newTraceRecorder(opts.TraceCapacity)
 	}
 	s.queue.rrCredit = interactiveWeight
 	s.metrics.initWindows(time.Now(), metricsWindow)
@@ -326,15 +325,6 @@ func (s *Supervisor) RemoveFinished(olderThan time.Duration) int {
 	return removed
 }
 
-// Drain blocks until every admitted guest has finished.
-func (s *Supervisor) Drain() {
-	s.mu.Lock()
-	for s.pending > 0 {
-		s.idle.Wait()
-	}
-	s.mu.Unlock()
-}
-
 // DrainTimeout blocks until every admitted guest has finished or d elapses,
 // reporting whether the fleet fully drained. It does not stop admission or
 // kill anything — the graceful-shutdown sequence is: stop admitting (the
@@ -448,7 +438,7 @@ func (s *Supervisor) makeRunnableLocked(g *Guest) {
 	if closed {
 		// Nobody will dequeue this guest again (workers are exiting), and
 		// Close's kill sweep may already have run while it was mid-
-		// transition — dropping it silently would hang Wait/Drain, so
+		// transition — dropping it silently would hang Wait/DrainTimeout, so
 		// finalize it here.
 		s.finalizeLocked(g, ErrShutdown)
 	}

@@ -256,7 +256,9 @@ func TestBackpressure(t *testing.T) {
 	if m.Rejected != 1 {
 		t.Errorf("rejected=%d, want 1", m.Rejected)
 	}
-	s.Drain()
+	if !s.DrainTimeout(30 * time.Second) {
+		t.Fatal("fleet did not drain")
+	}
 	// Capacity freed: admission works again.
 	if _, err := s.Submit(SubmitOptions{Source: guestSrc(2)}); err != nil {
 		t.Fatalf("post-drain submit failed: %v", err)
@@ -300,7 +302,9 @@ func TestInteractiveLanePriority(t *testing.T) {
 	}()
 	<-ig.Done()
 	interactiveRank := finished.Add(1)
-	s.Drain()
+	if !s.DrainTimeout(30 * time.Second) {
+		t.Fatal("fleet did not drain")
+	}
 	if res := ig.Result(); res.Err != nil || res.Output != guestWant(3) {
 		t.Fatalf("interactive guest: %+v", res)
 	}

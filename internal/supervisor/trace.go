@@ -5,25 +5,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/interp"
 )
 
-// The flight recorder: a bounded, lock-light ring of structured lifecycle
-// events — every admission, claim, turn, preemption, park, restore, pin,
-// kill, and finish the supervisor performs. It answers the post-mortem
-// question the aggregate metrics cannot: *which* tenant was on *which*
-// worker when the worst window's P99 spiked, and what the scheduler did
-// about it. The ring is sharded per worker (plus one shard for control-
-// plane goroutines) so recording a turn never contends with another
-// worker's shard; each shard is a fixed-size overwrite ring, so a
-// long-running fleet keeps the most recent events and the recorder's
-// memory stays constant. A global atomic sequence number gives the merged
-// view a total order without any cross-shard locking.
+// The flight recorder: a bounded ring of structured lifecycle events —
+// every admission, claim, turn, preemption, park, restore, pin, kill, and
+// finish the supervisor performs. It answers the post-mortem question the
+// aggregate metrics cannot: *which* tenant was on *which* worker when the
+// worst window's P99 spiked, and what the scheduler did about it. It is one
+// fixed-size overwrite ring under one mutex, and the sequence number is
+// assigned under that mutex, so ring order is sequence order and the ring
+// holds exactly the last TraceCapacity events a fleet recorded, whichever
+// goroutine recorded them; its memory stays constant however long the fleet
+// runs.
 //
 // Two renderings: JSON-lines (one TraceEvent per line, grep-friendly) and
 // the Chrome trace-event format (ChromeTrace), which about://tracing and
@@ -31,7 +28,7 @@ import (
 // tracks, control events as instants.
 
 // TraceEvent is one recorded lifecycle event. Seq orders events globally;
-// TsUs is microseconds since the supervisor started. Worker is the shard
+// TsUs is microseconds since the supervisor started. Worker is the worker
 // that recorded the event (-1 = a control-plane goroutine: Submit, an
 // external Kill/Pause/Resume, a sleep-timer requeue).
 type TraceEvent struct {
@@ -85,92 +82,60 @@ const (
 	TraceFinish = "finish"
 )
 
-// traceShard is one worker's (or the control plane's) private ring.
-type traceShard struct {
-	mu   sync.Mutex
-	buf  []TraceEvent
-	next int  // write cursor
-	full bool // buf has wrapped at least once
-}
-
+// traceRecorder is the ring: event seq lives in buf[(seq-1) % len(buf)].
 type traceRecorder struct {
-	start  time.Time
-	seq    atomic.Uint64
-	shards []traceShard
+	start time.Time
+	mu    sync.Mutex
+	seq   uint64 // events ever recorded, the last one's Seq
+	buf   []TraceEvent
 }
 
-// defaultTraceCapacity is the total event budget when Options.TraceCapacity
-// is 0: enough for several seconds of sustained-load history (a turn emits
-// two events) at a few MB, small enough to keep resident forever.
+// defaultTraceCapacity is the event budget when Options.TraceCapacity is 0:
+// enough for several seconds of sustained-load history (a turn emits two
+// events) at a few MB, small enough to keep resident forever.
 const defaultTraceCapacity = 16384
 
-func newTraceRecorder(shards, capacity int) *traceRecorder {
+func newTraceRecorder(capacity int) *traceRecorder {
 	if capacity <= 0 {
 		capacity = defaultTraceCapacity
 	}
-	per := capacity / shards
-	if per < 64 {
-		per = 64
-	}
-	tr := &traceRecorder{start: time.Now(), shards: make([]traceShard, shards)}
-	for i := range tr.shards {
-		tr.shards[i].buf = make([]TraceEvent, per)
-	}
-	return tr
+	return &traceRecorder{start: time.Now(), buf: make([]TraceEvent, capacity)}
 }
 
-// emit stamps and records ev on the given shard. The only lock taken is the
-// shard's own, and workers own distinct shards, so tracing adds no
-// cross-worker contention; control-plane emitters share the last shard.
-func (tr *traceRecorder) emit(shard int, ev TraceEvent) {
-	ev.Seq = tr.seq.Add(1)
+// emit stamps ev with the next sequence number and the time, overwriting the
+// oldest event once the ring is full.
+func (tr *traceRecorder) emit(ev TraceEvent) {
+	tr.mu.Lock()
+	tr.seq++
+	ev.Seq = tr.seq
 	ev.TsUs = time.Since(tr.start).Microseconds()
-	sh := &tr.shards[shard]
-	sh.mu.Lock()
-	sh.buf[sh.next] = ev
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.full = true
-	}
-	sh.mu.Unlock()
+	tr.buf[(tr.seq-1)%uint64(len(tr.buf))] = ev
+	tr.mu.Unlock()
 }
 
-// events merges every shard's retained events, filtered to one guest when
-// guest != 0, ordered by the global sequence number.
+// events returns the retained events, oldest first, filtered to one guest
+// when guest != 0.
 func (tr *traceRecorder) events(guest uint64) []TraceEvent {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	n := uint64(len(tr.buf))
 	var out []TraceEvent
-	for i := range tr.shards {
-		sh := &tr.shards[i]
-		sh.mu.Lock()
-		n := sh.next
-		if sh.full {
-			n = len(sh.buf)
+	for seq := tr.seq - min(tr.seq, n) + 1; seq <= tr.seq; seq++ {
+		if ev := tr.buf[(seq-1)%n]; guest == 0 || ev.Guest == guest {
+			out = append(out, ev)
 		}
-		for j := 0; j < n; j++ {
-			if guest == 0 || sh.buf[j].Guest == guest {
-				out = append(out, sh.buf[j])
-			}
-		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// trace records ev on worker w's shard (w < 0: the control shard). A nil
+// trace records ev as worker w's (w < 0: a control-plane goroutine's). A nil
 // recorder (Options.TraceCapacity < 0) makes every call a no-op compare.
 func (s *Supervisor) trace(w int, ev TraceEvent) {
-	tr := s.tracer
-	if tr == nil {
+	if s.tracer == nil {
 		return
 	}
 	ev.Worker = w
-	shard := len(tr.shards) - 1 // control
-	if w >= 0 && w < len(tr.shards)-1 {
-		shard = w
-	}
-	tr.emit(shard, ev)
+	s.tracer.emit(ev)
 }
 
 // Trace returns the flight recorder's retained events in global order,

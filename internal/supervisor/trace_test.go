@@ -100,36 +100,39 @@ func TestTracePerGuestFilter(t *testing.T) {
 	}
 }
 
-// TestTraceRingOverwrites bounds the recorder: a long-lived fleet must keep
-// the newest events and stay within capacity, never grow without bound.
+// TestTraceRingOverwrites bounds the recorder: it keeps exactly the last
+// TraceCapacity events the fleet recorded, consecutive in sequence, whichever
+// goroutine recorded them, and a long-lived fleet never grows it.
 func TestTraceRingOverwrites(t *testing.T) {
-	// Two shards (1 worker + control) at minimum per-shard size.
-	s := New(Options{Workers: 1, QuantumSteps: 5000, TraceCapacity: 2})
+	const capacity = 128
+	s := New(Options{Workers: 1, QuantumSteps: 50, TraceCapacity: capacity})
 	defer s.Close()
-	for i := 0; i < 40; i++ {
-		g, err := s.Submit(SubmitOptions{Source: `console.log("x");`})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Wait()
+	g, err := s.Submit(SubmitOptions{Source: `var s = 0; for (var i = 0; i < 20000; i++) { s = (s + i) % 1000; }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := g.Wait(); res.Err != nil {
+		t.Fatalf("guest failed: %v", res.Err)
 	}
 	evs := s.Trace(0)
-	if len(evs) == 0 || len(evs) > 2*64 {
-		t.Fatalf("ring holds %d events, want (0, %d]", len(evs), 2*64)
+	if len(evs) != capacity {
+		t.Fatalf("ring holds %d events, want exactly %d", len(evs), capacity)
 	}
-	// The newest finish must still be there — overwrite drops oldest-first.
-	var maxSeq uint64
-	sawRecentFinish := false
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("seq %d follows seq %d: the ring dropped events it should keep", evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+	// The guest's finish is among the newest events: overwrite drops
+	// oldest-first.
+	sawFinish := false
 	for _, ev := range evs {
-		if ev.Seq > maxSeq {
-			maxSeq = ev.Seq
-		}
-		if ev.Type == TraceFinish && ev.Guest == 40 {
-			sawRecentFinish = true
+		if ev.Type == TraceFinish && ev.Guest == g.ID {
+			sawFinish = true
 		}
 	}
-	if !sawRecentFinish {
-		t.Error("newest guest's finish event was evicted; ring is not oldest-first")
+	if !sawFinish {
+		t.Error("the finish event was evicted; the ring is not oldest-first")
 	}
 }
 
