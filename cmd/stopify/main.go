@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		compileOnly = flag.Bool("compile", false, "print instrumented JavaScript instead of running")
-		engineName  = flag.String("engine", "chrome", "engine profile: chrome, edge, firefox, safari, chromebook, uniform")
+		engineName  = flag.String("engine", "chrome", "engine profile: chrome, edge, firefox, safari, chromebook, or none (no cost model and a 100 000-frame stack, as the daemon runs)")
 		cont        = flag.String("cont", "checked", "continuation strategy: checked, exceptional, eager")
 		ctor        = flag.String("ctor", "direct", "constructor strategy: direct, wrapped")
 		timer       = flag.String("timer", "approx", "time estimator: exact, countdown, approx")
@@ -50,10 +50,7 @@ func main() {
 		}
 	}
 	prof := engine.Profiles()[*engineName]
-	if prof == nil && *engineName == "uniform" {
-		prof = engine.Uniform()
-	}
-	if prof == nil {
+	if prof == nil && *engineName != "none" {
 		fatal(fmt.Errorf("unknown engine %q", *engineName))
 	}
 

@@ -59,7 +59,7 @@ console.log(f(1, 2, 3));`
 	// args=none restores via formals only; a continuation captured inside f
 	// would change the count. verifySame runs without captures here, so
 	// this passes — the point is just that verifySame runs both sides.
-	if err := verifySame(src, core.Defaults(), engine.Uniform()); err != nil {
+	if err := verifySame(src, core.Defaults(), nil); err != nil {
 		t.Fatalf("verifySame: %v", err)
 	}
 }

@@ -598,8 +598,7 @@ func (p *program) config(backend string, out io.Writer) core.RunConfig {
 	switch {
 	case p.fuzzed:
 		cfg := config(backend, out, neverBudget/2)
-		cfg.Engine, cfg.MemBudgetBytes = engine.Uniform(), 64<<20
-		cfg.Engine.MaxStack = 2000
+		cfg.Engine, cfg.MemBudgetBytes = &engine.Profile{Name: "shallow", MaxStack: 2000}, 64<<20
 		return cfg
 	case strings.HasSuffix(p.want, "!does not finish\n"):
 		return config(backend, out, neverBudget)

@@ -294,7 +294,7 @@ const (
 
 // RunConfig is the host environment for one execution.
 type RunConfig struct {
-	Engine *engine.Profile // nil: uniform test profile
+	Engine *engine.Profile // nil: no cost model, as serving runs; a 100 000-frame stack
 	Clock  eventloop.Clock // nil: real clock
 	Out    io.Writer       // nil: discard console output
 	Seed   uint64          // Math.random seed

@@ -11,6 +11,10 @@
 // Figure 11 test) is the asymmetry: Edge-like engines make try/catch and
 // Object.create expensive relative to plain checks and `new`, while
 // Chrome-like engines make them cheap.
+//
+// Only the figure harness and the stopify CLI pass a profile. A realm with
+// none — the daemon, the supervisor and the benchmark — has no cost model
+// and charges nothing.
 package engine
 
 // Profile describes one browser-like engine.
@@ -117,14 +121,4 @@ func ChromeBook() *Profile {
 	p.Speed = 4
 	p.MaxStack = 4000
 	return p
-}
-
-// Uniform returns a neutral profile for unit tests: every operation costs
-// the same small amount and the stack is deep.
-func Uniform() *Profile {
-	return &Profile{
-		Name: "uniform", Speed: 1,
-		TryCost: 1, BranchCost: 1, ThrowCost: 1, CallCost: 1, NewCost: 1,
-		ObjectCreateCost: 1, PropCost: 1, MaxStack: 100000,
-	}
 }

@@ -53,10 +53,3 @@ func TestShallowStacks(t *testing.T) {
 		t.Error("the paper singles out Firefox's shallow stack (§5.2)")
 	}
 }
-
-func TestUniformProfile(t *testing.T) {
-	u := Uniform()
-	if u.TryCost != u.NewCost || u.MaxStack < 10000 {
-		t.Error("uniform profile should be flat and deep")
-	}
-}

@@ -75,12 +75,12 @@ func (in *Interp) setupObjectProto() {
 		if len(args) > 0 && args[0].IsObject() {
 			return args[0], nil
 		}
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		return ObjectValue(in.NewPlainObject()), nil
 	})
 	objectCtor.SetHidden("prototype", ObjectValue(in.objectProto))
 	objectCtor.SetHidden("create", in.nativeV("create", func(in *Interp, this Value, args []Value) (Value, error) {
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		var proto *Object
 		if len(args) > 0 {
 			proto = args[0].Obj()
@@ -240,7 +240,7 @@ func (in *Interp) setupFunctionProto() {
 		}
 		// A data-backed function kind, not a native closure: the snapshot
 		// codec traverses Target/This/Args like any other object graph.
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		in.chargeMem(memObjectBytes + memValueBytes*len(bound))
 		o := &Object{Class: "Function", Proto: in.functionProto,
 			Bound: &BoundFunction{Target: this, This: boundThis, Args: bound}}
@@ -446,7 +446,7 @@ func (in *Interp) setupConsoleAndTimers() {
 			}
 			ms = v
 		}
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		in.chargeMem(memObjectBytes)
 		o := &Object{Class: "Date", Proto: in.dateProto, Date: &DateData{MS: ms}}
 		return ObjectValue(o), nil

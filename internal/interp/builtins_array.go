@@ -13,7 +13,7 @@ import (
 // benchmark programs do).
 func (in *Interp) setupArray() {
 	arrayCtor := in.native("Array", func(in *Interp, this Value, args []Value) (Value, error) {
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		if isCtorSentinel(this) && len(args) == 1 && args[0].IsNumber() {
 			n := args[0].Num()
 			size := int(n)

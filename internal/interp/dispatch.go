@@ -176,14 +176,11 @@ loop:
 		switch ins.Op {
 		case bytecode.OpStmt:
 			in.Steps += uint64(ins.A)
-			in.charge(int(ins.A))
+			in.chargeStmt(int(ins.A), ins.B != 0)
 			if in.Steps > in.stepLimit {
 				if err := in.stepBoundary(); err != nil {
 					return Undefined, err
 				}
-			}
-			if ins.B != 0 {
-				in.charge(in.Engine.BranchCost)
 			}
 
 		case bytecode.OpConst:
@@ -310,11 +307,11 @@ loop:
 			elems := make([]Value, n)
 			copy(elems, stack[sp-n:sp])
 			sp -= n
-			in.charge(in.Engine.ObjectCreateCost)
+			in.chargeAlloc()
 			stack[sp] = ObjectValue(in.NewArray(elems))
 			sp++
 		case bytecode.OpNewObject:
-			in.charge(in.Engine.ObjectCreateCost)
+			in.chargeAlloc()
 			stack[sp] = ObjectValue(in.NewPlainObject())
 			sp++
 		case bytecode.OpSetProp:
@@ -662,7 +659,7 @@ loop:
 			stack[sp-1] = typeOfValue(stack[sp-1])
 
 		case bytecode.OpChargeBranch:
-			in.charge(in.Engine.BranchCost)
+			in.chargeBranch()
 
 		case bytecode.OpStrictEqConst:
 			stack[sp-1] = BoolValue(StrictEquals(stack[sp-1], ch.consts[ins.A]))
@@ -774,14 +771,11 @@ loop:
 			sp--
 			env.slots[ins.A] = stack[sp]
 			in.Steps += uint64(ins.B)
-			in.charge(int(ins.B))
+			in.chargeStmt(int(ins.B), ins.C != 0)
 			if in.Steps > in.stepLimit {
 				if err := in.stepBoundary(); err != nil {
 					return Undefined, err
 				}
-			}
-			if ins.C != 0 {
-				in.charge(in.Engine.BranchCost)
 			}
 		case bytecode.OpJumpIfFalseStmt:
 			sp--
@@ -790,38 +784,29 @@ loop:
 				break
 			}
 			in.Steps += uint64(ins.B)
-			in.charge(int(ins.B))
+			in.chargeStmt(int(ins.B), ins.C != 0)
 			if in.Steps > in.stepLimit {
 				if err := in.stepBoundary(); err != nil {
 					return Undefined, err
 				}
-			}
-			if ins.C != 0 {
-				in.charge(in.Engine.BranchCost)
 			}
 		case bytecode.OpStmtGetLocal:
 			in.Steps += uint64(ins.B)
-			in.charge(int(ins.B))
+			in.chargeStmt(int(ins.B), ins.C != 0)
 			if in.Steps > in.stepLimit {
 				if err := in.stepBoundary(); err != nil {
 					return Undefined, err
 				}
-			}
-			if ins.C != 0 {
-				in.charge(in.Engine.BranchCost)
 			}
 			stack[sp] = env.slots[ins.A]
 			sp++
 		case bytecode.OpStmtConst:
 			in.Steps += uint64(ins.B)
-			in.charge(int(ins.B))
+			in.chargeStmt(int(ins.B), ins.C != 0)
 			if in.Steps > in.stepLimit {
 				if err := in.stepBoundary(); err != nil {
 					return Undefined, err
 				}
-			}
-			if ins.C != 0 {
-				in.charge(in.Engine.BranchCost)
 			}
 			stack[sp] = ch.consts[ins.A]
 			sp++
@@ -836,11 +821,11 @@ loop:
 			sp++
 		case bytecode.OpThrow:
 			sp--
-			in.charge(in.Engine.ThrowCost)
+			in.chargeThrow()
 			err = &Thrown{Value: stack[sp]}
 			goto fail
 		case bytecode.OpTry:
-			in.charge(in.Engine.TryCost)
+			in.chargeTry()
 			tries = append(tries, tryFrame{catchPC: ins.A, finPC: ins.B, sp: sp, envDepth: envDepth})
 		case bytecode.OpPopTry:
 			tries = tries[:len(tries)-1]

@@ -99,10 +99,10 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 			}
 			elems[i] = v
 		}
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		return ObjectValue(in.NewArray(elems)), nil
 	case *ast.Object:
-		in.charge(in.Engine.ObjectCreateCost)
+		in.chargeAlloc()
 		obj := in.NewPlainObject()
 		in.chargeMem(memPropBytes * len(n.Props))
 		for _, p := range n.Props {
@@ -628,7 +628,7 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 	if !f.IsCallable() {
 		return Undefined, in.Throw("TypeError", "%s is not a constructor", TypeOf(fn))
 	}
-	in.charge(in.Engine.NewCost)
+	in.chargeNew()
 	if b := f.Bound; b != nil {
 		// `new boundFn(args)` constructs the *target* with the bound args
 		// prepended; boundThis is ignored (spec §10.4.1.2 [[Construct]]).
@@ -680,7 +680,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	if !f.IsCallable() {
 		return Undefined, in.Throw("TypeError", "%s is not a function", TypeOf(fn))
 	}
-	in.charge(in.Engine.CallCost)
+	in.chargeCall()
 	if f.Native != nil {
 		return f.Native(in, this, args)
 	}

@@ -11,7 +11,9 @@ import (
 
 // Options configures a fresh interpreter.
 type Options struct {
-	// Engine selects the browser cost profile; nil means engine.Uniform().
+	// Engine selects the browser cost profile the paper's figures charge
+	// work units by; nil means no cost model, which is how serving and the
+	// benchmark run (and a stack of defaultMaxDepth frames).
 	Engine *engine.Profile
 	// Clock supplies Date.now and the event loop's time; nil means a real
 	// clock.
@@ -152,10 +154,15 @@ type Interp struct {
 	timerDead map[uint64]bool
 }
 
+// defaultMaxDepth is the call-stack limit of a realm with no engine profile:
+// deeper than any browser's, so a program runs as if the stack were unbounded.
+const defaultMaxDepth = 100000
+
 // New creates an interpreter with a fresh global environment.
 func New(opts Options) *Interp {
-	if opts.Engine == nil {
-		opts.Engine = engine.Uniform()
+	maxDepth := defaultMaxDepth
+	if opts.Engine != nil {
+		maxDepth = opts.Engine.MaxStack
 	}
 	if opts.Clock == nil {
 		opts.Clock = eventloop.NewRealClock()
@@ -166,7 +173,7 @@ func New(opts Options) *Interp {
 		Loop:      opts.Loop,
 		out:       opts.Out,
 		rng:       opts.Seed*2862933555777941757 + 3037000493,
-		maxDepth:  opts.Engine.MaxStack,
+		maxDepth:  maxDepth,
 		bytecode:  opts.Bytecode,
 		maxSteps:  opts.MaxSteps,
 		memBudget: opts.MemBudget,
@@ -271,12 +278,72 @@ func (in *Interp) HoldQuantum(hold bool) {
 // SetOnQuantum installs the quantum-expiry hook (executing goroutine only).
 func (in *Interp) SetOnQuantum(fn func()) { in.onQuantum = fn }
 
-// charge consumes work units according to the engine profile. The loop body
-// is a data dependency on in.sink so the compiler cannot remove it.
-func (in *Interp) charge(units int) {
-	n := units * in.Engine.Speed
+// The charge helpers spend the engine profile's work units at the operations
+// whose relative costs the paper's figures compare (internal/engine). Each is
+// one nil test on a realm with no profile, small enough to inline.
+
+// chargeStmt charges n statements, and the profile's branch cost when the
+// first of them is an if.
+func (in *Interp) chargeStmt(n int, branch bool) {
+	if p := in.Engine; p != nil {
+		if branch {
+			n += p.BranchCost
+		}
+		in.charge(p, n)
+	}
+}
+
+func (in *Interp) chargeBranch() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.BranchCost)
+	}
+}
+
+func (in *Interp) chargeTry() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.TryCost)
+	}
+}
+
+func (in *Interp) chargeThrow() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.ThrowCost)
+	}
+}
+
+func (in *Interp) chargeCall() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.CallCost)
+	}
+}
+
+func (in *Interp) chargeNew() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.NewCost)
+	}
+}
+
+// chargeAlloc charges an object, array or closure allocation.
+func (in *Interp) chargeAlloc() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.ObjectCreateCost)
+	}
+}
+
+func (in *Interp) chargeProp() {
+	if p := in.Engine; p != nil {
+		in.charge(p, p.PropCost)
+	}
+}
+
+// charge spins units × p.Speed work units. The loop body is a data
+// dependency on in.sink so the compiler cannot remove it. It stays out of
+// line so that the helpers inline as a test and a call, not as a loop.
+//
+//go:noinline
+func (in *Interp) charge(p *engine.Profile, units int) {
 	s := in.sink
-	for i := 0; i < n; i++ {
+	for i := units * p.Speed; i > 0; i-- {
 		s = s*6364136223846793005 + 1442695040888963407
 	}
 	in.sink = s
@@ -396,7 +463,7 @@ func (in *Interp) makeFunction(fn *ast.Func, env *Env) *Object {
 			in.buildArguments(&e.slots[l.ArgumentsSlot])
 		}
 	}
-	in.charge(in.Engine.ObjectCreateCost)
+	in.chargeAlloc()
 	in.chargeMem(memFuncBytes)
 	p := new(funcObject)
 	p.obj = Object{Class: "Function", Proto: in.functionProto, Fn: &p.fn}
@@ -421,7 +488,7 @@ func (in *Interp) execStmts(body []ast.Stmt, env *Env) error {
 
 func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 	in.Steps++
-	in.charge(1)
+	in.chargeStmt(1, false)
 	if in.Steps > in.stepLimit {
 		if err := in.stepBoundary(); err != nil {
 			return err
@@ -434,7 +501,7 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 		_, err := in.eval(n.X, env)
 		return err
 	case *ast.If:
-		in.charge(in.Engine.BranchCost)
+		in.chargeBranch()
 		t, err := in.eval(n.Test, env)
 		if err != nil {
 			return err
@@ -504,7 +571,7 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 		if err != nil {
 			return err
 		}
-		in.charge(in.Engine.ThrowCost)
+		in.chargeThrow()
 		return &Thrown{Value: v}
 	case *ast.Try:
 		return in.execTry(n, env)
@@ -716,7 +783,7 @@ func (in *Interp) execSwitch(n *ast.Switch, env *Env) error {
 }
 
 func (in *Interp) execTry(n *ast.Try, env *Env) error {
-	in.charge(in.Engine.TryCost)
+	in.chargeTry()
 	err := in.execStmts(n.Block.Body, env)
 	if t, ok := err.(*Thrown); ok && n.Catch != nil {
 		cenv := NewSlotEnv(env, n.CatchScope)

@@ -479,6 +479,47 @@ func TestStackOverflow(t *testing.T) {
 	}
 }
 
+// TestNoProfileChargesNothing: a realm with no engine profile — serving's —
+// spends no work units, while one with a browser's profile does, on both
+// engines: a function body runs as a chunk under Bytecode, and the
+// top-level loop always runs on the walker.
+func TestNoProfileChargesNothing(t *testing.T) {
+	prog, err := parseResolved(`
+function P(x) { this.x = x; }
+function f(n) {
+  var s = 0;
+  for (var i = 0; i < n; i++) {
+    if (i % 2) { s += new P(i).x; } else { s += {y: i}.y; }
+    try { if (i === 3) { throw i; } } catch (e) { s++; }
+  }
+  return s;
+}
+var t = 0;
+for (var j = 0; j < 3; j++) { if (j) { t += f(10); } }
+console.log(t);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bc := range []bool{false, true} {
+		for _, eng := range []*engine.Profile{nil, engine.Chrome()} {
+			var buf bytes.Buffer
+			in := New(Options{Engine: eng, Bytecode: bc, Out: &buf})
+			if err := in.RunProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != "92\n" {
+				t.Fatalf("bytecode=%v engine=%v: printed %q, want 92", bc, eng != nil, buf.String())
+			}
+			if bc && in.ChunkRuns() == 0 {
+				t.Fatal("bytecode engine compiled nothing; test is vacuous")
+			}
+			if charged := in.sink != 0; charged != (eng != nil) {
+				t.Errorf("bytecode=%v engine=%v: charged=%v", bc, eng != nil, charged)
+			}
+		}
+	}
+}
+
 func TestSetTimeoutOrdering(t *testing.T) {
 	clock := eventloop.NewVirtualClock()
 	loop := eventloop.New(clock)

@@ -593,7 +593,7 @@ func (in *Interp) getElemFast(base, idx Value) (Value, bool) {
 		// which property it names, regardless of array length.
 		return Undefined, false
 	}
-	in.charge(in.Engine.PropCost)
+	in.chargeProp()
 	return o.Elems[i], true
 }
 
@@ -630,7 +630,7 @@ func (in *Interp) setElemFast(base, idx, v Value) bool {
 			o.Elems = append(o.Elems, Undefined)
 		}
 	}
-	in.charge(in.Engine.PropCost)
+	in.chargeProp()
 	o.Elems[i] = v
 	return true
 }
@@ -645,7 +645,7 @@ func (in *Interp) GetMember(base Value, key string) (Value, error) {
 // caching); non-computed member reads call it with the site internal/
 // resolve assigned to their ast.Member node.
 func (in *Interp) getMemberSite(base Value, key string, site uint32) (Value, error) {
-	in.charge(in.Engine.PropCost)
+	in.chargeProp()
 	switch base.tag {
 	case TagObject:
 		return in.objGetSite(base.Obj(), base, key, site)
@@ -777,7 +777,7 @@ func (in *Interp) SetMember(base Value, key string, v Value) error {
 // old shape → new shape, value appended; guarded by protoEpoch so an
 // accessor appearing anywhere on the chain invalidates the shortcut).
 func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) error {
-	in.charge(in.Engine.PropCost)
+	in.chargeProp()
 	o := base.Obj()
 	if o == nil {
 		switch base.tag {

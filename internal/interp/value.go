@@ -6,10 +6,11 @@
 // browser-like native stack limit.
 //
 // The interpreter plays the role of V8/Chakra/SpiderMonkey/JavaScriptCore in
-// the paper's evaluation. It charges work units through an engine.Profile so
+// the paper's evaluation. Given an engine.Profile it charges work units so
 // that the browser-specific cost asymmetries (Figure 2b, Figure 11) are
-// reproducible, and it is deliberately not a JIT: the paper's results are
-// relative slowdowns, which survive a uniformly slower engine.
+// reproducible; given none, as in serving and the benchmark, it charges
+// nothing. It is deliberately not a JIT: the paper's results are relative
+// slowdowns, which survive a uniformly slower engine.
 package interp
 
 import (

@@ -34,6 +34,11 @@ func TestValueLayout(t *testing.T) {
 	if !zero.IsUndefined() {
 		t.Fatal("the zero Value must be undefined (env slots and cleared arenas rely on it)")
 	}
+	// Every realm allocates one Interp: at 568 B it fits the 576-byte size
+	// class, and a field that crosses it moves every realm into the 640 class.
+	if got := unsafe.Sizeof(Interp{}); got > 568 {
+		t.Fatalf("Interp is %d bytes, want at most 568 (past 576 it allocates in the 640-byte size class)", got)
+	}
 }
 
 // TestNumberRoundTrip drives every interesting float64 class through the
