@@ -336,6 +336,10 @@ type If struct {
 	Test Expr
 	Cons Stmt
 	Alt  Stmt
+	// Site marks a checked-strategy call site the instrumentation built
+	// (instrument.site), which the bytecode compiler lowers with fused
+	// instructions. Nothing else sets it; the printer does not show it.
+	Site bool
 }
 
 // While is a while loop.

@@ -320,6 +320,50 @@ const (
 	// OpStmtConst marks B statement boundaries (C != 0 adds BranchCost),
 	// then pushes Consts[A].
 	OpStmtConst
+
+	// --- fused call sites ---
+	//
+	// A checked call site (instrument.site, marked ast.If.Site) is lowered
+	// exactly as any if statement, with these around it for normal mode.
+	// Sites[A] holds what they read. Each takes its shortcut only when $mode's
+	// global cell holds "normal", the realm has no engine profile, and no
+	// statement-boundary trigger falls inside the statements it counts;
+	// otherwise it does nothing and the generic code runs, so both paths count
+	// the same statements (DESIGN_interp.md "Fused call sites and the yield
+	// poll").
+
+	// OpSitePoll, before OpSiteEnter at a `$suspend()` site, skips the whole
+	// site when the call would return at once: $suspend's binding still holds
+	// the runtime's native, no pause or kill is requested, and the runtime's
+	// poll budget is positive. It counts the site's four remaining boundaries,
+	// stores undefined into the target and -1 into $lbl, and exits.
+	OpSitePoll
+	// OpSiteEnter, right after the site's own boundary, counts the block and
+	// assignment boundaries and jumps to the application's code.
+	OpSiteEnter
+	// OpSiteLeave ends the application arm of the site's conditional: the
+	// value on top goes into the target, the capture-test and label-reset
+	// boundaries are counted, -1 is stored into $lbl and the site exits.
+	// Otherwise it jumps to B, the join, as the plain jump it replaces did.
+	OpSiteLeave
+)
+
+// Site is one fused call site: the operands OpSitePoll, OpSiteEnter and
+// OpSiteLeave share.
+type Site struct {
+	Mode    uint32 // global-cell cache site of the guard's $mode
+	Suspend uint32 // global-cell cache site of a $suspend callee; 0: OpSitePoll is not emitted
+	Target  int32  // local slot the application's value is stored in
+	Label   int32  // local slot of $lbl
+	Body    int32  // pc of the application's code
+	Exit    int32  // pc after the site
+}
+
+// Statement boundaries a fused site counts around its application: the block
+// and the assignment before it, the capture test and the label reset after.
+const (
+	SiteEnterSteps = 2
+	SiteLeaveSteps = 2
 )
 
 // Instr is one instruction. A, B, and C are opcode-specific operands: pc
@@ -418,6 +462,9 @@ type Chunk struct {
 	// GuardNames maps the pc of an OpJumpGlobalNeConst to the Names index
 	// of its global, consulted only on an inline-cache miss.
 	GuardNames map[int32]int32
+
+	// Sites are the fused call sites, indexed by their instructions' A.
+	Sites []Site
 }
 
 // opNames is the disassembly table.
@@ -462,7 +509,8 @@ var opNames = [...]string{
 	OpJumpGlobalNeConst: "jumpglobalneconst", OpConstSetLocal: "constsetlocal",
 	OpClosureSetLocal: "closuresetlocal", OpSetLocalStmt: "setlocalstmt",
 	OpJumpIfFalseStmt: "jumpfalsestmt", OpStmtGetLocal: "stmtgetlocal",
-	OpStmtConst: "stmtconst",
+	OpStmtConst: "stmtconst", OpSitePoll: "sitepoll", OpSiteEnter: "siteenter",
+	OpSiteLeave: "siteleave",
 }
 
 // String returns the opcode's mnemonic.
@@ -506,6 +554,12 @@ func (c *Chunk) Disassemble() string {
 		case OpGetArguments, OpGetArg, OpArgsLen:
 			r := ast.Ref(uint32(ins.C))
 			b = append(b, fmt.Sprintf(" (%d,%d)", r.Hops(), r.Slot())...)
+		case OpSitePoll, OpSiteEnter, OpSiteLeave:
+			s := c.Sites[ins.A]
+			b = append(b, fmt.Sprintf(" body %d exit %d", s.Body, s.Exit)...)
+			if ins.Op == OpSiteLeave {
+				b = append(b, fmt.Sprintf(" join %d", ins.B)...)
+			}
 		}
 		b = append(b, '\n')
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/ast"
+	"repro/internal/instrument"
 )
 
 // Compile lowers a function body to a chunk: every statement of it, or none.
@@ -22,7 +23,7 @@ import (
 // differential harness in internal/core checks.
 func Compile(fn *ast.Func) *Chunk {
 	c := compilers.Get().(*compiler)
-	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names}
+	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names, Sites: c.sites}
 	c.ch = ch
 	c.argsSlot = fn.Scope.ArgumentsSlot
 	for _, s := range fn.Body {
@@ -33,10 +34,11 @@ func Compile(fn *ast.Func) *Chunk {
 
 	// The chunk keeps exact-size copies; the grown buffers and the emptied
 	// indexes go back for the next function, holding nothing of this one.
-	code, consts, names := ch.Code, ch.Consts, ch.Names
+	code, consts, names, sites := ch.Code, ch.Consts, ch.Names, ch.Sites
 	ch.Code = append([]Instr(nil), code...)
 	ch.Consts = append([]Const(nil), consts...)
 	ch.Names = append([]string(nil), names...)
+	ch.Sites = append([]Site(nil), sites...)
 	if c.failed {
 		ch = nil
 	}
@@ -44,7 +46,7 @@ func Compile(fn *ast.Func) *Chunk {
 	clear(names)
 	clear(c.nameIdx)
 	clear(c.constIdx)
-	*c = compiler{code: code[:0], consts: consts[:0], names: names[:0], nameIdx: c.nameIdx, constIdx: c.constIdx}
+	*c = compiler{code: code[:0], consts: consts[:0], names: names[:0], sites: sites[:0], nameIdx: c.nameIdx, constIdx: c.constIdx}
 	compilers.Put(c)
 	return ch
 }
@@ -95,10 +97,11 @@ type compiler struct {
 	failed   bool
 
 	// Pooled with the emptied indexes above: the grown buffers ch's Code,
-	// Consts and Names start from. Growing them was most of a compile's cost.
+	// Consts, Names and Sites start from. Growing them was most of a compile's cost.
 	code   []Instr
 	consts []Const
 	names  []string
+	sites  []Site
 
 	// fuseBarrier is the lowest pc into which no instruction may be
 	// merged: any pc that was captured as a jump target (loop heads,
@@ -309,6 +312,9 @@ func (c *compiler) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		c.exprStmt(n.X)
 	case *ast.If:
+		if n.Site && c.site(n) {
+			break
+		}
 		c.emitChargeBranch()
 		c.expr(n.Test)
 		jf := c.emitJumpIfFalse()
@@ -380,6 +386,103 @@ func (c *compiler) stmt(s ast.Stmt) {
 	default:
 		c.failed = true
 	}
+}
+
+// site lowers a call site the instrumentation marked (ast.If.Site),
+//
+//	if ($mode === "normal" || $lbl === L) {
+//	  t = $mode === "normal" ? app : $k.fn.apply($k.self);
+//	  if ($mode === "capture") { $stack.push(…); return; }
+//	  $lbl = -1;
+//	}
+//
+// instruction for instruction as stmt lowers any if, with OpSiteEnter after the
+// boundary, OpSiteLeave in place of the jump over the restore arm and, when
+// app is `$suspend()`, OpSitePoll before them. It reports false, emitting
+// nothing, for a shape it does not recognize or a t or $lbl that is not a
+// slot of the current frame (a site inside a catch clause).
+func (c *compiler) site(n *ast.If) bool {
+	or, _ := n.Test.(*ast.Logical)
+	block, _ := n.Cons.(*ast.Block)
+	if or == nil || block == nil || len(block.Body) != 3 || n.Alt != nil {
+		return false
+	}
+	mode, ok := modeNormalTest(or.L)
+	target, value, okApply := c.localStore(block.Body[0])
+	label, reset, okReset := c.localStore(block.Body[2])
+	cond, okCond := value.(*ast.Cond)
+	minusOne, okOne := reset.(*ast.Number)
+	if !ok || !okApply || !okReset || !okCond || !okOne || minusOne.Value != -1 {
+		return false
+	}
+	if _, ok := modeNormalTest(cond.Test); !ok {
+		return false
+	}
+	s := Site{Mode: mode, Target: int32(target.Ref.Slot()), Label: int32(label.Ref.Slot())}
+	if call, ok := cond.Cons.(*ast.Call); ok && len(call.Args) == 0 {
+		if id, ok := call.Callee.(*ast.Ident); ok && id.Name == instrument.SuspendFn && id.Ref.Global() && id.Site != 0 {
+			s.Suspend = id.Site
+		}
+	}
+	idx := int32(len(c.ch.Sites))
+	c.ch.Sites = append(c.ch.Sites, s)
+
+	c.emitChargeBranch()
+	if s.Suspend != 0 {
+		c.emit(OpSitePoll, idx, 0)
+	}
+	c.emit(OpSiteEnter, idx, 0)
+	c.expr(n.Test)
+	jf := c.emitJumpIfFalse()
+	c.pop(1)
+	c.emitStmt() // the block
+	c.emitStmt() // the assignment
+	c.expr(cond.Test)
+	jr := c.emitJumpIfFalse()
+	c.pop(1)
+	c.ch.Sites[idx].Body = int32(c.target())
+	c.expr(cond.Cons)
+	leave := c.emit(OpSiteLeave, idx, -1)
+	c.pop(1)
+	c.patch(jr)
+	c.expr(cond.Alt)
+	c.ch.Code[leave].B = int32(c.target())
+	c.storeRef(target.Ref)
+	c.stmt(block.Body[1])
+	c.stmt(block.Body[2])
+	c.patch(jf)
+	c.ch.Sites[idx].Exit = int32(c.pc())
+	return true
+}
+
+// modeNormalTest returns the cache site of `$mode === "normal"`.
+func modeNormalTest(e ast.Expr) (uint32, bool) {
+	b, ok := e.(*ast.Binary)
+	if !ok || b.Op != "===" {
+		return 0, false
+	}
+	id, okID := b.L.(*ast.Ident)
+	s, okStr := b.R.(*ast.Str)
+	if !okID || !okStr || id.Name != instrument.ModeVar || !id.Ref.Global() || id.Site == 0 || s.Value != instrument.ModeNormal {
+		return 0, false
+	}
+	return id.Site, true
+}
+
+// localStore takes `x = v;` apart when x is a slot of the current frame.
+func (c *compiler) localStore(s ast.Stmt) (*ast.Ident, ast.Expr, bool) {
+	es, _ := s.(*ast.ExprStmt)
+	if es == nil {
+		return nil, nil, false
+	}
+	a, _ := es.X.(*ast.Assign)
+	if a == nil || a.Op != "=" {
+		return nil, nil, false
+	}
+	if _, ok := c.localSlot(a.Target); !ok {
+		return nil, nil, false
+	}
+	return a.Target.(*ast.Ident), a.Value, true
 }
 
 // pushCtx enters a breakable construct.

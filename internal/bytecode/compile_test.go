@@ -1,10 +1,14 @@
 package bytecode
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/anf"
 	"repro/internal/ast"
+	"repro/internal/desugar"
+	"repro/internal/instrument"
 	"repro/internal/parser"
 	"repro/internal/resolve"
 )
@@ -190,6 +194,68 @@ function f(o) {
 	if !strings.Contains(ch2.Disassemble(), "constsetlocal") {
 		t.Errorf("missing constsetlocal:\n%s", ch2.Disassemble())
 	}
+
+	// Checked call sites: each of f's two (its entry $suspend() and g()) is
+	// entered and left through the fused pair, the yield point is polled too,
+	// and what runs in any other mode is the plain lowering of the same tree.
+	fused, plain := compileInstrumented(t, `function f(g) { var x = g(); return x + 1; }`)
+	dis = fused.Disassemble()
+	for op, want := range map[Op]int{OpSiteEnter: 2, OpSiteLeave: 2, OpSitePoll: 1} {
+		if n := countOp(fused, op); n != want {
+			t.Errorf("%v: %d, want %d\n%s", op, n, want, dis)
+		}
+	}
+	var ops []Op
+	for _, ins := range fused.Code {
+		switch ins.Op {
+		case OpSitePoll, OpSiteEnter:
+		case OpSiteLeave:
+			ops = append(ops, OpJump)
+		default:
+			ops = append(ops, ins.Op)
+		}
+	}
+	var plainOps []Op
+	for _, ins := range plain.Code {
+		plainOps = append(plainOps, ins.Op)
+	}
+	if !slices.Equal(ops, plainOps) {
+		t.Errorf("the fused lowering is not the plain one around the site instructions:\n%s\nplain:\n%s", dis, plain.Disassemble())
+	}
+	for _, s := range fused.Sites {
+		if s.Body <= 0 || s.Exit <= s.Body || int(s.Exit) >= len(fused.Code) {
+			t.Errorf("site %+v not patched:\n%s", s, dis)
+		}
+	}
+}
+
+// compileInstrumented runs src through the compile passes that produce
+// instrumented code — $suspend insertion, A-normalization, the checked
+// strategy, resolution — and compiles its first function twice: as marked,
+// and with every site mark cleared.
+func compileInstrumented(t *testing.T, src string) (fused, plain *Chunk) {
+	t.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	desugar.Apply(prog, desugar.Options{Suspend: true}, &desugar.Namer{})
+	anf.Normalize(prog)
+	instrument.Apply(prog, instrument.Options{Strategy: instrument.Checked})
+	resolve.Program(prog)
+	_, fns := ast.HoistedDecls(prog.Body)
+	fused = Compile(fns[0])
+	ast.Walk(fns[0], func(n ast.Node) bool {
+		if s, ok := n.(*ast.If); ok {
+			s.Site = false
+		}
+		return true
+	})
+	plain = Compile(fns[0])
+	if fused == nil || plain == nil {
+		t.Fatalf("function did not compile:\n%s", src)
+	}
+	return fused, plain
 }
 
 // TestFuseBarrierKeepsLoopHeads pins the fusion-safety rule: a statement

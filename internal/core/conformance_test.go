@@ -323,7 +323,9 @@ func drive(p *program, c cell) (o outcome) {
 		budget = min(budget, preemptedFactor*p.steps(c.profile)+preemptedSlack)
 	}
 	buf := &bytes.Buffer{}
-	run, err := start(compiled, config(c.engine, buf, budget))
+	cfg := config(c.engine, buf, budget)
+	cfg.MemBudgetBytes = p.config("", nil).MemBudgetBytes // a fuzz input's, on a realm with no profile
+	run, err := start(compiled, cfg)
 	if err != nil {
 		return outcome{text: errText(err)}
 	}
@@ -739,6 +741,13 @@ func (p *program) cells() []cell {
 // report saying why a known row was let through.
 func (p *program) verdict(c cell) (fail, report string) {
 	o := p.outcome(c)
+	// The walker is the reference for what a statement is: the bytecode
+	// engine's fused instructions count as many as it does.
+	if c.engine == core.BackendTree && c.quantum == 0 && !c.raw() {
+		if want := p.steps(c.profile); o.steps != want {
+			return fmt.Sprintf("the calm run took %d statements on the tree-walker, %d on the bytecode engine", o.steps, want), ""
+		}
+	}
 	agrees := o.text == p.want
 	if body, never := strings.CutSuffix(p.want, "!does not finish\n"); never {
 		// Whatever it printed before the budget ended it is a prefix of

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventloop"
 	"repro/internal/rt"
 )
 
@@ -216,6 +217,46 @@ console.log("main", s);
 	<-killed
 	if !run.Finished() {
 		t.Fatal("kill did not finalize the paused program")
+	}
+}
+
+// TestControlRacePollSeesPauseAndKill: under the approx estimator with δ =
+// 100 ms on a clock that never moves, no yield is ever due, so the bytecode
+// engine skips nearly every $suspend call of a call-heavy guest. A Pause and
+// then a Kill from another goroutine must still stop it: nothing else would.
+func TestControlRacePollSeesPauseAndKill(t *testing.T) {
+	c, err := Compile(`
+function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+var s = 0;
+while (true) { s = (s + fib(12)) % 1000; }
+`, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.NewRun(RunConfig{Clock: eventloop.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Run(nil)
+	reason := errors.New("stopped by test")
+	parked := make(chan struct{})
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		run.Pause(func() { close(parked) })
+		<-parked
+		run.Resume()
+		time.Sleep(5 * time.Millisecond)
+		run.Kill(reason)
+	}()
+	pump(t, run, time.Now().Add(20*time.Second))
+	if !run.Finished() {
+		t.Fatal("the guest ran on past a pause and a kill")
+	}
+	if _, err := run.Result(); !errors.Is(err, reason) {
+		t.Fatalf("err=%v, want the kill reason", err)
+	}
+	if run.RT.Yields == 0 {
+		t.Fatal("the pause never landed at a yield point")
 	}
 }
 

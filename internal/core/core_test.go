@@ -523,3 +523,25 @@ func TestBadOptionsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestReassignedSuspendIsCalled: the bytecode engine skips a $suspend call
+// only while the binding holds the runtime's native. A guest that rebinds it
+// has what it bound called at every yield site — each loop iteration and each
+// entry to f — as often on either engine.
+func TestReassignedSuspendIsCalled(t *testing.T) {
+	src := `
+var log = [];
+function f(x) { return x + 1; }
+$suspend = [].push.bind(log, 1);
+var s = 0;
+for (var i = 0; i < 10; i++) { s = f(s); }
+console.log(s, log.length);`
+	for _, backend := range []string{BackendTree, BackendBytecode} {
+		cfg := cfgVirtual()
+		cfg.Backend = backend
+		out, err := RunSource(src, Defaults(), cfg)
+		if err != nil || out != "10 20\n" {
+			t.Errorf("%s: printed %q (%v), want %q", backend, out, err, "10 20\n")
+		}
+	}
+}

@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzBytecodeVsTreewalker is the differential fuzz target: any parseable
-// input runs raw under both execution engines with a step budget, and any
-// difference in output, error, or completion kind is a failure. The seed
-// corpus follows the printer fuzz tests' approach — deterministic
-// pseudo-random program generation — plus the hand-written rows of the
-// conformance corpus.
+// input runs under both execution engines with a step budget, raw and
+// stopified (calm, checked: every call site the bytecode engine fuses), and
+// any difference in output, error, completion kind or statement count is a
+// failure. The seed corpus follows the printer fuzz tests' approach —
+// deterministic pseudo-random program generation — plus the hand-written rows
+// of the conformance corpus.
 func FuzzBytecodeVsTreewalker(f *testing.F) {
 	seedFromCorpus(f, "edge/", "valedge/", "argsedge/", "implicit/")
 	for seed := int64(0); seed < 40; seed++ {
@@ -23,10 +24,15 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)
-		tree := drive(p, cell{engine: core.BackendTree})
-		bc := drive(p, cell{engine: core.BackendBytecode})
-		if tree != bc {
-			t.Fatalf("engine divergence on:\n%s\n  tree:     %q\n  bytecode: %q", src, tree.text, bc.text)
+		stopified := cell{profile: profile{"declared", p.needs}, cont: "checked", mode: "cold"}
+		for _, c := range []cell{{}, stopified} {
+			c.engine = core.BackendTree
+			tree := drive(p, c)
+			c.engine = core.BackendBytecode
+			bc := drive(p, c)
+			if tree != bc {
+				t.Fatalf("engine divergence (%s) on:\n%s\n  tree:     %q, %d statements\n  bytecode: %q, %d statements", c, src, tree.text, tree.steps, bc.text, bc.steps)
+			}
 		}
 	})
 }

@@ -520,10 +520,19 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 
 	out := &ast.Try{P: n.P, Block: ast.BlockOf(tryBody...)}
 
+	// A call re-entered by a restore leaves $lbl at its label until the call
+	// site's own reset, which a throw out of the callee skips: a handler that
+	// runs in normal mode clears it, or an enclosing loop's label test would
+	// send control into the body once more. In restore mode the handler keeps
+	// it — its own re-entry is what the label is steering.
+	resetLbl := func() ast.Stmt {
+		return ast.IfThen(isMode(ModeNormal), ast.ExprOf(ast.SetId("$lbl", ast.Int(-1))))
+	}
 	if n.Catch != nil {
 		ct := "$ct"
 		catchBody := []ast.Stmt{
 			ast.IfThen(ast.CallId(IsSigFn, ast.Id(ct)), &ast.Throw{Arg: ast.Id(ct)}),
+			resetLbl(),
 		}
 		if c.opts.Strategy == Eager {
 			if sd := c.shadowDepth[n]; sd != "" {
@@ -537,7 +546,7 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 		out.Catch = ast.BlockOf(catchBody...)
 	}
 	if n.Finally != nil {
-		out.Finally = ast.BlockOf(c.kStmts(n.Finally.Body)...)
+		out.Finally = ast.BlockOf(append([]ast.Stmt{resetLbl()}, c.kStmts(n.Finally.Body)...)...)
 	}
 	return out
 }
@@ -583,7 +592,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 
 	switch c.opts.Strategy {
 	case Checked:
-		return ast.IfThen(guard,
+		site := ast.IfThen(guard,
 			apply,
 			ast.IfThen(isMode(ModeCapture),
 				c.pushFrame(StackVar, label),
@@ -591,6 +600,8 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 			),
 			clearLbl,
 		)
+		site.Site = true // the bytecode compiler fuses its normal-mode path
+		return site
 	case Exceptional:
 		handler := ast.BlockOf(
 			ast.IfThen(ast.CallId(IsCapFn, ast.Id("$e")), c.pushFrame(StackVar, label)),

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/bytecode"
+	"repro/internal/instrument"
 )
 
 // This file is the bytecode execution engine: a flat fetch–execute loop
@@ -810,6 +811,30 @@ loop:
 			}
 			stack[sp] = ch.consts[ins.A]
 			sp++
+		case bytecode.OpSitePoll:
+			if s := &ch.Sites[ins.A]; in.pollSkips(s) {
+				in.poll.Budget--
+				in.Steps += bytecode.SiteEnterSteps + bytecode.SiteLeaveSteps
+				env.slots[s.Target] = Undefined
+				env.slots[s.Label] = NumberValue(-1)
+				pc = int(s.Exit)
+			}
+		case bytecode.OpSiteEnter:
+			if s := &ch.Sites[ins.A]; in.siteNormal(s.Mode, bytecode.SiteEnterSteps) {
+				in.Steps += bytecode.SiteEnterSteps
+				pc = int(s.Body)
+			}
+		case bytecode.OpSiteLeave:
+			s := &ch.Sites[ins.A]
+			if !in.siteNormal(s.Mode, bytecode.SiteLeaveSteps) {
+				pc = int(ins.B)
+				break
+			}
+			sp--
+			env.slots[s.Target] = stack[sp]
+			env.slots[s.Label] = NumberValue(-1)
+			in.Steps += bytecode.SiteLeaveSteps
+			pc = int(s.Exit)
 		case bytecode.OpCall0Local:
 			fnv := env.slots[ins.A]
 			v, e := in.Call(fnv, Undefined, nil, Undefined)
@@ -921,6 +946,31 @@ loop:
 		}
 		return Undefined, err
 	}
+}
+
+// siteNormal reports whether a fused call site may count its next n statement
+// boundaries in one step: the realm charges no work units, $mode's cell
+// (cached at site by the generic guard's first run) holds "normal", and
+// counting them one by one would fire no trigger (stepBoundary).
+func (in *Interp) siteNormal(site uint32, n uint64) bool {
+	if in.Engine != nil || in.Steps+n > in.stepLimit {
+		return false
+	}
+	c := in.icCellAt(site)
+	return c != nil && c.v.tag == TagString && c.v.Str() == instrument.ModeNormal
+}
+
+// pollSkips reports whether a `$suspend()` site may skip its call: the whole
+// site is normal-mode and trigger-free, its binding holds the runtime's
+// native, no pause or kill is requested, and the native has left a budget of
+// calls that would neither yield nor read the clock.
+func (in *Interp) pollSkips(s *bytecode.Site) bool {
+	p := in.poll
+	if p == nil || p.Budget <= 0 || !in.siteNormal(s.Mode, bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) {
+		return false
+	}
+	c := in.icCellAt(s.Suspend)
+	return c != nil && c.v.Obj() == p.Native && !p.Pause.Load() && !p.Kill.Load()
 }
 
 // globalMiss reads a proved-global reference after an inline-cache miss

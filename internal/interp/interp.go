@@ -3,6 +3,8 @@ package interp
 import (
 	"fmt"
 	"io"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -70,8 +72,8 @@ type Interp struct {
 	out io.Writer
 	rng uint64
 
-	depth    int
-	maxDepth int
+	depth    int32 // int32s, one word for both: Interp stays in its size class (TestValueLayout)
+	maxDepth int32
 	atomic   int
 
 	// Steps counts statements executed, used by tests and by the harness to
@@ -129,8 +131,9 @@ type Interp struct {
 	prof       *profState // sampling profiler; nil = disarmed (profile.go)
 	ops        *opStack
 	chunkRuns  uint64
+	poll       *Poll // the runtime's yield poll (SetPoll); nil: $suspend sites always call
 
-	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 568 B, one more is the 640 class
+	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 568 B, one more word is the last of the 576 class
 	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
 	HelpersLive   bool                         // rt.setMode: a helper call is a call, not the re-entry of a captured frame (helpers.go)
 	argsBuilt     uint32                       // arguments objects built (ArgumentsBuilt)
@@ -160,9 +163,9 @@ const defaultMaxDepth = 100000
 
 // New creates an interpreter with a fresh global environment.
 func New(opts Options) *Interp {
-	maxDepth := defaultMaxDepth
+	maxDepth := int32(defaultMaxDepth)
 	if opts.Engine != nil {
-		maxDepth = opts.Engine.MaxStack
+		maxDepth = int32(min(opts.Engine.MaxStack, math.MaxInt32))
 	}
 	if opts.Clock == nil {
 		opts.Clock = eventloop.NewRealClock()
@@ -278,6 +281,25 @@ func (in *Interp) HoldQuantum(hold bool) {
 // SetOnQuantum installs the quantum-expiry hook (executing goroutine only).
 func (in *Interp) SetOnQuantum(fn func()) { in.onQuantum = fn }
 
+// Poll is what a runtime lends its realm so that a `$suspend()` site can skip
+// a call that would return at once (OpSitePoll, dispatch.go). Only the
+// executing goroutine touches Native and Budget; Pause and Kill are set from
+// any.
+type Poll struct {
+	// Native is the runtime's $suspend: a site whose binding holds anything
+	// else calls what it holds.
+	Native *Object
+	// Budget is how many more calls may be skipped: calls the runtime knows
+	// would neither yield nor read the clock. A skip spends one; the native
+	// credits what was spent and sets it again.
+	Budget int
+	// Pause and Kill are the runtime's outstanding requests.
+	Pause, Kill atomic.Bool
+}
+
+// SetPoll installs the runtime's yield poll.
+func (in *Interp) SetPoll(p *Poll) { in.poll = p }
+
 // The charge helpers spend the engine profile's work units at the operations
 // whose relative costs the paper's figures compare (internal/engine). Each is
 // one nil test on a realm with no profile, small enough to inline.
@@ -351,7 +373,7 @@ func (in *Interp) charge(p *engine.Profile, units int) {
 
 // Depth reports the current JavaScript call depth; the Stopify runtime's
 // deep-stack mode (§5.2) reads it.
-func (in *Interp) Depth() int { return in.depth }
+func (in *Interp) Depth() int { return int(in.depth) }
 
 // EnterAtomic marks the start of a native section that calls back into
 // JavaScript (Array.prototype.sort's comparator, map's callback, ...).
@@ -368,7 +390,7 @@ func (in *Interp) ExitAtomic() { in.atomic-- }
 func (in *Interp) InAtomic() bool { return in.atomic > 0 }
 
 // MaxDepth reports the engine's stack limit.
-func (in *Interp) MaxDepth() int { return in.maxDepth }
+func (in *Interp) MaxDepth() int { return int(in.maxDepth) }
 
 // Throw builds a Thrown error carrying a fresh Error object.
 func (in *Interp) Throw(name, format string, args ...interface{}) error {

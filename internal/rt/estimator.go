@@ -38,6 +38,13 @@ type estimator interface {
 	due() bool
 	// reset marks a yield point.
 	reset()
+	// quiet is how many of the next calls are certain to be neither due nor
+	// a clock read; skip(n) then stands for n such calls of due, leaving the
+	// estimator as they would have. A runtime that batches those calls
+	// (armPoll) yields, and reads the clock, on the same calls as one that
+	// makes every one.
+	quiet() int
+	skip(n int)
 }
 
 // exactEst reads the clock on every call.
@@ -47,8 +54,10 @@ type exactEst struct {
 	last  float64
 }
 
-func (e *exactEst) due() bool { return e.clock.Now()-e.last >= e.delta }
-func (e *exactEst) reset()    { e.last = e.clock.Now() }
+func (e *exactEst) due() bool  { return e.clock.Now()-e.last >= e.delta }
+func (e *exactEst) reset()     { e.last = e.clock.Now() }
+func (e *exactEst) quiet() int { return 0 } // every call reads the clock
+func (e *exactEst) skip(int)   {}
 
 // countdownEst yields every n calls.
 type countdownEst struct {
@@ -62,6 +71,10 @@ func (e *countdownEst) due() bool {
 }
 
 func (e *countdownEst) reset() { e.counter = e.n }
+
+// quiet: the call that takes the counter to zero is due.
+func (e *countdownEst) quiet() int { return max(e.counter-1, 0) }
+func (e *countdownEst) skip(n int) { e.counter -= n }
 
 // approxEst implements Figure 6: it counts calls (distance), occasionally
 // samples the clock to maintain an estimate of the call rate (velocity, in
@@ -119,3 +132,32 @@ func (e *approxEst) due() bool {
 }
 
 func (e *approxEst) reset() { e.distance = 0 }
+
+// quiet is the smaller of the calls before the one that reads the clock and
+// the calls before distance/velocity reaches δ. The second is solved exactly
+// as due computes it: distance stays an integer, and the division is
+// monotone in it, so the estimate only needs nudging over a rounding edge.
+func (e *approxEst) quiet() int {
+	n := e.counter - 1
+	if n <= 0 || e.velocity <= 0 {
+		return max(n, 0) // no velocity yet: never due before a sample
+	}
+	quietAt := func(k int) bool { return (e.distance+float64(k))/e.velocity < e.delta }
+	k := n
+	if x := e.delta*e.velocity - e.distance; x < float64(n) {
+		k = max(int(x), 0)
+	}
+	for k > 0 && !quietAt(k) {
+		k--
+	}
+	for k < n && quietAt(k+1) {
+		k++
+	}
+	return k
+}
+
+func (e *approxEst) skip(n int) {
+	e.distance += float64(n)
+	e.sinceSample += float64(n)
+	e.counter -= n
+}

@@ -7,6 +7,21 @@ import (
 	"repro/internal/interp"
 )
 
+// armPoll sets the number of coming $suspend calls the engine may skip: none
+// under deep stacks, whose yields follow the stack's depth; as many as the
+// estimator guarantees would neither yield nor read the clock; all of them
+// when no estimator runs, since the poll itself sees pauses and kills.
+func (r *R) armPoll() {
+	n := math.MaxInt
+	switch {
+	case r.opts.DeepStacks:
+		n = 0
+	case r.est != nil:
+		n = r.est.quiet()
+	}
+	r.armed, r.poll.Budget = n, n
+}
+
 // installNatives defines the runtime primitives instrumented code calls.
 func (r *R) installNatives() {
 	in := r.In
@@ -37,9 +52,16 @@ func (r *R) installNatives() {
 
 	// $suspend — the maySuspend of Figure 6: estimate elapsed time and
 	// yield to the event loop when δ has passed, a pause is requested, or
-	// the deep-stack limit is hit.
-	defineNative(instrument.SuspendFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if r.mustKill.Load() {
+	// the deep-stack limit is hit. The bytecode engine answers a call that
+	// would return at once without making it (interp.Poll): the estimator is
+	// credited with those first, and the budget is set again on the way out,
+	// so every yield and every clock read lands on the call it always did.
+	r.poll.Native = in.NewNative(instrument.SuspendFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+		if n := r.armed - r.poll.Budget; n > 0 && r.est != nil {
+			r.est.skip(n)
+		}
+		defer r.armPoll()
+		if r.poll.Kill.Load() {
 			// Graceful termination (R.Kill): unwind with a plain Go error.
 			// Unlike a capture this needs no instrumented unwinding — a Go
 			// error propagates through any frame, native ones included, so
@@ -48,7 +70,7 @@ func (r *R) installNatives() {
 		}
 		deepPressure := r.opts.DeepStacks && in.Depth() > in.MaxDepth()/2
 		timeDue := r.est != nil && r.est.due()
-		if !deepPressure && !timeDue && !r.mustPause.Load() {
+		if !deepPressure && !timeDue && !r.poll.Pause.Load() {
 			return interp.Undefined, nil
 		}
 		if in.InAtomic() {
@@ -70,6 +92,7 @@ func (r *R) installNatives() {
 		})
 		return r.captureReturn()
 	})
+	in.DefineGlobal(instrument.SuspendFn, interp.ObjectValue(r.poll.Native))
 
 	// $bp — breakpoints and single-stepping (§5.2): called before every
 	// statement when debugging is enabled, with the original source line.

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/eventloop"
 	"repro/internal/instrument"
@@ -80,20 +79,25 @@ type R struct {
 
 	est estimator
 
+	// poll is lent to the realm (interp.Poll): its Pause and Kill are the
+	// requests Pause and Kill arm, and its budget lets a $suspend site skip
+	// calls that would return at once — armed is the budget $suspend last set,
+	// so that armed - poll.Budget calls were skipped since.
+	poll  interp.Poll
+	armed int
+
 	// mu guards the externally touchable control state: everything the
 	// pause/kill/breakpoint API reads or writes from goroutines other than
 	// the one pumping the event loop. The execution-mode machinery above
 	// ($mode, $stack, capture/restore state) is deliberately outside it —
 	// only the executing goroutine touches it, and a yield point is the
 	// only place control transfers.
-	mu        sync.Mutex
-	mustPause atomic.Bool
-	mustKill  atomic.Bool
-	killErr   error // under mu; the reason Kill recorded
-	paused    bool  // under mu
-	savedK    Frames
-	savedAux  bool // under mu; the parked turn's aux tag
-	onPause   func()
+	mu       sync.Mutex
+	killErr  error // under mu; the reason Kill recorded
+	paused   bool  // under mu
+	savedK   Frames
+	savedAux bool // under mu; the parked turn's aux tag
+	onPause  func()
 
 	// curAux tags the turn the driver is currently executing. The main chain —
 	// Run's initial task and every capture/restore descended from it — is
@@ -159,6 +163,7 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	}
 
 	r.installNatives()
+	in.SetPoll(&r.poll)
 	return r
 }
 
@@ -516,7 +521,7 @@ func (r *R) Pause(onPause func()) {
 	r.mu.Lock()
 	r.onPause = onPause
 	r.mu.Unlock()
-	r.mustPause.Store(true)
+	r.poll.Pause.Store(true)
 }
 
 // Resume restarts a paused program by posting the saved continuation's
@@ -564,12 +569,12 @@ func (r *R) Kill(reason error) {
 		return
 	}
 	r.mu.Unlock()
-	r.mustKill.Store(true)
+	r.poll.Kill.Store(true)
 }
 
 // killReason consumes the armed kill, returning its error.
 func (r *R) killReason() error {
-	r.mustKill.Store(false)
+	r.poll.Kill.Store(false)
 	r.mu.Lock()
 	reason := r.killErr
 	r.mu.Unlock()

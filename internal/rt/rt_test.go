@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/eventloop"
@@ -123,5 +124,82 @@ func TestApproxAdaptsToRateChange(t *testing.T) {
 func TestEstimatorKindString(t *testing.T) {
 	if Exact.String() != "exact" || Countdown.String() != "countdown" || Approx.String() != "approx" {
 		t.Error("EstimatorKind.String")
+	}
+}
+
+// callClock is a virtual clock that records the index of the call being made
+// whenever it is read.
+type callClock struct {
+	t     float64
+	call  int
+	reads []int
+}
+
+func (c *callClock) Now() float64       { c.reads = append(c.reads, c.call); return c.t }
+func (c *callClock) Advance(ms float64) { c.t += ms }
+
+// TestEstimatorBatchingHidesNothing drives each estimator through the same
+// calls twice: once calling due on every one, once as $suspend does with the
+// engine's poll (armPoll) — skipping the calls quiet promised and crediting
+// them with skip before the next real call. Both runs must yield, and read the
+// clock, at the same call indices. The clock's rate changes mid-run, stops
+// for a while (the approx estimator's velocity then grows fourfold per
+// sample) and some due calls find a native callback on the stack and yield
+// nothing.
+func TestEstimatorBatchingHidesNothing(t *testing.T) {
+	const calls = 300_000
+	now := func(i int) float64 {
+		switch {
+		case i < 60_000:
+			return float64(i) / 50
+		case i < 150_000:
+			return 1200 + float64(i-60_000)/4000
+		case i < 180_000:
+			return 1222.5 // stopped
+		}
+		return 1222.5 + float64(i-180_000)/7
+	}
+	atomicAt := func(i int) bool { return i%7919 == 0 }
+	kinds := []struct {
+		name string
+		make func(*callClock) estimator
+	}{
+		{"exact", func(c *callClock) estimator { return &exactEst{clock: c, delta: 5} }},
+		{"countdown", func(*callClock) estimator { return &countdownEst{n: 1000, counter: 1000} }},
+		{"approx", func(c *callClock) estimator { return newApproxEst(c, 100, 25) }},
+		{"approx-short", func(c *callClock) estimator { return newApproxEst(c, 1, 25) }},
+	}
+	for _, k := range kinds {
+		run := func(batch bool) (yields, reads []int, skipped int) {
+			clock := &callClock{}
+			e := k.make(clock)
+			budget, owed := 0, 0
+			for i := 0; i < calls; i++ {
+				if batch && budget > 0 {
+					budget--
+					owed++
+					continue
+				}
+				e.skip(owed)
+				skipped, owed = skipped+owed, 0
+				clock.call, clock.t = i, now(i)
+				if e.due() && !atomicAt(i) {
+					yields = append(yields, i)
+					e.reset()
+				}
+				budget = e.quiet()
+			}
+			return yields, clock.reads, skipped
+		}
+		yields, reads, _ := run(false)
+		byields, breads, skipped := run(true)
+		if !slices.Equal(yields, byields) || !slices.Equal(reads, breads) {
+			t.Errorf("%s: batching moved the yields (%d → %d) or the clock reads (%d → %d)",
+				k.name, len(yields), len(byields), len(reads), len(breads))
+		}
+		if k.name != "exact" && skipped < calls/2 {
+			t.Errorf("%s: only %d of %d calls were skipped", k.name, skipped, calls)
+		}
+		t.Logf("%s: %d yields, %d clock reads, %d calls skipped", k.name, len(yields), len(reads), skipped)
 	}
 }

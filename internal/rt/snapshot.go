@@ -73,8 +73,8 @@ func (r *R) postTimer(e LedgerEntry, delay float64) {
 // running — the same semantics as the $suspend yield it usually is.
 func (r *R) postResume(frames Frames, aux bool, delay float64) {
 	r.postTracked(LedgerEntry{Kind: TaskResume, Frames: frames, Aux: aux}, delay, func(bool) {
-		if r.mustPause.Load() {
-			r.mustPause.Store(false)
+		if r.poll.Pause.Load() {
+			r.poll.Pause.Store(false)
 			r.mu.Lock()
 			if kerr := r.killErr; kerr != nil {
 				// A kill arrived while this resume was queued. Parking now
