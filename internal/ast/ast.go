@@ -244,6 +244,11 @@ type Member struct {
 	Name     string // when !Computed
 	Index    Expr   // when Computed
 	Computed bool
+	// Frame marks the callee of a call the instrumentation emits to push
+	// (push), pop (pop) or re-enter (apply) a continuation frame, which the
+	// bytecode compiler lowers with a frame instruction. Nothing else sets
+	// it; the printer does not show it.
+	Frame bool
 
 	// Site is the inline-cache site ID assigned by internal/resolve to
 	// non-computed accesses, indexing the interpreter's property caches;
@@ -337,9 +342,10 @@ type If struct {
 	Cons Stmt
 	Alt  Stmt
 	// Site marks a checked-strategy call site the instrumentation built
-	// (instrument.site), which the bytecode compiler lowers with fused
-	// instructions. Nothing else sets it; the printer does not show it.
-	Site bool
+	// (instrument.site), and Restore a function prologue's restore block
+	// (instrument.prologue): the bytecode compiler lowers both with fused
+	// instructions. Nothing else sets them; the printer does not show them.
+	Site, Restore bool
 }
 
 // While is a while loop.

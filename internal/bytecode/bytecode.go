@@ -346,7 +346,56 @@ const (
 	// boundaries are counted, -1 is stored into $lbl and the site exits.
 	// Otherwise it jumps to B, the join, as the plain jump it replaces did.
 	OpSiteLeave
+
+	// --- frame instructions ---
+	//
+	// Each stands ahead of the plain lowering of the frame protocol the
+	// instrumentation marked (ast.Member.Frame, ast.If.Restore). When the
+	// frame array's global holds one of the runtime's arrays (interp.Poll) and
+	// what it reads has the instrumentation's layout, it does that code's work
+	// without reading a method a guest may have replaced, charges and counts
+	// what the code does and jumps past it, to B; otherwise it does nothing
+	// (DESIGN_interp.md "Frames").
+
+	// OpPushFrame appends the frame Frames[A] and pushes the array's length.
+	OpPushFrame
+	// OpPopFrame pops the array in the global Names[C] (cache site A) and
+	// pushes what it took off.
+	OpPopFrame
+	// OpReenter calls the fn of the frame in $k (a packed Ref in A) with its
+	// self, and its args when C is 1, as Function.prototype.apply would, and
+	// pushes the result.
+	OpReenter
+	// OpRestoreFrame runs a prologue's restore block, Restores[A], in one
+	// step when the realm has no engine profile, no statement-boundary trigger
+	// falls inside the block's Steps, and the frame on top of $rstack has the
+	// literal's shape and at least as many locals as the block.
+	OpRestoreFrame
 )
+
+// Global is a proved-global reference: its Names index and global-cell cache
+// site.
+type Global struct{ Name, Site int32 }
+
+// Frame is one frame push, `<Array>.push({label: Label, locals: [Locals…],
+// fn: Fn, self: Self[, args: Args]})`: OpPushFrame's operands. Fn is
+// ast.RefGlobal for the global FnGlobal; Args is 0 for a frame without args.
+type Frame struct {
+	Array, FnGlobal Global
+	Label           int32
+	Fn, Self, Args  ast.Ref
+	Locals          []ast.Ref
+}
+
+// Restore is one prologue restore block: OpRestoreFrame's operands, the
+// current frame's slots it writes ($k, $lbl, $l, then the locals) and the
+// statement boundaries it counts.
+type Restore struct {
+	Array     Global // $rstack
+	K, Lbl, L int32
+	Steps     uint32
+	Locals    []int32
+}
 
 // Site is one fused call site: the operands OpSitePoll, OpSiteEnter and
 // OpSiteLeave share.
@@ -463,8 +512,11 @@ type Chunk struct {
 	// of its global, consulted only on an inline-cache miss.
 	GuardNames map[int32]int32
 
-	// Sites are the fused call sites, indexed by their instructions' A.
-	Sites []Site
+	// Sites are the fused call sites, indexed by their instructions' A; the
+	// frame instructions' operands likewise.
+	Sites    []Site
+	Frames   []Frame
+	Restores []Restore
 }
 
 // opNames is the disassembly table.
@@ -510,7 +562,8 @@ var opNames = [...]string{
 	OpClosureSetLocal: "closuresetlocal", OpSetLocalStmt: "setlocalstmt",
 	OpJumpIfFalseStmt: "jumpfalsestmt", OpStmtGetLocal: "stmtgetlocal",
 	OpStmtConst: "stmtconst", OpSitePoll: "sitepoll", OpSiteEnter: "siteenter",
-	OpSiteLeave: "siteleave",
+	OpSiteLeave: "siteleave", OpPushFrame: "pushframe", OpPopFrame: "popframe",
+	OpReenter: "reenter", OpRestoreFrame: "restoreframe",
 }
 
 // String returns the opcode's mnemonic.
@@ -560,6 +613,8 @@ func (c *Chunk) Disassemble() string {
 			if ins.Op == OpSiteLeave {
 				b = append(b, fmt.Sprintf(" join %d", ins.B)...)
 			}
+		case OpPushFrame, OpPopFrame, OpReenter, OpRestoreFrame:
+			b = append(b, fmt.Sprintf(" %d exit %d", ins.A, ins.B)...)
 		}
 		b = append(b, '\n')
 	}

@@ -23,7 +23,7 @@ import (
 // differential harness in internal/core checks.
 func Compile(fn *ast.Func) *Chunk {
 	c := compilers.Get().(*compiler)
-	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names, Sites: c.sites}
+	ch := &Chunk{Code: c.code, Consts: c.consts, Names: c.names, Sites: c.sites, Frames: c.frames, Restores: c.restores}
 	c.ch = ch
 	c.argsSlot = fn.Scope.ArgumentsSlot
 	for _, s := range fn.Body {
@@ -39,14 +39,20 @@ func Compile(fn *ast.Func) *Chunk {
 	ch.Consts = append([]Const(nil), consts...)
 	ch.Names = append([]string(nil), names...)
 	ch.Sites = append([]Site(nil), sites...)
+	frames, restores := ch.Frames, ch.Restores
+	ch.Frames = append([]Frame(nil), frames...)
+	ch.Restores = append([]Restore(nil), restores...)
 	if c.failed {
 		ch = nil
 	}
 	clear(consts)
 	clear(names)
+	clear(frames)
+	clear(restores)
 	clear(c.nameIdx)
 	clear(c.constIdx)
-	*c = compiler{code: code[:0], consts: consts[:0], names: names[:0], sites: sites[:0], nameIdx: c.nameIdx, constIdx: c.constIdx}
+	*c = compiler{code: code[:0], consts: consts[:0], names: names[:0], sites: sites[:0], frames: frames[:0], restores: restores[:0],
+		nameIdx: c.nameIdx, constIdx: c.constIdx}
 	compilers.Put(c)
 	return ch
 }
@@ -97,11 +103,14 @@ type compiler struct {
 	failed   bool
 
 	// Pooled with the emptied indexes above: the grown buffers ch's Code,
-	// Consts, Names and Sites start from. Growing them was most of a compile's cost.
-	code   []Instr
-	consts []Const
-	names  []string
-	sites  []Site
+	// Consts, Names, Sites and frame tables start from. Growing them was most
+	// of a compile's cost.
+	code     []Instr
+	consts   []Const
+	names    []string
+	sites    []Site
+	frames   []Frame
+	restores []Restore
 
 	// fuseBarrier is the lowest pc into which no instruction may be
 	// merged: any pc that was captured as a jump target (loop heads,
@@ -312,7 +321,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		c.exprStmt(n.X)
 	case *ast.If:
-		if n.Site && c.site(n) {
+		if n.Site && c.site(n) || n.Restore && c.restore(n) {
 			break
 		}
 		c.emitChargeBranch()
@@ -483,6 +492,52 @@ func (c *compiler) localStore(s ast.Stmt) (*ast.Ident, ast.Expr, bool) {
 		return nil, nil, false
 	}
 	return a.Target.(*ast.Ident), a.Value, true
+}
+
+// restore lowers a prologue's restore block (ast.If.Restore),
+//
+//	if ($mode === "restore") {
+//	  $k = $rstack.pop(); $lbl = $k.label; var $l = $k.locals;
+//	  x0 = $l[0]; …; $k = $rstack[$rstack.length - 1];
+//	}
+//
+// as stmt lowers any if, with OpRestoreFrame where the block begins. It reads
+// the targets and the array off the tree and trusts the mark for the rest; it
+// reports false, emitting nothing, when a target is not a slot of the
+// current frame.
+func (c *compiler) restore(n *ast.If) bool {
+	body := n.Cons.(*ast.Block).Body
+	pop := body[0].(*ast.ExprStmt).X.(*ast.Assign).Value.(*ast.Call).Callee.(*ast.Member)
+	array, ok := c.global(pop.X)
+	slots := make([]int32, len(body))
+	for i, s := range body {
+		var r ast.Ref
+		switch s := s.(type) {
+		case *ast.VarDecl:
+			r = s.Decls[0].Ref
+		case *ast.ExprStmt:
+			if a, isAssign := s.X.(*ast.Assign); isAssign {
+				r, _ = slotRef(a.Target)
+			}
+		}
+		ok = ok && r.Valid() && r.Hops() == 0
+		slots[i] = int32(r.Slot())
+	}
+	if !ok {
+		return false
+	}
+	last := len(slots) - 1
+	c.ch.Restores = append(c.ch.Restores, Restore{Array: array, K: slots[0], Lbl: slots[1], L: slots[2],
+		Locals: slots[3:last], Steps: uint32(len(body) + 1)})
+	c.emitChargeBranch()
+	c.expr(n.Test)
+	jf := c.emitJumpIfFalse()
+	c.pop(1)
+	at := c.emit(OpRestoreFrame, int32(len(c.ch.Restores)-1), -1)
+	c.stmt(n.Cons)
+	c.patch(jf)
+	c.ch.Code[at].B = c.ch.Code[jf].A
+	return true
 }
 
 // pushCtx enters a breakable construct.
@@ -1341,7 +1396,92 @@ func (c *compiler) assign(n *ast.Assign, want bool) {
 	}
 }
 
+// call lowers a call, after the frame instruction that stands for it when the
+// instrumentation marked it (frameOp).
 func (c *compiler) call(n *ast.Call) {
+	at := -1
+	if m, ok := n.Callee.(*ast.Member); ok && m.Frame {
+		at = c.frameOp(n, m)
+	}
+	c.plainCall(n)
+	if at >= 0 {
+		c.ch.Code[at].B = int32(c.target())
+	}
+}
+
+// frameOp emits the frame instruction for a frame-protocol call
+// (ast.Member.Frame) and returns its pc, or -1, emitting nothing, when what
+// the instruction reads is not a slot or a proved global. The layout of what
+// it reads is the mark's: instrument builds it.
+func (c *compiler) frameOp(n *ast.Call, m *ast.Member) int {
+	array, global := c.global(m.X)
+	switch {
+	case m.Name == "push" && global:
+		f, ok := c.frameLiteral(n.Args[0].(*ast.Object))
+		if !ok {
+			return -1
+		}
+		f.Array = array
+		c.ch.Frames = append(c.ch.Frames, f)
+		return c.emit(OpPushFrame, int32(len(c.ch.Frames)-1), -1)
+	case m.Name == "pop" && global:
+		return c.emit3(OpPopFrame, array.Site, -1, array.Name)
+	case m.Name == "apply": // $k.fn.apply($k.self[, $k.args])
+		if k, ok := slotRef(m.X.(*ast.Member).X); ok {
+			return c.emit3(OpReenter, int32(k), -1, int32(len(n.Args)-1))
+		}
+	}
+	return -1
+}
+
+// frameLiteral reads a frame push's operand, {label: L, locals: [x…], fn: F,
+// self: this[, args: arguments]}, as instrument builds it.
+func (c *compiler) frameLiteral(o *ast.Object) (f Frame, ok bool) {
+	p := o.Props
+	f.Label = int32(p[0].Value.(*ast.Number).Value)
+	elems := p[1].Value.(*ast.Array).Elems
+	f.Locals = make([]ast.Ref, 0, len(elems))
+	for _, e := range elems {
+		r, ok := slotRef(e)
+		if !ok {
+			return f, false
+		}
+		f.Locals = append(f.Locals, r)
+	}
+	if f.FnGlobal, ok = c.global(p[2].Value); ok {
+		f.Fn = ast.RefGlobal
+	} else if f.Fn, ok = slotRef(p[2].Value); !ok {
+		return f, false
+	}
+	if f.Self, ok = slotRef(p[3].Value); ok && len(p) == 5 {
+		f.Args, ok = slotRef(p[4].Value)
+	}
+	return f, ok
+}
+
+// slotRef returns the coordinate of an identifier or `this` resolved to a
+// frame slot.
+func slotRef(e ast.Expr) (ast.Ref, bool) {
+	var r ast.Ref
+	switch e := e.(type) {
+	case *ast.Ident:
+		r = e.Ref
+	case *ast.This:
+		r = e.Ref
+	}
+	return r, r.Valid()
+}
+
+// global takes a proved-global identifier apart.
+func (c *compiler) global(e ast.Expr) (Global, bool) {
+	id, _ := e.(*ast.Ident)
+	if id == nil || !id.Ref.Global() || id.Site == 0 {
+		return Global{}, false
+	}
+	return Global{c.name(id.Name), int32(id.Site)}, true
+}
+
+func (c *compiler) plainCall(n *ast.Call) {
 	switch callee := n.Callee.(type) {
 	case *ast.Member:
 		m := callee

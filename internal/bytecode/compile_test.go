@@ -196,44 +196,56 @@ function f(o) {
 	}
 
 	// Checked call sites: each of f's two (its entry $suspend() and g()) is
-	// entered and left through the fused pair, the yield point is polled too,
-	// and what runs in any other mode is the plain lowering of the same tree.
-	fused, plain := compileInstrumented(t, `function f(g) { var x = g(); return x + 1; }`)
-	dis = fused.Disassemble()
-	for op, want := range map[Op]int{OpSiteEnter: 2, OpSiteLeave: 2, OpSitePoll: 1} {
-		if n := countOp(fused, op); n != want {
-			t.Errorf("%v: %d, want %d\n%s", op, n, want, dis)
+	// entered and left through the fused pair, and the yield point is polled
+	// too. Under every strategy each frame push, pop and re-entry and the
+	// prologue's restore block get a frame instruction, and what runs when
+	// none applies is the plain lowering of the same tree.
+	for strategy, want := range map[instrument.Strategy]map[Op]int{
+		instrument.Checked:     {OpSiteEnter: 2, OpSiteLeave: 2, OpSitePoll: 1, OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1},
+		instrument.Exceptional: {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1},
+		instrument.Eager:       {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 3},
+	} {
+		fused, plain := compileInstrumented(t, `function f(g) { var x = g(); return x + 1; }`, strategy)
+		dis = fused.Disassemble()
+		for op, n := range want {
+			if got := countOp(fused, op); got != n {
+				t.Errorf("%v: %v: %d, want %d\n%s", strategy, op, got, n, dis)
+			}
 		}
-	}
-	var ops []Op
-	for _, ins := range fused.Code {
-		switch ins.Op {
-		case OpSitePoll, OpSiteEnter:
-		case OpSiteLeave:
-			ops = append(ops, OpJump)
-		default:
-			ops = append(ops, ins.Op)
+		var ops []Op
+		for pc, ins := range fused.Code {
+			switch ins.Op {
+			case OpSitePoll, OpSiteEnter:
+			case OpPushFrame, OpPopFrame, OpReenter, OpRestoreFrame:
+				if ins.B <= int32(pc+1) || int(ins.B) >= len(fused.Code) {
+					t.Errorf("%v: %v at %d exits to %d\n%s", strategy, ins.Op, pc, ins.B, dis)
+				}
+			case OpSiteLeave:
+				ops = append(ops, OpJump)
+			default:
+				ops = append(ops, ins.Op)
+			}
 		}
-	}
-	var plainOps []Op
-	for _, ins := range plain.Code {
-		plainOps = append(plainOps, ins.Op)
-	}
-	if !slices.Equal(ops, plainOps) {
-		t.Errorf("the fused lowering is not the plain one around the site instructions:\n%s\nplain:\n%s", dis, plain.Disassemble())
-	}
-	for _, s := range fused.Sites {
-		if s.Body <= 0 || s.Exit <= s.Body || int(s.Exit) >= len(fused.Code) {
-			t.Errorf("site %+v not patched:\n%s", s, dis)
+		var plainOps []Op
+		for _, ins := range plain.Code {
+			plainOps = append(plainOps, ins.Op)
+		}
+		if !slices.Equal(ops, plainOps) {
+			t.Errorf("%v: the fused lowering is not the plain one around the site and frame instructions:\n%s\nplain:\n%s", strategy, dis, plain.Disassemble())
+		}
+		for _, s := range fused.Sites {
+			if s.Body <= 0 || s.Exit <= s.Body || int(s.Exit) >= len(fused.Code) {
+				t.Errorf("site %+v not patched:\n%s", s, dis)
+			}
 		}
 	}
 }
 
 // compileInstrumented runs src through the compile passes that produce
-// instrumented code — $suspend insertion, A-normalization, the checked
-// strategy, resolution — and compiles its first function twice: as marked,
-// and with every site mark cleared.
-func compileInstrumented(t *testing.T, src string) (fused, plain *Chunk) {
+// instrumented code — $suspend insertion, A-normalization, the strategy,
+// resolution — and compiles its first function twice: as marked, and with
+// every site and frame mark cleared.
+func compileInstrumented(t *testing.T, src string, strategy instrument.Strategy) (fused, plain *Chunk) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -241,13 +253,16 @@ func compileInstrumented(t *testing.T, src string) (fused, plain *Chunk) {
 	}
 	desugar.Apply(prog, desugar.Options{Suspend: true}, &desugar.Namer{})
 	anf.Normalize(prog)
-	instrument.Apply(prog, instrument.Options{Strategy: instrument.Checked})
+	instrument.Apply(prog, instrument.Options{Strategy: strategy})
 	resolve.Program(prog)
 	_, fns := ast.HoistedDecls(prog.Body)
 	fused = Compile(fns[0])
 	ast.Walk(fns[0], func(n ast.Node) bool {
-		if s, ok := n.(*ast.If); ok {
-			s.Site = false
+		switch n := n.(type) {
+		case *ast.If:
+			n.Site, n.Restore = false, false
+		case *ast.Member:
+			n.Frame = false
 		}
 		return true
 	})

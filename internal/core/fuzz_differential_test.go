@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,20 +14,26 @@ import (
 
 // FuzzBytecodeVsTreewalker is the differential fuzz target: any parseable
 // input runs under both execution engines with a step budget, raw and
-// stopified (calm, checked: every call site the bytecode engine fuses), and
-// any difference in output, error, completion kind or statement count is a
-// failure. The seed corpus follows the printer fuzz tests' approach —
+// stopified (checked: every call site the bytecode engine fuses), calm and
+// preempted at a quantum of 1 to 64 statements taken from the input (every
+// frame it captures and restores), and any difference in output, error,
+// completion kind, pauses or statement count is a failure. The seed corpus
+// follows the printer fuzz tests' approach —
 // deterministic pseudo-random program generation — plus the hand-written rows
 // of the conformance corpus.
 func FuzzBytecodeVsTreewalker(f *testing.F) {
-	seedFromCorpus(f, "edge/", "valedge/", "argsedge/", "implicit/")
+	seedFromCorpus(f, true, "edge/", "valedge/", "argsedge/", "implicit/")
 	for seed := int64(0); seed < 40; seed++ {
 		f.Add(randomProgram(rand.New(rand.NewSource(seed))))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)
 		stopified := cell{profile: profile{"declared", p.needs}, cont: "checked", mode: "cold"}
-		for _, c := range []cell{{}, stopified} {
+		preempted := stopified
+		h := fnv.New64a()
+		h.Write([]byte(src))
+		preempted.quantum, preempted.mode = 1+h.Sum64()%64, "resume"
+		for _, c := range []cell{{}, stopified, preempted} {
 			c.engine = core.BackendTree
 			tree := drive(p, c)
 			c.engine = core.BackendBytecode
@@ -37,9 +45,14 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 	})
 }
 
-// seedFromCorpus adds the corpus programs of the named groups to f.
-func seedFromCorpus(f *testing.F, groups ...string) {
+// seedFromCorpus adds the corpus programs of the named groups to f; for a
+// differential target, not those a known: line fences on the tree-walker,
+// where the engines part by design.
+func seedFromCorpus(f *testing.F, differential bool, groups ...string) {
 	for _, p := range corpus(f) {
+		if differential && slices.ContainsFunc(p.known, func(k known) bool { return slices.Contains(k.tags, core.BackendTree) }) {
+			continue
+		}
 		for _, g := range groups {
 			if strings.HasPrefix(p.name, g) {
 				f.Add(p.src)

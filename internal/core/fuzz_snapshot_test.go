@@ -17,7 +17,7 @@ import (
 // the differential fuzz generator plus the adversarial codec programs
 // (cycles, accessors, escaped closures, NaN/−0 keys).
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	seedFromCorpus(f, "edge/", "argsedge/", "implicit/", "adversarial/", "pin/")
+	seedFromCorpus(f, false, "edge/", "argsedge/", "implicit/", "adversarial/", "pin/")
 	// Targeted seeds for the wire-v2 node kinds: bound chains over varied
 	// targets, Date arithmetic, and timer-handle churn.
 	f.Add(`function f(a,b,c){return a+b*c;} var g=f.bind({x:1},2); var h=g.bind(null,3);

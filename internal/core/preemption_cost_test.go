@@ -56,7 +56,7 @@ console.log("divrec", total);
 }
 
 // TestPreemptionCostDeepRecursion: a recursion that spends its whole life
-// hundreds of frames deep (ROADMAP item 2's probe, 133 × at depth 400 before
+// hundreds of frames deep (benchmark/README.md finding 1, 133 × at depth 400 before
 // the quantum counted only progress) stays within a small constant of its
 // unpreempted statement count, and that constant does not grow with depth.
 func TestPreemptionCostDeepRecursion(t *testing.T) {

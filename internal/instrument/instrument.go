@@ -286,7 +286,7 @@ func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
 
 	// if ($mode === "restore") { restoreFrame }
 	restore := []ast.Stmt{
-		ast.ExprOf(ast.SetId("$k", ast.CallN(ast.Dot(ast.Id(RStackVar), "pop")))),
+		ast.ExprOf(ast.SetId("$k", frameCall(ast.Id(RStackVar), "pop"))),
 		ast.ExprOf(ast.SetId("$lbl", ast.Dot(ast.Id("$k"), FrameLabel))),
 		ast.Var("$l", ast.Dot(ast.Id("$k"), FrameLocals)),
 	}
@@ -295,9 +295,9 @@ func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
 	}
 	restore = append(restore, ast.ExprOf(ast.SetId("$k",
 		ast.Idx(ast.Id(RStackVar), ast.Bin("-", ast.Dot(ast.Id(RStackVar), "length"), ast.Int(1))))))
-	out = append(out, ast.IfThen(isMode(ModeRestore), restore...))
-
-	return out
+	block := ast.IfThen(isMode(ModeRestore), restore...)
+	block.Restore = true // the bytecode compiler fuses it
+	return append(out, block)
 }
 
 // ---------------------------------------------------------------------------

@@ -586,7 +586,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 	apply := ast.ExprOf(ast.SetTo(a.Target, &ast.Cond{
 		Test: isMode(ModeNormal),
 		Cons: a.Value,
-		Alt:  ast.CallN(ast.Dot(ast.Dot(ast.Id("$k"), FrameFn), "apply"), reapply...),
+		Alt:  frameCall(ast.Dot(ast.Id("$k"), FrameFn), "apply", reapply...),
 	}))
 	clearLbl := ast.ExprOf(ast.SetId("$lbl", ast.Int(-1)))
 
@@ -618,7 +618,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 			c.pushFrame(ShadowVar, label),
 			apply,
 			clearLbl,
-			ast.ExprOf(ast.CallN(ast.Dot(ast.Id(ShadowVar), "pop"))),
+			ast.ExprOf(frameCall(ast.Id(ShadowVar), "pop")),
 		)
 	}
 	panic("instrument: unknown strategy")
@@ -648,5 +648,14 @@ func (c *fctx) pushFrame(stack string, label int) ast.Stmt {
 	if c.opts.Args == ArgsVarargs {
 		props = append(props, ast.Property{Kind: ast.PropInit, Key: FrameArgs, Value: ast.Id("arguments")})
 	}
-	return ast.ExprOf(ast.CallN(ast.Dot(ast.Id(stack), "push"), &ast.Object{Props: props}))
+	return ast.ExprOf(frameCall(ast.Id(stack), "push", &ast.Object{Props: props}))
+}
+
+// frameCall builds x.method(args...) marked as frame protocol: the bytecode
+// engine runs it without reading method, which a guest may have replaced
+// (ast.Member.Frame).
+func frameCall(x ast.Expr, method string, args ...ast.Expr) *ast.Call {
+	m := ast.Dot(x, method)
+	m.Frame = true
+	return ast.CallN(m, args...)
 }

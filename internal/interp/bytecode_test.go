@@ -174,11 +174,9 @@ func TestBytecodeStepBudgetParity(t *testing.T) {
 	if treeErr != ErrStepBudget || bcErr != ErrStepBudget {
 		t.Fatalf("expected budget errors, got tree=%v bytecode=%v", treeErr, bcErr)
 	}
-	// Statement-marker fusion may count a handful of boundary-only
-	// statements in one step, so the counters need not be bit-identical —
-	// but they must agree to within the largest fused run.
-	diff := int64(treeSteps) - int64(bcSteps)
-	if diff < -8 || diff > 8 {
+	// Statement-marker fusion may count several boundaries in one step, but
+	// the count stops at the one that crossed the budget.
+	if treeSteps != bcSteps {
 		t.Fatalf("step counters diverged: tree=%d bytecode=%d", treeSteps, bcSteps)
 	}
 }

@@ -835,6 +835,33 @@ loop:
 			env.slots[s.Label] = NumberValue(-1)
 			in.Steps += bytecode.SiteLeaveSteps
 			pc = int(s.Exit)
+		case bytecode.OpPushFrame:
+			if v, ok := in.pushFrame(&ch.Frames[ins.A], ch.Names, env); ok {
+				stack[sp] = v
+				sp++
+				pc = int(ins.B)
+			}
+		case bytecode.OpPopFrame:
+			if v, ok := in.popFrame(bytecode.Global{Name: ins.C, Site: ins.A}, ch.Names); ok {
+				stack[sp] = v
+				sp++
+				pc = int(ins.B)
+			}
+		case bytecode.OpReenter:
+			v, ok, e := in.reenter(ast.Ref(ins.A), ins.C == 1, env)
+			if e != nil {
+				err = e
+				goto fail
+			}
+			if ok {
+				stack[sp] = v
+				sp++
+				pc = int(ins.B)
+			}
+		case bytecode.OpRestoreFrame:
+			if in.restoreFrame(&ch.Restores[ins.A], ch.Names, env) {
+				pc = int(ins.B)
+			}
 		case bytecode.OpCall0Local:
 			fnv := env.slots[ins.A]
 			v, e := in.Call(fnv, Undefined, nil, Undefined)

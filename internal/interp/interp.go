@@ -229,6 +229,9 @@ func (in *Interp) stepBoundary() error {
 		return ErrMemLimit
 	}
 	if in.maxSteps != 0 && in.Steps > in.maxSteps {
+		// A fused marker may have counted past the boundary that crossed the
+		// budget; the count stops there, as the tree-walker's does.
+		in.Steps = in.maxSteps + 1
 		return ErrStepBudget
 	}
 	if in.prof != nil && in.prof.next != 0 && in.Steps >= in.prof.next {
@@ -295,6 +298,11 @@ type Poll struct {
 	Budget int
 	// Pause and Kill are the runtime's outstanding requests.
 	Pause, Kill atomic.Bool
+	// Stacks are the runtime's frame arrays ($stack, $rstack, $shadow): a
+	// frame instruction whose global holds one pushes or pops it itself
+	// (frames.go), never through a guest-replaceable Array.prototype method.
+	Stacks [3]*Object
+	shapes [2]*Shape // frameShape's, built on first use
 }
 
 // SetPoll installs the runtime's yield poll.

@@ -32,9 +32,11 @@ import "errors"
 // The meter is cumulative across pause/resume, exactly like the step
 // budget: it lives on the Interp, and nothing in the park/restore path
 // resets it. A corollary of allocated-not-live accounting: the stopify
-// capture machinery is metered too, since continuation frames are built by
-// instrumented guest code — each preemption capture bills the tenant a few
-// KB (depth-dependent, ~6-9 KB at paper-scale stacks). Budgets are
+// capture machinery is metered too — a continuation frame is charged as the
+// object literal the instrumentation writes for it, whether that code runs or
+// the bytecode engine builds the frame itself (frames.go) — so each
+// preemption capture bills the tenant a few KB (depth-dependent, ~6-9 KB at
+// paper-scale stacks). Budgets are
 // allocation budgets, not heap sizes; size them in megabytes (stopifyd
 // defaults to 256 MB), never in the tens of KB of a single hot loop's
 // scheduler traffic.

@@ -149,6 +149,7 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	in.DefineGlobal(instrument.StackVar, interp.ObjectValue(r.stackObj))
 	in.DefineGlobal(instrument.RStackVar, interp.ObjectValue(r.rstackObj))
 	in.DefineGlobal(instrument.ShadowVar, interp.ObjectValue(r.shadowObj))
+	r.poll.Stacks = [3]*interp.Object{r.stackObj, r.rstackObj, r.shadowObj}
 	r.setMode(instrument.ModeNormal)
 
 	if opts.YieldIntervalMs > 0 {
@@ -311,7 +312,7 @@ func (r *R) captureReturn() (interp.Value, error) {
 // finishCapture runs once the stack has fully unwound to the driver: it
 // assembles the canonical continuation — the frames that were live, then the
 // outer view still pending from a segmented restore, sharing its frames but
-// copying the references to them (16 B per frame of depth; ROADMAP item 2 (f))
+// copying the references to them (16 B per frame of depth; ROADMAP item 10 (d))
 // — and hands it to the armed action.
 func (r *R) finishCapture() {
 	live, shadow := r.stackObj.Elems, r.shadowObj.Elems
