@@ -34,11 +34,11 @@ func TestSnapshotHandoffSmoke(t *testing.T) {
 	baseB := startDaemon(t, bin)
 
 	// The traveler: prints, schedules its finale on a *bound function* timer
-	// with a forwarded extra arg (plus a cancelled twin that must stay dead
+	// with a forwarded extra arg (plus a cleared twin that must stay dead
 	// in process B), holds a Date whose time-value must survive the move,
 	// then burns enough statements to outlive many quanta. The hand-off
-	// happens mid-main with both ledger entries pending, so the blob carries
-	// every wire-v2 node kind across the process boundary.
+	// happens mid-main with the timer pending, so the blob carries every
+	// wire-v2 node kind across the process boundary.
 	src := `
 var born = new Date();
 var t0 = born.getTime();

@@ -65,7 +65,6 @@ func (a *AsyncRun) Snapshot() ([]byte, error) {
 		Output:     outBytes,
 		Result:     result,
 		WallUnixMs: float64(time.Now().UnixMilli()),
-		TimerSeq:   a.RT.TimerSeq(),
 	})
 }
 
@@ -130,8 +129,8 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 	// snapshot's cumulative figures so budgets span park/restore cycles.
 	a.In.SetAccounting(d.Meta.Steps, d.Meta.MemUsed)
 	// Continue the setTimeout handle sequence where the source left off, so
-	// IDs stay unique (and clearTimeout keys stay valid) across the park.
-	a.RT.SetTimerSeq(d.Meta.TimerSeq)
+	// handles stay unique (and clearTimeout keys stay valid) across the park.
+	a.Loop.SetTimerSeq(d.Meta.TimerSeq)
 	if ro.ReplayOutput && len(d.Meta.Output) > 0 && a.out != nil {
 		if _, err := a.out.Write(d.Meta.Output); err != nil {
 			return nil, fmt.Errorf("stopify: replaying snapshot output: %w", err)
@@ -152,7 +151,7 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 		a.finished = true
 		a.mu.Unlock()
 	}
-	a.RT.RepostLedger(d.Ledger, ro.ElapsedMs)
+	a.RT.Repost(d.Tasks, ro.ElapsedMs)
 	return a, nil
 }
 

@@ -1,6 +1,6 @@
 // Package eventloop is the browser event loop substrate: a single-threaded
-// FIFO macrotask queue with setTimeout-style deferred tasks and a pluggable
-// clock.
+// FIFO macrotask queue with setTimeout-style deferred tasks, the table of
+// the guest's timer handles, and a pluggable clock.
 //
 // Stopify's execution model is built on returning to this loop: instrumented
 // programs periodically capture their continuation, enqueue its resumption,
@@ -10,7 +10,9 @@
 package eventloop
 
 import (
-	"sort"
+	"cmp"
+	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
@@ -51,10 +53,23 @@ func (c *VirtualClock) Advance(ms float64) { c.t += ms }
 // Task is a unit of work on the loop.
 type Task func()
 
-type queued struct {
-	fn  Task
-	due float64
-	seq int
+// entry is one queued task. The queue is a binary heap ordered by (due,
+// seq); idx is the entry's heap position, so clearing a timer by handle
+// removes it in O(log n).
+type entry struct {
+	fn     Task
+	due    float64
+	seq    uint64 // post order
+	handle uint64 // timer handle; 0 for a task that is not a timer
+	desc   any    // serializable description; nil for a task the host posted
+	idx    int
+}
+
+// Pending is one queued task as the snapshot encoder sees it.
+type Pending struct {
+	Desc   any     // the task's description; nil for one the host posted
+	Due    float64 // milliseconds from now, ≥ 0
+	Handle uint64  // the timer handle; 0 for a task that is not a timer
 }
 
 // Loop is a macrotask queue with single-threaded execution semantics: one
@@ -63,13 +78,19 @@ type queued struct {
 // may Post, Stop, or inspect it concurrently — that is what makes external
 // Pause/Resume/Kill on a running program goroutine-safe, and what lets the
 // supervisor's control plane talk to guests owned by worker goroutines.
+//
+// The loop also owns the guest's timers: PostTimer issues handles from one
+// sequence, ClearTimer removes the entry, and Pending lists what is queued
+// for a snapshot.
 type Loop struct {
 	Clock Clock
 
-	mu      sync.Mutex
-	pending []queued
-	seq     int
-	stopped bool
+	mu       sync.Mutex
+	queue    queue
+	timers   map[uint64]*entry // pending timers by handle
+	seq      uint64
+	timerSeq uint64 // the last handle issued
+	stopped  bool
 
 	// TaskDurations records how long each executed task ran, in ms. In
 	// browser terms this is how long the page was unresponsive, i.e. the
@@ -88,15 +109,91 @@ func New(clock Clock) *Loop { return &Loop{Clock: clock} }
 // Post enqueues fn to run after delayMs milliseconds, like setTimeout.
 // Browsers clamp tiny delays; we run FIFO among due tasks, which preserves
 // the ordering guarantees Stopify relies on.
-func (l *Loop) Post(fn Task, delayMs float64) {
-	if delayMs < 0 {
+func (l *Loop) Post(fn Task, delayMs float64) { l.PostTask(fn, delayMs, nil) }
+
+// PostTask is Post for a task a snapshot can carry: desc describes it.
+func (l *Loop) PostTask(fn Task, delayMs float64, desc any) {
+	e := &entry{fn: fn, due: l.dueAt(delayMs), desc: desc}
+	l.mu.Lock()
+	l.push(e)
+	l.mu.Unlock()
+}
+
+// PostTimer enqueues a timer under handle h, or under the next handle of
+// the loop's sequence when h is 0, and returns the handle.
+func (l *Loop) PostTimer(h uint64, fn Task, delayMs float64, desc any) uint64 {
+	e := &entry{fn: fn, due: l.dueAt(delayMs), desc: desc}
+	l.mu.Lock()
+	if h == 0 {
+		h = l.timerSeq + 1
+	}
+	l.timerSeq = max(l.timerSeq, h)
+	e.handle = h
+	if l.timers == nil {
+		l.timers = make(map[uint64]*entry)
+	}
+	l.timers[h] = e
+	l.push(e)
+	l.mu.Unlock()
+	return h
+}
+
+// ClearTimer removes the pending timer with handle h. An unknown handle, or
+// one whose timer already ran, is ignored, as clearTimeout ignores it.
+func (l *Loop) ClearTimer(h uint64) {
+	l.mu.Lock()
+	if e, ok := l.timers[h]; ok {
+		delete(l.timers, h)
+		heap.Remove(&l.queue, e.idx)
+	}
+	l.mu.Unlock()
+}
+
+// TimerSeq reports the last timer handle issued; SetTimerSeq continues the
+// sequence from n, so a restored guest's handles stay unique.
+func (l *Loop) TimerSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.timerSeq
+}
+
+// SetTimerSeq sets the last timer handle issued.
+func (l *Loop) SetTimerSeq(n uint64) {
+	l.mu.Lock()
+	l.timerSeq = n
+	l.mu.Unlock()
+}
+
+// Pending lists the queued tasks in post order, each due as an offset from
+// the loop clock's current time. Reposted in that order, they run in the
+// order they would have run here.
+func (l *Loop) Pending() []Pending {
+	now := l.Clock.Now()
+	l.mu.Lock()
+	q := slices.Clone(l.queue)
+	l.mu.Unlock()
+	slices.SortFunc(q, func(a, b *entry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]Pending, len(q))
+	for i, e := range q {
+		out[i] = Pending{Desc: e.desc, Due: max(e.due-now, 0), Handle: e.handle}
+	}
+	return out
+}
+
+// dueAt is when a task posted now with delayMs is due. A negative or NaN
+// delay is 0, as in a browser; a NaN due time would break the heap's order.
+func (l *Loop) dueAt(delayMs float64) float64 {
+	if !(delayMs > 0) {
 		delayMs = 0
 	}
-	due := l.Clock.Now() + delayMs
-	l.mu.Lock()
-	l.pending = append(l.pending, queued{fn: fn, due: due, seq: l.seq})
+	return l.Clock.Now() + delayMs
+}
+
+// push queues e under mu, stamping its post order.
+func (l *Loop) push(e *entry) {
+	e.seq = l.seq
 	l.seq++
-	l.mu.Unlock()
+	heap.Push(&l.queue, e)
 }
 
 // Stop makes Run return after the current task completes; queued tasks are
@@ -110,7 +207,7 @@ func (l *Loop) Stop() {
 // Len reports the number of queued tasks.
 func (l *Loop) Len() int {
 	l.mu.Lock()
-	n := len(l.pending)
+	n := len(l.queue)
 	l.mu.Unlock()
 	return n
 }
@@ -121,16 +218,10 @@ func (l *Loop) Len() int {
 func (l *Loop) NextDue() (float64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.pending) == 0 {
+	if len(l.queue) == 0 {
 		return 0, false
 	}
-	min := l.pending[0].due
-	for _, q := range l.pending[1:] {
-		if q.due < min {
-			min = q.due
-		}
-	}
-	return min, true
+	return l.queue[0].due, true
 }
 
 // Run drains the queue, advancing the clock across idle gaps, until no
@@ -165,18 +256,14 @@ func (l *Loop) RunOne() bool {
 // controllers are never blocked behind guest execution.
 func (l *Loop) step() bool {
 	l.mu.Lock()
-	if len(l.pending) == 0 || l.stopped {
+	if len(l.queue) == 0 || l.stopped {
 		l.mu.Unlock()
 		return false
 	}
-	sort.SliceStable(l.pending, func(i, j int) bool {
-		if l.pending[i].due != l.pending[j].due {
-			return l.pending[i].due < l.pending[j].due
-		}
-		return l.pending[i].seq < l.pending[j].seq
-	})
-	next := l.pending[0]
-	l.pending = l.pending[1:]
+	next := heap.Pop(&l.queue).(*entry)
+	if l.timers[next.handle] == next {
+		delete(l.timers, next.handle)
+	}
 	l.mu.Unlock()
 	if now := l.Clock.Now(); next.due > now {
 		l.Clock.Advance(next.due - now)
@@ -188,4 +275,35 @@ func (l *Loop) step() bool {
 	l.TaskDurations = append(l.TaskDurations, dur)
 	l.mu.Unlock()
 	return true
+}
+
+// queue is the loop's binary heap (container/heap).
+type queue []*entry
+
+func (q queue) Len() int { return len(q) }
+
+func (q queue) Less(i, j int) bool {
+	if q[i].due != q[j].due {
+		return q[i].due < q[j].due
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q queue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
+}
+
+func (q *queue) Push(x any) {
+	e := x.(*entry)
+	e.idx = len(*q)
+	*q = append(*q, e)
+}
+
+func (q *queue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	return e
 }

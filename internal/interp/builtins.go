@@ -465,7 +465,7 @@ func (in *Interp) setupConsoleAndTimers() {
 		if len(args) == 0 {
 			return Undefined, in.Throw("TypeError", "setTimeout requires a callback")
 		}
-		fn := args[0]
+		t := &Timer{Fn: args[0]}
 		delay := 0.0
 		if len(args) > 1 {
 			d, err := in.ToNumber(args[1])
@@ -474,44 +474,45 @@ func (in *Interp) setupConsoleAndTimers() {
 			}
 			delay = d
 		}
-		var extra []Value
 		if len(args) > 2 {
-			extra = append([]Value(nil), args[2:]...)
-			in.chargeMem(memValueBytes * len(extra))
+			t.Args = append([]Value(nil), args[2:]...)
 		}
-		in.timerSeq++
-		id := in.timerSeq
-		in.Loop.Post(func() {
-			if in.timerDead[id] {
-				delete(in.timerDead, id)
-				return
-			}
-			if _, err := in.Call(fn, Undefined, extra, Undefined); err != nil {
-				in.reportUncaught(err)
-			}
-		}, delay)
-		return NumberValue(float64(id)), nil
+		in.chargeMem(memTimerBytes + memValueBytes*len(t.Args))
+		return NumberValue(float64(in.PostTimer(0, t, delay))), nil
 	}))
 	in.Global.Define("clearTimeout", in.nativeV("clearTimeout", func(in *Interp, this Value, args []Value) (Value, error) {
-		if len(args) == 0 {
+		if len(args) == 0 || in.Loop == nil {
 			return Undefined, nil
 		}
 		idf, err := in.ToNumber(args[0])
 		if err != nil {
 			return Undefined, err
 		}
-		// Only IDs this realm actually issued are recorded, so a hostile
-		// clearTimeout(i) loop cannot grow the dead-set without first
-		// paying for the matching setTimeout calls.
-		id := uint64(idf)
-		if idf == math.Trunc(idf) && id >= 1 && id <= in.timerSeq {
-			if in.timerDead == nil {
-				in.timerDead = make(map[uint64]bool)
-			}
-			in.timerDead[id] = true
+		if idf == math.Trunc(idf) && idf >= 1 {
+			in.Loop.ClearTimer(uint64(idf))
 		}
 		return Undefined, nil
 	}))
+}
+
+// Timer is a pending setTimeout callback: the description its event-loop
+// entry carries, which the snapshot codec serializes.
+type Timer struct {
+	Fn   Value
+	Args []Value // forwarded to Fn; a copy taken at setTimeout
+}
+
+// PostTimer queues t on the realm's loop under handle h — the loop's next
+// handle when h is 0 — and returns the handle. A restore reposts its timers
+// here uncharged: the snapshot's meter reading already includes them.
+func (in *Interp) PostTimer(h uint64, t *Timer, delayMs float64) uint64 {
+	return in.Loop.PostTimer(h, func() {
+		if in.RunTimer != nil {
+			in.RunTimer(t.Fn, t.Args)
+		} else if _, err := in.Call(t.Fn, Undefined, t.Args, Undefined); err != nil {
+			in.reportUncaught(err)
+		}
+	}, delayMs, t)
 }
 
 // formatDateMS renders a time value the way Date.prototype.toString does,

@@ -149,12 +149,11 @@ type Interp struct {
 	errorProto    *Object
 	dateProto     *Object
 
-	// Raw-path timer ledger: setTimeout hands out monotonically increasing
-	// IDs and clearTimeout marks them dead before they fire. The stopified
-	// path shadows both globals with rt's ledgered versions, which keep an
-	// identical ID sequence so raw and stopified output stay byte-equal.
-	timerSeq  uint64
-	timerDead map[uint64]bool
+	// RunTimer runs a due setTimeout callback. Nil calls it directly, as a
+	// browser does; the Stopify runtime runs it under its driver, so a
+	// callback can yield, be paused and be killed like $main. Timer handles,
+	// cancellation and the pending queue are the event loop's.
+	RunTimer func(fn Value, args []Value)
 }
 
 // defaultMaxDepth is the call-stack limit of a realm with no engine profile:

@@ -85,9 +85,9 @@ func (r *R) installNatives() {
 		r.Yields++
 		aux := r.curAux
 		r.beginCapture(true, func(frames Frames) {
-			// Ledgered (snapshot.go): a yield's queued resume is part of
-			// the program's serializable state, and the posted task parks
-			// instead of resuming when a pause request is armed.
+			// A yield's queued resume is part of the program's serializable
+			// state (snapshot.go), and the posted task parks instead of
+			// resuming when a pause request is armed.
 			r.postResume(frames, aux, 0)
 		})
 		return r.captureReturn()
@@ -125,56 +125,6 @@ func (r *R) installNatives() {
 			}, 0)
 		})
 		return r.captureReturn()
-	})
-
-	// setTimeout — Stopify-managed, shadowing the interpreter's raw
-	// builtin: callbacks run under the driver (runStep), so yields,
-	// pauses, kills, and quantum preemption work inside a timer callback
-	// exactly as inside $main. The raw builtin calls the function
-	// directly, which would strand a capture begun in the callback (the
-	// unwound sentinel has no driver to land on). Completion of a
-	// callback after the program finished is a no-op (finish is
-	// idempotent); an error it raises then is dropped, as browsers drop
-	// late uncaught exceptions.
-	defineNative("setTimeout", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if len(args) == 0 {
-			return interp.Undefined, in.Throw("TypeError", "setTimeout requires a callback")
-		}
-		fn := args[0]
-		delay := 0.0
-		if len(args) > 1 {
-			d, err := in.ToNumber(args[1])
-			if err != nil {
-				return interp.Undefined, err
-			}
-			delay = d
-		}
-		var extra []interp.Value
-		if len(args) > 2 {
-			extra = append([]interp.Value(nil), args[2:]...)
-		}
-		// Ledgered (snapshot.go): pending timers serialize as
-		// (due-offset, callback, extra-args, handle) records.
-		id := r.nextTimerID()
-		r.postTimer(LedgerEntry{Fn: fn, Args: extra, TimerID: id}, delay)
-		return interp.NumberValue(float64(id)), nil
-	})
-
-	// clearTimeout — shadows the interpreter's raw builtin with the
-	// ledgered version: the cancellation marks the pending entry rather
-	// than touching the loop, so it survives snapshot/restore.
-	defineNative("clearTimeout", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if len(args) == 0 {
-			return interp.Undefined, nil
-		}
-		idf, err := in.ToNumber(args[0])
-		if err != nil {
-			return interp.Undefined, err
-		}
-		if idf == math.Trunc(idf) && idf >= 1 {
-			r.cancelTimer(uint64(idf))
-		}
-		return interp.Undefined, nil
 	})
 
 	// Signal predicates used by instrumented catch clauses and exceptional

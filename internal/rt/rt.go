@@ -101,8 +101,8 @@ type R struct {
 
 	// curAux tags the turn the driver is currently executing. The main chain —
 	// Run's initial task and every capture/restore descended from it — is
-	// aux=false; its completion finishes the program. Timer callbacks (the rt
-	// setTimeout) are aux=true turns: they share the whole capture/restore
+	// aux=false; its completion finishes the program. Timer callbacks
+	// (runTimer) are aux=true turns: they share the whole capture/restore
 	// machinery, but completing one just ends that turn. The tag rides along
 	// through yields: a capture taken inside a callback restores as a callback.
 	// (A continuation captured on one chain and applied on the other keeps the
@@ -118,18 +118,6 @@ type R struct {
 	onDone func(interp.Value, error)
 	done   bool // under mu
 
-	// ledger tracks runtime-posted pending tasks in serializable form
-	// (snapshot.go); under mu.
-	ledger    map[uint64]*LedgerEntry
-	ledgerSeq uint64
-
-	// timerSeq numbers guest setTimeout calls (IDs start at 1). It is a
-	// separate counter from ledgerSeq — which also counts $suspend resume
-	// posts — so the ID sequence a stopified guest observes matches the
-	// raw interpreter's exactly. Serialized in the snapshot header and
-	// restored via SetTimerSeq, keeping IDs unique across a park. Under mu.
-	timerSeq uint64
-
 	// Stats observable by the harness.
 	Yields   int
 	Captures int
@@ -142,7 +130,7 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	if opts.CountdownN <= 0 {
 		opts.CountdownN = 100000
 	}
-	r := &R{In: in, Loop: loop, opts: opts, breakpoints: map[int]bool{}, ledger: map[uint64]*LedgerEntry{}}
+	r := &R{In: in, Loop: loop, opts: opts, breakpoints: map[int]bool{}}
 	r.stackObj = in.NewArray(nil)
 	r.rstackObj = in.NewArray(nil)
 	r.shadowObj = in.NewArray(nil)
@@ -164,6 +152,7 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	}
 
 	r.installNatives()
+	in.RunTimer = r.runTimer
 	in.SetPoll(&r.poll)
 	return r
 }
@@ -421,6 +410,19 @@ func (r *R) Run(fn interp.Value, onDone func(interp.Value, error)) {
 			return r.In.Call(fn, interp.Undefined, nil, interp.Undefined)
 		})
 	}, 0)
+}
+
+// runTimer runs a due setTimeout callback under the driver, so yields,
+// pauses, kills and quantum preemption work inside it exactly as inside
+// $main; a direct call would strand a capture begun in the callback, whose
+// unwound sentinel would have no driver to land on. A callback completing
+// after the program finished is a no-op (finish is idempotent); an error it
+// raises then is dropped, as browsers drop late uncaught exceptions.
+func (r *R) runTimer(fn interp.Value, args []interp.Value) {
+	r.curAux = true
+	r.runStep(func() (interp.Value, error) {
+		return r.In.Call(fn, interp.Undefined, args, interp.Undefined)
+	})
 }
 
 // runStep executes one synchronous slice of the program and dispatches on

@@ -1,78 +1,34 @@
 package rt
 
 import (
+	"repro/internal/eventloop"
 	"repro/internal/instrument"
 	"repro/internal/interp"
 )
 
 // Snapshot support. A parked program is already first-class data — savedK
 // plus everything reachable from it — except for one host-side leak: tasks
-// sitting in the event loop are opaque Go closures. The runtime therefore
-// keeps a ledger of every task *it* posts, as serializable descriptors
-// (timer callbacks by Value, queued resumes by Frames), so a snapshot can
-// enumerate the queue and a restore can rebuild it. A task the runtime did
-// not post — a Blocking resume, a debugger $bp park — has no descriptor,
-// and its presence pins the program unsnapshotable (the codec reports the
-// mismatch as a typed error rather than silently dropping the task).
+// sitting in the event loop are opaque Go closures. Each task the program
+// owns is therefore posted with a serializable description (Loop.PostTask,
+// Loop.PostTimer): an *interp.Timer for a setTimeout callback, a *Resume for
+// a queued continuation restore. A snapshot lists them with Loop.Pending and
+// Repost rebuilds the queue. A task posted without one — a Blocking resume,
+// a debugger $bp park — pins the program unsnapshotable (the codec reports
+// it as a typed error rather than silently dropping the task).
 
-// TaskKind discriminates ledger entries.
-type TaskKind uint8
-
-const (
-	// TaskTimer is a setTimeout callback: (callback Value, due offset).
-	TaskTimer TaskKind = iota + 1
-	// TaskResume is a queued continuation restore: a $suspend yield or an
-	// external Resume that has been posted but has not run yet.
-	TaskResume
-)
-
-// LedgerEntry describes one pending event-loop task in serializable form.
-// In PendingTasks output, Due is an offset in milliseconds relative to the
-// loop clock at the time of the call (clamped to ≥ 0); entries are ordered
-// by original post order, which together with the loop's (due, seq) sort
-// reproduces the source queue's FIFO-among-due ordering on restore.
-type LedgerEntry struct {
-	Kind   TaskKind
-	Fn     interp.Value   // TaskTimer: the callback
-	Args   []interp.Value // TaskTimer: extra setTimeout args, forwarded to Fn
-	Frames Frames         // TaskResume: the continuation
-	Aux    bool           // TaskResume: the turn tag to restore under
-	Due    float64
-
-	// TimerID is the guest-visible setTimeout handle (clearTimeout's key);
-	// Cancelled marks a cleared timer whose queued loop task will fire as a
-	// no-op. The entry stays in the ledger after clearTimeout — removing it
-	// would desync Loop.Len() from the ledger and false-pin the snapshot —
-	// so cancellation records ride the serialized pending-task list.
-	TimerID   uint64
-	Cancelled bool
-
-	seq uint64
+// Resume is a queued continuation restore: a $suspend yield or an external
+// Resume that has been posted but has not run yet.
+type Resume struct {
+	Frames Frames
+	Aux    bool // the turn tag to restore under
 }
 
-// postTimer posts a ledgered setTimeout callback task. The caller fills
-// Fn/Args/TimerID (and Cancelled, when reposting a cleared timer from a
-// snapshot).
-func (r *R) postTimer(e LedgerEntry, delay float64) {
-	e.Kind = TaskTimer
-	e.Aux = true
-	fn, fnArgs := e.Fn, e.Args
-	r.postTracked(e, delay, func(cancelled bool) {
-		if cancelled {
-			return
-		}
-		r.curAux = true
-		r.runStep(func() (interp.Value, error) {
-			return r.In.Call(fn, interp.Undefined, fnArgs, interp.Undefined)
-		})
-	})
-}
-
-// postResume posts a ledgered continuation-restore task. The task honors a
-// pause request that arrived while it was queued by parking instead of
-// running — the same semantics as the $suspend yield it usually is.
+// postResume posts a continuation-restore task. The task honors a pause
+// request that arrived while it was queued by parking instead of running —
+// the same semantics as the $suspend yield it usually is.
 func (r *R) postResume(frames Frames, aux bool, delay float64) {
-	r.postTracked(LedgerEntry{Kind: TaskResume, Frames: frames, Aux: aux}, delay, func(bool) {
+	d := &Resume{Frames: frames, Aux: aux}
+	r.Loop.PostTask(func() {
 		if r.poll.Pause.Load() {
 			r.poll.Pause.Store(false)
 			r.mu.Lock()
@@ -88,8 +44,8 @@ func (r *R) postResume(frames Frames, aux bool, delay float64) {
 				return
 			}
 			r.paused = true
-			r.savedK = frames
-			r.savedAux = aux
+			r.savedK = d.Frames
+			r.savedAux = d.Aux
 			cb := r.onPause
 			r.mu.Unlock()
 			if cb != nil {
@@ -97,121 +53,24 @@ func (r *R) postResume(frames Frames, aux bool, delay float64) {
 			}
 			return
 		}
-		r.curAux = aux
-		r.startRestore(true, frames, interp.Undefined)
-	})
+		r.curAux = d.Aux
+		r.startRestore(true, d.Frames, interp.Undefined)
+	}, delay, d)
 }
 
-// postTracked records e in the ledger, posts run, and removes the entry
-// when the task starts. Due is recorded absolute (loop-clock domain) and
-// converted to an offset by PendingTasks. The entry's Cancelled flag —
-// which clearTimeout may set while the task is queued — is read under mu at
-// fire time and handed to run.
-func (r *R) postTracked(e LedgerEntry, delay float64, run func(cancelled bool)) {
-	if delay < 0 {
-		delay = 0
-	}
-	r.mu.Lock()
-	r.ledgerSeq++
-	id := r.ledgerSeq
-	e.seq = id
-	e.Due = r.Loop.Clock.Now() + delay
-	r.ledger[id] = &e
-	r.mu.Unlock()
-	r.Loop.Post(func() {
-		r.mu.Lock()
-		cancelled := r.ledger[id] != nil && r.ledger[id].Cancelled
-		delete(r.ledger, id)
-		r.mu.Unlock()
-		run(cancelled)
-	}, delay)
-}
-
-// nextTimerID issues the next guest-visible setTimeout handle (starting at
-// 1, matching the raw interpreter's sequence exactly).
-func (r *R) nextTimerID() uint64 {
-	r.mu.Lock()
-	r.timerSeq++
-	id := r.timerSeq
-	r.mu.Unlock()
-	return id
-}
-
-// cancelTimer marks the pending timer with guest handle id cancelled; its
-// queued loop task fires as a no-op. Unknown or already-fired IDs are
-// ignored, as clearTimeout is.
-func (r *R) cancelTimer(id uint64) {
-	r.mu.Lock()
-	for _, e := range r.ledger {
-		if e.Kind == TaskTimer && e.TimerID == id {
-			e.Cancelled = true
-		}
-	}
-	r.mu.Unlock()
-}
-
-// TimerSeq reports the last issued setTimeout handle, for the snapshot
-// header; SetTimerSeq restores it so a restored guest keeps issuing unique,
-// deterministic IDs.
-func (r *R) TimerSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.timerSeq
-}
-
-// SetTimerSeq seeds the setTimeout handle counter (snapshot restore).
-func (r *R) SetTimerSeq(n uint64) {
-	r.mu.Lock()
-	r.timerSeq = n
-	r.mu.Unlock()
-}
-
-// PendingTasks returns the ledgered pending tasks in post order, Due
-// rewritten as a non-negative offset from the loop clock's current time.
-// The caller compares len(PendingTasks()) against Loop.Len() to detect
-// unledgered (host-posted, unsnapshotable) tasks.
-func (r *R) PendingTasks() []LedgerEntry {
-	now := r.Loop.Clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]LedgerEntry, 0, len(r.ledger))
-	for _, e := range r.ledger {
-		out = append(out, *e)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].seq > out[j].seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	for i := range out {
-		if off := out[i].Due - now; off > 0 {
-			out[i].Due = off
-		} else {
-			out[i].Due = 0
-		}
-	}
-	return out
-}
-
-// RepostLedger rebuilds a snapshot's pending-task queue in a restored
-// runtime, in original post order. elapsedMs is wall time that passed
-// between snapshot and restore: timer due-offsets shrink by it (never below
-// zero), so a parked guest's timers fire on schedule rather than restarting
-// their full delay.
-func (r *R) RepostLedger(entries []LedgerEntry, elapsedMs float64) {
-	for _, e := range entries {
-		delay := e.Due - elapsedMs
-		if delay < 0 {
-			delay = 0
-		}
-		switch e.Kind {
-		case TaskTimer:
-			// Reposted wholesale, cancellation flag included: a cancelled
-			// timer stays a ledgered no-op until its due time, exactly as in
-			// the source process.
-			r.postTimer(e, delay)
-		case TaskResume:
-			r.postResume(e.Frames, e.Aux, delay)
+// Repost rebuilds a snapshot's pending tasks in a restored runtime, in
+// original post order, timers under their handles. elapsedMs is wall time
+// that passed between snapshot and restore: due-offsets shrink by it (a
+// task whose offset it exceeds is due at once), so a parked guest's timers
+// fire on schedule rather than restarting their full delay.
+func (r *R) Repost(tasks []eventloop.Pending, elapsedMs float64) {
+	for _, t := range tasks {
+		delay := t.Due - elapsedMs
+		switch d := t.Desc.(type) {
+		case *interp.Timer:
+			r.In.PostTimer(t.Handle, d, delay)
+		case *Resume:
+			r.postResume(d.Frames, d.Aux, delay)
 		}
 	}
 }
@@ -236,7 +95,7 @@ func (r *R) SnapshotState() ParkState {
 // AdoptParked places a freshly built runtime into a decoded snapshot's
 // control state: paused with a saved continuation, mid-flight between
 // turns, or done (main finished, timers draining). Run is never called on
-// an adopted runtime — the caller reposts the ledger and either Resumes (if
+// an adopted runtime — the caller reposts the pending tasks and either Resumes (if
 // paused) or just pumps the loop.
 func (r *R) AdoptParked(st ParkState, onDone func(interp.Value, error)) {
 	r.contain = true

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"repro/internal/eventloop"
 	"repro/internal/interp"
 	"repro/internal/rt"
 )
@@ -25,12 +26,12 @@ type Meta struct {
 
 // Decoded is the result of decoding a blob into a realm: the runtime
 // control state to adopt, the completion value (when Done), and the
-// pending-task ledger to repost.
+// pending tasks to repost (rt.Repost).
 type Decoded struct {
 	Meta   Meta
 	State  rt.ParkState
 	Result interp.Value
-	Ledger []rt.LedgerEntry
+	Tasks  []eventloop.Pending
 }
 
 // ReadMeta parses only the header, cheaply — no realm needed. Restore uses
@@ -120,7 +121,7 @@ type dec struct {
 // fingerprint is checked) with its host registry taken at the standard
 // construction point (the registry fingerprint is checked). The caller
 // applies the returned state: SetRandState/SetAccounting on the
-// interpreter, AdoptParked + RepostLedger on the runtime.
+// interpreter, the loop's timer sequence, AdoptParked + Repost on the runtime.
 func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg *Registry) (*Decoded, error) {
 	r := &reader{buf: blob}
 	meta, err := readMeta(r)
@@ -202,39 +203,42 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 		savedK[i] = d.rval(r)
 	}
 	result := d.rval(r)
-	type rawLedger struct {
-		kind      byte
-		due       float64
-		fn        wval
-		timerID   uint64
-		cancelled bool
-		args      []wval
-		aux       bool
-		frames    []wval
+	type rawTask struct {
+		kind   byte
+		due    float64
+		fn     wval
+		handle uint64
+		args   []wval
+		aux    bool
+		frames []wval
 	}
-	ledger := make([]rawLedger, r.count())
-	for i := range ledger {
-		le := &ledger[i]
-		le.kind = r.u8()
-		le.due = r.f64()
-		switch rt.TaskKind(le.kind) {
-		case rt.TaskTimer:
-			le.fn = d.rval(r)
-			le.timerID = r.uvarint()
-			le.cancelled = r.bool()
-			le.args = make([]wval, r.count())
-			for j := range le.args {
-				le.args[j] = d.rval(r)
+	var tasks []rawTask
+	for i, n := 0, r.count(); i < n; i++ {
+		pt := rawTask{kind: r.u8(), due: r.f64()}
+		switch pt.kind {
+		case taskTimer:
+			pt.fn = d.rval(r)
+			pt.handle = r.uvarint()
+			cancelled := r.bool()
+			pt.args = make([]wval, r.count())
+			for j := range pt.args {
+				pt.args[j] = d.rval(r)
 			}
-		case rt.TaskResume:
-			le.aux = r.bool()
-			le.frames = make([]wval, r.count())
-			for j := range le.frames {
-				le.frames[j] = d.rval(r)
+			if cancelled {
+				// Written by a build that kept cleared timers queued: the
+				// timer never fires, so it is not reposted.
+				continue
+			}
+		case taskResume:
+			pt.aux = r.bool()
+			pt.frames = make([]wval, r.count())
+			for j := range pt.frames {
+				pt.frames[j] = d.rval(r)
 			}
 		default:
-			return nil, corruptf("unknown ledger task kind %d", le.kind)
+			return nil, corruptf("unknown pending task kind %d", pt.kind)
 		}
+		tasks = append(tasks, pt)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -445,31 +449,31 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 		State:  rt.ParkState{Paused: meta.Paused, Frames: frames, Aux: meta.SavedAux, Done: meta.Done},
 		Result: res,
 	}
-	for _, le := range ledger {
-		entry := rt.LedgerEntry{Kind: rt.TaskKind(le.kind), Due: le.due, Aux: le.aux,
-			TimerID: le.timerID, Cancelled: le.cancelled}
-		if entry.Kind == rt.TaskTimer {
-			fn, err := d.resolve(le.fn)
+	for _, t := range tasks {
+		task := eventloop.Pending{Due: t.due, Handle: t.handle}
+		if t.kind == taskTimer {
+			fn, err := d.resolve(t.fn)
 			if err != nil {
 				return nil, err
 			}
-			entry.Fn = fn
-			if n := len(le.args); n > 0 {
-				entry.Args = make([]interp.Value, n)
-				for j, wv := range le.args {
-					if entry.Args[j], err = d.resolve(wv); err != nil {
+			timer := &interp.Timer{Fn: fn}
+			if n := len(t.args); n > 0 {
+				timer.Args = make([]interp.Value, n)
+				for j, wv := range t.args {
+					if timer.Args[j], err = d.resolve(wv); err != nil {
 						return nil, err
 					}
 				}
 			}
+			task.Desc = timer
 		} else {
-			f, err := d.resolveFrames(le.frames)
+			f, err := d.resolveFrames(t.frames)
 			if err != nil {
 				return nil, err
 			}
-			entry.Frames = f
+			task.Desc = &rt.Resume{Frames: f, Aux: t.aux}
 		}
-		out.Ledger = append(out.Ledger, entry)
+		out.Tasks = append(out.Tasks, task)
 	}
 	return out, nil
 }

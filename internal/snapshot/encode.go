@@ -28,9 +28,6 @@ type Input struct {
 	// WallUnixMs timestamps the snapshot (wall clock), so a restore can
 	// credit parked time against pending timer due-offsets.
 	WallUnixMs float64
-	// TimerSeq is the last setTimeout handle the runtime issued; a restored
-	// runtime continues the sequence so handles stay unique across a park.
-	TimerSeq uint64
 }
 
 // object node kinds on the wire. nodeBound and nodeDate are wire v2.
@@ -49,6 +46,12 @@ const (
 	opDelProp
 	opSetProto
 	opSetElems
+)
+
+// pending-task kinds on the wire.
+const (
+	taskTimer = iota + 1
+	taskResume
 )
 
 // flag bits in the header.
@@ -101,9 +104,17 @@ func Encode(input Input) ([]byte, error) {
 		return nil, pinf(PinMode, "guest frames are live on the native stack")
 	}
 	st := r.SnapshotState()
-	tasks := r.PendingTasks()
-	if got := r.Loop.Len(); got != len(tasks) {
-		return nil, pinf(PinTask, "%d event-loop task(s) not owned by the runtime (blocking host call or debugger)", got-len(tasks))
+	tasks := r.Loop.Pending()
+	foreign := 0
+	for _, t := range tasks {
+		switch t.Desc.(type) {
+		case *interp.Timer, *rt.Resume:
+		default:
+			foreign++
+		}
+	}
+	if foreign > 0 {
+		return nil, pinf(PinTask, "%d event-loop task(s) not owned by the runtime (blocking host call or debugger)", foreign)
 	}
 	prist := pristine()
 	if input.Reg.Sum() != prist.Sum() || input.Reg.Len() != prist.Len() {
@@ -136,12 +147,16 @@ func Encode(input Input) ([]byte, error) {
 	}
 	e.discoverValue(input.Result)
 	for _, t := range tasks {
-		e.discoverValue(t.Fn)
-		for _, a := range t.Args {
-			e.discoverValue(a)
-		}
-		for _, f := range t.Frames {
-			e.discoverValue(f)
+		switch d := t.Desc.(type) {
+		case *interp.Timer:
+			e.discoverValue(d.Fn)
+			for _, a := range d.Args {
+				e.discoverValue(a)
+			}
+		case *rt.Resume:
+			for _, f := range d.Frames {
+				e.discoverValue(f)
+			}
 		}
 	}
 	for _, d := range e.deltas {
@@ -179,7 +194,7 @@ func Encode(input Input) ([]byte, error) {
 	}
 	w.u8(flags)
 	w.f64(input.WallUnixMs)
-	w.uvarint(input.TimerSeq)
+	w.uvarint(r.Loop.TimerSeq())
 
 	w.uvarint(uint64(e.reg.Len()))
 	w.u64(e.reg.Sum())
@@ -228,21 +243,23 @@ func Encode(input Input) ([]byte, error) {
 
 	w.uvarint(uint64(len(tasks)))
 	for _, t := range tasks {
-		w.u8(byte(t.Kind))
-		w.f64(t.Due)
-		switch t.Kind {
-		case rt.TaskTimer:
-			e.value(w, t.Fn)
-			w.uvarint(t.TimerID)
-			w.bool(t.Cancelled)
-			w.uvarint(uint64(len(t.Args)))
-			for _, a := range t.Args {
+		switch d := t.Desc.(type) {
+		case *interp.Timer:
+			w.u8(taskTimer)
+			w.f64(t.Due)
+			e.value(w, d.Fn)
+			w.uvarint(t.Handle)
+			w.bool(false) // cancelled: a cleared timer is no longer queued
+			w.uvarint(uint64(len(d.Args)))
+			for _, a := range d.Args {
 				e.value(w, a)
 			}
-		case rt.TaskResume:
-			w.bool(t.Aux)
-			w.uvarint(uint64(len(t.Frames)))
-			for _, f := range t.Frames {
+		case *rt.Resume:
+			w.u8(taskResume)
+			w.f64(t.Due)
+			w.bool(d.Aux)
+			w.uvarint(uint64(len(d.Frames)))
+			for _, f := range d.Frames {
 				e.value(w, f)
 			}
 		}

@@ -17,14 +17,15 @@
 //     natives serialize as registry ordinals and re-link on restore, and
 //     guest mutations of host objects serialize as deltas against a
 //     pristine twin realm;
-//   - the runtime's pending-task ledger (rt.PendingTasks): event-loop tasks
-//     as (due-offset, payload) records.
+//   - the event loop's queue (eventloop.Loop.Pending): each pending task as
+//     its due offset and the descriptor it was posted with — an
+//     *interp.Timer under its handle, or an *rt.Resume.
 //
 // Bound functions and Date instances are data-backed (interp.BoundFunction
 // / interp.DateData) and serialize as first-class node kinds since wire v2.
 // Anything outside those structures — a native created at runtime, a
-// closure over eval-compiled code, an event-loop task the runtime did not
-// post (a Blocking resume, a debugger park) — has no serializable identity,
+// closure over eval-compiled code, an event-loop task posted without a
+// descriptor (a Blocking resume, a debugger park) — has no serializable identity,
 // and encoding fails with a typed *PinError naming the obstruction instead
 // of corrupting state.
 package snapshot
@@ -44,7 +45,7 @@ var magic = [4]byte{'S', 'N', 'A', 'P'}
 // pin set is measurable (metrics.go park_pins_by_reason).
 const (
 	PinMode     = "mode"     // mid capture/restore, atomic section, or live native stack
-	PinTask     = "task"     // event-loop task the runtime did not post
+	PinTask     = "task"     // event-loop task posted without a descriptor
 	PinRegistry = "registry" // host registry diverged, or an uncopyable output sink
 	PinNative   = "native"   // runtime-created native with no registry identity
 	PinEval     = "eval"     // closure or frame over eval-compiled code

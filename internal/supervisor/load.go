@@ -215,9 +215,9 @@ for (var j = 0; j < 800; j++) { acc += 0; }
 // holds across those parks is deliberately the state wire v2 un-pinned: the
 // turn callback is a *bound* function, a Date from session start must read
 // the same time-value after every restore, and each turn schedules a decoy
-// timer it immediately cancels (the cancelled handle rides the ledger; if
-// cancellation were lost across a park the decoy would run an extra turn
-// and the output check below would catch it).
+// timer it immediately clears (the cleared handle leaves the event loop; if
+// a park brought it back the decoy would run an extra turn and the output
+// check below would catch it).
 func loadInteractiveProgram(seed int) (src, want string) {
 	const turns = 3
 	sleep := 40 + seed%80
@@ -255,9 +255,9 @@ step();
 
 // loadSleeperProgram sleeps first and computes after — admitted, instantly
 // idle, parked under residency pressure, restored when the timer fires. The
-// pending timer carries forwarded extra args, a cancelled twin rides the
-// ledger beside it, and a Date instance must stay internally consistent
-// after restore; a codec fault in any of them corrupts the verified output.
+// pending timer carries forwarded extra args, a cleared twin must stay gone,
+// and a Date instance must stay internally consistent after restore; a
+// codec fault in any of them corrupts the verified output.
 func loadSleeperProgram(seed int) (src, want string) {
 	sleep := 150 + (seed*37)%350
 	src = fmt.Sprintf(`
@@ -478,9 +478,9 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	// counters with shutdown kills of stragglers.
 	m := s.Metrics()
 	// Every standard profile holds only serializable state — bound
-	// functions, Date instances, and cancelled timer handles all cross the
-	// snapshot boundary since wire v2 — so a pinned park attempt here is a
-	// codec regression surfacing under load, not expected traffic.
+	// functions, Date instances, and pending timers with forwarded
+	// arguments all cross the snapshot boundary — so a pinned park attempt
+	// here is a codec regression surfacing under load, not expected traffic.
 	if m.ParkPins > 0 {
 		note("%d park attempts pinned (%v) — standard profiles must serialize",
 			"", int(m.ParkPins), m.ParkPinsByReason)

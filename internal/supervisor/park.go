@@ -19,12 +19,12 @@ import (
 // dropped; the blob lives in memory or, with Options.ParkDir, on disk.
 // Touching a parked guest (its timer fires, Resume, a worker picks it up)
 // restores the realm transparently before the turn runs. A guest the codec
-// cannot serialize (a closure over eval code, an unledgered task, an opaque
-// host payload — see snapshot.PinError; bound functions and Date instances
-// left this list with wire v2) simply stays resident: parking is an
-// optimization, not a correctness boundary. Refused parks are counted per
-// pin kind (Metrics.ParkPinsByReason) so the residual pin set stays
-// observable.
+// cannot serialize (a closure over eval code, a task posted without a
+// descriptor, an opaque host payload — see snapshot.PinError; bound
+// functions and Date instances left this list with wire v2) simply stays
+// resident: parking is an optimization, not a correctness boundary. Refused
+// parks are counted per pin kind (Metrics.ParkPinsByReason) so the residual
+// pin set stays observable.
 //
 // The same machinery gives guests process mobility: SnapshotGuest hands a
 // quiescent guest's blob to the caller (stopifyd's snapshot endpoint), and

@@ -377,6 +377,33 @@ func TestSleeperDeadlineClamped(t *testing.T) {
 	}
 }
 
+// TestClearedTimerReleasesGuest: a cleared timer is gone from the guest's
+// event loop, so a guest that clears its only timer finishes when its code
+// does — not when the timer would have fired, and not by dying at its
+// deadline.
+func TestClearedTimerReleasesGuest(t *testing.T) {
+	s := New(Options{Workers: 1, QuantumSteps: 500})
+	defer s.Close()
+	const deadline = 2 * time.Second
+	start := time.Now()
+	g, err := s.Submit(SubmitOptions{
+		Source: `var t = setTimeout(function () { console.log("fired"); }, 60000);
+clearTimeout(t);
+console.log("done");`,
+		Policy: &Policy{WallDeadline: deadline},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := g.Wait()
+	if res.Err != nil || res.Output != "done\n" {
+		t.Fatalf("err=%v output=%q, want no error and \"done\\n\"", res.Err, res.Output)
+	}
+	if took := time.Since(start); took > deadline/2 {
+		t.Fatalf("guest took %v to finish, want well under its %v deadline", took, deadline)
+	}
+}
+
 func TestUncaughtGuestErrorIsIsolated(t *testing.T) {
 	s := New(Options{Workers: 2, QuantumSteps: 300})
 	defer s.Close()
