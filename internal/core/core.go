@@ -436,7 +436,7 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 	// The registry must be built here — after the interpreter and runtime
 	// install their globals, before any guest code runs — so encoding and
 	// decoding realms index the same host graph.
-	a.reg = snapshot.NewRegistry(in)
+	a.reg = snapshot.HostRegistry(in)
 	// Restore never runs the program (its bindings come from the blob), so
 	// the inline-cache tables are sized here, for both paths.
 	in.ReserveSites(c.Prog.Sites)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/printer"
 	"repro/internal/resolve"
+	"repro/internal/snapshot"
 )
 
 // CompileWholeTree is the reference the spliced Compile is held to: the
@@ -63,3 +64,9 @@ func CheckANF(source string, opts Opts) error {
 	anf.Normalize(wrapped)
 	return anf.Check(wrapped)
 }
+
+// NewRealm builds the realm NewRun and Restore start from, with nothing run.
+func (c *Compiled) NewRealm(cfg RunConfig) (*AsyncRun, error) { return c.newRealm(cfg) }
+
+// Registry is the host-object re-link table the realm was built with.
+func (a *AsyncRun) Registry() *snapshot.Registry { return a.reg }

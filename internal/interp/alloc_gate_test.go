@@ -246,6 +246,30 @@ function elems(n) {
 	}
 }
 
+// The ceilings on a bare realm — the builtin graph New builds — are its
+// measured 400 allocations in 47 080 bytes (47 192 under the race
+// detector) plus 3 %. Building the shapes of an n-key object cost O(n²)
+// before a first transition shared its parent's index (889 allocations,
+// 121 640 bytes); a shape that copies one again fails here.
+const (
+	bareRealmAllocs = 412
+	bareRealmBytes  = 48_500
+)
+
+// bareRealmCost reports what New allocates: the least of eight tries.
+func bareRealmCost() (bytes, allocs uint64) {
+	bytes, allocs = math.MaxUint64, math.MaxUint64
+	for try := 0; try < 8; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(Options{})
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	return bytes, allocs
+}
+
 // realmBytes builds a realm on the given engine, runs next() in it, and
 // reports the bytes the heap handed out: the least of sixteen tries, so a
 // sync.Pool that comes up empty — after a collection, or under the race
@@ -271,8 +295,9 @@ func realmBytes(t *testing.T, next func() *ast.Program, bytecode bool) uint64 {
 	return least
 }
 
-// TestAllocGateRealm is the tripwire for what the bytecode engine may cost
-// a realm beyond the tree-walker. The chunk, its constant pool and the
+// TestAllocGateRealm is the tripwire for what a bare realm may cost (an
+// absolute ceiling, bareRealmBytes) and for what the bytecode engine may
+// cost a realm beyond the tree-walker. The chunk, its constant pool and the
 // operand stack belong to no realm — the first two live on the shared tree,
 // the third is borrowed — so a realm over a tree some realm has already run
 // pays for none of them, and a realm over a never-seen one-function program
@@ -282,6 +307,11 @@ func realmBytes(t *testing.T, next func() *ast.Program, bytecode bool) uint64 {
 func TestAllocGateRealm(t *testing.T) {
 	// A pooled arena sits in the slot of the P that returned it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if bytes, allocs := bareRealmCost(); bytes > bareRealmBytes || allocs > bareRealmAllocs {
+		t.Errorf("a bare realm allocated %d objects in %d bytes, ceiling %d in %d", allocs, bytes, bareRealmAllocs, bareRealmBytes)
+	} else {
+		t.Logf("a bare realm: %d allocations, %d bytes", allocs, bytes)
+	}
 	fresh := func() *ast.Program {
 		prog, err := parser.Parse(`function f(a, b) { var s = a + b; return s * 2; } f(1, 2);`)
 		if err != nil {
@@ -303,5 +333,13 @@ func TestAllocGateRealm(t *testing.T) {
 	}
 	if later > tree+64 {
 		t.Errorf("bytecode realm over a tree already run: %d bytes, tree-walker realm %d: it paid for a chunk, a constant pool or an arena", later, tree)
+	}
+}
+
+// BenchmarkNew is what a bare realm costs: the builtin graph New builds.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		New(Options{})
 	}
 }

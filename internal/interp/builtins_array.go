@@ -5,6 +5,16 @@ import (
 	"strings"
 )
 
+// popElem removes and returns a's last element, which must exist, zeroing
+// the vacated slot so the backing array does not keep the value alive.
+func popElem(a *Object) Value {
+	n := len(a.Elems) - 1
+	v := a.Elems[n]
+	a.Elems[n] = Undefined
+	a.Elems = a.Elems[:n]
+	return v
+}
+
 // setupArray installs the Array constructor and Array.prototype. Methods
 // that accept callbacks (sort, forEach, map, filter, reduce) call back into
 // JavaScript through a native frame; programs compiled with Stopify must not
@@ -68,9 +78,7 @@ func (in *Interp) setupArray() {
 		if len(a.Elems) == 0 {
 			return Undefined, nil
 		}
-		v := a.Elems[len(a.Elems)-1]
-		a.Elems = a.Elems[:len(a.Elems)-1]
-		return v, nil
+		return popElem(a), nil
 	})
 	method("shift", func(in *Interp, this Value, args []Value) (Value, error) {
 		a, err := selfArray(in, this)
@@ -142,6 +150,9 @@ func (in *Interp) setupArray() {
 		}
 		rest := append([]Value(nil), a.Elems[start+count:]...)
 		a.Elems = append(append(a.Elems[:start], inserted...), rest...)
+		if m := len(a.Elems); m < n {
+			clear(a.Elems[m:n]) // a shrink keeps the backing array
+		}
 		return ObjectValue(in.NewArray(removed)), nil
 	})
 	method("concat", func(in *Interp, this Value, args []Value) (Value, error) {

@@ -90,8 +90,8 @@ func (in *Interp) popFrame(g bytecode.Global, names []string) (Value, bool) {
 	in.chargeProp()
 	in.chargeCall()
 	v := Undefined
-	if n := len(a.Elems); n > 0 {
-		v, a.Elems = a.Elems[n-1], a.Elems[:n-1]
+	if len(a.Elems) > 0 {
+		v = popElem(a)
 	}
 	return v, true
 }
@@ -155,7 +155,7 @@ func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bo
 	if l == nil || l.Class != "Array" || len(l.Elems) < len(r.Locals) {
 		return false
 	}
-	a.Elems = a.Elems[:len(a.Elems)-1]
+	popElem(a)
 	s := env.slots
 	s[r.Lbl], s[r.L] = top.slots[0].Value, top.slots[1].Value
 	for i, slot := range r.Locals {

@@ -8,15 +8,16 @@ import (
 
 // Hidden classes ("shapes"). Every *Object with own properties points at a
 // Shape that describes its property layout: Shape.keys lists the own keys in
-// insertion order and Shape.index maps each key to an index into the
-// object's flat slots array. Objects created along the same code path — the
-// same sequence of property additions on the same prototype — share a Shape,
-// because each addition follows the same cached transition edge. That
-// sharing is what makes property inline caches possible: a cache entry that
-// observed "key k lives at slot 3 of shape S" is valid for every object
-// whose shape pointer is still S, so a hit is one pointer compare plus an
-// array index instead of a hash lookup (and, for misses that walked the
-// prototype chain, instead of a whole chain of hash lookups).
+// insertion order, and key i lives at index i of the object's flat slots
+// array (Shape.index finds it in a shape of more than eight keys). Objects
+// created along the same code path — the same sequence of property
+// additions on the same prototype — share a Shape, because each addition
+// follows the same cached transition edge. That sharing is what makes
+// property inline caches possible: a cache entry that observed "key k lives
+// at slot 3 of shape S" is valid for every object whose shape pointer is
+// still S, so a hit is one pointer compare plus an array index instead of a
+// hash lookup (and, for misses that walked the prototype chain, instead of
+// a whole chain of hash lookups).
 //
 // Shape identity doubles as the invalidation mechanism. Any change that
 // could make a cached (shape, slot) pair stale moves the object to a
@@ -52,19 +53,36 @@ import (
 
 // Shape is one node of a transition tree: the layout of every object that
 // was built by the same sequence of property additions.
+//
+// Building an n-key object costs O(n), not O(n²): a shape's first child
+// extends the parent's keys and accessor slices in their spare capacity and
+// adds its key to the parent's index, so a chain of first transitions
+// shares one backing array and one map. Both stay valid for every shape on
+// the chain: nothing below a shape's length is ever written, and a lookup
+// ignores an index hit at or past its own key count (the slot of a
+// descendant's key). Only later children copy, and only what they keep.
 type Shape struct {
-	root     *Shape         // the empty shape this tree grew from
-	keys     []string       // own keys in insertion order; slot i holds keys[i]
-	accessor []bool         // accessor[i]: slot i holds a getter/setter pair
-	index    map[string]int // key → slot; nil for the empty root
+	root     *Shape   // the empty shape this tree grew from
+	keys     []string // own keys in insertion order; slot i holds keys[i]
+	accessor []bool   // accessor[i]: slot i holds a getter/setter pair
 
-	// transitions maps a (key, kind) edge to the child shape reached by
-	// adding that property. Kind is part of the edge so accessor-bearing
-	// objects never share a shape with data-shaped ones: the set-IC's
-	// own-property fast path writes slots[slot].Value on a bare shape
-	// compare, which is only sound if the compare also proves data-ness.
+	// index maps key → slot for shapes of more than smallShape keys, and
+	// is shared down the chain of first transitions; smaller shapes scan
+	// keys instead and keep no map.
+	index map[string]int
+
+	// first is the child reached by this shape's first transition; its
+	// edge is its own last key and kind. transitions holds the edges added
+	// after it. Kind is part of the edge so accessor-bearing objects never
+	// share a shape with data-shaped ones: the set-IC's own-property fast
+	// path writes slots[slot].Value on a bare shape compare, which is only
+	// sound if the compare also proves data-ness.
+	first       *Shape
 	transitions map[shapeEdge]*Shape
 }
+
+// smallShape is the most keys a shape looks up by scanning.
+const smallShape = 8
 
 // shapeEdge identifies a transition: the property name plus whether the
 // property is an accessor.
@@ -103,25 +121,39 @@ func emptyShapeFor(proto *Object) *Shape {
 // creating and caching the edge on first use. The new key's slot is
 // len(s.keys).
 func (s *Shape) transition(key string, accessor bool) *Shape {
+	n := len(s.keys)
 	e := shapeEdge{key, accessor}
-	if c, ok := s.transitions[e]; ok {
-		return c
+	if f := s.first; f != nil {
+		if f.keys[n] == key && f.accessor[n] == accessor {
+			return f
+		}
+		if c, ok := s.transitions[e]; ok {
+			return c
+		}
 	}
-	idx := make(map[string]int, len(s.keys)+1)
-	for k, v := range s.index {
-		idx[k] = v
+	c := &Shape{root: s.root}
+	if s.first == nil {
+		c.keys = append(s.keys, key)
+		c.accessor = append(s.accessor, accessor)
+		c.index = s.index
+		s.first = c
+	} else {
+		c.keys = append(s.keys[:n:n], key)
+		c.accessor = append(s.accessor[:n:n], accessor)
+		if s.transitions == nil {
+			s.transitions = make(map[shapeEdge]*Shape, 1)
+		}
+		s.transitions[e] = c
 	}
-	idx[key] = len(s.keys)
-	c := &Shape{
-		root:     s.root,
-		keys:     append(s.keys[:len(s.keys):len(s.keys)], key),
-		accessor: append(s.accessor[:len(s.accessor):len(s.accessor)], accessor),
-		index:    idx,
+	switch {
+	case c.index != nil:
+		c.index[key] = n
+	case n >= smallShape:
+		c.index = make(map[string]int, n+1)
+		for i, k := range c.keys {
+			c.index[k] = i
+		}
 	}
-	if s.transitions == nil {
-		s.transitions = make(map[shapeEdge]*Shape, 1)
-	}
-	s.transitions[e] = c
 	return c
 }
 
@@ -145,12 +177,22 @@ func (s *Shape) rebuild(base *Shape, skip, flip int) *Shape {
 	return base
 }
 
-// slotOf returns the slot index of key, or -1.
+// slotOf returns the slot index of key, or -1. It never writes the shape,
+// so readers on other goroutines may share a realm nobody extends (the
+// snapshot codec's pristine twin).
 func (s *Shape) slotOf(key string) int {
 	if s == nil {
 		return -1
 	}
-	if i, ok := s.index[key]; ok {
+	if s.index == nil {
+		for i, k := range s.keys {
+			if k == key {
+				return i
+			}
+		}
+		return -1
+	}
+	if i, ok := s.index[key]; ok && i < len(s.keys) {
 		return i
 	}
 	return -1
@@ -222,9 +264,9 @@ func (in *Interp) icCellAt(site uint32) *cell { return in.icGlobal[site] }
 // cache entries filled from its result — which guard on the receiver's and
 // holder's shapes plus protoEpoch — stay sound when an object between the
 // two later gains a shadowing property. The walk itself is deliberately
-// uncached: realms are short-lived in the harness and per-level shape
-// lookups are already single hash probes, so the per-site caches (filled
-// from this result) carry the repeat traffic.
+// uncached: realms are short-lived in the harness and a per-level shape
+// lookup is one hash probe or a scan of at most smallShape keys, so the
+// per-site caches (filled from this result) carry the repeat traffic.
 func (in *Interp) lookupPath(o *Object, key string) (*Object, int) {
 	o.ensureShape()
 	for p := o; p != nil; p = p.Proto {

@@ -14,29 +14,10 @@ import (
 // step/mem accounting — so the codec never reaches into representation it
 // could corrupt.
 
-// OwnProp is one own property in insertion order, as reported by OwnProps.
-type OwnProp struct {
-	Key  string
-	Prop Prop
-}
-
-// OwnProps returns every own property — enumerable or not, data or
-// accessor — in shape insertion order. Replaying SetOwn / SetHidden /
-// SetAccessor in this order on a fresh object re-interns the same canonical
-// shape in the destination realm's transition tree.
-func (o *Object) OwnProps() []OwnProp {
-	if o.shape == nil {
-		return nil
-	}
-	out := make([]OwnProp, len(o.shape.keys))
-	for i, k := range o.shape.keys {
-		out[i] = OwnProp{Key: k, Prop: o.slots[i]}
-	}
-	return out
-}
-
-// OwnPropCount and OwnPropAt read the same sequence in place, for a walk
-// that keeps nothing (the codec's host-delta diff, every encode).
+// OwnPropCount and OwnPropAt read every own property — enumerable or not,
+// data or accessor — in place, in shape insertion order. Replaying SetOwn /
+// SetHidden / SetAccessor in this order on a fresh object re-interns the
+// same canonical shape in the destination realm's transition tree.
 func (o *Object) OwnPropCount() int {
 	if o.shape == nil {
 		return 0
@@ -65,6 +46,9 @@ func (e *Env) SlotValues() []Value { return e.slots }
 
 // IsGlobalFrame reports whether this is the realm's cell-backed root frame.
 func (e *Env) IsGlobalFrame() bool { return e.cells != nil }
+
+// GlobalCount returns the number of global bindings.
+func (e *Env) GlobalCount() int { return len(e.cells) }
 
 // GlobalNames returns the global frame's binding names, sorted, so the
 // encoder emits bindings in a deterministic order.

@@ -430,7 +430,7 @@ func (o *Object) SetAccessor(key string, getter, setter *Object, enumerable bool
 
 func (o *Object) setSlot(key string, p Prop) {
 	o.ensureShape()
-	if i, ok := o.shape.index[key]; ok {
+	if i := o.shape.slotOf(key); i >= 0 {
 		if o.shape.accessor[i] != isAccessor(&p) {
 			// The property changes kind in place; rebuild the shape from
 			// the root with the new kind on this key's edge. The object
@@ -535,9 +535,10 @@ func (o *Object) Delete(key string) bool {
 	if i < 0 {
 		return false
 	}
-	ns := o.shape.rebuild(o.shape.root, i, -1)
-	o.slots = append(o.slots[:i], o.slots[i+1:]...)
-	o.shape = ns
+	o.shape = o.shape.rebuild(o.shape.root, i, -1)
+	last := copy(o.slots[i:], o.slots[i+1:]) + i
+	o.slots[last] = Prop{} // the vacated slot must not keep its value alive
+	o.slots = o.slots[:last]
 	if o.usedAsProto {
 		bumpProtoEpoch()
 	}

@@ -262,6 +262,7 @@ func (r *R) bottomFrame() interp.Value {
 // bottom frames around the same body (NewBottomNative).
 func (r *R) bottomReenter(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 	if n := len(r.rstackObj.Elems); n > 0 {
+		r.rstackObj.Elems[n-1] = interp.Undefined
 		r.rstackObj.Elems = r.rstackObj.Elems[:n-1]
 	}
 	r.setMode(instrument.ModeNormal)

@@ -116,7 +116,7 @@ func Encode(input Input) ([]byte, error) {
 	if foreign > 0 {
 		return nil, pinf(PinTask, "%d event-loop task(s) not owned by the runtime (blocking host call or debugger)", foreign)
 	}
-	prist := pristine()
+	prist, _ := pristine()
 	if input.Reg.Sum() != prist.Sum() || input.Reg.Len() != prist.Len() {
 		return nil, pinf(PinRegistry, "host registry diverged from the pristine realm (host natives installed after realm construction?)")
 	}
@@ -485,8 +485,9 @@ func (e *enc) scanObject(o *interp.Object) {
 		}
 	}
 	e.discoverObject(o.Proto)
-	for _, p := range o.OwnProps() {
-		e.discoverProp(p.Prop)
+	for j := range o.OwnPropCount() {
+		_, p := o.OwnPropAt(j)
+		e.discoverProp(*p)
 	}
 	for _, v := range o.Elems {
 		e.discoverValue(v)
@@ -656,11 +657,12 @@ func (e *enc) emitObjects(w *writer) {
 		// Uniform tail for every kind: prototype, own props in insertion
 		// order, elements.
 		e.objRef(w, o.Proto)
-		props := o.OwnProps()
-		w.uvarint(uint64(len(props)))
-		for _, p := range props {
-			w.str(p.Key)
-			e.prop(w, p.Prop)
+		n := o.OwnPropCount()
+		w.uvarint(uint64(n))
+		for j := range n {
+			key, p := o.OwnPropAt(j)
+			w.str(key)
+			e.prop(w, *p)
 		}
 		w.uvarint(uint64(len(o.Elems)))
 		for _, v := range o.Elems {
