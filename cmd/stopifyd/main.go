@@ -25,6 +25,12 @@
 //	                         trace-event JSON that about://tracing loads
 //	GET  /profile?id=7     → guest-level sampling profile, folded-stack text
 //	                         (requires -profile-every > 0)
+//	GET  /healthz          → liveness: 200 while the process serves, draining too
+//	GET  /readyz           → readiness: 503 with Retry-After while draining
+//
+// A route asked with another method answers 405 with an Allow header; a
+// route that names a run answers 400 for a missing or garbled id and 404 for
+// an unknown one.
 //
 // Every tenant gets the daemon's default policy unless its request narrows
 // it; a misbehaving guest (infinite loop, output bomb) dies by policy
@@ -160,24 +166,25 @@ const (
 	maxBodyBytes = 16 << 20
 )
 
-// httpServer assembles the daemon's routes behind the logging and panic
-// barriers. There is deliberately no WriteTimeout: it would sever
-// /output?follow=1 streams, whose lifetime is the guest's.
+// httpServer assembles the daemon's route table behind the logging and panic
+// barriers. Each pattern names its method, so the mux itself answers a
+// wrong one (405, with Allow). There is deliberately no WriteTimeout: it
+// would sever /output?follow=1 streams, whose lifetime is the guest's.
 func (s *server) httpServer(addr string) *http.Server {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/status", s.handleStatus)
-	mux.HandleFunc("/output", s.handleOutput)
-	mux.HandleFunc("/cancel", s.control(func(g *supervisor.Guest) { g.Kill(nil) }, "kill requested"))
-	mux.HandleFunc("/pause", s.control((*supervisor.Guest).Pause, "pause requested"))
-	mux.HandleFunc("/resume", s.control((*supervisor.Guest).Resume, "resumed"))
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/restore", s.handleRestore)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/profile", s.handleProfile)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("POST /run", s.handleRun)
+	mux.HandleFunc("POST /restore", s.handleRestore)
+	mux.HandleFunc("GET /status", s.onGuest(s.handleStatus))
+	mux.HandleFunc("GET /output", s.onGuest(s.handleOutput))
+	mux.HandleFunc("POST /cancel", s.onGuest(control(func(g *supervisor.Guest) { g.Kill(nil) }, "kill requested")))
+	mux.HandleFunc("POST /pause", s.onGuest(control((*supervisor.Guest).Pause, "pause requested")))
+	mux.HandleFunc("POST /resume", s.onGuest(control((*supervisor.Guest).Resume, "resumed")))
+	mux.HandleFunc("POST /snapshot", s.onGuest(s.handleSnapshot))
+	mux.HandleFunc("GET /profile", s.handleProfile)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /trace", s.handleTrace)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return &http.Server{
 		Addr:              addr,
 		Handler:           s.withLog(s.withRecover(mux)),
@@ -255,19 +262,12 @@ type statusResponse struct {
 	Finished bool   `json:"finished"`
 }
 
-// admission is the front half of /run and /restore: POST only, refused
-// while draining, body size-capped and decoded into req together with the
-// policy it asks for. ok is false when the response has been written.
+// admission is the front half of /run and /restore: refused while draining,
+// body size-capped and decoded into req together with the policy it asks
+// for. ok is false when the response has been written.
 func (s *server) admission(w http.ResponseWriter, r *http.Request, req interface{}, o *policyOverrides) (pol supervisor.Policy, ok bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return pol, false
-	}
 	if s.draining.Load() {
-		// Draining: this node is going away; tell the client when another
-		// attempt (against a healthy node) makes sense.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+		writeError(w, errDraining, "")
 		return pol, false
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
@@ -287,21 +287,37 @@ func (s *server) admission(w http.ResponseWriter, r *http.Request, req interface
 	return pol, true
 }
 
-// admitted is the back half: it maps the supervisor's admission verdict to
-// a status code and, on success, replies with its id. what names the stage
-// a 422 blames ("compile", "restore").
-func (s *server) admitted(w http.ResponseWriter, g *supervisor.Guest, err error, what string) {
-	switch {
-	case err == supervisor.ErrQueueFull:
-		w.Header().Set("Retry-After", "1") // backpressure: transient, retry
+// admitted is the back half: the new run's id, or why there is none.
+func admitted(w http.ResponseWriter, g *supervisor.Guest, err error, stage string) {
+	if err != nil {
+		writeError(w, err, stage)
+		return
+	}
+	writeJSON(w, map[string]uint64{"id": g.ID})
+}
+
+// errDraining refuses admission and readiness once SIGTERM has arrived: this
+// node is going away, and Retry-After tells the client when another attempt
+// (against a healthy node) makes sense.
+var errDraining = errors.New("draining")
+
+// writeError is the one mapping from a supervisor error to an HTTP status:
+// a refused admission is transient (429 when the queue is full, 503 when the
+// supervisor closed or the daemon drains, both with Retry-After); a run in
+// the wrong state for the request is a 409; anything else is the program's
+// or the blob's fault, a 422 prefixed with the stage that refused it.
+func writeError(w http.ResponseWriter, err error, stage string) {
+	switch err {
+	case supervisor.ErrQueueFull:
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case err == supervisor.ErrClosed:
+	case supervisor.ErrClosed, errDraining:
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case err != nil:
-		http.Error(w, what+": "+err.Error(), http.StatusUnprocessableEntity)
+	case supervisor.ErrNotQuiescent, supervisor.ErrFinished:
+		http.Error(w, err.Error(), http.StatusConflict)
 	default:
-		writeJSON(w, map[string]uint64{"id": g.ID})
+		http.Error(w, stage+": "+err.Error(), http.StatusUnprocessableEntity)
 	}
 }
 
@@ -312,29 +328,36 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g, err := s.sup.Submit(supervisor.SubmitOptions{Source: req.Source, Policy: &pol})
-	s.admitted(w, g, err, "compile")
+	admitted(w, g, err, "compile")
 }
 
-// guest resolves ?id=, writing the HTTP error itself when absent.
-func (s *server) guest(w http.ResponseWriter, r *http.Request) *supervisor.Guest {
-	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad or missing id", http.StatusBadRequest)
-		return nil
-	}
-	g := s.sup.Guest(id)
-	if g == nil {
-		http.Error(w, "no such run", http.StatusNotFound)
-		return nil
-	}
-	return g
+// guestHandler serves a request about one run.
+type guestHandler func(w http.ResponseWriter, r *http.Request, g *supervisor.Guest)
+
+// guestID parses ?id=.
+func guestID(r *http.Request) (uint64, error) {
+	return strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
 }
 
-func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	g := s.guest(w, r)
-	if g == nil {
-		return
+// onGuest resolves ?id= to its run for h: 400 when the id is missing or
+// garbled, 404 when no run has it.
+func (s *server) onGuest(h guestHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, err := guestID(r)
+		if err != nil {
+			http.Error(w, "bad or missing id", http.StatusBadRequest)
+			return
+		}
+		g := s.sup.Guest(id)
+		if g == nil {
+			http.Error(w, "no such run", http.StatusNotFound)
+			return
+		}
+		h(w, r, g)
 	}
+}
+
+func (s *server) handleStatus(w http.ResponseWriter, r *http.Request, g *supervisor.Guest) {
 	resp := statusResponse{Info: g.Inspect()}
 	if resp.State == "done" {
 		resp.Finished = true
@@ -350,11 +373,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // the client goes away. A disconnected client reconnects losslessly by
 // passing the byte count it already holds as ?from= — output offsets are
 // stable for the guest's whole retained life, park/restore included.
-func (s *server) handleOutput(w http.ResponseWriter, r *http.Request) {
-	g := s.guest(w, r)
-	if g == nil {
-		return
-	}
+func (s *server) handleOutput(w http.ResponseWriter, r *http.Request, g *supervisor.Guest) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -408,17 +427,9 @@ func (s *server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// control builds the handler of a POST-only verb on one run.
-func (s *server) control(verb func(*supervisor.Guest), msg string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		g := s.guest(w, r)
-		if g == nil {
-			return
-		}
+// control builds the handler of a control verb on one run.
+func control(verb func(*supervisor.Guest), msg string) guestHandler {
+	return func(w http.ResponseWriter, r *http.Request, g *supervisor.Guest) {
 		verb(g)
 		writeJSON(w, map[string]string{"status": msg})
 	}
@@ -442,27 +453,13 @@ type snapshotResponse struct {
 // a single owner; ?keep=1 turns it into a pure checkpoint instead. Snapshot
 // works during a drain — evacuating tenants to another node is exactly what
 // a draining daemon is for.
-func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	g := s.guest(w, r)
-	if g == nil {
-		return
-	}
+func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request, g *supervisor.Guest) {
 	blob, err := s.sup.SnapshotGuest(g.ID)
-	switch {
-	case err == supervisor.ErrNotQuiescent:
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	case err == supervisor.ErrFinished:
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	case err != nil:
-		// Pinned (live native, opaque state): the run cannot travel, but it
-		// is unharmed and keeps executing here.
-		http.Error(w, "snapshot: "+err.Error(), http.StatusUnprocessableEntity)
+	if err != nil {
+		// Not quiescent or finished: 409. Pinned (live native, opaque
+		// state): the run cannot travel, but it is unharmed and keeps
+		// executing here.
+		writeError(w, err, "snapshot")
 		return
 	}
 	keep := r.URL.Query().Get("keep") != ""
@@ -501,7 +498,7 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g, err := s.sup.Restore(blob, &pol)
-	s.admitted(w, g, err, "restore")
+	admitted(w, g, err, "restore")
 }
 
 // handleMetrics serves fleet aggregates. The JSON shape is the default and
@@ -526,13 +523,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // default.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var id uint64
-	if v := r.URL.Query().Get("id"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
+	if r.URL.Query().Get("id") != "" {
+		var err error
+		if id, err = guestID(r); err != nil {
 			http.Error(w, "bad id", http.StatusBadRequest)
 			return
 		}
-		id = n
 	}
 	evs := s.sup.Trace(id)
 	switch r.URL.Query().Get("format") {
@@ -552,18 +548,17 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // weighted in executed statements. This profiles the *guest's* code; host-Go
 // profiling is the separate -pprof-addr listener. Samples accumulate at turn
 // boundaries and survive park/restore, so a profile is available for the
-// guest's whole retained life, including after it finishes.
+// guest's whole retained life, including after it finishes. With profiling
+// off it refuses before looking at the id.
 func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if s.profileEvery == 0 {
 		http.Error(w, "guest profiling is off: restart stopifyd with -profile-every N", http.StatusConflict)
 		return
 	}
-	g := s.guest(w, r)
-	if g == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(supervisor.FoldedText(g.ProfileFolded(), fmt.Sprintf("guest%d", g.ID)))
+	s.onGuest(func(w http.ResponseWriter, r *http.Request, g *supervisor.Guest) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(supervisor.FoldedText(g.ProfileFolded(), fmt.Sprintf("guest%d", g.ID)))
+	})(w, r)
 }
 
 // handleHealthz is liveness: the process is up and serving. It stays 200
@@ -578,8 +573,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // in-flight runs finish.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+		writeError(w, errDraining, "")
 		return
 	}
 	writeJSON(w, map[string]string{"status": "ready"})

@@ -19,7 +19,7 @@ func TestOutputFollowAndReconnect(t *testing.T) {
 	defer sup.Close()
 	srv := &server{sup: sup, retain: time.Minute}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/output", srv.handleOutput)
+	mux.HandleFunc("/output", srv.onGuest(srv.handleOutput))
 	ts := httptest.NewServer(srv.withRecover(mux))
 	defer ts.Close()
 

@@ -1,15 +1,12 @@
 package supervisor
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/interp"
-	"repro/internal/rt"
 )
 
 // metrics is the supervisor's aggregate instrumentation: the public Metrics
@@ -39,6 +36,10 @@ type metrics struct {
 	winLen   time.Duration
 	winBase  int // absolute index of windows[0] (ring has dropped winBase older buckets)
 	windows  []*latencyHist
+
+	// ring is the flight recorder (trace.go), under the same lock and on the
+	// same clock as everything above.
+	ring traceRing
 }
 
 // windowRingCap bounds how many windows are retained (oldest dropped).
@@ -116,43 +117,8 @@ func (s *Supervisor) Windows() []WindowSummary {
 	return out
 }
 
-// inc bumps one counter of the held Metrics value.
-func (m *metrics) inc(counter *uint64) {
-	m.mu.Lock()
-	*counter++
-	m.mu.Unlock()
-}
-
-// parkPinned records a park attempt the codec refused, keyed by the
-// PinError's coarse kind (snapshot.Pin* constants; "other" for
-// non-pin failures). The per-kind split makes pin-set changes measurable:
-// shrinking the set (wire v2 serializing bound functions and Dates) should
-// empty the kinds it removed while leaving eval/task/host pins visible.
-func (m *metrics) parkPinned(kind string) {
-	m.mu.Lock()
-	m.ParkPins++
-	if m.ParkPinsByReason == nil {
-		m.ParkPinsByReason = make(map[string]uint64)
-	}
-	m.ParkPinsByReason[kind]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) park(blobLen int) {
-	m.mu.Lock()
-	m.Parks++
-	m.SnapshotBytesTotal += uint64(blobLen)
-	m.mu.Unlock()
-}
-
-func (m *metrics) restoreDone(d time.Duration) {
-	m.mu.Lock()
-	m.Restores++
-	m.restoreLat.add(d)
-	m.mu.Unlock()
-}
-
-// internalFault records one recovered engine panic.
+// internalFault records one recovered engine panic: the one counter that
+// moves outside record, because a stack trace does not belong in a ring.
 func (m *metrics) internalFault(r interface{}, stack []byte) {
 	m.mu.Lock()
 	m.InternalFaults++
@@ -161,61 +127,93 @@ func (m *metrics) internalFault(r interface{}, stack []byte) {
 	m.mu.Unlock()
 }
 
-// turnDone is a scheduling turn's one metrics update: the wait that preceded
-// it, filed in the window of its claim time, and — unless no turn ran — how
-// long it held the worker and whether it ended in a preemption.
-func (m *metrics) turnDone(claimed time.Time, wait, dur time.Duration, end turnEnd) {
-	m.mu.Lock()
-	m.sched.add(wait)
-	m.windowAdd(claimed, wait)
-	if end != endNone {
-		m.turns.add(dur)
-	}
-	if end == endPreempt {
-		m.Preemptions++
-	}
-	m.mu.Unlock()
-}
-
-func (m *metrics) finish(err error, steps uint64) {
-	m.mu.Lock()
-	switch {
-	case err == nil:
-		m.Completed++
-	case errors.Is(err, ErrInternalFault):
-		// Counted by internalFault (which captured the stack); finish only
-		// accounts the steps.
-	case isSupervisorKill(err):
-		m.Killed++
-		switch {
-		case errors.Is(err, ErrDeadline):
-			m.KilledDeadline++
-		case errors.Is(err, ErrOutputLimit):
-			m.KilledOutput++
-		case errors.Is(err, interp.ErrMemLimit):
-			m.KilledMem++
-		case errors.Is(err, ErrShutdown):
-			m.KilledShutdown++
-		default:
-			m.KilledExplicit++
+// record is the supervisor's one instrumentation point: worker w's (w < 0: a
+// control-plane goroutine's) lifecycle event ev, whose span at full
+// resolution is d — a schedule's queue wait, a turn's or a restore's length,
+// zero otherwise; record writes its microseconds into the event. Under the
+// one metrics.mu it folds ev into the counters and histograms Metrics reads
+// and appends it to the flight recorder's ring, stamped on the clock the
+// windows are cut on, so /metrics is a fold of the events /trace shows. A
+// caller whose event moves a gauge too (submit, reject, park, restore,
+// finish) records under s.mu, so a scrape sees both move or neither. It
+// allocates nothing, and with tracing off an event that moves no counter
+// takes no lock.
+func (s *Supervisor) record(w int, ev TraceEvent, d time.Duration) {
+	m := &s.metrics
+	switch ev.Type {
+	case TraceSchedule:
+		ev.WaitUs = d.Microseconds()
+	case TraceTurn, TraceRestore:
+		ev.DurUs = d.Microseconds()
+	case TracePreempt, TracePause, TraceResume, TraceKill:
+		if m.ring.buf == nil { // set once by New, before any event
+			return
 		}
-	default:
-		m.Failed++
 	}
-	m.StepsTotal += steps
+	ev.Worker = w
+	m.mu.Lock()
+	now := time.Now()
+	switch ev.Type {
+	case TraceSubmit:
+		if ev.Bytes > 0 {
+			m.RestoreAdmits++
+		} else {
+			m.Submitted++
+		}
+	case TraceReject:
+		m.Rejected++
+	case TraceSchedule:
+		m.sched.add(d)
+		m.windowAdd(now, d)
+	case TraceTurn:
+		m.turns.add(d)
+		if ev.Cause == turnCauses[endPreempt] {
+			m.Preemptions++
+		}
+	case TracePark:
+		m.Parks++
+		m.SnapshotBytesTotal += uint64(ev.Bytes)
+	case TracePin:
+		// Keyed by the PinError's coarse kind, so work that shrinks the pin
+		// set shows up as kinds going to zero.
+		m.ParkPins++
+		if m.ParkPinsByReason == nil {
+			m.ParkPinsByReason = make(map[string]uint64)
+		}
+		m.ParkPinsByReason[ev.Cause]++
+	case TraceRestore:
+		m.Restores++
+		m.restoreLat.add(d)
+	case TraceFinish:
+		// One outcome, as outcomeCause named it. The memory budget and the
+		// output cap count as kills, like a deadline: policy limits enforced
+		// from outside, not errors the guest's own code raised. A fault was
+		// counted by internalFault, which kept the stack.
+		m.StepsTotal += ev.Steps
+		switch ev.Cause {
+		case "ok":
+			m.Completed++
+		case "fault":
+		case "stalled", "error":
+			m.Failed++
+		default:
+			m.Killed++
+			switch ev.Cause {
+			case "deadline":
+				m.KilledDeadline++
+			case "output":
+				m.KilledOutput++
+			case "mem":
+				m.KilledMem++
+			case "shutdown":
+				m.KilledShutdown++
+			default:
+				m.KilledExplicit++
+			}
+		}
+	}
+	m.ring.add(ev, now.Sub(m.winStart))
 	m.mu.Unlock()
-}
-
-// isSupervisorKill classifies terminations the supervisor (or an external
-// controller) imposed, as opposed to errors the guest earned. The memory
-// budget counts as a supervisor kill, like the output cap: both are policy
-// limits enforced from outside, not errors the guest's own code raised.
-func isSupervisorKill(err error) bool {
-	switch err {
-	case ErrDeadline, ErrOutputLimit, ErrShutdown:
-		return true
-	}
-	return errors.Is(err, rt.ErrKilled) || errors.Is(err, interp.ErrMemLimit)
 }
 
 // LatencySummary is the percentile digest of one distribution, in
@@ -295,7 +293,7 @@ func (s *Supervisor) Metrics() Metrics {
 	out := m.Metrics
 	out.Active = s.pending
 	out.Queued = s.queue.depth()
-	out.ResidentGuests = s.resident
+	out.ResidentGuests = len(s.residents)
 	out.ParkedGuests = s.parkedN
 	out.ParkPinsByReason = copyCounts(m.ParkPinsByReason)
 	out.RestoreLatency = m.restoreLat.summary()

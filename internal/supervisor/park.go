@@ -50,7 +50,7 @@ func (s *Supervisor) maybeParkSome() {
 		return
 	}
 	s.mu.Lock()
-	over := s.resident - max
+	over := len(s.residents) - max
 	if over <= 0 {
 		s.mu.Unlock()
 		return
@@ -80,7 +80,7 @@ func (s *Supervisor) maybeParkSome() {
 
 	for _, c := range idle {
 		s.mu.Lock()
-		over = s.resident - max
+		over = len(s.residents) - max
 		s.mu.Unlock()
 		if over <= 0 {
 			return
@@ -90,7 +90,10 @@ func (s *Supervisor) maybeParkSome() {
 }
 
 // tryPark serializes one idle guest and drops its realm. Reports whether the
-// guest was parked; a pinned or non-idle guest is left untouched.
+// guest was parked; a pinned or non-idle guest is left untouched. It runs on
+// the worker whose turn just ended, for some other guest: a Snapshot that
+// panics is the fault of the guest being parked, so that guest is
+// quarantined here and the worker's own guest is left alone.
 func (s *Supervisor) tryPark(g *Guest) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -99,6 +102,11 @@ func (s *Supervisor) tryPark(g *Guest) bool {
 	if g.run == nil || g.parked || (g.state != StatePaused && g.state != StateSleeping) {
 		return false
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.faultLocked(g, r)
+		}
+	}()
 	blob, err := g.run.Snapshot()
 	if err != nil {
 		// Pinned (or transiently non-quiescent): stays resident.
@@ -107,8 +115,7 @@ func (s *Supervisor) tryPark(g *Guest) bool {
 		if errors.As(err, &perr) && perr.Kind != "" {
 			kind = perr.Kind
 		}
-		s.metrics.parkPinned(kind)
-		s.trace(-1, TraceEvent{Type: TracePin, Guest: g.ID, Cause: kind})
+		s.record(-1, TraceEvent{Type: TracePin, Guest: g.ID, Cause: kind}, 0)
 		return false
 	}
 	g.parkBlob = blob
@@ -126,15 +133,13 @@ func (s *Supervisor) tryPark(g *Guest) bool {
 	g.parkedAt = time.Now()
 	g.run = nil
 	s.mu.Lock()
-	s.resident--
 	delete(s.residents, g.ID)
 	s.parkedN++
 	// Counter and gauges move atomically under s.mu (metrics.mu nests
 	// inside), so a Metrics scrape never sees the park counted while the
 	// guest still looks resident.
-	s.metrics.park(len(blob))
+	s.record(-1, TraceEvent{Type: TracePark, Guest: g.ID, Bytes: len(blob)}, 0)
 	s.mu.Unlock()
-	s.trace(-1, TraceEvent{Type: TracePark, Guest: g.ID, Bytes: len(blob)})
 	return true
 }
 
@@ -162,10 +167,7 @@ func (s *Supervisor) restoreGuest(g *Guest, cfg core.RunConfig) (*core.AsyncRun,
 	if err != nil {
 		return nil, err
 	}
-	dur := s.attach(g, run, start)
-	s.trace(-1, TraceEvent{
-		Type: TraceRestore, Guest: g.ID, Bytes: len(blob), DurUs: dur.Microseconds(),
-	})
+	s.attach(g, run, start, len(blob))
 	return run, nil
 }
 

@@ -415,6 +415,43 @@ console.log("y", s);
 	}
 }
 
+// TestParkPanicQuarantinesOnlyItsGuest: the limiter parks idle guests on the
+// worker whose turn just ended, for some other tenant. A Snapshot that panics
+// is the parked guest's engine fault: that guest finishes with
+// ErrInternalFault, and the tenant whose turn ended runs on to its own
+// result. (The victim's realm is broken by hand — its runtime cleared — so
+// its Snapshot panics.)
+func TestParkPanicQuarantinesOnlyItsGuest(t *testing.T) {
+	s := New(Options{Workers: 1, QuantumSteps: 500, MaxResident: 1})
+	defer s.Close()
+	victim := pausedGuest(t, s, longLoopSrc)
+	victim.mu.Lock()
+	victim.run.RT = nil
+	victim.mu.Unlock()
+
+	g, err := s.Submit(SubmitOptions{Source: `var s = 0;
+for (var i = 0; i < 5000; i++) { s = (s + i) % 1000; }
+console.log(s);`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := g.Wait(); res.Err != nil || res.Output != "500\n" {
+		t.Fatalf("innocent guest: err=%v output=%q after %d quanta, want 500", res.Err, res.Output, res.Quanta)
+	}
+	select {
+	case <-victim.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the guest whose snapshot panicked is still %v", victim.State())
+	}
+	if err := victim.Result().Err; !errors.Is(err, ErrInternalFault) {
+		t.Errorf("victim finished with %v, want ErrInternalFault", err)
+	}
+	if m := s.Metrics(); m.InternalFaults != 1 || m.ResidentGuests != 0 || m.Completed != 1 {
+		t.Errorf("internal_faults=%d resident=%d completed=%d, want 1, 0, 1",
+			m.InternalFaults, m.ResidentGuests, m.Completed)
+	}
+}
+
 // TestRestoreRejectsGarbage: corrupt blobs fail admission synchronously.
 func TestRestoreRejectsGarbage(t *testing.T) {
 	s := New(Options{Workers: 1})

@@ -20,6 +20,7 @@
 package supervisor
 
 import (
+	"cmp"
 	"errors"
 	"os"
 	"runtime/debug"
@@ -131,25 +132,24 @@ type SubmitOptions struct {
 type Supervisor struct {
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond // runnable work or shutdown
-	idle     *sync.Cond // pending == 0 (DrainTimeout)
-	queue    laneQueue  // the run queue: every worker pops from it
-	pending  int        // admitted, not yet done
-	resident int        // unfinished guests holding a live realm (run != nil)
-	parkedN  int        // unfinished guests whose realm is a parked snapshot
-	nextID   uint64
-	guests   map[uint64]*Guest
-	// residents mirrors the subset of guests with run != nil so the
-	// MaxResident park scan is O(resident), not O(every guest ever
-	// admitted) — under sustained arrivals the full registry grows without
-	// bound and an all-guests scan per turn boundary is quadratic.
+	mu      sync.Mutex
+	cond    *sync.Cond // runnable work or shutdown
+	idle    *sync.Cond // pending == 0 (DrainTimeout)
+	queue   laneQueue  // the run queue: every worker pops from it
+	pending int        // admitted, not yet done
+	parkedN int        // unfinished guests whose realm is a parked snapshot
+	nextID  uint64
+	guests  map[uint64]*Guest
+	// residents is the subset of guests holding a live realm (run != nil):
+	// its length is the residency gauge, and the MaxResident park scan is
+	// O(resident), not O(every guest ever admitted) — under sustained
+	// arrivals the full registry grows without bound and an all-guests scan
+	// per turn boundary is quadratic.
 	residents map[uint64]*Guest
 	closed    bool
 
 	wg      sync.WaitGroup
-	metrics metrics
-	tracer  *traceRecorder // nil when Options.TraceCapacity < 0
+	metrics metrics // every counter and the flight recorder (Supervisor.record)
 
 	// beforeTurn, when set, runs at the top of every turn on the worker that
 	// owns the guest, with no locks held. It is the fault-injection seam:
@@ -168,7 +168,7 @@ func New(opts Options) *Supervisor {
 	s.cond = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
 	if opts.TraceCapacity >= 0 {
-		s.tracer = newTraceRecorder(opts.TraceCapacity)
+		s.metrics.ring.buf = make([]TraceEvent, cmp.Or(opts.TraceCapacity, defaultTraceCapacity))
 	}
 	s.queue.rrCredit = interactiveWeight
 	s.metrics.initWindows(time.Now(), metricsWindow)
@@ -246,14 +246,11 @@ func (s *Supervisor) admit(pol *Policy, prepare func(*Guest) error) (*Guest, err
 	s.pending++
 	if g.parked {
 		s.parkedN++
-		s.metrics.inc(&s.metrics.RestoreAdmits)
-	} else {
-		s.metrics.inc(&s.metrics.Submitted)
 	}
+	s.record(-1, TraceEvent{Type: TraceSubmit, Guest: g.ID, Lane: g.lane.String(), Bytes: blobLen}, 0)
 	s.guests[g.ID] = g
 	s.pushLocked(g)
 	s.mu.Unlock()
-	s.trace(-1, TraceEvent{Type: TraceSubmit, Guest: g.ID, Lane: g.lane.String(), Bytes: blobLen})
 	return g, nil
 }
 
@@ -265,8 +262,7 @@ func (s *Supervisor) refusalLocked() error {
 	case s.closed:
 		return ErrClosed
 	case s.pending >= s.opts.MaxPending:
-		s.metrics.inc(&s.metrics.Rejected)
-		s.trace(-1, TraceEvent{Type: TraceReject})
+		s.record(-1, TraceEvent{Type: TraceReject}, 0)
 		return ErrQueueFull
 	}
 	return nil
@@ -455,7 +451,7 @@ func (s *Supervisor) killGuest(g *Guest, reason error) {
 	if reason == nil {
 		reason = rt.ErrKilled
 	}
-	s.trace(-1, TraceEvent{Type: TraceKill, Guest: g.ID, Cause: outcomeCause(reason)})
+	s.record(-1, TraceEvent{Type: TraceKill, Guest: g.ID, Cause: outcomeCause(reason)}, 0)
 	g.mu.Lock()
 	switch g.state {
 	case StateDone:
@@ -492,7 +488,7 @@ func (s *Supervisor) killGuest(g *Guest, reason error) {
 
 // pauseGuest implements Guest.Pause.
 func (s *Supervisor) pauseGuest(g *Guest) {
-	s.trace(-1, TraceEvent{Type: TracePause, Guest: g.ID})
+	s.record(-1, TraceEvent{Type: TracePause, Guest: g.ID}, 0)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch g.state {
@@ -519,7 +515,7 @@ func (s *Supervisor) pauseGuest(g *Guest) {
 
 // resumeGuest implements Guest.Resume.
 func (s *Supervisor) resumeGuest(g *Guest) {
-	s.trace(-1, TraceEvent{Type: TraceResume, Guest: g.ID})
+	s.record(-1, TraceEvent{Type: TraceResume, Guest: g.ID}, 0)
 	g.mu.Lock()
 	g.pauseReq = false
 	if g.state == StatePaused {
@@ -557,29 +553,38 @@ func (s *Supervisor) worker(w int) {
 // held: the recovery path can safely take g.mu to finalize. The guest's
 // realm is quarantined — its AsyncRun is never resumed or pumped again —
 // since a panic mid-dispatch leaves engine invariants unknown. A turn cut
-// short this way leaves no latency sample, only the fault.
+// short this way keeps its wait sample — the wait happened, and the schedule
+// event recorded it at the claim — but records no turn, only the fault.
 func (s *Supervisor) safeTurn(g *Guest, w int) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.internalFault(r, debug.Stack())
 			g.mu.Lock()
-			if g.sleepTimer != nil {
-				g.sleepTimer.Stop()
-				g.sleepTimer = nil
-			}
-			s.finalizeLocked(g, ErrInternalFault)
+			s.faultLocked(g, r)
 			g.mu.Unlock()
 		}
 	}()
 	s.runTurn(g, w)
 	// Residency enforcement rides on turn boundaries: if this turn pushed
 	// the fleet over MaxResident, park idle guests before taking new work.
+	// A park that panics is its own guest's fault (tryPark), not this one's.
 	s.maybeParkSome()
 }
 
+// faultLocked quarantines g after the recovered engine panic r: the fault
+// and its stack go to metrics, a sleep timer is stopped, and g finishes with
+// ErrInternalFault. Caller holds g.mu, inside the deferred recover.
+func (s *Supervisor) faultLocked(g *Guest, r interface{}) {
+	s.metrics.internalFault(r, debug.Stack())
+	if g.sleepTimer != nil {
+		g.sleepTimer.Stop()
+		g.sleepTimer = nil
+	}
+	s.finalizeLocked(g, ErrInternalFault)
+}
+
 // turnEnd is how a scheduling turn ended. It is derived once per turn and
-// drives all three consequences: the guest's state change, the Cause of the
-// turn's trace event, and the turn's one metrics update.
+// drives both consequences: the guest's state change and the Cause of the
+// turn's event, which record folds into the turn and preemption counts.
 type turnEnd int
 
 const (
@@ -615,9 +620,7 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 	g.quanta++
 	run, parked, killReq, deadline := g.run, g.parked, g.killReq, g.deadline
 	g.mu.Unlock()
-	s.trace(w, TraceEvent{
-		Type: TraceSchedule, Guest: g.ID, Lane: g.lane.String(), WaitUs: wait.Microseconds(),
-	})
+	s.record(w, TraceEvent{Type: TraceSchedule, Guest: g.ID, Lane: g.lane.String()}, wait)
 
 	// Policy gate before burning any cycles on a condemned guest; then, with
 	// no realm, either the first turn (instantiate and start $main — NewRun
@@ -637,7 +640,6 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 		run, err = s.buildRealm(g, parked)
 	}
 	if err != nil {
-		s.metrics.turnDone(start, wait, 0, endNone)
 		g.mu.Lock()
 		s.finalizeLocked(g, err)
 		g.mu.Unlock()
@@ -722,7 +724,6 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 	case g.pauseReq && end != endStall:
 		end = endPause
 	}
-	s.metrics.turnDone(start, wait, dur, end)
 
 	switch end {
 	case endComplete:
@@ -763,12 +764,9 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 	}
 	g.mu.Unlock()
 
-	s.trace(w, TraceEvent{
-		Type: TraceTurn, Guest: g.ID, DurUs: dur.Microseconds(),
-		Cause: turnCauses[end], Steps: steps,
-	})
+	s.record(w, TraceEvent{Type: TraceTurn, Guest: g.ID, Cause: turnCauses[end], Steps: steps}, dur)
 	if end == endPreempt {
-		s.trace(w, TraceEvent{Type: TracePreempt, Guest: g.ID})
+		s.record(w, TraceEvent{Type: TracePreempt, Guest: g.ID}, 0)
 	}
 }
 
@@ -789,18 +787,18 @@ func (s *Supervisor) buildRealm(g *Guest, parked bool) (*core.AsyncRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.attach(g, run, time.Time{})
+	s.attach(g, run, time.Time{}, 0)
 	run.Run(nil)
 	return run, nil
 }
 
 // attach makes run the live realm of g: it wires the preemption hook and
 // output policing, publishes g.run, and moves the residency gauges. A
-// non-zero restoreStart says run was rebuilt from g's parked snapshot
-// beginning then; the park is released and the restore counted (its
-// duration is returned) in the same critical section as the gauges, so a
-// Metrics scrape never sees the guest both parked and resident.
-func (s *Supervisor) attach(g *Guest, run *core.AsyncRun, restoreStart time.Time) (restoreDur time.Duration) {
+// non-zero restoreStart says run was rebuilt from g's parked snapshot of
+// blobLen bytes beginning then; the park is released and the restore
+// recorded in the same critical section as the gauges, so a Metrics scrape
+// never sees the guest both parked and resident.
+func (s *Supervisor) attach(g *Guest, run *core.AsyncRun, restoreStart time.Time, blobLen int) {
 	// The hook runs on the worker mid-execution: parking is just the
 	// paper's pause button pressed by the scheduler instead of a human.
 	run.SetOnQuantum(func() { run.Pause(nil) })
@@ -817,15 +815,12 @@ func (s *Supervisor) attach(g *Guest, run *core.AsyncRun, restoreStart time.Time
 		os.Remove(path)
 	}
 	s.mu.Lock()
-	s.resident++
 	s.residents[g.ID] = g
 	if restored {
 		s.parkedN--
-		restoreDur = time.Since(restoreStart)
-		s.metrics.restoreDone(restoreDur)
+		s.record(-1, TraceEvent{Type: TraceRestore, Guest: g.ID, Bytes: blobLen}, time.Since(restoreStart))
 	}
 	s.mu.Unlock()
-	return restoreDur
 }
 
 // finalizeLocked completes g (idempotent). Caller holds g.mu.
@@ -857,7 +852,7 @@ func (s *Supervisor) finalizeLocked(g *Guest, err error) {
 
 	// Release park artifacts: a guest killed while parked leaves neither a
 	// stale spill file nor a phantom entry in the residency gauges.
-	wasResident, wasParked := g.run != nil, g.parked
+	wasParked := g.parked
 	g.parked = false
 	g.parkBlob = nil
 	if g.parkPath != "" {
@@ -867,22 +862,16 @@ func (s *Supervisor) finalizeLocked(g *Guest, err error) {
 
 	s.mu.Lock()
 	s.pending--
-	if wasResident {
-		s.resident--
-		delete(s.residents, g.ID)
-	}
+	delete(s.residents, g.ID)
 	if wasParked {
 		s.parkedN--
 	}
 	// The completion counters move in the same critical section as the
 	// pending/resident gauges (metrics.mu nests inside s.mu), so a Metrics
 	// scrape can never see the counter bump without the gauge drop.
-	s.metrics.finish(err, g.steps)
+	s.record(-1, TraceEvent{Type: TraceFinish, Guest: g.ID, Cause: outcomeCause(err), Steps: g.steps}, 0)
 	if s.pending == 0 {
 		s.idle.Broadcast()
 	}
 	s.mu.Unlock()
-	s.trace(-1, TraceEvent{
-		Type: TraceFinish, Guest: g.ID, Cause: outcomeCause(err), Steps: g.steps,
-	})
 }

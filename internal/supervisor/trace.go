@@ -5,22 +5,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/interp"
+	"repro/internal/rt"
 )
 
 // The flight recorder: a bounded ring of structured lifecycle events —
 // every admission, claim, turn, preemption, park, restore, pin, kill, and
 // finish the supervisor performs. It answers the post-mortem question the
 // aggregate metrics cannot: *which* tenant was on *which* worker when the
-// worst window's P99 spiked, and what the scheduler did about it. It is one
-// fixed-size overwrite ring under one mutex, and the sequence number is
-// assigned under that mutex, so ring order is sequence order and the ring
-// holds exactly the last TraceCapacity events a fleet recorded, whichever
-// goroutine recorded them; its memory stays constant however long the fleet
-// runs.
+// worst window's P99 spiked, and what the scheduler did about it. The events
+// are the metrics' own inputs: Supervisor.record folds each into the
+// counters and appends it here under the one metrics.mu, so the sequence
+// number is assigned under that lock, ring order is sequence order, and the
+// ring holds exactly the last TraceCapacity events a fleet recorded,
+// whichever goroutine recorded them; its memory stays constant however long
+// the fleet runs. TsUs is on the windows' clock: a schedule event falls in
+// the window its wait sample was filed in.
 //
 // Two renderings: JSON-lines (one TraceEvent per line, grep-friendly) and
 // the Chrome trace-event format (ChromeTrace), which about://tracing and
@@ -82,12 +84,12 @@ const (
 	TraceFinish = "finish"
 )
 
-// traceRecorder is the ring: event seq lives in buf[(seq-1) % len(buf)].
-type traceRecorder struct {
-	start time.Time
-	mu    sync.Mutex
-	seq   uint64 // events ever recorded, the last one's Seq
-	buf   []TraceEvent
+// traceRing is the recorder's storage: event seq lives in
+// buf[(seq-1) % len(buf)], and a nil buf is tracing off. metrics.mu guards
+// it; Supervisor.record is its one writer.
+type traceRing struct {
+	seq uint64 // events ever recorded, the last one's Seq
+	buf []TraceEvent
 }
 
 // defaultTraceCapacity is the event budget when Options.TraceCapacity is 0:
@@ -95,56 +97,33 @@ type traceRecorder struct {
 // events) at a few MB, small enough to keep resident forever.
 const defaultTraceCapacity = 16384
 
-func newTraceRecorder(capacity int) *traceRecorder {
-	if capacity <= 0 {
-		capacity = defaultTraceCapacity
-	}
-	return &traceRecorder{start: time.Now(), buf: make([]TraceEvent, capacity)}
-}
-
-// emit stamps ev with the next sequence number and the time, overwriting the
-// oldest event once the ring is full.
-func (tr *traceRecorder) emit(ev TraceEvent) {
-	tr.mu.Lock()
-	tr.seq++
-	ev.Seq = tr.seq
-	ev.TsUs = time.Since(tr.start).Microseconds()
-	tr.buf[(tr.seq-1)%uint64(len(tr.buf))] = ev
-	tr.mu.Unlock()
-}
-
-// events returns the retained events, oldest first, filtered to one guest
-// when guest != 0.
-func (tr *traceRecorder) events(guest uint64) []TraceEvent {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := uint64(len(tr.buf))
-	var out []TraceEvent
-	for seq := tr.seq - min(tr.seq, n) + 1; seq <= tr.seq; seq++ {
-		if ev := tr.buf[(seq-1)%n]; guest == 0 || ev.Guest == guest {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// trace records ev as worker w's (w < 0: a control-plane goroutine's). A nil
-// recorder (Options.TraceCapacity < 0) makes every call a no-op compare.
-func (s *Supervisor) trace(w int, ev TraceEvent) {
-	if s.tracer == nil {
+// add stamps ev with the next sequence number and its time since the
+// supervisor started, overwriting the oldest event once the ring is full.
+func (tr *traceRing) add(ev TraceEvent, since time.Duration) {
+	if tr.buf == nil {
 		return
 	}
-	ev.Worker = w
-	s.tracer.emit(ev)
+	tr.seq++
+	ev.Seq = tr.seq
+	ev.TsUs = since.Microseconds()
+	tr.buf[(tr.seq-1)%uint64(len(tr.buf))] = ev
 }
 
 // Trace returns the flight recorder's retained events in global order,
 // filtered to one guest when guestID != 0. Empty when tracing is disabled.
 func (s *Supervisor) Trace(guestID uint64) []TraceEvent {
-	if s.tracer == nil {
-		return nil
+	m := &s.metrics
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tr := &m.ring
+	n := uint64(len(tr.buf))
+	var out []TraceEvent
+	for seq := tr.seq - min(tr.seq, n) + 1; seq <= tr.seq; seq++ {
+		if ev := tr.buf[(seq-1)%n]; guestID == 0 || ev.Guest == guestID {
+			out = append(out, ev)
+		}
 	}
-	return s.tracer.events(guestID)
+	return out
 }
 
 // TraceJSONLines renders events one JSON object per line (the stopifyd
@@ -236,8 +215,9 @@ func ChromeTrace(evs []TraceEvent) []byte {
 	return b
 }
 
-// outcomeCause classifies a finish error for trace events — the same
-// buckets as the per-cause kill counters, plus the guest-earned ones.
+// outcomeCause is the one classification of how a guest ended: the Cause of
+// its finish event, which record folds into the outcome counters, and of a
+// kill request's event.
 func outcomeCause(err error) string {
 	switch {
 	case err == nil:
@@ -254,7 +234,7 @@ func outcomeCause(err error) string {
 		return "fault"
 	case errors.Is(err, interp.ErrMemLimit):
 		return "mem"
-	case isSupervisorKill(err):
+	case errors.Is(err, rt.ErrKilled):
 		return "killed"
 	default:
 		return "error"
