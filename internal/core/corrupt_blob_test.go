@@ -3,12 +3,15 @@ package core_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/eventloop"
+	"repro/internal/interp"
 	"repro/internal/snapshot"
 	"repro/internal/supervisor"
 )
@@ -139,6 +142,97 @@ func TestRestoreRefusesCyclicScopeChain(t *testing.T) {
 	}
 	if refused == 0 {
 		t.Fatal("no mutant forged a cyclic scope chain; the corpus no longer reaches the check")
+	}
+}
+
+// cyclicProtoSrc parks in its loop with two plain objects hanging off Math;
+// resumed, it prints a line and then reads a property neither object has,
+// which walks the prototype chain to its end.
+const cyclicProtoSrc = `
+Math.o = { a: 1 };
+Math.p = { b: 2 };
+var i = 0;
+while (i < 1000) { i = i + 1; }
+console.log("before");
+console.log(Math.o.missing);
+`
+
+// cyclicProtoBlobs is cyclicProtoSrc parked, four times, with prototype
+// pointers bent into a loop before the snapshot — what a crafted proto ref
+// says: o onto itself; o and p onto each other; Object.prototype onto o,
+// whose own prototype it is, which the blob carries as a host delta; and
+// Math and the Object constructor onto each other, two host deltas whose
+// loop no decoded object's chain reaches.
+func cyclicProtoBlobs(t testing.TB) (names []string, blobs [][]byte) {
+	t.Helper()
+	c, err := core.Compile(cyclicProtoSrc, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type heap struct{ o, p, math, object, objectProto *interp.Object }
+	for _, bend := range []struct {
+		name string
+		f    func(h heap)
+	}{
+		{"self-loop", func(h heap) { h.o.SetProto(h.o) }},
+		{"two-object loop", func(h heap) { h.o.SetProto(h.p); h.p.SetProto(h.o) }},
+		{"host prototype loop", func(h heap) {
+			if h.o.Proto != h.objectProto {
+				t.Fatal("Math.o's prototype is not Object.prototype")
+			}
+			h.objectProto.SetProto(h.o)
+		}},
+		{"host-only loop", func(h heap) { h.math.SetProto(h.object); h.object.SetProto(h.math) }},
+	} {
+		run, _ := mustStart(t, c, core.BackendBytecode)
+		if !pump(run, 100) {
+			t.Fatal("program finished before parking")
+		}
+		global := func(name string) *interp.Object {
+			v, _ := run.In.Global.Lookup(name)
+			return v.Obj()
+		}
+		h := heap{math: global("Math"), object: global("Object")}
+		h.o, h.p = h.math.Own("o").Value.Obj(), h.math.Own("p").Value.Obj()
+		h.objectProto = h.object.Own("prototype").Value.Obj()
+		bend.f(h)
+		blob, err := run.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", bend.name, err)
+		}
+		names, blobs = append(names, bend.name), append(blobs, blob)
+	}
+	return names, blobs
+}
+
+// TestRestoreRefusesCyclicPrototypeChain: an object's prototype, and a host
+// object's re-prototyping delta, are refs into the blob's tables, so a
+// crafted one can close a loop. Property lookup walks the chain to null
+// without counting statements, so the guest that meets such a loop spins
+// past any step budget and any Kill; Restore must refuse the blob. The
+// deadline turns a decoder that accepts it into a failure, not a hang.
+func TestRestoreRefusesCyclicPrototypeChain(t *testing.T) {
+	names, blobs := cyclicProtoBlobs(t)
+	for i, blob := range blobs {
+		name := names[i]
+		done := make(chan error, 1)
+		go func() {
+			run, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}, MaxSteps: corruptBudget}, blob)
+			if err == nil {
+				run.Resume()
+				run.Wait()
+				err = errors.New("the blob was accepted")
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !strings.Contains(err.Error(), "corrupt blob: prototype chain is cyclic") {
+				t.Errorf("%s: Restore = %v, want a cyclic prototype chain refused", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the restored guest still runs after 10 s", name)
+		}
 	}
 }
 
@@ -287,7 +381,8 @@ func TestRestoreHostileSegmentHeader(t *testing.T) {
 // untrusted entry points (SnapshotMeta, Restore) must come back as an error
 // or as a guest that still terminates inside its step budget — never a
 // panic, never a spin. Seeded with a real snapshot, truncations of it, and
-// the uvarint overflow splices the tests above stride through it.
+// the uvarint overflow splices the tests above stride through it, and the
+// blobs whose prototype chains loop.
 func FuzzRestoreBlob(f *testing.F) {
 	blob := corruptBlob(f)
 	f.Add(blob)
@@ -295,6 +390,10 @@ func FuzzRestoreBlob(f *testing.F) {
 	f.Add(blob[:16])
 	f.Add(unknownKeysBlob(f, blob))
 	for _, m := range dynamicFrameBlobs(f, blob) {
+		f.Add(m)
+	}
+	_, cyclic := cyclicProtoBlobs(f)
+	for _, m := range cyclic {
 		f.Add(m)
 	}
 	huge := binary.AppendUvarint(nil, math.MaxUint64)

@@ -70,3 +70,6 @@ func (c *Compiled) NewRealm(cfg RunConfig) (*AsyncRun, error) { return c.newReal
 
 // Registry is the host-object re-link table the realm was built with.
 func (a *AsyncRun) Registry() *snapshot.Registry { return a.reg }
+
+// CodeTable is the function and scope-layout numbering snapshots of c's runs use.
+func (c *Compiled) CodeTable() *snapshot.CodeTable { return c.codeTable() }

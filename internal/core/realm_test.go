@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -34,18 +35,10 @@ func TestAllocGateNewRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for try := 0; try < 8; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	bytes, allocs := minAlloc(t, func() error {
 		_, err := c.NewRun(core.RunConfig{Clock: eventloop.NewVirtualClock()})
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		allocs = min(allocs, after.Mallocs-before.Mallocs)
-	}
+		return err
+	})
 	t.Logf("NewRun: %d allocations, %d bytes", allocs, bytes)
 	if bytes > newRunBytes || allocs > newRunAllocs {
 		t.Errorf("NewRun allocated %d objects in %d bytes, ceiling %d in %d", allocs, bytes, newRunAllocs, newRunBytes)
@@ -62,6 +55,141 @@ func BenchmarkNewRun(b *testing.B) {
 	for range b.N {
 		if _, err := c.NewRun(core.RunConfig{Clock: eventloop.NewVirtualClock()}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// What a hop costs: clojure.lazy_seq parked at its first 20 000-statement
+// pause, a blob of 34 536 bytes. Snapshot's ceilings are its measured 77
+// allocations in 158 528 bytes, RestoreWith's 3 725 in 415 552 (3 728 in
+// 446 240 under the race detector), each plus 2 %. Before the encoder wrote
+// into a pooled buffer and the decoder built the realm straight from the
+// blob, a hop cost 88 allocations in 267 984 bytes to snapshot, into a
+// 40 960-byte buffer, and 5 315 in 952 944 to restore.
+const (
+	hopSnapshotAllocs = 79
+	hopSnapshotBytes  = 161_700
+	hopRestoreAllocs  = 3_803
+	hopRestoreBytes   = 455_200
+)
+
+func TestAllocGateHop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := langs.ByName("clojure")
+	c, err := core.Compile(benchmarkSource(t, p, "lazy_seq"), p.Opts(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _ := mustStart(t, c, core.BackendBytecode)
+	if !pump(run, 20000) {
+		t.Fatal("clojure.lazy_seq finished before its first pause")
+	}
+	var blob []byte
+	snapBytes, snapAllocs := minAlloc(t, func() (err error) {
+		blob, err = run.Snapshot()
+		return err
+	})
+	if cap(blob) != len(blob) {
+		t.Errorf("the blob holds %d bytes in a buffer of %d", len(blob), cap(blob))
+	}
+	restoreBytes, restoreAllocs := minAlloc(t, func() error {
+		_, err := core.RestoreWith(config(core.BackendBytecode, &bytes.Buffer{}, stepBudget), blob, core.RestoreOptions{ReplayOutput: true})
+		return err
+	})
+	t.Logf("a %d-byte blob: Snapshot %d allocations, %d bytes; RestoreWith %d allocations, %d bytes",
+		len(blob), snapAllocs, snapBytes, restoreAllocs, restoreBytes)
+	if snapBytes > hopSnapshotBytes || snapAllocs > hopSnapshotAllocs {
+		t.Errorf("Snapshot allocated %d objects in %d bytes, ceiling %d in %d", snapAllocs, snapBytes, hopSnapshotAllocs, hopSnapshotBytes)
+	}
+	if restoreBytes > hopRestoreBytes || restoreAllocs > hopRestoreAllocs {
+		t.Errorf("RestoreWith allocated %d objects in %d bytes, ceiling %d in %d", restoreAllocs, restoreBytes, hopRestoreAllocs, hopRestoreBytes)
+	}
+}
+
+func benchmarkSource(t *testing.T, p *langs.Profile, name string) string {
+	t.Helper()
+	for _, b := range p.Benchmarks {
+		if b.Name == name {
+			return b.Source
+		}
+	}
+	t.Fatalf("langs has no %s.%s", p.Name, name)
+	return ""
+}
+
+// minAlloc runs f eight times and returns the fewest bytes and allocations
+// one call took: the first call warms caches (a hop's compile memo, the
+// encoder's buffer pool), and a collection that lands mid-call only adds.
+func minAlloc(t *testing.T, f func() error) (bytes, allocs uint64) {
+	t.Helper()
+	bytes, allocs = math.MaxUint64, math.MaxUint64
+	for try := 0; try < 8; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	return bytes, allocs
+}
+
+// TestDecodeAmplification: what Decode allocates per blob byte, for the two
+// things a guest heap is mostly made of. A decoded value costs what it is in
+// the realm — a 24-byte interp.Value, or an interp.Object and the reference
+// to it — and nothing on the side: no parse tree of the blob survives into,
+// or is built for, the realm. So the factor is bounded by the realm's own
+// struct sizes over the wire's few bytes per value, not by the decoder.
+func TestDecodeAmplification(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name  string
+		n     int
+		push  string
+		bound float64
+	}{
+		{"100 000 undefined", 100000, "undefined", 32},
+		{"20 000 {}", 20000, "{}", 16},
+	} {
+		src := fmt.Sprintf("var a = [];\nfor (var i = 0; i < %d; i++) { a.push(%s); }\nMath.done = true;\nwhile (true) {}\n", tc.n, tc.push)
+		c, err := core.Compile(src, core.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _ := mustStart(t, c, core.BackendBytecode)
+		for done := false; !done; {
+			if !pump(run, 20000) {
+				t.Fatalf("%s: the guest ended", tc.name)
+			}
+			math, _ := run.In.Global.Lookup("Math")
+			done = math.Obj().Own("done") != nil
+		}
+		blob, err := run.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 4; try++ {
+			realm, err := c.NewRealm(config(core.BackendBytecode, &bytes.Buffer{}, stepBudget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = snapshot.Decode(blob, realm.In, realm.RT, c.CodeTable(), realm.Registry())
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		factor := float64(least) / float64(len(blob))
+		t.Logf("%s: Decode allocates %d bytes for a %d-byte blob, %.1f per byte", tc.name, least, len(blob), factor)
+		if factor > tc.bound {
+			t.Errorf("%s: Decode allocates %.1f bytes per blob byte, bound %.0f", tc.name, factor, tc.bound)
 		}
 	}
 }

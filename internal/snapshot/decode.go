@@ -66,54 +66,18 @@ func readMeta(r *reader) (Meta, error) {
 	return m, r.err
 }
 
-// wval is a parsed-but-unresolved wire value: object references cannot
-// resolve until the node table is allocated, so parsing and resolution are
-// separate passes.
-type wval struct {
-	tag byte
-	num float64
-	str string
-	ref int
-}
-
-// raw parse forms of the table sections.
-type rawProp struct {
-	key            string
-	bits           byte
-	val            wval
-	getter, setter wval
-}
-
-type rawObj struct {
-	kind    byte
-	class   string  // nodePlain
-	funcID  int     // nodeClosure
-	envRef  int     // nodeClosure
-	frames  []wval  // nodeContinuation
-	btarget wval    // nodeBound
-	bthis   wval    // nodeBound
-	bargs   []wval  // nodeBound
-	dateMS  float64 // nodeDate
-	proto   wval
-	props   []rawProp
-	elems   []wval
-}
-
-type rawEnv struct {
-	parentRef int
-	scopeID   int
-	slots     []wval
-}
-
 type dec struct {
 	in   *interp.Interp
 	rt   *rt.R
 	code *CodeTable
 	reg  *Registry
 
+	// What the first pass leaves the second: every frame with its parent
+	// wired, every object's shell, and the fill of each continuation, in
+	// table order.
 	envs  []*interp.Env
 	objs  []*interp.Object
-	fills []func(rt.Frames) // continuation fills, indexed like objs (nil elsewhere)
+	fills []func(rt.Frames)
 }
 
 // Decode rebuilds a blob's graph inside a freshly constructed realm. The
@@ -122,6 +86,12 @@ type dec struct {
 // construction point (the registry fingerprint is checked). The caller
 // applies the returned state: SetRandState/SetAccounting on the
 // interpreter, the loop's timer sequence, AdoptParked + Repost on the runtime.
+//
+// References point in both directions, so the graph is read twice and
+// built straight from the bytes, with no parse tree in between: shells
+// reads the frame and object tables and allocates what they name, and
+// fill reads everything again from the frame table on, resolving each
+// value into the shells as it goes.
 func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg *Registry) (*Decoded, error) {
 	r := &reader{buf: blob}
 	meta, err := readMeta(r)
@@ -141,136 +111,51 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 	}
 
 	d := &dec{in: in, rt: runtime, code: code, reg: reg}
+	tables := r.off
+	if err := d.shells(r); err != nil {
+		return nil, err
+	}
+	r.off = tables
+	out := &Decoded{Meta: meta}
+	if err := d.fill(r, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-	// Parse the env and object tables fully before allocating anything:
-	// references point in both directions.
-	rawEnvs := make([]rawEnv, r.count())
-	for i := range rawEnvs {
-		d.parseEnv(r, &rawEnvs[i])
-	}
-	rawObjs := make([]rawObj, r.count())
-	for i := range rawObjs {
-		d.parseObj(r, &rawObjs[i])
-	}
-	nbind := r.count()
-	type binding struct {
-		name string
-		val  wval
-	}
-	bindings := make([]binding, nbind)
-	for i := range bindings {
-		bindings[i].name = r.str()
-		bindings[i].val = d.rval(r)
-	}
-	type rawDeltaOp struct {
-		kind  byte
-		key   string
-		prop  rawProp
-		proto wval
-		elems []wval
-	}
-	type rawDelta struct {
-		ordinal int
-		ops     []rawDeltaOp
-	}
-	deltas := make([]rawDelta, r.count())
-	for i := range deltas {
-		deltas[i].ordinal = r.ref()
-		deltas[i].ops = make([]rawDeltaOp, r.count())
-		for j := range deltas[i].ops {
-			op := &deltas[i].ops[j]
-			op.kind = r.u8()
-			switch op.kind {
-			case opSetProp:
-				op.key = r.str()
-				d.parseProp(r, &op.prop)
-			case opDelProp:
-				op.key = r.str()
-			case opSetProto:
-				op.proto = d.rval(r)
-			case opSetElems:
-				op.elems = make([]wval, r.count())
-				for k := range op.elems {
-					op.elems[k] = d.rval(r)
-				}
-			default:
-				return nil, corruptf("unknown delta op %d", op.kind)
-			}
+// shells is the first pass. It allocates every environment, wires and
+// checks the parent chains (references may point forward — discovery order
+// walks child before parent), then allocates every object's shell from its
+// record's kind, skipping the values both tables hold.
+func (d *dec) shells(r *reader) error {
+	d.envs = make([]*interp.Env, r.count())
+	parents := make([]int, len(d.envs))
+	for i := range d.envs {
+		// Every frame but the global one is a slot frame with no by-name
+		// bindings (emitEnvs); a blob that says otherwise asks for a frame
+		// shape no engine can run on.
+		if kind := r.u8(); kind != envSlotFrame {
+			r.failf("unknown frame kind %d", kind)
 		}
-	}
-	savedK := make([]wval, r.count())
-	for i := range savedK {
-		savedK[i] = d.rval(r)
-	}
-	result := d.rval(r)
-	type rawTask struct {
-		kind   byte
-		due    float64
-		fn     wval
-		handle uint64
-		args   []wval
-		aux    bool
-		frames []wval
-	}
-	var tasks []rawTask
-	for i, n := 0, r.count(); i < n; i++ {
-		pt := rawTask{kind: r.u8(), due: r.f64()}
-		switch pt.kind {
-		case taskTimer:
-			pt.fn = d.rval(r)
-			pt.handle = r.uvarint()
-			cancelled := r.bool()
-			pt.args = make([]wval, r.count())
-			for j := range pt.args {
-				pt.args[j] = d.rval(r)
-			}
-			if cancelled {
-				// Written by a build that kept cleared timers queued: the
-				// timer never fires, so it is not reposted.
-				continue
-			}
-		case taskResume:
-			pt.aux = r.bool()
-			pt.frames = make([]wval, r.count())
-			for j := range pt.frames {
-				pt.frames[j] = d.rval(r)
-			}
-		default:
-			return nil, corruptf("unknown pending task kind %d", pt.kind)
+		parents[i] = r.ref()
+		layout := d.code.Scope(r.ref())
+		n := r.count()
+		r.skipValues(n)
+		if b := r.uvarint(); b != 0 {
+			r.failf("frame carries %d by-name bindings", b)
 		}
-		tasks = append(tasks, pt)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.buf) {
-		return nil, corruptf("%d trailing bytes", len(r.buf)-r.off)
-	}
-
-	// Allocate environments, then wire parent chains (references may point
-	// forward — discovery order walks child before parent).
-	d.envs = make([]*interp.Env, len(rawEnvs))
-	for i, re := range rawEnvs {
-		layout := code.Scope(re.scopeID)
-		if layout == nil || len(layout.Names) != len(re.slots) {
-			return nil, corruptf("env %d: slot count %d does not match layout", i, len(re.slots))
+		if r.err != nil {
+			return r.err
 		}
-		d.envs[i] = in.RestoredSlotEnv(nil, layout, make([]interp.Value, len(re.slots)))
-	}
-	global := in.Global
-	envOf := func(ref int) (*interp.Env, error) {
-		if ref == 0 {
-			return global, nil
+		if layout == nil || len(layout.Names) != n {
+			return corruptf("env %d: slot count %d does not match layout", i, n)
 		}
-		if ref < 0 || ref-1 >= len(d.envs) {
-			return nil, corruptf("env ref %d out of range", ref)
-		}
-		return d.envs[ref-1], nil
+		d.envs[i] = d.in.RestoredSlotEnv(nil, layout, make([]interp.Value, n))
 	}
-	for i, re := range rawEnvs {
-		p, err := envOf(re.parentRef)
+	for i, ref := range parents {
+		p, err := d.env(ref)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.envs[i].SetRestoredParent(p)
 	}
@@ -278,383 +163,367 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 	// itself would hang the first variable lookup that walks it, below any
 	// step budget. rooted marks environments already known to reach it, so
 	// the whole check is linear.
-	rooted := make([]bool, len(rawEnvs))
-	for i := range rawEnvs {
+	rooted := make([]bool, len(parents))
+	for i := range parents {
 		hops := 0
-		for ref := i + 1; ref != 0 && !rooted[ref-1]; ref = rawEnvs[ref-1].parentRef {
-			if hops++; hops > len(rawEnvs) {
-				return nil, corruptf("env %d: parent chain is cyclic", i)
+		for ref := i + 1; ref != 0 && !rooted[ref-1]; ref = parents[ref-1] {
+			if hops++; hops > len(parents) {
+				return corruptf("env %d: parent chain is cyclic", i)
 			}
 		}
-		for ref := i + 1; ref != 0 && !rooted[ref-1]; ref = rawEnvs[ref-1].parentRef {
+		for ref := i + 1; ref != 0 && !rooted[ref-1]; ref = parents[ref-1] {
 			rooted[ref-1] = true
 		}
 	}
 
-	// Allocate objects. Closures pair a code-table function with a decoded
-	// environment through the same construction path the evaluator uses,
-	// so shape, escape marking, and co-allocation invariants all hold.
-	d.objs = make([]*interp.Object, len(rawObjs))
-	d.fills = make([]func(rt.Frames), len(rawObjs))
-	for i, ro := range rawObjs {
-		switch ro.kind {
+	// Closures pair a code-table function with a decoded environment
+	// through the same construction path the evaluator uses, so shape,
+	// escape marking, and co-allocation invariants all hold. Continuations
+	// and bound functions are cyclic graphs, so they are allocated empty and
+	// filled by the second pass like every other object.
+	d.objs = make([]*interp.Object, r.count())
+	for i := range d.objs {
+		var class []byte
+		var funcID, envRef int
+		var dateMS float64
+		kind := r.u8()
+		switch kind {
 		case nodePlain:
-			d.objs[i] = &interp.Object{Class: ro.class}
+			class = r.bytes()
 		case nodeClosure:
-			fn := code.Func(ro.funcID)
-			if fn == nil {
-				return nil, corruptf("object %d: function ID %d out of range", i, ro.funcID)
-			}
-			env, err := envOf(ro.envRef)
-			if err != nil {
-				return nil, err
-			}
-			d.objs[i] = in.NewClosure(fn, env)
+			funcID, envRef = r.ref(), r.ref()
 		case nodeBottom:
-			d.objs[i] = runtime.NewBottomNative()
 		case nodeContinuation:
-			k, fill := runtime.RestoredContinuation()
-			d.objs[i] = k
-			d.fills[i] = fill
+			r.skipValues(r.count())
 		case nodeBound:
-			// Two-phase like continuations: the BoundFunction is allocated
-			// empty and its Target/This/Args are resolved in the fill loop,
-			// since bound graphs can be cyclic (a bound function stored in
-			// its own bound args).
+			r.skipValues(2)
+			r.skipValues(r.count())
+		case nodeDate:
+			dateMS = r.f64()
+		default:
+			r.failf("unknown object kind %d", kind)
+		}
+		r.skipValues(1) // prototype
+		for n := r.count(); n > 0; n-- {
+			r.bytes()
+			if r.u8()&2 != 0 {
+				r.skipValues(1) // the getter; the setter follows
+			}
+			r.skipValues(1)
+		}
+		r.skipValues(r.count())
+		if r.err != nil {
+			return r.err
+		}
+		switch kind {
+		case nodePlain:
+			d.objs[i] = &interp.Object{Class: className(class)}
+		case nodeClosure:
+			fn := d.code.Func(funcID)
+			if fn == nil {
+				return corruptf("object %d: function ID %d out of range", i, funcID)
+			}
+			env, err := d.env(envRef)
+			if err != nil {
+				return err
+			}
+			d.objs[i] = d.in.NewClosure(fn, env)
+		case nodeBottom:
+			d.objs[i] = d.rt.NewBottomNative()
+		case nodeContinuation:
+			k, fill := d.rt.RestoredContinuation()
+			d.objs[i] = k
+			d.fills = append(d.fills, fill)
+		case nodeBound:
 			d.objs[i] = &interp.Object{Class: "Function", Bound: &interp.BoundFunction{}}
 		case nodeDate:
-			d.objs[i] = &interp.Object{Class: "Date", Date: &interp.DateData{MS: ro.dateMS}}
-		default:
-			return nil, corruptf("unknown object kind %d", ro.kind)
+			d.objs[i] = &interp.Object{Class: "Date", Date: &interp.DateData{MS: dateMS}}
 		}
 	}
+	return r.err
+}
 
-	// Fill environments.
-	for i, re := range rawEnvs {
-		env := d.envs[i]
-		for j, wv := range re.slots {
-			v, err := d.resolve(wv)
-			if err != nil {
-				return nil, err
-			}
-			env.SlotValues()[j] = v
+// fill is the second pass, from the frame table on: slots, then per object
+// its prototype (the shape tree roots off it), its properties replayed in
+// insertion order — re-interning the same canonical shape in this realm's
+// transition tree — its elements, and a continuation's or bound function's
+// fields; then the host deltas, the global bindings, the saved frames, the
+// result and the pending tasks, each applied as it is read.
+func (d *dec) fill(r *reader, out *Decoded) error {
+	r.count()
+	for _, env := range d.envs {
+		r.u8()
+		r.ref()
+		r.ref()
+		r.count()
+		slots := env.SlotValues()
+		for j := range slots {
+			slots[j] = d.value(r)
 		}
+		r.uvarint()
 	}
 
-	// Fill objects: prototype first (the shape tree roots off it), then
-	// properties replayed in insertion order — re-interning the same
-	// canonical shape in this realm's transition tree — then elements.
-	for i, ro := range rawObjs {
-		o := d.objs[i]
-		proto, err := d.resolveObj(ro.proto)
-		if err != nil {
-			return nil, err
+	r.count()
+	fills := d.fills
+	for _, o := range d.objs {
+		var fill func(rt.Frames)
+		var frames rt.Frames
+		var target, this interp.Value
+		var args []interp.Value
+		switch r.u8() {
+		case nodePlain:
+			r.bytes()
+		case nodeClosure:
+			r.ref()
+			r.ref()
+		case nodeContinuation:
+			frames = d.values(r)
+			fill, fills = fills[0], fills[1:]
+		case nodeBound:
+			target, this, args = d.value(r), d.value(r), d.values(r)
+		case nodeDate:
+			r.f64()
 		}
-		o.Proto = proto // pre-shape: no rebuild needed, nothing cached yet
-		for _, rp := range ro.props {
-			if err := d.applyProp(o, rp); err != nil {
-				return nil, err
-			}
+		o.Proto = d.object(r) // pre-shape: no rebuild needed, nothing cached yet
+		for n := r.count(); n > 0; n-- {
+			d.prop(r, o, r.str())
 		}
-		if n := len(ro.elems); n > 0 {
-			elems := make([]interp.Value, n)
-			for j, wv := range ro.elems {
-				v, err := d.resolve(wv)
-				if err != nil {
-					return nil, err
-				}
-				elems[j] = v
-			}
-			o.Elems = elems
+		o.Elems = d.values(r)
+		if r.err != nil {
+			return r.err
 		}
-		if fill := d.fills[i]; fill != nil {
-			frames, err := d.resolveFrames(ro.frames)
-			if err != nil {
-				return nil, err
-			}
+		if fill != nil {
 			fill(frames)
 		}
 		if b := o.Bound; b != nil {
-			if b.Target, err = d.resolve(ro.btarget); err != nil {
-				return nil, err
-			}
-			if b.This, err = d.resolve(ro.bthis); err != nil {
-				return nil, err
-			}
-			if n := len(ro.bargs); n > 0 {
-				b.Args = make([]interp.Value, n)
-				for j, wv := range ro.bargs {
-					if b.Args[j], err = d.resolve(wv); err != nil {
-						return nil, err
-					}
-				}
-			}
+			b.Target, b.This, b.Args = target, this, args
 		}
 	}
 
-	// Replay guest mutations of host objects.
-	for _, delta := range deltas {
-		target := reg.Object(delta.ordinal)
-		if target == nil {
-			return nil, corruptf("delta ordinal %d out of range", delta.ordinal)
+	// The global bindings precede the host deltas on the wire but are
+	// applied after them; their values are resolved on the way back.
+	bindings := r.off
+	for n := r.count(); n > 0; n-- {
+		r.bytes()
+		r.skipValues(1)
+	}
+	var reproto []*interp.Object
+	for n := r.count(); n > 0; n-- {
+		ord := r.ref()
+		ops := r.count()
+		target := d.reg.Object(ord)
+		if target == nil && r.err == nil {
+			return corruptf("delta ordinal %d out of range", ord)
 		}
-		for _, op := range delta.ops {
-			switch op.kind {
+		for ; ops > 0 && r.err == nil; ops-- {
+			switch kind := r.u8(); kind {
 			case opSetProp:
-				if err := d.applyProp(target, rawProp{key: op.key, bits: op.prop.bits, val: op.prop.val, getter: op.prop.getter, setter: op.prop.setter}); err != nil {
-					return nil, err
-				}
+				d.prop(r, target, r.str())
 			case opDelProp:
-				target.Delete(op.key)
+				target.Delete(r.str())
 			case opSetProto:
-				proto, err := d.resolveObj(op.proto)
-				if err != nil {
-					return nil, err
-				}
-				target.SetProto(proto)
+				target.SetProto(d.object(r))
+				reproto = append(reproto, target)
 			case opSetElems:
-				elems := make([]interp.Value, len(op.elems))
-				for j, wv := range op.elems {
-					v, err := d.resolve(wv)
-					if err != nil {
-						return nil, err
-					}
-					elems[j] = v
+				target.Elems = make([]interp.Value, r.count())
+				for j := range target.Elems {
+					target.Elems[j] = d.value(r)
 				}
-				target.Elems = elems
+			default:
+				r.failf("unknown delta op %d", kind)
 			}
 		}
 	}
+	if r.err != nil {
+		return r.err
+	}
+	if err := d.checkProtos(reproto); err != nil {
+		return err
+	}
+	rest := r.off
+	r.off = bindings
+	for n := r.count(); n > 0; n-- {
+		// Define writes through existing cells, so bindings already cached
+		// by global inline caches keep their identity.
+		name := r.str()
+		d.in.Global.Define(name, d.value(r))
+	}
+	r.off = rest
 
-	// Global bindings. Define writes through existing cells, so bindings
-	// already cached by global inline caches keep their identity.
-	for _, b := range bindings {
-		v, err := d.resolve(b.val)
-		if err != nil {
-			return nil, err
-		}
-		global.Define(b.name, v)
-	}
-
-	frames, err := d.resolveFrames(savedK)
-	if err != nil {
-		return nil, err
-	}
-	res, err := d.resolve(result)
-	if err != nil {
-		return nil, err
-	}
-	out := &Decoded{
-		Meta:   meta,
-		State:  rt.ParkState{Paused: meta.Paused, Frames: frames, Aux: meta.SavedAux, Done: meta.Done},
-		Result: res,
-	}
-	for _, t := range tasks {
-		task := eventloop.Pending{Due: t.due, Handle: t.handle}
-		if t.kind == taskTimer {
-			fn, err := d.resolve(t.fn)
-			if err != nil {
-				return nil, err
-			}
-			timer := &interp.Timer{Fn: fn}
-			if n := len(t.args); n > 0 {
-				timer.Args = make([]interp.Value, n)
-				for j, wv := range t.args {
-					if timer.Args[j], err = d.resolve(wv); err != nil {
-						return nil, err
-					}
-				}
+	meta := &out.Meta
+	out.State = rt.ParkState{Paused: meta.Paused, Frames: d.values(r), Aux: meta.SavedAux, Done: meta.Done}
+	out.Result = d.value(r)
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		task := eventloop.Pending{}
+		kind := r.u8()
+		task.Due = r.f64()
+		switch kind {
+		case taskTimer:
+			timer := &interp.Timer{Fn: d.value(r)}
+			task.Handle = r.uvarint()
+			cancelled := r.bool()
+			timer.Args = d.values(r)
+			if cancelled {
+				// Written by a build that kept cleared timers queued: the
+				// timer never fires, so it is not reposted.
+				continue
 			}
 			task.Desc = timer
-		} else {
-			f, err := d.resolveFrames(t.frames)
-			if err != nil {
-				return nil, err
-			}
-			task.Desc = &rt.Resume{Frames: f, Aux: t.aux}
+		case taskResume:
+			aux := r.bool()
+			task.Desc = &rt.Resume{Frames: d.values(r), Aux: aux}
+		default:
+			r.failf("unknown pending task kind %d", kind)
 		}
 		out.Tasks = append(out.Tasks, task)
 	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-func (d *dec) rval(r *reader) wval {
-	var v wval
-	v.tag = r.u8()
-	switch v.tag {
-	case wvUndefined, wvNull, wvFalse, wvTrue:
-	case wvNumber:
-		v.num = r.f64()
-	case wvString:
-		v.str = r.str()
-	case wvObjRef, wvHostRef:
-		v.ref = r.ref()
-	default:
-		if r.err == nil {
-			r.err = corruptf("unknown value tag %d", v.tag)
-		}
+	if r.err != nil {
+		return r.err
 	}
-	return v
-}
-
-func (d *dec) parseProp(r *reader, p *rawProp) {
-	p.bits = r.u8()
-	if p.bits&2 != 0 {
-		p.getter = d.rval(r)
-		p.setter = d.rval(r)
-		return
-	}
-	p.val = d.rval(r)
-}
-
-// parseEnv reads one frame: a slot frame with no by-name bindings, the only
-// kind of frame a realm has besides its global one (emitEnvs). A blob that
-// says otherwise asks for a frame shape no engine can run on.
-func (d *dec) parseEnv(r *reader, re *rawEnv) {
-	if kind := r.u8(); kind != envSlotFrame && r.err == nil {
-		r.err = corruptf("unknown frame kind %d", kind)
-	}
-	re.parentRef = r.ref()
-	re.scopeID = r.ref()
-	re.slots = make([]wval, r.count())
-	for i := range re.slots {
-		re.slots[i] = d.rval(r)
-	}
-	if n := r.uvarint(); n != 0 && r.err == nil {
-		r.err = corruptf("frame carries %d by-name bindings", n)
-	}
-}
-
-func (d *dec) parseObj(r *reader, ro *rawObj) {
-	ro.kind = r.u8()
-	switch ro.kind {
-	case nodePlain:
-		ro.class = r.str()
-	case nodeClosure:
-		ro.funcID = r.ref()
-		ro.envRef = r.ref()
-	case nodeBottom:
-	case nodeContinuation:
-		ro.frames = make([]wval, r.count())
-		for i := range ro.frames {
-			ro.frames[i] = d.rval(r)
-		}
-	case nodeBound:
-		ro.btarget = d.rval(r)
-		ro.bthis = d.rval(r)
-		ro.bargs = make([]wval, r.count())
-		for i := range ro.bargs {
-			ro.bargs[i] = d.rval(r)
-		}
-	case nodeDate:
-		ro.dateMS = r.f64()
-	default:
-		if r.err == nil {
-			r.err = corruptf("unknown object kind %d", ro.kind)
-		}
-		return
-	}
-	ro.proto = d.rval(r)
-	ro.props = make([]rawProp, r.count())
-	for i := range ro.props {
-		ro.props[i].key = r.str()
-		d.parseProp(r, &ro.props[i])
-	}
-	ro.elems = make([]wval, r.count())
-	for i := range ro.elems {
-		ro.elems[i] = d.rval(r)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Resolution
-// ---------------------------------------------------------------------------
-
-func (d *dec) resolve(v wval) (interp.Value, error) {
-	switch v.tag {
-	case wvUndefined:
-		return interp.Undefined, nil
-	case wvNull:
-		return interp.Null, nil
-	case wvFalse:
-		return interp.False, nil
-	case wvTrue:
-		return interp.True, nil
-	case wvNumber:
-		return interp.NumberValue(v.num), nil
-	case wvString:
-		return interp.StringValue(v.str), nil
-	case wvObjRef:
-		if v.ref < 0 || v.ref >= len(d.objs) {
-			return interp.Undefined, corruptf("object ref %d out of range", v.ref)
-		}
-		return interp.ObjectValue(d.objs[v.ref]), nil
-	case wvHostRef:
-		o := d.reg.Object(v.ref)
-		if o == nil {
-			return interp.Undefined, corruptf("host ref %d out of range", v.ref)
-		}
-		return interp.ObjectValue(o), nil
-	}
-	return interp.Undefined, corruptf("unknown value tag %d", v.tag)
-}
-
-// resolveObj resolves a wval that must be an object or undefined/nil.
-func (d *dec) resolveObj(v wval) (*interp.Object, error) {
-	val, err := d.resolve(v)
-	if err != nil {
-		return nil, err
-	}
-	if val.IsUndefined() {
-		return nil, nil
-	}
-	o := val.Obj()
-	if o == nil {
-		return nil, corruptf("expected an object reference, got %v", val)
-	}
-	return o, nil
-}
-
-func (d *dec) resolveFrames(ws []wval) (rt.Frames, error) {
-	if len(ws) == 0 {
-		return nil, nil
-	}
-	frames := make(rt.Frames, len(ws))
-	for i, wv := range ws {
-		v, err := d.resolve(wv)
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = v
-	}
-	return frames, nil
-}
-
-func (d *dec) applyProp(o *interp.Object, rp rawProp) error {
-	if rp.bits&2 != 0 {
-		getter, err := d.resolveObj(rp.getter)
-		if err != nil {
-			return err
-		}
-		setter, err := d.resolveObj(rp.setter)
-		if err != nil {
-			return err
-		}
-		o.SetAccessor(rp.key, getter, setter, rp.bits&1 != 0)
-		return nil
-	}
-	v, err := d.resolve(rp.val)
-	if err != nil {
-		return err
-	}
-	if rp.bits&1 != 0 {
-		o.SetOwn(rp.key, v)
-	} else {
-		o.SetHidden(rp.key, v)
+	if r.off != len(r.buf) {
+		return corruptf("%d trailing bytes", len(r.buf)-r.off)
 	}
 	return nil
+}
+
+// checkProtos refuses a prototype chain that does not end at null: like a
+// looping scope chain, it would hang the first lookup that misses, below
+// any step budget. A fresh realm's host graph has no loop, so one must pass
+// through a decoded object or a host object a delta re-prototyped; the
+// walks start there. rooted holds the objects already known to reach null,
+// so the whole check is linear.
+func (d *dec) checkProtos(reproto []*interp.Object) error {
+	limit := len(d.objs) + d.reg.Len()
+	rooted := map[*interp.Object]bool{}
+	for _, starts := range [][]*interp.Object{d.objs, reproto} {
+		for _, o := range starts {
+			hops := 0
+			for p := o.Proto; p != nil && !rooted[p]; p = p.Proto {
+				if hops++; hops > limit {
+					return corruptf("prototype chain is cyclic")
+				}
+			}
+			for p := o.Proto; p != nil && !rooted[p]; p = p.Proto {
+				rooted[p] = true
+			}
+		}
+	}
+	return nil
+}
+
+// env resolves a frame reference: 0 is the global frame, i+1 frame i.
+func (d *dec) env(ref int) (*interp.Env, error) {
+	if ref == 0 {
+		return d.in.Global, nil
+	}
+	if ref-1 >= len(d.envs) {
+		return nil, corruptf("env ref %d out of range", ref)
+	}
+	return d.envs[ref-1], nil
+}
+
+// skipValues reads past n wire values.
+func (r *reader) skipValues(n int) {
+	for ; n > 0 && r.err == nil; n-- {
+		switch tag := r.u8(); tag {
+		case wvUndefined, wvNull, wvFalse, wvTrue:
+		case wvNumber:
+			r.u64()
+		case wvString:
+			r.bytes()
+		case wvObjRef, wvHostRef:
+			r.ref()
+		default:
+			r.failf("unknown value tag %d", tag)
+		}
+	}
+}
+
+// value reads one wire value and resolves it in this realm.
+func (d *dec) value(r *reader) interp.Value {
+	switch tag := r.u8(); tag {
+	case wvUndefined:
+		return interp.Undefined
+	case wvNull:
+		return interp.Null
+	case wvFalse:
+		return interp.False
+	case wvTrue:
+		return interp.True
+	case wvNumber:
+		return interp.NumberValue(r.f64())
+	case wvString:
+		return interp.StringValue(r.str())
+	case wvObjRef:
+		ref := r.ref()
+		if ref < len(d.objs) {
+			return interp.ObjectValue(d.objs[ref])
+		}
+		r.failf("object ref %d out of range", ref)
+	case wvHostRef:
+		ref := r.ref()
+		if o := d.reg.Object(ref); o != nil {
+			return interp.ObjectValue(o)
+		}
+		r.failf("host ref %d out of range", ref)
+	default:
+		r.failf("unknown value tag %d", tag)
+	}
+	return interp.Undefined
+}
+
+// values reads a counted run of values; none is nil.
+func (d *dec) values(r *reader) []interp.Value {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	vs := make([]interp.Value, n)
+	for i := range vs {
+		vs[i] = d.value(r)
+	}
+	return vs
+}
+
+// object reads a value that must be an object, or undefined for none.
+func (d *dec) object(r *reader) *interp.Object {
+	v := d.value(r)
+	o := v.Obj()
+	if o == nil && !v.IsUndefined() {
+		r.failf("expected an object reference, got %v", v)
+	}
+	return o
+}
+
+// prop reads one property record's value and defines it on o as key.
+func (d *dec) prop(r *reader, o *interp.Object, key string) {
+	bits := r.u8()
+	if bits&2 != 0 {
+		getter, setter := d.object(r), d.object(r)
+		if r.err == nil {
+			o.SetAccessor(key, getter, setter, bits&1 != 0)
+		}
+		return
+	}
+	v := d.value(r)
+	switch {
+	case r.err != nil:
+	case bits&1 != 0:
+		o.SetOwn(key, v)
+	default:
+		o.SetHidden(key, v)
+	}
+}
+
+// classes are the names a plain object's class can take; className hands
+// back the interned one, so a decoded object does not hold its own copy.
+var classes = [...]string{"Object", "Array", "Function", "Arguments", "Error", "Date"}
+
+func className(b []byte) string {
+	for _, c := range classes {
+		if string(b) == c {
+			return c
+		}
+	}
+	return string(b)
 }

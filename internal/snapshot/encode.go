@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/rt"
@@ -173,8 +174,14 @@ func Encode(input Input) ([]byte, error) {
 		return nil, e.err
 	}
 
-	// Emission.
-	w := &writer{}
+	// Emission, into a pooled scratch buffer: the blob is copied out once,
+	// at its final size, so neither a regrowth nor its slack outlives the
+	// call.
+	w := writers.Get().(*writer)
+	defer func() {
+		w.buf = w.buf[:0]
+		writers.Put(w)
+	}()
 	w.buf = append(w.buf, magic[:]...)
 	w.u8(Version)
 	w.bytes(input.HostMeta)
@@ -268,8 +275,12 @@ func Encode(input Input) ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	return w.buf, nil
+	blob := make([]byte, len(w.buf))
+	copy(blob, w.buf)
+	return blob, nil
 }
+
+var writers = sync.Pool{New: func() any { return new(writer) }}
 
 // ---------------------------------------------------------------------------
 // Host deltas
@@ -587,7 +598,7 @@ func (e *enc) prop(w *writer, p interp.Prop) {
 // emitEnvs writes the frames. Every frame but the global one is a slot
 // frame, so the kind byte is always envSlotFrame and the by-name binding count
 // that follows the slots always zero: version 3 gave both a byte, and
-// parseEnv refuses any other value of either.
+// Decode refuses any other value of either.
 func (e *enc) emitEnvs(w *writer) {
 	w.uvarint(uint64(len(e.envs)))
 	for _, env := range e.envs {

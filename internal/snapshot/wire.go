@@ -44,11 +44,7 @@ type reader struct {
 	err error
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = corruptf("truncated at offset %d", r.off)
-	}
-}
+func (r *reader) fail() { r.failf("truncated at offset %d", r.off) }
 
 func (r *reader) u8() byte {
 	if r.err != nil || r.off >= len(r.buf) {
@@ -130,4 +126,11 @@ func (r *reader) count() int {
 		return 0
 	}
 	return int(n)
+}
+
+// failf records a corrupt-blob error unless an earlier one stands.
+func (r *reader) failf(format string, args ...interface{}) {
+	if r.err == nil {
+		r.err = corruptf(format, args...)
+	}
 }
