@@ -122,7 +122,8 @@ const (
 	OpClosure
 	// OpArray pops A elements and pushes an array of them.
 	OpArray
-	// OpNewObject pushes a fresh plain object.
+	// OpNewObject pushes a fresh plain object with room for A properties,
+	// the literal's count.
 	OpNewObject
 	// OpSetProp pops a value and defines it as own property Names[A] of
 	// the object left on top: [obj v] → [obj].

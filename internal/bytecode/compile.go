@@ -976,7 +976,7 @@ func (c *compiler) expr(e ast.Expr) {
 		c.pop(len(n.Elems))
 		c.push(1)
 	case *ast.Object:
-		c.emit(OpNewObject, 0, 0)
+		c.emit(OpNewObject, int32(len(n.Props)), 0)
 		c.push(1)
 		for _, p := range n.Props {
 			switch p.Kind {

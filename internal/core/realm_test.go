@@ -20,13 +20,14 @@ import (
 
 // The ceilings on NewRun of a one-statement program — interp.New's builtin
 // graph, the runtime's natives, the host registry, the prelude — are its
-// measured 451 allocations in 56 480 bytes (454 in 59 120 under the race
+// measured 444 allocations in 48 352 bytes (447 in 50 992 under the race
 // detector) plus 1.5 %. The realm cost 971 allocations and 143 328 bytes
 // while shapes copied their parent's index and every realm walked its host
-// graph for its registry.
+// graph for its registry, and 451 in 56 480 with 160-byte object headers
+// and 48-byte property slots.
 const (
-	newRunAllocs = 461
-	newRunBytes  = 60_000
+	newRunAllocs = 454
+	newRunBytes  = 51_800
 )
 
 func TestAllocGateNewRun(t *testing.T) {
@@ -61,16 +62,18 @@ func BenchmarkNewRun(b *testing.B) {
 
 // What a hop costs: clojure.lazy_seq parked at its first 20 000-statement
 // pause, a blob of 34 536 bytes. Snapshot's ceilings are its measured 77
-// allocations in 158 528 bytes, RestoreWith's 3 725 in 415 552 (3 728 in
-// 446 240 under the race detector), each plus 2 %. Before the encoder wrote
+// allocations in 158 528 bytes, RestoreWith's 3 718 in 313 344 (3 721 in
+// 344 032 under the race detector), each plus 2 %. Before the encoder wrote
 // into a pooled buffer and the decoder built the realm straight from the
 // blob, a hop cost 88 allocations in 267 984 bytes to snapshot, into a
-// 40 960-byte buffer, and 5 315 in 952 944 to restore.
+// 40 960-byte buffer, and 5 315 in 952 944 to restore; before objects
+// shrank to a 112-byte header and 32-byte slots sized to each record's key
+// count, a restore cost 3 725 in 415 552.
 const (
 	hopSnapshotAllocs = 79
 	hopSnapshotBytes  = 161_700
-	hopRestoreAllocs  = 3_803
-	hopRestoreBytes   = 455_200
+	hopRestoreAllocs  = 3_796
+	hopRestoreBytes   = 351_000
 )
 
 func TestAllocGateHop(t *testing.T) {

@@ -167,6 +167,49 @@ function props(n) {
 	}
 }
 
+// TestAllocGateObjectLiteral: a two-key literal costs one 112-byte header
+// and a slot array of two 32-byte slots, on both engines — the literal's
+// count sizes the array (OpNewObject's A, the walker's ast.Object), where a
+// fixed first capacity of four spent 192 bytes on every object.
+func TestAllocGateObjectLiteral(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const src = `
+function chain(n) {
+  var t = null;
+  for (var i = 0; i < n; i++) {
+    t = {left: t, right: i};
+  }
+  return t;
+}`
+	const n = 10_000
+	const perLiteral = 112 + 2*32
+	args := []Value{NumberValue(n)}
+	for _, eng := range []struct {
+		name     string
+		bytecode bool
+	}{{"tree", false}, {"bytecode", true}} {
+		t.Run(eng.name, func(t *testing.T) {
+			in, fn := allocInterp(t, src, "chain", eng.bytecode, []Value{NumberValue(1)})
+			bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for try := 0; try < 4; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := in.Call(fn, Undefined, args, Undefined); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+				allocs = min(allocs, after.Mallocs-before.Mallocs)
+			}
+			t.Logf("%d literals: %d allocations, %d bytes", n, allocs, bytes)
+			if allocs > 2*n+16 || bytes > n*perLiteral+4096 {
+				t.Errorf("%d literals took %d allocations in %d bytes, ceiling %d in %d: a literal is more than a header and its two slots",
+					n, allocs, bytes, 2*n+16, n*perLiteral+4096)
+			}
+		})
+	}
+}
+
 // TestAllocGateNumberToString: coercing small integers to strings rides
 // the interned decimal table and the empty-string concat fast path —
 // zero allocations per iteration.
@@ -247,13 +290,16 @@ function elems(n) {
 }
 
 // The ceilings on a bare realm — the builtin graph New builds — are its
-// measured 400 allocations in 47 080 bytes (47 192 under the race
+// measured 393 allocations in 39 368 bytes (39 480 under the race
 // detector) plus 3 %. Building the shapes of an n-key object cost O(n²)
 // before a first transition shared its parent's index (889 allocations,
-// 121 640 bytes); a shape that copies one again fails here.
+// 121 640 bytes); a shape that copies one again fails here. Before the
+// object header shrank to 112 bytes and a slot to 32, and before the big
+// builtin prototypes sized their slot arrays once, a realm cost 400
+// allocations in 47 080 bytes.
 const (
-	bareRealmAllocs = 412
-	bareRealmBytes  = 48_500
+	bareRealmAllocs = 405
+	bareRealmBytes  = 40_600
 )
 
 // bareRealmCost reports what New allocates: the least of eight tries.

@@ -41,9 +41,9 @@ func holdsArgsTag(in *Interp) string {
 		if o.Fn != nil {
 			env(o.Fn.Env, where+"<env>")
 		}
-		if o.Bound != nil {
-			value(o.Bound.Target, where+"<bound>")
-			for _, a := range o.Bound.Args {
+		if b := o.Bound(); b != nil {
+			value(b.Target, where+"<bound>")
+			for _, a := range b.Args {
 				value(a, where+"<boundarg>")
 			}
 		}

@@ -13,9 +13,9 @@ import (
 // The library is the slice of ECMAScript that compiler-generated code and
 // the paper's benchmarks actually touch.
 func (in *Interp) setupGlobals() {
-	in.objectProto = &Object{Class: "Object"}
+	in.objectProto = &Object{Class: ClassObject}
 	in.functionProto = NewObject(in.objectProto)
-	in.functionProto.Class = "Function"
+	in.functionProto.Class = ClassFunction
 	in.arrayProto = NewObject(in.objectProto)
 	in.stringProto = NewObject(in.objectProto)
 	in.numberProto = NewObject(in.objectProto)
@@ -57,7 +57,7 @@ func (in *Interp) setupObjectProto() {
 		if err != nil {
 			return Undefined, err
 		}
-		if (o.Class == "Array" || o.Class == "Arguments") && len(o.Elems) > 0 {
+		if (o.Class == ClassArray || o.Class == ClassArguments) && len(o.Elems) > 0 {
 			if i, isIdx := arrayIndex(key); isIdx && i < len(o.Elems) {
 				return True, nil
 			}
@@ -65,10 +65,7 @@ func (in *Interp) setupObjectProto() {
 		return BoolValue(o.OwnOrLazy(key) != nil), nil
 	}))
 	op.SetHidden("toString", in.nativeV("toString", func(in *Interp, this Value, args []Value) (Value, error) {
-		if o := this.Obj(); o != nil {
-			return StringValue("[object " + o.Class + "]"), nil
-		}
-		return StringValue("[object Object]"), nil
+		return StringValue("[object " + toStringTag(this) + "]"), nil
 	}))
 
 	objectCtor := in.native("Object", func(in *Interp, this Value, args []Value) (Value, error) {
@@ -154,17 +151,9 @@ func (in *Interp) setupObjectProto() {
 		if desc == nil {
 			return Undefined, in.Throw("TypeError", "property descriptor must be an object")
 		}
-		getV, _ := in.GetMember(args[2], "get")
-		setV, _ := in.GetMember(args[2], "set")
-		getter := getV.Obj()
-		setter := setV.Obj()
-		if getter != nil || setter != nil {
-			enumV, _ := in.GetMember(args[2], "enumerable")
-			o.SetAccessor(key, getter, setter, ToBoolean(enumV))
-			return args[0], nil
+		if err := in.defineProperty(o, key, desc); err != nil {
+			return Undefined, err
 		}
-		valV, _ := in.GetMember(args[2], "value")
-		o.SetOwn(key, valV)
 		return args[0], nil
 	}))
 	objectCtor.SetHidden("getOwnPropertyDescriptor", in.nativeV("getOwnPropertyDescriptor", func(in *Interp, this Value, args []Value) (Value, error) {
@@ -184,12 +173,12 @@ func (in *Interp) setupObjectProto() {
 			return Undefined, nil
 		}
 		d := in.NewPlainObject()
-		if slot.Getter != nil || slot.Setter != nil {
-			if slot.Getter != nil {
-				d.SetOwn("get", ObjectValue(slot.Getter))
+		if a := slot.accessor(); a != nil {
+			if a.get != nil {
+				d.SetOwn("get", ObjectValue(a.get))
 			}
-			if slot.Setter != nil {
-				d.SetOwn("set", ObjectValue(slot.Setter))
+			if a.set != nil {
+				d.SetOwn("set", ObjectValue(a.set))
 			}
 		} else {
 			d.SetOwn("value", slot.Value)
@@ -198,6 +187,71 @@ func (in *Interp) setupObjectProto() {
 		return ObjectValue(d), nil
 	}))
 	in.Global.Define("Object", ObjectValue(objectCtor))
+}
+
+// toStringTag is the X of Object.prototype.toString's "[object X]": an
+// object's class, Null or Undefined, and for any other primitive the class
+// of the wrapper ToObject would make (ES5 §15.2.4.2).
+func toStringTag(v Value) string {
+	switch v.tag {
+	case TagObject:
+		return v.Obj().Class.String()
+	case TagUndefined:
+		return "Undefined"
+	case TagNull:
+		return "Null"
+	case TagNumber:
+		return "Number"
+	case TagString:
+		return "String"
+	case TagBool:
+		return "Boolean"
+	}
+	return "Object"
+}
+
+// defineProperty is Object.defineProperty over the one attribute this
+// substrate models besides the kind (ES5 §8.12.9): a new key is what its
+// descriptor says, non-enumerable unless it says otherwise, and a
+// redefinition keeps every attribute its descriptor omits — enumerability,
+// a data property's value, an accessor's other side.
+func (in *Interp) defineProperty(o *Object, key string, desc *Object) error {
+	var fields [4]Value
+	var has [4]bool
+	for i, name := range [...]string{"enumerable", "value", "get", "set"} {
+		if has[i] = in.hasProperty(desc, name); has[i] {
+			v, err := in.objGet(desc, ObjectValue(desc), name)
+			if err != nil {
+				return err
+			}
+			fields[i] = v
+		}
+	}
+	enumV, value, getV, setV := fields[0], fields[1], fields[2], fields[3]
+	cur := o.OwnOrLazy(key)
+	enumerable := cur != nil && cur.Enumerable
+	if has[0] {
+		enumerable = ToBoolean(enumV)
+	}
+	switch {
+	case has[2] || has[3]:
+		var pair accessorPair
+		if cur != nil && cur.IsAccessor() {
+			pair = *cur.accessor()
+		}
+		if has[2] {
+			pair.get = getV.Obj()
+		}
+		if has[3] {
+			pair.set = setV.Obj()
+		}
+		o.SetAccessor(key, pair.get, pair.set, enumerable)
+	case cur != nil && !has[1]:
+		cur.Enumerable = enumerable // a generic descriptor moves only the attribute
+	default:
+		o.setSlot(key, Prop{Value: value, Enumerable: enumerable})
+	}
+	return nil
 }
 
 func (in *Interp) setupFunctionProto() {
@@ -242,9 +296,7 @@ func (in *Interp) setupFunctionProto() {
 		// codec traverses Target/This/Args like any other object graph.
 		in.chargeAlloc()
 		in.chargeMem(memObjectBytes + memValueBytes*len(bound))
-		o := &Object{Class: "Function", Proto: in.functionProto,
-			Bound: &BoundFunction{Target: this, This: boundThis, Args: bound}}
-		return ObjectValue(o), nil
+		return ObjectValue(NewBound(in.functionProto, &BoundFunction{Target: this, This: boundThis, Args: bound})), nil
 	}))
 }
 
@@ -297,6 +349,7 @@ func (in *Interp) setupError() {
 
 func (in *Interp) setupMath() {
 	m := in.NewPlainObject()
+	m.ReserveProps(23) // the methods and constants below: one slot array, no regrowth
 	one := func(name string, f func(float64) float64) {
 		m.SetHidden(name, in.nativeV(name, func(in *Interp, this Value, args []Value) (Value, error) {
 			x := math.NaN()
@@ -411,8 +464,10 @@ func (in *Interp) setupConsoleAndTimers() {
 	dp := NewObject(in.objectProto)
 	in.dateProto = dp
 	timeSlot := func(this Value) (float64, bool) {
-		if o := this.Obj(); o != nil && o.Date != nil {
-			return o.Date.MS, true
+		if o := this.Obj(); o != nil {
+			if d := o.Date(); d != nil {
+				return d.MS, true
+			}
 		}
 		return 0, false
 	}
@@ -448,8 +503,7 @@ func (in *Interp) setupConsoleAndTimers() {
 		}
 		in.chargeAlloc()
 		in.chargeMem(memObjectBytes)
-		o := &Object{Class: "Date", Proto: in.dateProto, Date: &DateData{MS: ms}}
-		return ObjectValue(o), nil
+		return ObjectValue(NewDate(in.dateProto, ms)), nil
 	})
 	date.SetHidden("now", in.nativeV("now", func(in *Interp, this Value, args []Value) (Value, error) {
 		return NumberValue(in.Clock.Now()), nil
@@ -709,24 +763,24 @@ func (in *Interp) displayDepth(v Value, depth int) string {
 		}
 		switch {
 		case x.IsCallable():
-			name := x.NativeName
+			name := x.NativeName()
 			if x.Fn != nil {
 				name = x.Fn.Name()
 			}
-			if x.Bound != nil {
+			if x.Bound() != nil {
 				name = "bound"
 			}
 			if name == "" {
 				name = "anonymous"
 			}
 			return "[function " + name + "]"
-		case x.Class == "Array" || x.Class == "Arguments":
+		case x.Class == ClassArray || x.Class == ClassArguments:
 			parts := make([]string, len(x.Elems))
 			for i, el := range x.Elems {
 				parts[i] = in.displayDepth(el, depth+1)
 			}
 			return strings.Join(parts, ",")
-		case x.Class == "Error":
+		case x.Class == ClassError:
 			name := "Error"
 			msg := ""
 			if s := x.Own("name"); s != nil {
@@ -745,7 +799,7 @@ func (in *Interp) displayDepth(v Value, depth int) string {
 			}
 			return name + ": " + msg
 		default:
-			return "[object " + x.Class + "]"
+			return "[object " + x.Class.String() + "]"
 		}
 	}
 	return "?"

@@ -46,16 +46,17 @@ func (in *Interp) setupArray() {
 			return False, nil
 		}
 		o := args[0].Obj()
-		return BoolValue(o != nil && o.Class == "Array"), nil
+		return BoolValue(o != nil && o.Class == ClassArray), nil
 	}))
 	in.Global.Define("Array", ObjectValue(arrayCtor))
 
 	ap := in.arrayProto
+	ap.ReserveProps(17) // the methods below
 	method := func(name string, fn NativeFunc) { ap.SetHidden(name, in.nativeV(name, fn)) }
 
 	selfArray := func(in *Interp, this Value) (*Object, error) {
 		o := this.Obj()
-		if o == nil || (o.Class != "Array" && o.Class != "Arguments") {
+		if o == nil || (o.Class != ClassArray && o.Class != ClassArguments) {
 			return nil, in.Throw("TypeError", "receiver is not an array")
 		}
 		return o, nil
@@ -162,7 +163,7 @@ func (in *Interp) setupArray() {
 		}
 		out := append([]Value(nil), a.Elems...)
 		for _, arg := range args {
-			if o := arg.Obj(); o != nil && o.Class == "Array" {
+			if o := arg.Obj(); o != nil && o.Class == ClassArray {
 				out = append(out, o.Elems...)
 			} else {
 				out = append(out, arg)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 
@@ -43,6 +44,7 @@ func (in *Interp) setupString() {
 	in.Global.Define("String", ObjectValue(stringCtor))
 
 	sp := in.stringProto
+	sp.ReserveProps(16) // the methods below
 	method := func(name string, fn NativeFunc) { sp.SetHidden(name, in.nativeV(name, fn)) }
 
 	selfString := func(in *Interp, this Value) (string, error) {
@@ -436,7 +438,7 @@ func (in *Interp) setupNumberBoolean() {
 		if digits < 0 || digits > 100 {
 			return Undefined, in.Throw("RangeError", "toFixed() digits out of range")
 		}
-		return StringValue(strconv.FormatFloat(f, 'f', digits, 64)), nil
+		return StringValue(toFixed(f, digits)), nil
 	}))
 
 	booleanCtor := in.native("Boolean", func(in *Interp, this Value, args []Value) (Value, error) {
@@ -455,4 +457,30 @@ func (in *Interp) setupNumberBoolean() {
 		}
 		return StringValue("false"), nil
 	}))
+}
+
+// toFixed is Number.prototype.toFixed (ES5 §15.7.4.5): the integer n nearest
+// |x|·10^digits, a tie going to the larger n — not to the even one, as
+// strconv rounds — printed with digits decimals and x's sign; ToString(x)
+// from 1e21 on. The product is taken exactly, so a tie is a tie of the
+// double's own value.
+func toFixed(x float64, digits int) string {
+	if math.IsNaN(x) || math.Abs(x) >= 1e21 {
+		return printer.FormatNumber(x)
+	}
+	sign := ""
+	if x < 0 {
+		sign, x = "-", -x
+	}
+	r := new(big.Rat).SetFloat64(x)
+	r.Mul(r, new(big.Rat).SetInt(new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(digits)), nil)))
+	r.Add(r, big.NewRat(1, 2))
+	m := new(big.Int).Quo(r.Num(), r.Denom()).String()
+	if digits == 0 {
+		return sign + m
+	}
+	if len(m) <= digits {
+		m = strings.Repeat("0", digits+1-len(m)) + m
+	}
+	return sign + m[:len(m)-digits] + "." + m[len(m)-digits:]
 }

@@ -313,7 +313,7 @@ loop:
 			sp++
 		case bytecode.OpNewObject:
 			in.chargeAlloc()
-			stack[sp] = ObjectValue(in.NewPlainObject())
+			stack[sp] = ObjectValue(in.newLiteral(int(ins.A)))
 			sp++
 		case bytecode.OpSetProp:
 			sp--
@@ -330,7 +330,7 @@ loop:
 			key := ch.Names[acc.Name]
 			var getter, setter *Object
 			if slot := obj.Own(key); slot != nil {
-				getter, setter = slot.Getter, slot.Setter
+				getter, setter = slot.Getter(), slot.Setter()
 			}
 			if acc.Setter {
 				setter = fn
@@ -1031,7 +1031,7 @@ func (in *Interp) deleteKey(base Value, key string) {
 	if obj == nil {
 		return
 	}
-	if obj.Class == "Array" || obj.Class == "Arguments" {
+	if obj.Class == ClassArray || obj.Class == ClassArguments {
 		// Element storage is separate from named properties; deleting an
 		// element must work whether or not named properties exist.
 		if i, isIdx := arrayIndex(key); isIdx && i < len(obj.Elems) {

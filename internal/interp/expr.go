@@ -103,7 +103,7 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 		return ObjectValue(in.NewArray(elems)), nil
 	case *ast.Object:
 		in.chargeAlloc()
-		obj := in.NewPlainObject()
+		obj := in.newLiteral(len(n.Props))
 		in.chargeMem(memPropBytes * len(n.Props))
 		for _, p := range n.Props {
 			switch p.Kind {
@@ -118,7 +118,7 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 				slot := obj.Own(p.Key)
 				var getter, setter *Object
 				if slot != nil {
-					getter, setter = slot.Getter, slot.Setter
+					getter, setter = slot.Getter(), slot.Setter()
 				}
 				if p.Kind == ast.PropGet {
 					getter = fn
@@ -291,7 +291,7 @@ func (in *Interp) evalUnary(n *ast.Unary, env *Env) (Value, error) {
 		if obj == nil {
 			return True, nil
 		}
-		if obj.Class == "Array" || obj.Class == "Arguments" {
+		if obj.Class == ClassArray || obj.Class == ClassArguments {
 			// Element storage is separate from named properties, so this
 			// path must not depend on whether the object has any (deleting
 			// a[1] from an array that also has a.foo used to be a no-op).
@@ -600,7 +600,7 @@ func (in *Interp) newArguments(args []Value) *Object {
 	in.argsBuilt++
 	in.chargeMem(memObjectBytes + memValueBytes*len(args))
 	a := new(argsObject)
-	a.obj = Object{Class: "Arguments", Proto: in.objectProto}
+	a.obj = Object{Class: ClassArguments, Proto: in.objectProto}
 	if len(args) <= len(a.buf) {
 		a.obj.Elems = a.buf[:len(args):len(args)]
 		copy(a.obj.Elems, args)
@@ -629,7 +629,7 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 		return Undefined, in.Throw("TypeError", "%s is not a constructor", TypeOf(fn))
 	}
 	in.chargeNew()
-	if b := f.Bound; b != nil {
+	if b := f.Bound(); b != nil {
 		// `new boundFn(args)` constructs the *target* with the bound args
 		// prepended; boundThis is ignored (spec §10.4.1.2 [[Construct]]).
 		// The delegation consumes a stack frame so bound→bound chains
@@ -644,10 +644,10 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 		in.depth--
 		return v, err
 	}
-	if f.Native != nil {
+	if f.native != nil {
 		// Native constructors (Error, Array, ...) allocate internally; mark
 		// construction via a sentinel this.
-		return f.Native(in, ctorSentinel, args)
+		return f.native.fn(in, ctorSentinel, args)
 	}
 	protoV, err := in.GetMember(fn, "prototype")
 	if err != nil {
@@ -681,10 +681,10 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		return Undefined, in.Throw("TypeError", "%s is not a function", TypeOf(fn))
 	}
 	in.chargeCall()
-	if f.Native != nil {
-		return f.Native(in, this, args)
+	if f.native != nil {
+		return f.native.fn(in, this, args)
 	}
-	if b := f.Bound; b != nil {
+	if b := f.Bound(); b != nil {
 		// Bound call: the caller's this is discarded in favor of boundThis,
 		// bound args are prepended. Depth-guarded like a closure call so a
 		// self-referential bound chain (only constructible from a hostile

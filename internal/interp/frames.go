@@ -73,7 +73,7 @@ func (in *Interp) pushFrame(f *bytecode.Frame, names []string, env *Env) (Value,
 		vals[4], n = in.buildArguments(env.slotRef(f.Args)), 5
 	}
 	in.chargeMem(memObjectBytes + n*memPropBytes + memValueBytes)
-	o := &Object{Class: "Object", Proto: in.objectProto, shape: in.frameShape(n), slots: make([]Prop, n)}
+	o := &Object{Class: ClassObject, Proto: in.objectProto, shape: in.frameShape(n), slots: make([]Prop, n)}
 	for i, v := range vals[:n] {
 		o.slots[i] = Prop{Value: v, Enumerable: true}
 	}
@@ -107,7 +107,7 @@ func (in *Interp) reenter(ref ast.Ref, withArgs bool, env *Env) (Value, bool, er
 		return Undefined, false, nil
 	}
 	p := o.Own(instrument.FrameFn)
-	if p == nil || p.Getter != nil || p.Setter != nil || !p.Value.Obj().IsCallable() {
+	if p == nil || p.IsAccessor() || !p.Value.Obj().IsCallable() {
 		return Undefined, false, nil
 	}
 	fn := p.Value
@@ -152,7 +152,7 @@ func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bo
 		return false
 	}
 	l := top.slots[1].Value.Obj()
-	if l == nil || l.Class != "Array" || len(l.Elems) < len(r.Locals) {
+	if l == nil || l.Class != ClassArray || len(l.Elems) < len(r.Locals) {
 		return false
 	}
 	popElem(a)

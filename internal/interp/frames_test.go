@@ -54,7 +54,7 @@ var lit = f(7);`)
 			t.Errorf("slot %d (%s) is %+v, the literal's %+v", i, frame.shape.keys[i], p, want)
 		}
 	}
-	if locals := frame.slots[1].Value.Obj(); locals.Class != "Array" || len(locals.Elems) != 2 || locals.Elems[1].Num() != 8 {
+	if locals := frame.slots[1].Value.Obj(); locals.Class != ClassArray || len(locals.Elems) != 2 || locals.Elems[1].Num() != 8 {
 		t.Errorf("locals %+v, want [7, 8]", locals)
 	}
 	if n := in.Global.Cell("pushes").v.Num(); n != 0 {

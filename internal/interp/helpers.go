@@ -127,6 +127,6 @@ func (in *Interp) InstallAccessorNatives() {
 	for h := ast.HelperLookupGetter; h <= ast.HelperRawSet; h++ {
 		n := in.NewNative(ast.HelperNames[h], accessorNatives[h])
 		n.helper = h
-		in.DefineGlobal(n.NativeName, ObjectValue(n))
+		in.DefineGlobal(n.NativeName(), ObjectValue(n))
 	}
 }

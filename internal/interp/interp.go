@@ -407,7 +407,8 @@ func (in *Interp) Throw(name, format string, args ...interface{}) error {
 // NewError builds an Error object with the given name and message.
 func (in *Interp) NewError(name, message string) *Object {
 	in.chargeMem(memObjectBytes + 2*memPropBytes + len(name) + len(message))
-	e := &Object{Class: "Error", Proto: in.errorProto}
+	e := &Object{Class: ClassError, Proto: in.errorProto}
+	e.ReserveProps(2)
 	e.SetOwn("name", StringValue(name))
 	e.SetOwn("message", StringValue(message))
 	return e
@@ -428,10 +429,13 @@ func (in *Interp) RunProgram(prog *ast.Program) error {
 // expose its primitives).
 func (in *Interp) DefineGlobal(name string, v Value) { in.Global.Define(name, v) }
 
-// NewNative wraps a Go function as a callable JS object.
+// NewNative wraps a Go function as a callable JS object: one allocation,
+// the header with the code behind it (nativeObject).
 func (in *Interp) NewNative(name string, fn NativeFunc) *Object {
 	in.chargeMem(memObjectBytes)
-	return &Object{Class: "Function", Proto: in.functionProto, Native: fn, NativeName: name}
+	p := &nativeObject{nat: native{fn: fn, name: name}}
+	p.obj = Object{Class: ClassFunction, Proto: in.functionProto, native: &p.nat}
+	return &p.obj
 }
 
 // NewArray builds an array object around elems (not copied). The meter
@@ -440,13 +444,21 @@ func (in *Interp) NewNative(name string, fn NativeFunc) *Object {
 // per-site charge.
 func (in *Interp) NewArray(elems []Value) *Object {
 	in.chargeMem(memObjectBytes + memValueBytes*cap(elems))
-	return &Object{Class: "Array", Proto: in.arrayProto, Elems: elems}
+	return &Object{Class: ClassArray, Proto: in.arrayProto, Elems: elems}
 }
 
 // NewPlainObject builds an empty object with Object.prototype.
 func (in *Interp) NewPlainObject() *Object {
 	in.chargeMem(memObjectBytes)
 	return NewObject(in.objectProto)
+}
+
+// newLiteral builds the object an n-property literal fills, its slot array
+// sized to the literal (both engines: the walker's ast.Object, OpNewObject).
+func (in *Interp) newLiteral(n int) *Object {
+	o := in.NewPlainObject()
+	o.ReserveProps(n)
+	return o
 }
 
 // ---------------------------------------------------------------------------
@@ -495,7 +507,7 @@ func (in *Interp) makeFunction(fn *ast.Func, env *Env) *Object {
 	in.chargeAlloc()
 	in.chargeMem(memFuncBytes)
 	p := new(funcObject)
-	p.obj = Object{Class: "Function", Proto: in.functionProto, Fn: &p.fn}
+	p.obj = Object{Class: ClassFunction, Proto: in.functionProto, Fn: &p.fn}
 	p.fn = Closure{Decl: fn, Env: env, Self: &p.obj}
 	// .length is materialized lazily on first access (objGet), like
 	// .prototype, so creating a closure allocates no property storage.

@@ -46,14 +46,18 @@ import "errors"
 // Thrown, so it propagates through guest try/catch uncaught.
 var ErrMemLimit = errors.New("interp: memory budget exhausted")
 
-// Approximate per-allocation byte costs. These deliberately round up to
-// cover Go allocator size classes and the side structures (shape table
-// growth, map buckets) the meter does not model individually.
+// Approximate per-allocation byte costs: the meter's model of a guest's
+// growth, not the sizes of the structs that hold it. They deliberately
+// round up to cover Go allocator size classes and the side structures
+// (shape table growth, map buckets) the meter does not model individually,
+// and they are deliberately left where they were when the object header
+// shrank to 112 bytes and a property slot to 32 (DESIGN_interp.md, "Object
+// layout"): a layout change must not move any budget's verdict.
 const (
 	memValueBytes  = 24  // one Value: array element, env slot
 	memPropBytes   = 64  // one property slot (Prop + shape/index amortization)
-	memObjectBytes = 144 // Object header
-	memFuncBytes   = 176 // funcObject: co-allocated Object + Closure
+	memObjectBytes = 144 // an object
+	memFuncBytes   = 176 // a closure: funcObject's Object + Closure
 	memFrameBytes  = 64  // Env header (slot storage charged per Value)
 	// memTimerBytes is one pending setTimeout: its event-loop entry (64 B),
 	// the Timer it describes (48), the task closure (24), and its shares of

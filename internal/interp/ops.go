@@ -431,8 +431,8 @@ func (in *Interp) applyBinary(op string, l, r Value) (Value, error) {
 		// `x instanceof boundFn` checks against the bound *target*'s
 		// prototype (spec: bound-function [[HasInstance]] delegates). The
 		// walk is depth-capped like boundLength.
-		for depth := 0; depth < 1000 && f != nil && f.Bound != nil; depth++ {
-			r = f.Bound.Target
+		for depth := 0; depth < 1000 && f != nil && f.Bound() != nil; depth++ {
+			r = f.Bound().Target
 			f = r.Obj()
 			if !f.IsCallable() {
 				return Undefined, in.Throw("TypeError", "bound target is not callable")
@@ -486,7 +486,7 @@ func (in *Interp) concatStrings(ls, rs string) (Value, error) {
 }
 
 func (in *Interp) hasProperty(o *Object, key string) bool {
-	if o.Class == "Array" || o.Class == "Arguments" {
+	if o.Class == ClassArray || o.Class == ClassArguments {
 		if i, ok := arrayIndex(key); ok {
 			return i < len(o.Elems)
 		}
@@ -510,7 +510,7 @@ func (in *Interp) RawGet(base Value, key string) (Value, error) {
 	}
 	// No PropCost charge here: the historical $rawGet native never charged,
 	// and the engine cost model must not shift under the getter prelude.
-	if o.Class == "Array" || o.Class == "Arguments" {
+	if o.Class == ClassArray || o.Class == ClassArguments {
 		if key == "length" && o.Own("length") == nil {
 			return NumberValue(float64(len(o.Elems))), nil
 		}
@@ -520,16 +520,12 @@ func (in *Interp) RawGet(base Value, key string) (Value, error) {
 	}
 	holder, idx := in.lookupPath(o, key)
 	if holder == nil {
-		if key == "prototype" && o.IsCallable() && o.Bound == nil {
+		if key == "prototype" && o.IsCallable() && o.Bound() == nil {
 			return in.GetMember(base, key) // materialize the lazy prototype
 		}
 		return Undefined, nil
 	}
-	slot := &holder.slots[idx]
-	if slot.Getter != nil || slot.Setter != nil {
-		return Undefined, nil
-	}
-	return slot.Value, nil
+	return holder.slots[idx].Data(), nil
 }
 
 // LookupAccessor walks the prototype chain for a getter (setter false) or
@@ -542,7 +538,7 @@ func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 	if o == nil {
 		return Undefined
 	}
-	if o.Class == "Array" || o.Class == "Arguments" {
+	if o.Class == ClassArray || o.Class == ClassArguments {
 		// An element is found before any property; an index write asks no chain.
 		if i, isIdx := arrayIndex(key); isIdx && (setter || i < len(o.Elems)) {
 			return Undefined
@@ -550,15 +546,15 @@ func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 	}
 	holder, idx := in.lookupPath(o, key)
 	for holder != nil {
-		slot := &holder.slots[idx]
-		if setter && slot.Setter != nil {
-			return ObjectValue(slot.Setter)
-		}
-		if !setter && slot.Getter != nil {
-			return ObjectValue(slot.Getter)
-		}
-		if slot.Getter == nil && slot.Setter == nil {
+		a := holder.slots[idx].accessor()
+		if a == nil {
 			return Undefined // plain data property shadows
+		}
+		if setter && a.set != nil {
+			return ObjectValue(a.set)
+		}
+		if !setter && a.get != nil {
+			return ObjectValue(a.get)
 		}
 		// Accessor lacking the requested side: keep walking from the next
 		// prototype up.
@@ -580,7 +576,7 @@ func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 // does not apply and the caller must fall back to GetMember.
 func (in *Interp) getElemFast(base, idx Value) (Value, bool) {
 	o := base.Obj()
-	if o == nil || (o.Class != "Array" && o.Class != "Arguments") {
+	if o == nil || (o.Class != ClassArray && o.Class != ClassArguments) {
 		return Undefined, false
 	}
 	if idx.tag != TagNumber {
@@ -604,7 +600,7 @@ func (in *Interp) getElemFast(base, idx Value) (Value, bool) {
 // differs.
 func (in *Interp) setElemFast(base, idx, v Value) bool {
 	o := base.Obj()
-	if o == nil || (o.Class != "Array" && o.Class != "Arguments") {
+	if o == nil || (o.Class != ClassArray && o.Class != ClassArguments) {
 		return false
 	}
 	if idx.tag != TagNumber {
@@ -616,7 +612,7 @@ func (in *Interp) setElemFast(base, idx, v Value) bool {
 		return false
 	}
 	if i >= len(o.Elems) {
-		if o.Class == "Arguments" {
+		if o.Class == ClassArguments {
 			return false // becomes an ordinary property; length unchanged
 		}
 		grow := i + 1 - len(o.Elems)
@@ -676,10 +672,7 @@ func (in *Interp) getMemberSite(base Value, key string, site uint32) (Value, err
 func (in *Interp) protoGet(proto *Object, this Value, key string) (Value, error) {
 	for p := proto; p != nil; p = p.Proto {
 		if slot := p.Own(key); slot != nil {
-			if slot.Getter != nil {
-				return in.Call(ObjectValue(slot.Getter), this, nil, Undefined)
-			}
-			return slot.Value, nil
+			return in.readSlot(slot, this)
 		}
 	}
 	return Undefined, nil
@@ -695,7 +688,7 @@ func (in *Interp) objGet(o *Object, this Value, key string) (Value, error) {
 // special properties (array length and elements) never enter the cache;
 // their pre-checks run first, exactly as the uncached walk always has.
 func (in *Interp) objGetSite(o *Object, this Value, key string, site uint32) (Value, error) {
-	if o.Class == "Array" || o.Class == "Arguments" {
+	if o.Class == ClassArray || o.Class == ClassArguments {
 		if key == "length" {
 			if o.Own("length") == nil { // arrays expose length natively
 				return NumberValue(float64(len(o.Elems))), nil
@@ -720,11 +713,8 @@ func (in *Interp) objGetSite(o *Object, this Value, key string, site uint32) (Va
 				p = &c.holder.slots[c.slot]
 			}
 			if p != nil {
-				if p.Getter != nil {
-					return in.Call(ObjectValue(p.Getter), this, nil, Undefined)
-				}
-				if p.Setter != nil {
-					return Undefined, nil
+				if p.Value.tag == tagAccessor {
+					return in.readSlot(p, this)
 				}
 				return p.Value, nil
 			}
@@ -739,7 +729,7 @@ func (in *Interp) objGetSite(o *Object, this Value, key string, site uint32) (Va
 		// does not model configurability of builtin function properties.
 		// Bound functions are excluded: per spec they have no .prototype
 		// own property, and `new boundFn()` consults the target's instead.
-		if key == "prototype" && o.IsCallable() && o.Bound == nil {
+		if key == "prototype" && o.IsCallable() && o.Bound() == nil {
 			proto := in.NewPlainObject()
 			proto.SetHidden("constructor", ObjectValue(o))
 			o.SetHidden("prototype", ObjectValue(proto))
@@ -755,14 +745,20 @@ func (in *Interp) objGetSite(o *Object, this Value, key string, site uint32) (Va
 				slot: int32(idx), epoch: protoEpoch.Load()}
 		}
 	}
-	slot := &holder.slots[idx]
-	if slot.Getter != nil {
-		return in.Call(ObjectValue(slot.Getter), this, nil, Undefined)
+	return in.readSlot(&holder.slots[idx], this)
+}
+
+// readSlot reads a property through its slot: a data slot's value, an
+// accessor's getter called on this, or undefined for a setter-only one.
+func (in *Interp) readSlot(p *Prop, this Value) (Value, error) {
+	a := p.accessor()
+	if a == nil {
+		return p.Value, nil
 	}
-	if slot.Setter != nil {
+	if a.get == nil {
 		return Undefined, nil
 	}
-	return slot.Value, nil
+	return in.Call(ObjectValue(a.get), this, nil, Undefined)
 }
 
 // SetMember writes base[key] = v, invoking setters found on the prototype
@@ -788,9 +784,9 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 		}
 		return nil // writes to other primitives are silently dropped
 	}
-	if o.Class == "Array" || o.Class == "Arguments" {
+	if o.Class == ClassArray || o.Class == ClassArguments {
 		if i, ok := arrayIndex(key); ok {
-			if o.Class == "Arguments" && i >= len(o.Elems) {
+			if o.Class == ClassArguments && i >= len(o.Elems) {
 				// Writing past the end of an arguments object creates an
 				// ordinary property; its length never changes.
 				in.chargeMem(memPropBytes + len(key))
@@ -811,7 +807,7 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 			o.Elems[i] = v
 			return nil
 		}
-		if key == "length" && o.Class == "Array" {
+		if key == "length" && o.Class == ClassArray {
 			n, err := in.ToNumber(v)
 			if err != nil {
 				return err
@@ -862,12 +858,12 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 	}
 	if holder, idx := in.lookupPath(o, key); holder != nil {
 		slot := &holder.slots[idx]
-		if slot.Setter != nil {
-			_, err := in.Call(ObjectValue(slot.Setter), base, []Value{v}, Undefined)
+		if a := slot.accessor(); a != nil {
+			if a.set == nil {
+				return nil // getter-only property: silent failure (sloppy mode)
+			}
+			_, err := in.Call(ObjectValue(a.set), base, []Value{v}, Undefined)
 			return err
-		}
-		if slot.Getter != nil {
-			return nil // getter-only property: silent failure (sloppy mode)
 		}
 		if holder == o {
 			if c != nil {

@@ -148,7 +148,7 @@ func TestSetICNeverBypassesAccessorSharingCreationPath(t *testing.T) {
 	if !isNum(got, 3) {
 		t.Fatalf("setter not invoked through warm set site; got %v", got)
 	}
-	if p := b.Own("x"); p == nil || p.Setter == nil || !p.Value.IsUndefined() {
+	if p := b.Own("x"); p == nil || p.Setter() != setter {
 		t.Fatalf("accessor slot corrupted by cached write: %+v", p)
 	}
 }
@@ -190,7 +190,7 @@ func TestDeleteAndSetProtoPreserveAccessorShape(t *testing.T) {
 	if !isNum(got, 9) {
 		t.Fatalf("setter not invoked after delete-rebuild; got %v", got)
 	}
-	if p := o.Own("x"); p == nil || p.Setter == nil || !p.Value.IsUndefined() {
+	if p := o.Own("x"); p == nil || p.Setter() != setter {
 		t.Fatalf("accessor slot corrupted after delete-rebuild: %+v", p)
 	}
 

@@ -37,14 +37,17 @@ const (
 	TagString
 	TagObject
 
-	// tagIter, tagCtor and tagArgs are engine-internal: a reified for-in
-	// iterator living on the bytecode operand stack, the sentinel `this` that
-	// marks a native constructor call, and a call's argument vector in its
-	// callee's `arguments` slot (argsValue). None ever escapes to user code,
-	// so the public predicates and conversions treat them as undefined.
+	// tagIter, tagCtor, tagArgs and tagAccessor are engine-internal: a
+	// reified for-in iterator living on the bytecode operand stack, the
+	// sentinel `this` that marks a native constructor call, a call's argument
+	// vector in its callee's `arguments` slot (argsValue), and an accessor
+	// property's getter/setter pair in its slot (accessorValue). None ever
+	// escapes to user code, so the public predicates and conversions treat
+	// them as undefined.
 	tagIter
 	tagCtor
 	tagArgs
+	tagAccessor
 )
 
 // Value is a JavaScript value in a struct-tagged, unboxed representation.
@@ -283,7 +286,7 @@ func (v Value) String() string {
 	case TagString:
 		return strconv.Quote(v.Str())
 	case TagObject:
-		return "[object " + (*Object)(v.ptr).Class + "]"
+		return "[object " + (*Object)(v.ptr).Class.String() + "]"
 	}
 	return "<internal>"
 }
@@ -292,12 +295,60 @@ func (v Value) String() string {
 // library and the Stopify runtime primitives.
 type NativeFunc func(in *Interp, this Value, args []Value) (Value, error)
 
-// Prop is a property slot: either a data property or an accessor.
+// Prop is a property slot: 32 bytes, a Value and the enumerable bit. A data
+// property's value is Value itself; an accessor's getter and setter ride in
+// Value as an engine-internal pair (accessorValue), so the slot needs no
+// pointer fields of its own. The slot's kind is also its shape's
+// (Shape.accessor), and only code that has checked it reads the pair: the
+// inline caches' data fast paths read Value as they always have.
 type Prop struct {
 	Value      Value
-	Getter     *Object // non-nil for accessor properties
-	Setter     *Object
 	Enumerable bool
+}
+
+// accessorPair is an accessor property's getter and setter; either may be
+// nil (a property defined with `get: undefined` has neither).
+type accessorPair struct{ get, set *Object }
+
+// accessorValue carries an accessor pair in a slot's Value.
+func accessorValue(get, set *Object) Value {
+	return Value{tag: tagAccessor, ptr: unsafe.Pointer(&accessorPair{get, set})}
+}
+
+// IsAccessor reports whether the slot holds a getter/setter pair.
+func (p *Prop) IsAccessor() bool { return p.Value.tag == tagAccessor }
+
+// accessor returns the slot's getter/setter pair, or nil for a data slot.
+func (p *Prop) accessor() *accessorPair {
+	if p.Value.tag != tagAccessor {
+		return nil
+	}
+	return (*accessorPair)(p.Value.ptr)
+}
+
+// Getter returns an accessor slot's getter; nil for a data slot.
+func (p *Prop) Getter() *Object {
+	if a := p.accessor(); a != nil {
+		return a.get
+	}
+	return nil
+}
+
+// Setter returns an accessor slot's setter; nil for a data slot.
+func (p *Prop) Setter() *Object {
+	if a := p.accessor(); a != nil {
+		return a.set
+	}
+	return nil
+}
+
+// Data returns a data slot's value, and undefined for an accessor: the read
+// for code that has not checked the slot's kind.
+func (p *Prop) Data() Value {
+	if p.Value.tag == tagAccessor {
+		return Undefined
+	}
+	return p.Value
 }
 
 // Closure is the code and environment of a JavaScript function. The code —
@@ -323,10 +374,56 @@ func (c *Closure) Body() []ast.Stmt { return c.Decl.Body }
 // arguments object).
 func (c *Closure) Arrow() bool { return c.Decl.Arrow }
 
+// Class is an object's kind: one byte of its header, from a closed set. Its
+// name is what Object.prototype.toString prints and what the snapshot wire
+// writes for a plain object.
+type Class uint8
+
+// The classes. The two signal classes are the Stopify runtime's: the
+// objects it throws to unwind the stack for a capture and for a restore.
+const (
+	ClassObject Class = iota
+	ClassArray
+	ClassFunction
+	ClassError
+	ClassArguments
+	ClassDate
+	ClassCaptureSignal
+	ClassRestoreSignal
+)
+
+var classNames = [...]string{"Object", "Array", "Function", "Error", "Arguments", "Date", "CaptureSignal", "RestoreSignal"}
+
+// String returns the class's name.
+func (c Class) String() string { return classNames[c] }
+
+// ClassNamed returns the class called name; ok is false when no class is.
+func ClassNamed(name string) (c Class, ok bool) {
+	for i, n := range classNames {
+		if n == name {
+			return Class(i), true
+		}
+	}
+	return 0, false
+}
+
 // Object is everything with identity: plain objects, arrays, functions,
 // errors, and the arguments object.
+//
+// The header is 112 bytes, a Go size class of its own (TestObjectLayout):
+// what every object holds, and one word each for what only some do. A
+// closure's code and a native's are co-allocated behind the header
+// (funcObject, nativeObject), and the rarer payloads — a bound function's
+// state, a Date's time value, a host's data — share one field.
 type Object struct {
-	Class string // "Object", "Array", "Function", "Error", "Arguments", ...
+	Class Class
+
+	// usedAsProto is set the first time an inline-cache fill walks across
+	// this object as part of a prototype chain; from then on, layout changes
+	// here bump protoEpoch to invalidate chain caches.
+	usedAsProto bool
+	helper      ast.Helper // on the natives of InstallAccessorNatives only
+
 	Proto *Object
 
 	// shape describes the own-property layout (see shape.go); slot i of
@@ -339,39 +436,87 @@ type Object struct {
 	// prototype is this object (lazily created by emptyShapeFor).
 	shapeRoot *Shape
 
-	// usedAsProto is set the first time an inline-cache fill walks across
-	// this object as part of a prototype chain; from then on, layout changes
-	// here bump protoEpoch to invalidate chain caches.
-	usedAsProto bool
-	helper      ast.Helper // on the natives of InstallAccessorNatives only
-
 	// Elems backs Array and Arguments objects.
 	Elems []Value
 
-	// Function objects have exactly one of Fn (JavaScript), Native, or
-	// Bound set.
-	Fn         *Closure
-	Native     NativeFunc
-	NativeName string
+	// Function objects have exactly one of Fn (JavaScript), native (Go), or
+	// a bound function's payload.
+	Fn     *Closure
+	native *native
 
-	// Bound is set on the result of Function.prototype.bind: a data-backed
-	// function kind (target, receiver, partial args) instead of an opaque
-	// native closure, so the snapshot codec can traverse it.
-	Bound *BoundFunction
+	// payload is a *BoundFunction (Function.prototype.bind's result), a
+	// *DateData (a Date instance), or the host's data (SetExtra).
+	payload any
+}
 
-	// Date is the data slot of a Date instance: the construction-time
-	// epoch milliseconds. Methods live on the shared Date.prototype, so
-	// the instance itself is plain serializable data.
-	Date *DateData
+// native is a Go function's code and name.
+type native struct {
+	fn   NativeFunc
+	name string
+}
 
-	// Extra carries host-specific payloads (e.g. reified continuation
-	// frames owned by the Stopify runtime).
-	Extra interface{}
+// nativeObject co-locates a native function's header with its code, as
+// funcObject does a closure's, so creating one is a single allocation.
+type nativeObject struct {
+	obj Object
+	nat native
 }
 
 // NewObject returns a plain object with the given prototype.
 func NewObject(proto *Object) *Object {
-	return &Object{Class: "Object", Proto: proto}
+	return &Object{Class: ClassObject, Proto: proto}
+}
+
+// NewBound returns a function object with a bound function's payload.
+func NewBound(proto *Object, b *BoundFunction) *Object {
+	return &Object{Class: ClassFunction, Proto: proto, payload: b}
+}
+
+// NewDate returns a Date instance holding the time value ms.
+func NewDate(proto *Object, ms float64) *Object {
+	return &Object{Class: ClassDate, Proto: proto, payload: &DateData{MS: ms}}
+}
+
+// IsNative reports whether o is a function implemented in Go.
+func (o *Object) IsNative() bool { return o.native != nil }
+
+// NativeName returns a native function's name; "" for any other object.
+func (o *Object) NativeName() string {
+	if o.native == nil {
+		return ""
+	}
+	return o.native.name
+}
+
+// Bound returns the state of a function made by Function.prototype.bind;
+// nil for any other object.
+func (o *Object) Bound() *BoundFunction {
+	b, _ := o.payload.(*BoundFunction)
+	return b
+}
+
+// Date returns a Date instance's time value; nil for any other object.
+func (o *Object) Date() *DateData {
+	d, _ := o.payload.(*DateData)
+	return d
+}
+
+// Extra returns the payload a host attached with SetExtra (e.g. reified
+// continuation frames owned by the Stopify runtime).
+func (o *Object) Extra() any { return o.payload }
+
+// SetExtra attaches a host payload. The engine's own payloads share the
+// field, so a host sets it only on objects it built as plain objects or
+// natives.
+func (o *Object) SetExtra(x any) { o.payload = x }
+
+// ReserveProps sizes an object's slot array for n properties before the
+// first is added, so a caller that knows the count (a literal, a decoded
+// record) allocates the array once, at its size.
+func (o *Object) ReserveProps(n int) {
+	if n > 0 && o.slots == nil {
+		o.slots = make([]Prop, 0, n)
+	}
 }
 
 // BoundFunction is the state of a function produced by
@@ -391,7 +536,7 @@ type DateData struct {
 
 // IsCallable reports whether o can be applied.
 func (o *Object) IsCallable() bool {
-	return o != nil && (o.Fn != nil || o.Native != nil || o.Bound != nil)
+	return o != nil && (o.Fn != nil || o.native != nil || o.Bound() != nil)
 }
 
 // Own returns the own property slot for key, or nil. The pointer is only
@@ -423,15 +568,15 @@ func (o *Object) SetHidden(key string, v Value) {
 	o.setSlot(key, Prop{Value: v, Enumerable: false})
 }
 
-// SetAccessor installs a getter/setter pair (either may be nil).
+// SetAccessor installs a getter/setter pair (either or both may be nil).
 func (o *Object) SetAccessor(key string, getter, setter *Object, enumerable bool) {
-	o.setSlot(key, Prop{Getter: getter, Setter: setter, Enumerable: enumerable})
+	o.setSlot(key, Prop{Value: accessorValue(getter, setter), Enumerable: enumerable})
 }
 
 func (o *Object) setSlot(key string, p Prop) {
 	o.ensureShape()
 	if i := o.shape.slotOf(key); i >= 0 {
-		if o.shape.accessor[i] != isAccessor(&p) {
+		if o.shape.accessor[i] != p.IsAccessor() {
 			// The property changes kind in place; rebuild the shape from
 			// the root with the new kind on this key's edge. The object
 			// lands on a different (canonical) shape, so cached fast paths
@@ -446,11 +591,11 @@ func (o *Object) setSlot(key string, p Prop) {
 		o.slots[i] = p
 		return
 	}
-	o.shape = o.shape.transition(key, isAccessor(&p))
+	o.shape = o.shape.transition(key, p.IsAccessor())
 	if o.slots == nil {
-		// Objects typically grow a handful of properties right after
-		// creation; starting at capacity 4 turns the 1→2→4 append
-		// reallocation ladder into a single allocation.
+		// An object nobody sized (ReserveProps) typically grows a handful
+		// of properties right after creation; starting at capacity 4 turns
+		// the 1→2→4 append reallocation ladder into a single allocation.
 		o.slots = make([]Prop, 0, 4)
 	}
 	o.slots = append(o.slots, p)
@@ -458,8 +603,6 @@ func (o *Object) setSlot(key string, p Prop) {
 		bumpProtoEpoch()
 	}
 }
-
-func isAccessor(p *Prop) bool { return p.Getter != nil || p.Setter != nil }
 
 // SetProto replaces the prototype, re-rooting the shape under the new
 // prototype's transition tree so every cache that guarded on the old shape
@@ -498,7 +641,7 @@ func (o *Object) ownOrLazySlot(key string) int {
 		o.SetHidden("length", NumberValue(float64(len(o.Fn.Params()))))
 		return o.shape.slotOf(key)
 	}
-	if key == "length" && o.Bound != nil {
+	if key == "length" && o.Bound() != nil {
 		o.SetHidden("length", NumberValue(boundLength(o)))
 		return o.shape.slotOf(key)
 	}
@@ -511,9 +654,10 @@ func (o *Object) ownOrLazySlot(key string) int {
 // hostile snapshot blob can, in principle, decode a bound cycle.
 func boundLength(o *Object) float64 {
 	drop, cur := 0, o
-	for depth := 0; depth < 1000 && cur != nil && cur.Bound != nil; depth++ {
-		drop += len(cur.Bound.Args)
-		cur = cur.Bound.Target.Obj()
+	for depth := 0; depth < 1000 && cur != nil && cur.Bound() != nil; depth++ {
+		b := cur.Bound()
+		drop += len(b.Args)
+		cur = b.Target.Obj()
 	}
 	base := 0
 	if cur != nil && cur.Fn != nil {
@@ -549,7 +693,7 @@ func (o *Object) Delete(key string) bool {
 // arrays the indices come first, as engines do.
 func (o *Object) OwnKeys() []string {
 	var out []string
-	if o.Class == "Array" || o.Class == "Arguments" {
+	if o.Class == ClassArray || o.Class == ClassArguments {
 		for i := range o.Elems {
 			out = append(out, strconv.Itoa(i))
 		}
@@ -598,7 +742,7 @@ func (t *Thrown) Error() string {
 		return "Thrown: " + t.Value.Str()
 	case TagObject:
 		v := t.Value.Obj()
-		if v.Class == "Error" {
+		if v.Class == ClassError {
 			var name, msg string
 			if s := v.Own("name"); s != nil && s.Value.IsString() {
 				name = s.Value.Str()
@@ -608,7 +752,7 @@ func (t *Thrown) Error() string {
 			}
 			return fmt.Sprintf("%s: %s", name, msg)
 		}
-		return "Thrown: [object " + v.Class + "]"
+		return "Thrown: [object " + v.Class.String() + "]"
 	default:
 		return fmt.Sprintf("Thrown: %v", t.Value)
 	}

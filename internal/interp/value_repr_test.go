@@ -41,6 +41,22 @@ func TestValueLayout(t *testing.T) {
 	}
 }
 
+// TestObjectLayout pins the object representation's sizes: a header in the
+// 112-byte size class whatever the object holds, and a 32-byte property
+// slot. A closure or a native (header plus its code) must stay in the
+// 144-byte class, one allocation each.
+func TestObjectLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got > 112 {
+		t.Errorf("Object is %d bytes, want at most 112: a rare payload belongs in payload or behind the header", got)
+	}
+	if got := unsafe.Sizeof(Prop{}); got > 32 {
+		t.Errorf("Prop is %d bytes, want at most 32 (a Value and the enumerable bit)", got)
+	}
+	if f, n := unsafe.Sizeof(funcObject{}), unsafe.Sizeof(nativeObject{}); f > 144 || n > 144 {
+		t.Errorf("funcObject is %d bytes and nativeObject %d, want at most 144", f, n)
+	}
+}
+
 // TestNumberRoundTrip drives every interesting float64 class through the
 // representation and back.
 func TestNumberRoundTrip(t *testing.T) {

@@ -141,7 +141,7 @@ func (r *R) installNatives() {
 			return interp.False, nil
 		}
 		o := args[0].Obj()
-		return interp.BoolValue(o != nil && o.Class == classCapture), nil
+		return interp.BoolValue(o != nil && o.Class == interp.ClassCaptureSignal), nil
 	})
 
 	// Getter sub-language (§4.3): what the $get/$set prelude looks accessors up with.
@@ -159,8 +159,8 @@ func (r *R) installNatives() {
 		if len(args) == 0 {
 			return interp.Undefined, nil
 		}
-		if o := args[0].Obj(); o != nil && o.Bound != nil {
-			return o.Bound.Target, nil
+		if o := args[0].Obj(); o != nil && o.Bound() != nil {
+			return o.Bound().Target, nil
 		}
 		return interp.Undefined, nil
 	})
@@ -170,11 +170,12 @@ func (r *R) installNatives() {
 		}
 		o := args[0].Obj()
 		rest := args[1].Obj()
-		if o == nil || o.Bound == nil || rest == nil {
+		if o == nil || o.Bound() == nil || rest == nil {
 			return args[1], nil
 		}
-		all := make([]interp.Value, 0, len(o.Bound.Args)+len(rest.Elems))
-		all = append(all, o.Bound.Args...)
+		b := o.Bound()
+		all := make([]interp.Value, 0, len(b.Args)+len(rest.Elems))
+		all = append(all, b.Args...)
 		all = append(all, rest.Elems...)
 		return interp.ObjectValue(in.NewArray(all)), nil
 	})

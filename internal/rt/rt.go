@@ -198,18 +198,15 @@ func (r *R) CurrentLine() int {
 // Signals and continuation values
 // ---------------------------------------------------------------------------
 
-const (
-	classCapture = "CaptureSignal"
-	classRestore = "RestoreSignal"
-)
-
 type restoreData struct {
 	frames Frames
 	value  interp.Value
 }
 
 func (r *R) restoreSentinel(frames Frames, v interp.Value) *interp.Object {
-	return &interp.Object{Class: classRestore, Extra: &restoreData{frames: frames, value: v}}
+	o := &interp.Object{Class: interp.ClassRestoreSignal}
+	o.SetExtra(&restoreData{frames: frames, value: v})
+	return o
 }
 
 func isSignal(v interp.Value) (*interp.Object, bool) {
@@ -217,7 +214,7 @@ func isSignal(v interp.Value) (*interp.Object, bool) {
 	if o == nil {
 		return nil, false
 	}
-	if o.Class == classCapture || o.Class == classRestore {
+	if o.Class == interp.ClassCaptureSignal || o.Class == interp.ClassRestoreSignal {
 		return o, true
 	}
 	return nil, false
@@ -234,14 +231,14 @@ func (r *R) makeContinuation(frames Frames) *interp.Object {
 		}
 		return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(r.restoreSentinel(frames, v))}
 	})
-	k.Extra = frames
+	k.SetExtra(frames)
 	return k
 }
 
 // ContinuationFrames extracts the frames from a continuation value made by
 // makeContinuation (used by the blocking API and tests).
 func ContinuationFrames(k *interp.Object) (Frames, bool) {
-	f, ok := k.Extra.(Frames)
+	f, ok := k.Extra().(Frames)
 	return f, ok
 }
 
@@ -296,7 +293,7 @@ func (r *R) captureReturn() (interp.Value, error) {
 	if r.opts.Strategy == instrument.Checked {
 		return interp.Undefined, nil
 	}
-	return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(&interp.Object{Class: classCapture})}
+	return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(&interp.Object{Class: interp.ClassCaptureSignal})}
 }
 
 // finishCapture runs once the stack has fully unwound to the driver: it
@@ -457,11 +454,11 @@ func (r *R) afterStep(v interp.Value, err error) (next func() (interp.Value, err
 		if t, ok := err.(*interp.Thrown); ok {
 			if sig, isSig := isSignal(t.Value); isSig {
 				switch sig.Class {
-				case classCapture:
+				case interp.ClassCaptureSignal:
 					r.finishCapture()
 					return nil
-				case classRestore:
-					data := sig.Extra.(*restoreData)
+				case interp.ClassRestoreSignal:
+					data := sig.Extra().(*restoreData)
 					r.pendingOuter = nil // the applied continuation replaces it
 					r.startRestore(false, data.frames, data.value)
 					return nil

@@ -130,7 +130,7 @@ func (r *R) RestoredContinuation() (k *interp.Object, fill func(Frames)) {
 	})
 	return k, func(f Frames) {
 		frames = f
-		k.Extra = f
+		k.SetExtra(f)
 	}
 }
 

@@ -204,7 +204,8 @@ func (d *dec) shells(r *reader) error {
 			r.failf("unknown object kind %d", kind)
 		}
 		r.skipValues(1) // prototype
-		for n := r.count(); n > 0; n-- {
+		props := r.count()
+		for n := props; n > 0; n-- {
 			r.bytes()
 			if r.u8()&2 != 0 {
 				r.skipValues(1) // the getter; the setter follows
@@ -217,7 +218,11 @@ func (d *dec) shells(r *reader) error {
 		}
 		switch kind {
 		case nodePlain:
-			d.objs[i] = &interp.Object{Class: className(class)}
+			c, ok := interp.ClassNamed(string(class))
+			if !ok {
+				return corruptf("object %d: unknown class %q", i, class)
+			}
+			d.objs[i] = &interp.Object{Class: c}
 		case nodeClosure:
 			fn := d.code.Func(funcID)
 			if fn == nil {
@@ -235,10 +240,11 @@ func (d *dec) shells(r *reader) error {
 			d.objs[i] = k
 			d.fills = append(d.fills, fill)
 		case nodeBound:
-			d.objs[i] = &interp.Object{Class: "Function", Bound: &interp.BoundFunction{}}
+			d.objs[i] = interp.NewBound(nil, &interp.BoundFunction{})
 		case nodeDate:
-			d.objs[i] = &interp.Object{Class: "Date", Date: &interp.DateData{MS: dateMS}}
+			d.objs[i] = interp.NewDate(nil, dateMS)
 		}
+		d.objs[i].ReserveProps(props)
 	}
 	return r.err
 }
@@ -295,7 +301,7 @@ func (d *dec) fill(r *reader, out *Decoded) error {
 		if fill != nil {
 			fill(frames)
 		}
-		if b := o.Bound; b != nil {
+		if b := o.Bound(); b != nil {
 			b.Target, b.This, b.Args = target, this, args
 		}
 	}
@@ -513,17 +519,4 @@ func (d *dec) prop(r *reader, o *interp.Object, key string) {
 	default:
 		o.SetHidden(key, v)
 	}
-}
-
-// classes are the names a plain object's class can take; className hands
-// back the interned one, so a decoded object does not hold its own copy.
-var classes = [...]string{"Object", "Array", "Function", "Arguments", "Error", "Date"}
-
-func className(b []byte) string {
-	for _, c := range classes {
-		if string(b) == c {
-			return c
-		}
-	}
-	return string(b)
 }

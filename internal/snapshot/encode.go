@@ -333,10 +333,10 @@ func (e *enc) propDeltas(live, twin *interp.Object, prist *Registry) (ops []delt
 }
 
 func (e *enc) propEq(a, b interp.Prop, prist *Registry) bool {
-	return a.Enumerable == b.Enumerable &&
-		e.protoEq(a.Getter, b.Getter, prist) &&
-		e.protoEq(a.Setter, b.Setter, prist) &&
-		e.hostValueEq(a.Value, b.Value, prist)
+	return a.Enumerable == b.Enumerable && a.IsAccessor() == b.IsAccessor() &&
+		e.protoEq(a.Getter(), b.Getter(), prist) &&
+		e.protoEq(a.Setter(), b.Setter(), prist) &&
+		e.hostValueEq(a.Data(), b.Data(), prist)
 }
 
 // protoEq compares two object pointers across the live/pristine realms.
@@ -430,9 +430,9 @@ func (e *enc) discoverEnv(env *interp.Env) {
 }
 
 func (e *enc) discoverProp(p interp.Prop) {
-	e.discoverObject(p.Getter)
-	e.discoverObject(p.Setter)
-	e.discoverValue(p.Value)
+	e.discoverObject(p.Getter())
+	e.discoverObject(p.Setter())
+	e.discoverValue(p.Data())
 }
 
 // drain processes the discovery worklists iteratively (guest graphs can be
@@ -456,8 +456,8 @@ func (e *enc) drain() {
 // agree with emitObjects.
 func (e *enc) scanObject(o *interp.Object) {
 	switch {
-	case o.Native != nil:
-		switch o.NativeName {
+	case o.IsNative():
+		switch o.NativeName() {
 		case "$bottom":
 			// Closes over the runtime only; rebuilt by NewBottomNative.
 		case "continuation":
@@ -470,7 +470,7 @@ func (e *enc) scanObject(o *interp.Object) {
 				e.discoverValue(f)
 			}
 		default:
-			e.err = pinf(PinNative, "native function %q was created at runtime and has no registry name", o.NativeName)
+			e.err = pinf(PinNative, "native function %q was created at runtime and has no registry name", o.NativeName())
 			return
 		}
 	case o.Fn != nil:
@@ -479,18 +479,19 @@ func (e *enc) scanObject(o *interp.Object) {
 			return
 		}
 		e.discoverEnv(o.Fn.Env)
-	case o.Bound != nil:
+	case o.Bound() != nil:
 		// Data-backed bound function: target, receiver, and partial args
 		// are ordinary graph edges.
-		e.discoverValue(o.Bound.Target)
-		e.discoverValue(o.Bound.This)
-		for _, v := range o.Bound.Args {
+		b := o.Bound()
+		e.discoverValue(b.Target)
+		e.discoverValue(b.This)
+		for _, v := range b.Args {
 			e.discoverValue(v)
 		}
-	case o.Date != nil:
+	case o.Date() != nil:
 		// Pure data slot; nothing beyond the uniform tail to discover.
 	default:
-		if o.Extra != nil {
+		if o.Extra() != nil {
 			e.err = pinf(PinHost, "object of class %q carries a host payload", o.Class)
 			return
 		}
@@ -583,13 +584,13 @@ func (e *enc) prop(w *writer, p interp.Prop) {
 	if p.Enumerable {
 		bits |= 1
 	}
-	if p.Getter != nil || p.Setter != nil {
+	if p.IsAccessor() {
 		bits |= 2
 	}
 	w.u8(bits)
 	if bits&2 != 0 {
-		e.objRef(w, p.Getter)
-		e.objRef(w, p.Setter)
+		e.objRef(w, p.Getter())
+		e.objRef(w, p.Setter())
 		return
 	}
 	e.value(w, p.Value)
@@ -636,9 +637,9 @@ func (e *enc) emitObjects(w *writer) {
 	w.uvarint(uint64(len(e.objs)))
 	for _, o := range e.objs {
 		switch {
-		case o.Native != nil && o.NativeName == "$bottom":
+		case o.NativeName() == "$bottom":
 			w.u8(nodeBottom)
-		case o.Native != nil: // "continuation"; scanObject pinned the rest
+		case o.IsNative(): // "continuation"; scanObject pinned the rest
 			w.u8(nodeContinuation)
 			frames, _ := rt.ContinuationFrames(o)
 			w.uvarint(uint64(len(frames)))
@@ -650,20 +651,21 @@ func (e *enc) emitObjects(w *writer) {
 			id, _ := e.code.FuncID(o.Fn.Decl)
 			w.uvarint(uint64(id))
 			e.envRef(w, o.Fn.Env)
-		case o.Bound != nil:
+		case o.Bound() != nil:
+			b := o.Bound()
 			w.u8(nodeBound)
-			e.value(w, o.Bound.Target)
-			e.value(w, o.Bound.This)
-			w.uvarint(uint64(len(o.Bound.Args)))
-			for _, v := range o.Bound.Args {
+			e.value(w, b.Target)
+			e.value(w, b.This)
+			w.uvarint(uint64(len(b.Args)))
+			for _, v := range b.Args {
 				e.value(w, v)
 			}
-		case o.Date != nil:
+		case o.Date() != nil:
 			w.u8(nodeDate)
-			w.f64(o.Date.MS)
+			w.f64(o.Date().MS)
 		default:
 			w.u8(nodePlain)
-			w.str(o.Class)
+			w.str(o.Class.String())
 		}
 		// Uniform tail for every kind: prototype, own props in insertion
 		// order, elements.

@@ -89,16 +89,16 @@ func (w *registryWalk) visit(v interp.Value) {
 		key, p := o.OwnPropAt(j)
 		w.path = append(append(w.path[:n], '.'), key...)
 		k := len(w.path)
-		if p.Getter != nil {
+		if g := p.Getter(); g != nil {
 			w.path = append(w.path, ":get"...)
-			w.visit(interp.ObjectValue(p.Getter))
+			w.visit(interp.ObjectValue(g))
 		}
-		if p.Setter != nil {
+		if s := p.Setter(); s != nil {
 			w.path = append(w.path[:k], ":set"...)
-			w.visit(interp.ObjectValue(p.Setter))
+			w.visit(interp.ObjectValue(s))
 		}
 		w.path = w.path[:k]
-		w.visit(p.Value)
+		w.visit(p.Data())
 	}
 	for i, e := range o.Elems {
 		w.path = append(strconv.AppendInt(append(w.path[:n], '['), int64(i), 10), ']')
@@ -147,7 +147,7 @@ func HostRegistry(in *interp.Interp) *Registry {
 		for j := 0; ok && j < n; j++ {
 			tkey, _ := tw.OwnPropAt(j)
 			key, p := o.OwnPropAt(j)
-			ok = key == tkey && link(p.Getter, l[3*j]) && link(p.Setter, l[3*j+1]) && link(p.Value.Obj(), l[3*j+2])
+			ok = key == tkey && link(p.Getter(), l[3*j]) && link(p.Setter(), l[3*j+1]) && link(p.Value.Obj(), l[3*j+2])
 		}
 		l = l[3*n:]
 		for j := 0; ok && j < m; j++ {
@@ -257,7 +257,7 @@ func pristine() (*Registry, *hostTable) {
 		for _, o := range r.objs {
 			for j := range o.OwnPropCount() {
 				_, p := o.OwnPropAt(j)
-				t.links = append(t.links, ord(p.Getter), ord(p.Setter), ord(p.Value.Obj()))
+				t.links = append(t.links, ord(p.Getter()), ord(p.Setter()), ord(p.Value.Obj()))
 			}
 			for _, e := range o.Elems {
 				t.links = append(t.links, ord(e.Obj()))

@@ -29,13 +29,13 @@ func referencePaths(in *interp.Interp) (paths []string, objs []*interp.Object) {
 		paths = append(paths, path)
 		for j := range o.OwnPropCount() {
 			key, p := o.OwnPropAt(j)
-			if p.Getter != nil {
-				visit(path+"."+key+":get", interp.ObjectValue(p.Getter))
+			if g := p.Getter(); g != nil {
+				visit(path+"."+key+":get", interp.ObjectValue(g))
 			}
-			if p.Setter != nil {
-				visit(path+"."+key+":set", interp.ObjectValue(p.Setter))
+			if s := p.Setter(); s != nil {
+				visit(path+"."+key+":set", interp.ObjectValue(s))
 			}
-			visit(path+"."+key, p.Value)
+			visit(path+"."+key, p.Data())
 		}
 		for i, e := range o.Elems {
 			visit(path+"["+strconv.Itoa(i)+"]", e)
