@@ -163,6 +163,12 @@ type Func struct {
 	Arrow  bool
 	Helper Helper // marks a prelude helper (helper.go); in Arrow's padding
 
+	// Self is the name the body binds to the function itself: a function
+	// expression's own name. A declaration binds none — its name is the
+	// enclosing scope's binding, wherever a pass moves it — until the
+	// instrumentation gives it instrument.SelfVar to record its frames by.
+	Self string
+
 	// Scope is the frame layout computed by internal/resolve. Nil means the
 	// function was never resolved, and cannot be called.
 	Scope *ScopeInfo

@@ -56,8 +56,8 @@ type ScopeInfo struct {
 	// ParamSlots maps parameter position to frame slot.
 	ParamSlots []int
 
-	// SelfSlot binds a named function's own name (the named-function-
-	// expression self-reference).
+	// SelfSlot binds Func.Self, the name the body calls the function
+	// itself by; -1 when it binds none, as a declaration does not.
 	SelfSlot int
 
 	ThisSlot      int

@@ -37,25 +37,24 @@ type flags uint8
 const (
 	declared flags = 1 << iota // a parameter, a var or a function declaration
 	param
-	fnDecl
 	assigned // written, here or in a nested function
 	captured // referenced from a nested function
 )
 
-// boxed: an assignable local a nested function can see. Function-declaration
-// names are not boxed: rebinding a hoisted function is rare and the
-// declaration form cannot initialize a box.
+// boxed: an assignable local a nested function can see.
 func (f flags) boxed() bool {
-	return f&(declared|fnDecl|assigned|captured) == declared|assigned|captured
+	return f&(declared|assigned|captured) == declared|assigned|captured
 }
 
 // scope is one function's name set, computed once (ast.Hoisted) and shared
-// by the analysis and the rewrite. A function's own name is in it with no
-// flag: it shadows an outer binding without being a local that could be
-// boxed.
+// by the analysis and the rewrite. A function expression's own name is in
+// it with no flag: it shadows an outer binding without being a local that
+// could be boxed. fns holds the function each declared name is hoisted to
+// (its last declaration), which is what the name's box starts out holding.
 type scope struct {
 	parent *scope
 	names  map[string]flags
+	fns    map[string]*ast.Func
 }
 
 type boxer struct {
@@ -93,14 +92,16 @@ func (b *boxer) analyze(node ast.Node) bool {
 			sc.names[p] |= declared | param
 		}
 		ast.Hoisted(n.Body, func(name string, decl *ast.Func) {
+			sc.names[name] |= declared
 			if decl != nil {
-				sc.names[name] |= declared | fnDecl
-			} else {
-				sc.names[name] |= declared
+				if sc.fns == nil {
+					sc.fns = make(map[string]*ast.Func)
+				}
+				sc.fns[name] = decl
 			}
 		})
-		if n.Name != "" {
-			sc.names[n.Name] |= 0 // bound here, with no flag of its own
+		if n.Self != "" {
+			sc.names[n.Self] |= 0 // bound here, with no flag of its own
 		}
 		b.scopes[n], b.cur = sc, sc
 		for _, s := range n.Body {
@@ -149,6 +150,15 @@ func (b *boxer) expr(e ast.Expr) ast.Expr {
 		if b.boxedRef(n.Name) {
 			return &ast.Member{P: n.P, X: n, Name: "v"}
 		}
+	case *ast.Call:
+		// A call of a boxed name was a plain call and stays one: the callee
+		// (0, x.v) passes no receiver, where x.v would pass the box. (A
+		// guest's own x.v(...) of a boxed x reads x.v.v by now.)
+		if m, ok := n.Callee.(*ast.Member); ok && !m.Computed && m.Name == "v" {
+			if id, ok := m.X.(*ast.Ident); ok && b.boxedRef(id.Name) {
+				n.Callee = &ast.Seq{P: m.P, Exprs: []ast.Expr{ast.Num(0), m}}
+			}
+		}
 	case *ast.Func:
 		sc := b.scopes[n]
 		// Re-parented, not just entered: under a catch clause whose
@@ -169,23 +179,30 @@ func (b *boxer) expr(e ast.Expr) ast.Expr {
 // sites, a continuation captured between closure hoisting and the
 // declaration would restore into a fresh environment whose box the old
 // closures never see; allocating up front puts the box reference into the
-// very first reified frame, shared across every restore.
+// very first reified frame, shared across every restore. A declared
+// function's box starts out holding the function, as its binding would: the
+// declaration moves here (decl drops the statement), and binds as one still
+// (ast.Func.Self).
 func (sc *scope) prologue(params []string) []ast.Stmt {
 	var out []ast.Stmt
 	for _, p := range params {
-		if sc.names[p].boxed() {
+		if sc.names[p].boxed() && sc.fns[p] == nil {
 			out = append(out, ast.ExprOf(ast.SetId(p, boxLiteral(ast.Id(p)))))
 		}
 	}
 	var vars []string
 	for name, f := range sc.names {
-		if f.boxed() && f&param == 0 {
+		if f.boxed() && (f&param == 0 || sc.fns[name] != nil) {
 			vars = append(vars, name)
 		}
 	}
 	sort.Strings(vars)
 	for _, name := range vars {
-		out = append(out, ast.Var(name, boxLiteral(ast.Undef())))
+		var init ast.Expr = ast.Undef()
+		if fn := sc.fns[name]; fn != nil {
+			init = fn
+		}
+		out = append(out, ast.Var(name, boxLiteral(init)))
 	}
 	return out
 }
@@ -198,6 +215,9 @@ func boxLiteral(init ast.Expr) ast.Expr {
 // function prologue, so a boxed declaration becomes a write through the box:
 // var x = e  =>  x.v = e.
 func (b *boxer) decl(s ast.Stmt) ast.Stmt {
+	if fd, ok := s.(*ast.FuncDecl); ok && b.boxedRef(fd.Fn.Name) {
+		return &ast.Empty{P: fd.P}
+	}
 	n, ok := s.(*ast.VarDecl)
 	if !ok || !slices.ContainsFunc(n.Decls, func(d ast.Declarator) bool { return b.boxedRef(d.Name) }) {
 		return s

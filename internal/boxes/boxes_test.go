@@ -55,6 +55,12 @@ func TestBoxingPreservesSemantics(t *testing.T) {
 		`var shared = 0;
 		 function f() { var local = 1; function g() { var local = 2; return local; } shared = g(); return local; }
 		 console.log(f(), shared);`,
+		// A declared function a nested function reassigns is boxed, its box
+		// holding the function from entry, a parameter of its name included.
+		`function f() { var a = g(); function g() { return 1; } function set() { g = function () { return 2; }; } set(); return a + g(); }
+		 console.log(f());`,
+		`function f(h) { function h() { return "decl"; } function set() { h = function () { return "set"; }; } var a = h(); set(); return a + h(); }
+		 console.log(f("arg"));`,
 	}
 	for _, src := range sources {
 		want := runSrc(t, src)

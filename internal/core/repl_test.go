@@ -58,6 +58,45 @@ func TestREPLTurns(t *testing.T) {
 	}
 }
 
+// TestREPLDeclarationRebinds: a function declared in one turn binds its
+// name in the global scope, not inside its own body, so a later turn that
+// rebinds the name redirects the body's recursive calls — a memoized fib
+// makes one call per n, as it does in JavaScript.
+func TestREPLDeclarationRebinds(t *testing.T) {
+	c, err := Compile("", hammer("checked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	run, err := c.NewRun(RunConfig{Clock: eventloop.NewVirtualClock(), Out: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	for i, turn := range []string{
+		`var calls = 0; function fib(n) { calls++; return n < 2 ? n : fib(n - 1) + fib(n - 2); }`,
+		`function memoize(f) { var memo = {}; return function (n) { if (!(n in memo)) { memo[n] = f(n); } return memo[n]; }; } fib = memoize(fib);`,
+		`console.log(fib(20), calls);`,
+	} {
+		if _, err := run.EvalAndWait(turn); err != nil {
+			t.Fatalf("turn %d: %v", i+1, err)
+		}
+	}
+	if got, want := buf.String(), "6765 21\n"; got != want {
+		t.Fatalf("repl output %q, want %q", got, want)
+	}
+	// The promoted declaration keeps its name.
+	v, err := run.EvalAndWait(`memoize`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := v.Obj(); o == nil || o.Fn == nil || o.Fn.Name() != "memoize" {
+		t.Fatalf("memoize evaluates to %v, want the closure named memoize", v)
+	}
+}
+
 func TestREPLSyntaxError(t *testing.T) {
 	c, err := Compile("", Defaults())
 	if err != nil {

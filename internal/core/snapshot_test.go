@@ -5,11 +5,13 @@ import (
 	"errors"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/eventloop"
+	"repro/internal/interp"
 	"repro/internal/snapshot"
 )
 
@@ -129,41 +131,83 @@ func TestSnapshotTimers(t *testing.T) {
 	})
 }
 
-// TestSnapshotPins checks that the still-documented non-serializable
-// obstruction — a closure over eval code, the corpus row pin/eval-closure —
-// yields a typed PinError naming it, and leaves the guest runnable. (Bound
-// functions and Date instances used to pin; since wire v2 they serialize,
-// and the rows of testdata/conformance/pin hold them to it.)
+// TestSnapshotPins: every obstruction the encoder's walk meets yields a
+// typed PinError of its kind, leaves the run unharmed, and stops pinning once
+// the host unbinds it. The three host-made ones are bound as globals before
+// the guest starts, after the realm (and its registry) is built; the eval
+// closure is the corpus row pin/eval-closure. (Bound functions and Date
+// instances used to pin; since wire v2 they serialize, and the rows of
+// testdata/conformance/pin hold them to it.)
 func TestSnapshotPins(t *testing.T) {
-	t.Run("eval-closure", func(t *testing.T) {
-		p := corpusProgram(t, "pin/eval-closure")
-		c, err := core.Compile(p.src, p.needs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, buf := mustStart(t, c, core.BackendTree)
-		if !pump(run, 5000) {
-			t.Fatal("program did not park")
-		}
-		_, err = run.Snapshot()
-		var perr *snapshot.PinError
-		if !errors.As(err, &perr) {
-			t.Fatalf("Snapshot = %v, want *snapshot.PinError", err)
-		}
-		if perr.Kind != snapshot.PinEval || !strings.Contains(perr.Reason, "eval") {
-			t.Fatalf("pin kind %q, reason %q: want %q and a mention of eval", perr.Kind, perr.Reason, snapshot.PinEval)
-		}
-		// The failed snapshot must not have perturbed the run.
-		pump(run, 0)
-		if got := transcript(run, buf); got != p.want {
-			t.Fatalf("pinned run printed %q, want %q", got, p.want)
-		}
-	})
+	const loop = `var n = 0; for (var i = 0; i < 60000; i++) { n = (n + i) % 1009; } console.log(n);`
+	bind := func(name string, obj func(in *interp.Interp) *interp.Object) func(*core.AsyncRun) {
+		return func(run *core.AsyncRun) { run.In.Global.Define(name, interp.ObjectValue(obj(run.In))) }
+	}
+	nop := func(*interp.Interp, interp.Value, []interp.Value) (interp.Value, error) { return interp.Undefined, nil }
+	ev := corpusProgram(t, "pin/eval-closure")
+	for _, tc := range []struct {
+		name   string
+		src    string
+		opts   core.Opts
+		bind   func(*core.AsyncRun)
+		kind   string
+		reason string
+		unbind []string // the globals that reach the obstruction
+	}{
+		{"runtime-native", loop, core.Defaults(),
+			bind("late", func(in *interp.Interp) *interp.Object { return in.NewNative("late", nop) }),
+			snapshot.PinNative, "created at runtime", []string{"late"}},
+		{"frameless-continuation", loop, core.Defaults(),
+			bind("k", func(in *interp.Interp) *interp.Object { return in.NewNative("continuation", nop) }),
+			snapshot.PinNative, "without reified frames", []string{"k"}},
+		{"host-payload", loop, core.Defaults(),
+			bind("handle", func(in *interp.Interp) *interp.Object {
+				o := in.NewPlainObject()
+				o.SetExtra(struct{}{})
+				return o
+			}),
+			snapshot.PinHost, "host payload", []string{"handle"}},
+		{"eval-closure", ev.src, ev.needs,
+			func(*core.AsyncRun) {}, snapshot.PinEval, "eval", []string{"make", "$eval"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.Compile(tc.src, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calm, calmBuf := mustStart(t, c, core.BackendTree)
+			pump(calm, 0)
+			run, buf := mustStart(t, c, core.BackendTree)
+			tc.bind(run)
+			if !pump(run, 5000) {
+				t.Fatal("program did not park")
+			}
+			_, err = run.Snapshot()
+			var perr *snapshot.PinError
+			if !errors.As(err, &perr) || perr.Kind != tc.kind || !strings.Contains(perr.Reason, tc.reason) {
+				t.Fatalf("Snapshot = %v, want a *snapshot.PinError of kind %q naming %q", err, tc.kind, tc.reason)
+			}
+			// The failed snapshot must not have perturbed the run.
+			pump(run, 0)
+			if got, want := transcript(run, buf), transcript(calm, calmBuf); got != want {
+				t.Fatalf("pinned run printed %q, want %q", got, want)
+			}
+			for _, name := range tc.unbind {
+				if !run.In.Global.Set(name, interp.Undefined) {
+					t.Fatalf("no global %s to unbind", name)
+				}
+			}
+			if _, err := run.Snapshot(); err != nil {
+				t.Fatalf("Snapshot once %v are unbound: %v", tc.unbind, err)
+			}
+		})
+	}
 }
 
 // goldenParkedSrc is the program inside testdata/v3_parked.blob. The blob is
-// the Snapshot() of goldenParkedSrc after pump(run, 5000) on the tree engine, as built
-// by the commit that made wire version 3: parked mid-loop holding what wire
+// the Snapshot() of goldenParkedSrc after pump(run, 5000) on the tree engine,
+// re-captured when function declarations stopped binding their own names
+// (which moved the code table's fingerprint): parked mid-loop holding what wire
 // v2 made data — a bound constructor, a bound timer callback with a
 // forwarded extra arg, a cancelled timer handle, a Date — beside closures
 // and pending timers, under a continuation whose frames are v3's
@@ -253,6 +297,58 @@ func TestRestoreRefusesOtherVersions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 3") {
 			t.Errorf("%s on a v2 blob = %v, want an error naming versions 2 and 3", what, err)
 		}
+	}
+}
+
+// TestSnapshotBuffersComeBackClean: the encoder writes a blob's sections
+// into pooled buffers and hands them back. Encoding guest A, then a larger
+// guest B, then A again must give A the same bytes twice and B a blob that
+// restores: a buffer handed back unreset carries one blob's bytes into the
+// next. A is encoded directly, with a fixed timestamp, so its two blobs can
+// be compared byte for byte; B goes through Snapshot and Restore.
+func TestSnapshotBuffersComeBackClean(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one pool cache
+	parked := func(src string) (*core.Compiled, *core.AsyncRun) {
+		c, err := core.Compile(src, core.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _ := mustStart(t, c, core.BackendTree)
+		if !pump(run, 5000) {
+			t.Fatal("program did not park")
+		}
+		return c, run
+	}
+	cA, runA := parked(`var n = 0; for (var i = 0; i < 60000; i++) { n = (n + i) % 1009; } console.log(n);`)
+	encodeA := func() []byte {
+		blob, err := snapshot.Encode(snapshot.Input{In: runA.In, RT: runA.RT, Code: cA.CodeTable(), Reg: runA.Registry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	const srcB = `var xs = []; for (var i = 0; i < 3000; i++) { xs.push({ i: i, s: "item" + i }); } console.log(xs.length, xs[2999].s);`
+	_, runB := parked(srcB)
+
+	first := encodeA()
+	blobB, err := runB.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blobB) <= len(first) {
+		t.Fatalf("B's blob (%d bytes) is not larger than A's (%d)", len(blobB), len(first))
+	}
+	if again := encodeA(); !bytes.Equal(first, again) {
+		t.Fatalf("A encoded to %d bytes, then to %d after B", len(first), len(again))
+	}
+	buf := &bytes.Buffer{}
+	restored, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: buf, MaxSteps: stepBudget}, blobB)
+	if err != nil {
+		t.Fatalf("restoring B: %v", err)
+	}
+	pump(restored, 0)
+	if got := transcript(restored, buf); got != "3000 item2999\n" {
+		t.Fatalf("restored B printed %q", got)
 	}
 }
 

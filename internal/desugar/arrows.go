@@ -82,6 +82,7 @@ func nameFunctions(prog *ast.Program, nm *Namer) {
 	ast.Walk(prog, func(n ast.Node) bool {
 		if fn, ok := n.(*ast.Func); ok && fn.Name == "" {
 			fn.Name = nm.Fresh("$f")
+			fn.Self = fn.Name
 		}
 		return true
 	})

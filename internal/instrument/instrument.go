@@ -90,6 +90,10 @@ const (
 	IsCapFn   = "$isCap"
 	CFn       = "$C"
 
+	// SelfVar is the name an instrumented declaration's body binds the
+	// function to (ast.Func.Self), for its frames to record it by.
+	SelfVar = "$self"
+
 	ModeNormal  = "normal"
 	ModeCapture = "capture"
 	ModeRestore = "restore"
@@ -130,9 +134,14 @@ func instrumentFunc(fn *ast.Func, opts Options) {
 		// and tail calls stay uninstrumented per §3.2.2).
 		return
 	}
+	// A declaration's name is its enclosing scope's binding, which a guest
+	// may reassign, so its frames record it by a name of its own.
+	if fn.Self == "" {
+		fn.Self = SelfVar
+	}
 	c := &fctx{
 		opts:        opts,
-		fname:       fn.Name,
+		fname:       fn.Self,
 		fin:         map[*ast.Try]*finInfo{},
 		shadowDepth: map[*ast.Try]string{},
 	}

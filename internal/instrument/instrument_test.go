@@ -45,8 +45,9 @@ function f(x) {
 		"var $lbl = -1, $k;",
 		// A frame is data: the function and its receiver stand where Figure
 		// 3 has a reenter thunk, built only at a capture site in capture
-		// mode. Normal-mode calls allocate nothing.
-		"$stack.push({ label: 1, locals: [x, a, $t1], fn: f, self: this });",
+		// mode. Normal-mode calls allocate nothing. A declaration's frame
+		// names it by SelfVar: f is the enclosing scope's, and reassignable.
+		"$stack.push({ label: 1, locals: [x, a, $t1], fn: $self, self: this });",
 		`a = $mode === "normal" ? g(x) : $k.fn.apply($k.self);`,
 		`$mode === "capture"`,
 	} {
@@ -174,10 +175,10 @@ func TestArgsModesReenter(t *testing.T) {
 			arm     string
 			restore string // a prologue assignment that must be present
 		}{
-			{ArgsNone, "locals: [a, b, x, $t1], fn: f, self: this }", "$k.fn.apply($k.self)", "b = $l[1];"},
-			{ArgsVarargs, "locals: [a, b, x, $t1], fn: f, self: this, args: arguments }", "$k.fn.apply($k.self, $k.args)", "b = $l[1];"},
-			{ArgsMixed, "locals: [a, b, arguments, x, $t1], fn: f, self: this }", "$k.fn.apply($k.self)", "arguments = $l[2];"},
-			{ArgsFull, "locals: [arguments, $t1, x, $t2, $t3], fn: f, self: this }", "$k.fn.apply($k.self)", "arguments = $l[0];"},
+			{ArgsNone, "locals: [a, b, x, $t1], fn: $self, self: this }", "$k.fn.apply($k.self)", "b = $l[1];"},
+			{ArgsVarargs, "locals: [a, b, x, $t1], fn: $self, self: this, args: arguments }", "$k.fn.apply($k.self, $k.args)", "b = $l[1];"},
+			{ArgsMixed, "locals: [a, b, arguments, x, $t1], fn: $self, self: this }", "$k.fn.apply($k.self)", "arguments = $l[2];"},
+			{ArgsFull, "locals: [arguments, $t1, x, $t2, $t3], fn: $self, self: this }", "$k.fn.apply($k.self)", "arguments = $l[0];"},
 		} {
 			_, out := compile(t, src, Options{Strategy: strat, Args: tc.mode})
 			for _, want := range []string{stack + ".push({ label: 1, " + tc.frame, ": " + tc.arm + ";", tc.restore} {

@@ -388,7 +388,9 @@ func (p *parser) functionRest(pos ast.Pos, exprCtx bool) *ast.Func {
 	}
 	p.expect(lexer.Punct, ")")
 	fn.Body = p.block().Body
-	_ = exprCtx
+	if exprCtx {
+		fn.Self = fn.Name
+	}
 	return fn
 }
 

@@ -141,8 +141,8 @@ func (r *resolver) resolveFunc(fn *ast.Func, enclosing *scope) {
 	// call entry, so later writes to a reused name overwrite earlier ones:
 	// self name, parameters, then the implicit bindings, then hoisted
 	// declarations.
-	if fn.Name != "" && !fn.Arrow {
-		layout.SelfSlot = sc.define(fn.Name)
+	if fn.Self != "" {
+		layout.SelfSlot = sc.define(fn.Self)
 	}
 	layout.ParamSlots = make([]int, len(fn.Params))
 	for i, p := range fn.Params {

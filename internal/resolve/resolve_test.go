@@ -293,12 +293,13 @@ func TestFrameLayout(t *testing.T) {
 	if sc == nil {
 		t.Fatal("function was not resolved")
 	}
-	// Layout: f, a, b, this, new.target, arguments, c, g.
-	if len(sc.Names) != 8 {
-		t.Fatalf("expected 8 slots, got %d: %v", len(sc.Names), sc.Names)
+	// Layout: a, b, this, new.target, arguments, c, g. A declaration's
+	// name is its enclosing scope's binding, so f has no slot of its own.
+	if len(sc.Names) != 7 {
+		t.Fatalf("expected 7 slots, got %d: %v", len(sc.Names), sc.Names)
 	}
-	if sc.SelfSlot != 0 || sc.Names[sc.SelfSlot] != "f" {
-		t.Errorf("self slot: %d %v", sc.SelfSlot, sc.Names)
+	if sc.SelfSlot != -1 {
+		t.Errorf("a declaration has a self slot: %d %v", sc.SelfSlot, sc.Names)
 	}
 	if len(sc.ParamSlots) != 2 || sc.Names[sc.ParamSlots[0]] != "a" || sc.Names[sc.ParamSlots[1]] != "b" {
 		t.Errorf("param slots: %v %v", sc.ParamSlots, sc.Names)
@@ -316,6 +317,28 @@ func TestFrameLayout(t *testing.T) {
 	ref := ret.Arg.(*ast.Ident).Ref
 	if !ref.Valid() || ref.Hops() != 0 || ref.Slot() != sc.ParamSlots[0] {
 		t.Errorf("return a should resolve to (0, param slot): hops=%d slot=%d", ref.Hops(), ref.Slot())
+	}
+}
+
+// TestFrameLayoutNamedExpression: a named function expression binds its own
+// name in the first slot of its frame, ahead of its parameters, and its
+// body's references to the name resolve there.
+func TestFrameLayoutNamedExpression(t *testing.T) {
+	prog := mustParse(t, `var h = function f(a) { return f; };`)
+	fn := prog.Body[0].(*ast.VarDecl).Decls[0].Init.(*ast.Func)
+	sc := fn.Scope
+	if sc == nil {
+		t.Fatal("function was not resolved")
+	}
+	if sc.SelfSlot != 0 || sc.Names[sc.SelfSlot] != "f" {
+		t.Errorf("self slot: %d %v", sc.SelfSlot, sc.Names)
+	}
+	if len(sc.ParamSlots) != 1 || sc.ParamSlots[0] != 1 {
+		t.Errorf("param slots: %v %v", sc.ParamSlots, sc.Names)
+	}
+	ref := fn.Body[0].(*ast.Return).Arg.(*ast.Ident).Ref
+	if !ref.Valid() || ref.Hops() != 0 || ref.Slot() != sc.SelfSlot {
+		t.Errorf("return f should resolve to (0, self slot): hops=%d slot=%d", ref.Hops(), ref.Slot())
 	}
 }
 

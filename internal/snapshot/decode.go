@@ -124,9 +124,9 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 }
 
 // shells is the first pass. It allocates every environment, wires and
-// checks the parent chains (references may point forward — discovery order
-// walks child before parent), then allocates every object's shell from its
-// record's kind, skipping the values both tables hold.
+// checks the parent chains (references may point forward: a frame is
+// numbered at its first reference, often a child's record), then allocates
+// every object's shell from its record's kind, skipping both tables' values.
 func (d *dec) shells(r *reader) error {
 	d.envs = make([]*interp.Env, r.count())
 	parents := make([]int, len(d.envs))

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/interp"
@@ -63,16 +64,15 @@ const (
 )
 
 type enc struct {
-	in   *interp.Interp
 	reg  *Registry
 	code *CodeTable
 
+	// A node is numbered at its first reference and appended here, so both
+	// slices are in ID order, and the walk's queue is their unwritten tail.
 	objID  map[*interp.Object]int
 	objs   []*interp.Object
-	objQ   []*interp.Object
 	envID  map[*interp.Env]int
 	envs   []*interp.Env
-	envQ   []*interp.Env
 	deltas []hostDelta
 
 	err error
@@ -123,72 +123,36 @@ func Encode(input Input) ([]byte, error) {
 	}
 
 	e := &enc{
-		in:    input.In,
 		reg:   input.Reg,
 		code:  input.Code,
 		objID: make(map[*interp.Object]int),
 		envID: make(map[*interp.Env]int),
 	}
-
-	// Host deltas first: comparing against the pristine twin tells us which
-	// guest values hang off mutated host objects, and those values are
-	// discovery roots like any other.
+	// Comparing against the pristine twin tells which guest values hang off
+	// mutated host objects; the deltas section writes them like any root.
 	e.collectDeltas(prist)
 
-	// Discovery: assign IDs to every reachable non-registry object and
-	// every reachable environment frame, in deterministic root order.
-	root := input.In.Global
-	globalNames := root.GlobalNames()
-	for _, name := range globalNames {
-		v, _ := root.Lookup(name)
-		e.discoverValue(v)
-	}
-	for _, f := range st.Frames {
-		e.discoverValue(f)
-	}
-	e.discoverValue(input.Result)
-	for _, t := range tasks {
-		switch d := t.Desc.(type) {
-		case *interp.Timer:
-			e.discoverValue(d.Fn)
-			for _, a := range d.Args {
-				e.discoverValue(a)
-			}
-		case *rt.Resume:
-			for _, f := range d.Frames {
-				e.discoverValue(f)
-			}
-		}
-	}
-	for _, d := range e.deltas {
-		for _, op := range d.ops {
-			e.discoverProp(op.prop)
-			e.discoverValue(op.proto)
-			for _, v := range op.elems {
-				e.discoverValue(v)
-			}
-		}
-	}
-	e.drain()
-	if e.err != nil {
-		return nil, e.err
-	}
-
-	// Emission, into a pooled scratch buffer: the blob is copied out once,
-	// at its final size, so neither a regrowth nor its slack outlives the
-	// call.
-	w := writers.Get().(*writer)
+	// The blob is four sections, each written into its own pooled buffer:
+	// the header, the frame table, the object table and the roots. The
+	// roots are written first, and every reference numbers the node it
+	// reaches; then each node's record is written in ID order, numbering
+	// what it reaches in turn, until no node is left unwritten.
+	s := sections.Get().(*[4]writer)
 	defer func() {
-		w.buf = w.buf[:0]
-		writers.Put(w)
+		for i := range s {
+			s[i].buf = s[i].buf[:0]
+		}
+		sections.Put(s)
 	}()
-	w.buf = append(w.buf, magic[:]...)
-	w.u8(Version)
-	w.bytes(input.HostMeta)
-	w.uvarint(input.In.Steps)
-	w.uvarint(input.In.MemUsed())
-	w.u64(input.In.RandState())
-	w.bytes(input.Output)
+	hdr, envw, objw, w := &s[0], &s[1], &s[2], &s[3]
+
+	hdr.buf = append(hdr.buf, magic[:]...)
+	hdr.u8(Version)
+	hdr.bytes(input.HostMeta)
+	hdr.uvarint(input.In.Steps)
+	hdr.uvarint(input.In.MemUsed())
+	hdr.u64(input.In.RandState())
+	hdr.bytes(input.Output)
 	var flags byte
 	if st.Paused {
 		flags |= flagPaused
@@ -199,19 +163,17 @@ func Encode(input Input) ([]byte, error) {
 	if st.Aux {
 		flags |= flagSavedAux
 	}
-	w.u8(flags)
-	w.f64(input.WallUnixMs)
-	w.uvarint(r.Loop.TimerSeq())
+	hdr.u8(flags)
+	hdr.f64(input.WallUnixMs)
+	hdr.uvarint(r.Loop.TimerSeq())
+	hdr.uvarint(uint64(e.reg.Len()))
+	hdr.u64(e.reg.Sum())
+	hdr.uvarint(uint64(len(e.code.funcs)))
+	hdr.uvarint(uint64(len(e.code.scopes)))
+	hdr.u64(e.code.sum)
 
-	w.uvarint(uint64(e.reg.Len()))
-	w.u64(e.reg.Sum())
-	w.uvarint(uint64(len(e.code.funcs)))
-	w.uvarint(uint64(len(e.code.scopes)))
-	w.u64(e.code.sum)
-
-	e.emitEnvs(w)
-	e.emitObjects(w)
-
+	root := input.In.Global
+	globalNames := root.GlobalNames()
 	w.uvarint(uint64(len(globalNames)))
 	for _, name := range globalNames {
 		v, _ := root.Lookup(name)
@@ -234,18 +196,12 @@ func Encode(input Input) ([]byte, error) {
 			case opSetProto:
 				e.value(w, op.proto)
 			case opSetElems:
-				w.uvarint(uint64(len(op.elems)))
-				for _, v := range op.elems {
-					e.value(w, v)
-				}
+				e.values(w, op.elems)
 			}
 		}
 	}
 
-	w.uvarint(uint64(len(st.Frames)))
-	for _, f := range st.Frames {
-		e.value(w, f)
-	}
+	e.values(w, st.Frames)
 	e.value(w, input.Result)
 
 	w.uvarint(uint64(len(tasks)))
@@ -257,30 +213,41 @@ func Encode(input Input) ([]byte, error) {
 			e.value(w, d.Fn)
 			w.uvarint(t.Handle)
 			w.bool(false) // cancelled: a cleared timer is no longer queued
-			w.uvarint(uint64(len(d.Args)))
-			for _, a := range d.Args {
-				e.value(w, a)
-			}
+			e.values(w, d.Args)
 		case *rt.Resume:
 			w.u8(taskResume)
 			w.f64(t.Due)
 			w.bool(d.Aux)
-			w.uvarint(uint64(len(d.Frames)))
-			for _, f := range d.Frames {
-				e.value(w, f)
-			}
+			e.values(w, d.Frames)
 		}
 	}
 
+	// The walk is iterative, never recursive: a guest's graph can be
+	// arbitrarily deep (a long list), and the Go stack is not.
+	for ei, oi := 0, 0; e.err == nil && (ei < len(e.envs) || oi < len(e.objs)); {
+		if oi < len(e.objs) {
+			e.object(objw, e.objs[oi])
+			oi++
+		} else {
+			e.env(envw, e.envs[ei])
+			ei++
+		}
+	}
 	if e.err != nil {
 		return nil, e.err
 	}
-	blob := make([]byte, len(w.buf))
-	copy(blob, w.buf)
+	// Each table opens with its count: the frame count closes the header,
+	// the object count the frame table.
+	hdr.uvarint(uint64(len(e.envs)))
+	envw.uvarint(uint64(len(e.objs)))
+	blob := make([]byte, 0, len(hdr.buf)+len(envw.buf)+len(objw.buf)+len(w.buf))
+	for i := range s {
+		blob = append(blob, s[i].buf...)
+	}
 	return blob, nil
 }
 
-var writers = sync.Pool{New: func() any { return new(writer) }}
+var sections = sync.Pool{New: func() any { return new([4]writer) }}
 
 // ---------------------------------------------------------------------------
 // Host deltas
@@ -372,153 +339,11 @@ func (e *enc) hostValueEq(a, b interp.Value, prist *Registry) bool {
 }
 
 func (e *enc) elemsEq(a, b []interp.Value, prist *Registry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !e.hostValueEq(a[i], b[i], prist) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y interp.Value) bool { return e.hostValueEq(x, y, prist) })
 }
 
 // ---------------------------------------------------------------------------
-// Discovery
-// ---------------------------------------------------------------------------
-
-func (e *enc) discoverValue(v interp.Value) {
-	if e.err != nil {
-		return
-	}
-	if v.Tag() > interp.TagObject {
-		e.err = pinf(PinInternal, "an engine-internal value (iterator or constructor sentinel) is reachable")
-		return
-	}
-	o := v.Obj()
-	if o == nil {
-		return
-	}
-	e.discoverObject(o)
-}
-
-func (e *enc) discoverObject(o *interp.Object) {
-	if e.err != nil || o == nil {
-		return
-	}
-	if _, ok := e.reg.Ordinal(o); ok {
-		return
-	}
-	if _, ok := e.objID[o]; ok {
-		return
-	}
-	e.objID[o] = len(e.objs)
-	e.objs = append(e.objs, o)
-	e.objQ = append(e.objQ, o)
-}
-
-func (e *enc) discoverEnv(env *interp.Env) {
-	if e.err != nil || env == nil || env.IsGlobalFrame() {
-		return
-	}
-	if _, ok := e.envID[env]; ok {
-		return
-	}
-	e.envID[env] = len(e.envs)
-	e.envs = append(e.envs, env)
-	e.envQ = append(e.envQ, env)
-}
-
-func (e *enc) discoverProp(p interp.Prop) {
-	e.discoverObject(p.Getter())
-	e.discoverObject(p.Setter())
-	e.discoverValue(p.Data())
-}
-
-// drain processes the discovery worklists iteratively (guest graphs can be
-// arbitrarily deep — recursion would blow the Go stack on a long list).
-func (e *enc) drain() {
-	for e.err == nil && (len(e.objQ) > 0 || len(e.envQ) > 0) {
-		if n := len(e.objQ); n > 0 {
-			o := e.objQ[n-1]
-			e.objQ = e.objQ[:n-1]
-			e.scanObject(o)
-			continue
-		}
-		n := len(e.envQ)
-		env := e.envQ[n-1]
-		e.envQ = e.envQ[:n-1]
-		e.scanEnv(env)
-	}
-}
-
-// scanObject classifies o and discovers its children. Classification must
-// agree with emitObjects.
-func (e *enc) scanObject(o *interp.Object) {
-	switch {
-	case o.IsNative():
-		switch o.NativeName() {
-		case "$bottom":
-			// Closes over the runtime only; rebuilt by NewBottomNative.
-		case "continuation":
-			frames, ok := rt.ContinuationFrames(o)
-			if !ok {
-				e.err = pinf(PinNative, "continuation value without reified frames")
-				return
-			}
-			for _, f := range frames {
-				e.discoverValue(f)
-			}
-		default:
-			e.err = pinf(PinNative, "native function %q was created at runtime and has no registry name", o.NativeName())
-			return
-		}
-	case o.Fn != nil:
-		if _, ok := e.code.FuncID(o.Fn.Decl); !ok {
-			e.err = pinf(PinEval, "closure over code outside the compiled program (eval)")
-			return
-		}
-		e.discoverEnv(o.Fn.Env)
-	case o.Bound() != nil:
-		// Data-backed bound function: target, receiver, and partial args
-		// are ordinary graph edges.
-		b := o.Bound()
-		e.discoverValue(b.Target)
-		e.discoverValue(b.This)
-		for _, v := range b.Args {
-			e.discoverValue(v)
-		}
-	case o.Date() != nil:
-		// Pure data slot; nothing beyond the uniform tail to discover.
-	default:
-		if o.Extra() != nil {
-			e.err = pinf(PinHost, "object of class %q carries a host payload", o.Class)
-			return
-		}
-	}
-	e.discoverObject(o.Proto)
-	for j := range o.OwnPropCount() {
-		_, p := o.OwnPropAt(j)
-		e.discoverProp(*p)
-	}
-	for _, v := range o.Elems {
-		e.discoverValue(v)
-	}
-}
-
-func (e *enc) scanEnv(env *interp.Env) {
-	if _, ok := e.code.ScopeID(env.Layout()); !ok {
-		e.err = pinf(PinEval, "environment frame with a layout outside the compiled program (eval)")
-		return
-	}
-	e.discoverEnv(env.Parent())
-	for _, v := range env.SlotValues() {
-		e.discoverValue(v)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Emission
+// The walk
 // ---------------------------------------------------------------------------
 
 // value tags on the wire.
@@ -553,11 +378,22 @@ func (e *enc) value(w *writer, v interp.Value) {
 		w.str(v.Str())
 	case interp.TagObject:
 		e.objRef(w, v.Obj())
+	default:
+		e.err = pinf(PinInternal, "an engine-internal value (iterator or constructor sentinel) is reachable")
 	}
 }
 
-// objRef writes a reference to o (host ordinal or node ID). nil encodes as
-// undefined — used for absent prototypes and absent getter/setter halves.
+// values writes a count and then each value.
+func (e *enc) values(w *writer, vs []interp.Value) {
+	w.uvarint(uint64(len(vs)))
+	for _, v := range vs {
+		e.value(w, v)
+	}
+}
+
+// objRef writes a reference to o (host ordinal or node ID), numbering o if
+// this is its first. nil encodes as undefined — used for absent prototypes
+// and absent getter/setter halves.
 func (e *enc) objRef(w *writer, o *interp.Object) {
 	if o == nil {
 		w.u8(wvUndefined)
@@ -570,13 +406,28 @@ func (e *enc) objRef(w *writer, o *interp.Object) {
 	}
 	id, ok := e.objID[o]
 	if !ok {
-		// Discovery visited everything reachable from the roots; an
-		// unknown object here is a codec bug, not guest behavior.
-		e.err = corruptf("object escaped discovery (encoder bug)")
-		return
+		id = len(e.objs)
+		e.objID[o] = id
+		e.objs = append(e.objs, o)
 	}
 	w.u8(wvObjRef)
 	w.uvarint(uint64(id))
+}
+
+// envRef: 0 is the global frame, i+1 is env node i, numbered here if this
+// is its first reference.
+func (e *enc) envRef(w *writer, env *interp.Env) {
+	if env == nil || env.IsGlobalFrame() {
+		w.uvarint(0)
+		return
+	}
+	id, ok := e.envID[env]
+	if !ok {
+		id = len(e.envs)
+		e.envID[env] = id
+		e.envs = append(e.envs, env)
+	}
+	w.uvarint(uint64(id) + 1)
 }
 
 func (e *enc) prop(w *writer, p interp.Prop) {
@@ -596,90 +447,83 @@ func (e *enc) prop(w *writer, p interp.Prop) {
 	e.value(w, p.Value)
 }
 
-// emitEnvs writes the frames. Every frame but the global one is a slot
-// frame, so the kind byte is always envSlotFrame and the by-name binding count
-// that follows the slots always zero: version 3 gave both a byte, and
+// env writes one frame's record. Every frame but the global one is a slot
+// frame, so the kind byte is always envSlotFrame and the by-name binding
+// count that follows the slots always zero: version 3 gave both a byte, and
 // Decode refuses any other value of either.
-func (e *enc) emitEnvs(w *writer) {
-	w.uvarint(uint64(len(e.envs)))
-	for _, env := range e.envs {
-		w.u8(envSlotFrame)
-		e.envRef(w, env.Parent())
-		id, _ := e.code.ScopeID(env.Layout())
-		w.uvarint(uint64(id))
-		slots := env.SlotValues()
-		w.uvarint(uint64(len(slots)))
-		for _, v := range slots {
-			e.value(w, v)
-		}
-		w.uvarint(0)
+func (e *enc) env(w *writer, env *interp.Env) {
+	id, ok := e.code.ScopeID(env.Layout())
+	if !ok {
+		e.err = pinf(PinEval, "environment frame with a layout outside the compiled program (eval)")
+		return
 	}
+	w.u8(envSlotFrame)
+	e.envRef(w, env.Parent())
+	w.uvarint(uint64(id))
+	e.values(w, env.SlotValues())
+	w.uvarint(0)
 }
 
 // envSlotFrame is the one frame kind on the wire.
 const envSlotFrame = 1
 
-// envRef: 0 is the global frame, i+1 is env node i.
-func (e *enc) envRef(w *writer, env *interp.Env) {
-	if env == nil || env.IsGlobalFrame() {
-		w.uvarint(0)
-		return
-	}
-	id, ok := e.envID[env]
-	if !ok {
-		e.err = corruptf("environment escaped discovery (encoder bug)")
-		return
-	}
-	w.uvarint(uint64(id) + 1)
-}
-
-func (e *enc) emitObjects(w *writer) {
-	w.uvarint(uint64(len(e.objs)))
-	for _, o := range e.objs {
-		switch {
-		case o.NativeName() == "$bottom":
+// object writes one object's record: its kind and what the kind carries,
+// then a tail every kind shares. It pins what has no record.
+func (e *enc) object(w *writer, o *interp.Object) {
+	switch {
+	case o.IsNative():
+		switch o.NativeName() {
+		case "$bottom":
+			// Closes over the runtime only; rebuilt by NewBottomNative.
 			w.u8(nodeBottom)
-		case o.IsNative(): // "continuation"; scanObject pinned the rest
+		case "continuation":
+			frames, ok := rt.ContinuationFrames(o)
+			if !ok {
+				e.err = pinf(PinNative, "continuation value without reified frames")
+				return
+			}
 			w.u8(nodeContinuation)
-			frames, _ := rt.ContinuationFrames(o)
-			w.uvarint(uint64(len(frames)))
-			for _, f := range frames {
-				e.value(w, f)
-			}
-		case o.Fn != nil:
-			w.u8(nodeClosure)
-			id, _ := e.code.FuncID(o.Fn.Decl)
-			w.uvarint(uint64(id))
-			e.envRef(w, o.Fn.Env)
-		case o.Bound() != nil:
-			b := o.Bound()
-			w.u8(nodeBound)
-			e.value(w, b.Target)
-			e.value(w, b.This)
-			w.uvarint(uint64(len(b.Args)))
-			for _, v := range b.Args {
-				e.value(w, v)
-			}
-		case o.Date() != nil:
-			w.u8(nodeDate)
-			w.f64(o.Date().MS)
+			e.values(w, frames)
 		default:
-			w.u8(nodePlain)
-			w.str(o.Class.String())
+			e.err = pinf(PinNative, "native function %q was created at runtime and has no registry name", o.NativeName())
+			return
 		}
-		// Uniform tail for every kind: prototype, own props in insertion
-		// order, elements.
-		e.objRef(w, o.Proto)
-		n := o.OwnPropCount()
-		w.uvarint(uint64(n))
-		for j := range n {
-			key, p := o.OwnPropAt(j)
-			w.str(key)
-			e.prop(w, *p)
+	case o.Fn != nil:
+		id, ok := e.code.FuncID(o.Fn.Decl)
+		if !ok {
+			e.err = pinf(PinEval, "closure over code outside the compiled program (eval)")
+			return
 		}
-		w.uvarint(uint64(len(o.Elems)))
-		for _, v := range o.Elems {
-			e.value(w, v)
+		w.u8(nodeClosure)
+		w.uvarint(uint64(id))
+		e.envRef(w, o.Fn.Env)
+	case o.Bound() != nil:
+		// Data-backed bound function: target, receiver, and partial args
+		// are ordinary graph edges.
+		b := o.Bound()
+		w.u8(nodeBound)
+		e.value(w, b.Target)
+		e.value(w, b.This)
+		e.values(w, b.Args)
+	case o.Date() != nil:
+		w.u8(nodeDate)
+		w.f64(o.Date().MS)
+	default:
+		if o.Extra() != nil {
+			e.err = pinf(PinHost, "object of class %q carries a host payload", o.Class)
+			return
 		}
+		w.u8(nodePlain)
+		w.str(o.Class.String())
 	}
+	// The tail: prototype, own props in insertion order, elements.
+	e.objRef(w, o.Proto)
+	n := o.OwnPropCount()
+	w.uvarint(uint64(n))
+	for j := range n {
+		key, p := o.OwnPropAt(j)
+		w.str(key)
+		e.prop(w, *p)
+	}
+	e.values(w, o.Elems)
 }
