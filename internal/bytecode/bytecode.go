@@ -369,8 +369,8 @@ const (
 	OpReenter
 	// OpRestoreFrame runs a prologue's restore block, Restores[A], in one
 	// step when the realm has no engine profile, no statement-boundary trigger
-	// falls inside the block's Steps, and the frame on top of $rstack has the
-	// literal's shape and at least as many locals as the block.
+	// falls inside the block's Steps, and the frame on top of $rstack is an
+	// array holding every element the block reads.
 	OpRestoreFrame
 )
 
@@ -378,24 +378,24 @@ const (
 // site.
 type Global struct{ Name, Site int32 }
 
-// Frame is one frame push, `<Array>.push({label: Label, locals: [Locals…],
-// fn: Fn, self: Self[, args: Args]})`: OpPushFrame's operands. Fn is
-// ast.RefGlobal for the global FnGlobal; Args is 0 for a frame without args.
+// Frame is one frame push, `<Array>.push([Label, Fn, Self, Elems…])`:
+// OpPushFrame's operands. Fn is ast.RefGlobal for the global FnGlobal; Elems
+// are the varargs arguments object, if any, and the saved locals.
 type Frame struct {
 	Array, FnGlobal Global
 	Label           int32
-	Fn, Self, Args  ast.Ref
-	Locals          []ast.Ref
+	Fn, Self        ast.Ref
+	Elems           []ast.Ref
 }
 
 // Restore is one prologue restore block: OpRestoreFrame's operands, the
-// current frame's slots it writes ($k, $lbl, $l, then the locals) and the
-// statement boundaries it counts.
+// current frame's slots it writes ($k, $lbl, then the locals, read from the
+// frame's elements from Base on) and the statement boundaries it counts.
 type Restore struct {
-	Array     Global // $rstack
-	K, Lbl, L int32
-	Steps     uint32
-	Locals    []int32
+	Array        Global // $rstack
+	K, Lbl, Base int32
+	Steps        uint32
+	Locals       []int32
 }
 
 // Site is one fused call site: the operands OpSitePoll, OpSiteEnter and

@@ -400,7 +400,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 // site lowers a call site the instrumentation marked (ast.If.Site),
 //
 //	if ($mode === "normal" || $lbl === L) {
-//	  t = $mode === "normal" ? app : $k.fn.apply($k.self);
+//	  t = $mode === "normal" ? app : $k[1].apply($k[2]);
 //	  if ($mode === "capture") { $stack.push(…); return; }
 //	  $lbl = -1;
 //	}
@@ -497,38 +497,34 @@ func (c *compiler) localStore(s ast.Stmt) (*ast.Ident, ast.Expr, bool) {
 // restore lowers a prologue's restore block (ast.If.Restore),
 //
 //	if ($mode === "restore") {
-//	  $k = $rstack.pop(); $lbl = $k.label; var $l = $k.locals;
-//	  x0 = $l[0]; …; $k = $rstack[$rstack.length - 1];
+//	  $k = $rstack.pop(); $lbl = $k[0];
+//	  x0 = $k[B]; …; $k = $rstack[$rstack.length - 1];
 //	}
 //
 // as stmt lowers any if, with OpRestoreFrame where the block begins. It reads
-// the targets and the array off the tree and trusts the mark for the rest; it
-// reports false, emitting nothing, when a target is not a slot of the
-// current frame.
+// the targets, the array and the first saved local's index B off the tree and
+// trusts the mark for the rest; it reports false, emitting nothing, when a
+// target is not a slot of the current frame.
 func (c *compiler) restore(n *ast.If) bool {
 	body := n.Cons.(*ast.Block).Body
 	pop := body[0].(*ast.ExprStmt).X.(*ast.Assign).Value.(*ast.Call).Callee.(*ast.Member)
 	array, ok := c.global(pop.X)
 	slots := make([]int32, len(body))
 	for i, s := range body {
-		var r ast.Ref
-		switch s := s.(type) {
-		case *ast.VarDecl:
-			r = s.Decls[0].Ref
-		case *ast.ExprStmt:
-			if a, isAssign := s.X.(*ast.Assign); isAssign {
-				r, _ = slotRef(a.Target)
-			}
-		}
-		ok = ok && r.Valid() && r.Hops() == 0
+		r, isSlot := slotRef(s.(*ast.ExprStmt).X.(*ast.Assign).Target)
+		ok = ok && isSlot && r.Hops() == 0
 		slots[i] = int32(r.Slot())
 	}
 	if !ok {
 		return false
 	}
 	last := len(slots) - 1
-	c.ch.Restores = append(c.ch.Restores, Restore{Array: array, K: slots[0], Lbl: slots[1], L: slots[2],
-		Locals: slots[3:last], Steps: uint32(len(body) + 1)})
+	base := int32(1) // no locals: the label is all the block reads
+	if last > 2 {
+		base = int32(body[2].(*ast.ExprStmt).X.(*ast.Assign).Value.(*ast.Member).Index.(*ast.Number).Value)
+	}
+	c.ch.Restores = append(c.ch.Restores, Restore{Array: array, K: slots[0], Lbl: slots[1], Base: base,
+		Locals: slots[2:last], Steps: uint32(len(body) + 1)})
 	c.emitChargeBranch()
 	c.expr(n.Test)
 	jf := c.emitJumpIfFalse()
@@ -1417,7 +1413,7 @@ func (c *compiler) frameOp(n *ast.Call, m *ast.Member) int {
 	array, global := c.global(m.X)
 	switch {
 	case m.Name == "push" && global:
-		f, ok := c.frameLiteral(n.Args[0].(*ast.Object))
+		f, ok := c.frameLiteral(n.Args[0].(*ast.Array))
 		if !ok {
 			return -1
 		}
@@ -1426,7 +1422,7 @@ func (c *compiler) frameOp(n *ast.Call, m *ast.Member) int {
 		return c.emit(OpPushFrame, int32(len(c.ch.Frames)-1), -1)
 	case m.Name == "pop" && global:
 		return c.emit3(OpPopFrame, array.Site, -1, array.Name)
-	case m.Name == "apply": // $k.fn.apply($k.self[, $k.args])
+	case m.Name == "apply": // $k[1].apply($k[2][, $k[3]])
 		if k, ok := slotRef(m.X.(*ast.Member).X); ok {
 			return c.emit3(OpReenter, int32(k), -1, int32(len(n.Args)-1))
 		}
@@ -1434,29 +1430,26 @@ func (c *compiler) frameOp(n *ast.Call, m *ast.Member) int {
 	return -1
 }
 
-// frameLiteral reads a frame push's operand, {label: L, locals: [x…], fn: F,
-// self: this[, args: arguments]}, as instrument builds it.
-func (c *compiler) frameLiteral(o *ast.Object) (f Frame, ok bool) {
-	p := o.Props
-	f.Label = int32(p[0].Value.(*ast.Number).Value)
-	elems := p[1].Value.(*ast.Array).Elems
-	f.Locals = make([]ast.Ref, 0, len(elems))
-	for _, e := range elems {
-		r, ok := slotRef(e)
-		if !ok {
-			return f, false
-		}
-		f.Locals = append(f.Locals, r)
-	}
-	if f.FnGlobal, ok = c.global(p[2].Value); ok {
+// frameLiteral reads a frame push's operand, [L, F, this, x…], as instrument
+// builds it.
+func (c *compiler) frameLiteral(a *ast.Array) (f Frame, ok bool) {
+	e := a.Elems
+	f.Label = int32(e[0].(*ast.Number).Value)
+	if f.FnGlobal, ok = c.global(e[1]); ok {
 		f.Fn = ast.RefGlobal
-	} else if f.Fn, ok = slotRef(p[2].Value); !ok {
+	} else if f.Fn, ok = slotRef(e[1]); !ok {
 		return f, false
 	}
-	if f.Self, ok = slotRef(p[3].Value); ok && len(p) == 5 {
-		f.Args, ok = slotRef(p[4].Value)
+	if f.Self, ok = slotRef(e[2]); !ok {
+		return f, false
 	}
-	return f, ok
+	f.Elems = make([]ast.Ref, len(e)-3)
+	for i, x := range e[3:] {
+		if f.Elems[i], ok = slotRef(x); !ok {
+			return f, false
+		}
+	}
+	return f, true
 }
 
 // slotRef returns the coordinate of an identifier or `this` resolved to a

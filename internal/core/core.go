@@ -425,7 +425,7 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 		ProfileEvery: cfg.ProfileEvery,
 	})
 	runtime := rt.New(in, loop, rt.Options{
-		Strategy:        c.Opts.strategy(),
+		Instrument:      c.Opts.instrumentOptions(),
 		YieldIntervalMs: c.Opts.YieldIntervalMs,
 		Estimator:       c.Opts.estimator(),
 		CountdownN:      c.Opts.CountdownN,

@@ -9,11 +9,11 @@ import (
 	"repro/internal/eventloop"
 )
 
-// A captured frame is {label, locals, fn, self} — data. These tests hold the
-// layout to what it was introduced for: no closure in any instrumented
-// function, and re-entry through fn/self/locals alone reproducing what the
-// reenter thunk of Figure 3 did, under every strategy and arity
-// sub-language.
+// A captured frame is [label, fn, self, saved…] — data, saving the locals
+// live across some call site. These tests hold the layout to what it was
+// introduced for: no closure in any instrumented function, and re-entry
+// through fn, self and the saved locals alone reproducing what the reenter
+// thunk of Figure 3 did, under every strategy and arity sub-language.
 
 // TestFramesHoldNoClosure: across the differential corpus, compilation
 // leaves no arrow function and no $reenter binding — the only arrows the
@@ -202,8 +202,8 @@ console.log(go(10, 20, 30), hits);`,
 // TestSnapshotParkedInsideFrames parks a guest a dozen activations deep —
 // plain recursion under a method under a constructor — and restores the blob
 // on the engine that parked it and on the other one. Every frame on the wire
-// is {label, locals, fn, self}: fn a closure by code-table index, self the
-// receiver, nothing of either engine's.
+// is an array [label, fn, self, saved…]: fn a closure by code-table index,
+// self the receiver, nothing of either engine's.
 func TestSnapshotParkedInsideFrames(t *testing.T) {
 	const src = `
 		function spin(n) { var s = 0; for (var i = 0; i < n; i++) { s = (s + i * 7) % 1000003; } return s; }

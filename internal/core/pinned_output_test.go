@@ -13,12 +13,11 @@ import (
 // pinnedOutputSum is the sha-256 of every compile pinnedCompiles enumerates.
 // A pass refactor must leave it alone; a change that means to alter generated
 // code (or the internal/langs corpus) recomputes it — the failure message
-// prints the new value — and says so. Last recomputed when a function
-// declaration stopped binding its own name inside its body, so that an
-// instrumented declaration's frames record it as `fn: $self`
-// (instrument.SelfVar) where they wrote its name: all 816 compiles moved, and
-// nothing else in them did (every program has one such declaration, $main).
-const pinnedOutputSum = "ac6bc7b072ebbcbffa936b8a5cc92c085ace0d4a711bd442f73c24d4aac668d9"
+// prints the new value — and says so. Last recomputed when a frame became
+// one array, [label, fn, self, saved…], saving only the locals live across
+// some call site: every instrumented function's pushes, restore block and
+// re-entries moved, and its normal-mode code did not.
+const pinnedOutputSum = "83b6064762850d1922255bb92f420486e008bd49d3f41197962f084f8737e13d"
 
 // pinnedCompiles feeds every (program, options) pair of the pin to visit:
 // each internal/langs program under its profile's sub-language, across the

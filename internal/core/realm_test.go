@@ -61,20 +61,22 @@ func BenchmarkNewRun(b *testing.B) {
 }
 
 // What a hop costs: clojure.lazy_seq parked at its first 20 000-statement
-// pause, a blob of 34 298 bytes. Snapshot's ceilings are its measured 59
-// allocations in 149 584 bytes, RestoreWith's 3 718 in 313 344 (3 721 in
-// 344 032 under the race detector), each plus 2 %. Before the encoder wrote
+// pause, a blob of 33 817 bytes. Snapshot's ceilings are its measured 59
+// allocations in 149 584 bytes, RestoreWith's 3 673 in 296 944 (3 676 in
+// 320 608 under the race detector), each plus 2 %. Before the encoder wrote
 // into a pooled buffer and the decoder built the realm straight from the
 // blob, a hop cost 88 allocations in 267 984 bytes to snapshot, into a
 // 40 960-byte buffer, and 5 315 in 952 944 to restore; before objects
 // shrank to a 112-byte header and 32-byte slots sized to each record's key
 // count, a restore cost 3 725 in 415 552; before the encoder numbered each
-// node at its first reference, in one walk, a snapshot cost 77 in 158 528.
+// node at its first reference, in one walk, a snapshot cost 77 in 158 528;
+// before a frame became one array of the locals live across a call site,
+// the blob was 34 298 bytes and a restore cost 3 718 in 313 344.
 const (
 	hopSnapshotAllocs = 61
 	hopSnapshotBytes  = 152_600
-	hopRestoreAllocs  = 3_796
-	hopRestoreBytes   = 351_000
+	hopRestoreAllocs  = 3_750
+	hopRestoreBytes   = 327_100
 )
 
 func TestAllocGateHop(t *testing.T) {

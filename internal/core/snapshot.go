@@ -99,7 +99,8 @@ func Restore(cfg RunConfig, blob []byte) (*AsyncRun, error) {
 // cfg.Seed is ignored: the blob carries the Math.random generator state.
 // Step and memory accounting resume cumulatively from the snapshot's
 // figures, so cfg.MaxSteps and cfg.MemBudgetBytes bound the guest's whole
-// life, not just the time since this restore.
+// life, not just the time since this restore; the memory figure is at least
+// what decoding the blob charged.
 //
 // The returned run is in the blob's control state: paused (call Resume),
 // mid-flight between turns (pump the loop), or finished draining timers.
@@ -125,9 +126,11 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 		return nil, err
 	}
 	a.In.SetRandState(d.Meta.Rand)
-	// Decode allocations were charged to the fresh meter; overwrite with the
-	// snapshot's cumulative figures so budgets span park/restore cycles.
-	a.In.SetAccounting(d.Meta.Steps, d.Meta.MemUsed)
+	// The decode's allocations were charged to the fresh meter; the
+	// snapshot's cumulative figures replace them so budgets span
+	// park/restore cycles, but never below what decoding the guest's graph
+	// charged: a blob that claims less would bring its heap in unmetered.
+	a.In.SetAccounting(d.Meta.Steps, max(d.Meta.MemUsed, d.Charged))
 	// Continue the setTimeout handle sequence where the source left off, so
 	// handles stay unique (and clearTimeout keys stay valid) across the park.
 	a.Loop.SetTimerSeq(d.Meta.TimerSeq)

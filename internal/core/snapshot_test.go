@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -204,14 +205,13 @@ func TestSnapshotPins(t *testing.T) {
 	}
 }
 
-// goldenParkedSrc is the program inside testdata/v3_parked.blob. The blob is
+// goldenParkedSrc is the program inside testdata/v4_parked.blob. The blob is
 // the Snapshot() of goldenParkedSrc after pump(run, 5000) on the tree engine,
-// re-captured when function declarations stopped binding their own names
-// (which moved the code table's fingerprint): parked mid-loop holding what wire
-// v2 made data — a bound constructor, a bound timer callback with a
-// forwarded extra arg, a cancelled timer handle, a Date — beside closures
-// and pending timers, under a continuation whose frames are v3's
-// {label, locals, fn, self}. testdata/v3_parked.golden is the output of the
+// re-captured when frames became one array each: parked mid-loop holding
+// what wire v2 made data — a bound constructor, a bound timer callback with
+// a forwarded extra arg, a cancelled timer handle, a Date — beside closures
+// and pending timers, under a continuation whose frames are v4's
+// [label, fn, self, saved…]. testdata/v4_parked.golden is the output of the
 // same program run without parking.
 const goldenParkedSrc = `
 var log = ["start"];
@@ -240,11 +240,11 @@ log.push("main" + n);
 // deliberate format, prelude, or host-graph change, bump snapshot.Version
 // and re-capture the blob as goldenParkedSrc's comment describes.
 func TestSnapshotWireGolden(t *testing.T) {
-	blob, err := os.ReadFile("testdata/v3_parked.blob")
+	blob, err := os.ReadFile("testdata/v4_parked.blob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/v3_parked.golden")
+	want, err := os.ReadFile("testdata/v4_parked.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,10 @@ func TestSnapshotWireGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decoding the golden blob: %v", err)
 			}
-			if run.Steps() != info.Steps || run.MemUsed() != info.MemUsed {
-				t.Fatalf("restored accounting (%d, %d) != blob header (%d, %d)",
+			// The meter resumes at the larger of the header's figure and
+			// what the decode charged.
+			if run.Steps() != info.Steps || run.MemUsed() < info.MemUsed {
+				t.Fatalf("restored accounting (%d, %d), blob header (%d, %d): want the steps and at least the bytes",
 					run.Steps(), run.MemUsed(), info.Steps, info.MemUsed)
 			}
 			pump(run, 0)
@@ -279,24 +281,71 @@ func TestSnapshotWireGolden(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesOtherVersions: the wire-v2 golden blob — the same guest
-// parked by the last build whose frames carried reenter closures, kept only
-// to be refused — fails at the version byte with both version numbers in
-// the error, from the full decode and from the header-only read alike.
+// TestRestoreRefusesOtherVersions: the wire-v3 golden blob — the same guest
+// parked by the last build whose frames were {label, locals, fn, self}
+// objects, kept only to be refused — fails at the version byte with both
+// version numbers in the error, from the full decode and from the
+// header-only read alike.
 func TestRestoreRefusesOtherVersions(t *testing.T) {
 	cfg := core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}}
-	v2, err := os.ReadFile("testdata/v2_parked.blob")
+	v3, err := os.ReadFile("testdata/v3_parked.blob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for what, try := range map[string]func() error{
-		"Restore":      func() error { _, err := core.Restore(cfg, v2); return err },
-		"SnapshotMeta": func() error { _, err := core.SnapshotMeta(v2); return err },
+		"Restore":      func() error { _, err := core.Restore(cfg, v3); return err },
+		"SnapshotMeta": func() error { _, err := core.SnapshotMeta(v3); return err },
 	} {
 		err := try()
-		if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 3") {
-			t.Errorf("%s on a v2 blob = %v, want an error naming versions 2 and 3", what, err)
+		if err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 4") {
+			t.Errorf("%s on a v3 blob = %v, want an error naming versions 3 and 4", what, err)
 		}
+	}
+}
+
+// TestRestoreMetersWhatTheDecodeBuilt: a blob whose header claims no memory
+// still brings its heap in metered — the restored meter reads at least what
+// decoding the guest's graph charged (snapshot.Decoded.Charged), here at
+// least 100 bytes for each of the 2000 closures the guest built before it
+// parked in its second loop. It read 0 while the header's figure replaced
+// the decode's.
+func TestRestoreMetersWhatTheDecodeBuilt(t *testing.T) {
+	c, err := core.Compile(`
+		var fs = [];
+		for (var i = 0; i < 2000; i++) { fs.push(function () { return i; }); }
+		var n = 0;
+		while (n < 1000000) { n++; }
+		console.log(fs.length, n);
+	`, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _ := mustStart(t, c, core.BackendBytecode)
+	if !pump(run, 40000) {
+		t.Fatal("did not park")
+	}
+	blob, err := run.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header: magic, version, the host metadata's length and bytes,
+	// the steps, then the memory figure, each a uvarint.
+	off := 5
+	n, k := binary.Uvarint(blob[off:])
+	off += k + int(n)
+	_, k = binary.Uvarint(blob[off:])
+	off += k
+	_, k = binary.Uvarint(blob[off:])
+	claimsNone := append(append(append([]byte(nil), blob[:off]...), 0), blob[off+k:]...)
+	if info, err := core.SnapshotMeta(claimsNone); err != nil || info.MemUsed != 0 {
+		t.Fatalf("rewritten header reads %+v, %v: want MemUsed 0", info, err)
+	}
+	restored, err := core.Restore(core.RunConfig{Clock: eventloop.NewVirtualClock(), Out: &bytes.Buffer{}}, claimsNone)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if got, least := restored.MemUsed(), uint64(2000*100); got < least {
+		t.Fatalf("restored meter reads %d bytes for a heap of 2000 closures, want at least %d", got, least)
 	}
 }
 
@@ -414,8 +463,10 @@ func TestSnapshotAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if restored.Steps() != steps || restored.MemUsed() != mem {
-		t.Fatalf("restored accounting (%d, %d) != snapshot (%d, %d)",
+	// The meter resumes at the larger of the snapshot's figure and what the
+	// decode charged (TestRestoreMetersWhatTheDecodeBuilt).
+	if restored.Steps() != steps || restored.MemUsed() < mem {
+		t.Fatalf("restored accounting (%d, %d), snapshot (%d, %d): want the steps and at least the bytes",
 			restored.Steps(), restored.MemUsed(), steps, mem)
 	}
 	restored.Resume()

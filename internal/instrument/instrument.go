@@ -98,13 +98,13 @@ const (
 	ModeCapture = "capture"
 	ModeRestore = "restore"
 
-	// Keys of a reified frame (pushFrame). internal/rt builds the bottom
+	// A reified frame (pushFrame) is one array, [label, fn, self, (args,)
+	// saved…]: these are its fixed indexes. internal/rt builds the bottom
 	// frame and re-enters the top one with the same layout.
-	FrameLabel  = "label"
-	FrameLocals = "locals"
-	FrameFn     = "fn"
-	FrameSelf   = "self"
-	FrameArgs   = "args" // ArgsVarargs only
+	FrameLabel = 0
+	FrameFn    = 1
+	FrameSelf  = 2
+	FrameArgs  = 3 // ArgsVarargs only; the saved locals follow
 )
 
 // Apply instruments every function in prog in place. The program's top
@@ -124,15 +124,15 @@ func Apply(prog *ast.Program, opts Options) *ast.Program {
 	return prog
 }
 
-// instrumentFunc rewrites one function body. Nested functions are
-// instrumented by their own Apply visit; this pass never descends into
-// them.
-func instrumentFunc(fn *ast.Func, opts Options) {
+// instrumentFunc rewrites one function body and returns its context, nil
+// when it needs none. Nested functions are instrumented by their own Apply
+// visit; this pass never descends into them.
+func instrumentFunc(fn *ast.Func, opts Options) *fctx {
 	if !hasNonTailSites(fn.Body) {
 		// No non-tail call sites: the function can never be suspended nor
 		// re-entered, so it needs no machinery (leaf functions pay nothing,
 		// and tail calls stay uninstrumented per §3.2.2).
-		return
+		return nil
 	}
 	// A declaration's name is its enclosing scope's binding, which a guest
 	// may reassign, so its frames record it by a name of its own.
@@ -156,13 +156,15 @@ func instrumentFunc(fn *ast.Func, opts Options) {
 		body = c.eagerShadowDepths(body)
 	}
 	// Locals must be collected before declsToAssigns erases the var
-	// declarations. pushFrame (inside kStmts) inlines this list at every
-	// capture site, so it rides on the context.
+	// declarations. pushFrame (inside kStmts) inlines the saved subset at
+	// every capture site, so it rides on the context.
 	c.locals = c.localsList(fn, body)
 	body = c.declsToAssigns(body, true)
 	c.labelSites(body)
+	c.saved = c.savedLocals(fn, body)
 
-	fn.Body = append(c.prologue(fn, c.locals), c.kStmts(body)...)
+	fn.Body = append(c.prologue(fn), c.kStmts(body)...)
+	return c
 }
 
 // hasNonTailSites reports whether the body contains any application outside
@@ -199,7 +201,8 @@ func hasNonTailSites(body []ast.Stmt) bool {
 type fctx struct {
 	opts        Options
 	fname       string
-	locals      []string // capture/restore locals list, for pushFrame
+	locals      []string // every local, for the prologue's declarations
+	saved       []string // the locals a frame saves (savedLocals), for pushFrame
 	nextLabel   int      // next call-site label; labels start at 1
 	extra       []string
 	ctv         string // constructor-protocol return temp
@@ -229,9 +232,10 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// localsList builds the ordered locals vector a frame snapshots and the
-// restore prologue reassigns. Order: formals, arguments (when the arity mode
-// carries it here), declared vars and function names, then generated locals.
+// localsList builds the ordered locals vector the prologue declares, of
+// which a frame saves a subset (savedLocals). Order: formals, arguments (when
+// the arity mode carries it here), declared vars and function names, then
+// generated locals.
 func (c *fctx) localsList(fn *ast.Func, body []ast.Stmt) []string {
 	var names []string
 	seen := map[string]bool{}
@@ -266,7 +270,7 @@ func isMode(mode string) ast.Expr {
 	return ast.Bin("===", ast.Id(ModeVar), ast.Strlit(mode))
 }
 
-func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
+func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
 	var out []ast.Stmt
 
 	// var l1, l2, ... ;  — every non-formal local, so restore can assign
@@ -276,7 +280,7 @@ func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
 	for _, p := range fn.Params {
 		isParam[p] = true
 	}
-	for _, name := range locals {
+	for _, name := range c.locals {
 		if !isParam[name] && name != "arguments" {
 			decl.Decls = append(decl.Decls, ast.Declarator{Name: name})
 		}
@@ -296,11 +300,11 @@ func (c *fctx) prologue(fn *ast.Func, locals []string) []ast.Stmt {
 	// if ($mode === "restore") { restoreFrame }
 	restore := []ast.Stmt{
 		ast.ExprOf(ast.SetId("$k", frameCall(ast.Id(RStackVar), "pop"))),
-		ast.ExprOf(ast.SetId("$lbl", ast.Dot(ast.Id("$k"), FrameLabel))),
-		ast.Var("$l", ast.Dot(ast.Id("$k"), FrameLocals)),
+		ast.ExprOf(ast.SetId("$lbl", frameElem(FrameLabel))),
 	}
-	for i, name := range locals {
-		restore = append(restore, ast.ExprOf(ast.SetId(name, ast.Idx(ast.Id("$l"), ast.Int(i)))))
+	base := c.savedBase()
+	for i, name := range c.saved {
+		restore = append(restore, ast.ExprOf(ast.SetId(name, frameElem(base+i))))
 	}
 	restore = append(restore, ast.ExprOf(ast.SetId("$k",
 		ast.Idx(ast.Id(RStackVar), ast.Bin("-", ast.Dot(ast.Id(RStackVar), "length"), ast.Int(1))))))

@@ -1,8 +1,12 @@
 package instrument
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/anf"
 	"repro/internal/ast"
@@ -18,18 +22,182 @@ func compile(t *testing.T, src string, opts Options) (*ast.Program, string) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	nm := &desugar.Namer{}
-	// As internal/core pairs them: the complete-arguments sub-language
-	// lowers user formals to arguments[i] before this pass sees them.
-	desugar.Apply(prog, desugar.Options{ArgsFull: opts.Args == ArgsFull}, nm)
-	anf.Normalize(prog)
-	boxes.Box(prog)
+	prepare(prog, opts)
 	Apply(prog, opts)
 	out := printer.Print(prog)
 	if _, err := parser.Parse(out); err != nil {
 		t.Fatalf("instrumented output does not reparse: %v\n%s", err, out)
 	}
 	return prog, out
+}
+
+// prepare runs the passes internal/core runs before this one.
+func prepare(prog *ast.Program, opts Options) {
+	// As internal/core pairs them: the complete-arguments sub-language
+	// lowers user formals to arguments[i] before this pass sees them.
+	desugar.Apply(prog, desugar.Options{ArgsFull: opts.Args == ArgsFull}, &desugar.Namer{})
+	anf.Normalize(prog)
+	boxes.Box(prog)
+}
+
+// contexts instruments prog as Apply does and returns each instrumented
+// function's context, by function name.
+func contexts(prog *ast.Program, opts Options) map[string]*fctx {
+	var fns []*ast.Func
+	ast.Walk(prog, func(n ast.Node) bool {
+		if fn, ok := n.(*ast.Func); ok {
+			fns = append(fns, fn)
+		}
+		return true
+	})
+	out := map[string]*fctx{}
+	for _, fn := range fns {
+		if c := instrumentFunc(fn, opts); c != nil {
+			out[fn.Name] = c
+		}
+	}
+	return out
+}
+
+// TestSavedLocals pins what a frame saves: the locals live across some call
+// site, and those kept whatever liveness finds.
+func TestSavedLocals(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		opts      Options
+		want      []string
+	}{
+		{"fib saves n and the first call's result", `function f(n) { if (n < 2) return n; return f(n - 1) + f(n - 2); }`,
+			Options{}, []string{"n", "$t2"}},
+		{"a loop-carried local written after the last site and read in the test",
+			`function f(n) { var acc = 0; var i = 0; while (i < n) { var r = g(i); acc = acc + r; i = i + 1; } return acc; }`,
+			Options{}, []string{"n", "acc", "i"}},
+		{"a local read only at the top of the next iteration",
+			`function f(n) { var acc = 0, prev = 0, i = 0; while (i < n) { acc = acc + prev; prev = i * 3; var x = g(i); i = i + 1; } return acc; }`,
+			Options{}, []string{"n", "acc", "prev", "i"}},
+		{"the old value of a site's target, read by the catch its call may throw to",
+			`function f() { var r = 0; try { r = g(); } catch (e) { return r; } return r + 1; }`,
+			Options{}, []string{"r", "$exn1"}},
+		{"a site inside catch keeps the renamed catch parameter",
+			`function f() { try { g(); } catch (e) { var r = h(); return r; } return 0; }`,
+			Options{}, []string{"$exn1"}},
+		{"a site inside finally keeps the completion locals",
+			`function f() { try { return g(); } finally { h(); } }`,
+			Options{}, []string{"$finret1", "$finv2"}},
+		{"a local read only by the finally a return runs",
+			`function f(x) { var tag = x + 1; try { return g(x); } finally { h(tag); } }`,
+			Options{}, []string{"tag", "$finret1", "$finv2"}},
+		{"a local only a nested function reads",
+			`function f() { var x = 1; var k = function () { return x; }; g(k); return 0; }`,
+			Options{}, []string{"x"}},
+		{"mixed arity: arguments read, every formal kept",
+			`function f(a, b) { var x = g(); return arguments[0] + x; }`,
+			Options{Args: ArgsMixed}, []string{"a", "b", "arguments"}},
+		{"full arity: arguments kept",
+			`function f(a, b) { var x = g(); return a + x; }`,
+			Options{Args: ArgsFull}, []string{"arguments"}},
+		{"a local written before every site and never read after one",
+			`function f(a) { var t = a * 2; var r = g(t); r = h(r); return r; }`,
+			Options{}, nil},
+		{"eval keeps every local",
+			`function f(a) { var t = a * 2; var r = g(t); return eval("r"); }`,
+			Options{}, []string{"a", "t", "r"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := parser.Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepare(prog, tc.opts)
+			c := contexts(prog, tc.opts)["f"]
+			if c == nil {
+				t.Fatal("f was not instrumented")
+			}
+			if !slices.Equal(c.saved, tc.want) {
+				t.Errorf("saved %q of locals %q, want %q", c.saved, c.locals, tc.want)
+			}
+		})
+	}
+}
+
+// TestSavedLocalsNestedLoops: a loop nested d deep costs the analysis O(d)
+// walks of its body, not 2^d. Each loop body here ends in a write the
+// innermost loop's read must cross, so an analysis that solved each inner
+// loop afresh on every pass of the one around it would walk the innermost
+// body 2^40 times.
+func TestSavedLocalsNestedLoops(t *testing.T) {
+	const depth = 40
+	src := "function f(c) { var v = 0; " + strings.Repeat("while (c) { ", depth) + "g(v); " +
+		strings.Repeat("} v = 0; ", depth) + "return 0; }"
+	done := make(chan []string, 1)
+	go func() {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Error(err)
+			done <- nil
+			return
+		}
+		prepare(prog, Options{})
+		done <- contexts(prog, Options{})["f"].saved
+	}()
+	select {
+	case saved := <-done:
+		if !slices.Equal(saved, []string{"c", "v"}) {
+			t.Errorf("saved %q, want [c v]", saved)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("analysing %d nested loops took over 10s", depth)
+	}
+}
+
+// TestSavedLocalsCorpus: over every conformance program, under each arity
+// sub-language, every instrumented function's saved list is an
+// order-preserving subset of its locals list and keeps every name the
+// instrumentation introduced.
+func TestSavedLocalsCorpus(t *testing.T) {
+	files, err := filepath.Glob("../core/testdata/conformance/*/*.js")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no conformance programs: %v", err)
+	}
+	n := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{
+			{Strategy: Checked},
+			{Strategy: Exceptional, Args: ArgsVarargs},
+			{Strategy: Eager, Args: ArgsMixed, WrappedCtors: true},
+			{Strategy: Checked, Args: ArgsFull},
+		} {
+			prog, err := parser.Parse(string(src))
+			if err != nil {
+				continue // a row that tests a parse error
+			}
+			prepare(prog, opts)
+			for name, c := range contexts(prog, opts) {
+				n++
+				i := 0
+				for _, l := range c.locals {
+					if i < len(c.saved) && c.saved[i] == l {
+						i++
+					}
+				}
+				if i != len(c.saved) {
+					t.Errorf("%s %+v: %s saves %q, not an ordered subset of %q", file, opts, name, c.saved, c.locals)
+				}
+				for _, x := range c.extra {
+					if !slices.Contains(c.saved, x) {
+						t.Errorf("%s %+v: %s saves %q without %s", file, opts, name, c.saved, x)
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no function was instrumented")
+	}
 }
 
 func TestCheckedShape(t *testing.T) {
@@ -41,14 +209,16 @@ function f(x) {
 	for _, want := range []string{
 		`$mode === "restore"`,
 		"$rstack.pop()",
-		"$k.label",
+		"$lbl = $k[0];",
 		"var $lbl = -1, $k;",
 		// A frame is data: the function and its receiver stand where Figure
 		// 3 has a reenter thunk, built only at a capture site in capture
 		// mode. Normal-mode calls allocate nothing. A declaration's frame
 		// names it by SelfVar: f is the enclosing scope's, and reassignable.
-		"$stack.push({ label: 1, locals: [x, a, $t1], fn: $self, self: this });",
-		`a = $mode === "normal" ? g(x) : $k.fn.apply($k.self);`,
+		// It saves no local: a, the only one read after the site, is the
+		// site's own target.
+		"$stack.push([1, $self, this]);",
+		`a = $mode === "normal" ? g(x) : $k[1].apply($k[2]);`,
 		`$mode === "capture"`,
 	} {
 		if !strings.Contains(out, want) {
@@ -74,7 +244,7 @@ func TestExceptionalShape(t *testing.T) {
 
 func TestEagerShape(t *testing.T) {
 	_, out := compile(t, `function f(x) { var a = g(x); return a; }`, Options{Strategy: Eager})
-	if !strings.Contains(out, "$shadow.push({ label: 1,") {
+	if !strings.Contains(out, "$shadow.push([1, $self, this]);") {
 		t.Errorf("eager sites push eagerly:\n%s", out)
 	}
 	if !strings.Contains(out, "$shadow.pop()") {
@@ -160,8 +330,8 @@ function F(x) {
 // TestArgsModesReenter pins, for every strategy and arity sub-language, what
 // a frame stores and what a call site's restore arm re-applies: never a
 // closure, and an arguments object only where the sub-language reifies one —
-// inside locals (mixed, full) or, when locals has no place for it, as the
-// frame's fifth key (varargs).
+// among the saved locals, with every formal (mixed, full), or ahead of them,
+// where re-entry passes it on (varargs).
 func TestArgsModesReenter(t *testing.T) {
 	src := `function f(a, b) { var x = g(a); return x + b; }`
 	for _, strat := range []Strategy{Checked, Exceptional, Eager} {
@@ -175,13 +345,13 @@ func TestArgsModesReenter(t *testing.T) {
 			arm     string
 			restore string // a prologue assignment that must be present
 		}{
-			{ArgsNone, "locals: [a, b, x, $t1], fn: $self, self: this }", "$k.fn.apply($k.self)", "b = $l[1];"},
-			{ArgsVarargs, "locals: [a, b, x, $t1], fn: $self, self: this, args: arguments }", "$k.fn.apply($k.self, $k.args)", "b = $l[1];"},
-			{ArgsMixed, "locals: [a, b, arguments, x, $t1], fn: $self, self: this }", "$k.fn.apply($k.self)", "arguments = $l[2];"},
-			{ArgsFull, "locals: [arguments, $t1, x, $t2, $t3], fn: $self, self: this }", "$k.fn.apply($k.self)", "arguments = $l[0];"},
+			{ArgsNone, "[1, $self, this, b]", "$k[1].apply($k[2])", "b = $k[3];"},
+			{ArgsVarargs, "[1, $self, this, arguments, b]", "$k[1].apply($k[2], $k[3])", "b = $k[4];"},
+			{ArgsMixed, "[1, $self, this, a, b, arguments]", "$k[1].apply($k[2])", "arguments = $k[5];"},
+			{ArgsFull, "[1, $self, this, arguments]", "$k[1].apply($k[2])", "arguments = $k[3];"},
 		} {
 			_, out := compile(t, src, Options{Strategy: strat, Args: tc.mode})
-			for _, want := range []string{stack + ".push({ label: 1, " + tc.frame, ": " + tc.arm + ";", tc.restore} {
+			for _, want := range []string{stack + ".push(" + tc.frame + ");", ": " + tc.arm + ";", tc.restore} {
 				if !strings.Contains(out, want) {
 					t.Errorf("%v/args=%d: output missing %q:\n%s", strat, tc.mode, want, out)
 				}

@@ -236,51 +236,33 @@ func wrapReturns(s ast.Stmt, finret, finv string) ast.Stmt {
 // set of any subtree is a contiguous range.
 func (c *fctx) labelSites(body []ast.Stmt) {
 	c.nextLabel = 1
-	var walk func(s ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case *ast.ExprStmt:
-			if a, ok := n.X.(*ast.Assign); ok {
-				switch v := a.Value.(type) {
-				case *ast.Call:
-					v.Label = c.nextLabel
-					c.nextLabel++
-				case *ast.New:
-					v.Label = c.nextLabel
-					c.nextLabel++
-				}
-			}
-		case *ast.Block:
-			for _, st := range n.Body {
-				walk(st)
-			}
-		case *ast.If:
-			walk(n.Cons)
-			if n.Alt != nil {
-				walk(n.Alt)
-			}
-		case *ast.While:
-			walk(n.Body)
-		case *ast.Labeled:
-			walk(n.Body)
-		case *ast.Try:
-			for _, st := range n.Block.Body {
-				walk(st)
-			}
-			if n.Catch != nil {
-				for _, st := range n.Catch.Body {
-					walk(st)
-				}
-			}
-			if n.Finally != nil {
-				for _, st := range n.Finally.Body {
-					walk(st)
-				}
+	eachApp(func(app ast.Expr) {
+		switch v := app.(type) {
+		case *ast.Call:
+			v.Label = c.nextLabel
+			c.nextLabel++
+		case *ast.New:
+			v.Label = c.nextLabel
+			c.nextLabel++
+		}
+	}, body...)
+}
+
+// eachApp calls f with the value of every assignment statement in stmts, in
+// DFS statement order. It enters statements only: a site is a statement, and
+// a nested function is an expression.
+func eachApp(f func(ast.Expr), stmts ...ast.Stmt) {
+	visit := func(n ast.Node) bool {
+		if es, ok := n.(*ast.ExprStmt); ok {
+			if a, ok := es.X.(*ast.Assign); ok {
+				f(a.Value)
 			}
 		}
+		_, expr := n.(ast.Expr)
+		return !expr
 	}
-	for _, s := range body {
-		walk(s)
+	for _, s := range stmts {
+		ast.Walk(s, visit)
 	}
 }
 
@@ -288,63 +270,14 @@ func (c *fctx) labelSites(body []ast.Stmt) {
 // statements (0, 0 when none).
 func labelRange(stmts ...ast.Stmt) (int, int) {
 	lo, hi := 0, 0
-	var walk func(s ast.Stmt)
-	record := func(l int) {
-		if l == 0 {
-			return
-		}
-		if lo == 0 || l < lo {
-			lo = l
-		}
-		if l > hi {
+	eachApp(func(app ast.Expr) {
+		if l := siteLabel(app); l != 0 {
+			if lo == 0 {
+				lo = l
+			}
 			hi = l
 		}
-	}
-	walk = func(s ast.Stmt) {
-		switch n := s.(type) {
-		case *ast.ExprStmt:
-			if a, ok := n.X.(*ast.Assign); ok {
-				switch v := a.Value.(type) {
-				case *ast.Call:
-					record(v.Label)
-				case *ast.New:
-					record(v.Label)
-				}
-			}
-		case *ast.Block:
-			for _, st := range n.Body {
-				walk(st)
-			}
-		case *ast.If:
-			walk(n.Cons)
-			if n.Alt != nil {
-				walk(n.Alt)
-			}
-		case *ast.While:
-			walk(n.Body)
-		case *ast.Labeled:
-			walk(n.Body)
-		case *ast.Try:
-			for _, st := range n.Block.Body {
-				walk(st)
-			}
-			if n.Catch != nil {
-				for _, st := range n.Catch.Body {
-					walk(st)
-				}
-			}
-			if n.Finally != nil {
-				for _, st := range n.Finally.Body {
-					walk(st)
-				}
-			}
-		}
-	}
-	for _, s := range stmts {
-		if s != nil {
-			walk(s)
-		}
-	}
+	}, stmts...)
 	return lo, hi
 }
 
@@ -417,13 +350,19 @@ func callSite(s ast.Stmt) (*ast.ExprStmt, bool) {
 	if !ok {
 		return nil, false
 	}
-	switch v := a.Value.(type) {
+	return es, siteLabel(a.Value) != 0
+}
+
+// siteLabel is the label of an application, 0 when it has none or e is not
+// one.
+func siteLabel(e ast.Expr) int {
+	switch v := e.(type) {
 	case *ast.Call:
-		return es, v.Label != 0
+		return v.Label
 	case *ast.New:
-		return es, v.Label != 0
+		return v.Label
 	}
-	return nil, false
+	return 0
 }
 
 // kCompound rewrites a label-containing compound statement.
@@ -566,27 +505,22 @@ func stmtsOf(b *ast.Block) []ast.Stmt {
 // strategy.
 func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 	a := es.X.(*ast.Assign)
-	var label int
-	switch v := a.Value.(type) {
-	case *ast.Call:
-		label = v.Label
-	case *ast.New:
-		label = v.Label
-	}
+	label := siteLabel(a.Value)
 
 	guard := ast.Log("||", isMode(ModeNormal), ast.Bin("===", ast.Id("$lbl"), ast.Int(label)))
 
-	// target = $mode === "normal" ? <app> : $k.fn.apply($k.self); — the
-	// callee's prologue reassigns every local, formals included, from its
-	// saved frame $k, so only varargs' arguments object is left to pass.
-	reapply := []ast.Expr{ast.Dot(ast.Id("$k"), FrameSelf)}
+	// target = $mode === "normal" ? <app> : $k[1].apply($k[2]); — the
+	// callee's prologue reassigns its saved locals from its frame $k, and
+	// nothing reads a formal it does not save, so only varargs' arguments
+	// object is left to pass.
+	reapply := []ast.Expr{frameElem(FrameSelf)}
 	if c.opts.Args == ArgsVarargs {
-		reapply = append(reapply, ast.Dot(ast.Id("$k"), FrameArgs))
+		reapply = append(reapply, frameElem(FrameArgs))
 	}
 	apply := ast.ExprOf(ast.SetTo(a.Target, &ast.Cond{
 		Test: isMode(ModeNormal),
 		Cons: a.Value,
-		Alt:  frameCall(ast.Dot(ast.Id("$k"), FrameFn), "apply", reapply...),
+		Alt:  frameCall(frameElem(FrameFn), "apply", reapply...),
 	}))
 	clearLbl := ast.ExprOf(ast.SetId("$lbl", ast.Int(-1)))
 
@@ -627,28 +561,37 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 // pushFrame emits the reified continuation frame; where Figure 3 line 17
 // stores a reenter thunk, it stores what the thunk would close over:
 //
-//	<stack>.push({ label: j, locals: [l1, ...], fn: F, self: this })
+//	<stack>.push([j, F, this, (arguments,) l1, ...])
 //
+// The saved locals l1, ... are savedLocals', which the prologue restores.
 // Data creates no closure, so a captured activation's environment is not
 // marked escaped (interp.makeFunction) and returns to the frame pool when
-// the unwind leaves it. Four properties exactly fill an object's first slot
-// array; only varargs, whose arguments object is not in locals, adds a fifth.
-// The eager strategy pays the frame on every call: that is its cost model.
+// the unwind leaves it. One array is one object and its elements: the
+// frame's two allocations. The eager strategy pays the frame on every call:
+// that is its cost model.
 func (c *fctx) pushFrame(stack string, label int) ast.Stmt {
-	elems := make([]ast.Expr, len(c.locals))
-	for i, name := range c.locals {
-		elems[i] = ast.Id(name)
-	}
-	props := []ast.Property{
-		{Kind: ast.PropInit, Key: FrameLabel, Value: ast.Int(label)},
-		{Kind: ast.PropInit, Key: FrameLocals, Value: &ast.Array{Elems: elems}},
-		{Kind: ast.PropInit, Key: FrameFn, Value: ast.Id(c.fname)},
-		{Kind: ast.PropInit, Key: FrameSelf, Value: &ast.This{}},
-	}
+	elems := make([]ast.Expr, 0, c.savedBase()+len(c.saved))
+	elems = append(elems, ast.Int(label), ast.Id(c.fname), &ast.This{})
 	if c.opts.Args == ArgsVarargs {
-		props = append(props, ast.Property{Kind: ast.PropInit, Key: FrameArgs, Value: ast.Id("arguments")})
+		elems = append(elems, ast.Id("arguments"))
 	}
-	return ast.ExprOf(frameCall(ast.Id(stack), "push", &ast.Object{Props: props}))
+	for _, name := range c.saved {
+		elems = append(elems, ast.Id(name))
+	}
+	return ast.ExprOf(frameCall(ast.Id(stack), "push", &ast.Array{Elems: elems}))
+}
+
+// savedBase is the index of a frame's first saved local.
+func (c *fctx) savedBase() int {
+	if c.opts.Args == ArgsVarargs {
+		return FrameArgs + 1
+	}
+	return FrameArgs
+}
+
+// frameElem builds $k[i], an element of the frame being restored.
+func frameElem(i int) ast.Expr {
+	return &ast.Member{X: ast.Id("$k"), Index: ast.Int(i), Computed: true}
 }
 
 // frameCall builds x.method(args...) marked as frame protocol: the bytecode

@@ -15,10 +15,10 @@ import (
 // around the whole run at GOMAXPROCS(1), the least of several tries. fib(18)
 // is paused at every expiry of a 2000-statement quantum and resumed in
 // place; what it allocates beyond an unpreempted run, per pause, is one
-// capture and one reinstatement of its stack — frame objects and their
-// locals arrays. A frame that drags a closure and the activation's
-// environment with it (19.9 KB here, when frames carried reenter thunks)
-// fails here, not in the benchmark.
+// capture and one reinstatement of its stack — one frame array each. A frame
+// that drags a closure and the activation's environment with it (19.9 KB
+// here, when frames carried reenter thunks), that grew an element, or that
+// saves a dead local fails here, not in the benchmark.
 func TestAllocGatePreemption(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c, err := core.Compile(`function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
@@ -68,9 +68,11 @@ console.log("fib", fib(18));`, core.Defaults())
 	}
 	per := float64(sliced-whole) / float64(pauses)
 	t.Logf("unpreempted %d bytes, preempted %d bytes over %d preemptions: %.0f bytes each", whole, sliced, pauses, per)
-	// 8.1 KB here, 9.9 under the race detector, which empties pools (10.3
-	// and 12.6 with 160-byte object headers and 48-byte property slots).
-	if per > 11<<10 {
-		t.Errorf("%.0f bytes per preemption, gate 11 KB: a captured frame is carrying more than {label, locals, fn, self}", per)
+	// 4.4 KB here, 5.6 under the race detector, which empties pools (8.1
+	// and 9.9 while a frame was a {label, locals, fn, self} object holding
+	// every local, 10.3 and 12.6 with 160-byte object headers and 48-byte
+	// property slots).
+	if per > 6<<10 {
+		t.Errorf("%.0f bytes per preemption, gate 6 KB: a captured frame is carrying more than [label, fn, self] and the locals live across its call site", per)
 	}
 }

@@ -121,7 +121,7 @@ console.log(fib(15));
 }
 
 // TestFramePoolCapturedFramesReturn: a capture site stores its activation
-// as data — {label, locals, fn, self} — and data pins nothing: the
+// as data — [label, fn, self, saved…] — and data pins nothing: the
 // activation's frame goes back to the pool when the unwind leaves it, so a
 // capture/re-entry cycle leaves the next calls nothing to allocate. The
 // same frame built around a reenter closure (Figure 3's shape) marks the
@@ -138,7 +138,7 @@ function down(d) {
   if (d > 0) { down(d - 1); }
   stack.push(%s);
 }
-function reenterAll() { for (var i = 0; i < stack.length; i++) { var k = stack[i]; k.fn.apply(k.self); } stack = []; }
+function reenterAll() { for (var i = 0; i < stack.length; i++) { var k = stack[i]; k[1].apply(k[2]); } stack = []; }
 function calls(n) { var s = 0; for (var i = 0; i < n; i++) { s += leaf(i); } return s; }
 function leaf(i) { var y = i + 1; return y; }
 down(%d);
@@ -146,7 +146,7 @@ down(%d);
 	}
 	pooled := func(in *Interp) int { return len(in.envFree6) + len(in.envFree16) }
 	for _, bc := range []bool{false, true} {
-		in, fn := allocInterp(t, program(`{ label: 1, locals: [d, x], fn: leaf, self: this }`), "calls", bc, []Value{NumberValue(100)})
+		in, fn := allocInterp(t, program(`[1, leaf, this, d, x]`), "calls", bc, []Value{NumberValue(100)})
 		if got := pooled(in); got < depth+1 {
 			t.Errorf("bytecode=%v: %d frames pooled after capturing %d activations as data; want them all back", bc, got, depth+1)
 		}
@@ -158,7 +158,7 @@ down(%d);
 		// operand stack the race detector's sync.Pool dropped.
 		gate(t, in, fn, []Value{NumberValue(100)}, 8, "100 calls after a capture/re-entry cycle (bytecode="+fmt.Sprint(bc)+")")
 
-		thunks, _ := allocInterp(t, program(`{ label: 1, locals: [d, x], reenter: function () { return down(d); } }`), "calls", bc, []Value{NumberValue(100)})
+		thunks, _ := allocInterp(t, program(`[1, function () { return down(d); }, this, d, x]`), "calls", bc, []Value{NumberValue(100)})
 		if got := pooled(thunks); got > 2 {
 			t.Errorf("bytecode=%v: %d frames pooled after capturing %d activations behind closures; the control is not measuring escape", bc, got, depth+1)
 		}

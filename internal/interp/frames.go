@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"strconv"
+
 	"repro/internal/ast"
 	"repro/internal/bytecode"
 	"repro/internal/instrument"
@@ -26,25 +28,9 @@ func (in *Interp) frameArray(g bytecode.Global, names []string) *Object {
 	return nil
 }
 
-var frameKeys = [...]string{instrument.FrameLabel, instrument.FrameLocals, instrument.FrameFn, instrument.FrameSelf, instrument.FrameArgs}
-
-// frameShape is the shape the frame literal {label, locals, fn, self[, args]}
-// of n properties reaches: a frame pushFrame builds is the object the literal
-// builds.
-func (in *Interp) frameShape(n int) *Shape {
-	s := &in.poll.shapes[n-4]
-	if *s == nil {
-		*s = emptyShapeFor(in.objectProto)
-		for _, k := range frameKeys[:n] {
-			*s = (*s).transition(k, false)
-		}
-	}
-	return *s
-}
-
 // pushFrame is OpPushFrame: the frame literal, then push's append. It charges
 // the meter and the engine profile as that code does — the read of push, the
-// object and its properties, the locals array, the call, the element.
+// array, the call, the element.
 func (in *Interp) pushFrame(f *bytecode.Frame, names []string, env *Env) (Value, bool) {
 	a := in.frameArray(f.Array, names)
 	if a == nil {
@@ -60,24 +46,17 @@ func (in *Interp) pushFrame(f *bytecode.Frame, names []string, env *Env) (Value,
 	} else {
 		fn = env.GetRef(f.Fn)
 	}
-	locals := make([]Value, len(f.Locals))
-	for i, r := range f.Locals {
-		locals[i] = in.buildArguments(env.slotRef(r))
+	elems := make([]Value, 3+len(f.Elems))
+	elems[0], elems[1], elems[2] = NumberValue(float64(f.Label)), fn, env.GetRef(f.Self)
+	for i, r := range f.Elems {
+		elems[3+i] = in.buildArguments(env.slotRef(r))
 	}
 	in.chargeProp()
 	in.chargeAlloc()
-	in.chargeAlloc()
 	in.chargeCall()
-	vals, n := [5]Value{NumberValue(float64(f.Label)), ObjectValue(in.NewArray(locals)), fn, env.GetRef(f.Self)}, 4
-	if f.Args != 0 {
-		vals[4], n = in.buildArguments(env.slotRef(f.Args)), 5
-	}
-	in.chargeMem(memObjectBytes + n*memPropBytes + memValueBytes)
-	o := &Object{Class: ClassObject, Proto: in.objectProto, shape: in.frameShape(n), slots: make([]Prop, n)}
-	for i, v := range vals[:n] {
-		o.slots[i] = Prop{Value: v, Enumerable: true}
-	}
-	a.Elems = append(a.Elems, ObjectValue(o))
+	frame := in.NewArray(elems)
+	in.chargeMem(memValueBytes)
+	a.Elems = append(a.Elems, ObjectValue(frame))
 	return NumberValue(float64(len(a.Elems))), true
 }
 
@@ -96,30 +75,28 @@ func (in *Interp) popFrame(g bytecode.Global, names []string) (Value, bool) {
 	return v, true
 }
 
-// reenter is OpReenter: $k.fn called with $k.self (and $k.args) as apply
-// would call it, charging the reads and both calls. It declines unless $k's
-// own fn is a data property holding something callable: anything else is the
-// plain code's to run, and to report.
+// reenter is OpReenter: $k[1] called with $k[2] (and $k[3]) as apply would
+// call it, charging the reads and both calls. It declines unless $k is an
+// array whose fn element is callable: anything else is the plain code's to
+// run, and to report. Every frame instrument builds, the bottom frame too,
+// holds the self and args elements; frameElem's read through
+// Array.prototype is for a foreign or corrupt frame that does not.
 func (in *Interp) reenter(ref ast.Ref, withArgs bool, env *Env) (Value, bool, error) {
 	k := env.GetRef(ref)
 	o := k.Obj()
-	if o == nil {
+	if o == nil || o.Class != ClassArray || len(o.Elems) <= instrument.FrameFn || !o.Elems[instrument.FrameFn].Obj().IsCallable() {
 		return Undefined, false, nil
 	}
-	p := o.Own(instrument.FrameFn)
-	if p == nil || p.IsAccessor() || !p.Value.Obj().IsCallable() {
-		return Undefined, false, nil
-	}
-	fn := p.Value
-	in.chargeProp() // $k.fn
+	fn := o.Elems[instrument.FrameFn]
+	in.chargeProp() // $k[1]
 	in.chargeProp() // .apply, which is not read
-	self, err := in.GetMember(k, instrument.FrameSelf)
+	self, err := in.frameElem(o, instrument.FrameSelf)
 	if err != nil {
 		return Undefined, true, err
 	}
 	var args []Value
 	if withArgs {
-		a, err := in.GetMember(k, instrument.FrameArgs)
+		a, err := in.frameElem(o, instrument.FrameArgs)
 		switch {
 		case err != nil:
 			return Undefined, true, err
@@ -134,11 +111,20 @@ func (in *Interp) reenter(ref ast.Ref, withArgs bool, env *Env) (Value, bool, er
 	return v, true, err
 }
 
+// frameElem reads o[i] as the plain code's $k[i] does.
+func (in *Interp) frameElem(o *Object, i int) (Value, error) {
+	if i < len(o.Elems) {
+		in.chargeProp()
+		return o.Elems[i], nil
+	}
+	return in.GetMember(ObjectValue(o), strconv.Itoa(i))
+}
+
 // restoreFrame is OpRestoreFrame: the restore block's pop, reads and stores
 // in one step. It declines unless the realm has no engine profile, counting
 // the block's boundaries one by one would fire no trigger (stepBoundary),
 // $rstack is the runtime's, with no own properties and a caller under the
-// frame, and the frame has the literal's shape and enough locals.
+// frame, and the frame is an array holding every element the block reads.
 func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bool {
 	if in.Engine != nil || in.Steps+uint64(r.Steps) > in.stepLimit {
 		return false
@@ -148,18 +134,14 @@ func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bo
 		return false
 	}
 	top := a.Elems[len(a.Elems)-1].Obj()
-	if top == nil || top.shape != in.frameShape(4) && top.shape != in.frameShape(5) {
-		return false
-	}
-	l := top.slots[1].Value.Obj()
-	if l == nil || l.Class != ClassArray || len(l.Elems) < len(r.Locals) {
+	if top == nil || top.Class != ClassArray || len(top.Elems) < int(r.Base)+len(r.Locals) {
 		return false
 	}
 	popElem(a)
-	s := env.slots
-	s[r.Lbl], s[r.L] = top.slots[0].Value, top.slots[1].Value
+	s, saved := env.slots, top.Elems[r.Base:]
+	s[r.Lbl] = top.Elems[instrument.FrameLabel]
 	for i, slot := range r.Locals {
-		s[slot] = l.Elems[i]
+		s[slot] = saved[i]
 	}
 	s[r.K] = a.Elems[len(a.Elems)-1]
 	in.Steps += uint64(r.Steps)

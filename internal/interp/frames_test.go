@@ -9,17 +9,18 @@ import (
 )
 
 // TestPushFrameIsTheLiteral: a frame the engine pushes itself (OpPushFrame)
-// is the object the literal it stands for builds, down to the *Shape pointer
-// that inline caches, restoreFrame and the snapshot encoder key on, and push
-// is not read on the way: a guest's replacement sees nothing of it.
+// is the array the literal it stands for builds — its class, prototype and
+// elements, the arguments object a saved slot holds built as the literal
+// builds it — and push is not read on the way: a guest's replacement sees
+// nothing of it.
 func TestPushFrameIsTheLiteral(t *testing.T) {
 	prog, err := parser.Parse(`
 var pushes = 0;
 Array.prototype.push = function (x) { pushes = pushes + 1; };
 function f(a) {
   var b = a + 1;
-  $stack.push({label: 3, locals: [a, b], fn: f, self: this});
-  return {label: 3, locals: [a, b], fn: f, self: this};
+  $stack.push([3, f, this, arguments, a, b]);
+  return [3, f, this, arguments, a, b];
 }
 var lit = f(7);`)
 	if err != nil {
@@ -46,16 +47,19 @@ var lit = f(7);`)
 		t.Fatalf("%d chunk runs, %d frames pushed: want f compiled and one frame", in.ChunkRuns(), len(stack.Elems))
 	}
 	frame := stack.Elems[0].Obj()
-	if frame.shape != lit.shape || frame.Proto != lit.Proto || frame.Class != lit.Class {
-		t.Errorf("the pushed frame's shape %p (%v) is not the literal's %p (%v)", frame.shape, frame.shape.keys, lit.shape, lit.shape.keys)
+	if frame.Proto != lit.Proto || frame.Class != lit.Class || len(frame.Elems) != len(lit.Elems) {
+		t.Fatalf("the pushed frame (%v, %d elements) is not the literal (%v, %d elements)", frame.Class, len(frame.Elems), lit.Class, len(lit.Elems))
 	}
-	for i, p := range frame.slots {
-		if want := lit.slots[i]; p.Enumerable != want.Enumerable || !StrictEquals(p.Value, want.Value) && i != 1 {
-			t.Errorf("slot %d (%s) is %+v, the literal's %+v", i, frame.shape.keys[i], p, want)
+	for i, v := range frame.Elems {
+		if want := lit.Elems[i]; !StrictEquals(v, want) && i != 3 {
+			t.Errorf("element %d is %v, the literal's %v", i, v, want)
 		}
 	}
-	if locals := frame.slots[1].Value.Obj(); locals.Class != ClassArray || len(locals.Elems) != 2 || locals.Elems[1].Num() != 8 {
-		t.Errorf("locals %+v, want [7, 8]", locals)
+	if args := frame.Elems[3].Obj(); args == nil || args.Class != ClassArguments || args.Elems[0].Num() != 7 {
+		t.Errorf("element 3 is %v, want f's arguments object", frame.Elems[3])
+	}
+	if frame.Elems[5].Num() != 8 {
+		t.Errorf("saved b is %v, want 8", frame.Elems[5])
 	}
 	if n := in.Global.Cell("pushes").v.Num(); n != 0 {
 		t.Errorf("the guest's push ran %v times", n)

@@ -301,7 +301,6 @@ type Poll struct {
 	// frame instruction whose global holds one pushes or pops it itself
 	// (frames.go), never through a guest-replaceable Array.prototype method.
 	Stacks [3]*Object
-	shapes [2]*Shape // frameShape's, built on first use
 }
 
 // SetPoll installs the runtime's yield poll.

@@ -12,6 +12,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/eventloop"
@@ -28,7 +29,11 @@ var ErrKilled = errors.New("stopify: killed")
 
 // Options configures a runtime instance.
 type Options struct {
-	Strategy instrument.Strategy
+	// Instrument is what the program was instrumented under, the one
+	// source of the sub-language the runtime must match: its Strategy
+	// decides how a capture unwinds, and under ArgsVarargs a frame carries
+	// its arguments object, which a segment's re-entry passes on.
+	Instrument instrument.Options
 
 	// YieldIntervalMs is δ: the desired interval between yields to the
 	// event loop. Zero or negative disables time-based yielding (the
@@ -244,10 +249,10 @@ func ContinuationFrames(k *interp.Object) (Frames, bool) {
 
 func (r *R) bottomFrame() interp.Value {
 	if !r.bottom.IsObject() {
-		frame := r.In.NewPlainObject()
-		frame.SetOwn(instrument.FrameLabel, interp.NumberValue(0))
-		frame.SetOwn(instrument.FrameFn, interp.ObjectValue(r.NewBottomNative()))
-		r.bottom = interp.ObjectValue(frame)
+		// It holds every element a restore arm reads, self and varargs'
+		// args, so that none reads through Array.prototype.
+		frame := []interp.Value{interp.NumberValue(0), interp.ObjectValue(r.NewBottomNative()), interp.Undefined, interp.Undefined}
+		r.bottom = interp.ObjectValue(r.In.NewArray(frame))
 	}
 	return r.bottom
 }
@@ -290,7 +295,7 @@ func (r *R) beginCapture(hold bool, onCapture func(Frames)) {
 // captureReturn produces the value/error a capturing native returns so the
 // unwind proceeds per strategy.
 func (r *R) captureReturn() (interp.Value, error) {
-	if r.opts.Strategy == instrument.Checked {
+	if r.opts.Instrument.Strategy == instrument.Checked {
 		return interp.Undefined, nil
 	}
 	return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(&interp.Object{Class: interp.ClassCaptureSignal})}
@@ -299,7 +304,7 @@ func (r *R) captureReturn() (interp.Value, error) {
 // finishCapture runs once the stack has fully unwound to the driver: it
 // assembles the canonical continuation — the frames that were live, then the
 // outer view still pending from a segmented restore, sharing its frames but
-// copying the references to them (16 B per frame of depth; ROADMAP item 10 (d))
+// copying the references to them (a 24-byte Value per frame of depth; ROADMAP item 10 (d))
 // — and hands it to the armed action.
 func (r *R) finishCapture() {
 	live, shadow := r.stackObj.Elems, r.shadowObj.Elems
@@ -372,11 +377,14 @@ func (r *R) enterSegment(bottom interp.Value, callers Frames, v interp.Value, th
 	// Re-enter the segment's outermost frame as a call site's restore arm
 	// does: apply its fn to its self, and to the args the varargs
 	// sub-language stores. A corrupt blob's frame fails as a guest TypeError.
-	top := r.rstackObj.Elems[n]
+	top, parts := r.rstackObj.Elems[n], 2
+	if r.opts.Instrument.Args == instrument.ArgsVarargs {
+		parts = 3
+	}
 	return func() (interp.Value, error) {
 		var part [3]interp.Value
-		for i, key := range [...]string{instrument.FrameFn, instrument.FrameSelf, instrument.FrameArgs} {
-			v, err := r.In.GetMember(top, key)
+		for i := range parts {
+			v, err := r.In.GetMember(top, strconv.Itoa(instrument.FrameFn+i))
 			if err != nil {
 				return interp.Undefined, err
 			}

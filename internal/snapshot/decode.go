@@ -32,6 +32,10 @@ type Decoded struct {
 	State  rt.ParkState
 	Result interp.Value
 	Tasks  []eventloop.Pending
+	// Charged is what decoding the guest's graph charged the realm's meter:
+	// everything but the closures over the global frame, which a running
+	// realm declares before the guest's meter starts.
+	Charged uint64
 }
 
 // ReadMeta parses only the header, cheaply — no realm needed. Restore uses
@@ -67,10 +71,11 @@ func readMeta(r *reader) (Meta, error) {
 }
 
 type dec struct {
-	in   *interp.Interp
-	rt   *rt.R
-	code *CodeTable
-	reg  *Registry
+	in    *interp.Interp
+	rt    *rt.R
+	code  *CodeTable
+	reg   *Registry
+	setup uint64 // what the closures over the global frame charged (Decoded.Charged)
 
 	// What the first pass leaves the second: every frame with its parent
 	// wired, every object's shell, and the fill of each continuation, in
@@ -111,6 +116,7 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 	}
 
 	d := &dec{in: in, rt: runtime, code: code, reg: reg}
+	start := in.MemUsed()
 	tables := r.off
 	if err := d.shells(r); err != nil {
 		return nil, err
@@ -120,6 +126,7 @@ func Decode(blob []byte, in *interp.Interp, runtime *rt.R, code *CodeTable, reg 
 	if err := d.fill(r, out); err != nil {
 		return nil, err
 	}
+	out.Charged = in.MemUsed() - start - d.setup
 	return out, nil
 }
 
@@ -232,7 +239,11 @@ func (d *dec) shells(r *reader) error {
 			if err != nil {
 				return err
 			}
+			before := d.in.MemUsed()
 			d.objs[i] = d.in.NewClosure(fn, env)
+			if envRef == 0 {
+				d.setup += d.in.MemUsed() - before
+			}
 		case nodeBottom:
 			d.objs[i] = d.rt.NewBottomNative()
 		case nodeContinuation:

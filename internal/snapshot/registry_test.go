@@ -90,7 +90,7 @@ func TestRegistryMatchesReferenceWalk(t *testing.T) {
 func hostRealm(change func(in *interp.Interp)) *interp.Interp {
 	loop := eventloop.New(eventloop.NewVirtualClock())
 	in := interp.New(interp.Options{Loop: loop, Seed: 7})
-	rt.New(in, loop, rt.Options{Strategy: instrument.Exceptional, DeepStacks: true})
+	rt.New(in, loop, rt.Options{Instrument: instrument.Options{Strategy: instrument.Exceptional}, DeepStacks: true})
 	if change != nil {
 		change(in)
 	}

@@ -33,9 +33,9 @@ package snapshot
 import "fmt"
 
 // Version is the wire-format version byte the encoder writes and the only one
-// the decoder accepts: the payload is raw graph structure — since 3, frames
-// of {label, locals, fn, self} — and guessing across versions corrupts realms.
-const Version = 3
+// the decoder accepts: the payload is raw graph structure — since 4, frames
+// of [label, fn, self, saved…] — and guessing across versions corrupts realms.
+const Version = 4
 
 // magic prefixes every blob.
 var magic = [4]byte{'S', 'N', 'A', 'P'}
