@@ -83,6 +83,7 @@ func runProg(t *testing.T, src string) string {
 	resolve.Program(prog)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 7})
+	in.InstallDesugarNatives()
 	if rerr := in.RunProgram(prog); rerr != nil {
 		t.Fatalf("normalized program failed: %v\n%s", rerr, src)
 	}

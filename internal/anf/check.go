@@ -7,8 +7,9 @@ import (
 )
 
 // Check verifies the A-normal-form invariants and returns the first
-// violation found, or nil. The instrumentation pass and the property-based
-// tests rely on it.
+// violation found, or nil. The instrumentation assumes these invariants but
+// does not call Check; tests do: this package's, and the conformance matrix
+// on every program it compiles (core's CheckANF).
 func Check(prog *ast.Program) error {
 	return checkStmts(prog.Body)
 }

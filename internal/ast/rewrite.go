@@ -3,7 +3,8 @@ package ast
 // Rewriter is Walk's writing counterpart: a bottom-up transformer that
 // rewrites a tree in place. Children are rewritten first, in source order;
 // PostStmt and PostExpr then see the node with its new children and return
-// what takes its place. A nil callback is the identity. Walk and Rewriter
+// what takes its place; Expand, outermost first, turns one statement of a
+// list into several. A nil callback is the identity. Walk and Rewriter
 // hold the only two enumerations of a node's children a pass needs: a new
 // node kind is added to both, and TestRewriterMatchesWalk checks they agree.
 //
@@ -13,6 +14,16 @@ package ast
 // expression callbacks (so a pass meets every *Func in one place) and stays
 // *Func.
 type Rewriter struct {
+	// Expand sees each statement of a list, and each lone statement child
+	// (an if branch, a loop or label body), before PreStmt does. It returns
+	// the statements that take its place — nil keeps it, an empty slice
+	// drops it — and whether the rewriter goes on into them: each is then
+	// rewritten as a statement, from PreStmt on, and is not offered to Expand
+	// again. A lone child that becomes other than one statement is wrapped
+	// in a block. A try's blocks are not list positions; their statements
+	// are.
+	Expand func(Stmt) (repl []Stmt, descend bool)
+
 	// PreStmt and PreExpr see a node before its children and may take it
 	// over: when they report true their result replaces the node as it is —
 	// the rewriter neither descends into it nor offers it to the Post
@@ -31,12 +42,64 @@ type Rewriter struct {
 	SkipFuncs bool
 }
 
-// Stmts rewrites a statement list in place and returns it.
+// Stmts rewrites a statement list and returns it: in place, unless Expand
+// replaces a statement with other than one.
 func (r *Rewriter) Stmts(body []Stmt) []Stmt {
+	var out []Stmt // nil while each statement has had one in its place
 	for i, s := range body {
-		body[i] = r.Stmt(s)
+		one, many := r.expand(s)
+		if out == nil && many == nil {
+			body[i] = one
+			continue
+		}
+		if out == nil {
+			out = append(make([]Stmt, 0, len(body)+len(many)), body[:i]...)
+		}
+		if many == nil {
+			out = append(out, one)
+		} else {
+			out = append(out, many...)
+		}
 	}
-	return body
+	if out == nil {
+		return body
+	}
+	return out
+}
+
+// child rewrites a lone statement child, which Expand may make a block.
+func (r *Rewriter) child(s Stmt) Stmt {
+	if s == nil {
+		return nil
+	}
+	one, many := r.expand(s)
+	if many == nil {
+		return one
+	}
+	return BlockOf(many...)
+}
+
+// expand offers s to Expand and rewrites what takes its place: one
+// statement, or many when Expand gave other than one.
+func (r *Rewriter) expand(s Stmt) (one Stmt, many []Stmt) {
+	descend := true
+	if r.Expand != nil {
+		many, descend = r.Expand(s)
+	}
+	switch {
+	case many == nil && descend:
+		return r.Stmt(s), nil
+	case many == nil:
+		return s, nil
+	case descend:
+		for i, s := range many {
+			many[i] = r.Stmt(s)
+		}
+	}
+	if len(many) == 1 {
+		return many[0], nil
+	}
+	return nil, many
 }
 
 func (r *Rewriter) exprs(es []Expr) {
@@ -64,34 +127,34 @@ func (r *Rewriter) Stmt(s Stmt) Stmt {
 	case *ExprStmt:
 		n.X = r.Expr(n.X)
 	case *Block:
-		r.Stmts(n.Body)
+		n.Body = r.Stmts(n.Body)
 	case *If:
 		n.Test = r.Expr(n.Test)
-		n.Cons = r.Stmt(n.Cons)
-		n.Alt = r.Stmt(n.Alt)
+		n.Cons = r.child(n.Cons)
+		n.Alt = r.child(n.Alt)
 	case *While:
 		n.Test = r.Expr(n.Test)
-		n.Body = r.Stmt(n.Body)
+		n.Body = r.child(n.Body)
 	case *DoWhile:
-		n.Body = r.Stmt(n.Body)
+		n.Body = r.child(n.Body)
 		n.Test = r.Expr(n.Test)
 	case *For:
 		n.Init = r.Stmt(n.Init)
 		n.Test = r.Expr(n.Test)
 		n.Update = r.Expr(n.Update)
-		n.Body = r.Stmt(n.Body)
+		n.Body = r.child(n.Body)
 	case *ForIn:
 		n.Obj = r.Expr(n.Obj)
-		n.Body = r.Stmt(n.Body)
+		n.Body = r.child(n.Body)
 	case *Return:
 		n.Arg = r.Expr(n.Arg)
 	case *Labeled:
-		n.Body = r.Stmt(n.Body)
+		n.Body = r.child(n.Body)
 	case *Switch:
 		n.Disc = r.Expr(n.Disc)
 		for i := range n.Cases {
 			n.Cases[i].Test = r.Expr(n.Cases[i].Test)
-			r.Stmts(n.Cases[i].Body)
+			n.Cases[i].Body = r.Stmts(n.Cases[i].Body)
 		}
 	case *Throw:
 		n.Arg = r.Expr(n.Arg)
@@ -131,7 +194,7 @@ func (r *Rewriter) Expr(e Expr) Expr {
 		}
 	case *Func:
 		if !r.SkipFuncs {
-			r.Stmts(n.Body)
+			n.Body = r.Stmts(n.Body)
 		}
 	case *Unary:
 		n.X = r.Expr(n.X)
@@ -169,3 +232,7 @@ func (r *Rewriter) Expr(e Expr) Expr {
 	}
 	return e
 }
+
+// StmtsOnly is the PreExpr of a pass over statements alone: it leaves every
+// expression, and so every function inside one, as it is.
+func StmtsOnly(e Expr) (Expr, bool) { return e, true }

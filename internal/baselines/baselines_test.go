@@ -112,6 +112,7 @@ func TestSkulptPreservesSemantics(t *testing.T) {
 	srcs := append(strawmanCorpus,
 		`var o = { a: 1 }; o.a += 2; console.log(o.a);`,
 		`try { throw new Error("x"); } catch (e) { console.log(e.message); }`,
+		`var n = 0; for (var k in { a: 1, b: 2 }) { n++; } console.log(n);`,
 	)
 	for _, src := range srcs {
 		want, err := core.RunRaw(src, cfg())

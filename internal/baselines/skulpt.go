@@ -8,7 +8,9 @@ import (
 )
 
 // skulptPrelude routes arithmetic through dispatching helpers the way an
-// interpreter's opcode handlers do.
+// interpreter's opcode handlers do. It also defines $forInKeys, the native a
+// desugared for-in calls, since a Skulpt program runs without the Stopify
+// runtime.
 const skulptPrelude = `
 function $sk_bin(op, a, b) {
   switch (op) {
@@ -27,6 +29,7 @@ function $sk_bin(op, a, b) {
   }
 }
 function $sk_truth(v) { return !!v; }
+function $forInKeys(o) { return Object.keys(Object(o)); }
 `
 
 // CompileSkulpt models Skulpt for the Figure 12 comparison (§6.3): Skulpt

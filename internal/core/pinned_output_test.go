@@ -13,11 +13,12 @@ import (
 // pinnedOutputSum is the sha-256 of every compile pinnedCompiles enumerates.
 // A pass refactor must leave it alone; a change that means to alter generated
 // code (or the internal/langs corpus) recomputes it — the failure message
-// prints the new value — and says so. Last recomputed when a frame became
-// one array, [label, fn, self, saved…], saving only the locals live across
-// some call site: every instrumented function's pushes, restore block and
-// re-entries moved, and its normal-mode code did not.
-const pinnedOutputSum = "83b6064762850d1922255bb92f420486e008bd49d3f41197962f084f8737e13d"
+// prints the new value — and says so. Last recomputed when the $construct
+// prelude came to allocate with $create and a desugared for-in to enumerate
+// with $forInKeys, natives a guest cannot replace as it can Object.create and
+// Object.keys: every direct-constructor compile moved (the prelude is part of
+// its Source()), and the wrapped ones of the 11 programs with a for-in.
+const pinnedOutputSum = "f9d92905500410a813bbdb98b561387ab09f77c2c711b4d7dcb9354e20ed8c67"
 
 // pinnedCompiles feeds every (program, options) pair of the pin to visit:
 // each internal/langs program under its profile's sub-language, across the

@@ -124,8 +124,9 @@ func preludeSource(opts Opts) string {
 	return b.String()
 }
 
-// preludeConstruct desugars `new` (§3.2): allocate via Object.create, apply
-// the constructor as a plain function, and honor the override-by-object
+// preludeConstruct desugars `new` (§3.2): allocate as `new` does (the
+// $create native, which a guest cannot replace as it can Object.create),
+// apply the constructor as a plain function, and honor the override-by-object
 // rule. Bound functions are unwrapped first ($boundFn/$boundArgs natives):
 // applying a bound function would substitute boundThis for the fresh
 // object, but `new boundFn(...)` must construct the ultimate target with
@@ -140,7 +141,7 @@ function $construct(f, args) {
     f = t;
     t = $boundFn(f);
   }
-  var o = Object.create(f.prototype);
+  var o = $create(f.prototype);
   var r = f.apply(o, args);
   if (r !== null && (typeof r === "object" || typeof r === "function")) {
     return r;

@@ -29,6 +29,7 @@ func runDesugared(t *testing.T, src string, opts Options) string {
 	resolve.Program(reparsed)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 1})
+	in.InstallDesugarNatives()
 	if err := in.RunProgram(reparsed); err != nil {
 		t.Fatalf("desugared program failed: %v\n%s", err, out)
 	}

@@ -150,9 +150,9 @@ func lowerDoWhile(n *ast.DoWhile, labels []string, nm *Namer) ast.Stmt {
 }
 
 // lowerForIn rewrites `for (k in obj) body` into a while loop over
-// Object.keys(Object(obj)); own enumerable keys in insertion order, matching
-// the interpreter's for-in. Object(obj) is ToObject: null, undefined and
-// primitives have no own keys and enumerate nothing, as they do raw.
+// $forInKeys(obj): the native that lists what the engines' own for-in visits
+// (interp.InstallDesugarNatives), which a guest cannot replace as it can
+// Object.keys.
 func lowerForIn(n *ast.ForIn, labels []string, nm *Namer) ast.Stmt {
 	blockLabel := nm.Fresh("$L")
 	keys := nm.Fresh("$ks")
@@ -166,7 +166,7 @@ func lowerForIn(n *ast.ForIn, labels []string, nm *Namer) ast.Stmt {
 		out = append(out, ast.Var(n.Name, nil))
 	}
 	out = append(out,
-		ast.Var(keys, ast.CallN(ast.Dot(ast.Id("Object"), "keys"), ast.CallN(ast.Id("Object"), n.Obj))),
+		ast.Var(keys, ast.CallId("$forInKeys", n.Obj)),
 		ast.Var(idx, ast.Int(0)),
 		&ast.While{
 			Test: ast.Bin("<", ast.Id(idx), ast.Dot(ast.Id(keys), "length")),
@@ -242,10 +242,6 @@ func asBlock(s ast.Stmt) ast.Stmt {
 	return ast.BlockOf(s)
 }
 
-// stmtsOnly is the PreExpr of a pass over statements alone: it leaves every
-// expression, and so every function inside one, as it is.
-func stmtsOnly(e ast.Expr) (ast.Expr, bool) { return e, true }
-
 func isLoop(s ast.Stmt) bool {
 	switch s.(type) {
 	case *ast.While, *ast.DoWhile, *ast.For, *ast.ForIn:
@@ -259,7 +255,7 @@ func isLoop(s ast.Stmt) bool {
 // one of loopLabels at any depth) with `break target`.
 func rewriteContinues(s ast.Stmt, loopLabels []string, target string) ast.Stmt {
 	nested := 0 // loops entered below s: an unlabeled continue there is theirs
-	r := ast.Rewriter{PreExpr: stmtsOnly}
+	r := ast.Rewriter{PreExpr: ast.StmtsOnly}
 	r.PreStmt = func(s ast.Stmt) (ast.Stmt, bool) {
 		switch n := s.(type) {
 		case *ast.Continue:
@@ -287,7 +283,7 @@ func rewriteContinues(s ast.Stmt, loopLabels []string, target string) ast.Stmt {
 // statements targeting the switch being desugared with `break target`.
 // Nested loops and switches capture theirs, so it stays out of them.
 func switchBreaks(target string) *ast.Rewriter {
-	return &ast.Rewriter{PreExpr: stmtsOnly, PreStmt: func(s ast.Stmt) (ast.Stmt, bool) {
+	return &ast.Rewriter{PreExpr: ast.StmtsOnly, PreStmt: func(s ast.Stmt) (ast.Stmt, bool) {
 		switch n := s.(type) {
 		case *ast.Break:
 			if n.Label == "" {

@@ -146,20 +146,19 @@ func instrumentFunc(fn *ast.Func, opts Options) *fctx {
 		shadowDepth: map[*ast.Try]string{},
 	}
 
-	body := fn.Body
-	body = c.renameCatchParams(body)
+	body := rewriteLists(fn.Body, c.renameCatch)
 	if opts.WrappedCtors {
 		body = c.ctorProtocol(body)
 	}
-	body = c.rewriteFinallyReturns(body)
+	body = rewriteLists(body, c.finallyReturns)
 	if opts.Strategy == Eager {
-		body = c.eagerShadowDepths(body)
+		body = rewriteLists(body, c.saveShadowDepth)
 	}
-	// Locals must be collected before declsToAssigns erases the var
+	// Locals must be collected before declToAssigns erases the var
 	// declarations. pushFrame (inside kStmts) inlines the saved subset at
 	// every capture site, so it rides on the context.
 	c.locals = c.localsList(fn, body)
-	body = c.declsToAssigns(body, true)
+	body = rewriteLists(body, declToAssigns)
 	c.labelSites(body)
 	c.saved = c.savedLocals(fn, body)
 
@@ -317,71 +316,74 @@ func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
 // Pre-passes
 // ---------------------------------------------------------------------------
 
-// renameCatchParams renames every catch parameter to a fresh function-wide
-// local ($e<N>) so the caught exception participates in locals capture and
-// can be re-thrown to re-enter the clause (§3.1.1).
-func (c *fctx) renameCatchParams(body []ast.Stmt) []ast.Stmt {
-	for i, s := range body {
-		body[i] = c.renameCatchStmt(s)
-	}
-	return body
+// rewriteLists is the one walk of the pre-passes that prepare a body for
+// K⟦·⟧ — renameCatch, ctorProtocol's ctorReturn, finallyReturns,
+// saveShadowDepth and declToAssigns, run in that order — each of which is an
+// expand callback. It offers expand each statement of body and of every
+// statement list nested in it, outermost first (ast.Rewriter.Expand), and
+// enters no expression, so no nested function: Apply instruments each on its
+// own.
+func rewriteLists(body []ast.Stmt, expand func(ast.Stmt) ([]ast.Stmt, bool)) []ast.Stmt {
+	r := ast.Rewriter{Expand: expand, PreExpr: ast.StmtsOnly}
+	return r.Stmts(body)
 }
 
-func (c *fctx) renameCatchStmt(s ast.Stmt) ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Block:
-		c.renameCatchParams(n.Body)
-	case *ast.If:
-		n.Cons = c.renameCatchStmt(n.Cons)
-		if n.Alt != nil {
-			n.Alt = c.renameCatchStmt(n.Alt)
-		}
-	case *ast.While:
-		n.Body = c.renameCatchStmt(n.Body)
-	case *ast.Labeled:
-		n.Body = c.renameCatchStmt(n.Body)
-	case *ast.Try:
-		c.renameCatchParams(n.Block.Body)
-		if n.Catch != nil {
-			fresh := c.fresh("$exn")
-			renameIdent(n.Catch.Body, n.CatchParam, fresh)
-			n.CatchParam = fresh
-			c.renameCatchParams(n.Catch.Body)
-		}
-		if n.Finally != nil {
-			c.renameCatchParams(n.Finally.Body)
-		}
+// renameCatch renames every catch parameter to a fresh function-wide local
+// ($exn<N>) so the caught exception participates in locals capture and can
+// be re-thrown to re-enter the clause (§3.1.1). The catches in a try's block
+// draw their names before its own.
+func (c *fctx) renameCatch(s ast.Stmt) ([]ast.Stmt, bool) {
+	n, ok := s.(*ast.Try)
+	if !ok || n.Catch == nil {
+		return nil, true
 	}
-	return s
+	n.Block.Body = rewriteLists(n.Block.Body, c.renameCatch)
+	fresh := c.fresh("$exn")
+	renameIdent(n.Catch.Body, n.CatchParam, fresh)
+	n.CatchParam = fresh
+	n.Catch.Body = rewriteLists(n.Catch.Body, c.renameCatch)
+	if n.Finally != nil {
+		n.Finally.Body = rewriteLists(n.Finally.Body, c.renameCatch)
+	}
+	return nil, false
 }
 
 // renameIdent renames free occurrences of old, a catch parameter, to new
-// inside the clause's body, respecting shadowing by nested functions. A
-// `var old = x` there declares the function's old and initializes the
-// parameter: the bare declaration stays and the initializer moves to new.
+// inside the clause's body, respecting shadowing by nested functions and by
+// a nested catch clause of the same name. A `var old = x` there declares the
+// function's old and initializes the parameter: the bare declaration stays
+// and the initializer moves to new.
 func renameIdent(body []ast.Stmt, old, new string) {
-	for _, s := range body {
-		ast.Walk(s, func(node ast.Node) bool {
-			switch n := node.(type) {
-			case *ast.Ident:
-				if n.Name == old {
-					n.Name = new
-				}
-			case *ast.VarDecl:
-				for i := 0; i < len(n.Decls); i++ {
-					if d := n.Decls[i]; d.Name == old && d.Init != nil {
-						n.Decls[i].Init = nil
-						i++
-						n.Decls = slices.Insert(n.Decls, i, ast.Declarator{Name: new, Init: d.Init})
-					}
-				}
-			case *ast.Func:
-				if n.Name == old || slices.Contains(n.Params, old) || slices.Contains(ast.DeclaredNames(n.Body), old) {
-					return false
+	var visit func(ast.Node) bool
+	visit = func(node ast.Node) bool {
+		switch n := node.(type) {
+		case *ast.Ident:
+			if n.Name == old {
+				n.Name = new
+			}
+		case *ast.VarDecl:
+			for i := 0; i < len(n.Decls); i++ {
+				if d := n.Decls[i]; d.Name == old && d.Init != nil {
+					n.Decls[i].Init = nil
+					i++
+					n.Decls = slices.Insert(n.Decls, i, ast.Declarator{Name: new, Init: d.Init})
 				}
 			}
-			return true
-		})
+		case *ast.Try:
+			if n.Catch != nil && n.CatchParam == old {
+				ast.Walk(n.Block, visit)
+				ast.Walk(n.Finally, visit)
+				return false // the clause renames its own
+			}
+		case *ast.Func:
+			if n.Name == old || slices.Contains(n.Params, old) || slices.Contains(ast.DeclaredNames(n.Body), old) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range body {
+		ast.Walk(s, visit)
 	}
 }
 
@@ -397,7 +399,7 @@ func (c *fctx) ctorProtocol(body []ast.Stmt) []ast.Stmt {
 	// new.target is undefined.
 	c.extra = append(c.extra, "$nt")
 	rewriteNewTarget(body)
-	out := c.ctorReturns(body)
+	out := rewriteLists(body, c.ctorReturn)
 	// Implicit completion: constructors return `this`.
 	out = append(out, ast.IfThen(
 		ast.Bin("!==", ast.Id("$nt"), ast.Undef()),
@@ -418,72 +420,35 @@ func rewriteNewTarget(body []ast.Stmt) {
 	r.Stmts(body)
 }
 
-// ctorReturns rewrites `return e` into the explicit protocol:
+// ctorReturn rewrites `return e` into the explicit protocol:
 //
 //	$ctv = e;
 //	if ($nt !== undefined && $ctv is not object-like) return this;
 //	return $ctv;
-func (c *fctx) ctorReturns(body []ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	for _, s := range body {
-		out = append(out, c.ctorReturnStmt(s)...)
+func (c *fctx) ctorReturn(s ast.Stmt) ([]ast.Stmt, bool) {
+	n, ok := s.(*ast.Return)
+	if !ok {
+		return nil, true
 	}
-	return out
-}
-
-func (c *fctx) ctorReturnStmt(s ast.Stmt) []ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Return:
-		arg := n.Arg
-		if arg == nil {
-			arg = ast.Undef()
-		}
-		return []ast.Stmt{
-			ast.ExprOf(ast.SetId(c.ctv, arg)),
-			ast.IfThen(
-				ast.Log("&&",
-					ast.Bin("!==", ast.Id("$nt"), ast.Undef()),
-					notObjectLike(ast.Id(c.ctv)),
-				),
-				ast.Ret(&ast.This{}),
+	return []ast.Stmt{
+		ast.ExprOf(ast.SetId(c.ctv, returned(n))),
+		ast.IfThen(
+			ast.Log("&&",
+				ast.Bin("!==", ast.Id("$nt"), ast.Undef()),
+				notObjectLike(ast.Id(c.ctv)),
 			),
-			ast.Ret(ast.Id(c.ctv)),
-		}
-	case *ast.Block:
-		n.Body = c.ctorReturns(n.Body)
-		return []ast.Stmt{n}
-	case *ast.If:
-		n.Cons = c.wrapCtor(n.Cons)
-		if n.Alt != nil {
-			n.Alt = c.wrapCtor(n.Alt)
-		}
-		return []ast.Stmt{n}
-	case *ast.While:
-		n.Body = c.wrapCtor(n.Body)
-		return []ast.Stmt{n}
-	case *ast.Labeled:
-		n.Body = c.wrapCtor(n.Body)
-		return []ast.Stmt{n}
-	case *ast.Try:
-		n.Block.Body = c.ctorReturns(n.Block.Body)
-		if n.Catch != nil {
-			n.Catch.Body = c.ctorReturns(n.Catch.Body)
-		}
-		if n.Finally != nil {
-			n.Finally.Body = c.ctorReturns(n.Finally.Body)
-		}
-		return []ast.Stmt{n}
-	default:
-		return []ast.Stmt{s}
-	}
+			ast.Ret(&ast.This{}),
+		),
+		ast.Ret(ast.Id(c.ctv)),
+	}, false
 }
 
-func (c *fctx) wrapCtor(s ast.Stmt) ast.Stmt {
-	out := c.ctorReturnStmt(s)
-	if len(out) == 1 {
-		return out[0]
+// returned is the value a return statement returns.
+func returned(n *ast.Return) ast.Expr {
+	if n.Arg == nil {
+		return ast.Undef()
 	}
-	return ast.BlockOf(out...)
+	return n.Arg
 }
 
 // notObjectLike builds `(x === null || (typeof x !== "object" && typeof x
@@ -496,4 +461,76 @@ func notObjectLike(x ast.Expr) ast.Expr {
 			ast.Bin("!==", &ast.Unary{Op: "typeof", X: x}, ast.Strlit("function")),
 		),
 	)
+}
+
+// finallyReturns implements the completion-value preservation of §3.1.1:
+// inside every `try ... finally`, `return e` becomes
+//
+//	$finv = e; $finret = 1; return $finv;
+//
+// so that a continuation captured inside the finalizer can re-enter it by
+// re-returning the saved value. Tail calls inside such try blocks become
+// named calls (they were never real tail calls — the finalizer runs after).
+func (c *fctx) finallyReturns(s ast.Stmt) ([]ast.Stmt, bool) {
+	n, ok := s.(*ast.Try)
+	if !ok || n.Finally == nil {
+		return nil, true
+	}
+	fi := &finInfo{finret: c.fresh("$finret"), finv: c.fresh("$finv")}
+	n.Block.Body = rewriteLists(n.Block.Body, fi.saveReturn)
+	if n.Catch != nil {
+		n.Catch.Body = rewriteLists(n.Catch.Body, fi.saveReturn)
+	}
+	c.fin[n] = fi
+	return nil, true
+}
+
+// finInfo records the completion-saving locals of a try/finally.
+type finInfo struct{ finret, finv string }
+
+// saveReturn rewrites a return the finalizer runs after to save its value. A
+// nested try-finally saves its own returns, when finallyReturns reaches it.
+func (fi *finInfo) saveReturn(s ast.Stmt) ([]ast.Stmt, bool) {
+	switch n := s.(type) {
+	case *ast.Return:
+		return []ast.Stmt{
+			ast.ExprOf(ast.SetId(fi.finv, returned(n))),
+			ast.ExprOf(ast.SetId(fi.finret, ast.Int(1))),
+			&ast.Return{P: n.P, Arg: ast.Id(fi.finv)},
+		}, false
+	case *ast.Try:
+		return nil, n.Finally == nil
+	}
+	return nil, true
+}
+
+// saveShadowDepth gives every try with a catch clause a local that records
+// the shadow-stack depth at try entry; the catch handler trims the shadow
+// stack back to it, since an exception unwinds past the per-call pops of the
+// eager strategy.
+func (c *fctx) saveShadowDepth(s ast.Stmt) ([]ast.Stmt, bool) {
+	n, ok := s.(*ast.Try)
+	if !ok || n.Catch == nil {
+		return nil, true
+	}
+	sd := c.fresh("$sd")
+	c.shadowDepth[n] = sd
+	return []ast.Stmt{ast.ExprOf(ast.SetId(sd, ast.Dot(ast.Id(ShadowVar), "length"))), n}, true
+}
+
+// declToAssigns turns a var declaration into plain assignments: every local
+// is declared once in the prologue, so that restore-mode assignments can
+// precede the declaration's site. A declarator without an initializer goes.
+func declToAssigns(s ast.Stmt) ([]ast.Stmt, bool) {
+	n, ok := s.(*ast.VarDecl)
+	if !ok {
+		return nil, true
+	}
+	out := make([]ast.Stmt, 0, len(n.Decls)) // not nil: empty drops n
+	for _, d := range n.Decls {
+		if d.Init != nil {
+			out = append(out, ast.ExprOf(ast.SetId(d.Name, d.Init)))
+		}
+	}
+	return out, false
 }

@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -414,4 +415,140 @@ func findFunc(prog *ast.Program, name string) *ast.Func {
 		return true
 	})
 	return found
+}
+
+// TestRewriteLists: the pre-passes' one walk offers each statement of each
+// list once, outermost first; stays out of functions; wraps a lone child
+// that became several statements in a block; and prunes where the callback
+// says so. renameCatch, the one pre-pass that orders itself, numbers a
+// try block's own catches before the try's.
+func TestRewriteLists(t *testing.T) {
+	// name is what a row's callback calls a statement: an expression
+	// statement by its text, anything else by its kind.
+	name := func(s ast.Stmt) string {
+		if es, ok := s.(*ast.ExprStmt); ok {
+			return strings.TrimSuffix(printer.Print(&ast.Program{Body: []ast.Stmt{es}}), ";\n")
+		}
+		return strings.TrimPrefix(fmt.Sprintf("%T", s), "*ast.")
+	}
+	// shape shows where the blocks are, which the printer does not: it
+	// braces every loop body.
+	var shape func(ast.Stmt) string
+	shapes := func(body []ast.Stmt) string {
+		var parts []string
+		for _, s := range body {
+			parts = append(parts, shape(s))
+		}
+		return strings.Join(parts, "; ")
+	}
+	shape = func(s ast.Stmt) string {
+		switch n := s.(type) {
+		case *ast.Block:
+			return "{" + shapes(n.Body) + "}"
+		case *ast.If:
+			if n.Alt == nil {
+				return "if " + shape(n.Cons)
+			}
+			return "if " + shape(n.Cons) + " else " + shape(n.Alt)
+		case *ast.While:
+			return "while " + shape(n.Body)
+		case *ast.Labeled:
+			return n.Label + ": " + shape(n.Body)
+		}
+		return name(s)
+	}
+	for _, tc := range []struct {
+		name, body string
+		// expand is the row's callback, given what records a visit.
+		expand func(visit func(ast.Stmt)) func(ast.Stmt) ([]ast.Stmt, bool)
+		visits []string // nil: not checked
+		want   string   // the rewritten body; "": not checked
+	}{
+		{"each list position once, outermost first, no function entered",
+			`a; if (t) { b; } else c; while (t) d; L: { e; } try { g; } catch (x) { h; } finally { i; }
+			 var v = function () { inner; }; function decl() { inner; }`,
+			func(visit func(ast.Stmt)) func(ast.Stmt) ([]ast.Stmt, bool) {
+				return func(s ast.Stmt) ([]ast.Stmt, bool) { visit(s); return nil, true }
+			},
+			[]string{"a", "If", "Block", "b", "c", "While", "d", "Labeled", "Block", "e", "Try", "g", "h", "i", "VarDecl", "FuncDecl"}, ""},
+		{"a lone child that becomes several statements, or none, becomes a block",
+			`if (t) a; else b; while (t) c; L: d; { e; }`,
+			func(visit func(ast.Stmt)) func(ast.Stmt) ([]ast.Stmt, bool) {
+				return func(s ast.Stmt) ([]ast.Stmt, bool) {
+					switch name(s) {
+					case "a", "d", "e":
+						return []ast.Stmt{s, ast.ExprOf(ast.Id(name(s) + "2"))}, false
+					case "b":
+						return []ast.Stmt{}, false
+					case "c":
+						return []ast.Stmt{ast.ExprOf(ast.Id("c2"))}, false
+					}
+					return nil, true
+				}
+			},
+			nil, "if {a; a2} else {}; while c2; L: {d; d2}; {e; e2}"},
+		{"descend false prunes, and what replaced a statement is not offered again",
+			`if (t) { a; } b; while (t) { c; }`,
+			func(visit func(ast.Stmt)) func(ast.Stmt) ([]ast.Stmt, bool) {
+				return func(s ast.Stmt) ([]ast.Stmt, bool) {
+					visit(s)
+					switch s.(type) {
+					case *ast.If:
+						return nil, false
+					case *ast.While:
+						return []ast.Stmt{ast.ExprOf(ast.Id("w")), s}, true
+					}
+					return nil, true
+				}
+			},
+			[]string{"If", "b", "While", "Block", "c"}, "if {a}; b; w; while {c}"},
+	} {
+		prog, err := parser.Parse("function f() {" + tc.body + "}")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fn := prog.Body[0].(*ast.FuncDecl).Fn
+		var visits []string
+		fn.Body = rewriteLists(fn.Body, tc.expand(func(s ast.Stmt) { visits = append(visits, name(s)) }))
+		if tc.visits != nil && !slices.Equal(visits, tc.visits) {
+			t.Errorf("%s: visited %q, want %q", tc.name, visits, tc.visits)
+		}
+		if got := shapes(fn.Body); tc.want != "" && got != tc.want {
+			t.Errorf("%s: got %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct{ src, want string }{
+		{`try { try { g(); } catch (a) { h(a); } } catch (b) { k(b); }`, "a=$exn1 b=$exn2"},
+		{`try { g(); } catch (a) { try { h(a); } catch (b) { k(b); } }`, "a=$exn1 b=$exn2"},
+		{`try { g(); } catch (a) { k(a); } finally { try { h(); } catch (b) { k(b); } }`, "a=$exn1 b=$exn2"},
+	} {
+		prog, err := parser.Parse("function f() {" + tc.src + "}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old []string
+		ast.Walk(prog, func(n ast.Node) bool {
+			if tr, ok := n.(*ast.Try); ok {
+				old = append(old, tr.CatchParam)
+			}
+			return true
+		})
+		c := &fctx{}
+		fn := prog.Body[0].(*ast.FuncDecl).Fn
+		fn.Body = rewriteLists(fn.Body, c.renameCatch)
+		var got []string
+		i := 0
+		ast.Walk(prog, func(n ast.Node) bool {
+			if tr, ok := n.(*ast.Try); ok {
+				got = append(got, old[i]+"="+tr.CatchParam)
+				i++
+			}
+			return true
+		})
+		slices.Sort(got)
+		if s := strings.Join(got, " "); s != tc.want {
+			t.Errorf("%s: catch parameters %s, want %s", tc.src, s, tc.want)
+		}
+	}
 }

@@ -5,228 +5,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Pre-passes over one function body
-// ---------------------------------------------------------------------------
-
-// declsToAssigns converts var declarations into plain assignments; all
-// locals are declared once in the prologue so restore-mode assignments can
-// precede the original declaration sites. Initializer-less declarations
-// disappear. top indicates the outermost call (returns a fresh slice).
-func (c *fctx) declsToAssigns(body []ast.Stmt, top bool) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(body))
-	for _, s := range body {
-		switch n := s.(type) {
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				if d.Init == nil {
-					continue
-				}
-				out = append(out, ast.ExprOf(ast.SetId(d.Name, d.Init)))
-			}
-		case *ast.Block:
-			n.Body = c.declsToAssigns(n.Body, false)
-			out = append(out, n)
-		case *ast.If:
-			n.Cons = c.declsToAssignsNested(n.Cons)
-			if n.Alt != nil {
-				n.Alt = c.declsToAssignsNested(n.Alt)
-			}
-			out = append(out, n)
-		case *ast.While:
-			n.Body = c.declsToAssignsNested(n.Body)
-			out = append(out, n)
-		case *ast.Labeled:
-			n.Body = c.declsToAssignsNested(n.Body)
-			out = append(out, n)
-		case *ast.Try:
-			n.Block.Body = c.declsToAssigns(n.Block.Body, false)
-			if n.Catch != nil {
-				n.Catch.Body = c.declsToAssigns(n.Catch.Body, false)
-			}
-			if n.Finally != nil {
-				n.Finally.Body = c.declsToAssigns(n.Finally.Body, false)
-			}
-			out = append(out, n)
-		default:
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func (c *fctx) declsToAssignsNested(s ast.Stmt) ast.Stmt {
-	out := c.declsToAssigns([]ast.Stmt{s}, false)
-	if len(out) == 1 {
-		return out[0]
-	}
-	return ast.BlockOf(out...)
-}
-
-// rewriteFinallyReturns implements the completion-value preservation of
-// §3.1.1: inside every `try ... finally`, `return e` becomes
-//
-//	$finret = 1; $finv = e; return $finv;
-//
-// so that a continuation captured inside the finalizer can re-enter it by
-// re-returning the saved value. Tail calls inside such try blocks become
-// named calls (they were never real tail calls — the finalizer runs after).
-func (c *fctx) rewriteFinallyReturns(body []ast.Stmt) []ast.Stmt {
-	for i, s := range body {
-		body[i] = c.finStmt(s)
-	}
-	return body
-}
-
-func (c *fctx) finStmt(s ast.Stmt) ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Block:
-		c.rewriteFinallyReturns(n.Body)
-	case *ast.If:
-		n.Cons = c.finStmt(n.Cons)
-		if n.Alt != nil {
-			n.Alt = c.finStmt(n.Alt)
-		}
-	case *ast.While:
-		n.Body = c.finStmt(n.Body)
-	case *ast.Labeled:
-		n.Body = c.finStmt(n.Body)
-	case *ast.Try:
-		if n.Finally != nil {
-			finret := c.fresh("$finret")
-			finv := c.fresh("$finv")
-			n.Block.Body = rewriteReturns(n.Block.Body, finret, finv)
-			if n.Catch != nil {
-				n.Catch.Body = rewriteReturns(n.Catch.Body, finret, finv)
-			}
-			c.fin[n] = &finInfo{finret: finret, finv: finv}
-		}
-		c.rewriteFinallyReturns(n.Block.Body)
-		if n.Catch != nil {
-			c.rewriteFinallyReturns(n.Catch.Body)
-		}
-		if n.Finally != nil {
-			c.rewriteFinallyReturns(n.Finally.Body)
-		}
-	}
-	return s
-}
-
-// finInfo records the completion-saving locals of a try/finally.
-type finInfo struct{ finret, finv string }
-
-// eagerShadowDepths allocates, for every try with a catch clause, a local
-// that records the shadow-stack depth at try entry; the catch handler trims
-// the shadow stack back to it, since an exception unwinds past the per-call
-// pops of the eager strategy.
-func (c *fctx) eagerShadowDepths(body []ast.Stmt) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(body))
-	for _, s := range body {
-		switch n := s.(type) {
-		case *ast.Try:
-			if n.Catch != nil {
-				sd := c.fresh("$sd")
-				c.shadowDepth[n] = sd
-				out = append(out, ast.ExprOf(ast.SetId(sd, ast.Dot(ast.Id(ShadowVar), "length"))))
-			}
-			n.Block.Body = c.eagerShadowDepths(n.Block.Body)
-			if n.Catch != nil {
-				n.Catch.Body = c.eagerShadowDepths(n.Catch.Body)
-			}
-			if n.Finally != nil {
-				n.Finally.Body = c.eagerShadowDepths(n.Finally.Body)
-			}
-			out = append(out, n)
-		case *ast.Block:
-			n.Body = c.eagerShadowDepths(n.Body)
-			out = append(out, n)
-		case *ast.If:
-			n.Cons = c.eagerShadowNested(n.Cons)
-			if n.Alt != nil {
-				n.Alt = c.eagerShadowNested(n.Alt)
-			}
-			out = append(out, n)
-		case *ast.While:
-			n.Body = c.eagerShadowNested(n.Body)
-			out = append(out, n)
-		case *ast.Labeled:
-			n.Body = c.eagerShadowNested(n.Body)
-			out = append(out, n)
-		default:
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func (c *fctx) eagerShadowNested(s ast.Stmt) ast.Stmt {
-	out := c.eagerShadowDepths([]ast.Stmt{s})
-	if len(out) == 1 {
-		return out[0]
-	}
-	return ast.BlockOf(out...)
-}
-
-// rewriteReturns rewrites returns (not inside nested functions or nested
-// try-finally blocks, which have their own rewriting) to save their value.
-func rewriteReturns(body []ast.Stmt, finret, finv string) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(body))
-	for _, s := range body {
-		out = append(out, rewriteReturnStmt(s, finret, finv)...)
-	}
-	return out
-}
-
-func rewriteReturnStmt(s ast.Stmt, finret, finv string) []ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Return:
-		arg := n.Arg
-		if arg == nil {
-			arg = ast.Undef()
-		}
-		return []ast.Stmt{
-			ast.ExprOf(ast.SetId(finv, arg)),
-			ast.ExprOf(ast.SetId(finret, ast.Int(1))),
-			&ast.Return{P: n.P, Arg: ast.Id(finv)},
-		}
-	case *ast.Block:
-		n.Body = rewriteReturns(n.Body, finret, finv)
-		return []ast.Stmt{n}
-	case *ast.If:
-		n.Cons = wrapReturns(n.Cons, finret, finv)
-		if n.Alt != nil {
-			n.Alt = wrapReturns(n.Alt, finret, finv)
-		}
-		return []ast.Stmt{n}
-	case *ast.While:
-		n.Body = wrapReturns(n.Body, finret, finv)
-		return []ast.Stmt{n}
-	case *ast.Labeled:
-		n.Body = wrapReturns(n.Body, finret, finv)
-		return []ast.Stmt{n}
-	case *ast.Try:
-		// A nested try-finally rewrites its own returns later; a nested
-		// try-catch still propagates returns to our finalizer.
-		if n.Finally == nil {
-			n.Block.Body = rewriteReturns(n.Block.Body, finret, finv)
-			if n.Catch != nil {
-				n.Catch.Body = rewriteReturns(n.Catch.Body, finret, finv)
-			}
-		}
-		return []ast.Stmt{n}
-	default:
-		return []ast.Stmt{s}
-	}
-}
-
-func wrapReturns(s ast.Stmt, finret, finv string) ast.Stmt {
-	out := rewriteReturnStmt(s, finret, finv)
-	if len(out) == 1 {
-		return out[0]
-	}
-	return ast.BlockOf(out...)
-}
-
-// ---------------------------------------------------------------------------
 // Labeling
 // ---------------------------------------------------------------------------
 

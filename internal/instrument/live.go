@@ -212,7 +212,7 @@ func (lv *liveness) stmt(st ast.Stmt, s bits, e *liveEnv) {
 		lv.try(n, s, e)
 	case *ast.FuncDecl, *ast.Empty:
 	default:
-		lv.all(s) // no other statement survives desugaring and declsToAssigns
+		lv.all(s) // no other statement survives desugaring and declToAssigns
 	}
 	s.or(e.exc)
 }

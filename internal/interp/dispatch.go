@@ -916,11 +916,7 @@ loop:
 			envDepth--
 
 		case bytecode.OpForInInit:
-			it := &forInIter{}
-			if o := stack[sp-1].Obj(); o != nil {
-				it.keys = o.OwnKeys()
-			}
-			stack[sp-1] = iterValue(it)
+			stack[sp-1] = iterValue(&forInIter{keys: forInKeys(stack[sp-1])})
 		case bytecode.OpForInNext:
 			it := stack[sp-1].iter()
 			if it.i >= len(it.keys) {

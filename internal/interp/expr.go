@@ -622,6 +622,29 @@ func (in *Interp) buildArguments(slot *Value) Value {
 // ArgumentsBuilt counts the arguments objects this realm has built.
 func (in *Interp) ArgumentsBuilt() uint64 { return uint64(in.argsBuilt) }
 
+// instance is the object `new` makes for a constructor whose prototype
+// property is proto: one inheriting from proto, or from Object.prototype when
+// proto is not an object.
+func (in *Interp) instance(proto Value) *Object {
+	p := proto.Obj()
+	if p == nil {
+		p = in.objectProto
+	}
+	return NewObject(p)
+}
+
+// createNative is $create, what a desugared `new` allocates with: instance
+// for the prototype property it is given, charged as the Object.create it
+// replaces.
+func createNative(in *Interp, this Value, args []Value) (Value, error) {
+	in.chargeAlloc()
+	proto := Undefined
+	if len(args) > 0 {
+		proto = args[0]
+	}
+	return ObjectValue(in.instance(proto)), nil
+}
+
 // Construct implements `new fn(args)`.
 func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 	f := fn.Obj()
@@ -653,11 +676,7 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 	if err != nil {
 		return Undefined, err
 	}
-	proto := protoV.Obj()
-	if proto == nil {
-		proto = in.objectProto
-	}
-	obj := NewObject(proto)
+	obj := in.instance(protoV)
 	res, err := in.Call(fn, ObjectValue(obj), args, fn)
 	if err != nil {
 		return Undefined, err

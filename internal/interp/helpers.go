@@ -130,3 +130,14 @@ func (in *Interp) InstallAccessorNatives() {
 		in.DefineGlobal(n.NativeName(), ObjectValue(n))
 	}
 }
+
+// InstallDesugarNatives defines, in this realm, the natives desugared code
+// calls where it would otherwise call a builtin a guest may replace: $create
+// allocates the object of a desugared `new` (the $construct prelude) as `new`
+// does, and $forInKeys lists what a desugared for-in visits with the
+// engines' own enumerator. The runtime installs them; so does anything else
+// that runs desugared code.
+func (in *Interp) InstallDesugarNatives() {
+	in.DefineGlobal("$create", ObjectValue(in.NewNative("$create", createNative)))
+	in.DefineGlobal("$forInKeys", ObjectValue(in.NewNative("$forInKeys", forInKeysNative)))
+}

@@ -730,11 +730,7 @@ func (in *Interp) execForIn(n *ast.ForIn, env *Env, labels []string) error {
 	if err != nil {
 		return err
 	}
-	o := obj.Obj()
-	if o == nil {
-		return nil // primitives enumerate nothing we support
-	}
-	for _, key := range o.OwnKeys() {
+	for _, key := range forInKeys(obj) {
 		kv := StringValue(key)
 		if n.Ref.Valid() {
 			env.SetRef(n.Ref, kv)
@@ -749,6 +745,29 @@ func (in *Interp) execForIn(n *ast.ForIn, env *Env, labels []string) error {
 		}
 	}
 	return nil
+}
+
+// forInKeys is what a for-in statement enumerates over v: an object's own
+// enumerable keys, in order, and nothing for a primitive. Both engines
+// enumerate with it, and a desugared for-in through $forInKeys.
+func forInKeys(v Value) []string {
+	if o := v.Obj(); o != nil {
+		return o.OwnKeys()
+	}
+	return nil
+}
+
+// forInKeysNative is $forInKeys: forInKeys as an array.
+func forInKeysNative(in *Interp, this Value, args []Value) (Value, error) {
+	var keys []string
+	if len(args) > 0 {
+		keys = forInKeys(args[0])
+	}
+	elems := make([]Value, len(keys))
+	for i, k := range keys {
+		elems[i] = StringValue(k)
+	}
+	return ObjectValue(in.NewArray(elems)), nil
 }
 
 func (in *Interp) execLabeled(n *ast.Labeled, env *Env) error {

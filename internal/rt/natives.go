@@ -42,7 +42,8 @@ func (r *R) installNatives() {
 		}
 		f := args[0]
 		r.beginCapture(false, func(frames Frames) {
-			k := r.makeContinuation(frames)
+			k, fill := r.NewContinuation()
+			fill(frames)
 			r.runStep(func() (interp.Value, error) {
 				return in.Call(f, interp.Undefined, []interp.Value{interp.ObjectValue(k)}, interp.Undefined)
 			})
@@ -179,4 +180,8 @@ func (r *R) installNatives() {
 		all = append(all, rest.Elems...)
 		return interp.ObjectValue(in.NewArray(all)), nil
 	})
+
+	// $create and $forInKeys, which the $construct prelude and a desugared
+	// for-in call where a guest could replace Object.create and Object.keys.
+	in.InstallDesugarNatives()
 }

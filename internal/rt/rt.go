@@ -225,23 +225,30 @@ func isSignal(v interp.Value) (*interp.Object, bool) {
 	return nil, false
 }
 
-// makeContinuation wraps frames as a callable JS value: applying it aborts
-// the current continuation (by throwing a restore sentinel the driver
-// catches) and reinstates the saved one (§3).
-func (r *R) makeContinuation(frames Frames) *interp.Object {
-	k := r.In.NewNative("continuation", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+// NewContinuation allocates a continuation — a callable JS value: applying
+// it aborts the current continuation (by throwing a restore sentinel the
+// driver catches) and reinstates the saved one (§3) — whose frames fill
+// supplies. $C fills it at once; the snapshot decoder materializes the
+// object first (other decoded values may reference it, including its own
+// frames — continuation graphs are cyclic) and fills it once every node
+// exists.
+func (r *R) NewContinuation() (k *interp.Object, fill func(Frames)) {
+	var frames Frames
+	k = r.In.NewNative("continuation", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		v := interp.Undefined
 		if len(args) > 0 {
 			v = args[0]
 		}
 		return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(r.restoreSentinel(frames, v))}
 	})
-	k.SetExtra(frames)
-	return k
+	return k, func(f Frames) {
+		frames = f
+		k.SetExtra(f)
+	}
 }
 
 // ContinuationFrames extracts the frames from a continuation value made by
-// makeContinuation (used by the blocking API and tests).
+// NewContinuation (used by the blocking API and tests).
 func ContinuationFrames(k *interp.Object) (Frames, bool) {
 	f, ok := k.Extra().(Frames)
 	return f, ok

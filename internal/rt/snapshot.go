@@ -115,25 +115,6 @@ func (r *R) NewBottomNative() *interp.Object {
 	return r.In.NewNative("$bottom", r.bottomReenter)
 }
 
-// RestoredContinuation allocates a continuation object whose frames are
-// supplied later, so the decoder can materialize the object first (other
-// decoded values may reference it, including its own frames — continuation
-// graphs are cyclic) and fill the frames once every node exists.
-func (r *R) RestoredContinuation() (k *interp.Object, fill func(Frames)) {
-	var frames Frames
-	k = r.In.NewNative("continuation", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		v := interp.Undefined
-		if len(args) > 0 {
-			v = args[0]
-		}
-		return interp.Undefined, &interp.Thrown{Value: interp.ObjectValue(r.restoreSentinel(frames, v))}
-	})
-	return k, func(f Frames) {
-		frames = f
-		k.SetExtra(f)
-	}
-}
-
 // ModeNormal reports whether the runtime is in normal mode — the only mode
 // a consistent snapshot can be taken in (capture/restore are transient
 // within a turn and never survive to a quiescent point).

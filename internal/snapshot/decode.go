@@ -247,7 +247,7 @@ func (d *dec) shells(r *reader) error {
 		case nodeBottom:
 			d.objs[i] = d.rt.NewBottomNative()
 		case nodeContinuation:
-			k, fill := d.rt.RestoredContinuation()
+			k, fill := d.rt.NewContinuation()
 			d.objs[i] = k
 			d.fills = append(d.fills, fill)
 		case nodeBound:
