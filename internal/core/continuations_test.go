@@ -70,6 +70,54 @@ console.log(go(), hits);`
 	}
 }
 
+// TestContinuationMultiShotPreempted re-applies a saved continuation on the
+// bytecode engine while a countdown estimator preempts the program every few
+// calls, on stacks deeper than a restore segment. Until $C runs, the runtime
+// owns every frame: a restore returns the frames it pops to a pool, and a
+// capture writes into the continuation it restored from. The saved
+// continuation holds frames of both kinds, and it is re-entered three times,
+// so a frame recycled, or a continuation overwritten, after $C shows here as
+// an output that differs from the unpreempted run's.
+func TestContinuationMultiShotPreempted(t *testing.T) {
+	src := `
+function deep(n, f) { if (n === 0) { return f(); } return deep(n - 1, f) + 1; }
+var saved = null, hits = 0, trail = [];
+function body() {
+  var v = deep(40, function () { return $C(function (k) { saved = k; return k(1); }); });
+  hits = hits + 1;
+  trail.push(v + deep(30, function () { return hits; }));
+  if (hits < 4) { saved(hits * 10); }
+  return v;
+}
+console.log(deep(25, body), hits, trail.join(","));`
+	for _, cont := range []string{"checked", "exceptional", "eager"} {
+		want, err := RunSource(src, contOpts(cont), cfgVirtual())
+		if err != nil {
+			t.Fatalf("%s unpreempted: %v", cont, err)
+		}
+		c, err := Compile(src, hammer(cont))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		cfg := cfgVirtual()
+		cfg.Out = &buf
+		run, err := c.NewRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.RunToCompletion(); err != nil {
+			t.Fatalf("%s preempted: %v (printed %q)", cont, err, buf.String())
+		}
+		if buf.String() != want {
+			t.Errorf("%s: preempted run printed %q, unpreempted %q", cont, buf.String(), want)
+		}
+		if run.RT.Yields < 20 {
+			t.Errorf("%s: only %d yields; the countdown is not preempting", cont, run.RT.Yields)
+		}
+	}
+}
+
 // TestContinuationAcrossClosureState verifies boxed state stays shared when
 // a continuation rewinds: the counter keeps counting from where it was,
 // while control returns to the captured point.

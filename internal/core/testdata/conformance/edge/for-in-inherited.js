@@ -1,5 +1,5 @@
 // for-in over inherited enumerable keys and over a string's indices.
-// known: prints "a own, .\n" — for-in walks own keys only (OwnKeys on both engines, Object.keys in the lowering): inherited enumerable keys and a string's indices are skipped
+// known: prints "a own, 01.\n" — for-in walks own keys only (forInKeys on both engines, $forInKeys in the lowering): inherited enumerable keys are skipped
 function C() { this.a = 1; }
 C.prototype.b = 2;
 var s = "";

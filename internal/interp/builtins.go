@@ -77,12 +77,11 @@ func (in *Interp) setupObjectProto() {
 	})
 	objectCtor.SetHidden("prototype", ObjectValue(in.objectProto))
 	objectCtor.SetHidden("create", in.nativeV("create", func(in *Interp, this Value, args []Value) (Value, error) {
-		in.chargeAlloc()
-		var proto *Object
-		if len(args) > 0 {
-			proto = args[0].Obj()
+		if len(args) == 0 || !args[0].IsObject() && !args[0].IsNull() {
+			return Undefined, in.Throw("TypeError", "Object prototype may only be an Object or null")
 		}
-		return ObjectValue(NewObject(proto)), nil
+		in.chargeAlloc()
+		return ObjectValue(NewObject(args[0].Obj())), nil
 	}))
 	objectCtor.SetHidden("keys", in.nativeV("keys", func(in *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {

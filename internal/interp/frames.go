@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/ast"
@@ -46,7 +47,8 @@ func (in *Interp) pushFrame(f *bytecode.Frame, names []string, env *Env) (Value,
 	} else {
 		fn = env.GetRef(f.Fn)
 	}
-	elems := make([]Value, 3+len(f.Elems))
+	frame := in.newFrame(3 + len(f.Elems))
+	elems := frame.Elems
 	elems[0], elems[1], elems[2] = NumberValue(float64(f.Label)), fn, env.GetRef(f.Self)
 	for i, r := range f.Elems {
 		elems[3+i] = in.buildArguments(env.slotRef(r))
@@ -54,10 +56,42 @@ func (in *Interp) pushFrame(f *bytecode.Frame, names []string, env *Env) (Value,
 	in.chargeProp()
 	in.chargeAlloc()
 	in.chargeCall()
-	frame := in.NewArray(elems)
 	in.chargeMem(memValueBytes)
 	a.Elems = append(a.Elems, ObjectValue(frame))
 	return NumberValue(float64(len(a.Elems))), true
+}
+
+// framePoolMax bounds Poll.Pool; a capture pushes about a segment's frames.
+const framePoolMax = 64
+
+// newFrame returns an n-element frame array: the last one the pool holds,
+// its storage kept when that holds n, or a new one. The meter charges either
+// as NewArray charges a new one.
+func (in *Interp) newFrame(n int) *Object {
+	p := in.poll
+	k := len(p.Pool) - 1
+	if k < 0 {
+		return in.NewArray(make([]Value, n))
+	}
+	o := p.Pool[k]
+	p.Pool = p.Pool[:k]
+	o.Elems = slices.Grow(o.Elems[:0], n)[:n] // not append's make: -race allocates it
+	in.chargeMem(memObjectBytes + memValueBytes*n)
+	return o
+}
+
+// recycleFrame pools a frame restoreFrame popped, cleared so that the pool
+// pins nothing, unless the runtime shares its frames (Poll.Shared) or o is
+// not what newFrame hands out: an array with no own property whose fn is a
+// closure. A bottom frame's fn is the runtime's native: it never goes back.
+func (in *Interp) recycleFrame(o *Object) {
+	p, fn := in.poll, o.Elems[instrument.FrameFn].Obj()
+	if p.Shared || len(p.Pool) == framePoolMax || fn == nil || fn.Fn == nil ||
+		o.shape != nil || o.usedAsProto || o.Proto != in.arrayProto {
+		return
+	}
+	clear(o.Elems)
+	p.Pool = append(p.Pool, o)
 }
 
 // popFrame is OpPopFrame: pop's, charging the read of pop and the call.
@@ -121,10 +155,12 @@ func (in *Interp) frameElem(o *Object, i int) (Value, error) {
 }
 
 // restoreFrame is OpRestoreFrame: the restore block's pop, reads and stores
-// in one step. It declines unless the realm has no engine profile, counting
-// the block's boundaries one by one would fire no trigger (stepBoundary),
-// $rstack is the runtime's, with no own properties and a caller under the
-// frame, and the frame is an array holding every element the block reads.
+// in one step, the popped frame then pooled (not at reenter: its $k is the
+// callee's frame, still on $rstack). It declines unless the realm has no
+// engine profile, counting the block's boundaries one by one would fire no
+// trigger (stepBoundary), $rstack is the runtime's, with no own properties
+// and a caller under the frame, and the frame is an array holding every
+// element the block reads.
 func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bool {
 	if in.Engine != nil || in.Steps+uint64(r.Steps) > in.stepLimit {
 		return false
@@ -145,5 +181,6 @@ func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bo
 	}
 	s[r.K] = a.Elems[len(a.Elems)-1]
 	in.Steps += uint64(r.Steps)
+	in.recycleFrame(top)
 	return true
 }

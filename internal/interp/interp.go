@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -301,6 +302,10 @@ type Poll struct {
 	// frame instruction whose global holds one pushes or pops it itself
 	// (frames.go), never through a guest-replaceable Array.prototype method.
 	Stacks [3]*Object
+	// Pool holds frame arrays restoreFrame popped, cleared, for pushFrame to
+	// reuse; Shared is set, for good, once a frame may be re-entered twice.
+	Pool   []*Object
+	Shared bool
 }
 
 // SetPoll installs the runtime's yield poll.
@@ -748,13 +753,21 @@ func (in *Interp) execForIn(n *ast.ForIn, env *Env, labels []string) error {
 }
 
 // forInKeys is what a for-in statement enumerates over v: an object's own
-// enumerable keys, in order, and nothing for a primitive. Both engines
-// enumerate with it, and a desugared for-in through $forInKeys.
+// enumerable keys, in order; a string's indexes, below its length as
+// "length" reads it; nothing for another primitive. Both engines enumerate
+// with it, and a desugared for-in through $forInKeys.
 func forInKeys(v Value) []string {
 	if o := v.Obj(); o != nil {
 		return o.OwnKeys()
 	}
-	return nil
+	if v.tag != TagString {
+		return nil
+	}
+	keys := make([]string, len(v.Str()))
+	for i := range keys {
+		keys[i] = strconv.Itoa(i)
+	}
+	return keys
 }
 
 // forInKeysNative is $forInKeys: forInKeys as an array.

@@ -82,6 +82,12 @@ type R struct {
 	restoreDepth    int  // live startRestore nesting on the Go stack
 	contain         bool // adopted from a snapshot: recover guest-turn panics
 
+	// kbuf backs the last continuation finishCapture built, which ends where
+	// it does; kdead: that one is the runtime's alone and being restored, so
+	// what lies in front of pendingOuter is on $rstack or gone.
+	kbuf  Frames
+	kdead bool
+
 	est estimator
 
 	// poll is lent to the realm (interp.Poll): its Pause and Kill are the
@@ -233,6 +239,7 @@ func isSignal(v interp.Value) (*interp.Object, bool) {
 // frames — continuation graphs are cyclic) and fills it once every node
 // exists.
 func (r *R) NewContinuation() (k *interp.Object, fill func(Frames)) {
+	r.share()
 	var frames Frames
 	k = r.In.NewNative("continuation", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		v := interp.Undefined
@@ -245,6 +252,13 @@ func (r *R) NewContinuation() (k *interp.Object, fill func(Frames)) {
 		frames = f
 		k.SetExtra(f)
 	}
+}
+
+// share ends the runtime's sole ownership of its frames, for good: once a
+// continuation may be applied twice, no restore pools its frames
+// (interp.Poll) and no capture writes into the continuation it restored.
+func (r *R) share() {
+	r.poll.Shared, r.poll.Pool, r.kdead = true, nil, false
 }
 
 // ContinuationFrames extracts the frames from a continuation value made by
@@ -310,18 +324,32 @@ func (r *R) captureReturn() (interp.Value, error) {
 
 // finishCapture runs once the stack has fully unwound to the driver: it
 // assembles the canonical continuation — the frames that were live, then the
-// outer view still pending from a segmented restore, sharing its frames but
-// copying the references to them (a 24-byte Value per frame of depth; ROADMAP item 10 (d))
-// — and hands it to the armed action.
+// outer view still pending from a segmented restore — and hands it to the
+// armed action. When the continuation being restored is the runtime's own
+// (kdead) and the live frames fit in front of that view, where its frames
+// already moved to $rstack were, they go there, so a preemption costs the
+// live frames at any depth; otherwise to a new array, with a segment's
+// headroom in front while the runtime owns its frames.
 func (r *R) finishCapture() {
-	live, shadow := r.stackObj.Elems, r.shadowObj.Elems
-	frames := make(Frames, 0, len(live)+len(shadow)+len(r.pendingOuter))
-	frames = append(frames, live...)
-	for i := len(shadow) - 1; i >= 0; i-- {
-		frames = append(frames, shadow[i])
+	live, shadow, tail := r.stackObj.Elems, r.shadowObj.Elems, r.pendingOuter
+	n := len(live) + len(shadow)
+	var frames Frames
+	if off := len(r.kbuf) - len(tail); r.kdead && off >= n {
+		frames = r.kbuf[off-n:]
+	} else {
+		head := restoreSegment
+		if r.poll.Shared {
+			head = 0
+		}
+		r.kbuf = make(Frames, head+n+len(tail))
+		frames = r.kbuf[head:]
+		copy(frames[n:], tail)
 	}
-	frames = append(frames, r.pendingOuter...)
-	r.pendingOuter = nil
+	copy(frames, live)
+	for i, f := range shadow {
+		frames[n-1-i] = f
+	}
+	r.pendingOuter, r.kdead = nil, false
 	clear(r.stackObj.Elems)
 	r.stackObj.Elems = r.stackObj.Elems[:0]
 	r.shadowObj.Elems = r.shadowObj.Elems[:0]
@@ -363,6 +391,8 @@ func (r *R) startRestore(hold bool, frames Frames, v interp.Value) {
 	r.restoreDepth++
 	defer func() { r.restoreDepth-- }()
 	r.hold = hold
+	k := len(r.kbuf) - len(frames)
+	r.kdead = !r.poll.Shared && k >= 0 && &r.kbuf[k] == &frames[0]
 	r.runStep(r.enterSegment(frames[0], frames[1:], v, nil))
 }
 
@@ -647,6 +677,7 @@ func (r *R) Blocking(name string, start func(args []interp.Value, resume func(in
 		saved := append([]interp.Value(nil), args...)
 		aux := r.curAux
 		r.beginCapture(false, func(frames Frames) {
+			r.share() // nothing stops the host calling resume twice
 			start(saved, func(result interp.Value) {
 				r.Loop.Post(func() {
 					r.curAux = aux
