@@ -1,11 +1,15 @@
 package baselines
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/eventloop"
+	"repro/internal/langs"
 )
 
 func cfg() core.RunConfig {
@@ -140,5 +144,42 @@ func TestSkulptAddsDispatch(t *testing.T) {
 	}
 	if !strings.Contains(out, "$sk_bin") {
 		t.Error("skulpt transform should route arithmetic through $sk_bin")
+	}
+}
+
+// strawmanOutputSum is the sha-256 of what CompileGen and CompileCPS print for
+// every internal/langs program they accept. A refactor of either transform,
+// or of a pass they share with the compiler, must leave it alone; a change
+// that means to alter their output recomputes it — the failure message
+// prints the new value — and says so.
+const strawmanOutputSum = "6c4fc857979f852878ece2e9f1cc0b2c766a1dbab503509c5406625bcd336301"
+
+// TestStrawmanOutputPinned is TestCompiledOutputPinned for the two strawmen:
+// not one byte of their output moves.
+func TestStrawmanOutputPinned(t *testing.T) {
+	h := sha256.New()
+	accepted := map[string]int{}
+	for _, p := range langs.All() {
+		for _, b := range p.Benchmarks {
+			for _, s := range []struct {
+				name    string
+				compile func(string) (string, error)
+			}{{"gen", CompileGen}, {"cps", CompileCPS}} {
+				out, err := s.compile(b.Source)
+				if err != nil {
+					fmt.Fprintf(h, "%s %s/%s rejected\n", s.name, p.Name, b.Name)
+					continue
+				}
+				accepted[s.name]++
+				fmt.Fprintf(h, "%s %s/%s %d\n", s.name, p.Name, b.Name, len(out))
+				h.Write([]byte(out))
+			}
+		}
+	}
+	if accepted["gen"] == 0 || accepted["cps"] == 0 {
+		t.Fatalf("the pin covers no output: accepted %v", accepted)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != strawmanOutputSum {
+		t.Fatalf("strawman output changed: sha-256 over %v accepted compiles is %s, pinned %s", accepted, got, strawmanOutputSum)
 	}
 }

@@ -4,21 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/langs"
 )
 
-// pinnedOutputSum is the sha-256 of every compile pinnedCompiles enumerates.
-// A pass refactor must leave it alone; a change that means to alter generated
-// code (or the internal/langs corpus) recomputes it — the failure message
-// prints the new value — and says so. Last recomputed when the $construct
-// prelude came to allocate with $create and a desugared for-in to enumerate
-// with $forInKeys, natives a guest cannot replace as it can Object.create and
-// Object.keys: every direct-constructor compile moved (the prelude is part of
-// its Source()), and the wrapped ones of the 11 programs with a for-in.
-const pinnedOutputSum = "f9d92905500410a813bbdb98b561387ab09f77c2c711b4d7dcb9354e20ed8c67"
+// pinnedOutputSum is the sha-256 of every compile pinnedCompiles enumerates:
+// its Source() and its resolver annotations (writeResolution). A pass
+// refactor must leave it alone; a change that means to alter generated code
+// (or the internal/langs corpus) recomputes it — the failure message prints
+// the new value — and says so. Last recomputed when the resolver's
+// annotations joined the printed source in the sum; the source itself did
+// not move.
+const pinnedOutputSum = "28f2fae3fdc113a7190094af5fcc22fc67637062e47bf07492518cb26e455563"
 
 // pinnedCompiles feeds every (program, options) pair of the pin to visit:
 // each internal/langs program under its profile's sub-language, across the
@@ -52,8 +53,9 @@ func pinnedCompiles(visit func(name, src string, o core.Opts)) {
 }
 
 // TestCompiledOutputPinned is what "same behaviour" means for a compile-pass
-// change: not one byte of Source() moves, under any strategy, constructor
-// mode or sub-language, for any program of the corpus.
+// change: not one byte of Source() moves, nor one annotation the resolver
+// writes, under any strategy, constructor mode or sub-language, for any
+// program of the corpus.
 func TestCompiledOutputPinned(t *testing.T) {
 	h := sha256.New()
 	n := 0
@@ -65,9 +67,50 @@ func TestCompiledOutputPinned(t *testing.T) {
 		out := c.Source()
 		fmt.Fprintf(h, "%s %s %s %d\n", name, o.Cont, o.Ctor, len(out))
 		h.Write([]byte(out))
+		writeResolution(h, c.Prog)
 		n++
 	})
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedOutputSum {
 		t.Fatalf("compiled output changed: sha-256 over %d compiles is %s, pinned %s", n, got, pinnedOutputSum)
 	}
+}
+
+// writeResolution folds into the pin what internal/resolve wrote, which
+// Source() does not print: the site and coordinate of every reference, the
+// coordinate of every declared name and each frame layout, in Walk order.
+func writeResolution(w io.Writer, p *ast.Program) {
+	layout := func(s *ast.ScopeInfo) {
+		if s == nil {
+			fmt.Fprint(w, "L-\n")
+			return
+		}
+		fmt.Fprintf(w, "L%q %v %d %d %d %d", s.Names, s.ParamSlots, s.SelfSlot, s.ThisSlot, s.NewTargetSlot, s.ArgumentsSlot)
+		for _, fd := range s.FnDecls {
+			fmt.Fprintf(w, " %s@%d", fd.Fn.Name, fd.Slot)
+		}
+		fmt.Fprintln(w)
+	}
+	ast.Walk(p, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			fmt.Fprintf(w, "i%d,%d ", n.Site, n.Ref)
+		case *ast.This:
+			fmt.Fprintf(w, "t%d ", n.Ref)
+		case *ast.NewTarget:
+			fmt.Fprintf(w, "n%d ", n.Ref)
+		case *ast.Member:
+			fmt.Fprintf(w, "m%d ", n.Site)
+		case *ast.VarDecl:
+			for _, d := range n.Decls {
+				fmt.Fprintf(w, "v%d ", d.Ref)
+			}
+		case *ast.ForIn:
+			fmt.Fprintf(w, "f%d ", n.Ref)
+		case *ast.Func:
+			layout(n.Scope)
+		case *ast.Try:
+			layout(n.CatchScope)
+		}
+		return true
+	})
 }
