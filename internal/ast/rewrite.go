@@ -15,13 +15,13 @@ package ast
 // *Func.
 type Rewriter struct {
 	// Expand sees each statement of a list, and each lone statement child
-	// (an if branch, a loop or label body), before PreStmt does. It returns
-	// the statements that take its place — nil keeps it, an empty slice
-	// drops it — and whether the rewriter goes on into them: each is then
-	// rewritten as a statement, from PreStmt on, and is not offered to Expand
-	// again. A lone child that becomes other than one statement is wrapped
-	// in a block. A try's blocks are not list positions; their statements
-	// are.
+	// (an if branch, a loop or label body) that is not a block, before
+	// PreStmt does. It returns the statements that take its place — nil
+	// keeps it, an empty slice drops it — and whether the rewriter goes on
+	// into them: each is then rewritten as a statement, from PreStmt on, and
+	// is not offered to Expand again. A lone child that becomes other than
+	// one statement is wrapped in a block. A block that is a lone child, as
+	// a try's blocks are, is not a list position; its statements are.
 	Expand func(Stmt) (repl []Stmt, descend bool)
 
 	// PreStmt and PreExpr see a node before its children and may take it
@@ -67,10 +67,11 @@ func (r *Rewriter) Stmts(body []Stmt) []Stmt {
 	return out
 }
 
-// child rewrites a lone statement child, which Expand may make a block.
+// child rewrites a lone statement child, which Expand may make a block. A
+// block child is no list position of its own: its statements are.
 func (r *Rewriter) child(s Stmt) Stmt {
-	if s == nil {
-		return nil
+	if _, ok := s.(*Block); ok || s == nil {
+		return r.Stmt(s)
 	}
 	one, many := r.expand(s)
 	if many == nil {

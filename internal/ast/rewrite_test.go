@@ -98,8 +98,10 @@ var nodeKinds = []struct {
 // TestRewriterMatchesWalk holds the kit's two child enumerations together:
 // over every node kind, a Rewriter whose callbacks change nothing leaves the
 // printed program unchanged, offers its Pre callbacks exactly the nodes Walk
-// visits, in Walk's order, and its Post callbacks the same nodes once each;
-// with SkipFuncs it offers what a Walk pruned below every *Func visits.
+// visits, in Walk's order, and its Post callbacks the same nodes once each,
+// and offers Expand, in the same order, the statements Walk visits that sit
+// in a list or are a lone child other than a block; with SkipFuncs it offers
+// what a Walk pruned below every *Func visits.
 func TestRewriterMatchesWalk(t *testing.T) {
 	walk := func(prog *Program, enterFuncs bool) []Node {
 		var nodes []Node
@@ -110,15 +112,49 @@ func TestRewriterMatchesWalk(t *testing.T) {
 		})
 		return nodes[1:] // the program itself
 	}
+	// positions filters what Walk visits down to what Expand is offered:
+	// every statement but a for's init and a block outside a list.
+	positions := func(prog *Program, nodes []Node) (out []Node) {
+		listed, init := map[Node]bool{}, map[Node]bool{}
+		list := func(body []Stmt) {
+			for _, s := range body {
+				listed[s] = true
+			}
+		}
+		list(prog.Body)
+		for _, n := range nodes {
+			switch n := n.(type) {
+			case *Block:
+				list(n.Body)
+			case *Func:
+				list(n.Body)
+			case *Switch:
+				for _, c := range n.Cases {
+					list(c.Body)
+				}
+			case *For:
+				init[n.Init] = true
+			}
+		}
+		for _, n := range nodes {
+			_, isBlock := n.(*Block)
+			if _, isStmt := n.(Stmt); isStmt && !init[n] && (listed[n] || !isBlock) {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
 	seen := map[string]bool{}
 	for _, c := range nodeKinds {
 		for _, skip := range []bool{false, true} {
 			prog := &Program{Body: []Stmt{c.stmt()}}
 			before := printer.Print(prog)
 			want := walk(prog, !skip)
-			var pre, post []Node
+			positioned := positions(prog, want)
+			var pre, post, expanded []Node
 			r := Rewriter{
 				SkipFuncs: skip,
+				Expand:    func(s Stmt) ([]Stmt, bool) { expanded = append(expanded, s); return nil, true },
 				PreStmt:   func(s Stmt) (Stmt, bool) { pre = append(pre, s); return nil, false },
 				PreExpr:   func(e Expr) (Expr, bool) { pre = append(pre, e); return nil, false },
 				PostStmt:  func(s Stmt) Stmt { post = append(post, s); return s },
@@ -130,6 +166,9 @@ func TestRewriterMatchesWalk(t *testing.T) {
 			}
 			if !slices.Equal(pre, want) {
 				t.Errorf("%s (SkipFuncs %v): Pre callbacks saw %d nodes, Walk visits %d, or in another order", c.kind, skip, len(pre), len(want))
+			}
+			if !slices.Equal(expanded, positioned) {
+				t.Errorf("%s (SkipFuncs %v): Expand saw %d statements, %d sit in a list or alone, or in another order", c.kind, skip, len(expanded), len(positioned))
 			}
 			count := map[Node]int{}
 			for _, n := range post {

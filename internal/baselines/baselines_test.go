@@ -40,6 +40,13 @@ var strawmanCorpus = []string{
 	 for (var i = -50; i < 50; i++) { t += abs(i); }
 	 console.log(t);`,
 	`console.log(Math.floor(3.9), Math.max(1, 2, 3));`,
+	`function step(acc, i) { return acc + i; }
+	 var t = 0;
+	 for (var i = 0; i < 4; i++) {
+	   t = step(t, i);
+	   if (i > 0) { var j = 0; while (j < 5) { j++; if (j === 2) { break; } } t += j; }
+	 }
+	 console.log(t);`,
 }
 
 func TestCPSPreservesSemantics(t *testing.T) {

@@ -176,13 +176,12 @@ func (c *cpsCtx) stmt(s ast.Stmt, rest []ast.Stmt) ([]ast.Stmt, error) {
 		if !containsCalls(n) {
 			// Pure branches may still return (bounce to $cc) or jump to a
 			// converted loop or labeled block (bounce to its join).
-			rewriteReturnsToBounce(n)
-			c.rewriteJumpsToBounce(n)
+			c.bounceExits(n, true)
 			return append([]ast.Stmt{n}, rest...), nil
 		}
 		join := c.nm.Fresh("$j")
 		joinBody := rest
-		goJoin := ast.Ret(ast.CallId("$bounce", ast.Id(join), ast.Undef()))
+		goJoin := bounce(join)
 		cons, err := c.stmts(blockStmts(n.Cons), []ast.Stmt{goJoin})
 		if err != nil {
 			return nil, err
@@ -202,14 +201,14 @@ func (c *cpsCtx) stmt(s ast.Stmt, rest []ast.Stmt) ([]ast.Stmt, error) {
 		}, nil
 	case *ast.While:
 		if !containsCalls(n) {
-			rewriteReturnsToBounce(n)
+			c.bounceExits(n, false)
 			return append([]ast.Stmt{n}, rest...), nil
 		}
 		loop := c.nm.Fresh("$loop")
 		join := c.nm.Fresh("$j")
 		joinBody := rest
-		goLoop := ast.Ret(ast.CallId("$bounce", ast.Id(loop), ast.Undef()))
-		goJoin := ast.Ret(ast.CallId("$bounce", ast.Id(join), ast.Undef()))
+		goLoop := bounce(loop)
+		goJoin := bounce(join)
 		prevJoin, prevHead := c.curLoopJoin, c.curLoopHead
 		c.curLoopJoin, c.curLoopHead = join, loop
 		loopBody, err := c.stmts(blockStmts(n.Body), []ast.Stmt{goLoop})
@@ -230,15 +229,15 @@ func (c *cpsCtx) stmt(s ast.Stmt, rest []ast.Stmt) ([]ast.Stmt, error) {
 			if c.curLoopJoin == "" {
 				return append([]ast.Stmt{s}, rest...), nil
 			}
-			return []ast.Stmt{ast.Ret(ast.CallId("$bounce", ast.Id(c.curLoopJoin), ast.Undef()))}, nil
+			return []ast.Stmt{bounce(c.curLoopJoin)}, nil
 		}
 		if join, ok := c.labelJoins[n.Label]; ok {
-			return []ast.Stmt{ast.Ret(ast.CallId("$bounce", ast.Id(join), ast.Undef()))}, nil
+			return []ast.Stmt{bounce(join)}, nil
 		}
 		return append([]ast.Stmt{s}, rest...), nil
 	case *ast.Continue:
 		if n.Label == "" && c.curLoopHead != "" {
-			return []ast.Stmt{ast.Ret(ast.CallId("$bounce", ast.Id(c.curLoopHead), ast.Undef()))}, nil
+			return []ast.Stmt{bounce(c.curLoopHead)}, nil
 		}
 		return nil, fmt.Errorf("labeled continue across a CPS suspension point is not supported")
 	case *ast.FuncDecl:
@@ -248,11 +247,11 @@ func (c *cpsCtx) stmt(s ast.Stmt, rest []ast.Stmt) ([]ast.Stmt, error) {
 		return nil, fmt.Errorf("try/catch is not supported by the CPS strawman")
 	case *ast.Labeled:
 		if !containsCalls(n.Body) {
-			rewriteReturnsToBounce(n)
+			c.bounceExits(n, false)
 			return append([]ast.Stmt{n}, rest...), nil
 		}
 		join := c.nm.Fresh("$j")
-		goJoin := ast.Ret(ast.CallId("$bounce", ast.Id(join), ast.Undef()))
+		goJoin := bounce(join)
 		c.labelJoins[n.Label] = join
 		converted, err := c.stmts(blockStmts(n.Body), []ast.Stmt{goJoin})
 		delete(c.labelJoins, n.Label)
@@ -307,77 +306,54 @@ func (c *cpsCtx) markFuncInits(decl *ast.VarDecl) {
 	}
 }
 
-// rewriteJumpsToBounce converts break/continue inside a pure region that
-// target a converted loop or labeled block into join bounces. Nested loops
-// shield their own unlabeled jumps.
-func (c *cpsCtx) rewriteJumpsToBounce(s ast.Stmt) {
-	var walk func(st ast.Stmt, shielded bool) ast.Stmt
-	walk = func(st ast.Stmt, shielded bool) ast.Stmt {
-		switch n := st.(type) {
+// bounceExits rewrites the exits of a pure (call-free) region that leave it
+// for a continuation: each return becomes a bounce to $cc and, with jumps,
+// each break or continue that targets a converted loop or labeled block a
+// bounce to its join. A loop nested in the region keeps its own unlabeled
+// jumps; nested functions are left alone.
+func (c *cpsCtx) bounceExits(s ast.Stmt, jumps bool) {
+	loops := 0 // loops entered below s
+	r := ast.Rewriter{PreExpr: ast.StmtsOnly}
+	r.PreStmt = func(s ast.Stmt) (ast.Stmt, bool) {
+		switch n := s.(type) {
+		case *ast.FuncDecl:
+			return s, true
+		case *ast.Return:
+			arg := n.Arg
+			if arg == nil {
+				arg = ast.Undef()
+			}
+			n.Arg = ast.CallId("$bounce", ast.Id("$cc"), arg)
+			return n, true
 		case *ast.Break:
+			join, ok := c.labelJoins[n.Label]
 			if n.Label == "" {
-				if !shielded && c.curLoopJoin != "" {
-					return ast.Ret(ast.CallId("$bounce", ast.Id(c.curLoopJoin), ast.Undef()))
-				}
-				return n
+				join, ok = c.curLoopJoin, loops == 0 && c.curLoopJoin != ""
 			}
-			if join, ok := c.labelJoins[n.Label]; ok {
-				return ast.Ret(ast.CallId("$bounce", ast.Id(join), ast.Undef()))
+			if jumps && ok {
+				return bounce(join), true
 			}
-			return n
 		case *ast.Continue:
-			if n.Label == "" && !shielded && c.curLoopHead != "" {
-				return ast.Ret(ast.CallId("$bounce", ast.Id(c.curLoopHead), ast.Undef()))
+			if jumps && n.Label == "" && loops == 0 && c.curLoopHead != "" {
+				return bounce(c.curLoopHead), true
 			}
-			return n
-		case *ast.Block:
-			for i := range n.Body {
-				n.Body[i] = walk(n.Body[i], shielded)
-			}
-			return n
-		case *ast.If:
-			n.Cons = walk(n.Cons, shielded)
-			if n.Alt != nil {
-				n.Alt = walk(n.Alt, shielded)
-			}
-			return n
 		case *ast.While:
-			n.Body = walk(n.Body, true)
-			return n
-		case *ast.Labeled:
-			n.Body = walk(n.Body, shielded)
-			return n
-		default:
-			return st
+			loops++
 		}
+		return nil, false
 	}
-	walk(s, false)
+	r.PostStmt = func(s ast.Stmt) ast.Stmt {
+		if _, ok := s.(*ast.While); ok {
+			loops--
+		}
+		return s
+	}
+	r.Stmt(s)
 }
 
-// rewriteReturnsToBounce converts `return e` inside a pure (call-free)
-// region to a trampoline bounce, without entering nested functions.
-func rewriteReturnsToBounce(s ast.Stmt) {
-	switch n := s.(type) {
-	case *ast.Return:
-		arg := n.Arg
-		if arg == nil {
-			arg = ast.Undef()
-		}
-		n.Arg = ast.CallId("$bounce", ast.Id("$cc"), arg)
-	case *ast.Block:
-		for _, st := range n.Body {
-			rewriteReturnsToBounce(st)
-		}
-	case *ast.If:
-		rewriteReturnsToBounce(n.Cons)
-		if n.Alt != nil {
-			rewriteReturnsToBounce(n.Alt)
-		}
-	case *ast.While:
-		rewriteReturnsToBounce(n.Body)
-	case *ast.Labeled:
-		rewriteReturnsToBounce(n.Body)
-	}
+// bounce is `return $bounce(k, undefined)`: go on with the continuation k.
+func bounce(k string) ast.Stmt {
+	return ast.Ret(ast.CallId("$bounce", ast.Id(k), ast.Undef()))
 }
 
 func blockStmts(s ast.Stmt) []ast.Stmt {

@@ -81,107 +81,53 @@ func genRecord(v ast.Expr) ast.Expr {
 	}}
 }
 
+// genWrapReturns wraps every return of one function body in a {value,
+// done} record; the functions nested in it are genFunc's to convert.
 func genWrapReturns(body []ast.Stmt) {
-	for _, s := range body {
-		genWrapReturnStmt(s)
+	r := ast.Rewriter{
+		PreExpr: ast.StmtsOnly,
+		PreStmt: func(s ast.Stmt) (ast.Stmt, bool) {
+			_, nested := s.(*ast.FuncDecl)
+			return s, nested
+		},
+		PostStmt: func(s ast.Stmt) ast.Stmt {
+			if n, ok := s.(*ast.Return); ok {
+				arg := n.Arg
+				if arg == nil {
+					arg = ast.Undef()
+				}
+				if call, ok := arg.(*ast.Call); ok {
+					arg = ast.CallId("$gennext", call)
+				}
+				n.Arg = genRecord(arg)
+			}
+			return s
+		},
 	}
+	r.Stmts(body)
 }
 
-func genWrapReturnStmt(s ast.Stmt) {
-	switch n := s.(type) {
-	case *ast.Return:
-		arg := n.Arg
-		if arg == nil {
-			arg = ast.Undef()
-		}
-		if call, ok := arg.(*ast.Call); ok {
-			n.Arg = genRecord(ast.CallId("$gennext", call))
-			return
-		}
-		n.Arg = genRecord(arg)
-	case *ast.Block:
-		genWrapReturns(n.Body)
-	case *ast.If:
-		genWrapReturnStmt(n.Cons)
-		if n.Alt != nil {
-			genWrapReturnStmt(n.Alt)
-		}
-	case *ast.While:
-		genWrapReturnStmt(n.Body)
-	case *ast.Labeled:
-		genWrapReturnStmt(n.Body)
-	case *ast.Try:
-		genWrapReturns(n.Block.Body)
-		if n.Catch != nil {
-			genWrapReturns(n.Catch.Body)
-		}
-		if n.Finally != nil {
-			genWrapReturns(n.Finally.Body)
-		}
-	}
-}
-
-// genUnwrapCalls routes every named application through $gennext.
+// genUnwrapCalls routes through $gennext every application whose value a
+// declaration or an assignment keeps, in every function of prog.
 func genUnwrapCalls(prog *ast.Program) {
-	var rewrite func(body []ast.Stmt)
 	unwrap := func(e ast.Expr) ast.Expr {
 		if call, ok := e.(*ast.Call); ok {
-			if id, isId := call.Callee.(*ast.Ident); isId && (id.Name == "$gennext") {
-				return e
-			}
 			return ast.CallId("$gennext", call)
 		}
 		return e
 	}
-	var doStmt func(s ast.Stmt)
-	doStmt = func(s ast.Stmt) {
+	r := ast.Rewriter{PostStmt: func(s ast.Stmt) ast.Stmt {
 		switch n := s.(type) {
 		case *ast.VarDecl:
 			for i := range n.Decls {
-				if n.Decls[i].Init != nil {
-					n.Decls[i].Init = unwrap(n.Decls[i].Init)
-				}
+				n.Decls[i].Init = unwrap(n.Decls[i].Init)
 			}
 		case *ast.ExprStmt:
 			if a, ok := n.X.(*ast.Assign); ok {
 				a.Value = unwrap(a.Value)
 			}
-		case *ast.Block:
-			rewrite(n.Body)
-		case *ast.If:
-			doStmt(n.Cons)
-			if n.Alt != nil {
-				doStmt(n.Alt)
-			}
-		case *ast.While:
-			doStmt(n.Body)
-		case *ast.Labeled:
-			doStmt(n.Body)
-		case *ast.Try:
-			rewrite(n.Block.Body)
-			if n.Catch != nil {
-				rewrite(n.Catch.Body)
-			}
-			if n.Finally != nil {
-				rewrite(n.Finally.Body)
-			}
-		case *ast.FuncDecl:
-			rewrite(n.Fn.Body)
 		}
-		// Reach call sites inside function expressions (including the next()
-		// closures genFunc introduced).
-		ast.Walk(s, func(node ast.Node) bool {
-			if fn, ok := node.(*ast.Func); ok {
-				rewrite(fn.Body)
-				return false
-			}
-			return true
-		})
-	}
-	rewrite = func(body []ast.Stmt) {
-		for _, s := range body {
-			doStmt(s)
-		}
-	}
-	rewrite(prog.Body)
+		return s
+	}}
+	prog.Body = r.Stmts(prog.Body)
 }

@@ -4,90 +4,27 @@ import "repro/internal/ast"
 
 // insertBreakpoints inserts $bp(line) before every statement that has a
 // known source position (§5.2: "it does this by instrumenting the program
-// to invoke maySuspend before every statement"). The line numbers refer to
-// the original source — the same role source maps play for Stopify — so an
-// IDE can set breakpoints and single-step in user coordinates.
+// to invoke maySuspend before every statement"), in every function. The line
+// numbers refer to the original source — the same role source maps play for
+// Stopify — so an IDE can set breakpoints and single-step in user
+// coordinates. A lone statement child (an if branch, a loop body) that gains
+// its $bp becomes a block; a label and its statement stay adjacent.
 //
 // This pass must run first, while every node still carries its original
 // position.
 func insertBreakpoints(body []ast.Stmt) []ast.Stmt {
-	out := make([]ast.Stmt, 0, len(body)*2)
-	for _, s := range body {
-		if p := s.Position(); p.Known() {
-			out = append(out, ast.ExprOf(ast.CallId("$bp", ast.Int(p.Line))))
-		}
-		out = append(out, bpStmt(s))
+	labeled := false // the statement offered next is a label's body
+	r := ast.Rewriter{
+		Expand: func(s ast.Stmt) ([]ast.Stmt, bool) {
+			if p := s.Position(); p.Known() && !labeled {
+				return []ast.Stmt{ast.ExprOf(ast.CallId("$bp", ast.Int(p.Line))), s}, true
+			}
+			return nil, true
+		},
+		PreStmt: func(s ast.Stmt) (ast.Stmt, bool) {
+			_, labeled = s.(*ast.Labeled)
+			return nil, false
+		},
 	}
-	return out
-}
-
-func bpStmt(s ast.Stmt) ast.Stmt {
-	switch n := s.(type) {
-	case *ast.Block:
-		n.Body = insertBreakpoints(n.Body)
-		return n
-	case *ast.If:
-		n.Cons = bpNested(n.Cons)
-		if n.Alt != nil {
-			n.Alt = bpNested(n.Alt)
-		}
-		return n
-	case *ast.While:
-		n.Body = bpNested(n.Body)
-		return n
-	case *ast.DoWhile:
-		n.Body = bpNested(n.Body)
-		return n
-	case *ast.For:
-		n.Body = bpNested(n.Body)
-		return n
-	case *ast.ForIn:
-		n.Body = bpNested(n.Body)
-		return n
-	case *ast.Labeled:
-		n.Body = bpStmt(n.Body)
-		return n
-	case *ast.Switch:
-		for i := range n.Cases {
-			n.Cases[i].Body = insertBreakpoints(n.Cases[i].Body)
-		}
-		return n
-	case *ast.Try:
-		n.Block.Body = insertBreakpoints(n.Block.Body)
-		if n.Catch != nil {
-			n.Catch.Body = insertBreakpoints(n.Catch.Body)
-		}
-		if n.Finally != nil {
-			n.Finally.Body = insertBreakpoints(n.Finally.Body)
-		}
-		return n
-	case *ast.FuncDecl:
-		n.Fn.Body = insertBreakpoints(n.Fn.Body)
-		return n
-	case *ast.VarDecl, *ast.ExprStmt, *ast.Return, *ast.Throw:
-		bpExprs(s)
-		return s
-	default:
-		return s
-	}
-}
-
-// bpNested wraps a non-block body so a $bp call can precede it.
-func bpNested(s ast.Stmt) ast.Stmt {
-	if b, ok := s.(*ast.Block); ok {
-		b.Body = insertBreakpoints(b.Body)
-		return b
-	}
-	return ast.BlockOf(insertBreakpoints([]ast.Stmt{s})...)
-}
-
-// bpExprs instruments function literals inside expressions.
-func bpExprs(s ast.Stmt) {
-	ast.Walk(s, func(n ast.Node) bool {
-		if fn, ok := n.(*ast.Func); ok {
-			fn.Body = insertBreakpoints(fn.Body)
-			return false
-		}
-		return true
-	})
+	return r.Stmts(body)
 }

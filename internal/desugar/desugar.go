@@ -67,7 +67,7 @@ func Apply(prog *ast.Program, opts Options, nm *Namer) *ast.Program {
 	}
 	prog.Body = lowerArrows(prog.Body, nm, true)
 	nameFunctions(prog, nm)
-	prog.Body = lowerLoopsStmts(prog.Body, nm)
+	prog.Body = lowerLoops(prog.Body, nm)
 	prog.Body = normalizeAssignments(prog.Body, nm)
 	if opts.Implicits != ImplicitsNone {
 		prog.Body = lowerImplicits(prog.Body, opts.Implicits, nm)

@@ -2,6 +2,7 @@ package desugar
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -244,6 +245,30 @@ func TestBreakpointInsertion(t *testing.T) {
 	}
 }
 
+// TestBreakpointPlacement: a $bp precedes every statement of every list and
+// every lone child, which becomes a block to hold it, in every function —
+// those in an if's test and a for's init included — but never stands
+// between a label and its statement.
+func TestBreakpointPlacement(t *testing.T) {
+	prog, _ := parser.Parse("if (x) y();\nL: while (t) {\n  z();\n}\n" +
+		"if (xs.some(function (v) {\n  return v;\n})) {\n  w();\n}\n" +
+		"for (var f = function () {\n  q();\n}; ; ) {}\n{\n  b();\n}")
+	Apply(prog, Options{Breakpoints: true}, &Namer{})
+	out := printer.Print(prog)
+	if !strings.Contains(out, "if (x) {\n  $bp(1);\n  y();\n}") {
+		t.Errorf("the if's lone child should become a block holding its $bp:\n%s", out)
+	}
+	lines := []int{1, 1, 2, 3, 5, 6, 8, 10, 11, 13, 14}
+	for _, line := range lines {
+		if call := fmt.Sprintf("$bp(%d)", line); !strings.Contains(out, call) {
+			t.Errorf("missing %s:\n%s", call, out)
+		}
+	}
+	if n := strings.Count(out, "$bp("); n != len(lines) {
+		t.Errorf("%d $bp calls, want %d:\n%s", n, len(lines), out)
+	}
+}
+
 func TestArgsFullRewrite(t *testing.T) {
 	src := `function f(a, b) { return a + b; } console.log(f(1, 2));`
 	want := runPlain(t, src)
@@ -268,5 +293,34 @@ func TestNamerFreshness(t *testing.T) {
 			t.Fatalf("duplicate fresh name %q", n)
 		}
 		seen[n] = true
+	}
+}
+
+// TestLoopLoweringNameOrder pins the order loop lowering draws fresh names
+// in, which generated code shows: a for's body, update, test, then init; a
+// while's body before its test; a switch's case tests last to first.
+func TestLoopLoweringNameOrder(t *testing.T) {
+	loop := func(tag string) string { return tag + "(function () { do {} while (0); })" }
+	src := "for (var i = " + loop("init") + "; " + loop("test") + "; " + loop("update") + ") { do {} while (0); }\n" +
+		"while (" + loop("w") + ") { do {} while (0); }\n" +
+		"switch (" + loop("disc") + ") { case " + loop("c1") + ": break; case " + loop("c2") + ": do {} while (0); }"
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Apply(prog, Options{}, &Namer{})
+	// Each $L<n> in print order (function naming draws from the same
+	// Namer): the for's init, test, own label, body and update; the while's
+	// test, then body; the switch's disc, case tests, own label twice (the
+	// block and the retargeted break) and the second case's body.
+	var got []string
+	for _, f := range strings.FieldsFunc(printer.Print(prog), func(r rune) bool { return r != '$' && r != 'L' && (r < '0' || r > '9') }) {
+		if strings.HasPrefix(f, "$L") {
+			got = append(got, f)
+		}
+	}
+	want := "$L12 $L11 $L8 $L9 $L10 $L14 $L13 $L18 $L20 $L19 $L15 $L15 $L21"
+	if strings.Join(got, " ") != want {
+		t.Errorf("labels in print order %q, want %q\n%s", strings.Join(got, " "), want, printer.Print(prog))
 	}
 }

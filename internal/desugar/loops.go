@@ -6,93 +6,48 @@ import (
 	"repro/internal/ast"
 )
 
-// lowerLoopsStmts rewrites for / do-while / for-in into while loops and
-// switch into a guarded if-chain, recursively. After this pass the only
+// lowerLoops rewrites for / do-while / for-in into while loops and switch
+// into a guarded if-chain, in every function. After this pass the only
 // looping construct is While and the only fall-through construct is gone,
 // which is what the A-normalizer and the instrumentation assume.
-func lowerLoopsStmts(body []ast.Stmt, nm *Namer) []ast.Stmt {
-	out := make([]ast.Stmt, len(body))
-	for i, s := range body {
-		out[i] = lowerLoopStmt(s, nil, nm)
-	}
-	return out
+func lowerLoops(body []ast.Stmt, nm *Namer) []ast.Stmt {
+	l := &loopLowerer{nm: nm}
+	l.rw.PreStmt = l.lower
+	return l.rw.Stmts(body)
 }
 
-// lowerLoopStmt lowers one statement; labels carries the label names
-// attached directly to this statement via enclosing Labeled nodes.
-func lowerLoopStmt(s ast.Stmt, labels []string, nm *Namer) ast.Stmt {
+type loopLowerer struct {
+	nm *Namer
+	rw ast.Rewriter
+	// labels are those attached directly to the statement PreStmt sees
+	// next, by the Labeled nodes just above it.
+	labels []string
+}
+
+// lower is the rewrite's PreStmt. It takes over each form it lowers and
+// rewrites that form's parts itself, in the order its fresh names have
+// always been drawn in: a while's body before its test, a for's body, update,
+// test, then init.
+func (l *loopLowerer) lower(s ast.Stmt) (ast.Stmt, bool) {
+	labels := l.labels
+	l.labels = nil
 	switch n := s.(type) {
 	case *ast.Labeled:
-		inner := lowerLoopStmt(n.Body, append(labels, n.Label), nm)
-		return &ast.Labeled{P: n.P, Label: n.Label, Body: inner}
+		l.labels = append(labels, n.Label)
 	case *ast.For:
-		return lowerFor(n, labels, nm)
+		return l.lowerFor(n, labels), true
 	case *ast.DoWhile:
-		return lowerDoWhile(n, labels, nm)
+		return l.lowerDoWhile(n, labels), true
 	case *ast.ForIn:
-		return lowerForIn(n, labels, nm)
+		return l.lowerForIn(n, labels), true
 	case *ast.Switch:
-		return lowerSwitch(n, nm)
+		return l.lowerSwitch(n), true
 	case *ast.While:
-		n.Body = lowerLoopStmt(n.Body, nil, nm)
-		lowerLoopsInExprs(n.Test, nm)
-		return n
-	case *ast.Block:
-		for i := range n.Body {
-			n.Body[i] = lowerLoopStmt(n.Body[i], nil, nm)
-		}
-		return n
-	case *ast.If:
-		lowerLoopsInExprs(n.Test, nm)
-		n.Cons = lowerLoopStmt(n.Cons, nil, nm)
-		if n.Alt != nil {
-			n.Alt = lowerLoopStmt(n.Alt, nil, nm)
-		}
-		return n
-	case *ast.Try:
-		n.Block.Body = lowerLoopsStmts(n.Block.Body, nm)
-		if n.Catch != nil {
-			n.Catch.Body = lowerLoopsStmts(n.Catch.Body, nm)
-		}
-		if n.Finally != nil {
-			n.Finally.Body = lowerLoopsStmts(n.Finally.Body, nm)
-		}
-		return n
-	case *ast.FuncDecl:
-		n.Fn.Body = lowerLoopsStmts(n.Fn.Body, nm)
-		return n
-	case *ast.VarDecl:
-		for i := range n.Decls {
-			lowerLoopsInExprs(n.Decls[i].Init, nm)
-		}
-		return n
-	case *ast.ExprStmt:
-		lowerLoopsInExprs(n.X, nm)
-		return n
-	case *ast.Return:
-		lowerLoopsInExprs(n.Arg, nm)
-		return n
-	case *ast.Throw:
-		lowerLoopsInExprs(n.Arg, nm)
-		return n
-	default:
-		return s
+		n.Body = l.rw.Stmt(n.Body)
+		n.Test = l.rw.Expr(n.Test)
+		return n, true
 	}
-}
-
-// lowerLoopsInExprs lowers loops inside function literals embedded in an
-// expression.
-func lowerLoopsInExprs(e ast.Expr, nm *Namer) {
-	if e == nil {
-		return
-	}
-	ast.Walk(e, func(n ast.Node) bool {
-		if fn, ok := n.(*ast.Func); ok {
-			fn.Body = lowerLoopsStmts(fn.Body, nm)
-			return false
-		}
-		return true
-	})
+	return nil, false
 }
 
 // lowerFor rewrites
@@ -105,27 +60,23 @@ func lowerLoopsInExprs(e ast.Expr, nm *Namer) {
 //
 // where body' has `continue` (and labeled continues naming this loop)
 // rewritten to `break $L`, so the update expression always runs.
-func lowerFor(n *ast.For, labels []string, nm *Namer) ast.Stmt {
-	blockLabel := nm.Fresh("$L")
-	body := rewriteContinues(n.Body, labels, blockLabel)
-	body = lowerLoopStmt(body, nil, nm)
+func (l *loopLowerer) lowerFor(n *ast.For, labels []string) ast.Stmt {
+	blockLabel := l.nm.Fresh("$L")
+	body := l.rw.Stmt(rewriteContinues(n.Body, labels, blockLabel))
 
 	inner := []ast.Stmt{&ast.Labeled{Label: blockLabel, Body: asBlock(body)}}
 	if n.Update != nil {
-		lowerLoopsInExprs(n.Update, nm)
-		inner = append(inner, ast.ExprOf(n.Update))
+		inner = append(inner, ast.ExprOf(l.rw.Expr(n.Update)))
 	}
 	test := n.Test
 	if test == nil {
 		test = ast.Boollit(true)
 	}
-	lowerLoopsInExprs(test, nm)
-	loop := &ast.While{P: n.P, Test: test, Body: ast.BlockOf(inner...)}
+	loop := &ast.While{P: n.P, Test: l.rw.Expr(test), Body: ast.BlockOf(inner...)}
 
 	var out []ast.Stmt
 	if n.Init != nil {
-		init := lowerLoopStmt(n.Init, nil, nm)
-		out = append(out, init)
+		out = append(out, l.rw.Stmt(n.Init))
 	}
 	out = append(out, loop)
 	return ast.BlockOf(out...)
@@ -134,11 +85,10 @@ func lowerFor(n *ast.For, labels []string, nm *Namer) ast.Stmt {
 // lowerDoWhile rewrites `do body while (test)` into
 //
 //	while (true) { $L: { body' } if (!(test)) break; }
-func lowerDoWhile(n *ast.DoWhile, labels []string, nm *Namer) ast.Stmt {
-	blockLabel := nm.Fresh("$L")
-	body := rewriteContinues(n.Body, labels, blockLabel)
-	body = lowerLoopStmt(body, nil, nm)
-	lowerLoopsInExprs(n.Test, nm)
+func (l *loopLowerer) lowerDoWhile(n *ast.DoWhile, labels []string) ast.Stmt {
+	blockLabel := l.nm.Fresh("$L")
+	body := l.rw.Stmt(rewriteContinues(n.Body, labels, blockLabel))
+	n.Test = l.rw.Expr(n.Test)
 	return &ast.While{
 		P:    n.P,
 		Test: ast.Boollit(true),
@@ -153,13 +103,12 @@ func lowerDoWhile(n *ast.DoWhile, labels []string, nm *Namer) ast.Stmt {
 // $forInKeys(obj): the native that lists what the engines' own for-in visits
 // (interp.InstallDesugarNatives), which a guest cannot replace as it can
 // Object.keys.
-func lowerForIn(n *ast.ForIn, labels []string, nm *Namer) ast.Stmt {
-	blockLabel := nm.Fresh("$L")
-	keys := nm.Fresh("$ks")
-	idx := nm.Fresh("$i")
-	body := rewriteContinues(n.Body, labels, blockLabel)
-	body = lowerLoopStmt(body, nil, nm)
-	lowerLoopsInExprs(n.Obj, nm)
+func (l *loopLowerer) lowerForIn(n *ast.ForIn, labels []string) ast.Stmt {
+	blockLabel := l.nm.Fresh("$L")
+	keys := l.nm.Fresh("$ks")
+	idx := l.nm.Fresh("$i")
+	body := l.rw.Stmt(rewriteContinues(n.Body, labels, blockLabel))
+	n.Obj = l.rw.Expr(n.Obj)
 
 	var out []ast.Stmt
 	if n.Decl {
@@ -186,11 +135,11 @@ func lowerForIn(n *ast.ForIn, labels []string, nm *Namer) ast.Stmt {
 //	{ var $d = disc; var $m = BIG;
 //	  if ($d === t0) $m = 0; else if ...; else $m = defaultIndex;
 //	  $L: { if ($m <= 0) { body0 } if ($m <= 1) { body1 } ... } }
-func lowerSwitch(n *ast.Switch, nm *Namer) ast.Stmt {
-	blockLabel := nm.Fresh("$L")
-	d := nm.Fresh("$d")
-	m := nm.Fresh("$m")
-	lowerLoopsInExprs(n.Disc, nm)
+func (l *loopLowerer) lowerSwitch(n *ast.Switch) ast.Stmt {
+	blockLabel := l.nm.Fresh("$L")
+	d := l.nm.Fresh("$d")
+	m := l.nm.Fresh("$m")
+	n.Disc = l.rw.Expr(n.Disc)
 
 	defaultIdx := len(n.Cases) // past the end: no case runs
 	for i, c := range n.Cases {
@@ -206,9 +155,8 @@ func lowerSwitch(n *ast.Switch, nm *Namer) ast.Stmt {
 		if c.Test == nil {
 			continue
 		}
-		lowerLoopsInExprs(c.Test, nm)
 		chain = ast.IfElse(
-			ast.Bin("===", ast.Id(d), c.Test),
+			ast.Bin("===", ast.Id(d), l.rw.Expr(c.Test)),
 			ast.ExprOf(ast.SetId(m, ast.Int(i))),
 			chain,
 		)
@@ -219,7 +167,7 @@ func lowerSwitch(n *ast.Switch, nm *Namer) ast.Stmt {
 	for i, c := range n.Cases {
 		body := make([]ast.Stmt, len(c.Body))
 		for j, s := range c.Body {
-			body[j] = lowerLoopStmt(breaks.Stmt(s), nil, nm)
+			body[j] = l.rw.Stmt(breaks.Stmt(s))
 		}
 		guarded = append(guarded, ast.IfThen(
 			ast.Bin("<=", ast.Id(m), ast.Int(i)),

@@ -470,7 +470,7 @@ func TestRewriteLists(t *testing.T) {
 			func(visit func(ast.Stmt)) func(ast.Stmt) ([]ast.Stmt, bool) {
 				return func(s ast.Stmt) ([]ast.Stmt, bool) { visit(s); return nil, true }
 			},
-			[]string{"a", "If", "Block", "b", "c", "While", "d", "Labeled", "Block", "e", "Try", "g", "h", "i", "VarDecl", "FuncDecl"}, ""},
+			[]string{"a", "If", "b", "c", "While", "d", "Labeled", "e", "Try", "g", "h", "i", "VarDecl", "FuncDecl"}, ""},
 		{"a lone child that becomes several statements, or none, becomes a block",
 			`if (t) a; else b; while (t) c; L: d; { e; }`,
 			func(visit func(ast.Stmt)) func(ast.Stmt) ([]ast.Stmt, bool) {
@@ -501,7 +501,7 @@ func TestRewriteLists(t *testing.T) {
 					return nil, true
 				}
 			},
-			[]string{"If", "b", "While", "Block", "c"}, "if {a}; b; w; while {c}"},
+			[]string{"If", "b", "While", "c"}, "if {a}; b; w; while {c}"},
 	} {
 		prog, err := parser.Parse("function f() {" + tc.body + "}")
 		if err != nil {

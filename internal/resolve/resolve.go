@@ -53,21 +53,26 @@ func Program(p *ast.Program) {
 // in p.Sites. The top-level statements themselves run in the global frame;
 // every function literal within gets a slot layout.
 func ProgramFrom(p *ast.Program, sites ast.Sites) {
-	r := resolver{sites: sites}
+	r := &resolver{sites: sites}
+	r.visit = r.resolve
 	// Top-level function declarations are hoisted into the global frame
 	// before execution, so their closures are created with the global
 	// environment — resolve them against it, not against whatever catch
 	// scope their statement happens to sit in.
 	_, fns := ast.HoistedDecls(p.Body)
 	for _, fn := range fns {
-		r.resolveFunc(fn, nil)
+		r.resolveFunc(fn)
 	}
-	r.resolveStmts(p.Body, nil)
+	r.walk(p.Body)
 	p.Sites = r.sites
 }
 
-// resolver carries the site allocator through one pass.
-type resolver struct{ sites ast.Sites }
+// resolver carries the site allocator and the static chain through one pass.
+type resolver struct {
+	sites ast.Sites
+	sc    *scope              // innermost scope of the node being visited
+	visit func(ast.Node) bool // r.resolve, bound once
+}
 
 // scope is one frame in the static chain. A nil *scope is the global frame:
 // a lookup that reaches it is RefGlobal.
@@ -126,9 +131,9 @@ func lookup(sc *scope, name string) ast.Ref {
 	return ast.RefGlobal
 }
 
-// resolveFunc lays out fn's frame and resolves its body.
-func (r *resolver) resolveFunc(fn *ast.Func, enclosing *scope) {
-	sc := &scope{parent: enclosing, index: make(map[string]int)}
+// resolveFunc lays out fn's frame, as a child of r.sc, and resolves its body.
+func (r *resolver) resolveFunc(fn *ast.Func) {
+	sc := &scope{parent: r.sc, index: make(map[string]int)}
 	layout := &ast.ScopeInfo{
 		SelfSlot:      -1,
 		ThisSlot:      -1,
@@ -164,75 +169,39 @@ func (r *resolver) resolveFunc(fn *ast.Func, enclosing *scope) {
 	// Hoisted declarations become closures of this frame on entry (Call's
 	// FnDecls loop), even when the declaration statement sits inside a
 	// catch block — so their bodies resolve against this scope, never a
-	// catch scope on the way down. resolveStmt leaves FuncDecls alone for
-	// the same reason.
+	// catch scope on the way down. resolve leaves FuncDecls alone for the
+	// same reason.
+	r.sc = sc
 	for _, fd := range fns {
-		r.resolveFunc(fd, sc)
+		r.resolveFunc(fd)
 	}
-	r.resolveStmts(fn.Body, sc)
+	r.walk(fn.Body)
+	r.sc = sc.parent
 	layout.Names = sc.names
 	layout.Index = sc.index
 	fn.Scope = layout
 }
 
-func (r *resolver) resolveStmts(body []ast.Stmt, sc *scope) {
+func (r *resolver) walk(body []ast.Stmt) {
 	for _, s := range body {
-		r.resolveStmt(s, sc)
+		ast.Walk(s, r.visit)
 	}
 }
 
-func (r *resolver) resolveStmt(s ast.Stmt, sc *scope) {
-	switch n := s.(type) {
-	case nil:
+// resolve is the Walk callback: it annotates what binds or references a
+// name, numbers sites, and opens a scope for a function or a catch clause.
+func (r *resolver) resolve(node ast.Node) bool {
+	switch n := node.(type) {
 	case *ast.VarDecl:
 		for i := range n.Decls {
-			d := &n.Decls[i]
-			r.resolveExpr(d.Init, sc)
-			d.Ref = lookup(sc, d.Name)
+			n.Decls[i].Ref = lookup(r.sc, n.Decls[i].Name)
 		}
-	case *ast.ExprStmt:
-		r.resolveExpr(n.X, sc)
-	case *ast.Block:
-		r.resolveStmts(n.Body, sc)
-	case *ast.If:
-		r.resolveExpr(n.Test, sc)
-		r.resolveStmt(n.Cons, sc)
-		if n.Alt != nil {
-			r.resolveStmt(n.Alt, sc)
-		}
-	case *ast.While:
-		r.resolveExpr(n.Test, sc)
-		r.resolveStmt(n.Body, sc)
-	case *ast.DoWhile:
-		r.resolveStmt(n.Body, sc)
-		r.resolveExpr(n.Test, sc)
-	case *ast.For:
-		if n.Init != nil {
-			r.resolveStmt(n.Init, sc)
-		}
-		r.resolveExpr(n.Test, sc)
-		r.resolveExpr(n.Update, sc)
-		r.resolveStmt(n.Body, sc)
 	case *ast.ForIn:
-		r.resolveExpr(n.Obj, sc)
-		n.Ref = lookup(sc, n.Name)
-		r.resolveStmt(n.Body, sc)
-	case *ast.Return:
-		r.resolveExpr(n.Arg, sc)
-	case *ast.Labeled:
-		r.resolveStmt(n.Body, sc)
-	case *ast.Switch:
-		r.resolveExpr(n.Disc, sc)
-		for _, c := range n.Cases {
-			r.resolveExpr(c.Test, sc)
-			r.resolveStmts(c.Body, sc)
-		}
-	case *ast.Throw:
-		r.resolveExpr(n.Arg, sc)
+		n.Ref = lookup(r.sc, n.Name)
 	case *ast.Try:
-		r.resolveStmts(n.Block.Body, sc)
+		ast.Walk(n.Block, r.visit)
 		if n.Catch != nil {
-			csc := &scope{parent: sc, index: make(map[string]int)}
+			csc := &scope{parent: r.sc, index: make(map[string]int)}
 			csc.define(n.CatchParam)
 			n.CatchScope = &ast.ScopeInfo{
 				Names:         csc.names,
@@ -242,82 +211,37 @@ func (r *resolver) resolveStmt(s ast.Stmt, sc *scope) {
 				NewTargetSlot: -1,
 				ArgumentsSlot: -1,
 			}
-			r.resolveStmts(n.Catch.Body, csc)
+			r.sc = csc
+			ast.Walk(n.Catch, r.visit)
+			r.sc = csc.parent
 		}
-		if n.Finally != nil {
-			r.resolveStmts(n.Finally.Body, sc)
-		}
+		ast.Walk(n.Finally, r.visit)
+		return false
 	case *ast.FuncDecl:
-		// Already resolved at its hoist site (resolveFunc or ProgramFrom), against
-		// the frame its closure is actually created in.
-	}
-}
-
-func (r *resolver) resolveExpr(e ast.Expr, sc *scope) {
-	switch n := e.(type) {
-	case nil:
+		// Already resolved at its hoist site (resolveFunc or ProgramFrom),
+		// against the frame its closure is actually created in.
+		return false
+	case *ast.Func:
+		r.resolveFunc(n)
+		return false
 	case *ast.Ident:
-		n.Ref = lookup(sc, n.Name)
+		n.Ref = lookup(r.sc, n.Name)
 		if n.Ref.Global() {
 			r.sites.Global++
 			n.Site = r.sites.Global
 		}
-	case *ast.Number, *ast.Str:
-		// Literals carry no resolution state: the interpreter's tagged
-		// Value representation evaluates them without allocating, so the
-		// historical pre-boxing annotation is gone.
 	case *ast.This:
-		n.Ref = lookup(sc, "this")
+		n.Ref = lookup(r.sc, "this")
 	case *ast.NewTarget:
-		n.Ref = lookup(sc, "new.target")
-	case *ast.Array:
-		for _, el := range n.Elems {
-			r.resolveExpr(el, sc)
-		}
-	case *ast.Object:
-		for _, p := range n.Props {
-			r.resolveExpr(p.Value, sc)
-		}
-	case *ast.Func:
-		r.resolveFunc(n, sc)
-	case *ast.Unary:
-		r.resolveExpr(n.X, sc)
-	case *ast.Update:
-		r.resolveExpr(n.X, sc)
-	case *ast.Binary:
-		r.resolveExpr(n.L, sc)
-		r.resolveExpr(n.R, sc)
-	case *ast.Logical:
-		r.resolveExpr(n.L, sc)
-		r.resolveExpr(n.R, sc)
-	case *ast.Assign:
-		r.resolveExpr(n.Target, sc)
-		r.resolveExpr(n.Value, sc)
-	case *ast.Cond:
-		r.resolveExpr(n.Test, sc)
-		r.resolveExpr(n.Cons, sc)
-		r.resolveExpr(n.Alt, sc)
-	case *ast.Call:
-		r.resolveExpr(n.Callee, sc)
-		for _, a := range n.Args {
-			r.resolveExpr(a, sc)
-		}
-	case *ast.New:
-		r.resolveExpr(n.Callee, sc)
-		for _, a := range n.Args {
-			r.resolveExpr(a, sc)
-		}
+		n.Ref = lookup(r.sc, "new.target")
 	case *ast.Member:
-		r.resolveExpr(n.X, sc)
-		if n.Computed {
-			r.resolveExpr(n.Index, sc)
-		} else {
+		if !n.Computed {
+			// A member's site is numbered after its object's.
+			ast.Walk(n.X, r.visit)
 			r.sites.Member++
 			n.Site = r.sites.Member
-		}
-	case *ast.Seq:
-		for _, x := range n.Exprs {
-			r.resolveExpr(x, sc)
+			return false
 		}
 	}
+	return true
 }
