@@ -28,16 +28,18 @@ func Normalize(prog *ast.Program) *ast.Program {
 // normalized in parts, each part starting where the last one stopped, names
 // its temporaries exactly as one pass over the whole would.
 func NormalizeFrom(prog *ast.Program, tmps int) int {
-	n := &norm{tmp: tmps}
+	n := &norm{tmp: tmps, guest: prog.Guest}
 	prog.Body = n.body(prog.Body)
 	return n.tmp
 }
 
-type norm struct{ tmp int }
+type norm struct {
+	tmp   int
+	guest ast.Names // a temporary takes none of these
+}
 
 func (n *norm) fresh() string {
-	n.tmp++
-	return fmt.Sprintf("$t%d", n.tmp)
+	return n.guest.Fresh("$t", &n.tmp)
 }
 
 func (n *norm) body(stmts []ast.Stmt) []ast.Stmt {

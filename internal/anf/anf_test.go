@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/desugar"
 	"repro/internal/interp"
 	"repro/internal/parser"
@@ -161,5 +162,33 @@ func TestNormalizeIsIdempotentOnShape(t *testing.T) {
 		if err := Check(prog); err != nil {
 			t.Fatalf("first normalize: %v", err)
 		}
+	}
+}
+
+// TestNormalizeInParts: a program normalized in parts, each NormalizeFrom
+// continuing the count the last returned, reads as one Normalize over the
+// whole — what lets the compiler normalize $main apart from the prelude.
+func TestNormalizeInParts(t *testing.T) {
+	src := ""
+	for _, s := range corpus {
+		src += "function part() {\n" + s + "\n}\n"
+	}
+	prepare := func() *ast.Program {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desugar.Apply(prog, desugar.Options{}, &desugar.Namer{})
+		return prog
+	}
+	whole := prepare()
+	Normalize(whole)
+	parts := prepare()
+	tmps := 0
+	for i := range parts.Body {
+		tmps = NormalizeFrom(&ast.Program{Body: parts.Body[i : i+1]}, tmps)
+	}
+	if got, want := printer.Print(parts), printer.Print(whole); got != want {
+		t.Errorf("normalized in parts:\n%s\nas a whole:\n%s", got, want)
 	}
 }

@@ -47,6 +47,11 @@ type Program struct {
 	// numbered this tree: no site ID in Body exceeds it, so a realm whose
 	// inline-cache tables reach this far can run the tree.
 	Sites Sites
+
+	// Guest is the set of `$` names the guest's own source binds or
+	// references (GuestNames), collected by desugar.Apply before any pass
+	// makes up a name; the names every later pass makes up avoid it.
+	Guest Names
 }
 
 // Sites allocates inline-cache site IDs: each field is the last ID handed

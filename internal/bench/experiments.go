@@ -449,7 +449,7 @@ func Fig15Native(cfg Config) (string, error) {
 		ratio := jsMs / nativeMs
 		t.row("%-16s %11.0fx", k.Name, ratio)
 	}
-	t.row("paper: 0.5x–68x by compiler; ratios here reflect a tree-walking engine (Fig 15)")
+	t.row("paper: 0.5x–68x by compiler; ratios here: function bodies as bytecode on this interpreter, top level tree-walked, vs native Go (Fig 15)")
 	return t.String(), nil
 }
 

@@ -14,9 +14,9 @@ import (
 
 // CompileWholeTree is the reference the spliced Compile is held to: the
 // compiler as it was before the prelude was cached — $main desugared, the
-// prelude parsed and desugared behind it with the same Namer, and the five
-// remaining passes run once over prelude + $main merged. It returns the
-// printed program.
+// prelude parsed and desugared behind it with the same Namer, each
+// A-normalized, and the four remaining passes run once over prelude + $main
+// merged. It returns the printed program.
 func CompileWholeTree(source string, opts Opts) (string, error) {
 	if err := opts.normalize(); err != nil {
 		return "", err
@@ -35,13 +35,16 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 		return "", err
 	}
 	desugar.Apply(preludeProg, desugar.Options{}, nm)
+	// Each part's temporaries avoid its own `$` names (Program.Guest): the
+	// guest's are no concern of the prelude, which every program shares.
+	// NormalizeFrom numbers them as one pass over the merged tree would.
+	anf.NormalizeFrom(wrapped, anf.NormalizeFrom(preludeProg, 0))
 	merged := &ast.Program{Body: append(preludeProg.Body, wrapped.Body...)}
-	anf.Normalize(merged)
 	boxes.Box(merged)
 	// The prelude is instrumented under the options compilePrelude lowers it with.
 	n := len(preludeProg.Body)
-	instrument.Apply(&ast.Program{Body: merged.Body[:n]}, opts.forPrelude().instrumentOptions())
-	instrument.Apply(&ast.Program{Body: merged.Body[n:]}, opts.instrumentOptions())
+	instrument.Apply(&ast.Program{Body: merged.Body[:n], Guest: preludeProg.Guest}, opts.forPrelude().instrumentOptions())
+	instrument.Apply(&ast.Program{Body: merged.Body[n:], Guest: wrapped.Guest}, opts.instrumentOptions())
 	resolve.Program(merged)
 	return printer.Print(merged), nil
 }

@@ -1,7 +1,7 @@
 package desugar
 
 import (
-	"strconv"
+	"maps"
 
 	"repro/internal/ast"
 )
@@ -13,14 +13,18 @@ import (
 // whole arguments object travels in the reified frame). Only JavaScript
 // itself needs this (Figure 5).
 func lowerArgsFull(prog *ast.Program) {
-	// Top level has no parameters; process every function.
-	lowerArgsIn(prog, map[string]bool{})
+	// Top level has no parameters; process every function. An alias takes
+	// no guest name either.
+	taken := ast.Names{}
+	maps.Copy(taken, prog.Guest)
+	lowerArgsIn(prog, taken)
 }
 
 // lowerArgsIn lowers every function below n, outermost first. taken holds the
-// $outerargs aliases n and its ancestors declared: a descendant reads its
-// ancestors' formals through them, so its own alias may not shadow one.
-func lowerArgsIn(n ast.Node, taken map[string]bool) {
+// guest's `$` names and the $outerargs aliases n and its ancestors declared:
+// a descendant reads its ancestors' formals through them, so its own alias
+// may not shadow one.
+func lowerArgsIn(n ast.Node, taken ast.Names) {
 	ast.Walk(n, func(c ast.Node) bool {
 		fn, ok := c.(*ast.Func)
 		if !ok || c == n {
@@ -41,14 +45,11 @@ func lowerArgsIn(n ast.Node, taken map[string]bool) {
 
 // rewriteParamsToArguments returns the alias of fn's arguments object it
 // declared for fn's nested functions, "" when none of them names a formal.
-func rewriteParamsToArguments(fn *ast.Func, taken map[string]bool) string {
+func rewriteParamsToArguments(fn *ast.Func, taken ast.Names) string {
 	if len(fn.Params) == 0 {
 		return ""
 	}
-	alias := "$outerargs"
-	for i := 1; taken[alias]; i++ {
-		alias = "$outerargs" + strconv.Itoa(i)
-	}
+	alias := taken.Avoid("$outerargs")
 	index := make(map[string]int, len(fn.Params))
 	for i, p := range fn.Params {
 		index[p] = i

@@ -5,13 +5,15 @@ import "repro/internal/ast"
 // lowerArrows converts arrow functions into ordinary function expressions.
 // Arrows differ in two ways: lexical `this` and no own `arguments`. The pass
 // rewrites those references inside arrow bodies to $this/$args locals
-// introduced in the nearest enclosing non-arrow scope.
+// introduced in the nearest enclosing non-arrow scope, suffixed when the
+// guest has a name of its own so spelled.
 //
 // topLevel indicates body is the program top level (its `this` is
 // undefined, but a $this binding is still introduced if needed so the
 // rewritten code is closed).
 func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	needThis, needArgs := false, false
+	this, args := nm.guest.Avoid("$this"), nm.guest.Avoid("$args")
 	r := &ast.Rewriter{SkipFuncs: true}
 	r.PostExpr = func(e ast.Expr) ast.Expr {
 		fn, ok := e.(*ast.Func)
@@ -19,7 +21,7 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 			return e
 		}
 		if fn.Arrow {
-			t, a := rewriteArrowRefs(fn)
+			t, a := rewriteArrowRefs(fn, this, args)
 			needThis = needThis || t
 			needArgs = needArgs || a
 			fn.Arrow = false
@@ -31,10 +33,10 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	out := r.Stmts(body)
 	var prologue []ast.Stmt
 	if needThis {
-		prologue = append(prologue, ast.Var("$this", &ast.This{}))
+		prologue = append(prologue, ast.Var(this, &ast.This{}))
 	}
 	if needArgs && !topLevel {
-		prologue = append(prologue, ast.Var("$args", ast.Id("arguments")))
+		prologue = append(prologue, ast.Var(args, ast.Id("arguments")))
 	}
 	if len(prologue) > 0 {
 		out = append(prologue, out...)
@@ -42,25 +44,26 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	return out
 }
 
-// rewriteArrowRefs rewrites this -> $this and arguments -> $args inside an
-// arrow body, descending through nested arrows (same lexical this) but not
-// into nested ordinary functions. It reports whether each rewrite occurred.
-func rewriteArrowRefs(fn *ast.Func) (usedThis, usedArgs bool) {
+// rewriteArrowRefs rewrites this -> $this and arguments -> $args (named this
+// and args) inside an arrow body, descending through nested arrows (same
+// lexical this) but not into nested ordinary functions. It reports whether
+// each rewrite occurred.
+func rewriteArrowRefs(fn *ast.Func, this, args string) (usedThis, usedArgs bool) {
 	r := &ast.Rewriter{SkipFuncs: true}
 	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
 		case *ast.This:
 			usedThis = true
-			return &ast.Ident{P: n.P, Name: "$this"}
+			return &ast.Ident{P: n.P, Name: this}
 		case *ast.Ident:
 			if n.Name == "arguments" {
 				usedArgs = true
-				return &ast.Ident{P: n.P, Name: "$args"}
+				return &ast.Ident{P: n.P, Name: args}
 			}
 			return n
 		case *ast.Func:
 			if n.Arrow {
-				t, a := rewriteArrowRefs(n)
+				t, a := rewriteArrowRefs(n, this, args)
 				usedThis = usedThis || t
 				usedArgs = usedArgs || a
 				n.Arrow = false

@@ -23,11 +23,7 @@
 // compiler so it is never rewritten in terms of itself.
 package desugar
 
-import (
-	"fmt"
-
-	"repro/internal/ast"
-)
+import "repro/internal/ast"
 
 // ImplicitsMode selects how much of §4.1 to make explicit.
 type ImplicitsMode int
@@ -50,18 +46,25 @@ type Options struct {
 }
 
 // Namer generates fresh identifiers; a single Namer is threaded through all
-// passes of one compilation so names never collide.
-type Namer struct{ n int }
+// passes of one compilation so names never collide, with each other or with
+// the guest's own (Apply hands it Program.Guest).
+type Namer struct {
+	n     int
+	guest ast.Names
+}
 
 // Fresh returns a new name with the given prefix.
 func (nm *Namer) Fresh(prefix string) string {
-	nm.n++
-	return fmt.Sprintf("%s%d", prefix, nm.n)
+	return nm.guest.Fresh(prefix, &nm.n)
 }
 
 // Apply runs the configured passes over prog in order. It returns prog,
-// which is rewritten in place (statement slices are rebuilt).
+// which is rewritten in place (statement slices are rebuilt). It first
+// records the guest's `$` names in prog.Guest, which every name made up
+// from here on avoids.
 func Apply(prog *ast.Program, opts Options, nm *Namer) *ast.Program {
+	prog.Guest = ast.GuestNames(prog.Body)
+	nm.guest = prog.Guest
 	if opts.Breakpoints {
 		prog.Body = insertBreakpoints(prog.Body)
 	}

@@ -146,6 +146,9 @@ func TestArrowLowering(t *testing.T) {
 		`function Box(v) { this.v = v; this.get = () => this.v * 2; } console.log(new Box(21).get());`,
 		`function f() { var g = () => arguments.length; return g(); } console.log(f(7, 8));`,
 		`var mk = (x) => () => x + 1; console.log(mk(4)());`,
+		// The guest's own $this and $args stay its own.
+		`function m() { var $this = "G"; var a = () => this.v; return a() + $this; } console.log(m.call({ v: 1 }));`,
+		`function n() { var $args = "G"; var a = () => arguments[0]; return a() + $args; } console.log(n(7));`,
 	} {
 		checkSame(t, src)
 	}

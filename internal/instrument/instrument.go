@@ -119,15 +119,16 @@ func Apply(prog *ast.Program, opts Options) *ast.Program {
 		return true
 	})
 	for _, fn := range fns {
-		instrumentFunc(fn, opts)
+		instrumentFunc(fn, opts, prog.Guest)
 	}
 	return prog
 }
 
 // instrumentFunc rewrites one function body and returns its context, nil
 // when it needs none. Nested functions are instrumented by their own Apply
-// visit; this pass never descends into them.
-func instrumentFunc(fn *ast.Func, opts Options) *fctx {
+// visit; this pass never descends into them. Every name it makes up avoids
+// guest, the guest's own `$` names.
+func instrumentFunc(fn *ast.Func, opts Options, guest ast.Names) *fctx {
 	if !hasNonTailSites(fn.Body) {
 		// No non-tail call sites: the function can never be suspended nor
 		// re-entered, so it needs no machinery (leaf functions pay nothing,
@@ -137,10 +138,15 @@ func instrumentFunc(fn *ast.Func, opts Options) *fctx {
 	// A declaration's name is its enclosing scope's binding, which a guest
 	// may reassign, so its frames record it by a name of its own.
 	if fn.Self == "" {
-		fn.Self = SelfVar
+		fn.Self = guest.Avoid(SelfVar)
 	}
 	c := &fctx{
 		opts:        opts,
+		guest:       guest,
+		lbl:         guest.Avoid("$lbl"),
+		k:           guest.Avoid("$k"),
+		ct:          guest.Avoid("$ct"),
+		nt:          guest.Avoid("$nt"),
 		fname:       fn.Self,
 		fin:         map[*ast.Try]*finInfo{},
 		shadowDepth: map[*ast.Try]string{},
@@ -199,6 +205,9 @@ func hasNonTailSites(body []ast.Stmt) bool {
 // fctx is per-function instrumentation state.
 type fctx struct {
 	opts        Options
+	guest       ast.Names // no name made up here takes one of these
+	lbl, k      string    // the fixed locals $lbl, $k, $ct and $nt, each
+	ct, nt      string    // suffixed when guest holds it
 	fname       string
 	locals      []string // every local, for the prologue's declarations
 	saved       []string // the locals a frame saves (savedLocals), for pushFrame
@@ -211,24 +220,9 @@ type fctx struct {
 }
 
 func (c *fctx) fresh(prefix string) string {
-	c.genSym++
-	name := prefix + itoa(c.genSym)
+	name := c.guest.Fresh(prefix, &c.genSym)
 	c.extra = append(c.extra, name)
 	return name
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // localsList builds the ordered locals vector the prologue declares, of
@@ -289,23 +283,23 @@ func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
 	}
 
 	if c.opts.WrappedCtors {
-		out = append(out, ast.Var("$nt", &ast.NewTarget{}))
+		out = append(out, ast.Var(c.nt, &ast.NewTarget{}))
 	}
 	out = append(out, &ast.VarDecl{Decls: []ast.Declarator{
-		{Name: "$lbl", Init: ast.Int(-1)},
-		{Name: "$k"},
+		{Name: c.lbl, Init: ast.Int(-1)},
+		{Name: c.k},
 	}})
 
 	// if ($mode === "restore") { restoreFrame }
 	restore := []ast.Stmt{
-		ast.ExprOf(ast.SetId("$k", frameCall(ast.Id(RStackVar), "pop"))),
-		ast.ExprOf(ast.SetId("$lbl", frameElem(FrameLabel))),
+		ast.ExprOf(ast.SetId(c.k, frameCall(ast.Id(RStackVar), "pop"))),
+		ast.ExprOf(ast.SetId(c.lbl, c.frameElem(FrameLabel))),
 	}
 	base := c.savedBase()
 	for i, name := range c.saved {
-		restore = append(restore, ast.ExprOf(ast.SetId(name, frameElem(base+i))))
+		restore = append(restore, ast.ExprOf(ast.SetId(name, c.frameElem(base+i))))
 	}
-	restore = append(restore, ast.ExprOf(ast.SetId("$k",
+	restore = append(restore, ast.ExprOf(ast.SetId(c.k,
 		ast.Idx(ast.Id(RStackVar), ast.Bin("-", ast.Dot(ast.Id(RStackVar), "length"), ast.Int(1))))))
 	block := ast.IfThen(isMode(ModeRestore), restore...)
 	block.Restore = true // the bytecode compiler fuses it
@@ -397,23 +391,23 @@ func (c *fctx) ctorProtocol(body []ast.Stmt) []ast.Stmt {
 	// $nt is declared in the prologue but must also travel in the reified
 	// frame: a restored constructor re-enters as a plain call, where
 	// new.target is undefined.
-	c.extra = append(c.extra, "$nt")
-	rewriteNewTarget(body)
+	c.extra = append(c.extra, c.nt)
+	rewriteNewTarget(body, c.nt)
 	out := rewriteLists(body, c.ctorReturn)
 	// Implicit completion: constructors return `this`.
 	out = append(out, ast.IfThen(
-		ast.Bin("!==", ast.Id("$nt"), ast.Undef()),
+		ast.Bin("!==", ast.Id(c.nt), ast.Undef()),
 		ast.Ret(&ast.This{}),
 	))
 	return out
 }
 
-// rewriteNewTarget replaces new.target with $nt in one function's own code:
-// a nested function has a new.target of its own.
-func rewriteNewTarget(body []ast.Stmt) {
+// rewriteNewTarget replaces new.target with nt, the function's $nt, in its
+// own code: a nested function has a new.target of its own.
+func rewriteNewTarget(body []ast.Stmt, nt string) {
 	r := ast.Rewriter{SkipFuncs: true, PostExpr: func(e ast.Expr) ast.Expr {
 		if _, ok := e.(*ast.NewTarget); ok {
-			return ast.Id("$nt")
+			return ast.Id(nt)
 		}
 		return e
 	}}
@@ -434,7 +428,7 @@ func (c *fctx) ctorReturn(s ast.Stmt) ([]ast.Stmt, bool) {
 		ast.ExprOf(ast.SetId(c.ctv, returned(n))),
 		ast.IfThen(
 			ast.Log("&&",
-				ast.Bin("!==", ast.Id("$nt"), ast.Undef()),
+				ast.Bin("!==", ast.Id(c.nt), ast.Undef()),
 				notObjectLike(ast.Id(c.ctv)),
 			),
 			ast.Ret(&ast.This{}),

@@ -53,7 +53,7 @@ func contexts(prog *ast.Program, opts Options) map[string]*fctx {
 	})
 	out := map[string]*fctx{}
 	for _, fn := range fns {
-		if c := instrumentFunc(fn, opts); c != nil {
+		if c := instrumentFunc(fn, opts, prog.Guest); c != nil {
 			out[fn.Name] = c
 		}
 	}

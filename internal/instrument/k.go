@@ -60,16 +60,16 @@ func labelRange(stmts ...ast.Stmt) (int, int) {
 }
 
 // labelTest builds the ℓ ∈ s test of Figure 4a for a contiguous range.
-func labelTest(lo, hi int) ast.Expr {
+func (c *fctx) labelTest(lo, hi int) ast.Expr {
 	if lo == 0 {
 		return ast.Boollit(false)
 	}
 	if lo == hi {
-		return ast.Bin("===", ast.Id("$lbl"), ast.Int(lo))
+		return ast.Bin("===", ast.Id(c.lbl), ast.Int(lo))
 	}
 	return ast.Log("&&",
-		ast.Bin(">=", ast.Id("$lbl"), ast.Int(lo)),
-		ast.Bin("<=", ast.Id("$lbl"), ast.Int(hi)),
+		ast.Bin(">=", ast.Id(c.lbl), ast.Int(lo)),
+		ast.Bin("<=", ast.Id(c.lbl), ast.Int(hi)),
 	)
 }
 
@@ -155,7 +155,7 @@ func (c *fctx) kCompound(s ast.Stmt) ast.Stmt {
 		test := ast.Log("&&", isMode(ModeNormal), n.Test)
 		var fullTest ast.Expr = test
 		if consLo != 0 {
-			fullTest = ast.Log("||", test, labelTest(consLo, consHi))
+			fullTest = ast.Log("||", test, c.labelTest(consLo, consHi))
 		}
 		cons := c.kCompoundOrSite(n.Cons)
 		if n.Alt == nil {
@@ -164,7 +164,7 @@ func (c *fctx) kCompound(s ast.Stmt) ast.Stmt {
 		altLo, altHi := labelRange(n.Alt)
 		var altGuard ast.Expr = isMode(ModeNormal)
 		if altLo != 0 {
-			altGuard = ast.Log("||", altGuard, labelTest(altLo, altHi))
+			altGuard = ast.Log("||", altGuard, c.labelTest(altLo, altHi))
 		}
 		alt := ast.IfThen(altGuard, c.kCompoundOrSite(n.Alt))
 		return &ast.If{P: n.P, Test: fullTest, Cons: cons, Alt: alt}
@@ -172,7 +172,7 @@ func (c *fctx) kCompound(s ast.Stmt) ast.Stmt {
 		lo, hi := labelRange(n.Body)
 		test := ast.Log("||",
 			ast.Log("&&", isMode(ModeNormal), n.Test),
-			labelTest(lo, hi),
+			c.labelTest(lo, hi),
 		)
 		return &ast.While{P: n.P, Test: test, Body: c.kCompoundOrSite(n.Body)}
 	case *ast.Try:
@@ -211,7 +211,7 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 	// Re-enter the catch clause by re-throwing the saved exception.
 	if catchLo != 0 {
 		tryBody = append(tryBody, ast.IfThen(
-			ast.Log("&&", isMode(ModeRestore), labelTest(catchLo, catchHi)),
+			ast.Log("&&", isMode(ModeRestore), c.labelTest(catchLo, catchHi)),
 			&ast.Throw{Arg: ast.Id(n.CatchParam)},
 		))
 	}
@@ -222,7 +222,7 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 		if fi != nil {
 			tryBody = append(tryBody, ast.IfThen(
 				ast.Log("&&",
-					ast.Log("&&", isMode(ModeRestore), labelTest(finLo, finHi)),
+					ast.Log("&&", isMode(ModeRestore), c.labelTest(finLo, finHi)),
 					ast.Bin("===", ast.Id(fi.finret), ast.Int(1)),
 				),
 				ast.Ret(ast.Id(fi.finv)),
@@ -231,7 +231,7 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 	}
 	guard := isMode(ModeNormal)
 	if blockLo != 0 {
-		guard = ast.Log("||", guard, ast.Log("&&", isMode(ModeRestore), labelTest(blockLo, blockHi)))
+		guard = ast.Log("||", guard, ast.Log("&&", isMode(ModeRestore), c.labelTest(blockLo, blockHi)))
 	}
 	tryBody = append(tryBody, ast.IfThen(guard, c.kStmts(n.Block.Body)...))
 
@@ -243,12 +243,11 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 	// send control into the body once more. In restore mode the handler keeps
 	// it — its own re-entry is what the label is steering.
 	resetLbl := func() ast.Stmt {
-		return ast.IfThen(isMode(ModeNormal), ast.ExprOf(ast.SetId("$lbl", ast.Int(-1))))
+		return ast.IfThen(isMode(ModeNormal), ast.ExprOf(ast.SetId(c.lbl, ast.Int(-1))))
 	}
 	if n.Catch != nil {
-		ct := "$ct"
 		catchBody := []ast.Stmt{
-			ast.IfThen(ast.CallId(IsSigFn, ast.Id(ct)), &ast.Throw{Arg: ast.Id(ct)}),
+			ast.IfThen(ast.CallId(IsSigFn, ast.Id(c.ct)), &ast.Throw{Arg: ast.Id(c.ct)}),
 			resetLbl(),
 		}
 		if c.opts.Strategy == Eager {
@@ -257,9 +256,9 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 					ast.Dot(ast.Id(ShadowVar), "length"), ast.Id(sd))))
 			}
 		}
-		catchBody = append(catchBody, ast.ExprOf(ast.SetId(n.CatchParam, ast.Id(ct))))
+		catchBody = append(catchBody, ast.ExprOf(ast.SetId(n.CatchParam, ast.Id(c.ct))))
 		catchBody = append(catchBody, c.kStmts(n.Catch.Body)...)
-		out.CatchParam = ct
+		out.CatchParam = c.ct
 		out.Catch = ast.BlockOf(catchBody...)
 	}
 	if n.Finally != nil {
@@ -285,22 +284,22 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 	a := es.X.(*ast.Assign)
 	label := siteLabel(a.Value)
 
-	guard := ast.Log("||", isMode(ModeNormal), ast.Bin("===", ast.Id("$lbl"), ast.Int(label)))
+	guard := ast.Log("||", isMode(ModeNormal), ast.Bin("===", ast.Id(c.lbl), ast.Int(label)))
 
 	// target = $mode === "normal" ? <app> : $k[1].apply($k[2]); — the
 	// callee's prologue reassigns its saved locals from its frame $k, and
 	// nothing reads a formal it does not save, so only varargs' arguments
 	// object is left to pass.
-	reapply := []ast.Expr{frameElem(FrameSelf)}
+	reapply := []ast.Expr{c.frameElem(FrameSelf)}
 	if c.opts.Args == ArgsVarargs {
-		reapply = append(reapply, frameElem(FrameArgs))
+		reapply = append(reapply, c.frameElem(FrameArgs))
 	}
 	apply := ast.ExprOf(ast.SetTo(a.Target, &ast.Cond{
 		Test: isMode(ModeNormal),
 		Cons: a.Value,
-		Alt:  frameCall(frameElem(FrameFn), "apply", reapply...),
+		Alt:  frameCall(c.frameElem(FrameFn), "apply", reapply...),
 	}))
-	clearLbl := ast.ExprOf(ast.SetId("$lbl", ast.Int(-1)))
+	clearLbl := ast.ExprOf(ast.SetId(c.lbl, ast.Int(-1)))
 
 	switch c.opts.Strategy {
 	case Checked:
@@ -368,8 +367,8 @@ func (c *fctx) savedBase() int {
 }
 
 // frameElem builds $k[i], an element of the frame being restored.
-func frameElem(i int) ast.Expr {
-	return &ast.Member{X: ast.Id("$k"), Index: ast.Int(i), Computed: true}
+func (c *fctx) frameElem(i int) ast.Expr {
+	return &ast.Member{X: ast.Id(c.k), Index: ast.Int(i), Computed: true}
 }
 
 // frameCall builds x.method(args...) marked as frame protocol: the bytecode
