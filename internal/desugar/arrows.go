@@ -13,7 +13,6 @@ import "repro/internal/ast"
 // rewritten code is closed).
 func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	needThis, needArgs := false, false
-	this, args := nm.guest.Avoid("$this"), nm.guest.Avoid("$args")
 	r := &ast.Rewriter{SkipFuncs: true}
 	r.PostExpr = func(e ast.Expr) ast.Expr {
 		fn, ok := e.(*ast.Func)
@@ -21,7 +20,7 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 			return e
 		}
 		if fn.Arrow {
-			t, a := rewriteArrowRefs(fn, this, args)
+			t, a := rewriteArrowRefs(fn, nm)
 			needThis = needThis || t
 			needArgs = needArgs || a
 			fn.Arrow = false
@@ -33,10 +32,10 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	out := r.Stmts(body)
 	var prologue []ast.Stmt
 	if needThis {
-		prologue = append(prologue, ast.Var(this, &ast.This{}))
+		prologue = append(prologue, ast.Var(nm.guest.Avoid("$this"), &ast.This{}))
 	}
 	if needArgs && !topLevel {
-		prologue = append(prologue, ast.Var(args, ast.Id("arguments")))
+		prologue = append(prologue, ast.Var(nm.guest.Avoid("$args"), ast.Id("arguments")))
 	}
 	if len(prologue) > 0 {
 		out = append(prologue, out...)
@@ -44,11 +43,11 @@ func lowerArrows(body []ast.Stmt, nm *Namer, topLevel bool) []ast.Stmt {
 	return out
 }
 
-// rewriteArrowRefs rewrites this -> $this and arguments -> $args (named this
-// and args) inside an arrow body, descending through nested arrows (same
-// lexical this) but not into nested ordinary functions. It reports whether
-// each rewrite occurred.
-func rewriteArrowRefs(fn *ast.Func, this, args string) (usedThis, usedArgs bool) {
+// rewriteArrowRefs rewrites this -> $this and arguments -> $args inside an
+// arrow body, descending through nested arrows (same lexical this) but not
+// into nested ordinary functions. It reports whether each rewrite occurred.
+func rewriteArrowRefs(fn *ast.Func, nm *Namer) (usedThis, usedArgs bool) {
+	this, args := nm.guest.Avoid("$this"), nm.guest.Avoid("$args")
 	r := &ast.Rewriter{SkipFuncs: true}
 	r.PostExpr = func(e ast.Expr) ast.Expr {
 		switch n := e.(type) {
@@ -63,7 +62,7 @@ func rewriteArrowRefs(fn *ast.Func, this, args string) (usedThis, usedArgs bool)
 			return n
 		case *ast.Func:
 			if n.Arrow {
-				t, a := rewriteArrowRefs(n, this, args)
+				t, a := rewriteArrowRefs(n, nm)
 				usedThis = usedThis || t
 				usedArgs = usedArgs || a
 				n.Arrow = false

@@ -118,17 +118,30 @@ func Apply(prog *ast.Program, opts Options) *ast.Program {
 		}
 		return true
 	})
+	nm := newNames(prog.Guest)
 	for _, fn := range fns {
-		instrumentFunc(fn, opts, prog.Guest)
+		instrumentFunc(fn, opts, nm)
 	}
 	return prog
 }
 
+// names is what one compile's instrumentation calls the locals it makes up:
+// the fixed ones, each suffixed when the guest has a name so spelled, and
+// the guest's `$` names, which no fresh one takes.
+type names struct {
+	guest                ast.Names
+	lbl, k, ct, nt, self string
+}
+
+func newNames(guest ast.Names) *names {
+	return &names{guest: guest, lbl: guest.Avoid("$lbl"), k: guest.Avoid("$k"),
+		ct: guest.Avoid("$ct"), nt: guest.Avoid("$nt"), self: guest.Avoid(SelfVar)}
+}
+
 // instrumentFunc rewrites one function body and returns its context, nil
 // when it needs none. Nested functions are instrumented by their own Apply
-// visit; this pass never descends into them. Every name it makes up avoids
-// guest, the guest's own `$` names.
-func instrumentFunc(fn *ast.Func, opts Options, guest ast.Names) *fctx {
+// visit; this pass never descends into them.
+func instrumentFunc(fn *ast.Func, opts Options, nm *names) *fctx {
 	if !hasNonTailSites(fn.Body) {
 		// No non-tail call sites: the function can never be suspended nor
 		// re-entered, so it needs no machinery (leaf functions pay nothing,
@@ -138,15 +151,11 @@ func instrumentFunc(fn *ast.Func, opts Options, guest ast.Names) *fctx {
 	// A declaration's name is its enclosing scope's binding, which a guest
 	// may reassign, so its frames record it by a name of its own.
 	if fn.Self == "" {
-		fn.Self = guest.Avoid(SelfVar)
+		fn.Self = nm.self
 	}
 	c := &fctx{
+		names:       nm,
 		opts:        opts,
-		guest:       guest,
-		lbl:         guest.Avoid("$lbl"),
-		k:           guest.Avoid("$k"),
-		ct:          guest.Avoid("$ct"),
-		nt:          guest.Avoid("$nt"),
 		fname:       fn.Self,
 		fin:         map[*ast.Try]*finInfo{},
 		shadowDepth: map[*ast.Try]string{},
@@ -204,10 +213,8 @@ func hasNonTailSites(body []ast.Stmt) bool {
 
 // fctx is per-function instrumentation state.
 type fctx struct {
+	*names
 	opts        Options
-	guest       ast.Names // no name made up here takes one of these
-	lbl, k      string    // the fixed locals $lbl, $k, $ct and $nt, each
-	ct, nt      string    // suffixed when guest holds it
 	fname       string
 	locals      []string // every local, for the prologue's declarations
 	saved       []string // the locals a frame saves (savedLocals), for pushFrame

@@ -53,7 +53,7 @@ func contexts(prog *ast.Program, opts Options) map[string]*fctx {
 	})
 	out := map[string]*fctx{}
 	for _, fn := range fns {
-		if c := instrumentFunc(fn, opts, prog.Guest); c != nil {
+		if c := instrumentFunc(fn, opts, newNames(prog.Guest)); c != nil {
 			out[fn.Name] = c
 		}
 	}
@@ -534,7 +534,7 @@ func TestRewriteLists(t *testing.T) {
 			}
 			return true
 		})
-		c := &fctx{}
+		c := &fctx{names: newNames(nil)}
 		fn := prog.Body[0].(*ast.FuncDecl).Fn
 		fn.Body = rewriteLists(fn.Body, c.renameCatch)
 		var got []string
