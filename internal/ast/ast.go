@@ -48,9 +48,10 @@ type Program struct {
 	// inline-cache tables reach this far can run the tree.
 	Sites Sites
 
-	// Guest is the set of `$` names the guest's own source binds or
-	// references (GuestNames), collected by desugar.Apply before any pass
-	// makes up a name; the names every later pass makes up avoid it.
+	// Guest is the set of `$` identifiers in the guest's own source,
+	// recorded by the parser; every name a compile pass makes up avoids it.
+	// A pass that wraps a parsed program's statements in a program of its
+	// own carries the set over.
 	Guest Names
 }
 

@@ -8,47 +8,6 @@ import "strconv"
 // guest's name would capture or shadow that binding.
 type Names map[string]bool
 
-// GuestNames is every `$`-prefixed name body binds or references — a
-// variable, parameter, function, catch parameter, for-in name or label — in
-// every function; nil when there is none.
-func GuestNames(body []Stmt) Names {
-	var names Names
-	add := func(name string) {
-		if len(name) > 0 && name[0] == '$' {
-			if names == nil {
-				names = Names{}
-			}
-			names[name] = true
-		}
-	}
-	visit := func(n Node) bool {
-		switch n := n.(type) {
-		case *Ident:
-			add(n.Name)
-		case *VarDecl:
-			for _, d := range n.Decls {
-				add(d.Name)
-			}
-		case *Func:
-			add(n.Name)
-			for _, p := range n.Params {
-				add(p)
-			}
-		case *Try:
-			add(n.CatchParam)
-		case *ForIn:
-			add(n.Name)
-		case *Labeled:
-			add(n.Label)
-		}
-		return true
-	}
-	for _, s := range body {
-		Walk(s, visit)
-	}
-	return names
-}
-
 // Fresh advances *n and returns prefix followed by it, passing over the
 // names in the set.
 func (s Names) Fresh(prefix string, n *int) string {

@@ -1,31 +1,9 @@
 package ast
 
-import (
-	"maps"
-	"slices"
-	"testing"
-)
+import "testing"
 
-// TestGuestNames: the set holds every `$` name a guest binds or references,
-// in every function, and no property name; a made-up name passes over it.
-func TestGuestNames(t *testing.T) {
-	body := []Stmt{
-		&Labeled{Label: "$l", Body: &ForIn{Name: "$k", Obj: Id("$o"), Body: &Empty{}}},
-		&FuncDecl{Fn: &Func{Name: "$f", Params: []string{"$p", "q"}, Body: []Stmt{
-			Var("$v", Dot(Id("o"), "$prop")),
-			ExprOf(&Func{Name: "inner", Body: []Stmt{Ret(Id("$free"))}}),
-		}}},
-		&Try{Block: BlockOf(), CatchParam: "$e", Catch: BlockOf()},
-		ExprOf(Id("plain")),
-	}
-	got := slices.Sorted(maps.Keys(GuestNames(body)))
-	if want := []string{"$e", "$f", "$free", "$k", "$l", "$o", "$p", "$v"}; !slices.Equal(got, want) {
-		t.Errorf("GuestNames = %v, want %v", got, want)
-	}
-	if names := GuestNames([]Stmt{ExprOf(Id("x"))}); names != nil {
-		t.Errorf("a body without a $ name has the set %v, want nil", names)
-	}
-
+// TestNamesAvoid: a made-up name passes over the names in the set.
+func TestNamesAvoid(t *testing.T) {
 	taken := Names{"$t2": true, "$t3": true, "$k": true, "$k1": true}
 	n := 1
 	if name := taken.Fresh("$t", &n); name != "$t4" || n != 4 {

@@ -58,7 +58,7 @@ func CompileCPS(source string) (string, error) {
 	// Wrap in $cpsmain so top-level statements have a function context.
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: "$cpsmain", Body: prog.Body}},
-	}}
+	}, Guest: prog.Guest}
 	desugar.Apply(wrapped, desugar.Options{}, nm)
 	anf.Normalize(wrapped)
 

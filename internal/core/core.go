@@ -255,7 +255,7 @@ func (o Opts) instrumentOptions() instrument.Options {
 func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainName string, tmps int, sites ast.Sites) *ast.Program {
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: mainName, Body: userProg.Body}},
-	}}
+	}, Guest: userProg.Guest}
 	desugar.Apply(wrapped, opts.desugarOptions(), nm)
 	lower(wrapped, opts, tmps, sites)
 	return wrapped

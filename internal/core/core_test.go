@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -70,6 +71,35 @@ console.log(c.n, w.tag, w.inner === c, c instanceof Counter);`
 		}
 		if got != want {
 			t.Errorf("ctor=%s: got %q want %q", ctor, got, want)
+		}
+	}
+}
+
+// TestGuestDollarNamesWrappedCtors runs the hygiene/temp-names row, and a
+// guest's $nt beside the one a wrapped constructor declares, under the
+// constructor strategy the conformance matrix does not vary, preempted
+// every few calls.
+func TestGuestDollarNamesWrappedCtors(t *testing.T) {
+	row, err := os.ReadFile("testdata/conformance/hygiene/temp-names.js")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(row) + `
+function K() { var $nt = "N"; var v = g(1); return v + $nt; }
+console.log(K(), new K() instanceof K);`
+	want, err := RunRaw(src, cfgVirtual())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cont := range []string{"checked", "exceptional", "eager"} {
+		o := hammer(cont)
+		o.Ctor = "wrapped"
+		got, err := RunSource(src, o, cfgVirtual())
+		if err != nil {
+			t.Fatalf("cont=%s: %v", cont, err)
+		}
+		if got != want {
+			t.Errorf("cont=%s: got %q want %q", cont, got, want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 	nm := &desugar.Namer{}
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
-	}}
+	}, Guest: userProg.Guest}
 	desugar.Apply(wrapped, opts.desugarOptions(), nm)
 	preludeProg, err := parser.Parse(preludeSource(opts))
 	if err != nil {
@@ -62,7 +62,7 @@ func CheckANF(source string, opts Opts) error {
 	}
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
-	}}
+	}, Guest: userProg.Guest}
 	desugar.Apply(wrapped, opts.desugarOptions(), &desugar.Namer{})
 	anf.Normalize(wrapped)
 	return anf.Check(wrapped)

@@ -59,11 +59,9 @@ func (nm *Namer) Fresh(prefix string) string {
 }
 
 // Apply runs the configured passes over prog in order. It returns prog,
-// which is rewritten in place (statement slices are rebuilt). It first
-// records the guest's `$` names in prog.Guest, which every name made up
-// from here on avoids.
+// which is rewritten in place (statement slices are rebuilt). Every name nm
+// draws from here on avoids prog.Guest.
 func Apply(prog *ast.Program, opts Options, nm *Namer) *ast.Program {
-	prog.Guest = ast.GuestNames(prog.Body)
 	nm.guest = prog.Guest
 	if opts.Breakpoints {
 		prog.Body = insertBreakpoints(prog.Body)

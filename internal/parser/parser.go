@@ -30,12 +30,28 @@ func Parse(src string) (prog *ast.Program, err error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	prog = &ast.Program{Pos: ast.Pos{Line: 1, Col: 1}}
+	prog = &ast.Program{Pos: ast.Pos{Line: 1, Col: 1}, Guest: guestNames(toks)}
 	defer p.recoverTo(&err)
 	for !p.at(lexer.EOF, "") {
 		prog.Body = append(prog.Body, p.statement())
 	}
 	return prog, nil
+}
+
+// guestNames is the set of the source's `$` identifiers (ast.Program.Guest):
+// every name it binds or references, and its `$` property names, which the
+// names the compiler makes up lose nothing by avoiding as well.
+func guestNames(toks []lexer.Token) ast.Names {
+	var names ast.Names
+	for _, t := range toks {
+		if t.Kind == lexer.Ident && t.Text[0] == '$' {
+			if names == nil {
+				names = ast.Names{}
+			}
+			names[t.Text] = true
+		}
+	}
+	return names
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL).

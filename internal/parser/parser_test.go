@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -397,5 +399,23 @@ func TestArrayElisions(t *testing.T) {
 				t.Errorf("%s: element %d hole=%v, want %v", c.src, i, arr.Elems[i] == nil, hole)
 			}
 		}
+	}
+}
+
+// TestGuestNames: the program records every `$` identifier of its source, in
+// every function and as whatever it names, and none from a string.
+func TestGuestNames(t *testing.T) {
+	prog, err := Parse(`$l: for (var $k in $o) { }
+function $f($p, q) { var $v = o.$prop + { $key: 1 }.$key; return function () { return $free; }; }
+try { } catch ($e) { } var s = "$str";`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := slices.Sorted(maps.Keys(prog.Guest))
+	if want := []string{"$e", "$f", "$free", "$k", "$key", "$l", "$o", "$p", "$prop", "$v"}; !slices.Equal(got, want) {
+		t.Errorf("Guest = %v, want %v", got, want)
+	}
+	if prog, _ := Parse(`var x = "$y";`); prog.Guest != nil {
+		t.Errorf("a source without a $ identifier has the set %v, want nil", prog.Guest)
 	}
 }
