@@ -91,7 +91,8 @@ const (
 	CFn       = "$C"
 
 	// SelfVar is the name an instrumented declaration's body binds the
-	// function to (ast.Func.Self), for its frames to record it by.
+	// function to (ast.Func.Self), for its frames to record it by; suffixed
+	// in a compile whose guest has a name so spelled.
 	SelfVar = "$self"
 
 	ModeNormal  = "normal"
