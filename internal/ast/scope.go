@@ -9,7 +9,7 @@ package ast
 // Ref is a resolved variable coordinate: the number of environment frames to
 // hop outward, and the slot index within the target frame. It is packed into
 // a uint32 — bits 16..31 hold hops, bits 0..15 hold slot+1 — so that the
-// zero Ref means "no coordinate": the one MakeRef could not pack.
+// zero Ref means "not resolved".
 type Ref uint32
 
 // RefGlobal marks a reference the resolver proved unbound in every
@@ -17,12 +17,19 @@ type Ref uint32
 // run time, can supply it, so the interpreter goes straight there.
 const RefGlobal Ref = 1 << 31
 
+// The packing's range: a reference reaches at most MaxHops frames out (hops
+// is capped below bit 31 so no coordinate collides with RefGlobal) and at
+// most MaxSlot into a frame.
+const (
+	MaxHops = 0x7fff
+	MaxSlot = 0xfffe
+)
+
 // MakeRef packs a coordinate. ok is false when hops or slot exceed the
-// packing range (hops is capped below bit 31 so no coordinate collides
-// with RefGlobal); callers leave such a reference Ref zero, and the engines
-// find its slot by name through ScopeInfo.Index.
+// packing range; the resolver refuses such a program (there is no other kind
+// of reference than a coordinate or a global).
 func MakeRef(hops, slot int) (Ref, bool) {
-	if hops < 0 || hops > 0x7fff || slot < 0 || slot >= 0xffff {
+	if hops < 0 || hops > MaxHops || slot < 0 || slot > MaxSlot {
 		return 0, false
 	}
 	return Ref(uint32(hops)<<16 | uint32(slot) + 1), true
@@ -48,10 +55,6 @@ func (r Ref) Slot() int { return int(r&0xffff) - 1 }
 // is never referenced and need not be materialized (ArgumentsSlot).
 type ScopeInfo struct {
 	Names []string
-
-	// Index maps each name in Names to its slot, for the references MakeRef
-	// could not pack, which the engines look up by name.
-	Index map[string]int
 
 	// ParamSlots maps parameter position to frame slot.
 	ParamSlots []int

@@ -10,12 +10,9 @@
 //
 // The compiler is strictly an acceleration layer, never a semantic one: it
 // consumes the exact tree the tree-walker would execute — after
-// internal/resolve has annotated it — and lowers a function whole or not at
-// all. A function holding something it cannot place (a declaration or catch
-// clause the resolver gave no slot, an unknown node) yields no chunk and
-// stays on the tree-walker, so the two engines meet only at a call. Program
-// semantics are identical either way; the differential harness in
-// internal/core enforces exactly that.
+// internal/resolve has annotated it — and lowers every function the pipeline
+// can produce, whole. Program semantics are identical on either engine; the
+// differential harness in internal/core enforces exactly that.
 //
 // The package knows nothing about the interpreter's runtime types: operand
 // meanings are documented here, but execution — including the shared
@@ -78,20 +75,9 @@ const (
 	// OpSetGlobal pops into the proved-global binding Names[B] (site A),
 	// creating an implicit global when unbound.
 	OpSetGlobal
-	// OpGetDyn and OpSetDyn are a reference whose coordinate overflowed
-	// ast.Ref's packing (a function with more than 65 534 slots), found by
-	// name: through each enclosing frame's layout, then the global frame.
-	// OpGetDyn pushes the binding Names[B]; ReferenceError when unbound.
-	OpGetDyn
-	// OpSetDyn pops into the nearest binding of Names[B], creating an
-	// implicit global when unbound.
-	OpSetDyn
 	// OpTypeofGlobal pushes typeof of the proved-global Names[B] (site A),
 	// "undefined" when unbound.
 	OpTypeofGlobal
-	// OpTypeofDyn pushes typeof of the binding Names[B] found by name,
-	// "undefined" when unbound.
-	OpTypeofDyn
 	// OpGetArguments, OpGetArg and OpArgsLen are every read a function makes
 	// of its own `arguments` binding (packed Ref C: its frame's ArgumentsSlot,
 	// as many hops out as catch clauses enclose the read). On entry the slot
@@ -109,11 +95,6 @@ const (
 	// OpArgsLen is arguments.length (name A, site B): the vector's length,
 	// or OpGetMember on what the slot holds by now.
 	OpArgsLen
-	// OpThisDyn pushes the `this` binding found by name (undefined when
-	// absent: an arrow function made by top-level code).
-	OpThisDyn
-	// OpNewTargetDyn pushes the `new.target` binding found by name.
-	OpNewTargetDyn
 
 	// --- objects and properties ---
 
@@ -527,10 +508,8 @@ var opNames = [...]string{
 	OpDup2: "dup2", OpDupX1: "dupx1", OpDupX2: "dupx2",
 	OpGetLocal: "getlocal", OpSetLocal: "setlocal",
 	OpGetRef: "getref", OpSetRef: "setref", OpGetGlobal: "getglobal",
-	OpSetGlobal: "setglobal", OpGetDyn: "getdyn", OpSetDyn: "setdyn",
-	OpTypeofGlobal: "typeofglobal", OpTypeofDyn: "typeofdyn",
+	OpSetGlobal: "setglobal", OpTypeofGlobal: "typeofglobal",
 	OpGetArguments: "getarguments", OpGetArg: "getarg", OpArgsLen: "argslen",
-	OpThisDyn: "thisdyn", OpNewTargetDyn: "newtargetdyn",
 	OpClosure: "closure", OpArray: "array", OpNewObject: "newobject",
 	OpSetProp: "setprop", OpSetAccessor: "setaccessor",
 	OpGetMember: "getmember", OpSetMember: "setmember",
@@ -587,8 +566,7 @@ func (c *Chunk) Disassemble() string {
 		case OpGetMember, OpSetMember, OpSetMemberKeep, OpGetMethod,
 			OpDeleteMember, OpSetProp:
 			b = append(b, fmt.Sprintf(" %q", c.Names[ins.A])...)
-		case OpGetGlobal, OpSetGlobal, OpTypeofGlobal, OpGetDyn, OpSetDyn,
-			OpTypeofDyn, OpCalleeGlobal, OpCall0Global:
+		case OpGetGlobal, OpSetGlobal, OpTypeofGlobal, OpCalleeGlobal, OpCall0Global:
 			b = append(b, fmt.Sprintf(" %q", c.Names[ins.B])...)
 		case OpStrictEqConst:
 			b = append(b, " "+c.Consts[ins.A].display()...)

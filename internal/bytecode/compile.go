@@ -1,21 +1,21 @@
 package bytecode
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/instrument"
 )
 
-// Compile lowers a function body to a chunk: every statement of it, or none.
-// fn went through internal/resolve (interp.Call turns a function that did
-// not into a host error before asking for its chunk), so every reference has
-// a coordinate, is proved global, or overflowed ast.Ref's packing and is
-// emitted by name (getdyn/setdyn). Compile returns nil when the function
-// cannot be lowered — a node kind the compiler does not know, a by-name
-// reference to `arguments` (dynName), a break or continue with no enclosing
-// target — in which case the caller tree-walks the whole function. A chunk
-// never re-enters the tree-walker.
+// Compile lowers a function body to a chunk. fn went through internal/resolve
+// (interp.Call turns a function that did not into a host error before asking
+// for its chunk), so every reference has a coordinate or is proved global, and
+// the parser checked every break, continue and return for a target. Compile
+// is total over what the pipeline produces: a node kind or operator it does
+// not know is an engine bug, and it panics naming the type. A chunk never
+// re-enters the tree-walker.
 //
 // The compiler mirrors the tree-walker statement by statement: evaluation
 // order, engine cost charges, and step counting are reproduced exactly, so
@@ -42,9 +42,6 @@ func Compile(fn *ast.Func) *Chunk {
 	frames, restores := ch.Frames, ch.Restores
 	ch.Frames = append([]Frame(nil), frames...)
 	ch.Restores = append([]Restore(nil), restores...)
-	if c.failed {
-		ch = nil
-	}
 	clear(consts)
 	clear(names)
 	clear(frames)
@@ -100,7 +97,6 @@ type compiler struct {
 	ctxs     []*ctx
 	nameIdx  map[string]int32
 	constIdx map[Const]int32
-	failed   bool
 
 	// Pooled with the emptied indexes above: the grown buffers ch's Code,
 	// Consts, Names, Sites and frame tables start from. Growing them was most
@@ -264,16 +260,6 @@ func (c *compiler) name(s string) int32 {
 	return i
 }
 
-// dynName is name for a reference left to by-name lookup. One to `arguments`
-// (its coordinate too large to pack) could find the function's own slot still
-// holding the argument vector (OpGetArguments): the walker runs that function.
-func (c *compiler) dynName(s string) int32 {
-	if s == "arguments" {
-		c.failed = true
-	}
-	return c.name(s)
-}
-
 func (c *compiler) constant(v Const) int32 {
 	if i, ok := c.constIdx[v]; ok {
 		return i
@@ -310,9 +296,6 @@ func (c *compiler) fn(f *ast.Func) int32 {
 // ---------------------------------------------------------------------------
 
 func (c *compiler) stmt(s ast.Stmt) {
-	if c.failed {
-		return
-	}
 	// Statement boundary: the tree-walker counts a step and charges one
 	// work unit per executed statement node; OpStmt reproduces both (plus
 	// the step-budget check).
@@ -356,12 +339,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 				continue
 			}
 			c.expr(d.Init)
-			if d.Ref.Valid() {
-				c.storeRef(d.Ref)
-			} else {
-				c.emit(OpSetDyn, 0, c.dynName(d.Name))
-				c.pop(1)
-			}
+			c.store(d.Ref, d.Name, 0)
 		}
 	case *ast.Block:
 		for _, inner := range n.Body {
@@ -393,7 +371,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 		// Function declarations were installed at frame entry (FnDecls);
 		// re-execution is a no-op, exactly as in the tree-walker.
 	default:
-		c.failed = true
+		panic(fmt.Sprintf("bytecode: statement %T", s))
 	}
 }
 
@@ -561,42 +539,16 @@ func (c *compiler) setCont(cx *ctx) {
 	}
 }
 
-func (c *compiler) findBreak(label string) *ctx {
+// jumpTarget is the construct a break (or, cont, a continue) to label
+// leaves for; the parser checked that there is one.
+func (c *compiler) jumpTarget(label string, cont bool) *ctx {
 	for i := len(c.ctxs) - 1; i >= 0; i-- {
 		cx := c.ctxs[i]
-		if label == "" {
-			if cx.breakPlain {
-				return cx
-			}
-			continue
-		}
-		if hasLabel(cx.labels, label) {
+		if (cx.loop || !cont) && (label == "" && cx.breakPlain || slices.Contains(cx.labels, label)) {
 			return cx
 		}
 	}
-	return nil
-}
-
-func (c *compiler) findContinue(label string) *ctx {
-	for i := len(c.ctxs) - 1; i >= 0; i-- {
-		cx := c.ctxs[i]
-		if !cx.loop {
-			continue
-		}
-		if label == "" || hasLabel(cx.labels, label) {
-			return cx
-		}
-	}
-	return nil
-}
-
-func hasLabel(labels []string, l string) bool {
-	for _, x := range labels {
-		if x == l {
-			return true
-		}
-	}
-	return false
+	panic(fmt.Sprintf("bytecode: jump to %q has no target", label))
 }
 
 // emitUnwind emits what control leaving for cx must do on the way — cx nil
@@ -643,21 +595,13 @@ func (c *compiler) emitUnwind(cx *ctx, keepTop bool) {
 }
 
 func (c *compiler) breakTo(label string) {
-	cx := c.findBreak(label)
-	if cx == nil {
-		c.failed = true
-		return
-	}
+	cx := c.jumpTarget(label, false)
 	c.emitUnwind(cx, false)
 	cx.breakJumps = append(cx.breakJumps, c.emit(OpJump, -1, 0))
 }
 
 func (c *compiler) continueTo(label string) {
-	cx := c.findContinue(label)
-	if cx == nil {
-		c.failed = true
-		return
-	}
+	cx := c.jumpTarget(label, true)
 	c.emitUnwind(cx, false)
 	if cx.contPC >= 0 {
 		c.emit(OpJump, int32(cx.contPC), 0)
@@ -722,12 +666,7 @@ func (c *compiler) compileForIn(n *ast.ForIn, labels []string) {
 	head := c.target()
 	exit := c.emit(OpForInNext, -1, 0)
 	c.push(1) // the key
-	if n.Ref.Valid() {
-		c.storeRef(n.Ref)
-	} else {
-		c.emit(OpSetDyn, 0, c.dynName(n.Name))
-		c.pop(1)
-	}
+	c.store(n.Ref, n.Name, 0)
 	cx := c.pushCtx(labels, true, true, head)
 	c.stmt(n.Body)
 	c.emit(OpJump, int32(head), 0)
@@ -941,19 +880,9 @@ func (c *compiler) expr(e ast.Expr) {
 		c.emit(OpNull, 0, 0)
 		c.push(1)
 	case *ast.This:
-		if n.Ref.Valid() {
-			c.loadRef(n.Ref)
-		} else {
-			c.emit(OpThisDyn, 0, 0)
-			c.push(1)
-		}
+		c.loadBinding(n.Ref)
 	case *ast.NewTarget:
-		if n.Ref.Valid() {
-			c.loadRef(n.Ref)
-		} else {
-			c.emit(OpNewTargetDyn, 0, 0)
-			c.push(1)
-		}
+		c.loadBinding(n.Ref)
 	case *ast.Func:
 		c.emit(OpClosure, c.fn(n), 0)
 		c.push(1)
@@ -981,14 +910,9 @@ func (c *compiler) expr(e ast.Expr) {
 				c.emit(OpSetProp, c.name(p.Key), 0)
 				c.pop(1)
 			case ast.PropGet, ast.PropSet:
-				fl, ok := p.Value.(*ast.Func)
-				if !ok {
-					c.failed = true
-					return
-				}
 				c.ch.Accessors = append(c.ch.Accessors, Accessor{
 					Name:   c.name(p.Key),
-					Fn:     c.fn(fl),
+					Fn:     c.fn(p.Value.(*ast.Func)),
 					Setter: p.Kind == ast.PropSet,
 				})
 				c.emit(OpSetAccessor, int32(len(c.ch.Accessors)-1), 0)
@@ -1016,12 +940,7 @@ func (c *compiler) expr(e ast.Expr) {
 		}
 		c.expr(n.L)
 		c.expr(n.R)
-		op, ok := binaryOps[n.Op]
-		if !ok {
-			c.failed = true
-			return
-		}
-		c.emit(op, 0, 0)
+		c.emit(binaryOp(n.Op), 0, 0)
 		c.pop(1)
 	case *ast.Logical:
 		c.expr(n.L)
@@ -1106,8 +1025,17 @@ func (c *compiler) expr(e ast.Expr) {
 			}
 		}
 	default:
-		c.failed = true
+		panic(fmt.Sprintf("bytecode: expression %T", e))
 	}
+}
+
+// binaryOp is the opcode of a binary operator, or of a compound
+// assignment's.
+func binaryOp(op string) Op {
+	if o, ok := binaryOps[op]; ok {
+		return o
+	}
+	panic("bytecode: binary operator " + op)
 }
 
 var binaryOps = map[string]Op{
@@ -1137,6 +1065,17 @@ func (c *compiler) loadRef(r ast.Ref) {
 	c.push(1)
 }
 
+// loadBinding pushes `this` or `new.target`: its slot, or undefined where no
+// function binds it (an arrow function made by top-level code).
+func (c *compiler) loadBinding(r ast.Ref) {
+	if r.Valid() {
+		c.loadRef(r)
+		return
+	}
+	c.emit(OpUndef, 0, 0)
+	c.push(1)
+}
+
 func (c *compiler) storeRef(r ast.Ref) {
 	if r.Hops() == 0 {
 		c.emitSetLocal(int32(r.Slot()))
@@ -1152,16 +1091,12 @@ func (c *compiler) loadIdent(n *ast.Ident) {
 		c.push(1)
 		return
 	}
-	switch {
-	case n.Ref.Valid():
+	if n.Ref.Valid() {
 		c.loadRef(n.Ref)
-	case n.Ref.Global():
-		c.emit(OpGetGlobal, int32(n.Site), c.name(n.Name))
-		c.push(1)
-	default:
-		c.emit(OpGetDyn, 0, c.dynName(n.Name))
-		c.push(1)
+		return
 	}
+	c.emit(OpGetGlobal, int32(n.Site), c.name(n.Name))
+	c.push(1)
 }
 
 // ownArguments reports whether e names the compiled function's own
@@ -1176,19 +1111,15 @@ func (c *compiler) ownArguments(e ast.Expr) (int32, bool) {
 	return int32(uint32(id.Ref)), true
 }
 
-// storeIdent writes the top of stack into an identifier reference (popping
-// it), with the tree-walker's implicit-global semantics.
-func (c *compiler) storeIdent(n *ast.Ident) {
-	switch {
-	case n.Ref.Valid():
-		c.storeRef(n.Ref)
-	case n.Ref.Global():
-		c.emit(OpSetGlobal, int32(n.Site), c.name(n.Name))
-		c.pop(1)
-	default:
-		c.emit(OpSetDyn, 0, c.dynName(n.Name))
-		c.pop(1)
+// store writes the top of stack into a reference to name (popping it), with
+// the tree-walker's implicit-global semantics; site is a global's cache.
+func (c *compiler) store(r ast.Ref, name string, site uint32) {
+	if r.Valid() {
+		c.storeRef(r)
+		return
 	}
+	c.emit(OpSetGlobal, int32(site), c.name(name))
+	c.pop(1)
 }
 
 func (c *compiler) unary(n *ast.Unary) {
@@ -1196,11 +1127,7 @@ func (c *compiler) unary(n *ast.Unary) {
 	case "typeof":
 		if id, ok := n.X.(*ast.Ident); ok && !id.Ref.Valid() {
 			// typeof tolerates unresolvable names.
-			if id.Ref.Global() {
-				c.emit(OpTypeofGlobal, int32(id.Site), c.name(id.Name))
-			} else {
-				c.emit(OpTypeofDyn, 0, c.dynName(id.Name))
-			}
+			c.emit(OpTypeofGlobal, int32(id.Site), c.name(id.Name))
 			c.push(1)
 			return
 		}
@@ -1240,7 +1167,7 @@ func (c *compiler) unary(n *ast.Unary) {
 		c.expr(n.X)
 		c.emit(OpVoid, 0, 0)
 	default:
-		c.failed = true
+		panic("bytecode: unary operator " + n.Op)
 	}
 }
 
@@ -1264,7 +1191,7 @@ func (c *compiler) update(n *ast.Update, want bool) {
 			c.emit(OpDup, 0, 0)
 			c.push(1)
 		}
-		c.storeIdent(t)
+		c.store(t.Ref, t.Name, t.Site)
 	case *ast.Member:
 		c.memberRefDup(t)
 		c.emit(OpToNumber, 0, 0)
@@ -1292,7 +1219,7 @@ func (c *compiler) update(n *ast.Update, want bool) {
 			c.pop(1)
 		}
 	default:
-		c.failed = true
+		panic(fmt.Sprintf("bytecode: update target %T", n.X))
 	}
 }
 
@@ -1342,7 +1269,7 @@ func (c *compiler) assign(n *ast.Assign, want bool) {
 		}
 		switch t := n.Target.(type) {
 		case *ast.Ident:
-			c.storeIdent(t)
+			c.store(t.Ref, t.Name, t.Site)
 		case *ast.Member:
 			c.expr(t.X)
 			if t.Computed {
@@ -1355,17 +1282,12 @@ func (c *compiler) assign(n *ast.Assign, want bool) {
 				c.pop(2)
 			}
 		default:
-			c.failed = true
+			panic(fmt.Sprintf("bytecode: assignment target %T", n.Target))
 		}
 		return
 	}
 	// Compound assignment: evaluate the target reference once.
-	binOp := n.Op[:len(n.Op)-1]
-	op, ok := binaryOps[binOp]
-	if !ok {
-		c.failed = true
-		return
-	}
+	op := binaryOp(n.Op[:len(n.Op)-1])
 	switch t := n.Target.(type) {
 	case *ast.Ident:
 		c.loadIdent(t)
@@ -1376,7 +1298,7 @@ func (c *compiler) assign(n *ast.Assign, want bool) {
 			c.emit(OpDup, 0, 0)
 			c.push(1)
 		}
-		c.storeIdent(t)
+		c.store(t.Ref, t.Name, t.Site)
 	case *ast.Member:
 		c.memberRefDup(t)
 		c.expr(n.Value)
@@ -1388,7 +1310,7 @@ func (c *compiler) assign(n *ast.Assign, want bool) {
 			c.pop(1)
 		}
 	default:
-		c.failed = true
+		panic(fmt.Sprintf("bytecode: assignment target %T", n.Target))
 	}
 }
 

@@ -26,11 +26,7 @@ func compileFirstFunc(t *testing.T, src string) *Chunk {
 	if len(fns) == 0 {
 		t.Fatal("no function in source")
 	}
-	ch := Compile(fns[0])
-	if ch == nil {
-		t.Fatalf("function did not compile:\n%s", src)
-	}
-	return ch
+	return Compile(fns[0])
 }
 
 func TestTryFinallyLowersToOneHandler(t *testing.T) {
@@ -70,36 +66,58 @@ function f() {
 	}
 }
 
-// TestCompileRejectsWholeFunction pins the fallback's one granularity: what
-// the compiler cannot place fails the function, never a statement of it.
-func TestCompileRejectsWholeFunction(t *testing.T) {
-	resolved := func(src string) *ast.Func {
+// TestCompileIsTotal pins that the compiler lowers whatever the parser
+// accepts: every binary, logical, unary, update and compound-assignment
+// operator and every statement kind compiles to a chunk. Compile has no
+// refusal; a node kind or operator it did not know would panic here.
+func TestCompileIsTotal(t *testing.T) {
+	binary := []string{"+", "-", "*", "/", "%", "**", "<", ">", "<=", ">=", "==", "!=",
+		"===", "!==", "&", "|", "^", "<<", ">>", ">>>", "instanceof", "in"}
+	compound := []string{"+", "-", "*", "/", "%", "**", "&", "|", "^", "<<", ">>", ">>>"}
+	var bodies []string
+	for _, op := range binary {
+		if _, ok := binaryOps[op]; !ok {
+			t.Errorf("binary operator %s has no opcode", op)
+		}
+		bodies = append(bodies, "return a "+op+" b;")
+	}
+	if len(binaryOps) != len(binary) {
+		t.Errorf("%d binary opcodes for %d operators", len(binaryOps), len(binary))
+	}
+	for _, op := range compound {
+		bodies = append(bodies, "a "+op+"= b;", "o.p "+op+"= b;", "o[k] "+op+"= b;", "return g "+op+"= b;")
+	}
+	for _, op := range []string{"!", "~", "+", "-", "typeof", "void", "delete"} {
+		bodies = append(bodies, "return "+op+" a;", "return "+op+" o.p;", "return "+op+" o[k];", "return "+op+" g;")
+	}
+	bodies = append(bodies,
+		"return a && b;", "return a || b;",
+		"a++; --b; o.p--; ++o[k]; g++; return [a++, --o.p, o[k]++, ++g];",
+		"a = b; o.p = a; o[k] = b; g = a; return a = o.p = o[k] = g = 1;",
+		// every statement kind
+		"f(a);", "if (a) b(); else { c(); }", "var x = 1, y; return x;", "{ ; }",
+		"while (a) { if (b) break; continue; }", "do { a--; } while (a);",
+		"for (var i = 0; i < a; i++) { continue; }", "for (k in o) { break; }",
+		"L: for (;;) { M: { break M; } continue L; }", "L: { break L; }",
+		"switch (a) { case 1: break; default: b(); }", "throw a;",
+		"try { a(); } catch (e) { return e; } finally { b(); }",
+		"function h() { return this + new.target; } return h;",
+		"var v = { p: 1, get q() { return 2; }, set q(x) {} }; return v;",
+		"return new o.C(a, b), this, arguments, (a, b), a ? b : g;",
+	)
+	for _, body := range bodies {
+		src := "function f(a, b, o, k) { " + body + " }"
 		prog, err := parser.Parse(src)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", src, err)
 		}
-		resolve.Program(prog)
+		if err := resolve.Program(prog); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
 		_, fns := ast.HoistedDecls(prog.Body)
-		return fns[0]
-	}
-
-	// A reference whose coordinate overflowed ast.Ref is emitted by name,
-	// except one to `arguments`, whose slot may hold the argument vector.
-	fn := resolved(`function f() { var x = 1; return x; }`)
-	fn.Body[0].(*ast.VarDecl).Decls[0].Ref = 0
-	if ch := Compile(fn); ch == nil || countOp(ch, OpSetDyn) != 1 {
-		t.Error("an initialized declaration with no coordinate should store by name")
-	}
-	fn = resolved(`function f() { return arguments; }`)
-	fn.Body[0].(*ast.Return).Arg.(*ast.Ident).Ref = 0
-	if Compile(fn) != nil {
-		t.Error("compiled a by-name reference to arguments")
-	}
-
-	fn = resolved(`function f() { while (true) { break; } }`)
-	fn.Body = append(fn.Body, &ast.Break{}, &ast.Continue{Label: "nowhere"})
-	if Compile(fn) != nil {
-		t.Error("compiled a break with no enclosing target")
+		if ch := Compile(fns[0]); len(ch.Code) == 0 {
+			t.Errorf("%s: empty chunk", src)
+		}
 	}
 }
 
@@ -266,11 +284,7 @@ func compileInstrumented(t *testing.T, src string, strategy instrument.Strategy)
 		}
 		return true
 	})
-	plain = Compile(fns[0])
-	if fused == nil || plain == nil {
-		t.Fatalf("function did not compile:\n%s", src)
-	}
-	return fused, plain
+	return fused, Compile(fns[0])
 }
 
 // TestFuseBarrierKeepsLoopHeads pins the fusion-safety rule: a statement
@@ -352,7 +366,7 @@ function f(a, i) {
 	if hops[0] != 12 || hops[1] != 2 {
 		t.Errorf("reads by hops %v, want 12 in the body and 2 inside the catch\n%s", hops, dis)
 	}
-	if arrow := Compile(ch.Funcs[0]); arrow == nil || countOp(arrow, OpGetRef) != 1 || countOp(arrow, OpGetArg)+countOp(arrow, OpGetArguments) != 0 {
+	if arrow := Compile(ch.Funcs[0]); countOp(arrow, OpGetRef) != 1 || countOp(arrow, OpGetArg)+countOp(arrow, OpGetArguments) != 0 {
 		t.Errorf("the arrow must read the enclosing binding with a plain getref")
 	}
 }

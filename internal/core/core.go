@@ -213,7 +213,10 @@ func Compile(source string, opts Opts) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	user := compileProgram(userProg, opts, &desugar.Namer{}, "$main", pre.tmps, pre.sites)
+	user, err := compileProgram(userProg, opts, &desugar.Namer{}, "$main", pre.tmps, pre.sites)
+	if err != nil {
+		return nil, err
+	}
 	body := make([]ast.Stmt, 0, len(pre.body)+len(user.Body))
 	body = append(append(body, pre.body...), user.Body...)
 	return &Compiled{
@@ -252,27 +255,27 @@ func (o Opts) instrumentOptions() instrument.Options {
 // and numbers exactly as one pass over prelude + $main would; zero
 // temporaries and the realm's own site count (interp.Sites) for an eval or
 // REPL fragment, which joins a realm already running other trees.
-func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainName string, tmps int, sites ast.Sites) *ast.Program {
+func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainName string, tmps int, sites ast.Sites) (*ast.Program, error) {
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: mainName, Body: userProg.Body}},
 	}, Guest: userProg.Guest}
 	desugar.Apply(wrapped, opts.desugarOptions(), nm)
-	lower(wrapped, opts, tmps, sites)
-	return wrapped
+	_, err := lower(wrapped, opts, tmps, sites)
+	return wrapped, err
 }
 
 // lower runs the passes that follow desugaring — the same ones, in the same
 // order, for $main, for fragments and for the prelude — and returns the ANF
-// temporary count afterwards (prog.Sites holds the site count).
-func lower(prog *ast.Program, opts Opts, tmps int, sites ast.Sites) int {
+// temporary count afterwards (prog.Sites holds the site count), or the
+// resolver's error for a reference the engines cannot address.
+func lower(prog *ast.Program, opts Opts, tmps int, sites ast.Sites) (int, error) {
 	tmps = anf.NormalizeFrom(prog, tmps)
 	boxes.Box(prog)
 	instrument.Apply(prog, opts.instrumentOptions())
 	// Static scope resolution runs last, on the final tree the interpreter
 	// will execute: every pass above is free to synthesize bindings, and the
 	// annotations must describe exactly what runs.
-	resolve.ProgramFrom(prog, sites)
-	return tmps
+	return tmps, resolve.ProgramFrom(prog, sites)
 }
 
 // Source prints the compiled JavaScript.
@@ -287,8 +290,7 @@ const (
 	// BackendBytecode, the default, lowers function bodies to flat bytecode
 	// (internal/bytecode) and dispatches them through internal/interp's
 	// fetch–execute loop; global-frame code (a program's and an eval
-	// fragment's top-level statements) and any function the compiler
-	// refuses stay on the tree-walker.
+	// fragment's top-level statements) stays on the tree-walker.
 	BackendBytecode = "bytecode"
 )
 
@@ -596,7 +598,9 @@ func RunRaw(source string, cfg RunConfig) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	resolve.Program(prog)
+	if err := resolve.Program(prog); err != nil {
+		return "", err
+	}
 	var buf bytes.Buffer
 	out := cfg.Out
 	if out == nil {
@@ -619,8 +623,7 @@ func RunRaw(source string, cfg RunConfig) (string, error) {
 		if err != nil {
 			return nil, err
 		}
-		resolve.ProgramFrom(p, in.Sites())
-		return p, nil
+		return p, resolve.ProgramFrom(p, in.Sites())
 	}
 	if err := in.RunProgram(prog); err != nil {
 		return buf.String(), err

@@ -540,6 +540,26 @@ func TestUncaughtErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestEarlyErrorsRefusedAlike: a jump with nowhere to go is a SyntaxError
+// before anything runs, raw and stopified alike. `return` at top level used
+// to print 1 and then fail raw, and print 1 and succeed stopified, where the
+// program is the body of $main.
+func TestEarlyErrorsRefusedAlike(t *testing.T) {
+	for _, src := range []string{
+		"console.log(1); while (x) {} break;",
+		"console.log(1); L: { continue L; }",
+		"console.log(1); L: while (x) { break M; }",
+		"console.log(1); L: { L: x; }",
+		"console.log(1); return;",
+	} {
+		out, rawErr := RunRaw(src, cfgVirtual())
+		_, err := Compile(src, Defaults())
+		if rawErr == nil || err == nil || out != "" || rawErr.Error() != err.Error() {
+			t.Errorf("%s: raw printed %q, %v; stopified %v", src, out, rawErr, err)
+		}
+	}
+}
+
 func TestBadOptionsRejected(t *testing.T) {
 	for _, o := range []Opts{
 		{Cont: "bogus"},

@@ -76,7 +76,10 @@ func compilePrelude(opts Opts) (*prelude, error) {
 	if nm.Fresh("") != "1" {
 		return nil, fmt.Errorf("stopify: internal prelude error: desugaring drew fresh names")
 	}
-	tmps := lower(prog, opts.forPrelude(), 0, ast.Sites{})
+	tmps, err := lower(prog, opts.forPrelude(), 0, ast.Sites{})
+	if err != nil {
+		return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
+	}
 	for _, s := range prog.Body { // the one place a function becomes a helper the engine answers for
 		if fd, ok := s.(*ast.FuncDecl); ok {
 			fd.Fn.Helper = ast.HelperNamed(fd.Fn.Name)

@@ -67,7 +67,7 @@ func compileFragment(src string, opts Opts, name string, echo bool, sites ast.Si
 			frag.Body[n-1] = &ast.Return{Arg: es.X}
 		}
 	}
-	return compileProgram(frag, opts, &desugar.Namer{}, name, 0, sites), nil
+	return compileProgram(frag, opts, &desugar.Namer{}, name, 0, sites)
 }
 
 // promoteDeclsToGlobals converts the fragment's top-level declarations into

@@ -3,8 +3,6 @@ package core_test
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/eventloop"
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/resolve"
@@ -54,25 +51,6 @@ func unpublished(prog *ast.Program) (n int) {
 		return true
 	})
 	return n
-}
-
-// chunkStates counts the functions of prog some realm has called on the
-// bytecode engine, and names those of them the compiler rejected: what they
-// publish is a nil chunk, so that they are tree-walked without a second
-// attempt.
-func chunkStates(prog *ast.Program) (called int, refused []string) {
-	ast.Walk(prog, func(node ast.Node) bool {
-		if fn, ok := node.(*ast.Func); ok {
-			if code := fn.Code.Load(); code != nil {
-				called++
-				if reflect.ValueOf(code).IsNil() {
-					refused = append(refused, fmt.Sprintf("%s@%d:%d", fn.Name, fn.P.Line, fn.P.Col))
-				}
-			}
-		}
-		return true
-	})
-	return called, refused
 }
 
 var sharedTakes atomic.Int64
@@ -198,88 +176,6 @@ func TestChunksDieWithTheirTree(t *testing.T) {
 			t.Fatal("the program's tree was still reachable after its run was dropped")
 		})
 	}
-}
-
-// TestCorpusFunctionsAllCompile makes a refused function visible. Refusal is
-// silent by design — the function tree-walks, correctly, at the walker's
-// speed — so a construct the compiler stopped lowering would show up nowhere
-// but in the timings. Every program of the differential corpus runs stopified
-// and raw on the default engine, and every function either run called must
-// have published a chunk. An exception belongs in knownRefusals, by program
-// and function, with its reason.
-func TestCorpusFunctionsAllCompile(t *testing.T) {
-	// The check sees a refusal when there is one: a reference to `arguments`
-	// whose coordinate the resolver could not pack fails its function, which
-	// still runs.
-	probe, err := parser.Parse(`function f() { return arguments.length + 41; } console.log(f(0));`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resolve.Program(probe)
-	probe.Body[0].(*ast.FuncDecl).Fn.Body[0].(*ast.Return).Arg.(*ast.Binary).L.(*ast.Member).X.(*ast.Ident).Ref = 0
-	var out bytes.Buffer
-	if err := interp.New(interp.Options{Out: &out, Bytecode: true}).RunProgram(probe); err != nil || out.String() != "42\n" {
-		t.Fatalf("refused probe printed %q, %v", out.String(), err)
-	}
-	if n, got := chunkStates(probe); n != 1 || len(got) != 1 || got[0] != "f@1:1" {
-		t.Fatalf("refused probe reported %d called, refused %v", n, got)
-	}
-
-	knownRefusals := map[string]string{} // "program: function@line:col" → why
-	called := 0
-	check := func(leg string, p *program, prog *ast.Program) {
-		n, refused := chunkStates(prog)
-		called += n
-		for _, fn := range refused {
-			if _, ok := knownRefusals[p.name+": "+fn]; !ok {
-				t.Errorf("%s %s: the compiler refused %s; it tree-walks", leg, p.name, fn)
-			}
-		}
-	}
-	for _, p := range corpus(t) {
-		if c, err := core.Compile(p.src, p.needs); err == nil {
-			if run, err := start(c, p.config("", io.Discard)); err == nil {
-				pump(run, 0)
-			}
-			check("stopified", p, c.Prog)
-		}
-		for _, prog := range runRawTrees(t, p.src, p.config("", nil).MaxSteps) {
-			check("raw", p, prog)
-		}
-	}
-	if called < 1000 {
-		t.Fatalf("only %d functions were called on the bytecode engine; the corpus did not run", called)
-	}
-}
-
-// runRawTrees is core.RunRaw on the default engine, keeping the trees it
-// ran — the program's, then any eval fragment's — for their chunks to be
-// inspected. Outcomes are the matrix's business, not this one's.
-func runRawTrees(t *testing.T, src string, budget uint64) []*ast.Program {
-	t.Helper()
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resolve.Program(prog)
-	trees := []*ast.Program{prog}
-	clock := eventloop.NewVirtualClock()
-	loop := eventloop.New(clock)
-	in := interp.New(interp.Options{Clock: clock, Loop: loop, Seed: 1, Bytecode: true, MaxSteps: budget})
-	in.EvalHook = func(src string) (*ast.Program, error) {
-		p, err := parser.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		resolve.ProgramFrom(p, in.Sites())
-		trees = append(trees, p)
-		return p, nil
-	}
-	defer func() { recover() }() // an uncaught exception in a timer crashes the page
-	if in.RunProgram(prog) == nil {
-		loop.Run()
-	}
-	return trees
 }
 
 // runAllocBytes runs c to completion and reports the bytes the Go heap

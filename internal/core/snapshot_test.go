@@ -194,9 +194,10 @@ func TestSnapshotPins(t *testing.T) {
 				t.Fatalf("pinned run printed %q, want %q", got, want)
 			}
 			for _, name := range tc.unbind {
-				if !run.In.Global.Set(name, interp.Undefined) {
+				if _, ok := run.In.Global.Lookup(name); !ok {
 					t.Fatalf("no global %s to unbind", name)
 				}
+				run.In.Global.Define(name, interp.Undefined)
 			}
 			if _, err := run.Snapshot(); err != nil {
 				t.Fatalf("Snapshot once %v are unbound: %v", tc.unbind, err)

@@ -16,8 +16,7 @@ import (
 // representation, Env frames, shapes, the per-site inline caches, the
 // engine cost model — so the two engines differ only in dispatch. The
 // tree-walker remains the substrate for global-frame code (a program's and
-// an eval'd fragment's top-level statements) and for the functions the
-// compiler refuses; a chunk, once entered, never calls it.
+// an eval'd fragment's top-level statements); a chunk never calls it.
 
 // ErrStepBudget aborts execution when Options.MaxSteps is exhausted. Both
 // engines check the budget at the same statement boundaries, so a budgeted
@@ -84,18 +83,15 @@ func constValue(c bytecode.Const) Value {
 
 // chunkFor returns fn's chunk, compiling it on the first call any realm
 // makes and publishing it on the node: realms sharing a resolved tree share
-// its chunks, and a chunk is collected with its tree. A rejected function
-// publishes a nil *chunk, so the tree-walker runs it without another attempt.
+// its chunks, and a chunk is collected with its tree.
 func chunkFor(fn *ast.Func) *chunk {
 	if code := fn.Code.Load(); code != nil {
 		return code.(*chunk)
 	}
-	var ch *chunk
-	if bc := bytecode.Compile(fn); bc != nil {
-		ch = &chunk{Chunk: bc, consts: make([]Value, len(bc.Consts))}
-		for i, c := range bc.Consts {
-			ch.consts[i] = constValue(c)
-		}
+	bc := bytecode.Compile(fn)
+	ch := &chunk{Chunk: bc, consts: make([]Value, len(bc.Consts))}
+	for i, c := range bc.Consts {
+		ch.consts[i] = constValue(c)
 	}
 	fn.Code.CompareAndSwap(nil, ch) // racing first calls may each compile; one result wins
 	return fn.Code.Load().(*chunk)
@@ -259,44 +255,11 @@ loop:
 				}
 			}
 			in.setGlobal(ch.Names[ins.B], uint32(ins.A), v)
-		case bytecode.OpGetDyn:
-			name := ch.Names[ins.B]
-			v, ok := env.Lookup(name)
-			if !ok {
-				err = in.Throw("ReferenceError", "%s is not defined", name)
-				goto fail
-			}
-			stack[sp] = v
-			sp++
-		case bytecode.OpSetDyn:
-			sp--
-			in.setByName(env, ch.Names[ins.B], stack[sp])
 		case bytecode.OpTypeofGlobal:
 			if c := in.globalCell(ch.Names[ins.B], uint32(ins.A)); c != nil {
 				stack[sp] = typeOfValue(c.v)
 			} else {
 				stack[sp] = typeofUndefined
-			}
-			sp++
-		case bytecode.OpTypeofDyn:
-			if v, ok := env.Lookup(ch.Names[ins.B]); ok {
-				stack[sp] = typeOfValue(v)
-			} else {
-				stack[sp] = typeofUndefined
-			}
-			sp++
-		case bytecode.OpThisDyn:
-			if v, ok := env.Lookup("this"); ok {
-				stack[sp] = v
-			} else {
-				stack[sp] = Undefined
-			}
-			sp++
-		case bytecode.OpNewTargetDyn:
-			if v, ok := env.Lookup("new.target"); ok {
-				stack[sp] = v
-			} else {
-				stack[sp] = Undefined
 			}
 			sp++
 

@@ -21,12 +21,10 @@ import (
 // nothing defines a name on a slot frame at run time and there is no third
 // shape.
 //
-// The by-name operations (Lookup, Set) walk slot layouts and end at the
-// global cells. They exist for one kind of reference: one whose coordinate
-// overflowed ast.Ref's packing (a function with more than 65 534 slots). The
-// resolver leaves it Ref zero, the bytecode compiler emits getdyn/setdyn for
-// it, and it finds its slot through ScopeInfo.Index. (`this` and new.target
-// outside any function also come through Lookup, and find nothing.)
+// Nothing looks a name up in a slot frame: a reference is a coordinate the
+// resolver packed (a program whose coordinates do not fit ast.Ref does not
+// compile) or a proved global, and only the global frame's cells answer to
+// a name (Lookup, Define, Cell).
 //
 // The zero Value is undefined, so a freshly allocated slot frame is already
 // correctly var-hoisted: never-written slots read back as undefined with no
@@ -256,34 +254,10 @@ func (e *Env) Cell(name string) *cell {
 	return e.cells[name]
 }
 
-// Lookup resolves name through the chain: each slot frame's layout, then
-// the global cells.
+// Lookup reads the global frame's binding of name.
 func (e *Env) Lookup(name string) (Value, bool) {
-	for env := e; env != nil; env = env.parent {
-		if env.cells != nil {
-			if c, ok := env.cells[name]; ok {
-				return c.v, true
-			}
-		} else if i, ok := env.layout.Index[name]; ok {
-			return env.slots[i], true
-		}
+	if c, ok := e.cells[name]; ok {
+		return c.v, true
 	}
 	return Undefined, false
-}
-
-// Set assigns to the nearest frame binding name, reporting whether one was
-// found.
-func (e *Env) Set(name string, v Value) bool {
-	for env := e; env != nil; env = env.parent {
-		if env.cells != nil {
-			if c, ok := env.cells[name]; ok {
-				c.v = v
-				return true
-			}
-		} else if i, ok := env.layout.Index[name]; ok {
-			env.slots[i] = v
-			return true
-		}
-	}
-	return false
 }

@@ -62,13 +62,7 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 	case *ast.Unary:
 		return in.evalUnary(n, env)
 	case *ast.This:
-		if n.Ref.Valid() {
-			return env.GetRef(n.Ref), nil
-		}
-		if v, ok := env.Lookup("this"); ok {
-			return v, nil
-		}
-		return Undefined, nil
+		return binding(n.Ref, env), nil
 	case *ast.Bool:
 		return BoolValue(n.Value), nil
 	case *ast.Null:
@@ -78,13 +72,7 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 	case *ast.Update:
 		return in.evalUpdate(n, env)
 	case *ast.NewTarget:
-		if n.Ref.Valid() {
-			return env.GetRef(n.Ref), nil
-		}
-		if v, ok := env.Lookup("new.target"); ok {
-			return v, nil
-		}
-		return Undefined, nil
+		return binding(n.Ref, env), nil
 	case *ast.Array:
 		elems := make([]Value, len(n.Elems))
 		for i, el := range n.Elems {
@@ -143,9 +131,17 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 	return Undefined, fmt.Errorf("interp: unknown expression %T", e)
 }
 
+// binding reads `this` or `new.target`: its slot, or undefined where no
+// function binds it (top-level code, and arrow functions it made).
+func binding(r ast.Ref, env *Env) Value {
+	if r.Valid() {
+		return env.GetRef(r)
+	}
+	return Undefined
+}
+
 // loadIdent reads a variable reference: a resolved coordinate indexes a slot,
-// a proved-global name reads the global frame's cell, and a reference whose
-// coordinate overflowed ast.Ref (env.go) finds its slot by name.
+// and a proved-global name reads the global frame's cell.
 func (in *Interp) loadIdent(n *ast.Ident, env *Env) (Value, error) {
 	if n.Ref.Valid() {
 		return env.GetRef(n.Ref), nil
@@ -163,13 +159,10 @@ func (in *Interp) lookupIdent(n *ast.Ident, env *Env) (Value, bool) {
 	if n.Ref.Valid() {
 		return env.GetRef(n.Ref), true
 	}
-	if n.Ref.Global() {
-		if c := in.globalCell(n.Name, n.Site); c != nil {
-			return c.v, true
-		}
-		return Undefined, false
+	if c := in.globalCell(n.Name, n.Site); c != nil {
+		return c.v, true
 	}
-	return env.Lookup(n.Name)
+	return Undefined, false
 }
 
 // globalCell is the binding a proved-global reference names, or nil: no
@@ -199,24 +192,14 @@ func (in *Interp) setGlobal(name string, site uint32, v Value) {
 	in.Global.Define(name, v)
 }
 
-// setByName writes a reference that has no coordinate: the nearest binding of
-// name, else an implicit global.
-func (in *Interp) setByName(env *Env, name string, v Value) {
-	if !env.Set(name, v) {
-		in.Global.Define(name, v)
+// store writes a reference to name: a slot, else the global binding (site
+// its cache, 0 for none).
+func (in *Interp) store(r ast.Ref, name string, site uint32, v Value, env *Env) {
+	if r.Valid() {
+		env.SetRef(r, v)
+		return
 	}
-}
-
-// storeIdent writes a variable reference.
-func (in *Interp) storeIdent(n *ast.Ident, v Value, env *Env) {
-	switch {
-	case n.Ref.Valid():
-		env.SetRef(n.Ref, v)
-	case n.Ref.Global():
-		in.setGlobal(n.Name, n.Site, v)
-	default:
-		in.setByName(env, n.Name, v)
-	}
+	in.setGlobal(name, site, v)
 }
 
 func (in *Interp) memberKey(n *ast.Member, env *Env) (string, error) {
@@ -445,7 +428,7 @@ func (in *Interp) evalUpdate(n *ast.Update, env *Env) (Value, error) {
 	nv := NumberValue(next)
 	switch t := n.X.(type) {
 	case *ast.Ident:
-		in.storeIdent(t, nv, env)
+		in.store(t.Ref, t.Name, t.Site, nv, env)
 	case *ast.Member:
 		if err := in.setOnce(&ref, nv); err != nil {
 			return Undefined, err
@@ -481,7 +464,7 @@ func (in *Interp) evalAssign(n *ast.Assign, env *Env) (Value, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		in.storeIdent(t, v, env)
+		in.store(t.Ref, t.Name, t.Site, v, env)
 		return v, nil
 	case *ast.Member:
 		ref, err := in.evalMemberOnce(t, env)
@@ -508,7 +491,7 @@ func (in *Interp) evalAssign(n *ast.Assign, env *Env) (Value, error) {
 func (in *Interp) assignTo(target ast.Expr, v Value, env *Env) error {
 	switch t := target.(type) {
 	case *ast.Ident:
-		in.storeIdent(t, v, env)
+		in.store(t.Ref, t.Name, t.Site, v, env)
 		return nil
 	case *ast.Member:
 		ref, err := in.evalMemberOnce(t, env)
@@ -788,9 +771,9 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		slots[fd.Slot] = ObjectValue(in.makeFunction(fd.Fn, env))
 	}
 	// Engine dispatch: the body runs as its chunk when the realm runs
-	// bytecode (dispatch.go) and the compiler did not refuse the function,
-	// and walks the tree otherwise. Both engines receive the frame built
-	// above, identical but for `arguments`.
+	// bytecode (dispatch.go), and walks the tree on the reference engine.
+	// Both engines receive the frame built above, identical but for
+	// `arguments`.
 	if ch != nil {
 		return in.runChunk(ch, env)
 	}

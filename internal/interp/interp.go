@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -31,8 +32,8 @@ type Options struct {
 	// Bytecode dispatches function bodies through the flat bytecode engine
 	// (internal/bytecode + dispatch.go) instead of the tree-walker.
 	// Global-frame code — a program's and an eval'd fragment's top-level
-	// statements — and any function the compiler refuses always run on the
-	// tree-walker; the two engines are observationally identical.
+	// statements — always runs on the tree-walker; the two engines are
+	// observationally identical.
 	Bytecode bool
 	// MaxSteps aborts execution with ErrStepBudget once the statement
 	// counter exceeds it; 0 means unlimited. Both engines check at the
@@ -580,11 +581,7 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 			if err != nil {
 				return err
 			}
-			if d.Ref.Valid() {
-				env.SetRef(d.Ref, v)
-			} else {
-				in.setByName(env, d.Name, v)
-			}
+			in.store(d.Ref, d.Name, 0, v, env)
 		}
 		return nil
 	case *ast.Block:
@@ -639,15 +636,6 @@ func (in *Interp) newReturn(v Value) *returnErr {
 	return &returnErr{value: v}
 }
 
-func hasLabel(labels []string, l string) bool {
-	for _, x := range labels {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // loopIterDone interprets a loop body completion: it consumes continue/break
 // aimed at this loop (labels includes the loop's labels) and reports
 // (stop, err).
@@ -656,12 +644,12 @@ func loopIterDone(err error, labels []string) (bool, error) {
 	case nil:
 		return false, nil
 	case *continueErr:
-		if e.label == "" || hasLabel(labels, e.label) {
+		if e.label == "" || slices.Contains(labels, e.label) {
 			return false, nil
 		}
 		return true, err
 	case *breakErr:
-		if e.label == "" || hasLabel(labels, e.label) {
+		if e.label == "" || slices.Contains(labels, e.label) {
 			return true, nil
 		}
 		return true, err
@@ -736,14 +724,8 @@ func (in *Interp) execForIn(n *ast.ForIn, env *Env, labels []string) error {
 		return err
 	}
 	for _, key := range forInKeys(obj) {
-		kv := StringValue(key)
-		if n.Ref.Valid() {
-			env.SetRef(n.Ref, kv)
-		} else {
-			// A global — an undeclared loop variable makes an implicit
-			// one — or a slot past ast.Ref's range.
-			in.setByName(env, n.Name, kv)
-		}
+		// An undeclared loop variable makes an implicit global.
+		in.store(n.Ref, n.Name, 0, StringValue(key), env)
 		stop, err := loopIterDone(in.execStmt(n.Body, env), labels)
 		if stop {
 			return err
@@ -807,7 +789,7 @@ func (in *Interp) execLabeled(n *ast.Labeled, env *Env) error {
 	default:
 		err = in.execStmt(body, env)
 	}
-	if be, ok := err.(*breakErr); ok && hasLabel(labels, be.label) {
+	if be, ok := err.(*breakErr); ok && slices.Contains(labels, be.label) {
 		return nil
 	}
 	return err

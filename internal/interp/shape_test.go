@@ -387,7 +387,7 @@ func TestGlobalCellCaching(t *testing.T) {
 	if !isNum(v, 2) {
 		t.Fatalf("cached global read = %v, want 2", v)
 	}
-	in.storeIdent(id, num(3), in.Global)
+	in.store(id.Ref, id.Name, id.Site, num(3), in.Global)
 	if got, _ := in.Global.Lookup("g"); !isNum(got, 3) {
 		t.Fatalf("store through cached cell = %v, want 3", got)
 	}

@@ -72,6 +72,23 @@ func ParseExpr(src string) (expr ast.Expr, err error) {
 type parser struct {
 	toks []lexer.Token
 	pos  int
+
+	// The jump context of the statement being parsed, which the early
+	// errors on break, continue and return read: the labels enclosing it
+	// (labels[jc.labelBase:] are its function's) and what jc counts. A
+	// function body starts a context of its own and restores the outer one.
+	labels []jumpLabel
+	jc     jumpCtx
+}
+
+type jumpLabel struct {
+	name string
+	loop bool // names an iteration statement, so continue may target it
+}
+
+type jumpCtx struct {
+	labelBase, loops, switches int
+	inFunc                     bool
 }
 
 // parseBail carries a parse error out of deep recursion via panic; the
@@ -194,6 +211,9 @@ func (p *parser) statement() ast.Stmt {
 	case p.atKeyword("for"):
 		return p.forStmt()
 	case p.atKeyword("return"):
+		if !p.jc.inFunc {
+			p.fail("Illegal return statement")
+		}
 		p.advance()
 		ret := &ast.Return{P: posOf(t)}
 		if !p.atPunct(";") && !p.atPunct("}") && !p.at(lexer.EOF, "") && !t.NLAfter {
@@ -207,6 +227,7 @@ func (p *parser) statement() ast.Stmt {
 		if p.at(lexer.Ident, "") && !t.NLAfter {
 			label = p.advance().Text
 		}
+		p.jump(t.Text == "break", label)
 		p.semicolon()
 		if t.Text == "break" {
 			return &ast.Break{P: posOf(t), Label: label}
@@ -227,12 +248,73 @@ func (p *parser) statement() ast.Stmt {
 	case t.Kind == lexer.Ident && p.peekAt(1).Kind == lexer.Punct && p.peekAt(1).Text == ":":
 		p.advance()
 		p.advance()
-		return &ast.Labeled{P: posOf(t), Label: t.Text, Body: p.statement()}
+		if p.label(t.Text) != nil {
+			p.fail("Label '%s' has already been declared", t.Text)
+		}
+		p.labels = append(p.labels, jumpLabel{t.Text, p.atLoop()})
+		body := p.statement()
+		p.labels = p.labels[:len(p.labels)-1]
+		return &ast.Labeled{P: posOf(t), Label: t.Text, Body: body}
 	default:
 		x := p.expression(false)
 		p.semicolon()
 		return &ast.ExprStmt{P: posOf(t), X: x}
 	}
+}
+
+// jump checks a break or continue against the jump context, as JavaScript's
+// early errors do.
+func (p *parser) jump(brk bool, label string) {
+	l := p.label(label)
+	switch {
+	case label == "" && brk && p.jc.loops+p.jc.switches == 0:
+		p.fail("Illegal break statement")
+	case label == "" && !brk && p.jc.loops == 0:
+		p.fail("Illegal continue statement: no surrounding iteration statement")
+	case label != "" && l == nil:
+		p.fail("Undefined label '%s'", label)
+	case label != "" && !brk && !l.loop:
+		p.fail("Illegal continue statement: '%s' does not denote an iteration statement", label)
+	}
+}
+
+// label finds name among the current function's enclosing labels.
+func (p *parser) label(name string) *jumpLabel {
+	for i := len(p.labels) - 1; i >= p.jc.labelBase; i-- {
+		if p.labels[i].name == name {
+			return &p.labels[i]
+		}
+	}
+	return nil
+}
+
+// atLoop reports whether the statement here, past any further labels, is an
+// iteration statement.
+func (p *parser) atLoop() bool {
+	i := 0
+	for p.peekAt(i).Kind == lexer.Ident && p.peekAt(i+1).Kind == lexer.Punct && p.peekAt(i+1).Text == ":" {
+		i += 2
+	}
+	t := p.peekAt(i)
+	return t.Kind == lexer.Keyword && (t.Text == "while" || t.Text == "do" || t.Text == "for")
+}
+
+// loopBody parses an iteration statement's body, where break and continue
+// have a target.
+func (p *parser) loopBody() ast.Stmt {
+	p.jc.loops++
+	body := p.statement()
+	p.jc.loops--
+	return body
+}
+
+// funcBody parses a function's block in a jump context of its own.
+func (p *parser) funcBody() []ast.Stmt {
+	outer := p.jc
+	p.jc = jumpCtx{labelBase: len(p.labels), inFunc: true}
+	body := p.block().Body
+	p.jc = outer
+	return body
 }
 
 func (p *parser) block() *ast.Block {
@@ -290,12 +372,12 @@ func (p *parser) ifStmt() ast.Stmt {
 func (p *parser) whileStmt() ast.Stmt {
 	t := p.advance()
 	test := p.parenExpr()
-	return &ast.While{P: posOf(t), Test: test, Body: p.statement()}
+	return &ast.While{P: posOf(t), Test: test, Body: p.loopBody()}
 }
 
 func (p *parser) doWhileStmt() ast.Stmt {
 	t := p.advance()
-	body := p.statement()
+	body := p.loopBody()
 	p.expect(lexer.Keyword, "while")
 	test := p.parenExpr()
 	p.eat(lexer.Punct, ";")
@@ -312,7 +394,7 @@ func (p *parser) forStmt() ast.Stmt {
 			p.advance()
 			obj := p.expression(false)
 			p.expect(lexer.Punct, ")")
-			return &ast.ForIn{P: posOf(t), Decl: true, Name: d.Decls[0].Name, Obj: obj, Body: p.statement()}
+			return &ast.ForIn{P: posOf(t), Decl: true, Name: d.Decls[0].Name, Obj: obj, Body: p.loopBody()}
 		}
 		init = d
 	} else if !p.atPunct(";") {
@@ -325,7 +407,7 @@ func (p *parser) forStmt() ast.Stmt {
 			p.advance()
 			obj := p.expression(false)
 			p.expect(lexer.Punct, ")")
-			return &ast.ForIn{P: posOf(t), Name: id.Name, Obj: obj, Body: p.statement()}
+			return &ast.ForIn{P: posOf(t), Name: id.Name, Obj: obj, Body: p.loopBody()}
 		}
 		init = &ast.ExprStmt{P: x.Position(), X: x}
 	}
@@ -340,7 +422,7 @@ func (p *parser) forStmt() ast.Stmt {
 		update = p.expression(false)
 	}
 	p.expect(lexer.Punct, ")")
-	return &ast.For{P: posOf(t), Init: init, Test: test, Update: update, Body: p.statement()}
+	return &ast.For{P: posOf(t), Init: init, Test: test, Update: update, Body: p.loopBody()}
 }
 
 func (p *parser) switchStmt() ast.Stmt {
@@ -349,6 +431,7 @@ func (p *parser) switchStmt() ast.Stmt {
 	p.expect(lexer.Punct, "{")
 	sw := &ast.Switch{P: posOf(t), Disc: disc}
 	sawDefault := false
+	p.jc.switches++
 	for !p.atPunct("}") && !p.at(lexer.EOF, "") {
 		var c ast.Case
 		if p.eat(lexer.Keyword, "case") {
@@ -366,6 +449,7 @@ func (p *parser) switchStmt() ast.Stmt {
 		}
 		sw.Cases = append(sw.Cases, c)
 	}
+	p.jc.switches--
 	p.expect(lexer.Punct, "}")
 	return sw
 }
@@ -403,7 +487,7 @@ func (p *parser) functionRest(pos ast.Pos, exprCtx bool) *ast.Func {
 		}
 	}
 	p.expect(lexer.Punct, ")")
-	fn.Body = p.block().Body
+	fn.Body = p.funcBody()
 	if exprCtx {
 		fn.Self = fn.Name
 	}
@@ -503,7 +587,7 @@ isArrow:
 func (p *parser) arrowBody(pos ast.Pos, params []string) ast.Expr {
 	fn := &ast.Func{P: pos, Params: params, Arrow: true}
 	if p.atPunct("{") {
-		fn.Body = p.block().Body
+		fn.Body = p.funcBody()
 	} else {
 		arg := p.assignExpr(false)
 		fn.Body = []ast.Stmt{&ast.Return{P: arg.Position(), Arg: arg}}
@@ -779,7 +863,7 @@ func (p *parser) objectProperty() ast.Property {
 				}
 			}
 			p.expect(lexer.Punct, ")")
-			fn.Body = p.block().Body
+			fn.Body = p.funcBody()
 			kind := ast.PropGet
 			if t.Text == "set" {
 				kind = ast.PropSet

@@ -332,6 +332,36 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		parseErr(t, src)
 	}
+
+	// JavaScript's early errors on a jump with nowhere to go, with the
+	// messages node gives each through vm.Script. A function body starts a
+	// fresh context: its enclosing loops and labels are not its own.
+	early := map[string]string{
+		"while (x) {} break;":       "Illegal break statement",
+		"continue;":                 "Illegal continue statement: no surrounding iteration statement",
+		"L: { continue L; }":        "Illegal continue statement: 'L' does not denote an iteration statement",
+		"L: while (x) { break M; }": "Undefined label 'M'",
+		"L: { L: x; }":              "Label 'L' has already been declared",
+		"console.log(1); return;":   "Illegal return statement",
+		"L: while (x) { (function () { continue L; }); }": "Undefined label 'L'",
+		"while (x) { var f = () => { break; }; }":         "Illegal break statement",
+		"switch (x) { case 1: continue; }":                "Illegal continue statement: no surrounding iteration statement",
+	}
+	for src, want := range early {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
+		}
+	}
+	for _, src := range []string{
+		"L: M: for (;;) { N: { break N; } if (x) continue M; break L; }",
+		"switch (x) { case 1: break; } L: { break L; } L: ;",
+		"while (x) { function f() { L: while (y) { return; } } }",
+		"var o = { get p() { return 1; } }, g = () => { return; };",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
 }
 
 func TestForInNoConfusionWithIn(t *testing.T) {

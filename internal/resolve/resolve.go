@@ -10,11 +10,11 @@
 // The pass is a precondition of execution, not an optimisation an engine may
 // find missing: a frame is either the realm's global frame or a slot frame
 // laid out here, and interp.Call refuses a function that has no layout. Every
-// reference leaves with one of three answers — a (hops, slot) coordinate; a
+// reference leaves with one of two answers — a (hops, slot) coordinate, or a
 // proof that no static scope binds the name (ast.RefGlobal), so only the
-// global frame can; or, when the coordinate overflows the packed Ref (a
-// function with more than 65 534 slots), Ref zero, which the engines look up
-// by name over the same layouts (ScopeInfo.Index).
+// global frame can. A coordinate the packed Ref cannot hold (a slot past
+// ast.MaxSlot, a frame more than ast.MaxHops out) fails the program, as V8
+// refuses a function with too many variables.
 //
 // Scope model. The interpreter creates exactly one environment frame per
 // function call and one per entered catch clause; blocks do not create
@@ -28,7 +28,11 @@
 // runtime — so references that reach the top are marked RefGlobal.
 package resolve
 
-import "repro/internal/ast"
+import (
+	"fmt"
+
+	"repro/internal/ast"
+)
 
 // Inline-cache site IDs. Every non-computed member access and every
 // proved-global identifier reference gets a positive ID from the ast.Sites
@@ -44,15 +48,16 @@ import "repro/internal/ast"
 // been compiling other programs. 0 is reserved for "no cache".
 
 // Program resolves every function in p in place, numbering its sites from 1.
-func Program(p *ast.Program) {
-	ProgramFrom(p, ast.Sites{})
+func Program(p *ast.Program) error {
+	return ProgramFrom(p, ast.Sites{})
 }
 
 // ProgramFrom is Program continuing the numbering after sites, for a tree
 // that joins others in one realm. The allocator's final state is recorded
 // in p.Sites. The top-level statements themselves run in the global frame;
-// every function literal within gets a slot layout.
-func ProgramFrom(p *ast.Program, sites ast.Sites) {
+// every function literal within gets a slot layout. The error is a
+// SyntaxError naming the limit a reference went past; p must not run then.
+func ProgramFrom(p *ast.Program, sites ast.Sites) error {
 	r := &resolver{sites: sites}
 	r.visit = r.resolve
 	// Top-level function declarations are hoisted into the global frame
@@ -65,6 +70,7 @@ func ProgramFrom(p *ast.Program, sites ast.Sites) {
 	}
 	r.walk(p.Body)
 	p.Sites = r.sites
+	return r.err
 }
 
 // resolver carries the site allocator and the static chain through one pass.
@@ -72,6 +78,7 @@ type resolver struct {
 	sites ast.Sites
 	sc    *scope              // innermost scope of the node being visited
 	visit func(ast.Node) bool // r.resolve, bound once
+	err   error               // the first coordinate ast.Ref could not pack
 }
 
 // scope is one frame in the static chain. A nil *scope is the global frame:
@@ -107,24 +114,25 @@ func (s *scope) define(name string) int {
 
 // lookup finds name in the static chain and returns its packed coordinate.
 // A name bound by no enclosing scope resolves to RefGlobal — the interpreter
-// goes straight to the global frame — and a coordinate that overflows the
-// packing returns 0, lookup by name.
-func lookup(sc *scope, name string) ast.Ref {
+// goes straight to the global frame. A coordinate that overflows the packing
+// records the program's error.
+func (r *resolver) lookup(name string) ast.Ref {
 	hops := 0
-	for s := sc; s != nil; s = s.parent {
+	for s := r.sc; s != nil; s = s.parent {
 		if slot, ok := s.index[name]; ok {
 			if s.info != nil && slot == s.info.argumentsSlot {
 				// The arguments object is observed; the interpreter must
-				// materialize it on entry to this function — even when the
-				// coordinate below overflows and the reference goes by name,
-				// since that lookup reads the same slot.
+				// materialize it on entry to this function.
 				s.info.layout.ArgumentsSlot = slot
 			}
-			r, ok := ast.MakeRef(hops, slot)
-			if !ok {
-				return 0
+			ref, ok := ast.MakeRef(hops, slot)
+			if !ok && r.err == nil {
+				r.err = fmt.Errorf("SyntaxError: too many variables declared in one function (a frame holds %d)", ast.MaxSlot+1)
+				if slot <= ast.MaxSlot {
+					r.err = fmt.Errorf("SyntaxError: scopes nested too deeply (a reference reaches %d frames out)", ast.MaxHops)
+				}
 			}
-			return r
+			return ref
 		}
 		hops++
 	}
@@ -178,7 +186,6 @@ func (r *resolver) resolveFunc(fn *ast.Func) {
 	r.walk(fn.Body)
 	r.sc = sc.parent
 	layout.Names = sc.names
-	layout.Index = sc.index
 	fn.Scope = layout
 }
 
@@ -194,10 +201,10 @@ func (r *resolver) resolve(node ast.Node) bool {
 	switch n := node.(type) {
 	case *ast.VarDecl:
 		for i := range n.Decls {
-			n.Decls[i].Ref = lookup(r.sc, n.Decls[i].Name)
+			n.Decls[i].Ref = r.lookup(n.Decls[i].Name)
 		}
 	case *ast.ForIn:
-		n.Ref = lookup(r.sc, n.Name)
+		n.Ref = r.lookup(n.Name)
 	case *ast.Try:
 		ast.Walk(n.Block, r.visit)
 		if n.Catch != nil {
@@ -205,7 +212,6 @@ func (r *resolver) resolve(node ast.Node) bool {
 			csc.define(n.CatchParam)
 			n.CatchScope = &ast.ScopeInfo{
 				Names:         csc.names,
-				Index:         csc.index,
 				SelfSlot:      -1,
 				ThisSlot:      -1,
 				NewTargetSlot: -1,
@@ -225,15 +231,15 @@ func (r *resolver) resolve(node ast.Node) bool {
 		r.resolveFunc(n)
 		return false
 	case *ast.Ident:
-		n.Ref = lookup(r.sc, n.Name)
+		n.Ref = r.lookup(n.Name)
 		if n.Ref.Global() {
 			r.sites.Global++
 			n.Site = r.sites.Global
 		}
 	case *ast.This:
-		n.Ref = lookup(r.sc, "this")
+		n.Ref = r.lookup("this")
 	case *ast.NewTarget:
-		n.Ref = lookup(r.sc, "new.target")
+		n.Ref = r.lookup("new.target")
 	case *ast.Member:
 		if !n.Computed {
 			// A member's site is numbered after its object's.
