@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -17,7 +18,8 @@ import (
 // stopified (checked: every call site the bytecode engine fuses), calm and
 // preempted at a quantum of 1 to 64 statements taken from the input (every
 // frame it captures and restores), and any difference in output, error,
-// completion kind, pauses or statement count is a failure. The seed corpus
+// completion kind, pauses or statement count is a failure; an input the
+// parser refuses must be refused alike raw and stopified. The seed corpus
 // follows the printer fuzz tests' approach —
 // deterministic pseudo-random program generation — plus the hand-written rows
 // of the conformance corpus.
@@ -28,6 +30,9 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)
+		if p == nil {
+			return
+		}
 		stopified := cell{profile: profile{"declared", p.needs}, cont: "checked", mode: "cold"}
 		preempted := stopified
 		h := fnv.New64a()
@@ -61,16 +66,24 @@ func seedFromCorpus(f *testing.F, differential bool, groups ...string) {
 	}
 }
 
-// fuzzInput wraps a fuzz input for drive, skipping what does not parse.
+// fuzzInput wraps a fuzz input for drive. An input the parser refuses is
+// nil, once it is refused alike raw and stopified, with the parser's own
+// error and before anything runs.
 func fuzzInput(t *testing.T, src string) *program {
 	if len(src) > 1<<14 {
 		t.Skip("oversized input")
 	}
-	if _, err := parser.Parse(src); err != nil {
-		t.Skip("does not parse")
-	}
 	p := inline("fuzz", src, "", core.Defaults())
 	p.fuzzed = true
+	if _, perr := parser.Parse(src); perr != nil {
+		var out bytes.Buffer
+		_, rawErr := core.RunRaw(src, p.config(core.BackendBytecode, &out))
+		_, err := core.Compile(src, core.Defaults())
+		if out.Len() > 0 || errText(rawErr) != errText(perr) || errText(err) != errText(perr) {
+			t.Fatalf("the parser refuses %q with %v, but raw printed %q, %v; stopified %v", src, perr, out.String(), rawErr, err)
+		}
+		return nil
+	}
 	return p
 }
 

@@ -36,6 +36,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	opts.Getters = true
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)
+		if p == nil {
+			return
+		}
 		if _, err := core.Compile(src, opts); err != nil {
 			t.Skip("does not compile")
 		}
