@@ -34,8 +34,9 @@ func NormalizeFrom(prog *ast.Program, tmps int) int {
 }
 
 type norm struct {
-	tmp   int
-	guest ast.Names // a temporary takes none of these
+	tmp     int
+	guest   ast.Names // a temporary takes none of these
+	catches int       // try blocks with a catch around this point of the function
 }
 
 func (n *norm) fresh() string {
@@ -89,8 +90,12 @@ func (n *norm) stmt(s ast.Stmt, out *[]ast.Stmt) {
 		*out = append(*out, &ast.Throw{P: st.P, Arg: arg})
 	case *ast.Try:
 		t := &ast.Try{P: st.P, CatchParam: st.CatchParam}
+		if st.Catch != nil {
+			n.catches++
+		}
 		t.Block = &ast.Block{Body: n.body(st.Block.Body)}
 		if st.Catch != nil {
+			n.catches--
 			t.Catch = &ast.Block{Body: n.body(st.Catch.Body)}
 		}
 		if st.Finally != nil {
@@ -98,7 +103,7 @@ func (n *norm) stmt(s ast.Stmt, out *[]ast.Stmt) {
 		}
 		*out = append(*out, t)
 	case *ast.FuncDecl:
-		st.Fn.Body = n.body(st.Fn.Body)
+		st.Fn.Body = n.fnBody(st.Fn.Body)
 		*out = append(*out, st)
 	default:
 		// Loops other than while and switch must have been desugared.
@@ -184,14 +189,26 @@ func (n *norm) returnStmt(st *ast.Return, out *[]ast.Stmt) {
 		*out = append(*out, st)
 		return
 	}
-	// A directly returned call is a tail call and stays in place (§3.2.2).
-	if call, ok := st.Arg.(*ast.Call); ok {
+	// A directly returned call is a tail call and stays in place (§3.2.2),
+	// unless a catch is around it: its handler is live, so the call is not
+	// the function's last act, and is named like any other.
+	if call, ok := st.Arg.(*ast.Call); ok && n.catches == 0 {
 		normed := n.normCall(call, out)
 		*out = append(*out, &ast.Return{P: st.P, Arg: normed})
 		return
 	}
 	arg := n.expr(st.Arg, out)
 	*out = append(*out, &ast.Return{P: st.P, Arg: arg})
+}
+
+// fnBody normalizes a function's body: a try around the function is not
+// around its returns.
+func (n *norm) fnBody(body []ast.Stmt) []ast.Stmt {
+	catches := n.catches
+	n.catches = 0
+	body = n.body(body)
+	n.catches = catches
+	return body
 }
 
 // nested normalizes a statement used as a loop/if body.
@@ -221,7 +238,7 @@ func (n *norm) expr(e ast.Expr, out *[]ast.Stmt) ast.Expr {
 	case *ast.Ident, *ast.Number, *ast.Str, *ast.Bool, *ast.Null, *ast.This, *ast.NewTarget:
 		return e
 	case *ast.Func:
-		x.Body = n.body(x.Body)
+		x.Body = n.fnBody(x.Body)
 		return x
 	case *ast.Member:
 		base := n.expr(x.X, out)
@@ -315,7 +332,7 @@ func (n *norm) expr(e ast.Expr, out *[]ast.Stmt) ast.Expr {
 				props[i] = ast.Property{Kind: p.Kind, Key: p.Key, Value: n.expr(p.Value, out)}
 			} else {
 				fn := p.Value.(*ast.Func)
-				fn.Body = n.body(fn.Body)
+				fn.Body = n.fnBody(fn.Body)
 				props[i] = ast.Property{Kind: p.Kind, Key: p.Key, Value: fn}
 			}
 		}

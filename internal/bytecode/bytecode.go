@@ -22,6 +22,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 )
@@ -499,6 +500,13 @@ type Chunk struct {
 	Sites    []Site
 	Frames   []Frame
 	Restores []Restore
+}
+
+// Restored reports whether one of the chunk's restore blocks writes slot.
+// The restore block is the first code an entry in restore mode runs, and it
+// writes its slots before anything reads them, or throws.
+func (ch *Chunk) Restored(slot int) bool {
+	return slices.ContainsFunc(ch.Restores, func(r Restore) bool { return slices.Contains(r.Locals, int32(slot)) })
 }
 
 // opNames is the disassembly table.

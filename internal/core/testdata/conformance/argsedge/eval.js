@@ -1,7 +1,5 @@
 // needs: args=varargs eval
 // known: raw prints "ReferenceError ReferenceError\n" — eval is indirect: a fragment runs in the global scope, where there is no arguments
-// known: exceptional q1 prints "" — known/return-call-in-try: the arrow returns eval's call from inside a try
-// known: exceptional declared q25 prints "" — the same, where a pause at every 25th statement lands below that call too
 // known: stopified prints "undefined undefined\n" — eval is indirect: a fragment runs in the global scope as a function of its own, whose arguments is its own and empty
 // known: pinned — code made by eval has no place in a blob's code table, so a guest that ran any stays resident
 function f(a) {

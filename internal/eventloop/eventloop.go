@@ -91,6 +91,7 @@ type Loop struct {
 	seq      uint64
 	timerSeq uint64 // the last handle issued
 	stopped  bool
+	free     *entry // the entry step last popped, for the next post
 
 	// TaskDurations records how long each executed task ran, in ms. In
 	// browser terms this is how long the page was unresponsive, i.e. the
@@ -113,17 +114,31 @@ func (l *Loop) Post(fn Task, delayMs float64) { l.PostTask(fn, delayMs, nil) }
 
 // PostTask is Post for a task a snapshot can carry: desc describes it.
 func (l *Loop) PostTask(fn Task, delayMs float64, desc any) {
-	e := &entry{fn: fn, due: l.dueAt(delayMs), desc: desc}
+	due := l.dueAt(delayMs)
 	l.mu.Lock()
-	l.push(e)
+	l.push(l.newEntry(fn, due, desc))
 	l.mu.Unlock()
+}
+
+// newEntry returns a queue entry, the one step last popped when there is
+// one: a program that yields and is resumed posts one task per turn, and it
+// reuses one entry. Under mu.
+func (l *Loop) newEntry(fn Task, due float64, desc any) *entry {
+	e := l.free
+	if e == nil {
+		e = new(entry)
+	}
+	l.free = nil
+	*e = entry{fn: fn, due: due, desc: desc}
+	return e
 }
 
 // PostTimer enqueues a timer under handle h, or under the next handle of
 // the loop's sequence when h is 0, and returns the handle.
 func (l *Loop) PostTimer(h uint64, fn Task, delayMs float64, desc any) uint64 {
-	e := &entry{fn: fn, due: l.dueAt(delayMs), desc: desc}
+	due := l.dueAt(delayMs)
 	l.mu.Lock()
+	e := l.newEntry(fn, due, desc)
 	if h == 0 {
 		h = l.timerSeq + 1
 	}
@@ -170,8 +185,8 @@ func (l *Loop) SetTimerSeq(n uint64) {
 func (l *Loop) Pending() []Pending {
 	now := l.Clock.Now()
 	l.mu.Lock()
+	defer l.mu.Unlock() // a popped entry is reused: read them all under mu
 	q := slices.Clone(l.queue)
-	l.mu.Unlock()
 	slices.SortFunc(q, func(a, b *entry) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Pending, len(q))
 	for i, e := range q {
@@ -264,12 +279,15 @@ func (l *Loop) step() bool {
 	if l.timers[next.handle] == next {
 		delete(l.timers, next.handle)
 	}
+	fn, due := next.fn, next.due
+	*next = entry{} // pins nothing
+	l.free = next
 	l.mu.Unlock()
-	if now := l.Clock.Now(); next.due > now {
-		l.Clock.Advance(next.due - now)
+	if now := l.Clock.Now(); due > now {
+		l.Clock.Advance(due - now)
 	}
 	start := l.Clock.Now()
-	next.fn()
+	fn()
 	dur := l.Clock.Now() - start
 	l.mu.Lock()
 	l.TaskDurations = append(l.TaskDurations, dur)

@@ -75,22 +75,55 @@ func bytesPerPreemption(t *testing.T, src, want string) float64 {
 // fib(18) may cost. A frame that drags a closure and the activation's
 // environment with it (19.9 KB here, when frames carried reenter thunks),
 // that grew an element, that saves a dead local, or that stops going back
-// to the runtime's pool on re-entry fails here, not in the benchmark.
+// to the runtime's pool on re-entry fails here, not in the benchmark; so
+// does a resume that declares $main's functions again or allocates its
+// Resume, task and event-loop entry again.
 func TestAllocGatePreemption(t *testing.T) {
 	per := bytesPerPreemption(t, `function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
 console.log("fib", fib(18));`, "fib 2584\n")
-	// 0.9 KB here, 1.9 under the race detector, which drops a quarter of
-	// the operand stacks a turn returns to their sync.Pool (4.4 and 5.6
-	// while every capture built a new array per frame and copied the
-	// pending tail, 8.1 and 9.9 while a frame was a {label, locals, fn,
-	// self} object holding every local, 10.3 and 12.6 with 160-byte object
-	// headers and 48-byte property slots).
-	gate := 1536.0
+	// 141 bytes here, 0.9 to 1.1 KB under the race detector, which drops a
+	// quarter of the operand stacks a turn returns to their sync.Pool (0.9
+	// and 1.8 KB while each resume re-ran $main's hoisting, which also kept
+	// its frame out of the pool, and allocated a Resume, a task and an
+	// event-loop entry; 4.4 and 5.6 while every capture built a new array
+	// per frame and copied the pending tail, 8.1 and 9.9 while a frame was a
+	// {label, locals, fn, self} object holding every local, 10.3 and 12.6
+	// with 160-byte object headers and 48-byte property slots).
+	// 252 with the Resume, task and entry allocated per resume again, 613
+	// with the hoisting again.
+	gate := 200.0
 	if raceDetector() {
-		gate = 2560
+		gate = 1536
 	}
 	if per > gate {
-		t.Errorf("%.0f bytes per preemption, gate %.1f KB: a captured frame is carrying more than [label, fn, self] and the locals live across its call site, or a capture is not reusing what the restore before it popped", per, gate/1024)
+		t.Errorf("%.0f bytes per preemption, gate %.0f bytes: a captured frame is carrying more than [label, fn, self] and the locals live across its call site, a capture is not reusing what the restore before it popped, or a resume allocates what the last one left", per, gate)
+	}
+}
+
+// TestAllocGatePreemptionDeclaringMain is the same measurement for a program
+// whose $main declares mutually recursive functions and holds more than 16
+// locals, the shape of the timeslice workload's divrec and parity: every
+// resume re-enters $main, whose frame is a big-bucket one. Declaring the
+// functions again on each re-entry, which also keeps that frame out of the
+// pool, fails here (2.4 KB per preemption when it did).
+func TestAllocGatePreemptionDeclaringMain(t *testing.T) {
+	per := bytesPerPreemption(t, `function build(n) { if (n === 0) { return null; } return {head: n, tail: build(n - 1)}; }
+function div2(l) { if (l === null || l.tail === null) { return null; } return {head: l.head, tail: div2(l.tail.tail)}; }
+function len(l) { if (l === null) { return 0; } return 1 + len(l.tail); }
+function even(n) { if (n === 0) { return 1; } return odd(n - 1); }
+function odd(n) { if (n === 0) { return 0; } return even(n - 1); }
+var total = 0;
+for (var r = 0; r < 40; r++) { total = total + len(div2(build(60))) + even(100 + r); }
+console.log("mix", total);`, "mix 1220\n")
+	// 399 bytes here (510 with the Resume, task and entry allocated per
+	// resume again); 6.3 to 8.2 KB under the race detector, whose dropped
+	// operand stacks are most of it (8.8 when $main declared again).
+	gate := 480.0
+	if raceDetector() {
+		gate = 10240
+	}
+	if per > gate {
+		t.Errorf("%.0f bytes per preemption, gate %.0f bytes: a resumed $main declares its functions again, or its frame does not go back to the pool", per, gate)
 	}
 }
 
@@ -103,8 +136,10 @@ func raceDetector() bool {
 // TestAllocGatePreemptionDepth is the same measurement under a loop at the
 // bottom of a recursion d deep: a preemption reinstates one segment and
 // captures it again, so what it costs must not grow with the frames still
-// pending beyond the segment (4.8 KB at depth 20 and 28.5 KB at depth 1000
-// while every capture copied one reference per pending frame).
+// pending beyond the segment (70 and 59 bytes at depths 20 and 1000; 382
+// and 376 while each resume allocated its Resume, task and event-loop entry,
+// 4.8 KB and 28.5 KB while every capture copied one reference per pending
+// frame).
 func TestAllocGatePreemptionDepth(t *testing.T) {
 	per := map[int]float64{}
 	for _, d := range []int{20, 1000} {

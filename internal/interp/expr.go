@@ -768,6 +768,11 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		}
 	}
 	for _, fd := range sc.FnDecls {
+		if ch != nil && in.Restoring && ch.Restored(fd.Slot) {
+			// A closure built here would be garbage on arrival, and would
+			// keep the frame out of the pool (DESIGN_interp.md "One array").
+			continue
+		}
 		slots[fd.Slot] = ObjectValue(in.makeFunction(fd.Fn, env))
 	}
 	// Engine dispatch: the body runs as its chunk when the realm runs

@@ -135,9 +135,10 @@ type Interp struct {
 	chunkRuns  uint64
 	poll       *Poll // the runtime's yield poll (SetPoll); nil: $suspend sites always call
 
-	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 568 B, one more word is the last of the 576 class
+	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next four: Interp is 568 B, one more word is the last of the 576 class
 	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
 	HelpersLive   bool                         // rt.setMode: a helper call is a call, not the re-entry of a captured frame (helpers.go)
+	Restoring     bool                         // rt.setMode: a call re-enters a captured frame, whose restore block writes what it saved (Call)
 	argsBuilt     uint32                       // arguments objects built (ArgumentsBuilt)
 	quantumHeldAt uint64                       // Steps since which the hold has cost the quantum nothing
 	helperCells   *[ast.HelperRawSet + 1]*cell // helperIntact

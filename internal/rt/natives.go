@@ -22,6 +22,14 @@ func (r *R) armPoll() {
 	r.armed, r.poll.Budget = n, n
 }
 
+// postYield is a $suspend capture's action: a yield's queued resume is part
+// of the program's serializable state (snapshot.go), and the posted task
+// parks instead of resuming when a pause request is armed. The capture ends
+// in the turn that began it, so curAux is still that turn's tag.
+func (r *R) postYield(frames Frames) {
+	r.postResume(frames, r.curAux, 0)
+}
+
 // installNatives defines the runtime primitives instrumented code calls.
 func (r *R) installNatives() {
 	in := r.In
@@ -84,13 +92,10 @@ func (r *R) installNatives() {
 			r.est.reset()
 		}
 		r.Yields++
-		aux := r.curAux
-		r.beginCapture(true, func(frames Frames) {
-			// A yield's queued resume is part of the program's serializable
-			// state (snapshot.go), and the posted task parks instead of
-			// resuming when a pause request is armed.
-			r.postResume(frames, aux, 0)
-		})
+		if r.yielded == nil {
+			r.yielded = r.postYield
+		}
+		r.beginCapture(true, r.yielded)
 		return r.captureReturn()
 	})
 	in.DefineGlobal(instrument.SuspendFn, interp.ObjectValue(r.poll.Native))

@@ -82,6 +82,11 @@ type R struct {
 	restoreDepth    int  // live startRestore nesting on the Go stack
 	contain         bool // adopted from a snapshot: recover guest-turn panics
 
+	// segStep is the step enterSegment returns, r.reenterSegment bound once;
+	// yielded is $suspend's capture action, r.postYield bound once.
+	segStep func() (interp.Value, error)
+	yielded func(Frames)
+
 	// kbuf backs the last continuation finishCapture built, which ends where
 	// it does; kdead: that one is the runtime's alone and being restored, so
 	// what lies in front of pendingOuter is on $rstack or gone.
@@ -108,7 +113,14 @@ type R struct {
 	paused   bool  // under mu
 	savedK   Frames
 	savedAux bool // under mu; the parked turn's aux tag
-	onPause  func()
+	// resume is the runtime's one reusable Resume and resumeTask the task
+	// that runs it, both made at the first post (postResume); resumeBusy:
+	// it is queued. Under mu, as is poll.Shared's write: Resume may post
+	// from another goroutine.
+	resumeBusy bool
+	resume     *Resume
+	resumeTask func()
+	onPause    func()
 
 	// curAux tags the turn the driver is currently executing. The main chain —
 	// Run's initial task and every capture/restore descended from it — is
@@ -179,6 +191,7 @@ func (r *R) setMode(m string) {
 	r.In.SetProfilePhase(modePhase[m])
 	r.In.HoldQuantum(r.hold && m != instrument.ModeNormal)
 	r.In.HelpersLive = m == instrument.ModeNormal
+	r.In.Restoring = m == instrument.ModeRestore
 }
 
 var modePhase = map[string]string{instrument.ModeCapture: "(capture)", instrument.ModeRestore: "(restore)"}
@@ -258,7 +271,10 @@ func (r *R) NewContinuation() (k *interp.Object, fill func(Frames)) {
 // continuation may be applied twice, no restore pools its frames
 // (interp.Poll) and no capture writes into the continuation it restored.
 func (r *R) share() {
-	r.poll.Shared, r.poll.Pool, r.kdead = true, nil, false
+	r.mu.Lock()
+	r.poll.Shared = true
+	r.mu.Unlock()
+	r.poll.Pool, r.kdead = nil, false
 }
 
 // ContinuationFrames extracts the frames from a continuation value made by
@@ -411,29 +427,35 @@ func (r *R) enterSegment(bottom interp.Value, callers Frames, v interp.Value, th
 	r.rstackObj.Elems = append(append(r.rstackObj.Elems[:0], bottom), callers[:n]...)
 	r.setMode(instrument.ModeRestore)
 
-	// Re-enter the segment's outermost frame as a call site's restore arm
-	// does: apply its fn to its self, and to the args the varargs
-	// sub-language stores. A corrupt blob's frame fails as a guest TypeError.
-	top, parts := r.rstackObj.Elems[n], 2
+	if r.segStep == nil {
+		r.segStep = r.reenterSegment
+	}
+	return r.segStep
+}
+
+// reenterSegment re-enters the segment's outermost frame, which runStep's
+// call finds still on top of $rstack, as a call site's restore arm does: it
+// applies the frame's fn to its self, and to the args the varargs
+// sub-language stores. A corrupt blob's frame fails as a guest TypeError.
+func (r *R) reenterSegment() (interp.Value, error) {
+	top, parts := r.rstackObj.Elems[len(r.rstackObj.Elems)-1], 2
 	if r.opts.Instrument.Args == instrument.ArgsVarargs {
 		parts = 3
 	}
-	return func() (interp.Value, error) {
-		var part [3]interp.Value
-		for i := range parts {
-			v, err := r.In.GetMember(top, strconv.Itoa(instrument.FrameFn+i))
-			if err != nil {
-				return interp.Undefined, err
-			}
-			part[i] = v
+	var part [3]interp.Value
+	for i := range parts {
+		v, err := r.In.GetMember(top, strconv.Itoa(instrument.FrameFn+i))
+		if err != nil {
+			return interp.Undefined, err
 		}
-		var args []interp.Value
-		if part[2].IsObject() {
-			// A copy: the callee reads args in place, and this object is the guest's.
-			args = append(args, part[2].Obj().Elems...)
-		}
-		return r.In.Call(part[0], part[1], args, interp.Undefined)
+		part[i] = v
 	}
+	var args []interp.Value
+	if part[2].IsObject() {
+		// A copy: the callee reads args in place, and this object is the guest's.
+		args = append(args, part[2].Obj().Elems...)
+	}
+	return r.In.Call(part[0], part[1], args, interp.Undefined)
 }
 
 // ---------------------------------------------------------------------------

@@ -25,37 +25,62 @@ type Resume struct {
 
 // postResume posts a continuation-restore task. The task honors a pause
 // request that arrived while it was queued by parking instead of running —
-// the same semantics as the $suspend yield it usually is.
+// the same semantics as the $suspend yield it usually is. While the runtime
+// owns its frames (the ownership rule of DESIGN_interp.md "One array") and
+// no resume of its own is queued, the Resume and the task are the runtime's
+// one pair, reused, so a preemption posts without allocating; otherwise a
+// new pair.
 func (r *R) postResume(frames Frames, aux bool, delay float64) {
-	d := &Resume{Frames: frames, Aux: aux}
-	r.Loop.PostTask(func() {
-		if r.poll.Pause.Load() {
-			r.poll.Pause.Store(false)
-			r.mu.Lock()
-			if kerr := r.killErr; kerr != nil {
-				// A kill arrived while this resume was queued. Parking now
-				// would strand it: no guest code runs while parked, and
-				// Kill's synchronous paused-finish path already ran before
-				// we flipped paused back on. Finish here instead.
-				r.paused = false
-				r.savedK = nil
-				r.mu.Unlock()
-				r.finish(interp.Undefined, kerr)
-				return
-			}
-			r.paused = true
-			r.savedK = d.Frames
-			r.savedAux = d.Aux
-			cb := r.onPause
+	r.mu.Lock() // Resume may post from another goroutine
+	d, task := r.resume, r.resumeTask
+	own := !r.resumeBusy && !r.poll.Shared
+	if !own || d == nil {
+		d = &Resume{}
+		task = func() { r.runResume(d) }
+	}
+	if own {
+		r.resume, r.resumeTask, r.resumeBusy = d, task, true
+	}
+	*d = Resume{Frames: frames, Aux: aux}
+	r.mu.Unlock()
+	r.Loop.PostTask(task, delay, d)
+}
+
+// runResume is the task postResume posted for d: once it has read d, d is
+// free for the next post.
+func (r *R) runResume(d *Resume) {
+	r.mu.Lock()
+	frames, aux := d.Frames, d.Aux
+	if d == r.resume {
+		*d, r.resumeBusy = Resume{}, false
+	}
+	r.mu.Unlock()
+	if r.poll.Pause.Load() {
+		r.poll.Pause.Store(false)
+		r.mu.Lock()
+		if kerr := r.killErr; kerr != nil {
+			// A kill arrived while this resume was queued. Parking now
+			// would strand it: no guest code runs while parked, and
+			// Kill's synchronous paused-finish path already ran before
+			// we flipped paused back on. Finish here instead.
+			r.paused = false
+			r.savedK = nil
 			r.mu.Unlock()
-			if cb != nil {
-				cb()
-			}
+			r.finish(interp.Undefined, kerr)
 			return
 		}
-		r.curAux = d.Aux
-		r.startRestore(true, d.Frames, interp.Undefined)
-	}, delay, d)
+		r.paused = true
+		r.savedK = frames
+		r.savedAux = aux
+		cb := r.onPause
+		r.mu.Unlock()
+		if cb != nil {
+			cb()
+		}
+		return
+	}
+	r.curAux = aux
+	r.startRestore(true, frames, interp.Undefined)
 }
 
 // Repost rebuilds a snapshot's pending tasks in a restored runtime, in
