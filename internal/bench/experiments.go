@@ -105,6 +105,7 @@ func yieldIntervals(src string, opts core.Opts, eng *engine.Profile) ([]float64,
 	if err != nil {
 		return nil, err
 	}
+	run.Loop.TaskDurations = []float64{} // the loop records only when asked
 	if err := run.RunToCompletion(); err != nil {
 		return nil, err
 	}

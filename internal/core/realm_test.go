@@ -20,14 +20,17 @@ import (
 
 // The ceilings on NewRun of a one-statement program — interp.New's builtin
 // graph, the runtime's natives, the host registry, the prelude — are its
-// measured 444 allocations in 48 352 bytes (447 in 50 992 under the race
-// detector) plus 1.5 %. The realm cost 971 allocations and 143 328 bytes
-// while shapes copied their parent's index and every realm walked its host
-// graph for its registry, and 451 in 56 480 with 160-byte object headers
-// and 48-byte property slots.
+// measured 269 allocations in 31 224 bytes (272 in 32 696 under the race
+// detector) plus 1.5 %. A realm that rebuilds its builtin shapes instead
+// of following the process's frozen ones fails here: that cost 448
+// allocations in 47 744 bytes (447 in 50 992 under the race detector). The
+// realm cost 971 allocations and 143 328 bytes while shapes copied their
+// parent's index and every realm walked its host graph for its registry,
+// and 451 in 56 480 with 160-byte object headers and 48-byte property
+// slots.
 const (
-	newRunAllocs = 454
-	newRunBytes  = 51_800
+	newRunAllocs = 277
+	newRunBytes  = 33_200
 )
 
 func TestAllocGateNewRun(t *testing.T) {
@@ -61,22 +64,25 @@ func BenchmarkNewRun(b *testing.B) {
 }
 
 // What a hop costs: clojure.lazy_seq parked at its first 20 000-statement
-// pause, a blob of 33 817 bytes. Snapshot's ceilings are its measured 59
-// allocations in 149 584 bytes, RestoreWith's 3 673 in 296 944 (3 676 in
-// 320 608 under the race detector), each plus 2 %. Before the encoder wrote
-// into a pooled buffer and the decoder built the realm straight from the
-// blob, a hop cost 88 allocations in 267 984 bytes to snapshot, into a
-// 40 960-byte buffer, and 5 315 in 952 944 to restore; before objects
-// shrank to a 112-byte header and 32-byte slots sized to each record's key
-// count, a restore cost 3 725 in 415 552; before the encoder numbered each
-// node at its first reference, in one walk, a snapshot cost 77 in 158 528;
-// before a frame became one array of the locals live across a call site,
-// the blob was 34 298 bytes and a restore cost 3 718 in 313 344.
+// pause. Snapshot's ceilings are its measured 59 allocations in 149 584
+// bytes, of a blob of 33 817 bytes; RestoreWith's are its 3 500 in 279 840
+// (3 503 in 302 496 under the race detector), of a blob of 33 840; each plus
+// 2 %. Before the restored realm followed the process's frozen host shapes,
+// a restore cost 3 679 in 296 560 (3 676 in 320 608 under the race
+// detector). Before the encoder wrote into a pooled buffer and the decoder
+// built the realm straight from the blob, a hop cost 88 allocations in
+// 267 984 bytes to snapshot, into a 40 960-byte buffer, and 5 315 in 952 944
+// to restore; before objects shrank to a 112-byte header and 32-byte slots
+// sized to each record's key count, a restore cost 3 725 in 415 552; before
+// the encoder numbered each node at its first reference, in one walk, a
+// snapshot cost 77 in 158 528; before a frame became one array of the locals
+// live across a call site, the blob was 34 298 bytes and a restore cost
+// 3 718 in 313 344.
 const (
 	hopSnapshotAllocs = 61
 	hopSnapshotBytes  = 152_600
-	hopRestoreAllocs  = 3_750
-	hopRestoreBytes   = 327_100
+	hopRestoreAllocs  = 3_574
+	hopRestoreBytes   = 308_600
 )
 
 func TestAllocGateHop(t *testing.T) {

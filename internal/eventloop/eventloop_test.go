@@ -83,6 +83,7 @@ func TestStop(t *testing.T) {
 func TestTaskDurations(t *testing.T) {
 	clock := NewVirtualClock()
 	loop := New(clock)
+	loop.TaskDurations = []float64{} // opt in
 	loop.Post(func() { clock.Advance(25) }, 0)
 	loop.Post(func() { clock.Advance(75) }, 0)
 	loop.Run()
@@ -91,6 +92,24 @@ func TestTaskDurations(t *testing.T) {
 	}
 	if loop.TaskDurations[0] != 25 || loop.TaskDurations[1] != 75 {
 		t.Errorf("durations = %v, want [25 75]", loop.TaskDurations)
+	}
+}
+
+// TestTaskDurationsOptIn: a loop whose owner did not ask for durations
+// records none, however many tasks it runs.
+func TestTaskDurationsOptIn(t *testing.T) {
+	clock := NewVirtualClock()
+	loop := New(clock)
+	ran := 0
+	for range 10000 {
+		loop.Post(func() { ran++; clock.Advance(1) }, 0)
+	}
+	loop.Run()
+	if ran != 10000 {
+		t.Fatalf("ran %d tasks, want 10000", ran)
+	}
+	if loop.TaskDurations != nil {
+		t.Errorf("a loop that did not ask recorded %d durations", len(loop.TaskDurations))
 	}
 }
 

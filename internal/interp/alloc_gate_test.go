@@ -290,16 +290,20 @@ function elems(n) {
 }
 
 // The ceilings on a bare realm — the builtin graph New builds — are its
-// measured 393 allocations in 39 368 bytes (39 480 under the race
-// detector) plus 3 %. Building the shapes of an n-key object cost O(n²)
-// before a first transition shared its parent's index (889 allocations,
-// 121 640 bytes); a shape that copies one again fails here. Before the
-// object header shrank to 112 bytes and a slot to 32, and before the big
-// builtin prototypes sized their slot arrays once, a realm cost 400
-// allocations in 47 080 bytes.
+// measured 214 allocations in 22 848 bytes (the same under the race
+// detector) plus 3 %. The realm follows the process's frozen host shapes
+// (shape.go) and builds none of its own; a builtin that leaves the
+// template, or a realm that rebuilds its builtin shapes, fails here. While
+// every realm built its own shapes a bare realm cost 393 allocations in
+// 39 368 bytes (39 480 under the race detector). Building the shapes of an
+// n-key object cost O(n²) before a first transition shared its parent's
+// index (889 allocations, 121 640 bytes). Before the object header shrank
+// to 112 bytes and a slot to 32, and before the big builtin prototypes
+// sized their slot arrays once, a realm cost 400 allocations in 47 080
+// bytes.
 const (
-	bareRealmAllocs = 405
-	bareRealmBytes  = 40_600
+	bareRealmAllocs = 221
+	bareRealmBytes  = 23_600
 )
 
 // bareRealmCost reports what New allocates: the least of eight tries.

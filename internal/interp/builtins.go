@@ -11,8 +11,21 @@ import (
 
 // setupGlobals builds the prototypes and global bindings of a fresh realm.
 // The library is the slice of ECMAScript that compiler-generated code and
-// the paper's benchmarks actually touch.
-func (in *Interp) setupGlobals() {
+// the paper's benchmarks actually touch. Its shapes are the process's
+// frozen ones (shape.go): the realm follows their edges and builds none.
+func (in *Interp) setupGlobals() { in.buildGlobals(hostShapeRoots()) }
+
+// builtinProtos are the prototypes of the realm's builtin graph.
+func (in *Interp) builtinProtos() [8]*Object {
+	return [...]*Object{in.objectProto, in.functionProto, in.arrayProto, in.stringProto,
+		in.numberProto, in.booleanProto, in.errorProto, in.dateProto}
+}
+
+// buildGlobals is setupGlobals on the shape roots frozen; nil builds the
+// shapes instead. Either way it returns the roots the host objects grew
+// from and leaves every builtin prototype's shapeRoot nil, so the guest's
+// objects grow in the realm's own trees.
+func (in *Interp) buildGlobals(frozen *hostRoots) (roots hostRoots) {
 	in.objectProto = &Object{Class: ClassObject}
 	in.functionProto = NewObject(in.objectProto)
 	in.functionProto.Class = ClassFunction
@@ -21,6 +34,14 @@ func (in *Interp) setupGlobals() {
 	in.numberProto = NewObject(in.objectProto)
 	in.booleanProto = NewObject(in.objectProto)
 	in.errorProto = NewObject(in.objectProto)
+	in.dateProto = NewObject(in.objectProto)
+	protos := in.builtinProtos()
+	if frozen != nil {
+		in.objectProto.shape = frozen[0]
+		for i, p := range protos {
+			p.shapeRoot = frozen[i+1]
+		}
+	}
 
 	g := in.Global
 	g.Define("undefined", Undefined)
@@ -36,6 +57,12 @@ func (in *Interp) setupGlobals() {
 	in.setupMath()
 	in.setupConsoleAndTimers()
 	in.setupTopFunctions()
+
+	roots[0] = in.objectProto.shape.root
+	for i, p := range protos {
+		roots[i+1], p.shapeRoot = p.shapeRoot, nil
+	}
+	return roots
 }
 
 func (in *Interp) native(name string, fn NativeFunc) *Object { return in.NewNative(name, fn) }
@@ -460,8 +487,7 @@ func (in *Interp) setupConsoleAndTimers() {
 	// pre-prelude DFS, so reordering it (or anything else the traversal
 	// reaches) makes every blob written before the change refuse to restore
 	// — a snapshot.Version bump, not a tidy-up.
-	dp := NewObject(in.objectProto)
-	in.dateProto = dp
+	dp := in.dateProto
 	timeSlot := func(this Value) (float64, bool) {
 		if o := this.Obj(); o != nil {
 			if d := o.Date(); d != nil {

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -47,9 +48,20 @@ import (
 // first time an inline-cache fill walks across them.
 //
 // Shape trees are rooted per prototype: the root shape for objects whose
-// prototype is P hangs off P itself (Object.shapeRoot), so realms never
-// share shapes and a shape compare implies a prototype compare. Objects
-// with a nil prototype get a private root.
+// prototype is P hangs off P itself (Object.shapeRoot), so a shape compare
+// implies a prototype compare. Objects with a nil prototype get a private
+// root.
+//
+// The builtin graph's shapes are the exception: the same in every realm,
+// they are built once per process (hostShapeRoots) and frozen — their root
+// is the frozenRoot sentinel and nothing writes them. setupGlobals follows
+// their edges; when it ends every builtin prototype's shapeRoot goes back
+// to nil, so no guest object lands in a frozen tree. A host object's first
+// structural change (a key with no frozen edge, a delete, a data↔accessor
+// flip) rebuilds it into its realm's own tree first (Object.ownRoot).
+// Inline caches are per realm, and within a realm a frozen shape is carried
+// only by host objects on the prototype it was built for, so a shape
+// compare still implies a prototype compare.
 
 // Shape is one node of a transition tree: the layout of every object that
 // was built by the same sequence of property additions.
@@ -100,26 +112,75 @@ var protoEpoch atomic.Uint32
 // bumpProtoEpoch invalidates every prototype-chain inline-cache entry.
 func bumpProtoEpoch() { protoEpoch.Add(1) }
 
+// newRoot returns a fresh empty shape, the root of its own tree.
+func newRoot() *Shape {
+	s := &Shape{}
+	s.root = s
+	return s
+}
+
 // emptyShapeFor returns the root shape for objects whose prototype is
 // proto, creating and memoizing it on the prototype. A nil prototype gets a
 // private root (no sharing, but Object.create(null) objects are rare).
 func emptyShapeFor(proto *Object) *Shape {
 	if proto == nil {
-		s := &Shape{}
-		s.root = s
-		return s
+		return newRoot()
 	}
 	if proto.shapeRoot == nil {
-		s := &Shape{}
-		s.root = s
-		proto.shapeRoot = s
+		proto.shapeRoot = newRoot()
 	}
 	return proto.shapeRoot
 }
 
+// frozenRoot is the root of every frozen shape: a sentinel that marks the
+// shape as shared by every realm, and so never to be written.
+var frozenRoot = &Shape{}
+
+// frozen reports whether s belongs to the builtin graph's shared trees.
+func (s *Shape) frozen() bool { return s.root == frozenRoot }
+
+// hostRoots are the builtin graph's shape roots: Object.prototype's own
+// (it has no prototype), then the one under each of builtinProtos.
+type hostRoots [9]*Shape
+
+// hostShapes is the builtin graph's frozen shape trees, built once per
+// process from a throwaway realm, as the snapshot codec builds its pristine
+// twin. After the Once nothing writes them, so realms on any goroutine
+// share them.
+var hostShapes struct {
+	once  sync.Once
+	roots hostRoots
+}
+
+// hostShapeRoots returns the frozen roots every realm's setupGlobals
+// follows.
+func hostShapeRoots() *hostRoots {
+	hostShapes.once.Do(func() {
+		t := &Interp{Global: &Env{cells: make(map[string]*cell)}}
+		hostShapes.roots = t.buildGlobals(nil)
+		for _, r := range hostShapes.roots {
+			freeze(r)
+		}
+	})
+	return &hostShapes.roots
+}
+
+// freeze marks s and every shape below it frozen.
+func freeze(s *Shape) {
+	if s == nil {
+		return
+	}
+	s.root = frozenRoot
+	freeze(s.first)
+	for _, c := range s.transitions {
+		freeze(c)
+	}
+}
+
 // transition returns the shape reached by adding key with the given kind,
 // creating and caching the edge on first use. The new key's slot is
-// len(s.keys).
+// len(s.keys). A frozen shape is never written: where it has no such edge,
+// transition returns nil, and the caller thaws the object first.
 func (s *Shape) transition(key string, accessor bool) *Shape {
 	n := len(s.keys)
 	e := shapeEdge{key, accessor}
@@ -130,6 +191,9 @@ func (s *Shape) transition(key string, accessor bool) *Shape {
 		if c, ok := s.transitions[e]; ok {
 			return c
 		}
+	}
+	if s.frozen() {
+		return nil
 	}
 	c := &Shape{root: s.root}
 	if s.first == nil {

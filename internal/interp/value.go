@@ -583,7 +583,7 @@ func (o *Object) setSlot(key string, p Prop) {
 			// that assumed the old kind stop matching — and, because the
 			// kind rides on the transition edge, later rebuilds (Delete,
 			// SetProto) preserve it.
-			o.shape = o.shape.rebuild(o.shape.root, -1, i)
+			o.shape = o.shape.rebuild(o.ownRoot(), -1, i)
 			if o.usedAsProto {
 				bumpProtoEpoch()
 			}
@@ -591,7 +591,12 @@ func (o *Object) setSlot(key string, p Prop) {
 		o.slots[i] = p
 		return
 	}
-	o.shape = o.shape.transition(key, p.IsAccessor())
+	next := o.shape.transition(key, p.IsAccessor())
+	if next == nil {
+		// A frozen shape with no edge for this key: thaw first.
+		next = o.shape.rebuild(o.ownRoot(), -1, -1).transition(key, p.IsAccessor())
+	}
+	o.shape = next
 	if o.slots == nil {
 		// An object nobody sized (ReserveProps) typically grows a handful
 		// of properties right after creation; starting at capacity 4 turns
@@ -602,6 +607,17 @@ func (o *Object) setSlot(key string, p Prop) {
 	if o.usedAsProto {
 		bumpProtoEpoch()
 	}
+}
+
+// ownRoot returns the root a structural change rebuilds o's shape onto:
+// the root of its own tree or, for a frozen shape, the realm's root for o's
+// prototype, so the change thaws the object instead of writing a shape
+// every realm shares (shape.go).
+func (o *Object) ownRoot() *Shape {
+	if o.shape.frozen() {
+		return emptyShapeFor(o.Proto)
+	}
+	return o.shape.root
 }
 
 // SetProto replaces the prototype, re-rooting the shape under the new
@@ -679,7 +695,7 @@ func (o *Object) Delete(key string) bool {
 	if i < 0 {
 		return false
 	}
-	o.shape = o.shape.rebuild(o.shape.root, i, -1)
+	o.shape = o.shape.rebuild(o.ownRoot(), i, -1)
 	last := copy(o.slots[i:], o.slots[i+1:]) + i
 	o.slots[last] = Prop{} // the vacated slot must not keep its value alive
 	o.slots = o.slots[:last]
