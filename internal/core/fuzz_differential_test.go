@@ -28,6 +28,11 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 	for seed := int64(0); seed < 40; seed++ {
 		f.Add(randomProgram(rand.New(rand.NewSource(seed))))
 	}
+	// A grammar error before a lexical one, and an unterminated comment
+	// after a grammar error's token: the parser reports the one it reaches
+	// first.
+	f.Add("var = 1;\n\"abc")
+	f.Add("f(1;\n/* unterminated")
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)
 		if p == nil {

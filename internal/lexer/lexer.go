@@ -80,53 +80,54 @@ var puncts = []string{
 	"%", "&", "|", "^", "!", "~", "?", ":", "=", ".",
 }
 
-// Lex tokenizes src, returning the token stream (terminated by an EOF
-// token) or a positioned error.
-func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	var toks []Token
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		if len(toks) > 0 && l.sawNewline {
-			toks[len(toks)-1].NLAfter = true
-		}
-		l.sawNewline = false
-		toks = append(toks, tok)
-		if tok.Kind == EOF {
-			return toks, nil
-		}
-	}
-}
-
-type lexer struct {
+// Scanner reads the tokens of a source one at a time, for a parser that
+// pulls them as it goes.
+type Scanner struct {
 	src        string
 	pos        int
 	line, col  int
 	sawNewline bool
 }
 
-func (l *lexer) errf(format string, args ...any) error {
+// NewScanner returns a scanner positioned before the first token of src.
+func NewScanner(src string) Scanner { return Scanner{src: src, line: 1, col: 1} }
+
+// Next returns the next token: an EOF token at the end of the source, and on
+// every call after it. Before it returns, it reads past the space and
+// comments that follow the token, so NLAfter is already set, and an
+// unterminated comment is reported with the token before it.
+func (l *Scanner) Next() (Token, error) {
+	tok, err := l.token()
+	if err != nil {
+		return Token{}, err
+	}
+	l.sawNewline = false
+	if err := l.skipSpaceAndComments(); err != nil {
+		return Token{}, err
+	}
+	tok.NLAfter = l.sawNewline
+	return tok, nil
+}
+
+func (l *Scanner) errf(format string, args ...any) error {
 	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) peek() byte {
+func (l *Scanner) peek() byte {
 	if l.pos >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos]
 }
 
-func (l *lexer) peek2() byte {
+func (l *Scanner) peek2() byte {
 	if l.pos+1 >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos+1]
 }
 
-func (l *lexer) advance() byte {
+func (l *Scanner) advance() byte {
 	c := l.src[l.pos]
 	l.pos++
 	if c == '\n' {
@@ -139,7 +140,7 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) skipSpaceAndComments() error {
+func (l *Scanner) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		c := l.peek()
 		switch {
@@ -184,7 +185,7 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-func (l *lexer) next() (Token, error) {
+func (l *Scanner) token() (Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
@@ -221,7 +222,7 @@ func (l *lexer) next() (Token, error) {
 	return Token{}, l.errf("unexpected character %q", c)
 }
 
-func (l *lexer) number(line, col int) (Token, error) {
+func (l *Scanner) number(line, col int) (Token, error) {
 	start := l.pos
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
 		l.advance()
@@ -270,7 +271,7 @@ func (l *lexer) number(line, col int) (Token, error) {
 	return Token{Kind: Number, Text: text, Num: v, Line: line, Col: col}, nil
 }
 
-func (l *lexer) stringLit(line, col int) (Token, error) {
+func (l *Scanner) stringLit(line, col int) (Token, error) {
 	quote := l.advance()
 	var b strings.Builder
 	for {

@@ -2,6 +2,23 @@ package lexer
 
 import "testing"
 
+// Lex scans all of src: its tokens, ending in the EOF token, or the first
+// error.
+func Lex(src string) ([]Token, error) {
+	s := NewScanner(src)
+	var toks []Token
+	for {
+		tok, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, tok)
+		if tok.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
 func kinds(t *testing.T, src string) []Token {
 	t.Helper()
 	toks, err := Lex(src)
@@ -123,6 +140,29 @@ func TestNewlineTracking(t *testing.T) {
 	}
 	if toks[1].NLAfter {
 		t.Error("token b should not have NLAfter")
+	}
+	if toks := kinds(t, "a \"b\\\nc\" d"); toks[0].NLAfter || toks[1].NLAfter {
+		t.Error("a line continuation in a string is no line break between tokens")
+	}
+}
+
+// TestScannerReadsPastTheToken: a token comes back with what follows it read,
+// so its NLAfter needs no later token, and an unterminated comment is the
+// error of the token before it.
+func TestScannerReadsPastTheToken(t *testing.T) {
+	s := NewScanner("return /* a\nb */ 1")
+	if tok, err := s.Next(); err != nil || tok.Text != "return" || !tok.NLAfter {
+		t.Errorf("first Next = %+v, %v; want return with NLAfter", tok, err)
+	}
+	s = NewScanner("a /* unterminated")
+	if tok, err := s.Next(); err == nil || err.Error() != "1:18: unterminated block comment" {
+		t.Errorf("first Next = %+v, %v; want the comment's error", tok, err)
+	}
+	s = NewScanner("a")
+	for i, want := range []Kind{Ident, EOF, EOF} {
+		if tok, err := s.Next(); err != nil || tok.Kind != want {
+			t.Errorf("Next #%d = %+v, %v; want %v", i, tok, err, want)
+		}
 	}
 }
 

@@ -25,43 +25,22 @@ func (e *Error) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, 
 
 // Parse parses a complete program.
 func Parse(src string) (prog *ast.Program, err error) {
-	toks, err := lexer.Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	prog = &ast.Program{Pos: ast.Pos{Line: 1, Col: 1}, Guest: guestNames(toks)}
+	p := &parser{}
 	defer p.recoverTo(&err)
+	p.begin(src)
+	prog = &ast.Program{Pos: ast.Pos{Line: 1, Col: 1}}
 	for !p.at(lexer.EOF, "") {
 		prog.Body = append(prog.Body, p.statement())
 	}
+	prog.Guest = p.guest
 	return prog, nil
-}
-
-// guestNames is the set of the source's `$` identifiers (ast.Program.Guest):
-// every name it binds or references, and its `$` property names, which the
-// names the compiler makes up lose nothing by avoiding as well.
-func guestNames(toks []lexer.Token) ast.Names {
-	var names ast.Names
-	for _, t := range toks {
-		if t.Kind == lexer.Ident && t.Text[0] == '$' {
-			if names == nil {
-				names = ast.Names{}
-			}
-			names[t.Text] = true
-		}
-	}
-	return names
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL).
 func ParseExpr(src string) (expr ast.Expr, err error) {
-	toks, lerr := lexer.Lex(src)
-	if lerr != nil {
-		return nil, lerr
-	}
-	p := &parser{toks: toks}
+	p := &parser{}
 	defer p.recoverTo(&err)
+	p.begin(src)
 	expr = p.expression(false)
 	if !p.at(lexer.EOF, "") {
 		return nil, p.errAtCur("unexpected trailing tokens")
@@ -70,8 +49,18 @@ func ParseExpr(src string) (expr ast.Expr, err error) {
 }
 
 type parser struct {
+	// The tokens are pulled from sc into a window: toks[pos] is the
+	// current token, toks[pos-1] the one before it, and what lies past pos
+	// is lookahead. toks starts on win; see scan.
+	sc   lexer.Scanner
 	toks []lexer.Token
 	pos  int
+	win  [16]lexer.Token
+
+	// guest is the source's `$` identifiers (ast.Program.Guest): every
+	// name it binds or references, and its `$` property names, which the
+	// names the compiler makes up lose nothing by avoiding as well.
+	guest ast.Names
 
 	// The jump context of the statement being parsed, which the early
 	// errors on break, continue and return read: the labels enclosing it
@@ -106,12 +95,46 @@ func (p *parser) recoverTo(err *error) {
 	}
 }
 
+// begin scans the first token of src.
+func (p *parser) begin(src string) {
+	p.sc = lexer.NewScanner(src)
+	p.toks = p.win[:0]
+	p.scan()
+}
+
+// scan appends the next token to the window. A full window is first
+// compacted in place, down to prev() and the lookahead; only a lookahead as
+// long as the window grows it (an arrow's list of seven parameters or more,
+// or a chain of as many labels).
+func (p *parser) scan() {
+	if len(p.toks) == cap(p.toks) && p.pos > 1 {
+		p.toks = p.toks[:copy(p.toks, p.toks[p.pos-1:])]
+		p.pos = 1
+	}
+	t, err := p.sc.Next()
+	if err != nil {
+		panic(parseBail{err})
+	}
+	if t.Kind == lexer.Ident && t.Text[0] == '$' {
+		if p.guest == nil {
+			p.guest = ast.Names{}
+		}
+		p.guest[t.Text] = true
+	}
+	p.toks = append(p.toks, t)
+}
+
 func (p *parser) cur() lexer.Token  { return p.toks[p.pos] }
 func (p *parser) prev() lexer.Token { return p.toks[p.pos-1] }
 
+// peekAt returns the token i past the current one, scanning up to it; past
+// the end of input it is the EOF token.
 func (p *parser) peekAt(i int) lexer.Token {
-	if p.pos+i >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	for p.pos+i >= len(p.toks) {
+		if last := p.toks[len(p.toks)-1]; last.Kind == lexer.EOF {
+			return last
+		}
+		p.scan()
 	}
 	return p.toks[p.pos+i]
 }
@@ -121,6 +144,8 @@ func (p *parser) at(kind lexer.Kind, text string) bool {
 	return t.Kind == kind && (text == "" || t.Text == text)
 }
 
+func isPunct(t lexer.Token, text string) bool { return t.Kind == lexer.Punct && t.Text == text }
+
 func (p *parser) atPunct(text string) bool   { return p.at(lexer.Punct, text) }
 func (p *parser) atKeyword(text string) bool { return p.at(lexer.Keyword, text) }
 
@@ -128,6 +153,9 @@ func (p *parser) advance() lexer.Token {
 	t := p.cur()
 	if t.Kind != lexer.EOF {
 		p.pos++
+		if p.pos == len(p.toks) {
+			p.scan()
+		}
 	}
 	return t
 }
@@ -245,7 +273,7 @@ func (p *parser) statement() ast.Stmt {
 		return &ast.Throw{P: posOf(t), Arg: arg}
 	case p.atKeyword("try"):
 		return p.tryStmt()
-	case t.Kind == lexer.Ident && p.peekAt(1).Kind == lexer.Punct && p.peekAt(1).Text == ":":
+	case t.Kind == lexer.Ident && isPunct(p.peekAt(1), ":"):
 		p.advance()
 		p.advance()
 		if p.label(t.Text) != nil {
@@ -292,7 +320,7 @@ func (p *parser) label(name string) *jumpLabel {
 // iteration statement.
 func (p *parser) atLoop() bool {
 	i := 0
-	for p.peekAt(i).Kind == lexer.Ident && p.peekAt(i+1).Kind == lexer.Punct && p.peekAt(i+1).Text == ":" {
+	for p.peekAt(i).Kind == lexer.Ident && isPunct(p.peekAt(i+1), ":") {
 		i += 2
 	}
 	t := p.peekAt(i)
@@ -540,7 +568,7 @@ func (p *parser) assignExpr(noIn bool) ast.Expr {
 // one.
 func (p *parser) tryArrow() ast.Expr {
 	t := p.cur()
-	if t.Kind == lexer.Ident && p.peekAt(1).Kind == lexer.Punct && p.peekAt(1).Text == "=>" {
+	if t.Kind == lexer.Ident && isPunct(p.peekAt(1), "=>") {
 		p.advance()
 		p.advance()
 		return p.arrowBody(posOf(t), []string{t.Text})
@@ -548,39 +576,27 @@ func (p *parser) tryArrow() ast.Expr {
 	if !p.atPunct("(") {
 		return nil
 	}
-	// Scan ahead for `) =>` at the matching close paren.
-	depth := 0
-	i := p.pos
-	for ; i < len(p.toks); i++ {
-		tk := p.toks[i]
-		if tk.Kind != lexer.Punct {
-			continue
-		}
-		switch tk.Text {
-		case "(", "[", "{":
-			depth++
-		case ")", "]", "}":
-			depth--
-			if depth == 0 && tk.Text == ")" {
-				if i+1 < len(p.toks) && p.toks[i+1].Kind == lexer.Punct && p.toks[i+1].Text == "=>" {
-					goto isArrow
-				}
-				return nil
-			}
-		}
-	}
-	return nil
-isArrow:
-	p.advance() // (
-	var params []string
-	for !p.atPunct(")") {
-		params = append(params, p.identName())
-		if !p.eat(lexer.Punct, ",") {
+	// Look for the only parameter list there is, the one parsed below:
+	// ( [name {, name} [,]] ) =>.
+	i := 1
+	for p.peekAt(i).Kind == lexer.Ident {
+		if !isPunct(p.peekAt(i+1), ",") {
+			i++
 			break
 		}
+		i += 2
 	}
-	p.expect(lexer.Punct, ")")
-	p.expect(lexer.Punct, "=>")
+	if !isPunct(p.peekAt(i), ")") || !isPunct(p.peekAt(i+1), "=>") {
+		return nil
+	}
+	p.advance() // (
+	var params []string
+	for p.at(lexer.Ident, "") {
+		params = append(params, p.advance().Text)
+		p.eat(lexer.Punct, ",")
+	}
+	p.advance() // )
+	p.advance() // =>
 	return p.arrowBody(posOf(t), params)
 }
 

@@ -1,7 +1,10 @@
 package parser
 
 import (
+	"fmt"
 	"maps"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -272,7 +275,22 @@ func TestASI(t *testing.T) {
 	if ret.Arg != nil {
 		t.Error("return followed by newline should have no argument")
 	}
+	// A line continuation inside a string is no line break after the
+	// token before it.
+	p = parse(t, "function f() { return \"a\\\nb\"; }")
+	if p.Body[0].(*ast.FuncDecl).Fn.Body[0].(*ast.Return).Arg == nil {
+		t.Error("return before a string with a line continuation lost its argument")
+	}
 	parseErr(t, "var a = 1 var b = 2")
+	// The same decisions on and after every boundary of the parser's
+	// window of tokens, which keeps the token before the current one.
+	var b strings.Builder
+	for i := 0; i < 40; i++ {
+		b.WriteString("a\n++b\nc = d" + strings.Repeat(" + d", i%5) + "\n")
+	}
+	if p := parse(t, b.String()); len(p.Body) != 120 {
+		t.Errorf("ASI across the window yields %d statements, want 120", len(p.Body))
+	}
 }
 
 func TestPostfixNoNewline(t *testing.T) {
@@ -305,6 +323,24 @@ func TestSequenceExpression(t *testing.T) {
 	if len(e.(*ast.Seq).Exprs) != 3 {
 		t.Error("sequence exprs")
 	}
+}
+
+// TestLookaheadPastTheWindow: a parameter list or a label chain longer than
+// the parser's window of tokens parses.
+func TestLookaheadPastTheWindow(t *testing.T) {
+	var params, labels []string
+	for i := 0; i < 20; i++ {
+		params = append(params, fmt.Sprint("a", i))
+		labels = append(labels, fmt.Sprint("L", i, ": "))
+	}
+	e, err := ParseExpr("(" + strings.Join(params, ", ") + ") => a19")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fn := e.(*ast.Func); !slices.Equal(fn.Params, params) {
+		t.Errorf("params = %v, want %v", fn.Params, params)
+	}
+	parse(t, strings.Join(labels, "")+"for (;;) { continue L0; }")
 }
 
 func TestLabeledStatement(t *testing.T) {
@@ -349,6 +385,23 @@ func TestParseErrors(t *testing.T) {
 	}
 	for src, want := range early {
 		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
+		}
+	}
+
+	// The first error in source order, as the parser reaches it: node
+	// reports `var = 1;\n"abc` at the `=`. A comment is read with the token
+	// before it, so the unterminated one comes ahead of the missing `)`,
+	// where node reports the `)`. A parameter list is a list of names, and
+	// anything else before `=>` fails there.
+	first := map[string]string{
+		"var = 1;\n\"abc":       "1:5: expected identifier (at =)",
+		"f(1;\n/* unterminated": "2:16: unterminated block comment",
+		"(a, b+1) => a":         "1:10: expected ';' (at =>)",
+		"((a)) => 1":            "1:7: expected ';' (at =>)",
+	}
+	for src, want := range first {
+		if _, err := Parse(src); err == nil || err.Error() != want {
 			t.Errorf("Parse(%q) = %v, want %q", src, err, want)
 		}
 	}
@@ -448,4 +501,48 @@ try { } catch ($e) { } var s = "$str";`)
 	if prog, _ := Parse(`var x = "$y";`); prog.Guest != nil {
 		t.Errorf("a source without a $ identifier has the set %v, want nil", prog.Guest)
 	}
+}
+
+// The ceiling on parsing a generated 2 000-statement program (72.7 KB): the
+// tree it builds, measured at 1 110 192 bytes, plus 8 %. The parser pulls
+// its tokens from a scanner into a window of 16; while it lexed the whole
+// source into a token array first, the same parse cost 13 472 688 bytes.
+const parseAllocBytes = 1_200_000
+
+// TestParseAllocGate holds what a parse allocates: the ceiling above, and a
+// program wrapped in an IIFE within 1 KB of the same program bare, so the
+// lookahead that tells an arrow from a parenthesised expression does not
+// grow with the source.
+func TestParseAllocGate(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "var v%d = f(%d, (v%d + 1) * 2);\n", i, i, i)
+	}
+	plain := b.String()
+	wrapped := "(function () {\n" + plain + "})();\n"
+	bare, iife := parseBytes(t, plain), parseBytes(t, wrapped)
+	t.Logf("%d-byte program: %d B; wrapped: %d B", len(plain), bare, iife)
+	if bare > parseAllocBytes {
+		t.Errorf("parsing the program allocated %d B, ceiling %d", bare, parseAllocBytes)
+	}
+	if iife > bare+1024 {
+		t.Errorf("parsing it wrapped in an IIFE allocated %d B, %d more than bare", iife, iife-bare)
+	}
+}
+
+// parseBytes reports what parsing src allocates: the least of eight tries.
+func parseBytes(t *testing.T, src string) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 8; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
