@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -104,4 +105,28 @@ func TestAbandonedFollowStreamLeaksNothing(t *testing.T) {
 	conn.Close() // walk away mid-stream
 	waitFor(t, func() bool { return inside.Load() == 0 }, 5*time.Second,
 		"follow=1 handler still running after the client abandoned the stream")
+}
+
+// TestDeeplyNestedSourceRefused: 700 000 levels of `[` in a 1.4 MB body,
+// under maxBodyBytes. Unbounded, the parser's recursion overflowed the Go
+// stack, which no recover catches: the daemon died with every tenant in it.
+// The source is a SyntaxError of its sender's, and the next guest runs.
+func TestDeeplyNestedSourceRefused(t *testing.T) {
+	ts := newHostileServer(t)
+	const n = 700_000
+	body, err := json.Marshal(map[string]string{"source": "var a = " + strings.Repeat("[", n) + strings.Repeat("]", n) + ";"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /run: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "Maximum call stack size exceeded") {
+		t.Errorf("a %d-byte nested source: HTTP %d %q, want 422 and the parser's SyntaxError", len(body), resp.StatusCode, msg)
+	}
+	id := submit(t, ts.URL, `console.log("still here");`)
+	waitDone(t, ts.URL, id)
 }

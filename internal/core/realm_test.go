@@ -64,10 +64,11 @@ func BenchmarkNewRun(b *testing.B) {
 }
 
 // What a hop costs: clojure.lazy_seq parked at its first 20 000-statement
-// pause. Snapshot's ceilings are its measured 59 allocations in 149 584
-// bytes, of a blob of 33 817 bytes; RestoreWith's are its 3 500 in 279 840
-// (3 503 in 302 496 under the race detector), of a blob of 33 840; each plus
-// 2 %. Before the restored realm followed the process's frozen host shapes,
+// pause. Snapshot's ceilings are its measured 4 allocations in 43 648 bytes,
+// of a blob of 33 840 bytes; RestoreWith's are its 3 500 in 279 840 (3 503
+// in 302 496 under the race detector), of a blob of 33 840; each plus 2 %
+// (and one allocation). Before the encoder pooled its node tables, a
+// snapshot cost 59 allocations in 149 584 bytes. Before the restored realm followed the process's frozen host shapes,
 // a restore cost 3 679 in 296 560 (3 676 in 320 608 under the race
 // detector). Before the encoder wrote into a pooled buffer and the decoder
 // built the realm straight from the blob, a hop cost 88 allocations in
@@ -79,8 +80,8 @@ func BenchmarkNewRun(b *testing.B) {
 // live across a call site, the blob was 34 298 bytes and a restore cost
 // 3 718 in 313 344.
 const (
-	hopSnapshotAllocs = 61
-	hopSnapshotBytes  = 152_600
+	hopSnapshotAllocs = 5
+	hopSnapshotBytes  = 44_600
 	hopRestoreAllocs  = 3_574
 	hopRestoreBytes   = 308_600
 )
@@ -115,6 +116,45 @@ func TestAllocGateHop(t *testing.T) {
 	}
 	if restoreBytes > hopRestoreBytes || restoreAllocs > hopRestoreAllocs {
 		t.Errorf("RestoreWith allocated %d objects in %d bytes, ceiling %d in %d", restoreAllocs, restoreBytes, hopRestoreAllocs, hopRestoreBytes)
+	}
+}
+
+// encodeSlack is what a warm Snapshot may allocate beyond its blob: the
+// allocator rounds a blob past 32 KB up to whole 8 KB pages, and the JSON
+// header is a copy of the program's source (2.4 KB for clojure.lazy_seq).
+const encodeSlack = 12 << 10
+
+// TestAllocGateEncode: the encoder's node tables (the objID and envID maps
+// and the node lists) are pooled with its section buffers and cleared after
+// use, so a second Snapshot of the same paused run allocates its blob and
+// little else. An encoder that grows its ID maps per call allocates about
+// three times the blob here.
+func TestAllocGateEncode(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one pool cache
+	p := langs.ByName("clojure")
+	c, err := core.Compile(benchmarkSource(t, p, "lazy_seq"), p.Opts(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _ := mustStart(t, c, core.BackendBytecode)
+	if !pump(run, 20000) {
+		t.Fatal("clojure.lazy_seq finished before its first pause")
+	}
+	first, err := run.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []byte
+	bytes, allocs := minAlloc(t, func() (err error) {
+		again, err = run.Snapshot()
+		return err
+	})
+	t.Logf("a %d-byte blob: a second Snapshot took %d allocations, %d bytes", len(again), allocs, bytes)
+	if len(again) != len(first) {
+		t.Fatalf("the same paused run encoded to %d bytes, then %d", len(first), len(again))
+	}
+	if bytes > uint64(len(again))+encodeSlack {
+		t.Errorf("a second Snapshot allocated %d bytes for a %d-byte blob, ceiling the blob plus %d", bytes, len(again), encodeSlack)
 	}
 }
 

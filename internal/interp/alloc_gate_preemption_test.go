@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -81,8 +79,9 @@ func bytesPerPreemption(t *testing.T, src, want string) float64 {
 func TestAllocGatePreemption(t *testing.T) {
 	per := bytesPerPreemption(t, `function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
 console.log("fib", fib(18));`, "fib 2584\n")
-	// 141 bytes here, 0.9 to 1.1 KB under the race detector, which drops a
-	// quarter of the operand stacks a turn returns to their sync.Pool (0.9
+	// 94 bytes here, with or without the race detector since a turn's arena
+	// is no sync.Pool's to drop (141 before, 0.9 to 1.1 KB under the race
+	// detector while a quarter of the operand stacks went to the GC; 0.9
 	// and 1.8 KB while each resume re-ran $main's hoisting, which also kept
 	// its frame out of the pool, and allocated a Resume, a task and an
 	// event-loop entry; 4.4 and 5.6 while every capture built a new array
@@ -91,10 +90,7 @@ console.log("fib", fib(18));`, "fib 2584\n")
 	// with 160-byte object headers and 48-byte property slots).
 	// 252 with the Resume, task and entry allocated per resume again, 613
 	// with the hoisting again.
-	gate := 200.0
-	if raceDetector() {
-		gate = 1536
-	}
+	const gate = 200.0
 	if per > gate {
 		t.Errorf("%.0f bytes per preemption, gate %.0f bytes: a captured frame is carrying more than [label, fn, self] and the locals live across its call site, a capture is not reusing what the restore before it popped, or a resume allocates what the last one left", per, gate)
 	}
@@ -115,28 +111,23 @@ function odd(n) { if (n === 0) { return 0; } return even(n - 1); }
 var total = 0;
 for (var r = 0; r < 40; r++) { total = total + len(div2(build(60))) + even(100 + r); }
 console.log("mix", total);`, "mix 1220\n")
-	// 399 bytes here (510 with the Resume, task and entry allocated per
-	// resume again); 6.3 to 8.2 KB under the race detector, whose dropped
-	// operand stacks are most of it (8.8 when $main declared again).
-	gate := 480.0
-	if raceDetector() {
-		gate = 10240
-	}
+	// 358 bytes here, 376 under the race detector (399 and 6.3 to 8.2 KB
+	// while the race detector dropped a quarter of the operand stacks and the
+	// frames were the realm's; 510 with the Resume, task and entry allocated
+	// per resume again, 8.8 KB under the detector when $main declared again).
+	const gate = 480.0
 	if per > gate {
 		t.Errorf("%.0f bytes per preemption, gate %.0f bytes: a resumed $main declares its functions again, or its frame does not go back to the pool", per, gate)
 	}
 }
 
-// raceDetector reports whether the test binary was built with -race.
-func raceDetector() bool {
-	bi, _ := debug.ReadBuildInfo()
-	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
-}
-
 // TestAllocGatePreemptionDepth is the same measurement under a loop at the
 // bottom of a recursion d deep: a preemption reinstates one segment and
 // captures it again, so what it costs must not grow with the frames still
-// pending beyond the segment (70 and 59 bytes at depths 20 and 1000; 382
+// pending beyond the segment (14 and 240 bytes at depths 20 and 1000: the
+// unpreempted run at 1000 takes 512 of its frames from the arena the last
+// try left, so the one capture of the whole stack shows, 170 KB over 706
+// preemptions; 70 and 59 while each realm built its own frames; 382
 // and 376 while each resume allocated its Resume, task and event-loop entry,
 // 4.8 KB and 28.5 KB while every capture copied one reference per pending
 // frame).

@@ -322,8 +322,9 @@ func bareRealmCost() (bytes, allocs uint64) {
 
 // realmBytes builds a realm on the given engine, runs next() in it, and
 // reports the bytes the heap handed out: the least of sixteen tries, so a
-// sync.Pool that comes up empty — after a collection, or under the race
-// detector, which drops a quarter of all Puts — is not counted.
+// try that finds no arena to borrow, or a compiler's sync.Pool that comes up
+// empty — after a collection, or under the race detector, which drops a
+// quarter of all Puts — is not counted.
 func realmBytes(t *testing.T, next func() *ast.Program, bytecode bool) uint64 {
 	t.Helper()
 	least := uint64(math.MaxUint64)
@@ -347,15 +348,16 @@ func realmBytes(t *testing.T, next func() *ast.Program, bytecode bool) uint64 {
 
 // TestAllocGateRealm is the tripwire for what a bare realm may cost (an
 // absolute ceiling, bareRealmBytes) and for what the bytecode engine may
-// cost a realm beyond the tree-walker. The chunk, its constant pool and the
-// operand stack belong to no realm — the first two live on the shared tree,
-// the third is borrowed — so a realm over a tree some realm has already run
+// cost a realm beyond the tree-walker. The chunk, its constant pool, the
+// operand stack and the spare frames belong to no realm — the first two live
+// on the shared tree, the others are borrowed — so a realm over a tree some realm has already run
 // pays for none of them, and a realm over a never-seen one-function program
 // pays for one small chunk. A fixed per-realm arena, a per-realm chunk
 // table or a compiler that keeps its scratch fails here, not in the
 // benchmark.
 func TestAllocGateRealm(t *testing.T) {
-	// A pooled arena sits in the slot of the P that returned it.
+	// The chunk compiler's scratch is a sync.Pool, which keeps what it is
+	// given per P.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if bytes, allocs := bareRealmCost(); bytes > bareRealmBytes || allocs > bareRealmAllocs {
 		t.Errorf("a bare realm allocated %d objects in %d bytes, ceiling %d in %d", allocs, bytes, bareRealmAllocs, bareRealmBytes)
@@ -391,5 +393,52 @@ func BenchmarkNew(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		New(Options{})
+	}
+}
+
+// TestAllocGateFramesAcrossRealms: a realm owns no spare frames. They live
+// in the arena its outermost Call borrows, so what one realm leaves behind
+// the next realm to borrow the arena draws on, and a fresh realm's first
+// fib(15) allocates no more than a warm realm's: no Env. A realm that grows
+// freelists of its own allocates a frame per level of the recursion here.
+// The gate runs the engine guests run on: the tree-walker keeps two scratch
+// buffers per realm besides (argArena and retFree), which a fresh realm grows.
+func TestAllocGateFramesAcrossRealms(t *testing.T) {
+	prog, err := parser.Parse(`function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Program(prog)
+	realm := func() (*Interp, Value) {
+		in := New(Options{Bytecode: true})
+		if err := in.RunProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		fib, _ := in.Global.Lookup("fib")
+		return in, fib
+	}
+	args := []Value{NumberValue(15)}
+	mallocs := func(in *Interp, fib Value) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := in.Call(fib, Undefined, args, Undefined)
+		runtime.ReadMemStats(&after)
+		if err != nil || v.Num() != 610 {
+			t.Fatalf("fib(15) = %v, %v", v, err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	in, fib := realm()
+	mallocs(in, fib)
+	warm := mallocs(in, fib)
+	// A collection that lands mid-call only adds: the fewest of eight
+	// second realms is the figure.
+	fresh := uint64(math.MaxUint64)
+	for range 8 {
+		fresh = min(fresh, mallocs(realm()))
+	}
+	t.Logf("fib(15) allocated %d objects in a warm realm, %d in a fresh one", warm, fresh)
+	if fresh > warm {
+		t.Errorf("a fresh realm's fib(15) allocated %d objects, a warm realm's %d: the realm built frames another realm left spare", fresh, warm)
 	}
 }

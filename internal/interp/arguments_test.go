@@ -16,8 +16,9 @@ import (
 
 // holdsArgsTag walks everything reachable from the realm's global frame —
 // objects, their properties and elements, closures, the frames they closed
-// over — and reports the first place an argsValue sits.
-func holdsArgsTag(in *Interp) string {
+// over — and the spare frames of arena, and reports the first place an
+// argsValue sits.
+func holdsArgsTag(in *Interp, arena *opStack) string {
 	seenObj := map[*Object]bool{}
 	seenEnv := map[*Env]bool{}
 	var found string
@@ -60,20 +61,22 @@ func holdsArgsTag(in *Interp) string {
 		}
 	}
 	env(in.Global, "global")
-	for _, s := range in.envFree6 {
-		for _, v := range s.buf {
-			value(v, "envFree6")
+	if arena != nil {
+		for _, s := range arena.free6 {
+			for _, v := range s.buf {
+				value(v, "free6")
+			}
 		}
-	}
-	for _, s := range in.envFree16 {
-		for _, v := range s.buf {
-			value(v, "envFree16")
+		for _, s := range arena.free16 {
+			for _, v := range s.buf {
+				value(v, "free16")
+			}
 		}
-	}
-	for _, free := range in.envFreeBig {
-		for _, e := range free {
-			for _, v := range e.slots[:cap(e.slots)] {
-				value(v, "envFreeBig")
+		for _, free := range arena.freeBig {
+			for _, e := range free {
+				for _, v := range e.slots[:cap(e.slots)] {
+					value(v, "freeBig")
+				}
 			}
 		}
 	}
@@ -82,9 +85,10 @@ func holdsArgsTag(in *Interp) string {
 
 // TestNoSentinelOutlivesCall: after calls whose frames escape, throw, leave
 // mid-body (which is what a capture is to the engine) and hit the stack
-// limit, no frame the realm can reach — escaped or pooled — holds an
-// argument vector, no native was handed one, and the operand stack the realm
-// borrowed goes back to the process-wide pool holding none of its actuals.
+// limit, no frame the realm can reach — escaped, or pooled in the arena it
+// borrowed — holds an argument vector, no native was handed one, and the
+// operand stack the realm borrowed goes back to the process-wide pool holding
+// none of its actuals.
 func TestNoSentinelOutlivesCall(t *testing.T) {
 	const src = `
 var kept = [];
@@ -140,7 +144,7 @@ console.log(run());
 	if handed < 8 || in.ChunkRuns() == 0 {
 		t.Fatalf("natives saw %d values over %d chunk runs: the program did not run as written", handed, in.ChunkRuns())
 	}
-	if where := holdsArgsTag(in); where != "" {
+	if where := holdsArgsTag(in, borrowed); where != "" {
 		t.Errorf("an argument vector outlived its call at %s", where)
 	}
 	// escapes, arrowAfter, arrowDuring, hoisted, inCatch (frames that escape),

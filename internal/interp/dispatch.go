@@ -2,7 +2,6 @@ package interp
 
 import (
 	"errors"
-	"sync"
 	"unsafe"
 
 	"repro/internal/ast"
@@ -101,19 +100,6 @@ func chunkFor(fn *ast.Func) *chunk {
 // engine ran it; compilations are no realm's figure now that chunks are shared.
 func (in *Interp) ChunkRuns() uint64 { return in.chunkRuns }
 
-// opStack is an operand-stack arena. Continuations are heap frames, so
-// between turns nothing of a guest is on the Go stack and no operand window
-// is live: a realm borrows an arena from opStacks only for as long as its
-// outermost chunk call is running.
-type opStack struct {
-	buf  []Value
-	top  int // next free slot of buf
-	high int // highest top since buf was last all-zero
-}
-
-// Arenas start small: most programs peak under 500 slots.
-var opStacks = sync.Pool{New: func() any { return &opStack{buf: make([]Value, 64)} }}
-
 // runChunk executes a compiled function body in env (already laid out by
 // Call: parameters, this, new.target, arguments, hoisted declarations).
 // It returns the completion the tree-walker's Call epilogue would have
@@ -121,13 +107,9 @@ var opStacks = sync.Pool{New: func() any { return &opStack{buf: make([]Value, 64
 func (in *Interp) runChunk(ch *chunk, env *Env) (Value, error) {
 	in.chunkRuns++
 
-	// Operand stack: a window of the borrowed arena, as a slice of its own.
+	// Operand stack: a window of the arena the outermost Call borrowed, as a
+	// slice of its own.
 	st := in.ops
-	outermost := st == nil
-	if outermost {
-		st = opStacks.Get().(*opStack)
-		in.ops = st
-	}
 	if st.top+ch.MaxStack > len(st.buf) {
 		// Grow, at least doubling. Running frames keep their windows of the
 		// old buffer: nothing is copied, and it dies with the last of them.
@@ -144,15 +126,6 @@ func (in *Interp) runChunk(ch *chunk, env *Env) (Value, error) {
 			mark = 0
 		}
 		st.top = mark
-		if outermost {
-			// Zeroed, so that a pooled arena pins none of this realm's objects.
-			in.ops = nil
-			clear(st.buf[:st.high])
-			st.top, st.high = 0, 0
-			if len(st.buf) <= 1<<16 { // past 1.5 MB, a deep recursion's: dropped
-				opStacks.Put(st)
-			}
-		}
 	}()
 
 	var tries []tryFrame

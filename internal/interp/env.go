@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"runtime"
+	"sync"
 	"unsafe"
 
 	"repro/internal/ast"
@@ -131,9 +133,77 @@ func bigBucketOfCap(c int) int {
 	return -1
 }
 
-// acquireFrame returns a slot frame for layout, recycling a pooled frame
-// when one is available. Pooled frames were cleared on release, so slots
-// read back as undefined exactly like a fresh frame's.
+// opStack is the per-turn arena a realm borrows: the operand stack chunk
+// calls carve their windows from, and the freelists Call draws slot frames
+// from. Continuations are heap frames, so between turns nothing of a guest
+// is on the Go stack, no operand window is live and every pooled frame is
+// dead: a realm borrows an arena only for as long as its outermost Call is
+// running, and the spare frames it leaves go to the next turn, of whichever
+// realm, that borrows the arena.
+type opStack struct {
+	buf  []Value
+	top  int // next free slot of buf
+	high int // highest top since buf was last all-zero
+
+	// Frame freelists for unescaped frames: one per inline-storage size
+	// class, plus size-bucketed freelists for the big layouts (17–256
+	// slots) of arguments-heavy instrumented functions.
+	free6   []*envBuf6
+	free16  []*envBuf16
+	freeBig [len(bigBucketCaps)][]*Env
+}
+
+// arenas holds the arenas no Call is running on, the last returned on top.
+// It keeps one per CPU, which is as many as can be running at once; an arena
+// returned past that is left to the GC. It is a list and not a sync.Pool
+// because the pool may drop what it is given (the race detector drops a
+// quarter of it on purpose), and a dropped arena takes its spare frames
+// with it: the next turn would build them again.
+var arenas struct {
+	sync.Mutex
+	free []*opStack
+}
+
+var maxArenas = runtime.NumCPU()
+
+// borrowOps lends the outermost Call an arena: the last one returned, or a
+// new one with a small operand stack (most programs peak under 500 slots).
+func (in *Interp) borrowOps() *opStack {
+	var st *opStack
+	arenas.Lock()
+	if n := len(arenas.free); n > 0 {
+		st = arenas.free[n-1]
+		arenas.free[n-1] = nil
+		arenas.free = arenas.free[:n-1]
+	}
+	arenas.Unlock()
+	if st == nil {
+		st = &opStack{buf: make([]Value, 64)}
+	}
+	in.ops = st
+	return st
+}
+
+// returnOps gives the outermost Call's arena back. The operand stack is
+// zeroed up to its high-water mark, and every pooled frame was cleared on
+// release, so a returned arena pins none of this realm's objects.
+func (in *Interp) returnOps(st *opStack) {
+	in.ops = nil
+	clear(st.buf[:st.high])
+	st.top, st.high = 0, 0
+	if len(st.buf) > 1<<16 { // past 1.5 MB, a deep recursion's: dropped
+		st.buf = make([]Value, 64)
+	}
+	arenas.Lock()
+	if len(arenas.free) < maxArenas {
+		arenas.free = append(arenas.free, st)
+	}
+	arenas.Unlock()
+}
+
+// acquireFrame returns a slot frame for layout, recycling a pooled frame of
+// the borrowed arena when one is available. Pooled frames were cleared on
+// release, so slots read back as undefined exactly like a fresh frame's.
 //
 // The allocation meter charges every acquire and credits every release
 // (frameMemCost — same formula both ways, keyed off cap(slots), which
@@ -142,27 +212,28 @@ func bigBucketOfCap(c int) int {
 // charged. Without the credit, deep call traffic would erode a long-running
 // well-behaved guest's budget even though its live graph never grows.
 func (in *Interp) acquireFrame(parent *Env, layout *ast.ScopeInfo) *Env {
+	st := in.ops
 	n := len(layout.Names)
 	if n <= 6 {
-		if k := len(in.envFree6); k > 0 {
-			s := in.envFree6[k-1]
-			in.envFree6 = in.envFree6[:k-1]
+		if k := len(st.free6); k > 0 {
+			s := st.free6[k-1]
+			st.free6 = st.free6[:k-1]
 			s.e = Env{parent: parent, layout: layout, slots: s.buf[:n]}
 			in.chargeMem(frameMemCost(&s.e))
 			return &s.e
 		}
 	} else if n <= 16 {
-		if k := len(in.envFree16); k > 0 {
-			s := in.envFree16[k-1]
-			in.envFree16 = in.envFree16[:k-1]
+		if k := len(st.free16); k > 0 {
+			s := st.free16[k-1]
+			st.free16 = st.free16[:k-1]
 			s.e = Env{parent: parent, layout: layout, slots: s.buf[:n]}
 			in.chargeMem(frameMemCost(&s.e))
 			return &s.e
 		}
 	} else if idx := bigBucketIdx(n); idx >= 0 {
-		if free := in.envFreeBig[idx]; len(free) > 0 {
+		if free := st.freeBig[idx]; len(free) > 0 {
 			e := free[len(free)-1]
-			in.envFreeBig[idx] = free[:len(free)-1]
+			st.freeBig[idx] = free[:len(free)-1]
 			// The pooled buffer was fully cleared on release; reslice it to
 			// the new layout (within bucket capacity) and rewire the frame.
 			e.parent, e.layout = parent, layout
@@ -183,32 +254,34 @@ func frameMemCost(e *Env) int {
 	return memFrameBytes + memValueBytes*cap(e.slots)
 }
 
-// releaseFrame returns an unescaped frame to its pool when the call exits
-// (the caller checks escaped; see Call). The full buffer is cleared (not
-// just the layout's prefix) so a later acquire with a larger layout never
-// exposes stale values, and so the pool does not pin dead object graphs.
-// The two inline size classes and the four big buckets are pooled; frames
-// beyond the top bucket are left to the GC.
+// releaseFrame returns an unescaped frame to the borrowed arena's pool when
+// the call exits (the caller checks escaped; see Call). The full buffer is
+// cleared (not just the layout's prefix) so a later acquire with a larger
+// layout — in this realm or the next to borrow the arena — never exposes
+// stale values, and so the pool does not pin dead object graphs. The two
+// inline size classes and the four big buckets are pooled; frames beyond
+// the top bucket are left to the GC.
 func (in *Interp) releaseFrame(e *Env) {
 	in.creditMem(frameMemCost(e)) // the frame is dead whether or not it pools
+	st := in.ops
 	switch cap(e.slots) {
 	case 6:
 		s := (*envBuf6)(unsafe.Pointer(e))
 		s.e = Env{} // drop parent/layout so the pool pins nothing
 		s.buf = [6]Value{}
-		if len(in.envFree6) < envPoolCap {
-			in.envFree6 = append(in.envFree6, s)
+		if len(st.free6) < envPoolCap {
+			st.free6 = append(st.free6, s)
 		}
 	case 16:
 		s := (*envBuf16)(unsafe.Pointer(e))
 		s.e = Env{}
 		s.buf = [16]Value{}
-		if len(in.envFree16) < envPoolCap {
-			in.envFree16 = append(in.envFree16, s)
+		if len(st.free16) < envPoolCap {
+			st.free16 = append(st.free16, s)
 		}
 	default:
 		idx := bigBucketOfCap(cap(e.slots))
-		if idx < 0 || len(in.envFreeBig[idx]) >= envPoolCapBig {
+		if idx < 0 || len(st.freeBig[idx]) >= envPoolCapBig {
 			return // beyond the top bucket (or pool full): leave to the GC
 		}
 		// Clear the whole bucket capacity — not just the layout's prefix —
@@ -219,7 +292,7 @@ func (in *Interp) releaseFrame(e *Env) {
 			buf[i] = Value{}
 		}
 		*e = Env{slots: buf[:0]}
-		in.envFreeBig[idx] = append(in.envFreeBig[idx], e)
+		st.freeBig[idx] = append(st.freeBig[idx], e)
 	}
 }
 

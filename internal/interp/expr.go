@@ -726,13 +726,21 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 
 	// One slice-backed frame, laid out statically. The write order gives
 	// rebound names (duplicate params, a param shadowing the function's own
-	// name) last-write-wins semantics. The frame comes from the per-realm
-	// pool and returns to it at exit unless a closure captured it during the
-	// call (makeFunction sets escaped).
+	// name) last-write-wins semantics. The frame comes from the pool of the
+	// arena the outermost Call borrows, and returns to it at exit unless a
+	// closure captured it during the call (makeFunction sets escaped); the
+	// outermost Call then gives the arena back.
+	var lent *opStack
+	if in.ops == nil {
+		lent = in.borrowOps()
+	}
 	env := in.acquireFrame(c.Env, sc)
 	defer func() {
 		if !env.escaped {
 			in.releaseFrame(env)
+		}
+		if lent != nil {
+			in.returnOps(lent)
 		}
 	}()
 	slots := env.slots

@@ -3,17 +3,56 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/parser"
 	"repro/internal/resolve"
 )
 
-// Frame-pool tests: calls recycle their slot frames through the per-realm
-// pool unless a closure escaped with the frame (makeFunction marks the
-// chain). Correctness here is subtle enough to deserve direct coverage on
-// top of the differential corpus: a frame recycled too eagerly corrupts
-// captured variables silently.
+// Frame-pool tests: calls recycle their slot frames through the pool of the
+// arena the outermost Call borrows unless a closure escaped with the frame
+// (makeFunction marks the chain). Correctness here is subtle enough to
+// deserve direct coverage on top of the differential corpus: a frame
+// recycled too eagerly corrupts captured variables silently, in this realm
+// or in the next one to borrow the arena.
+
+// lend installs an arena on in as an outermost Call would: every call the
+// test makes is then nested inside the loan, so the frames the run leaves
+// behind stay readable in the returned arena.
+func lend(in *Interp) *opStack {
+	st := &opStack{buf: make([]Value, 64)}
+	in.ops = st
+	return st
+}
+
+// lentInterp is allocInterp on a realm that runs inside a lent arena: it
+// runs src and then name(100) once, and returns the realm, the arena and the
+// function.
+func lentInterp(t *testing.T, src, name string, bytecode bool) (*Interp, *opStack, Value) {
+	t.Helper()
+	in := New(Options{Bytecode: bytecode})
+	st := lend(in)
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Program(prog)
+	if err := in.RunProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	fn, ok := in.Global.Lookup(name)
+	if !ok {
+		t.Fatalf("function %s not defined", name)
+	}
+	if _, err := in.Call(fn, Undefined, []Value{NumberValue(100)}, Undefined); err != nil {
+		t.Fatal(err)
+	}
+	return in, st, fn
+}
+
+// pooled counts the arena's spare inline-class frames.
+func pooled(st *opStack) int { return len(st.free6) + len(st.free16) }
 
 func runPoolSrc(t *testing.T, src string, bytecode bool) string {
 	t.Helper()
@@ -83,6 +122,7 @@ console.log(saved.length, sum);
 // this pins the mechanism).
 func TestFramePoolReuses(t *testing.T) {
 	in := New(Options{})
+	st := lend(in)
 	prog, err := parser.Parse(`
 function f(a, b) { var c = a + b; return c; }
 var t = 0;
@@ -98,7 +138,7 @@ for (var i = 0; i < 32; i++) { t += f(i, i); }
 	// The frame layout is self + params + this + new.target + arguments +
 	// locals, so even a tiny function lands in one of the two size-class
 	// pools — just assert a pool was fed at all.
-	if len(in.envFree6)+len(in.envFree16) == 0 {
+	if pooled(st) == 0 {
 		t.Fatal("non-capturing calls did not return frames to the pool")
 	}
 	// Recursion exercises LIFO acquire/release nesting.
@@ -144,21 +184,19 @@ function leaf(i) { var y = i + 1; return y; }
 down(%d);
 `, frame, depth)
 	}
-	pooled := func(in *Interp) int { return len(in.envFree6) + len(in.envFree16) }
 	for _, bc := range []bool{false, true} {
-		in, fn := allocInterp(t, program(`[1, leaf, this, d, x]`), "calls", bc, []Value{NumberValue(100)})
-		if got := pooled(in); got < depth+1 {
+		in, st, fn := lentInterp(t, program(`[1, leaf, this, d, x]`), "calls", bc)
+		if got := pooled(st); got < depth+1 {
 			t.Errorf("bytecode=%v: %d frames pooled after capturing %d activations as data; want them all back", bc, got, depth+1)
 		}
 		reenter, _ := in.Global.Lookup("reenterAll")
 		if _, err := in.Call(reenter, Undefined, nil, Undefined); err != nil {
 			t.Fatal(err)
 		}
-		// An Env per call would be 100; 8 is the other gates' allowance for an
-		// operand stack the race detector's sync.Pool dropped.
+		// An Env per call would be 100; 8 is the other gates' allowance.
 		gate(t, in, fn, []Value{NumberValue(100)}, 8, "100 calls after a capture/re-entry cycle (bytecode="+fmt.Sprint(bc)+")")
 
-		thunks, _ := allocInterp(t, program(`[1, function () { return down(d); }, this, d, x]`), "calls", bc, []Value{NumberValue(100)})
+		_, thunks, _ := lentInterp(t, program(`[1, function () { return down(d); }, this, d, x]`), "calls", bc)
 		if got := pooled(thunks); got > 2 {
 			t.Errorf("bytecode=%v: %d frames pooled after capturing %d activations behind closures; the control is not measuring escape", bc, got, depth+1)
 		}
@@ -218,6 +256,7 @@ console.log(bigFresh(9), saved[0](), saved[1](), t1);
 // fully cleared.
 func TestFramePoolBigBucketFeeds(t *testing.T) {
 	in := New(Options{})
+	st := lend(in)
 	prog, err := parser.Parse(bigFnSrc + `
 var t = 0;
 for (var i = 0; i < 32; i++) { t += big(i, i); }
@@ -230,8 +269,8 @@ for (var i = 0; i < 32; i++) { t += big(i, i); }
 		t.Fatal(err)
 	}
 	total := 0
-	for idx := range in.envFreeBig {
-		for _, e := range in.envFreeBig[idx] {
+	for idx := range st.freeBig {
+		for _, e := range st.freeBig[idx] {
 			total++
 			if cap(e.slots) != bigBucketCaps[idx] {
 				t.Errorf("bucket %d holds a frame with cap %d", idx, cap(e.slots))
@@ -263,5 +302,92 @@ console.log(catcher(1), catcher(2));
 		if got := runPoolSrc(t, src, bc); got != "c1:e1 c2:e2\n" {
 			t.Errorf("bytecode=%v: catch over pooled frames broken: %q", bc, got)
 		}
+	}
+}
+
+// acrossRealmsSrc recurses 40 deep from K, a global the test defines per
+// realm. Every seventh level keeps a closure over its frame, so the frames
+// escape partway down; every other frame, and every big one, goes back to the
+// arena. A var read before its first write counts in stale: a recycled frame
+// that was not cleared hands it the last call's value.
+const acrossRealmsSrc = `
+var kept = [], stale = 0;
+function big(a, b) {
+  var v1 = a + 1, v2 = a + 2, v3 = a + 3, v4 = a + 4, v5 = a + 5;
+  var v6 = b + 1, v7 = b + 2, v8 = b + 3, v9 = b + 4, v10 = b + 5;
+  var v11, v12, v13, v14, v15, v16, v17, v18;
+  if (v18 !== undefined) { stale++; }
+  v18 = v1 + v10;
+  return v18;
+}
+function down(n, acc) {
+  var fresh;
+  if (fresh !== undefined) { stale++; }
+  fresh = n * 3 + acc;
+  if (n % 7 === 3) { kept.push(function () { return fresh + n; }); }
+  if (n === 0) { return fresh; }
+  return down(n - 1, fresh % 1000) + big(n, acc);
+}
+var r = down(40, K), s = 0;
+for (var i = 0; i < kept.length; i++) { s += kept[i](); }
+console.log(r, s, kept.length, stale);
+`
+
+// TestFramePoolAcrossRealms: spare frames pass from realm to realm through
+// the arenas, on many goroutines at once (run it under -race). Every realm
+// must print exactly what its own K gives: a frame released while a closure
+// still held it, or pooled without being cleared, shows up in another
+// realm's numbers.
+func TestFramePoolAcrossRealms(t *testing.T) {
+	prog, err := parser.Parse(acrossRealmsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Program(prog)
+	want := func(k int) string {
+		var kept []int
+		var down func(n, acc int) int
+		down = func(n, acc int) int {
+			fresh := n*3 + acc
+			if n%7 == 3 {
+				kept = append(kept, fresh+n)
+			}
+			if n == 0 {
+				return fresh
+			}
+			return down(n-1, fresh%1000) + n + acc + 6
+		}
+		r, s := down(40, k), 0
+		for _, v := range kept {
+			s += v
+		}
+		return fmt.Sprintf("%d %d %d 0\n", r, s, len(kept))
+	}
+	const goroutines, realms = 8, 64
+	errs := make(chan string, goroutines*realms)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range realms {
+				k := g*realms + r
+				var out bytes.Buffer
+				in := New(Options{Out: &out, Bytecode: k%2 == 0})
+				in.Global.Define("K", NumberValue(float64(k)))
+				if err := in.RunProgram(prog); err != nil {
+					errs <- fmt.Sprintf("K=%d: %v", k, err)
+					continue
+				}
+				if got := out.String(); got != want(k) {
+					errs <- fmt.Sprintf("K=%d bytecode=%v: printed %q, want %q", k, k%2 == 0, got, want(k))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

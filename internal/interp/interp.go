@@ -104,15 +104,6 @@ type Interp struct {
 	// call argument slices from (expr.go).
 	argArena []Value
 
-	// Frame pools for NoCapture functions (env.go): frames the resolver
-	// proved unescapable are recycled here instead of garbage-collected —
-	// one freelist per inline-storage size class, plus size-bucketed
-	// freelists for the big layouts (17–256 slots) of arguments-heavy
-	// instrumented functions.
-	envFree6   []*envBuf6
-	envFree16  []*envBuf16
-	envFreeBig [len(bigBucketCaps)][]*Env
-
 	// Inline caches, indexed by the site IDs internal/resolve assigns and
 	// sized by ReserveSites to the count in sites (shape.go). Owned per
 	// realm so two interpreters executing the same resolved tree never
@@ -122,8 +113,9 @@ type Interp struct {
 	icGlobal []*cell
 	sites    ast.Sites
 
-	// Bytecode engine state (dispatch.go): ops is the operand-stack arena
-	// on loan while a chunk call is on the Go stack. Chunks live on the tree.
+	// Engine state: ops is the arena (operand stack and frame freelists,
+	// env.go) on loan while a Call is on the Go stack. Chunks live on the
+	// tree.
 	maxSteps   uint64
 	quantumEnd uint64 // Steps value at which onQuantum fires; 0 = disarmed
 	stepLimit  uint64 // min(maxSteps, quantumEnd-1); MaxUint64 = no check armed
@@ -135,7 +127,7 @@ type Interp struct {
 	chunkRuns  uint64
 	poll       *Poll // the runtime's yield poll (SetPoll); nil: $suspend sites always call
 
-	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next four: Interp is 568 B, one more word is the last of the 576 class
+	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next four: Interp is 416 B, the whole of its size class
 	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
 	HelpersLive   bool                         // rt.setMode: a helper call is a call, not the re-entry of a captured frame (helpers.go)
 	Restoring     bool                         // rt.setMode: a call re-enters a captured frame, whose restore block writes what it saved (Call)

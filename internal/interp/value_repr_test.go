@@ -34,10 +34,10 @@ func TestValueLayout(t *testing.T) {
 	if !zero.IsUndefined() {
 		t.Fatal("the zero Value must be undefined (env slots and cleared arenas rely on it)")
 	}
-	// Every realm allocates one Interp: at 568 B it fits the 576-byte size
-	// class, and a field that crosses it moves every realm into the 640 class.
-	if got := unsafe.Sizeof(Interp{}); got > 568 {
-		t.Fatalf("Interp is %d bytes, want at most 568 (past 576 it allocates in the 640-byte size class)", got)
+	// Every realm allocates one Interp: at 416 B it fills the 416-byte size
+	// class exactly, and one more word moves every realm into the 448 class.
+	if got := unsafe.Sizeof(Interp{}); got > 416 {
+		t.Fatalf("Interp is %d bytes, want at most 416 (past 416 it allocates in the 448-byte size class)", got)
 	}
 }
 

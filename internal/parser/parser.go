@@ -68,6 +68,28 @@ type parser struct {
 	// function body starts a context of its own and restores the outer one.
 	labels []jumpLabel
 	jc     jumpCtx
+
+	// depth counts the statements, assignment expressions, unary
+	// expressions, binary right operands and `new` callees being parsed,
+	// one inside the other (nest).
+	depth int
+}
+
+// maxNesting bounds depth. Every recursion of the grammar passes through one
+// of those productions, so a source nested past it is refused before it can
+// exhaust the Go stack, here or in any pass that recurses on the tree after.
+// It costs an array, parenthesis or object literal two levels and a block,
+// `!`, `a =`, `?`, `**`, `new` or `if` one, so 2 047 levels of `[` parse;
+// node runs 2 000 and refuses 5 000 (DESIGN_interp.md, "Nesting bound").
+const maxNesting = 4096
+
+// nest enters one more level, and refuses the source past maxNesting with
+// the message node's parser gives when its stack runs out.
+func (p *parser) nest() {
+	p.depth++
+	if p.depth > maxNesting {
+		p.fail("Maximum call stack size exceeded")
+	}
 }
 
 type jumpLabel struct {
@@ -211,7 +233,15 @@ func (p *parser) semicolon() {
 // Statements
 // ---------------------------------------------------------------------------
 
+// statement parses one statement, a level deeper.
 func (p *parser) statement() ast.Stmt {
+	p.nest()
+	s := p.stmt()
+	p.depth--
+	return s
+}
+
+func (p *parser) stmt() ast.Stmt {
 	t := p.cur()
 	switch {
 	case p.atPunct("{"):
@@ -544,23 +574,24 @@ var assignOps = map[string]bool{
 	"**=": true,
 }
 
+// assignExpr parses an assignment expression, a level deeper.
 func (p *parser) assignExpr(noIn bool) ast.Expr {
-	if arrow := p.tryArrow(); arrow != nil {
-		return arrow
-	}
-	left := p.condExpr(noIn)
-	t := p.cur()
-	if t.Kind == lexer.Punct && assignOps[t.Text] {
-		switch left.(type) {
-		case *ast.Ident, *ast.Member:
-		default:
-			p.fail("invalid assignment target")
+	p.nest()
+	x := p.tryArrow()
+	if x == nil {
+		x = p.condExpr(noIn)
+		if t := p.cur(); t.Kind == lexer.Punct && assignOps[t.Text] {
+			switch x.(type) {
+			case *ast.Ident, *ast.Member:
+			default:
+				p.fail("invalid assignment target")
+			}
+			p.advance()
+			x = &ast.Assign{P: x.Position(), Op: t.Text, Target: x, Value: p.assignExpr(noIn)}
 		}
-		p.advance()
-		right := p.assignExpr(noIn)
-		return &ast.Assign{P: left.Position(), Op: t.Text, Target: left, Value: right}
 	}
-	return left
+	p.depth--
+	return x
 }
 
 // tryArrow detects and parses an arrow function at the current position.
@@ -654,7 +685,9 @@ func (p *parser) binaryExpr(minPrec int, noIn bool) ast.Expr {
 		if op == "**" { // right-associative
 			next = prec
 		}
+		p.nest()
 		right := p.binaryExpr(next, noIn)
+		p.depth--
 		if op == "&&" || op == "||" {
 			left = &ast.Logical{P: left.Position(), Op: op, L: left, R: right}
 		} else {
@@ -663,20 +696,25 @@ func (p *parser) binaryExpr(minPrec int, noIn bool) ast.Expr {
 	}
 }
 
+// unaryExpr parses a unary expression, a level deeper.
 func (p *parser) unaryExpr() ast.Expr {
+	p.nest()
 	t := p.cur()
+	var x ast.Expr
 	switch {
 	case p.atPunct("!") || p.atPunct("~") || p.atPunct("+") || p.atPunct("-") ||
 		p.atKeyword("typeof") || p.atKeyword("void") || p.atKeyword("delete"):
 		p.advance()
-		return &ast.Unary{P: posOf(t), Op: t.Text, X: p.unaryExpr()}
+		x = &ast.Unary{P: posOf(t), Op: t.Text, X: p.unaryExpr()}
 	case p.atPunct("++") || p.atPunct("--"):
 		p.advance()
-		x := p.unaryExpr()
-		p.checkUpdateTarget(x)
-		return &ast.Update{P: posOf(t), Op: t.Text, Prefix: true, X: x}
+		arg := p.unaryExpr()
+		p.checkUpdateTarget(arg)
+		x = &ast.Update{P: posOf(t), Op: t.Text, Prefix: true, X: arg}
+	default:
+		x = p.postfixExpr()
 	}
-	x := p.postfixExpr()
+	p.depth--
 	return x
 }
 
@@ -737,7 +775,9 @@ func (p *parser) newExpr() ast.Expr {
 	}
 	var callee ast.Expr
 	if p.atKeyword("new") {
+		p.nest()
 		callee = p.newExpr()
+		p.depth--
 	} else {
 		callee = p.primaryExpr()
 	}

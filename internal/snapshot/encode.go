@@ -75,7 +75,47 @@ type enc struct {
 	envs   []*interp.Env
 	deltas []hostDelta
 
+	// The blob is four sections, each written into its own buffer: the
+	// header, the frame table, the object table and the roots.
+	sec [4]writer
+
+	// peak is the most nodes one Encode has numbered with these tables,
+	// which is what their capacity, and so the cost of clearing them, is.
+	peak int
+
 	err error
+}
+
+// encs pools encoders: the node tables and the section buffers keep their
+// capacity from one Encode to the next, and release empties them, so a
+// pooled encoder pins nothing of the realm it encoded.
+var encs = sync.Pool{New: func() any {
+	return &enc{objID: make(map[*interp.Object]int), envID: make(map[*interp.Env]int)}
+}}
+
+func (e *enc) release() {
+	// A small graph after a large one deletes its own keys: clearing would
+	// cost the large one's capacity.
+	if n := len(e.objs) + len(e.envs); n*16 < e.peak {
+		for _, o := range e.objs {
+			delete(e.objID, o)
+		}
+		for _, env := range e.envs {
+			delete(e.envID, env)
+		}
+	} else {
+		e.peak = max(e.peak, n)
+		clear(e.objID)
+		clear(e.envID)
+	}
+	clear(e.objs)
+	clear(e.envs)
+	e.objs, e.envs = e.objs[:0], e.envs[:0]
+	for i := range e.sec {
+		e.sec[i].buf = e.sec[i].buf[:0]
+	}
+	e.reg, e.code, e.deltas, e.err = nil, nil, nil, nil
+	encs.Put(e)
 }
 
 type hostDelta struct {
@@ -122,28 +162,17 @@ func Encode(input Input) ([]byte, error) {
 		return nil, pinf(PinRegistry, "host registry diverged from the pristine realm (host natives installed after realm construction?)")
 	}
 
-	e := &enc{
-		reg:   input.Reg,
-		code:  input.Code,
-		objID: make(map[*interp.Object]int),
-		envID: make(map[*interp.Env]int),
-	}
+	e := encs.Get().(*enc)
+	defer e.release()
+	e.reg, e.code = input.Reg, input.Code
 	// Comparing against the pristine twin tells which guest values hang off
 	// mutated host objects; the deltas section writes them like any root.
 	e.collectDeltas(prist)
 
-	// The blob is four sections, each written into its own pooled buffer:
-	// the header, the frame table, the object table and the roots. The
-	// roots are written first, and every reference numbers the node it
+	// The roots are written first, and every reference numbers the node it
 	// reaches; then each node's record is written in ID order, numbering
 	// what it reaches in turn, until no node is left unwritten.
-	s := sections.Get().(*[4]writer)
-	defer func() {
-		for i := range s {
-			s[i].buf = s[i].buf[:0]
-		}
-		sections.Put(s)
-	}()
+	s := &e.sec
 	hdr, envw, objw, w := &s[0], &s[1], &s[2], &s[3]
 
 	hdr.buf = append(hdr.buf, magic[:]...)
@@ -246,8 +275,6 @@ func Encode(input Input) ([]byte, error) {
 	}
 	return blob, nil
 }
-
-var sections = sync.Pool{New: func() any { return new([4]writer) }}
 
 // ---------------------------------------------------------------------------
 // Host deltas
