@@ -224,7 +224,7 @@ func Compile(source string, opts Opts) (*Compiled, error) {
 		Opts:          opts,
 		SourceText:    source,
 		SourceBytes:   len(source),
-		CompiledBytes: pre.printed + len(printer.Print(user)),
+		CompiledBytes: pre.printed + printer.Size(user),
 	}, nil
 }
 

@@ -193,8 +193,8 @@ func cyclicProtoBlobs(t testing.TB) (names []string, blobs [][]byte) {
 			return v.Obj()
 		}
 		h := heap{math: global("Math"), object: global("Object")}
-		h.o, h.p = h.math.Own("o").Value.Obj(), h.math.Own("p").Value.Obj()
-		h.objectProto = h.object.Own("prototype").Value.Obj()
+		h.o, h.p = h.math.Own("o").Obj(), h.math.Own("p").Obj()
+		h.objectProto = h.object.Own("prototype").Obj()
 		bend.f(h)
 		blob, err := run.Snapshot()
 		if err != nil {

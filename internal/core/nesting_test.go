@@ -112,3 +112,30 @@ func TestNestingBoundRunsNodesDepth(t *testing.T) {
 		}
 	}
 }
+
+// TestNestingBoundAtRunTime: the run-time half. A native that re-enters
+// itself — join over a nested array, through toString — nests on the Go
+// stack as a call does, so it counts against the same 100 000-frame limit
+// and a million levels end in the guest's RangeError, raw and stopified on
+// both engines, and not in a Go stack overflow. A counted level takes about
+// 1.2 KB of Go stack (54 000 levels fit in 64 MB, 55 000 do not), so the
+// limit's 100 000 need about 123 MB: the test runs on a 256 MB stack.
+func TestNestingBoundAtRunTime(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(256 << 20))
+	const src = "var a = []; for (var i = 0; i < 1e6; i++) { a = [a]; } try { String(a); } catch (e) { console.log(e.name, e.message); }"
+	const want = "RangeError " + nestingMsg + "\n"
+	c, err := core.Compile(src, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range bothEngines {
+		if out, err := core.RunRaw(src, core.RunConfig{Backend: engine}); err != nil || out != want {
+			t.Errorf("raw on %s: %q, %v; want %q", engine, out, err, want)
+		}
+		run, buf := mustStart(t, c, engine)
+		pump(run, 0)
+		if got := transcript(run, buf); got != want {
+			t.Errorf("stopified on %s: %q, want %q", engine, got, want)
+		}
+	}
+}

@@ -20,7 +20,7 @@ type prelude struct {
 	body    []ast.Stmt
 	tmps    int       // ANF temporaries the prelude used; $main continues from here
 	sites   ast.Sites // inline-cache sites the prelude used; likewise
-	printed int       // len(printer.Print) of body, the prelude's share of CompiledBytes
+	printed int       // printer.Size of body, the prelude's share of CompiledBytes
 }
 
 // preludeKey is every option the prelude's text or its instrumentation
@@ -89,7 +89,7 @@ func compilePrelude(opts Opts) (*prelude, error) {
 		body:    prog.Body,
 		tmps:    tmps,
 		sites:   prog.Sites,
-		printed: len(printer.Print(prog)),
+		printed: printer.Size(prog),
 	}, nil
 }
 

@@ -34,7 +34,7 @@ func holdsArgsTag(in *Interp, arena *opStack) string {
 		}
 		seenObj[o] = true
 		for i := range o.slots {
-			value(o.slots[i].Value, where+"."+o.shape.keys[i])
+			value(o.slots[i], where+"."+o.shape.keys[i])
 		}
 		for _, el := range o.Elems {
 			value(el, where+"[]")

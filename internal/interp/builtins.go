@@ -89,7 +89,7 @@ func (in *Interp) setupObjectProto() {
 				return True, nil
 			}
 		}
-		return BoolValue(o.OwnOrLazy(key) != nil), nil
+		return BoolValue(o.ownOrLazySlot(key) >= 0), nil
 	}))
 	op.SetHidden("toString", in.nativeV("toString", func(in *Interp, this Value, args []Value) (Value, error) {
 		return StringValue("[object " + toStringTag(this) + "]"), nil
@@ -194,12 +194,12 @@ func (in *Interp) setupObjectProto() {
 		if err != nil {
 			return Undefined, err
 		}
-		slot := o.OwnOrLazy(key)
-		if slot == nil {
+		i := o.ownOrLazySlot(key)
+		if i < 0 {
 			return Undefined, nil
 		}
 		d := in.NewPlainObject()
-		if a := slot.accessor(); a != nil {
+		if a := o.slots[i].pair(); a != nil {
 			if a.get != nil {
 				d.SetOwn("get", ObjectValue(a.get))
 			}
@@ -207,9 +207,9 @@ func (in *Interp) setupObjectProto() {
 				d.SetOwn("set", ObjectValue(a.set))
 			}
 		} else {
-			d.SetOwn("value", slot.Value)
+			d.SetOwn("value", o.slots[i])
 		}
-		d.SetOwn("enumerable", BoolValue(slot.Enumerable))
+		d.SetOwn("enumerable", BoolValue(o.shape.enumerable(i)))
 		return ObjectValue(d), nil
 	}))
 	in.Global.Define("Object", ObjectValue(objectCtor))
@@ -254,28 +254,29 @@ func (in *Interp) defineProperty(o *Object, key string, desc *Object) error {
 		}
 	}
 	enumV, value, getV, setV := fields[0], fields[1], fields[2], fields[3]
-	cur := o.OwnOrLazy(key)
-	enumerable := cur != nil && cur.Enumerable
+	cur := o.ownOrLazySlot(key)
+	enumerable := cur >= 0 && o.shape.enumerable(cur)
 	if has[0] {
 		enumerable = ToBoolean(enumV)
 	}
 	switch {
 	case has[2] || has[3]:
-		var pair accessorPair
-		if cur != nil && cur.IsAccessor() {
-			pair = *cur.accessor()
-		}
+		get, set := o.ownPair(key)
 		if has[2] {
-			pair.get = getV.Obj()
+			get = getV.Obj()
 		}
 		if has[3] {
-			pair.set = setV.Obj()
+			set = setV.Obj()
 		}
-		o.SetAccessor(key, pair.get, pair.set, enumerable)
-	case cur != nil && !has[1]:
-		cur.Enumerable = enumerable // a generic descriptor moves only the attribute
+		o.SetAccessor(key, get, set, enumerable)
+	case cur >= 0 && !has[1]:
+		// A generic descriptor moves only the attribute, and that moves
+		// the shape.
+		if a := o.shape.attrs[cur]&^attrHidden | hiddenUnless(enumerable); a != o.shape.attrs[cur] {
+			o.setAttrs(cur, a)
+		}
 	default:
-		o.setSlot(key, Prop{Value: value, Enumerable: enumerable})
+		o.setSlot(key, value, hiddenUnless(enumerable))
 	}
 	return nil
 }
@@ -810,13 +811,13 @@ func (in *Interp) displayDepth(v Value, depth int) string {
 			msg := ""
 			if s := x.Own("name"); s != nil {
 				name = ""
-				if s.Value.IsString() {
-					name = s.Value.Str()
+				if s.IsString() {
+					name = s.Str()
 				}
 			}
 			if s := x.Own("message"); s != nil {
-				if s.Value.IsString() {
-					msg = s.Value.Str()
+				if s.IsString() {
+					msg = s.Str()
 				}
 			}
 			if msg == "" {

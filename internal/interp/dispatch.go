@@ -264,10 +264,7 @@ loop:
 			fn := in.makeFunction(ch.Funcs[acc.Fn], env)
 			obj := stack[sp-1].Obj()
 			key := ch.Names[acc.Name]
-			var getter, setter *Object
-			if slot := obj.Own(key); slot != nil {
-				getter, setter = slot.Getter(), slot.Setter()
-			}
+			getter, setter := obj.ownPair(key)
 			if acc.Setter {
 				setter = fn
 			} else {
@@ -921,11 +918,12 @@ func (in *Interp) siteNormal(site uint32, n uint64) bool {
 
 // pollSkips reports whether a `$suspend()` site may skip its call: the whole
 // site is normal-mode and trigger-free, its binding holds the runtime's
-// native, no pause or kill is requested, and the native has left a budget of
-// calls that would neither yield nor read the clock.
+// native, no pause or kill is requested, the native has left a budget of
+// calls that would neither yield nor read the clock, and the call would not
+// meet the stack limit (callNative), where it throws.
 func (in *Interp) pollSkips(s *bytecode.Site) bool {
 	p := in.poll
-	if p == nil || p.Budget <= 0 || !in.siteNormal(s.Mode, bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) {
+	if p == nil || p.Budget <= 0 || in.depth >= in.maxDepth || !in.siteNormal(s.Mode, bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) {
 		return false
 	}
 	c := in.icCellAt(s.Suspend)

@@ -134,12 +134,13 @@ func bigBucketOfCap(c int) int {
 }
 
 // opStack is the per-turn arena a realm borrows: the operand stack chunk
-// calls carve their windows from, and the freelists Call draws slot frames
-// from. Continuations are heap frames, so between turns nothing of a guest
-// is on the Go stack, no operand window is live and every pooled frame is
-// dead: a realm borrows an arena only for as long as its outermost Call is
-// running, and the spare frames it leaves go to the next turn, of whichever
-// realm, that borrows the arena.
+// calls carve their windows from, the freelists Call draws slot frames
+// from, and the tree-walker's two scratch buffers. Continuations are heap
+// frames, so between turns nothing of a guest is on the Go stack, no
+// operand window or argument slice is live and every pooled frame is dead:
+// a realm borrows an arena only for as long as its outermost Call (or a
+// program's top level, RunProgram) is running, and what it leaves spare
+// goes to the next turn, of whichever realm, that borrows the arena.
 type opStack struct {
 	buf  []Value
 	top  int // next free slot of buf
@@ -151,6 +152,15 @@ type opStack struct {
 	free6   []*envBuf6
 	free16  []*envBuf16
 	freeBig [len(bigBucketCaps)][]*Env
+
+	// The tree-walker's scratch: args is the stack-disciplined buffer
+	// evalArgs carves argument slices from (expr.go), empty between calls
+	// and cleared as it pops; rets recycles returnErr completions, each
+	// created at one point (the return statement) and consumed at one (the
+	// Call boundary that turns it into a value), so it is pushed only once
+	// it is provably unreachable, and it holds no value.
+	args []Value
+	rets []*returnErr
 }
 
 // arenas holds the arenas no Call is running on, the last returned on top.
@@ -194,6 +204,9 @@ func (in *Interp) returnOps(st *opStack) {
 	if len(st.buf) > 1<<16 { // past 1.5 MB, a deep recursion's: dropped
 		st.buf = make([]Value, 64)
 	}
+	if cap(st.args) > 1<<16 { // likewise a deep tree-walked recursion's
+		st.args = nil
+	}
 	arenas.Lock()
 	if len(arenas.free) < maxArenas {
 		arenas.free = append(arenas.free, st)
@@ -204,6 +217,10 @@ func (in *Interp) returnOps(st *opStack) {
 // acquireFrame returns a slot frame for layout, recycling a pooled frame of
 // the borrowed arena when one is available. Pooled frames were cleared on
 // release, so slots read back as undefined exactly like a fresh frame's.
+// A pop clears the entry it leaves behind the freelist's length: the
+// arena outlives the realm, and a stale entry would keep the frame — and,
+// once a closure captures it, the frame's layout, values and so the
+// program's tree — reachable until a later push wrote over it.
 //
 // The allocation meter charges every acquire and credits every release
 // (frameMemCost — same formula both ways, keyed off cap(slots), which
@@ -217,6 +234,7 @@ func (in *Interp) acquireFrame(parent *Env, layout *ast.ScopeInfo) *Env {
 	if n <= 6 {
 		if k := len(st.free6); k > 0 {
 			s := st.free6[k-1]
+			st.free6[k-1] = nil
 			st.free6 = st.free6[:k-1]
 			s.e = Env{parent: parent, layout: layout, slots: s.buf[:n]}
 			in.chargeMem(frameMemCost(&s.e))
@@ -225,6 +243,7 @@ func (in *Interp) acquireFrame(parent *Env, layout *ast.ScopeInfo) *Env {
 	} else if n <= 16 {
 		if k := len(st.free16); k > 0 {
 			s := st.free16[k-1]
+			st.free16[k-1] = nil
 			st.free16 = st.free16[:k-1]
 			s.e = Env{parent: parent, layout: layout, slots: s.buf[:n]}
 			in.chargeMem(frameMemCost(&s.e))
@@ -233,6 +252,7 @@ func (in *Interp) acquireFrame(parent *Env, layout *ast.ScopeInfo) *Env {
 	} else if idx := bigBucketIdx(n); idx >= 0 {
 		if free := st.freeBig[idx]; len(free) > 0 {
 			e := free[len(free)-1]
+			free[len(free)-1] = nil
 			st.freeBig[idx] = free[:len(free)-1]
 			// The pooled buffer was fully cleared on release; reslice it to
 			// the new layout (within bucket capacity) and rewire the frame.

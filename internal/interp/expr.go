@@ -103,11 +103,7 @@ func (in *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 				obj.SetOwn(p.Key, v)
 			case ast.PropGet, ast.PropSet:
 				fn := in.makeFunction(p.Value.(*ast.Func), env)
-				slot := obj.Own(p.Key)
-				var getter, setter *Object
-				if slot != nil {
-					getter, setter = slot.Getter(), slot.Setter()
-				}
+				getter, setter := obj.ownPair(p.Key)
 				if p.Kind == ast.PropGet {
 					getter = fn
 				} else {
@@ -503,32 +499,31 @@ func (in *Interp) assignTo(target ast.Expr, v Value, env *Env) error {
 	return in.Throw("SyntaxError", "invalid assignment target")
 }
 
-// evalArgs evaluates an argument list into the interpreter's argument
-// arena, a stack-disciplined scratch buffer that replaces the per-call
+// evalArgs evaluates an argument list into the borrowed arena's argument
+// buffer, a stack-disciplined scratch buffer that replaces the per-call
 // slice allocation. The returned slice is valid until releaseArgs(mark);
 // callees never retain it (JS calls copy arguments into frame slots and
 // the arguments object; every native copies or reads before returning).
 func (in *Interp) evalArgs(exprs []ast.Expr, env *Env) (args []Value, mark int, err error) {
-	mark = len(in.argArena)
+	st := in.ops
+	mark = len(st.args)
 	for _, a := range exprs {
 		v, err := in.eval(a, env)
 		if err != nil {
 			in.releaseArgs(mark)
 			return nil, 0, err
 		}
-		in.argArena = append(in.argArena, v)
+		st.args = append(st.args, v)
 	}
-	return in.argArena[mark:], mark, nil
+	return st.args[mark:], mark, nil
 }
 
-// releaseArgs pops the arena back to mark, clearing the freed range so the
-// arena does not pin dead object graphs.
+// releaseArgs pops the argument buffer back to mark, clearing the freed
+// range so the arena does not pin dead object graphs.
 func (in *Interp) releaseArgs(mark int) {
-	live := in.argArena[:mark]
-	for i := mark; i < len(in.argArena); i++ {
-		in.argArena[i] = Value{}
-	}
-	in.argArena = live
+	st := in.ops
+	clear(st.args[mark:])
+	st.args = st.args[:mark]
 }
 
 func (in *Interp) evalCall(n *ast.Call, env *Env) (Value, error) {
@@ -650,10 +645,10 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 		in.depth--
 		return v, err
 	}
-	if f.native != nil {
+	if f.IsNative() {
 		// Native constructors (Error, Array, ...) allocate internally; mark
 		// construction via a sentinel this.
-		return f.native.fn(in, ctorSentinel, args)
+		return in.callNative(f.side.fn, ctorSentinel, args)
 	}
 	protoV, err := in.GetMember(fn, "prototype")
 	if err != nil {
@@ -670,6 +665,21 @@ func (in *Interp) Construct(fn Value, args []Value) (Value, error) {
 	return ObjectValue(obj), nil
 }
 
+// callNative runs a native as one level of the call stack. A native that
+// re-enters the guest or itself — join over a nested array, toString, a
+// sort comparator — nests on the Go stack as a closure call does, so it
+// counts against the same limit and throws the same RangeError at it.
+func (in *Interp) callNative(fn NativeFunc, this Value, args []Value) (Value, error) {
+	in.depth++
+	if in.depth > in.maxDepth {
+		in.depth--
+		return Undefined, in.Throw("RangeError", "Maximum call stack size exceeded")
+	}
+	v, err := fn(in, this, args)
+	in.depth--
+	return v, err
+}
+
 // errNotResolved ends a run whose tree skipped internal/resolve: a function
 // runs on the frame layout the resolver gave it, and there is no other way.
 var errNotResolved = errors.New("interp: function was not resolved")
@@ -683,8 +693,8 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		return Undefined, in.Throw("TypeError", "%s is not a function", TypeOf(fn))
 	}
 	in.chargeCall()
-	if f.native != nil {
-		return f.native.fn(in, this, args)
+	if f.IsNative() {
+		return in.callNative(f.side.fn, this, args)
 	}
 	if b := f.Bound(); b != nil {
 		// Bound call: the caller's this is discarded in favor of boundThis,
@@ -800,7 +810,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		// must never be recycled twice or while still propagating.
 		v := e.value
 		e.value = Value{}
-		in.retFree = append(in.retFree, e)
+		in.ops.rets = append(in.ops.rets, e)
 		return v, nil
 	default:
 		return Undefined, err

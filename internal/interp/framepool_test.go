@@ -3,8 +3,10 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/parser"
 	"repro/internal/resolve"
@@ -390,4 +392,64 @@ func TestFramePoolAcrossRealms(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// TestArenaPinsNothingOfADroppedRealm: an arena outlives every realm that
+// borrows it, so nothing a realm leaves in it may keep the realm's objects
+// alive. Here a pooled frame is popped for a call whose frame a closure then
+// captures: once the realm is dropped, the object that frame holds must be
+// collectable while the arena waits for its next borrower. A pop that leaves
+// its entry behind the freelist's length pins it (and, in a program, the
+// program's tree).
+func TestArenaPinsNothingOfADroppedRealm(t *testing.T) {
+	for _, bytecode := range []bool{false, true} {
+		gone := capturedInArena(t, bytecode)
+		collected := false
+		for i := 0; i < 20 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-gone:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !collected {
+			t.Errorf("bytecode=%v: an object of a dropped realm stayed reachable from the arena", bytecode)
+		}
+	}
+}
+
+// capturedInArena runs a call whose frame comes from the pool of the arena
+// its realm borrows and escapes into a closure, and returns a channel closed
+// when the object that frame holds is collected. Each outermost Call returns
+// the arena, last on top, and the next one borrows it again.
+func capturedInArena(t *testing.T, bytecode bool) <-chan struct{} {
+	in := New(Options{Bytecode: bytecode})
+	prog, err := parser.Parse(`var held;
+function warm(a) { return a; }
+function keep() { var o = {}; held = function () { return o; }; return o; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Program(prog)
+	if err := in.RunProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	call := func(fn Value) Value {
+		v, err := in.Call(fn, Undefined, nil, Undefined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	warm, _ := in.Global.Lookup("warm")
+	keep, _ := in.Global.Lookup("keep")
+	call(warm)            // its frame goes back to the arena's pool
+	o := call(keep).Obj() // keep's call draws it, and the frame escapes into held
+	if o == nil {
+		t.Fatal("keep() is not an object")
+	}
+	gone := make(chan struct{})
+	runtime.SetFinalizer(o, func(*Object) { close(gone) })
+	return gone
 }

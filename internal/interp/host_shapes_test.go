@@ -65,8 +65,8 @@ func global(in *interp.Interp, name string) *interp.Object {
 func mutatedHosts(in *interp.Interp) []*interp.Object {
 	return []*interp.Object{
 		global(in, "Math"),
-		global(in, "Array").Own("prototype").Value.Obj(),
-		global(in, "Object").Own("prototype").Value.Obj(),
+		global(in, "Array").Own("prototype").Obj(),
+		global(in, "Object").Own("prototype").Obj(),
 	}
 }
 
@@ -86,7 +86,7 @@ func reshape(t *testing.T, in *interp.Interp, o *interp.Object) {
 	o.Delete(want[0])
 	o.SetHidden(want[0], interp.NumberValue(2))
 	o.SetAccessor(want[1], get, nil, false)
-	if p := o.Own(want[1]); p == nil || !p.IsAccessor() {
+	if p, ok := o.OwnProp(want[1]); !ok || !p.IsAccessor() {
 		t.Errorf("%s did not become an accessor", want[1])
 	}
 	o.SetHidden(want[1], interp.NumberValue(3))

@@ -94,16 +94,6 @@ type Interp struct {
 	// such an exception panics — the moral equivalent of a crashed page.
 	Uncaught func(error)
 
-	// retFree recycles returnErr completions. A returnErr is created at
-	// exactly one point (the return statement) and consumed at exactly one
-	// (the Call boundary that translates it to a value), so the freelist's
-	// push happens only once the object is provably unreachable.
-	retFree []*returnErr
-
-	// argArena is the stack-disciplined argument buffer evalArgs carves
-	// call argument slices from (expr.go).
-	argArena []Value
-
 	// Inline caches, indexed by the site IDs internal/resolve assigns and
 	// sized by ReserveSites to the count in sites (shape.go). Owned per
 	// realm so two interpreters executing the same resolved tree never
@@ -113,9 +103,9 @@ type Interp struct {
 	icGlobal []*cell
 	sites    ast.Sites
 
-	// Engine state: ops is the arena (operand stack and frame freelists,
-	// env.go) on loan while a Call is on the Go stack. Chunks live on the
-	// tree.
+	// Engine state: ops is the arena (operand stack, frame freelists and
+	// the tree-walker's scratch, env.go) on loan while a Call or a
+	// program's top level is on the Go stack. Chunks live on the tree.
 	maxSteps   uint64
 	quantumEnd uint64 // Steps value at which onQuantum fires; 0 = disarmed
 	stepLimit  uint64 // min(maxSteps, quantumEnd-1); MaxUint64 = no check armed
@@ -127,7 +117,7 @@ type Interp struct {
 	chunkRuns  uint64
 	poll       *Poll // the runtime's yield poll (SetPoll); nil: $suspend sites always call
 
-	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next four: Interp is 416 B, the whole of its size class
+	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next four: Interp is 368 B (TestValueLayout)
 	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
 	HelpersLive   bool                         // rt.setMode: a helper call is a call, not the re-entry of a captured frame (helpers.go)
 	Restoring     bool                         // rt.setMode: a call re-enters a captured frame, whose restore block writes what it saved (Call)
@@ -419,6 +409,10 @@ func (in *Interp) NewError(name, message string) *Object {
 // one — an eval fragment, a REPL turn — from Sites.
 func (in *Interp) RunProgram(prog *ast.Program) error {
 	in.ReserveSites(prog.Sites)
+	if in.ops == nil {
+		// The top level tree-walks on the arena's scratch, as a call does.
+		defer in.returnOps(in.borrowOps())
+	}
 	in.hoistGlobals(prog.Body)
 	return in.execStmts(prog.Body, in.Global)
 }
@@ -428,11 +422,11 @@ func (in *Interp) RunProgram(prog *ast.Program) error {
 func (in *Interp) DefineGlobal(name string, v Value) { in.Global.Define(name, v) }
 
 // NewNative wraps a Go function as a callable JS object: one allocation,
-// the header with the code behind it (nativeObject).
+// the header with its side record behind it (nativeObject).
 func (in *Interp) NewNative(name string, fn NativeFunc) *Object {
 	in.chargeMem(memObjectBytes)
-	p := &nativeObject{nat: native{fn: fn, name: name}}
-	p.obj = Object{Class: ClassFunction, Proto: in.functionProto, native: &p.nat}
+	p := &nativeObject{side: sideRecord{fn: fn, name: name}}
+	p.obj = Object{Class: ClassFunction, Proto: in.functionProto, side: &p.side}
 	return &p.obj
 }
 
@@ -620,9 +614,11 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) error {
 // newReturn builds a return completion, reusing a recycled one when
 // available.
 func (in *Interp) newReturn(v Value) *returnErr {
-	if n := len(in.retFree); n > 0 {
-		re := in.retFree[n-1]
-		in.retFree = in.retFree[:n-1]
+	st := in.ops
+	if n := len(st.rets); n > 0 {
+		re := st.rets[n-1]
+		st.rets[n-1] = nil // the completion may be dropped in flight, value and all (acquireFrame)
+		st.rets = st.rets[:n-1]
 		re.value = v
 		return re
 	}

@@ -525,7 +525,10 @@ func (in *Interp) RawGet(base Value, key string) (Value, error) {
 		}
 		return Undefined, nil
 	}
-	return holder.slots[idx].Data(), nil
+	if v := holder.slots[idx]; v.tag != tagAccessor {
+		return v, nil
+	}
+	return Undefined, nil
 }
 
 // LookupAccessor walks the prototype chain for a getter (setter false) or
@@ -546,7 +549,7 @@ func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 	}
 	holder, idx := in.lookupPath(o, key)
 	for holder != nil {
-		a := holder.slots[idx].accessor()
+		a := holder.slots[idx].pair()
 		if a == nil {
 			return Undefined // plain data property shadows
 		}
@@ -706,17 +709,17 @@ func (in *Interp) objGetSite(o *Object, this Value, key string, site uint32) (Va
 		shape := o.ensureShape()
 		c = in.icGetAt(site)
 		if c.shape == shape {
-			var p *Prop
+			var p *Value
 			if c.holder == nil {
 				p = &o.slots[c.slot]
 			} else if c.holder.shape == c.hshape && c.epoch == protoEpoch.Load() {
 				p = &c.holder.slots[c.slot]
 			}
 			if p != nil {
-				if p.Value.tag == tagAccessor {
+				if p.tag == tagAccessor {
 					return in.readSlot(p, this)
 				}
-				return p.Value, nil
+				return *p, nil
 			}
 		}
 	}
@@ -750,10 +753,10 @@ func (in *Interp) objGetSite(o *Object, this Value, key string, site uint32) (Va
 
 // readSlot reads a property through its slot: a data slot's value, an
 // accessor's getter called on this, or undefined for a setter-only one.
-func (in *Interp) readSlot(p *Prop, this Value) (Value, error) {
-	a := p.accessor()
+func (in *Interp) readSlot(p *Value, this Value) (Value, error) {
+	a := p.pair()
 	if a == nil {
-		return p.Value, nil
+		return *p, nil
 	}
 	if a.get == nil {
 		return Undefined, nil
@@ -840,12 +843,12 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 				// Existing own data property. Data-ness is shape-stable:
 				// transition edges encode property kind, so an object with
 				// an accessor at this key can never share this shape.
-				o.slots[c.slot].Value = v
+				o.slots[c.slot] = v
 				return nil
 			}
 			if c.epoch == protoEpoch.Load() {
 				in.chargeMem(memPropBytes + len(key))
-				o.slots = append(o.slots, Prop{Value: v, Enumerable: true})
+				o.slots = append(o.slots, v)
 				o.shape = c.next
 				if o.usedAsProto {
 					// Same obligation as the slow path (setSlot): a new key
@@ -858,7 +861,7 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 	}
 	if holder, idx := in.lookupPath(o, key); holder != nil {
 		slot := &holder.slots[idx]
-		if a := slot.accessor(); a != nil {
+		if a := slot.pair(); a != nil {
 			if a.set == nil {
 				return nil // getter-only property: silent failure (sloppy mode)
 			}
@@ -869,7 +872,7 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 			if c != nil {
 				*c = setIC{shape: o.shape, slot: int32(idx)}
 			}
-			slot.Value = v
+			*slot = v
 			return nil
 		}
 		// Data property on the chain: shadow it below.

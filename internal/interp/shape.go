@@ -25,24 +25,26 @@ import (
 // different Shape pointer:
 //
 //   - adding a property follows (or creates) a transition edge to a child
-//     shape; the edge is keyed by (name, kind), so a data property and an
-//     accessor property of the same name reach different shapes and
-//     accessor-ness is a shape-stable fact — cached fast paths never need
-//     to re-check it beyond the shape compare;
+//     shape; the edge is keyed by (name, attributes), the attributes being
+//     the property's kind (data or accessor) and its enumerability, so two
+//     properties of one name that differ in either reach different shapes
+//     and both are shape-stable facts — cached fast paths never need to
+//     re-check them beyond the shape compare;
 //   - deleting a property rebuilds the shape from the root without the
 //     deleted key (and compacts the slots array to match), replaying each
-//     surviving key with its recorded kind;
-//   - converting a data property to an accessor, or back, rebuilds the
-//     shape from the root with the new kind on that key's edge — the
-//     object lands on a different (but canonical, shareable) shape;
+//     surviving key with its recorded attributes;
+//   - converting a data property to an accessor, or back, or changing its
+//     enumerability, rebuilds the shape from the root with the new
+//     attributes on that key's edge — the object lands on a different (but
+//     canonical, shareable) shape;
 //   - changing the prototype re-roots the shape under the new prototype's
-//     transition tree, again replaying kinds.
+//     transition tree, again replaying attributes.
 //
 // Prototype-chain caches (a hit found on a holder object some hops up the
 // chain) additionally guard on the holder's shape and on protoEpoch, a
 // global counter bumped whenever an object known to serve as a prototype
-// gains a key, loses a key, changes a property's data/accessor kind, or has
-// its own prototype replaced. The epoch catches the one case shape pointers
+// gains a key, loses a key, changes a property's attributes, or has its
+// own prototype replaced. The epoch catches the one case shape pointers
 // cannot: an object *between* the receiver and the cached holder gaining a
 // shadowing property. Objects are marked as prototypes (usedAsProto) the
 // first time an inline-cache fill walks across them.
@@ -57,26 +59,26 @@ import (
 // is the frozenRoot sentinel and nothing writes them. setupGlobals follows
 // their edges; when it ends every builtin prototype's shapeRoot goes back
 // to nil, so no guest object lands in a frozen tree. A host object's first
-// structural change (a key with no frozen edge, a delete, a data↔accessor
-// flip) rebuilds it into its realm's own tree first (Object.ownRoot).
-// Inline caches are per realm, and within a realm a frozen shape is carried
-// only by host objects on the prototype it was built for, so a shape
-// compare still implies a prototype compare.
+// structural change (a key with no frozen edge, a delete, a change of a
+// key's attributes) rebuilds it into its realm's own tree first
+// (Object.ownRoot). Inline caches are per realm, and within a realm a
+// frozen shape is carried only by host objects on the prototype it was
+// built for, so a shape compare still implies a prototype compare.
 
 // Shape is one node of a transition tree: the layout of every object that
 // was built by the same sequence of property additions.
 //
 // Building an n-key object costs O(n), not O(n²): a shape's first child
-// extends the parent's keys and accessor slices in their spare capacity and
+// extends the parent's keys and attrs slices in their spare capacity and
 // adds its key to the parent's index, so a chain of first transitions
 // shares one backing array and one map. Both stay valid for every shape on
 // the chain: nothing below a shape's length is ever written, and a lookup
 // ignores an index hit at or past its own key count (the slot of a
 // descendant's key). Only later children copy, and only what they keep.
 type Shape struct {
-	root     *Shape   // the empty shape this tree grew from
-	keys     []string // own keys in insertion order; slot i holds keys[i]
-	accessor []bool   // accessor[i]: slot i holds a getter/setter pair
+	root  *Shape   // the empty shape this tree grew from
+	keys  []string // own keys in insertion order; slot i holds keys[i]
+	attrs []attrs  // attrs[i]: slot i's kind and enumerability
 
 	// index maps key → slot for shapes of more than smallShape keys, and
 	// is shared down the chain of first transitions; smaller shapes scan
@@ -84,23 +86,35 @@ type Shape struct {
 	index map[string]int
 
 	// first is the child reached by this shape's first transition; its
-	// edge is its own last key and kind. transitions holds the edges added
-	// after it. Kind is part of the edge so accessor-bearing objects never
-	// share a shape with data-shaped ones: the set-IC's own-property fast
-	// path writes slots[slot].Value on a bare shape compare, which is only
-	// sound if the compare also proves data-ness.
+	// edge is its own last key and attributes. transitions holds the edges
+	// added after it. The kind is part of the edge so accessor-bearing
+	// objects never share a shape with data-shaped ones: the set-IC's
+	// own-property fast path writes slots[slot] on a bare shape compare,
+	// which is only sound if the compare also proves data-ness.
+	// Enumerability is part of it because no slot carries it: Object.keys
+	// and for-in read it from the shape.
 	first       *Shape
 	transitions map[shapeEdge]*Shape
 }
 
+// attrs is what a shape records of one key besides its name.
+type attrs uint8
+
+const (
+	attrAccessor attrs = 1 << iota // the slot holds a getter/setter pair
+	attrHidden                     // not enumerable: Object.keys and for-in skip it
+)
+
+// enumerable reports whether slot i's key is listed by Object.keys and for-in.
+func (s *Shape) enumerable(i int) bool { return s.attrs[i]&attrHidden == 0 }
+
 // smallShape is the most keys a shape looks up by scanning.
 const smallShape = 8
 
-// shapeEdge identifies a transition: the property name plus whether the
-// property is an accessor.
+// shapeEdge identifies a transition: the property name and its attributes.
 type shapeEdge struct {
-	key      string
-	accessor bool
+	key   string
+	attrs attrs
 }
 
 // protoEpoch invalidates prototype-chain cache entries that shape identity
@@ -177,15 +191,15 @@ func freeze(s *Shape) {
 	}
 }
 
-// transition returns the shape reached by adding key with the given kind,
-// creating and caching the edge on first use. The new key's slot is
-// len(s.keys). A frozen shape is never written: where it has no such edge,
-// transition returns nil, and the caller thaws the object first.
-func (s *Shape) transition(key string, accessor bool) *Shape {
+// transition returns the shape reached by adding key with the given
+// attributes, creating and caching the edge on first use. The new key's slot
+// is len(s.keys). A frozen shape is never written: where it has no such
+// edge, transition returns nil, and the caller thaws the object first.
+func (s *Shape) transition(key string, a attrs) *Shape {
 	n := len(s.keys)
-	e := shapeEdge{key, accessor}
+	e := shapeEdge{key, a}
 	if f := s.first; f != nil {
-		if f.keys[n] == key && f.accessor[n] == accessor {
+		if f.keys[n] == key && f.attrs[n] == a {
 			return f
 		}
 		if c, ok := s.transitions[e]; ok {
@@ -198,12 +212,12 @@ func (s *Shape) transition(key string, accessor bool) *Shape {
 	c := &Shape{root: s.root}
 	if s.first == nil {
 		c.keys = append(s.keys, key)
-		c.accessor = append(s.accessor, accessor)
+		c.attrs = append(s.attrs, a)
 		c.index = s.index
 		s.first = c
 	} else {
 		c.keys = append(s.keys[:n:n], key)
-		c.accessor = append(s.accessor[:n:n], accessor)
+		c.attrs = append(s.attrs[:n:n], a)
 		if s.transitions == nil {
 			s.transitions = make(map[shapeEdge]*Shape, 1)
 		}
@@ -222,21 +236,22 @@ func (s *Shape) transition(key string, accessor bool) *Shape {
 }
 
 // rebuild returns the shape reached by replaying s's properties onto base,
-// preserving each key's recorded kind — the invariant every rebuild must
-// uphold, since the set-IC's direct slot write trusts shape identity to
-// prove data-ness. skip drops that slot's key (delete); flip re-keys that
-// slot's edge with the opposite kind (in-place data↔accessor conversion);
-// pass -1 for either to leave all slots as recorded.
-func (s *Shape) rebuild(base *Shape, skip, flip int) *Shape {
+// preserving each key's recorded attributes — the invariant every rebuild
+// must uphold, since the set-IC's direct slot write trusts shape identity to
+// prove data-ness, and Object.keys trusts it for enumerability. skip drops
+// that slot's key (delete); at gives that slot's edge the attributes a
+// (an in-place change of kind or enumerability); pass -1 for either to leave
+// all slots as recorded.
+func (s *Shape) rebuild(base *Shape, skip, at int, a attrs) *Shape {
 	for j, k := range s.keys {
 		if j == skip {
 			continue
 		}
-		kind := s.accessor[j]
-		if j == flip {
-			kind = !kind
+		attr := s.attrs[j]
+		if j == at {
+			attr = a
 		}
-		base = base.transition(k, kind)
+		base = base.transition(k, attr)
 	}
 	return base
 }

@@ -96,7 +96,7 @@ func checkOwn(t *testing.T, what string, o *Object, want, keys []string, base fl
 		if got, _ := o.OwnPropAt(i); got != k {
 			t.Fatalf("%s: own property %d is %q, want %q", what, i, got, k)
 		}
-		if p := o.Own(k); p == nil || !p.IsAccessor() && !isNum(p.Value, base+float64(i)) {
+		if p, ok := o.OwnProp(k); !ok || !p.IsAccessor() && !isNum(p.Value, base+float64(i)) {
 			t.Fatalf("%s: Own(%q) = %+v, want %v", what, k, p, base+float64(i))
 		}
 	}
@@ -124,7 +124,7 @@ func TestShapeChainLookupsAtAnIntermediateShape(t *testing.T) {
 			b.Delete(keys[1])
 			rest := append(append([]string{}, keys[0]), keys[2:n]...)
 			for i, k := range rest {
-				b.Own(k).Value = num(float64(100 + i))
+				*b.Own(k) = num(float64(100 + i))
 			}
 			checkOwn(t, "b after delete", b, rest, all, 100)
 
@@ -136,7 +136,7 @@ func TestShapeChainLookupsAtAnIntermediateShape(t *testing.T) {
 			last := rest[len(rest)-1]
 			g := NewObject(nil)
 			b.SetAccessor(last, g, nil, true)
-			if p := b.Own(last); p == nil || p.Getter() != g {
+			if p, ok := b.OwnProp(last); !ok || p.Getter() != g {
 				t.Fatalf("b.%s is not the accessor just installed", last)
 			}
 			checkOwn(t, "b as accessor", b, rest, all, 100)
@@ -154,7 +154,7 @@ func TestShapeChainLookupsAtAnIntermediateShape(t *testing.T) {
 // not stay reachable from the holder's backing array.
 func TestRemovedValuesAreCollectable(t *testing.T) {
 	in := newTestInterp()
-	pop := in.arrayProto.Own("pop").Value.Obj().native.fn
+	pop := in.arrayProto.Own("pop").Obj().side.fn
 	for _, tc := range []struct {
 		name   string
 		hold   func(v *Object) *Object

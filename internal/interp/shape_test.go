@@ -72,7 +72,7 @@ func TestShapeDeleteRebuildsAndResharesTree(t *testing.T) {
 	if a.shape != b.shape {
 		t.Fatalf("post-delete shape should rejoin the tree: %p vs %p", a.shape, b.shape)
 	}
-	if p := a.Own("z"); p == nil || !isNum(p.Value, 3) {
+	if p := a.Own("z"); p == nil || !isNum(*p, 3) {
 		t.Fatal("slots were not compacted correctly on delete")
 	}
 	if a.Own("y") != nil {
@@ -131,7 +131,7 @@ func TestSetICNeverBypassesAccessorSharingCreationPath(t *testing.T) {
 	a.SetOwn("x", num(0))
 	write(a, num(1)) // fills the own-hit entry
 	write(a, num(2)) // warm hit
-	if !isNum(a.Own("x").Value, 2) {
+	if !isNum(*a.Own("x"), 2) {
 		t.Fatal("warm data write failed")
 	}
 	got := Undefined
@@ -148,7 +148,7 @@ func TestSetICNeverBypassesAccessorSharingCreationPath(t *testing.T) {
 	if !isNum(got, 3) {
 		t.Fatalf("setter not invoked through warm set site; got %v", got)
 	}
-	if p := b.Own("x"); p == nil || p.Setter() != setter {
+	if p, ok := b.OwnProp("x"); !ok || p.Setter() != setter {
 		t.Fatalf("accessor slot corrupted by cached write: %+v", p)
 	}
 }
@@ -190,7 +190,7 @@ func TestDeleteAndSetProtoPreserveAccessorShape(t *testing.T) {
 	if !isNum(got, 9) {
 		t.Fatalf("setter not invoked after delete-rebuild; got %v", got)
 	}
-	if p := o.Own("x"); p == nil || p.Setter() != setter {
+	if p, ok := o.OwnProp("x"); !ok || p.Setter() != setter {
 		t.Fatalf("accessor slot corrupted after delete-rebuild: %+v", p)
 	}
 
@@ -238,7 +238,7 @@ func TestGetICHitAndInvalidation(t *testing.T) {
 		t.Fatalf("cache not filled with own hit: %+v", *c)
 	}
 	// Hit path: same shape, direct slot read.
-	o.slots[0].Value = num(5)
+	o.slots[0] = num(5)
 	if v := read(); !isNum(v, 5) {
 		t.Fatalf("cached read = %v, want 5", v)
 	}
@@ -343,11 +343,11 @@ func TestSetICTransitionAndAccessorInvalidation(t *testing.T) {
 	if a.shape != b.shape {
 		t.Fatal("transition writes should land both objects on the same shape")
 	}
-	if !isNum(b.Own("y").Value, 2) {
+	if !isNum(*b.Own("y"), 2) {
 		t.Fatal("transition hit wrote the wrong slot")
 	}
 	write(b, num(3)) // own-hit path now
-	if !isNum(b.Own("y").Value, 3) {
+	if !isNum(*b.Own("y"), 3) {
 		t.Fatal("own-hit write failed")
 	}
 	// Installing a setter on the prototype must invalidate the cached

@@ -25,13 +25,20 @@ func (o *Object) OwnPropCount() int {
 	return len(o.shape.keys)
 }
 
-// OwnPropAt returns own property i: its key, and its slot under Own's
-// validity rule; nil past OwnPropCount.
-func (o *Object) OwnPropAt(i int) (string, *Prop) {
-	if i >= o.OwnPropCount() {
-		return "", nil
+// OwnPropAt returns own property i: its key, and its slot and enumerability
+// put together; i must be below OwnPropCount.
+func (o *Object) OwnPropAt(i int) (string, Prop) {
+	return o.shape.keys[i], Prop{Value: o.slots[i], Enumerable: o.shape.enumerable(i)}
+}
+
+// OwnProp is OwnPropAt by key; ok is false when o has no own property key.
+func (o *Object) OwnProp(key string) (p Prop, ok bool) {
+	i := o.shape.slotOf(key)
+	if i < 0 {
+		return Prop{}, false
 	}
-	return o.shape.keys[i], &o.slots[i]
+	_, p = o.OwnPropAt(i)
+	return p, true
 }
 
 // Parent returns the enclosing frame (nil for the global frame).

@@ -295,12 +295,15 @@ func (v Value) String() string {
 // library and the Stopify runtime primitives.
 type NativeFunc func(in *Interp, this Value, args []Value) (Value, error)
 
-// Prop is a property slot: 32 bytes, a Value and the enumerable bit. A data
-// property's value is Value itself; an accessor's getter and setter ride in
-// Value as an engine-internal pair (accessorValue), so the slot needs no
-// pointer fields of its own. The slot's kind is also its shape's
-// (Shape.accessor), and only code that has checked it reads the pair: the
-// inline caches' data fast paths read Value as they always have.
+// Prop is one own property as the snapshot codec and the registry read it
+// (OwnPropAt): its slot's Value and its enumerability, put together on the
+// fly. No object stores a Prop. A slot is a bare Value, 24 bytes, and
+// enumerability is its shape's (Shape.attrs). A data property's value is
+// the slot itself; an accessor's getter and setter ride in it as an
+// engine-internal pair (accessorValue), so the slot needs no pointer fields
+// of its own. The slot's kind is also its shape's, and only code that has
+// checked it reads the pair: the inline caches' data fast paths read the
+// slot as they always have.
 type Prop struct {
 	Value      Value
 	Enumerable bool
@@ -310,41 +313,42 @@ type Prop struct {
 // nil (a property defined with `get: undefined` has neither).
 type accessorPair struct{ get, set *Object }
 
-// accessorValue carries an accessor pair in a slot's Value.
+// accessorValue carries an accessor pair in a slot.
 func accessorValue(get, set *Object) Value {
 	return Value{tag: tagAccessor, ptr: unsafe.Pointer(&accessorPair{get, set})}
 }
 
-// IsAccessor reports whether the slot holds a getter/setter pair.
-func (p *Prop) IsAccessor() bool { return p.Value.tag == tagAccessor }
-
-// accessor returns the slot's getter/setter pair, or nil for a data slot.
-func (p *Prop) accessor() *accessorPair {
-	if p.Value.tag != tagAccessor {
+// pair returns the getter/setter pair an accessor slot carries, or nil for
+// a data slot.
+func (v Value) pair() *accessorPair {
+	if v.tag != tagAccessor {
 		return nil
 	}
-	return (*accessorPair)(p.Value.ptr)
+	return (*accessorPair)(v.ptr)
 }
 
-// Getter returns an accessor slot's getter; nil for a data slot.
-func (p *Prop) Getter() *Object {
-	if a := p.accessor(); a != nil {
+// IsAccessor reports whether the property is a getter/setter pair.
+func (p Prop) IsAccessor() bool { return p.Value.tag == tagAccessor }
+
+// Getter returns an accessor's getter; nil for a data property.
+func (p Prop) Getter() *Object {
+	if a := p.Value.pair(); a != nil {
 		return a.get
 	}
 	return nil
 }
 
-// Setter returns an accessor slot's setter; nil for a data slot.
-func (p *Prop) Setter() *Object {
-	if a := p.accessor(); a != nil {
+// Setter returns an accessor's setter; nil for a data property.
+func (p Prop) Setter() *Object {
+	if a := p.Value.pair(); a != nil {
 		return a.set
 	}
 	return nil
 }
 
-// Data returns a data slot's value, and undefined for an accessor: the read
-// for code that has not checked the slot's kind.
-func (p *Prop) Data() Value {
+// Data returns a data property's value, and undefined for an accessor: the
+// read for code that has not checked the property's kind.
+func (p Prop) Data() Value {
 	if p.Value.tag == tagAccessor {
 		return Undefined
 	}
@@ -410,11 +414,11 @@ func ClassNamed(name string) (c Class, ok bool) {
 // Object is everything with identity: plain objects, arrays, functions,
 // errors, and the arguments object.
 //
-// The header is 112 bytes, a Go size class of its own (TestObjectLayout):
+// The header is 96 bytes, a Go size class of its own (TestObjectLayout):
 // what every object holds, and one word each for what only some do. A
-// closure's code and a native's are co-allocated behind the header
-// (funcObject, nativeObject), and the rarer payloads — a bound function's
-// state, a Date's time value, a host's data — share one field.
+// closure's code is co-allocated behind the header (funcObject), and
+// everything rarer — a native's code, a bound function's state, a Date's
+// time value, a host's data — is one side record behind one pointer.
 type Object struct {
 	Class Class
 
@@ -430,7 +434,7 @@ type Object struct {
 	// slots holds the property named shape.keys[i]. A nil shape means the
 	// object has never had an own property.
 	shape *Shape
-	slots []Prop
+	slots []Value
 
 	// shapeRoot is the root of the transition tree for objects whose
 	// prototype is this object (lazily created by emptyShapeFor).
@@ -439,27 +443,30 @@ type Object struct {
 	// Elems backs Array and Arguments objects.
 	Elems []Value
 
-	// Function objects have exactly one of Fn (JavaScript), native (Go), or
-	// a bound function's payload.
-	Fn     *Closure
-	native *native
+	// Fn is a JavaScript function's closure. A native's code, like a bound
+	// function's state, is in the side record.
+	Fn *Closure
 
-	// payload is a *BoundFunction (Function.prototype.bind's result), a
-	// *DateData (a Date instance), or the host's data (SetExtra).
+	// side is the record of a native, a bound function, a Date or an object
+	// a host attached data to (SetExtra); nil on every other object.
+	side *sideRecord
+}
+
+// sideRecord is what only some objects carry: a native's code and name, and
+// a payload — a *BoundFunction (Function.prototype.bind's result), a
+// *DateData (a Date instance), or the host's data (SetExtra).
+type sideRecord struct {
+	fn      NativeFunc
+	name    string
 	payload any
 }
 
-// native is a Go function's code and name.
-type native struct {
-	fn   NativeFunc
-	name string
-}
-
-// nativeObject co-locates a native function's header with its code, as
-// funcObject does a closure's, so creating one is a single allocation.
+// nativeObject co-locates a native function's header with its side record,
+// as funcObject does a closure's with its code, so creating one is a single
+// allocation.
 type nativeObject struct {
-	obj Object
-	nat native
+	obj  Object
+	side sideRecord
 }
 
 // NewObject returns a plain object with the given prototype.
@@ -469,53 +476,65 @@ func NewObject(proto *Object) *Object {
 
 // NewBound returns a function object with a bound function's payload.
 func NewBound(proto *Object, b *BoundFunction) *Object {
-	return &Object{Class: ClassFunction, Proto: proto, payload: b}
+	return &Object{Class: ClassFunction, Proto: proto, side: &sideRecord{payload: b}}
 }
 
 // NewDate returns a Date instance holding the time value ms.
 func NewDate(proto *Object, ms float64) *Object {
-	return &Object{Class: ClassDate, Proto: proto, payload: &DateData{MS: ms}}
+	return &Object{Class: ClassDate, Proto: proto, side: &sideRecord{payload: &DateData{MS: ms}}}
 }
 
 // IsNative reports whether o is a function implemented in Go.
-func (o *Object) IsNative() bool { return o.native != nil }
+func (o *Object) IsNative() bool { return o.side != nil && o.side.fn != nil }
 
 // NativeName returns a native function's name; "" for any other object.
 func (o *Object) NativeName() string {
-	if o.native == nil {
+	if o.side == nil {
 		return ""
 	}
-	return o.native.name
+	return o.side.name
 }
 
 // Bound returns the state of a function made by Function.prototype.bind;
 // nil for any other object.
 func (o *Object) Bound() *BoundFunction {
-	b, _ := o.payload.(*BoundFunction)
+	b, _ := o.Extra().(*BoundFunction)
 	return b
 }
 
 // Date returns a Date instance's time value; nil for any other object.
 func (o *Object) Date() *DateData {
-	d, _ := o.payload.(*DateData)
+	d, _ := o.Extra().(*DateData)
 	return d
 }
 
-// Extra returns the payload a host attached with SetExtra (e.g. reified
-// continuation frames owned by the Stopify runtime).
-func (o *Object) Extra() any { return o.payload }
+// Extra returns the side record's payload: what a host attached with
+// SetExtra (e.g. reified continuation frames owned by the Stopify runtime),
+// or the engine's own, which Bound and Date read.
+func (o *Object) Extra() any {
+	if o.side == nil {
+		return nil
+	}
+	return o.side.payload
+}
 
 // SetExtra attaches a host payload. The engine's own payloads share the
 // field, so a host sets it only on objects it built as plain objects or
-// natives.
-func (o *Object) SetExtra(x any) { o.payload = x }
+// natives. A native carries its side record already; any other object gets
+// one here.
+func (o *Object) SetExtra(x any) {
+	if o.side == nil {
+		o.side = &sideRecord{}
+	}
+	o.side.payload = x
+}
 
 // ReserveProps sizes an object's slot array for n properties before the
 // first is added, so a caller that knows the count (a literal, a decoded
 // record) allocates the array once, at its size.
 func (o *Object) ReserveProps(n int) {
 	if n > 0 && o.slots == nil {
-		o.slots = make([]Prop, 0, n)
+		o.slots = make([]Value, 0, n)
 	}
 }
 
@@ -536,17 +555,29 @@ type DateData struct {
 
 // IsCallable reports whether o can be applied.
 func (o *Object) IsCallable() bool {
-	return o != nil && (o.Fn != nil || o.native != nil || o.Bound() != nil)
+	return o != nil && (o.Fn != nil || o.side != nil && (o.side.fn != nil || o.Bound() != nil))
 }
 
-// Own returns the own property slot for key, or nil. The pointer is only
-// valid until the next property addition (which may grow the slots array);
-// callers read or write through it immediately.
-func (o *Object) Own(key string) *Prop {
+// Own returns the own property slot for key, or nil: a data property's
+// value, or an accessor's pair (which reads as undefined). The pointer is
+// only valid until the next property addition (which may grow the slots
+// array); callers read or write through it immediately.
+func (o *Object) Own(key string) *Value {
 	if i := o.shape.slotOf(key); i >= 0 {
 		return &o.slots[i]
 	}
 	return nil
+}
+
+// ownPair returns the getter and setter of an own accessor named key; both
+// nil when key is absent or a data property.
+func (o *Object) ownPair(key string) (get, set *Object) {
+	if slot := o.Own(key); slot != nil {
+		if a := slot.pair(); a != nil {
+			return a.get, a.set
+		}
+	}
+	return nil, nil
 }
 
 // ensureShape materializes the empty root shape so the object can
@@ -560,50 +591,65 @@ func (o *Object) ensureShape() *Shape {
 
 // SetOwn defines or overwrites an own enumerable data property.
 func (o *Object) SetOwn(key string, v Value) {
-	o.setSlot(key, Prop{Value: v, Enumerable: true})
+	o.setSlot(key, v, 0)
 }
 
 // SetHidden defines a non-enumerable data property (builtin methods).
 func (o *Object) SetHidden(key string, v Value) {
-	o.setSlot(key, Prop{Value: v, Enumerable: false})
+	o.setSlot(key, v, attrHidden)
 }
 
 // SetAccessor installs a getter/setter pair (either or both may be nil).
 func (o *Object) SetAccessor(key string, getter, setter *Object, enumerable bool) {
-	o.setSlot(key, Prop{Value: accessorValue(getter, setter), Enumerable: enumerable})
+	o.setSlot(key, accessorValue(getter, setter), attrAccessor|hiddenUnless(enumerable))
 }
 
-func (o *Object) setSlot(key string, p Prop) {
+// hiddenUnless is the attribute of a key that is enumerable or not.
+func hiddenUnless(enumerable bool) attrs {
+	if enumerable {
+		return 0
+	}
+	return attrHidden
+}
+
+// setSlot defines or overwrites key with the slot v and the attributes a,
+// whose kind must be v's.
+func (o *Object) setSlot(key string, v Value, a attrs) {
 	o.ensureShape()
 	if i := o.shape.slotOf(key); i >= 0 {
-		if o.shape.accessor[i] != p.IsAccessor() {
-			// The property changes kind in place; rebuild the shape from
-			// the root with the new kind on this key's edge. The object
-			// lands on a different (canonical) shape, so cached fast paths
-			// that assumed the old kind stop matching — and, because the
-			// kind rides on the transition edge, later rebuilds (Delete,
-			// SetProto) preserve it.
-			o.shape = o.shape.rebuild(o.ownRoot(), -1, i)
-			if o.usedAsProto {
-				bumpProtoEpoch()
-			}
+		if o.shape.attrs[i] != a {
+			o.setAttrs(i, a)
 		}
-		o.slots[i] = p
+		o.slots[i] = v
 		return
 	}
-	next := o.shape.transition(key, p.IsAccessor())
+	next := o.shape.transition(key, a)
 	if next == nil {
 		// A frozen shape with no edge for this key: thaw first.
-		next = o.shape.rebuild(o.ownRoot(), -1, -1).transition(key, p.IsAccessor())
+		next = o.shape.rebuild(o.ownRoot(), -1, -1, 0).transition(key, a)
 	}
 	o.shape = next
 	if o.slots == nil {
 		// An object nobody sized (ReserveProps) typically grows a handful
 		// of properties right after creation; starting at capacity 4 turns
 		// the 1→2→4 append reallocation ladder into a single allocation.
-		o.slots = make([]Prop, 0, 4)
+		o.slots = make([]Value, 0, 4)
 	}
-	o.slots = append(o.slots, p)
+	o.slots = append(o.slots, v)
+	if o.usedAsProto {
+		bumpProtoEpoch()
+	}
+}
+
+// setAttrs changes slot i's attributes in place: its kind (data↔accessor)
+// or its enumerability. The shape is rebuilt from the root with the new
+// attributes on this key's edge, so the object lands on a different
+// (canonical) shape: cached fast paths that assumed the old attributes stop
+// matching, and, because the attributes ride on the transition edge, later
+// rebuilds (Delete, SetProto) preserve them. The caller writes the slot's
+// new value when the kind changes.
+func (o *Object) setAttrs(i int, a attrs) {
+	o.shape = o.shape.rebuild(o.ownRoot(), -1, i, a)
 	if o.usedAsProto {
 		bumpProtoEpoch()
 	}
@@ -629,26 +675,18 @@ func (o *Object) SetProto(proto *Object) {
 	}
 	o.Proto = proto
 	if o.shape != nil {
-		o.shape = o.shape.rebuild(emptyShapeFor(proto), -1, -1)
+		o.shape = o.shape.rebuild(emptyShapeFor(proto), -1, -1, 0)
 	}
 	bumpProtoEpoch()
 }
 
-// OwnOrLazy returns the own property slot for key, materializing the own
-// properties a JavaScript function creates lazily — currently .length — so
-// that closure creation allocates no property storage until something
-// inspects it. Every own-property probe (reads, hasOwnProperty, property
-// descriptors) funnels through here to keep the lazy set in one place;
-// .prototype is also lazy but needs the interpreter to build an object, so
-// it materializes in objGet.
-func (o *Object) OwnOrLazy(key string) *Prop {
-	if i := o.ownOrLazySlot(key); i >= 0 {
-		return &o.slots[i]
-	}
-	return nil
-}
-
-// ownOrLazySlot is OwnOrLazy returning a slot index (for cache fills).
+// ownOrLazySlot returns the slot index of own key, or -1, materializing
+// the own properties a JavaScript function creates lazily — currently
+// .length — so that closure creation allocates no property storage until
+// something inspects it. Every own-property probe (reads, hasOwnProperty,
+// property descriptors, defineProperty) funnels through here to keep the
+// lazy set in one place; .prototype is also lazy but needs the interpreter
+// to build an object, so it materializes in objGet.
 func (o *Object) ownOrLazySlot(key string) int {
 	if i := o.shape.slotOf(key); i >= 0 {
 		return i
@@ -695,9 +733,9 @@ func (o *Object) Delete(key string) bool {
 	if i < 0 {
 		return false
 	}
-	o.shape = o.shape.rebuild(o.ownRoot(), i, -1)
+	o.shape = o.shape.rebuild(o.ownRoot(), i, -1, 0)
 	last := copy(o.slots[i:], o.slots[i+1:]) + i
-	o.slots[last] = Prop{} // the vacated slot must not keep its value alive
+	o.slots[last] = Value{} // the vacated slot must not keep its value alive
 	o.slots = o.slots[:last]
 	if o.usedAsProto {
 		bumpProtoEpoch()
@@ -716,7 +754,7 @@ func (o *Object) OwnKeys() []string {
 	}
 	if o.shape != nil {
 		for i, k := range o.shape.keys {
-			if o.slots[i].Enumerable {
+			if o.shape.enumerable(i) {
 				out = append(out, k)
 			}
 		}
@@ -760,11 +798,11 @@ func (t *Thrown) Error() string {
 		v := t.Value.Obj()
 		if v.Class == ClassError {
 			var name, msg string
-			if s := v.Own("name"); s != nil && s.Value.IsString() {
-				name = s.Value.Str()
+			if s := v.Own("name"); s != nil && s.IsString() {
+				name = s.Str()
 			}
-			if m := v.Own("message"); m != nil && m.Value.IsString() {
-				msg = m.Value.Str()
+			if m := v.Own("message"); m != nil && m.IsString() {
+				msg = m.Str()
 			}
 			return fmt.Sprintf("%s: %s", name, msg)
 		}

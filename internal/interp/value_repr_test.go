@@ -34,26 +34,31 @@ func TestValueLayout(t *testing.T) {
 	if !zero.IsUndefined() {
 		t.Fatal("the zero Value must be undefined (env slots and cleared arenas rely on it)")
 	}
-	// Every realm allocates one Interp: at 416 B it fills the 416-byte size
-	// class exactly, and one more word moves every realm into the 448 class.
-	if got := unsafe.Sizeof(Interp{}); got > 416 {
-		t.Fatalf("Interp is %d bytes, want at most 416 (past 416 it allocates in the 448-byte size class)", got)
+	// Every realm allocates one Interp: 368 B in the 384-byte size class
+	// (scratch buffers belong in the borrowed arena, not here); two more
+	// words move every realm into the 416 class.
+	if got := unsafe.Sizeof(Interp{}); got > 368 {
+		t.Fatalf("Interp is %d bytes, want at most 368: a per-realm field is back (two more words reach the 416-byte size class)", got)
 	}
 }
 
 // TestObjectLayout pins the object representation's sizes: a header in the
-// 112-byte size class whatever the object holds, and a 32-byte property
-// slot. A closure or a native (header plus its code) must stay in the
-// 144-byte class, one allocation each.
+// 96-byte size class whatever the object holds, and a property slot that is
+// a bare 24-byte Value (enumerability is the shape's). A closure (header
+// plus its code) must stay in the 128-byte class and a native (header plus
+// its side record) in the 144-byte class, one allocation each.
 func TestObjectLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got > 112 {
-		t.Errorf("Object is %d bytes, want at most 112: a rare payload belongs in payload or behind the header", got)
+	if got := unsafe.Sizeof(Object{}); got > 96 {
+		t.Errorf("Object is %d bytes, want at most 96: a rare payload belongs in the side record", got)
 	}
-	if got := unsafe.Sizeof(Prop{}); got > 32 {
-		t.Errorf("Prop is %d bytes, want at most 32 (a Value and the enumerable bit)", got)
+	if got := unsafe.Sizeof(Object{}.slots[0]); got != 24 {
+		t.Errorf("a property slot is %d bytes, want 24 (a bare Value; enumerability belongs in the shape)", got)
 	}
-	if f, n := unsafe.Sizeof(funcObject{}), unsafe.Sizeof(nativeObject{}); f > 144 || n > 144 {
-		t.Errorf("funcObject is %d bytes and nativeObject %d, want at most 144", f, n)
+	if got := unsafe.Sizeof(funcObject{}); got > 128 {
+		t.Errorf("funcObject is %d bytes, want at most 128", got)
+	}
+	if got := unsafe.Sizeof(nativeObject{}); got > 144 {
+		t.Errorf("nativeObject is %d bytes, want at most 144", got)
 	}
 }
 

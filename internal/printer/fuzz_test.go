@@ -44,6 +44,9 @@ func TestPrintParsePrintFixpointRandomStmts(t *testing.T) {
 			prog.Body = append(prog.Body, randomStmt(rnd, 3))
 		}
 		out1 := Print(prog)
+		if n := Size(prog); n != len(out1) {
+			t.Fatalf("seed %d: Size = %d, Print wrote %d bytes:\n%s", seed, n, len(out1), out1)
+		}
 		re, err := parser.Parse(out1)
 		if err != nil {
 			t.Fatalf("seed %d: printed program does not parse: %v\n%s", seed, err, out1)

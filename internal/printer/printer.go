@@ -22,6 +22,15 @@ func Print(p *ast.Program) string {
 	return pr.b.String()
 }
 
+// Size is len(Print(p)), added up without building the text.
+func Size(p *ast.Program) int {
+	pr := &printer{count: true}
+	for _, s := range p.Body {
+		pr.stmt(s)
+	}
+	return pr.n
+}
+
 // PrintStmt renders a single statement.
 func PrintStmt(s ast.Stmt) string {
 	pr := &printer{}
@@ -38,10 +47,32 @@ func PrintExpr(e ast.Expr) string {
 
 type printer struct {
 	b      strings.Builder
+	n      int  // the bytes a counting printer would have written
+	count  bool // add up the output's length in n instead of writing it (Size)
 	indent int
 }
 
+func (p *printer) str(s string) {
+	if p.count {
+		p.n += len(s)
+		return
+	}
+	p.b.WriteString(s)
+}
+
+func (p *printer) char(c byte) {
+	if p.count {
+		p.n++
+		return
+	}
+	p.b.WriteByte(c)
+}
+
 func (p *printer) ws() {
+	if p.count {
+		p.n += 2 * p.indent
+		return
+	}
 	for i := 0; i < p.indent; i++ {
 		p.b.WriteString("  ")
 	}
@@ -49,8 +80,8 @@ func (p *printer) ws() {
 
 func (p *printer) line(s string) {
 	p.ws()
-	p.b.WriteString(s)
-	p.b.WriteByte('\n')
+	p.str(s)
+	p.char('\n')
 }
 
 // Expression precedence levels; a child is parenthesized when its level is
@@ -129,9 +160,9 @@ func level(e ast.Expr) int {
 func (p *printer) expr(e ast.Expr, min int) {
 	lv := level(e)
 	if lv < min {
-		p.b.WriteByte('(')
+		p.char('(')
 		p.exprRaw(e)
-		p.b.WriteByte(')')
+		p.char(')')
 		return
 	}
 	p.exprRaw(e)
@@ -140,28 +171,28 @@ func (p *printer) expr(e ast.Expr, min int) {
 func (p *printer) exprRaw(e ast.Expr) {
 	switch n := e.(type) {
 	case *ast.Ident:
-		p.b.WriteString(n.Name)
+		p.str(n.Name)
 	case *ast.Number:
-		p.b.WriteString(FormatNumber(n.Value))
+		p.str(FormatNumber(n.Value))
 	case *ast.Str:
-		p.b.WriteString(Quote(n.Value))
+		p.str(Quote(n.Value))
 	case *ast.Bool:
 		if n.Value {
-			p.b.WriteString("true")
+			p.str("true")
 		} else {
-			p.b.WriteString("false")
+			p.str("false")
 		}
 	case *ast.Null:
-		p.b.WriteString("null")
+		p.str("null")
 	case *ast.This:
-		p.b.WriteString("this")
+		p.str("this")
 	case *ast.NewTarget:
-		p.b.WriteString("new.target")
+		p.str("new.target")
 	case *ast.Array:
-		p.b.WriteByte('[')
+		p.char('[')
 		for i, el := range n.Elems {
 			if i > 0 {
-				p.b.WriteString(", ")
+				p.str(", ")
 			}
 			if el == nil {
 				continue // elision: the separators alone encode the hole
@@ -171,68 +202,68 @@ func (p *printer) exprRaw(e ast.Expr) {
 		// A trailing hole needs one more comma: `[1, ]` would re-parse at
 		// length 1, `[1, , ]` at length 2.
 		if len(n.Elems) > 0 && n.Elems[len(n.Elems)-1] == nil {
-			p.b.WriteString(", ")
+			p.str(", ")
 		}
-		p.b.WriteByte(']')
+		p.char(']')
 	case *ast.Object:
-		p.b.WriteString("{ ")
+		p.str("{ ")
 		for i, prop := range n.Props {
 			if i > 0 {
-				p.b.WriteString(", ")
+				p.str(", ")
 			}
 			switch prop.Kind {
 			case ast.PropInit:
-				p.b.WriteString(propKey(prop.Key))
-				p.b.WriteString(": ")
+				p.str(propKey(prop.Key))
+				p.str(": ")
 				p.expr(prop.Value, precAssign)
 			case ast.PropGet, ast.PropSet:
 				if prop.Kind == ast.PropGet {
-					p.b.WriteString("get ")
+					p.str("get ")
 				} else {
-					p.b.WriteString("set ")
+					p.str("set ")
 				}
-				p.b.WriteString(propKey(prop.Key))
+				p.str(propKey(prop.Key))
 				fn := prop.Value.(*ast.Func)
 				p.paramsAndBody(fn)
 			}
 		}
-		p.b.WriteString(" }")
+		p.str(" }")
 	case *ast.Func:
 		if n.Arrow {
-			p.b.WriteByte('(')
+			p.char('(')
 			for i, param := range n.Params {
 				if i > 0 {
-					p.b.WriteString(", ")
+					p.str(", ")
 				}
-				p.b.WriteString(param)
+				p.str(param)
 			}
-			p.b.WriteString(") => ")
+			p.str(") => ")
 			p.funcBody(n.Body)
 			return
 		}
-		p.b.WriteString("function")
+		p.str("function")
 		if n.Name != "" {
-			p.b.WriteByte(' ')
-			p.b.WriteString(n.Name)
+			p.char(' ')
+			p.str(n.Name)
 		}
 		p.paramsAndBody(n)
 	case *ast.Unary:
-		p.b.WriteString(n.Op)
+		p.str(n.Op)
 		if n.Op == "typeof" || n.Op == "void" || n.Op == "delete" {
-			p.b.WriteByte(' ')
+			p.char(' ')
 		} else if u, ok := n.X.(*ast.Unary); ok && (u.Op == n.Op || (n.Op == "+" && u.Op == "++") || (n.Op == "-" && u.Op == "--")) {
-			p.b.WriteByte(' ') // avoid `--x` from -(-x)
+			p.char(' ') // avoid `--x` from -(-x)
 		} else if num, ok := n.X.(*ast.Number); ok && n.Op == "-" && num.Value >= 0 {
 			// fine: -5
 		}
 		p.expr(n.X, precUnary)
 	case *ast.Update:
 		if n.Prefix {
-			p.b.WriteString(n.Op)
+			p.str(n.Op)
 			p.expr(n.X, precUnary)
 		} else {
 			p.expr(n.X, precPostfix)
-			p.b.WriteString(n.Op)
+			p.str(n.Op)
 		}
 	case *ast.Binary:
 		lv := binLevel[n.Op]
@@ -242,50 +273,50 @@ func (p *printer) exprRaw(e ast.Expr) {
 			leftMin, rightMin = lv+1, lv
 		}
 		p.expr(n.L, leftMin)
-		p.b.WriteByte(' ')
-		p.b.WriteString(n.Op)
-		p.b.WriteByte(' ')
+		p.char(' ')
+		p.str(n.Op)
+		p.char(' ')
 		p.expr(n.R, rightMin)
 	case *ast.Logical:
 		lv := level(n)
 		p.expr(n.L, lv)
-		p.b.WriteByte(' ')
-		p.b.WriteString(n.Op)
-		p.b.WriteByte(' ')
+		p.char(' ')
+		p.str(n.Op)
+		p.char(' ')
 		p.expr(n.R, lv+1)
 	case *ast.Assign:
 		p.expr(n.Target, precCall)
-		p.b.WriteByte(' ')
-		p.b.WriteString(n.Op)
-		p.b.WriteByte(' ')
+		p.char(' ')
+		p.str(n.Op)
+		p.char(' ')
 		p.expr(n.Value, precAssign)
 	case *ast.Cond:
 		p.expr(n.Test, precCond+1)
-		p.b.WriteString(" ? ")
+		p.str(" ? ")
 		p.expr(n.Cons, precAssign)
-		p.b.WriteString(" : ")
+		p.str(" : ")
 		p.expr(n.Alt, precAssign)
 	case *ast.Call:
 		p.expr(n.Callee, precCall)
 		p.args(n.Args)
 	case *ast.New:
-		p.b.WriteString("new ")
+		p.str("new ")
 		p.newCallee(n.Callee)
 		p.args(n.Args)
 	case *ast.Member:
 		p.memberBase(n.X)
 		if n.Computed {
-			p.b.WriteByte('[')
+			p.char('[')
 			p.expr(n.Index, precSeq)
-			p.b.WriteByte(']')
+			p.char(']')
 		} else {
-			p.b.WriteByte('.')
-			p.b.WriteString(n.Name)
+			p.char('.')
+			p.str(n.Name)
 		}
 	case *ast.Seq:
 		for i, x := range n.Exprs {
 			if i > 0 {
-				p.b.WriteString(", ")
+				p.str(", ")
 			}
 			p.expr(x, precAssign)
 		}
@@ -298,9 +329,9 @@ func (p *printer) exprRaw(e ast.Expr) {
 // cases that would mis-parse: numbers (1.x), new without args, functions.
 func (p *printer) memberBase(x ast.Expr) {
 	if num, ok := x.(*ast.Number); ok && num.Value >= 0 {
-		p.b.WriteByte('(')
+		p.char('(')
 		p.exprRaw(x)
-		p.b.WriteByte(')')
+		p.char(')')
 		return
 	}
 	p.expr(x, precCall)
@@ -310,9 +341,9 @@ func (p *printer) memberBase(x ast.Expr) {
 // parenthesized so the argument list attaches to the `new`.
 func (p *printer) newCallee(x ast.Expr) {
 	if containsCall(x) {
-		p.b.WriteByte('(')
+		p.char('(')
 		p.exprRaw(x)
-		p.b.WriteByte(')')
+		p.char(')')
 		return
 	}
 	p.expr(x, precCall)
@@ -331,68 +362,68 @@ func containsCall(x ast.Expr) bool {
 }
 
 func (p *printer) args(args []ast.Expr) {
-	p.b.WriteByte('(')
+	p.char('(')
 	for i, a := range args {
 		if i > 0 {
-			p.b.WriteString(", ")
+			p.str(", ")
 		}
 		p.expr(a, precAssign)
 	}
-	p.b.WriteByte(')')
+	p.char(')')
 }
 
 func (p *printer) paramsAndBody(fn *ast.Func) {
-	p.b.WriteByte('(')
+	p.char('(')
 	for i, param := range fn.Params {
 		if i > 0 {
-			p.b.WriteString(", ")
+			p.str(", ")
 		}
-		p.b.WriteString(param)
+		p.str(param)
 	}
-	p.b.WriteString(") ")
+	p.str(") ")
 	p.funcBody(fn.Body)
 }
 
 func (p *printer) funcBody(body []ast.Stmt) {
-	p.b.WriteString("{\n")
+	p.str("{\n")
 	p.indent++
 	for _, s := range body {
 		p.stmt(s)
 	}
 	p.indent--
 	p.ws()
-	p.b.WriteByte('}')
+	p.char('}')
 }
 
 func (p *printer) stmt(s ast.Stmt) {
 	switch n := s.(type) {
 	case *ast.VarDecl:
 		p.ws()
-		p.b.WriteString("var ")
+		p.str("var ")
 		for i, d := range n.Decls {
 			if i > 0 {
-				p.b.WriteString(", ")
+				p.str(", ")
 			}
-			p.b.WriteString(d.Name)
+			p.str(d.Name)
 			if d.Init != nil {
-				p.b.WriteString(" = ")
+				p.str(" = ")
 				p.expr(d.Init, precAssign)
 			}
 		}
-		p.b.WriteString(";\n")
+		p.str(";\n")
 	case *ast.ExprStmt:
 		p.ws()
 		if needsParensAsStmt(n.X) {
-			p.b.WriteByte('(')
+			p.char('(')
 			p.exprRaw(n.X)
-			p.b.WriteByte(')')
+			p.char(')')
 		} else {
 			p.expr(n.X, 0)
 		}
-		p.b.WriteString(";\n")
+		p.str(";\n")
 	case *ast.Block:
 		p.ws()
-		p.b.WriteString("{\n")
+		p.str("{\n")
 		p.indent++
 		for _, st := range n.Body {
 			p.stmt(st)
@@ -402,72 +433,72 @@ func (p *printer) stmt(s ast.Stmt) {
 	case *ast.If:
 		p.ws()
 		p.ifChain(n)
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.While:
 		p.ws()
-		p.b.WriteString("while (")
+		p.str("while (")
 		p.expr(n.Test, 0)
-		p.b.WriteString(") ")
+		p.str(") ")
 		p.nested(n.Body)
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.DoWhile:
 		p.ws()
-		p.b.WriteString("do ")
+		p.str("do ")
 		p.nested(n.Body)
-		p.b.WriteString(" while (")
+		p.str(" while (")
 		p.expr(n.Test, 0)
-		p.b.WriteString(");\n")
+		p.str(");\n")
 	case *ast.For:
 		p.ws()
-		p.b.WriteString("for (")
+		p.str("for (")
 		switch init := n.Init.(type) {
 		case nil:
 		case *ast.VarDecl:
-			p.b.WriteString("var ")
+			p.str("var ")
 			for i, d := range init.Decls {
 				if i > 0 {
-					p.b.WriteString(", ")
+					p.str(", ")
 				}
-				p.b.WriteString(d.Name)
+				p.str(d.Name)
 				if d.Init != nil {
-					p.b.WriteString(" = ")
+					p.str(" = ")
 					p.expr(d.Init, precAssign)
 				}
 			}
 		case *ast.ExprStmt:
 			p.expr(init.X, 0)
 		}
-		p.b.WriteString("; ")
+		p.str("; ")
 		if n.Test != nil {
 			p.expr(n.Test, 0)
 		}
-		p.b.WriteString("; ")
+		p.str("; ")
 		if n.Update != nil {
 			p.expr(n.Update, 0)
 		}
-		p.b.WriteString(") ")
+		p.str(") ")
 		p.nested(n.Body)
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.ForIn:
 		p.ws()
-		p.b.WriteString("for (")
+		p.str("for (")
 		if n.Decl {
-			p.b.WriteString("var ")
+			p.str("var ")
 		}
-		p.b.WriteString(n.Name)
-		p.b.WriteString(" in ")
+		p.str(n.Name)
+		p.str(" in ")
 		p.expr(n.Obj, 0)
-		p.b.WriteString(") ")
+		p.str(") ")
 		p.nested(n.Body)
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.Return:
 		p.ws()
 		if n.Arg == nil {
-			p.b.WriteString("return;\n")
+			p.str("return;\n")
 		} else {
-			p.b.WriteString("return ")
+			p.str("return ")
 			p.expr(n.Arg, 0)
-			p.b.WriteString(";\n")
+			p.str(";\n")
 		}
 	case *ast.Break:
 		if n.Label != "" {
@@ -483,24 +514,24 @@ func (p *printer) stmt(s ast.Stmt) {
 		}
 	case *ast.Labeled:
 		p.ws()
-		p.b.WriteString(n.Label)
-		p.b.WriteString(": ")
+		p.str(n.Label)
+		p.str(": ")
 		p.nested(n.Body)
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.Switch:
 		p.ws()
-		p.b.WriteString("switch (")
+		p.str("switch (")
 		p.expr(n.Disc, 0)
-		p.b.WriteString(") {\n")
+		p.str(") {\n")
 		p.indent++
 		for _, c := range n.Cases {
 			p.ws()
 			if c.Test == nil {
-				p.b.WriteString("default:\n")
+				p.str("default:\n")
 			} else {
-				p.b.WriteString("case ")
+				p.str("case ")
 				p.expr(c.Test, 0)
-				p.b.WriteString(":\n")
+				p.str(":\n")
 			}
 			p.indent++
 			for _, st := range c.Body {
@@ -512,30 +543,30 @@ func (p *printer) stmt(s ast.Stmt) {
 		p.line("}")
 	case *ast.Throw:
 		p.ws()
-		p.b.WriteString("throw ")
+		p.str("throw ")
 		p.expr(n.Arg, 0)
-		p.b.WriteString(";\n")
+		p.str(";\n")
 	case *ast.Try:
 		p.ws()
-		p.b.WriteString("try ")
+		p.str("try ")
 		p.blockInline(n.Block)
 		if n.Catch != nil {
-			p.b.WriteString(" catch (")
-			p.b.WriteString(n.CatchParam)
-			p.b.WriteString(") ")
+			p.str(" catch (")
+			p.str(n.CatchParam)
+			p.str(") ")
 			p.blockInline(n.Catch)
 		}
 		if n.Finally != nil {
-			p.b.WriteString(" finally ")
+			p.str(" finally ")
 			p.blockInline(n.Finally)
 		}
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.FuncDecl:
 		p.ws()
-		p.b.WriteString("function ")
-		p.b.WriteString(n.Fn.Name)
+		p.str("function ")
+		p.str(n.Fn.Name)
 		p.paramsAndBody(n.Fn)
-		p.b.WriteByte('\n')
+		p.char('\n')
 	case *ast.Empty:
 		p.line(";")
 	default:
@@ -545,9 +576,9 @@ func (p *printer) stmt(s ast.Stmt) {
 
 // ifChain prints if/else-if/else without re-indenting at each else-if.
 func (p *printer) ifChain(n *ast.If) {
-	p.b.WriteString("if (")
+	p.str("if (")
 	p.expr(n.Test, 0)
-	p.b.WriteString(") ")
+	p.str(") ")
 	// Guard against dangling-else: if the consequent is an if without an
 	// else, wrap it in a block.
 	cons := n.Cons
@@ -558,7 +589,7 @@ func (p *printer) ifChain(n *ast.If) {
 	if n.Alt == nil {
 		return
 	}
-	p.b.WriteString(" else ")
+	p.str(" else ")
 	if alt, ok := n.Alt.(*ast.If); ok {
 		p.ifChain(alt)
 		return
@@ -572,23 +603,23 @@ func (p *printer) nested(s ast.Stmt) {
 		p.blockInline(b)
 		return
 	}
-	p.b.WriteString("{\n")
+	p.str("{\n")
 	p.indent++
 	p.stmt(s)
 	p.indent--
 	p.ws()
-	p.b.WriteByte('}')
+	p.char('}')
 }
 
 func (p *printer) blockInline(b *ast.Block) {
-	p.b.WriteString("{\n")
+	p.str("{\n")
 	p.indent++
 	for _, s := range b.Body {
 		p.stmt(s)
 	}
 	p.indent--
 	p.ws()
-	p.b.WriteByte('}')
+	p.char('}')
 }
 
 // needsParensAsStmt reports whether the expression's first token would be

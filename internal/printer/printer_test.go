@@ -8,7 +8,8 @@ import (
 )
 
 // roundTrip parses src, prints it, reparses, reprints, and requires the two
-// printed forms to be identical — the printer's core contract.
+// printed forms to be identical — the printer's core contract — and Size to
+// count what Print wrote.
 func roundTrip(t *testing.T, src string) string {
 	t.Helper()
 	p1, err := parser.Parse(src)
@@ -16,6 +17,9 @@ func roundTrip(t *testing.T, src string) string {
 		t.Fatalf("parse 1 (%q): %v", src, err)
 	}
 	out1 := Print(p1)
+	if n := Size(p1); n != len(out1) {
+		t.Fatalf("Size = %d, Print wrote %d bytes:\n%s", n, len(out1), out1)
+	}
 	p2, err := parser.Parse(out1)
 	if err != nil {
 		t.Fatalf("reparse failed for output:\n%s\nerror: %v", out1, err)

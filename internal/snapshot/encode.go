@@ -310,12 +310,19 @@ func (e *enc) propDeltas(live, twin *interp.Object, prist *Registry) (ops []delt
 	sameKeys := n == m
 	for j := 0; j < n; j++ {
 		key, lp := live.OwnPropAt(j)
-		tkey, tp := twin.OwnPropAt(j)
-		if tp == nil || tkey != key {
-			sameKeys, tp = false, twin.Own(key)
+		var tp interp.Prop
+		ok := j < m
+		if ok {
+			var tkey string
+			tkey, tp = twin.OwnPropAt(j)
+			ok = tkey == key
 		}
-		if tp == nil || !e.propEq(*lp, *tp, prist) {
-			ops = append(ops, deltaOp{kind: opSetProp, key: key, prop: *lp})
+		if !ok {
+			sameKeys = false
+			tp, ok = twin.OwnProp(key)
+		}
+		if !ok || !e.propEq(lp, tp, prist) {
+			ops = append(ops, deltaOp{kind: opSetProp, key: key, prop: lp})
 		}
 	}
 	for j := 0; j < m && !sameKeys; j++ {
@@ -550,7 +557,7 @@ func (e *enc) object(w *writer, o *interp.Object) {
 	for j := range n {
 		key, p := o.OwnPropAt(j)
 		w.str(key)
-		e.prop(w, *p)
+		e.prop(w, p)
 	}
 	e.values(w, o.Elems)
 }

@@ -144,7 +144,7 @@ func TestHostRegistryRefusesADifferentHostGraph(t *testing.T) {
 		v, _ := in.Global.Lookup(path[0])
 		o := v.Obj()
 		for _, k := range path[1:] {
-			o = o.Own(k).Value.Obj()
+			o = o.Own(k).Obj()
 		}
 		return o
 	}
