@@ -321,6 +321,15 @@ const (
 	// poll budget is positive. It counts the site's four remaining boundaries,
 	// stores undefined into the target and -1 into $lbl, and exits.
 	OpSitePoll
+	// OpSiteHelper, before OpSiteEnter at a site whose application is a call
+	// of a prelude helper ($add, $get, ...) on slots and literals, answers the
+	// whole site when the engine answers the call (interp.callHelper): the
+	// callee's binding holds the closure marked as that helper, and a $get or
+	// $set key is not an object. It stores the answer into the target and -1
+	// into $lbl, counts the site's four remaining boundaries and exits; an
+	// answer that is a throw counts the two boundaries before the call and
+	// raises it.
+	OpSiteHelper
 	// OpSiteEnter, right after the site's own boundary, counts the block and
 	// assignment boundaries and jumps to the application's code.
 	OpSiteEnter
@@ -380,15 +389,22 @@ type Restore struct {
 	Locals       []int32
 }
 
-// Site is one fused call site: the operands OpSitePoll, OpSiteEnter and
-// OpSiteLeave share.
+// Site is one fused call site: the operands OpSitePoll, OpSiteHelper,
+// OpSiteEnter and OpSiteLeave share.
 type Site struct {
-	Mode    uint32 // global-cell cache site of the guard's $mode
-	Suspend uint32 // global-cell cache site of a $suspend callee; 0: OpSitePoll is not emitted
-	Target  int32  // local slot the application's value is stored in
-	Label   int32  // local slot of $lbl
-	Body    int32  // pc of the application's code
-	Exit    int32  // pc after the site
+	Mode   uint32 // global-cell cache site of the guard's $mode
+	Callee uint32 // global-cell cache site of OpSitePoll's $suspend or OpSiteHelper's helper
+	Target int32  // local slot the application's value is stored in
+	Label  int32  // local slot of $lbl
+	Body   int32  // pc of the application's code
+	Exit   int32  // pc after the site
+
+	// OpSiteHelper's operands: the helper the callee is named for (NoHelper:
+	// the instruction is not emitted) and NArgs arguments, each a local slot
+	// or, complemented (^i < 0), Consts[i].
+	Helper ast.Helper
+	NArgs  uint8
+	Args   [3]int32
 }
 
 // Statement boundaries a fused site counts around its application: the block
@@ -549,7 +565,7 @@ var opNames = [...]string{
 	OpJumpGlobalNeConst: "jumpglobalneconst", OpConstSetLocal: "constsetlocal",
 	OpClosureSetLocal: "closuresetlocal", OpSetLocalStmt: "setlocalstmt",
 	OpJumpIfFalseStmt: "jumpfalsestmt", OpStmtGetLocal: "stmtgetlocal",
-	OpStmtConst: "stmtconst", OpSitePoll: "sitepoll", OpSiteEnter: "siteenter",
+	OpStmtConst: "stmtconst", OpSitePoll: "sitepoll", OpSiteHelper: "sitehelper", OpSiteEnter: "siteenter",
 	OpSiteLeave: "siteleave", OpPushFrame: "pushframe", OpPopFrame: "popframe",
 	OpReenter: "reenter", OpRestoreFrame: "restoreframe",
 }
@@ -594,8 +610,11 @@ func (c *Chunk) Disassemble() string {
 		case OpGetArguments, OpGetArg, OpArgsLen:
 			r := ast.Ref(uint32(ins.C))
 			b = append(b, fmt.Sprintf(" (%d,%d)", r.Hops(), r.Slot())...)
-		case OpSitePoll, OpSiteEnter, OpSiteLeave:
+		case OpSitePoll, OpSiteHelper, OpSiteEnter, OpSiteLeave:
 			s := c.Sites[ins.A]
+			if ins.Op == OpSiteHelper {
+				b = append(b, " "+ast.HelperNames[s.Helper]...)
+			}
 			b = append(b, fmt.Sprintf(" body %d exit %d", s.Body, s.Exit)...)
 			if ins.Op == OpSiteLeave {
 				b = append(b, fmt.Sprintf(" join %d", ins.B)...)

@@ -385,9 +385,10 @@ func (c *compiler) stmt(s ast.Stmt) {
 //
 // instruction for instruction as stmt lowers any if, with OpSiteEnter after the
 // boundary, OpSiteLeave in place of the jump over the restore arm and, when
-// app is `$suspend()`, OpSitePoll before them. It reports false, emitting
-// nothing, for a shape it does not recognize or a t or $lbl that is not a
-// slot of the current frame (a site inside a catch clause).
+// app is `$suspend()` or a helper's call on slots and literals, OpSitePoll or
+// OpSiteHelper before them. It reports false, emitting nothing, for a shape it
+// does not recognize or a t or $lbl that is not a slot of the current frame (a
+// site inside a catch clause).
 func (c *compiler) site(n *ast.If) bool {
 	or, _ := n.Test.(*ast.Logical)
 	block, _ := n.Cons.(*ast.Block)
@@ -406,17 +407,26 @@ func (c *compiler) site(n *ast.If) bool {
 		return false
 	}
 	s := Site{Mode: mode, Target: int32(target.Ref.Slot()), Label: int32(label.Ref.Slot())}
-	if call, ok := cond.Cons.(*ast.Call); ok && len(call.Args) == 0 {
-		if id, ok := call.Callee.(*ast.Ident); ok && id.Name == instrument.SuspendFn && id.Ref.Global() && id.Site != 0 {
-			s.Suspend = id.Site
+	poll := false
+	if call, ok := cond.Cons.(*ast.Call); ok {
+		if id, ok := call.Callee.(*ast.Ident); ok && id.Ref.Global() && id.Site != 0 {
+			switch {
+			case id.Name == instrument.SuspendFn && len(call.Args) == 0:
+				s.Callee, poll = id.Site, true
+			case c.helperArgs(ast.HelperNamed(id.Name), call.Args, &s):
+				s.Callee = id.Site
+			}
 		}
 	}
 	idx := int32(len(c.ch.Sites))
 	c.ch.Sites = append(c.ch.Sites, s)
 
 	c.emitChargeBranch()
-	if s.Suspend != 0 {
+	if poll {
 		c.emit(OpSitePoll, idx, 0)
+	}
+	if s.Helper != ast.NoHelper {
+		c.emit(OpSiteHelper, idx, 0)
 	}
 	c.emit(OpSiteEnter, idx, 0)
 	c.expr(n.Test)
@@ -439,6 +449,27 @@ func (c *compiler) site(n *ast.If) bool {
 	c.stmt(block.Body[2])
 	c.patch(jf)
 	c.ch.Sites[idx].Exit = int32(c.pc())
+	return true
+}
+
+// helperArgs fills s's helper operands when h is a helper whose call the
+// engine may answer — not one of the natives $get's and $set's bodies are
+// written in — applied to one to three arguments, each a slot of the current
+// frame or a literal.
+func (c *compiler) helperArgs(h ast.Helper, args []ast.Expr, s *Site) bool {
+	if h == ast.NoHelper || h >= ast.HelperLookupGetter && h <= ast.HelperRawSet || len(args) == 0 || len(args) > len(s.Args) {
+		return false
+	}
+	for i, a := range args {
+		if slot, ok := c.localSlot(a); ok {
+			s.Args[i] = slot
+		} else if k, ok := literalConst(a); ok {
+			s.Args[i] = ^c.constant(k)
+		} else {
+			return false
+		}
+	}
+	s.Helper, s.NArgs = h, uint8(len(args))
 	return true
 }
 

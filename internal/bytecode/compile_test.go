@@ -223,53 +223,82 @@ function f(o) {
 		instrument.Exceptional: {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1},
 		instrument.Eager:       {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 3},
 	} {
-		fused, plain := compileInstrumented(t, `function f(g) { var x = g(); return x + 1; }`, strategy)
-		dis = fused.Disassemble()
+		fused, plain := compileInstrumented(t, `function f(g) { var x = g(); return x + 1; }`, strategy, desugar.Options{})
 		for op, n := range want {
 			if got := countOp(fused, op); got != n {
-				t.Errorf("%v: %v: %d, want %d\n%s", strategy, op, got, n, dis)
+				t.Errorf("%v: %v: %d, want %d\n%s", strategy, op, got, n, fused.Disassemble())
 			}
 		}
-		var ops []Op
-		for pc, ins := range fused.Code {
-			switch ins.Op {
-			case OpSitePoll, OpSiteEnter:
-			case OpPushFrame, OpPopFrame, OpReenter, OpRestoreFrame:
-				if ins.B <= int32(pc+1) || int(ins.B) >= len(fused.Code) {
-					t.Errorf("%v: %v at %d exits to %d\n%s", strategy, ins.Op, pc, ins.B, dis)
-				}
-			case OpSiteLeave:
-				ops = append(ops, OpJump)
-			default:
-				ops = append(ops, ins.Op)
+		samePlainStream(t, strategy.String(), fused, plain)
+	}
+
+	// Under the JavaScript profile's implicits and getters every `+`, `<` and
+	// `o.f` is a helper site, and one whose arguments are slots and literals
+	// gets sitehelper too, naming its helper; one reading a global does not.
+	js := desugar.Options{Implicits: desugar.ImplicitsFull, Getters: true}
+	fused, plain := compileInstrumented(t, `function f(o, a) { var x = a + 1, y = o.f < x; return y; }`, instrument.Checked, js)
+	var helpers []ast.Helper
+	for _, ins := range fused.Code {
+		if ins.Op == OpSiteHelper {
+			helpers = append(helpers, fused.Sites[ins.A].Helper)
+		}
+	}
+	if want := []ast.Helper{ast.HelperAdd, ast.HelperGet, ast.HelperLt}; !slices.Equal(helpers, want) {
+		t.Errorf("sitehelper sites %v, want %v\n%s", helpers, want, fused.Disassemble())
+	}
+	samePlainStream(t, "javascript", fused, plain)
+	fused, _ = compileInstrumented(t, `var g = 1; function f(a) { return a + g; }`, instrument.Checked, js)
+	if countOp(fused, OpSiteHelper) != 0 || countOp(fused, OpSiteEnter) == 0 {
+		t.Errorf("a helper site with a global argument must be entered plainly, not through sitehelper:\n%s", fused.Disassemble())
+	}
+}
+
+// samePlainStream fails t unless fused is plain with the site and frame
+// instructions added: the site instructions that may do nothing dropped, and
+// siteleave read as the jump it replaces.
+func samePlainStream(t *testing.T, name string, fused, plain *Chunk) {
+	t.Helper()
+	dis := fused.Disassemble()
+	var ops []Op
+	for pc, ins := range fused.Code {
+		switch ins.Op {
+		case OpSitePoll, OpSiteHelper, OpSiteEnter:
+		case OpPushFrame, OpPopFrame, OpReenter, OpRestoreFrame:
+			if ins.B <= int32(pc+1) || int(ins.B) >= len(fused.Code) {
+				t.Errorf("%s: %v at %d exits to %d\n%s", name, ins.Op, pc, ins.B, dis)
 			}
+		case OpSiteLeave:
+			ops = append(ops, OpJump)
+		default:
+			ops = append(ops, ins.Op)
 		}
-		var plainOps []Op
-		for _, ins := range plain.Code {
-			plainOps = append(plainOps, ins.Op)
-		}
-		if !slices.Equal(ops, plainOps) {
-			t.Errorf("%v: the fused lowering is not the plain one around the site and frame instructions:\n%s\nplain:\n%s", strategy, dis, plain.Disassemble())
-		}
-		for _, s := range fused.Sites {
-			if s.Body <= 0 || s.Exit <= s.Body || int(s.Exit) >= len(fused.Code) {
-				t.Errorf("site %+v not patched:\n%s", s, dis)
-			}
+	}
+	var plainOps []Op
+	for _, ins := range plain.Code {
+		plainOps = append(plainOps, ins.Op)
+	}
+	if !slices.Equal(ops, plainOps) {
+		t.Errorf("%s: the fused lowering is not the plain one around the site and frame instructions:\n%s\nplain:\n%s", name, dis, plain.Disassemble())
+	}
+	for _, s := range fused.Sites {
+		if s.Body <= 0 || s.Exit <= s.Body || int(s.Exit) >= len(fused.Code) {
+			t.Errorf("%s: site %+v not patched:\n%s", name, s, dis)
 		}
 	}
 }
 
 // compileInstrumented runs src through the compile passes that produce
-// instrumented code — $suspend insertion, A-normalization, the strategy,
-// resolution — and compiles its first function twice: as marked, and with
-// every site and frame mark cleared.
-func compileInstrumented(t *testing.T, src string, strategy instrument.Strategy) (fused, plain *Chunk) {
+// instrumented code — the desugarings of opts and $suspend insertion,
+// A-normalization, the strategy, resolution — and compiles its first function
+// twice: as marked, and with every site and frame mark cleared.
+func compileInstrumented(t *testing.T, src string, strategy instrument.Strategy, opts desugar.Options) (fused, plain *Chunk) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	desugar.Apply(prog, desugar.Options{Suspend: true}, &desugar.Namer{})
+	opts.Suspend = true
+	desugar.Apply(prog, opts, &desugar.Namer{})
 	anf.Normalize(prog)
 	instrument.Apply(prog, instrument.Options{Strategy: strategy})
 	resolve.Program(prog)

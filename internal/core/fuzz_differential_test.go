@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/langs"
 	"repro/internal/parser"
 )
 
@@ -17,12 +18,13 @@ import (
 // input runs under both execution engines with a step budget, raw and
 // stopified (checked: every call site the bytecode engine fuses), calm and
 // preempted at a quantum of 1 to 64 statements taken from the input (every
-// frame it captures and restores), and any difference in output, error,
-// completion kind, pauses or statement count is a failure; an input the
-// parser refuses must be refused alike raw and stopified. The seed corpus
-// follows the printer fuzz tests' approach —
-// deterministic pseudo-random program generation — plus the hand-written rows
-// of the conformance corpus.
+// frame it captures and restores), and calm under the JavaScript profile's
+// options (every `+`, `<` and `o.f` a helper site), and any difference in
+// output, error, completion kind, pauses or statement count is a failure; an
+// input the parser refuses must be refused alike raw and stopified. The seed
+// corpus follows the printer fuzz tests' approach — deterministic
+// pseudo-random program generation — plus the hand-written rows of the
+// conformance corpus.
 func FuzzBytecodeVsTreewalker(f *testing.F) {
 	seedFromCorpus(f, true, "edge/", "valedge/", "argsedge/", "implicit/")
 	for seed := int64(0); seed < 40; seed++ {
@@ -43,7 +45,9 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 		h := fnv.New64a()
 		h.Write([]byte(src))
 		preempted.quantum, preempted.mode = 1+h.Sum64()%64, "resume"
-		for _, c := range []cell{{}, stopified, preempted} {
+		js := stopified
+		js.profile = profile{"javascript", langs.JavaScript().Opts(p.needs)}
+		for _, c := range []cell{{}, stopified, preempted, js} {
 			c.engine = core.BackendTree
 			tree := drive(p, c)
 			c.engine = core.BackendBytecode

@@ -176,3 +176,45 @@ for (var i = 0; i < 50; i++) { %s }`
 		}
 	}
 }
+
+// TestHelperSiteFused: the bytecode engine answers a helper site whose
+// arguments are slots and literals in one instruction (OpSiteHelper), and
+// what it answers, what it throws and what it leaves to the plain code must
+// print and count as the tree-walker does, calm and paused after every
+// statement. The counts are those the plain code ran before the instruction.
+// A site's inline caches are cold on its first run, which is plain, so each
+// guest runs its sites twice or more.
+func TestHelperSiteFused(t *testing.T) {
+	guests := []struct {
+		name, src, want string
+		steps           uint64 // calm, on either engine
+	}{
+		{"answered", `function f(a, b, o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + (a + b) * 2 + o.x; } return s; }
+console.log(f(1, 2, {x: 4}), f("a", 1, {x: "b"}));`, "30 NaNbNaNbNaNb\n", 404},
+		{"throw", `function f(u) { try { var r = u.x; return r; } catch (e) { return e.name; } }
+console.log(f({x: 1}), f(undefined), f(null));`, "1 TypeError TypeError\n", 103},
+		{"shadowed", `var keep = $add;
+function f(a, b) { var s = a + b; return s; }
+var r1 = f(1, 2);
+$add = function (a, b) { return 42; };
+var r2 = f(1, 2);
+$add = keep;
+console.log(r1, r2, f(1, 2));`, "3 42 3\n", 103},
+		{"object-key", `var k = {toString: function () { console.log("toString"); return "x"; }};
+function f(o, k) { var v = o[k]; return v; }
+console.log(f({x: 5}, k), f({x: 6}, k));`, "toString\ntoString\n5 6\n", 146},
+		{"getter", `var o = {get x() { return 6; }};
+function f(o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + o.x; } return s; }
+console.log(f(o));`, "18\n", 241},
+	}
+	for _, g := range guests {
+		p := inline(g.name, g.src, g.want, implicitOpts())
+		cells := everywhere(p)
+		p.hold(t, cells...)
+		for _, c := range cells {
+			if got := p.outcome(c).steps; c.quantum == 0 && got != g.steps {
+				t.Errorf("%s/%s: %d statements, want %d", g.name, c, got, g.steps)
+			}
+		}
+	}
+}

@@ -752,6 +752,16 @@ loop:
 				env.slots[s.Label] = NumberValue(-1)
 				pc = int(s.Exit)
 			}
+		case bytecode.OpSiteHelper:
+			s := &ch.Sites[ins.A]
+			answered, e := in.siteHelper(s, ch.consts, env.slots)
+			if e != nil {
+				err = e
+				goto fail
+			}
+			if answered {
+				pc = int(s.Exit)
+			}
 		case bytecode.OpSiteEnter:
 			if s := &ch.Sites[ins.A]; in.siteNormal(s.Mode, bytecode.SiteEnterSteps) {
 				in.Steps += bytecode.SiteEnterSteps
@@ -926,7 +936,7 @@ func (in *Interp) pollSkips(s *bytecode.Site) bool {
 	if p == nil || p.Budget <= 0 || in.depth >= in.maxDepth || !in.siteNormal(s.Mode, bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) {
 		return false
 	}
-	c := in.icCellAt(s.Suspend)
+	c := in.icCellAt(s.Callee)
 	return c != nil && c.v.Obj() == p.Native && !p.Pause.Load() && !p.Kill.Load()
 }
 
@@ -974,7 +984,7 @@ func (in *Interp) deleteKey(base Value, key string) {
 
 // binOpName maps operator opcodes to the tree-walker's operator strings for
 // the generic applyBinary fallback.
-var binOpName = map[bytecode.Op]string{
+var binOpName = [...]string{
 	bytecode.OpAdd: "+", bytecode.OpSub: "-", bytecode.OpMul: "*",
 	bytecode.OpDiv: "/", bytecode.OpMod: "%", bytecode.OpPow: "**",
 	bytecode.OpLt: "<", bytecode.OpGt: ">", bytecode.OpLe: "<=",
