@@ -81,6 +81,7 @@ func runProg(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("reparse of normalized output failed: %v\n%s", err, src)
 	}
+	ast.MarkIntrinsics(prog) // the printed $forInKeys is the runtime's
 	resolve.Program(prog)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 7})

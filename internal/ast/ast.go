@@ -74,7 +74,8 @@ func (p *Program) Position() Pos { return p.Pos }
 
 // Ident is a variable reference. Ref is what internal/resolve found: a
 // (hops, slot) coordinate, RefGlobal, or zero for a coordinate too large to
-// pack, which is looked up by name (scope.go).
+// pack, which is looked up by name (scope.go); or, set before resolve by the
+// pass that built it, the mark of a runtime reference (intrinsic.go).
 type Ident struct {
 	P    Pos
 	Name string

@@ -14,7 +14,9 @@ type Ref uint32
 
 // RefGlobal marks a reference the resolver proved unbound in every
 // enclosing static scope. Only the global frame, whose names are created at
-// run time, can supply it, so the interpreter goes straight there.
+// run time, can supply it, so the interpreter goes straight there. With an
+// intrinsic index in the low bits (RefGlobal|k, intrinsic.go) it marks a
+// runtime reference instead, which no frame supplies.
 const RefGlobal Ref = 1 << 31
 
 // The packing's range: a reference reaches at most MaxHops frames out (hops
@@ -36,11 +38,20 @@ func MakeRef(hops, slot int) (Ref, bool) {
 }
 
 // Valid reports whether the reference names a (hops, slot) coordinate.
-func (r Ref) Valid() bool { return r != 0 && r != RefGlobal }
+func (r Ref) Valid() bool { return r != 0 && r&RefGlobal == 0 }
 
 // Global reports whether the reference was proved to bypass all static
 // scopes.
 func (r Ref) Global() bool { return r == RefGlobal }
+
+// Intrinsic is the runtime binding the reference is marked with, or
+// NoIntrinsic.
+func (n *Ident) Intrinsic() Intrinsic {
+	if n.Ref&RefGlobal == 0 {
+		return NoIntrinsic
+	}
+	return Intrinsic(n.Ref &^ RefGlobal)
+}
 
 // Hops returns the number of parent-frame hops.
 func (r Ref) Hops() int { return int(r >> 16) }

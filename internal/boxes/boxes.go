@@ -124,7 +124,9 @@ func (b *boxer) analyze(node ast.Node) bool {
 			b.mark(id.Name, assigned)
 		}
 	case *ast.Ident:
-		b.mark(n.Name, 0)
+		if n.Intrinsic() == ast.NoIntrinsic {
+			b.mark(n.Name, 0)
+		}
 	}
 	return true
 }
@@ -147,7 +149,7 @@ func (b *boxer) mark(name string, how flags) {
 func (b *boxer) expr(e ast.Expr) ast.Expr {
 	switch n := e.(type) {
 	case *ast.Ident:
-		if b.boxedRef(n.Name) {
+		if n.Intrinsic() == ast.NoIntrinsic && b.boxedRef(n.Name) {
 			return &ast.Member{P: n.P, X: n, Name: "v"}
 		}
 	case *ast.Call:

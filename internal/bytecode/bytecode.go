@@ -79,6 +79,9 @@ const (
 	// OpTypeofGlobal pushes typeof of the proved-global Names[B] (site A),
 	// "undefined" when unbound.
 	OpTypeofGlobal
+	// OpIntrinsic pushes the runtime binding A (an ast.Intrinsic) from the
+	// realm's table; ReferenceError in a realm with no runtime.
+	OpIntrinsic
 	// OpGetArguments, OpGetArg and OpArgsLen are every read a function makes
 	// of its own `arguments` binding (packed Ref C: its frame's ArgumentsSlot,
 	// as many hops out as catch clauses enclose the read). On entry the slot
@@ -256,12 +259,17 @@ const (
 	// to three plain instructions with one dispatch. The compiler emits
 	// them from AST shape alone, so they change no semantics.
 
+	// OpModeEq pushes whether the realm's mode is A (an ast.Mode) — the
+	// `$mode === "..."` guard at the top of every instrumented function and
+	// loop, $mode the intrinsic.
+	OpModeEq
+	// OpJumpModeNe jumps to A unless the realm's mode is B — the complete
+	// `if ($mode === "...")` guard in one dispatch.
+	OpJumpModeNe
 	// OpStrictEqConst pushes stack-top === Consts[A] (replacing
 	// OpConst+OpStrictEq).
 	OpStrictEqConst
-	// OpGlobalEqConst pushes <global Names[B], site A> === Consts[C] —
-	// the `$mode === "..."` guard at the top of every instrumented
-	// function and loop.
+	// OpGlobalEqConst pushes <global Names[B], site A> === Consts[C].
 	OpGlobalEqConst
 	// OpGetLocalMember pushes slot A's member Names[B] through site C.
 	OpGetLocalMember
@@ -273,6 +281,9 @@ const (
 	OpCalleeGlobal
 	// OpCalleeLocal pushes undefined and slot A.
 	OpCalleeLocal
+	// OpCalleeIntrinsic pushes undefined and the runtime binding A, as
+	// OpIntrinsic does.
+	OpCalleeIntrinsic
 	// OpCall0Global calls the proved-global Names[B] (site A) with no
 	// arguments and undefined `this`, pushing the result — the shape of
 	// every `$suspend()` yield probe.
@@ -280,11 +291,6 @@ const (
 	// OpCall0Local calls slot A with no arguments and undefined `this`,
 	// pushing the result.
 	OpCall0Local
-	// OpJumpGlobalNeConst jumps to A when <global, site B> !== Consts[C] —
-	// the complete `if ($mode === "...")` guard in one dispatch. The
-	// global's name, needed only on a cache miss, lives in
-	// GuardNames[pc of this instruction].
-	OpJumpGlobalNeConst
 	// OpConstSetLocal stores Consts[A] into slot B.
 	OpConstSetLocal
 	// OpClosureSetLocal stores a closure of Funcs[A] into slot B.
@@ -308,18 +314,18 @@ const (
 	//
 	// A checked call site (instrument.site, marked ast.If.Site) is lowered
 	// exactly as any if statement, with these around it for normal mode.
-	// Sites[A] holds what they read. Each takes its shortcut only when $mode's
-	// global cell holds "normal", the realm has no engine profile, and no
+	// Sites[A] holds what they read. Each takes its shortcut only when the
+	// realm is in normal mode, has no engine profile, and no
 	// statement-boundary trigger falls inside the statements it counts;
 	// otherwise it does nothing and the generic code runs, so both paths count
 	// the same statements (DESIGN_interp.md "Fused call sites and the yield
 	// poll").
 
 	// OpSitePoll, before OpSiteEnter at a `$suspend()` site, skips the whole
-	// site when the call would return at once: $suspend's binding still holds
-	// the runtime's native, no pause or kill is requested, and the runtime's
-	// poll budget is positive. It counts the site's four remaining boundaries,
-	// stores undefined into the target and -1 into $lbl, and exits.
+	// site when the call would return at once: no pause or kill is requested,
+	// and the runtime's poll budget is positive. It counts the site's four
+	// remaining boundaries, stores undefined into the target and -1 into
+	// $lbl, and exits.
 	OpSitePoll
 	// OpSiteHelper, before OpSiteEnter at a site whose application is a call
 	// of a prelude helper ($add, $get, ...) on slots and literals, answers the
@@ -343,16 +349,16 @@ const (
 	//
 	// Each stands ahead of the plain lowering of the frame protocol the
 	// instrumentation marked (ast.Member.Frame, ast.If.Restore). When the
-	// frame array's global holds one of the runtime's arrays (interp.Poll) and
-	// what it reads has the instrumentation's layout, it does that code's work
+	// realm has the runtime's frame arrays (interp.Poll) and what it reads
+	// has the instrumentation's layout, it does that code's work
 	// without reading a method a guest may have replaced, charges and counts
 	// what the code does and jumps past it, to B; otherwise it does nothing
 	// (DESIGN_interp.md "Frames").
 
 	// OpPushFrame appends the frame Frames[A] and pushes the array's length.
 	OpPushFrame
-	// OpPopFrame pops the array in the global Names[C] (cache site A) and
-	// pushes what it took off.
+	// OpPopFrame pops the runtime's array A (an ast.Intrinsic) and pushes
+	// what it took off.
 	OpPopFrame
 	// OpReenter calls the fn of the frame in $k (a packed Ref in A) with its
 	// self, and its args when C is 1, as Function.prototype.apply would, and
@@ -370,20 +376,22 @@ const (
 type Global struct{ Name, Site int32 }
 
 // Frame is one frame push, `<Array>.push([Label, Fn, Self, Elems…])`:
-// OpPushFrame's operands. Fn is ast.RefGlobal for the global FnGlobal; Elems
-// are the varargs arguments object, if any, and the saved locals.
+// OpPushFrame's operands. Array is the runtime's array pushed to; Fn is
+// ast.RefGlobal for the global FnGlobal; Elems are the varargs arguments
+// object, if any, and the saved locals.
 type Frame struct {
-	Array, FnGlobal Global
-	Label           int32
-	Fn, Self        ast.Ref
-	Elems           []ast.Ref
+	Array    ast.Intrinsic
+	FnGlobal Global
+	Label    int32
+	Fn, Self ast.Ref
+	Elems    []ast.Ref
 }
 
 // Restore is one prologue restore block: OpRestoreFrame's operands, the
 // current frame's slots it writes ($k, $lbl, then the locals, read from the
 // frame's elements from Base on) and the statement boundaries it counts.
 type Restore struct {
-	Array        Global // $rstack
+	Array        ast.Intrinsic // $rstack
 	K, Lbl, Base int32
 	Steps        uint32
 	Locals       []int32
@@ -392,8 +400,7 @@ type Restore struct {
 // Site is one fused call site: the operands OpSitePoll, OpSiteHelper,
 // OpSiteEnter and OpSiteLeave share.
 type Site struct {
-	Mode   uint32 // global-cell cache site of the guard's $mode
-	Callee uint32 // global-cell cache site of OpSitePoll's $suspend or OpSiteHelper's helper
+	Callee uint32 // global-cell cache site of OpSiteHelper's helper
 	Target int32  // local slot the application's value is stored in
 	Label  int32  // local slot of $lbl
 	Body   int32  // pc of the application's code
@@ -507,10 +514,6 @@ type Chunk struct {
 	// around one point.
 	MaxTries int
 
-	// GuardNames maps the pc of an OpJumpGlobalNeConst to the Names index
-	// of its global, consulted only on an inline-cache miss.
-	GuardNames map[int32]int32
-
 	// Sites are the fused call sites, indexed by their instructions' A; the
 	// frame instructions' operands likewise.
 	Sites    []Site
@@ -532,7 +535,7 @@ var opNames = [...]string{
 	OpDup2: "dup2", OpDupX1: "dupx1", OpDupX2: "dupx2",
 	OpGetLocal: "getlocal", OpSetLocal: "setlocal",
 	OpGetRef: "getref", OpSetRef: "setref", OpGetGlobal: "getglobal",
-	OpSetGlobal: "setglobal", OpTypeofGlobal: "typeofglobal",
+	OpSetGlobal: "setglobal", OpTypeofGlobal: "typeofglobal", OpIntrinsic: "intrinsic",
 	OpGetArguments: "getarguments", OpGetArg: "getarg", OpArgsLen: "argslen",
 	OpClosure: "closure", OpArray: "array", OpNewObject: "newobject",
 	OpSetProp: "setprop", OpSetAccessor: "setaccessor",
@@ -557,12 +560,13 @@ var opNames = [...]string{
 	OpPopTry: "poptry", OpEnterCatch: "entercatch",
 	OpLeaveScope: "leavescope", OpForInInit: "forininit",
 	OpForInNext: "forinnext", OpEnterFinally: "enterfinally",
-	OpEndFinally:    "endfinally",
+	OpEndFinally: "endfinally",
+	OpModeEq:     "modeeq", OpJumpModeNe: "jumpmodene",
 	OpStrictEqConst: "stricteqconst", OpGlobalEqConst: "globaleqconst",
 	OpGetLocalMember: "getlocalmember", OpGetLocalMethod: "getlocalmethod",
-	OpCalleeGlobal: "calleeglobal", OpCalleeLocal: "calleelocal",
+	OpCalleeGlobal: "calleeglobal", OpCalleeLocal: "calleelocal", OpCalleeIntrinsic: "calleeintrinsic",
 	OpCall0Global: "call0global", OpCall0Local: "call0local",
-	OpJumpGlobalNeConst: "jumpglobalneconst", OpConstSetLocal: "constsetlocal",
+	OpConstSetLocal:   "constsetlocal",
 	OpClosureSetLocal: "closuresetlocal", OpSetLocalStmt: "setlocalstmt",
 	OpJumpIfFalseStmt: "jumpfalsestmt", OpStmtGetLocal: "stmtgetlocal",
 	OpStmtConst: "stmtconst", OpSitePoll: "sitepoll", OpSiteHelper: "sitehelper", OpSiteEnter: "siteenter",
@@ -594,6 +598,12 @@ func (c *Chunk) Disassemble() string {
 			b = append(b, fmt.Sprintf(" %q", c.Names[ins.B])...)
 		case OpStrictEqConst:
 			b = append(b, " "+c.Consts[ins.A].display()...)
+		case OpIntrinsic, OpCalleeIntrinsic:
+			b = append(b, " "+ast.IntrinsicNames[ins.A]...)
+		case OpModeEq:
+			b = append(b, " "+ast.ModeNames[ins.A]...)
+		case OpJumpModeNe:
+			b = append(b, fmt.Sprintf(" %s %d", ast.ModeNames[ins.B], ins.A)...)
 		case OpGlobalEqConst:
 			b = append(b, fmt.Sprintf(" %q %s", c.Names[ins.B], c.Consts[ins.C].display())...)
 		case OpGetLocalMember, OpGetLocalMethod:

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/ast"
-	"repro/internal/instrument"
 )
 
 // Compile lowers a function body to a chunk. fn went through internal/resolve
@@ -190,19 +189,14 @@ func (c *compiler) emitChargeBranch() {
 func (c *compiler) pc() int { return len(c.ch.Code) }
 
 // emitJumpIfFalse emits a falsy-branch, folding it into an immediately
-// preceding OpGlobalEqConst (the mode-dispatch guard) when no jump target
-// separates them. Returns the instruction index to patch.
+// preceding OpModeEq (the mode-dispatch guard) when no jump target separates
+// them. Returns the instruction index to patch.
 func (c *compiler) emitJumpIfFalse() int {
 	n := len(c.ch.Code)
 	if n > c.fuseBarrier && n > 0 {
-		if last := &c.ch.Code[n-1]; last.Op == OpGlobalEqConst {
-			if c.ch.GuardNames == nil {
-				c.ch.GuardNames = make(map[int32]int32)
-			}
-			c.ch.GuardNames[int32(n-1)] = last.B
-			last.Op = OpJumpGlobalNeConst
-			last.B = last.A // site moves to B
-			last.A = -1     // jump target, patched by the caller
+		if last := &c.ch.Code[n-1]; last.Op == OpModeEq {
+			last.Op = OpJumpModeNe
+			last.A, last.B = -1, last.A // the jump target, patched by the caller; the mode
 			return n - 1
 		}
 	}
@@ -395,25 +389,21 @@ func (c *compiler) site(n *ast.If) bool {
 	if or == nil || block == nil || len(block.Body) != 3 || n.Alt != nil {
 		return false
 	}
-	mode, ok := modeNormalTest(or.L)
 	target, value, okApply := c.localStore(block.Body[0])
 	label, reset, okReset := c.localStore(block.Body[2])
 	cond, okCond := value.(*ast.Cond)
 	minusOne, okOne := reset.(*ast.Number)
-	if !ok || !okApply || !okReset || !okCond || !okOne || minusOne.Value != -1 {
+	if !isModeNormal(or.L) || !okApply || !okReset || !okCond || !okOne || minusOne.Value != -1 || !isModeNormal(cond.Test) {
 		return false
 	}
-	if _, ok := modeNormalTest(cond.Test); !ok {
-		return false
-	}
-	s := Site{Mode: mode, Target: int32(target.Ref.Slot()), Label: int32(label.Ref.Slot())}
+	s := Site{Target: int32(target.Ref.Slot()), Label: int32(label.Ref.Slot())}
 	poll := false
 	if call, ok := cond.Cons.(*ast.Call); ok {
-		if id, ok := call.Callee.(*ast.Ident); ok && id.Ref.Global() && id.Site != 0 {
+		if id, ok := call.Callee.(*ast.Ident); ok {
 			switch {
-			case id.Name == instrument.SuspendFn && len(call.Args) == 0:
-				s.Callee, poll = id.Site, true
-			case c.helperArgs(ast.HelperNamed(id.Name), call.Args, &s):
+			case id.Intrinsic() == ast.IntrinsicSuspend && len(call.Args) == 0:
+				poll = true
+			case id.Ref.Global() && id.Site != 0 && c.helperArgs(ast.HelperNamed(id.Name), call.Args, &s):
 				s.Callee = id.Site
 			}
 		}
@@ -473,18 +463,25 @@ func (c *compiler) helperArgs(h ast.Helper, args []ast.Expr, s *Site) bool {
 	return true
 }
 
-// modeNormalTest returns the cache site of `$mode === "normal"`.
-func modeNormalTest(e ast.Expr) (uint32, bool) {
+// modeTest takes a mode guard, `$mode === "<m>"` with $mode the intrinsic,
+// apart.
+func modeTest(e ast.Expr) (ast.Mode, bool) {
 	b, ok := e.(*ast.Binary)
 	if !ok || b.Op != "===" {
 		return 0, false
 	}
 	id, okID := b.L.(*ast.Ident)
 	s, okStr := b.R.(*ast.Str)
-	if !okID || !okStr || id.Name != instrument.ModeVar || !id.Ref.Global() || id.Site == 0 || s.Value != instrument.ModeNormal {
+	if !okID || !okStr || id.Intrinsic() != ast.IntrinsicMode {
 		return 0, false
 	}
-	return id.Site, true
+	return ast.ModeNamed(s.Value)
+}
+
+// isModeNormal reports whether e is `$mode === "normal"`.
+func isModeNormal(e ast.Expr) bool {
+	m, ok := modeTest(e)
+	return ok && m == ast.ModeNormal
 }
 
 // localStore takes `x = v;` apart when x is a slot of the current frame.
@@ -517,7 +514,8 @@ func (c *compiler) localStore(s ast.Stmt) (*ast.Ident, ast.Expr, bool) {
 func (c *compiler) restore(n *ast.If) bool {
 	body := n.Cons.(*ast.Block).Body
 	pop := body[0].(*ast.ExprStmt).X.(*ast.Assign).Value.(*ast.Call).Callee.(*ast.Member)
-	array, ok := c.global(pop.X)
+	array := intrinsicOf(pop.X)
+	ok := array != ast.NoIntrinsic
 	slots := make([]int32, len(body))
 	for i, s := range body {
 		r, isSlot := slotRef(s.(*ast.ExprStmt).X.(*ast.Assign).Target)
@@ -954,9 +952,14 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.Update:
 		c.update(n, true)
 	case *ast.Binary:
-		// `x === <literal>` is the shape of every instrumented
-		// mode-dispatch guard; fuse the constant load and compare (and,
-		// for proved-global left sides, the load too).
+		// A mode guard tests the realm's mode; any other `x === <literal>`
+		// fuses the constant load and compare (and, for proved-global left
+		// sides, the load too).
+		if m, ok := modeTest(n); ok {
+			c.emit(OpModeEq, int32(m), 0)
+			c.push(1)
+			return
+		}
 		if n.Op == "===" {
 			if k, ok := literalConst(n.R); ok {
 				if id, isIdent := n.L.(*ast.Ident); isIdent && id.Ref.Global() {
@@ -1126,6 +1129,11 @@ func (c *compiler) loadIdent(n *ast.Ident) {
 		c.loadRef(n.Ref)
 		return
 	}
+	if k := n.Intrinsic(); k != ast.NoIntrinsic {
+		c.emit(OpIntrinsic, int32(k), 0)
+		c.push(1)
+		return
+	}
 	c.emit(OpGetGlobal, int32(n.Site), c.name(n.Name))
 	c.push(1)
 }
@@ -1156,7 +1164,7 @@ func (c *compiler) store(r ast.Ref, name string, site uint32) {
 func (c *compiler) unary(n *ast.Unary) {
 	switch n.Op {
 	case "typeof":
-		if id, ok := n.X.(*ast.Ident); ok && !id.Ref.Valid() {
+		if id, ok := n.X.(*ast.Ident); ok && !id.Ref.Valid() && id.Intrinsic() == ast.NoIntrinsic {
 			// typeof tolerates unresolvable names.
 			c.emit(OpTypeofGlobal, int32(id.Site), c.name(id.Name))
 			c.push(1)
@@ -1360,12 +1368,14 @@ func (c *compiler) call(n *ast.Call) {
 
 // frameOp emits the frame instruction for a frame-protocol call
 // (ast.Member.Frame) and returns its pc, or -1, emitting nothing, when what
-// the instruction reads is not a slot or a proved global. The layout of what
-// it reads is the mark's: instrument builds it.
+// the instruction reads is not a slot, a proved global or one of the
+// runtime's arrays. The layout of what it reads is the mark's: instrument
+// builds it.
 func (c *compiler) frameOp(n *ast.Call, m *ast.Member) int {
-	array, global := c.global(m.X)
+	array := intrinsicOf(m.X)
+	runtime := array != ast.NoIntrinsic
 	switch {
-	case m.Name == "push" && global:
+	case m.Name == "push" && runtime:
 		f, ok := c.frameLiteral(n.Args[0].(*ast.Array))
 		if !ok {
 			return -1
@@ -1373,8 +1383,8 @@ func (c *compiler) frameOp(n *ast.Call, m *ast.Member) int {
 		f.Array = array
 		c.ch.Frames = append(c.ch.Frames, f)
 		return c.emit(OpPushFrame, int32(len(c.ch.Frames)-1), -1)
-	case m.Name == "pop" && global:
-		return c.emit3(OpPopFrame, array.Site, -1, array.Name)
+	case m.Name == "pop" && runtime:
+		return c.emit(OpPopFrame, int32(array), -1)
 	case m.Name == "apply": // $k[1].apply($k[2][, $k[3]])
 		if k, ok := slotRef(m.X.(*ast.Member).X); ok {
 			return c.emit3(OpReenter, int32(k), -1, int32(len(n.Args)-1))
@@ -1418,6 +1428,15 @@ func slotRef(e ast.Expr) (ast.Ref, bool) {
 	return r, r.Valid()
 }
 
+// intrinsicOf is the runtime binding e is a marked reference to, or
+// NoIntrinsic.
+func intrinsicOf(e ast.Expr) ast.Intrinsic {
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Intrinsic()
+	}
+	return ast.NoIntrinsic
+}
+
 // global takes a proved-global identifier apart.
 func (c *compiler) global(e ast.Expr) (Global, bool) {
 	id, _ := e.(*ast.Ident)
@@ -1452,6 +1471,9 @@ func (c *compiler) plainCall(n *ast.Call) {
 		// the ubiquitous zero-argument forms fuse the whole call.
 		slot, local := c.localSlot(callee)
 		switch {
+		case callee.Intrinsic() != ast.NoIntrinsic:
+			c.emit(OpCalleeIntrinsic, int32(callee.Intrinsic()), 0)
+			c.push(2)
 		case callee.Ref.Global():
 			if len(n.Args) == 0 {
 				c.emit(OpCall0Global, int32(callee.Site), c.name(callee.Name))

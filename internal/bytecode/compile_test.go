@@ -194,14 +194,15 @@ function f(o) {
 }`)
 	dis := ch.Disassemble()
 	for _, want := range []string{
-		"jumpglobalneconst", // if ($mode === "normal") guard
-		"stmtconst",         // var t = 1 (boundary + constant push)
-		"setlocalstmt",      // …and its store folded with the next boundary
-		"closuresetlocal",   // var g = function…
-		"getlocalmember",    // o.label
-		"call0local",        // g()
-		"call0global",       // $suspend()
-		"stmtgetlocal",      // return t
+		"globaleqconst",   // $mode === "normal": the guest's own global
+		"jumpfalsestmt",   // …and its if
+		"stmtconst",       // var t = 1 (boundary + constant push)
+		"setlocalstmt",    // …and its store folded with the next boundary
+		"closuresetlocal", // var g = function…
+		"getlocalmember",  // o.label
+		"call0local",      // g()
+		"call0global",     // $suspend(): the guest's own global too
+		"stmtgetlocal",    // return t
 	} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("missing fused instruction %s:\n%s", want, dis)
@@ -217,16 +218,24 @@ function f(o) {
 	// entered and left through the fused pair, and the yield point is polled
 	// too. Under every strategy each frame push, pop and re-entry and the
 	// prologue's restore block get a frame instruction, and what runs when
-	// none applies is the plain lowering of the same tree.
+	// none applies is the plain lowering of the same tree. Every mode guard
+	// tests the realm's mode: an if's in one instruction, jumpmodene, and a
+	// site's `$mode === "normal" || $lbl === L` with modeeq; no instruction
+	// reads a runtime name as a global.
 	for strategy, want := range map[instrument.Strategy]map[Op]int{
-		instrument.Checked:     {OpSiteEnter: 2, OpSiteLeave: 2, OpSitePoll: 1, OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1},
-		instrument.Exceptional: {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1},
-		instrument.Eager:       {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 3},
+		instrument.Checked:     {OpSiteEnter: 2, OpSiteLeave: 2, OpSitePoll: 1, OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1, OpJumpModeNe: 6, OpModeEq: 2},
+		instrument.Exceptional: {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 1, OpJumpModeNe: 4, OpModeEq: 2},
+		instrument.Eager:       {OpPushFrame: 2, OpReenter: 2, OpRestoreFrame: 1, OpPopFrame: 3, OpJumpModeNe: 4, OpModeEq: 2},
 	} {
 		fused, plain := compileInstrumented(t, `function f(g) { var x = g(); return x + 1; }`, strategy, desugar.Options{})
 		for op, n := range want {
 			if got := countOp(fused, op); got != n {
 				t.Errorf("%v: %v: %d, want %d\n%s", strategy, op, got, n, fused.Disassemble())
+			}
+		}
+		for _, op := range []Op{OpGetGlobal, OpGlobalEqConst, OpCalleeGlobal, OpCall0Global} {
+			if got := countOp(fused, op); got != 0 {
+				t.Errorf("%v: %d %v, want none\n%s", strategy, got, op, fused.Disassemble())
 			}
 		}
 		samePlainStream(t, strategy.String(), fused, plain)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/langs"
 	"repro/internal/parser"
@@ -35,6 +36,22 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 	// first.
 	f.Add("var = 1;\n\"abc")
 	f.Add("f(1;\n/* unterminated")
+	// Every name the runtime once bound as a global, now an intrinsic no
+	// guest binding reaches, declared, assigned, read and called by the
+	// guest, at the top level and in a function the preempted cell captures
+	// and re-enters.
+	for _, name := range ast.IntrinsicNames[1:] {
+		f.Add(fmt.Sprintf(`console.log(typeof %[1]s);
+var %[1]s = 1;
+function f(n) { var %[1]s = n; for (var i = 0; i < 3; i++) { %[1]s = %[1]s + i; } return %[1]s; }
+%[1]s = f(%[1]s) + f(2);
+console.log(%[1]s, typeof %[1]s);`, name))
+		f.Add(fmt.Sprintf(`function g(x) { return x * 2; }
+%[1]s = function (x) { return g(x) + 1; };
+var s = 0;
+for (var i = 0; i < 4; i++) { s = s + %[1]s(i); }
+console.log(s, typeof %[1]s);`, name))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)
 		if p == nil {

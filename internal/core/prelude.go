@@ -71,6 +71,7 @@ func compilePrelude(opts Opts) (*prelude, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
 	}
+	ast.MarkIntrinsics(prog) // $boundFn, $boundArgs and $create are the runtime's
 	nm := &desugar.Namer{}
 	desugar.Apply(prog, desugar.Options{}, nm)
 	if nm.Fresh("") != "1" {

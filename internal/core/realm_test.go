@@ -20,8 +20,10 @@ import (
 
 // The ceilings on NewRun of a one-statement program — interp.New's builtin
 // graph, the runtime's natives, the host registry, the prelude — are its
-// measured 269 allocations in 31 224 bytes (272 in 32 696 under the race
-// detector) plus 1.5 %. A realm that rebuilds its builtin shapes instead
+// measured 257 allocations in 29 048 bytes (260 in 30 184 under the race
+// detector) plus 1.5 %. While the runtime defined its names as globals, which
+// grew the global frame by a dozen cells and the global cache table by their
+// references, it cost 269 in 29 608. A realm that rebuilds its builtin shapes instead
 // of following the process's frozen ones fails here: that cost 448
 // allocations in 47 744 bytes (447 in 50 992 under the race detector). The
 // realm cost 971 allocations and 143 328 bytes while shapes copied their
@@ -29,8 +31,8 @@ import (
 // and 451 in 56 480 with 160-byte object headers and 48-byte property
 // slots.
 const (
-	newRunAllocs = 277
-	newRunBytes  = 33_200
+	newRunAllocs = 264
+	newRunBytes  = 30_650
 )
 
 func TestAllocGateNewRun(t *testing.T) {

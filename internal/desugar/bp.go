@@ -17,7 +17,7 @@ func insertBreakpoints(body []ast.Stmt) []ast.Stmt {
 	r := ast.Rewriter{
 		Expand: func(s ast.Stmt) ([]ast.Stmt, bool) {
 			if p := s.Position(); p.Known() && !labeled {
-				return []ast.Stmt{ast.ExprOf(ast.CallId("$bp", ast.Int(p.Line))), s}, true
+				return []ast.Stmt{ast.ExprOf(ast.IntrinsicBp.Call(ast.Int(p.Line))), s}, true
 			}
 			return nil, true
 		},

@@ -27,6 +27,7 @@ func runDesugared(t *testing.T, src string, opts Options) string {
 	if err != nil {
 		t.Fatalf("desugared output does not reparse: %v\n%s", err, out)
 	}
+	ast.MarkIntrinsics(reparsed) // the printed $forInKeys is the runtime's
 	resolve.Program(reparsed)
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Out: &buf, Seed: 1})

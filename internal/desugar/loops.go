@@ -100,9 +100,9 @@ func (l *loopLowerer) lowerDoWhile(n *ast.DoWhile, labels []string) ast.Stmt {
 }
 
 // lowerForIn rewrites `for (k in obj) body` into a while loop over
-// $forInKeys(obj): the native that lists what the engines' own for-in visits
-// (interp.InstallDesugarNatives), which a guest cannot replace as it can
-// Object.keys.
+// $forInKeys(obj): the intrinsic that lists what the engines' own for-in
+// visits (interp.InstallDesugarNatives), which a guest can neither replace,
+// as it can Object.keys, nor shadow.
 func (l *loopLowerer) lowerForIn(n *ast.ForIn, labels []string) ast.Stmt {
 	blockLabel := l.nm.Fresh("$L")
 	keys := l.nm.Fresh("$ks")
@@ -115,7 +115,7 @@ func (l *loopLowerer) lowerForIn(n *ast.ForIn, labels []string) ast.Stmt {
 		out = append(out, ast.Var(n.Name, nil))
 	}
 	out = append(out,
-		ast.Var(keys, ast.CallId("$forInKeys", n.Obj)),
+		ast.Var(keys, ast.IntrinsicForInKeys.Call(n.Obj)),
 		ast.Var(idx, ast.Int(0)),
 		&ast.While{
 			Test: ast.Bin("<", ast.Id(idx), ast.Dot(ast.Id(keys), "length")),

@@ -28,7 +28,7 @@ func insertSuspend(body []ast.Stmt) []ast.Stmt {
 	return r.Stmts(body)
 }
 
-func suspendCall() ast.Stmt { return ast.ExprOf(ast.CallId("$suspend")) }
+func suspendCall() ast.Stmt { return ast.ExprOf(ast.IntrinsicSuspend.Call()) }
 
 func prependSuspend(body ast.Stmt) ast.Stmt {
 	if b, ok := body.(*ast.Block); ok {

@@ -77,27 +77,17 @@ type Options struct {
 	PerStatementGuards bool
 }
 
-// Names of the runtime globals and primitives shared between generated
-// code and internal/rt.
+// Names shared between generated code and internal/rt. Every other runtime
+// name generated code reads is an intrinsic (ast.Intrinsic), which no guest
+// binding can stand in for.
 const (
-	ModeVar   = "$mode"
-	StackVar  = "$stack"
-	RStackVar = "$rstack"
-	ShadowVar = "$shadow"
-	SuspendFn = "$suspend"
-	BpFn      = "$bp"
-	IsSigFn   = "$isSig"
-	IsCapFn   = "$isCap"
-	CFn       = "$C"
+	// CFn is the control operator of §3, the guest's own API: a global.
+	CFn = "$C"
 
 	// SelfVar is the name an instrumented declaration's body binds the
 	// function to (ast.Func.Self), for its frames to record it by; suffixed
 	// in a compile whose guest has a name so spelled.
 	SelfVar = "$self"
-
-	ModeNormal  = "normal"
-	ModeCapture = "capture"
-	ModeRestore = "restore"
 
 	// A reified frame (pushFrame) is one array, [label, fn, self, (args,)
 	// saved…]: these are its fixed indexes. internal/rt builds the bottom
@@ -267,8 +257,8 @@ func (c *fctx) localsList(fn *ast.Func, body []ast.Stmt) []string {
 // Prologue (Figure 3 lines 5–13)
 // ---------------------------------------------------------------------------
 
-func isMode(mode string) ast.Expr {
-	return ast.Bin("===", ast.Id(ModeVar), ast.Strlit(mode))
+func isMode(mode ast.Mode) ast.Expr {
+	return ast.Bin("===", ast.IntrinsicMode.Id(), ast.Strlit(ast.ModeNames[mode]))
 }
 
 func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
@@ -300,7 +290,7 @@ func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
 
 	// if ($mode === "restore") { restoreFrame }
 	restore := []ast.Stmt{
-		ast.ExprOf(ast.SetId(c.k, frameCall(ast.Id(RStackVar), "pop"))),
+		ast.ExprOf(ast.SetId(c.k, frameCall(ast.IntrinsicRStack.Id(), "pop"))),
 		ast.ExprOf(ast.SetId(c.lbl, c.frameElem(FrameLabel))),
 	}
 	base := c.savedBase()
@@ -308,8 +298,8 @@ func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
 		restore = append(restore, ast.ExprOf(ast.SetId(name, c.frameElem(base+i))))
 	}
 	restore = append(restore, ast.ExprOf(ast.SetId(c.k,
-		ast.Idx(ast.Id(RStackVar), ast.Bin("-", ast.Dot(ast.Id(RStackVar), "length"), ast.Int(1))))))
-	block := ast.IfThen(isMode(ModeRestore), restore...)
+		ast.Idx(ast.IntrinsicRStack.Id(), ast.Bin("-", ast.Dot(ast.IntrinsicRStack.Id(), "length"), ast.Int(1))))))
+	block := ast.IfThen(isMode(ast.ModeRestore), restore...)
 	block.Restore = true // the bytecode compiler fuses it
 	return append(out, block)
 }
@@ -360,7 +350,7 @@ func renameIdent(body []ast.Stmt, old, new string) {
 	visit = func(node ast.Node) bool {
 		switch n := node.(type) {
 		case *ast.Ident:
-			if n.Name == old {
+			if n.Name == old && n.Intrinsic() == ast.NoIntrinsic {
 				n.Name = new
 			}
 		case *ast.VarDecl:
@@ -517,7 +507,7 @@ func (c *fctx) saveShadowDepth(s ast.Stmt) ([]ast.Stmt, bool) {
 	}
 	sd := c.fresh("$sd")
 	c.shadowDepth[n] = sd
-	return []ast.Stmt{ast.ExprOf(ast.SetId(sd, ast.Dot(ast.Id(ShadowVar), "length"))), n}, true
+	return []ast.Stmt{ast.ExprOf(ast.SetId(sd, ast.Dot(ast.IntrinsicShadow.Id(), "length"))), n}, true
 }
 
 // declToAssigns turns a var declaration into plain assignments: every local

@@ -88,7 +88,7 @@ func (c *fctx) kStmts(body []ast.Stmt) []ast.Stmt {
 		if len(run) == 0 {
 			return
 		}
-		out = append(out, ast.IfThen(isMode(ModeNormal), run...))
+		out = append(out, ast.IfThen(isMode(ast.ModeNormal), run...))
 		run = nil
 	}
 	for _, s := range body {
@@ -152,7 +152,7 @@ func (c *fctx) kCompound(s ast.Stmt) ast.Stmt {
 		return &ast.Labeled{P: n.P, Label: n.Label, Body: c.kCompoundOrSite(n.Body)}
 	case *ast.If:
 		consLo, consHi := labelRange(n.Cons)
-		test := ast.Log("&&", isMode(ModeNormal), n.Test)
+		test := ast.Log("&&", isMode(ast.ModeNormal), n.Test)
 		var fullTest ast.Expr = test
 		if consLo != 0 {
 			fullTest = ast.Log("||", test, c.labelTest(consLo, consHi))
@@ -162,7 +162,7 @@ func (c *fctx) kCompound(s ast.Stmt) ast.Stmt {
 			return &ast.If{P: n.P, Test: fullTest, Cons: cons}
 		}
 		altLo, altHi := labelRange(n.Alt)
-		var altGuard ast.Expr = isMode(ModeNormal)
+		var altGuard ast.Expr = isMode(ast.ModeNormal)
 		if altLo != 0 {
 			altGuard = ast.Log("||", altGuard, c.labelTest(altLo, altHi))
 		}
@@ -171,7 +171,7 @@ func (c *fctx) kCompound(s ast.Stmt) ast.Stmt {
 	case *ast.While:
 		lo, hi := labelRange(n.Body)
 		test := ast.Log("||",
-			ast.Log("&&", isMode(ModeNormal), n.Test),
+			ast.Log("&&", isMode(ast.ModeNormal), n.Test),
 			c.labelTest(lo, hi),
 		)
 		return &ast.While{P: n.P, Test: test, Body: c.kCompoundOrSite(n.Body)}
@@ -192,7 +192,7 @@ func (c *fctx) kCompoundOrSite(s ast.Stmt) ast.Stmt {
 	if lo, _ := labelRange(s); lo != 0 {
 		return c.kCompound(s)
 	}
-	return ast.IfThen(isMode(ModeNormal), s)
+	return ast.IfThen(isMode(ast.ModeNormal), s)
 }
 
 // kTry implements the try/catch/finally re-entry machinery of §3.1.1.
@@ -211,7 +211,7 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 	// Re-enter the catch clause by re-throwing the saved exception.
 	if catchLo != 0 {
 		tryBody = append(tryBody, ast.IfThen(
-			ast.Log("&&", isMode(ModeRestore), c.labelTest(catchLo, catchHi)),
+			ast.Log("&&", isMode(ast.ModeRestore), c.labelTest(catchLo, catchHi)),
 			&ast.Throw{Arg: ast.Id(n.CatchParam)},
 		))
 	}
@@ -222,16 +222,16 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 		if fi != nil {
 			tryBody = append(tryBody, ast.IfThen(
 				ast.Log("&&",
-					ast.Log("&&", isMode(ModeRestore), c.labelTest(finLo, finHi)),
+					ast.Log("&&", isMode(ast.ModeRestore), c.labelTest(finLo, finHi)),
 					ast.Bin("===", ast.Id(fi.finret), ast.Int(1)),
 				),
 				ast.Ret(ast.Id(fi.finv)),
 			))
 		}
 	}
-	guard := isMode(ModeNormal)
+	guard := isMode(ast.ModeNormal)
 	if blockLo != 0 {
-		guard = ast.Log("||", guard, ast.Log("&&", isMode(ModeRestore), c.labelTest(blockLo, blockHi)))
+		guard = ast.Log("||", guard, ast.Log("&&", isMode(ast.ModeRestore), c.labelTest(blockLo, blockHi)))
 	}
 	tryBody = append(tryBody, ast.IfThen(guard, c.kStmts(n.Block.Body)...))
 
@@ -243,17 +243,17 @@ func (c *fctx) kTry(n *ast.Try) ast.Stmt {
 	// send control into the body once more. In restore mode the handler keeps
 	// it — its own re-entry is what the label is steering.
 	resetLbl := func() ast.Stmt {
-		return ast.IfThen(isMode(ModeNormal), ast.ExprOf(ast.SetId(c.lbl, ast.Int(-1))))
+		return ast.IfThen(isMode(ast.ModeNormal), ast.ExprOf(ast.SetId(c.lbl, ast.Int(-1))))
 	}
 	if n.Catch != nil {
 		catchBody := []ast.Stmt{
-			ast.IfThen(ast.CallId(IsSigFn, ast.Id(c.ct)), &ast.Throw{Arg: ast.Id(c.ct)}),
+			ast.IfThen(ast.IntrinsicIsSig.Call(ast.Id(c.ct)), &ast.Throw{Arg: ast.Id(c.ct)}),
 			resetLbl(),
 		}
 		if c.opts.Strategy == Eager {
 			if sd := c.shadowDepth[n]; sd != "" {
 				catchBody = append(catchBody, ast.ExprOf(ast.SetTo(
-					ast.Dot(ast.Id(ShadowVar), "length"), ast.Id(sd))))
+					ast.Dot(ast.IntrinsicShadow.Id(), "length"), ast.Id(sd))))
 			}
 		}
 		catchBody = append(catchBody, ast.ExprOf(ast.SetId(n.CatchParam, ast.Id(c.ct))))
@@ -284,7 +284,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 	a := es.X.(*ast.Assign)
 	label := siteLabel(a.Value)
 
-	guard := ast.Log("||", isMode(ModeNormal), ast.Bin("===", ast.Id(c.lbl), ast.Int(label)))
+	guard := ast.Log("||", isMode(ast.ModeNormal), ast.Bin("===", ast.Id(c.lbl), ast.Int(label)))
 
 	// target = $mode === "normal" ? <app> : $k[1].apply($k[2]); — the
 	// callee's prologue reassigns its saved locals from its frame $k, and
@@ -295,7 +295,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 		reapply = append(reapply, c.frameElem(FrameArgs))
 	}
 	apply := ast.ExprOf(ast.SetTo(a.Target, &ast.Cond{
-		Test: isMode(ModeNormal),
+		Test: isMode(ast.ModeNormal),
 		Cons: a.Value,
 		Alt:  frameCall(c.frameElem(FrameFn), "apply", reapply...),
 	}))
@@ -305,8 +305,8 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 	case Checked:
 		site := ast.IfThen(guard,
 			apply,
-			ast.IfThen(isMode(ModeCapture),
-				c.pushFrame(StackVar, label),
+			ast.IfThen(isMode(ast.ModeCapture),
+				c.pushFrame(ast.IntrinsicStack, label),
 				&ast.Return{},
 			),
 			clearLbl,
@@ -315,7 +315,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 		return site
 	case Exceptional:
 		handler := ast.BlockOf(
-			ast.IfThen(ast.CallId(IsCapFn, ast.Id("$e")), c.pushFrame(StackVar, label)),
+			ast.IfThen(ast.IntrinsicIsCap.Call(ast.Id("$e")), c.pushFrame(ast.IntrinsicStack, label)),
 			&ast.Throw{Arg: ast.Id("$e")},
 		)
 		try := &ast.Try{
@@ -326,10 +326,10 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 		return ast.IfThen(guard, try)
 	case Eager:
 		return ast.IfThen(guard,
-			c.pushFrame(ShadowVar, label),
+			c.pushFrame(ast.IntrinsicShadow, label),
 			apply,
 			clearLbl,
-			ast.ExprOf(frameCall(ast.Id(ShadowVar), "pop")),
+			ast.ExprOf(frameCall(ast.IntrinsicShadow.Id(), "pop")),
 		)
 	}
 	panic("instrument: unknown strategy")
@@ -346,7 +346,7 @@ func (c *fctx) site(es *ast.ExprStmt) ast.Stmt {
 // the unwind leaves it. One array is one object and its elements: the
 // frame's two allocations. The eager strategy pays the frame on every call:
 // that is its cost model.
-func (c *fctx) pushFrame(stack string, label int) ast.Stmt {
+func (c *fctx) pushFrame(stack ast.Intrinsic, label int) ast.Stmt {
 	elems := make([]ast.Expr, 0, c.savedBase()+len(c.saved))
 	elems = append(elems, ast.Int(label), ast.Id(c.fname), &ast.This{})
 	if c.opts.Args == ArgsVarargs {
@@ -355,7 +355,7 @@ func (c *fctx) pushFrame(stack string, label int) ast.Stmt {
 	for _, name := range c.saved {
 		elems = append(elems, ast.Id(name))
 	}
-	return ast.ExprOf(frameCall(ast.Id(stack), "push", &ast.Array{Elems: elems}))
+	return ast.ExprOf(frameCall(stack.Id(), "push", &ast.Array{Elems: elems}))
 }
 
 // savedBase is the index of a frame's first saved local.

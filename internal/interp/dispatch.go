@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/bytecode"
-	"repro/internal/instrument"
 )
 
 // This file is the bytecode execution engine: a flat fetch–execute loop
@@ -595,6 +594,9 @@ loop:
 		case bytecode.OpChargeBranch:
 			in.chargeBranch()
 
+		case bytecode.OpModeEq:
+			stack[sp] = BoolValue(in.Mode == ast.Mode(ins.A))
+			sp++
 		case bytecode.OpStrictEqConst:
 			stack[sp-1] = BoolValue(StrictEquals(stack[sp-1], ch.consts[ins.A]))
 		case bytecode.OpGlobalEqConst:
@@ -655,6 +657,18 @@ loop:
 			stack[sp] = Undefined
 			stack[sp+1] = env.slots[ins.A]
 			sp += 2
+		case bytecode.OpIntrinsic, bytecode.OpCalleeIntrinsic:
+			v, e := in.intrinsic(ast.Intrinsic(ins.A))
+			if e != nil {
+				err = e
+				goto fail
+			}
+			if ins.Op == bytecode.OpCalleeIntrinsic {
+				stack[sp] = Undefined
+				sp++
+			}
+			stack[sp] = v
+			sp++
 		case bytecode.OpCall0Global:
 			var fnv Value
 			found := false
@@ -678,23 +692,8 @@ loop:
 			}
 			stack[sp] = v
 			sp++
-		case bytecode.OpJumpGlobalNeConst:
-			var v Value
-			found := false
-			if site := uint32(ins.B); site != 0 {
-				if c := in.icCellAt(site); c != nil {
-					v, found = c.v, true
-				}
-			}
-			if !found {
-				var e error
-				v, e = in.globalMiss(ch.Names[ch.GuardNames[int32(pc-1)]], uint32(ins.B))
-				if e != nil {
-					err = e
-					goto fail
-				}
-			}
-			if !StrictEquals(v, ch.consts[ins.C]) {
+		case bytecode.OpJumpModeNe:
+			if in.Mode != ast.Mode(ins.B) {
 				pc = int(ins.A)
 			}
 		case bytecode.OpConstSetLocal:
@@ -745,7 +744,8 @@ loop:
 			stack[sp] = ch.consts[ins.A]
 			sp++
 		case bytecode.OpSitePoll:
-			if s := &ch.Sites[ins.A]; in.pollSkips(s) {
+			if in.pollSkips() {
+				s := &ch.Sites[ins.A]
 				in.poll.Budget--
 				in.Steps += bytecode.SiteEnterSteps + bytecode.SiteLeaveSteps
 				env.slots[s.Target] = Undefined
@@ -763,16 +763,17 @@ loop:
 				pc = int(s.Exit)
 			}
 		case bytecode.OpSiteEnter:
-			if s := &ch.Sites[ins.A]; in.siteNormal(s.Mode, bytecode.SiteEnterSteps) {
+			if in.siteNormal(bytecode.SiteEnterSteps) {
+				s := &ch.Sites[ins.A]
 				in.Steps += bytecode.SiteEnterSteps
 				pc = int(s.Body)
 			}
 		case bytecode.OpSiteLeave:
-			s := &ch.Sites[ins.A]
-			if !in.siteNormal(s.Mode, bytecode.SiteLeaveSteps) {
+			if !in.siteNormal(bytecode.SiteLeaveSteps) {
 				pc = int(ins.B)
 				break
 			}
+			s := &ch.Sites[ins.A]
 			sp--
 			env.slots[s.Target] = stack[sp]
 			env.slots[s.Label] = NumberValue(-1)
@@ -785,7 +786,7 @@ loop:
 				pc = int(ins.B)
 			}
 		case bytecode.OpPopFrame:
-			if v, ok := in.popFrame(bytecode.Global{Name: ins.C, Site: ins.A}, ch.Names); ok {
+			if v, ok := in.popFrame(ast.Intrinsic(ins.A)); ok {
 				stack[sp] = v
 				sp++
 				pc = int(ins.B)
@@ -802,7 +803,7 @@ loop:
 				pc = int(ins.B)
 			}
 		case bytecode.OpRestoreFrame:
-			if in.restoreFrame(&ch.Restores[ins.A], ch.Names, env) {
+			if in.restoreFrame(&ch.Restores[ins.A], env) {
 				pc = int(ins.B)
 			}
 		case bytecode.OpCall0Local:
@@ -915,29 +916,21 @@ loop:
 }
 
 // siteNormal reports whether a fused call site may count its next n statement
-// boundaries in one step: the realm charges no work units, $mode's cell
-// (cached at site by the generic guard's first run) holds "normal", and
-// counting them one by one would fire no trigger (stepBoundary).
-func (in *Interp) siteNormal(site uint32, n uint64) bool {
-	if in.Engine != nil || in.Steps+n > in.stepLimit {
-		return false
-	}
-	c := in.icCellAt(site)
-	return c != nil && c.v.tag == TagString && c.v.Str() == instrument.ModeNormal
+// boundaries in one step: the realm charges no work units, is in normal mode,
+// and counting them one by one would fire no trigger (stepBoundary).
+func (in *Interp) siteNormal(n uint64) bool {
+	return in.Engine == nil && in.Steps+n <= in.stepLimit && in.Mode == ast.ModeNormal
 }
 
 // pollSkips reports whether a `$suspend()` site may skip its call: the whole
-// site is normal-mode and trigger-free, its binding holds the runtime's
-// native, no pause or kill is requested, the native has left a budget of
-// calls that would neither yield nor read the clock, and the call would not
-// meet the stack limit (callNative), where it throws.
-func (in *Interp) pollSkips(s *bytecode.Site) bool {
+// site is normal-mode and trigger-free, no pause or kill is requested, the
+// native has left a budget of calls that would neither yield nor read the
+// clock, and the call would not meet the stack limit (callNative), where it
+// throws.
+func (in *Interp) pollSkips() bool {
 	p := in.poll
-	if p == nil || p.Budget <= 0 || in.depth >= in.maxDepth || !in.siteNormal(s.Mode, bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) {
-		return false
-	}
-	c := in.icCellAt(s.Callee)
-	return c != nil && c.v.Obj() == p.Native && !p.Pause.Load() && !p.Kill.Load()
+	return p != nil && p.Budget > 0 && in.depth < in.maxDepth && in.siteNormal(bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) &&
+		!p.Pause.Load() && !p.Kill.Load()
 }
 
 // globalMiss reads a proved-global reference after an inline-cache miss

@@ -137,10 +137,14 @@ func binding(r ast.Ref, env *Env) Value {
 }
 
 // loadIdent reads a variable reference: a resolved coordinate indexes a slot,
-// and a proved-global name reads the global frame's cell.
+// a proved-global name reads the global frame's cell and a runtime reference
+// the realm's intrinsic.
 func (in *Interp) loadIdent(n *ast.Ident, env *Env) (Value, error) {
 	if n.Ref.Valid() {
 		return env.GetRef(n.Ref), nil
+	}
+	if k := n.Intrinsic(); k != ast.NoIntrinsic {
+		return in.intrinsic(k)
 	}
 	v, ok := in.lookupIdent(n, env)
 	if !ok {
@@ -154,6 +158,9 @@ func (in *Interp) loadIdent(n *ast.Ident, env *Env) (Value, error) {
 func (in *Interp) lookupIdent(n *ast.Ident, env *Env) (Value, bool) {
 	if n.Ref.Valid() {
 		return env.GetRef(n.Ref), true
+	}
+	if k := n.Intrinsic(); k != ast.NoIntrinsic {
+		return in.Intrinsic(k)
 	}
 	if c := in.globalCell(n.Name, n.Site); c != nil {
 		return c.v, true
@@ -786,7 +793,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		}
 	}
 	for _, fd := range sc.FnDecls {
-		if ch != nil && in.Restoring && ch.Restored(fd.Slot) {
+		if ch != nil && in.Mode == ast.ModeRestore && ch.Restored(fd.Slot) {
 			// A closure built here would be garbage on arrival, and would
 			// keep the frame out of the pool (DESIGN_interp.md "One array").
 			continue

@@ -17,14 +17,11 @@ import (
 // nothing, when what it reads is not what the instrumentation left there;
 // the plain code then runs (DESIGN_interp.md "Frames").
 
-// frameArray returns the runtime frame array the global g holds, or nil.
-func (in *Interp) frameArray(g bytecode.Global, names []string) *Object {
-	p, c := in.poll, in.globalCell(names[g.Name], uint32(g.Site))
-	if p == nil || c == nil {
-		return nil
-	}
-	if o := c.v.Obj(); o != nil && (o == p.Stacks[0] || o == p.Stacks[1] || o == p.Stacks[2]) {
-		return o
+// frameArray returns the runtime's frame array k, or nil in a realm with no
+// runtime.
+func (in *Interp) frameArray(k ast.Intrinsic) *Object {
+	if p := in.poll; p != nil {
+		return p.Intrinsics[k]
 	}
 	return nil
 }
@@ -33,7 +30,7 @@ func (in *Interp) frameArray(g bytecode.Global, names []string) *Object {
 // the meter and the engine profile as that code does — the read of push, the
 // array, the call, the element.
 func (in *Interp) pushFrame(f *bytecode.Frame, names []string, env *Env) (Value, bool) {
-	a := in.frameArray(f.Array, names)
+	a := in.frameArray(f.Array)
 	if a == nil {
 		return Undefined, false
 	}
@@ -95,8 +92,8 @@ func (in *Interp) recycleFrame(o *Object) {
 }
 
 // popFrame is OpPopFrame: pop's, charging the read of pop and the call.
-func (in *Interp) popFrame(g bytecode.Global, names []string) (Value, bool) {
-	a := in.frameArray(g, names)
+func (in *Interp) popFrame(k ast.Intrinsic) (Value, bool) {
+	a := in.frameArray(k)
 	if a == nil {
 		return Undefined, false
 	}
@@ -161,11 +158,11 @@ func (in *Interp) frameElem(o *Object, i int) (Value, error) {
 // trigger (stepBoundary), $rstack is the runtime's, with no own properties
 // and a caller under the frame, and the frame is an array holding every
 // element the block reads.
-func (in *Interp) restoreFrame(r *bytecode.Restore, names []string, env *Env) bool {
+func (in *Interp) restoreFrame(r *bytecode.Restore, env *Env) bool {
 	if in.Engine != nil || in.Steps+uint64(r.Steps) > in.stepLimit {
 		return false
 	}
-	a := in.frameArray(r.Array, names)
+	a := in.frameArray(r.Array)
 	if a == nil || len(a.slots) != 0 || len(a.Elems) < 2 {
 		return false
 	}

@@ -26,9 +26,10 @@ var lit = f(7);`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ast.MarkIntrinsics(prog)
 	ast.Walk(prog, func(n ast.Node) bool {
 		if m, ok := n.(*ast.Member); ok && m.Name == "push" {
-			if id, ok := m.X.(*ast.Ident); ok && id.Name == "$stack" {
+			if id, ok := m.X.(*ast.Ident); ok && id.Intrinsic() == ast.IntrinsicStack {
 				m.Frame = true
 			}
 		}
@@ -37,8 +38,9 @@ var lit = f(7);`)
 	resolve.Program(prog)
 	in := New(Options{Bytecode: true})
 	stack := in.NewArray(nil)
-	in.DefineGlobal("$stack", ObjectValue(stack))
-	in.SetPoll(&Poll{Stacks: [3]*Object{stack}})
+	p := &Poll{}
+	p.Intrinsics[ast.IntrinsicStack] = stack
+	in.SetPoll(p)
 	if err := in.RunProgram(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func argAt(args []Value, i int) Value {
 // answerHelper is callHelper on the call's first three arguments, of which a
 // $get or $set key is not an object.
 func (in *Interp) answerHelper(h ast.Helper, x, y, z Value) (Value, error, bool) {
-	if !in.HelpersLive || in.maxDepth-in.depth < 2 {
+	if in.Mode != ast.ModeNormal || in.maxDepth-in.depth < 2 {
 		return Undefined, nil, false
 	}
 	if h >= ast.HelperGet {
@@ -91,7 +91,7 @@ func (in *Interp) accessorIntact(set bool) bool {
 // object: it converts k here, once — the body's two natives would each
 // convert it — and the body runs on the string.
 func (in *Interp) helperKey(set bool, args *[]Value) (Value, error, bool) {
-	if !in.HelpersLive || in.maxDepth-in.depth < 2 || !in.accessorIntact(set) {
+	if in.Mode != ast.ModeNormal || in.maxDepth-in.depth < 2 || !in.accessorIntact(set) {
 		return Undefined, nil, false
 	}
 	key, err := in.ToStringValue((*args)[1])
@@ -136,16 +136,19 @@ func (in *Interp) getData(base Value, key string) (Value, error, bool) {
 		v, err := in.RawGet(base, key)
 		return v, err, true
 	}
-	elems := o.Class == ClassArray || o.Class == ClassArguments
-	if i, isIdx := arrayIndex(key); elems && isIdx && i < len(o.Elems) {
-		return o.Elems[i], nil, true
+	if o.Class == ClassArray || o.Class == ClassArguments {
+		// An element, and the native length, shadow the chain (LookupAccessor).
+		if i, isIdx := arrayIndex(key); isIdx && i < len(o.Elems) {
+			return o.Elems[i], nil, true
+		}
+		if key == "length" && o.Own("length") == nil {
+			return NumberValue(float64(len(o.Elems))), nil, true
+		}
 	}
 	holder, idx := in.lookupPath(o, key)
 	switch {
 	case holder != nil && holder.slots[idx].tag == tagAccessor:
 		return Undefined, nil, false
-	case elems && key == "length" && o.Own("length") == nil:
-		return NumberValue(float64(len(o.Elems))), nil, true
 	case holder != nil:
 		return holder.slots[idx], nil, true
 	case key == "prototype" && o.IsCallable() && o.Bound() == nil:
@@ -165,7 +168,7 @@ func (in *Interp) getData(base Value, key string) (Value, error, bool) {
 // $set key is not an object, which the plain call converts once. Otherwise it
 // does nothing and the site's plain code runs.
 func (in *Interp) siteHelper(s *bytecode.Site, consts, slots []Value) (bool, error) {
-	if !in.siteNormal(s.Mode, bytecode.SiteEnterSteps+bytecode.SiteLeaveSteps) {
+	if !in.siteNormal(bytecode.SiteEnterSteps + bytecode.SiteLeaveSteps) {
 		return false, nil
 	}
 	c := in.icCellAt(s.Callee)
@@ -234,13 +237,17 @@ func (in *Interp) InstallAccessorNatives() {
 	}
 }
 
-// InstallDesugarNatives defines, in this realm, the natives desugared code
-// calls where it would otherwise call a builtin a guest may replace: $create
-// allocates the object of a desugared `new` (the $construct prelude) as `new`
-// does, and $forInKeys lists what a desugared for-in visits with the
-// engines' own enumerator. The runtime installs them; so does anything else
-// that runs desugared code.
+// InstallDesugarNatives puts in this realm's intrinsic table the natives
+// desugared code calls where it would otherwise call a builtin a guest may
+// replace: $create allocates the object of a desugared `new` (the $construct
+// prelude) as `new` does, and $forInKeys lists what a desugared for-in visits
+// with the engines' own enumerator. The runtime installs them; so does
+// anything else that runs desugared code, into a table lent here when the
+// realm has none.
 func (in *Interp) InstallDesugarNatives() {
-	in.DefineGlobal("$create", ObjectValue(in.NewNative("$create", createNative)))
-	in.DefineGlobal("$forInKeys", ObjectValue(in.NewNative("$forInKeys", forInKeysNative)))
+	if in.poll == nil {
+		in.poll = &Poll{}
+	}
+	in.poll.Intrinsics[ast.IntrinsicCreate] = in.NewNative("$create", createNative)
+	in.poll.Intrinsics[ast.IntrinsicForInKeys] = in.NewNative("$forInKeys", forInKeysNative)
 }

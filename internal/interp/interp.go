@@ -115,12 +115,11 @@ type Interp struct {
 	prof       *profState // sampling profiler; nil = disarmed (profile.go)
 	ops        *opStack
 	chunkRuns  uint64
-	poll       *Poll // the runtime's yield poll (SetPoll); nil: $suspend sites always call
+	poll       *Poll // the runtime's poll and intrinsic table (SetPoll); nil in a realm no runtime drives
 
-	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next four: Interp is 368 B (TestValueLayout)
+	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 368 B (TestValueLayout)
 	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
-	HelpersLive   bool                         // rt.setMode: a helper call is a call, not the re-entry of a captured frame (helpers.go)
-	Restoring     bool                         // rt.setMode: a call re-enters a captured frame, whose restore block writes what it saved (Call)
+	Mode          ast.Mode                     // rt.setMode: what `$mode` reads; a mode guard (OpJumpModeNe), a helper call (helpers.go) and a restore-mode entry (Call) test it
 	argsBuilt     uint32                       // arguments objects built (ArgumentsBuilt)
 	quantumHeldAt uint64                       // Steps since which the hold has cost the quantum nothing
 	helperCells   *[ast.HelperRawSet + 1]*cell // helperIntact
@@ -268,32 +267,55 @@ func (in *Interp) HoldQuantum(hold bool) {
 // SetOnQuantum installs the quantum-expiry hook (executing goroutine only).
 func (in *Interp) SetOnQuantum(fn func()) { in.onQuantum = fn }
 
-// Poll is what a runtime lends its realm so that a `$suspend()` site can skip
-// a call that would return at once (OpSitePoll, dispatch.go). Only the
-// executing goroutine touches Native and Budget; Pause and Kill are set from
-// any.
+// Poll is what a runtime lends its realm: the table its intrinsics are read
+// from, and what lets a `$suspend()` site skip a call that would return at
+// once (OpSitePoll, dispatch.go). Only the executing goroutine touches
+// Intrinsics and Budget; Pause and Kill are set from any.
 type Poll struct {
-	// Native is the runtime's $suspend: a site whose binding holds anything
-	// else calls what it holds.
-	Native *Object
+	// Intrinsics is what a marked runtime reference (ast.Intrinsic) reads:
+	// the runtime's frame arrays ($stack, $rstack, $shadow), which a frame
+	// instruction pushes or pops itself (frames.go), never through a
+	// guest-replaceable Array.prototype method, and its natives, $suspend
+	// among them. The mode is not here: it is Interp.Mode.
+	Intrinsics [ast.NumIntrinsics]*Object
 	// Budget is how many more calls may be skipped: calls the runtime knows
 	// would neither yield nor read the clock. A skip spends one; the native
 	// credits what was spent and sets it again.
 	Budget int
 	// Pause and Kill are the runtime's outstanding requests.
 	Pause, Kill atomic.Bool
-	// Stacks are the runtime's frame arrays ($stack, $rstack, $shadow): a
-	// frame instruction whose global holds one pushes or pops it itself
-	// (frames.go), never through a guest-replaceable Array.prototype method.
-	Stacks [3]*Object
 	// Pool holds frame arrays restoreFrame popped, cleared, for pushFrame to
 	// reuse; Shared is set, for good, once a frame may be re-entered twice.
 	Pool   []*Object
 	Shared bool
 }
 
-// SetPoll installs the runtime's yield poll.
+// SetPoll installs the runtime's poll and intrinsic table.
 func (in *Interp) SetPoll(p *Poll) { in.poll = p }
+
+// Intrinsic is the realm's runtime binding k: the mode's name, or the
+// object the runtime's table holds. A realm with no runtime (a raw one) has
+// none but the mode.
+func (in *Interp) Intrinsic(k ast.Intrinsic) (Value, bool) {
+	if k == ast.IntrinsicMode {
+		return modeValues[in.Mode], true
+	}
+	if p := in.poll; p != nil && p.Intrinsics[k] != nil {
+		return ObjectValue(p.Intrinsics[k]), true
+	}
+	return Undefined, false
+}
+
+// intrinsic is Intrinsic or the ReferenceError its name gives.
+func (in *Interp) intrinsic(k ast.Intrinsic) (Value, error) {
+	if v, ok := in.Intrinsic(k); ok {
+		return v, nil
+	}
+	return Undefined, in.Throw("ReferenceError", "%s is not defined", ast.IntrinsicNames[k])
+}
+
+// modeValues is what `$mode` reads in each mode.
+var modeValues = [...]Value{StringValue(ast.ModeNames[0]), StringValue(ast.ModeNames[1]), StringValue(ast.ModeNames[2])}
 
 // The charge helpers spend the engine profile's work units at the operations
 // whose relative costs the paper's figures compare (internal/engine). Each is

@@ -264,3 +264,28 @@ func parseResolved(src string) (*ast.Program, error) {
 }
 
 func writerOf(sb *strings.Builder) io.Writer { return sb }
+
+// TestInheritedLengthAccessor: an accessor named length on Object.prototype
+// does not hide the native length of an array or an arguments object from
+// what the getters sub-language's helpers look up: LookupAccessor (the
+// $lookupGetter/$lookupSetter natives) finds no accessor there, and getData
+// (the engine's answer for $get) reads the length. A plain object still
+// inherits the accessor.
+func TestInheritedLengthAccessor(t *testing.T) {
+	_, in := runEngine(t, `Object.defineProperty(Object.prototype, "length", {get: function () { return 99; }, set: function (v) {}});
+var a = [1, 2], args = (function () { return arguments; })(1, 2, 3), o = {};`, false)
+	for name, want := range map[string]float64{"a": 2, "args": 3} {
+		v := in.Global.Cell(name).v
+		for _, setter := range []bool{false, true} {
+			if acc := in.LookupAccessor(v, "length", setter); !acc.IsUndefined() {
+				t.Errorf("%s: LookupAccessor(length, setter %v) found %v, want the native length", name, setter, acc)
+			}
+		}
+		if got, err, ok := in.getData(v, "length"); err != nil || !ok || got.Num() != want {
+			t.Errorf("%s: getData(length) = %v, %v, %v; want %v", name, got, err, ok, want)
+		}
+	}
+	if acc := in.LookupAccessor(in.Global.Cell("o").v, "length", false); acc.IsUndefined() {
+		t.Error("a plain object's inherited length accessor was not found")
+	}
+}

@@ -542,8 +542,9 @@ func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 		return Undefined
 	}
 	if o.Class == ClassArray || o.Class == ClassArguments {
-		// An element is found before any property; an index write asks no chain.
-		if i, isIdx := arrayIndex(key); isIdx && (setter || i < len(o.Elems)) {
+		// An element, and the native length, are found before any property;
+		// an index write asks no chain.
+		if i, isIdx := arrayIndex(key); isIdx && (setter || i < len(o.Elems)) || key == "length" && o.Own("length") == nil {
 			return Undefined
 		}
 	}

@@ -24,8 +24,10 @@
 // (sharing ast.HoistedDecls with the interpreter so the two models cannot
 // drift), and counts hops from the reference site to the defining scope.
 // Top-level code runs in the global frame, which is dynamic by design —
-// builtins, the Stopify runtime, and eval'd code all define names there at
-// runtime — so references that reach the top are marked RefGlobal.
+// builtins, the host, and eval'd code all define names there at runtime — so
+// references that reach the top are marked RefGlobal. A reference a compile
+// pass marked as the runtime's (ast.Intrinsic) keeps its mark: it names no
+// frame's binding, so no guest declaration can capture it.
 package resolve
 
 import (
@@ -231,6 +233,9 @@ func (r *resolver) resolve(node ast.Node) bool {
 		r.resolveFunc(n)
 		return false
 	case *ast.Ident:
+		if n.Intrinsic() != ast.NoIntrinsic {
+			break // a runtime reference (ast.Intrinsic): no scope binds it
+		}
 		n.Ref = r.lookup(n.Name)
 		if n.Ref.Global() {
 			r.sites.Global++

@@ -3,6 +3,7 @@ package rt
 import (
 	"math"
 
+	"repro/internal/ast"
 	"repro/internal/instrument"
 	"repro/internal/interp"
 )
@@ -30,18 +31,19 @@ func (r *R) postYield(frames Frames) {
 	r.postResume(frames, r.curAux, 0)
 }
 
-// installNatives defines the runtime primitives instrumented code calls.
+// installNatives puts the runtime primitives instrumented code calls in the
+// realm's intrinsic table, and defines $C, which the guest calls by name.
 func (r *R) installNatives() {
 	in := r.In
 
-	defineNative := func(name string, fn interp.NativeFunc) {
-		in.DefineGlobal(name, interp.ObjectValue(in.NewNative(name, fn)))
+	defineNative := func(k ast.Intrinsic, fn interp.NativeFunc) {
+		r.poll.Intrinsics[k] = in.NewNative(ast.IntrinsicNames[k], fn)
 	}
 
 	// $C — Sitaram & Felleisen's unary control operator (§3): reify the
 	// continuation, pass it to the argument, run the body in an empty
 	// continuation.
-	defineNative(instrument.CFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	in.DefineGlobal(instrument.CFn, interp.ObjectValue(in.NewNative(instrument.CFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		if len(args) == 0 {
 			return interp.Undefined, in.Throw("TypeError", "$C requires a function")
 		}
@@ -57,7 +59,7 @@ func (r *R) installNatives() {
 			})
 		})
 		return r.captureReturn()
-	})
+	})))
 
 	// $suspend — the maySuspend of Figure 6: estimate elapsed time and
 	// yield to the event loop when δ has passed, a pause is requested, or
@@ -65,7 +67,7 @@ func (r *R) installNatives() {
 	// would return at once without making it (interp.Poll): the estimator is
 	// credited with those first, and the budget is set again on the way out,
 	// so every yield and every clock read lands on the call it always did.
-	r.poll.Native = in.NewNative(instrument.SuspendFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	defineNative(ast.IntrinsicSuspend, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		if n := r.armed - r.poll.Budget; n > 0 && r.est != nil {
 			r.est.skip(n)
 		}
@@ -98,11 +100,10 @@ func (r *R) installNatives() {
 		r.beginCapture(true, r.yielded)
 		return r.captureReturn()
 	})
-	in.DefineGlobal(instrument.SuspendFn, interp.ObjectValue(r.poll.Native))
 
 	// $bp — breakpoints and single-stepping (§5.2): called before every
 	// statement when debugging is enabled, with the original source line.
-	defineNative(instrument.BpFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	defineNative(ast.IntrinsicBp, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		r.mu.Lock()
 		if len(args) > 0 && args[0].IsNumber() {
 			r.currentLine = int(args[0].Num())
@@ -135,14 +136,14 @@ func (r *R) installNatives() {
 
 	// Signal predicates used by instrumented catch clauses and exceptional
 	// call-site handlers.
-	defineNative(instrument.IsSigFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	defineNative(ast.IntrinsicIsSig, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		if len(args) == 0 {
 			return interp.False, nil
 		}
 		_, ok := isSignal(args[0])
 		return interp.BoolValue(ok), nil
 	})
-	defineNative(instrument.IsCapFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	defineNative(ast.IntrinsicIsCap, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		if len(args) == 0 {
 			return interp.False, nil
 		}
@@ -161,7 +162,7 @@ func (r *R) installNatives() {
 	// that layer's bound args; the prelude loops until the target is plain
 	// and only then allocates and applies. Both natives terminate trivially,
 	// so they cannot strand a capture begun in the constructor body.
-	defineNative("$boundFn", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	defineNative(ast.IntrinsicBoundFn, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		if len(args) == 0 {
 			return interp.Undefined, nil
 		}
@@ -170,7 +171,7 @@ func (r *R) installNatives() {
 		}
 		return interp.Undefined, nil
 	})
-	defineNative("$boundArgs", func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+	defineNative(ast.IntrinsicBoundArgs, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
 		if len(args) < 2 {
 			return interp.Undefined, nil
 		}

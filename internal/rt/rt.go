@@ -4,9 +4,11 @@
 // and breakpoints (§5.2), simulated blocking calls, and segmented restore —
 // the mechanism behind deep stacks (§5.2).
 //
-// Instrumented programs talk to the runtime through the JS globals $mode,
-// $stack, $rstack and $shadow, and through the natives $C, $suspend, $bp,
-// $isSig and $isCap installed by New.
+// Instrumented programs talk to the runtime through its intrinsics
+// (ast.Intrinsic) — the mode $mode, the frame arrays $stack, $rstack and
+// $shadow, and natives such as $suspend, $bp, $isSig and $isCap, which New
+// puts in the realm's table (interp.Poll), out of any guest binding's reach —
+// and through $C, the one global New defines.
 package rt
 
 import (
@@ -15,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/ast"
 	"repro/internal/eventloop"
 	"repro/internal/instrument"
 	"repro/internal/interp"
@@ -61,7 +64,6 @@ type R struct {
 	Loop *eventloop.Loop
 
 	opts Options
-	mode string
 	// hold: the capture or restore under way is the scheduler's ($suspend, $bp,
 	// the resume after one and its segments), so setMode keeps it off the
 	// quantum; what the guest starts ($C, a continuation, Blocking) it pays for.
@@ -95,19 +97,20 @@ type R struct {
 
 	est estimator
 
-	// poll is lent to the realm (interp.Poll): its Pause and Kill are the
-	// requests Pause and Kill arm, and its budget lets a $suspend site skip
-	// calls that would return at once — armed is the budget $suspend last set,
-	// so that armed - poll.Budget calls were skipped since.
+	// poll is lent to the realm (interp.Poll): it holds the intrinsics, its
+	// Pause and Kill are the requests Pause and Kill arm, and its budget lets
+	// a $suspend site skip calls that would return at once — armed is the
+	// budget $suspend last set, so that armed - poll.Budget calls were
+	// skipped since.
 	poll  interp.Poll
 	armed int
 
 	// mu guards the externally touchable control state: everything the
 	// pause/kill/breakpoint API reads or writes from goroutines other than
 	// the one pumping the event loop. The execution-mode machinery above
-	// ($mode, $stack, capture/restore state) is deliberately outside it —
-	// only the executing goroutine touches it, and a yield point is the
-	// only place control transfers.
+	// (the mode, the frame arrays, capture/restore state) is deliberately
+	// outside it — only the executing goroutine touches it, and a yield
+	// point is the only place control transfers.
 	mu       sync.Mutex
 	killErr  error // under mu; the reason Kill recorded
 	paused   bool  // under mu
@@ -147,21 +150,21 @@ type R struct {
 	Restores int
 }
 
-// New installs the runtime globals and natives into in and returns the
-// runtime.
+// New fills the realm's intrinsic table with the runtime's arrays and
+// natives, defines $C and returns the runtime.
 func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 	if opts.CountdownN <= 0 {
 		opts.CountdownN = 100000
 	}
 	r := &R{In: in, Loop: loop, opts: opts, breakpoints: map[int]bool{}}
+	in.SetPoll(&r.poll)
 	r.stackObj = in.NewArray(nil)
 	r.rstackObj = in.NewArray(nil)
 	r.shadowObj = in.NewArray(nil)
-	in.DefineGlobal(instrument.StackVar, interp.ObjectValue(r.stackObj))
-	in.DefineGlobal(instrument.RStackVar, interp.ObjectValue(r.rstackObj))
-	in.DefineGlobal(instrument.ShadowVar, interp.ObjectValue(r.shadowObj))
-	r.poll.Stacks = [3]*interp.Object{r.stackObj, r.rstackObj, r.shadowObj}
-	r.setMode(instrument.ModeNormal)
+	r.poll.Intrinsics[ast.IntrinsicStack] = r.stackObj
+	r.poll.Intrinsics[ast.IntrinsicRStack] = r.rstackObj
+	r.poll.Intrinsics[ast.IntrinsicShadow] = r.shadowObj
+	r.setMode(ast.ModeNormal)
 
 	if opts.YieldIntervalMs > 0 {
 		switch opts.Estimator {
@@ -176,25 +179,21 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 
 	r.installNatives()
 	in.RunTimer = r.runTimer
-	in.SetPoll(&r.poll)
 	return r
 }
 
-// setMode switches the execution mode. Statements that unwind or rebuild a
-// stack are continuation machinery, not the guest's progress: the profiler
-// files them under a phase, and the quantum is held for those the scheduler
-// caused (r.hold), so a quantum of n is n normal-mode statements at any stack
-// depth. Both key on Go-side state: $mode is guest-writable.
-func (r *R) setMode(m string) {
-	r.mode = m
-	r.In.DefineGlobal(instrument.ModeVar, interp.StringValue(m))
+// setMode switches the execution mode, the realm's (interp.Interp.Mode, what
+// `$mode` reads). Statements that unwind or rebuild a stack are continuation
+// machinery, not the guest's progress: the profiler files them under a phase,
+// and the quantum is held for those the scheduler caused (r.hold), so a
+// quantum of n is n normal-mode statements at any stack depth.
+func (r *R) setMode(m ast.Mode) {
+	r.In.Mode = m
 	r.In.SetProfilePhase(modePhase[m])
-	r.In.HoldQuantum(r.hold && m != instrument.ModeNormal)
-	r.In.HelpersLive = m == instrument.ModeNormal
-	r.In.Restoring = m == instrument.ModeRestore
+	r.In.HoldQuantum(r.hold && m != ast.ModeNormal)
 }
 
-var modePhase = map[string]string{instrument.ModeCapture: "(capture)", instrument.ModeRestore: "(restore)"}
+var modePhase = [...]string{ast.ModeCapture: "(capture)", ast.ModeRestore: "(restore)"}
 
 // Done reports whether the program has completed. Safe from any goroutine.
 func (r *R) Done() bool {
@@ -304,7 +303,7 @@ func (r *R) bottomReenter(in *interp.Interp, this interp.Value, args []interp.Va
 		r.rstackObj.Elems[n-1] = interp.Undefined
 		r.rstackObj.Elems = r.rstackObj.Elems[:n-1]
 	}
-	r.setMode(instrument.ModeNormal)
+	r.setMode(ast.ModeNormal)
 	if r.restoreThrow != nil {
 		t := r.restoreThrow
 		r.restoreThrow = nil
@@ -326,7 +325,7 @@ func (r *R) beginCapture(hold bool, onCapture func(Frames)) {
 	r.hold = hold
 	r.onCaptureAction = onCapture
 	r.stackObj.Elems = append(r.stackObj.Elems[:0], r.bottomFrame())
-	r.setMode(instrument.ModeCapture)
+	r.setMode(ast.ModeCapture)
 }
 
 // captureReturn produces the value/error a capturing native returns so the
@@ -369,7 +368,7 @@ func (r *R) finishCapture() {
 	clear(r.stackObj.Elems)
 	r.stackObj.Elems = r.stackObj.Elems[:0]
 	r.shadowObj.Elems = r.shadowObj.Elems[:0]
-	r.setMode(instrument.ModeNormal)
+	r.setMode(ast.ModeNormal)
 	act := r.onCaptureAction
 	r.onCaptureAction = nil
 	act(frames)
@@ -425,7 +424,7 @@ func (r *R) enterSegment(bottom interp.Value, callers Frames, v interp.Value, th
 	r.restoreValue = v
 	r.restoreThrow = throwErr
 	r.rstackObj.Elems = append(append(r.rstackObj.Elems[:0], bottom), callers[:n]...)
-	r.setMode(instrument.ModeRestore)
+	r.setMode(ast.ModeRestore)
 
 	if r.segStep == nil {
 		r.segStep = r.reenterSegment
@@ -543,7 +542,7 @@ func (r *R) afterStep(v interp.Value, err error) (next func() (interp.Value, err
 		r.finish(interp.Undefined, err)
 		return nil
 	}
-	if r.mode == instrument.ModeCapture {
+	if r.In.Mode == ast.ModeCapture {
 		// Checked-return unwinding completed.
 		r.finishCapture()
 		return nil

@@ -1,8 +1,8 @@
 package rt
 
 import (
+	"repro/internal/ast"
 	"repro/internal/eventloop"
-	"repro/internal/instrument"
 	"repro/internal/interp"
 )
 
@@ -143,4 +143,4 @@ func (r *R) NewBottomNative() *interp.Object {
 // ModeNormal reports whether the runtime is in normal mode — the only mode
 // a consistent snapshot can be taken in (capture/restore are transient
 // within a turn and never survive to a quiescent point).
-func (r *R) ModeNormal() bool { return r.mode == instrument.ModeNormal }
+func (r *R) ModeNormal() bool { return r.In.Mode == ast.ModeNormal }

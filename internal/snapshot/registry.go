@@ -6,15 +6,16 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/ast"
 	"repro/internal/eventloop"
 	"repro/internal/interp"
 	"repro/internal/rt"
 )
 
 // Registry is the host-object re-link table: every object reachable from a
-// realm's globals before the prelude runs — builtins, prototypes, the
-// Stopify runtime's natives and stack arrays — indexed by a deterministic
-// traversal path. Host objects cross the serialization boundary by name:
+// realm's globals and its intrinsic table before the prelude runs —
+// builtins, prototypes, the Stopify runtime's natives and stack arrays —
+// indexed by a deterministic traversal path. Host objects cross the serialization boundary by name:
 // the encoder writes the ordinal, the decoder re-links the ordinal to the
 // same-path object in the destination realm. Guest mutations *of* host
 // objects (a monkey-patched builtin, a property added to Object.prototype)
@@ -22,8 +23,9 @@ import (
 // encode.go), so the registry itself never needs to copy initial state.
 //
 // The traversal is deterministic because everything it consults is:
-// global names sorted, own properties in shape insertion order, elements
-// in index order, prototype last. Both sides build their registry at the
+// global names sorted, then the intrinsics in table order (each under its
+// name after a '%', which no global path starts with), own properties in
+// shape insertion order, elements in index order, prototype last. Both sides build their registry at the
 // same realm-construction point (after the runtime installs its globals,
 // before the prelude executes), so ordinals agree; a fingerprint in the
 // blob turns any drift into a loud decode error.
@@ -49,6 +51,11 @@ func NewRegistry(in *interp.Interp) *Registry {
 	for _, name := range root.GlobalNames() {
 		v, _ := root.Lookup(name)
 		w.path = append(w.path[:0], name...)
+		w.visit(v)
+	}
+	for k := range ast.NumIntrinsics {
+		v, _ := in.Intrinsic(k)
+		w.path = append(append(w.path[:0], '%'), ast.IntrinsicNames[k]...)
 		w.visit(v)
 	}
 	w.r.sum = w.h.Sum64()
@@ -113,7 +120,7 @@ func (w *registryWalk) visit(v interp.Value) {
 
 // HostRegistry is the registry of a realm built the way the pristine twin
 // is: NewRegistry's answer, found by following the twin's edges instead of
-// walking. Each global the twin binds and each edge out of each registered
+// walking. Each global the twin binds, each intrinsic and each edge out of each registered
 // object — getter, setter and value of every own property, every element,
 // the prototype — must lead where the twin's does: to the object the realm
 // holds at the same ordinal (the first such edge supplies it), or to no
@@ -138,6 +145,10 @@ func HostRegistry(in *interp.Interp) *Registry {
 	for _, g := range t.globals {
 		v, _ := in.Global.Lookup(g.name)
 		ok = ok && link(v.Obj(), g.ord)
+	}
+	for k, ord := range t.intrinsics {
+		v, _ := in.Intrinsic(ast.Intrinsic(k))
+		ok = ok && link(v.Obj(), ord)
 	}
 	l := t.links
 	for i := 0; ok && i < len(objs); i++ {
@@ -224,12 +235,13 @@ var (
 )
 
 // hostTable is the twin's walk, flattened for HostRegistry: the ordinal
-// each global binds, and for each registered object in ordinal order the
+// each global and each intrinsic binds, and for each registered object in ordinal order the
 // ordinal each edge out of it leads to — getter, setter and value per own
 // property, one per element, then the prototype — with -1 for no object.
 type hostTable struct {
-	globals []hostGlobal
-	links   []int32
+	globals    []hostGlobal
+	intrinsics [ast.NumIntrinsics]int32
+	links      []int32
 }
 
 type hostGlobal struct {
@@ -253,6 +265,10 @@ func pristine() (*Registry, *hostTable) {
 		for _, name := range in.Global.GlobalNames() {
 			v, _ := in.Global.Lookup(name)
 			t.globals = append(t.globals, hostGlobal{name, ord(v.Obj())})
+		}
+		for k := range t.intrinsics {
+			v, _ := in.Intrinsic(ast.Intrinsic(k))
+			t.intrinsics[k] = ord(v.Obj())
 		}
 		for _, o := range r.objs {
 			for j := range o.OwnPropCount() {

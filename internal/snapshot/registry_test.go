@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/eventloop"
 	"repro/internal/instrument"
 	"repro/internal/interp"
@@ -13,8 +14,8 @@ import (
 )
 
 // referencePaths is the registry walk as first written: one path string
-// built per visited node, the registered ones kept. The fingerprint blobs
-// carry was defined over this list, so the buffer-based walk must register
+// built per visited node, the registered ones kept, the globals' and then
+// the intrinsics'. The fingerprint blobs carry was defined over this list, so the buffer-based walk must register
 // the same objects in the same order under the same paths.
 func referencePaths(in *interp.Interp) (paths []string, objs []*interp.Object) {
 	seen := map[*interp.Object]bool{}
@@ -47,6 +48,10 @@ func referencePaths(in *interp.Interp) (paths []string, objs []*interp.Object) {
 	for _, name := range in.Global.GlobalNames() {
 		v, _ := in.Global.Lookup(name)
 		visit(name, v)
+	}
+	for k := range ast.NumIntrinsics {
+		v, _ := in.Intrinsic(k)
+		visit("%"+ast.IntrinsicNames[k], v)
 	}
 	return paths, objs
 }

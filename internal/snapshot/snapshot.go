@@ -13,7 +13,7 @@
 //     walk); closures serialize as (function ID, environment ref);
 //   - the host registry: every host object reachable from the realm's
 //     globals *before* the prelude runs, named by a deterministic
-//     traversal path ("Object.prototype.hasOwnProperty", "$suspend", ...);
+//     traversal path ("Object.prototype.hasOwnProperty", "%$suspend", ...);
 //     natives serialize as registry ordinals and re-link on restore, and
 //     guest mutations of host objects serialize as deltas against a
 //     pristine twin realm;
