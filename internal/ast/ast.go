@@ -168,7 +168,11 @@ type Func struct {
 	Params []string
 	Body   []Stmt
 	Arrow  bool
-	Helper Helper // marks a prelude helper (helper.go); in Arrow's padding
+
+	// Intrinsic marks a prelude function, which hoisting puts in the realm's
+	// table under that index instead of binding its name (intrinsic.go). Only
+	// MarkIntrinsics sets it: a guest's `function $add(){}` is its own.
+	Intrinsic Intrinsic
 
 	// Self is the name the body binds to the function itself: a function
 	// expression's own name. A declaration binds none — its name is the

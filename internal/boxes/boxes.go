@@ -92,6 +92,9 @@ func (b *boxer) analyze(node ast.Node) bool {
 			sc.names[p] |= declared | param
 		}
 		ast.Hoisted(n.Body, func(name string, decl *ast.Func) {
+			if decl != nil && decl.Intrinsic != ast.NoIntrinsic {
+				return // the prelude's: the realm's table holds it, no scope binds it
+			}
 			sc.names[name] |= declared
 			if decl != nil {
 				if sc.fns == nil {

@@ -400,16 +400,15 @@ type Restore struct {
 // Site is one fused call site: the operands OpSitePoll, OpSiteHelper,
 // OpSiteEnter and OpSiteLeave share.
 type Site struct {
-	Callee uint32 // global-cell cache site of OpSiteHelper's helper
-	Target int32  // local slot the application's value is stored in
-	Label  int32  // local slot of $lbl
-	Body   int32  // pc of the application's code
-	Exit   int32  // pc after the site
+	Target int32 // local slot the application's value is stored in
+	Label  int32 // local slot of $lbl
+	Body   int32 // pc of the application's code
+	Exit   int32 // pc after the site
 
-	// OpSiteHelper's operands: the helper the callee is named for (NoHelper:
-	// the instruction is not emitted) and NArgs arguments, each a local slot
-	// or, complemented (^i < 0), Consts[i].
-	Helper ast.Helper
+	// OpSiteHelper's operands: the helper the callee is (NoIntrinsic: the
+	// instruction is not emitted) and NArgs arguments, each a local slot or,
+	// complemented (^i < 0), Consts[i].
+	Helper ast.Intrinsic
 	NArgs  uint8
 	Args   [3]int32
 }
@@ -623,7 +622,7 @@ func (c *Chunk) Disassemble() string {
 		case OpSitePoll, OpSiteHelper, OpSiteEnter, OpSiteLeave:
 			s := c.Sites[ins.A]
 			if ins.Op == OpSiteHelper {
-				b = append(b, " "+ast.HelperNames[s.Helper]...)
+				b = append(b, " "+ast.IntrinsicNames[s.Helper]...)
 			}
 			b = append(b, fmt.Sprintf(" body %d exit %d", s.Body, s.Exit)...)
 			if ins.Op == OpSiteLeave {

@@ -403,8 +403,8 @@ func (c *compiler) site(n *ast.If) bool {
 			switch {
 			case id.Intrinsic() == ast.IntrinsicSuspend && len(call.Args) == 0:
 				poll = true
-			case id.Ref.Global() && id.Site != 0 && c.helperArgs(ast.HelperNamed(id.Name), call.Args, &s):
-				s.Callee = id.Site
+			case id.Intrinsic().IsHelper():
+				c.helperArgs(id.Intrinsic(), call.Args, &s)
 			}
 		}
 	}
@@ -415,7 +415,7 @@ func (c *compiler) site(n *ast.If) bool {
 	if poll {
 		c.emit(OpSitePoll, idx, 0)
 	}
-	if s.Helper != ast.NoHelper {
+	if s.Helper != ast.NoIntrinsic {
 		c.emit(OpSiteHelper, idx, 0)
 	}
 	c.emit(OpSiteEnter, idx, 0)
@@ -442,13 +442,12 @@ func (c *compiler) site(n *ast.If) bool {
 	return true
 }
 
-// helperArgs fills s's helper operands when h is a helper whose call the
-// engine may answer — not one of the natives $get's and $set's bodies are
-// written in — applied to one to three arguments, each a slot of the current
-// frame or a literal.
-func (c *compiler) helperArgs(h ast.Helper, args []ast.Expr, s *Site) bool {
-	if h == ast.NoHelper || h >= ast.HelperLookupGetter && h <= ast.HelperRawSet || len(args) == 0 || len(args) > len(s.Args) {
-		return false
+// helperArgs fills s's helper operands for a call of the helper h applied to
+// one to three arguments, each a slot of the current frame or a literal, and
+// leaves s as it is for any other call.
+func (c *compiler) helperArgs(h ast.Intrinsic, args []ast.Expr, s *Site) {
+	if len(args) == 0 || len(args) > len(s.Args) {
+		return
 	}
 	for i, a := range args {
 		if slot, ok := c.localSlot(a); ok {
@@ -456,11 +455,10 @@ func (c *compiler) helperArgs(h ast.Helper, args []ast.Expr, s *Site) bool {
 		} else if k, ok := literalConst(a); ok {
 			s.Args[i] = ^c.constant(k)
 		} else {
-			return false
+			return
 		}
 	}
 	s.Helper, s.NArgs = h, uint8(len(args))
-	return true
 }
 
 // modeTest takes a mode guard, `$mode === "<m>"` with $mode the intrinsic,

@@ -246,13 +246,13 @@ function f(o) {
 	// gets sitehelper too, naming its helper; one reading a global does not.
 	js := desugar.Options{Implicits: desugar.ImplicitsFull, Getters: true}
 	fused, plain := compileInstrumented(t, `function f(o, a) { var x = a + 1, y = o.f < x; return y; }`, instrument.Checked, js)
-	var helpers []ast.Helper
+	var helpers []ast.Intrinsic
 	for _, ins := range fused.Code {
 		if ins.Op == OpSiteHelper {
 			helpers = append(helpers, fused.Sites[ins.A].Helper)
 		}
 	}
-	if want := []ast.Helper{ast.HelperAdd, ast.HelperGet, ast.HelperLt}; !slices.Equal(helpers, want) {
+	if want := []ast.Intrinsic{ast.IntrinsicAdd, ast.IntrinsicGet, ast.IntrinsicLt}; !slices.Equal(helpers, want) {
 		t.Errorf("sitehelper sites %v, want %v\n%s", helpers, want, fused.Disassemble())
 	}
 	samePlainStream(t, "javascript", fused, plain)

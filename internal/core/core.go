@@ -450,12 +450,12 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The compiled fragment is a single function declaration; define
-			// it and invoke it immediately. Global eval semantics: the code
-			// sees only the global scope, and the immediate invocation must
-			// terminate without capturing (the "T" sub-language of §4.3).
-			fd := frag.Body[0].(*ast.FuncDecl)
-			frag.Body = append(frag.Body, ast.ExprOf(ast.CallId(fd.Fn.Name)))
+			// The compiled fragment is a single function declaration; the
+			// program calls it, made over the global frame and bound to no
+			// name. Global eval semantics: the code sees only the global
+			// scope, and the call must terminate without capturing (the "T"
+			// sub-language of §4.3).
+			frag.Body[0] = ast.ExprOf(ast.CallN(frag.Body[0].(*ast.FuncDecl).Fn))
 			return frag, nil
 		}
 	}

@@ -34,6 +34,7 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	ast.MarkIntrinsics(preludeProg)
 	desugar.Apply(preludeProg, desugar.Options{}, nm)
 	// Each part's temporaries avoid its own `$` names (Program.Guest): the
 	// guest's are no concern of the prelude, which every program shares.

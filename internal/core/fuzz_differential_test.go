@@ -36,10 +36,12 @@ func FuzzBytecodeVsTreewalker(f *testing.F) {
 	// first.
 	f.Add("var = 1;\n\"abc")
 	f.Add("f(1;\n/* unterminated")
-	// Every name the runtime once bound as a global, now an intrinsic no
-	// guest binding reaches, declared, assigned, read and called by the
-	// guest, at the top level and in a function the preempted cell captures
-	// and re-enters.
+	// Every name the runtime once bound as a global — its mode, frame
+	// arrays and natives, the prelude's functions and the natives $get and
+	// $set are written in — now an intrinsic no guest binding reaches,
+	// declared, assigned, read and called by the guest, at the top level and
+	// in a looping function the preempted cell captures and re-enters, beside
+	// the `+`, `new` and `o.f` that call the prelude's own.
 	for _, name := range ast.IntrinsicNames[1:] {
 		f.Add(fmt.Sprintf(`console.log(typeof %[1]s);
 var %[1]s = 1;
@@ -51,6 +53,9 @@ console.log(%[1]s, typeof %[1]s);`, name))
 var s = 0;
 for (var i = 0; i < 4; i++) { s = s + %[1]s(i); }
 console.log(s, typeof %[1]s);`, name))
+		f.Add(fmt.Sprintf(`function P(v) { this.v = v; }
+function h(n) { function %[1]s(x) { return x + n; } var t = 0; for (var i = 0; i < 3; i++) { t = t + %[1]s(new P(i).v); } return t; }
+console.log(h(1) - h(2), typeof %[1]s);`, name))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p := fuzzInput(t, src)

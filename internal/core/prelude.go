@@ -71,7 +71,7 @@ func compilePrelude(opts Opts) (*prelude, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
 	}
-	ast.MarkIntrinsics(prog) // $boundFn, $boundArgs and $create are the runtime's
+	ast.MarkIntrinsics(prog) // every name the prelude declares or calls is the runtime's
 	nm := &desugar.Namer{}
 	desugar.Apply(prog, desugar.Options{}, nm)
 	if nm.Fresh("") != "1" {
@@ -80,11 +80,6 @@ func compilePrelude(opts Opts) (*prelude, error) {
 	tmps, err := lower(prog, opts.forPrelude(), 0, ast.Sites{})
 	if err != nil {
 		return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
-	}
-	for _, s := range prog.Body { // the one place a function becomes a helper the engine answers for
-		if fd, ok := s.(*ast.FuncDecl); ok {
-			fd.Fn.Helper = ast.HelperNamed(fd.Fn.Name)
-		}
 	}
 	return &prelude{
 		body:    prog.Body,

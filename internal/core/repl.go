@@ -26,16 +26,11 @@ func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
 	if err != nil {
 		return err
 	}
-	// Define the compiled turn's function in the shared realm...
-	if err := a.In.RunProgram(turn); err != nil {
-		return err
-	}
-	fn, ok := a.In.Global.Lookup(name)
-	if !ok {
-		return fmt.Errorf("stopify: repl turn %s not defined", name)
-	}
-	// ...and run it through the driver, like $main. The turn is in flight
-	// from here until the callback records how it ended.
+	// Make the compiled turn's function over the shared global frame, bound
+	// to no name, and run it through the driver, like $main. The turn is in
+	// flight from here until the callback records how it ended.
+	a.In.ReserveSites(turn.Sites)
+	fn := interp.ObjectValue(a.In.NewClosure(turn.Body[0].(*ast.FuncDecl).Fn, a.In.Global))
 	a.mu.Lock()
 	a.finished = false
 	a.mu.Unlock()
@@ -51,9 +46,9 @@ func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
 }
 
 // compileFragment compiles a snippet that joins a realm already running —
-// an eval string or a REPL turn — into a program defining one function,
-// name, whose body is the snippet; the caller runs the program and then
-// calls the function. With echo, a trailing expression statement becomes
+// an eval string or a REPL turn — into a program declaring one function,
+// name, whose body is the snippet; the caller calls it, made over the
+// global frame. With echo, a trailing expression statement becomes
 // the function's return value. Site IDs continue from sites, the realm's
 // own count.
 func compileFragment(src string, opts Opts, name string, echo bool, sites ast.Sites) (*ast.Program, error) {

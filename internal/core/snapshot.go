@@ -92,9 +92,10 @@ func Restore(cfg RunConfig, blob []byte) (*AsyncRun, error) {
 // compiled before (its own parked guest, a migrating guest's next hop)
 // reuses that compilation — builds a fresh realm under cfg's host knobs
 // (engine profile, clock, output, backend, budgets), and decodes the blob
-// into it. The compiled program is never executed — every JS-level binding, prelude
-// included, comes from the blob — so the restored realm's state is the
-// source realm's, not a fresh program's.
+// into it. The compiled program is never executed — every JS-level binding
+// comes from the blob, and the prelude's functions, which no guest reaches,
+// from the program — so the restored realm's state is the source realm's,
+// not a fresh program's.
 //
 // cfg.Seed is ignored: the blob carries the Math.random generator state.
 // Step and memory accounting resume cumulatively from the snapshot's
@@ -121,6 +122,7 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 	if err != nil {
 		return nil, err
 	}
+	a.In.DefineIntrinsics(c.Prog)
 	d, err := snapshot.Decode(blob, a.In, a.RT, c.codeTable(), a.reg)
 	if err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ func lowerCtors(body []ast.Stmt, nm *Namer) []ast.Stmt {
 		}
 		return &ast.Call{
 			P:      n.P,
-			Callee: ast.Id("$construct"),
+			Callee: ast.IntrinsicConstruct.Id(),
 			Args:   []ast.Expr{n.Callee, &ast.Array{Elems: n.Args}},
 		}
 	}

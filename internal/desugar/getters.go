@@ -43,14 +43,14 @@ func (g *getterLowerer) scope(e ast.Expr) ast.Expr {
 func (g *getterLowerer) access(e ast.Expr) (ast.Expr, bool) {
 	switch n := e.(type) {
 	case *ast.Member:
-		return ast.CallId("$get", g.r.Expr(n.X), g.keyExpr(n)), true
+		return ast.IntrinsicGet.Call(g.r.Expr(n.X), g.keyExpr(n)), true
 	case *ast.Assign:
 		m, ok := n.Target.(*ast.Member)
 		if !ok {
 			return nil, false
 		}
 		n.Value = g.r.Expr(n.Value)
-		return &ast.Call{P: n.P, Callee: ast.Id("$set"), Args: []ast.Expr{g.r.Expr(m.X), g.keyExpr(m), n.Value}}, true
+		return &ast.Call{P: n.P, Callee: ast.IntrinsicSet.Id(), Args: []ast.Expr{g.r.Expr(m.X), g.keyExpr(m), n.Value}}, true
 	case *ast.Call:
 		for i := range n.Args {
 			n.Args[i] = g.r.Expr(n.Args[i])
@@ -64,7 +64,7 @@ func (g *getterLowerer) access(e ast.Expr) (ast.Expr, bool) {
 		base, key := g.r.Expr(m.X), g.keyExpr(m)
 		u := g.nm.Fresh("$u")
 		g.temps = append(g.temps, u)
-		getCall := ast.CallId("$get", ast.Id(u), key)
+		getCall := ast.IntrinsicGet.Call(ast.Id(u), key)
 		callArgs := append([]ast.Expr{ast.Id(u)}, n.Args...)
 		invoke := &ast.Call{P: n.P, Callee: &ast.Member{X: getCall, Name: "call"}, Args: callArgs}
 		return &ast.Seq{P: n.P, Exprs: []ast.Expr{ast.SetId(u, base), invoke}}, true

@@ -2,24 +2,24 @@ package desugar
 
 import "repro/internal/ast"
 
-// implicitFns maps operators that can trigger valueOf/toString on object
+// implicitBinFns maps operators that can trigger valueOf/toString on object
 // operands to the prelude functions that perform the conversion explicitly
 // (§4.1). The prelude defines these in plain JavaScript, so the implicit
 // calls become ordinary instrumented applications that can capture
 // continuations — which is exactly why full implicits are expensive
 // (Figure 2a).
-var implicitBinFns = map[string]string{
-	"+":  "$add",
-	"-":  "$sub",
-	"*":  "$mul",
-	"/":  "$div",
-	"%":  "$mod",
-	"<":  "$lt",
-	"<=": "$le",
-	">":  "$gt",
-	">=": "$ge",
-	"==": "$eq",
-	"!=": "$ne",
+var implicitBinFns = map[string]ast.Intrinsic{
+	"+":  ast.IntrinsicAdd,
+	"-":  ast.IntrinsicSub,
+	"*":  ast.IntrinsicMul,
+	"/":  ast.IntrinsicDiv,
+	"%":  ast.IntrinsicMod,
+	"<":  ast.IntrinsicLt,
+	"<=": ast.IntrinsicLe,
+	">":  ast.IntrinsicGt,
+	">=": ast.IntrinsicGe,
+	"==": ast.IntrinsicEq,
+	"!=": ast.IntrinsicNe,
 }
 
 // lowerImplicits rewrites arithmetic to explicit prelude calls. In
@@ -41,7 +41,7 @@ func lowerImplicits(body []ast.Stmt, mode ImplicitsMode, nm *Namer) []ast.Stmt {
 			if literalOperand(n.L) && literalOperand(n.R) {
 				return n // constants cannot be objects
 			}
-			return &ast.Call{P: n.P, Callee: ast.Id(fn), Args: []ast.Expr{n.L, n.R}}
+			return &ast.Call{P: n.P, Callee: fn.Id(), Args: []ast.Expr{n.L, n.R}}
 		case *ast.Unary:
 			if mode != ImplicitsFull {
 				return n
@@ -51,12 +51,12 @@ func lowerImplicits(body []ast.Stmt, mode ImplicitsMode, nm *Namer) []ast.Stmt {
 				if literalOperand(n.X) {
 					return n
 				}
-				return &ast.Call{P: n.P, Callee: ast.Id("$neg"), Args: []ast.Expr{n.X}}
+				return &ast.Call{P: n.P, Callee: ast.IntrinsicNeg.Id(), Args: []ast.Expr{n.X}}
 			case "+":
 				if literalOperand(n.X) {
 					return n
 				}
-				return &ast.Call{P: n.P, Callee: ast.Id("$tonum"), Args: []ast.Expr{n.X}}
+				return &ast.Call{P: n.P, Callee: ast.IntrinsicToNum.Id(), Args: []ast.Expr{n.X}}
 			}
 			return n
 		}

@@ -723,7 +723,7 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 	if sc == nil {
 		return Undefined, errNotResolved
 	}
-	if h := c.Decl.Helper; h != ast.NoHelper {
+	if h := c.Decl.Intrinsic; h.IsHelper() {
 		if v, err, ok := in.callHelper(h, &args); ok {
 			return v, err
 		}

@@ -6,27 +6,10 @@ import (
 )
 
 // helperOp is the operator an arithmetic or comparison helper applies.
-var helperOp = [ast.NumHelpers]string{
-	ast.HelperAdd: "+", ast.HelperSub: "-", ast.HelperMul: "*", ast.HelperDiv: "/",
-	ast.HelperMod: "%", ast.HelperLt: "<", ast.HelperLe: "<=", ast.HelperGt: ">",
-	ast.HelperGe: ">=", ast.HelperEq: "==", ast.HelperNe: "!=",
-}
-
-// helperIntact reports whether the global h, which a helper's body calls by
-// name, still holds the realm's original: a marked node or native no guest makes.
-func (in *Interp) helperIntact(h ast.Helper) bool {
-	if in.helperCells == nil {
-		in.helperCells = new([ast.HelperRawSet + 1]*cell)
-	}
-	c := in.helperCells[h]
-	if c == nil {
-		if c = in.Global.Cell(ast.HelperNames[h]); c == nil {
-			return false
-		}
-		in.helperCells[h] = c
-	}
-	o := c.v.Obj()
-	return o != nil && (o.helper == h || (o.Fn != nil && o.Fn.Decl.Helper == h))
+var helperOp = [ast.NumIntrinsics]string{
+	ast.IntrinsicAdd: "+", ast.IntrinsicSub: "-", ast.IntrinsicMul: "*", ast.IntrinsicDiv: "/",
+	ast.IntrinsicMod: "%", ast.IntrinsicLt: "<", ast.IntrinsicLe: "<=", ast.IntrinsicGt: ">",
+	ast.IntrinsicGe: ">=", ast.IntrinsicEq: "==", ast.IntrinsicNe: "!=",
 }
 
 // callHelper answers a call of the prelude helper h — under the implicits and
@@ -34,10 +17,10 @@ func (in *Interp) helperIntact(h ast.Helper) bool {
 // the raw operator's own implementation, or reports !ok and Call runs the
 // closure on args. It answers only what cannot run guest code and would not
 // overflow the stack: the conditions are DESIGN_interp.md "Implicit helpers".
-func (in *Interp) callHelper(h ast.Helper, args *[]Value) (Value, error, bool) {
+func (in *Interp) callHelper(h ast.Intrinsic, args *[]Value) (Value, error, bool) {
 	a := *args
-	if h >= ast.HelperGet && len(a) > 1 && a[1].tag == TagObject {
-		return in.helperKey(h == ast.HelperSet, args)
+	if h >= ast.IntrinsicGet && len(a) > 1 && a[1].tag == TagObject {
+		return in.helperKey(args)
 	}
 	return in.answerHelper(h, argAt(a, 0), argAt(a, 1), argAt(a, 2))
 }
@@ -52,24 +35,22 @@ func argAt(args []Value, i int) Value {
 
 // answerHelper is callHelper on the call's first three arguments, of which a
 // $get or $set key is not an object.
-func (in *Interp) answerHelper(h ast.Helper, x, y, z Value) (Value, error, bool) {
+func (in *Interp) answerHelper(h ast.Intrinsic, x, y, z Value) (Value, error, bool) {
 	if in.Mode != ast.ModeNormal || in.maxDepth-in.depth < 2 {
 		return Undefined, nil, false
 	}
-	if h >= ast.HelperGet {
-		return in.callAccessorHelper(h == ast.HelperSet, x, y, z)
+	if h >= ast.IntrinsicGet {
+		return in.callAccessorHelper(h == ast.IntrinsicSet, x, y, z)
 	}
-	// Every arithmetic body calls $toPrim, and $ne calls $eq.
-	if x.tag == TagObject || y.tag == TagObject || !in.helperIntact(ast.HelperToPrim) ||
-		(h == ast.HelperNe && !in.helperIntact(ast.HelperEq)) {
+	if x.tag == TagObject || y.tag == TagObject {
 		return Undefined, nil, false
 	}
 	switch h {
-	case ast.HelperToPrim:
+	case ast.IntrinsicToPrim:
 		return x, nil, true
-	case ast.HelperNeg, ast.HelperToNum:
+	case ast.IntrinsicNeg, ast.IntrinsicToNum:
 		n, err := in.ToNumber(x)
-		if h == ast.HelperNeg {
+		if h == ast.IntrinsicNeg {
 			n = -n
 		}
 		return NumberValue(n), err, true
@@ -78,20 +59,11 @@ func (in *Interp) answerHelper(h ast.Helper, x, y, z Value) (Value, error, bool)
 	return v, err, true
 }
 
-// accessorIntact reports whether the natives the $get ($set) body calls are
-// the realm's originals.
-func (in *Interp) accessorIntact(set bool) bool {
-	if set {
-		return in.helperIntact(ast.HelperLookupSetter) && in.helperIntact(ast.HelperRawSet)
-	}
-	return in.helperIntact(ast.HelperLookupGetter) && in.helperIntact(ast.HelperRawGet)
-}
-
 // helperKey is callHelper for $get(o, k) and $set(o, k, v) when k is an
 // object: it converts k here, once — the body's two natives would each
 // convert it — and the body runs on the string.
-func (in *Interp) helperKey(set bool, args *[]Value) (Value, error, bool) {
-	if in.Mode != ast.ModeNormal || in.maxDepth-in.depth < 2 || !in.accessorIntact(set) {
+func (in *Interp) helperKey(args *[]Value) (Value, error, bool) {
+	if in.Mode != ast.ModeNormal || in.maxDepth-in.depth < 2 {
 		return Undefined, nil, false
 	}
 	key, err := in.ToStringValue((*args)[1])
@@ -106,9 +78,6 @@ func (in *Interp) helperKey(set bool, args *[]Value) (Value, error, bool) {
 // primitive: what the body's lookup and raw access come to when the lookup
 // finds nothing to call.
 func (in *Interp) callAccessorHelper(set bool, o, k, v Value) (Value, error, bool) {
-	if !in.accessorIntact(set) {
-		return Undefined, nil, false
-	}
 	// An array element in place is never an accessor (LookupAccessor).
 	if set {
 		if in.setElemFast(o, k, v) {
@@ -163,19 +132,10 @@ func (in *Interp) getData(base Value, key string) (Value, error, bool) {
 // into $lbl and counts the site's four boundaries, or, when the answer is a
 // throw, counts the two the plain code counts before its call and returns it.
 // It answers only when the site is normal-mode and trigger-free for all four
-// boundaries, the callee's binding holds a closure whose code carries the
-// site's helper mark — the mark, as Call tests it, not the name — and a $get or
-// $set key is not an object, which the plain call converts once. Otherwise it
-// does nothing and the site's plain code runs.
+// boundaries and a $get or $set key is not an object, which the plain call
+// converts once. Otherwise it does nothing and the site's plain code runs.
 func (in *Interp) siteHelper(s *bytecode.Site, consts, slots []Value) (bool, error) {
 	if !in.siteNormal(bytecode.SiteEnterSteps + bytecode.SiteLeaveSteps) {
-		return false, nil
-	}
-	c := in.icCellAt(s.Callee)
-	if c == nil {
-		return false, nil
-	}
-	if f := c.v.Obj(); f == nil || f.Fn == nil || f.Fn.Decl.Helper != s.Helper {
 		return false, nil
 	}
 	var a [3]Value
@@ -186,7 +146,7 @@ func (in *Interp) siteHelper(s *bytecode.Site, consts, slots []Value) (bool, err
 			a[i] = consts[^r]
 		}
 	}
-	if s.Helper >= ast.HelperGet && a[1].tag == TagObject {
+	if s.Helper >= ast.IntrinsicGet && a[1].tag == TagObject {
 		return false, nil
 	}
 	v, err, ok := in.answerHelper(s.Helper, a[0], a[1], a[2])
@@ -203,37 +163,29 @@ func (in *Interp) siteHelper(s *bytecode.Site, consts, slots []Value) (bool, err
 	return true, nil
 }
 
-// accessorNatives are the natives the $get/$set prelude is written in: accessor
-// lookup without invocation, accessor-free read and write. Made once, not per realm.
-var accessorNatives [ast.HelperRawSet + 1]NativeFunc // by mark
+// AccessorNatives are the natives the $get/$set prelude is written in, by
+// intrinsic: accessor lookup without invocation, accessor-free read and
+// write. The runtime puts them in its table. Made once, not per realm.
+var AccessorNatives [ast.IntrinsicRawSet + 1]NativeFunc
 
 func init() {
-	for h := ast.HelperLookupGetter; h <= ast.HelperRawSet; h++ {
-		accessorNatives[h] = func(in *Interp, this Value, args []Value) (Value, error) {
-			if len(args) < 2 || (h == ast.HelperRawSet && len(args) < 3) {
+	for k := ast.IntrinsicLookupGetter; k <= ast.IntrinsicRawSet; k++ {
+		AccessorNatives[k] = func(in *Interp, this Value, args []Value) (Value, error) {
+			if len(args) < 2 || (k == ast.IntrinsicRawSet && len(args) < 3) {
 				return Undefined, nil
 			}
 			key, err := in.ToStringValue(args[1])
 			if err != nil {
 				return Undefined, err
 			}
-			switch h {
-			case ast.HelperRawGet:
+			switch k {
+			case ast.IntrinsicRawGet:
 				return in.RawGet(args[0], key)
-			case ast.HelperRawSet:
+			case ast.IntrinsicRawSet:
 				return args[2], in.SetMember(args[0], key, args[2])
 			}
-			return in.LookupAccessor(args[0], key, h == ast.HelperLookupSetter), nil
+			return in.LookupAccessor(args[0], key, k == ast.IntrinsicLookupSetter), nil
 		}
-	}
-}
-
-// InstallAccessorNatives defines them, marked, in this realm.
-func (in *Interp) InstallAccessorNatives() {
-	for h := ast.HelperLookupGetter; h <= ast.HelperRawSet; h++ {
-		n := in.NewNative(ast.HelperNames[h], accessorNatives[h])
-		n.helper = h
-		in.DefineGlobal(n.NativeName(), ObjectValue(n))
 	}
 }
 
@@ -245,9 +197,7 @@ func (in *Interp) InstallAccessorNatives() {
 // anything else that runs desugared code, into a table lent here when the
 // realm has none.
 func (in *Interp) InstallDesugarNatives() {
-	if in.poll == nil {
-		in.poll = &Poll{}
-	}
-	in.poll.Intrinsics[ast.IntrinsicCreate] = in.NewNative("$create", createNative)
-	in.poll.Intrinsics[ast.IntrinsicForInKeys] = in.NewNative("$forInKeys", forInKeysNative)
+	t := &in.table().Intrinsics
+	t[ast.IntrinsicCreate] = in.NewNative("$create", createNative)
+	t[ast.IntrinsicForInKeys] = in.NewNative("$forInKeys", forInKeysNative)
 }

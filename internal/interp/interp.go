@@ -117,12 +117,11 @@ type Interp struct {
 	chunkRuns  uint64
 	poll       *Poll // the runtime's poll and intrinsic table (SetPoll); nil in a realm no runtime drives
 
-	bytecode      bool                         // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 368 B (TestValueLayout)
-	quantumHeld   bool                         // HoldQuantum: the hook cannot fire
-	Mode          ast.Mode                     // rt.setMode: what `$mode` reads; a mode guard (OpJumpModeNe), a helper call (helpers.go) and a restore-mode entry (Call) test it
-	argsBuilt     uint32                       // arguments objects built (ArgumentsBuilt)
-	quantumHeldAt uint64                       // Steps since which the hold has cost the quantum nothing
-	helperCells   *[ast.HelperRawSet + 1]*cell // helperIntact
+	bytecode      bool     // guests run as chunks (dispatch.go); shares a word with the next three: Interp is 360 B (TestValueLayout)
+	quantumHeld   bool     // HoldQuantum: the hook cannot fire
+	Mode          ast.Mode // rt.setMode: what `$mode` reads; a mode guard (OpJumpModeNe), a helper call (helpers.go) and a restore-mode entry (Call) test it
+	argsBuilt     uint32   // arguments objects built (ArgumentsBuilt)
+	quantumHeldAt uint64   // Steps since which the hold has cost the quantum nothing
 
 	objectProto   *Object
 	functionProto *Object
@@ -293,6 +292,14 @@ type Poll struct {
 // SetPoll installs the runtime's poll and intrinsic table.
 func (in *Interp) SetPoll(p *Poll) { in.poll = p }
 
+// table is the realm's poll, lent here when no runtime installed one.
+func (in *Interp) table() *Poll {
+	if in.poll == nil {
+		in.poll = &Poll{}
+	}
+	return in.poll
+}
+
 // Intrinsic is the realm's runtime binding k: the mode's name, or the
 // object the runtime's table holds. A realm with no runtime (a raw one) has
 // none but the mode.
@@ -435,6 +442,7 @@ func (in *Interp) RunProgram(prog *ast.Program) error {
 		// The top level tree-walks on the arena's scratch, as a call does.
 		defer in.returnOps(in.borrowOps())
 	}
+	in.DefineIntrinsics(prog)
 	in.hoistGlobals(prog.Body)
 	return in.execStmts(prog.Body, in.Global)
 }
@@ -480,7 +488,7 @@ func (in *Interp) newLiteral(n int) *Object {
 // ---------------------------------------------------------------------------
 
 // hoistGlobals predeclares a program's vars (undefined) and function
-// declarations in the global frame.
+// declarations in the global frame, but for the prelude's (DefineIntrinsics).
 func (in *Interp) hoistGlobals(body []ast.Stmt) {
 	vars, fns := ast.HoistedDecls(body)
 	for _, name := range vars {
@@ -489,7 +497,21 @@ func (in *Interp) hoistGlobals(body []ast.Stmt) {
 		}
 	}
 	for _, fn := range fns {
-		in.Global.Define(fn.Name, ObjectValue(in.makeFunction(fn, in.Global)))
+		if fn.Intrinsic == ast.NoIntrinsic {
+			in.Global.Define(fn.Name, ObjectValue(in.makeFunction(fn, in.Global)))
+		}
+	}
+}
+
+// DefineIntrinsics puts in the intrinsic table the prelude functions prog
+// declares (ast.Func.Intrinsic), as running it does: all a restored realm
+// needs of the prelude, since no guest can reach those functions and so no
+// snapshot carries them.
+func (in *Interp) DefineIntrinsics(prog *ast.Program) {
+	for _, s := range prog.Body {
+		if fd, ok := s.(*ast.FuncDecl); ok && fd.Fn.Intrinsic != ast.NoIntrinsic {
+			in.table().Intrinsics[fd.Fn.Intrinsic] = in.makeFunction(fd.Fn, in.Global)
+		}
 	}
 }
 

@@ -89,7 +89,8 @@ func (e *Env) SetRestoredParent(p *Env) { e.parent = p }
 // NewClosure builds a function object exactly as evaluating the function
 // literal in env would — same co-allocation, same escape marking of the
 // captured chain, same meter charge. The snapshot decoder pairs a
-// deterministic function ID (resolved back to fn) with a decoded env.
+// deterministic function ID (resolved back to fn) with a decoded env; a REPL
+// turn makes its function over the global frame.
 func (in *Interp) NewClosure(fn *ast.Func, env *Env) *Object {
 	return in.makeFunction(fn, env)
 }

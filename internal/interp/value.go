@@ -426,7 +426,6 @@ type Object struct {
 	// this object as part of a prototype chain; from then on, layout changes
 	// here bump protoEpoch to invalidate chain caches.
 	usedAsProto bool
-	helper      ast.Helper // on the natives of InstallAccessorNatives only
 
 	Proto *Object
 

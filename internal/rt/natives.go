@@ -152,7 +152,9 @@ func (r *R) installNatives() {
 	})
 
 	// Getter sub-language (§4.3): what the $get/$set prelude looks accessors up with.
-	in.InstallAccessorNatives()
+	for k := ast.IntrinsicLookupGetter; k <= ast.IntrinsicRawSet; k++ {
+		defineNative(k, interp.AccessorNatives[k])
+	}
 
 	// Bound-function support for the $construct prelude (§3.2): `new` on a
 	// bound function must construct the ultimate target with the bound args
