@@ -39,6 +39,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/base64"
@@ -215,7 +216,8 @@ func (s *server) janitor() {
 }
 
 // policyOverrides is how a /run or /restore body narrows the daemon's
-// default policy; a zero field keeps the default.
+// default policy: a zero field keeps the default, and a limit may be
+// lowered, never raised past a non-zero default.
 type policyOverrides struct {
 	// Lane: "batch" (default) or "interactive".
 	Lane           string  `json:"lane,omitempty"`
@@ -233,19 +235,21 @@ func (o policyOverrides) apply(pol supervisor.Policy) (supervisor.Policy, error)
 	default:
 		return pol, fmt.Errorf("unknown lane %q", o.Lane)
 	}
-	if o.DeadlineMs > 0 {
-		pol.WallDeadline = time.Duration(o.DeadlineMs * float64(time.Millisecond))
-	}
-	if o.MaxSteps > 0 {
-		pol.MaxTotalSteps = o.MaxSteps
-	}
-	if o.MaxOutputBytes > 0 {
-		pol.MaxOutputBytes = o.MaxOutputBytes
-	}
-	if o.MemBudgetBytes > 0 {
-		pol.MemBudgetBytes = o.MemBudgetBytes
-	}
+	pol.WallDeadline = narrow(time.Duration(o.DeadlineMs*float64(time.Millisecond)), pol.WallDeadline)
+	pol.MaxTotalSteps = narrow(o.MaxSteps, pol.MaxTotalSteps)
+	// The supervisor reads a zero output cap as DefaultMaxOutput, not as none.
+	pol.MaxOutputBytes = narrow(o.MaxOutputBytes, cmp.Or(pol.MaxOutputBytes, supervisor.DefaultMaxOutput))
+	pol.MemBudgetBytes = narrow(o.MemBudgetBytes, pol.MemBudgetBytes)
 	return pol, nil
+}
+
+// narrow is a limit a request asks for, req, against the daemon's default,
+// def: req when it is set and the default is none or larger, else def.
+func narrow[T time.Duration | uint64 | int](req, def T) T {
+	if req > 0 && (def == 0 || req < def) {
+		return req
+	}
+	return def
 }
 
 // runRequest is POST /run's body.

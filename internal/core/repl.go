@@ -56,12 +56,14 @@ func compileFragment(src string, opts Opts, name string, echo bool, sites ast.Si
 	if err != nil {
 		return nil, err
 	}
-	promoteDeclsToGlobals(frag)
+	// The echo is taken first: a declaration the promotion turns into an
+	// assignment echoes undefined, as node's REPL does.
 	if n := len(frag.Body); echo && n > 0 {
 		if es, ok := frag.Body[n-1].(*ast.ExprStmt); ok {
 			frag.Body[n-1] = &ast.Return{Arg: es.X}
 		}
 	}
+	promoteDeclsToGlobals(frag)
 	return compileProgram(frag, opts, &desugar.Namer{}, name, 0, sites)
 }
 

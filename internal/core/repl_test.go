@@ -185,3 +185,34 @@ func TestREPLTurnAfterMainThrew(t *testing.T) {
 		t.Fatalf("turn after a failed turn: %v, %v", v, err)
 	}
 }
+
+// TestREPLEchoes: a turn echoes what node's REPL echoes — a trailing
+// expression's value, and undefined for a declaration, which the turn turns
+// into an assignment to the global.
+func TestREPLEchoes(t *testing.T) {
+	c, err := Compile("", Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.NewRun(RunConfig{Clock: eventloop.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	for _, turn := range []struct{ src, want string }{
+		{`var a = 1`, "undefined"},
+		{`function f() {}`, "undefined"},
+		{`a`, "1"},
+		{`function g() { return 7 } g()`, "7"},
+	} {
+		v, err := run.EvalAndWait(turn.src)
+		if err != nil {
+			t.Fatalf("%s: %v", turn.src, err)
+		}
+		if got := run.In.Display(v); got != turn.want {
+			t.Errorf("%s echoes %s, want %s", turn.src, got, turn.want)
+		}
+	}
+}

@@ -259,14 +259,12 @@ func (in *Interp) setupArray() {
 			cmp = args[0]
 		}
 		var sortErr error
-		in.EnterAtomic()
-		defer in.ExitAtomic()
 		sort.SliceStable(a.Elems, func(i, j int) bool {
 			if sortErr != nil {
 				return false
 			}
 			if cmp.IsObject() {
-				r, err := in.Call(cmp, Undefined, []Value{a.Elems[i], a.Elems[j]}, Undefined)
+				r, err := in.callBack(cmp, Undefined, []Value{a.Elems[i], a.Elems[j]})
 				if err != nil {
 					sortErr = err
 					return false
@@ -303,10 +301,8 @@ func (in *Interp) setupArray() {
 		if len(args) == 0 {
 			return Undefined, in.Throw("TypeError", "forEach requires a callback")
 		}
-		in.EnterAtomic()
-		defer in.ExitAtomic()
 		for i, el := range a.Elems {
-			if _, err := in.Call(args[0], Undefined, []Value{el, NumberValue(float64(i)), this}, Undefined); err != nil {
+			if _, err := in.callBack(args[0], Undefined, []Value{el, NumberValue(float64(i)), this}); err != nil {
 				return Undefined, err
 			}
 		}
@@ -320,11 +316,9 @@ func (in *Interp) setupArray() {
 		if len(args) == 0 {
 			return Undefined, in.Throw("TypeError", "map requires a callback")
 		}
-		in.EnterAtomic()
-		defer in.ExitAtomic()
 		out := make([]Value, len(a.Elems))
 		for i, el := range a.Elems {
-			v, err := in.Call(args[0], Undefined, []Value{el, NumberValue(float64(i)), this}, Undefined)
+			v, err := in.callBack(args[0], Undefined, []Value{el, NumberValue(float64(i)), this})
 			if err != nil {
 				return Undefined, err
 			}
@@ -340,11 +334,9 @@ func (in *Interp) setupArray() {
 		if len(args) == 0 {
 			return Undefined, in.Throw("TypeError", "filter requires a callback")
 		}
-		in.EnterAtomic()
-		defer in.ExitAtomic()
 		var out []Value
 		for i, el := range a.Elems {
-			v, err := in.Call(args[0], Undefined, []Value{el, NumberValue(float64(i)), this}, Undefined)
+			v, err := in.callBack(args[0], Undefined, []Value{el, NumberValue(float64(i)), this})
 			if err != nil {
 				return Undefined, err
 			}
@@ -362,8 +354,6 @@ func (in *Interp) setupArray() {
 		if len(args) == 0 {
 			return Undefined, in.Throw("TypeError", "reduce requires a callback")
 		}
-		in.EnterAtomic()
-		defer in.ExitAtomic()
 		i := 0
 		var acc Value
 		if len(args) > 1 {
@@ -376,7 +366,7 @@ func (in *Interp) setupArray() {
 			i = 1
 		}
 		for ; i < len(a.Elems); i++ {
-			v, err := in.Call(args[0], Undefined, []Value{acc, a.Elems[i], NumberValue(float64(i)), this}, Undefined)
+			v, err := in.callBack(args[0], Undefined, []Value{acc, a.Elems[i], NumberValue(float64(i)), this})
 			if err != nil {
 				return Undefined, err
 			}

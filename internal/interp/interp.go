@@ -399,16 +399,19 @@ func (in *Interp) charge(p *engine.Profile, units int) {
 // deep-stack mode (§5.2) reads it.
 func (in *Interp) Depth() int { return int(in.depth) }
 
-// EnterAtomic marks the start of a native section that calls back into
-// JavaScript (Array.prototype.sort's comparator, map's callback, ...).
-// Continuations cannot unwind through a native Go frame, so the Stopify
-// runtime defers suspension while any atomic section is active — the same
-// reason real Stopify instruments runtime-library JavaScript instead of
-// using native helpers (§6.4).
-func (in *Interp) EnterAtomic() { in.atomic++ }
-
-// ExitAtomic ends a native callback section.
-func (in *Interp) ExitAtomic() { in.atomic-- }
+// callBack is the one way host code calls guest code while guest frames lie
+// below it: a valueOf or toString of a conversion, an accessor of a plain
+// property access, a sort comparator, a map callback. The call runs in an
+// atomic section. Continuations cannot unwind through a native Go frame, so
+// the Stopify runtime defers suspension while any atomic section is active —
+// the same reason real Stopify instruments runtime-library JavaScript instead
+// of using native helpers (§6.4). A kill still lands inside one: it unwinds
+// as a Go error.
+func (in *Interp) callBack(fn, this Value, args []Value) (Value, error) {
+	in.atomic++
+	defer func() { in.atomic-- }()
+	return in.Call(fn, this, args, Undefined)
+}
 
 // InAtomic reports whether a native callback section is active.
 func (in *Interp) InAtomic() bool { return in.atomic > 0 }

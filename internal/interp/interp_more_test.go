@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -241,15 +242,35 @@ func TestAtomicSections(t *testing.T) {
 	if in.InAtomic() {
 		t.Error("fresh interp should not be atomic")
 	}
-	in.EnterAtomic()
-	in.EnterAtomic()
-	in.ExitAtomic()
-	if !in.InAtomic() {
-		t.Error("nested atomic sections must count")
+	var depths []int
+	note := func(in *Interp, this Value, args []Value) (Value, error) {
+		depths = append(depths, in.atomic)
+		return Undefined, nil
 	}
-	in.ExitAtomic()
+	inner := ObjectValue(in.NewNative("inner", note))
+	outer := ObjectValue(in.NewNative("outer", func(in *Interp, this Value, args []Value) (Value, error) {
+		note(in, this, args)
+		_, err := in.callBack(inner, Undefined, nil)
+		note(in, this, args)
+		return Undefined, err
+	}))
+	if _, err := in.callBack(outer, Undefined, nil); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(depths) != "[1 2 1]" {
+		t.Errorf("nested atomic sections must count: depths %v, want [1 2 1]", depths)
+	}
 	if in.InAtomic() {
 		t.Error("atomic sections should unwind")
+	}
+	thrower := ObjectValue(in.NewNative("thrower", func(in *Interp, this Value, args []Value) (Value, error) {
+		return Undefined, in.Throw("Error", "boom")
+	}))
+	if _, err := in.callBack(thrower, Undefined, nil); err == nil {
+		t.Error("the callee's throw must reach the caller")
+	}
+	if in.InAtomic() {
+		t.Error("an atomic section should unwind on a throw")
 	}
 }
 

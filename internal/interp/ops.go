@@ -172,15 +172,13 @@ func (in *Interp) ToPrimitive(v Value, hint string) (Value, error) {
 	if hint == "string" {
 		methods = []string{"toString", "valueOf"}
 	}
-	in.EnterAtomic()
-	defer in.ExitAtomic()
 	for _, name := range methods {
 		m, err := in.GetMember(v, name)
 		if err != nil {
 			return Undefined, err
 		}
 		if f := m.Obj(); f.IsCallable() {
-			r, err := in.Call(m, v, nil, Undefined)
+			r, err := in.callBack(m, v, nil)
 			if err != nil {
 				return Undefined, err
 			}
@@ -762,7 +760,7 @@ func (in *Interp) readSlot(p *Value, this Value) (Value, error) {
 	if a.get == nil {
 		return Undefined, nil
 	}
-	return in.Call(ObjectValue(a.get), this, nil, Undefined)
+	return in.callBack(ObjectValue(a.get), this, nil)
 }
 
 // SetMember writes base[key] = v, invoking setters found on the prototype
@@ -866,7 +864,7 @@ func (in *Interp) setMemberSite(base Value, key string, v Value, site uint32) er
 			if a.set == nil {
 				return nil // getter-only property: silent failure (sloppy mode)
 			}
-			_, err := in.Call(ObjectValue(a.set), base, []Value{v}, Undefined)
+			_, err := in.callBack(ObjectValue(a.set), base, []Value{v})
 			return err
 		}
 		if holder == o {

@@ -85,9 +85,10 @@ func (r *R) installNatives() {
 			return interp.Undefined, nil
 		}
 		if in.InAtomic() {
-			// Inside a native callback (sort comparator, valueOf from a raw
-			// conversion): a continuation cannot unwind through the native
-			// frame, so defer the yield to the next suspend point.
+			// Inside a native callback (a sort comparator, a valueOf, an
+			// accessor: interp's callBack): a continuation cannot unwind
+			// through the native frame, so defer the yield to the next
+			// suspend point.
 			return interp.Undefined, nil
 		}
 		if r.est != nil {

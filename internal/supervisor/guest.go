@@ -37,9 +37,11 @@ type Policy struct {
 	// Lane selects the scheduling class.
 	Lane Lane
 	// WallDeadline bounds the guest's total wall-clock lifetime, measured
-	// from admission. A guest past its deadline is killed at its next
-	// preemption point with ErrDeadline — an infinite loop dies without
-	// taking a worker with it. Zero means no deadline.
+	// from admission. It is a timer on the kill path that Guest.Kill takes:
+	// at the deadline the guest dies with ErrDeadline wherever it is —
+	// queued, asleep, or running, in a native callback that never yields
+	// too — so an infinite loop dies without taking a worker with it. Zero
+	// means no deadline.
 	WallDeadline time.Duration
 	// MaxTotalSteps bounds total statements executed across all quanta
 	// (interp.ErrStepBudget — a hard, uncatchable abort). Zero means
@@ -153,7 +155,7 @@ type Guest struct {
 	run      *core.AsyncRun // created on the first scheduling turn
 	out      *cappedWriter
 
-	killReq  error // external termination request, consumed by the scheduler
+	killReq  error // a running guest's kill, read by attach and at the turn's end
 	pauseReq bool  // external pause request, consumed at the next park
 
 	// Park state (the MaxResident residency limiter, park.go). A parked
@@ -169,13 +171,17 @@ type Guest struct {
 	lastTurn  time.Time // when the guest last held a worker (LRU park order)
 
 	submitted  time.Time
-	deadline   time.Time // zero: none
+	deadline   time.Time // zero: none; Inspect reads it, deadlineTimer enforces it
 	readySince time.Time // when the guest last became runnable
 	queueWait  time.Duration
 	steps      uint64
 	quanta     int
 	preempts   int
 	sleepTimer *time.Timer
+
+	// deadlineTimer kills the guest at its deadline. admit arms it and
+	// finalizeLocked stops it, both under Supervisor.mu.
+	deadlineTimer *time.Timer
 
 	// profFolded accumulates the guest's sampling-profiler output across
 	// turns (the worker harvests the realm after each quantum), so the
@@ -351,11 +357,11 @@ type cappedWriter struct {
 	notify     chan struct{} // closed and replaced on append (broadcast to followers)
 }
 
-func newCappedWriter(max int) *cappedWriter {
+func newCappedWriter(max int, onOverflow func()) *cappedWriter {
 	if max <= 0 {
 		max = DefaultMaxOutput
 	}
-	return &cappedWriter{max: max, notify: make(chan struct{})}
+	return &cappedWriter{max: max, onOverflow: onOverflow, notify: make(chan struct{})}
 }
 
 // Write implements io.Writer. It always reports success — the guest's
@@ -436,17 +442,4 @@ func (w *cappedWriter) changed() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.notify
-}
-
-// setOverflow installs the overflow callback (before the guest's realm first
-// runs). Output replayed from a snapshot may have hit the cap already, before
-// there was a realm to kill: the callback then fires here.
-func (w *cappedWriter) setOverflow(fn func()) {
-	w.mu.Lock()
-	w.onOverflow = fn
-	overflowed := w.truncated
-	w.mu.Unlock()
-	if overflowed {
-		fn()
-	}
 }

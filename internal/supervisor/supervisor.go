@@ -226,7 +226,7 @@ func (s *Supervisor) admit(pol *Policy, prepare func(*Guest) error) (*Guest, err
 	}
 	now := time.Now()
 	g.lane = g.pol.Lane
-	g.out = newCappedWriter(g.pol.MaxOutputBytes)
+	g.out = newCappedWriter(g.pol.MaxOutputBytes, func() { s.killGuest(g, ErrOutputLimit) })
 	g.submitted, g.readySince = now, now
 	if g.pol.WallDeadline > 0 {
 		g.deadline = now.Add(g.pol.WallDeadline)
@@ -249,6 +249,11 @@ func (s *Supervisor) admit(pol *Policy, prepare func(*Guest) error) (*Guest, err
 	}
 	s.record(-1, TraceEvent{Type: TraceSubmit, Guest: g.ID, Lane: g.lane.String(), Bytes: blobLen}, 0)
 	s.guests[g.ID] = g
+	if g.pol.WallDeadline > 0 {
+		// The deadline is a kill, as /cancel is: it lands wherever the guest
+		// is, in a native callback that never yields too.
+		g.deadlineTimer = time.AfterFunc(time.Until(g.deadline), func() { s.killGuest(g, ErrDeadline) })
+	}
 	s.pushLocked(g)
 	s.mu.Unlock()
 	return g, nil
@@ -474,9 +479,6 @@ func (s *Supervisor) killGuest(g *Guest, reason error) {
 		// guest, so finalize synchronously. A queued guest stays in the
 		// lane slice; the worker's claim step discards it on pop (it is
 		// no longer StateQueued).
-		if g.killReq == nil {
-			g.killReq = reason
-		}
 		if g.sleepTimer != nil {
 			g.sleepTimer.Stop()
 			g.sleepTimer = nil
@@ -588,7 +590,7 @@ func (s *Supervisor) faultLocked(g *Guest, r interface{}) {
 type turnEnd int
 
 const (
-	endNone     turnEnd = iota // no turn ran: condemned at the gate, or no realm could be built
+	endNone     turnEnd = iota // no turn ran: no realm could be built
 	endComplete                // the guest finished, with its own result or error
 	endKill                    // a kill request arrived during the turn
 	endPause                   // an external pause was acknowledged at the park
@@ -618,32 +620,23 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 	wait := start.Sub(g.readySince)
 	g.queueWait += wait
 	g.quanta++
-	run, parked, killReq, deadline := g.run, g.parked, g.killReq, g.deadline
+	run, parked := g.run, g.parked
 	g.mu.Unlock()
 	s.record(w, TraceEvent{Type: TraceSchedule, Guest: g.ID, Lane: g.lane.String()}, wait)
 
-	// Policy gate before burning any cycles on a condemned guest; then, with
-	// no realm, either the first turn (instantiate and start $main — NewRun
-	// executes the prelude, so it happens here on a worker, not at Submit)
-	// or a parked guest being touched (rebuild the realm from its snapshot).
-	var err error
-	if killReq == nil && !deadline.IsZero() && start.After(deadline) {
-		killReq = ErrDeadline
-	}
-	switch {
-	case killReq != nil:
-		if run != nil {
-			run.Kill(killReq) // a parked run finishes synchronously
+	// With no realm, either the first turn (instantiate and start $main —
+	// NewRun executes the prelude, so it happens here on a worker, not at
+	// Submit) or a parked guest being touched (rebuild the realm from its
+	// snapshot). A kill never waits here: killGuest finalizes every guest
+	// that is not running.
+	if run == nil {
+		var err error
+		if run, err = s.buildRealm(g, parked); err != nil {
+			g.mu.Lock()
+			s.finalizeLocked(g, err)
+			g.mu.Unlock()
+			return
 		}
-		err = killReq
-	case run == nil:
-		run, err = s.buildRealm(g, parked)
-	}
-	if err != nil {
-		g.mu.Lock()
-		s.finalizeLocked(g, err)
-		g.mu.Unlock()
-		return
 	}
 
 	// Fault-injection seam. Runs on the worker that owns the guest this
@@ -660,8 +653,9 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 
 	// Pump the guest's event loop until the quantum ends. Each RunOne is
 	// bounded: the quantum hook pauses the guest within QuantumSteps
-	// statements (plus the distance to its next $suspend), so a worker is
-	// never trapped by an infinite loop. A guest is complete when $main's
+	// statements (plus the distance to its next $suspend), or, inside a
+	// native callback, which defers the pause, a kill ends it: the deadline,
+	// the step budget or Guest.Kill. A guest is complete when $main's
 	// chain finished AND the loop drained (timer callbacks run to
 	// completion, browser-style) — unless it finished with an error,
 	// which is terminal immediately.
@@ -692,11 +686,6 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 			end = endSleep
 			sleepFor = time.Duration(gap * float64(time.Millisecond))
 		default:
-			// Mid-turn policy check: a deadline that expires while the guest
-			// runs converts the next yield into a kill.
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				run.Kill(ErrDeadline)
-			}
 			run.Loop.RunOne()
 		}
 	}
@@ -717,7 +706,8 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 	g.mu.Lock()
 	steps := run.Steps()
 	g.steps, g.lastTurn = steps, time.Now()
-	switch killReq = g.killReq; {
+	killReq := g.killReq
+	switch {
 	case end == endComplete:
 	case killReq != nil:
 		end = endKill
@@ -743,13 +733,6 @@ func (s *Supervisor) runTurn(g *Guest, w int) {
 		g.preempts++
 		s.makeRunnableLocked(g)
 	case endSleep:
-		// A timer-parked guest must not outlive its wall deadline: clamp
-		// the wake-up so the turn-start policy gate kills it on schedule
-		// instead of letting a long setTimeout hold a pending slot for
-		// hours past its deadline.
-		if !deadline.IsZero() {
-			sleepFor = max(0, min(sleepFor, time.Until(deadline)))
-		}
 		g.state = StateSleeping
 		g.sleepTimer = time.AfterFunc(sleepFor, func() {
 			g.mu.Lock()
@@ -802,15 +785,19 @@ func (s *Supervisor) attach(g *Guest, run *core.AsyncRun, restoreStart time.Time
 	// The hook runs on the worker mid-execution: parking is just the
 	// paper's pause button pressed by the scheduler instead of a human.
 	run.SetOnQuantum(func() { run.Pause(nil) })
-	g.out.setOverflow(func() { run.Kill(ErrOutputLimit) })
 	restored := !restoreStart.IsZero()
 	g.mu.Lock()
 	g.run = run
-	path := g.parkPath
+	path, kill := g.parkPath, g.killReq
 	if restored {
 		g.parked, g.parkBlob, g.parkPath, g.replayOut = false, nil, "", false
 	}
 	g.mu.Unlock()
+	if kill != nil {
+		// A kill that landed while the realm was built — a deadline, or
+		// output replayed over the cap — had no run to reach.
+		run.Kill(kill)
+	}
 	if path != "" {
 		os.Remove(path)
 	}
@@ -861,6 +848,9 @@ func (s *Supervisor) finalizeLocked(g *Guest, err error) {
 	}
 
 	s.mu.Lock()
+	if g.deadlineTimer != nil {
+		g.deadlineTimer.Stop() // armed under s.mu, in admit
+	}
 	s.pending--
 	delete(s.residents, g.ID)
 	if wasParked {

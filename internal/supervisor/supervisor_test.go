@@ -350,8 +350,9 @@ setTimeout(function () { console.log("woke"); }, 150);
 }
 
 // TestSleeperDeadlineClamped: a guest parked on a far-future timer must
-// still die at its wall deadline — the sleep timer is clamped so the guest
-// cannot hold a pending slot for the timer's full duration.
+// still die at its wall deadline — the deadline is a timer of its own, on
+// the kill path, so the guest cannot hold a pending slot for the sleep's
+// full duration.
 func TestSleeperDeadlineClamped(t *testing.T) {
 	s := New(Options{Workers: 1, QuantumSteps: 500})
 	defer s.Close()
