@@ -74,7 +74,11 @@ func main() {
 		DeepStacks:      *deep,
 		Suspend:         true,
 	}
-	compiled, err := core.Compile(src, opts)
+	compile := core.Compile
+	if *repl {
+		compile = core.CompileREPL
+	}
+	compiled, err := compile(src, opts)
 	if err != nil {
 		fatal(err)
 	}

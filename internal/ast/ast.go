@@ -53,7 +53,31 @@ type Program struct {
 	// A pass that wraps a parsed program's statements in a program of its
 	// own carries the set over.
 	Guest Names
+
+	// Uses is what the parser saw the guest's source spell of the features
+	// a sub-language option instruments for; core compiles under no more of
+	// them than the program uses.
+	Uses Uses
 }
+
+// Uses is a set of Uses* facts about a source's text.
+type Uses uint8
+
+// The facts the parser records, each a spelling in the source.
+const (
+	// UsesConversions: an identifier, property name or string literal
+	// spells valueOf or toString.
+	UsesConversions Uses = 1 << iota
+	// UsesAccessors: an accessor literal, or Object anywhere but as
+	// Object.<name> with a name other than defineProperty and
+	// defineProperties. The realm installs accessors through nothing else,
+	// and reaches Object through nothing but its global name.
+	UsesAccessors
+	// UsesArguments: the name arguments.
+	UsesArguments
+	// UsesEval: the name eval.
+	UsesEval
+)
 
 // Sites allocates inline-cache site IDs: each field is the last ID handed
 // out of its kind, so the zero value starts a fresh numbering at 1 (ID 0

@@ -9,17 +9,18 @@ import (
 )
 
 // The compile budgets are what compiling every internal/langs program once
-// under its profile's options allocates once CompiledBytes is counted by the
-// printer and not printed (three runs: 321 452, 321 472 and 321 459 objects,
-// 17.40 MB each time; 321 458 objects in 17.60 MB under the race detector),
-// plus 0.5 % for map-growth jitter. Half of `admit`'s
+// under its profile's options allocates once each compiles under only the
+// options it uses (three runs: 292 932, 292 923 and 292 917 objects, 15.99 MB
+// each time; 292 915 objects in 16.18 MB under the race detector), plus 0.5 %
+// for map-growth jitter. Under every option its profile declares, it cost
+// 321 472 objects in 17.40 MB (17.60 MB under the race detector). Half of `admit`'s
 // guests are cold compiles and alloc_kb_per_guest has a 1 % bound, so a pass
 // that builds a set per scope where a scan would do shows up here first.
 // While the compile printed the program to measure it, the corpus cost
 // 374 706 objects in 33.42 MB.
 const (
-	compileCorpusAllocs = 323_080
-	compileCorpusBytes  = 17_690_000
+	compileCorpusAllocs = 294_400
+	compileCorpusBytes  = 16_270_000
 )
 
 // TestAllocGateCompile holds the compile pipeline's allocation count, in the

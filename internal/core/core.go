@@ -171,10 +171,43 @@ func (o Opts) estimator() rt.EstimatorKind {
 	}
 }
 
+// narrow is o cut down to the sub-language a program that spells what uses
+// records inhabits (DESIGN_interp.md, "What a program uses"): no conversion
+// helpers without valueOf or toString, no accessor helpers without an
+// accessor literal or an Object that may reach defineProperty, and no
+// arguments instrumentation without arguments — which, where o promises none,
+// widens to full. A program that names eval keeps o: what a fragment uses is
+// not in the text.
+func (o Opts) narrow(uses ast.Uses) Opts {
+	if uses&ast.UsesEval != 0 {
+		return o
+	}
+	if uses&ast.UsesConversions == 0 {
+		o.Implicits = "none"
+	}
+	if uses&ast.UsesAccessors == 0 {
+		o.Getters = false
+	}
+	switch {
+	case uses&ast.UsesArguments == 0:
+		o.Args = "none"
+	case o.Args == "none":
+		o.Args = "full"
+	}
+	return o
+}
+
 // Compiled is the output of the Stopify compiler.
 type Compiled struct {
 	Prog *ast.Program
+	// Opts is what Prog was compiled under, the one source of the
+	// sub-language for the runtime, the prelude and eval fragments: the
+	// options the caller declared, narrowed to what the program uses.
 	Opts Opts
+	// declared is the options as the caller gave them (normalized): the
+	// compile memo's key and a snapshot header's, from which Compile
+	// derives Opts again.
+	declared Opts
 
 	// SourceText is the original source, retained so a snapshot can embed
 	// it and a restoring process can recompile an identical program.
@@ -201,13 +234,35 @@ func (c *Compiled) codeTable() *snapshot.CodeTable {
 // prelude is shared, see preludeFor). Callers that see the same text again
 // and again — a supervisor admitting requests, a restore recompiling the
 // source in a blob — go through CompileCached.
+//
+// The program is instrumented under opts narrowed to what it uses
+// (Compiled.Opts); a REPL session, whose turns may use more, compiles
+// through CompileREPL.
 func Compile(source string, opts Opts) (*Compiled, error) {
-	if err := opts.normalize(); err != nil {
+	return compile(source, opts, false)
+}
+
+// CompileREPL is Compile for a REPL session: its turns (AsyncRun.Eval)
+// compile under every option declared, so the program and its runtime keep
+// them too, however little of them the program itself uses. A snapshot of
+// such a run restores through Compile, which narrows: a program that
+// narrows then no longer matches its blob, and the restore is refused.
+func CompileREPL(source string, opts Opts) (*Compiled, error) {
+	return compile(source, opts, true)
+}
+
+// compile is Compile, keeping the declared options whole when repl is set.
+func compile(source string, declared Opts, repl bool) (*Compiled, error) {
+	if err := declared.normalize(); err != nil {
 		return nil, err
 	}
 	userProg, err := parser.Parse(source)
 	if err != nil {
 		return nil, err
+	}
+	opts := declared
+	if !repl {
+		opts = declared.narrow(userProg.Uses)
 	}
 	pre, err := preludeFor(opts)
 	if err != nil {
@@ -222,6 +277,7 @@ func Compile(source string, opts Opts) (*Compiled, error) {
 	return &Compiled{
 		Prog:          &ast.Program{Body: body, Sites: user.Sites},
 		Opts:          opts,
+		declared:      declared,
 		SourceText:    source,
 		SourceBytes:   len(source),
 		CompiledBytes: pre.printed + printer.Size(user),

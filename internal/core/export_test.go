@@ -25,6 +25,7 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	opts = opts.narrow(userProg.Uses)
 	nm := &desugar.Namer{}
 	wrapped := &ast.Program{Body: []ast.Stmt{
 		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
@@ -51,8 +52,9 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 }
 
 // CheckANF runs source through the passes Compile runs ahead of the
-// instrumentation and holds what they leave to anf.Check, whose invariants
-// the instrumentation assumes.
+// instrumentation, under opts as given (a Compiled's Opts: what the program
+// was compiled under), and holds what they leave to anf.Check, whose
+// invariants the instrumentation assumes.
 func CheckANF(source string, opts Opts) error {
 	if err := opts.normalize(); err != nil {
 		return err
@@ -77,3 +79,6 @@ func (a *AsyncRun) Registry() *snapshot.Registry { return a.reg }
 
 // CodeTable is the function and scope-layout numbering snapshots of c's runs use.
 func (c *Compiled) CodeTable() *snapshot.CodeTable { return c.codeTable() }
+
+// CompiledOpts is what the run's program was compiled under.
+func (a *AsyncRun) CompiledOpts() Opts { return a.compiled.Opts }

@@ -20,9 +20,12 @@ import (
 // stopified (checked: every call site the bytecode engine fuses), calm and
 // preempted at a quantum of 1 to 64 statements taken from the input (every
 // frame it captures and restores), and calm under the JavaScript profile's
-// options (every `+`, `<` and `o.f` a helper site), and any difference in
-// output, error, completion kind, pauses or statement count is a failure; an
-// input the parser refuses must be refused alike raw and stopified. The seed
+// options — compiled under what the input uses of them, and compiled as a
+// REPL session keeps them all (every `+`, `<` and `o.f` a helper site) —
+// and any difference in output, error, completion kind, pauses or statement
+// count is a failure, as is a difference in what the two JavaScript compiles
+// print when both run to completion; an input the parser refuses must be
+// refused alike raw and stopified. The seed
 // corpus follows the printer fuzz tests' approach — deterministic
 // pseudo-random program generation — plus the hand-written rows of the
 // conformance corpus.
@@ -69,7 +72,10 @@ console.log(h(1) - h(2), typeof %[1]s);`, name))
 		preempted.quantum, preempted.mode = 1+h.Sum64()%64, "resume"
 		js := stopified
 		js.profile = profile{"javascript", langs.JavaScript().Opts(p.needs)}
-		for _, c := range []cell{{}, stopified, preempted, js} {
+		wide := js
+		wide.mode = "session"
+		var narrow, all string // what js and wide print
+		for _, c := range []cell{{}, stopified, preempted, js, wide} {
 			c.engine = core.BackendTree
 			tree := drive(p, c)
 			c.engine = core.BackendBytecode
@@ -77,6 +83,20 @@ console.log(h(1) - h(2), typeof %[1]s);`, name))
 			if tree != bc {
 				t.Fatalf("engine divergence (%s) on:\n%s\n  tree:     %q, %d statements\n  bytecode: %q, %d statements", c, src, tree.text, tree.steps, bc.text, bc.steps)
 			}
+			switch c.profile.name + "/" + c.mode {
+			case "javascript/cold":
+				narrow = bc.text
+			case "javascript/session":
+				all = bc.text
+			}
+		}
+		// Where a run ended early — a step, memory or stack budget, or any
+		// error — the two compiles may have got unequally far.
+		early := func(text string) bool {
+			return strings.HasPrefix(text, "!") || strings.Contains(text, "\n!") || strings.Contains(text, "RangeError")
+		}
+		if narrow != all && !early(narrow) && !early(all) {
+			t.Fatalf("narrowing divergence on:\n%s\n  compiled under what it uses: %q\n  compiled under every option: %q", src, narrow, all)
 		}
 	})
 }

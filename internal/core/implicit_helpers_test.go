@@ -180,17 +180,22 @@ for (var i = 0; i < 50; i++) { %s }`
 // arguments are slots and literals in one instruction (OpSiteHelper), and
 // what it answers, what it throws and what it leaves to the plain code must
 // print and count as the tree-walker does, calm and paused after every
-// statement. The counts are those the plain code ran before the instruction.
-// Each guest runs its sites twice or more.
+// statement. The counts are those the plain code ran before the instruction
+// (wide included). Each guest runs its sites twice or more. A guest that spells neither a
+// conversion method nor an accessor compiles without the helpers (the
+// options are narrowed to what the program uses), so those start with wide,
+// a line that names both.
 func TestHelperSiteFused(t *testing.T) {
+	const wide = "var wide = {valueOf: null, get accessor() { return 0; }};\n"
+
 	guests := []struct {
 		name, src, want string
 		steps           uint64 // calm, on either engine
 	}{
-		{"answered", `function f(a, b, o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + (a + b) * 2 + o.x; } return s; }
-console.log(f(1, 2, {x: 4}), f("a", 1, {x: "b"}));`, "30 NaNbNaNbNaNb\n", 404},
-		{"throw", `function f(u) { try { var r = u.x; return r; } catch (e) { return e.name; } }
-console.log(f({x: 1}), f(undefined), f(null));`, "1 TypeError TypeError\n", 103},
+		{"answered", wide + `function f(a, b, o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + (a + b) * 2 + o.x; } return s; }
+console.log(f(1, 2, {x: 4}), f("a", 1, {x: "b"}));`, "30 NaNbNaNbNaNb\n", 408},
+		{"throw", wide + `function f(u) { try { var r = u.x; return r; } catch (e) { return e.name; } }
+console.log(f({x: 1}), f(undefined), f(null));`, "1 TypeError TypeError\n", 107},
 		{"shadowed", `var keep = $add;
 function f(a, b) { var s = a + b; return s; }
 var r1 = f(1, 2);
@@ -198,12 +203,12 @@ $add = function (a, b) { return 42; };
 var r2 = f(1, 2);
 $add = keep;
 console.log(r1, r2, f(1, 2));`, "!ReferenceError: $add is not defined\n", 11},
-		{"object-key", `var k = {toString: function () { console.log("toString"); return "x"; }};
+		{"object-key", wide + `var k = {toString: function () { console.log("toString"); return "x"; }};
 function f(o, k) { var v = o[k]; return v; }
-console.log(f({x: 5}, k), f({x: 6}, k));`, "toString\ntoString\n5 6\n", 146},
-		{"getter", `var o = {get x() { return 6; }};
+console.log(f({x: 5}, k), f({x: 6}, k));`, "toString\ntoString\n5 6\n", 148},
+		{"getter", wide + `var o = {get x() { return 6; }};
 function f(o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + o.x; } return s; }
-console.log(f(o));`, "18\n", 241},
+console.log(f(o));`, "18\n", 243},
 	}
 	for _, g := range guests {
 		p := inline(g.name, g.src, g.want, implicitOpts())

@@ -16,12 +16,13 @@ const (
 	memoMaxSourceBytes = 8 << 20
 )
 
-// compileMemo maps (normalized Opts, source text) to the compiled program,
-// least recently used entries evicted first. Keys compare by full equality,
-// never by hash alone, so a collision cannot hand one tenant another's
-// program. A *Compiled is immutable once built (its code table is guarded
-// by a Once, a function's chunk is published on it atomically, and realms
-// keep their inline caches to themselves), so any number of runs share one.
+// compileMemo maps (declared Opts, normalized; source text) to the compiled
+// program, least recently used entries evicted first. Keys compare by full
+// equality, never by hash alone, so a collision cannot hand one tenant
+// another's program. A *Compiled is immutable once built (its code table is
+// guarded by a Once, a function's chunk is published on it atomically, and
+// realms keep their inline caches to themselves), so any number of runs
+// share one.
 type compileMemo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*list.Element // of *Compiled
@@ -85,7 +86,7 @@ func (m *compileMemo) compile(source string, opts Opts) (*Compiled, error) {
 	m.bytes += len(source)
 	for m.lru.Len() > memoMaxEntries || m.bytes > memoMaxSourceBytes {
 		old := m.lru.Remove(m.lru.Back()).(*Compiled)
-		delete(m.entries, memoKey{old.Opts, old.SourceText})
+		delete(m.entries, memoKey{old.declared, old.SourceText})
 		m.bytes -= old.SourceBytes
 		m.evictions++
 	}

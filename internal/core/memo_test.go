@@ -41,8 +41,10 @@ func TestMemoKeysOnOptsAndSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c == base || c.Opts != o {
-			t.Errorf("options %+v were served the program compiled under %+v", o, c.Opts)
+		// The key is the options as declared: src, which uses no
+		// conversion, compiles under implicits=none either way.
+		if c == base || c.declared != o {
+			t.Errorf("options %+v were served the program declared under %+v", o, c.declared)
 		}
 	}
 	if c, _ := m.compile(src+" ", supOpts()); c == base {

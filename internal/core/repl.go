@@ -17,7 +17,14 @@ import (
 //
 // onDone receives the completion value or error. The caller pumps the event
 // loop (Wait, or its own loop) exactly as for Run.
+//
+// A turn compiles under the options the run's program was declared with, so
+// the run must be a session: its program compiled by CompileREPL, or one
+// narrowing took nothing from (Compiled.Opts).
 func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
+	if c := a.compiled; c.Opts != c.declared {
+		return fmt.Errorf("stopify: Eval needs a REPL session (CompileREPL): this program compiled under less than its options")
+	}
 	a.evalTurns++
 	name := fmt.Sprintf("$repl%d", a.evalTurns)
 	// A trailing expression statement becomes the turn's value, so a REPL

@@ -19,7 +19,9 @@ import (
 // identical realm) and to AsyncRun's lifecycle.
 
 // snapshotHeader is the host metadata embedded in every blob: what Restore
-// needs before it can build a realm to decode into.
+// needs before it can build a realm to decode into. Opts are the options the
+// program was declared with, from which the recompile derives what it was
+// compiled under.
 type snapshotHeader struct {
 	Source string `json:"source"`
 	Opts   Opts   `json:"opts"`
@@ -52,7 +54,7 @@ func (a *AsyncRun) Snapshot() ([]byte, error) {
 		}
 		outBytes = sink.Bytes()
 	}
-	hdr, err := json.Marshal(snapshotHeader{Source: a.compiled.SourceText, Opts: a.compiled.Opts})
+	hdr, err := json.Marshal(snapshotHeader{Source: a.compiled.SourceText, Opts: a.compiled.declared})
 	if err != nil {
 		return nil, fmt.Errorf("stopify: encoding snapshot header: %w", err)
 	}

@@ -12,7 +12,8 @@ import (
 
 // TestAllocGateArguments: under the three arity sub-languages that name
 // `arguments` in every function (the capture arm saves it; under full the
-// formals are arguments[i]), a call on the bytecode engine allocates nothing —
+// formals are arguments[i]) — which a program gets only if it names arguments
+// itself, as arity does here — a call on the bytecode engine allocates nothing —
 // the callee reads its actuals where the caller put them — where the
 // tree-walker, the reference, still builds one arguments object per call.
 // Measured as TestAllocGateBigFrames measures frames: a 4096-call loop under
@@ -22,6 +23,7 @@ func TestAllocGateArguments(t *testing.T) {
 	const calls = 4096
 	const src = `function two(a, b) { return a + b; }
 function loop(n) { var t = 0; for (var i = 0; i < n; i++) { t = t + two(i, 1); } return t; }
+function arity() { return arguments.length; }
 entry = loop;
 console.log(loop(8));`
 	for _, mode := range []string{"varargs", "mixed", "full"} {

@@ -32,7 +32,7 @@ func Parse(src string) (prog *ast.Program, err error) {
 	for !p.at(lexer.EOF, "") {
 		prog.Body = append(prog.Body, p.statement())
 	}
-	prog.Guest = p.guest
+	prog.Guest, prog.Uses = p.guest, p.uses
 	return prog, nil
 }
 
@@ -61,6 +61,12 @@ type parser struct {
 	// name it binds or references, and its `$` property names, which the
 	// names the compiler makes up lose nothing by avoiding as well.
 	guest ast.Names
+
+	// uses is what the source spells (ast.Program.Uses), noted token by
+	// token as scan reads them; object counts the tokens still to come that
+	// decide what an Object just read means (note).
+	uses   ast.Uses
+	object uint8
 
 	// The jump context of the statement being parsed, which the early
 	// errors on break, continue and return read: the labels enclosing it
@@ -143,7 +149,43 @@ func (p *parser) scan() {
 		}
 		p.guest[t.Text] = true
 	}
+	p.note(t)
 	p.toks = append(p.toks, t)
+}
+
+// note adds to p.uses what t spells. Object followed by a dot and a name
+// other than defineProperty and defineProperties reaches no accessor;
+// anything else after it may, so it is judged on the two tokens that follow.
+func (p *parser) note(t lexer.Token) {
+	switch p.object {
+	case 2:
+		p.object = 0
+		if isPunct(t, ".") {
+			p.object = 1
+		} else {
+			p.uses |= ast.UsesAccessors
+		}
+	case 1:
+		p.object = 0
+		if t.Kind != lexer.Ident && t.Kind != lexer.Keyword || t.Text == "defineProperty" || t.Text == "defineProperties" {
+			p.uses |= ast.UsesAccessors
+		}
+	}
+	switch {
+	case t.Kind == lexer.Ident:
+		switch t.Text {
+		case "valueOf", "toString":
+			p.uses |= ast.UsesConversions
+		case "arguments":
+			p.uses |= ast.UsesArguments
+		case "eval":
+			p.uses |= ast.UsesEval
+		case "Object":
+			p.object = 2
+		}
+	case t.Kind == lexer.String && (t.Str == "valueOf" || t.Str == "toString"):
+		p.uses |= ast.UsesConversions
+	}
 }
 
 func (p *parser) cur() lexer.Token  { return p.toks[p.pos] }
@@ -908,6 +950,7 @@ func (p *parser) objectProperty() ast.Property {
 		next := p.peekAt(1)
 		if next.Kind == lexer.Ident || next.Kind == lexer.Keyword ||
 			next.Kind == lexer.String || next.Kind == lexer.Number {
+			p.uses |= ast.UsesAccessors
 			p.advance()
 			key := p.propertyKey()
 			fn := &ast.Func{P: posOf(t)}

@@ -692,9 +692,15 @@ func (r *R) ResumeFromBreak() {
 // Blocking registers a native that simulates a blocking operation (§5.2):
 // calling name(args...) from JS suspends the program, invokes start with
 // the arguments and a resume callback, and continues with the value passed
-// to resume — which may happen after timers or external events.
+// to resume — which may happen after timers or external events. Inside a
+// native callback (a sort comparator, a valueOf, an accessor: interp's
+// callBack) the suspension cannot unwind through the native frame, so the
+// call throws instead, as $C does.
 func (r *R) Blocking(name string, start func(args []interp.Value, resume func(interp.Value))) {
 	r.In.DefineGlobal(name, interp.ObjectValue(r.In.NewNative(name, func(in *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
+		if in.InAtomic() {
+			return interp.Undefined, in.Throw("Error", "cannot block inside a native callback")
+		}
 		saved := append([]interp.Value(nil), args...)
 		aux := r.curAux
 		r.beginCapture(false, func(frames Frames) {
