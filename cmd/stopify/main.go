@@ -6,6 +6,7 @@
 //	stopify -engine edge -cont checked program.js
 //	stopify -deep -engine firefox deep_recursion.js
 //	stopify -repl                      # suspendable REPL (§6.4)
+//	stopify -repl program.js           # the same, after running program.js
 //
 // Flags mirror the stopify() options object of Figure 1 in the paper.
 package main
@@ -43,7 +44,7 @@ func main() {
 
 	var src string
 	var err error
-	if !*repl {
+	if !*repl || flag.NArg() > 0 {
 		src, err = readSource(flag.Arg(0))
 		if err != nil {
 			fatal(err)

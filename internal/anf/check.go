@@ -38,6 +38,11 @@ func checkStmt(s ast.Stmt) error {
 		}
 		return nil
 	case *ast.ExprStmt:
+		if fn, ok := st.X.(*ast.Func); ok {
+			// A function expression in statement position is what the
+			// normalizer leaves of it: a top level's body is one.
+			return checkStmts(fn.Body)
+		}
 		a, ok := st.X.(*ast.Assign)
 		if !ok || a.Op != "=" {
 			return fmt.Errorf("anf: expression statement is not a plain assignment: %T", st.X)

@@ -122,6 +122,72 @@ func Hoisted(body []Stmt, fn func(name string, decl *Func)) {
 	}
 }
 
+// TopLevel splits a top-level body — a program's, a REPL turn's, an eval
+// fragment's — into what Hoisted finds it declares, for the global frame to
+// bind first, and the body left to run as one function over that frame. decls
+// is one var statement naming each var once, then every function
+// declaration, neither with a position (no breakpoint stops on them). In body
+// a var statement is its initializers' assignments (in a for's init too) and
+// a for (var k in o) is a for (k in o).
+func TopLevel(stmts []Stmt) (decls, body []Stmt) {
+	var vars []Declarator
+	var fns []Stmt
+	seen := map[string]bool{}
+	Hoisted(stmts, func(name string, fn *Func) {
+		switch {
+		case fn != nil:
+			fns = append(fns, &FuncDecl{Fn: fn})
+		case !seen[name]:
+			seen[name] = true
+			vars = append(vars, Declarator{Name: name})
+		}
+	})
+	if len(vars) > 0 {
+		decls = append(decls, &VarDecl{Decls: vars})
+	}
+	rw := Rewriter{PreExpr: StmtsOnly, Expand: func(s Stmt) ([]Stmt, bool) {
+		if _, ok := s.(*FuncDecl); ok {
+			return []Stmt{}, false
+		}
+		return DeclToAssigns(s)
+	}, PostStmt: func(s Stmt) Stmt {
+		switch n := s.(type) {
+		case *For:
+			if d, ok := n.Init.(*VarDecl); ok {
+				sets, _ := DeclToAssigns(d)
+				n.Init = nil
+				if len(sets) > 0 {
+					seq := &Seq{P: d.P}
+					for _, set := range sets {
+						seq.Exprs = append(seq.Exprs, set.(*ExprStmt).X)
+					}
+					n.Init = &ExprStmt{P: d.P, X: seq}
+				}
+			}
+		case *ForIn:
+			n.Decl = false
+		}
+		return s
+	}}
+	return append(decls, fns...), rw.Stmts(stmts)
+}
+
+// DeclToAssigns is a Rewriter.Expand that turns a var statement into its
+// initializers' assignments, a statement each; a declarator without one goes.
+func DeclToAssigns(s Stmt) ([]Stmt, bool) {
+	n, ok := s.(*VarDecl)
+	if !ok {
+		return nil, true
+	}
+	out := make([]Stmt, 0, len(n.Decls)) // not nil: empty drops n
+	for _, d := range n.Decls {
+		if d.Init != nil {
+			out = append(out, &ExprStmt{P: n.P, X: SetId(d.Name, d.Init)})
+		}
+	}
+	return out, false
+}
+
 // HoistedDecls is Hoisted as two lists, the shape a frame layout is built
 // from: var names, then function declarations, each in source order.
 func HoistedDecls(body []Stmt) (vars []string, fns []*Func) {

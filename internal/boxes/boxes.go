@@ -22,12 +22,13 @@ func Box(prog *ast.Program) *ast.Program {
 	b := &boxer{scopes: map[*ast.Func]*scope{}}
 	b.visit = b.analyze
 	b.rw = ast.Rewriter{SkipFuncs: true, PreStmt: b.try, PostStmt: b.decl, PostExpr: b.expr}
-	// The program is the outermost scope: a function with no name and no
-	// parameters.
-	top := &ast.Func{Body: prog.Body}
-	ast.Walk(top, b.visit)
-	b.expr(top)
-	prog.Body = top.Body
+	// The program's top level is the global frame, whose bindings are the
+	// realm's cells: no continuation restores it, so nothing it binds is
+	// boxed, and a name no function binds is left as it is.
+	for _, s := range prog.Body {
+		ast.Walk(s, b.visit)
+	}
+	prog.Body = b.rw.Stmts(prog.Body)
 	return prog
 }
 

@@ -175,22 +175,29 @@ console.log(outer());`
 // TestShadowedNamesStayUnboxed covers the three places a boxed name can be
 // rebound below its scope: a catch parameter (with a closure inside the catch
 // body, which must see the parameter and not the box), a named function
-// expression's own name, and an intermediate function scope.
+// expression's own name, and an intermediate function scope. Each boxed name
+// is a function's: the top level's are the global frame's, never boxed.
 func TestShadowedNamesStayUnboxed(t *testing.T) {
 	cases := []struct {
 		name, src, want string
 		has, lacks      []string
 	}{
 		{"catch-param",
-			`var e = 1; function g() { e = e + 1; } g();
-			 var a, b;
-			 try { throw 5; } catch (e) { var h = function () { return e; }; a = e; b = h(); }
-			 console.log(a, b, e);`,
+			`function main() {
+			   var e = 1; function g() { e = e + 1; } g();
+			   var a, b;
+			   try { throw 5; } catch (e) { var h = function () { return e; }; a = e; b = h(); }
+			   console.log(a, b, e);
+			 }
+			 main();`,
 			"5 5 2\n", []string{"e.v = e.v + 1", "a = e;", "return e;"}, nil},
 		{"named-function-expression",
-			`var f = 1; function bump() { f = f + 1; } bump();
-			 var g = function f(n) { if (n === 0) { return typeof f; } return f(n - 1); };
-			 console.log(g(2), f);`,
+			`function main() {
+			   var f = 1; function bump() { f = f + 1; } bump();
+			   var g = function f(n) { if (n === 0) { return typeof f; } return f(n - 1); };
+			   console.log(g(2), f);
+			 }
+			 main();`,
 			"function 2\n", []string{"f.v = f.v + 1", "typeof f;", "return f($t3);"}, nil},
 		{"middle-of-three",
 			`function outer(a) {

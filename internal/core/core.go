@@ -80,95 +80,42 @@ func Defaults() Opts {
 	}
 }
 
+// The string options' legal values, each with what it means to the pass that
+// reads it; Ctor's two, "direct" and "wrapped", mean themselves.
+var (
+	conts     = map[string]instrument.Strategy{"checked": instrument.Checked, "exceptional": instrument.Exceptional, "eager": instrument.Eager}
+	timers    = map[string]rt.EstimatorKind{"exact": rt.Exact, "countdown": rt.Countdown, "approx": rt.Approx}
+	implicits = map[string]desugar.ImplicitsMode{"none": desugar.ImplicitsNone, "plus": desugar.ImplicitsPlus, "full": desugar.ImplicitsFull}
+	argsModes = map[string]instrument.ArgsMode{"none": instrument.ArgsNone, "varargs": instrument.ArgsVarargs, "mixed": instrument.ArgsMixed, "full": instrument.ArgsFull}
+)
+
+// normalize fills the string options left empty with Defaults' and refuses
+// one that is not a legal value.
 func (o *Opts) normalize() error {
 	def := Defaults()
-	if o.Cont == "" {
-		o.Cont = def.Cont
+	for _, f := range []struct{ v, def *string }{{&o.Cont, &def.Cont}, {&o.Ctor, &def.Ctor},
+		{&o.Timer, &def.Timer}, {&o.Implicits, &def.Implicits}, {&o.Args, &def.Args}} {
+		if *f.v == "" {
+			*f.v = *f.def
+		}
 	}
-	if o.Ctor == "" {
-		o.Ctor = def.Ctor
-	}
-	if o.Timer == "" {
-		o.Timer = def.Timer
-	}
-	if o.Implicits == "" {
-		o.Implicits = def.Implicits
-	}
-	if o.Args == "" {
-		o.Args = def.Args
-	}
-	switch o.Cont {
-	case "checked", "exceptional", "eager":
-	default:
+	_, cont := conts[o.Cont]
+	_, timer := timers[o.Timer]
+	_, impl := implicits[o.Implicits]
+	_, args := argsModes[o.Args]
+	switch {
+	case !cont:
 		return fmt.Errorf("stopify: unknown continuation strategy %q", o.Cont)
-	}
-	switch o.Ctor {
-	case "direct", "wrapped":
-	default:
+	case o.Ctor != "direct" && o.Ctor != "wrapped":
 		return fmt.Errorf("stopify: unknown constructor strategy %q", o.Ctor)
-	}
-	switch o.Timer {
-	case "exact", "countdown", "approx":
-	default:
+	case !timer:
 		return fmt.Errorf("stopify: unknown timer %q", o.Timer)
-	}
-	switch o.Implicits {
-	case "none", "plus", "full":
-	default:
+	case !impl:
 		return fmt.Errorf("stopify: unknown implicits mode %q", o.Implicits)
-	}
-	switch o.Args {
-	case "none", "varargs", "mixed", "full":
-	default:
+	case !args:
 		return fmt.Errorf("stopify: unknown args mode %q", o.Args)
 	}
 	return nil
-}
-
-func (o Opts) strategy() instrument.Strategy {
-	switch o.Cont {
-	case "exceptional":
-		return instrument.Exceptional
-	case "eager":
-		return instrument.Eager
-	default:
-		return instrument.Checked
-	}
-}
-
-func (o Opts) argsMode() instrument.ArgsMode {
-	switch o.Args {
-	case "varargs":
-		return instrument.ArgsVarargs
-	case "mixed":
-		return instrument.ArgsMixed
-	case "full":
-		return instrument.ArgsFull
-	default:
-		return instrument.ArgsNone
-	}
-}
-
-func (o Opts) implicitsMode() desugar.ImplicitsMode {
-	switch o.Implicits {
-	case "plus":
-		return desugar.ImplicitsPlus
-	case "full":
-		return desugar.ImplicitsFull
-	default:
-		return desugar.ImplicitsNone
-	}
-}
-
-func (o Opts) estimator() rt.EstimatorKind {
-	switch o.Timer {
-	case "exact":
-		return rt.Exact
-	case "countdown":
-		return rt.Countdown
-	default:
-		return rt.Approx
-	}
 }
 
 // narrow is o cut down to the sub-language a program that spells what uses
@@ -268,7 +215,7 @@ func compile(source string, declared Opts, repl bool) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	user, err := compileProgram(userProg, opts, &desugar.Namer{}, "$main", pre.tmps, pre.sites)
+	user, err := compileTop(userProg, opts, pre.tmps, pre.sites)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +233,7 @@ func compile(source string, declared Opts, repl bool) (*Compiled, error) {
 
 func (o Opts) desugarOptions() desugar.Options {
 	return desugar.Options{
-		Implicits:   o.implicitsMode(),
+		Implicits:   implicits[o.Implicits],
 		Getters:     o.Getters,
 		CtorDesugar: o.Ctor == "direct",
 		ArgsFull:    o.Args == "full",
@@ -297,31 +244,47 @@ func (o Opts) desugarOptions() desugar.Options {
 
 func (o Opts) instrumentOptions() instrument.Options {
 	return instrument.Options{
-		Strategy:           o.strategy(),
+		Strategy:           conts[o.Cont],
 		WrappedCtors:       o.Ctor == "wrapped",
-		Args:               o.argsMode(),
+		Args:               argsModes[o.Args],
 		PerStatementGuards: o.PerStatementGuards,
 	}
 }
 
-// compileProgram wraps user statements into a function named mainName and
-// desugars, normalizes, boxes, instruments and resolves it. tmps and sites
-// are where the ANF temporaries and the inline-cache site IDs continue
-// from: the prelude's counts for $main, so that the spliced program reads
-// and numbers exactly as one pass over prelude + $main would; zero
-// temporaries and the realm's own site count (interp.Sites) for an eval or
-// REPL fragment, which joins a realm already running other trees.
-func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainName string, tmps int, sites ast.Sites) (*ast.Program, error) {
-	wrapped := &ast.Program{Body: []ast.Stmt{
-		&ast.FuncDecl{Fn: &ast.Func{Name: mainName, Body: userProg.Body}},
-	}, Guest: userProg.Guest}
-	desugar.Apply(wrapped, opts.desugarOptions(), nm)
-	_, err := lower(wrapped, opts, tmps, sites)
-	return wrapped, err
+// compileTop compiles a parsed top level — a program's, a REPL turn's or an
+// eval fragment's — the one way all three run (DESIGN_interp.md, "One top
+// level"). tmps and sites are where the ANF temporaries and the inline-cache
+// site IDs continue from: the prelude's counts for a program, so that the
+// spliced program numbers as one pass over prelude + program would; zero
+// temporaries and the realm's own site count (interp.Sites) for a turn or a
+// fragment, which joins a realm already running other trees.
+func compileTop(parsed *ast.Program, opts Opts, tmps int, sites ast.Sites) (*ast.Program, error) {
+	top := wrapTop(parsed)
+	desugar.Apply(top, opts.desugarOptions(), &desugar.Namer{})
+	_, err := lower(top, opts, tmps, sites)
+	return top, err
+}
+
+// wrapTop is a parsed top level as the compile passes take it: its
+// declarations, then its body as a function expression.
+func wrapTop(parsed *ast.Program) *ast.Program {
+	decls, body := ast.TopLevel(parsed.Body)
+	return &ast.Program{Body: append(decls, ast.ExprOf(&ast.Func{Name: "$main", Body: body})), Guest: parsed.Guest}
+}
+
+// enter binds in the global frame what a compiled top level declares and
+// returns its body, made over that frame, for the caller to call: the driver
+// for a program or a REPL turn, eval for a fragment.
+func enter(in *interp.Interp, top *ast.Program) (interp.Value, error) {
+	last := len(top.Body) - 1
+	if err := in.RunProgram(&ast.Program{Body: top.Body[:last], Sites: top.Sites}); err != nil {
+		return interp.Undefined, err
+	}
+	return interp.ObjectValue(in.NewClosure(top.Body[last].(*ast.ExprStmt).X.(*ast.Func), in.Global)), nil
 }
 
 // lower runs the passes that follow desugaring — the same ones, in the same
-// order, for $main, for fragments and for the prelude — and returns the ANF
+// order, for a top level and for the prelude — and returns the ANF
 // temporary count afterwards (prog.Sites holds the site count), or the
 // resolver's error for a reference the engines cannot address.
 func lower(prog *ast.Program, opts Opts, tmps int, sites ast.Sites) (int, error) {
@@ -421,8 +384,8 @@ type AsyncRun struct {
 	Loop *eventloop.Loop
 	RT   *rt.R
 
-	compiled  *Compiled
-	evalTurns int
+	compiled *Compiled
+	main     interp.Value // the program's body (enter), which Run calls
 
 	// reg and out support Snapshot: the host-object re-link table built at
 	// realm construction, and the configured output sink (snapshots carry
@@ -443,12 +406,12 @@ func (c *Compiled) NewRun(cfg RunConfig) (*AsyncRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Define the prelude and $main.
-	if err := a.In.RunProgram(c.Prog); err != nil {
+	// Define the prelude and what the program declares.
+	if a.main, err = enter(a.In, c.Prog); err != nil {
 		return nil, err
 	}
 	// The prelude's closures and tables are the runtime's fixed cost, not
-	// the guest's: start the allocation meter at zero for $main.
+	// the guest's: start the allocation meter at zero for the program.
 	a.In.ResetMemMeter()
 	return a, nil
 }
@@ -485,7 +448,7 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 	runtime := rt.New(in, loop, rt.Options{
 		Instrument:      c.Opts.instrumentOptions(),
 		YieldIntervalMs: c.Opts.YieldIntervalMs,
-		Estimator:       c.Opts.estimator(),
+		Estimator:       timers[c.Opts.Timer],
 		CountdownN:      c.Opts.CountdownN,
 		DeepStacks:      c.Opts.DeepStacks,
 		Debug:           c.Opts.Debug,
@@ -501,18 +464,20 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 
 	if c.Opts.Eval {
 		opts := c.Opts
-		in.EvalHook = func(src string) (*ast.Program, error) {
-			frag, err := compileFragment(src, opts, "$eval", false, in.Sites())
+		// Global eval: the fragment sees only the global scope, and its body
+		// must return without capturing (the "T" sub-language of §4.3).
+		in.EvalHook = func(src string) (func() error, error) {
+			frag, err := compileFragment(src, opts, false, in.Sites())
 			if err != nil {
 				return nil, err
 			}
-			// The compiled fragment is a single function declaration; the
-			// program calls it, made over the global frame and bound to no
-			// name. Global eval semantics: the code sees only the global
-			// scope, and the call must terminate without capturing (the "T"
-			// sub-language of §4.3).
-			frag.Body[0] = ast.ExprOf(ast.CallN(frag.Body[0].(*ast.FuncDecl).Fn))
-			return frag, nil
+			return func() error {
+				body, err := enter(in, frag)
+				if err == nil {
+					_, err = in.Call(body, interp.Undefined, nil, interp.Undefined)
+				}
+				return err
+			}, nil
 		}
 	}
 
@@ -522,29 +487,24 @@ func (c *Compiled) newRealm(cfg RunConfig) (*AsyncRun, error) {
 // Run starts the program; onDone (optional) observes completion. The
 // caller drives the event loop (or uses Wait).
 func (a *AsyncRun) Run(onDone func()) {
-	mainFn, ok := a.In.Global.Lookup("$main")
-	if !ok {
-		a.mu.Lock()
-		a.finished = true
-		a.err = fmt.Errorf("stopify: $main is not defined")
-		a.mu.Unlock()
-		return
-	}
-	a.RT.Run(mainFn, func(v interp.Value, err error) {
-		a.mu.Lock()
-		a.result = v
-		a.err = err
-		a.finished = true
-		a.mu.Unlock()
+	a.RT.Run(a.main, func(v interp.Value, err error) {
+		a.record(v, err)
 		if onDone != nil {
 			onDone()
 		}
 	})
 }
 
+// record is how the program's body or a turn ended.
+func (a *AsyncRun) record(v interp.Value, err error) {
+	a.mu.Lock()
+	a.result, a.err, a.finished = v, err, true
+	a.mu.Unlock()
+}
+
 // Wait pumps the event loop until the program finishes or stalls (paused
-// with no pending work) and returns the completion error, if any. After a
-// successful $main completion it keeps draining queued work — timer
+// with no pending work) and returns the completion error, if any. After the
+// program's body completes it keeps draining queued work — timer
 // callbacks run to completion, as they do in a browser and in the
 // un-stopified baseline (RunRaw drains its loop); an error stops the
 // program immediately. Like that baseline, draining honors timer delays on
@@ -674,12 +634,12 @@ func RunRaw(source string, cfg RunConfig) (string, error) {
 	// Raw execution has the browser's native eval: parse, resolve, and run
 	// directly. The fragment's own statements execute in the dynamic global
 	// frame; only functions within get slot frames.
-	in.EvalHook = func(src string) (*ast.Program, error) {
+	in.EvalHook = func(src string) (func() error, error) {
 		p, err := parser.Parse(src)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = resolve.ProgramFrom(p, in.Sites())
 		}
-		return p, resolve.ProgramFrom(p, in.Sites())
+		return func() error { return in.RunProgram(p) }, err
 	}
 	if err := in.RunProgram(prog); err != nil {
 		return buf.String(), err

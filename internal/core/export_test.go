@@ -13,10 +13,10 @@ import (
 )
 
 // CompileWholeTree is the reference the spliced Compile is held to: the
-// compiler as it was before the prelude was cached — $main desugared, the
-// prelude parsed and desugared behind it with the same Namer, each
-// A-normalized, and the four remaining passes run once over prelude + $main
-// merged. It returns the printed program.
+// compiler as it was before the prelude was cached — the program's top level
+// (wrapTop) desugared, the prelude parsed and desugared behind it with the
+// same Namer, each A-normalized, and the four remaining passes run once over
+// prelude + program merged. It returns the printed program.
 func CompileWholeTree(source string, opts Opts) (string, error) {
 	if err := opts.normalize(); err != nil {
 		return "", err
@@ -27,9 +27,7 @@ func CompileWholeTree(source string, opts Opts) (string, error) {
 	}
 	opts = opts.narrow(userProg.Uses)
 	nm := &desugar.Namer{}
-	wrapped := &ast.Program{Body: []ast.Stmt{
-		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
-	}, Guest: userProg.Guest}
+	wrapped := wrapTop(userProg)
 	desugar.Apply(wrapped, opts.desugarOptions(), nm)
 	preludeProg, err := parser.Parse(preludeSource(opts))
 	if err != nil {
@@ -63,9 +61,7 @@ func CheckANF(source string, opts Opts) error {
 	if err != nil {
 		return err
 	}
-	wrapped := &ast.Program{Body: []ast.Stmt{
-		&ast.FuncDecl{Fn: &ast.Func{Name: "$main", Body: userProg.Body}},
-	}, Guest: userProg.Guest}
+	wrapped := wrapTop(userProg)
 	desugar.Apply(wrapped, opts.desugarOptions(), &desugar.Namer{})
 	anf.Normalize(wrapped)
 	return anf.Check(wrapped)

@@ -99,3 +99,24 @@ func bigSlots(t *testing.T, src string, opts *core.Opts) (n int) {
 	})
 	return n
 }
+
+// TestTopLevelHasNoFrameLimit: a program's top-level vars are the global
+// frame's cells, stopified as raw, so more of them than a frame holds run on
+// both sides; $main's frame holds only the compiler's temporaries.
+func TestTopLevelHasNoFrameLimit(t *testing.T) {
+	const n = ast.MaxSlot + 6
+	var src strings.Builder
+	for i := range n {
+		fmt.Fprintf(&src, "var v%d = %d;\n", i, i)
+	}
+	fmt.Fprintf(&src, "console.log(v%d);\n", n-1)
+	want := fmt.Sprint(n-1, "\n")
+	raw, err := core.RunRaw(src.String(), core.RunConfig{})
+	if err != nil || raw != want {
+		t.Errorf("raw: %q, %v; want %q", raw, err, want)
+	}
+	stopified, err := core.RunSource(src.String(), base(), core.RunConfig{})
+	if err != nil || stopified != want {
+		t.Errorf("stopified: %q, %v; want %q", stopified, err, want)
+	}
+}

@@ -193,9 +193,9 @@ func TestHelperSiteFused(t *testing.T) {
 		steps           uint64 // calm, on either engine
 	}{
 		{"answered", wide + `function f(a, b, o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + (a + b) * 2 + o.x; } return s; }
-console.log(f(1, 2, {x: 4}), f("a", 1, {x: "b"}));`, "30 NaNbNaNbNaNb\n", 408},
+console.log(f(1, 2, {x: 4}), f("a", 1, {x: "b"}));`, "30 NaNbNaNbNaNb\n", 405},
 		{"throw", wide + `function f(u) { try { var r = u.x; return r; } catch (e) { return e.name; } }
-console.log(f({x: 1}), f(undefined), f(null));`, "1 TypeError TypeError\n", 107},
+console.log(f({x: 1}), f(undefined), f(null));`, "1 TypeError TypeError\n", 104},
 		{"shadowed", `var keep = $add;
 function f(a, b) { var s = a + b; return s; }
 var r1 = f(1, 2);
@@ -205,10 +205,10 @@ $add = keep;
 console.log(r1, r2, f(1, 2));`, "!ReferenceError: $add is not defined\n", 11},
 		{"object-key", wide + `var k = {toString: function () { console.log("toString"); return "x"; }};
 function f(o, k) { var v = o[k]; return v; }
-console.log(f({x: 5}, k), f({x: 6}, k));`, "toString\ntoString\n5 6\n", 148},
+console.log(f({x: 5}, k), f({x: 6}, k));`, "toString\ntoString\n5 6\n", 145},
 		{"getter", wide + `var o = {get x() { return 6; }};
 function f(o) { var s = 0; for (var i = 0; i < 3; i++) { s = s + o.x; } return s; }
-console.log(f(o));`, "18\n", 243},
+console.log(f(o));`, "18\n", 240},
 	}
 	for _, g := range guests {
 		p := inline(g.name, g.src, g.want, implicitOpts())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/desugar"
 	"repro/internal/interp"
 	"repro/internal/parser"
 )
@@ -25,26 +24,21 @@ func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
 	if c := a.compiled; c.Opts != c.declared {
 		return fmt.Errorf("stopify: Eval needs a REPL session (CompileREPL): this program compiled under less than its options")
 	}
-	a.evalTurns++
-	name := fmt.Sprintf("$repl%d", a.evalTurns)
-	// A trailing expression statement becomes the turn's value, so a REPL
-	// can echo it.
-	turn, err := compileFragment(src, a.compiled.Opts, name, true, a.In.Sites())
+	turn, err := compileFragment(src, a.compiled.Opts, true, a.In.Sites())
 	if err != nil {
 		return err
 	}
-	// Make the compiled turn's function over the shared global frame, bound
-	// to no name, and run it through the driver, like $main. The turn is in
-	// flight from here until the callback records how it ended.
-	a.In.ReserveSites(turn.Sites)
-	fn := interp.ObjectValue(a.In.NewClosure(turn.Body[0].(*ast.FuncDecl).Fn, a.In.Global))
+	// The turn runs through the driver as a program does. It is in flight
+	// from here until the callback records how it ended.
+	body, err := enter(a.In, turn)
+	if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	a.finished = false
 	a.mu.Unlock()
-	a.RT.Run(fn, func(v interp.Value, err error) {
-		a.mu.Lock()
-		a.result, a.err, a.finished = v, err, true
-		a.mu.Unlock()
+	a.RT.Run(body, func(v interp.Value, err error) {
+		a.record(v, err)
 		if onDone != nil {
 			onDone(v, err)
 		}
@@ -53,51 +47,22 @@ func (a *AsyncRun) Eval(src string, onDone func(interp.Value, error)) error {
 }
 
 // compileFragment compiles a snippet that joins a realm already running —
-// an eval string or a REPL turn — into a program declaring one function,
-// name, whose body is the snippet; the caller calls it, made over the
-// global frame. With echo, a trailing expression statement becomes
-// the function's return value. Site IDs continue from sites, the realm's
-// own count.
-func compileFragment(src string, opts Opts, name string, echo bool, sites ast.Sites) (*ast.Program, error) {
+// an eval string or a REPL turn — as a top level (compileTop). With echo, a
+// trailing expression statement becomes the body's return value; it is
+// taken before the split, so a declaration, which the split makes an
+// assignment, echoes undefined, as node's REPL does. Site IDs continue from
+// sites, the realm's own count.
+func compileFragment(src string, opts Opts, echo bool, sites ast.Sites) (*ast.Program, error) {
 	frag, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	// The echo is taken first: a declaration the promotion turns into an
-	// assignment echoes undefined, as node's REPL does.
 	if n := len(frag.Body); echo && n > 0 {
 		if es, ok := frag.Body[n-1].(*ast.ExprStmt); ok {
 			frag.Body[n-1] = &ast.Return{Arg: es.X}
 		}
 	}
-	promoteDeclsToGlobals(frag)
-	return compileProgram(frag, opts, &desugar.Namer{}, name, 0, sites)
-}
-
-// promoteDeclsToGlobals converts the fragment's top-level declarations into
-// assignments so they land in the shared global scope, as they do when raw
-// eval runs the fragment in the global frame. (The fragment's body becomes a
-// function, so a plain declaration would otherwise be local to it.)
-// Function declarations move to the front: they are hoisted.
-func promoteDeclsToGlobals(prog *ast.Program) {
-	var funcs, out []ast.Stmt
-	for _, s := range prog.Body {
-		switch n := s.(type) {
-		case *ast.FuncDecl:
-			funcs = append(funcs, ast.ExprOf(ast.SetId(n.Fn.Name, n.Fn)))
-		case *ast.VarDecl:
-			for _, d := range n.Decls {
-				init := d.Init
-				if init == nil {
-					init = ast.Undef()
-				}
-				out = append(out, ast.ExprOf(ast.SetId(d.Name, init)))
-			}
-		default:
-			out = append(out, s)
-		}
-	}
-	prog.Body = append(funcs, out...)
+	return compileTop(frag, opts, 0, sites)
 }
 
 // EvalAndWait is Eval plus pumping the loop to completion; it returns the

@@ -216,3 +216,48 @@ func TestREPLEchoes(t *testing.T) {
 		}
 	}
 }
+
+// TestREPLHoists: a turn declares what the global frame binds before its
+// body runs, as a program does, so a var is undefined before its statement
+// and a for's var is a global after the loop; and a session started from a
+// program reads that program's top-level vars and functions, which are
+// globals as a script's are.
+func TestREPLHoists(t *testing.T) {
+	for _, session := range []struct {
+		program string
+		turns   []struct{ src, want, out string }
+	}{
+		{"", []struct{ src, want, out string }{
+			{`console.log(typeof hx, hx); var hx = 1;`, "undefined", "undefined undefined\n"},
+			{`hx`, "1", ""},
+			{`for (var i = 0; i < 3; i++) {}`, "undefined", ""},
+			{`i`, "3", ""},
+		}},
+		{`var base = 41; function inc(v) { return v + 1; }`, []struct{ src, want, out string }{
+			{`inc(base)`, "42", ""},
+		}},
+	} {
+		c, err := CompileREPL(session.program, Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		run, err := c.NewRun(RunConfig{Clock: eventloop.NewVirtualClock(), Out: &buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.RunToCompletion(); err != nil {
+			t.Fatal(err)
+		}
+		for _, turn := range session.turns {
+			buf.Reset()
+			v, err := run.EvalAndWait(turn.src)
+			if err != nil {
+				t.Fatalf("%q then %q: %v", session.program, turn.src, err)
+			}
+			if got := run.In.Display(v); got != turn.want || buf.String() != turn.out {
+				t.Errorf("%q then %q: echoes %s and prints %q, want %s and %q", session.program, turn.src, got, buf.String(), turn.want, turn.out)
+			}
+		}
+	}
+}

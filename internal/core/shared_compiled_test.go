@@ -148,7 +148,7 @@ func TestChunksDieWithTheirTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return watchCollected(c.Prog.Body[len(c.Prog.Body)-1].(*ast.FuncDecl).Fn)
+			return watchCollected(c.Prog.Body[len(c.Prog.Body)-1].(*ast.ExprStmt).X.(*ast.Func))
 		},
 		"raw": func() <-chan struct{} {
 			prog, err := parser.Parse(src)

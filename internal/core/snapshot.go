@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/interp"
 	"repro/internal/snapshot"
 )
 
@@ -143,20 +142,11 @@ func RestoreWith(cfg RunConfig, blob []byte, ro RestoreOptions) (*AsyncRun, erro
 			return nil, fmt.Errorf("stopify: replaying snapshot output: %w", err)
 		}
 	}
-	a.RT.AdoptParked(d.State, func(v interp.Value, err error) {
-		a.mu.Lock()
-		a.result = v
-		a.err = err
-		a.finished = true
-		a.mu.Unlock()
-	})
+	a.RT.AdoptParked(d.State, a.record)
 	if d.State.Done {
 		// The main chain completed before the snapshot; the restored run is
 		// already finished and only drains its remaining timers.
-		a.mu.Lock()
-		a.result = d.Result
-		a.finished = true
-		a.mu.Unlock()
+		a.record(d.Result, nil)
 	}
 	a.RT.Repost(d.Tasks, ro.ElapsedMs)
 	return a, nil

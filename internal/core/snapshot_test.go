@@ -169,7 +169,7 @@ func TestSnapshotPins(t *testing.T) {
 			}),
 			snapshot.PinHost, "host payload", []string{"handle"}},
 		{"eval-closure", ev.src, ev.needs,
-			func(*core.AsyncRun) {}, snapshot.PinEval, "eval", []string{"make"}},
+			func(*core.AsyncRun) {}, snapshot.PinEval, "eval", []string{"make", "f"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := core.Compile(tc.src, tc.opts)
@@ -208,8 +208,9 @@ func TestSnapshotPins(t *testing.T) {
 
 // goldenParkedSrc is the program inside testdata/v4_parked.blob. The blob is
 // the Snapshot() of goldenParkedSrc after pump(run, 5000) on the tree engine,
-// last re-captured when the prelude's functions became intrinsics, which
-// changed the host registry's Sum: parked mid-loop holding
+// last re-captured when the top level's declarations became the global
+// frame's and its body an unnamed $main, which changed the code table: parked
+// mid-loop holding
 // what wire v2 made data — a bound constructor, a bound timer callback with
 // a forwarded extra arg, a cancelled timer handle, a Date — beside closures
 // and pending timers, under a continuation whose frames are v4's

@@ -4,8 +4,9 @@
 // every one in a function of its own, and its +, <, -x, o.f, getters and
 // `new` still mean what they mean, in a recursion preempted after it has done
 // so. A guest's `var $construct` no longer stands in for the constructor
-// prelude (the default constructor strategy, in every profile), and an eval
-// fragment binds no name of its own. The getters column is declared because
+// prelude (the default constructor strategy, in every profile), and neither
+// an eval fragment nor the program binds a name of its own: the top level's
+// body is a function no name binds. The getters column is declared because
 // the recursion reads a getter, which only that sub-language may preempt.
 // needs: getters eval
 console.log(typeof $construct, typeof $toPrim, typeof $eq, typeof $add, typeof $sub, typeof $mul, typeof $div);
@@ -47,3 +48,4 @@ function declared() {
 }
 console.log(declared());
 $eval = 5; eval("var q = 1"); console.log(typeof $eval, $eval === 5, q);
+console.log(typeof $main);

@@ -99,8 +99,8 @@ const (
 )
 
 // Apply instruments every function in prog in place. The program's top
-// level is expected to contain only declarations (the core compiler wraps
-// user statements into a $main function first).
+// level is expected to run no call (the core compiler moves a top level's
+// statements into a function, $main, first: ast.TopLevel).
 func Apply(prog *ast.Program, opts Options) *ast.Program {
 	var fns []*ast.Func
 	ast.Walk(prog, func(n ast.Node) bool {
@@ -118,15 +118,18 @@ func Apply(prog *ast.Program, opts Options) *ast.Program {
 
 // names is what one compile's instrumentation calls the locals it makes up:
 // the fixed ones, each suffixed when the guest has a name so spelled, and
-// the guest's `$` names, which no fresh one takes.
+// the guest's `$` names, which no fresh one takes. It also keeps what each
+// function's subtree names (nested), which every enclosing function asks.
 type names struct {
 	guest                ast.Names
 	lbl, k, ct, nt, self string
+	subtrees             map[*ast.Func]map[string]bool
 }
 
 func newNames(guest ast.Names) *names {
 	return &names{guest: guest, lbl: guest.Avoid("$lbl"), k: guest.Avoid("$k"),
-		ct: guest.Avoid("$ct"), nt: guest.Avoid("$nt"), self: guest.Avoid(SelfVar)}
+		ct: guest.Avoid("$ct"), nt: guest.Avoid("$nt"), self: guest.Avoid(SelfVar),
+		subtrees: map[*ast.Func]map[string]bool{}}
 }
 
 // instrumentFunc rewrites one function body and returns its context, nil
@@ -160,11 +163,11 @@ func instrumentFunc(fn *ast.Func, opts Options, nm *names) *fctx {
 	if opts.Strategy == Eager {
 		body = rewriteLists(body, c.saveShadowDepth)
 	}
-	// Locals must be collected before declToAssigns erases the var
+	// Locals must be collected before DeclToAssigns erases the var
 	// declarations. pushFrame (inside kStmts) inlines the saved subset at
 	// every capture site, so it rides on the context.
 	c.locals = c.localsList(fn, body)
-	body = rewriteLists(body, declToAssigns)
+	body = rewriteLists(body, ast.DeclToAssigns)
 	c.labelSites(body)
 	c.saved = c.savedLocals(fn, body)
 
@@ -310,7 +313,7 @@ func (c *fctx) prologue(fn *ast.Func) []ast.Stmt {
 
 // rewriteLists is the one walk of the pre-passes that prepare a body for
 // K⟦·⟧ — renameCatch, ctorProtocol's ctorReturn, finallyReturns,
-// saveShadowDepth and declToAssigns, run in that order — each of which is an
+// saveShadowDepth and ast.DeclToAssigns, run in that order — each of which is an
 // expand callback. It offers expand each statement of body and of every
 // statement list nested in it, outermost first (ast.Rewriter.Expand), and
 // enters no expression, so no nested function: Apply instruments each on its
@@ -331,7 +334,7 @@ func (c *fctx) renameCatch(s ast.Stmt) ([]ast.Stmt, bool) {
 	}
 	n.Block.Body = rewriteLists(n.Block.Body, c.renameCatch)
 	fresh := c.fresh("$exn")
-	renameIdent(n.Catch.Body, n.CatchParam, fresh)
+	c.renameIdent(n.Catch.Body, n.CatchParam, fresh)
 	n.CatchParam = fresh
 	n.Catch.Body = rewriteLists(n.Catch.Body, c.renameCatch)
 	if n.Finally != nil {
@@ -344,8 +347,9 @@ func (c *fctx) renameCatch(s ast.Stmt) ([]ast.Stmt, bool) {
 // inside the clause's body, respecting shadowing by nested functions and by
 // a nested catch clause of the same name. A `var old = x` there declares the
 // function's old and initializes the parameter: the bare declaration stays
-// and the initializer moves to new.
-func renameIdent(body []ast.Stmt, old, new string) {
+// and the initializer moves to new. A nested function it renames in is
+// forgotten by nested, which walks it again when asked.
+func (c *fctx) renameIdent(body []ast.Stmt, old, new string) {
 	var visit func(ast.Node) bool
 	visit = func(node ast.Node) bool {
 		switch n := node.(type) {
@@ -371,6 +375,7 @@ func renameIdent(body []ast.Stmt, old, new string) {
 			if n.Name == old || slices.Contains(n.Params, old) || slices.Contains(ast.DeclaredNames(n.Body), old) {
 				return false
 			}
+			delete(c.subtrees, n)
 		}
 		return true
 	}
@@ -508,21 +513,4 @@ func (c *fctx) saveShadowDepth(s ast.Stmt) ([]ast.Stmt, bool) {
 	sd := c.fresh("$sd")
 	c.shadowDepth[n] = sd
 	return []ast.Stmt{ast.ExprOf(ast.SetId(sd, ast.Dot(ast.IntrinsicShadow.Id(), "length"))), n}, true
-}
-
-// declToAssigns turns a var declaration into plain assignments: every local
-// is declared once in the prologue, so that restore-mode assignments can
-// precede the declaration's site. A declarator without an initializer goes.
-func declToAssigns(s ast.Stmt) ([]ast.Stmt, bool) {
-	n, ok := s.(*ast.VarDecl)
-	if !ok {
-		return nil, true
-	}
-	out := make([]ast.Stmt, 0, len(n.Decls)) // not nil: empty drops n
-	for _, d := range n.Decls {
-		if d.Init != nil {
-			out = append(out, ast.ExprOf(ast.SetId(d.Name, d.Init)))
-		}
-	}
-	return out, false
 }

@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"maps"
 	"slices"
 
 	"repro/internal/ast"
@@ -43,18 +44,15 @@ func (c *fctx) savedLocals(fn *ast.Func, body []ast.Stmt) []string {
 		}
 	}
 	eval := false
-	nested := func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			eval = eval || id.Name == "eval"
-			lv.add(keep, id.Name)
-		}
-		return true
-	}
 	for _, s := range body {
 		ast.Walk(s, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Func:
-				ast.Walk(n, nested)
+				sub := c.nested(n)
+				for name := range sub {
+					lv.add(keep, name)
+				}
+				eval = eval || sub["eval"]
 				return false
 			case *ast.Ident:
 				eval = eval || n.Name == "eval"
@@ -75,6 +73,34 @@ func (c *fctx) savedLocals(fn *ast.Func, body []ast.Stmt) []string {
 		}
 	}
 	return saved
+}
+
+// nested is the set of names fn's body holds, its nested functions' included.
+// It is worked out once a function, bottom-up from its nested functions' and
+// remembered (names.subtrees), so a nest is walked once in all rather than
+// once for each function around it. Functions are instrumented outermost
+// first, so it is what every enclosing function sees; the one rewrite that
+// reaches into a nested function before then, a catch parameter's renaming,
+// makes the memory forget those it enters.
+func (nm *names) nested(fn *ast.Func) map[string]bool {
+	if sub, ok := nm.subtrees[fn]; ok {
+		return sub
+	}
+	sub := map[string]bool{}
+	for _, s := range fn.Body {
+		ast.Walk(s, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Func:
+				maps.Copy(sub, nm.nested(n))
+				return false
+			case *ast.Ident:
+				sub[n.Name] = true
+			}
+			return true
+		})
+	}
+	nm.subtrees[fn] = sub
+	return sub
 }
 
 // bits is a set of indexes into a function's locals list.
@@ -212,7 +238,7 @@ func (lv *liveness) stmt(st ast.Stmt, s bits, e *liveEnv) {
 		lv.try(n, s, e)
 	case *ast.FuncDecl, *ast.Empty:
 	default:
-		lv.all(s) // no other statement survives desugaring and declToAssigns
+		lv.all(s) // no other statement survives desugaring and DeclToAssigns
 	}
 	s.or(e.exc)
 }

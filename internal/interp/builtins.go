@@ -750,14 +750,11 @@ func (in *Interp) setupTopFunctions() {
 		if in.EvalHook == nil {
 			return Undefined, in.Throw("Error", "eval is not enabled in this configuration")
 		}
-		prog, err := in.EvalHook(src)
+		run, err := in.EvalHook(src)
 		if err != nil {
 			return Undefined, in.Throw("SyntaxError", "eval: %v", err)
 		}
-		if rerr := in.RunProgram(prog); rerr != nil {
-			return Undefined, rerr
-		}
-		return Undefined, nil
+		return Undefined, run()
 	}))
 }
 

@@ -84,11 +84,11 @@ type Interp struct {
 
 	sink uint64 // cost-model spin target; opaque to the optimizer
 
-	// EvalHook compiles source for the eval() builtin. The Stopify core
-	// installs a hook that runs the string through the full pipeline (§4.3);
-	// without a hook, eval throws. The returned program runs in this realm,
-	// so a hook that resolves it numbers its sites from Sites.
-	EvalHook func(src string) (*ast.Program, error)
+	// EvalHook compiles source for the eval() builtin and returns what runs
+	// it in the global scope; its error is the SyntaxError eval throws. The
+	// Stopify core's runs the string through the full pipeline (§4.3); with
+	// none, eval throws. A hook that resolves numbers its sites from Sites.
+	EvalHook func(src string) (run func() error, err error)
 
 	// Uncaught receives exceptions that escape event-loop tasks. When nil,
 	// such an exception panics — the moral equivalent of a crashed page.

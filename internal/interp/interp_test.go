@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/eventloop"
 	"repro/internal/parser"
@@ -630,12 +629,12 @@ func TestEvalWithHook(t *testing.T) {
 	prog, _ := parseResolved(`eval("globalFromEval = 7;"); console.log(globalFromEval);`)
 	var buf bytes.Buffer
 	in := New(Options{Out: &buf})
-	in.EvalHook = func(src string) (*ast.Program, error) {
+	in.EvalHook = func(src string) (func() error, error) {
 		frag, err := parser.Parse(src)
 		if err == nil {
-			resolve.ProgramFrom(frag, in.Sites())
+			err = resolve.ProgramFrom(frag, in.Sites())
 		}
-		return frag, err
+		return func() error { return in.RunProgram(frag) }, err
 	}
 	if err := in.RunProgram(prog); err != nil {
 		t.Fatal(err)
